@@ -1,20 +1,18 @@
-"""X4 — multi-core execution backend: speedup vs worker count & transport.
+"""X4 — multi-core execution backend: speedup vs worker count.
 
 The ``process`` backend (:mod:`repro.exec`) runs each round's per-server
 local computation on a persistent pool of forked workers, moving column
-arrays through ``multiprocessing.shared_memory`` (``shm`` transport) or
-the queues' pickle stream (``pickle``). Its contract is *observational
-identity*: outputs, per-server loads, round counts, and audits are
-byte-identical to the inline backend — only the wall clock may differ.
+arrays through ``multiprocessing.shared_memory``. Its contract is
+*observational identity*: outputs, per-server loads, round counts, and
+audits are byte-identical to the inline backend — only the wall clock
+may differ.
 
-- X4a sweeps the pool size (1/2/4/8 workers) on a hash join and a
-  HyperCube triangle, reporting wall time and speedup over inline. The
-  identity columns are asserted; the speedup is *reported*, because it
-  is a property of the machine: with fewer physical cores than workers
-  the pool adds IPC cost but no parallelism (on a single-core host every
-  process run is a slowdown — the honest number).
-- X4b compares the shm vs pickle transports at a fixed pool size,
-  reporting the shared-memory bytes actually moved (zero under pickle).
+The sweep runs the pool at 1/2/4/8 workers on a hash join and a
+HyperCube triangle, reporting wall time and speedup over inline. The
+identity columns are asserted; the speedup is *reported*, because it is
+a property of the machine: with fewer physical cores than workers the
+pool adds IPC cost but no parallelism (on a single-core host every
+process run is a slowdown — the honest number).
 
 The committed BENCH_5 artifact is produced by the measured counterpart:
 ``python -m repro bench --x4`` (see :mod:`repro.bench.runner`).
@@ -53,7 +51,7 @@ def _timed(run):
 
 
 def worker_scaling_experiment(p=16, workers=(1, 2, 4, 8), n_join=6000, n_tri=2000):
-    """X4a: wall time and identity vs pool size, per workload."""
+    """Wall time and identity vs pool size, per workload."""
     rows = []
     for label, make in (
         ("hash-join", _hash_join_workload(p, n=n_join)),
@@ -63,7 +61,7 @@ def worker_scaling_experiment(p=16, workers=(1, 2, 4, 8), n_join=6000, n_tri=200
             base_s, base = _timed(make)
         rows.append((label, "inline", 1, base_s, 1.0, True))
         for count in workers:
-            with use_backend("process", workers=count, transport="shm"):
+            with use_backend("process", workers=count):
                 run_s, run = _timed(make)
             identical = (
                 run.output == base.output
@@ -76,29 +74,10 @@ def worker_scaling_experiment(p=16, workers=(1, 2, 4, 8), n_join=6000, n_tri=200
     return rows
 
 
-def transport_experiment(p=16, workers=2, n_join=6000):
-    """X4b: shm vs pickle transport at a fixed pool size."""
-    make = _hash_join_workload(p, n=n_join)
-    with use_backend("inline"):
-        base_s, base = _timed(make)
-    rows = [("inline", "none", base_s, 1.0, 0, 0)]
-    for transport in ("shm", "pickle"):
-        with use_backend("process", workers=workers, transport=transport):
-            run_s, run = _timed(make)
-        assert run.output == base.output
-        assert run.stats.max_load == base.stats.max_load
-        exec_stats = run.stats.exec
-        rows.append((
-            "process", transport, run_s, base_s / run_s,
-            exec_stats.shm_bytes_out, exec_stats.shm_bytes_in,
-        ))
-    return rows
-
-
 def test_x4_worker_scaling(benchmark):
     rows = benchmark.pedantic(worker_scaling_experiment, rounds=1, iterations=1)
     print_table(
-        "X4a backend scaling (outputs/loads/rounds identical to inline)",
+        "X4 backend scaling (outputs/loads/rounds identical to inline)",
         ["workload", "backend", "workers", "seconds", "speedup", "identical"],
         rows,
     )
@@ -111,29 +90,9 @@ def test_x4_worker_scaling(benchmark):
         print("  (single-core host: process-backend speedups < 1 expected)")
 
 
-def test_x4_transports(benchmark):
-    rows = benchmark.pedantic(transport_experiment, rounds=1, iterations=1)
-    print_table(
-        "X4b transport comparison (2 workers)",
-        ["backend", "transport", "seconds", "speedup",
-         "shm bytes out", "shm bytes in"],
-        rows,
-    )
-    by_transport = {row[1]: row for row in rows}
-    # The shm transport is the one actually moving shared-memory bytes.
-    assert by_transport["shm"][4] > 0
-    assert by_transport["pickle"][4] == 0
-
-
 if __name__ == "__main__":
     print_table(
-        "X4a backend scaling",
+        "X4 backend scaling",
         ["workload", "backend", "workers", "seconds", "speedup", "identical"],
         worker_scaling_experiment(),
-    )
-    print_table(
-        "X4b transports",
-        ["backend", "transport", "seconds", "speedup",
-         "shm bytes out", "shm bytes in"],
-        transport_experiment(),
     )

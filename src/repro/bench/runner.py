@@ -29,7 +29,7 @@ from typing import Any
 from repro.bench.compare import compare_bench
 from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.schema import SCHEMA_VERSION, validate_bench
-from repro.exec.config import backend_name, transport_name, use_backend, worker_count
+from repro.exec.config import backend_name, use_backend, worker_count
 from repro.kernels.config import kernels_enabled, use_kernels
 
 __all__ = [
@@ -39,17 +39,14 @@ __all__ = [
     "run_bench_x4",
     "run_bench_x7",
     "run_bench_x8",
-    "run_bench_x9",
-    "run_bench_x10",
     "run_experiment",
     "run_scaling",
     "run_speedup",
-    "run_transport_ab",
 ]
 
 # Backend scaling (the x4 bench): pool sizes swept per experiment, and
 # the experiments whose local phase is heavy enough to be worth timing
-# across transports (≥ 2 by design — the criterion is per-experiment).
+# (≥ 2 by design — the criterion is per-experiment).
 SCALING_WORKERS = (1, 2, 4, 8)
 SCALING_EXPERIMENTS = (
     "hash_join_uniform",
@@ -58,18 +55,12 @@ SCALING_EXPERIMENTS = (
     "sql_matmul",
 )
 
-# Transport A/B (REPRO_SHM_ROWS on vs off): the two experiments whose
-# deliveries are dominated by integer tuple lists, so row packing moves
-# the most bytes out of the queues' pickle stream.
-TRANSPORT_EXPERIMENTS = ("hash_join_uniform", "hypercube_triangle")
-
-
 def machine_info() -> dict[str, Any]:
     """The environment fields recorded in every BENCH file.
 
-    ``backend``/``workers``/``transport`` pin down the execution backend
-    the run was measured under — two BENCH files from different backends
-    are not comparable (the comparator refuses without ``--force``).
+    ``backend``/``workers`` pin down the execution backend the run was
+    measured under — two BENCH files from different backends are not
+    comparable (the comparator refuses without ``--force``).
     """
     import numpy
 
@@ -80,7 +71,6 @@ def machine_info() -> dict[str, Any]:
         "cpu_count": os.cpu_count() or 1,
         "backend": backend_name(),
         "workers": worker_count() if backend_name() == "process" else 1,
-        "transport": transport_name() if backend_name() == "process" else "none",
     }
 
 
@@ -153,16 +143,15 @@ def run_scaling(
     quick: bool = False,
     repeats: int = 2,
     workers: Sequence[int] = SCALING_WORKERS,
-    transports: Sequence[str] = ("shm", "pickle"),
 ) -> list[dict[str, Any]]:
     """Backend-scaling records for one experiment (the x4 sweep).
 
     Times the inline backend once as the reference, then the process
-    backend at every (worker count, transport) combination on the same
-    inputs. ``speedup`` is inline-time / process-time (> 1 means the
-    pool wins); ``identical`` certifies the process run reproduced the
-    inline L_max, round count, and output exactly — the determinism
-    contract the backend layer guarantees by construction.
+    backend at every worker count on the same inputs. ``speedup`` is
+    inline-time / process-time (> 1 means the pool wins); ``identical``
+    certifies the process run reproduced the inline L_max, round count,
+    and output exactly — the determinism contract the backend layer
+    guarantees by construction.
     """
     n = experiment.size(quick)
     inputs = experiment.prepare(n, experiment.seed)
@@ -176,7 +165,6 @@ def run_scaling(
         "p": experiment.p,
         "backend": "inline",
         "workers": 1,
-        "transport": "none",
         "seconds": base_s,
         "speedup": 1.0,
         "L_max": base_load,
@@ -184,106 +172,26 @@ def run_scaling(
         "out_size": len(base_out),
         "identical": True,
     }]
-    for transport in transports:
-        for count in workers:
-            with use_backend("process", workers=count, transport=transport):
-                run_s, load, rounds, output = _timed(experiment, inputs, repeats)
-            records.append({
-                "name": experiment.name,
-                "n": n,
-                "p": experiment.p,
-                "backend": "process",
-                "workers": count,
-                "transport": transport,
-                "seconds": run_s,
-                "speedup": base_s / run_s if run_s > 0 else 0.0,
-                "L_max": load,
-                "rounds": rounds,
-                "out_size": len(output),
-                "identical": (
-                    load == base_load
-                    and rounds == base_rounds
-                    and output == base_out
-                ),
-            })
-    return records
-
-
-def run_transport_ab(
-    quick: bool = False, workers: int = 2, echo: bool = True
-) -> list[dict[str, Any]]:
-    """Shm row-packing on vs off: where the transported bytes actually go.
-
-    Runs each :data:`TRANSPORT_EXPERIMENTS` entry twice on the process
-    backend with the ``shm`` transport — once with integer row-block
-    packing enabled (the default) and once forced off — and records the
-    :class:`~repro.mpc.stats.ExecStats` byte counters of each run.
-    ``identical`` certifies the two modes produced the same output,
-    L_max, and round count; the interesting delta is ``pickle_bytes``
-    (packing moves tuple lists out of the queue stream) against
-    ``shm_bytes`` (where those bytes reappear as one block per list).
-    """
-    from repro.bench.experiments import experiment as experiment_by_name
-    from repro.exec.config import use_shm_rows
-    from repro.joins.hash_join import parallel_hash_join
-    from repro.multiway.hypercube import triangle_hypercube
-
-    def say(message: str) -> None:
-        if echo:
-            print(message, flush=True)
-
-    runners = {
-        "hash_join_uniform": lambda inputs, p, seed: parallel_hash_join(
-            inputs[0], inputs[1], p=p, seed=seed
-        ),
-        "hypercube_triangle": lambda inputs, p, seed: triangle_hypercube(
-            *inputs, p=p, seed=seed
-        ),
-    }
-    records: list[dict[str, Any]] = []
-    for name in TRANSPORT_EXPERIMENTS:
-        exp = experiment_by_name(name)
-        n = exp.size(quick)
-        inputs = exp.prepare(n, exp.seed)
-        runs: dict[bool, Any] = {}
-        for rows_packing in (True, False):
-            with use_backend("process", workers=workers, transport="shm"), \
-                    use_shm_rows(rows_packing):
-                start = time.perf_counter()
-                run = runners[name](inputs, exp.p, exp.seed)
-                seconds = time.perf_counter() - start
-            runs[rows_packing] = run
-            ex = run.stats.exec
-            records.append({
-                "name": name,
-                "n": n,
-                "p": exp.p,
-                "workers": workers,
-                "rows_packing": rows_packing,
-                "seconds": seconds,
-                "shm_bytes": ex.shm_bytes_out + ex.shm_bytes_in,
-                "pickle_bytes": ex.pickle_bytes_out + ex.pickle_bytes_in,
-                "L_max": run.load,
-                "rounds": run.rounds,
-                "out_size": len(run.output),
-                "identical": True,  # filled in below against the pair
-            })
-        on, off = runs[True], runs[False]
-        identical = (
-            on.load == off.load
-            and on.rounds == off.rounds
-            and on.output.rows_readonly() == off.output.rows_readonly()
-        )
-        records[-1]["identical"] = identical
-        records[-2]["identical"] = identical
-        for record in records[-2:]:
-            say(
-                f"  {record['name']:<22} rows_packing="
-                f"{str(record['rows_packing']):<5} "
-                f"shm={record['shm_bytes']:>12,}B "
-                f"pickle={record['pickle_bytes']:>12,}B "
-                f"identical={record['identical']}"
-            )
+    for count in workers:
+        with use_backend("process", workers=count):
+            run_s, load, rounds, output = _timed(experiment, inputs, repeats)
+        records.append({
+            "name": experiment.name,
+            "n": n,
+            "p": experiment.p,
+            "backend": "process",
+            "workers": count,
+            "seconds": run_s,
+            "speedup": base_s / run_s if run_s > 0 else 0.0,
+            "L_max": load,
+            "rounds": rounds,
+            "out_size": len(output),
+            "identical": (
+                load == base_load
+                and rounds == base_rounds
+                and output == base_out
+            ),
+        })
     return records
 
 
@@ -324,8 +232,6 @@ def run_bench(
                 f"identical={record['identical']} oracle={record['oracle_ok']}"
             )
             speedups.append(record)
-    say("transport A/B (shm row packing on vs off, process backend):")
-    transport_ab = run_transport_ab(quick=quick, echo=echo)
     return {
         "schema": SCHEMA_VERSION,
         "machine": machine_info(),
@@ -333,16 +239,15 @@ def run_bench(
         "quick": quick,
         "experiments": records,
         "speedups": speedups,
-        "transport_ab": transport_ab,
     }
 
 
 def run_bench_x4(quick: bool = False, echo: bool = True) -> dict[str, Any]:
-    """The x4 document: backend scaling over worker counts and transports.
+    """The x4 document: backend scaling over worker counts.
 
     The ``experiments`` section holds the inline reference runs (so the
     file diffs against any other BENCH with the standard comparator);
-    the ``scaling`` section holds the full (workers × transport) sweep.
+    the ``scaling`` section holds the full worker-count sweep.
     """
     from repro.bench.experiments import experiment as experiment_by_name
 
@@ -359,7 +264,7 @@ def run_bench_x4(quick: bool = False, echo: bool = True) -> dict[str, Any]:
         for record in records:
             say(
                 f"  {record['name']:<22} {record['backend']:<7} "
-                f"w={record['workers']} {record['transport']:<6} "
+                f"w={record['workers']} "
                 f"{record['seconds']:.3f}s speedup={record['speedup']:.2f}x "
                 f"identical={record['identical']}"
             )
@@ -621,382 +526,6 @@ def run_bench_x8(quick: bool = False, echo: bool = True) -> dict[str, Any]:
     }
 
 
-# The x9 protocol bench: each workload re-runs the same query this many
-# times through one persistent pool. The resident protocol pays its
-# block shipments on the first run only, so its full-snapshot dispatch
-# count stays near the cold-start floor while the snapshot arm re-ships
-# everything every run — the acceptance floor below is the minimum
-# factor by which snapshot-protocol overhead must exceed resident.
-X9_QUERIES = 8
-X9_RATIO_FLOOR = 5.0
-X9_EXPERIMENTS = ("hash_join_uniform", "hypercube_triangle")
-
-
-def run_bench_x9(
-    quick: bool = False, workers: int = 2, echo: bool = True
-) -> dict[str, Any]:
-    """The x9 document: resident vs snapshot dispatch-protocol overhead.
-
-    Each workload runs the same query :data:`X9_QUERIES` times against
-    one persistent process pool under both dispatch protocols:
-
-    - ``snapshot`` with row packing forced off — the PR 5 wire protocol,
-      where every dispatch re-pickles the full payload onto the queue;
-    - ``resident`` with row packing on (today's defaults), after an
-      explicit :func:`~repro.exec.pool.invalidate_resident` so the arm
-      pays its own cold start inside the measurement.
-
-    Recorded per arm: wall time, queue messages, full-snapshot dispatch
-    count, and the byte split between shm segments and queue pickle.
-    ``identical`` certifies every run of both arms reproduced the inline
-    reference output, L_max, and round count byte-for-byte. The
-    ``dispatch_ratio``/``pickle_ratio`` fields (snapshot over resident)
-    are the acceptance quantities: both must be ≥
-    :data:`X9_RATIO_FLOOR`.
-    """
-    from repro.bench.experiments import experiment as experiment_by_name
-    from repro.exec.config import use_protocol, use_shm_rows
-    from repro.exec.pool import invalidate_resident
-    from repro.joins.hash_join import parallel_hash_join
-    from repro.mpc.stats import ExecStats
-    from repro.multiway.hypercube import triangle_hypercube
-
-    def say(message: str) -> None:
-        if echo:
-            print(message, flush=True)
-
-    runners = {
-        "hash_join_uniform": lambda inputs, p, seed: parallel_hash_join(
-            inputs[0], inputs[1], p=p, seed=seed
-        ),
-        "hypercube_triangle": lambda inputs, p, seed: triangle_hypercube(
-            *inputs, p=p, seed=seed
-        ),
-    }
-    records: list[dict[str, Any]] = []
-    experiments: list[dict[str, Any]] = []
-    for name in X9_EXPERIMENTS:
-        exp = experiment_by_name(name)
-        n = exp.size(quick)
-        inputs = exp.prepare(n, exp.seed)
-        with use_backend("inline"):
-            reference = runners[name](inputs, exp.p, exp.seed)
-        ref_rows = reference.output.rows_readonly()
-        arm_records: dict[str, dict[str, Any]] = {}
-        for protocol, rows_packing in (("snapshot", False), ("resident", True)):
-            if protocol == "resident":
-                # Cold start: the resident arm must pay its own block
-                # shipments inside the measurement, not inherit a cache
-                # warmed by an earlier workload.
-                invalidate_resident()
-            per_run_stats: list[Any] = []
-            identical = True
-            with use_backend("process", workers=workers, transport="shm"), \
-                    use_protocol(protocol), use_shm_rows(rows_packing):
-                start = time.perf_counter()
-                for _ in range(X9_QUERIES):
-                    run = runners[name](inputs, exp.p, exp.seed)
-                    per_run_stats.append(run.stats.exec)
-                    identical = identical and (
-                        run.load == reference.load
-                        and run.rounds == reference.rounds
-                        and run.output.rows_readonly() == ref_rows
-                    )
-                seconds = time.perf_counter() - start
-            ex = ExecStats.merged(per_run_stats)
-            record = {
-                "name": name,
-                "n": n,
-                "p": exp.p,
-                "workers": workers,
-                "queries": X9_QUERIES,
-                "protocol": protocol,
-                "seconds": seconds,
-                "queue_messages": ex.queue_messages,
-                "snapshot_dispatches": ex.snapshot_dispatches,
-                "shm_bytes_out": ex.shm_bytes_out,
-                "pickle_bytes_out": ex.pickle_bytes_out,
-                "dispatch_bytes_out": ex.dispatch_bytes_out,
-                "resident_hits": ex.resident_hits,
-                "resident_bytes_saved": ex.resident_bytes_saved,
-                "fallback_dispatches": ex.fallback_dispatches,
-                "bytes_per_message": ex.bytes_per_message,
-                "dispatch_ratio": 0.0,  # filled in from the pair below
-                "pickle_ratio": 0.0,
-                "identical": identical,
-            }
-            arm_records[protocol] = record
-            records.append(record)
-        snap, res = arm_records["snapshot"], arm_records["resident"]
-        dispatch_ratio = (
-            snap["snapshot_dispatches"] / res["snapshot_dispatches"]
-            if res["snapshot_dispatches"] else float(snap["snapshot_dispatches"])
-        )
-        pickle_ratio = (
-            snap["pickle_bytes_out"] / res["pickle_bytes_out"]
-            if res["pickle_bytes_out"] else float(snap["pickle_bytes_out"])
-        )
-        for record in (snap, res):
-            record["dispatch_ratio"] = dispatch_ratio
-            record["pickle_ratio"] = pickle_ratio
-            say(
-                f"  {record['name']:<22} {record['protocol']:<9} "
-                f"snapshots={record['snapshot_dispatches']:>4} "
-                f"pickle={record['pickle_bytes_out']:>12,}B "
-                f"msgs={record['queue_messages']:>4} "
-                f"identical={record['identical']}"
-            )
-        say(
-            f"  {name:<22} dispatch_ratio={dispatch_ratio:.1f}x "
-            f"pickle_ratio={pickle_ratio:.1f}x"
-        )
-        # One standard experiment record per workload (the resident-arm
-        # wall time) so the file diffs with the plain comparator too.
-        experiments.append({
-            "name": f"x9_{name}",
-            "n": n,
-            "p": exp.p,
-            "seconds": res["seconds"],
-            "L_max": reference.load,
-            "rounds": reference.rounds,
-            "out_size": len(reference.output),
-        })
-    return {
-        "schema": SCHEMA_VERSION,
-        "machine": machine_info(),
-        "kernels": kernels_enabled(),
-        "quick": quick,
-        "experiments": experiments,
-        "speedups": [],
-        "x9": records,
-    }
-
-
-# The x10 memoization bench: each scenario runs the same multi-round
-# query this many times per arm, so the memo-on arm pays its hashing and
-# partitioning on the first run only while the memo-off arm repeats it
-# every run. The floors below are the acceptance bar: at least
-# X10_SCENARIO_FLOOR scenarios must clear both.
-X10_QUERIES = 8
-X10_SPEEDUP_FLOOR = 1.5
-X10_HASH_FLOOR = 5.0
-X10_SCENARIO_FLOOR = 2
-
-
-def run_bench_x10(quick: bool = False, echo: bool = True) -> dict[str, Any]:
-    """The x10 document: intra-query memoization on vs off.
-
-    Each scenario — GYM, the multi-reducer semijoin, multiround sort,
-    SkewHC, and a ``split=4`` service query — runs :data:`X10_QUERIES`
-    times per arm on the inline backend: once with the memo layer forced
-    off and once (after an explicit :func:`~repro.kernels.memo.clear_memo`
-    so the arm pays its own cold start) with it on. Both the contextvar
-    gate and ``REPRO_MEMO`` are set, because the service arm executes on
-    worker threads that only see the environment.
-
-    Recorded per scenario: wall time and bucket-kernel hash ops of both
-    arms, the on-arm's partition/view hit counters and bytes saved, and
-    ``identical`` — every run of both arms must reproduce the same
-    output rows, L_max, and round count. ``speedup``
-    (``seconds_off / seconds_on``) and ``hash_ops_ratio``
-    (``hash_ops_off / hash_ops_on``) are the acceptance quantities.
-    Multiround sort is the honest control: its routing is splitter-based
-    (no hash partitioning), so the memo layer has nothing to replay
-    there and both ratios sit near 1x/0x by design.
-    """
-    from contextlib import contextmanager
-
-    from repro.data.generators import skewed_relation, uniform_relation
-    from repro.data.warehouse import make_warehouse
-    from repro.kernels.memo import GLOBAL, clear_memo, use_memo
-    from repro.multiway.base import shuffle_multi_semijoin
-    from repro.multiway.gym import gym
-    from repro.multiway.skewhc import skewhc_join
-    from repro.query.parser import parse_query
-    from repro.service.cli import WORKLOAD
-    from repro.service.service import QueryService
-    from repro.sorting.multiround import multiround_sort
-
-    def say(message: str) -> None:
-        if echo:
-            print(message, flush=True)
-
-    @contextmanager
-    def memo_everywhere(enabled: bool):
-        # The contextvar covers inline execution in this thread; the env
-        # var covers service worker threads, which start with no forced
-        # value and fall back to REPRO_MEMO.
-        saved = os.environ.get("REPRO_MEMO")
-        os.environ["REPRO_MEMO"] = "on" if enabled else "off"
-        try:
-            with use_memo(enabled):
-                yield
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_MEMO", None)
-            else:
-                os.environ["REPRO_MEMO"] = saved
-
-    p = 8
-    n_gym = 3_000 if quick else 30_000
-    n_semi = 6_000 if quick else 60_000
-    n_sort = 10_000 if quick else 120_000
-    n_skew = 1_500 if quick else 8_000
-    n_orders = 800 if quick else 3_000
-
-    gym_query = parse_query(
-        "Q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(c, d), R4(d, e)"
-    )
-    gym_rels = {
-        f"R{i}": uniform_relation(
-            f"R{i}", [chr(ord("a") + i - 1), chr(ord("a") + i)],
-            n_gym, n_gym, seed=i,
-        )
-        for i in range(1, 5)
-    }
-
-    semi_target = uniform_relation("T", ["x", "y"], n_semi, n_semi // 4, seed=1)
-    semi_reducers = [
-        uniform_relation(f"K{i}", ["x"], n_semi // 3, n_semi // 4, seed=10 + i)
-        for i in range(3)
-    ]
-
-    sort_items = uniform_relation(
-        "S", ["v"], n_sort, n_sort * 4, seed=2
-    ).column("v")
-
-    skew_query = parse_query("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-    skew_rels = {
-        "R": skewed_relation("R", ["x", "y"], n_skew, "y", n_skew // 2, 1.2,
-                             seed=3),
-        "S": uniform_relation("S", ["y", "z"], n_skew, n_skew // 2, seed=4),
-        "T": uniform_relation("T", ["z", "x"], n_skew, n_skew // 2, seed=5),
-    }
-
-    warehouse = make_warehouse(
-        n_orders=n_orders, n_customers=max(50, n_orders // 10), seed=0
-    )
-    service_query = WORKLOAD[2]  # Orders x Lineitems: splitter-eligible
-
-    def run_gym():
-        run = gym(gym_query, gym_rels, p=p, seed=0)
-        return run.output.rows_readonly(), run.stats.max_load, run.stats.num_rounds
-
-    def run_semijoin():
-        out, stats = shuffle_multi_semijoin(
-            semi_target, semi_reducers, p=p, seed=0
-        )
-        return out.rows_readonly(), stats.max_load, stats.num_rounds
-
-    def run_sort():
-        out, stats = multiround_sort(
-            sort_items, p=p, load_cap=max(64, n_sort // (2 * p)), seed=0
-        )
-        return tuple(out), stats.max_load, stats.num_rounds
-
-    def run_skewhc():
-        run = skewhc_join(skew_query, skew_rels, p=p, seed=0)
-        return run.output.rows_readonly(), run.stats.max_load, run.stats.num_rounds
-
-    scenarios = [
-        ("gym_path", n_gym, run_gym, None),
-        ("semijoin_multi", n_semi, run_semijoin, None),
-        ("multiround_sort", n_sort, run_sort, None),
-        ("skewhc_triangle", n_skew, run_skewhc, None),
-        ("service_split4", n_orders, None, "service"),
-    ]
-
-    records: list[dict[str, Any]] = []
-    experiments: list[dict[str, Any]] = []
-    with use_backend("inline"):
-        for name, n, runner, special in scenarios:
-            arm_results: dict[bool, tuple[float, Any, list]] = {}
-            for enabled in (False, True):
-                clear_memo()
-                before = GLOBAL.snapshot()
-                outcomes: list[Any] = []
-                with memo_everywhere(enabled):
-                    if special == "service":
-                        # cache_size=0: the result cache must not
-                        # shortcut the repeats the memo layer is
-                        # being measured on.
-                        with QueryService(
-                            warehouse, p=p, workers=1, cache_size=0, seed=0
-                        ) as svc:
-                            start = time.perf_counter()
-                            for _ in range(X10_QUERIES):
-                                result = svc.query(service_query, split=4)
-                                outcomes.append((
-                                    result.output.rows_readonly(),
-                                    result.max_load, result.rounds,
-                                ))
-                            seconds = time.perf_counter() - start
-                    else:
-                        start = time.perf_counter()
-                        for _ in range(X10_QUERIES):
-                            outcomes.append(runner())
-                        seconds = time.perf_counter() - start
-                arm_results[enabled] = (
-                    seconds, GLOBAL.delta(before), outcomes
-                )
-            off_s, off_memo, off_outcomes = arm_results[False]
-            on_s, on_memo, on_outcomes = arm_results[True]
-            identical = all(
-                outcome == off_outcomes[0]
-                for outcome in off_outcomes + on_outcomes
-            )
-            record = {
-                "name": name,
-                "n": n,
-                "p": p,
-                "queries": X10_QUERIES,
-                "seconds_on": on_s,
-                "seconds_off": off_s,
-                "speedup": off_s / on_s if on_s > 0 else 0.0,
-                "hash_ops_on": on_memo.hash_ops,
-                "hash_ops_off": off_memo.hash_ops,
-                "hash_ops_ratio": (
-                    off_memo.hash_ops / on_memo.hash_ops
-                    if on_memo.hash_ops else 0.0
-                ),
-                "partition_hits": on_memo.partition_hits,
-                "view_hits": on_memo.view_hits,
-                "bytes_saved": on_memo.bytes_saved,
-                "identical": identical,
-            }
-            records.append(record)
-            say(
-                f"  {name:<18} on={on_s:.3f}s off={off_s:.3f}s "
-                f"speedup={record['speedup']:.2f}x "
-                f"hash_ops={off_memo.hash_ops}->{on_memo.hash_ops} "
-                f"({record['hash_ops_ratio']:.1f}x) "
-                f"hits={on_memo.partition_hits}p/{on_memo.view_hits}v "
-                f"identical={identical}"
-            )
-            # One standard experiment record per scenario (memo-on wall
-            # time) so the file diffs with the plain comparator too.
-            _, ref_load, ref_rounds = on_outcomes[0]
-            experiments.append({
-                "name": f"x10_{name}",
-                "n": n,
-                "p": p,
-                "seconds": on_s,
-                "L_max": ref_load,
-                "rounds": ref_rounds,
-                "out_size": len(on_outcomes[0][0]),
-            })
-    clear_memo()
-    return {
-        "schema": SCHEMA_VERSION,
-        "machine": machine_info(),
-        "kernels": kernels_enabled(),
-        "quick": quick,
-        "experiments": experiments,
-        "speedups": [],
-        "x10": records,
-    }
-
-
 def _load(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -1033,8 +562,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="skip the kernels on/off pairs")
     parser.add_argument("--x4", action="store_true",
                         help="run the backend-scaling sweep (worker counts "
-                             "1/2/4/8 × shm/pickle transports) instead of the "
-                             "standard experiment set; default out BENCH_5.json")
+                             "1/2/4/8) instead of the standard experiment "
+                             "set; default out BENCH_5.json")
     parser.add_argument("--x7", action="store_true",
                         help="run the planner predicted-vs-measured sweep "
                              "(every applicable strategy per scenario) instead "
@@ -1046,18 +575,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "byte-identity checks against a serial "
                              "baseline) instead of the standard experiment "
                              "set; default out BENCH_8.json")
-    parser.add_argument("--x9", action="store_true",
-                        help="run the dispatch-protocol sweep (resident vs "
-                             "snapshot over repeated queries, with "
-                             "byte-identity checks against an inline "
-                             "reference) instead of the standard experiment "
-                             "set; default out BENCH_9.json")
-    parser.add_argument("--x10", action="store_true",
-                        help="run the memoization sweep (memo on vs off over "
-                             "repeated multi-round queries, with byte-"
-                             "identity checks between the arms) instead of "
-                             "the standard experiment set; default out "
-                             "BENCH_10.json")
     parser.add_argument("--force", action="store_true",
                         help="allow diffing BENCH files measured under "
                              "different execution backends")
@@ -1066,9 +583,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="compare two existing BENCH files and exit")
     args = parser.parse_args(argv)
 
-    if sum((args.x4, args.x7, args.x8, args.x9, args.x10)) > 1:
-        print("--x4, --x7, --x8, --x9, and --x10 are mutually exclusive",
-              file=sys.stderr)
+    if sum((args.x4, args.x7, args.x8)) > 1:
+        print("--x4, --x7, and --x8 are mutually exclusive", file=sys.stderr)
         return 2
     if args.x4 and args.out == parser.get_default("out"):
         args.out = "BENCH_5.json"
@@ -1076,10 +592,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.out = "BENCH_7.json"
     if args.x8 and args.out == parser.get_default("out"):
         args.out = "BENCH_8.json"
-    if args.x9 and args.out == parser.get_default("out"):
-        args.out = "BENCH_9.json"
-    if args.x10 and args.out == parser.get_default("out"):
-        args.out = "BENCH_10.json"
 
     if args.diff is not None:
         try:
@@ -1108,7 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(f"wrote {args.out}")
         broken = [
-            f"{r['name']} (workers={r['workers']}, {r['transport']})"
+            f"{r['name']} (workers={r['workers']})"
             for r in document["scaling"]
             if not r["identical"]
         ]
@@ -1206,106 +718,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             status = 1
         return status
 
-    if args.x9:
-        print(f"running {'quick' if args.quick else 'full'} dispatch-"
-              f"protocol sweep "
-              f"(kernels={'on' if kernels_enabled() else 'off'}):")
-        document = run_bench_x9(quick=args.quick)
-        errors = validate_bench(document)
-        if errors:
-            print("generated document violates the BENCH schema:", file=sys.stderr)
-            for error in errors:
-                print(f"  {error}", file=sys.stderr)
-            return 2
-        Path(args.out).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}")
-        status = 0
-        broken = sorted({
-            r["name"] for r in document["x9"] if not r["identical"]
-        })
-        if broken:
-            print(f"protocol outputs diverged from the inline reference "
-                  f"for: {broken}", file=sys.stderr)
-            status = 1
-        weak = sorted({
-            f"{r['name']} (dispatch={r['dispatch_ratio']:.1f}x, "
-            f"pickle={r['pickle_ratio']:.1f}x)"
-            for r in document["x9"]
-            if r["dispatch_ratio"] < X9_RATIO_FLOOR
-            or r["pickle_ratio"] < X9_RATIO_FLOOR
-        })
-        if weak:
-            print(f"resident protocol saved less than {X9_RATIO_FLOOR}x "
-                  f"over snapshot for: {weak}", file=sys.stderr)
-            status = 1
-        if args.baseline:
-            try:
-                baseline = _load(args.baseline)
-                comparison = compare_bench(
-                    baseline, document, threshold=args.threshold,
-                    force=args.force,
-                )
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                print(f"baseline comparison failed: {exc}", file=sys.stderr)
-                return 0 if args.warn_only else 2
-            print(comparison.format_table())
-            if not comparison.ok and not args.warn_only:
-                return 1
-        return status
-
-    if args.x10:
-        print(f"running {'quick' if args.quick else 'full'} memoization "
-              f"sweep "
-              f"(kernels={'on' if kernels_enabled() else 'off'}):")
-        document = run_bench_x10(quick=args.quick)
-        errors = validate_bench(document)
-        if errors:
-            print("generated document violates the BENCH schema:", file=sys.stderr)
-            for error in errors:
-                print(f"  {error}", file=sys.stderr)
-            return 2
-        Path(args.out).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}")
-        status = 0
-        broken = [r["name"] for r in document["x10"] if not r["identical"]]
-        if broken:
-            print(f"memo on/off outputs diverged for: {broken}",
-                  file=sys.stderr)
-            status = 1
-        strong = [
-            r["name"] for r in document["x10"]
-            if r["speedup"] >= X10_SPEEDUP_FLOOR
-            and r["hash_ops_ratio"] >= X10_HASH_FLOOR
-        ]
-        if len(strong) < X10_SCENARIO_FLOOR:
-            print(
-                f"only {len(strong)} scenario(s) cleared both memo floors "
-                f"(>= {X10_SPEEDUP_FLOOR}x wall, >= {X10_HASH_FLOOR}x hash "
-                f"ops); need {X10_SCENARIO_FLOOR}: {strong}",
-                file=sys.stderr,
-            )
-            status = 1
-        if args.baseline:
-            try:
-                baseline = _load(args.baseline)
-                comparison = compare_bench(
-                    baseline, document, threshold=args.threshold,
-                    force=args.force,
-                )
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                print(f"baseline comparison failed: {exc}", file=sys.stderr)
-                return 0 if args.warn_only else 2
-            print(comparison.format_table())
-            if not comparison.ok and not args.warn_only:
-                return 1
-        return status
-
     print(f"running {'quick' if args.quick else 'full'} benchmarks "
           f"(kernels={'on' if kernels_enabled() else 'off'}):")
     document = run_bench(quick=args.quick, include_speedups=not args.no_speedups)
@@ -1327,16 +739,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     ]
     if bad_pairs:
         print(f"kernel equivalence FAILED for: {bad_pairs}", file=sys.stderr)
-        return 1
-
-    drifted = sorted({
-        record["name"]
-        for record in document.get("transport_ab", [])
-        if not record["identical"]
-    })
-    if drifted:
-        print(f"transport row-packing equivalence FAILED for: {drifted}",
-              file=sys.stderr)
         return 1
 
     if args.baseline:

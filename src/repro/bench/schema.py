@@ -7,7 +7,7 @@ A BENCH file is a JSON document::
       "machine": {"platform": str, "python": str, "numpy": str,
                   "cpu_count": int,
                   # optional, absent in pre-backend files (== inline):
-                  "backend": str, "workers": int, "transport": str},
+                  "backend": str, "workers": int},
       "kernels": bool,          # kernels enabled for the experiment runs
       "quick": bool,            # --quick sizes
       "experiments": [
@@ -23,7 +23,7 @@ A BENCH file is a JSON document::
       ],
       "scaling": [              # optional: backend-scaling sweep (x4)
         {"name": str, "n": int, "p": int,
-         "backend": str, "workers": int, "transport": str,
+         "backend": str, "workers": int,
          "seconds": float, "speedup": float,   # inline_s / this_s
          "L_max": int, "rounds": int, "out_size": int,
          "identical": bool}, ...  # matches the inline reference exactly
@@ -52,16 +52,8 @@ A BENCH file is a JSON document::
          "identical": bool}, ...  # every result byte-matched the serial
                                   # baseline (canonical row order)
       ],
-      "transport_ab": [         # optional: shm row-packing on/off bytes
-        {"name": str, "n": int, "p": int, "workers": int,
-         "rows_packing": bool,  # REPRO_SHM_ROWS state for this run
-         "seconds": float,
-         "shm_bytes": int,      # bytes carried via shared memory (both ways)
-         "pickle_bytes": int,   # bytes carried via queue pickle (both ways)
-         "L_max": int, "rounds": int, "out_size": int,
-         "identical": bool}, ...  # both modes agree with each other
-      ],
-      "x9": [                   # optional: dispatch-protocol overhead sweep
+      "x9": [                   # optional, BENCH_9.json only: the
+                                # resident-vs-snapshot dispatch sweep
         {"name": str, "n": int, "p": int, "workers": int,
          "queries": int,        # repeated runs through one pool
          "protocol": str,       # "resident" or "snapshot"
@@ -76,7 +68,8 @@ A BENCH file is a JSON document::
          "pickle_ratio": float,    # snapshot/resident pickle_bytes_out
          "identical": bool}, ...   # every run matched the inline reference
       ],
-      "x10": [                  # optional: memoization on/off sweep
+      "x10": [                  # optional, BENCH_10.json only: the
+                                # memoization on/off sweep
         {"name": str, "n": int, "p": int,
          "queries": int,        # repeated runs per arm
          "seconds_on": float, "seconds_off": float,
@@ -92,6 +85,10 @@ A BENCH file is a JSON document::
 
 Validation is hand-rolled (no jsonschema dependency): it returns a flat
 list of human-readable error strings, empty when the document conforms.
+Unknown keys are ignored, so committed files keep validating after a
+section's runner is retired; ``x9`` and ``x10`` have no runner any more
+and are validated only so ``BENCH_9.json``/``BENCH_10.json`` stay
+checkable and diffable.
 """
 
 from __future__ import annotations
@@ -114,7 +111,6 @@ _MACHINE_FIELDS: dict[str, type] = {
 _MACHINE_OPTIONAL_FIELDS: dict[str, type] = {
     "backend": str,
     "workers": int,
-    "transport": str,
 }
 
 _EXPERIMENT_FIELDS: dict[str, tuple[type, ...]] = {
@@ -146,7 +142,6 @@ _SCALING_FIELDS: dict[str, tuple[type, ...]] = {
     "p": (int,),
     "backend": (str,),
     "workers": (int,),
-    "transport": (str,),
     "seconds": (int, float),
     "speedup": (int, float),
     "L_max": (int,),
@@ -185,22 +180,6 @@ _X8_FIELDS: dict[str, tuple[type, ...]] = {
     "cache_hits": (int,),
     "cache_misses": (int,),
     "cache_hit_rate": (int, float),
-    "identical": (bool,),
-}
-
-
-_TRANSPORT_FIELDS: dict[str, tuple[type, ...]] = {
-    "name": (str,),
-    "n": (int,),
-    "p": (int,),
-    "workers": (int,),
-    "rows_packing": (bool,),
-    "seconds": (int, float),
-    "shm_bytes": (int,),
-    "pickle_bytes": (int,),
-    "L_max": (int,),
-    "rounds": (int,),
-    "out_size": (int,),
     "identical": (bool,),
 }
 
@@ -359,13 +338,7 @@ def validate_bench(document: Any) -> list[str]:
                 if name in names:
                     errors.append(f"x8[{i}]: duplicate name {name!r}")
                 names.add(name)
-    transport_ab = document.get("transport_ab", [])  # optional section
-    if not isinstance(transport_ab, list):
-        errors.append("transport_ab: expected a list")
-    else:
-        for i, record in enumerate(transport_ab):
-            _check_record(record, _TRANSPORT_FIELDS, f"transport_ab[{i}]", errors)
-    x9 = document.get("x9", [])  # optional: only protocol (x9) runs emit it
+    x9 = document.get("x9", [])  # optional: only BENCH_9.json carries it
     if not isinstance(x9, list):
         errors.append("x9: expected a list")
     else:
@@ -385,7 +358,7 @@ def validate_bench(document: Any) -> list[str]:
                 if arm in arms:
                     errors.append(f"x9[{i}]: duplicate (name, protocol) {arm!r}")
                 arms.add(arm)
-    x10 = document.get("x10", [])  # optional: only memo (x10) runs emit it
+    x10 = document.get("x10", [])  # optional: only BENCH_10.json carries it
     if not isinstance(x10, list):
         errors.append("x10: expected a list")
     else:

@@ -56,7 +56,6 @@ from repro.data.schema import Schema
 from repro.errors import SchemaError
 from repro.kernels.columnar import key_columns
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import memo_enabled
 from repro.kernels.join import (
     code_key_columns,
     join_indices,
@@ -711,20 +710,12 @@ def union_all(name: str, relations: Sequence[Relation]) -> Relation:
         if per_position is not None and all(
             len({b.dtype for b in blocks}) <= 1 for blocks in per_position
         ):
-            if memo_enabled():
-                # Zero-copy: adopt the blocks as a chunk-backed view;
-                # the concatenation happens only if a consumer asks for
-                # whole columns.
-                out._chunks = per_position
-                out._rows = None
-                return out
-            return out._adopt_columns(
-                [
-                    np.empty(0, dtype=np.int64) if not blocks
-                    else np.concatenate(blocks)
-                    for blocks in per_position
-                ]
-            )
+            # Zero-copy: adopt the blocks as a chunk-backed view; the
+            # concatenation happens only if a consumer asks for whole
+            # columns.
+            out._chunks = per_position
+            out._rows = None
+            return out
     for r in relations:
         out._rows.extend(r.rows_readonly())
     return out

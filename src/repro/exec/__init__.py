@@ -5,7 +5,7 @@ exactly as before; ``process`` fans it out over a persistent
 multiprocessing worker pool where worker i owns the i-th contiguous
 range of the p simulated servers, with numpy column side-cars traveling
 through shared memory. Select with ``REPRO_BACKEND=process`` /
-``REPRO_WORKERS=4`` / ``REPRO_TRANSPORT=shm|pickle``, or in code::
+``REPRO_WORKERS=4``, or in code::
 
     with use_backend("process", workers=4):
         run = parallel_hash_join(r, s, p=64)
@@ -26,30 +26,15 @@ from repro.exec.base import (
 )
 from repro.exec.config import (
     BACKENDS,
-    PROTOCOLS,
-    TRANSPORTS,
     backend_name,
-    protocol_name,
-    resident_cache_bytes,
     set_backend,
-    shm_rows_enabled,
-    transport_name,
     use_backend,
-    use_protocol,
-    use_shm_rows,
     worker_count,
 )
-from repro.exec.pool import (
-    DispatchStats,
-    WorkerError,
-    invalidate_resident,
-    shutdown_pools,
-)
+from repro.exec.pool import DispatchStats, WorkerError, shutdown_pools
 
 __all__ = [
     "BACKENDS",
-    "PROTOCOLS",
-    "TRANSPORTS",
     "DispatchStats",
     "ExecutionBackend",
     "FallbackHotPathWarning",
@@ -59,15 +44,8 @@ __all__ = [
     "backend_name",
     "chunk_bounds",
     "get_backend",
-    "invalidate_resident",
-    "protocol_name",
-    "resident_cache_bytes",
     "set_backend",
-    "shm_rows_enabled",
     "shutdown_pools",
-    "transport_name",
     "use_backend",
-    "use_protocol",
-    "use_shm_rows",
     "worker_count",
 ]

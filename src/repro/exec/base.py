@@ -39,7 +39,7 @@ __all__ = [
 class FallbackHotPathWarning(UserWarning):
     """Columnar-sized row data rode the queue pickle instead of shm.
 
-    The shm transport is the only sanctioned hot path for columnar
+    Shared memory is the only sanctioned hot path for columnar
     data; a dispatch whose pack-eligible rows fell back to per-tuple
     pickling at this volume is paying serialization cost the transport
     was built to avoid. The event is counted
@@ -129,7 +129,7 @@ class InlineBackend(ExecutionBackend):
     def new_stats(self) -> "ExecStats":
         from repro.mpc.stats import ExecStats
 
-        return ExecStats(backend=self.name, workers=1, transport="none")
+        return ExecStats(backend=self.name, workers=1)
 
     def map_payloads(
         self,
@@ -150,18 +150,13 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, workers: int, transport: str) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.transport = transport
 
     def new_stats(self) -> "ExecStats":
-        from repro.exec.config import protocol_name
         from repro.mpc.stats import ExecStats
 
-        return ExecStats(
-            backend=self.name, workers=self.workers, transport=self.transport,
-            protocol=protocol_name(),
-        )
+        return ExecStats(backend=self.name, workers=self.workers)
 
     def _chunked(self, payloads: list[Any]) -> list[tuple[int, list[Any]]]:
         return [
@@ -234,7 +229,7 @@ class ProcessBackend(ExecutionBackend):
         from repro.kernels.config import kernels_enabled
 
         chunks = self._chunked(payloads)
-        pool = get_pool(self.workers, self.transport)
+        pool = get_pool(self.workers)
         try:
             results, dispatch = pool.run(task, chunks, common, kernels_enabled())
         except UnpicklablePayloadError:
@@ -272,7 +267,7 @@ class ProcessBackend(ExecutionBackend):
             (task, self._chunked(payloads), common)
             for _, task, payloads, common in live
         ]
-        pool = get_pool(self.workers, self.transport)
+        pool = get_pool(self.workers)
         try:
             results, dispatch = pool.run_batch(pool_calls, kernels_enabled())
         except UnpicklablePayloadError:
@@ -296,7 +291,7 @@ class ProcessBackend(ExecutionBackend):
 
 
 _inline = InlineBackend()
-_process_backends: dict[tuple[int, str], ProcessBackend] = {}
+_process_backends: dict[int, ProcessBackend] = {}
 
 
 def get_backend(spec: "str | ExecutionBackend | None" = None) -> ExecutionBackend:
@@ -307,9 +302,8 @@ def get_backend(spec: "str | ExecutionBackend | None" = None) -> ExecutionBacken
     name = config._validated_backend(spec) if spec else config.backend_name()
     if name == "inline":
         return _inline
-    key = (config.worker_count(), config.transport_name())
-    backend = _process_backends.get(key)
+    workers = config.worker_count()
+    backend = _process_backends.get(workers)
     if backend is None:
-        backend = ProcessBackend(*key)
-        _process_backends[key] = backend
+        backend = _process_backends[workers] = ProcessBackend(workers)
     return backend

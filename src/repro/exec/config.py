@@ -1,4 +1,4 @@
-"""Execution-backend selection (the ``repro.exec`` on/off gate).
+"""Execution-backend selection.
 
 Mirrors :mod:`repro.kernels.config`: the same three-layer priority
 decides which backend runs the per-server local computation of a round.
@@ -7,13 +7,9 @@ decides which backend runs the per-server local computation of a round.
    override (``Engine(backend=...)``, the selftest's ``--backend both``
    sweep, and the bench x4 harness use it);
 2. the environment — ``REPRO_BACKEND`` names the backend (``inline`` or
-   ``process``), ``REPRO_WORKERS`` the process-pool size and
-   ``REPRO_TRANSPORT`` the cross-process buffer transport (``shm`` for
-   :mod:`multiprocessing.shared_memory` columnar buffers, ``pickle``
-   for plain queue pickling);
-3. the defaults: ``inline`` (the historical single-process simulator,
-   and what the test tier runs under), ``min(4, cpu_count)`` workers,
-   ``shm`` transport.
+   ``process``) and ``REPRO_WORKERS`` the process-pool size;
+3. the defaults: ``inline`` (the single-process simulator, and what the
+   test tier runs under) and ``min(4, cpu_count)`` workers.
 
 This module is import-light on purpose (stdlib only): resolving a
 *name* must not fork a worker pool — pools are created lazily by
@@ -34,23 +30,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 BACKENDS = ("inline", "process")
-TRANSPORTS = ("shm", "pickle")
-PROTOCOLS = ("resident", "snapshot")
-
-# Default budget for per-worker resident block caches (coordinator
-# mirror + worker copy). Crossing it bumps the state epoch: the next
-# dispatch tells the worker to drop everything and the coordinator
-# re-ships blocks as they recur.
-_DEFAULT_RESIDENT_MB = 128
 
 _forced_backend: ContextVar[str | None] = ContextVar(
     "repro_backend_forced", default=None
 )
 _forced_workers: ContextVar[int | None] = ContextVar(
     "repro_workers_forced", default=None
-)
-_forced_transport: ContextVar[str | None] = ContextVar(
-    "repro_transport_forced", default=None
 )
 
 
@@ -61,11 +46,14 @@ def _validated_backend(name: str) -> str:
     return name
 
 
-def _validated_transport(name: str) -> str:
-    name = name.strip().lower()
-    if name not in TRANSPORTS:
-        raise ValueError(f"unknown transport {name!r}; have {TRANSPORTS}")
-    return name
+def _validated_workers(value: int | str, source: str) -> int:
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"invalid {source} {value!r}; need an integer of at least 1")
+    return workers
 
 
 def backend_name() -> str:
@@ -84,166 +72,44 @@ def worker_count() -> int:
         return forced
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if raw:
-        workers = int(raw)
-        if workers < 1:
-            raise ValueError(f"REPRO_WORKERS must be at least 1, got {workers}")
-        return workers
+        return _validated_workers(raw, "REPRO_WORKERS")
     return min(4, max(1, os.cpu_count() or 1))
 
 
-def transport_name() -> str:
-    """Cross-process buffer transport: ``shm`` or ``pickle``."""
-    forced = _forced_transport.get()
-    if forced is not None:
-        return forced
-    raw = os.environ.get("REPRO_TRANSPORT", "").strip().lower()
-    return _validated_transport(raw) if raw else "shm"
-
-
-def shm_rows_enabled() -> bool:
-    """Whether the shm transport also packs integer *row lists*.
-
-    With the columnar-native data layer, uniform all-integer tuple lists
-    are encodable as one 2-D ``int64`` block per list, so they ride the
-    shared-memory segment instead of the queue's per-tuple pickle
-    stream. ``REPRO_SHM_ROWS=off`` restores the pickle path (the A/B
-    knob the transport-bytes benchmark measures against); the in-process
-    override from :func:`use_shm_rows` wins over the environment.
-    """
-    forced = _forced_shm_rows.get()
-    if forced is not None:
-        return forced
-    raw = os.environ.get("REPRO_SHM_ROWS", "").strip().lower()
-    if raw in ("off", "0", "false", "no"):
-        return False
-    return True
-
-
-_forced_shm_rows: ContextVar[bool | None] = ContextVar(
-    "repro_shm_rows_forced", default=None
-)
-
-_forced_protocol: ContextVar[str | None] = ContextVar(
-    "repro_protocol_forced", default=None
-)
-
-
-def _validated_protocol(name: str) -> str:
-    name = name.strip().lower()
-    if name not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {name!r}; have {PROTOCOLS}")
-    return name
-
-
-def protocol_name() -> str:
-    """Dispatch protocol of the process backend: ``resident`` or ``snapshot``.
-
-    ``resident`` (the default) keeps content-addressed payload blocks
-    cached inside each worker between dispatches: a block whose bytes the
-    worker already holds travels as a 16-byte token instead of being
-    re-shipped, and the coordinator mirrors what each worker caches so
-    the decision is made without any extra round-trip. ``snapshot``
-    restores the PR 5 behavior — every dispatch re-ships the full
-    payload — and is what the x9 benchmark measures against. Overridable
-    per-scope via :func:`use_protocol`, ambiently via ``REPRO_PROTOCOL``.
-    """
-    forced = _forced_protocol.get()
-    if forced is not None:
-        return forced
-    raw = os.environ.get("REPRO_PROTOCOL", "").strip().lower()
-    return _validated_protocol(raw) if raw else "resident"
-
-
-@contextmanager
-def use_protocol(name: str | None) -> Iterator[None]:
-    """Scoped override of :func:`protocol_name` (``None`` = no-op)."""
-    if name is None:
-        yield
-        return
-    token = _forced_protocol.set(_validated_protocol(name))
-    try:
-        yield
-    finally:
-        _forced_protocol.reset(token)
-
-
-def resident_cache_bytes() -> int:
-    """Per-worker resident-cache budget in bytes (``REPRO_RESIDENT_MB``).
-
-    When the coordinator's mirror of a worker's cache would exceed this
-    budget, the coordinator bumps the state epoch instead of evicting
-    piecemeal: the worker drops its whole cache on the next dispatch and
-    blocks are re-shipped as they recur. Coarse, but it keeps both sides
-    trivially in agreement — there is no distributed LRU to drift.
-    """
-    raw = os.environ.get("REPRO_RESIDENT_MB", "").strip()
-    if raw:
-        megabytes = int(raw)
-        if megabytes < 1:
-            raise ValueError(f"REPRO_RESIDENT_MB must be at least 1, got {megabytes}")
-        return megabytes * 1024 * 1024
-    return _DEFAULT_RESIDENT_MB * 1024 * 1024
-
-
-@contextmanager
-def use_shm_rows(flag: bool | None) -> Iterator[None]:
-    """Scoped override of :func:`shm_rows_enabled` (``None`` = no-op)."""
-    if flag is None:
-        yield
-        return
-    token = _forced_shm_rows.set(flag)
-    try:
-        yield
-    finally:
-        _forced_shm_rows.reset(token)
-
-
-def set_backend(
-    name: str | None,
-    workers: int | None = None,
-    transport: str | None = None,
-) -> None:
+def set_backend(name: str | None, workers: int | None = None) -> None:
     """Force the backend for this context (``None`` restores the env default).
 
     Like :func:`repro.kernels.config.set_kernels`, the forcing is scoped
     to the current :mod:`contextvars` context — process-wide for plain
     single-threaded programs, per-thread once threads are involved.
     """
-    _forced_backend.set(_validated_backend(name) if name is not None else None)
+    name = _validated_backend(name) if name is not None else None
+    if workers is not None:
+        workers = _validated_workers(workers, "workers")
+    _forced_backend.set(name)
     _forced_workers.set(workers)
-    _forced_transport.set(
-        _validated_transport(transport) if transport is not None else None
-    )
 
 
 @contextmanager
-def use_backend(
-    name: str | None,
-    workers: int | None = None,
-    transport: str | None = None,
-) -> Iterator[None]:
+def use_backend(name: str | None, workers: int | None = None) -> Iterator[None]:
     """Scoped override: run the block under the named backend.
 
     ``name=None`` is a no-op (keep the ambient setting) so callers can
     thread an optional flag straight through, mirroring
-    :func:`repro.kernels.config.use_kernels`. ``workers``/``transport``
-    only take effect together with an explicit ``name``.
+    :func:`repro.kernels.config.use_kernels`. ``workers`` only takes
+    effect together with an explicit ``name``.
     """
     if name is None:
         yield
         return
-    backend_token = _forced_backend.set(_validated_backend(name))
+    name = _validated_backend(name)
+    if workers is not None:
+        workers = _validated_workers(workers, "workers")
+    backend_token = _forced_backend.set(name)
     worker_token = _forced_workers.set(workers) if workers is not None else None
-    transport_token = (
-        _forced_transport.set(_validated_transport(transport))
-        if transport is not None
-        else None
-    )
     try:
         yield
     finally:
-        if transport_token is not None:
-            _forced_transport.reset(transport_token)
         if worker_token is not None:
             _forced_workers.reset(worker_token)
         _forced_backend.reset(backend_token)

@@ -1,9 +1,9 @@
 """Persistent multiprocessing worker pool for the ``process`` backend.
 
-One pool per (worker count, transport) pair lives for the rest of the
-interpreter session — pools are expensive to start, and the whole point
-of a *persistent* pool is that a run of b rounds pays the fork cost
-once, not b times. Each worker owns one dedicated task queue (so chunk
+One pool per worker count lives for the rest of the interpreter
+session — pools are expensive to start, and the whole point of a
+*persistent* pool is that a run of b rounds pays the fork cost once,
+not b times. Each worker owns one dedicated task queue (so chunk
 i deterministically lands on worker i, preserving the "worker owns a
 contiguous server range" assignment) and all workers share one result
 queue; the coordinator reassembles results by job id, so arrival order
@@ -13,7 +13,7 @@ Dispatch protocol
 -----------------
 
 A queue message is a *batch*: ``(job_id, epoch, [subjob, ...])`` where
-each subjob is ``(task_name, encoded_payload, kernels_flag, rows_flag)``.
+each subjob is ``(task_name, encoded_payload, kernels_flag)``.
 Independent task maps (:meth:`WorkerPool.run_batch`) collapse into one
 round-trip per worker instead of one per map; a single map is just a
 batch of one. ``epoch`` is the resident-state epoch: workers keep a
@@ -40,6 +40,7 @@ import atexit
 import multiprocessing
 import pickle
 import queue as queue_module
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "get_pool",
-    "invalidate_resident",
     "shutdown_pools",
 ]
 
@@ -61,18 +61,20 @@ __all__ = [
 # with blocking result reads, never as a job deadline.
 _POLL_SECONDS = 1.0
 
+# Budget of one worker's resident block cache (coordinator mirror +
+# worker copy). Crossing it bumps the state epoch instead of evicting
+# piecemeal: the worker drops its whole cache on the next dispatch and
+# blocks are re-shipped as they recur, so there is no distributed LRU
+# to drift.
+_RESIDENT_BYTES = 128 * 1024 * 1024
+
 
 def _start_method() -> str:
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
 
-def _worker_main(
-    worker_index: int,
-    task_queue: Any,
-    result_queue: Any,
-    transport: str,
-) -> None:
+def _worker_main(worker_index: int, task_queue: Any, result_queue: Any) -> None:
     """Worker loop: decode batch, run each task, encode results, reply."""
     # Imports happen here (not at module top) so a spawn-started child
     # pays them once, and so fork-started children re-resolve nothing.
@@ -95,9 +97,7 @@ def _worker_main(
         ok = True
         index = 0
         try:
-            for index, (task_name, encoded, kernels_flag, rows_flag) in enumerate(
-                subjobs
-            ):
+            for index, (task_name, encoded, kernels_flag) in enumerate(subjobs):
                 (chunk, common), segment = shm.decode_for_read(encoded, cache)
                 try:
                     fn = task_registry.resolve(task_name)
@@ -105,9 +105,7 @@ def _worker_main(
                         result = fn(chunk, common)
                 finally:
                     shm.finish_read(segment)
-                results.append(
-                    shm.encode_payload(result, transport, pack_rows=rows_flag)
-                )
+                results.append(shm.encode_payload(result))
             reply = results
         except BaseException:
             # Nothing of this batch may leak: release results already
@@ -115,7 +113,7 @@ def _worker_main(
             # subjobs (already-unlinked segments are tolerated).
             for encoded_result in results:
                 shm.release_payload(encoded_result)
-            for _, encoded, _, _ in subjobs[index:]:
+            for _, encoded, _ in subjobs[index:]:
                 shm.release_payload(encoded)
             reply = f"worker {worker_index}: {traceback.format_exc()}"
             ok = False
@@ -167,20 +165,17 @@ class DispatchStats:
 class WorkerPool:
     """A fixed-size pool of persistent task-executing processes."""
 
-    def __init__(self, workers: int, transport: str) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        from repro.exec.config import resident_cache_bytes
-
         self.workers = workers
-        self.transport = transport
         context = multiprocessing.get_context(_start_method())
         self._task_queues = [context.Queue() for _ in range(workers)]
         self._result_queue = context.Queue()
         self._processes = [
             context.Process(
                 target=_worker_main,
-                args=(index, self._task_queues[index], self._result_queue, transport),
+                args=(index, self._task_queues[index], self._result_queue),
                 daemon=True,
                 name=f"repro-exec-{index}",
             )
@@ -189,8 +184,8 @@ class WorkerPool:
         for process in self._processes:
             process.start()
         self._closed = False
-        cap = resident_cache_bytes()
-        self._mirrors = [shm.MirrorCache(cap) for _ in range(workers)]
+        self._dispatch_lock = threading.Lock()
+        self._mirrors = [shm.MirrorCache(_RESIDENT_BYTES) for _ in range(workers)]
         # Abnormal-shutdown ledger: outbound segment names by job id
         # (dropped when the worker's reply arrives — it unlinks inputs
         # after reading) and inbound result segment names not yet
@@ -206,7 +201,7 @@ class WorkerPool:
         The explicit invalidation path: callers that mutated ambient
         state a cached block may alias (none do today — blocks are
         content-addressed copies) or that want a cold-start measurement
-        (the x9 benchmark arms) get a guaranteed empty worker cache.
+        on a shared pool get a guaranteed empty worker cache.
         """
         for mirror in self._mirrors:
             mirror.invalidate()
@@ -241,159 +236,150 @@ class WorkerPool:
         (``out[k][i]`` = call k's chunk i) plus the batch's
         :class:`DispatchStats`.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-        from repro.exec.config import protocol_name, shm_rows_enabled
+        # One batch at a time: job ids restart at 0 per call and every
+        # thread reads the one shared result queue, so concurrent callers
+        # (service worker threads) would collect each other's replies.
+        with self._dispatch_lock:
+            if self._closed:
+                raise RuntimeError("worker pool is shut down")
+            stats = DispatchStats()
 
-        rows_flag = shm_rows_enabled()
-        resident = protocol_name() == "resident" and self.transport == "shm"
-        stats = DispatchStats()
-
-        # Group subjobs by target worker, preserving call order within
-        # each worker (the worker executes them sequentially).
-        by_worker: dict[int, list[tuple[int, int, str, list[Any], Any]]] = {}
-        for call_index, (task_name, chunks, common) in enumerate(calls):
-            for chunk_pos, (worker_index, chunk) in enumerate(chunks):
-                by_worker.setdefault(worker_index % self.workers, []).append(
-                    (call_index, chunk_pos, task_name, chunk, common)
-                )
-
-        # Encode and pre-pickle every message before enqueueing any of
-        # them: a serialization failure (a closure key, an exotic item
-        # type) must raise here, where the backend can fall back to
-        # inline — a failure inside the queue's feeder thread would
-        # silently drop the job and deadlock the collect loop below.
-        # Mirror staging is committed only after every blob pickled, so
-        # an abort leaves the mirrors exactly as before the call.
-        blobs: list[tuple[int, int, bytes]] = []  # (worker, job_id, blob)
-        job_meta: dict[int, list[tuple[int, int]]] = {}
-        job_segments: dict[int, list[str]] = {}
-        encodeds: list[shm.ShmEncoded] = []
-        try:
-            for job_id, (worker_index, subjobs) in enumerate(
-                sorted(by_worker.items())
-            ):
-                mirror = self._mirrors[worker_index] if resident else None
-                epoch = (
-                    mirror.begin_message()
-                    if mirror is not None
-                    else self._mirrors[worker_index].epoch
-                )
-                wire_subjobs = []
-                meta = []
-                segments: list[str] = []
-                message_hits = 0
-                for call_index, chunk_pos, task_name, chunk, common in subjobs:
-                    encoded = shm.encode_payload(
-                        (chunk, common), self.transport,
-                        pack_rows=rows_flag, mirror=mirror,
+            # Group subjobs by target worker, preserving call order within
+            # each worker (the worker executes them sequentially).
+            by_worker: dict[int, list[tuple[int, int, str, list[Any], Any]]] = {}
+            for call_index, (task_name, chunks, common) in enumerate(calls):
+                for chunk_pos, (worker_index, chunk) in enumerate(chunks):
+                    by_worker.setdefault(worker_index % self.workers, []).append(
+                        (call_index, chunk_pos, task_name, chunk, common)
                     )
-                    encodeds.append(encoded)
-                    stats.shm_bytes_out += encoded.nbytes
-                    message_hits += encoded.resident
-                    stats.resident_bytes_saved += encoded.resident_bytes
-                    stats.resident_misses += sum(
-                        1 for token in encoded.tokens if token is not None
-                    )
-                    stats.fallback_rows += encoded.fallback_rows
-                    if encoded.fallback_rows:
-                        stats.fallback_encodes += 1
-                    if encoded.segment_name is not None:
-                        segments.append(encoded.segment_name)
-                    wire_subjobs.append((task_name, encoded, kernels_flag, rows_flag))
-                    meta.append((call_index, chunk_pos))
-                blob = pickle.dumps(
-                    (job_id, epoch, wire_subjobs),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                stats.pickle_bytes_out += len(blob)
-                stats.resident_hits += message_hits
-                if message_hits == 0:
-                    # Nothing rode the resident cache: this message is a
-                    # full payload snapshot — the PR 5 protocol's only
-                    # kind of dispatch, and the quantity x9 shows
-                    # dropping under the resident protocol.
-                    stats.snapshot_dispatches += 1
-                blobs.append((worker_index, job_id, blob))
-                job_meta[job_id] = meta
-                job_segments[job_id] = segments
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            for mirror in self._mirrors:
-                mirror.abort()
-            for encoded in encodeds:
-                shm.release_payload(encoded)
-            raise UnpicklablePayloadError(
-                f"batch payload is not picklable: {error}"
-            ) from error
-        for mirror in self._mirrors:
-            mirror.commit()
-        stats.queue_messages = len(blobs)
 
-        try:
-            for worker_index, job_id, blob in blobs:
-                self._inflight[job_id] = job_segments[job_id]
-                self._task_queues[worker_index].put(blob)
-            per_call: list[list[Any]] = [
-                [None] * len(chunks) for _, chunks, _ in calls
-            ]
-            pending = len(blobs)
-            failure: str | None = None
-            while pending:
-                try:
-                    result_blob = self._result_queue.get(timeout=_POLL_SECONDS)
-                except queue_module.Empty:
-                    dead = [p.name for p in self._processes if not p.is_alive()]
-                    if dead:
-                        # The pool is unusable: terminate survivors and
-                        # unlink everything still registered before
-                        # surfacing the crash.
-                        self._emergency_teardown()
-                        raise WorkerError(
-                            f"worker process(es) died while jobs were "
-                            f"pending: {dead}"
-                        )
-                    continue
-                pending -= 1
-                stats.pickle_bytes_in += len(result_blob)
-                job_id, ok, reply, elapsed = pickle.loads(result_blob)
-                stats.worker_seconds += elapsed
-                # The worker consumed (and unlinked) this job's inputs.
-                self._inflight.pop(job_id, None)
-                if not ok:
-                    # Drain remaining jobs before raising so their
-                    # shared memory is released rather than leaked.
-                    if failure is None:
-                        failure = reply
-                    continue
-                for encoded_result in reply:
-                    if encoded_result.segment_name is not None:
-                        self._pending_results.add(encoded_result.segment_name)
-                if failure is not None:
-                    for encoded_result in reply:
-                        shm.release_payload(encoded_result)
-                        self._pending_results.discard(encoded_result.segment_name)
-                    continue
-                for (call_index, chunk_pos), encoded_result in zip(
-                    job_meta[job_id], reply
+            # Encode and pre-pickle every message before enqueueing any of
+            # them: a serialization failure (a closure key, an exotic item
+            # type) must raise here, where the backend can fall back to
+            # inline — a failure inside the queue's feeder thread would
+            # silently drop the job and deadlock the collect loop below.
+            # Mirror staging is committed only after every blob pickled, so
+            # an abort leaves the mirrors exactly as before the call.
+            blobs: list[tuple[int, int, bytes]] = []  # (worker, job_id, blob)
+            job_meta: dict[int, list[tuple[int, int]]] = {}
+            job_segments: dict[int, list[str]] = {}
+            encodeds: list[shm.ShmEncoded] = []
+            try:
+                for job_id, (worker_index, subjobs) in enumerate(
+                    sorted(by_worker.items())
                 ):
-                    stats.shm_bytes_in += encoded_result.nbytes
-                    per_call[call_index][chunk_pos] = shm.decode_owned(
-                        encoded_result
+                    mirror = self._mirrors[worker_index]
+                    epoch = mirror.begin_message()
+                    wire_subjobs = []
+                    meta = []
+                    segments: list[str] = []
+                    message_hits = 0
+                    for call_index, chunk_pos, task_name, chunk, common in subjobs:
+                        encoded = shm.encode_payload((chunk, common), mirror=mirror)
+                        encodeds.append(encoded)
+                        stats.shm_bytes_out += encoded.nbytes
+                        message_hits += encoded.resident
+                        stats.resident_bytes_saved += encoded.resident_bytes
+                        stats.resident_misses += sum(
+                            1 for token in encoded.tokens if token is not None
+                        )
+                        stats.fallback_rows += encoded.fallback_rows
+                        if encoded.fallback_rows:
+                            stats.fallback_encodes += 1
+                        if encoded.segment_name is not None:
+                            segments.append(encoded.segment_name)
+                        wire_subjobs.append((task_name, encoded, kernels_flag))
+                        meta.append((call_index, chunk_pos))
+                    blob = pickle.dumps(
+                        (job_id, epoch, wire_subjobs),
+                        protocol=pickle.HIGHEST_PROTOCOL,
                     )
-                    self._pending_results.discard(encoded_result.segment_name)
-            if failure is not None:
-                # A *task* failure is a clean protocol event: the pool
-                # stays alive — every segment was drained above.
-                raise WorkerError(failure)
-        except WorkerError:
-            raise
-        except BaseException:
-            # KeyboardInterrupt or any unexpected coordinator-side error
-            # mid-collect: in-flight state is indeterminate, so tear the
-            # pool down and unlink everything still registered.
-            self._emergency_teardown()
-            raise
-        return per_call, stats
+                    stats.pickle_bytes_out += len(blob)
+                    stats.resident_hits += message_hits
+                    if message_hits == 0:
+                        # Nothing rode the resident cache: this message is a
+                        # full payload snapshot.
+                        stats.snapshot_dispatches += 1
+                    blobs.append((worker_index, job_id, blob))
+                    job_meta[job_id] = meta
+                    job_segments[job_id] = segments
+            except (pickle.PicklingError, TypeError, AttributeError) as error:
+                for mirror in self._mirrors:
+                    mirror.abort()
+                for encoded in encodeds:
+                    shm.release_payload(encoded)
+                raise UnpicklablePayloadError(
+                    f"batch payload is not picklable: {error}"
+                ) from error
+            for mirror in self._mirrors:
+                mirror.commit()
+            stats.queue_messages = len(blobs)
+
+            try:
+                for worker_index, job_id, blob in blobs:
+                    self._inflight[job_id] = job_segments[job_id]
+                    self._task_queues[worker_index].put(blob)
+                per_call: list[list[Any]] = [
+                    [None] * len(chunks) for _, chunks, _ in calls
+                ]
+                pending = len(blobs)
+                failure: str | None = None
+                while pending:
+                    try:
+                        result_blob = self._result_queue.get(timeout=_POLL_SECONDS)
+                    except queue_module.Empty:
+                        dead = [p.name for p in self._processes if not p.is_alive()]
+                        if dead:
+                            # The pool is unusable: terminate survivors and
+                            # unlink everything still registered before
+                            # surfacing the crash.
+                            self._emergency_teardown()
+                            raise WorkerError(
+                                f"worker process(es) died while jobs were "
+                                f"pending: {dead}"
+                            )
+                        continue
+                    pending -= 1
+                    stats.pickle_bytes_in += len(result_blob)
+                    job_id, ok, reply, elapsed = pickle.loads(result_blob)
+                    stats.worker_seconds += elapsed
+                    # The worker consumed (and unlinked) this job's inputs.
+                    self._inflight.pop(job_id, None)
+                    if not ok:
+                        # Drain remaining jobs before raising so their
+                        # shared memory is released rather than leaked.
+                        if failure is None:
+                            failure = reply
+                        continue
+                    for encoded_result in reply:
+                        if encoded_result.segment_name is not None:
+                            self._pending_results.add(encoded_result.segment_name)
+                    if failure is not None:
+                        for encoded_result in reply:
+                            shm.release_payload(encoded_result)
+                            self._pending_results.discard(encoded_result.segment_name)
+                        continue
+                    for (call_index, chunk_pos), encoded_result in zip(
+                        job_meta[job_id], reply
+                    ):
+                        stats.shm_bytes_in += encoded_result.nbytes
+                        per_call[call_index][chunk_pos] = shm.decode_owned(
+                            encoded_result
+                        )
+                        self._pending_results.discard(encoded_result.segment_name)
+                if failure is not None:
+                    # A *task* failure is a clean protocol event: the pool
+                    # stays alive — every segment was drained above.
+                    raise WorkerError(failure)
+            except WorkerError:
+                raise
+            except BaseException:
+                # KeyboardInterrupt or any unexpected coordinator-side error
+                # mid-collect: in-flight state is indeterminate, so tear the
+                # pool down and unlink everything still registered.
+                self._emergency_teardown()
+                raise
+            return per_call, stats
 
     # ------------------------------------------------------------ teardown
 
@@ -468,24 +454,16 @@ def _unlink_segment(name: str) -> None:
         pass
 
 
-_pools: dict[tuple[int, str], WorkerPool] = {}
+_pools: dict[int, WorkerPool] = {}
 
 
-def get_pool(workers: int, transport: str) -> WorkerPool:
-    """The persistent pool for this (size, transport) pair, forking lazily."""
-    key = (workers, transport)
-    pool = _pools.get(key)
+def get_pool(workers: int) -> WorkerPool:
+    """The persistent pool of this size, forking lazily."""
+    pool = _pools.get(workers)
     if pool is None or pool._closed:
-        pool = WorkerPool(workers, transport)
-        _pools[key] = pool
+        pool = WorkerPool(workers)
+        _pools[workers] = pool
     return pool
-
-
-def invalidate_resident() -> None:
-    """Epoch-bump every live pool's resident caches (see the pool method)."""
-    for pool in _pools.values():
-        if not pool._closed:
-            pool.invalidate_resident()
 
 
 @atexit.register

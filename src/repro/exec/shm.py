@@ -3,19 +3,19 @@
 A task payload is an arbitrary picklable structure (nested tuples,
 lists, dicts) whose numpy-array leaves — the columnar-native data
 layer's columns — would be expensive to push through a queue's pickle
-stream. With the ``shm`` transport every array leaf of one message is
-packed into a single
+stream. Every array leaf of one message is packed into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment and
 replaced by an index marker; the receiver re-attaches the segment and
-rebuilds zero-copy views.
+rebuilds zero-copy views. A message with no array bytes to pack rides
+the queue's pickle stream whole.
 
 Row lists (lists of Python tuples) get the same treatment when they are
 *uniform all-integer* blocks: a list of ≥ 32 same-arity int tuples
 packs into one 2-D ``int64`` array riding the segment, marked by
 :class:`_RowsRef` so the receiver rebuilds the exact tuple list. Mixed,
 ragged, non-integer, or tiny lists keep travelling through the queue's
-batched pickle — the fallback contract of the kernels, gated by
-``REPRO_SHM_ROWS`` (:func:`repro.exec.config.shm_rows_enabled`).
+batched pickle — the fallback contract of the kernels, selected by the
+input alone and counted (:attr:`ShmEncoded.fallback_rows`).
 
 Segment lifecycle: the *sender* creates the segment and disowns it from
 its resource tracker (:func:`disown_segment`), because the duty to
@@ -27,20 +27,20 @@ immediately (coordinator side).
 Resident protocol
 -----------------
 
-With the ``resident`` dispatch protocol (:func:`repro.exec.config
-.protocol_name`) packed blocks are *content-addressed*: each block's
-token is a 16-byte blake2b digest over its dtype, shape, and raw bytes.
-The coordinator keeps a :class:`MirrorCache` per worker — a
-deterministic mirror of what that worker's :class:`BlockCache` holds —
-and a block whose token is mirrored is encoded as a
-:class:`_CachedArrayRef`/:class:`_CachedRowsRef` marker carrying only
-the token; the worker resolves it from its cache. Blocks shipped fresh
+Packed blocks are *content-addressed*: each block's token is a 16-byte
+blake2b digest over its dtype, shape, and raw bytes. The coordinator
+keeps a :class:`MirrorCache` per worker — a deterministic mirror of
+what that worker's :class:`BlockCache` holds — and a block whose token
+is mirrored is encoded as a :class:`_CachedArrayRef` /
+:class:`_CachedRowsRef` marker carrying only the token; the worker
+resolves it from its cache. Blocks shipped fresh
 carry their token in :attr:`ShmEncoded.tokens` and are cached by the
 worker on receipt, which is what keeps both sides in lockstep without
 any extra round-trip. Invalidation is wholesale: the coordinator bumps
 a *state epoch* (over-budget mirror, explicit
-``invalidate_resident()``), ships it with the next dispatch, and the
-worker drops its entire cache when the epoch changes.
+:meth:`~repro.exec.pool.WorkerPool.invalidate_resident`), ships it with
+the next dispatch, and the worker drops its entire cache when the epoch
+changes.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class BlockCache:
     are cached once and handed out as shallow copies (tuples are
     immutable, the list itself is the task's to mutate). Either way a
     hit observes exactly the value a fresh ship would have produced, so
-    task behavior cannot depend on the protocol.
+    task behavior cannot depend on what was resident.
     """
 
     def __init__(self) -> None:
@@ -290,8 +290,7 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
 class _Encoder:
     """State of one message encode: packed blocks, tokens, counters."""
 
-    def __init__(self, pack_rows: bool, mirror: MirrorCache | None) -> None:
-        self.pack_rows = pack_rows
+    def __init__(self, mirror: MirrorCache | None) -> None:
         self.mirror = mirror
         self.sink: list[np.ndarray] = []  # contiguous blocks to pack
         self.tokens: list[tuple[str, bytes] | None] = []
@@ -325,15 +324,14 @@ class _Encoder:
         if isinstance(obj, tuple):
             return tuple(self.walk(item) for item in obj)
         if isinstance(obj, list):
-            if self.pack_rows:
-                block = _pack_rows(obj)
-                if block is not None:
-                    return self._emit_block("r", np.ascontiguousarray(block))
-                if len(obj) >= _MIN_ROW_BLOCK and type(obj[0]) is tuple:
-                    # Pack-eligible by size and shape but not uniform
-                    # all-int: these rows ride the queue pickle — the
-                    # counted fallback the backend warns about when hot.
-                    self.fallback_rows += len(obj)
+            block = _pack_rows(obj)
+            if block is not None:
+                return self._emit_block("r", np.ascontiguousarray(block))
+            if len(obj) >= _MIN_ROW_BLOCK and type(obj[0]) is tuple:
+                # Pack-eligible by size and shape but not uniform
+                # all-int: these rows ride the queue pickle — the
+                # counted fallback the backend warns about when hot.
+                self.fallback_rows += len(obj)
             return [self.walk(item) for item in obj]
         if isinstance(obj, dict):
             return {key: self.walk(value) for key, value in obj.items()}
@@ -387,41 +385,26 @@ def _cache_shipped_blocks(
             cache.store(kind, digest, [tuple(row) for row in array.tolist()])
 
 
-def encode_payload(
-    payload: Any,
-    transport: str,
-    pack_rows: bool | None = None,
-    mirror: MirrorCache | None = None,
-) -> ShmEncoded:
+def encode_payload(payload: Any, mirror: MirrorCache | None = None) -> ShmEncoded:
     """Lift the array leaves of ``payload`` into one shared-memory segment.
 
-    With ``transport="pickle"`` (or when there are no array bytes to
-    move) the payload is passed through untouched and rides the queue's
-    pickle stream whole. ``pack_rows`` controls the integer row-block
-    packing; ``None`` resolves the ambient
-    :func:`repro.exec.config.shm_rows_enabled` — workers receive the
-    coordinator's resolved flag with the job instead, because a scoped
-    ``use_shm_rows`` override never crosses the fork.
+    When there are no array bytes to move the payload is passed through
+    untouched and rides the queue's pickle stream whole.
 
-    ``mirror`` (coordinator only) enables the resident protocol for this
-    message: blocks the target worker already caches become token refs,
-    fresh cacheable blocks are staged on the mirror — the caller commits
-    or aborts the staging depending on whether the message was actually
-    handed to the worker's queue.
+    ``mirror`` (coordinator only) is the target worker's resident-cache
+    mirror: blocks the worker already caches become token refs, fresh
+    cacheable blocks are staged on the mirror — the caller commits or
+    aborts the staging depending on whether the message was actually
+    handed to the worker's queue. Without one (worker-side results)
+    every block ships.
     """
-    if transport != "shm":
-        return ShmEncoded(payload, None, [], 0)
-    if pack_rows is None:
-        from repro.exec.config import shm_rows_enabled
-
-        pack_rows = shm_rows_enabled()
-    encoder = _Encoder(pack_rows, mirror)
+    encoder = _Encoder(mirror)
     structure = encoder.walk(payload)
     arrays = encoder.sink
     total = sum(a.nbytes for a in arrays)
     if total == 0:
         # Zero-length segments are invalid; metadata-only messages (and
-        # all-empty columns) go through pickle regardless of transport.
+        # all-empty columns) go through pickle.
         # When resident refs replaced every block the walked structure
         # must be kept — only a truly markerless message passes the
         # original object through.

@@ -25,23 +25,19 @@ object (so ``id()`` cannot be recycled while an entry lives), and
 *borrowed* relations — ones that handed out a mutable ``rows()`` list —
 are never cached and never served.
 
-Everything is gated on ``REPRO_MEMO`` (``off``/``0``/``false``/``no``
-disables) with :func:`use_memo` / :func:`set_memo` scoped forcing, the
-same three-layer design as :mod:`repro.kernels.config`.  With the memo
-layer off every caller falls back to the original per-server loops;
-`selftest` sweeps the kernels x backend x memo grid to prove the two
-paths byte-identical.
+Replay is chosen by what the code observes, never by a switch: a route
+whose provenance cannot be proven (mutated, borrowed or tampered
+relation, fault controller attached, tuple path) returns ``False`` and
+the caller runs the ordinary per-server loop, which is also what a
+cache miss is byte-identical to.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -54,52 +50,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpc.cluster import Cluster, RoundContext
     from repro.mpc.hashing import HashFunction
 
-_DISABLING = ("off", "0", "false", "no")
-
-_forced: ContextVar[bool | None] = ContextVar("repro_memo_forced", default=None)
-
-
-def memo_enabled() -> bool:
-    """Whether the memoization layer should be used right now."""
-    forced = _forced.get()
-    if forced is not None:
-        return forced
-    return os.environ.get("REPRO_MEMO", "").strip().lower() not in _DISABLING
-
-
-def set_memo(enabled: bool | None) -> None:
-    """Force the memo layer on/off for this context (``None`` = env default)."""
-    _forced.set(enabled)
-
-
-@contextmanager
-def use_memo(enabled: bool | None) -> Iterator[None]:
-    """Scoped override: force the memo layer on/off inside the block.
-
-    ``None`` is a no-op (keep the ambient setting) so callers can thread
-    an optional tri-state flag straight through.
-    """
-    if enabled is None:
-        yield
-        return
-    token = _forced.set(enabled)
-    try:
-        yield
-    finally:
-        _forced.reset(token)
-
 
 @dataclass
 class MemoStats:
     """Memoization accounting, mergeable across runs.
 
     ``hash_ops`` counts rows x hashed-dimensions actually pushed through
-    the bucket kernels (both with memo on and off, so on/off arms are
-    directly comparable); ``hash_ops_saved`` counts the ops a partition
-    cache hit skipped; ``bytes_saved`` the key-column chunk bytes a hit
-    did not recompute.  ``fused_payloads`` counts HyperCube local
-    evaluations fed column blocks directly instead of re-deriving them
-    from tuples.
+    the bucket kernels (on the replay and the per-server path alike, so
+    cold and warm runs are directly comparable); ``hash_ops_saved``
+    counts the ops a partition cache hit skipped; ``bytes_saved`` the
+    key-column chunk bytes a hit did not recompute.  ``fused_payloads``
+    counts HyperCube local evaluations fed column blocks directly
+    instead of re-deriving them from tuples.
     """
 
     partition_hits: int = 0
@@ -173,8 +135,8 @@ def _bump(stats: "MemoStats | None", name: str, amount: int = 1) -> None:
 def count_hash_ops(rnd: "RoundContext", ops: int) -> None:
     """Record bucket-kernel work done by try_route/try_route_grid.
 
-    Charged identically with memo on or off so the bench's on/off
-    hash-ops ratio compares like with like.
+    Charged the same way the replay path charges a plan build, so the
+    hash-ops counters compare like with like across both paths.
     """
     cluster = getattr(rnd, "_cluster", None)
     memo = getattr(getattr(cluster, "stats", None), "memo", None)
@@ -376,7 +338,7 @@ def _replay_eligible(
     excluded because the fault controller hooks individual scatter/send
     chunks that a replay would batch differently.
     """
-    if not (memo_enabled() and kernels_enabled()):
+    if not kernels_enabled():
         return False
     if getattr(cluster, "fault_controller", None) is not None:
         return False
@@ -422,9 +384,9 @@ def route_scattered(
     Replays (or computes once and caches) the batched sends the
     per-server ``take_with_columns`` + ``try_route`` loop would issue for
     ``fragment`` — byte-identical destinations, order, charged units,
-    and key-column side-cars.  Returns ``False`` when ineligible (memo
-    off, faults active, relation mutated/borrowed, fragment tampered
-    with, or non-integer key columns); the caller then falls back to the
+    and key-column side-cars.  Returns ``False`` when ineligible
+    (kernels off, faults active, relation mutated/borrowed, fragment
+    tampered with, or non-integer key columns); the caller then falls back to the
     ordinary loop.
     """
     if not _replay_eligible(cluster, rel, fragment):
@@ -516,9 +478,9 @@ def cached_view(
     The cached value is shared between callers — it must never be
     mutated (every wrapper below returns either an immutable Counter
     snapshot consumer or a Relation used read-only).  Borrowed relations
-    and disabled memo fall straight through to ``build()``.
+    fall straight through to ``build()``.
     """
-    if not memo_enabled() or rel.is_borrowed:
+    if rel.is_borrowed:
         return build()
     token = rel.mutation_token()
     key = (id(rel), token, *key_extra)

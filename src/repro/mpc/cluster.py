@@ -59,7 +59,7 @@ from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import MemoStats, memo_enabled
+from repro.kernels.memo import MemoStats
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
     FaultController,
@@ -182,7 +182,6 @@ class RoundContext:
         """Move every buffered tuple into its destination fragment."""
         servers = self._cluster.servers
         origins = self._cluster._scatter_origin
-        lazy = memo_enabled()
         for dest, fragments in enumerate(self._buffers):
             server = servers[dest]
             side_cars = self._column_buffers[dest]
@@ -200,19 +199,14 @@ class RoundContext:
                 entry = side_cars.get(fragment)
                 if entry is not None and not had_rows and entry[2] == len(rows):
                     key_idx, per_column, _covered = entry
-                    if lazy and any(len(chunks) > 1 for chunks in per_column):
+                    if any(len(chunks) > 1 for chunks in per_column):
                         # Zero-copy chunked delivery: hand the blocks over
                         # as-is; the concat happens only if a consumer asks
                         # for whole columns (Server.take_with_columns).
                         server.put_column_chunks(fragment, key_idx, per_column)
                     else:
                         server.put_columns(
-                            fragment,
-                            key_idx,
-                            [
-                                chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                                for chunks in per_column
-                            ],
+                            fragment, key_idx, [chunks[0] for chunks in per_column]
                         )
 
     def __enter__(self) -> "RoundContext":

@@ -92,8 +92,6 @@ class ExecStats:
 
     backend: str = "inline"
     workers: int = 1
-    transport: str = "none"
-    protocol: str = "none"  # dispatch protocol label: resident | snapshot
     dispatches: int = 0  # map_servers / batch calls routed through the backend
     chunks: int = 0  # worker jobs (== dispatches for inline)
     items: int = 0  # per-server payloads processed
@@ -151,12 +149,7 @@ class ExecStats:
         parts = [part for part in parts if part is not None]
         if not parts:
             return None
-        total = cls(
-            backend=parts[0].backend,
-            workers=parts[0].workers,
-            transport=parts[0].transport,
-            protocol=parts[0].protocol,
-        )
+        total = cls(backend=parts[0].backend, workers=parts[0].workers)
         for part in parts:
             for name in cls._COUNTERS:
                 setattr(total, name, getattr(total, name) + getattr(part, name))
@@ -164,12 +157,7 @@ class ExecStats:
 
     def snapshot(self) -> "ExecStats":
         """A frozen copy of the current counters (for later delta())."""
-        copied = ExecStats(
-            backend=self.backend,
-            workers=self.workers,
-            transport=self.transport,
-            protocol=self.protocol,
-        )
+        copied = ExecStats(backend=self.backend, workers=self.workers)
         for name in self._COUNTERS:
             setattr(copied, name, getattr(self, name))
         return copied
@@ -181,12 +169,7 @@ class ExecStats:
         snapshot before each query and reports the difference, so one
         query's report never includes bytes another query moved.
         """
-        diff = ExecStats(
-            backend=self.backend,
-            workers=self.workers,
-            transport=self.transport,
-            protocol=self.protocol,
-        )
+        diff = ExecStats(backend=self.backend, workers=self.workers)
         for name in self._COUNTERS:
             setattr(diff, name, getattr(self, name) - getattr(since, name))
         return diff

@@ -26,7 +26,6 @@ from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
 from repro.kernels.memo import (
     count_fused,
-    memo_enabled,
     project_view,
     route_scattered_grid,
 )
@@ -141,11 +140,11 @@ def hypercube_route(
                         rnd.send(dest, f"{atom.name}@hc", row)
 
     # Build the per-server eval payloads now (fragments are consumed by
-    # take); the dispatch itself is the staged half. With memo on, a
-    # payload whose full-arity side-car survived delivery is *fused*: the
-    # eval chunk builds the local relation straight from the column
+    # take); the dispatch itself is the staged half. On the kernel path
+    # a payload whose full-arity side-car survived delivery is *fused*:
+    # the eval chunk builds the local relation straight from the column
     # blocks instead of re-wrapping the row list.
-    fused = memo_enabled() and kernels_enabled()
+    fused = kernels_enabled()
     payloads = []
     for sid in range(grid.size):
         server = cluster.servers[sid]
@@ -207,7 +206,7 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
     relation's columnar cache is seeded from the delivered side-car. A
     server with an empty fragment produces ``None`` (no output stored).
 
-    When the coordinator flagged the run as *fused* (memo + kernels on),
+    When the coordinator flagged the run as *fused* (kernels on),
     a payload carrying a full-arity side-car is turned into a
     column-primary relation directly — the delivered row list is never
     re-wrapped, and local evaluation reads the routed column blocks.

@@ -182,7 +182,11 @@ def _reroot(parent: dict[str, str], new_root: str) -> dict[str, str]:
     frontier = [new_root]
     while frontier:
         node = frontier.pop()
-        for neighbour in adjacency[node]:
+        # Sets of str iterate in PYTHONHASHSEED order, and the parent
+        # map's insertion order decides the children order of the GHD and
+        # hence GYM's measured load. Any fixed order would do; only its
+        # determinism is load-bearing.
+        for neighbour in sorted(adjacency[node], reverse=True):
             if neighbour not in rerooted:
                 rerooted[neighbour] = node
                 frontier.append(neighbour)

@@ -117,7 +117,7 @@ class TestScalingSection:
     def _scaling_record(self, **overrides):
         record = {
             "name": "hash_join_uniform", "n": 1000, "p": 8,
-            "backend": "process", "workers": 4, "transport": "shm",
+            "backend": "process", "workers": 4,
             "seconds": 0.5, "speedup": 2.0, "L_max": 100, "rounds": 1,
             "out_size": 50, "identical": True,
         }
@@ -135,9 +135,9 @@ class TestScalingSection:
     def test_missing_field_reported(self):
         doc = minimal_document()
         record = self._scaling_record()
-        del record["transport"]
+        del record["workers"]
         doc["scaling"] = [record]
-        assert any("transport" in e for e in validate_bench(doc))
+        assert any("workers" in e for e in validate_bench(doc))
 
     def test_unknown_backend_rejected(self):
         doc = minimal_document()

@@ -42,7 +42,7 @@ def test_owning_worker_matches_bounds():
     from repro.exec.base import ProcessBackend
     from repro.mpc.cluster import Cluster
 
-    cluster = Cluster(10, backend=ProcessBackend(3, "pickle"))
+    cluster = Cluster(10, backend=ProcessBackend(3))
     owners = [cluster.owning_worker(sid) for sid in range(10)]
     assert owners == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 

@@ -131,12 +131,18 @@ def test_faults_identical_across_backends():
     assert set(fp.by_worker) == {0, 1}
 
 
-def test_pickle_transport_identical_to_shm():
-    R = uniform_relation("R", ("a", "b"), 300, universe=50, seed=7)
-    S = uniform_relation("S", ("b", "c"), 300, universe=50, seed=8)
-    with use_backend("process", workers=WORKERS, transport="shm"):
-        via_shm = parallel_hash_join(R, S, 6)
-    with use_backend("process", workers=WORKERS, transport="pickle"):
-        via_pickle = parallel_hash_join(R, S, 6)
-    assert via_shm.output == via_pickle.output
-    assert via_shm.stats.max_load == via_pickle.stats.max_load
+def test_non_integer_rows_ride_pickle_identically():
+    """String columns cannot be packed into shared memory: they ride the
+    queue pickle because of the input, the dispatch counts the fallback,
+    and the result is still identical to inline."""
+    from repro.data.relation import Relation
+
+    R = Relation("R", ("a", "b"), [(f"a{i % 50}", f"b{i % 37}") for i in range(600)])
+    S = Relation("S", ("b", "c"), [(f"b{i % 41}", f"c{i % 29}") for i in range(600)])
+    inline, process = both_backends(lambda: parallel_hash_join(R, S, 6))
+    assert inline.output == process.output
+    assert_same_stats(inline.stats, process.stats)
+    exec_stats = process.stats.exec
+    assert exec_stats.fallback_dispatches > 0
+    assert exec_stats.shm_bytes_out == 0 and exec_stats.pickle_bytes_out > 0
+    assert exec_stats.fallbacks == 0  # counted, not degraded to inline

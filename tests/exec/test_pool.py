@@ -38,7 +38,7 @@ tasks.register("test.callable", _callable_chunk)
 
 @pytest.fixture(scope="module")
 def pool():
-    pool = WorkerPool(2, "pickle")
+    pool = WorkerPool(2)
     yield pool
     pool.shutdown()
 
@@ -103,7 +103,7 @@ def test_unpicklable_payload_raises_synchronously(pool):
 
 
 def test_shutdown_is_idempotent():
-    pool = WorkerPool(1, "pickle")
+    pool = WorkerPool(1)
     pool.shutdown()
     pool.shutdown()
     with pytest.raises(RuntimeError, match="shut down"):
@@ -111,7 +111,7 @@ def test_shutdown_is_idempotent():
 
 
 def test_process_backend_falls_back_inline_on_unpicklable():
-    backend = ProcessBackend(2, "pickle")
+    backend = ProcessBackend(2)
     stats = backend.new_stats()
     # Lambda payloads cannot cross the process boundary; the backend
     # reruns the whole map inline with the same task function, so the
@@ -125,7 +125,7 @@ def test_process_backend_falls_back_inline_on_unpicklable():
 
 
 def test_process_backend_counts_traffic():
-    backend = ProcessBackend(2, "pickle")
+    backend = ProcessBackend(2)
     stats = backend.new_stats()
     out = backend.map_payloads("test.double", [1, 2, 3], 5, stats=stats)
     assert out == [5, 10, 15]
@@ -135,21 +135,21 @@ def test_process_backend_counts_traffic():
 
 
 def test_process_backend_rejects_non_elementwise_tasks():
-    backend = ProcessBackend(1, "pickle")
+    backend = ProcessBackend(1)
     with pytest.raises(RuntimeError, match="same-length elementwise"):
         backend.map_payloads("test.short", [1, 2, 3], None)
 
 
 def test_inline_backend_matches_process():
     inline = InlineBackend()
-    process = ProcessBackend(2, "pickle")
+    process = ProcessBackend(2)
     payloads = list(range(17))
     assert inline.map_payloads("test.double", payloads, 3) == \
         process.map_payloads("test.double", payloads, 3)
 
 
 def test_empty_map_short_circuits():
-    backend = ProcessBackend(2, "pickle")
+    backend = ProcessBackend(2)
     assert backend.map_payloads("test.double", [], 1) == []
 
 
@@ -159,7 +159,7 @@ def test_get_backend_resolution():
     assert get_backend(backend) is backend
     from repro.exec.config import use_backend
 
-    with use_backend("process", workers=2, transport="pickle"):
+    with use_backend("process", workers=2):
         resolved = get_backend(None)
         assert resolved.name == "process"
         assert resolved.workers == 2
@@ -169,12 +169,12 @@ def test_get_backend_resolution():
 
 def test_exec_stats_merge():
     parts = [
-        ExecStats(backend="process", workers=2, transport="shm",
+        ExecStats(backend="process", workers=2,
                   dispatches=3, chunks=6, items=30, shm_bytes_out=100,
                   shm_bytes_in=50, pickle_bytes_out=6, pickle_bytes_in=3,
                   worker_seconds=0.5, fallbacks=1),
         None,
-        ExecStats(backend="process", workers=2, transport="shm",
+        ExecStats(backend="process", workers=2,
                   dispatches=1, chunks=2, items=10, shm_bytes_out=20,
                   shm_bytes_in=10, pickle_bytes_out=3, pickle_bytes_in=2,
                   worker_seconds=0.25),
@@ -195,7 +195,7 @@ def test_exec_stats_merge():
 
 def test_bytes_per_message_none_when_no_messages():
     # A mean over zero messages is undefined; the former 0.0 read as
-    # "messages were free" in traces and x9 reports.
+    # "messages were free" in traces and reports.
     stats = ExecStats(backend="process", workers=2)
     assert stats.queue_messages == 0
     assert stats.bytes_per_message is None

@@ -4,9 +4,9 @@ Workers keep content-addressed payload blocks between dispatches and the
 coordinator mirrors each worker's cache, so a repeated block travels as
 a 16-byte token instead of bytes. These tests pin the cache mechanics
 (tokens, staging, epoch invalidation, copy-on-hand-out), the pool-level
-protocol (hits on repeat, snapshot forcing, explicit invalidation,
-mutation safety), the batched round dispatch, and the per-query
-ExecStats accounting primitives.
+protocol (first dispatch ships bytes, repeat ships tokens; explicit
+invalidation; mutation safety), the batched round dispatch, and the
+per-query ExecStats accounting primitives.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from repro.exec import shm, tasks
 from repro.exec.base import ProcessBackend
-from repro.exec.config import use_backend, use_protocol
+from repro.exec.config import use_backend
 from repro.exec.pool import WorkerPool
 from repro.mpc.cluster import Cluster
 
@@ -50,7 +50,7 @@ tasks.register("resident.call", _call_chunk)
 
 @pytest.fixture(scope="module")
 def pool():
-    pool = WorkerPool(2, "shm")
+    pool = WorkerPool(2)
     yield pool
     pool.shutdown()
 
@@ -128,7 +128,7 @@ def test_encode_decode_resident_roundtrip():
     payload = ([np.arange(512, dtype=np.int64)], "common")
 
     epoch = mirror.begin_message()
-    first = shm.encode_payload(payload, "shm", pack_rows=True, mirror=mirror)
+    first = shm.encode_payload(payload, mirror=mirror)
     mirror.commit()
     assert first.resident == 0
     cache.sync_epoch(epoch)
@@ -140,7 +140,7 @@ def test_encode_decode_resident_roundtrip():
 
     # Same bytes again: the block travels as a token, not a segment.
     epoch = mirror.begin_message()
-    second = shm.encode_payload(payload, "shm", pack_rows=True, mirror=mirror)
+    second = shm.encode_payload(payload, mirror=mirror)
     mirror.commit()
     assert second.resident == 1
     assert second.resident_bytes == payload[0][0].nbytes
@@ -155,7 +155,7 @@ def test_small_blocks_are_never_cached():
     tiny = ([np.arange(8, dtype=np.int64)], None)  # 64 bytes < the floor
     for _ in range(2):
         mirror.begin_message()
-        encoded = shm.encode_payload(tiny, "shm", pack_rows=True, mirror=mirror)
+        encoded = shm.encode_payload(tiny, mirror=mirror)
         mirror.commit()
         assert encoded.resident == 0
         shm.release_payload(encoded)
@@ -168,19 +168,17 @@ def test_pool_resident_hits_on_repeat(pool):
     first_results, first = pool.run("resident.total", _chunks(), None, False)
     again_results, again = pool.run("resident.total", _chunks(), None, False)
     assert first_results == again_results
+    # First dispatch ships the bytes...
     assert first.resident_hits == 0
-    assert first.snapshot_dispatches == 2  # both messages shipped bytes
-    assert again.resident_hits == 2  # one cached array per worker
+    assert first.resident_misses == 2
+    assert first.snapshot_dispatches == 2
+    assert first.shm_bytes_out == 2 * 1000 * 8
+    # ...the repeat ships one 16-byte token per cached array instead.
+    assert again.resident_hits == 2
     assert again.snapshot_dispatches == 0
+    assert again.shm_bytes_out == 0
     assert again.resident_bytes_saved == 2 * 1000 * 8
-
-
-def test_snapshot_protocol_reships_everything(pool):
-    with use_protocol("snapshot"):
-        _, first = pool.run("resident.total", _chunks(), None, False)
-        _, again = pool.run("resident.total", _chunks(), None, False)
-    assert first.resident_hits == again.resident_hits == 0
-    assert first.snapshot_dispatches == again.snapshot_dispatches == 2
+    assert again.pickle_bytes_out < 1024
 
 
 def test_invalidate_resident_forces_full_reship(pool):
@@ -205,15 +203,17 @@ def test_mutating_task_is_safe_on_cache_hits(pool):
     assert first_results == again_results
 
 
-def test_pickle_transport_never_uses_residency():
-    pool = WorkerPool(1, "pickle")
-    try:
-        chunks = [(0, [np.arange(1000, dtype=np.int64)])]
-        _, first = pool.run("resident.total", chunks, None, False)
-        _, again = pool.run("resident.total", chunks, None, False)
-        assert first.resident_hits == again.resident_hits == 0
-    finally:
-        pool.shutdown()
+def test_pickle_transport_never_uses_residency(pool):
+    # A payload with no array bytes to pack rides the queue pickle whole:
+    # there is no block to content-address, however often it repeats.
+    chunks = [(0, [3, 4]), (1, [5])]
+    results, first = pool.run("resident.scale", chunks, 2, False)
+    _, again = pool.run("resident.scale", chunks, 2, False)
+    assert results == [[6, 8], [10]]
+    for dispatch in (first, again):
+        assert dispatch.resident_hits == dispatch.resident_misses == 0
+        assert dispatch.shm_bytes_out == 0
+        assert dispatch.pickle_bytes_out > 0
 
 
 # --------------------------------------------------------- batched rounds
@@ -239,7 +239,7 @@ def test_cluster_map_servers_batch_matches_sequential():
 
 
 def test_batch_falls_back_inline_on_unpicklable():
-    backend = ProcessBackend(2, "pickle")
+    backend = ProcessBackend(2)
     stats = backend.new_stats()
     out = backend.map_payload_batch(
         [
@@ -256,7 +256,7 @@ def test_batch_falls_back_inline_on_unpicklable():
 
 
 def test_per_query_accounting_two_queries_one_pool():
-    backend = ProcessBackend(2, "shm")
+    backend = ProcessBackend(2)
     stats = backend.new_stats()  # one long-lived stats object, like a service
     payload = [np.arange(1000, dtype=np.int64) + k for k in range(4)]
     backend.map_payloads("resident.total", payload, None, stats=stats)
@@ -272,10 +272,3 @@ def test_per_query_accounting_two_queries_one_pool():
     assert first_query.resident_hits == 0
     assert second_query.resident_hits == 4
     assert stats.dispatches == 2  # the running total is untouched
-    assert stats.protocol == "resident"
-
-
-def test_exec_stats_protocol_label():
-    with use_protocol("snapshot"):
-        assert ProcessBackend(1, "shm").new_stats().protocol == "snapshot"
-    assert ProcessBackend(1, "shm").new_stats().protocol == "resident"

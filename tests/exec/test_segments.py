@@ -47,7 +47,7 @@ def _array_chunks():
 
 def test_worker_crash_mid_dispatch_leaks_no_segments():
     before = _psm_segments()
-    pool = WorkerPool(2, "shm")
+    pool = WorkerPool(2)
     with pytest.raises(WorkerError, match="died while jobs were pending"):
         pool.run("segments.kill", _array_chunks(), None, False)
     assert pool._closed  # the pool is unusable after losing workers
@@ -60,10 +60,8 @@ def test_emergency_teardown_unlinks_registered_segments():
     # The ledger path in isolation: a segment still registered as
     # in-flight (the worker never consumed it) must be unlinked by an
     # emergency teardown, whatever interrupted the collect loop.
-    pool = WorkerPool(1, "shm")
-    encoded = shm.encode_payload(
-        ([np.arange(4096, dtype=np.int64)], None), "shm", pack_rows=True
-    )
+    pool = WorkerPool(1)
+    encoded = shm.encode_payload(([np.arange(4096, dtype=np.int64)], None))
     assert encoded.segment_name is not None
     assert encoded.segment_name in _psm_segments()
     pool._inflight[99] = [encoded.segment_name]
@@ -73,7 +71,7 @@ def test_emergency_teardown_unlinks_registered_segments():
 
 def test_shutdown_after_real_work_leaves_no_segments():
     before = _psm_segments()
-    pool = WorkerPool(2, "shm")
+    pool = WorkerPool(2)
     results, _ = pool.run("segments.sum", _array_chunks(), None, False)
     assert results == [[int(np.arange(2048).sum())]] * 2
     pool.shutdown()
@@ -94,9 +92,9 @@ def test_pool_recreated_after_crash_and_faults_replay_once():
             reference = parallel_hash_join(R, S, 6)
 
     before = _psm_segments()
-    with use_backend("process", workers=2, transport="shm"):
+    with use_backend("process", workers=2):
         # Crash the shared pool mid-dispatch...
-        crashed = get_pool(2, "shm")
+        crashed = get_pool(2)
         with pytest.raises(WorkerError):
             crashed.run("segments.kill", _array_chunks(), None, False)
         assert crashed._closed
@@ -105,7 +103,7 @@ def test_pool_recreated_after_crash_and_faults_replay_once():
         # nothing happened — injected once, replayed once, same output.
         with faulty(plan):
             run = parallel_hash_join(R, S, 6)
-        assert get_pool(2, "shm") is not crashed
+        assert get_pool(2) is not crashed
     assert run.output == reference.output
     assert run.stats.max_load == reference.stats.max_load
     fi, fp = reference.stats.faults, run.stats.faults

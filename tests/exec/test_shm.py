@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exec import shm
-from repro.exec.config import use_shm_rows
 
 
 def _payload():
@@ -25,20 +24,20 @@ def _assert_matches(decoded):
 
 
 def test_owned_round_trip():
-    encoded = shm.encode_payload(_payload(), "shm")
+    encoded = shm.encode_payload(_payload())
     assert encoded.segment_name is not None
     assert encoded.nbytes == 10 * 8 + 5 * 8 + 4 * 8
     _assert_matches(shm.decode_owned(encoded))
 
 
 def test_owned_copies_survive_unlink():
-    encoded = shm.encode_payload(_payload(), "shm")
+    encoded = shm.encode_payload(_payload())
     decoded = shm.decode_owned(encoded)  # segment unlinked here
     _assert_matches(decoded)  # arrays are private copies, still valid
 
 
 def test_read_round_trip_zero_copy():
-    encoded = shm.encode_payload(_payload(), "shm")
+    encoded = shm.encode_payload(_payload())
     decoded, segment = shm.decode_for_read(encoded)
     assert segment is not None
     _assert_matches(decoded)
@@ -47,8 +46,10 @@ def test_read_round_trip_zero_copy():
 
 
 def test_pickle_transport_passthrough():
-    payload = _payload()
-    encoded = shm.encode_payload(payload, "pickle")
+    # No array bytes to pack: the payload object itself rides the queue
+    # pickle, and both decode paths hand it straight back.
+    payload = ([("a", 1.5), ("b", 2.5)], {"k": "v"}, 42)
+    encoded = shm.encode_payload(payload)
     assert encoded.segment_name is None
     assert encoded.nbytes == 0
     assert shm.decode_owned(encoded) is payload
@@ -59,14 +60,14 @@ def test_pickle_transport_passthrough():
 
 def test_no_arrays_passthrough():
     payload = ([("a", 1), ("b", 2)], {"k": "v"})
-    encoded = shm.encode_payload(payload, "shm")
+    encoded = shm.encode_payload(payload)
     assert encoded.segment_name is None  # nothing worth a segment
 
 
 def test_empty_arrays_passthrough():
     # Zero total bytes: zero-length segments are invalid, must passthrough.
     payload = (np.array([], dtype=np.int64), np.array([], dtype=np.float64))
-    encoded = shm.encode_payload(payload, "shm")
+    encoded = shm.encode_payload(payload)
     assert encoded.segment_name is None
     a, b = shm.decode_owned(encoded)
     assert a.size == 0 and b.size == 0
@@ -74,7 +75,7 @@ def test_empty_arrays_passthrough():
 
 def test_mixed_empty_and_full_arrays():
     payload = (np.array([], dtype=np.int64), np.arange(4))
-    encoded = shm.encode_payload(payload, "shm")
+    encoded = shm.encode_payload(payload)
     assert encoded.segment_name is not None
     a, b = shm.decode_owned(encoded)
     assert a.size == 0
@@ -84,14 +85,14 @@ def test_mixed_empty_and_full_arrays():
 def test_non_contiguous_arrays():
     base = np.arange(20).reshape(4, 5)
     payload = (base[:, ::2], base.T)  # strided + transposed views
-    encoded = shm.encode_payload(payload, "shm")
+    encoded = shm.encode_payload(payload)
     a, b = shm.decode_owned(encoded)
     np.testing.assert_array_equal(a, base[:, ::2])
     np.testing.assert_array_equal(b, base.T)
 
 
 def test_release_payload_is_idempotent():
-    encoded = shm.encode_payload((np.arange(8),), "shm")
+    encoded = shm.encode_payload((np.arange(8),))
     shm.release_payload(encoded)
     shm.release_payload(encoded)  # second release: segment already gone
     with pytest.raises(FileNotFoundError):
@@ -101,7 +102,7 @@ def test_release_payload_is_idempotent():
 def test_values_are_exact_not_approximate():
     # The byte-identity argument rests on arrays round-tripping exactly.
     values = np.array([0.1, 1e-300, 3.141592653589793, -2.5e17])
-    encoded = shm.encode_payload((values,), "shm")
+    encoded = shm.encode_payload((values,))
     (out,) = shm.decode_owned(encoded)
     assert out.tolist() == values.tolist()
 
@@ -115,7 +116,7 @@ def _rows(n=40, arity=3):
 
 def test_row_block_round_trip_owned():
     rows = _rows()
-    encoded = shm.encode_payload({"deliver": rows}, "shm")
+    encoded = shm.encode_payload({"deliver": rows})
     assert encoded.segment_name is not None  # rows rode shared memory
     assert encoded.nbytes == 40 * 3 * 8
     out = shm.decode_owned(encoded)
@@ -125,26 +126,11 @@ def test_row_block_round_trip_owned():
 
 def test_row_block_round_trip_zero_copy():
     rows = _rows(64, 2)
-    encoded = shm.encode_payload([rows, rows[:5]], "shm")
+    encoded = shm.encode_payload([rows, rows[:5]])
     decoded, segment = shm.decode_for_read(encoded)
     assert decoded[0] == rows
     assert decoded[1] == rows[:5]  # small list: untouched, rode pickle
     shm.finish_read(segment)
-
-
-def test_row_block_gate_off_means_pickle():
-    rows = _rows()
-    with use_shm_rows(False):
-        encoded = shm.encode_payload((rows,), "shm")
-    assert encoded.segment_name is None  # nothing packed
-    (out,) = shm.decode_owned(encoded)
-    assert out is rows
-
-
-def test_row_block_explicit_flag_beats_ambient():
-    rows = _rows()
-    assert shm.encode_payload((rows,), "shm", pack_rows=False).segment_name is None
-    assert shm.encode_payload((rows,), "shm", pack_rows=True).segment_name is not None
 
 
 @pytest.mark.parametrize("rows", [
@@ -159,15 +145,18 @@ def test_row_block_explicit_flag_beats_ambient():
     [[1, 2]] * 40,                                # lists, not tuples
 ])
 def test_row_block_fallbacks(rows):
-    encoded = shm.encode_payload((rows,), "shm")
+    encoded = shm.encode_payload((rows,))
     assert encoded.segment_name is None
     (out,) = shm.decode_owned(encoded)
     assert out is rows
+    # Only lists that looked packable (>= 32 tuples) count as fallbacks.
+    looked_packable = len(rows) >= 32 and type(rows[0]) is tuple
+    assert encoded.fallback_rows == (len(rows) if looked_packable else 0)
 
 
 def test_row_block_negative_and_extreme_ints_exact():
     rows = [(-(2**63), 2**63 - 1, 0)] * 40
-    encoded = shm.encode_payload((rows,), "shm")
+    encoded = shm.encode_payload((rows,))
     assert encoded.segment_name is not None
     (out,) = shm.decode_owned(encoded)
     assert out == rows

@@ -2,14 +2,15 @@
 
 Three contracts under test:
 
-- the **gate**: ``REPRO_MEMO`` / ``use_memo`` control whether anything
-  is ever cached, and memo-off leaves the caches untouched;
+- **engagement**: the layer needs no configuration, and a route that
+  cannot replay (tuple path) leaves the caches untouched;
 - the **partition cache**: replaying a cached routing plan is
-  byte-identical to the per-server ``try_route`` loop, hits/misses are
-  counted, and any mutation of the relation (including through a
-  borrowed ``rows()`` list) invalidates — proven both on directed cases
-  and under hypothesis-driven mutate/route interleavings in both kernel
-  modes, mirroring the PR 6 coherency suite;
+  byte-identical to the tuple path (``use_kernels(False)``) routing a
+  fresh copy of the same rows, hits/misses are counted, and any
+  mutation of the relation (including through a borrowed ``rows()``
+  list) invalidates — proven both on directed cases and under
+  hypothesis-driven mutate/route interleavings in both kernel modes,
+  mirroring the PR 6 coherency suite;
 - the **view cache**: derived views are shared on hit and rebuilt after
   mutation, and multi-round entry points actually engage the layer.
 """
@@ -28,10 +29,8 @@ from repro.kernels.memo import (
     distinct_project,
     key_degrees,
     memo_cache_sizes,
-    memo_enabled,
     project_view,
     route_scattered,
-    use_memo,
 )
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
@@ -44,8 +43,11 @@ rows_st = st.tuples(*[values] * ARITY)
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
+    # Replay only exists on the kernel path, so the suite forces it on
+    # (REPRO_KERNELS=off legs included); tuple-path cases opt out inside.
     clear_memo()
-    yield
+    with use_kernels(True):
+        yield
     clear_memo()
 
 
@@ -53,64 +55,46 @@ def _relation(n=40, stride=3):
     return Relation("R", ["x", "y"], [(i * stride, i) for i in range(n)])
 
 
-def _route(rel, p=4, seed=0, memo=True):
+def _route(rel, p=4, seed=0):
     """Scatter ``rel`` into a fresh cluster and hash-route it on column 0.
 
     Mirrors the shuffle loops in ``joins``/``multiway``: memo replay
     first, then the columnar ``try_route`` per server, then the plain
     per-row sends. Returns (per-server deliveries, stats).
     """
-    with use_memo(memo):
-        cluster = Cluster(p, seed=seed)
-        frag = cluster.scatter(rel, "R@in")
-        h = cluster.hash_function(0)
-        with cluster.round("route") as rnd:
-            if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
-                for server in cluster.servers:
-                    rows, cols = server.take_with_columns(frag, (0,))
-                    if not try_route(rnd, rows, (0,), h, "out", columns=cols):
-                        for row in rows:
-                            rnd.send(h((row[0],)), "out", row)
-        deliveries = [list(server.get("out")) for server in cluster.servers]
-        return deliveries, cluster.stats
+    cluster = Cluster(p, seed=seed)
+    frag = cluster.scatter(rel, "R@in")
+    h = cluster.hash_function(0)
+    with cluster.round("route") as rnd:
+        if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
+            for server in cluster.servers:
+                rows, cols = server.take_with_columns(frag, (0,))
+                if not try_route(rnd, rows, (0,), h, "out", columns=cols):
+                    for row in rows:
+                        rnd.send(h((row[0],)), "out", row)
+    deliveries = [list(server.get("out")) for server in cluster.servers]
+    return deliveries, cluster.stats
 
 
-# ------------------------------------------------------------------- gate
+def _reference_route(rows, p=4, seed=0):
+    """The tuple path routing a fresh relation of ``rows``: no kernels, no
+    replay, nothing cached — the reference every memoized route must match."""
+    with use_kernels(False):
+        return _route(Relation("R", ["x", "y"], list(rows)), p=p, seed=seed)
 
 
-def test_memo_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMO", raising=False)
-    assert memo_enabled()
-
-
-def test_use_memo_forces_and_restores(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMO", raising=False)
-    with use_memo(False):
-        assert not memo_enabled()
-        with use_memo(True):
-            assert memo_enabled()
-        assert not memo_enabled()
-    assert memo_enabled()
-
-
-def test_use_memo_none_is_a_no_op():
-    with use_memo(False):
-        with use_memo(None):
-            assert not memo_enabled()
-
-
-def test_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_MEMO", "off")
-    assert not memo_enabled()
-    with use_memo(True):  # explicit forcing beats the environment
-        assert memo_enabled()
+# ------------------------------------------------------------- engagement
 
 
 def test_memo_off_caches_nothing():
+    # The layer is off exactly when it cannot prove a replay: on the tuple
+    # path nothing is built, counted or cached.
     rel = _relation()
-    _route(rel, memo=False)
-    _route(rel, memo=False)
+    with use_kernels(False):
+        _, first = _route(rel)
+        _, again = _route(rel)
     assert memo_cache_sizes() == (0, 0)
+    assert not first.memo.any_activity and not again.memo.any_activity
 
 
 # -------------------------------------------------------- partition cache
@@ -118,9 +102,9 @@ def test_memo_off_caches_nothing():
 
 def test_replay_is_byte_identical_and_counted():
     rel = _relation()
-    reference, ref_stats = _route(rel, memo=False)
-    first, first_stats = _route(rel, memo=True)
-    again, again_stats = _route(rel, memo=True)
+    reference, ref_stats = _reference_route(rel.rows_readonly())
+    first, first_stats = _route(rel)
+    again, again_stats = _route(rel)
     assert first == reference
     assert again == reference
     assert first_stats.max_load == ref_stats.max_load
@@ -130,14 +114,15 @@ def test_replay_is_byte_identical_and_counted():
     assert again_stats.memo.partition_hits == 1
     assert again_stats.memo.hash_ops_saved > 0
     assert again_stats.memo.bytes_saved > 0
+    assert memo_cache_sizes()[0] == 1
 
 
 def test_mutation_invalidates_the_plan():
     rel = _relation()
-    _route(rel, memo=True)
+    _route(rel)
     rel.add((999_983, -1))
-    got, stats = _route(rel, memo=True)
-    want, _ = _route(Relation("R", ["x", "y"], rel.rows_readonly()), memo=False)
+    got, stats = _route(rel)
+    want, _ = _reference_route(rel.rows_readonly())
     assert got == want
     assert stats.memo.partition_hits == 0
     assert stats.memo.partition_misses == 1
@@ -145,20 +130,20 @@ def test_mutation_invalidates_the_plan():
 
 def test_borrowed_relation_is_never_served():
     rel = _relation()
-    _route(rel, memo=True)
+    _route(rel)
     live = rel.rows()  # borrow: external edits are now possible
     live[0] = (123_456_789, 0)
-    got, stats = _route(rel, memo=True)
-    want, _ = _route(Relation("R", ["x", "y"], list(live)), memo=False)
+    got, stats = _route(rel)
+    want, _ = _reference_route(live)
     assert got == want
     assert stats.memo.partition_hits == 0
 
 
 def test_kernels_off_falls_back_identically():
     rel = _relation()
-    reference, _ = _route(rel, memo=False)
+    reference, _ = _route(rel)  # kernels on: built, cached, replay-ready
     with use_kernels(False):
-        got, stats = _route(rel, memo=True)
+        got, stats = _route(rel)
     assert got == reference
     assert stats.memo.partition_hits + stats.memo.partition_misses == 0
 
@@ -167,16 +152,13 @@ def test_tampered_fragment_falls_back():
     # A fragment that no longer matches its scatter provenance must not
     # replay a stale plan.
     rel = _relation()
-    _route(rel, memo=True)  # prime the cache
-    with use_memo(True):
-        cluster = Cluster(4, seed=0)
-        frag = cluster.scatter(rel, "R@in")
-        cluster.servers[0].fragment(frag).append((7, 7))
-        h = cluster.hash_function(0)
-        with cluster.round("route") as rnd:
-            assert not route_scattered(
-                cluster, rnd, rel, frag, (0,), h, "out"
-            )
+    _route(rel)  # prime the cache
+    cluster = Cluster(4, seed=0)
+    frag = cluster.scatter(rel, "R@in")
+    cluster.servers[0].fragment(frag).append((7, 7))
+    h = cluster.hash_function(0)
+    with cluster.round("route") as rnd:
+        assert not route_scattered(cluster, rnd, rel, frag, (0,), h, "out")
 
 
 operations = st.lists(
@@ -200,8 +182,8 @@ def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
 
     Whatever interleaving of mutations (including through a borrowed
     live list) and routes the relation suffers, the memoized route must
-    deliver exactly what a memo-off route of the same state delivers —
-    and an immediate re-route (the hit path) must too.
+    deliver exactly what the tuple path delivers for a fresh copy of the
+    same state — and an immediate re-route (the hit path) must too.
     """
     clear_memo()
     with use_kernels(kernels):
@@ -222,13 +204,12 @@ def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
                     shadow[op[1] % len(shadow)] = op[2]
             else:
                 p = op[1]
-                reference = Relation("R", ["x", "y"], shadow)
-                want, want_stats = _route(reference, p=p, memo=False)
-                got, got_stats = _route(memoized, p=p, memo=True)
+                want, want_stats = _reference_route(shadow, p=p)
+                got, got_stats = _route(memoized, p=p)
                 assert got == want
                 assert got_stats.max_load == want_stats.max_load
                 if tag == "route_twice":
-                    again, _ = _route(memoized, p=p, memo=True)
+                    again, _ = _route(memoized, p=p)
                     assert again == want
     clear_memo()
 
@@ -239,33 +220,30 @@ def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
 def test_project_view_shares_on_hit_and_rebuilds_on_mutation():
     rel = _relation()
     stats = MemoStats()
-    with use_memo(True):
-        first = project_view(rel, ("x",), stats=stats)
-        second = project_view(rel, ("x",), stats=stats)
-        assert second is first
-        assert (stats.view_hits, stats.view_misses) == (1, 1)
-        rel.add((-5, -5))
-        third = project_view(rel, ("x",), stats=stats)
+    first = project_view(rel, ("x",), stats=stats)
+    second = project_view(rel, ("x",), stats=stats)
+    assert second is first
+    assert (stats.view_hits, stats.view_misses) == (1, 1)
+    rel.add((-5, -5))
+    third = project_view(rel, ("x",), stats=stats)
     assert third is not first
     assert third.rows_readonly() == rel.project(["x"]).rows_readonly()
 
 
 def test_distinct_and_degrees_match_reference():
     rel = Relation("R", ["x", "y"], [(1, 2), (1, 3), (2, 2), (1, 2)])
-    with use_memo(True):
-        assert sorted(distinct_project(rel, ("x",)).rows_readonly()) == \
-            [(1,), (2,)]
-        assert key_degrees(rel, (0,)) == Counter({(1,): 3, (2,): 1})
-        # The cached Counter is shared between calls.
-        assert key_degrees(rel, (0,)) is key_degrees(rel, (0,))
+    assert sorted(distinct_project(rel, ("x",)).rows_readonly()) == \
+        [(1,), (2,)]
+    assert key_degrees(rel, (0,)) == Counter({(1,): 3, (2,): 1})
+    # The cached Counter is shared between calls.
+    assert key_degrees(rel, (0,)) is key_degrees(rel, (0,))
 
 
 def test_view_cache_bypassed_for_borrowed_relations():
     rel = _relation()
     rel.rows()  # borrow
-    with use_memo(True):
-        first = project_view(rel, ("x",))
-        second = project_view(rel, ("x",))
+    first = project_view(rel, ("x",))
+    second = project_view(rel, ("x",))
     assert first is not second
     assert memo_cache_sizes() == (0, 0)
 
@@ -277,7 +255,7 @@ def test_multiround_entry_point_hits_the_cache():
     # A cold GYM run populates the caches; repeating the query on the
     # same unchanged relations (every round of a service loop, every
     # branch of the splitter) must replay instead of re-hashing — and
-    # stay byte-identical to a memo-off run throughout.
+    # stay byte-identical to the tuple path throughout.
     from repro.multiway.gym import gym
     from repro.query.parser import parse_query
 
@@ -286,10 +264,9 @@ def test_multiround_entry_point_hits_the_cache():
         "R": Relation("R", ["a", "b"], [(i % 7, i % 5) for i in range(60)]),
         "S": Relation("S", ["b", "c"], [(i % 5, i % 3) for i in range(60)]),
     }
-    with use_memo(True):
-        cold = gym(query, relations, p=4, seed=0)
-        warm = gym(query, relations, p=4, seed=0)
-    with use_memo(False):
+    cold = gym(query, relations, p=4, seed=0)
+    warm = gym(query, relations, p=4, seed=0)
+    with use_kernels(False):
         reference = gym(query, relations, p=4, seed=0)
     for run in (cold, warm):
         assert run.output.rows_readonly() == reference.output.rows_readonly()

@@ -87,7 +87,8 @@ def test_trace_combines_table_and_histograms():
 
 
 def test_trace_appends_audit_summary():
-    cluster = Cluster(2, audit=True)
+    # Pinned inline: a process-backend trace appends its exec line last.
+    cluster = Cluster(2, audit=True, backend="inline")
     with cluster.round("r1") as rt:
         rt.send(0, "frag", ("t",))
         rt.send(1, "frag", ("u",))

@@ -60,3 +60,43 @@ class TestMinimizeDepth:
         roots = [n for n, p in flat.items() if n == p]
         assert len(roots) == 1
         assert set(flat) == {a.name for a in q.atoms}
+
+
+_HASHSEED_PROBE = """
+from repro.data.generators import uniform_relation
+from repro.multiway.gym import gym
+from repro.query.cq import path_query
+from repro.query.ghd import width1_ghd
+from repro.query.parser import parse_query
+
+for q in (path_query(4),
+          parse_query("Q(a,b,c,d,e) :- R(a,b), S(b,c), T(c,d), U(d,e)")):
+    rels = {
+        a.name: uniform_relation(a.name, list(a.variables), 600, 600, seed=i)
+        for i, a in enumerate(q.atoms)
+    }
+    print([c.cover for c in width1_ghd(q).root.children],
+          gym(q, rels, p=8, seed=0).stats.max_load)
+"""
+
+
+def test_join_tree_and_gym_load_do_not_depend_on_the_hash_seed():
+    # _reroot walks a set of atom names; iterating it in hash order made
+    # the GHD's children order, and with it GYM's measured L, follow
+    # PYTHONHASHSEED. String hashing is fixed per process, so the check
+    # needs one interpreter per seed.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = set()
+    for seed in ("0", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _HASHSEED_PROBE], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout)
+    assert len(outputs) == 1, outputs

@@ -61,7 +61,6 @@ EXPERIMENTS = [
      {"n": 400, "depth": 4, "intervals": (1, 4)}),
     ("bench_x4_backend_scaling", "worker_scaling_experiment",
      {"workers": (1, 2), "n_join": 400, "n_tri": 300}),
-    ("bench_x4_backend_scaling", "transport_experiment", {"n_join": 400}),
     ("bench_x7_planner", "planner_experiment", {"quick": True}),
     ("bench_ablations", "share_rounding_ablation", {}),
     ("bench_ablations", "threshold_ablation", {}),

@@ -36,6 +36,36 @@ class TestRowsEncapsulationLint:
         )
 
 
+class TestGateInventoryLint:
+    """The set of user-settable path gates is closed.
+
+    Every ``REPRO_*`` variable and every in-process override multiplies
+    the configurations that must stay byte-identical; a new one has to
+    show up here, in review, instead of arriving unnoticed.
+    """
+
+    GATES = {"REPRO_BACKEND", "REPRO_KERNELS", "REPRO_WORKERS"}
+    RETIRED = {
+        "use_protocol", "protocol_name", "use_shm_rows", "shm_rows_enabled",
+        "transport_name", "resident_cache_bytes", "use_memo", "set_memo",
+        "memo_enabled",
+    }
+
+    def test_env_gates_are_exactly_the_three(self):
+        found = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert found == self.GATES
+
+    def test_retired_overrides_are_not_exported(self):
+        import repro.exec
+        import repro.kernels.memo
+
+        assert not self.RETIRED & set(repro.exec.__all__)
+        assert not self.RETIRED & set(dir(repro.exec))
+        assert not self.RETIRED & set(dir(repro.kernels.memo))
+
+
 class TestExperimentIndex:
     def test_every_indexed_bench_exists(self):
         design = (ROOT / "DESIGN.md").read_text()

@@ -83,6 +83,18 @@ def test_main_verbose_prints_records(capsys):
     assert "psrs_sort" in out
 
 
+def test_main_sweeps_the_kernels_by_backend_grid(capsys):
+    rc = main(["--instances", "2", "--kinds", "two_way", "--no-metamorphic",
+               "--kernels", "both", "--backend", "both"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    for cell in ("kernels on / inline", "kernels on / process",
+                 "kernels off / inline", "kernels off / process"):
+        assert f"=== {cell} ===" in out
+    assert out.count("verdict=PASS") == 4
+    assert "no cross-mode drift across the full kernels x backend sweep" in out
+
+
 def test_module_subcommand_dispatch(capsys):
     from repro.__main__ import main as repro_main
 
