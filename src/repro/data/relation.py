@@ -334,7 +334,7 @@ class Relation:
 
         Cache layers key derived state on ``(id(relation), token)``; a
         stale entry can then never be served after ``add``/``extend`` —
-        see :meth:`repro.engine.Engine._align`.
+        see :mod:`repro.kernels.memo`, which owns that policy.
         """
         return self._version
 

@@ -22,15 +22,15 @@ disagreement raises :class:`repro.errors.OracleMismatchError`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.data.relation import Relation
 from repro.errors import OracleMismatchError, QueryError
 from repro.exec.config import use_backend
 from repro.kernels.config import use_kernels
-from repro.mpc.stats import RunStats
-from repro.planner.multiway import MultiwayPlan, execute_multiway_join
+from repro.kernels.memo import align, cached_view, forget
+from repro.mpc.stats import MemoStats, RunStats
+from repro.planner.multiway import MultiwayPlan
 from repro.planner.optimizer import (
     STRATEGIES,
     ExplainResult,
@@ -38,8 +38,8 @@ from repro.planner.optimizer import (
     plan_query,
 )
 from repro.planner.statistics import JoinStatistics, join_statistics
-from repro.planner.two_way import TwoWayPlan, execute_two_way_join
-from repro.query.cq import ConjunctiveQuery
+from repro.planner.two_way import TwoWayPlan
+from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.testing.oracle import multiset_diff, oracle_join
 
@@ -48,17 +48,16 @@ from repro.testing.oracle import multiset_diff, oracle_join
 class QueryResult:
     """Output, chosen plan, and cost of one engine query.
 
-    ``align_cache_hits`` counts how many of this query's input-alignment
-    lookups were served from the engine's memoized cache (see
-    :meth:`Engine._align`) instead of re-deriving the projection.
+    ``align_cache_hits`` counts how many of this query's own
+    input-alignment lookups were served from the view cache of
+    :mod:`repro.kernels.memo` instead of re-deriving the projection.
     """
 
     output: Relation
     plan: TwoWayPlan | MultiwayPlan
     stats: RunStats
     align_cache_hits: int = 0
-    # The optimizer's full decision record (strategy="classic" leaves it
-    # None — the legacy per-family planners don't produce one).
+    # The optimizer's full decision record.
     explain: ExplainResult | None = None
 
     @property
@@ -73,17 +72,12 @@ class QueryResult:
 class Engine:
     """A registry of relations plus a planner-driven query runner."""
 
-    # Alignment memo capacity; queries touch at most a handful of atoms,
-    # so this bounds memory without ever evicting a live workload.
-    _ALIGN_CACHE_SIZE = 128
-
     def __init__(
         self,
         p: int,
         seed: int = 0,
         kernels: bool | None = None,
         backend: str | None = None,
-        align_with: "Engine | None" = None,
     ) -> None:
         if p <= 0:
             raise QueryError("the engine needs at least one server")
@@ -96,43 +90,19 @@ class Engine:
         # "process": force the execution backend for this engine's queries.
         self.backend = backend
         self._relations: dict[str, Relation] = {}
-        # ``align_with`` shares another engine's alignment memo instead of
-        # creating a private one. The service's split path spins up one
-        # throwaway engine per branch; without sharing, every branch
-        # re-derives and separately stores a detached copy of each
-        # *unsplit* input's alignment (k overlapping copies per split=k
-        # query) and the hits land in counters nobody reads. Shared keys
-        # stay safe because they carry relation identity + mutation token.
-        self._align_owner: Engine = (
-            align_with._align_owner if align_with is not None else self
-        )
-        if self._align_owner is self:
-            # (atom variables, relation name, relation identity, schema
-            # attributes, mutation token) -> aligned relation; LRU,
-            # invalidated on the owner's register().
-            self._align_cache: dict[tuple, Relation] = {}
-            self._align_hits = 0
-            # Guards _align_cache and _align_hits: concurrent queries (the
-            # repro.service worker threads) share one engine, and an
-            # unsynchronized LRU races on the pop/re-insert recency bump
-            # (two threads can both observe a hit and the second pop raises
-            # KeyError) and on the eviction scan. The lock covers only the
-            # dict bookkeeping, never the projection work.
-            self._align_lock = threading.Lock()
 
     # --------------------------------------------------------------- catalog
 
     def register(self, relation: Relation, name: str | None = None) -> None:
         """Add (or replace) a relation under ``name`` (default: its own)."""
-        self._relations[name or relation.name] = relation
-        # Cached alignments may reference the replaced relation's data.
-        # Only the owning engine clears: a borrower (a service branch
-        # engine registering its fragment bindings) must not wipe the
-        # shared memo — identity+token keys already make stale hits
-        # impossible, the clear is purely the owner's memory hygiene.
-        if self._align_owner is self:
-            with self._align_lock:
-                self._align_cache.clear()
+        name = name or relation.name
+        old = self._relations.get(name)
+        if old is not None:
+            # Memory hygiene only (identity+token keys already make a stale
+            # hit impossible): the replaced — or mutated and re-registered —
+            # relation's plans and views would otherwise idle in the LRUs.
+            forget(old)
+        self._relations[name] = relation
 
     def relation(self, name: str) -> Relation:
         try:
@@ -161,9 +131,7 @@ class Engine:
         - an explicit strategy name (``"hash"``, ``"hypercube"``,
           ``"gym"``, ...): force that strategy through the same dispatch
           the optimizer uses — output is byte-identical to an ``"auto"``
-          run that chose it;
-        - ``"classic"``: the legacy per-family planners
-          (:mod:`repro.planner.two_way` / :mod:`repro.planner.multiway`).
+          run that chose it.
 
         With ``verify=True`` the distributed output is compared — as a
         multiset — against the trusted single-node oracle; a mismatch
@@ -202,20 +170,18 @@ class Engine:
             cq = text_or_query
         bindings = {a.name: self.relation(a.name) for a in cq.atoms}
 
-        if strategy == "classic":
-            return self._query_classic(cq, bindings, out_estimate)
         if strategy != "auto" and strategy not in STRATEGIES:
             raise QueryError(
-                f"unknown strategy {strategy!r} (choose 'auto', 'classic', "
-                f"or one of {', '.join(STRATEGIES)})"
+                f"unknown strategy {strategy!r} (choose 'auto' or one of "
+                f"{', '.join(STRATEGIES)})"
             )
 
-        owner = self._align_owner
-        hits_before = owner._align_hits
+        # Per call, so a concurrent query's hits are never reported here.
+        counts = MemoStats()
         with use_kernels(self.kernels), use_backend(self.backend):
             aligned = {
-                atom.name: self._align(cq, index, bindings[atom.name])
-                for index, atom in enumerate(cq.atoms)
+                atom.name: _align(atom, bindings[atom.name], counts)
+                for atom in cq.atoms
             }
             explain = plan_query(
                 cq, aligned, self.p, out_estimate=out_estimate, seed=self.seed
@@ -225,9 +191,7 @@ class Engine:
                 cq, aligned, self.p, executed, seed=self.seed
             )
             plan = self._wrap_plan(cq, aligned, explain, executed)
-            return QueryResult(
-                output, plan, stats, owner._align_hits - hits_before, explain
-            )
+            return QueryResult(output, plan, stats, counts.view_hits, explain)
 
     def _wrap_plan(self, cq: ConjunctiveQuery, aligned: dict[str, Relation],
                    explain: ExplainResult, executed: str) -> TwoWayPlan | MultiwayPlan:
@@ -253,89 +217,18 @@ class Engine:
             predicted,
         )
 
-    def _query_classic(self, cq: ConjunctiveQuery,
-                       bindings: dict[str, Relation],
-                       out_estimate: int | None = None) -> QueryResult:
-        """The pre-optimizer planning path (two_way/multiway heuristics)."""
-        owner = self._align_owner
-        hits_before = owner._align_hits
-        with use_kernels(self.kernels), use_backend(self.backend):
-            if len(cq.atoms) == 2:
-                left, right = (bindings[a.name] for a in cq.atoms)
-                left, right = self._align(cq, 0, left), self._align(cq, 1, right)
-                plan, run = execute_two_way_join(left, right, self.p, seed=self.seed)
-                output = run.output.project(list(cq.variables), name="OUT")
-                return QueryResult(
-                    output, plan, run.stats, owner._align_hits - hits_before
-                )
 
-            if len(cq.atoms) == 1:
-                atom = cq.atoms[0]
-                rel = self._align(cq, 0, bindings[atom.name])
-                plan = TwoWayPlan(
-                    "scan",
-                    0.0,
-                    JoinStatistics(len(rel), 0, (), len(rel), 0, 0),
-                )
-                return QueryResult(
-                    rel.project(list(cq.variables), name="OUT"),
-                    plan,
-                    RunStats(self.p),
-                    owner._align_hits - hits_before,
-                )
+def _align(atom: Atom, rel: Relation, counts: MemoStats) -> Relation:
+    """:func:`repro.kernels.memo.align`, counting in-order inputs too.
 
-            plan, run = execute_multiway_join(
-                cq, bindings, self.p, seed=self.seed, out_estimate=out_estimate
-            )
-            return QueryResult(run.output, plan, run.stats)
-
-    def _align(self, cq: ConjunctiveQuery, index: int, rel: Relation) -> Relation:
-        """The relation re-projected to its atom's variable order.
-
-        Memoized per (atom variables, relation name/identity, schema
-        fingerprint, **mutation token**): re-running the same query text
-        over an unchanged catalog skips the projection entirely, while
-        mutating a registered relation with ``add``/``extend`` between
-        queries bumps its token and can never be served a stale
-        alignment. Relations whose row list is aliased outside
-        (:attr:`Relation.is_borrowed`) are not cached at all — in-place
-        edits of such a list are invisible to the token. The cache is
-        bounded LRU (:attr:`_ALIGN_CACHE_SIZE`), cleared by
-        :meth:`register`, and thread-safe: lookups, the recency bump,
-        insertion, and eviction all happen under :attr:`_align_lock`
-        (single-threaded behaviour is unchanged — the lock is uncontended
-        there), so concurrent queries through one engine can never
-        double-pop a hit or race the eviction scan.
-        """
-        atom = cq.atoms[index]
-        if set(rel.schema.attributes) != set(atom.variables):
-            raise QueryError(
-                f"relation {rel.name} attributes {rel.schema.attributes} do not "
-                f"match atom {atom}"
-            )
-        key = (
-            atom.variables,
-            rel.name,
-            id(rel),
-            tuple(rel.schema.attributes),
-            rel.mutation_token(),
-        )
-        owner = self._align_owner
-        with owner._align_lock:
-            cached = owner._align_cache.get(key)
-            if cached is not None:
-                owner._align_hits += 1
-                # Refresh LRU recency.
-                owner._align_cache.pop(key)
-                owner._align_cache[key] = cached
-                return cached
-        cacheable = not rel.is_borrowed
-        if rel.schema.attributes != atom.variables:
-            rel = rel.project(list(atom.variables))
-        if not cacheable:
-            return rel
-        with owner._align_lock:
-            if len(owner._align_cache) >= self._ALIGN_CACHE_SIZE:
-                owner._align_cache.pop(next(iter(owner._align_cache)))
-            owner._align_cache[key] = rel
-        return rel
+    A reordering is the shared view entry the algorithms' own ``align``
+    calls hit as well. For a relation already in atom order the engine
+    additionally records the identity under the same key, so a repeat of
+    the query over an unchanged catalog reports *every* atom as served
+    from the memo — mutating a relation bumps its token and can never be
+    served a stale alignment, and a borrowed relation is never cached.
+    """
+    aligned = align(atom, rel, counts)
+    if aligned is rel:
+        cached_view(rel, ("project", atom.variables, None), lambda: rel, counts)
+    return aligned

@@ -167,19 +167,9 @@ class ProcessBackend(ExecutionBackend):
         ]
 
     def _account(self, stats: "ExecStats | None", dispatch: Any) -> None:
-        if stats is None:
-            return
-        stats.shm_bytes_out += dispatch.shm_bytes_out
-        stats.shm_bytes_in += dispatch.shm_bytes_in
-        stats.pickle_bytes_out += dispatch.pickle_bytes_out
-        stats.pickle_bytes_in += dispatch.pickle_bytes_in
-        stats.worker_seconds += dispatch.worker_seconds
-        stats.queue_messages += dispatch.queue_messages
-        stats.snapshot_dispatches += dispatch.snapshot_dispatches
-        stats.resident_hits += dispatch.resident_hits
-        stats.resident_misses += dispatch.resident_misses
-        stats.resident_bytes_saved += dispatch.resident_bytes_saved
-        stats.fallback_dispatches += dispatch.fallback_encodes
+        # DispatchStats names its transport counters as ExecStats does.
+        if stats is not None:
+            stats.add(dispatch)
 
     @staticmethod
     def _warn_hot_fallback(dispatch: Any, task_names: list[str]) -> None:

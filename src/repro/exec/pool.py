@@ -159,7 +159,7 @@ class DispatchStats:
     resident_misses: int = 0  # cacheable blocks that had to ship
     resident_bytes_saved: int = 0  # bytes the hits did not re-ship
     fallback_rows: int = 0  # pack-eligible rows that rode the pickle stream
-    fallback_encodes: int = 0  # payload encodes with at least one such list
+    fallback_dispatches: int = 0  # payload encodes with at least one such list
 
 
 class WorkerPool:
@@ -285,7 +285,7 @@ class WorkerPool:
                         )
                         stats.fallback_rows += encoded.fallback_rows
                         if encoded.fallback_rows:
-                            stats.fallback_encodes += 1
+                            stats.fallback_dispatches += 1
                         if encoded.segment_name is not None:
                             segments.append(encoded.segment_name)
                         wire_subjobs.append((task_name, encoded, kernels_flag))

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun, distributed_local_join, require_join_key
-from repro.kernels.memo import route_scattered
-from repro.kernels.partition import try_route
+from repro.kernels.memo import route
 from repro.mpc.cluster import Cluster
 
 
@@ -66,28 +65,14 @@ def shuffle_fragments_by_key(
     shared: tuple[str, ...],
     hash_index: int = 0,
 ) -> None:
-    """The round-1 communication: route both fragments by hashed join key.
-
-    Per-(destination, fragment) arrival order is source-server ascending
-    whether the sides go through the memoized whole-relation replay
-    (:func:`repro.kernels.memo.route_scattered`) or the per-server loop,
-    so the two paths deliver byte-identical fragments.
-    """
+    """The round-1 communication: route both fragments by hashed join key."""
     h = cluster.hash_function(hash_index)
-    r_idx = r.schema.indices(shared)
-    s_idx = s.schema.indices(shared)
     with cluster.round("hash-shuffle") as rnd:
-        for rel, fragment, idx, out in (
-            (r, r_fragment, r_idx, f"{r.name}@j"),
-            (s, s_fragment, s_idx, f"{s.name}@j"),
-        ):
-            if route_scattered(cluster, rnd, rel, fragment, idx, h, out):
-                continue
-            for server in cluster.servers:
-                rows, cols = server.take_with_columns(fragment, tuple(idx))
-                if not try_route(rnd, rows, idx, h, out, columns=cols):
-                    for row in rows:
-                        rnd.send(h(tuple(row[i] for i in idx)), out, row)
+        for rel, fragment in ((r, r_fragment), (s, s_fragment)):
+            route(
+                cluster, rnd, fragment, rel.schema.indices(shared), h,
+                f"{rel.name}@j", rel,
+            )
 
 
 def _out_attrs(r: Relation, s: Relation) -> list[str]:

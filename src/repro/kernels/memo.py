@@ -1,135 +1,56 @@
-"""Mutation-token-keyed memoization across rounds of one query.
+"""The one owner of state derived from an unchanged relation.
 
 Multi-round algorithms (GYM's semijoin waves, the heavy/light reducer
 protocol, SkewHC's residual stages, every branch of the service
-splitter) re-hash and re-partition the *same unchanged relation* on
-every round.  The MPC cost model charges nothing for that local work,
-but the simulator pays it in wall time.  This module removes the
-redundancy without changing a single observable byte:
+splitter) re-hash, re-partition and re-project the *same unchanged
+relation* on every round.  The MPC cost model charges nothing for that
+local work, but the simulator pays it in wall time.  This module removes
+the redundancy without changing a single observable byte:
 
-- a **partition cache** maps ``(relation identity, mutation token, key
-  columns, hash function, p)`` to the fully computed routing plan — the
-  per-server, per-destination row groups and key-column chunks that
-  :func:`repro.kernels.partition.try_route` would recompute — so a
-  repeated scatter+route of an unchanged relation replays batched sends
-  straight from the cache (:func:`route_scattered`, and
-  :func:`route_scattered_grid` for HyperCube's replicated grid routes);
-- a **view cache** (:func:`cached_view` and the :func:`project_view` /
-  :func:`distinct_project` / :func:`key_degrees` / :func:`value_degrees`
-  wrappers) memoizes derived read-only views — aligned projections,
-  distinct key sets, degree counters — keyed the same way.
+- a **partition cache** of fully computed routing plans — the
+  per-server, per-destination row groups and key-column chunks
+  :func:`repro.kernels.partition.try_route` would recompute — replayed
+  as batched sends by :func:`route_scattered` (and
+  :func:`route_scattered_grid` for HyperCube's replicated routes);
+- a **view cache** (:func:`cached_view` and its wrappers) of derived
+  read-only views: distinct key sets, degree counters, and the
+  projection that puts a relation in its atom's variable order
+  (:func:`align`).
 
-Invalidation mirrors PR 6's coherency contract exactly: every cache key
-embeds the relation's monotonic mutation token, entries pin the relation
-object (so ``id()`` cannot be recycled while an entry lives), and
-*borrowed* relations — ones that handed out a mutable ``rows()`` list —
-are never cached and never served.
-
-Replay is chosen by what the code observes, never by a switch: a route
-whose provenance cannot be proven (mutated, borrowed or tampered
-relation, fault controller attached, tuple path) returns ``False`` and
-the caller runs the ordinary per-server loop, which is also what a
-cache miss is byte-identical to.
+The policy lives here and nowhere else: a derived value is valid while
+``(id(relation), mutation token)`` is unchanged and the relation is not
+*borrowed* (has not handed out a mutable ``rows()`` list); the entry
+pins the relation object, so ``id()`` cannot be recycled while it lives;
+every cache — the service's result cache included — is one bounded,
+locked, counted :class:`LRU`; :func:`forget` reclaims a replaced
+relation's entries eagerly.  Replay is chosen by what the code observes,
+never by a switch: :func:`route` tries the cached plan, then the
+per-server kernel, then the scalar loop, and a route whose provenance
+cannot be proven takes the next rung — which is also what a cache miss
+is byte-identical to.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.relation import Relation
     from repro.mpc.cluster import Cluster, RoundContext
     from repro.mpc.hashing import HashFunction
-
-
-@dataclass
-class MemoStats:
-    """Memoization accounting, mergeable across runs.
-
-    ``hash_ops`` counts rows x hashed-dimensions actually pushed through
-    the bucket kernels (on the replay and the per-server path alike, so
-    cold and warm runs are directly comparable); ``hash_ops_saved``
-    counts the ops a partition cache hit skipped; ``bytes_saved`` the
-    key-column chunk bytes a hit did not recompute.  ``fused_payloads``
-    counts HyperCube local evaluations fed column blocks directly
-    instead of re-deriving them from tuples.
-    """
-
-    partition_hits: int = 0
-    partition_misses: int = 0
-    view_hits: int = 0
-    view_misses: int = 0
-    fused_payloads: int = 0
-    hash_ops: int = 0
-    hash_ops_saved: int = 0
-    bytes_saved: int = 0
-
-    # merged()/snapshot()/delta() walk this list, so a new counter cannot
-    # be silently dropped from any of them.
-    _COUNTERS = (
-        "partition_hits", "partition_misses",
-        "view_hits", "view_misses",
-        "fused_payloads",
-        "hash_ops", "hash_ops_saved", "bytes_saved",
-    )
-
-    @property
-    def any_activity(self) -> bool:
-        return any(getattr(self, name) for name in self._COUNTERS)
-
-    @classmethod
-    def merged(cls, parts: "list[MemoStats | None]") -> "MemoStats":
-        total = cls()
-        for part in parts:
-            if part is None:
-                continue
-            for name in cls._COUNTERS:
-                setattr(total, name, getattr(total, name) + getattr(part, name))
-        return total
-
-    def snapshot(self) -> "MemoStats":
-        copied = MemoStats()
-        for name in self._COUNTERS:
-            setattr(copied, name, getattr(self, name))
-        return copied
-
-    def delta(self, since: "MemoStats") -> "MemoStats":
-        diff = MemoStats()
-        for name in self._COUNTERS:
-            setattr(diff, name, getattr(self, name) - getattr(since, name))
-        return diff
-
-    def summary(self) -> str:
-        """One-line counter summary (appended to trace()/summary())."""
-        return (
-            f"memo: partition {self.partition_hits}h/{self.partition_misses}m"
-            f" views {self.view_hits}h/{self.view_misses}m"
-            f" fused={self.fused_payloads}"
-            f" hash_ops={self.hash_ops} saved={self.hash_ops_saved}"
-            f" bytes_saved={self.bytes_saved}"
-        )
-
-
-#: Process-wide mirror of every per-run counter bump.  The bench harness
-#: and the CI memo-engagement assertion snapshot/delta this to measure
-#: activity across whole arms (including service runs whose per-cluster
-#: stats are buried inside short-lived engines).
-GLOBAL = MemoStats()
+    from repro.mpc.stats import MemoStats
+    from repro.query.cq import Atom
 
 
 def _bump(stats: "MemoStats | None", name: str, amount: int = 1) -> None:
     if stats is not None:
         setattr(stats, name, getattr(stats, name) + amount)
-    setattr(GLOBAL, name, getattr(GLOBAL, name) + amount)
 
 
 def count_hash_ops(rnd: "RoundContext", ops: int) -> None:
@@ -139,193 +60,116 @@ def count_hash_ops(rnd: "RoundContext", ops: int) -> None:
     hash-ops counters compare like with like across both paths.
     """
     cluster = getattr(rnd, "_cluster", None)
-    memo = getattr(getattr(cluster, "stats", None), "memo", None)
-    _bump(memo, "hash_ops", ops)
+    _bump(getattr(getattr(cluster, "stats", None), "memo", None), "hash_ops", ops)
+
+
+class LRU:
+    """A bounded, thread-safe, counted least-recently-used map.
+
+    One internal lock covers lookup, recency bump, insertion, eviction
+    and the counters; it is never held while a caller builds a value
+    (``valid`` must be a cheap pure check).  ``capacity <= 0`` stores
+    nothing, so every lookup is a counted miss.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+        self.dropped = 0  # entries removed by drop()/clear()
+
+    def get(self, key: Hashable, valid: Callable[[Any], bool] | None = None) -> Any:
+        """The value under ``key`` (bumped to most recent), or ``None``.
+
+        An entry that fails ``valid`` is dropped and counts as a miss.
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None and valid is not None and not valid(value):
+                del self._entries[key]
+                value = None
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        if self.capacity <= 0:
+            return
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def drop(self, predicate: Callable[[Hashable, Any], bool]) -> int:
+        """Remove every entry with ``predicate(key, value)``; returns the count."""
+        with self._lock:
+            dead = [k for k, v in self._entries.items() if predicate(k, v)]
+            for key in dead:
+                del self._entries[key]
+            self.dropped += len(dead)
+            return len(dead)
+
+    def clear(self) -> int:
+        return self.drop(lambda _key, _value: True)
+
+    def keys(self) -> list:
+        with self._lock:
+            return list(self._entries)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def counters(self) -> tuple[int, int, int, int, int]:
+        """``(hits, misses, evictions, dropped, size)``, read atomically."""
+        with self._lock:
+            return (self.hits, self.misses, self.evictions, self.dropped,
+                    len(self._entries))
+
+
+# Relation-keyed entries are ``(relation, token, value)``: the strong
+# reference keeps ``id(relation)`` from being recycled while the entry
+# lives, so only the relation that made a key can ever rebuild it.
+_plans = LRU(64)
+_views = LRU(256)
+
+
+def _lookup(cache: LRU, key: tuple, rel: "Relation", token: int) -> "tuple | None":
+    """The entry pinned to this very relation at this token, else ``None``."""
+    return cache.get(key, lambda entry: entry[0] is rel and entry[1] == token)
+
+
+def clear_memo() -> None:
+    """Drop every cached plan and view (tests and bench arm isolation)."""
+    _plans.clear()
+    _views.clear()
+
+
+def memo_cache_sizes() -> tuple[int, int]:
+    """(partition entries, view entries) currently cached."""
+    return len(_plans), len(_views)
+
+
+def forget(rel: "Relation") -> int:
+    """Drop every plan and view pinned to ``rel``; returns the count.
+
+    Token keying already makes a stale hit impossible; this is the eager
+    reclaim for a relation being replaced (or re-registered after a
+    mutation), whose entries would otherwise sit in the LRUs until newer
+    ones push them out.
+    """
+    return sum(cache.drop(lambda _key, entry: entry[0] is rel) for cache in (_plans, _views))
 
 
 # --------------------------------------------------------------------------
 # Partition plan cache
 # --------------------------------------------------------------------------
-
-
-class _PlanEntry:
-    """A cached whole-relation routing plan.
-
-    ``plans[s]`` lists ``(dest, rows_group, key_chunks)`` for server
-    ``s``'s fragment in destination order; replaying them in server
-    order reproduces the per-server try_route sends byte for byte.
-    ``rel`` is a strong reference: while the entry lives, ``id(rel)``
-    cannot be recycled, so key collisions are impossible.
-    """
-
-    __slots__ = ("rel", "token", "plans", "offsets", "nbytes", "n", "hash_ops")
-
-    def __init__(self, rel, token, plans, offsets, nbytes, n, hash_ops):
-        self.rel = rel
-        self.token = token
-        self.plans = plans
-        self.offsets = offsets
-        self.nbytes = nbytes
-        self.n = n
-        self.hash_ops = hash_ops
-
-
-_PLAN_CACHE_SIZE = 64
-_plan_cache: "OrderedDict[tuple, _PlanEntry]" = OrderedDict()
-_plan_lock = threading.Lock()
-
-_VIEW_CACHE_SIZE = 256
-_view_cache: "OrderedDict[tuple, Any]" = OrderedDict()
-_view_lock = threading.Lock()
-
-
-def clear_memo() -> None:
-    """Drop every cached plan and view (tests and bench arm isolation)."""
-    with _plan_lock:
-        _plan_cache.clear()
-    with _view_lock:
-        _view_cache.clear()
-
-
-def memo_cache_sizes() -> tuple[int, int]:
-    """(partition entries, view entries) currently cached."""
-    with _plan_lock:
-        plans = len(_plan_cache)
-    with _view_lock:
-        views = len(_view_cache)
-    return plans, views
-
-
-def _plan_get(key: tuple, rel: "Relation", token: int) -> "_PlanEntry | None":
-    with _plan_lock:
-        entry = _plan_cache.get(key)
-        if entry is None:
-            return None
-        if entry.rel is not rel or entry.token != token:
-            del _plan_cache[key]
-            return None
-        _plan_cache.move_to_end(key)
-        return entry
-
-
-def _plan_put(key: tuple, entry: "_PlanEntry") -> None:
-    with _plan_lock:
-        _plan_cache[key] = entry
-        _plan_cache.move_to_end(key)
-        while len(_plan_cache) > _PLAN_CACHE_SIZE:
-            _plan_cache.popitem(last=False)
-
-
-def _freeze(chunk: np.ndarray) -> np.ndarray:
-    # Cached chunks are delivered (possibly repeatedly) as the column
-    # side-car; freezing them keeps a receiver from mutating the cache.
-    chunk.flags.writeable = False
-    return chunk
-
-
-def _build_scatter_plans(
-    rel: "Relation", key_idx: tuple[int, ...], h: "HashFunction", p: int
-):
-    """The whole-relation twin of per-server try_route.
-
-    For fragment ``rows[s::p]`` every elementwise hash commutes with the
-    slice, so hashing the full columns once and replaying per-server
-    index arithmetic reproduces each server's destinations, stable
-    order, and key-column chunks exactly.
-    """
-    from repro.kernels.hashing import bucket_tuple_columns
-    from repro.kernels.partition import _shrink
-
-    cols_all = rel.columns()
-    if cols_all is None:
-        return None
-    rows_all = rel.rows_readonly()
-    n = len(rows_all)
-    key_cols = [cols_all[i] for i in key_idx]
-    codes = _shrink(bucket_tuple_columns(key_cols, h.salt, h.buckets), h.buckets)
-    plans = []
-    nbytes = 0
-    for s in range(p):
-        idx = np.arange(s, n, p)
-        sub = codes[idx]
-        order = np.argsort(sub, kind="stable")
-        counts = np.bincount(sub, minlength=h.buckets)
-        positions = idx[order].tolist()
-        sorted_cols = [_freeze(c[idx][order]) for c in key_cols]
-        nbytes += sum(int(c.nbytes) for c in sorted_cols)
-        groups = []
-        start = 0
-        for dest, count in enumerate(counts.tolist()):
-            if count:
-                end = start + count
-                groups.append((
-                    dest,
-                    [rows_all[i] for i in positions[start:end]],
-                    [c[start:end] for c in sorted_cols],
-                ))
-                start = end
-        plans.append(groups)
-    return plans, nbytes, n
-
-
-def _build_grid_plans(
-    rel: "Relation",
-    column_dims: tuple[int, ...],
-    salts: tuple[int, ...],
-    extents: tuple[int, ...],
-    strides: tuple[int, ...],
-    p: int,
-):
-    """Whole-relation twin of per-server try_route_grid."""
-    from repro.kernels.hashing import bucket_value_column
-    from repro.kernels.partition import _shrink
-
-    cols_all = rel.columns()
-    if cols_all is None:
-        return None
-    rows_all = rel.rows_readonly()
-    n = len(rows_all)
-
-    dim_buckets: dict[int, np.ndarray] = {}
-    for column, dim in zip(cols_all, column_dims):
-        dim_buckets[dim] = bucket_value_column(column, salts[dim], extents[dim])
-    base = np.zeros(n, dtype=np.int64)
-    for dim, buckets in dim_buckets.items():
-        base += buckets * strides[dim]
-    from itertools import product
-
-    free_dims = [d for d in range(len(extents)) if d not in dim_buckets]
-    offsets = [
-        sum(c * strides[d] for c, d in zip(combo, free_dims))
-        for combo in product(*(range(extents[d]) for d in free_dims))
-    ]
-    grid_size = math.prod(int(e) for e in extents)
-    base = _shrink(base, grid_size)
-
-    plans = []
-    nbytes = 0
-    for s in range(p):
-        idx = np.arange(s, n, p)
-        sub = base[idx]
-        order = np.argsort(sub, kind="stable")
-        counts = np.bincount(sub, minlength=grid_size)
-        positions = idx[order].tolist()
-        sorted_cols = [_freeze(c[idx][order]) for c in cols_all]
-        nbytes += sum(int(c.nbytes) for c in sorted_cols)
-        groups = []
-        start = 0
-        for dest_base, count in enumerate(counts.tolist()):
-            if count:
-                end = start + count
-                groups.append((
-                    dest_base,
-                    [rows_all[i] for i in positions[start:end]],
-                    [c[start:end] for c in sorted_cols],
-                ))
-                start = end
-        plans.append(groups)
-    hash_ops = n * len(dim_buckets)
-    return plans, offsets, nbytes, n, hash_ops
 
 
 def _replay_eligible(
@@ -358,16 +202,78 @@ def _replay_eligible(
     return True
 
 
-def _consume_fragment(cluster: "Cluster", fragment: str) -> None:
+def _build_plan(rel: "Relation", token: int, p: int, code: Callable) -> "tuple | None":
+    """The whole-relation twin of the per-server kernels, as a cache entry.
+
+    ``code(n, columns)`` gives ``(codes, buckets, sent columns, offsets,
+    hash_ops)`` for the full relation.  Every elementwise hash commutes
+    with the slice ``rows[s::p]``, so hashing the full columns once and
+    partitioning each server's slice reproduces that server's
+    destinations, stable order, and column chunks exactly.
+    """
+    from repro.kernels.partition import partition_groups
+
+    columns = rel.columns()
+    if columns is None:
+        return None
+    rows = rel.rows_readonly()
+    codes, buckets, sent, offsets, hash_ops = code(len(rows), columns)
+    servers = [
+        partition_groups(codes[s::p], buckets, rows[s::p], [c[s::p] for c in sent])
+        for s in range(p)
+    ]
+    nbytes = 0
+    for groups in servers:
+        for _dest, _rows, chunks in groups:
+            for chunk in chunks:
+                # Cached chunks are delivered (possibly repeatedly) as the
+                # column side-car; freezing them keeps a receiver from
+                # mutating the cache.
+                chunk.flags.writeable = False
+                nbytes += int(chunk.nbytes)
+    return rel, token, servers, offsets, nbytes, hash_ops
+
+
+def _replay(
+    cluster: "Cluster", rnd: "RoundContext", rel: "Relation", fragment: str,
+    out_fragment: str, key_idx: tuple[int, ...], key_extra: tuple, code: Callable,
+) -> bool:
+    """Get-or-build the plan, count it, consume ``fragment``, replay the sends.
+
+    ``servers[s]`` lists ``(dest, rows, key chunks)`` for server ``s``'s
+    slice in destination order, each sent to ``dest + o`` for every grid
+    offset ``o``; replaying in server order reproduces the per-server
+    sends byte for byte.
+    """
+    if not _replay_eligible(cluster, rel, fragment):
+        return False
+    token = rel.mutation_token()
+    key = (id(rel), token, *key_extra, cluster.p)
+    stats = cluster.stats.memo
+    entry = _lookup(_plans, key, rel, token)
+    hit = entry is not None
+    if not hit:
+        entry = _build_plan(rel, token, cluster.p, code)
+        if entry is None:
+            return False
+        _plans.put(key, entry)
+    _rel, _token, servers, offsets, nbytes, hash_ops = entry
+    if hit:
+        _bump(stats, "partition_hits")
+        _bump(stats, "hash_ops_saved", hash_ops)
+        _bump(stats, "bytes_saved", nbytes)
+    else:
+        _bump(stats, "partition_misses")
+        _bump(stats, "hash_ops", hash_ops)
     # Matches the take_with_columns the per-server loop would have done
     # (take also drops any column side-car).
     for server in cluster.servers:
         server.take(fragment)
-
-
-def count_fused(stats: "MemoStats | None", amount: int = 1) -> None:
-    """Record fused scatter→join payloads (columns fed straight to eval)."""
-    _bump(stats, "fused_payloads", amount)
+    for groups in servers:
+        for dest, rows_group, chunks in groups:
+            for offset in offsets:
+                rnd.send_rows(dest + offset, out_fragment, rows_group, key_idx, chunks)
+    return True
 
 
 def route_scattered(
@@ -386,34 +292,21 @@ def route_scattered(
     ``fragment`` — byte-identical destinations, order, charged units,
     and key-column side-cars.  Returns ``False`` when ineligible
     (kernels off, faults active, relation mutated/borrowed, fragment
-    tampered with, or non-integer key columns); the caller then falls back to the
-    ordinary loop.
+    tampered with, or non-integer key columns); the caller then falls
+    back to the ordinary loop.
     """
-    if not _replay_eligible(cluster, rel, fragment):
-        return False
+    from repro.kernels.partition import hash_codes
+
     key_idx = tuple(key_idx)
-    token = rel.mutation_token()
-    key = (id(rel), token, "scatter", key_idx, h.salt, h.buckets, cluster.p)
-    stats = cluster.stats.memo
-    entry = _plan_get(key, rel, token)
-    if entry is None:
-        built = _build_scatter_plans(rel, key_idx, h, cluster.p)
-        if built is None:
-            return False
-        plans, nbytes, n = built
-        entry = _PlanEntry(rel, token, plans, None, nbytes, n, n)
-        _plan_put(key, entry)
-        _bump(stats, "partition_misses")
-        _bump(stats, "hash_ops", entry.hash_ops)
-    else:
-        _bump(stats, "partition_hits")
-        _bump(stats, "hash_ops_saved", entry.hash_ops)
-        _bump(stats, "bytes_saved", entry.nbytes)
-    _consume_fragment(cluster, fragment)
-    for groups in entry.plans:
-        for dest, rows_group, chunks in groups:
-            rnd.send_rows(dest, out_fragment, rows_group, key_idx, chunks)
-    return True
+
+    def code(n: int, columns: Sequence) -> tuple:
+        key_cols = [columns[i] for i in key_idx]
+        return hash_codes(key_cols, h), h.buckets, key_cols, (0,), n
+
+    return _replay(
+        cluster, rnd, rel, fragment, out_fragment, key_idx,
+        ("scatter", key_idx, h.salt, h.buckets), code,
+    )
 
 
 def route_scattered_grid(
@@ -428,38 +321,44 @@ def route_scattered_grid(
     out_fragment: str,
 ) -> bool:
     """Grid (HyperCube) twin of :func:`route_scattered`."""
-    if not _replay_eligible(cluster, rel, fragment):
-        return False
-    column_dims = tuple(column_dims)
-    salts = tuple(salts)
-    extents = tuple(extents)
-    strides = tuple(strides)
-    token = rel.mutation_token()
-    key = (id(rel), token, "grid", column_dims, salts, extents, strides, cluster.p)
-    stats = cluster.stats.memo
-    entry = _plan_get(key, rel, token)
-    if entry is None:
-        built = _build_grid_plans(rel, column_dims, salts, extents, strides, cluster.p)
-        if built is None:
-            return False
-        plans, offsets, nbytes, n, hash_ops = built
-        entry = _PlanEntry(rel, token, plans, offsets, nbytes, n, hash_ops)
-        _plan_put(key, entry)
-        _bump(stats, "partition_misses")
-        _bump(stats, "hash_ops", entry.hash_ops)
-    else:
-        _bump(stats, "partition_hits")
-        _bump(stats, "hash_ops_saved", entry.hash_ops)
-        _bump(stats, "bytes_saved", entry.nbytes)
-    _consume_fragment(cluster, fragment)
-    key_idx = tuple(range(len(column_dims)))
-    for groups in entry.plans:
-        for dest_base, rows_group, chunks in groups:
-            for offset in entry.offsets:
-                rnd.send_rows(
-                    dest_base + offset, out_fragment, rows_group, key_idx, chunks
-                )
-    return True
+    from repro.kernels.partition import grid_codes
+
+    dims = (tuple(column_dims), tuple(salts), tuple(extents), tuple(strides))
+
+    def code(n: int, columns: Sequence) -> tuple:
+        base, grid_size, offsets, hashed = grid_codes(n, columns, *dims)
+        return base, grid_size, columns, offsets, n * hashed
+
+    return _replay(
+        cluster, rnd, rel, fragment, out_fragment,
+        tuple(range(len(column_dims))), ("grid", *dims), code,
+    )
+
+
+def route(
+    cluster: "Cluster", rnd: "RoundContext", fragment: str, key_idx: Sequence[int],
+    h: "HashFunction", out_fragment: str, rel: "Relation | None" = None,
+) -> None:
+    """Send every row of ``fragment`` to ``h(key)`` as ``out_fragment``.
+
+    The one hash-shuffle ladder: replay the cached plan when ``rel`` (the
+    relation ``fragment`` was scattered from) is given and eligible, else
+    per server the batched kernel, else the scalar loop.  All three
+    deliver byte-identical fragments — per-(destination, fragment)
+    arrival order is source-server ascending on every rung.
+    """
+    from repro.kernels.partition import try_route
+
+    key_idx = tuple(key_idx)
+    if rel is not None and route_scattered(
+        cluster, rnd, rel, fragment, key_idx, h, out_fragment
+    ):
+        return
+    for server in cluster.servers:
+        rows, cols = server.take_with_columns(fragment, key_idx)
+        if not try_route(rnd, rows, key_idx, h, out_fragment, columns=cols):
+            for row in rows:
+                rnd.send(h(tuple(row[i] for i in key_idx)), out_fragment, row)
 
 
 # --------------------------------------------------------------------------
@@ -484,22 +383,41 @@ def cached_view(
         return build()
     token = rel.mutation_token()
     key = (id(rel), token, *key_extra)
-    with _view_lock:
-        if key in _view_cache:
-            _view_cache.move_to_end(key)
-            value, pinned = _view_cache[key]
-            if pinned is rel:
-                _bump(stats, "view_hits")
-                return value
-            del _view_cache[key]
+    entry = _lookup(_views, key, rel, token)
+    if entry is not None:
+        _bump(stats, "view_hits")
+        return entry[2]
     value = build()
     _bump(stats, "view_misses")
-    with _view_lock:
-        _view_cache[key] = (value, rel)
-        _view_cache.move_to_end(key)
-        while len(_view_cache) > _VIEW_CACHE_SIZE:
-            _view_cache.popitem(last=False)
+    _views.put(key, (rel, token, value))
     return value
+
+
+def bound(relations: "Mapping[str, Relation]", name: str) -> "Relation":
+    """The relation bound to the atom called ``name``."""
+    try:
+        return relations[name]
+    except KeyError:
+        raise QueryError(f"no relation bound for atom {name!r}") from None
+
+
+def align(atom: "Atom", rel: "Relation", stats: "MemoStats | None" = None) -> "Relation":
+    """``rel`` in ``atom``'s variable order.
+
+    A relation already in order is returned as is and never cached (the
+    throwaway sub-relations of SkewHC, GYM and the splitter would only
+    churn the view cache); a reordering is the memoized projection, so
+    repeated runs over an unchanged relation get the same object back
+    and its routing plans stay hot.
+    """
+    if set(rel.schema.attributes) != set(atom.variables):
+        raise QueryError(
+            f"relation {rel.name} attributes {rel.schema.attributes} do not match "
+            f"atom {atom}"
+        )
+    if rel.schema.attributes == atom.variables:
+        return rel
+    return project_view(rel, atom.variables, stats=stats)
 
 
 def project_view(
@@ -513,8 +431,7 @@ def project_view(
     return cached_view(
         rel,
         ("project", attributes, name),
-        lambda: rel.project(list(attributes), name=name) if name is not None
-        else rel.project(list(attributes)),
+        lambda: rel.project(list(attributes), name=name),
         stats,
     )
 
@@ -553,12 +470,3 @@ def key_degrees(
         return Counter(tuple(row[i] for i in key_idx) for row in rel.rows_readonly())
 
     return cached_view(rel, ("degrees", key_idx), build, stats)
-
-
-def value_degrees(
-    rel: "Relation",
-    attribute: str,
-    stats: "MemoStats | None" = None,
-) -> Counter:
-    """Memoized ``rel.degrees(attribute)`` (shared Counter — read only)."""
-    return cached_view(rel, ("value_degrees", attribute), lambda: rel.degrees(attribute), stats)

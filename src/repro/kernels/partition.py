@@ -65,6 +65,83 @@ def hash_destinations(
     return bucket_tuple_columns(columns, h.salt, h.buckets)
 
 
+def partition_groups(
+    codes: np.ndarray,
+    buckets: int,
+    rows: Sequence[Row],
+    columns: Sequence[np.ndarray],
+) -> list[tuple[int, list[Row], list[np.ndarray]]]:
+    """Stable partition: ``(code, its rows, its column slices)`` per non-empty code.
+
+    ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket and ``columns``
+    are arrays aligned with ``rows``. Groups come out in ascending code
+    order with the rows of each group in their original order — one
+    stable argsort + bincount, the core every batched route (per-server
+    and whole-relation alike) shares.
+    """
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=buckets)
+    reordered = [rows[i] for i in order.tolist()]
+    sorted_cols = [c[order] for c in columns]
+    groups = []
+    start = 0
+    for code, count in enumerate(counts.tolist()):
+        if count:
+            end = start + count
+            groups.append(
+                (code, reordered[start:end], [c[start:end] for c in sorted_cols])
+            )
+            start = end
+    return groups
+
+
+def hash_codes(columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
+    """Per-row ``h(key)`` over the key columns, narrowed for the argsort."""
+    return _shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
+
+
+def grid_codes(
+    n: int,
+    columns: Sequence[np.ndarray],
+    column_dims: Sequence[int],
+    salts: Sequence[int],
+    extents: Sequence[int],
+    strides: Sequence[int],
+) -> tuple[np.ndarray, int, list[int], int]:
+    """HyperCube destinations: ``(base cell per row, grid size, offsets, dims hashed)``.
+
+    ``column_dims[c]`` is the grid dimension bound by row column ``c``
+    (columns are hashed left to right, later columns overwriting earlier
+    ones on a repeated dimension, as the scalar loop does); dimensions
+    bound by no column are wildcards, and a row goes to ``base + offset``
+    for every offset enumerating their full extent.
+    """
+    dim_buckets: dict[int, np.ndarray] = {}
+    for column, dim in zip(columns, column_dims):
+        dim_buckets[dim] = bucket_value_column(column, salts[dim], extents[dim])
+    base = np.zeros(n, dtype=np.int64)
+    for dim, buckets in dim_buckets.items():
+        base += buckets * strides[dim]
+    free_dims = [d for d in range(len(extents)) if d not in dim_buckets]
+    offsets = [
+        sum(c * strides[d] for c, d in zip(combo, free_dims))
+        for combo in product(*(range(extents[d]) for d in free_dims))
+    ]
+    grid_size = math.prod(int(e) for e in extents)
+    return _shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
+
+
+def _columns_for(
+    rows: Sequence[Row],
+    positions: Sequence[int],
+    columns: Sequence[np.ndarray] | None,
+) -> list[np.ndarray] | None:
+    """The supplied side-car when it covers ``rows``, else extracted columns."""
+    if columns is not None and all(len(c) == len(rows) for c in columns):
+        return list(columns)
+    return key_columns(rows, positions)
+
+
 def try_route(
     rnd: "RoundContext",
     rows: Sequence[Row],
@@ -84,31 +161,14 @@ def try_route(
     if not kernels_enabled() or not rows:
         return not rows
     key_idx = tuple(key_idx)
-    if columns is not None and all(len(c) == len(rows) for c in columns):
-        cols = list(columns)
-    else:
-        cols = key_columns(rows, key_idx)
+    cols = _columns_for(rows, key_idx, columns)
     if cols is None:
         return False
     count_hash_ops(rnd, len(rows))
-    destinations = _shrink(bucket_tuple_columns(cols, h.salt, h.buckets), h.buckets)
-    order = np.argsort(destinations, kind="stable")
-    counts = np.bincount(destinations, minlength=h.buckets)
-    order_list = order.tolist()
-    reordered = [rows[i] for i in order_list]
-    sorted_cols = [c[order] for c in cols]
-    start = 0
-    for dest, count in enumerate(counts.tolist()):
-        if count:
-            end = start + count
-            rnd.send_rows(
-                dest,
-                fragment,
-                reordered[start:end],
-                key_idx,
-                [c[start:end] for c in sorted_cols],
-            )
-            start = end
+    for dest, group, chunks in partition_groups(
+        hash_codes(cols, h), h.buckets, rows, cols
+    ):
+        rnd.send_rows(dest, fragment, group, key_idx, chunks)
     return True
 
 
@@ -124,50 +184,20 @@ def try_route_grid(
 ) -> bool:
     """HyperCube replication: route rows to every grid cell they match.
 
-    ``column_dims[c]`` is the grid dimension bound by row column ``c``
-    (columns are hashed left to right, later columns overwriting earlier
-    ones on a repeated dimension, as the scalar loop does); dimensions
-    bound by no column are wildcards and enumerate their full extent.
-    Equivalent to the per-row ``grid.matching(partial)`` loop.
+    Equivalent to the per-row ``grid.matching(partial)`` loop; see
+    :func:`grid_codes` for how columns bind grid dimensions.
     """
     if not kernels_enabled() or not rows:
         return not rows
-    arity = len(column_dims)
-    if columns is not None and all(len(c) == len(rows) for c in columns):
-        cols = list(columns)
-    else:
-        cols = key_columns(rows, range(arity))
+    key_idx = tuple(range(len(column_dims)))
+    cols = _columns_for(rows, key_idx, columns)
     if cols is None:
         return False
-
-    dim_buckets: dict[int, np.ndarray] = {}
-    for column, dim in zip(cols, column_dims):
-        dim_buckets[dim] = bucket_value_column(column, salts[dim], extents[dim])
-    count_hash_ops(rnd, len(rows) * len(dim_buckets))
-
-    base = np.zeros(len(rows), dtype=np.int64)
-    for dim, buckets in dim_buckets.items():
-        base += buckets * strides[dim]
-
-    free_dims = [d for d in range(len(extents)) if d not in dim_buckets]
-    offsets = [
-        sum(c * strides[d] for c, d in zip(combo, free_dims))
-        for combo in product(*(range(extents[d]) for d in free_dims))
-    ]
-    grid_size = math.prod(int(e) for e in extents)
-    base = _shrink(base, grid_size)
-    order = np.argsort(base, kind="stable")
-    counts = np.bincount(base, minlength=grid_size)
-    reordered = [rows[i] for i in order.tolist()]
-    sorted_cols = [c[order] for c in cols]
-    key_idx = tuple(range(arity))
-    start = 0
-    for dest_base, count in enumerate(counts.tolist()):
-        if count:
-            end = start + count
-            group = reordered[start:end]
-            group_cols = [c[start:end] for c in sorted_cols]
-            start = end
-            for offset in offsets:
-                rnd.send_rows(dest_base + offset, fragment, group, key_idx, group_cols)
+    base, grid_size, offsets, hashed = grid_codes(
+        len(rows), cols, column_dims, salts, extents, strides
+    )
+    count_hash_ops(rnd, len(rows) * hashed)
+    for dest_base, group, chunks in partition_groups(base, grid_size, rows, cols):
+        for offset in offsets:
+            rnd.send_rows(dest_base + offset, fragment, group, key_idx, chunks)
     return True

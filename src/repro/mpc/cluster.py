@@ -59,7 +59,6 @@ from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import MemoStats
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
     FaultController,
@@ -69,7 +68,7 @@ from repro.mpc.faults import (
 )
 from repro.mpc.hashing import HashFamily, HashFunction
 from repro.mpc.server import Row, Server
-from repro.mpc.stats import ExecStats, RoundStats, RunStats
+from repro.mpc.stats import ExecStats, MemoStats, RoundStats, RunStats
 
 
 class RoundContext:

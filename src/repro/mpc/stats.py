@@ -28,9 +28,7 @@ When the owning cluster was created with ``audit=True``, the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-from repro.kernels.memo import MemoStats
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.audit import AuditReport
@@ -78,8 +76,49 @@ class RoundStats:
         )
 
 
+class CounterStats:
+    """``merged``/``snapshot``/``delta`` for a stats dataclass.
+
+    Each walks the subclass's additive ``_COUNTERS``, so a new counter
+    cannot be silently dropped from any of them.
+    """
+
+    _COUNTERS: tuple[str, ...] = ()
+
+    def _blank(self):
+        """A zeroed instance carrying this one's non-additive labels."""
+        return type(self)()
+
+    def add(self, other: Any) -> None:
+        """Fold in ``other``'s counters (one it lacks counts as zero)."""
+        for name in self._COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name, 0))
+
+    @classmethod
+    def merged(cls, parts: list):
+        """Sum of the non-``None`` parts, labels from the first (``None`` if none)."""
+        total = None
+        for part in parts:
+            if part is not None:
+                if total is None:
+                    total = part._blank()
+                total.add(part)
+        return total
+
+    def delta(self, since):
+        """Counters accumulated after ``since`` was snapshotted."""
+        diff = self._blank()
+        for name in self._COUNTERS:
+            setattr(diff, name, getattr(self, name) - getattr(since, name))
+        return diff
+
+    def snapshot(self):
+        """A copy of the current counters (for a later :meth:`delta`)."""
+        return self.delta(self._blank())
+
+
 @dataclass
-class ExecStats:
+class ExecStats(CounterStats):
     """Execution-backend accounting, mergeable across workers and runs.
 
     Counters cover only work dispatched through the backend layer
@@ -108,8 +147,6 @@ class ExecStats:
     resident_bytes_saved: int = 0  # bytes the resident hits did not re-ship
     fallback_dispatches: int = 0  # encodes where hot rows fell back to pickle
 
-    # Every additive counter, in declaration order; merged()/delta() walk
-    # this list so a new field cannot be silently dropped from either.
     _COUNTERS = (
         "dispatches", "chunks", "items",
         "shm_bytes_out", "shm_bytes_in",
@@ -143,36 +180,56 @@ class ExecStats:
             return None
         return self.dispatch_bytes_out / self.queue_messages
 
+    def _blank(self) -> "ExecStats":
+        return ExecStats(backend=self.backend, workers=self.workers)
+
+
+@dataclass
+class MemoStats(CounterStats):
+    """Memoization accounting, mergeable across runs.
+
+    ``hash_ops`` counts rows x hashed-dimensions actually pushed through
+    the bucket kernels (on the replay and the per-server path alike, so
+    cold and warm runs are directly comparable); ``hash_ops_saved``
+    counts the ops a partition cache hit skipped; ``bytes_saved`` the
+    key-column chunk bytes a hit did not recompute.  ``fused_payloads``
+    counts HyperCube local evaluations fed column blocks directly
+    instead of re-deriving them from tuples.
+    """
+
+    partition_hits: int = 0
+    partition_misses: int = 0
+    view_hits: int = 0
+    view_misses: int = 0
+    fused_payloads: int = 0
+    hash_ops: int = 0
+    hash_ops_saved: int = 0
+    bytes_saved: int = 0
+
+    _COUNTERS = (
+        "partition_hits", "partition_misses",
+        "view_hits", "view_misses",
+        "fused_payloads",
+        "hash_ops", "hash_ops_saved", "bytes_saved",
+    )
+
+    @property
+    def any_activity(self) -> bool:
+        return any(getattr(self, name) for name in self._COUNTERS)
+
     @classmethod
-    def merged(cls, parts: "list[ExecStats]") -> "ExecStats | None":
-        """Combine per-run stats; labels come from the first part."""
-        parts = [part for part in parts if part is not None]
-        if not parts:
-            return None
-        total = cls(backend=parts[0].backend, workers=parts[0].workers)
-        for part in parts:
-            for name in cls._COUNTERS:
-                setattr(total, name, getattr(total, name) + getattr(part, name))
-        return total
+    def merged(cls, parts: "list[MemoStats | None]") -> "MemoStats":
+        return super().merged(parts) or cls()
 
-    def snapshot(self) -> "ExecStats":
-        """A frozen copy of the current counters (for later delta())."""
-        copied = ExecStats(backend=self.backend, workers=self.workers)
-        for name in self._COUNTERS:
-            setattr(copied, name, getattr(self, name))
-        return copied
-
-    def delta(self, since: "ExecStats") -> "ExecStats":
-        """Counters accumulated after ``since`` was snapshotted.
-
-        The per-query accounting primitive: a long-lived service takes a
-        snapshot before each query and reports the difference, so one
-        query's report never includes bytes another query moved.
-        """
-        diff = ExecStats(backend=self.backend, workers=self.workers)
-        for name in self._COUNTERS:
-            setattr(diff, name, getattr(self, name) - getattr(since, name))
-        return diff
+    def summary(self) -> str:
+        """One-line counter summary (appended to trace()/summary())."""
+        return (
+            f"memo: partition {self.partition_hits}h/{self.partition_misses}m"
+            f" views {self.view_hits}h/{self.view_misses}m"
+            f" fused={self.fused_payloads}"
+            f" hash_ops={self.hash_ops} saved={self.hash_ops_saved}"
+            f" bytes_saved={self.bytes_saved}"
+        )
 
 
 @dataclass

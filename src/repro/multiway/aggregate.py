@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.data.relation import Relation
 from repro.data.schema import Schema
+from repro.kernels.memo import route
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RunStats
 
@@ -50,9 +51,7 @@ def group_by(
     cluster.scatter(relation, "G@in")
     h = cluster.hash_function(0)
     with cluster.round("groupby-shuffle") as rnd:
-        for server in cluster.servers:
-            for row in server.take("G@in"):
-                rnd.send(h(tuple(row[i] for i in key_idx)), "G@j", row)
+        route(cluster, rnd, "G@in", key_idx, h, "G@j", relation)
 
     out_rows: list[Row] = []
     for server in cluster.servers:

@@ -30,7 +30,7 @@ from repro.errors import QueryError
 from repro.joins.base import distributed_local_join
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import semijoin_mask
-from repro.kernels.memo import distinct_project, key_degrees, route_scattered
+from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RunStats
@@ -75,20 +75,9 @@ def shuffle_join(
     r_frag = cluster.scatter(r, "L@in")
     s_frag = cluster.scatter(s, "R@in")
     h = cluster.hash_function(0)
-    r_idx = r.schema.indices(shared)
-    s_idx = s.schema.indices(shared)
     with cluster.round(label) as rnd:
-        for rel, frag, idx, out in (
-            (r, r_frag, r_idx, "L@j"),
-            (s, s_frag, s_idx, "R@j"),
-        ):
-            if route_scattered(cluster, rnd, rel, frag, idx, h, out):
-                continue
-            for server in cluster.servers:
-                rows, cols = server.take_with_columns(frag, tuple(idx))
-                if not try_route(rnd, rows, idx, h, out, columns=cols):
-                    for row in rows:
-                        rnd.send(h(tuple(row[i] for i in idx)), out, row)
+        for rel, frag, out in ((r, r_frag, "L@j"), (s, s_frag, "R@j")):
+            route(cluster, rnd, frag, rel.schema.indices(shared), h, out, rel)
     distributed_local_join(cluster, "L@j", "R@j", r, s, "out")
     attrs = list(r.schema.attributes) + [
         a for a in s.schema.attributes if a not in r.schema
@@ -179,29 +168,16 @@ def shuffle_multi_semijoin(
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
-        # Per-(destination, fragment) arrival order is source-server
-        # ascending on both the replayed and the per-server path, so the
-        # fragment-at-a-time restructure delivers byte-identical state.
-        if not heavy and route_scattered(
-            cluster, rnd, target, t_frag, t_idx, h, "T@j"
-        ):
+        if heavy:
+            for server in cluster.servers:
+                stay = _route_light(rnd, server.take(t_frag), t_idx, heavy, h)
+                server.put("T@stay", stay)
+        else:
+            route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
             for server in cluster.servers:
                 server.put("T@stay", [])
-        else:
-            for server in cluster.servers:
-                taken = server.take(t_frag)
-                stay = _route_light(rnd, taken, t_idx, heavy, h)
-                server.put("T@stay", stay)
         for i, frag in enumerate(reducer_frags):
-            if route_scattered(
-                cluster, rnd, reducer_lights[i], frag, key_arity, h, f"K{i}@j"
-            ):
-                continue
-            for server in cluster.servers:
-                rows = server.take(frag)
-                if not try_route(rnd, rows, key_arity, h, f"K{i}@j"):
-                    for row in rows:
-                        rnd.send(h(row), f"K{i}@j", row)
+            route(cluster, rnd, frag, key_arity, h, f"K{i}@j", reducer_lights[i])
         for key in heavy_alive:
             rnd.broadcast("H@alive", key)
 
@@ -315,11 +291,7 @@ def shuffle_aggregate(
     cluster.scatter_rows(rows, "A@in")
     h = cluster.hash_function(0)
     with cluster.round(label) as rnd:
-        for server in cluster.servers:
-            taken = server.take("A@in")
-            if not try_route(rnd, taken, key_positions, h, "A@j"):
-                for row in taken:
-                    rnd.send(h(tuple(row[i] for i in key_positions)), "A@j", row)
+        route(cluster, rnd, "A@in", key_positions, h, "A@j")
     # An unpicklable ``combine`` (a closure) transparently degrades the
     # process backend to inline execution for this call.
     payloads = [server.take("A@j") for server in cluster.servers]

@@ -16,6 +16,7 @@ from collections.abc import Mapping, Sequence
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
+from repro.kernels.memo import align, bound
 from repro.mpc.cluster import combine_sequential
 from repro.multiway.base import MultiwayRun, shuffle_join
 from repro.query.cq import ConjunctiveQuery
@@ -41,11 +42,11 @@ def binary_join_plan(
             f"join order {atom_order} does not cover the query atoms exactly"
         )
 
-    current = _aligned(query, atom_order[0], relations)
+    current = align(query.atom(atom_order[0]), bound(relations, atom_order[0]))
     runs = []
     intermediate_sizes = [len(current)]
     for step, name in enumerate(atom_order[1:], start=1):
-        rel = _aligned(query, name, relations)
+        rel = align(query.atom(name), bound(relations, name))
         shared = current.schema.common(rel.schema)
         if shared:
             current, stats = shuffle_join(
@@ -63,21 +64,3 @@ def binary_join_plan(
         combine_sequential(p, runs),
         {"order": atom_order, "intermediate_sizes": intermediate_sizes},
     )
-
-
-def _aligned(
-    query: ConjunctiveQuery, name: str, relations: Mapping[str, Relation]
-) -> Relation:
-    atom = query.atom(name)
-    try:
-        rel = relations[name]
-    except KeyError:
-        raise QueryError(f"no relation bound for atom {name!r}") from None
-    if set(rel.schema.attributes) != set(atom.variables):
-        raise QueryError(
-            f"relation {rel.name} attributes {rel.schema.attributes} do not match "
-            f"atom {atom}"
-        )
-    if rel.schema.attributes != atom.variables:
-        rel = rel.project(list(atom.variables))
-    return rel

@@ -24,7 +24,7 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import project_view
+from repro.kernels.memo import align, bound, project_view
 from repro.mpc.cluster import combine_parallel, combine_sequential
 from repro.mpc.stats import RunStats
 from repro.multiway.base import MultiwayRun, shuffle_join, shuffle_multi_semijoin
@@ -129,7 +129,9 @@ def _materialize_bags(
     working: dict[int, Relation] = {}
     pending: list[tuple[GHDNode, list[Relation]]] = []
     for node in ghd.nodes():
-        covers = [_aligned(query, name, relations) for name in node.cover]
+        covers = [
+            align(query.atom(name), bound(relations, name)) for name in node.cover
+        ]
         if dedupe:
             covers = [rel.distinct() for rel in covers]
         if len(covers) == 1:
@@ -364,21 +366,3 @@ def _levels(ghd: GHD) -> list[list[GHDNode]]:
         levels.append(frontier)
         frontier = [c for node in frontier for c in node.children]
     return levels
-
-
-def _aligned(
-    query: ConjunctiveQuery, name: str, relations: Mapping[str, Relation]
-) -> Relation:
-    atom = query.atom(name)
-    try:
-        rel = relations[name]
-    except KeyError:
-        raise QueryError(f"no relation bound for atom {name!r}") from None
-    if set(rel.schema.attributes) != set(atom.variables):
-        raise QueryError(
-            f"relation {rel.name} attributes {rel.schema.attributes} do not match "
-            f"atom {atom}"
-        )
-    if rel.schema.attributes != atom.variables:
-        rel = project_view(rel, atom.variables)
-    return rel

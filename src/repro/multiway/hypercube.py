@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
-from repro.kernels.memo import (
-    count_fused,
-    project_view,
-    route_scattered_grid,
-)
+from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
 from repro.mpc.topology import Grid
@@ -93,7 +89,7 @@ def hypercube_route(
     """Scatter and route a HyperCube run, deferring the eval dispatch."""
     if local not in ("plan", "generic"):
         raise QueryError(f"unknown local evaluator {local!r}")
-    rels = {a.name: _relation_for(query, a.name, relations) for a in query.atoms}
+    rels = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     sizes = {name: len(rel) for name, rel in rels.items()}
     assignment: ShareAssignment | None = None
     if shares is None:
@@ -153,7 +149,7 @@ def hypercube_route(
             arity = tuple(range(len(atom.variables)))
             rows, cols = server.take_with_columns(f"{atom.name}@hc", arity)
             if fused and cols is not None and rows:
-                count_fused(cluster.stats.memo)
+                cluster.stats.memo.fused_payloads += 1
             per_atom.append((rows, cols))
         payloads.append(per_atom)
     return StagedHypercube(
@@ -236,26 +232,6 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
         else:
             out.append(None)
     return out
-
-
-def _relation_for(
-    query: ConjunctiveQuery, name: str, relations: Mapping[str, Relation]
-) -> Relation:
-    atom = query.atom(name)
-    try:
-        rel = relations[name]
-    except KeyError:
-        raise QueryError(f"no relation bound for atom {name!r}") from None
-    if set(rel.schema.attributes) != set(atom.variables):
-        raise QueryError(
-            f"relation {rel.name} attributes {rel.schema.attributes} do not match "
-            f"atom {atom}"
-        )
-    if rel.schema.attributes != atom.variables:
-        # Memoized: repeated runs over an unchanged relation get the same
-        # reordered projection object, keeping the grid partition cache hot.
-        rel = project_view(rel, atom.variables)
-    return rel
 
 
 def triangle_hypercube(

@@ -17,6 +17,7 @@ from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.kernels.memo import align, bound
 from repro.joins.heavy import allocate_servers
 from repro.mpc.cluster import combine_parallel, combine_sequential
 from repro.mpc.stats import RunStats
@@ -48,15 +49,7 @@ def reduced_hypercube(
     working: dict[str, Relation] = {}
     for node in ghd.nodes():
         name = node.cover[0]
-        atom = query.atom(name)
-        rel = relations.get(name)
-        if rel is None:
-            raise QueryError(f"no relation bound for atom {name!r}")
-        if set(rel.schema.attributes) != set(atom.variables):
-            raise QueryError(f"relation {rel.name} does not match atom {atom}")
-        if rel.schema.attributes != atom.variables:
-            rel = rel.project(list(atom.variables))
-        working[name] = rel
+        working[name] = align(query.atom(name), bound(relations, name))
     original_sizes = {name: len(rel) for name, rel in working.items()}
 
     node_name = {id(node): node.cover[0] for node in ghd.nodes()}

@@ -27,7 +27,7 @@ from typing import Any
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import cached_view, project_view, value_degrees
+from repro.kernels.memo import align, bound, cached_view
 from repro.mpc.cluster import combine_parallel
 from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import StagedHypercube, hypercube_route
@@ -48,7 +48,10 @@ def find_heavy_values(
         for variable in atom.variables:
             # Degree maps are memoized per mutation token — every residual
             # stage of a repeated SkewHC run reuses them.
-            for value, count in value_degrees(rel, variable).items():
+            degrees = cached_view(
+                rel, ("value_degrees", variable), lambda: rel.degrees(variable)
+            )
+            for value, count in degrees.items():
                 if count >= threshold:
                     heavy[variable].add(value)
     return heavy
@@ -70,7 +73,7 @@ def skewhc_join(
     the combined cost keeps ``r = 1`` (each residual is one HyperCube
     round) with ``L`` the max over residuals.
     """
-    relations = {a.name: _aligned(a.name, query, relations) for a in query.atoms}
+    relations = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     n_max = max((len(r) for r in relations.values()), default=0)
     if threshold is None:
         threshold = max(n_max / p, 1.0)
@@ -281,21 +284,3 @@ def _restrict_atom(
             [tuple(row[i] for i in free_positions) for row in kept],
         ),
     )
-
-
-def _aligned(
-    name: str, query: ConjunctiveQuery, relations: Mapping[str, Relation]
-) -> Relation:
-    atom = query.atom(name)
-    try:
-        rel = relations[name]
-    except KeyError:
-        raise QueryError(f"no relation bound for atom {name!r}") from None
-    if set(rel.schema.attributes) != set(atom.variables):
-        raise QueryError(
-            f"relation {rel.name} attributes {rel.schema.attributes} do not match "
-            f"atom {atom}"
-        )
-    if rel.schema.attributes != atom.variables:
-        rel = project_view(rel, atom.variables)
-    return rel

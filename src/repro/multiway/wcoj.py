@@ -21,6 +21,7 @@ from typing import Any
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.kernels.memo import align, bound
 from repro.query.cq import ConjunctiveQuery
 
 Row = tuple[Any, ...]
@@ -90,15 +91,7 @@ def generic_join(
 
     indexes = []
     for atom in query.atoms:
-        rel = relations.get(atom.name)
-        if rel is None:
-            raise QueryError(f"no relation bound for atom {atom.name!r}")
-        if set(rel.schema.attributes) != set(atom.variables):
-            raise QueryError(
-                f"relation {rel.name} attributes do not match atom {atom}"
-            )
-        aligned = rel.project(list(atom.variables)) \
-            if rel.schema.attributes != atom.variables else rel
+        aligned = align(atom, bound(relations, atom.name))
         indexes.append(
             _AtomIndex(atom.variables, aligned.rows_readonly(), variable_order)
         )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.kernels.memo import align, bound
 from repro.query.cq import ConjunctiveQuery
 from repro.query.ghd import GHD, GHDNode, width1_ghd
 
@@ -60,14 +61,9 @@ def yannakakis(
     for node in ghd.nodes():
         name = node.cover[0]
         atom = query.atom(name)
-        rel = relations.get(name)
-        if rel is None:
-            raise QueryError(f"no relation bound for atom {name!r}")
-        if set(rel.schema.attributes) != set(atom.variables):
-            raise QueryError(
-                f"relation {rel.name} attributes do not match atom {atom}"
-            )
-        working[id(node)] = rel.project(list(atom.variables))
+        working[id(node)] = align(atom, bound(relations, name)).project(
+            list(atom.variables)
+        )
 
     semijoins = 0
 

@@ -19,6 +19,7 @@ from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.kernels.memo import align, bound
 from repro.query.cq import ConjunctiveQuery
 
 
@@ -47,14 +48,7 @@ def greedy_join_order(
     remaining = {a.name for a in query.atoms}
     if not remaining:
         raise QueryError("query has no atoms")
-    aligned = {}
-    for atom in query.atoms:
-        rel = relations.get(atom.name)
-        if rel is None:
-            raise QueryError(f"no relation bound for atom {atom.name!r}")
-        if rel.schema.attributes != atom.variables:
-            rel = rel.project(list(atom.variables))
-        aligned[atom.name] = rel
+    aligned = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
 
     # Seed: the cheapest pair (or the single atom).
     if len(remaining) == 1:

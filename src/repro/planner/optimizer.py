@@ -42,6 +42,7 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.cartesian import cartesian_product, predicted_cartesian_load
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
+from repro.kernels.memo import align, bound
 from repro.mpc.stats import RunStats
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
@@ -440,17 +441,6 @@ _TWO_WAY_RUNNERS = {
 }
 
 
-def _aligned(atom, rel: Relation) -> Relation:
-    if set(rel.schema.attributes) != set(atom.variables):
-        raise QueryError(
-            f"relation {rel.name} attributes {rel.schema.attributes} do not "
-            f"match atom {atom}"
-        )
-    if tuple(rel.schema.attributes) != atom.variables:
-        return rel.project(list(atom.variables))
-    return rel
-
-
 def execute_strategy(
     query: str | ConjunctiveQuery,
     relations: Mapping[str, Relation],
@@ -473,7 +463,7 @@ def execute_strategy(
         raise QueryError(
             f"unknown strategy {strategy!r} (choose from {', '.join(STRATEGIES)})"
         )
-    bindings = {a.name: _aligned(a, relations[a.name]) for a in atoms}
+    bindings = {a.name: align(a, bound(relations, a.name)) for a in atoms}
     variables = list(cq.variables)
 
     if strategy == "scan":

@@ -15,9 +15,9 @@ over :class:`repro.engine.Engine`:
 - a shared :class:`~repro.data.warehouse.RelationWarehouse` behind a
   reader-writer lock — queries hold the read side, catalog mutations
   the write side;
-- a real **plan/result cache** (:class:`ResultCache`) generalizing the
-  engine's ``_align`` LRU: keyed on the query fingerprint plus every
-  input relation's identity and mutation token, explicitly invalidated
+- a real **plan/result cache** (:class:`ResultCache`), the memo
+  layer's :class:`~repro.kernels.memo.LRU` keyed on the query
+  fingerprint plus every input relation's identity and mutation token, explicitly invalidated
   by warehouse writes, with hit/miss/eviction/invalidation counters;
 - a **query-splitting rewriter** (:mod:`repro.service.splitter`) that
   partitions one conjunctive query into k disjoint mod-based branches

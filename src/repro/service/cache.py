@@ -1,27 +1,25 @@
 """The service's plan/result cache.
 
-Generalizes the engine's ``_align`` LRU (PR 5/6) from per-atom aligned
-inputs to whole query results. An entry is keyed on the **query
-fingerprint** — canonical query text, execution parameters (p, seed,
-strategy, split factor) — plus the **relation state**: every input
-relation's name, object identity, and mutation token. The token keying
-makes stale hits structurally impossible (an ``add``/``extend`` bumps
-the token, so the old key can never be rebuilt), and the explicit
+The :class:`~repro.kernels.memo.LRU` that backs the partition and view
+caches, here holding whole query results. An entry is keyed on the
+**query fingerprint** — canonical query text, execution parameters (p,
+seed, strategy, split factor) — plus the **relation state**: every
+input relation's name, object identity, and mutation token. The token
+keying makes stale hits structurally impossible (an ``add``/``extend``
+bumps the token, so the old key can never be rebuilt), and the explicit
 invalidation hook reclaims the dead entries eagerly: the warehouse
 calls :meth:`ResultCache.invalidate_relation` inside its write lock,
 so by the time any new query can be admitted the cache no longer holds
-anything that mentions the mutated relation.
-
-All operations are thread-safe under one internal lock; the cache never
-holds its lock while user code runs.
+anything that mentions the mutated relation. All operations are
+thread-safe under the LRU's one internal lock, which is never held
+while user code runs.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+
+from repro.kernels.memo import LRU
 
 __all__ = ["CacheKey", "CacheStats", "ResultCache"]
 
@@ -61,45 +59,15 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class ResultCache:
-    """A bounded, thread-safe LRU over :class:`CacheKey` → result.
+class ResultCache(LRU):
+    """The one :class:`~repro.kernels.memo.LRU`, over :class:`CacheKey` → result.
 
     ``capacity <= 0`` disables caching entirely (every lookup is a miss
     and stores are dropped) — the bench harness's "cache off" arm.
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: dict[CacheKey, Any] = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-
-    def get(self, key: CacheKey) -> Any | None:
-        """The cached value (bumped to most-recent), or None on a miss."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            # Refresh LRU recency (dict preserves insertion order).
-            self._entries.pop(key)
-            self._entries[key] = value
-            return value
-
-    def put(self, key: CacheKey, value: Any) -> None:
-        with self._lock:
-            if self.capacity <= 0:
-                return
-            if key in self._entries:
-                self._entries.pop(key)
-            elif len(self._entries) >= self.capacity:
-                self._entries.pop(next(iter(self._entries)))
-                self._evictions += 1
-            self._entries[key] = value
+        super().__init__(capacity)
 
     def invalidate_relation(self, name: str) -> int:
         """Drop every entry whose key mentions ``name``; returns the count.
@@ -109,36 +77,11 @@ class ResultCache:
         the cache with the stale relation while the drop happens (fills
         require the read side).
         """
-        with self._lock:
-            dead = [
-                key for key in self._entries if name in key.relation_names
-            ]
-            for key in dead:
-                self._entries.pop(key)
-            self._invalidations += len(dead)
-            return len(dead)
+        return self.drop(lambda key, _value: name in key.relation_names)
 
     def invalidate_all(self) -> int:
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self._invalidations += count
-            return count
-
-    def keys(self) -> Iterable[CacheKey]:
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self.clear()
 
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                invalidations=self._invalidations,
-                size=len(self._entries),
-            )
+        """Hits, misses, evictions, invalidated entries and size, atomically."""
+        return CacheStats(*self.counters())

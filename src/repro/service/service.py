@@ -12,16 +12,18 @@ Threading model (documented in DESIGN.md, tested by ``tests/service``):
 - **Workers** (a fixed pool of daemon threads) pull jobs and execute
   them under the warehouse **read** lock inside the submitter's copied
   :mod:`contextvars` context (so ambient kernel/backend forcing crosses
-  the queue). The shared engine's ``_align`` LRU and the service's
-  :class:`~repro.service.cache.ResultCache` are both thread-safe; the
-  relations themselves are safe for concurrent readers per the
-  :mod:`repro.data.relation` contract.
+  the queue). The process-wide view and plan caches of
+  :mod:`repro.kernels.memo` and the service's
+  :class:`~repro.service.cache.ResultCache` are the same thread-safe
+  LRU class; the relations themselves are safe for concurrent readers
+  per the :mod:`repro.data.relation` contract.
 - **Catalog writers** go through the warehouse's **write** lock
   (:meth:`QueryService.register` / :meth:`QueryService.extend`), which
   excludes all running queries, fires the cache invalidation listeners,
-  and re-registers into the engine — so a query admitted after a write
-  observes the new catalog, the bumped mutation tokens, and an already
-  purged cache, in that order.
+  and re-registers into the engine (which forgets the old relation's
+  memo entries) — so a query admitted after a write observes the new
+  catalog, the bumped mutation tokens, and already purged caches, in
+  that order.
 
 Lock ordering is strictly ``stats lock → (nothing)``, ``warehouse lock
 → cache/engine locks``; no path acquires them in reverse, so the
@@ -238,9 +240,9 @@ class QueryService:
             for name, relation in catalog.items():
                 self._engine.register(relation, name=name)
         # Invalidation protocol: both listeners run inside the warehouse
-        # write lock — cache entries die and the engine re-registers
-        # (clearing its _align LRU) before any new query can be
-        # admitted under the read lock.
+        # write lock — result-cache entries die and the engine
+        # re-registers (memo.forget of the old relation's plans and
+        # views) before any new query can be admitted under the read lock.
         self.warehouse.add_invalidation_listener(self.cache.invalidate_relation)
         self.warehouse.add_invalidation_listener(self._sync_engine)
 
@@ -450,64 +452,49 @@ class QueryService:
                     rounds, True, time.perf_counter() - start,
                 )
             if job.split == 1:
-                result = self._engine.query(cq, strategy=job.strategy)
-                output = result.output
-                strategies = (
-                    result.explain.chosen
-                    if job.strategy == "auto" and result.explain is not None
-                    else job.strategy,
-                )
+                results = [self._engine.query(cq, strategy=job.strategy)]
+                output = results[0].output
                 predicted = job.predicted or (
-                    (result.explain.chosen_plan.predicted_load or 0.0)
-                    if result.explain is not None else 0.0
+                    results[0].explain.chosen_plan.predicted_load or 0.0
                 )
-                max_load = total_load = result.stats.max_load
-                rounds = result.stats.num_rounds
             else:
                 bindings = {
                     a.name: self._binding(catalog, a.name) for a in cq.atoms
                 }
-                branches = split_bindings(cq, bindings, job.split)
-                outputs, strategies_list, loads, rounds_list = [], [], [], []
-                for branch in branches:
+                results = []
+                for branch in split_bindings(cq, bindings, job.split):
                     # Each branch is an independent Engine call: a fresh
                     # engine over the branch's bindings, same p and seed,
                     # so a branch is byte-identical to running that
-                    # fragment query on its own. ``align_with`` shares the
-                    # service engine's alignment memo, so the *unsplit*
-                    # inputs (identical relation objects in every branch)
-                    # are aligned and stored once — not re-derived as k
-                    # detached copies — and branch hits land in the one
-                    # counter :meth:`stats` reports.
+                    # fragment query on its own. The view cache is
+                    # process-wide and keyed by relation identity, so the
+                    # *unsplit* inputs (identical relation objects in
+                    # every branch) are aligned and stored once.
                     engine = Engine(
-                        self.p, seed=self.seed,
-                        kernels=self._engine.kernels,
-                        backend=self._engine.backend,
-                        align_with=self._engine,
+                        self.p, self.seed, self._engine.kernels, self._engine.backend
                     )
                     for name, rel in branch.items():
                         engine.register(rel, name=name)
-                    branch_result = engine.query(cq, strategy=job.strategy)
-                    outputs.append(branch_result.output)
-                    strategies_list.append(
-                        branch_result.explain.chosen
-                        if job.strategy == "auto"
-                        and branch_result.explain is not None
-                        else job.strategy
-                    )
-                    loads.append(branch_result.stats.max_load)
-                    rounds_list.append(branch_result.stats.num_rounds)
-                output = merge_branches(outputs)
-                strategies = tuple(strategies_list)
+                    results.append(engine.query(cq, strategy=job.strategy))
+                output = merge_branches([result.output for result in results])
                 predicted = job.predicted
-                max_load = max(loads, default=0)
-                total_load = sum(loads)
-                rounds = sum(rounds_list)
+            strategies = tuple(
+                result.explain.chosen if job.strategy == "auto" else job.strategy
+                for result in results
+            )
+            loads = [result.stats.max_load for result in results]
+            max_load = max(loads, default=0)
+            total_load = sum(loads)
+            rounds = sum(result.stats.num_rounds for result in results)
             if job.verify:
                 self._verify(cq, catalog, output)
             self.cache.put(
                 key,
                 (output, strategies, max_load, total_load, rounds, predicted),
+            )
+        with self._stats_lock:
+            self._counters.align_cache_hits += sum(
+                result.align_cache_hits for result in results
             )
         return ServiceResult(
             self._detached(output), job.ticket.tenant, str(cq), strategies,
@@ -552,7 +539,7 @@ class QueryService:
                 rejected_in_flight=self._counters.rejected_in_flight,
                 rejected_load_cap=self._counters.rejected_load_cap,
                 split_queries=self._counters.split_queries,
-                align_cache_hits=self._engine._align_hits,
+                align_cache_hits=self._counters.align_cache_hits,
                 cache=self.cache.stats(),
                 tenants={
                     name: TenantStats(**vars(stats))

@@ -186,6 +186,21 @@ class TestEndToEndModes:
             results[mode] = (run.output.rows(), run.load, run.rounds)
         assert results[True] == results[False]
 
+    @settings(max_examples=15, deadline=None)
+    @given(rows=rows_strategy(3, values=SKEWED), p=st.sampled_from([3, 8]))
+    def test_group_by_modes_identical(self, rows, p):
+        from repro.multiway.aggregate import group_by
+
+        relation = Relation("G", ["k", "m", "v"], rows)
+        results = {}
+        for mode in (True, False):
+            with use_kernels(mode):
+                output, stats = group_by(relation, ["k", "m"], "v", sum, p=p, seed=5)
+            results[mode] = (
+                output.rows(), [round_.received for round_ in stats.rounds]
+            )
+        assert results[True] == results[False]
+
     def test_differential_instances_both_modes(self):
         # A slice of the selftest workload, run under both modes: the
         # records' loads must match execution by execution.

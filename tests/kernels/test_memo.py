@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.data.relation import Relation
 from repro.kernels.config import use_kernels
 from repro.kernels.memo import (
-    MemoStats,
     clear_memo,
     distinct_project,
     key_degrees,
@@ -34,6 +33,7 @@ from repro.kernels.memo import (
 )
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
+from repro.mpc.stats import MemoStats
 
 ARITY = 2
 

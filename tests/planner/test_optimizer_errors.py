@@ -8,6 +8,7 @@ send junk, tables are empty, or the cluster degenerates to one server.
 import pytest
 
 from repro.data.relation import Relation
+from repro.engine import Engine
 from repro.errors import QueryError
 from repro.planner.optimizer import (
     STRATEGIES,
@@ -55,8 +56,14 @@ def test_execute_strategy_error_lists_choices(rels):
 
 
 def test_plan_and_execute_rejects_unknown_forced_strategy(rels):
-    with pytest.raises(QueryError, match="unknown strategy"):
-        plan_and_execute(TWO_WAY, rels, 4, strategy="bogus")
+    engine = Engine(4)
+    for rel in rels.values():
+        engine.register(rel)
+    for name in ("bogus", "classic"):
+        with pytest.raises(QueryError, match="unknown strategy"):
+            plan_and_execute(TWO_WAY, rels, 4, strategy=name)
+        with pytest.raises(QueryError, match="unknown strategy"):
+            engine.query(TWO_WAY, strategy=name)
 
 
 def test_explain_candidate_unknown_name_raises(rels):

@@ -14,6 +14,7 @@ from repro.errors import (
     QueueFullError,
     ServiceClosedError,
 )
+from repro.kernels import memo
 from repro.service import QueryService, TenantQuota
 from repro.service.splitter import canonical
 
@@ -286,20 +287,26 @@ def test_split_verify_against_oracle():
 
 
 def test_split_branches_share_one_alignment_memo():
-    # Branch engines borrow the service engine's alignment memo
-    # (``align_with``): the unsplit inputs — identical relation objects
-    # in every branch — are aligned and stored once, and every branch
-    # hit lands in the one counter ``stats()`` reports. cache_size=0
-    # keeps the result cache out of the measurement.
+    # Branch engines find the service engine's alignments in the
+    # process-wide view cache: the unsplit inputs — identical relation
+    # objects in every branch — are aligned and stored once, and every
+    # branch's hits are summed into the counter ``stats()`` reports.
+    # cache_size=0 keeps the result cache out of the measurement.
+    def alignments():
+        return sum(
+            1 for key in memo._views.keys() if key[2] == "project" and key[4] is None
+        )
+
+    memo.clear_memo()
     with QueryService(relations(), p=4, cache_size=0) as service:
         service.query(QUERY)  # warms the alignments of R and S
-        entries_before = len(service._engine._align_cache)
+        entries_before = alignments()
         hits_before = service.stats().align_cache_hits
         service.query(QUERY, split=3)
         # At least the unsplit input hit in each of the three branches;
-        # nothing was double-stored for it.
+        # only the three fresh fragments of the split atom were stored.
         assert service.stats().align_cache_hits - hits_before >= 3
-        assert len(service._engine._align_cache) <= entries_before + 3
+        assert alignments() <= entries_before + 3
 
 
 def test_split_branch_registration_keeps_the_shared_memo():

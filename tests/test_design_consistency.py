@@ -66,6 +66,30 @@ class TestGateInventoryLint:
         assert not self.RETIRED & set(dir(repro.kernels.memo))
 
 
+class TestCacheInventoryLint:
+    """One LRU implementation, one atom-alignment check, both in kernels/memo.py.
+
+    Every hand-rolled recency bump or eviction scan is another place for
+    the races PR 8 fixed; every copy of the attribute check is another
+    wording of the same error. New ones have to show up here.
+    """
+
+    LRU_IDIOMS = r"move_to_end|popitem\(last=False\)|pop\(next\(iter\("
+
+    def _files_matching(self, pattern):
+        return sorted(
+            str(path.relative_to(ROOT / "src" / "repro"))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if re.search(pattern, path.read_text())
+        )
+
+    def test_lru_bookkeeping_lives_only_in_memo(self):
+        assert self._files_matching(self.LRU_IDIOMS) == ["kernels/memo.py"]
+
+    def test_alignment_error_has_one_source(self):
+        assert self._files_matching(r"do not match") == ["kernels/memo.py"]
+
+
 class TestExperimentIndex:
     def test_every_indexed_bench_exists(self):
         design = (ROOT / "DESIGN.md").read_text()

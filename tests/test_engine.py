@@ -7,6 +7,7 @@ from repro.data.graphs import count_triangles, random_edges, triangle_relations
 from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.errors import QueryError
+from repro.kernels.memo import clear_memo, memo_cache_sizes
 from repro.query.parser import parse_query
 
 
@@ -161,7 +162,8 @@ class TestAlignCache:
         first = engine.query("R(a,b), S(b,z)")
         engine.register(uniform_relation("R", ["b", "a"], 80, 20, seed=9))
         refreshed = engine.query("R(a,b), S(b,z)")
-        assert refreshed.align_cache_hits == 0  # replaced R cleared the cache
+        # Only the replaced relation is forgotten: R misses, S still hits.
+        assert refreshed.align_cache_hits == 1
         assert sorted(refreshed.output.rows()) != sorted(first.output.rows())
         verify = engine.query("R(a,b), S(b,z)", verify=True)
         assert verify.align_cache_hits > 0
@@ -184,15 +186,17 @@ class TestAlignCache:
         assert sorted(swapped.output.rows()) == [(2, 1), (3, 2)]
 
     def test_lru_eviction_bounds_the_cache(self):
+        clear_memo()
         engine = Engine(p=2)
-        engine._ALIGN_CACHE_SIZE = 4
-        for i in range(8):
+        capacity = 256  # the view cache's fixed bound
+        for i in range(capacity + 8):
             engine.register(Relation(f"T{i}", ["u", "v"], [(i, i + 1)]))
-        for i in range(8):
+        for i in range(capacity + 8):
             engine.query(f"T{i}(u,v)")
-        assert len(engine._align_cache) <= 4
+        assert memo_cache_sizes()[1] == capacity
         # Oldest entries evicted; the most recent still hit.
-        recent = engine.query("T7(u,v)")
+        assert engine.query("T0(u,v)").align_cache_hits == 0
+        recent = engine.query(f"T{capacity + 7}(u,v)")
         assert recent.align_cache_hits == 1
 
     def test_mutating_a_registered_relation_between_queries(self):
@@ -231,67 +235,64 @@ class TestAlignCache:
 
 
 class TestSharedAlignCache:
-    """``align_with`` engines borrow one alignment memo (service split fix).
+    """Engines over the same relation objects share one alignment memo.
 
-    The service's split path spins up a throwaway engine per branch;
-    without sharing, each branch stored its own detached copy of every
-    unsplit input's alignment and the hits landed in counters nobody
-    read. Sharing must dedupe the storage and single-count the hits —
-    without ever letting a borrower wipe the owner's memo.
+    The service's split path spins up a throwaway engine per branch; the
+    view cache is process-wide and keyed by relation identity, so the
+    branches neither re-derive nor separately store the alignment of an
+    input they share, each query counts only its own hits, and replacing
+    a relation invalidates it for every engine at once.
     """
 
     def _owner(self):
+        clear_memo()
         owner = Engine(p=4)
         owner.register(uniform_relation("R", ["b", "a"], 60, 20, seed=1))
         owner.register(uniform_relation("S", ["b", "z"], 60, 20, seed=2))
         return owner
 
-    def _borrower(self, owner, bindings=None):
-        branch = Engine(p=4, align_with=owner)
+    def _branch(self, owner, bindings=None):
+        branch = Engine(p=4)
         for name, rel in (bindings or owner._relations).items():
             branch.register(rel, name=name)
         return branch
 
     def test_borrower_stores_into_the_owner_memo(self):
         owner = self._owner()
-        branch = self._borrower(owner)
+        branch = self._branch(owner)
         first = branch.query("R(a,b), S(b,z)")
         assert first.align_cache_hits == 0
-        assert len(owner._align_cache) == 2  # stored once, in the owner
-        assert not hasattr(branch, "_align_cache")  # no private copy
+        views = memo_cache_sizes()[1]
+        # The owner finds both alignments the branch stored, adding none.
+        assert owner.query("R(a,b), S(b,z)").align_cache_hits == 2
+        assert memo_cache_sizes()[1] == views
 
     def test_hits_cross_engines_and_single_count(self):
         owner = self._owner()
         owner.query("R(a,b), S(b,z)")  # owner warms both alignments
-        hits_before = owner._align_hits
-        branches = [self._borrower(owner) for _ in range(3)]
-        for branch in branches:
-            result = branch.query("R(a,b), S(b,z)")
-            assert result.align_cache_hits == 2  # both atoms from the memo
-        # All six hits landed in the one counter the service reports.
-        assert owner._align_hits - hits_before == 6
-        assert len(owner._align_cache) == 2  # still stored exactly once
+        views = memo_cache_sizes()[1]
+        for _ in range(3):
+            result = self._branch(owner).query("R(a,b), S(b,z)")
+            # Each query reports its own two hits, not a running total.
+            assert result.align_cache_hits == 2
+        assert memo_cache_sizes()[1] == views  # still stored exactly once
 
     def test_borrower_register_does_not_wipe_the_owner(self):
         owner = self._owner()
         owner.query("R(a,b), S(b,z)")
-        assert len(owner._align_cache) == 2
+        views = memo_cache_sizes()[1]
         # Branch engines register their (partly shared) bindings on
-        # construction; that must not clear the shared memo.
-        branch = self._borrower(owner)
-        assert len(owner._align_cache) == 2
+        # construction; a first registration forgets nothing.
+        branch = self._branch(owner)
+        assert memo_cache_sizes()[1] == views
         assert branch.query("R(a,b), S(b,z)").align_cache_hits == 2
-
-    def test_chained_align_with_resolves_to_the_root_owner(self):
-        owner = self._owner()
-        middle = self._borrower(owner)
-        leaf = Engine(p=4, align_with=middle)
-        assert leaf._align_owner is owner
+        assert owner.query("R(a,b), S(b,z)").align_cache_hits == 2
 
     def test_owner_register_still_invalidates_for_borrowers(self):
         owner = self._owner()
-        branch = self._borrower(owner)
+        branch = self._branch(owner)
         branch.query("R(a,b), S(b,z)")
         owner.register(uniform_relation("R", ["b", "a"], 80, 20, seed=9))
-        fresh = self._borrower(owner)
-        assert fresh.query("R(a,b), S(b,z)").align_cache_hits == 0
+        # The replaced R is gone for every engine; the untouched S is not.
+        assert branch.query("R(a,b), S(b,z)").align_cache_hits == 1
+        assert self._branch(owner).query("R(a,b), S(b,z)").align_cache_hits == 1

@@ -1,23 +1,29 @@
-"""Regression tests for Engine thread-safety (the _align LRU race).
+"""Regression tests for Engine thread-safety (the alignment-memo races).
 
-Before the ``_align_lock`` fix, two threads hitting the same cache key
-raced between ``get`` and the recency-bump ``pop``: both observed the
-entry, both popped, and the second raised ``KeyError``. The regression
-test reproduces that exact interleaving deterministically with a dict
-subclass that parks inside ``get`` on a two-party barrier:
+Alignments live in the view cache of :mod:`repro.kernels.memo`, a
+:class:`~repro.kernels.memo.LRU` whose single lock covers lookup and
+recency bump together. When that bookkeeping was an unlocked
+``get`` + ``pop`` + re-insert, two threads hitting the same key both
+observed the entry, both popped, and the second raised ``KeyError``.
+The regression test reproduces the interleaving deterministically with
+an ``OrderedDict`` subclass that parks inside the recency bump on a
+two-party barrier:
 
-- **pre-fix**: both threads enter ``get`` concurrently, the barrier
-  releases them together, both pop → ``KeyError`` every run;
-- **post-fix**: the lock admits one thread at a time, its barrier wait
-  times out (broken barrier, caught), and both queries finish cleanly.
+- **unlocked**: both threads reach the bump concurrently, the barrier
+  releases them together — two threads inside the critical section;
+- **locked**: one thread at a time, its barrier wait times out (broken
+  barrier, caught), and both lookups finish cleanly.
 """
 
 import threading
+from collections import OrderedDict
 
 import pytest
 
 from repro.data.relation import Relation
 from repro.engine import Engine
+from repro.kernels import memo
+from repro.planner import optimizer
 
 QUERY = "Q(a, b, c) :- R(a, b), S(b, c)"
 
@@ -29,52 +35,41 @@ def make_engine():
     return engine
 
 
-class RendezvousDict(dict):
-    """A dict whose ``pop`` parks callers on a barrier before popping.
+class RendezvousDict(OrderedDict):
+    """An OrderedDict whose recency bump parks callers on a barrier.
 
-    Reproduces the old unlocked hit path's get→pop race on demand: with
-    two parties, the first rendezvous only releases once BOTH threads
-    have observed the entry via ``get`` and committed to popping it,
-    and the second holds the winner inside ``pop`` until the loser has
-    popped too — so the loser always raises ``KeyError`` before the
-    winner can reinsert. Under the fixed (locked) implementation only
-    one thread can reach ``pop`` at a time, so its waits time out, the
-    barrier breaks, and every later wait returns immediately — no such
-    interleaving exists.
+    With two parties the rendezvous only completes when BOTH threads are
+    inside ``move_to_end`` at once — the state the LRU's lock rules out —
+    and records that. Under the lock only one thread can reach the bump
+    at a time, so its wait times out, the barrier breaks, and every
+    later wait returns immediately.
     """
 
     def __init__(self, *args, barrier=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.barrier = barrier
+        self.overlaps = 0
 
-    def _rendezvous(self):
+    def move_to_end(self, key, last=True):
         if self.barrier is not None:
             try:
                 self.barrier.wait(timeout=0.5)
+                self.overlaps += 1
             except threading.BrokenBarrierError:
                 pass
-
-    def pop(self, key, *args):
-        self._rendezvous()                    # both committed to popping
-        try:
-            return super().pop(key, *args)
-        finally:
-            self._rendezvous()                # hold until both have popped
+        super().move_to_end(key, last)
 
 
 def test_align_cache_concurrent_hits_do_not_double_pop():
-    """The pre-fix failing race: concurrent hits on one cached alignment."""
-    engine = make_engine()
-    engine.query(QUERY)                       # prime the alignment cache
-    assert len(engine._align_cache) > 0
-
-    barrier = threading.Barrier(2)
-    engine._align_cache = RendezvousDict(engine._align_cache, barrier=barrier)
+    """Concurrent hits on one cached entry never share the recency bump."""
+    cache = memo.LRU(4)
+    cache.put("aligned", object())
+    cache._entries = RendezvousDict(cache._entries, barrier=threading.Barrier(2))
     errors = []
 
     def hit():
         try:
-            engine.query(QUERY)
+            assert cache.get("aligned") is not None
         except BaseException as exc:  # noqa: BLE001 - the assertion target
             errors.append(exc)
 
@@ -84,7 +79,45 @@ def test_align_cache_concurrent_hits_do_not_double_pop():
     for t in threads:
         t.join()
     assert not errors, f"concurrent cache hits raised: {errors!r}"
-    assert engine._align_hits >= 2
+    assert cache._entries.overlaps == 0
+    assert (cache.hits, cache.misses) == (2, 0)
+
+
+def test_align_cache_hits_are_counted_per_query(monkeypatch):
+    """A query never reports alignment hits another thread earned.
+
+    The cold query is parked inside planning — after its own (missing)
+    alignment lookups — while a warm query runs to completion on the
+    main thread. Counting hits as the delta of a shared counter made the
+    cold query report the warm one's two hits.
+    """
+    memo.clear_memo()
+    engine = make_engine()
+    engine.register(Relation("T", ["c", "d"], [(i, i % 3) for i in range(12)]))
+    engine.register(Relation("U", ["d", "w"], [(i % 3, i) for i in range(9)]))
+    engine.query(QUERY)                       # warm R and S only
+
+    parked, release = threading.Event(), threading.Event()
+    plan_query = optimizer.plan_query
+
+    def gated_plan_query(cq, *args, **kwargs):
+        if cq.atoms[0].name == "T":
+            parked.set()
+            assert release.wait(timeout=10)
+        return plan_query(cq, *args, **kwargs)
+
+    monkeypatch.setattr("repro.engine.plan_query", gated_plan_query)
+    cold = []
+    thread = threading.Thread(
+        target=lambda: cold.append(engine.query("T(c, d), U(d, w)"))
+    )
+    thread.start()
+    assert parked.wait(timeout=10)
+    warm = engine.query(QUERY)
+    release.set()
+    thread.join()
+    assert warm.align_cache_hits == 2
+    assert cold[0].align_cache_hits == 0
 
 
 def test_concurrent_queries_byte_identical():
