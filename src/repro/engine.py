@@ -51,6 +51,9 @@ class QueryResult:
     ``align_cache_hits`` counts how many of this query's own
     input-alignment lookups were served from the view cache of
     :mod:`repro.kernels.memo` instead of re-deriving the projection.
+    How many of the planner's LPs were actually solved rather than
+    served from the value-keyed LP memo is process-wide, not per query:
+    read :func:`repro.query.lp.counters`.
     """
 
     output: Relation

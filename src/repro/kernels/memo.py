@@ -459,14 +459,31 @@ def key_degrees(
     """Memoized ``Counter(tuple(row[i] for i in key_idx) for row in rel)``.
 
     Columnar fast path when the key columns are integer-typed; falls
-    back to the tuple loop otherwise.  The Counter is shared — read only.
+    back to the tuple loop otherwise (and for the empty key, which every
+    row carries and no column can zip).  The Counter is shared — read only.
     """
     key_idx = tuple(key_idx)
 
     def build() -> Counter:
         cols = rel.columns()
-        if cols is not None:
+        if cols is not None and key_idx:
             return Counter(zip(*[cols[i].tolist() for i in key_idx]))
         return Counter(tuple(row[i] for i in key_idx) for row in rel.rows_readonly())
 
     return cached_view(rel, ("degrees", key_idx), build, stats)
+
+
+def value_degrees(
+    rel: "Relation",
+    attribute: str,
+    stats: "MemoStats | None" = None,
+) -> Counter:
+    """Memoized ``rel.degrees(attribute)`` — one attribute's value counts.
+
+    The degree view the planner's statistics and SkewHC's heavy-hitter
+    scan share, so each join column of an unchanged relation is counted
+    once.  The Counter is shared — read only.
+    """
+    return cached_view(
+        rel, ("value_degrees", attribute), lambda: rel.degrees(attribute), stats
+    )

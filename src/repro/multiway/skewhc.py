@@ -27,7 +27,7 @@ from typing import Any
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import align, bound, cached_view
+from repro.kernels.memo import align, bound, cached_view, value_degrees
 from repro.mpc.cluster import combine_parallel
 from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import StagedHypercube, hypercube_route
@@ -48,10 +48,7 @@ def find_heavy_values(
         for variable in atom.variables:
             # Degree maps are memoized per mutation token — every residual
             # stage of a repeated SkewHC run reuses them.
-            degrees = cached_view(
-                rel, ("value_degrees", variable), lambda: rel.degrees(variable)
-            )
-            for value, count in degrees.items():
+            for value, count in value_degrees(rel, variable).items():
                 if count >= threshold:
                     heavy[variable].add(value)
     return heavy

@@ -23,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
+from repro.kernels.memo import key_degrees, value_degrees
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ def join_statistics(r: Relation, s: Relation) -> JoinStatistics:
     shared = r.schema.common(s.schema)
     r_idx = r.schema.indices(shared)
     s_idx = s.schema.indices(shared)
-    r_degrees = Counter(tuple(row[i] for i in r_idx) for row in r)
-    s_degrees = Counter(tuple(row[i] for i in s_idx) for row in s)
+    r_degrees = key_degrees(r, r_idx)
+    s_degrees = key_degrees(s, s_idx)
     if shared:
         out = sum(c * s_degrees.get(k, 0) for k, c in r_degrees.items())
     else:
@@ -133,17 +134,19 @@ def relation_statistics(
     threshold = m / p
     heavy: dict[str, tuple] = {}
     max_degree: dict[str, int] = {}
-    rows = rel.rows_readonly()
     sampled = sample is not None and 0 < sample < m
     if sampled:
         assert sample is not None
-        rows = random.Random(seed).sample(list(rows), sample)
+        rows = random.Random(seed).sample(list(rel.rows_readonly()), sample)
         scale = m / sample
     else:
         scale = 1.0
     for attr in attrs:
-        index = rel.schema.indices((attr,))[0]
-        degrees = Counter(row[index] for row in rows)
+        if sampled:
+            index = rel.schema.indices((attr,))[0]
+            degrees = Counter(row[index] for row in rows)
+        else:
+            degrees = value_degrees(rel, attr)
         estimates = {value: count * scale for value, count in degrees.items()}
         heavy[attr] = tuple(
             sorted(v for v, est in estimates.items() if est > threshold)
@@ -216,10 +219,7 @@ def collect_query_statistics(
         per_relation.append(stats)
         for variable in profiled:
             heavy_join[variable].update(stats.heavy_values(variable))
-            index = rel.schema.indices((variable,))[0]
-            for value, count in Counter(
-                row[index] for row in rel.rows_readonly()
-            ).items():
+            for value, count in value_degrees(rel, variable).items():
                 key = (variable, value)
                 joint_degree[key] = joint_degree.get(key, 0) + count
     if out_estimate is None:

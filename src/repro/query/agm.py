@@ -23,6 +23,7 @@ def agm_bound(query: ConjunctiveQuery, sizes: dict[str, int]) -> float:
     ``sizes`` maps atom names to relation cardinalities. An empty relation
     makes the bound 0 (the query returns nothing).
     """
+    query.require_atoms(sizes, "sizes")
     if any(sizes[a.name] == 0 for a in query.atoms):
         return 0.0
     objective = {a.name: math.log(sizes[a.name]) for a in query.atoms}

@@ -88,6 +88,18 @@ class ConjunctiveQuery:
         """All atoms containing ``variable``."""
         return [a for a in self.atoms if variable in a.variables]
 
+    def require_atoms(self, mapping: Mapping[str, object], what: str) -> None:
+        """Raise :class:`QueryError` unless ``mapping`` has an entry per atom.
+
+        ``what`` names the mapping (``"sizes"``, ``"objective"``) in the
+        message, which lists every missing atom.
+        """
+        missing = [a.name for a in self.atoms if a.name not in mapping]
+        if missing:
+            raise QueryError(
+                f"{what} lack atoms {missing} of {self} (have {sorted(mapping)})"
+            )
+
     def residual(self, bound: Iterable[str]) -> "ConjunctiveQuery":
         """The residual query Q_x: drop ``bound`` variables, drop empty atoms.
 

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from repro.errors import OptimizationError, QueryError
+from repro.errors import QueryError
+from repro.query import lp
 from repro.query.cq import ConjunctiveQuery
 
 _TOLERANCE = 1e-9
@@ -45,13 +45,17 @@ class LPResult:
 def _solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, names: list[str],
            maximize: bool) -> LPResult:
     sign = -1.0 if maximize else 1.0
-    result = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * len(c),
-                     method="highs")
-    if not result.success:
-        raise OptimizationError(f"LP failed: {result.message}")
-    value = sign * result.fun
-    weights = {name: float(w) for name, w in zip(names, result.x)}
-    return LPResult(float(value), weights)
+    fun, x = lp.solve(sign * c, a_ub, b_ub, [(0, None)] * len(c))
+    return LPResult(sign * fun, dict(zip(names, x)))
+
+
+def _objective_vector(query: ConjunctiveQuery,
+                      objective: dict[str, float] | None) -> np.ndarray:
+    """Per-atom objective coefficients in atom order (all ones by default)."""
+    if objective is None:
+        return np.ones(len(query.atoms))
+    query.require_atoms(objective, "objective")
+    return np.array([float(objective[a.name]) for a in query.atoms])
 
 
 def fractional_edge_packing(query: ConjunctiveQuery,
@@ -64,7 +68,7 @@ def fractional_edge_packing(query: ConjunctiveQuery,
     """
     atoms = query.atoms
     names = [a.name for a in atoms]
-    c = np.array([1.0 if objective is None else objective[n] for n in names])
+    c = _objective_vector(query, objective)
     rows = []
     for variable in query.variables:
         rows.append([1.0 if variable in a.variables else 0.0 for a in atoms])
@@ -82,7 +86,7 @@ def fractional_edge_cover(query: ConjunctiveQuery,
     """
     atoms = query.atoms
     names = [a.name for a in atoms]
-    c = np.array([1.0 if objective is None else objective[n] for n in names])
+    c = _objective_vector(query, objective)
     rows = []
     for variable in query.variables:
         # ≥ constraints become ≤ after negation.
@@ -182,6 +186,7 @@ def maximal_load_over_packings(query: ConjunctiveQuery, sizes: dict[str, int],
     """
     best_load = 0.0
     best_packing: dict[str, float] = {a.name: 0.0 for a in query.atoms}
+    query.require_atoms(sizes, "sizes")
     log_sizes = {name: math.log(max(size, 1)) for name, size in sizes.items()}
 
     for packing in _packing_vertices(query):

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import OptimizationError
+from repro.query import lp
 from repro.query.cq import ConjunctiveQuery
 
 
@@ -52,6 +52,7 @@ def optimal_shares(query: ConjunctiveQuery, sizes: dict[str, int], p: int,
     """
     if p <= 0:
         raise OptimizationError("p must be positive")
+    query.require_atoms(sizes, "sizes")
     exponents = _share_exponents(query, sizes, p)
     fractional = {v: p ** e for v, e in exponents.items()}
     integral = _round_shares(query, sizes, p, fractional, max_enumeration)
@@ -91,11 +92,8 @@ def _share_exponents(query: ConjunctiveQuery, sizes: dict[str, int],
     rhs.append(1.0)
 
     bounds = [(0.0, None)] * k + [(None, None)]
-    result = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                     method="highs")
-    if not result.success:
-        raise OptimizationError(f"share LP failed: {result.message}")
-    return {v: float(max(result.x[i], 0.0)) for i, v in enumerate(variables)}
+    _load, x = lp.solve(c, rows, rhs, bounds)
+    return {v: max(e, 0.0) for v, e in zip(variables, x)}
 
 
 def _max_atom_load(query: ConjunctiveQuery, sizes: dict[str, int],

@@ -235,6 +235,8 @@ def test_distinct_and_degrees_match_reference():
     assert sorted(distinct_project(rel, ("x",)).rows_readonly()) == \
         [(1,), (2,)]
     assert key_degrees(rel, (0,)) == Counter({(1,): 3, (2,): 1})
+    # Every row carries the empty key — on the columnar path too.
+    assert key_degrees(rel, ()) == Counter({(): 4})
     # The cached Counter is shared between calls.
     assert key_degrees(rel, (0,)) is key_degrees(rel, (0,))
 

@@ -1,11 +1,15 @@
 """Tests for planner statistics."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
+from repro.kernels.memo import clear_memo, forget, memo_cache_sizes, value_degrees
 from repro.planner.statistics import (
+    JoinStatistics,
     QueryStatistics,
     collect_query_statistics,
     join_statistics,
@@ -157,3 +161,164 @@ class TestQueryStatistics:
         )
         with pytest.raises(AttributeError):
             stats.p = 4
+
+
+def _row_loop_join_statistics(r, s):
+    """Reference: count the join key per row tuple, no cache."""
+    shared = r.schema.common(s.schema)
+    r_idx, s_idx = r.schema.indices(shared), s.schema.indices(shared)
+    r_deg = Counter(tuple(row[i] for i in r_idx) for row in r.rows_readonly())
+    s_deg = Counter(tuple(row[i] for i in s_idx) for row in s.rows_readonly())
+    out = (sum(c * s_deg.get(k, 0) for k, c in r_deg.items()) if shared
+           else len(r) * len(s))
+    return JoinStatistics(len(r), len(s), shared, out,
+                          max(r_deg.values(), default=0),
+                          max(s_deg.values(), default=0))
+
+
+def _row_loop_profile(cq, relations, p):
+    """Reference for the exact degree fields of ``collect_query_statistics``."""
+    join_vars = [v for v in cq.variables if len(cq.atoms_with(v)) >= 2]
+    heavy = {v: set() for v in join_vars}
+    joint = Counter()
+    max_degree = {}
+    for atom in cq.atoms:
+        rel = relations[atom.name]
+        for v in atom.variables:
+            if v not in join_vars:
+                continue
+            i = rel.schema.index(v)
+            degrees = Counter(row[i] for row in rel.rows_readonly())
+            max_degree[atom.name, v] = max(degrees.values(), default=0)
+            heavy[v].update(x for x, c in degrees.items() if c > len(rel) / p)
+            for value, count in degrees.items():
+                joint[v, value] += count
+    return (
+        {v: tuple(sorted(s)) for v, s in heavy.items()},
+        max(joint.values(), default=0),
+        {v: tuple((x, joint[v, x]) for x in sorted(heavy[v])) for v in join_vars},
+        max_degree,
+    )
+
+
+def _assert_profile_matches(cq, relations, p):
+    stats = collect_query_statistics(cq, relations, p)
+    heavy, max_joint, heavy_joint, max_degree = _row_loop_profile(cq, relations, p)
+    assert stats.heavy_join_values == heavy
+    assert stats.max_joint_degree == max_joint
+    assert stats.heavy_joint_degrees == heavy_joint
+    for rel_stats in stats.per_relation:
+        for attr, degree in rel_stats.max_degree.items():
+            assert degree == max_degree[rel_stats.name, attr]
+    return stats
+
+
+class TestDegreeViewsMatchTheRowLoop:
+    """Exact statistics read the memoized degree views; the row loop is
+    the reference they must equal — cached, borrowed or freshly mutated."""
+
+    CASES = [
+        (Relation("R", ["x", "y"], [(1, 2), (3, 2), (4, 5)]),
+         Relation("S", ["y", "z"], [(2, 0), (2, 1), (9, 9)])),
+        (Relation("R", ["x"], [(1,), (2,)]),
+         Relation("S", ["z"], [(1,), (2,), (3,)])),
+        (Relation("R", ["x", "y"]), Relation("S", ["y", "z"], [(1, 2)])),
+        (Relation("R", ["x", "y"], []), Relation("S", ["z"], [])),
+        (_relation_with_degree("R", ["x", "y"], 100, 26),
+         Relation("S", ["y", "z"], [(i, i) for i in range(900)])),
+        (Relation("R", ["x", "y"], [(i, 1000 + i) for i in range(400)]),
+         _relation_with_degree("S", ["y", "z"], 100, 26, key_index=0)),
+        (Relation("R", ["a", "b", "c"], [(i % 3, i % 4, i) for i in range(60)]),
+         Relation("S", ["b", "a", "d"], [(i % 4, i % 3, -i) for i in range(45)])),
+        (Relation("R", ["x", "y"], [("u", "k"), ("v", "k")]),
+         Relation("S", ["y", "z"], [("k", 1.5), ("m", 2.5)])),
+    ]
+
+    @pytest.mark.parametrize("r, s", CASES)
+    def test_join_statistics_equal_the_row_loop(self, r, s):
+        expected = _row_loop_join_statistics(r, s)
+        assert join_statistics(r, s) == expected
+        assert join_statistics(r, s) == expected  # served from the views
+
+    rows = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30)
+
+    @given(rows, rows, st.integers(1, 8))
+    def test_query_statistics_equal_the_row_loop(self, r_rows, s_rows, p):
+        cq = parse_query("R(x, y), S(y, z)")
+        relations = {"R": Relation("R", ["x", "y"], r_rows),
+                     "S": Relation("S", ["y", "z"], s_rows)}
+        first = _assert_profile_matches(cq, relations, p)
+        assert collect_query_statistics(cq, relations, p) == first
+        assert (join_statistics(relations["R"], relations["S"])
+                == _row_loop_join_statistics(relations["R"], relations["S"]))
+
+    def test_triangle_profile_equals_the_row_loop(self):
+        cq = parse_query("R(x, y), S(y, z), T(z, x)")
+        relations = {
+            "R": Relation("R", ["x", "y"], [(i % 5, 0) for i in range(40)]),
+            "S": Relation("S", ["y", "z"], [(i % 3, i % 7) for i in range(40)]),
+            "T": Relation("T", ["z", "x"], [(i % 7, i % 5) for i in range(40)]),
+        }
+        stats = _assert_profile_matches(cq, relations, p=4)
+        assert stats.skewed
+
+    def test_borrowed_relation_is_recounted_never_cached(self):
+        cq = parse_query("R(x, y), S(y, z)")
+        r = Relation("R", ["x", "y"], [(i, 0) for i in range(10)])
+        s = Relation("S", ["y", "z"], [(i, i) for i in range(12)])
+        rows = r.rows()  # handing out the mutable list borrows the relation
+        assert r.is_borrowed
+        _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
+        before = memo_cache_sizes()[1]
+        rows[:] = [(i, 1) for i in range(6)]  # in place: no token can see it
+        stats = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
+        assert stats.heavy_join_values["y"] == (1,)
+        assert join_statistics(r, s) == _row_loop_join_statistics(r, s)
+        assert join_statistics(r, s).max_degree_r == 6
+        assert memo_cache_sizes()[1] == before
+        assert forget(r) == 0  # nothing was ever pinned to the borrowed relation
+
+    def test_mutation_between_calls_recounts(self):
+        cq = parse_query("R(x, y), S(y, z)")
+        r = Relation("R", ["x", "y"], [(i, i) for i in range(12)])
+        s = Relation("S", ["y", "z"], [(i, i) for i in range(12)])
+        level = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
+        assert not level.skewed and join_statistics(r, s).max_degree_r == 1
+        r.extend([(100 + i, 3) for i in range(9)])  # the token moves
+        skewed = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
+        assert skewed.heavy_join_values["y"] == (3,)
+        assert skewed.heavy_joint_degrees["y"] == ((3, 11),)
+        assert join_statistics(r, s) == _row_loop_join_statistics(r, s)
+        assert join_statistics(r, s).max_degree_r == 10
+
+    def test_planner_and_skewhc_share_one_degree_view(self):
+        from repro.multiway.skewhc import find_heavy_values
+
+        clear_memo()
+        cq = parse_query("R(x, y), S(y, z)")
+        relations = {"R": Relation("R", ["x", "y"], [(i, 0) for i in range(10)]),
+                     "S": Relation("S", ["y", "z"], [(0, i) for i in range(10)])}
+        collect_query_statistics(cq, relations, p=4)
+        views = memo_cache_sizes()[1]
+        assert views == 2  # R.y and S.y, each counted once
+        assert value_degrees(relations["R"], "y") is value_degrees(relations["R"], "y")
+        find_heavy_values(cq, relations, threshold=5.0)
+        # SkewHC scans every variable: x and z are new, both y views are reused.
+        assert memo_cache_sizes()[1] == views + 2
+
+    def test_sampled_path_still_counts_the_sampled_rows(self):
+        import random
+
+        rel = Relation("R", ["x", "y"], [(i, i % 7) for i in range(600)])
+        sample = random.Random(5).sample(list(rel.rows_readonly()), 200)
+        degrees = Counter(row[1] for row in sample)
+        stats = relation_statistics(rel, p=4, attributes=("y",), sample=200, seed=5)
+        assert stats.sampled
+        assert stats.max_degree["y"] == int(round(max(degrees.values()) * 3.0))
+        assert stats.heavy["y"] == tuple(
+            sorted(v for v, c in degrees.items() if c * 3.0 > 150)
+        )
+        # A sample at least as large as the relation is the exact path.
+        exact = relation_statistics(rel, p=4, attributes=("y",), sample=600)
+        assert not exact.sampled and exact.max_degree["y"] == 86
+

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.errors import QueryError
+from repro.query.agm import agm_bound
 from repro.query.cq import (
     Atom,
     ConjunctiveQuery,
@@ -179,3 +181,20 @@ class TestWeightedLPs:
         cover = fractional_edge_cover(q, objective)
         # Covering R and T alone (weight 1 each) costs log10 + log10 < log1000.
         assert math.exp(cover.value) == APPROX(100.0)
+
+
+class TestIncompleteMappings:
+    """A per-atom mapping that lacks an atom is a QueryError, never a KeyError."""
+
+    def test_objective_lacking_atoms_names_them(self):
+        q = triangle_query()
+        for lp_of in (fractional_edge_packing, fractional_edge_cover):
+            with pytest.raises(QueryError, match=r"objective lack atoms \['S', 'T'\]"):
+                lp_of(q, {"R": 1.0})
+
+    def test_sizes_lacking_atoms_names_them(self):
+        q = triangle_query()
+        with pytest.raises(QueryError, match=r"sizes lack atoms \['S', 'T'\]"):
+            agm_bound(q, {"R": 10})
+        with pytest.raises(QueryError, match=r"sizes lack atoms \['T'\]"):
+            maximal_load_over_packings(q, {"R": 10, "S": 10}, 8)

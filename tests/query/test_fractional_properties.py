@@ -10,10 +10,16 @@ query, not just the tutorial's examples:
   AGM bound respects monotonicity in relation sizes.
 """
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.errors import OptimizationError
+from repro.query import lp
 from repro.query.agm import agm_bound
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.fractional import (
@@ -111,3 +117,86 @@ class TestShareProperties:
         l4 = optimal_shares(query, sizes, 4).predicted_load
         l64 = optimal_shares(query, sizes, 64).predicted_load
         assert l64 <= l4 + 1e-6
+
+
+def _programs_of(call):
+    """Every ``(c, a_ub, b_ub, bounds)`` that ``call()`` hands to ``lp.solve``."""
+    programs = []
+    real = lp.solve
+
+    def recording(*program):
+        programs.append(program)
+        return real(*program)
+
+    with mock.patch.object(lp, "solve", recording):
+        call()
+    return programs
+
+
+def _direct(c, a_ub, b_ub, bounds):
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert result.success
+    return float(result.fun), tuple(float(v) for v in result.x)
+
+
+class TestLPMemoIsInvisible:
+    """A hit of ``lp.solve`` ≡ a fresh solve ≡ a direct ``linprog`` call."""
+
+    @given(random_queries(), st.lists(st.integers(1, 5000), min_size=5, max_size=5),
+           st.integers(1, 64))
+    @settings(max_examples=30, deadline=None)
+    def test_hit_equals_fresh_equals_direct(self, query, size_list, p):
+        sizes = {a.name: n for a, n in zip(query.atoms, size_list)}
+        programs = _programs_of(
+            lambda: (tau_star(query), optimal_shares(query, sizes, p))
+        )
+        assert len(programs) == 2
+        for program in programs:
+            lp.clear()
+            before = lp.counters()
+            fresh = lp.solve(*program)
+            hit = lp.solve(*program)
+            after = lp.counters()
+            assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+            assert after[4] == 1
+            assert fresh == hit == _direct(*program)
+
+    @given(random_queries(), st.integers(2, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_mutating_a_result_cannot_poison_the_next(self, query, p):
+        sizes = {a.name: 100 for a in query.atoms}
+        packing = fractional_edge_packing(query)
+        shares = optimal_shares(query, sizes, p)
+        expected_weights = dict(packing.weights)
+        expected_exponents = dict(shares.exponents)
+        for name in packing.weights:
+            packing.weights[name] = -7.0
+        for variable in shares.exponents:
+            shares.exponents[variable] = 99.0
+        assert fractional_edge_packing(query).weights == expected_weights
+        assert optimal_shares(query, sizes, p).exponents == expected_exponents
+
+    @pytest.mark.parametrize("program", [
+        # x ≤ -1 with x ≥ 0: infeasible.
+        ([1.0], [[1.0]], [-1.0], [(0, None)]),
+        # maximize x with no upper limit: unbounded.
+        ([-1.0], [[-1.0]], [0.0], [(0, None)]),
+    ], ids=["infeasible", "unbounded"])
+    def test_failed_solve_raises_every_time_and_is_never_stored(self, program):
+        lp.clear()
+        misses = lp.counters()[1]
+        for _ in range(2):
+            with pytest.raises(OptimizationError):
+                lp.solve(*program)
+        assert lp.counters()[1] == misses + 2
+        assert lp.counters()[4] == 0
+
+    def test_input_layout_does_not_change_the_key(self):
+        lp.clear()
+        a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        first = lp.solve([-1, -1], a, [1, 1, 1], [(0, None)] * 2)
+        hits = lp.counters()[0]
+        # Fortran order, float32 rows and a list right-hand side are the same LP.
+        again = lp.solve(np.array([-1.0, -1.0], dtype=np.float32),
+                         np.asfortranarray(a), (1.0, 1.0, 1.0), [(0.0, None)] * 2)
+        assert again == first and lp.counters()[0] == hits + 1

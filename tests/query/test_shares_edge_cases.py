@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.query.cq import star_query
+from repro.errors import QueryError
+from repro.query.cq import star_query, triangle_query
 from repro.query.shares import optimal_shares
 
 
@@ -28,8 +29,6 @@ class TestFallbackRounding:
 class TestOddBudgets:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31])
     def test_prime_budgets(self, p):
-        from repro.query.cq import triangle_query
-
         q = triangle_query()
         sizes = {a.name: 1000 for a in q.atoms}
         assignment = optimal_shares(q, sizes, p)
@@ -44,3 +43,9 @@ class TestOddBudgets:
         assert all(
             assignment.integral[v] == 1 for v in q.variables if v != "A0"
         )
+
+
+class TestIncompleteSizes:
+    def test_sizes_lacking_atoms_is_a_query_error(self):
+        with pytest.raises(QueryError, match=r"sizes lack atoms \['S', 'T'\]"):
+            optimal_shares(triangle_query(), {"R": 10}, 8)

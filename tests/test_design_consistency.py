@@ -89,6 +89,10 @@ class TestCacheInventoryLint:
     def test_alignment_error_has_one_source(self):
         assert self._files_matching(r"do not match") == ["kernels/memo.py"]
 
+    def test_linprog_has_one_call_site(self):
+        """Every LP goes through the value-keyed memo of ``query/lp.py``."""
+        assert self._files_matching(r"linprog") == ["query/lp.py"]
+
 
 class TestExperimentIndex:
     def test_every_indexed_bench_exists(self):

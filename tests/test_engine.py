@@ -8,6 +8,7 @@ from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.errors import QueryError
 from repro.kernels.memo import clear_memo, memo_cache_sizes
+from repro.query import lp
 from repro.query.parser import parse_query
 
 
@@ -232,6 +233,64 @@ class TestAlignCache:
         fresh = engine.query("T(u,v)")
         assert fresh.align_cache_hits == 0
         assert sorted(fresh.output.rows()) == [(8, 9)]
+
+
+class TestPlanningSolvesEachLPOnce:
+    """A repeated query plans from the LP memo: ``linprog`` is not called."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The list of ``linprog`` calls made through ``repro.query.lp``."""
+        calls = []
+        real = lp.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "linprog", counting)
+        lp.clear()
+        return calls
+
+    @pytest.mark.parametrize("text, schemas", [
+        ("R(a,b), S(b,c)", {"R": ["a", "b"], "S": ["b", "c"]}),
+        ("R(x,y), S(y,z), T(z,x)",
+         {"R": ["x", "y"], "S": ["y", "z"], "T": ["z", "x"]}),
+    ], ids=["hash-join", "triangle"])
+    def test_repeat_makes_no_linprog_call(self, solves, text, schemas):
+        engine = Engine(p=8)
+        for seed, (name, attrs) in enumerate(schemas.items()):
+            engine.register(uniform_relation(name, attrs, 200, 40, seed=seed))
+        first = engine.query(text)
+        assert len(solves) == 3  # τ*, ρ* and the share LP, each solved once
+        second = engine.query(text)
+        assert len(solves) == 3
+        assert second.explain == first.explain
+        assert second.plan == first.plan
+        assert second.output.rows_readonly() == first.output.rows_readonly()
+
+        # Sizes sit in the share LP's right-hand side: growing an input
+        # re-solves that one program, while τ*/ρ* (hypergraph only) hit.
+        engine.relation("R").extend([(1, 2), (3, 4)])
+        hits = lp.counters()[0]
+        grown = engine.query(text, verify=True)
+        assert len(solves) == 4
+        assert lp.counters()[0] >= hits + 2
+        assert grown.explain.tau_star == first.explain.tau_star
+        assert grown.explain.rho_star == first.explain.rho_star
+
+    def test_memo_outlives_the_engine_and_clear_memo(self, solves):
+        def run():
+            engine = Engine(p=8)
+            engine.register(uniform_relation("R", ["a", "b"], 200, 40, seed=1))
+            engine.register(uniform_relation("S", ["b", "c"], 200, 40, seed=2))
+            return engine.query("R(a,b), S(b,c)").explain
+
+        first = run()
+        solved = len(solves)
+        clear_memo()  # relation-derived state only; the LP memo is value-keyed
+        assert run() == first
+        assert len(solves) == solved
 
 
 class TestSharedAlignCache:

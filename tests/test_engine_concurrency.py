@@ -15,6 +15,7 @@ two-party barrier:
   barrier, caught), and both lookups finish cleanly.
 """
 
+import sys
 import threading
 from collections import OrderedDict
 
@@ -24,6 +25,9 @@ from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.kernels import memo
 from repro.planner import optimizer
+from repro.query import lp
+from repro.query.fractional import psi_star
+from repro.query.parser import parse_query
 
 QUERY = "Q(a, b, c) :- R(a, b), S(b, c)"
 
@@ -181,3 +185,48 @@ def test_register_during_queries_is_safe():
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_concurrent_psi_star_shares_one_lp_memo(monkeypatch):
+    """8 threads hammering ψ* of one query: one value, every lookup counted."""
+    query = parse_query("R(x,y), S(y,z), T(z,x)")
+    lookups = []  # list.append is atomic: one entry per lp.solve call
+    real_solve = lp.solve
+
+    def counted_solve(*program):
+        lookups.append(None)
+        return real_solve(*program)
+
+    monkeypatch.setattr(lp, "solve", counted_solve)
+    lp.clear()
+    hits, misses, *_ = lp.counters()
+    values = []
+    errors = []
+    barrier = threading.Barrier(8)
+
+    def worker():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(10):
+                values.append(psi_star(query))
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert values == [2.0] * 80
+    after = lp.counters()
+    assert (after[0] - hits) + (after[1] - misses) == len(lookups)
+    # Racing threads may each solve a program they all missed, but the
+    # memo ends up with one entry per distinct residual packing LP.
+    distinct = after[4]
+    assert distinct <= 7 and after[1] - misses >= distinct
