@@ -3,12 +3,17 @@
 The optimizer (:mod:`repro.planner.optimizer`) prices every applicable
 strategy for a query from its statistics and the closed-form MPC load
 bounds, then runs the cheapest. This experiment holds those prices
-accountable: for each scenario of
-:func:`repro.bench.planner_scenarios.planner_scenarios` — one workload
-per cost-model regime (uniform/skewed two-way, tiny build side, uniform
-and power-law triangles, path, star, Cartesian pair) — it executes
-*every* applicable candidate and reports predicted load, measured
-L_max, and their ratio.
+accountable: for each scenario of :func:`planner_scenarios` — one
+workload per cost-model regime — it executes *every* applicable
+candidate, chosen and rejected alike, and reports predicted load,
+measured L_max, their ratio and the round count.
+
+Each scenario is a conjunctive query plus seeded relations shaped so
+that exactly one strategy family should win on predicted load — a
+uniform two-way join for ``hash``, a tiny build side for ``broadcast``,
+a Zipf-skewed join for ``skew``, uniform and power-law triangles for
+``hypercube`` / ``skewhc``, an acyclic path for ``gym``, a star for
+``hypercube`` again, and a variable-disjoint pair for ``cartesian``.
 
 Asserted shape:
 
@@ -18,19 +23,154 @@ Asserted shape:
   envelope (the same ``factor · predicted + additive`` discipline the
   ``selftest --planner`` gate uses).
 
-The committed BENCH_7 artifact is produced by the measured counterpart:
-``python -m repro bench --x7`` (see :mod:`repro.bench.runner`).
+``python -m repro run x7`` runs the sweep at full size and exits
+non-zero when any of the three fails.
 """
 
-import time
+from __future__ import annotations
 
-from repro.bench.planner_scenarios import planner_scenarios
+from dataclasses import dataclass
+from typing import Mapping
+
+from repro.data.generators import (
+    skewed_relation,
+    uniform_relation,
+)
+from repro.data.graphs import power_law_edges, random_edges, triangle_relations
+from repro.data.relation import Relation
 from repro.planner.optimizer import execute_strategy, plan_query
 from repro.query.parser import parse_query
 
 from common import print_table
 
 RATIO_CEILING = 2.0
+HEADERS = ["scenario", "strategy", "", "predicted L", "measured L",
+           "ratio", "rounds"]
+
+
+@dataclass(frozen=True)
+class PlannerScenario:
+    """One planner workload: query text, inputs, and the expected winner."""
+
+    name: str
+    query: str
+    relations: Mapping[str, Relation]
+    p: int
+    seed: int
+    expect: str  # the strategy the cost model should choose here
+
+
+def planner_scenarios(quick: bool = False) -> list[PlannerScenario]:
+    """The committed scenario set (smaller sizes under ``quick``)."""
+    scale = 4 if quick else 1
+    scenarios: list[PlannerScenario] = []
+
+    # Uniform two-way join: no skew, both sides large -> hash wins the
+    # IN/p regime (hypercube ties and loses the precedence tiebreak).
+    n = 20_000 // scale
+    scenarios.append(PlannerScenario(
+        name="two_way_uniform",
+        query="R(x, y), S(y, z)",
+        relations={
+            "R": uniform_relation("R", ("x", "y"), n, 4_000 // scale, seed=701),
+            "S": uniform_relation("S", ("y", "z"), n, 4_000 // scale, seed=702),
+        },
+        p=16, seed=7, expect="hash",
+    ))
+
+    # One tiny side: replicating it everywhere is cheaper than
+    # repartitioning the big side.
+    n = 12_000 // scale
+    scenarios.append(PlannerScenario(
+        name="broadcast_small_side",
+        query="R(x, y), S(y, z)",
+        relations={
+            "R": uniform_relation("R", ("x", "y"), n, 1_200 // scale, seed=711),
+            "S": uniform_relation("S", ("y", "z"), 150, 1_200 // scale, seed=712),
+        },
+        p=16, seed=7, expect="broadcast",
+    ))
+
+    # Zipf-skewed join key: heavy hitters void the hash guarantee; the
+    # two-phase skew join prices below broadcast and hash.
+    n = 6_000 // scale
+    scenarios.append(PlannerScenario(
+        name="two_way_zipf",
+        query="R(x, y), S(y, z)",
+        relations={
+            "R": skewed_relation("R", ["x", "y"], n, "y",
+                                 universe=600 // scale, s=1.3, seed=721),
+            "S": skewed_relation("S", ["y", "z"], n, "y",
+                                 universe=600 // scale, s=1.3, seed=722),
+        },
+        p=16, seed=7, expect="skew",
+    ))
+
+    # Uniform triangle: the one-round HyperCube regime.
+    n = 4_000 // scale
+    edges = random_edges(n, 300 // scale, seed=731)
+    r, s, t = triangle_relations(edges)
+    scenarios.append(PlannerScenario(
+        name="triangle_uniform",
+        query="R(x, y), S(y, z), T(z, x)",
+        relations={"R": r, "S": s, "T": t},
+        p=16, seed=7, expect="hypercube",
+    ))
+
+    # Power-law triangle: degree skew voids plain HyperCube; SkewHC's
+    # residual decomposition is the only guaranteed one-round plan.
+    n = 3_000 // scale
+    edges = power_law_edges(n, 400 // scale, s=1.4, seed=741)
+    r, s, t = triangle_relations(edges)
+    scenarios.append(PlannerScenario(
+        name="triangle_power_law",
+        query="R(x, y), S(y, z), T(z, x)",
+        relations={"R": r, "S": s, "T": t},
+        p=16, seed=7, expect="skewhc",
+    ))
+
+    # Acyclic path, sparse joins (domain ~ n, so OUT stays near IN):
+    # GYM's (IN+OUT)/p multi-round bound beats the one-round shares'
+    # IN/p^{1/2} on a length-3 chain.
+    n = 3_000 // scale
+    scenarios.append(PlannerScenario(
+        name="path_three",
+        query="R(x, y), S(y, z), T(z, w)",
+        relations={
+            "R": uniform_relation("R", ("x", "y"), n, 2_000 // scale, seed=751),
+            "S": uniform_relation("S", ("y", "z"), n, 2_000 // scale, seed=752),
+            "T": uniform_relation("T", ("z", "w"), n, 2_000 // scale, seed=753),
+        },
+        p=8, seed=7, expect="gym",
+    ))
+
+    # Star: high fractional edge packing keeps HyperCube's one-round
+    # share allocation ahead of the multi-round plans.
+    n = 3_000 // scale
+    scenarios.append(PlannerScenario(
+        name="star_three",
+        query="R(x, y), S(x, z), T(x, w)",
+        relations={
+            "R": uniform_relation("R", ("x", "y"), n, 600 // scale, seed=761),
+            "S": uniform_relation("S", ("x", "z"), n, 600 // scale, seed=762),
+            "T": uniform_relation("T", ("x", "w"), n, 600 // scale, seed=763),
+        },
+        p=16, seed=7, expect="hypercube",
+    ))
+
+    # Variable-disjoint pair: a pure Cartesian product; the p_1 x p_2
+    # grid beats broadcasting either side.
+    n = 250 if not quick else 120
+    scenarios.append(PlannerScenario(
+        name="product_pair",
+        query="R(a, b), S(c, d)",
+        relations={
+            "R": uniform_relation("R", ("a", "b"), n, 200, seed=771),
+            "S": uniform_relation("S", ("c", "d"), n, 200, seed=772),
+        },
+        p=16, seed=7, expect="cartesian",
+    ))
+    return scenarios
 
 
 def planner_experiment(quick=True):
@@ -47,12 +187,10 @@ def planner_experiment(quick=True):
         for candidate in explain.candidates:
             if not candidate.applicable:
                 continue
-            start = time.perf_counter()
             _, stats = execute_strategy(
                 cq, scenario.relations, scenario.p, candidate.strategy,
                 seed=scenario.seed,
             )
-            seconds = time.perf_counter() - start
             predicted = candidate.predicted_load or 0.0
             ratio = stats.max_load / predicted if predicted > 0 else 0.0
             chosen = candidate.strategy == explain.chosen
@@ -70,8 +208,7 @@ def planner_experiment(quick=True):
             rows.append((
                 scenario.name, candidate.strategy,
                 "chosen" if chosen else "",
-                predicted, stats.max_load, ratio,
-                stats.num_rounds, seconds,
+                predicted, stats.max_load, ratio, stats.num_rounds,
             ))
     return rows
 
@@ -79,10 +216,7 @@ def planner_experiment(quick=True):
 def test_x7_planner_predictions(benchmark):
     rows = benchmark.pedantic(planner_experiment, rounds=1, iterations=1)
     print_table(
-        "X7 planner predicted vs measured load (quick sizes)",
-        ["scenario", "strategy", "", "predicted L", "measured L",
-         "ratio", "rounds", "seconds"],
-        rows,
+        "X7 planner predicted vs measured load (quick sizes)", HEADERS, rows
     )
     # Every scenario produced exactly one chosen row, and the winner's
     # measured load never beats a rejected candidate's by the kind of
@@ -94,8 +228,6 @@ def test_x7_planner_predictions(benchmark):
 
 if __name__ == "__main__":
     print_table(
-        "X7 planner predicted vs measured load",
-        ["scenario", "strategy", "", "predicted L", "measured L",
-         "ratio", "rounds", "seconds"],
+        "X7 planner predicted vs measured load", HEADERS,
         planner_experiment(quick=False),
     )

@@ -6,7 +6,6 @@ Usage::
     python -m repro run t3 f5 ...        # run selected experiments
     python -m repro run all              # run everything (minutes)
     python -m repro selftest             # differential correctness gate
-    python -m repro bench --quick        # measured wall-time benchmarks
     python -m repro serve --clients 8    # concurrent query service + load
 
 Each experiment prints the same rows the tutorial reports; the mapping
@@ -47,7 +46,6 @@ _EXPERIMENTS = {
     "x1": "bench_x1_extensions",
     "x2": "bench_x2_open_problems",
     "x3": "bench_x3_faults",
-    "x4": "bench_x4_backend_scaling",
     "x7": "bench_x7_planner",
     "ablations": "bench_ablations",
 }
@@ -81,11 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         add_help=False,
     )
     sub.add_parser(
-        "bench",
-        help="run the measured benchmarks and write BENCH_3.json",
-        add_help=False,
-    )
-    sub.add_parser(
         "serve",
         help="run the concurrent query service under a client load",
         add_help=False,
@@ -98,10 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.testing.selftest import main as selftest_main
 
         return selftest_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        from repro.bench.runner import main as bench_main
-
-        return bench_main(argv[1:])
     if argv[:1] == ["serve"]:
         from repro.service.cli import main as serve_main
 

@@ -1,37 +1,18 @@
-"""Measured wall-time benchmarks (``python -m repro bench``).
+"""Historical-record reader for the committed ``BENCH_*.json`` files.
 
-Unlike :mod:`repro.theory`, which predicts loads analytically, and the
-``benchmarks/`` scripts, which print the tutorial's tables, this package
-*measures*: curated experiments at fixed seeds and sizes, wall-clock
-timed, written as a schema-validated JSON document (``BENCH_3.json``)
-together with kernels on/off speedup pairs whose model-visible behavior
-(``L_max``, rounds, output) is verified identical. A comparator diffs
-two BENCH files and flags wall-time regressions beyond a threshold.
+No writer, no CLI: :func:`validate_bench` checks a document against the
+``repro-bench/1`` schema and :func:`compare_bench` diffs two of them.
+Wall time is measured by ``python -m perfbench``; paper conformance
+(``L``, ``r`` and the closed-form bounds) by ``python -m repro run``.
 """
 
 from repro.bench.compare import BenchComparison, ComparisonEntry, compare_bench
-from repro.bench.experiments import EXPERIMENTS, Experiment, experiment
-from repro.bench.runner import (
-    machine_info,
-    main,
-    run_bench,
-    run_experiment,
-    run_speedup,
-)
 from repro.bench.schema import SCHEMA_VERSION, validate_bench
 
 __all__ = [
-    "EXPERIMENTS",
     "BenchComparison",
     "ComparisonEntry",
-    "Experiment",
     "SCHEMA_VERSION",
     "compare_bench",
-    "experiment",
-    "machine_info",
-    "main",
-    "run_bench",
-    "run_experiment",
-    "run_speedup",
     "validate_bench",
 ]

@@ -32,11 +32,11 @@ resident-over-snapshot savings ratios (``x9:{workload}/dispatch`` and
 service got slower, or the protocol/memo layer stopped saving what it
 used to.
 
-Comparing files measured at different sizes (``--quick`` vs full) is
+Comparing files measured at different sizes (``quick`` vs full) is
 refused: the ratio would be meaningless. So is comparing files measured
 under different execution backends (``machine.backend`` — inline vs a
-process pool), unless ``force=True`` (CLI ``--force``): the wall-clock
-difference would measure the backend, not the code under test.
+process pool), unless ``force=True``: the wall-clock difference would
+measure the backend, not the code under test.
 """
 
 from __future__ import annotations
@@ -183,6 +183,40 @@ def _backend_fingerprint(document: dict[str, Any]) -> tuple[str, int]:
     return (machine.get("backend", "inline"), machine.get("workers", 1))
 
 
+def _classify(
+    base: float,
+    cur: float,
+    threshold: float,
+    higher_is_better: bool,
+    floor: float | None,
+) -> str:
+    """Verdict for one baseline/current pair (see module doc)."""
+    if floor is not None and base < floor and cur < floor:
+        return "ok"  # both under the noise floor
+    if base <= 0 or cur <= 0:
+        # No ratio can be formed: a genuine measurement is strictly
+        # positive, so zero or negative means a corrupt or hand-edited
+        # file. Flag it instead of letting it fall through as "ok".
+        return "incomparable"
+    if cur > base * (1 + threshold):
+        return "improved" if higher_is_better else "regressed"
+    if cur < base / (1 + threshold):
+        return "regressed" if higher_is_better else "improved"
+    return "ok"
+
+
+# (extractor, unit, higher is better, noise floor applies), in entry
+# order. Only wall time has a noise floor: the x7 load ratio is
+# deterministic at the committed seeds.
+_QUANTITIES = (
+    (_times_by_name, "s", False, True),
+    (_x7_ratios_by_pair, "x", False, False),
+    (_x8_throughputs_by_arm, "q/s", True, False),
+    (_x9_ratios_by_workload, "x", True, False),
+    (_x10_ratios_by_scenario, "x", True, False),
+)
+
+
 def compare_bench(
     baseline: dict[str, Any],
     current: dict[str, Any],
@@ -204,103 +238,23 @@ def compare_bench(
             "refusing to compare BENCH files from different execution "
             f"backends: baseline {base_backend[0]} (workers="
             f"{base_backend[1]}), current {cur_backend[0]} (workers="
-            f"{cur_backend[1]}); pass --force to diff anyway"
+            f"{cur_backend[1]}); pass force=True to diff anyway"
         )
-    base_times = _times_by_name(baseline)
-    cur_times = _times_by_name(current)
     comparison = BenchComparison(threshold=threshold, min_seconds=min_seconds)
-    for name, base_s in base_times.items():
-        if name not in cur_times:
-            comparison.entries.append(
-                ComparisonEntry(name, base_s, None, "missing")
+    for extract, unit, higher_is_better, has_floor in _QUANTITIES:
+        base_values, cur_values = extract(baseline), extract(current)
+        floor = min_seconds if has_floor else None
+        for name, base in base_values.items():
+            cur = cur_values.get(name)
+            status = "missing" if cur is None else _classify(
+                base, cur, threshold, higher_is_better, floor
             )
-            continue
-        cur_s = cur_times[name]
-        if base_s < min_seconds and cur_s < min_seconds:
-            status = "ok"  # both under the noise floor
-        elif base_s <= 0 or cur_s <= 0:
-            # No ratio can be formed: a genuine measurement is never
-            # exactly zero (and negative means a corrupt file), while the
-            # other side is above the noise floor. Flag it instead of
-            # letting it fall through as "ok".
-            status = "incomparable"
-        elif cur_s > base_s * (1 + threshold):
-            status = "regressed"
-        elif cur_s < base_s / (1 + threshold):
-            status = "improved"
-        else:
-            status = "ok"
-        comparison.entries.append(ComparisonEntry(name, base_s, cur_s, status))
-    for name, cur_s in cur_times.items():
-        if name not in base_times:
-            comparison.entries.append(ComparisonEntry(name, None, cur_s, "new"))
-    # x7 planner entries: compare the measured/predicted load ratio per
-    # (scenario, strategy) pair. The quantity is dimensionless and
-    # deterministic at the committed seeds — no noise floor applies; a
-    # drift beyond the threshold means the cost model's predictions
-    # genuinely moved against the executors (or vice versa).
-    base_x7 = _x7_ratios_by_pair(baseline)
-    cur_x7 = _x7_ratios_by_pair(current)
-    for name, base_r in base_x7.items():
-        if name not in cur_x7:
             comparison.entries.append(
-                ComparisonEntry(name, base_r, None, "missing", unit="x")
+                ComparisonEntry(name, base, cur, status, unit=unit)
             )
-            continue
-        cur_r = cur_x7[name]
-        if base_r <= 0 or cur_r <= 0:
-            # A genuine ratio is strictly positive (predicted and
-            # measured loads both are); zero or negative means a corrupt
-            # or hand-edited file and must not pass silently.
-            status = "incomparable"
-        elif cur_r > base_r * (1 + threshold):
-            status = "regressed"
-        elif cur_r < base_r / (1 + threshold):
-            status = "improved"
-        else:
-            status = "ok"
-        comparison.entries.append(
-            ComparisonEntry(name, base_r, cur_r, status, unit="x")
-        )
-    for name, cur_r in cur_x7.items():
-        if name not in base_x7:
-            comparison.entries.append(
-                ComparisonEntry(name, None, cur_r, "new", unit="x")
-            )
-    # x8 throughput and x9 protocol-savings entries: higher is better,
-    # so the classification flips — a drop beyond the threshold is the
-    # regression. Both quantities are strictly positive in a genuine
-    # file; zero or negative on either side is flagged, not skipped.
-    for higher_better, unit in (
-        (( _x8_throughputs_by_arm(baseline), _x8_throughputs_by_arm(current)),
-         "q/s"),
-        ((_x9_ratios_by_workload(baseline), _x9_ratios_by_workload(current)),
-         "x"),
-        ((_x10_ratios_by_scenario(baseline), _x10_ratios_by_scenario(current)),
-         "x"),
-    ):
-        base_values, cur_values = higher_better
-        for name, base_v in base_values.items():
-            if name not in cur_values:
-                comparison.entries.append(
-                    ComparisonEntry(name, base_v, None, "missing", unit=unit)
-                )
-                continue
-            cur_v = cur_values[name]
-            if base_v <= 0 or cur_v <= 0:
-                status = "incomparable"
-            elif cur_v < base_v / (1 + threshold):
-                status = "regressed"
-            elif cur_v > base_v * (1 + threshold):
-                status = "improved"
-            else:
-                status = "ok"
-            comparison.entries.append(
-                ComparisonEntry(name, base_v, cur_v, status, unit=unit)
-            )
-        for name, cur_v in cur_values.items():
+        for name, cur in cur_values.items():
             if name not in base_values:
                 comparison.entries.append(
-                    ComparisonEntry(name, None, cur_v, "new", unit=unit)
+                    ComparisonEntry(name, None, cur, "new", unit=unit)
                 )
     return comparison

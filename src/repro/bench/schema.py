@@ -9,7 +9,7 @@ A BENCH file is a JSON document::
                   # optional, absent in pre-backend files (== inline):
                   "backend": str, "workers": int},
       "kernels": bool,          # kernels enabled for the experiment runs
-      "quick": bool,            # --quick sizes
+      "quick": bool,            # measured at the reduced sizes
       "experiments": [
         {"name": str, "n": int, "p": int, "seconds": float,
          "L_max": int, "rounds": int, "out_size": int}, ...
@@ -21,7 +21,7 @@ A BENCH file is a JSON document::
          "identical": bool,    # on/off stats + output byte-identical
          "oracle_ok": bool}, ...
       ],
-      "scaling": [              # optional: backend-scaling sweep (x4)
+      "scaling": [              # optional: backend-scaling sweep
         {"name": str, "n": int, "p": int,
          "backend": str, "workers": int,
          "seconds": float, "speedup": float,   # inline_s / this_s
@@ -85,10 +85,9 @@ A BENCH file is a JSON document::
 
 Validation is hand-rolled (no jsonschema dependency): it returns a flat
 list of human-readable error strings, empty when the document conforms.
-Unknown keys are ignored, so committed files keep validating after a
-section's runner is retired; ``x9`` and ``x10`` have no runner any more
-and are validated only so ``BENCH_9.json``/``BENCH_10.json`` stay
-checkable and diffable.
+Unknown keys are ignored. No section has a writer any more; they are
+validated so the committed ``BENCH_*.json`` records stay checkable and
+diffable.
 """
 
 from __future__ import annotations
@@ -104,14 +103,13 @@ _MACHINE_FIELDS: dict[str, type] = {
     "python": str,
     "numpy": str,
     "cpu_count": int,
-}
-
-# Written by every current runner, but optional so files from before the
-# execution-backend layer still validate (their absence means inline).
-_MACHINE_OPTIONAL_FIELDS: dict[str, type] = {
     "backend": str,
     "workers": int,
 }
+
+# Optional so files from before the execution-backend layer still
+# validate (their absence means inline).
+_MACHINE_OPTIONAL = ("backend", "workers")
 
 _EXPERIMENT_FIELDS: dict[str, tuple[type, ...]] = {
     "name": (str,),
@@ -136,17 +134,12 @@ _SPEEDUP_FIELDS: dict[str, tuple[type, ...]] = {
     "oracle_ok": (bool,),
 }
 
+# A scaling record is an experiment record measured under a named backend.
 _SCALING_FIELDS: dict[str, tuple[type, ...]] = {
-    "name": (str,),
-    "n": (int,),
-    "p": (int,),
+    **_EXPERIMENT_FIELDS,
     "backend": (str,),
     "workers": (int,),
-    "seconds": (int, float),
     "speedup": (int, float),
-    "L_max": (int,),
-    "rounds": (int,),
-    "out_size": (int,),
     "identical": (bool,),
 }
 
@@ -255,6 +248,52 @@ def _check_record(
             errors.append(f"{where}.{field}: must be non-negative, got {value!r}")
 
 
+# (name, fields, uniqueness key, closed string vocabularies); only
+# "experiments" is mandatory, every other section may be absent.
+_SECTIONS = (
+    ("experiments", _EXPERIMENT_FIELDS, ("name",), {}),
+    ("speedups", _SPEEDUP_FIELDS, (), {}),
+    ("scaling", _SCALING_FIELDS, (), {"backend": ("inline", "process")}),
+    ("x7", _X7_FIELDS, ("name", "strategy"), {}),
+    ("x8", _X8_FIELDS, ("name",), {}),
+    ("x9", _X9_FIELDS, ("name", "protocol"),
+     {"protocol": ("resident", "snapshot")}),
+    ("x10", _X10_FIELDS, ("name",), {}),
+)
+
+
+def _check_sections(document: dict[str, Any], errors: list[str]) -> None:
+    for name, fields, unique, vocabularies in _SECTIONS:
+        required = name == "experiments"
+        records = document.get(name, None if required else [])
+        if not isinstance(records, list) or (required and not records):
+            kind = "a non-empty list" if required else "a list"
+            errors.append(f"{name}: expected {kind}")
+            continue
+        label = unique[0] if len(unique) == 1 else f"({', '.join(unique)})"
+        seen: set[tuple[str, ...]] = set()
+        for i, record in enumerate(records):
+            where = f"{name}[{i}]"
+            _check_record(record, fields, where, errors)
+            if not isinstance(record, dict):
+                continue
+            for field, allowed in vocabularies.items():
+                value = record.get(field)
+                if isinstance(value, str) and value not in allowed:
+                    errors.append(
+                        f"{where}.{field}: expected "
+                        f"{' or '.join(map(repr, allowed))}, got {value!r}"
+                    )
+            key = tuple(record.get(field) for field in unique)
+            # Only well-typed keys are compared; a missing or mistyped
+            # key field is already reported by _check_record.
+            if key and all(isinstance(part, str) for part in key):
+                if key in seen:
+                    shown = key[0] if len(key) == 1 else key
+                    errors.append(f"{where}: duplicate {label} {shown!r}")
+                seen.add(key)
+
+
 def validate_bench(document: Any) -> list[str]:
     """All schema violations in ``document`` (empty list = valid)."""
     errors: list[str] = []
@@ -269,105 +308,13 @@ def validate_bench(document: Any) -> list[str]:
         errors.append("machine: expected an object")
     else:
         for field, typ in _MACHINE_FIELDS.items():
-            value = machine.get(field)
-            if not isinstance(value, typ) or isinstance(value, bool):
-                errors.append(f"machine.{field}: expected {typ.__name__}")
-        for field, typ in _MACHINE_OPTIONAL_FIELDS.items():
-            if field not in machine:
+            if field in _MACHINE_OPTIONAL and field not in machine:
                 continue
-            value = machine[field]
+            value = machine.get(field)
             if not isinstance(value, typ) or isinstance(value, bool):
                 errors.append(f"machine.{field}: expected {typ.__name__}")
     for flag in ("kernels", "quick"):
         if not isinstance(document.get(flag), bool):
             errors.append(f"{flag}: expected a bool")
-    experiments = document.get("experiments")
-    if not isinstance(experiments, list) or not experiments:
-        errors.append("experiments: expected a non-empty list")
-    else:
-        seen: set[str] = set()
-        for i, record in enumerate(experiments):
-            _check_record(record, _EXPERIMENT_FIELDS, f"experiments[{i}]", errors)
-            name = record.get("name") if isinstance(record, dict) else None
-            if isinstance(name, str):
-                if name in seen:
-                    errors.append(f"experiments[{i}]: duplicate name {name!r}")
-                seen.add(name)
-    speedups = document.get("speedups", [])  # optional: absent == none run
-    if not isinstance(speedups, list):
-        errors.append("speedups: expected a list")
-    else:
-        for i, record in enumerate(speedups):
-            _check_record(record, _SPEEDUP_FIELDS, f"speedups[{i}]", errors)
-    scaling = document.get("scaling", [])  # optional: only x4 runs emit it
-    if not isinstance(scaling, list):
-        errors.append("scaling: expected a list")
-    else:
-        for i, record in enumerate(scaling):
-            _check_record(record, _SCALING_FIELDS, f"scaling[{i}]", errors)
-            if isinstance(record, dict):
-                backend = record.get("backend")
-                if isinstance(backend, str) and backend not in ("inline", "process"):
-                    errors.append(
-                        f"scaling[{i}].backend: expected 'inline' or "
-                        f"'process', got {backend!r}"
-                    )
-    x7 = document.get("x7", [])  # optional: only planner (x7) runs emit it
-    if not isinstance(x7, list):
-        errors.append("x7: expected a list")
-    else:
-        pairs: set[tuple[Any, Any]] = set()
-        for i, record in enumerate(x7):
-            _check_record(record, _X7_FIELDS, f"x7[{i}]", errors)
-            if isinstance(record, dict):
-                pair = (record.get("name"), record.get("strategy"))
-                if pair in pairs:
-                    errors.append(
-                        f"x7[{i}]: duplicate (name, strategy) pair {pair!r}"
-                    )
-                pairs.add(pair)
-    x8 = document.get("x8", [])  # optional: only service (x8) runs emit it
-    if not isinstance(x8, list):
-        errors.append("x8: expected a list")
-    else:
-        names: set[Any] = set()
-        for i, record in enumerate(x8):
-            _check_record(record, _X8_FIELDS, f"x8[{i}]", errors)
-            if isinstance(record, dict):
-                name = record.get("name")
-                if name in names:
-                    errors.append(f"x8[{i}]: duplicate name {name!r}")
-                names.add(name)
-    x9 = document.get("x9", [])  # optional: only BENCH_9.json carries it
-    if not isinstance(x9, list):
-        errors.append("x9: expected a list")
-    else:
-        arms: set[tuple[Any, Any]] = set()
-        for i, record in enumerate(x9):
-            _check_record(record, _X9_FIELDS, f"x9[{i}]", errors)
-            if isinstance(record, dict):
-                protocol = record.get("protocol")
-                if isinstance(protocol, str) and protocol not in (
-                    "resident", "snapshot"
-                ):
-                    errors.append(
-                        f"x9[{i}].protocol: expected 'resident' or "
-                        f"'snapshot', got {protocol!r}"
-                    )
-                arm = (record.get("name"), protocol)
-                if arm in arms:
-                    errors.append(f"x9[{i}]: duplicate (name, protocol) {arm!r}")
-                arms.add(arm)
-    x10 = document.get("x10", [])  # optional: only BENCH_10.json carries it
-    if not isinstance(x10, list):
-        errors.append("x10: expected a list")
-    else:
-        scenario_names: set[Any] = set()
-        for i, record in enumerate(x10):
-            _check_record(record, _X10_FIELDS, f"x10[{i}]", errors)
-            if isinstance(record, dict):
-                name = record.get("name")
-                if name in scenario_names:
-                    errors.append(f"x10[{i}]: duplicate name {name!r}")
-                scenario_names.add(name)
+    _check_sections(document, errors)
     return errors

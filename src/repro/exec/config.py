@@ -4,8 +4,8 @@ Mirrors :mod:`repro.kernels.config`: the same three-layer priority
 decides which backend runs the per-server local computation of a round.
 
 1. :func:`use_backend` / :func:`set_backend` — an explicit in-process
-   override (``Engine(backend=...)``, the selftest's ``--backend both``
-   sweep, and the bench x4 harness use it);
+   override (``Engine(backend=...)`` and the selftest's ``--backend
+   both`` sweep use it);
 2. the environment — ``REPRO_BACKEND`` names the backend (``inline`` or
    ``process``) and ``REPRO_WORKERS`` the process-pool size;
 3. the defaults: ``inline`` (the single-process simulator, and what the

@@ -63,7 +63,7 @@ class ResultCache(LRU):
     """The one :class:`~repro.kernels.memo.LRU`, over :class:`CacheKey` → result.
 
     ``capacity <= 0`` disables caching entirely (every lookup is a miss
-    and stores are dropped) — the bench harness's "cache off" arm.
+    and stores are dropped).
     """
 
     def __init__(self, capacity: int = 256) -> None:

@@ -7,8 +7,8 @@ workload mix, under per-client tenant identities. Prints a throughput
 and admission report, and (with ``--check``) asserts every concurrent
 result byte-identical to a serial oracle pass.
 
-This is the interactive face of the same harness the x8 benchmark and
-``selftest --service`` run programmatically.
+This is the interactive face of the same harness ``selftest --service``
+runs programmatically.
 """
 
 from __future__ import annotations

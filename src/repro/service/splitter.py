@@ -18,7 +18,7 @@ needs no semantic analysis beyond picking the atom to split.
 to make the merged result *byte*-comparable against the unsplit run,
 :func:`merge_branches` and :func:`canonical` both order rows by the
 same total order (lexicographic on the tuple). The service's contract —
-asserted by the concurrency suite and the x8 bench — is
+asserted by the concurrency suite and ``serve --check`` — is
 
     canonical(merge_branches(branch outputs)) == canonical(unsplit output)
 

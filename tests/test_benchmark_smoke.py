@@ -5,18 +5,18 @@ figures; nothing else executes their experiment functions under pytest
 (the tier-1 suite only collects ``tests/``). This module imports each one
 and calls its experiment entry points with the smallest sizes they
 support, so a refactor that breaks a benchmark is caught before a
-release run. Marked ``slow``: the full sweep takes ~half a minute.
+release run. The sweep is marked ``slow`` (~half a minute); the
+inventory check and the x7 gate regression are tier-1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
-
-pytestmark = pytest.mark.slow
 
 _BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -59,8 +59,6 @@ EXPERIMENTS = [
      {"rates": (0.0, 0.2), "n_join": 400, "n_tri": 300}),
     ("bench_x3_faults", "checkpoint_interval_experiment",
      {"n": 400, "depth": 4, "intervals": (1, 4)}),
-    ("bench_x4_backend_scaling", "worker_scaling_experiment",
-     {"workers": (1, 2), "n_join": 400, "n_tri": 300}),
     ("bench_x7_planner", "planner_experiment", {"quick": True}),
     ("bench_ablations", "share_rounding_ablation", {}),
     ("bench_ablations", "threshold_ablation", {}),
@@ -82,10 +80,27 @@ def test_every_experiment_module_is_covered():
     """Each bench_* module contributes at least one smoke entry."""
     covered = {module for module, _, _ in EXPERIMENTS}
     on_disk = {p.stem for p in _BENCH_DIR.glob("bench_*.py")}
-    # bench_kernels is pytest-benchmark-only (no experiment function).
-    assert on_disk - covered == {"bench_kernels"}
+    assert on_disk - covered == set()
 
 
+def test_x7_sweep_fails_on_a_wrong_regime(monkeypatch):
+    """The planner gate (``python -m repro run x7``) can fail: a scenario
+    whose expected winner is not the planner's choice is an error, not a
+    printed line."""
+    x7 = importlib.import_module("bench_x7_planner")
+    scenario = x7.planner_scenarios(quick=True)[0]
+    assert scenario.expect == "hash"
+    monkeypatch.setattr(x7, "planner_scenarios", lambda quick: [scenario])
+    assert {row[:3] for row in x7.planner_experiment(quick=True)} >= {
+        (scenario.name, "hash", "chosen")
+    }
+    tampered = dataclasses.replace(scenario, expect="broadcast")
+    monkeypatch.setattr(x7, "planner_scenarios", lambda quick: [tampered])
+    with pytest.raises(AssertionError, match="regime winner is broadcast"):
+        x7.planner_experiment(quick=True)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "module_name, function_name, kwargs",
     EXPERIMENTS,

@@ -14,10 +14,19 @@ class TestMainFunction:
         out = capsys.readouterr().out
         for experiment_id in ("t1", "f7", "x1", "ablations"):
             assert experiment_id in out
+        assert "x4" not in out
 
     def test_unknown_id_errors(self, capsys):
         assert main(["run", "zz"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_bench_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as unknown:
+            main(["frobnicate"])
+        with pytest.raises(SystemExit) as bench:
+            main(["bench"])
+        assert bench.value.code == unknown.value.code != 0
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_run_one_experiment(self, capsys):
         assert main(["run", "f2"]) == 0

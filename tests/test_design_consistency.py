@@ -8,6 +8,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _files_matching(pattern, tree=ROOT / "src" / "repro"):
+    """Python files under ``tree`` whose text matches, relative to it."""
+    return sorted(
+        str(path.relative_to(tree))
+        for path in tree.rglob("*.py")
+        if re.search(pattern, path.read_text())
+    )
+
+
 class TestRowsEncapsulationLint:
     """No module outside data/relation.py may touch ``._rows`` directly.
 
@@ -76,22 +85,43 @@ class TestCacheInventoryLint:
 
     LRU_IDIOMS = r"move_to_end|popitem\(last=False\)|pop\(next\(iter\("
 
-    def _files_matching(self, pattern):
-        return sorted(
-            str(path.relative_to(ROOT / "src" / "repro"))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if re.search(pattern, path.read_text())
-        )
-
     def test_lru_bookkeeping_lives_only_in_memo(self):
-        assert self._files_matching(self.LRU_IDIOMS) == ["kernels/memo.py"]
+        assert _files_matching(self.LRU_IDIOMS) == ["kernels/memo.py"]
 
     def test_alignment_error_has_one_source(self):
-        assert self._files_matching(r"do not match") == ["kernels/memo.py"]
+        assert _files_matching(r"do not match") == ["kernels/memo.py"]
 
     def test_linprog_has_one_call_site(self):
         """Every LP goes through the value-keyed memo of ``query/lp.py``."""
-        assert self._files_matching(r"linprog") == ["query/lp.py"]
+        assert _files_matching(r"linprog") == ["query/lp.py"]
+
+
+class TestClockInventoryLint:
+    """Wall time is measured by ``perfbench/``; ``src/`` reads a clock
+    only where a seconds figure is part of a public result."""
+
+    CLOCKS = r"perf_counter|time\.time\(|process_time\(|monotonic\("
+
+    def test_src_reads_a_clock_in_three_places(self):
+        assert _files_matching(self.CLOCKS) == [
+            "exec/pool.py",       # ExecStats.worker_seconds
+            "service/cli.py",     # the `serve` load report
+            "service/service.py",  # ServiceResult.seconds
+        ]
+
+    def test_table_benches_read_no_clock(self):
+        assert _files_matching(self.CLOCKS, ROOT / "benchmarks") == []
+
+
+class TestBenchImportInventoryLint:
+    """``repro.bench`` is a leaf: only its own tests import it."""
+
+    def test_nothing_shipped_imports_repro_bench(self):
+        inside = [f for f in _files_matching(r"repro\.bench")
+                  if not f.startswith("bench/")]
+        assert inside == []
+        for tree in ("benchmarks", "perfbench", "examples"):
+            assert _files_matching(r"repro\.bench", ROOT / tree) == [], tree
 
 
 class TestExperimentIndex:
@@ -104,9 +134,8 @@ class TestExperimentIndex:
 
     def test_every_bench_is_indexed_or_support(self):
         design = (ROOT / "DESIGN.md").read_text()
-        support = {"common.py", "bench_kernels.py"}
         for path in (ROOT / "benchmarks").glob("*.py"):
-            if path.name in support:
+            if path.name == "common.py":
                 continue
             assert path.name in design, f"{path.name} missing from DESIGN.md"
 
@@ -115,8 +144,6 @@ class TestExperimentIndex:
 
         modules = set(_EXPERIMENTS.values())
         for path in (ROOT / "benchmarks").glob("bench_*.py"):
-            if path.stem == "bench_kernels":
-                continue  # timing benchmarks, not a paper table
             assert path.stem in modules, f"{path.stem} not runnable via CLI"
 
     def test_experiments_md_covers_all_ids(self):
