@@ -84,6 +84,13 @@ def _as_column(values: Any) -> np.ndarray:
     return array
 
 
+def _concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """One column from its ordered, same-dtype blocks."""
+    if not blocks:
+        return np.empty(0, dtype=np.int64)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 class Relation:
     """A named relation: schema + bag of tuples (duplicates allowed).
 
@@ -94,7 +101,7 @@ class Relation:
     [(1,), (1,)]
     """
 
-    __slots__ = ("name", "schema", "_rows", "_cols", "_chunks", "_colcache",
+    __slots__ = ("name", "schema", "_rows", "_cols", "_colcache",
                  "_version", "_borrowed", "_lock")
 
     def __init__(
@@ -105,11 +112,8 @@ class Relation:
     ) -> None:
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        # Ground truth: _cols when not None (column-primary), else _chunks
-        # (chunk-backed column-primary: per-column lists of blocks,
-        # concatenated lazily on first whole-column access), else _rows.
+        # Ground truth: _cols when not None (column-primary), else _rows.
         self._cols: list[np.ndarray] | None = None
-        self._chunks: list[list[np.ndarray]] | None = None
         self._rows: list[Row] | None = []
         # (mutation token, extracted columns or None) — row-primary cache.
         self._colcache: tuple[int, list | None] | None = None
@@ -160,9 +164,7 @@ class Relation:
             raise SchemaError(
                 f"column lengths differ: {[len(c) for c in cols]}"
             )
-        out._cols = cols
-        out._rows = None
-        return out
+        return out._adopt_columns(cols)
 
     @classmethod
     def from_chunks(
@@ -171,18 +173,16 @@ class Relation:
         schema: Schema | Sequence[str],
         chunk_lists: Sequence[Sequence[Any]],
     ) -> "Relation":
-        """Build a *chunk-backed* column-primary relation in O(#blocks).
+        """Build a column-primary relation from per-column lists of blocks.
 
         ``chunk_lists[i]`` is the ordered list of 1-D integer blocks that
-        make up column ``i``.  Nothing is concatenated here — a delivery
-        can append blocks in O(1) — and :meth:`__len__` answers from the
-        block lengths without copying; the first whole-column access
-        (:meth:`columns`, any operator) solidifies the chunks into
-        ordinary backing arrays.  Blocks of one column must share a
-        dtype so the deferred concatenation is value-exact.
+        make up column ``i``; each column is concatenated here and the
+        result goes through :meth:`from_columns` and its length check.
+        Blocks of one column must share a dtype so the concatenation is
+        value-exact.
         """
-        out = cls(name, schema)
-        arity = out.schema.arity
+        schema = schema if isinstance(schema, Schema) else Schema(schema)
+        arity = schema.arity
         if arity == 0:
             raise SchemaError("from_chunks needs at least one attribute")
         if len(chunk_lists) != arity:
@@ -190,18 +190,13 @@ class Relation:
                 f"{len(chunk_lists)} chunk lists for schema {name} of arity {arity}"
             )
         chunks = [[_as_column(b) for b in blocks] for blocks in chunk_lists]
-        lengths = [sum(len(b) for b in blocks) for blocks in chunks]
-        if len(set(lengths)) > 1:
-            raise SchemaError(f"column lengths differ: {lengths}")
         for blocks in chunks:
             if len({b.dtype for b in blocks}) > 1:
                 raise SchemaError(
                     "blocks of one column must share a dtype "
                     f"({[str(b.dtype) for b in blocks]})"
                 )
-        out._chunks = chunks
-        out._rows = None
-        return out
+        return cls.from_columns(name, schema, [_concatenated(b) for b in chunks])
 
     @classmethod
     def wrap(
@@ -250,35 +245,10 @@ class Relation:
             setattr(self, slot, value)
         self._lock = threading.Lock()
 
-    def _solidify_locked(self) -> None:
-        """Concatenate a chunk-backed view into ordinary backing arrays.
-
-        Caller must hold :attr:`_lock` (or own the relation).  ``_cols``
-        is installed *before* ``_chunks`` is dropped so an unlocked
-        reader that saw ``_chunks is None`` always finds ``_cols`` set.
-        """
-        chunks = self._chunks
-        if chunks is None:
-            return
-        self._cols = [
-            np.empty(0, dtype=np.int64) if not blocks
-            else blocks[0] if len(blocks) == 1
-            else np.concatenate(blocks)
-            for blocks in chunks
-        ]
-        self._chunks = None
-
-    def _solidify(self) -> None:
-        if self._chunks is None:
-            return
-        with self._lock:
-            self._solidify_locked()
-
     def _derive_rows(self) -> list[Row]:
         """The tuple store (caller must hold :attr:`_lock` or own the relation)."""
         rows = self._rows
         if rows is None:
-            self._solidify_locked()
             assert self._cols is not None
             rows = list(zip(*(c.tolist() for c in self._cols)))
             self._rows = rows
@@ -350,12 +320,8 @@ class Relation:
 
     @property
     def is_columnar(self) -> bool:
-        """Whether numpy columns are currently the primary representation.
-
-        True for both solid (``_cols``) and chunk-backed (``_chunks``)
-        column-primary relations.
-        """
-        return self._cols is not None or self._chunks is not None
+        """Whether numpy columns are currently the primary representation."""
+        return self._cols is not None
 
     def columns(self) -> list | None:
         """The columnar view: one ``int64``/``uint64`` array per attribute.
@@ -376,9 +342,6 @@ class Relation:
         if cols is not None:
             return cols
         with self._lock:
-            self._solidify_locked()
-            if self._cols is not None:
-                return self._cols
             cached = self._colcache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
@@ -397,7 +360,7 @@ class Relation:
         installed view is still dropped on the next token bump.
         """
         with self._lock:
-            if self._cols is not None or self._chunks is not None:
+            if self._cols is not None:
                 return
             if cols is not None and (
                 len(cols) == self.schema.arity
@@ -419,10 +382,6 @@ class Relation:
         return [cached[1][i] for i in idx]
 
     def __len__(self) -> int:
-        # A chunk-backed relation answers from block lengths, no concat.
-        chunks = self._chunks
-        if chunks is not None:
-            return sum(len(block) for block in chunks[0])
         if self._rows is not None:
             return len(self._rows)
         cols = self._cols
@@ -486,7 +445,6 @@ class Relation:
 
     def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
         """Projection (bag semantics: duplicates are kept)."""
-        self._solidify()
         idx = self.schema.indices(attributes)
         out = Relation(name or self.name, self.schema.project(attributes))
         if self._cols is not None:
@@ -508,7 +466,6 @@ class Relation:
 
     def select_eq(self, attribute: str, value: Any, name: str | None = None) -> "Relation":
         """Selection ``attribute == value``."""
-        self._solidify()
         i = self.schema.index(attribute)
         out = Relation(name or self.name, self.schema)
         if self._cols is not None and isinstance(value, (int, np.integer)) \
@@ -524,7 +481,6 @@ class Relation:
 
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Relation":
         """Rename attributes (the store is copied, tuples/arrays shared)."""
-        self._solidify()
         out = Relation(name or self.name, self.schema.rename(mapping))
         if self._cols is not None:
             return out._adopt_columns(list(self._cols))
@@ -533,7 +489,6 @@ class Relation:
 
     def key(self, attributes: Sequence[str]) -> list[Row]:
         """The key-tuple (projection) of every row, in row order."""
-        self._solidify()
         idx = self.schema.indices(attributes)
         if self._cols is not None:
             return list(zip(*(self._cols[i].tolist() for i in idx)))
@@ -541,7 +496,6 @@ class Relation:
 
     def column(self, attribute: str) -> list[Any]:
         """All values of one attribute, in row order."""
-        self._solidify()
         i = self.schema.index(attribute)
         if self._cols is not None:
             return self._cols[i].tolist()
@@ -570,8 +524,6 @@ class Relation:
         output's columns are all array operations, and no tuple is ever
         materialized.
         """
-        self._solidify()
-        other._solidify()
         shared = self.schema.common(other.schema)
         left_idx = self.schema.indices(shared)
         right_idx = other.schema.indices(shared)
@@ -625,8 +577,6 @@ class Relation:
 
     def semijoin(self, other: "Relation", name: str | None = None) -> "Relation":
         """Exact local semijoin ``self ⋉ other`` on the shared attributes."""
-        self._solidify()
-        other._solidify()
         shared = self.schema.common(other.schema)
         if not shared:
             out = Relation(name or self.name, self.schema)
@@ -665,7 +615,6 @@ class Relation:
 
     def sorted_by(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
         """Copy sorted lexicographically by the given attributes."""
-        self._solidify()
         idx = self.schema.indices(attributes)
         out = Relation(name or self.name, self.schema)
         if self._cols is not None:
@@ -690,32 +639,12 @@ def union_all(name: str, relations: Sequence[Relation]) -> Relation:
                 f"union_all schemas differ: {schema} vs {r.schema} ({r.name})"
             )
     out = Relation(name, schema)
-    if schema.arity and all(r.is_columnar for r in relations):
-        per_position: list[list[np.ndarray]] | None = []
-        for i in range(schema.arity):
-            blocks: list[np.ndarray] = []
-            for r in relations:
-                chunks = r._chunks
-                if chunks is not None:
-                    blocks.extend(chunks[i])
-                    continue
-                cols = r._cols
-                if cols is None:  # raced with a rows() demotion
-                    per_position = None
-                    break
-                blocks.append(cols[i])
-            if per_position is None:
-                break
-            per_position.append(blocks)
-        if per_position is not None and all(
-            len({b.dtype for b in blocks}) <= 1 for blocks in per_position
-        ):
-            # Zero-copy: adopt the blocks as a chunk-backed view; the
-            # concatenation happens only if a consumer asks for whole
-            # columns.
-            out._chunks = per_position
-            out._rows = None
-            return out
+    # Each _cols is read once, so a racing rows() demotion takes the row path.
+    columns = [r._cols for r in relations]
+    if schema.arity and all(cols is not None for cols in columns):
+        per_position = [[cols[i] for cols in columns] for i in range(schema.arity)]
+        if all(len({b.dtype for b in blocks}) == 1 for blocks in per_position):
+            return out._adopt_columns([_concatenated(b) for b in per_position])
     for r in relations:
         out._rows.extend(r.rows_readonly())
     return out

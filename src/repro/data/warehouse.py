@@ -5,7 +5,7 @@ and the orders/customers aggregate of slide 52. This module generates a
 coherent miniature warehouse so examples and benchmarks can run
 "realistic" multi-relation queries:
 
-- ``customers(cust, region, segment)`` — dimension, uniform;
+- ``customers(cust, region, segment)`` — dimension, uniform over 8 regions;
 - ``orders(order, cust, month)`` — fact, Zipf-skewed customer keys
   (whale customers);
 - ``lineitems(order, part, qty)`` — fact, fan-out per order;
@@ -67,11 +67,10 @@ def make_warehouse(
     n_parts: int = 200,
     lineitems_per_order: int = 3,
     customer_skew: float = 1.2,
-    n_regions: int = 8,
     seed: int = 0,
 ) -> Warehouse:
     """Generate a consistent star schema with skewed order ownership."""
-    if min(n_customers, n_orders, n_parts, lineitems_per_order, n_regions) <= 0:
+    if min(n_customers, n_orders, n_parts, lineitems_per_order) <= 0:
         raise ValueError("all warehouse dimensions must be positive")
     rng = np.random.default_rng(seed)
 
@@ -79,7 +78,7 @@ def make_warehouse(
         "Customers",
         ["cust", "region", "segment"],
         [
-            (c, int(rng.integers(0, n_regions)), c % 5)
+            (c, int(rng.integers(0, 8)), c % 5)
             for c in range(n_customers)
         ],
     )

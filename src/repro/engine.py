@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 from repro.data.relation import Relation
 from repro.errors import OracleMismatchError, QueryError
-from repro.exec.config import use_backend
-from repro.kernels.config import use_kernels
 from repro.kernels.memo import align, cached_view, forget
 from repro.mpc.stats import MemoStats, RunStats
 from repro.planner.multiway import MultiwayPlan
@@ -75,23 +73,11 @@ class QueryResult:
 class Engine:
     """A registry of relations plus a planner-driven query runner."""
 
-    def __init__(
-        self,
-        p: int,
-        seed: int = 0,
-        kernels: bool | None = None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, p: int, seed: int = 0) -> None:
         if p <= 0:
             raise QueryError("the engine needs at least one server")
         self.p = p
         self.seed = seed
-        # None: follow the ambient REPRO_KERNELS setting; True/False: force
-        # the columnar kernels on/off for this engine's query executions.
-        self.kernels = kernels
-        # None: follow the ambient REPRO_BACKEND setting; "inline" or
-        # "process": force the execution backend for this engine's queries.
-        self.backend = backend
         self._relations: dict[str, Relation] = {}
 
     # --------------------------------------------------------------- catalog
@@ -181,20 +167,19 @@ class Engine:
 
         # Per call, so a concurrent query's hits are never reported here.
         counts = MemoStats()
-        with use_kernels(self.kernels), use_backend(self.backend):
-            aligned = {
-                atom.name: _align(atom, bindings[atom.name], counts)
-                for atom in cq.atoms
-            }
-            explain = plan_query(
-                cq, aligned, self.p, out_estimate=out_estimate, seed=self.seed
-            )
-            executed = explain.chosen if strategy == "auto" else strategy
-            output, stats = execute_strategy(
-                cq, aligned, self.p, executed, seed=self.seed
-            )
-            plan = self._wrap_plan(cq, aligned, explain, executed)
-            return QueryResult(output, plan, stats, counts.view_hits, explain)
+        aligned = {
+            atom.name: _align(atom, bindings[atom.name], counts)
+            for atom in cq.atoms
+        }
+        explain = plan_query(
+            cq, aligned, self.p, out_estimate=out_estimate, seed=self.seed
+        )
+        executed = explain.chosen if strategy == "auto" else strategy
+        output, stats = execute_strategy(
+            cq, aligned, self.p, executed, seed=self.seed
+        )
+        plan = self._wrap_plan(cq, aligned, explain, executed)
+        return QueryResult(output, plan, stats, counts.view_hits, explain)
 
     def _wrap_plan(self, cq: ConjunctiveQuery, aligned: dict[str, Relation],
                    explain: ExplainResult, executed: str) -> TwoWayPlan | MultiwayPlan:

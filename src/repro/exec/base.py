@@ -211,29 +211,7 @@ class ProcessBackend(ExecutionBackend):
         common: Any = None,
         stats: ExecStats | None = None,
     ) -> list[Any]:
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        # The pool forks lazily, on first real work only.
-        from repro.exec.pool import UnpicklablePayloadError, get_pool
-        from repro.kernels.config import kernels_enabled
-
-        chunks = self._chunked(payloads)
-        pool = get_pool(self.workers)
-        try:
-            results, dispatch = pool.run(task, chunks, common, kernels_enabled())
-        except UnpicklablePayloadError:
-            # Same pure function, same order — byte-identical, just local.
-            if stats is not None:
-                stats.fallbacks += 1
-            return _inline.map_payloads(task, payloads, common, stats=stats)
-        if stats is not None:
-            stats.dispatches += 1
-            stats.chunks += len(chunks)
-            stats.items += len(payloads)
-            self._account(stats, dispatch)
-        self._warn_hot_fallback(dispatch, [task])
-        return self._merge_elementwise(task, payloads, results)
+        return self.map_payload_batch([(task, payloads, common)], stats=stats)[0]
 
     def map_payload_batch(
         self,
@@ -250,6 +228,7 @@ class ProcessBackend(ExecutionBackend):
         out: list[list[Any]] = [[] for _ in calls]
         if not live:
             return out
+        # The pool forks lazily, on first real work only.
         from repro.exec.pool import UnpicklablePayloadError, get_pool
         from repro.kernels.config import kernels_enabled
 

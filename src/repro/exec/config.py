@@ -1,11 +1,10 @@
 """Execution-backend selection.
 
-Mirrors :mod:`repro.kernels.config`: the same three-layer priority
-decides which backend runs the per-server local computation of a round.
+Three layers, highest priority first, decide which backend runs the
+per-server local computation of a round.
 
 1. :func:`use_backend` / :func:`set_backend` — an explicit in-process
-   override (``Engine(backend=...)`` and the selftest's ``--backend
-   both`` sweep use it);
+   override (the selftest's ``--backend both`` sweep uses it);
 2. the environment — ``REPRO_BACKEND`` names the backend (``inline`` or
    ``process``) and ``REPRO_WORKERS`` the process-pool size;
 3. the defaults: ``inline`` (the single-process simulator, and what the
@@ -79,9 +78,9 @@ def worker_count() -> int:
 def set_backend(name: str | None, workers: int | None = None) -> None:
     """Force the backend for this context (``None`` restores the env default).
 
-    Like :func:`repro.kernels.config.set_kernels`, the forcing is scoped
-    to the current :mod:`contextvars` context — process-wide for plain
-    single-threaded programs, per-thread once threads are involved.
+    The forcing is scoped to the current :mod:`contextvars` context —
+    process-wide for plain single-threaded programs, per-thread once
+    threads are involved.
     """
     name = _validated_backend(name) if name is not None else None
     if workers is not None:

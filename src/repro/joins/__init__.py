@@ -7,7 +7,7 @@ from repro.joins.cartesian import (
     optimal_rectangle,
     predicted_cartesian_load,
 )
-from repro.joins.hash_join import hash_partition_join, parallel_hash_join
+from repro.joins.hash_join import parallel_hash_join
 from repro.joins.heavy import allocate_servers, heavy_value_products
 from repro.joins.local import (
     cartesian_rows,
@@ -26,7 +26,6 @@ __all__ = [
     "cartesian_rows",
     "find_heavy_keys",
     "hash_join_rows",
-    "hash_partition_join",
     "heavy_value_products",
     "join_schemas",
     "merge_join_rows",

@@ -8,6 +8,7 @@ bundling the (gathered) output relation with the run's cost statistics.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.data.relation import Relation
@@ -15,6 +16,7 @@ from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import join_rows_columnar
+from repro.kernels.memo import key_degrees
 from repro.mpc.server import Server
 from repro.mpc.stats import RunStats
 
@@ -40,6 +42,27 @@ def join_schemas(r: Relation, s: Relation) -> tuple[tuple[str, ...], Schema]:
     shared = r.schema.common(s.schema)
     extra = [a for a in s.schema.attributes if a not in r.schema]
     return shared, Schema(list(r.schema.attributes) + extra)
+
+
+def estimate_join_size(
+    r: Relation, s: Relation, keys: Iterable[tuple] | None = None
+) -> int:
+    """Exact |R ⋈ S| = Σ_k deg_R(k)·deg_S(k) from the memoized key degrees.
+
+    ``keys`` restricts the sum to those join-key values (the skew join
+    sizes its heavy part this way, without building the light relations'
+    degrees). The simulator computes this exactly; a real system would
+    use sampled frequency sketches — the quantity, not its provenance,
+    is what the planner and the skew join's server allocation need.
+    Disjoint schemas share the empty key, which every row carries: the
+    sum is |R|·|S|.
+    """
+    shared = r.schema.common(s.schema)
+    r_degrees = key_degrees(r, r.schema.indices(shared))
+    s_degrees = key_degrees(s, s.schema.indices(shared))
+    if keys is None:
+        keys = r_degrees
+    return sum(r_degrees[k] * s_degrees[k] for k in keys)
 
 
 def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ one to every server and leave the big one in place. One round, load
 from __future__ import annotations
 
 from repro.data.relation import Relation
-from repro.joins.base import JoinRun, local_join, require_join_key
+from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
 from repro.mpc.cluster import Cluster
 
 
@@ -18,26 +18,25 @@ def broadcast_join(
     s: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
-    audit: bool | None = None,
 ) -> JoinRun:
     """Broadcast the smaller of R, S; join against the bigger in place."""
     require_join_key(r, s)
     small, big = (r, s) if len(r) <= len(s) else (s, r)
 
-    cluster = Cluster(p, seed=seed, audit=audit)
-    big_frag = cluster.scatter(big, f"{big.name}@in")
-    small_frag = cluster.scatter(small, f"{small.name}@in")
+    cluster = Cluster(p, seed=seed)
+    big_frag = cluster.scatter(big, "big@in")
+    small_frag = cluster.scatter(small, "small@in")
 
+    replica = "small@all"
     with cluster.round("broadcast") as rnd:
         for server in cluster.servers:
             for row in server.take(small_frag):
-                rnd.broadcast(f"{small.name}@all", row)
+                rnd.broadcast(replica, row)
 
     for server in cluster.servers:
         # Keep the user-facing attribute order: R's attributes first.
-        left_frag = big_frag if big is r else f"{small.name}@all"
-        right_frag = f"{small.name}@all" if big is r else big_frag
+        left_frag = big_frag if big is r else replica
+        right_frag = replica if big is r else big_frag
         local_join(
             server,
             left_frag,
@@ -47,8 +46,6 @@ def broadcast_join(
             "out",
         )
 
-    attrs = list(r.schema.attributes) + [
-        a for a in s.schema.attributes if a not in r.schema
-    ]
-    output = cluster.gather_relation("out", output_name, attrs)
+    _shared, schema = join_schemas(r, s)
+    output = cluster.gather_relation("out", "OUT", schema)
     return JoinRun(output, cluster.stats)

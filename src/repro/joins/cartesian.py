@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 
 from repro.data.relation import Relation
-from repro.data.schema import Schema
 from repro.errors import QueryError
-from repro.joins.base import JoinRun
+from repro.joins.base import JoinRun, join_schemas
 from repro.joins.local import cartesian_rows
 from repro.mpc.cluster import Cluster
 from repro.mpc.topology import Grid
@@ -54,21 +53,19 @@ def cartesian_product(
     s: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
-    audit: bool | None = None,
 ) -> JoinRun:
     """Distributed Cartesian product of R and S on a ``p``-server grid.
 
     The schemas must be disjoint (it is a product, not a join).
     """
-    if r.schema.common(s.schema):
+    shared, schema = join_schemas(r, s)
+    if shared:
         raise QueryError(
             f"{r.name} and {s.name} share attributes; use a join algorithm"
         )
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cartesian_on_cluster(cluster, r, s, output_fragment="out")
-    attrs = list(r.schema.attributes) + list(s.schema.attributes)
-    output = cluster.gather_relation("out", output_name, attrs)
+    output = cluster.gather_relation("out", "OUT", schema)
     return JoinRun(output, cluster.stats)
 
 
@@ -92,8 +89,8 @@ def cartesian_on_cluster(
     p1, p2 = optimal_rectangle(len(r), len(s), len(pool))
     grid = Grid([p1, p2])
 
-    r_frag = f"{r.name}@cart"
-    s_frag = f"{s.name}@cart"
+    r_frag = "L@cart"
+    s_frag = "R@cart"
     for i, row in enumerate(r):
         cluster.servers[pool[i % len(pool)]].fragment(r_frag).append(row)
     for i, row in enumerate(s):
@@ -118,8 +115,3 @@ def cartesian_on_cluster(
         left = server.take(f"{r_frag}@row")
         right = server.take(f"{s_frag}@col")
         server.fragment(output_fragment).extend(cartesian_rows(left, right))
-
-
-def product_schema(r: Relation, s: Relation) -> Schema:
-    """Schema of the product output (R's attributes then S's)."""
-    return Schema(list(r.schema.attributes) + list(s.schema.attributes))

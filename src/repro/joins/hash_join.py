@@ -5,14 +5,29 @@ Round 1 communication: every tuple of R and S is sent to server
 locally. With skew-free data (every join value of degree ≤ IN/p·…) the
 load concentrates at L = Θ(IN/p) (slides 24–25); a single heavy value of
 degree d pushes the load to Θ(d).
+
+The round exists once: :func:`scatter_and_route` is the communication
+half (also the light part of :func:`repro.joins.skew_join.skew_join`),
+:func:`one_round_hash_join` adds the distributed local join and the
+gather; :func:`parallel_hash_join` and
+:func:`repro.multiway.base.shuffle_join` are its two callers. Fragments
+are named by role (``L``/``R``), never after the input relations, so two
+inputs that share a ``name`` — a self-join written with ``rename`` —
+cannot collide.
 """
 
 from __future__ import annotations
 
 from repro.data.relation import Relation
-from repro.joins.base import JoinRun, distributed_local_join, require_join_key
+from repro.joins.base import (
+    JoinRun,
+    distributed_local_join,
+    join_schemas,
+    require_join_key,
+)
 from repro.kernels.memo import route
 from repro.mpc.cluster import Cluster
+from repro.mpc.stats import RunStats
 
 
 def parallel_hash_join(
@@ -20,62 +35,38 @@ def parallel_hash_join(
     s: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
-    audit: bool | None = None,
 ) -> JoinRun:
-    """One-round hash-partitioned natural join of R and S on ``p`` servers.
-
-    ``audit=True`` runs the round under the conservation checks of
-    :mod:`repro.mpc.audit` (default: the ambient ``audited()`` setting).
-    """
-    require_join_key(r, s)
-    cluster = Cluster(p, seed=seed, audit=audit)
-    hash_partition_join(cluster, r, s, output_fragment="out")
-    output = cluster.gather_relation("out", output_name, _out_attrs(r, s))
-    return JoinRun(output, cluster.stats)
+    """One-round hash-partitioned natural join of R and S on ``p`` servers."""
+    return JoinRun(*one_round_hash_join(r, s, p, seed, "hash-shuffle", "OUT"))
 
 
-def hash_partition_join(
-    cluster: Cluster,
-    r: Relation,
-    s: Relation,
-    output_fragment: str = "out",
-    hash_index: int = 0,
-) -> None:
-    """In-cluster primitive: scatter, shuffle by join key, join locally.
+def one_round_hash_join(
+    r: Relation, s: Relation, p: int, seed: int, label: str, name: str
+) -> tuple[Relation, RunStats]:
+    """Scatter, shuffle by join key in round ``label``, join locally, gather.
 
-    Leaves the output distributed in ``output_fragment`` so multi-round
-    plans can keep composing without gathering.
+    The gathered relation is called ``name``; it is also what the local
+    joins of a *following* round ship as their input's name.
     """
     shared = require_join_key(r, s)
-    r_frag = cluster.scatter(r, f"{r.name}@in")
-    s_frag = cluster.scatter(s, f"{s.name}@in")
-    shuffle_fragments_by_key(cluster, r, s, r_frag, s_frag, shared, hash_index)
-    distributed_local_join(
-        cluster, f"{r.name}@j", f"{s.name}@j", r, s, output_fragment
-    )
+    cluster = Cluster(p, seed=seed)
+    scatter_and_route(cluster, r, s, shared, label)
+    distributed_local_join(cluster, "L@j", "R@j", r, s, "out")
+    _shared, schema = join_schemas(r, s)
+    return cluster.gather_relation("out", name, schema), cluster.stats
 
 
-def shuffle_fragments_by_key(
-    cluster: Cluster,
-    r: Relation,
-    s: Relation,
-    r_fragment: str,
-    s_fragment: str,
-    shared: tuple[str, ...],
-    hash_index: int = 0,
+def scatter_and_route(
+    cluster: Cluster, r: Relation, s: Relation, shared: tuple[str, ...], label: str
 ) -> None:
-    """The round-1 communication: route both fragments by hashed join key."""
-    h = cluster.hash_function(hash_index)
-    with cluster.round("hash-shuffle") as rnd:
-        for rel, fragment in ((r, r_fragment), (s, s_fragment)):
-            route(
-                cluster, rnd, fragment, rel.schema.indices(shared), h,
-                f"{rel.name}@j", rel,
-            )
+    """Scatter both inputs, then route both by the hashed shared key.
 
-
-def _out_attrs(r: Relation, s: Relation) -> list[str]:
-    return list(r.schema.attributes) + [
-        a for a in s.schema.attributes if a not in r.schema
-    ]
+    One charged round called ``label``; leaves R's rows in ``L@j`` and
+    S's in ``R@j`` on the server their join key hashes to.
+    """
+    r_frag = cluster.scatter(r, "L@in")
+    s_frag = cluster.scatter(s, "R@in")
+    h = cluster.hash_function(0)
+    with cluster.round(label) as rnd:
+        for rel, frag, out in ((r, r_frag, "L@j"), (s, s_frag, "R@j")):
+            route(cluster, rnd, frag, rel.schema.indices(shared), h, out, rel)

@@ -49,7 +49,6 @@ def heavy_value_products(
     heavy_keys: list[Row],
     p: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[list[Row], list[RunStats]]:
     """Join R ⋈ S restricted to the given heavy join-key values.
 
@@ -98,13 +97,13 @@ def heavy_value_products(
     runs: list[RunStats] = []
     for key, p_b in big:
         rows, stats = _one_heavy_product(
-            r, s, r_groups[key], s_groups[key], extra_idx, p_b, seed, audit
+            r, s, r_groups[key], s_groups[key], extra_idx, p_b, seed
         )
         out_rows.extend(rows)
         runs.append(stats)
     if small:
         rows, stats = _packed_heavy_products(
-            r_groups, s_groups, small, extra_idx, p_small, seed, audit
+            r_groups, s_groups, small, extra_idx, p_small, seed
         )
         out_rows.extend(rows)
         runs.append(stats)
@@ -118,12 +117,11 @@ def _packed_heavy_products(
     extra_idx: tuple[int, ...],
     p: int,
     seed: int,
-    audit: bool | None = None,
 ) -> tuple[list[Row], RunStats]:
     """Many small heavy values share one pool, one server per value."""
     from repro.mpc.hashing import HashFamily
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     placement = HashFamily(seed + 77).function(0, p)
     for i, key in enumerate(keys):
         for j, row in enumerate(r_groups[key]):
@@ -162,12 +160,11 @@ def _one_heavy_product(
     extra_idx: tuple[int, ...],
     p_b: int,
     seed: int,
-    audit: bool | None = None,
 ) -> tuple[list[Row], RunStats]:
     """Grid product of one heavy value's tuples on ``p_b`` exclusive servers."""
     from repro.joins.cartesian import cartesian_on_cluster
 
-    cluster = Cluster(max(p_b, 1), seed=seed, audit=audit)
+    cluster = Cluster(max(p_b, 1), seed=seed)
     if not r_rows or not s_rows:
         return [], cluster.stats
 

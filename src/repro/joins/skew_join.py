@@ -16,7 +16,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.data.relation import Relation
-from repro.joins.base import JoinRun, local_join, require_join_key
+from repro.joins.base import (
+    JoinRun,
+    estimate_join_size,
+    join_schemas,
+    local_join,
+    require_join_key,
+)
+from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
 from repro.mpc.cluster import Cluster, combine_parallel
 
@@ -54,9 +61,7 @@ def skew_join(
     s: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
     threshold: float | tuple[float, float] | None = None,
-    audit: bool | None = None,
 ) -> JoinRun:
     """Skew-aware natural join: hash join for light values, grid products
     for heavy ones, all in one (model) round on disjoint server pools.
@@ -84,10 +89,11 @@ def skew_join(
     import math
 
     light_in = len(r_light) + len(s_light)
-    light_out_estimate = max(_join_size_estimate(r_light, s_light, r_idx, s_idx), 1)
-    heavy_out_estimate = max(
-        _join_size_estimate(r, s, r_idx, s_idx) - light_out_estimate, 0
+    out_estimate = estimate_join_size(r, s)
+    light_out_estimate = max(
+        out_estimate - estimate_join_size(r, s, keys=heavy_keys), 1
     )
+    heavy_out_estimate = max(out_estimate - light_out_estimate, 0)
     p_heavy = 0
     if heavy_keys and p > 1:
         best_split, best_cost = 1, math.inf
@@ -106,48 +112,19 @@ def skew_join(
     out_rows: list[Row] = []
 
     if p_light > 0 and (len(r_light) or len(s_light)):
-        light_cluster = Cluster(p_light, seed=seed, audit=audit)
-        _light_hash_join(light_cluster, r_light, s_light, shared)
+        light_cluster = Cluster(p_light, seed=seed)
+        scatter_and_route(light_cluster, r_light, s_light, shared, "hash-shuffle")
+        for server in light_cluster.servers:
+            local_join(server, "L@j", "R@j", r_light, s_light, "out")
         out_rows.extend(light_cluster.gather("out"))
         runs.append(light_cluster.stats)
 
     if heavy_keys and p_heavy > 0:
         heavy_rows, heavy_runs = heavy_value_products(
-            r, s, shared, heavy_keys, p_heavy, seed=seed, audit=audit
+            r, s, shared, heavy_keys, p_heavy, seed=seed
         )
         out_rows.extend(heavy_rows)
         runs.extend(heavy_runs)
 
-    attrs = list(r.schema.attributes) + [
-        a for a in s.schema.attributes if a not in r.schema
-    ]
-    output = Relation(output_name, attrs, out_rows)
-    return JoinRun(output, combine_parallel(p, runs))
-
-
-def _light_hash_join(
-    cluster: Cluster, r: Relation, s: Relation, shared: tuple[str, ...]
-) -> None:
-    from repro.joins.hash_join import shuffle_fragments_by_key
-
-    r_frag = cluster.scatter(r, f"{r.name}@in")
-    s_frag = cluster.scatter(s, f"{s.name}@in")
-    shuffle_fragments_by_key(cluster, r, s, r_frag, s_frag, shared)
-    for server in cluster.servers:
-        local_join(server, f"{r.name}@j", f"{s.name}@j", r, s, "out")
-
-
-def _join_size_estimate(
-    r: Relation, s: Relation, r_idx: tuple[int, ...], s_idx: tuple[int, ...]
-) -> int:
-    """Exact join cardinality Σ_k deg_R(k)·deg_S(k) from degree sketches.
-
-    The simulator computes this exactly; a real system would use sampled
-    frequency sketches — the quantity, not its provenance, is what the
-    allocation rule needs.
-    """
-    from collections import Counter
-
-    r_deg = Counter(tuple(row[i] for i in r_idx) for row in r)
-    s_deg = Counter(tuple(row[i] for i in s_idx) for row in s)
-    return sum(c * s_deg.get(k, 0) for k, c in r_deg.items())
+    _shared, schema = join_schemas(r, s)
+    return JoinRun(Relation("OUT", schema, out_rows), combine_parallel(p, runs))

@@ -30,8 +30,6 @@ def sort_join(
     s: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
-    audit: bool | None = None,
 ) -> JoinRun:
     """Sort-based natural join of R and S on ``p`` servers."""
     shared = require_join_key(r, s)
@@ -40,7 +38,7 @@ def sort_join(
     extra = [a for a in s.schema.attributes if a not in r.schema]
     extra_idx = s.schema.indices(extra)
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     # Tagged union: (key, origin, serial, original row). Tags ride along
     # for free (metadata of the tuple, not extra tuples). The serial
     # breaks ties so heavily duplicated keys spread across servers — the
@@ -78,13 +76,13 @@ def sort_join(
     runs = [cluster.stats]
     if straddling:
         heavy_rows, heavy_runs = heavy_value_products(
-            r, s, shared, sorted(straddling), max(p // 2, 1), seed=seed, audit=audit
+            r, s, shared, sorted(straddling), max(p // 2, 1), seed=seed
         )
         out_rows.extend(heavy_rows)
         runs.extend(heavy_runs)
 
     attrs = list(r.schema.attributes) + extra
-    output = Relation(output_name, attrs, out_rows)
+    output = Relation("OUT", attrs, out_rows)
     return JoinRun(output, combine_parallel(p, runs))
 
 

@@ -5,8 +5,8 @@ over integer columns, one-pass radix/hash partitioning, columnar local
 join/semijoin, and vectorized splitter search for PSRS. Every kernel is
 *exactly* equivalent to the tuple path it replaces — same rows, same
 order, same measured loads — and every dispatch site falls back to the
-tuple code when a column is not integer-typed or when kernels are
-disabled (``REPRO_KERNELS=off`` or :func:`set_kernels`).
+tuple code when a column is not integer-typed, or inside the
+reference hook :func:`use_kernels` ``(False)``.
 
 Submodules import lazily (PEP 562) so ``repro.data.relation`` can depend
 on :mod:`repro.kernels.config` without a cycle through ``repro.mpc``.
@@ -14,7 +14,7 @@ on :mod:`repro.kernels.config` without a cycle through ``repro.mpc``.
 
 from __future__ import annotations
 
-from repro.kernels.config import kernels_enabled, set_kernels, use_kernels
+from repro.kernels.config import kernels_enabled, use_kernels
 
 __all__ = [
     "bucket_tuple_columns",
@@ -31,7 +31,6 @@ __all__ = [
     "partition_indices",
     "searchsorted_buckets",
     "semijoin_mask",
-    "set_kernels",
     "splitmix64_array",
     "take_rows",
     "try_route",

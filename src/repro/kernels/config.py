@@ -1,56 +1,38 @@
-"""The kernel on/off gate.
+"""The kernel-rung reference hook.
 
-The vectorized columnar kernels are enabled by default and produce
-byte-identical results to the pure-Python tuple paths, so the switch
-exists for benchmarking the fallback and for differential testing, not
-for correctness escape hatches. Three layers, highest priority first:
+The vectorized columnar kernels produce byte-identical results to the
+pure-Python tuple loops, and which of the two runs is decided by the
+input: every kernel site falls to the scalar rung when it observes a
+column that is not integer-typed (``columns() is None``). Nothing a
+user sets selects the rung.
 
-1. :func:`use_kernels` / :func:`set_kernels` — an explicit in-process
-   override (the ``Engine(kernels=...)`` flag and the selftest use it);
-2. the ``REPRO_KERNELS`` environment variable — ``off``/``0``/``false``/
-   ``no`` disables the fast paths everywhere;
-3. the default: enabled.
+:func:`use_kernels` is the one in-process hook that forces the scalar
+rung on inputs the kernels *would* take: the equivalence suites and
+``python -m repro selftest --kernels on|off|both`` use it to run the
+tuple loops as the reference the kernels are compared against, and the
+process backend ships the coordinator's value to its workers.
 
 This module is import-light on purpose (stdlib only): the data layer
 consults :func:`kernels_enabled` without pulling in numpy.
 
-The override lives in a :class:`contextvars.ContextVar`, not a module
-global: concurrent threads (the :mod:`repro.service` workers) each see
-their own forcing, so one engine running ``kernels=False`` can never
-flip the fast paths out from under a neighbour mid-query. A thread that
-never forces anything falls through to the environment default, and
-:mod:`repro.service` propagates the submitter's context into its worker
-threads, so ambient forcing still crosses the queue boundary.
+The forcing lives in a :class:`contextvars.ContextVar`, not a module
+global: concurrent threads each see their own, and :mod:`repro.service`
+propagates the submitter's context into its worker threads, so a forced
+block still crosses the queue boundary.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-_DISABLING = ("off", "0", "false", "no")
-
-_forced: ContextVar[bool | None] = ContextVar("repro_kernels_forced", default=None)
+_enabled: ContextVar[bool] = ContextVar("repro_kernels_enabled", default=True)
 
 
 def kernels_enabled() -> bool:
     """Whether the vectorized fast paths should be used right now."""
-    forced = _forced.get()
-    if forced is not None:
-        return forced
-    return os.environ.get("REPRO_KERNELS", "").strip().lower() not in _DISABLING
-
-
-def set_kernels(enabled: bool | None) -> None:
-    """Force kernels on/off for this context (``None`` restores the env default).
-
-    The forcing is scoped to the current :mod:`contextvars` context —
-    process-wide for plain single-threaded programs, per-thread once
-    threads are involved.
-    """
-    _forced.set(enabled)
+    return _enabled.get()
 
 
 @contextmanager
@@ -63,8 +45,8 @@ def use_kernels(enabled: bool | None) -> Iterator[None]:
     if enabled is None:
         yield
         return
-    token = _forced.set(enabled)
+    token = _enabled.set(enabled)
     try:
         yield
     finally:
-        _forced.reset(token)
+        _enabled.reset(token)

@@ -33,7 +33,6 @@ def square_block_matmul(
     p: int,
     block_size: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """Multi-round C = A·B with ``H = ⌈n/block_size⌉`` block groups.
 
@@ -45,7 +44,7 @@ def square_block_matmul(
         raise ValueError("square-block algorithm expects square same-size matrices")
     h = block_count(n, block_size)
     units = block_size * block_size
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
 
     # Output-block ownership and replication: with p ≥ H² each block gets
     # c = p // H² replicas that split the H products; otherwise blocks

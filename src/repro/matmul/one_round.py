@@ -28,7 +28,6 @@ def rectangle_block_matmul(
     b: np.ndarray,
     groups: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """One-round C = A·B on a ``groups × groups`` server grid.
 
@@ -44,7 +43,7 @@ def rectangle_block_matmul(
     k = groups
     t = math.ceil(n / k)
     grid = Grid([k, k])
-    cluster = Cluster(grid.size, seed=seed, audit=audit)
+    cluster = Cluster(grid.size, seed=seed)
 
     with cluster.round("rectangle-distribute") as rnd:
         for row in range(n):

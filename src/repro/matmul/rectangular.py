@@ -30,7 +30,6 @@ def rectangular_block_matmul(
     row_groups: int,
     col_groups: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """One-round C = A·B for rectangular A (n1×n2), B (n2×n3).
 
@@ -49,7 +48,7 @@ def rectangular_block_matmul(
     t1 = math.ceil(n1 / row_groups)
     t3 = math.ceil(n3 / col_groups)
     grid = Grid([row_groups, col_groups])
-    cluster = Cluster(grid.size, seed=seed, audit=audit)
+    cluster = Cluster(grid.size, seed=seed)
 
     with cluster.round("rectangular-distribute") as rnd:
         for row in range(n1):

@@ -28,7 +28,6 @@ def sql_matmul(
     b: np.ndarray,
     p: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """Multiply dense (or sparse) matrices via join + group-by on ``p`` servers.
 
@@ -41,7 +40,7 @@ def sql_matmul(
     b_rows = matrix_as_relation_rows(b)
 
     # Round 1: join on j.
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter_rows(a_rows, "A@in")
     cluster.scatter_rows(b_rows, "B@in")
     h = cluster.hash_function(0)
@@ -64,7 +63,7 @@ def sql_matmul(
     join_stats = cluster.stats
 
     # Round 2: aggregate by (i, k).
-    agg = Cluster(p, seed=seed + 1, audit=audit)
+    agg = Cluster(p, seed=seed + 1)
     agg.scatter_rows(partials, "P@in")
     h2 = agg.hash_function(1)
     with agg.round("groupby-ik") as rnd:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -59,12 +60,12 @@ __all__ = [
     "verify_partition",
 ]
 
-_default_audit = False
+_default_audit: ContextVar[bool] = ContextVar("repro_audit_default", default=False)
 
 
 def audit_enabled_by_default() -> bool:
     """Whether clusters created right now default to auditing themselves."""
-    return _default_audit
+    return _default_audit.get()
 
 
 @contextmanager
@@ -79,14 +80,15 @@ def audited(enabled: bool = True) -> Iterator[None]:
             run = skew_join(r, s, p=16)
 
     Nests and restores the previous default on exit (exception-safe).
+    The default is context-local (a :class:`contextvars.ContextVar`):
+    other threads' clusters are unaffected, and :mod:`repro.service`
+    carries the submitter's setting to the worker that runs its job.
     """
-    global _default_audit
-    previous = _default_audit
-    _default_audit = enabled
+    token = _default_audit.set(enabled)
     try:
         yield
     finally:
-        _default_audit = previous
+        _default_audit.reset(token)
 
 
 @dataclass

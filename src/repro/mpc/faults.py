@@ -85,6 +85,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator
 
@@ -225,15 +226,14 @@ class FaultPlan:
         drop_rate: float = 0.06,
         duplicate_rate: float = 0.04,
         scatter_crash_rate: float = 0.05,
-        max_extra_units: int = 16,
-        max_count: int = 3,
         recovery: RecoveryPolicy | None = None,
     ) -> "FaultPlan":
         """A reproducible randomized plan over ``rounds`` × ``p`` slots.
 
         Every (round, server) slot independently draws each fault kind
         at its rate; the same ``(seed, p, rates)`` always produce the
-        same plan. Rates are per-slot probabilities in ``[0, 1]``.
+        same plan. Rates are per-slot probabilities in ``[0, 1]``; a
+        straggler costs 1–16 extra units, a channel fault hits 1–3 tuples.
         """
         if p <= 0:
             raise FaultPlanError("a fault plan needs a positive p")
@@ -247,17 +247,17 @@ class FaultPlan:
                     crashes.append(CrashFault(rnd, server))
                 if rng.random() < straggler_rate:
                     stragglers.append(
-                        StragglerFault(rnd, server, rng.randrange(1, max_extra_units + 1))
+                        StragglerFault(rnd, server, rng.randrange(1, 17))
                     )
                 if rng.random() < drop_rate:
                     channel_faults.append(
                         ChannelFault(rnd, server, "drop",
-                                     count=rng.randrange(1, max_count + 1))
+                                     count=rng.randrange(1, 4))
                     )
                 if rng.random() < duplicate_rate:
                     channel_faults.append(
                         ChannelFault(rnd, server, "duplicate",
-                                     count=rng.randrange(1, max_count + 1))
+                                     count=rng.randrange(1, 4))
                     )
         scatter_crashes = tuple(
             server for server in range(p) if rng.random() < scatter_crash_rate
@@ -274,12 +274,14 @@ class FaultPlan:
 
 # ------------------------------------------------------------ ambient default
 
-_default_plan: FaultPlan | None = None
+_default_plan: ContextVar[FaultPlan | None] = ContextVar(
+    "repro_fault_plan_default", default=None
+)
 
 
 def fault_plan_by_default() -> FaultPlan | None:
     """The plan clusters created right now inherit (see :func:`faulty`)."""
-    return _default_plan
+    return _default_plan.get()
 
 
 @contextmanager
@@ -290,15 +292,15 @@ def faulty(plan: FaultPlan | None) -> Iterator[None]:
     :func:`repro.mpc.audit.audited`: it is the way to run an existing
     entry point end-to-end under a fault schedule without threading a
     parameter through every call. ``faulty(None)`` disables injection
-    inside the block. Nests and restores the previous plan on exit.
+    inside the block. Nests and restores the previous plan on exit; like
+    ``audited()`` the plan is context-local, so only clusters built by
+    this thread (or by a service job submitted from it) inherit it.
     """
-    global _default_plan
-    previous = _default_plan
-    _default_plan = plan
+    token = _default_plan.set(plan)
     try:
         yield
     finally:
-        _default_plan = previous
+        _default_plan.reset(token)
 
 
 # ------------------------------------------------------------------- counters

@@ -11,7 +11,7 @@ The integer paths — scalar and all-integer tuple — are the *hash spec*
 shared with the vectorized kernels of :mod:`repro.kernels.hashing`: the
 numpy implementation must reproduce them bit for bit so the columnar
 fast path partitions data identically to this tuple-at-a-time code
-(``REPRO_KERNELS=off`` must not change any destination).
+(``use_kernels(False)`` must not change any destination).
 """
 
 from __future__ import annotations

@@ -163,11 +163,6 @@ class ExecStats(CounterStats):
         return self.shm_bytes_out + self.pickle_bytes_out
 
     @property
-    def dispatch_bytes_in(self) -> int:
-        """Total bytes shipped workers -> coordinator."""
-        return self.shm_bytes_in + self.pickle_bytes_in
-
-    @property
     def bytes_per_message(self) -> "float | None":
         """Mean outbound bytes per queue message (bytes-per-round proxy).
 

@@ -40,14 +40,12 @@ def group_by(
     fold: Callable[[list[Any]], Any],
     p: int,
     seed: int = 0,
-    output_name: str = "AGG",
-    audit: bool | None = None,
 ) -> tuple[Relation, RunStats]:
     """One-phase hash GROUP BY: route rows by key, fold each group locally."""
     key_idx = relation.schema.indices(keys)
     value_idx = relation.schema.index(value)
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter(relation, "G@in")
     h = cluster.hash_function(0)
     with cluster.round("groupby-shuffle") as rnd:
@@ -62,7 +60,7 @@ def group_by(
             out_rows.append(key + (fold(values),))
 
     schema = Schema(list(keys) + [f"{value}_agg"])
-    return Relation(output_name, schema, out_rows), cluster.stats
+    return Relation("AGG", schema, out_rows), cluster.stats
 
 
 def two_phase_group_by(
@@ -73,8 +71,6 @@ def two_phase_group_by(
     merge: Callable[[list[Any]], Any],
     p: int,
     seed: int = 0,
-    output_name: str = "AGG",
-    audit: bool | None = None,
 ) -> tuple[Relation, RunStats]:
     """Combiner-based GROUP BY: local partials, then shuffle one row per
     (server, group). ``merge`` combines the partial ``fold`` results.
@@ -82,7 +78,7 @@ def two_phase_group_by(
     key_idx = relation.schema.indices(keys)
     value_idx = relation.schema.index(value)
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter(relation, "G@in")
     h = cluster.hash_function(0)
     with cluster.round("groupby-partials") as rnd:
@@ -104,7 +100,7 @@ def two_phase_group_by(
             out_rows.append(key + (merge(parts),))
 
     schema = Schema(list(keys) + [f"{value}_agg"])
-    return Relation(output_name, schema, out_rows), cluster.stats
+    return Relation("AGG", schema, out_rows), cluster.stats
 
 
 def reference_group_by(
@@ -112,7 +108,6 @@ def reference_group_by(
     keys: Sequence[str],
     value: str,
     fold: Callable[[list[Any]], Any],
-    output_name: str = "AGG",
 ) -> Relation:
     """Sequential ground truth for the distributed variants."""
     key_idx = relation.schema.indices(keys)
@@ -122,5 +117,5 @@ def reference_group_by(
         groups.setdefault(tuple(row[i] for i in key_idx), []).append(row[value_idx])
     schema = Schema(list(keys) + [f"{value}_agg"])
     return Relation(
-        output_name, schema, [key + (fold(values),) for key, values in groups.items()]
+        "AGG", schema, [key + (fold(values),) for key, values in groups.items()]
     )

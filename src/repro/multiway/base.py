@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import distributed_local_join
+from repro.joins.hash_join import one_round_hash_join
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import semijoin_mask
 from repro.kernels.memo import distinct_project, key_degrees, route
@@ -61,28 +61,9 @@ def shuffle_join(
     p: int,
     seed: int = 0,
     label: str = "join",
-    output_name: str = "J",
-    audit: bool | None = None,
 ) -> tuple[Relation, RunStats]:
-    """One-round hash join; returns the (gathered) result and its cost."""
-    shared = r.schema.common(s.schema)
-    if not shared:
-        raise QueryError(
-            f"{r.name} ⋈ {s.name} has no shared attributes; use the "
-            f"Cartesian product primitive"
-        )
-    cluster = Cluster(p, seed=seed, audit=audit)
-    r_frag = cluster.scatter(r, "L@in")
-    s_frag = cluster.scatter(s, "R@in")
-    h = cluster.hash_function(0)
-    with cluster.round(label) as rnd:
-        for rel, frag, out in ((r, r_frag, "L@j"), (s, s_frag, "R@j")):
-            route(cluster, rnd, frag, rel.schema.indices(shared), h, out, rel)
-    distributed_local_join(cluster, "L@j", "R@j", r, s, "out")
-    attrs = list(r.schema.attributes) + [
-        a for a in s.schema.attributes if a not in r.schema
-    ]
-    return cluster.gather_relation("out", output_name, attrs), cluster.stats
+    """One-round hash join; returns the (gathered) result ``J`` and its cost."""
+    return one_round_hash_join(r, s, p, seed, label, "J")
 
 
 def shuffle_semijoin(
@@ -91,13 +72,9 @@ def shuffle_semijoin(
     p: int,
     seed: int = 0,
     label: str = "semijoin",
-    audit: bool | None = None,
 ) -> tuple[Relation, RunStats]:
     """One-round distributed semijoin ``target ⋉ reducer``."""
-    result, stats = shuffle_multi_semijoin(
-        target, [reducer], p, seed=seed, label=label, audit=audit
-    )
-    return result, stats
+    return shuffle_multi_semijoin(target, [reducer], p, seed=seed, label=label)
 
 
 def shuffle_multi_semijoin(
@@ -106,7 +83,6 @@ def shuffle_multi_semijoin(
     p: int,
     seed: int = 0,
     label: str = "semijoin",
-    audit: bool | None = None,
 ) -> tuple[Relation, RunStats]:
     """Reduce ``target`` by several reducers in a single round, skew-aware.
 
@@ -132,7 +108,7 @@ def shuffle_multi_semijoin(
         )
     shared = keys[0]
     t_idx = target.schema.indices(shared)
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
 
     # Heavy keys by target degree (statistics assumed known, as in the
     # tutorial's skew algorithms; a real engine samples them). The degree
@@ -280,14 +256,13 @@ def shuffle_aggregate(
     p: int,
     seed: int = 0,
     label: str = "aggregate",
-    audit: bool | None = None,
 ) -> tuple[list[Row], RunStats]:
     """One-round hash aggregation: route rows by key, fold groups locally.
 
     ``combine(key, group_rows) -> row`` produces one output row per group.
     Used by the SQL-on-MPC matrix multiplication's GROUP BY stage.
     """
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter_rows(rows, "A@in")
     h = cluster.hash_function(0)
     with cluster.round(label) as rnd:

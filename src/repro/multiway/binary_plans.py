@@ -28,7 +28,6 @@ def binary_join_plan(
     p: int,
     seed: int = 0,
     order: Sequence[str] | None = None,
-    output_name: str = "OUT",
 ) -> MultiwayRun:
     """Left-deep sequence of one-round hash joins (Cartesian when forced).
 
@@ -58,7 +57,7 @@ def binary_join_plan(
         runs.append(stats)
         intermediate_sizes.append(len(current))
 
-    output = current.project(list(query.variables), name=output_name)
+    output = current.project(list(query.variables), name="OUT")
     return MultiwayRun(
         output,
         combine_sequential(p, runs),

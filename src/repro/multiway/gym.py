@@ -40,7 +40,6 @@ def gym(
     ghd: GHD | None = None,
     variant: str = "optimized",
     seed: int = 0,
-    output_name: str = "OUT",
 ) -> MultiwayRun:
     """Distributed Yannakakis on ``p`` servers.
 
@@ -96,7 +95,7 @@ def gym(
     phases.extend(_join_phase(working, levels, p, seed + 2000, variant))
 
     result = working[id(ghd.root)]
-    output = result.project(list(query.variables), name=output_name)
+    output = result.project(list(query.variables), name="OUT")
     return MultiwayRun(
         output,
         combine_sequential(p, phases),

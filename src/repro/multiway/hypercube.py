@@ -56,20 +56,20 @@ class StagedHypercube:
     shares: dict[str, int]
     assignment: ShareAssignment | None
 
-    def evaluate(self, output_name: str = "OUT") -> MultiwayRun:
+    def evaluate(self) -> MultiwayRun:
         """Dispatch the eval round on this run's own cluster and finish."""
         results = self.cluster.map_servers(
             "hypercube.eval", self.payloads, self.common
         )
-        return self.finish(results, output_name)
+        return self.finish(results)
 
-    def finish(self, results: list, output_name: str = "OUT") -> MultiwayRun:
+    def finish(self, results: list) -> MultiwayRun:
         """Store per-server eval results and gather the output relation."""
         for sid, rows in enumerate(results):
             if rows is not None:
                 self.cluster.servers[sid].put("out", rows)
         output = self.cluster.gather_relation(
-            "out", output_name, list(self.query.variables)
+            "out", "OUT", list(self.query.variables)
         )
         details: dict = {"shares": dict(self.shares)}
         if self.assignment is not None:
@@ -84,7 +84,6 @@ def hypercube_route(
     seed: int = 0,
     shares: dict[str, int] | None = None,
     local: str = "plan",
-    audit: bool | None = None,
 ) -> StagedHypercube:
     """Scatter and route a HyperCube run, deferring the eval dispatch."""
     if local not in ("plan", "generic"):
@@ -100,7 +99,7 @@ def hypercube_route(
     if grid.size > p:
         raise QueryError(f"shares {shares} need {grid.size} servers, only {p} given")
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     hash_functions = {
         v: cluster.hash_function(i, extents[i]) for i, v in enumerate(query.variables)
     }
@@ -169,9 +168,7 @@ def hypercube_join(
     p: int,
     seed: int = 0,
     shares: dict[str, int] | None = None,
-    output_name: str = "OUT",
     local: str = "plan",
-    audit: bool | None = None,
 ) -> MultiwayRun:
     """One-round HyperCube evaluation of a full conjunctive query.
 
@@ -188,9 +185,9 @@ def hypercube_join(
     concurrently; side-car columns ride shared memory).
     """
     staged = hypercube_route(
-        query, relations, p, seed=seed, shares=shares, local=local, audit=audit
+        query, relations, p, seed=seed, shares=shares, local=local
     )
-    return staged.evaluate(output_name)
+    return staged.evaluate()
 
 
 def hypercube_eval_chunk(payloads: list, common) -> list:
@@ -240,11 +237,10 @@ def triangle_hypercube(
     t: Relation,
     p: int,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> MultiwayRun:
     """Convenience wrapper: HyperCube on Δ(x,y,z) = R(x,y) ⋈ S(y,z) ⋈ T(z,x)."""
     from repro.query.cq import triangle_query
 
     return hypercube_join(
-        triangle_query(), {"R": r, "S": s, "T": t}, p, seed=seed, audit=audit
+        triangle_query(), {"R": r, "S": s, "T": t}, p, seed=seed
     )

@@ -33,7 +33,6 @@ def reduced_hypercube(
     p: int,
     ghd: GHD | None = None,
     seed: int = 0,
-    output_name: str = "OUT",
 ) -> MultiwayRun:
     """Semijoin-reduce an acyclic query, then one HyperCube round.
 
@@ -68,7 +67,7 @@ def reduced_hypercube(
             _sweep(working, node_name, levels[depth], p, seed + 500, upward=False)
         )
 
-    hc = hypercube_join(query, working, p, seed=seed + 999, output_name=output_name)
+    hc = hypercube_join(query, working, p, seed=seed + 999)
     phases.append(hc.stats)
 
     reduction = {

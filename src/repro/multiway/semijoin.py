@@ -31,7 +31,6 @@ def two_path_semijoin_plan(
     t: Relation,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
 ) -> MultiwayRun:
     """Slide 58: evaluate R(x) ⋈ S(x,y) ⋈ T(y) by pure semijoins.
 
@@ -47,7 +46,7 @@ def two_path_semijoin_plan(
     rows: list[Row] = []
     for x, y in reduced.project(["x", "y"]).rows_readonly():
         rows.extend([(x, y)] * (r_counts[x] * t_counts[y]))
-    output = Relation(output_name, ["x", "y"], rows)
+    output = Relation("OUT", ["x", "y"], rows)
     run_stats = combine_sequential(p, [stats1, stats2])
     return MultiwayRun(output, run_stats, {"query": str(two_path_query())})
 
@@ -59,7 +58,6 @@ def triangle_hl_semijoin(
     p: int,
     seed: int = 0,
     threshold: float | None = None,
-    output_name: str = "OUT",
 ) -> MultiwayRun:
     """Slide 59: the Heavy-Light + Semijoin triangle algorithm.
 
@@ -110,7 +108,7 @@ def triangle_hl_semijoin(
             heavy_runs.append(stats)
         runs.append(combine_parallel(p_heavy, heavy_runs))
 
-    output = Relation(output_name, ["x", "y", "z"], out_rows)
+    output = Relation("OUT", ["x", "y", "z"], out_rows)
     return MultiwayRun(
         output,
         combine_parallel(p, runs),

@@ -60,7 +60,6 @@ def skewhc_join(
     p: int,
     seed: int = 0,
     threshold: float | None = None,
-    output_name: str = "OUT",
     max_combinations: int = 100_000,
 ) -> MultiwayRun:
     """SkewHC evaluation of a full conjunctive query on ``p`` servers.
@@ -81,7 +80,7 @@ def skewhc_join(
         # No data at all: empty output, zero cost.
         from repro.mpc.stats import RunStats
 
-        output = Relation(output_name, list(query.variables))
+        output = Relation("OUT", list(query.variables))
         return MultiwayRun(output, RunStats(p), {"threshold": threshold, "jobs": 0})
 
     weights = [max(job.input_size, 1) for job in jobs]
@@ -122,7 +121,7 @@ def skewhc_join(
             runs.append(run.stats)
 
     out_rows: list[Row] = [row for rows in rows_per_job for row in rows]
-    output = Relation(output_name, list(query.variables), out_rows)
+    output = Relation("OUT", list(query.variables), out_rows)
     return MultiwayRun(
         output,
         combine_parallel(p, runs),

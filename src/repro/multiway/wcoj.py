@@ -75,7 +75,6 @@ def generic_join(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     order: Sequence[str] | None = None,
-    output_name: str = "OUT",
 ) -> Relation:
     """Worst-case optimal evaluation of a full CQ (bag semantics).
 
@@ -129,7 +128,7 @@ def generic_join(
             del binding[variable]
 
     extend({}, 0)
-    return Relation(output_name, list(query.variables), out_rows)
+    return Relation("OUT", list(query.variables), out_rows)
 
 
 def generic_join_evaluate(

@@ -44,7 +44,6 @@ def yannakakis(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     ghd: GHD | None = None,
-    output_name: str = "OUT",
 ) -> YannakakisResult:
     """Evaluate an acyclic full CQ in O(IN + OUT) with full reduction.
 
@@ -93,7 +92,7 @@ def yannakakis(
         return result
 
     full = join_subtree(ghd.root)
-    output = full.project(list(query.variables), name=output_name)
+    output = full.project(list(query.variables), name="OUT")
     return YannakakisResult(output, semijoins, joins, intermediates)
 
 

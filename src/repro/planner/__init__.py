@@ -20,7 +20,6 @@ from repro.planner.statistics import (
     RelationStats,
     collect_query_statistics,
     join_statistics,
-    output_size,
     relation_statistics,
 )
 from repro.planner.two_way import TwoWayPlan, execute_two_way_join, plan_two_way_join
@@ -41,7 +40,6 @@ __all__ = [
     "execute_two_way_join",
     "greedy_join_order",
     "join_statistics",
-    "output_size",
     "plan_and_execute",
     "plan_multiway_join",
     "plan_query",

@@ -14,25 +14,13 @@ sketched statistics.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.joins.base import estimate_join_size
 from repro.kernels.memo import align, bound
 from repro.query.cq import ConjunctiveQuery
-
-
-def estimate_join_size(left: Relation, right: Relation) -> int:
-    """Exact |left ⋈ right| from degree profiles (product if disjoint)."""
-    shared = left.schema.common(right.schema)
-    if not shared:
-        return len(left) * len(right)
-    l_idx = left.schema.indices(shared)
-    r_idx = right.schema.indices(shared)
-    l_deg = Counter(tuple(row[i] for i in l_idx) for row in left)
-    r_deg = Counter(tuple(row[i] for i in r_idx) for row in right)
-    return sum(c * r_deg.get(k, 0) for k, c in l_deg.items())
 
 
 def greedy_join_order(

@@ -23,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
+from repro.joins.base import estimate_join_size
 from repro.kernels.memo import key_degrees, value_degrees
 
 
@@ -63,23 +64,14 @@ def join_statistics(r: Relation, s: Relation) -> JoinStatistics:
     s_idx = s.schema.indices(shared)
     r_degrees = key_degrees(r, r_idx)
     s_degrees = key_degrees(s, s_idx)
-    if shared:
-        out = sum(c * s_degrees.get(k, 0) for k, c in r_degrees.items())
-    else:
-        out = len(r) * len(s)
     return JoinStatistics(
         r_size=len(r),
         s_size=len(s),
         shared=shared,
-        out_size=out,
+        out_size=estimate_join_size(r, s),
         max_degree_r=max(r_degrees.values(), default=0),
         max_degree_s=max(s_degrees.values(), default=0),
     )
-
-
-def output_size(relations: dict[str, Relation], query) -> int:
-    """Exact output cardinality of a full CQ (ground truth for planning tests)."""
-    return len(query.evaluate(relations))
 
 
 # ------------------------------------------------------- optimizer statistics
@@ -104,13 +96,6 @@ class RelationStats:
 
     def heavy_values(self, attribute: str) -> tuple:
         return self.heavy.get(attribute, ())
-
-    def max_degree_of(self, attribute: str) -> int:
-        return self.max_degree.get(attribute, 0)
-
-    @property
-    def has_heavy(self) -> bool:
-        return any(self.heavy.values())
 
 
 def relation_statistics(
@@ -184,10 +169,6 @@ class QueryStatistics:
     @property
     def skewed(self) -> bool:
         return any(self.heavy_join_values.values())
-
-    @property
-    def heavy_count(self) -> int:
-        return sum(len(v) for v in self.heavy_join_values.values())
 
 
 def collect_query_statistics(

@@ -207,12 +207,6 @@ def _checked(ghd: GHD) -> GHD:
     return ghd
 
 
-def expected_gym_rounds(ghd: GHD) -> int:
-    """The optimized-GYM round count O(d): 2 semijoin sweeps + d join rounds."""
-    d = max(ghd.depth, 1)
-    return 2 * d + d
-
-
 def expected_balanced_depth(n: int) -> int:
     """Depth of :func:`path_balanced_ghd` — Θ(log n)."""
     depth = 0

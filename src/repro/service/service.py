@@ -11,9 +11,10 @@ Threading model (documented in DESIGN.md, tested by ``tests/service``):
   a rejected query ever reaches a worker.
 - **Workers** (a fixed pool of daemon threads) pull jobs and execute
   them under the warehouse **read** lock inside the submitter's copied
-  :mod:`contextvars` context (so ambient kernel/backend forcing crosses
-  the queue). The process-wide view and plan caches of
-  :mod:`repro.kernels.memo` and the service's
+  :mod:`contextvars` context (so the submitter's ambient switches —
+  ``use_kernels``, ``use_backend``, ``audited``, ``faulty`` — cross the
+  queue with its job and reach no other tenant's). The process-wide
+  view and plan caches of :mod:`repro.kernels.memo` and the service's
   :class:`~repro.service.cache.ResultCache` are the same thread-safe
   LRU class; the relations themselves are safe for concurrent readers
   per the :mod:`repro.data.relation` contract.
@@ -216,8 +217,6 @@ class QueryService:
         quotas: Mapping[str, TenantQuota] | None = None,
         cache_size: int = 256,
         seed: int = 0,
-        kernels: bool | None = None,
-        backend: str | None = None,
     ) -> None:
         if workers < 1:
             raise QueryError(f"need at least one worker thread, got {workers}")
@@ -235,7 +234,7 @@ class QueryService:
         self.default_quota = default_quota or TenantQuota()
         self._quotas = dict(quotas or {})
         self.cache = ResultCache(cache_size)
-        self._engine = Engine(p, seed=seed, kernels=kernels, backend=backend)
+        self._engine = Engine(p, seed=seed)
         with self.warehouse.read_view() as catalog:
             for name, relation in catalog.items():
                 self._engine.register(relation, name=name)
@@ -470,9 +469,7 @@ class QueryService:
                     # process-wide and keyed by relation identity, so the
                     # *unsplit* inputs (identical relation objects in
                     # every branch) are aligned and stored once.
-                    engine = Engine(
-                        self.p, self.seed, self._engine.kernels, self._engine.backend
-                    )
+                    engine = Engine(self.p, self.seed)
                     for name, rel in branch.items():
                         engine.register(rel, name=name)
                     results.append(engine.query(cq, strategy=job.strategy))

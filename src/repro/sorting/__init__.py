@@ -5,7 +5,6 @@ from repro.sorting.multiround import expected_rounds, multiround_sort
 from repro.sorting.psrs import psrs_partition, psrs_sort
 from repro.sorting.splitters import (
     bucket_of,
-    buckets_of,
     choose_splitters,
     random_sample,
     regular_sample,
@@ -14,7 +13,6 @@ from repro.sorting.splitters import (
 __all__ = [
     "band_join",
     "bucket_of",
-    "buckets_of",
     "choose_splitters",
     "expected_rounds",
     "multiround_sort",

@@ -32,8 +32,6 @@ def band_join(
     epsilon: float,
     p: int,
     seed: int = 0,
-    output_name: str = "OUT",
-    audit: bool | None = None,
 ) -> JoinRun:
     """All pairs (r_row, s_row) with |r.key − s.key| ≤ ε, distributed.
 
@@ -44,7 +42,7 @@ def band_join(
     r_pos = r.schema.index(r_key)
     s_pos = s.schema.index(s_key)
 
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     union_rows = [(row[r_pos], 0, i, row) for i, row in enumerate(r)]
     union_rows += [(row[s_pos], 1, len(r) + i, row) for i, row in enumerate(s)]
     cluster.scatter_rows(union_rows, "U")
@@ -83,7 +81,7 @@ def band_join(
     out_attrs = list(r.schema.attributes) + [
         a if a not in r.schema else f"s_{a}" for a in s.schema.attributes
     ]
-    output = Relation(output_name, out_attrs, out_rows)
+    output = Relation("OUT", out_attrs, out_rows)
     return JoinRun(output, cluster.stats)
 
 

@@ -34,7 +34,6 @@ def multiround_sort(
     load_cap: int,
     key: Key = identity_key,
     seed: int = 0,
-    audit: bool | None = None,
 ) -> tuple[list[Any], RunStats]:
     """Sort with per-round load ≈ ``load_cap`` in O(log_L N) rounds.
 
@@ -44,7 +43,7 @@ def multiround_sort(
     """
     if load_cap < 2:
         raise ValueError("load_cap must be at least 2")
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter_rows([(x,) for x in items], "run")
     row_key = RowKey(key)  # picklable adapter: process-backend eligible
 

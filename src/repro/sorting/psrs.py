@@ -145,7 +145,6 @@ def psrs_partition(
     out_fragment: str,
     key: Key = identity_key,
     use_random_sampling: bool = False,
-    coordinator: int = 0,
 ) -> list[Any]:
     """Range-partition ``fragment`` across the cluster and sort locally.
 
@@ -156,7 +155,7 @@ def psrs_partition(
     """
     p = cluster.p
 
-    # Phase 1: local sort + samples to the coordinator. The sorts run
+    # Phase 1: local sort + samples to the coordinator (server 0). The sorts run
     # through the exec backend (concurrently under the process backend);
     # sample *sends* stay here, on the round's coordinator-side buffers.
     with cluster.round("psrs-sample-gather") as rnd:
@@ -167,10 +166,10 @@ def psrs_partition(
         for server, (local, samples) in zip(cluster.servers, sorted_fragments):
             server.put(f"{fragment}@sorted", local)
             for item in samples:
-                rnd.send(coordinator, f"{fragment}@samples", (key(item),))
+                rnd.send(0, f"{fragment}@samples", (key(item),))
 
     # Phase 2: coordinator picks splitters and broadcasts them.
-    pooled = [k for (k,) in cluster.servers[coordinator].take(f"{fragment}@samples")]
+    pooled = [k for (k,) in cluster.servers[0].take(f"{fragment}@samples")]
     splitters = choose_splitters(pooled, p)
     with cluster.round("psrs-splitter-broadcast") as rnd:
         for splitter in splitters:
@@ -198,7 +197,6 @@ def psrs_sort(
     key: Key = identity_key,
     seed: int = 0,
     use_random_sampling: bool = False,
-    audit: bool | None = None,
 ) -> tuple[list[Any], RunStats]:
     """Sort ``items`` on a fresh ``p``-server cluster with PSRS.
 
@@ -207,7 +205,7 @@ def psrs_sort(
     the item's original position, so heavily duplicated keys still spread
     evenly across servers (the partition load stays O(N/p)).
     """
-    cluster = Cluster(p, seed=seed, audit=audit)
+    cluster = Cluster(p, seed=seed)
     cluster.scatter_rows([(x, i) for i, x in enumerate(items)], "items")
     psrs_partition(
         cluster,

@@ -16,9 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.config import kernels_enabled
-from repro.kernels.splitters import searchsorted_buckets, tuple_buckets
-
 
 def regular_sample(sorted_items: Sequence[Any], count: int) -> list[Any]:
     """``count`` items at regular positions of a locally *sorted* list.
@@ -72,20 +69,3 @@ def bucket_of(value: Any, splitters: Sequence[Any]) -> int:
     """
     return bisect.bisect_left(splitters, value)
 
-
-def buckets_of(values: Sequence[Any], splitters: Sequence[Any]) -> list[int]:
-    """:func:`bucket_of` for a batch of keys, vectorized when possible.
-
-    Integer keys (scalars or uniform tuples) go through the numpy
-    splitter-search kernels; anything else falls back to per-key bisect.
-    The result is always identical to ``[bucket_of(v, splitters) for v in
-    values]``.
-    """
-    if kernels_enabled() and len(values) and len(splitters):
-        if isinstance(values[0], tuple):
-            array = tuple_buckets(values, splitters)
-        else:
-            array = searchsorted_buckets(values, splitters)
-        if array is not None:
-            return [int(b) for b in array.tolist()]
-    return [bisect.bisect_left(splitters, value) for value in values]

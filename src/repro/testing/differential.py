@@ -368,14 +368,6 @@ def _multiway_case(runner) -> Callable[[Instance, int], CaseRun]:
     return run
 
 
-def _relational_rows(instance: Instance, rows: list[Row]) -> list[Row]:
-    return rows
-
-
-def _no_claim(instance: Instance, run: CaseRun, out_size: int) -> None:
-    return None
-
-
 def _skew_robust_claim(factor: float):
     """√(OUT/p) + IN/p — the skew join / sort join guarantee on any input."""
     def claim(instance: Instance, run: CaseRun, out_size: int) -> LoadClaim:

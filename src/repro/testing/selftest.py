@@ -97,8 +97,8 @@ def run_selftest(
     ``monotonic_every``-th the (4-run) load-monotonicity ladder, keeping
     the total execution count proportional to the budget. ``kernels``
     forces the columnar kernels on or off for the whole run (``None``
-    keeps the ambient ``REPRO_KERNELS`` setting); ``backend`` does the
-    same for the execution backend (``REPRO_BACKEND``).
+    keeps the ambient setting: on); ``backend`` does the same for the
+    execution backend (``REPRO_BACKEND``).
     ``faults=True`` runs every differential execution under a
     reproducible randomized :class:`~repro.mpc.faults.FaultPlan` with
     recovery enabled and demands the same outputs, loads, and clean
@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kernels", choices=("on", "off", "both"), default=None,
                         help="force the columnar kernels on/off, or run the "
                              "sweep under both modes and cross-check loads "
-                             "(default: ambient REPRO_KERNELS setting)")
+                             "(default: on)")
     parser.add_argument("--faults", action="store_true",
                         help="run every execution under a reproducible "
                              "randomized fault plan (crashes, stragglers, "

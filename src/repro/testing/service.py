@@ -145,16 +145,12 @@ class ServiceSelftestReport:
         return "\n".join(lines)
 
 
-def _execute(
-    case: AlgorithmCase, instance: Instance, reference, audit: bool
-) -> ServiceSweepRecord:
-    """Run one entry point and reduce its output to a canonical fingerprint."""
-    from contextlib import nullcontext
-
+def _execute(case: AlgorithmCase, instance: Instance, reference) -> ServiceSweepRecord:
+    """Run one entry point, audited, down to a canonical fingerprint."""
     from repro.mpc.audit import audited
 
     try:
-        with audited() if audit else nullcontext():
+        with audited():
             run = case.run(instance, instance.seed)
     except Exception as exc:  # noqa: BLE001 - the record carries the failure
         return ServiceSweepRecord(
@@ -193,8 +189,8 @@ def run_service_selftest(
     The concurrent pass deals executions round-robin across
     barrier-started threads, so neighbours in the serial order run on
     *different* threads at the *same* time — maximal interleaving of the
-    shared relations, kernels, and planner paths. Audits stay on for the
-    serial pass only (the auditor is a process-wide ambient).
+    shared relations, kernels, and planner paths. Both passes run
+    audited.
     """
     if threads < 2:
         raise ValueError(f"a concurrency sweep needs at least 2 threads, got {threads}")
@@ -206,10 +202,7 @@ def run_service_selftest(
             if case.applies(instance):
                 items.append((case, instance, reference))
 
-    serial = [
-        _execute(case, instance, reference, audit=True)
-        for case, instance, reference in items
-    ]
+    serial = [_execute(*item) for item in items]
     if verbose:
         for record in serial:
             print(f"serial: {record.describe()}")
@@ -222,10 +215,7 @@ def run_service_selftest(
         try:
             barrier.wait(timeout=30)
             for index in range(thread_index, len(items), threads):
-                case, instance, reference = items[index]
-                results[index] = context.run(
-                    _execute, case, instance, reference, False
-                )
+                results[index] = context.run(_execute, *items[index])
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 

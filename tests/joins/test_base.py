@@ -4,8 +4,16 @@ import pytest
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.joins import (
+    broadcast_join,
+    cartesian_product,
+    parallel_hash_join,
+    skew_join,
+    sort_join,
+)
 from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
 from repro.mpc.cluster import Cluster
+from repro.multiway.base import shuffle_join
 from repro.mpc.stats import RoundStats, RunStats
 
 
@@ -65,3 +73,50 @@ class TestLocalJoin:
             Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "out",
         )
         assert server.get("out") == [(0, 0, 0), (1, 2, 9)]
+
+
+def _edges(heavy: bool) -> Relation:
+    rows = [(i % 7, (3 * i + 1) % 7) for i in range(40)]
+    if heavy:
+        rows += [(100 + i, 0) for i in range(30)] + [(0, 200 + i) for i in range(30)]
+    return Relation("E", ["x", "y"], rows)
+
+
+def _output(run) -> Relation:
+    return run.output if isinstance(run, JoinRun) else run[0]
+
+
+_TWO_PATHS = {"x": "y", "y": "z"}
+_PRODUCT = {"x": "a", "y": "b"}
+
+
+class TestSameNameInputs:
+    """``rename`` keeps the relation's name, so the natural way to write a
+    self-join hands an algorithm two inputs called the same. Fragments
+    named after the inputs collide and lose rows; role-named ones cannot.
+    ``sort_join`` and ``shuffle_join`` never named fragments after their
+    inputs and ride along as controls.
+    """
+
+    @pytest.mark.parametrize("heavy", [False, True], ids=["uniform", "one-heavy-key"])
+    @pytest.mark.parametrize(
+        "algorithm, mapping",
+        [
+            pytest.param(algorithm, mapping, id=algorithm.__name__)
+            for algorithm, mapping in [
+                (parallel_hash_join, _TWO_PATHS),
+                (broadcast_join, _TWO_PATHS),
+                (skew_join, _TWO_PATHS),
+                (cartesian_product, _PRODUCT),
+                (sort_join, _TWO_PATHS),
+                (shuffle_join, _TWO_PATHS),
+            ]
+        ],
+    )
+    def test_self_join_equals_relation_join(self, algorithm, mapping, heavy):
+        e = _edges(heavy)
+        renamed = e.rename(mapping)
+        assert renamed.name == e.name
+        expected = e.join(renamed)
+        assert len(expected) > 0
+        assert _output(algorithm(e, renamed, 4)) == expected

@@ -99,8 +99,8 @@ class TestServerSideCar:
 class TestDeliveredSideCar:
     @pytest.fixture(autouse=True)
     def _force_kernels(self):
-        # try_route honors the REPRO_KERNELS switch; these tests target
-        # the kernel path itself, so pin it on regardless of environment.
+        # try_route honors the use_kernels hook; these tests target the
+        # kernel path itself, so pin it on regardless of ambient forcing.
         with use_kernels(True):
             yield
 

@@ -43,8 +43,8 @@ rows_st = st.tuples(*[values] * ARITY)
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    # Replay only exists on the kernel path, so the suite forces it on
-    # (REPRO_KERNELS=off legs included); tuple-path cases opt out inside.
+    # Replay only exists on the kernel path, so the suite forces it on;
+    # tuple-path cases opt out inside.
     clear_memo()
     with use_kernels(True):
         yield

@@ -1,5 +1,8 @@
 """Tests for the conservation-invariant audit layer."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import AuditError, LoadExceededError
@@ -142,6 +145,57 @@ class TestAuditedContext:
             with audited():
                 raise RuntimeError
         assert not audit_enabled_by_default()
+
+
+class TestAuditedIsContextLocal:
+    """``audited()`` reaches the clusters its own thread builds, no others."""
+
+    def test_another_threads_cluster_has_no_auditor(self):
+        step = threading.Barrier(2, timeout=10)
+
+        def inside():
+            with audited():
+                step.wait()  # the other thread builds its cluster now
+                step.wait()
+                return Cluster(2).auditor is not None
+
+        def outside():
+            step.wait()
+            built = Cluster(2)
+            step.wait()
+            return built.auditor is not None
+
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(inside), pool.submit(outside)
+            assert a.result(timeout=30) is True
+            assert b.result(timeout=30) is False
+
+    def test_overlapping_blocks_restore_the_default(self):
+        # A-enter, B-enter, A-exit, B-exit: a process-wide default would
+        # be restored by B to the value A had set, and stay stuck on.
+        step = threading.Barrier(2, timeout=10)
+
+        def first():
+            with audited():
+                step.wait()  # A entered
+                step.wait()  # B entered
+            step.wait()      # A exited
+            return audit_enabled_by_default()
+
+        def second():
+            step.wait()
+            with audited():
+                step.wait()
+                step.wait()
+                still_inside = audit_enabled_by_default()
+            return still_inside, audit_enabled_by_default()
+
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(first), pool.submit(second)
+            assert a.result(timeout=30) is False
+            assert b.result(timeout=30) == (True, False)
+        assert audit_enabled_by_default() is False
+        assert Cluster(2).auditor is None
 
 
 class TestAuditReport:

@@ -4,9 +4,13 @@ Fast seeds — this suite is part of tier-1. The heavier randomized sweep
 lives in ``python -m repro selftest --faults``.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.data.generators import uniform_relation
+from repro.engine import Engine
 from repro.errors import FaultPlanError
 from repro.joins.hash_join import parallel_hash_join
 from repro.kernels.config import use_kernels
@@ -260,6 +264,83 @@ class TestAmbientFaulty:
         with faulty(FaultPlan()):
             with faulty(None):
                 assert Cluster(2).fault_controller is None
+
+
+class TestFaultyIsContextLocal:
+    """``faulty(plan)`` reaches the clusters its own thread builds, no others."""
+
+    PLAN = FaultPlan(crashes=(CrashFault(0, 1),))
+
+    def test_another_threads_cluster_has_no_fault_controller(self):
+        step = threading.Barrier(2, timeout=10)
+
+        def inside():
+            with faulty(self.PLAN):
+                step.wait()  # the other thread builds its cluster now
+                step.wait()
+                return Cluster(2).fault_controller is not None
+
+        def outside():
+            step.wait()
+            built = Cluster(2)
+            step.wait()
+            return built.fault_controller is not None
+
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(inside), pool.submit(outside)
+            assert a.result(timeout=30) is True
+            assert b.result(timeout=30) is False
+
+    def test_overlapping_blocks_restore_the_default(self):
+        # A-enter, B-enter, A-exit, B-exit: a process-wide default would
+        # be restored by B to the plan A had set, and stay stuck on it.
+        step = threading.Barrier(2, timeout=10)
+        other = FaultPlan()
+
+        def first():
+            with faulty(self.PLAN):
+                step.wait()  # A entered
+                step.wait()  # B entered
+            step.wait()      # A exited
+            return fault_plan_by_default()
+
+        def second():
+            step.wait()
+            with faulty(other):
+                step.wait()
+                step.wait()
+                still_inside = fault_plan_by_default()
+            return still_inside, fault_plan_by_default()
+
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(first), pool.submit(second)
+            assert a.result(timeout=30) is None
+            assert b.result(timeout=30) == (other, None)
+        assert fault_plan_by_default() is None
+
+    def test_concurrent_engine_query_outside_the_block_sees_no_faults(self):
+        engine = Engine(p=4)
+        engine.register(TestAmbientFaulty.R)
+        engine.register(TestAmbientFaulty.S)
+        step = threading.Barrier(2, timeout=10)
+
+        def inside():
+            with faulty(self.PLAN):
+                step.wait()  # both threads query from here ...
+                result = engine.query("R(a, b), S(b, c)")
+                step.wait()  # ... and the block outlives the other's query
+            return result.stats.faults
+
+        def outside():
+            step.wait()
+            result = engine.query("R(a, b), S(b, c)")
+            step.wait()
+            return result.stats.faults
+
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(inside), pool.submit(outside)
+            assert isinstance(a.result(timeout=30), FaultStats)
+            assert b.result(timeout=30) is None
 
 
 class TestSurfacing:

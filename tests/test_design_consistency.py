@@ -1,5 +1,6 @@
 """DESIGN.md's experiment index must stay in sync with the repository."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -53,11 +54,11 @@ class TestGateInventoryLint:
     show up here, in review, instead of arriving unnoticed.
     """
 
-    GATES = {"REPRO_BACKEND", "REPRO_KERNELS", "REPRO_WORKERS"}
+    GATES = {"REPRO_BACKEND", "REPRO_WORKERS"}
     RETIRED = {
         "use_protocol", "protocol_name", "use_shm_rows", "shm_rows_enabled",
         "transport_name", "resident_cache_bytes", "use_memo", "set_memo",
-        "memo_enabled",
+        "memo_enabled", "set_kernels",
     }
 
     def test_env_gates_are_exactly_the_three(self):
@@ -68,11 +69,66 @@ class TestGateInventoryLint:
 
     def test_retired_overrides_are_not_exported(self):
         import repro.exec
+        import repro.kernels.config
         import repro.kernels.memo
 
         assert not self.RETIRED & set(repro.exec.__all__)
         assert not self.RETIRED & set(dir(repro.exec))
         assert not self.RETIRED & set(dir(repro.kernels.memo))
+        assert not self.RETIRED & set(repro.kernels.__all__)
+        assert not self.RETIRED & set(dir(repro.kernels.config))
+
+
+class TestSignatureInventoryLint:
+    """A run concern is set in one place, not threaded through signatures.
+
+    Auditing is ``audited()`` / ``Cluster(audit=)``, the kernel rung and
+    the backend are ``use_kernels`` / ``use_backend``, and an algorithm's
+    output relation has one name; a parameter that re-spells any of them
+    is one more configuration the byte-identity contract must hold under.
+    """
+
+    ALGORITHM_PACKAGES = ("joins", "multiway", "sorting", "matmul")
+
+    def test_algorithms_take_no_audit_or_output_name(self):
+        offenders = []
+        for package in self.ALGORITHM_PACKAGES:
+            for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    args = node.args
+                    names = {
+                        a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                    }
+                    for name in sorted(names & {"audit", "output_name"}):
+                        offenders.append(
+                            f"{path.relative_to(ROOT)}:{node.lineno} "
+                            f"{node.name}({name}=)"
+                        )
+        assert not offenders, "\n".join(offenders)
+
+    def test_engine_and_service_take_no_kernels_or_backend(self):
+        import inspect
+
+        from repro.engine import Engine
+        from repro.service import QueryService
+
+        for cls in (Engine, QueryService):
+            parameters = set(inspect.signature(cls.__init__).parameters)
+            assert not parameters & {"kernels", "backend"}, cls.__name__
+
+
+class TestAmbientInventoryLint:
+    """Ambient switches are ``ContextVar``s; ``src/`` rebinds no module global.
+
+    A ``global`` statement is a process-wide switch: it leaks one thread's
+    ``with`` block into every other thread's clusters and is left stuck
+    by an overlapping enter/exit.
+    """
+
+    def test_no_global_statement_under_src(self):
+        assert _files_matching(r"(?m)^\s*global ") == []
 
 
 class TestCacheInventoryLint:
