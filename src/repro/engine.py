@@ -12,16 +12,26 @@ the object a downstream user actually wants::
     result = engine.query("R(x, y), S(y, z)")
     print(result.output, result.plan, result.stats.summary())
 
-The engine plans every query with :mod:`repro.planner` (two-way joins
-get the broadcast/hash/skew/Cartesian decision; multiway queries get
-GYM / HyperCube / SkewHC) and returns the output with the run's cost
-statistics. Pass ``verify=True`` to cross-check the distributed result
-against the single-node oracle (:mod:`repro.testing.oracle`); a
-disagreement raises :class:`repro.errors.OracleMismatchError`.
+Every query runs one pipeline: bind the atoms to registered relations,
+align them to atom order (a memoized view), let the cost-based optimizer
+(:func:`repro.planner.optimizer.plan_query`) price every applicable
+strategy — broadcast / hash / skew / Cartesian for two atoms, HyperCube,
+SkewHC, GYM and the vanilla semijoin plan in general — and execute the
+cheapest, or the forced one, through the optimizer's one dispatch
+(:func:`~repro.planner.optimizer.plan_and_execute`). The result carries
+the output, the run's cost statistics, the full decision record
+(``explain``) and ``plan``, a :class:`~repro.planner.two_way.TwoWayPlan`
+or :class:`~repro.planner.multiway.MultiwayPlan` view of that record for
+the strategy that ran. :func:`run_query` is that pipeline over explicit
+bindings; the query service calls it per branch of a split query. Pass
+``verify=True`` to cross-check the distributed result against the
+single-node oracle (:mod:`repro.testing.oracle`); a disagreement raises
+:class:`repro.errors.OracleMismatchError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.data.relation import Relation
@@ -29,13 +39,7 @@ from repro.errors import OracleMismatchError, QueryError
 from repro.kernels.memo import align, cached_view, forget
 from repro.mpc.stats import MemoStats, RunStats
 from repro.planner.multiway import MultiwayPlan
-from repro.planner.optimizer import (
-    STRATEGIES,
-    ExplainResult,
-    execute_strategy,
-    plan_query,
-)
-from repro.planner.statistics import JoinStatistics, join_statistics
+from repro.planner.optimizer import STRATEGIES, ExplainResult, plan_and_execute
 from repro.planner.two_way import TwoWayPlan
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.parser import parse_query
@@ -46,6 +50,8 @@ from repro.testing.oracle import multiset_diff, oracle_join
 class QueryResult:
     """Output, chosen plan, and cost of one engine query.
 
+    ``plan`` is a view of ``explain`` for the strategy that ran (the
+    chosen one, or the forced one), so the two cannot disagree.
     ``align_cache_hits`` counts how many of this query's own
     input-alignment lookups were served from the view cache of
     :mod:`repro.kernels.memo` instead of re-deriving the projection.
@@ -127,15 +133,12 @@ class Engine:
         raises :class:`~repro.errors.OracleMismatchError` carrying the
         inspectable bag difference.
         """
-        result = self._query(text_or_query, out_estimate, strategy)
+        cq, bindings = self._bind(text_or_query)
+        result = run_query(cq, bindings, self.p, self.seed, out_estimate, strategy)
         if verify:
-            if isinstance(text_or_query, str):
-                cq = parse_query(text_or_query)
-            else:
-                cq = text_or_query
-            expected = self.oracle(cq)
             diff = multiset_diff(
-                expected.rows_readonly(), result.output.rows_readonly()
+                oracle_join(cq, bindings).rows_readonly(),
+                result.output.rows_readonly(),
             )
             if diff:
                 raise OracleMismatchError(f"engine query {cq}", diff)
@@ -143,67 +146,46 @@ class Engine:
 
     def oracle(self, text_or_query: str | ConjunctiveQuery) -> Relation:
         """The trusted single-node answer (rows in query-variable order)."""
+        return oracle_join(*self._bind(text_or_query))
+
+    def _bind(
+        self, text_or_query: str | ConjunctiveQuery
+    ) -> tuple[ConjunctiveQuery, dict[str, Relation]]:
+        """The parsed query and the registered relation of each atom."""
         if isinstance(text_or_query, str):
             cq = parse_query(text_or_query)
         else:
             cq = text_or_query
-        bindings = {a.name: self.relation(a.name) for a in cq.atoms}
-        return oracle_join(cq, bindings)
+        return cq, {a.name: self.relation(a.name) for a in cq.atoms}
 
-    def _query(self, text_or_query: str | ConjunctiveQuery,
-               out_estimate: int | None = None,
-               strategy: str = "auto") -> QueryResult:
-        if isinstance(text_or_query, str):
-            cq = parse_query(text_or_query)
-        else:
-            cq = text_or_query
-        bindings = {a.name: self.relation(a.name) for a in cq.atoms}
 
-        if strategy != "auto" and strategy not in STRATEGIES:
-            raise QueryError(
-                f"unknown strategy {strategy!r} (choose 'auto' or one of "
-                f"{', '.join(STRATEGIES)})"
-            )
-
-        # Per call, so a concurrent query's hits are never reported here.
-        counts = MemoStats()
-        aligned = {
-            atom.name: _align(atom, bindings[atom.name], counts)
-            for atom in cq.atoms
-        }
-        explain = plan_query(
-            cq, aligned, self.p, out_estimate=out_estimate, seed=self.seed
+def run_query(
+    cq: ConjunctiveQuery,
+    bindings: Mapping[str, Relation],
+    p: int,
+    seed: int = 0,
+    out_estimate: int | None = None,
+    strategy: str = "auto",
+) -> QueryResult:
+    """Align, plan and execute ``cq`` over ``bindings``: the one pipeline."""
+    if strategy != "auto" and strategy not in STRATEGIES:
+        raise QueryError(
+            f"unknown strategy {strategy!r} (choose 'auto' or one of "
+            f"{', '.join(STRATEGIES)})"
         )
-        executed = explain.chosen if strategy == "auto" else strategy
-        output, stats = execute_strategy(
-            cq, aligned, self.p, executed, seed=self.seed
-        )
-        plan = self._wrap_plan(cq, aligned, explain, executed)
-        return QueryResult(output, plan, stats, counts.view_hits, explain)
-
-    def _wrap_plan(self, cq: ConjunctiveQuery, aligned: dict[str, Relation],
-                   explain: ExplainResult, executed: str) -> TwoWayPlan | MultiwayPlan:
-        """The legacy plan object for the strategy that actually ran."""
-        candidate = explain.candidate(executed)
-        predicted = candidate.predicted_load or 0.0
-        if executed == "scan":
-            rel = aligned[cq.atoms[0].name]
-            return TwoWayPlan(
-                "scan", predicted,
-                JoinStatistics(len(rel), 0, (), len(rel), 0, 0),
-            )
-        if executed in ("broadcast", "hash", "skew", "cartesian"):
-            left, right = (aligned[a.name] for a in cq.atoms)
-            return TwoWayPlan(executed, predicted, join_statistics(left, right))
-        return MultiwayPlan(
-            executed,
-            explain.acyclic,
-            explain.tau_star,
-            explain.statistics.skewed,
-            explain.statistics.in_size,
-            explain.statistics.out_estimate,
-            predicted,
-        )
+    # Per call, so a concurrent query's hits are never reported here.
+    counts = MemoStats()
+    aligned = {
+        atom.name: _align(atom, bindings[atom.name], counts) for atom in cq.atoms
+    }
+    explain, executed, output, stats = plan_and_execute(
+        cq, aligned, p, seed=seed, out_estimate=out_estimate, strategy=strategy
+    )
+    if len(cq.atoms) <= 2:
+        plan = TwoWayPlan.view(explain, executed, *aligned.values())
+    else:
+        plan = MultiwayPlan.view(explain, executed)
+    return QueryResult(output, plan, stats, counts.view_hits, explain)
 
 
 def _align(atom: Atom, rel: Relation, counts: MemoStats) -> Relation:

@@ -64,54 +64,44 @@ def cartesian_product(
             f"{r.name} and {s.name} share attributes; use a join algorithm"
         )
     cluster = Cluster(p, seed=seed)
-    cartesian_on_cluster(cluster, r, s, output_fragment="out")
+    cartesian_on_cluster(cluster, r, s)
     output = cluster.gather_relation("out", "OUT", schema)
     return JoinRun(output, cluster.stats)
 
 
-def cartesian_on_cluster(
-    cluster: Cluster,
-    r: Relation,
-    s: Relation,
-    output_fragment: str = "out",
-    servers: list[int] | None = None,
-) -> None:
-    """In-cluster primitive: grid product on a subset of servers.
+def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
+    """In-cluster primitive: grid product into the ``out`` fragment.
 
-    ``servers`` (default: all) are arranged in the optimal rectangle; any
-    leftover servers beyond ``p1·p2`` idle. The inputs are scattered over
-    the chosen servers (free initial placement), then replicated along
-    grid rows/columns in one charged round.
+    The servers are arranged in the optimal rectangle; any leftover
+    servers beyond ``p1·p2`` idle. The inputs are scattered round-robin
+    (free initial placement), then replicated along grid rows/columns in
+    one charged round.
     """
-    pool = list(range(cluster.p)) if servers is None else servers
-    if not pool:
-        raise QueryError("cartesian_on_cluster needs at least one server")
-    p1, p2 = optimal_rectangle(len(r), len(s), len(pool))
+    p = cluster.p
+    p1, p2 = optimal_rectangle(len(r), len(s), p)
     grid = Grid([p1, p2])
 
     r_frag = "L@cart"
     s_frag = "R@cart"
     for i, row in enumerate(r):
-        cluster.servers[pool[i % len(pool)]].fragment(r_frag).append(row)
+        cluster.servers[i % p].fragment(r_frag).append(row)
     for i, row in enumerate(s):
-        cluster.servers[pool[i % len(pool)]].fragment(s_frag).append(row)
+        cluster.servers[i % p].fragment(s_frag).append(row)
 
     row_of = cluster.hash_function(101, p1)
     col_of = cluster.hash_function(102, p2)
     with cluster.round("cartesian-replicate") as rnd:
-        for sid in pool:
-            server = cluster.servers[sid]
+        for sid, server in enumerate(cluster.servers):
             for serial, row in enumerate(server.take(r_frag)):
                 target_row = row_of((sid, serial, 0))
                 for j in range(p2):
-                    rnd.send(pool[grid.flat((target_row, j))], f"{r_frag}@row", row)
+                    rnd.send(grid.flat((target_row, j)), f"{r_frag}@row", row)
             for serial, row in enumerate(server.take(s_frag)):
                 target_col = col_of((sid, serial, 1))
                 for i in range(p1):
-                    rnd.send(pool[grid.flat((i, target_col))], f"{s_frag}@col", row)
+                    rnd.send(grid.flat((i, target_col)), f"{s_frag}@col", row)
 
-    for sid in pool:
-        server = cluster.servers[sid]
+    for server in cluster.servers:
         left = server.take(f"{r_frag}@row")
         right = server.take(f"{s_frag}@col")
-        server.fragment(output_fragment).extend(cartesian_rows(left, right))
+        server.fragment("out").extend(cartesian_rows(left, right))

@@ -175,7 +175,7 @@ def _one_heavy_product(
             Schema([f"_r{i}" for i in range(len(extra_idx))]),
             [tuple(row[i] for i in extra_idx) for row in s_rows],
         )
-        cartesian_on_cluster(cluster, left, right, output_fragment="out")
+        cartesian_on_cluster(cluster, left, right)
         return cluster.gather("out"), cluster.stats
 
     # S contributes no new attributes: the join just multiplies each R row

@@ -25,6 +25,7 @@ from repro.joins.base import (
 )
 from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
+from repro.kernels.memo import key_degrees
 from repro.mpc.cluster import Cluster, combine_parallel
 
 Row = tuple[Any, ...]
@@ -43,14 +44,12 @@ def find_heavy_keys(
     per-relation m/p rule of arXiv:1401.1872, where each relation's
     heavy hitters are judged against its own cardinality.
     """
-    from collections import Counter
-
     if isinstance(threshold, tuple):
         r_threshold, s_threshold = threshold
     else:
         r_threshold = s_threshold = threshold
-    r_deg = Counter(tuple(row[i] for i in r.schema.indices(shared)) for row in r)
-    s_deg = Counter(tuple(row[i] for i in s.schema.indices(shared)) for row in s)
+    r_deg = key_degrees(r, r.schema.indices(shared))
+    s_deg = key_degrees(s, s.schema.indices(shared))
     heavy = {k for k, c in r_deg.items() if c >= r_threshold}
     heavy |= {k for k, c in s_deg.items() if c >= s_threshold}
     return sorted(heavy)

@@ -14,13 +14,10 @@ the one-round lower bound (slide 126) up to constants.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.mpc.cluster import Cluster
+from repro.matmul.rectangular import rectangular_block_matmul
 from repro.mpc.stats import RunStats
-from repro.mpc.topology import Grid
 
 
 def rectangle_block_matmul(
@@ -33,39 +30,15 @@ def rectangle_block_matmul(
 
     ``groups`` is K, the number of row/column groups; the server count is
     K². Returns ``(C, stats)``; the per-server load is 2·(n/K)·n elements.
+    The square case of
+    :func:`~repro.matmul.rectangular.rectangular_block_matmul` (K1 = K3 = K).
     """
     n = a.shape[0]
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("rectangle-block algorithm expects square same-size matrices")
     if not 1 <= groups <= n:
         raise ValueError(f"groups must be in [1, {n}], got {groups}")
-
-    k = groups
-    t = math.ceil(n / k)
-    grid = Grid([k, k])
-    cluster = Cluster(grid.size, seed=seed)
-
-    with cluster.round("rectangle-distribute") as rnd:
-        for row in range(n):
-            dest_group = row // t
-            for col_group in range(k):
-                dest = grid.flat((dest_group, col_group))
-                rnd.send(dest, "A@rows", (row, a[row, :]), units=n)
-        for col in range(n):
-            dest_group = col // t
-            for row_group in range(k):
-                dest = grid.flat((row_group, dest_group))
-                rnd.send(dest, "B@cols", (col, b[:, col]), units=n)
-
-    c = np.zeros((n, n))
-    for sid in range(grid.size):
-        server = cluster.servers[sid]
-        rows = server.take("A@rows")
-        cols = server.take("B@cols")
-        for row_index, row_vec in rows:
-            for col_index, col_vec in cols:
-                c[row_index, col_index] = float(row_vec @ col_vec)
-    return c, cluster.stats
+    return rectangular_block_matmul(a, b, groups, groups, seed=seed)
 
 
 def rectangle_block_costs(n: int, load: float) -> dict[str, float]:

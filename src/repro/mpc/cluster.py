@@ -515,6 +515,23 @@ class Cluster:
         return f"Cluster(p={self.p}, {self.stats.summary()})"
 
 
+def _with_ledgers(
+    combined: RunStats, runs: Sequence[RunStats], audit: bool, parallel: bool
+) -> RunStats:
+    """Sum the parts' four sub-ledgers into ``combined`` (and re-check it)."""
+    combined.audit = AuditReport.merged(
+        run.audit for run in runs if run.audit is not None
+    )
+    combined.faults = FaultStats.merged([run.faults for run in runs])
+    combined.exec = ExecStats.merged([run.exec for run in runs])
+    combined.memo = MemoStats.merged([run.memo for run in runs])
+    if audit:
+        from repro.mpc.audit import verify_combined
+
+        verify_combined(combined, runs, parallel=parallel)
+    return combined
+
+
 def combine_sequential(
     p_total: int, runs: Sequence[RunStats], audit: bool = False
 ) -> RunStats:
@@ -529,19 +546,7 @@ def combine_sequential(
     for run in runs:
         combined.rounds.extend(run.rounds)
         combined.aborted += run.aborted
-    combined.audit = AuditReport.merged(
-        run.audit for run in runs if run.audit is not None
-    )
-    combined.faults = FaultStats.merged(
-        run.faults for run in runs if run.faults is not None
-    )
-    combined.exec = ExecStats.merged([run.exec for run in runs])
-    combined.memo = MemoStats.merged([run.memo for run in runs])
-    if audit:
-        from repro.mpc.audit import verify_combined
-
-        verify_combined(combined, runs, parallel=False)
-    return combined
+    return _with_ledgers(combined, runs, audit, parallel=False)
 
 
 def combine_parallel(
@@ -577,16 +582,4 @@ def combine_parallel(
                 received.extend(seq[i].received)
                 labels.append(seq[i].label)
         combined.rounds.append(RoundStats("+".join(dict.fromkeys(labels)), received))
-    combined.audit = AuditReport.merged(
-        run.audit for run in runs if run.audit is not None
-    )
-    combined.faults = FaultStats.merged(
-        run.faults for run in runs if run.faults is not None
-    )
-    combined.exec = ExecStats.merged([run.exec for run in runs])
-    combined.memo = MemoStats.merged([run.memo for run in runs])
-    if audit:
-        from repro.mpc.audit import verify_combined
-
-        verify_combined(combined, runs, parallel=True)
-    return combined
+    return _with_ledgers(combined, runs, audit, parallel=True)

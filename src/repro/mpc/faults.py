@@ -83,14 +83,15 @@ under randomized plans and asserts oracle-identical outputs.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import FaultPlanError
 from repro.mpc.server import Row
+from repro.mpc.stats import CounterStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.cluster import Cluster, RoundContext
@@ -307,7 +308,7 @@ def faulty(plan: FaultPlan | None) -> Iterator[None]:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(CounterStats):
     """Counters of injected faults and the recovery work they caused."""
 
     crashes: int = 0
@@ -328,6 +329,14 @@ class FaultStats:
     # in the pool the faults and their recovery work landed. Inline runs
     # attribute everything to worker 0; totals are backend-independent.
     by_worker: dict[int, int] = field(default_factory=dict)
+
+    _COUNTERS = (
+        "crashes", "scatter_crashes",
+        "straggler_events", "straggler_units",
+        "dropped", "duplicated", "retransmitted", "deduplicated",
+        "checkpoints_taken", "checkpoint_restores",
+        "rounds_replayed", "recovery_load", "unrecovered",
+    )
 
     @property
     def injected(self) -> int:
@@ -355,24 +364,18 @@ class FaultStats:
             text += f", UNRECOVERED {self.unrecovered}"
         return text
 
-    @classmethod
-    def merged(cls, reports: Iterable["FaultStats"]) -> "FaultStats | None":
-        """Field-wise sum of several reports; ``None`` if none given."""
-        merged: FaultStats | None = None
-        for report in reports:
-            if merged is None:
-                merged = cls()
-            for spec in fields(cls):
-                value = getattr(report, spec.name)
-                if isinstance(value, dict):
-                    target = getattr(merged, spec.name)
-                    for key, count in value.items():
-                        target[key] = target.get(key, 0) + count
-                else:
-                    setattr(
-                        merged, spec.name, getattr(merged, spec.name) + value
-                    )
-        return merged
+    def add(self, other: "FaultStats") -> None:
+        super().add(other)
+        for worker, count in other.by_worker.items():
+            self.by_worker[worker] = self.by_worker.get(worker, 0) + count
+
+    def delta(self, since: "FaultStats") -> "FaultStats":
+        diff = super().delta(since)
+        for worker, count in self.by_worker.items():
+            change = count - since.by_worker.get(worker, 0)
+            if change:
+                diff.by_worker[worker] = change
+        return diff
 
 
 # ----------------------------------------------------------------- controller

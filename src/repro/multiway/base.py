@@ -3,7 +3,9 @@
 Multi-round algorithms compose three charged one-round primitives:
 
 - :func:`shuffle_join` — hash-partition two relations by their shared key
-  and join locally (the step of an iterative binary plan);
+  and join locally (the step of an iterative binary plan;
+  :func:`join_step` falls back to the grid product when the two sides
+  share no attribute);
 - :func:`shuffle_semijoin` — reduce a target relation by a reducer's
   distinct keys (one Yannakakis/GYM semijoin);
 - :func:`shuffle_multi_semijoin` — reduce a target by several reducers
@@ -27,6 +29,7 @@ from typing import Any
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.joins.cartesian import cartesian_product
 from repro.joins.hash_join import one_round_hash_join
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import semijoin_mask
@@ -64,6 +67,20 @@ def shuffle_join(
 ) -> tuple[Relation, RunStats]:
     """One-round hash join; returns the (gathered) result ``J`` and its cost."""
     return one_round_hash_join(r, s, p, seed, label, "J")
+
+
+def join_step(
+    left: Relation,
+    right: Relation,
+    p: int,
+    seed: int = 0,
+    label: str = "join",
+) -> tuple[Relation, RunStats]:
+    """One step of a binary plan: hash join on the shared key, else grid product."""
+    if left.schema.common(right.schema):
+        return shuffle_join(left, right, p, seed=seed, label=label)
+    run = cartesian_product(left, right, p, seed=seed)
+    return run.output, run.stats
 
 
 def shuffle_semijoin(

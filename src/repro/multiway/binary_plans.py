@@ -15,10 +15,9 @@ from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.cartesian import cartesian_product
 from repro.kernels.memo import align, bound
 from repro.mpc.cluster import combine_sequential
-from repro.multiway.base import MultiwayRun, shuffle_join
+from repro.multiway.base import MultiwayRun, join_step
 from repro.query.cq import ConjunctiveQuery
 
 
@@ -46,14 +45,9 @@ def binary_join_plan(
     intermediate_sizes = [len(current)]
     for step, name in enumerate(atom_order[1:], start=1):
         rel = align(query.atom(name), bound(relations, name))
-        shared = current.schema.common(rel.schema)
-        if shared:
-            current, stats = shuffle_join(
-                current, rel, p, seed=seed + step, label=f"join-{name}"
-            )
-        else:
-            run = cartesian_product(current, rel, p, seed=seed + step)
-            current, stats = run.output, run.stats
+        current, stats = join_step(
+            current, rel, p, seed=seed + step, label=f"join-{name}"
+        )
         runs.append(stats)
         intermediate_sizes.append(len(current))
 

@@ -22,12 +22,11 @@ from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.cartesian import cartesian_product
 from repro.joins.heavy import allocate_servers
 from repro.kernels.memo import align, bound, project_view
 from repro.mpc.cluster import combine_parallel, combine_sequential
 from repro.mpc.stats import RunStats
-from repro.multiway.base import MultiwayRun, shuffle_join, shuffle_multi_semijoin
+from repro.multiway.base import MultiwayRun, join_step, shuffle_multi_semijoin
 from repro.multiway.hypercube import hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.ghd import GHD, GHDNode, width1_ghd
@@ -67,29 +66,8 @@ def gym(
     )
     phases.extend(materialize_stats)
 
-    levels = _levels(ghd)
-
-    # Upward semijoin phase (deepest level reduces the one above it).
-    for depth in range(len(levels) - 1, 0, -1):
-        ops = [
-            (parent, parent.children)
-            for parent in levels[depth - 1]
-            if parent.children
-        ]
-        phases.extend(
-            _semijoin_level(working, ops, p, seed, variant, direction="up")
-        )
-
-    # Downward semijoin phase.
-    for depth in range(len(levels) - 1):
-        ops = [
-            (parent, parent.children)
-            for parent in levels[depth]
-            if parent.children
-        ]
-        phases.extend(
-            _semijoin_level(working, ops, p, seed + 1000, variant, direction="down")
-        )
+    levels = ghd.levels()
+    phases.extend(full_reducer(working, levels, p, (seed, seed + 1000), variant))
 
     # Join phase, bottom-up.
     phases.extend(_join_phase(working, levels, p, seed + 2000, variant))
@@ -152,16 +130,10 @@ def _materialize_bags(
         ]
         pools = allocate_servers(weights, p) if parallel else [p] * len(pending)
         for (node, covers), p_op in zip(pending, pools):
-            left = current[id(node)]
-            right = covers[step]
-            if left.schema.common(right.schema):
-                joined, stats = shuffle_join(
-                    left, right, max(p_op, 1), seed=seed + step,
-                    label=f"bag-join-{step}",
-                )
-            else:
-                run = cartesian_product(left, right, max(p_op, 1), seed=seed + step)
-                joined, stats = run.output, run.stats
+            joined, stats = join_step(
+                current[id(node)], covers[step], max(p_op, 1),
+                seed=seed + step, label=f"bag-join-{step}",
+            )
             current[id(node)] = joined
             step_runs.append(stats)
             if step == len(covers) - 1:
@@ -201,9 +173,36 @@ def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation
 # ------------------------------------------------------------- semijoins
 
 
+def full_reducer(
+    working: dict[int, Relation],
+    levels: list[list[GHDNode]],
+    p: int,
+    seeds: tuple[int, int],
+    variant: str = "optimized",
+) -> list[RunStats]:
+    """Yannakakis' full reducer: the upward, then the downward semijoin sweep.
+
+    ``working`` maps ``id(node)`` to the node's relation and is reduced
+    in place; ``levels`` is :meth:`~repro.query.ghd.GHD.levels`;
+    ``seeds`` are the (upward, downward) hash seeds.
+    """
+    up_seed, down_seed = seeds
+    phases: list[RunStats] = []
+    # Deepest level first: each level reduces the one above it.
+    for depth in range(len(levels) - 1, 0, -1):
+        phases.extend(
+            _semijoin_level(working, levels[depth - 1], p, up_seed, variant, "up")
+        )
+    for depth in range(len(levels) - 1):
+        phases.extend(
+            _semijoin_level(working, levels[depth], p, down_seed, variant, "down")
+        )
+    return phases
+
+
 def _semijoin_level(
     working: dict[int, Relation],
-    ops: list[tuple[GHDNode, list[GHDNode]]],
+    parents: list[GHDNode],
     p: int,
     seed: int,
     variant: str,
@@ -216,35 +215,22 @@ def _semijoin_level(
     mode packs independent operations (grouped by target and key) into
     shared rounds on proportionally allocated pools.
     """
-    if not ops:
-        return []
-
-    # Expand into (target_node, [reducer relations]) with a common key.
+    # Expand into (target_node, [reducer relations]) with a common key;
+    # a disconnected child shares no key and constrains nothing.
     tasks: list[tuple[GHDNode, list[Relation]]] = []
-    for parent, children in ops:
+    for parent in parents:
         if direction == "up":
             groups: dict[tuple[str, ...], list[Relation]] = {}
-            for child in children:
-                key = tuple(
-                    a
-                    for a in working[id(parent)].schema.attributes
-                    if a in working[id(child)].schema
-                )
-                if not key:
-                    continue  # disconnected child constrains nothing
-                groups.setdefault(key, []).append(working[id(child)])
+            for child in parent.children:
+                key = working[id(parent)].schema.common(working[id(child)].schema)
+                if key:
+                    groups.setdefault(key, []).append(working[id(child)])
             for reducers in groups.values():
                 tasks.append((parent, reducers))
         else:
-            for child in children:
-                key = tuple(
-                    a
-                    for a in working[id(child)].schema.attributes
-                    if a in working[id(parent)].schema
-                )
-                if not key:
-                    continue
-                tasks.append((child, [working[id(parent)]]))
+            for child in parent.children:
+                if working[id(child)].schema.common(working[id(parent)].schema):
+                    tasks.append((child, [working[id(parent)]]))
 
     phases: list[RunStats] = []
     if variant == "optimized":
@@ -329,14 +315,10 @@ def _join_phase(
             for parent in parents:
                 result = working[id(parent)]
                 for child in parent.children:
-                    child_rel = working[id(child)]
-                    if result.schema.common(child_rel.schema):
-                        result, stats = shuffle_join(
-                            result, child_rel, p, seed=seed + depth, label="join-up"
-                        )
-                    else:
-                        run = cartesian_product(result, child_rel, p, seed=seed + depth)
-                        result, stats = run.output, run.stats
+                    result, stats = join_step(
+                        result, working[id(child)], p,
+                        seed=seed + depth, label="join-up",
+                    )
                     phases.append(stats)
                 working[id(parent)] = result
     return phases
@@ -356,12 +338,3 @@ def _hypercube_merge(
     subquery = ConjunctiveQuery(atoms)
     run = hypercube_join(subquery, rels, p, seed=seed)
     return run.output, run.stats
-
-
-def _levels(ghd: GHD) -> list[list[GHDNode]]:
-    levels: list[list[GHDNode]] = []
-    frontier = [ghd.root]
-    while frontier:
-        levels.append(frontier)
-        frontier = [c for node in frontier for c in node.children]
-    return levels

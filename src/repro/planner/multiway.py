@@ -1,17 +1,16 @@
-"""Cost-based selection among the multiway strategies.
+"""The conjunctive-query face of the cost-based optimizer.
 
-The tutorial's decision surface for a full conjunctive query:
-
-- **GYM** for acyclic queries with modest output — L = O((IN + OUT)/p)
-  beats one-round algorithms while OUT < p^{1−1/τ*}·IN (slide 78);
-- **HyperCube** for skew-free data (or when the query is cyclic and the
-  output is large) — one round, L = IN/p^{1/τ*};
-- **SkewHC** when heavy hitters exist — one round, L = IN/p^{1/ψ*}.
-
-The planner computes τ* via the LP, detects heavy hitters at the N/p
-threshold, estimates OUT exactly (sketched in a real engine), and picks
-accordingly. All three run paths return a
-:class:`~repro.multiway.base.MultiwayRun` so callers can compare.
+The tutorial's multiway decision surface — GYM for acyclic queries while
+OUT < p^{1−1/τ*}·IN (slide 78), HyperCube on skew-free data, SkewHC
+under heavy hitters — is priced by
+:func:`repro.planner.optimizer.plan_query` from τ*, ψ*, the m/p
+heavy-hitter rule and the output estimate. :func:`plan_multiway_join`
+and :func:`execute_multiway_join` are that planner and its executor
+under their historical names; they decide and dispatch nothing
+themselves. :class:`MultiwayPlan` is the record they — and
+:class:`repro.engine.Engine`, for queries of three or more atoms —
+return: a view of one candidate of the
+:class:`~repro.planner.optimizer.ExplainResult`.
 """
 
 from __future__ import annotations
@@ -21,25 +20,34 @@ from dataclasses import dataclass
 
 from repro.data.relation import Relation
 from repro.multiway.base import MultiwayRun
-from repro.multiway.gym import gym
-from repro.multiway.hypercube import hypercube_join
-from repro.multiway.skewhc import find_heavy_values, skewhc_join
+from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
 from repro.query.cq import ConjunctiveQuery
-from repro.query.fractional import tau_star
-from repro.query.hypergraph import is_acyclic
 
 
 @dataclass(frozen=True)
 class MultiwayPlan:
-    """A chosen multiway strategy plus the cost model's inputs."""
+    """One strategy of an :class:`ExplainResult` plus the cost model's inputs."""
 
-    algorithm: str            # "gym" | "hypercube" | "skewhc"
+    algorithm: str            # any strategy the optimizer can run on the query
     acyclic: bool
     tau_star: float
     skewed: bool
     in_size: int
     out_estimate: int
     predicted_load: float
+
+    @classmethod
+    def view(cls, explain: ExplainResult, executed: str) -> "MultiwayPlan":
+        """The record of ``executed`` as a view of ``explain``."""
+        return cls(
+            executed,
+            explain.acyclic,
+            explain.tau_star,
+            explain.statistics.skewed,
+            explain.statistics.in_size,
+            explain.statistics.out_estimate,
+            explain.candidate(executed).predicted_load or 0.0,
+        )
 
     def describe(self) -> str:
         return (
@@ -54,32 +62,13 @@ def plan_multiway_join(
     p: int,
     out_estimate: int | None = None,
 ) -> MultiwayPlan:
-    """Pick GYM / HyperCube / SkewHC for this query and input profile.
+    """The optimizer's cheapest strategy for this query and input profile.
 
     ``out_estimate`` defaults to the exact output size (the simulator
     can afford it); pass a sketch-based estimate to model a real engine.
     """
-    in_size = sum(len(relations[a.name]) for a in query.atoms)
-    n_max = max((len(relations[a.name]) for a in query.atoms), default=0)
-    tau = tau_star(query)
-    acyclic = is_acyclic(query)
-    heavy = find_heavy_values(query, dict(relations), threshold=max(n_max / p, 1.0))
-    skewed = any(heavy.values())
-    if out_estimate is None:
-        out_estimate = len(query.evaluate(relations))
-
-    one_round_load = in_size / p ** (1.0 / tau) if tau > 0 else in_size
-    gym_load = (in_size + out_estimate) / p
-
-    if acyclic and gym_load < one_round_load:
-        return MultiwayPlan("gym", acyclic, tau, skewed, in_size, out_estimate, gym_load)
-    if skewed:
-        return MultiwayPlan(
-            "skewhc", acyclic, tau, skewed, in_size, out_estimate, one_round_load
-        )
-    return MultiwayPlan(
-        "hypercube", acyclic, tau, skewed, in_size, out_estimate, one_round_load
-    )
+    explain = plan_query(query, relations, p, out_estimate=out_estimate)
+    return MultiwayPlan.view(explain, explain.chosen)
 
 
 def execute_multiway_join(
@@ -90,11 +79,7 @@ def execute_multiway_join(
     out_estimate: int | None = None,
 ) -> tuple[MultiwayPlan, MultiwayRun]:
     """Plan and run; returns the decision and the execution."""
-    plan = plan_multiway_join(query, relations, p, out_estimate=out_estimate)
-    if plan.algorithm == "gym":
-        run = gym(query, relations, p, seed=seed)
-    elif plan.algorithm == "skewhc":
-        run = skewhc_join(query, relations, p, seed=seed)
-    else:
-        run = hypercube_join(query, relations, p, seed=seed)
-    return plan, run
+    explain, executed, output, stats = plan_and_execute(
+        query, relations, p, seed=seed, out_estimate=out_estimate
+    )
+    return MultiwayPlan.view(explain, executed), MultiwayRun(output, stats)

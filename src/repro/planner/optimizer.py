@@ -290,24 +290,23 @@ def plan_query(
     out_estimate: int | None = None,
     sample: int | None = None,
     seed: int = 0,
-    statistics: QueryStatistics | None = None,
 ) -> ExplainResult:
     """Price every applicable strategy and pick the cheapest.
 
     The cost model is L-dominant: candidates are ranked by predicted
     max-load, then by predicted round count, then by the fixed
     :data:`STRATEGIES` precedence (so equal predictions resolve
-    deterministically, independent of atom order). ``statistics`` lets
-    callers supply pre-collected (possibly sampled) statistics; by
-    default they are gathered exactly via
-    :func:`~repro.planner.statistics.collect_query_statistics`.
+    deterministically, independent of atom order). Statistics are
+    gathered via
+    :func:`~repro.planner.statistics.collect_query_statistics` (exactly,
+    or from a ``sample``-row subset per relation).
     """
     cq = _as_query(query)
     if p <= 0:
         raise QueryError("the planner needs at least one server")
     if not cq.atoms:
         raise QueryError("cannot plan an empty query")
-    stats = statistics if statistics is not None else collect_query_statistics(
+    stats = collect_query_statistics(
         cq, relations, p, out_estimate=out_estimate, sample=sample, seed=seed
     )
 
@@ -448,7 +447,7 @@ def execute_strategy(
     strategy: str,
     seed: int = 0,
 ) -> tuple[Relation, RunStats]:
-    """Run one strategy by name; output is projected to query-variable order.
+    """Run one strategy by name; the output is ``OUT`` in query-variable order.
 
     This is the single dispatch point shared by ``strategy="auto"`` and
     explicitly forced strategies, so forcing the planner's choice is
@@ -469,6 +468,7 @@ def execute_strategy(
     if strategy == "scan":
         if len(atoms) != 1:
             raise QueryError("scan applies to single-atom queries only")
+        # Always a copy: the input is the caller's own relation.
         return bindings[atoms[0].name].project(variables, name="OUT"), RunStats(p)
     if len(atoms) == 1:
         raise QueryError("single-atom queries only support the 'scan' strategy")
@@ -493,9 +493,7 @@ def execute_strategy(
             run = skew_join(left, right, p, seed=seed, threshold=threshold)
         else:
             run = _TWO_WAY_RUNNERS[strategy](left, right, p, seed=seed)
-        return run.output.project(variables, name="OUT"), run.stats
-
-    if strategy == "hypercube":
+    elif strategy == "hypercube":
         run = hypercube_join(cq, bindings, p, seed=seed)
     elif strategy == "skewhc":
         run = skewhc_join(cq, bindings, p, seed=seed)
@@ -508,7 +506,13 @@ def execute_strategy(
             cq, bindings, p, seed=seed,
             variant="optimized" if strategy == "gym" else "vanilla",
         )
-    return run.output.project(variables, name="OUT"), run.stats
+    # The rule memo.align applies to inputs: what already is OUT in
+    # query-variable order is returned as is (the run built it, nothing
+    # else holds it); only a reordering or a rename pays for a projection.
+    output = run.output
+    if output.name != "OUT" or output.schema.attributes != cq.variables:
+        output = output.project(variables, name="OUT")
+    return output, run.stats
 
 
 @dataclass(frozen=True)

@@ -1,40 +1,57 @@
-"""Cost-based selection among the two-way join algorithms.
+"""The two-relation face of the cost-based optimizer.
 
-Encodes the tutorial's decision surface (slides 23–32):
-
-- **broadcast join** when one side is smaller than the per-server share
-  of the other (`min ≤ max/p`) — one round, load `|small|`;
-- **Cartesian grid** when there is no join key;
-- **parallel hash join** when no value is heavy at IN/p — one round,
-  load ≈ IN/p;
-- **skew-aware join** otherwise — still one (model) round, load
-  `O(sqrt(OUT/p) + IN/p)`.
-
-:func:`plan_two_way_join` returns the decision with its predicted load;
-:func:`execute_two_way_join` runs it.
+The tutorial's two-way decision surface (slides 23–32: broadcast when
+one side fits a server's share of the other, the Cartesian grid without
+a join key, the parallel hash join on skew-free data, the skew-aware
+join otherwise) is priced, not ruled, by
+:func:`repro.planner.optimizer.plan_query`. :func:`plan_two_way_join`
+and :func:`execute_two_way_join` are that planner and its executor on
+the two-atom query ``R(r's attributes), S(s's attributes)``; they
+decide and dispatch nothing themselves. :class:`TwoWayPlan` is the
+record they — and :class:`repro.engine.Engine`, for queries of up to two
+atoms — return: a view of one candidate of the
+:class:`~repro.planner.optimizer.ExplainResult`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun
-from repro.joins.broadcast_join import broadcast_join
-from repro.joins.cartesian import cartesian_product, predicted_cartesian_load
-from repro.joins.hash_join import parallel_hash_join
-from repro.joins.skew_join import skew_join
+from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
 from repro.planner.statistics import JoinStatistics, join_statistics
+from repro.query.cq import Atom, ConjunctiveQuery
 
 
 @dataclass(frozen=True)
 class TwoWayPlan:
-    """A chosen algorithm plus the cost model's prediction."""
+    """One strategy of an :class:`ExplainResult` over at most two atoms.
 
-    algorithm: str            # "broadcast" | "cartesian" | "hash" | "skew"
+    ``algorithm`` names any strategy the optimizer can run on such a
+    query: ``"broadcast"``, ``"hash"``, ``"skew"`` or ``"cartesian"``,
+    the general ``"hypercube"``, ``"skewhc"``, ``"gym"`` and
+    ``"semijoin"`` when they are cheaper (or forced), and ``"scan"`` for
+    a single atom.
+    """
+
+    algorithm: str
     predicted_load: float
     statistics: JoinStatistics
+
+    @classmethod
+    def view(
+        cls, explain: ExplainResult, executed: str, *relations: Relation
+    ) -> "TwoWayPlan":
+        """The record of ``executed`` over the query's one or two inputs."""
+        if len(relations) == 1:
+            size = len(relations[0])
+            statistics = JoinStatistics(size, 0, (), size, 0, 0)
+        else:
+            statistics = join_statistics(*relations)
+        return cls(
+            executed, explain.candidate(executed).predicted_load or 0.0, statistics
+        )
 
     def describe(self) -> str:
         return (
@@ -43,37 +60,33 @@ class TwoWayPlan:
         )
 
 
-def plan_two_way_join(r: Relation, s: Relation, p: int) -> TwoWayPlan:
-    """Pick the cheapest two-way algorithm for this input profile."""
-    stats = join_statistics(r, s)
-    if not stats.shared:
-        return TwoWayPlan(
-            "cartesian",
-            predicted_cartesian_load(stats.r_size, stats.s_size, p),
-            stats,
-        )
-    small = min(stats.r_size, stats.s_size)
-    big = max(stats.r_size, stats.s_size)
-    if small <= big / p:
-        return TwoWayPlan("broadcast", float(small), stats)
-    if not stats.has_heavy_hitter(p):
-        return TwoWayPlan("hash", stats.in_size / p, stats)
-    return TwoWayPlan(
-        "skew",
-        math.sqrt(stats.out_size / p) + stats.in_size / p,
-        stats,
+def _two_atom_query(
+    r: Relation, s: Relation
+) -> tuple[ConjunctiveQuery, dict[str, Relation]]:
+    """The natural join of ``r`` and ``s`` as a query with its bindings.
+
+    The atoms are named by position, not after the relations, so two
+    inputs that share a name still form a valid query.
+    """
+    query = ConjunctiveQuery(
+        [Atom("R", r.schema.attributes), Atom("S", s.schema.attributes)]
     )
+    return query, {"R": r, "S": s}
+
+
+def plan_two_way_join(r: Relation, s: Relation, p: int) -> TwoWayPlan:
+    """The optimizer's cheapest strategy for R ⋈ S on ``p`` servers."""
+    query, relations = _two_atom_query(r, s)
+    explain = plan_query(query, relations, p)
+    return TwoWayPlan.view(explain, explain.chosen, r, s)
 
 
 def execute_two_way_join(
     r: Relation, s: Relation, p: int, seed: int = 0
 ) -> tuple[TwoWayPlan, JoinRun]:
     """Plan and run; returns the decision and the execution."""
-    plan = plan_two_way_join(r, s, p)
-    runner = {
-        "broadcast": broadcast_join,
-        "cartesian": cartesian_product,
-        "hash": parallel_hash_join,
-        "skew": skew_join,
-    }[plan.algorithm]
-    return plan, runner(r, s, p, seed=seed)
+    query, relations = _two_atom_query(r, s)
+    explain, executed, output, stats = plan_and_execute(
+        query, relations, p, seed=seed
+    )
+    return TwoWayPlan.view(explain, executed, r, s), JoinRun(output, stats)

@@ -55,6 +55,15 @@ class GHD:
     def nodes(self) -> list[GHDNode]:
         return self.root.walk()
 
+    def levels(self) -> list[list[GHDNode]]:
+        """The nodes by depth, root level first (GYM's round structure)."""
+        levels: list[list[GHDNode]] = []
+        frontier = [self.root]
+        while frontier:
+            levels.append(frontier)
+            frontier = [c for node in frontier for c in node.children]
+        return levels
+
     @property
     def width(self) -> int:
         """Maximum cover (λ) size over all nodes."""

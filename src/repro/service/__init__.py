@@ -21,8 +21,8 @@ over :class:`repro.engine.Engine`:
   by warehouse writes, with hit/miss/eviction/invalidation counters;
 - a **query-splitting rewriter** (:mod:`repro.service.splitter`) that
   partitions one conjunctive query into k disjoint mod-based branches
-  executed as independent engine calls and merged with a byte-identity
-  guarantee against the unsplit result.
+  each run through :func:`repro.engine.run_query` and merged with a
+  byte-identity guarantee against the unsplit result.
 
 ``python -m repro serve`` stands up a service over a generated
 warehouse and drives it with a configurable concurrent client load.

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
 from repro.data.warehouse import RelationWarehouse, Warehouse
-from repro.engine import Engine
+from repro.engine import Engine, run_query
 from repro.errors import (
     InFlightQuotaError,
     LoadCapQuotaError,
@@ -51,6 +51,7 @@ from repro.errors import (
     QueueFullError,
     ServiceClosedError,
 )
+from repro.mpc.stats import CounterStats
 from repro.planner.optimizer import plan_query, price_branches
 from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
@@ -94,7 +95,7 @@ class TenantQuota:
 
 
 @dataclass
-class TenantStats:
+class TenantStats(CounterStats):
     """One tenant's admission ledger."""
 
     submitted: int = 0
@@ -105,10 +106,20 @@ class TenantStats:
     rejected_queue_full: int = 0
     in_flight: int = 0
 
+    _COUNTERS = (
+        "submitted", "completed", "failed",
+        "rejected_in_flight", "rejected_load_cap", "rejected_queue_full",
+        "in_flight",
+    )
+
 
 @dataclass
-class ServiceStats:
-    """A point-in-time snapshot of the service's counters."""
+class ServiceStats(CounterStats):
+    """A point-in-time snapshot of the service's counters.
+
+    ``cache`` and ``tenants`` are point-in-time reads attached by
+    :meth:`QueryService.stats`, not additive counters.
+    """
 
     submitted: int = 0
     admitted: int = 0
@@ -121,6 +132,12 @@ class ServiceStats:
     align_cache_hits: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
     tenants: dict[str, TenantStats] = field(default_factory=dict)
+
+    _COUNTERS = (
+        "submitted", "admitted", "completed", "failed",
+        "rejected_queue_full", "rejected_in_flight", "rejected_load_cap",
+        "split_queries", "align_cache_hits",
+    )
 
     @property
     def rejected(self) -> int:
@@ -430,6 +447,7 @@ class QueryService:
         start = time.perf_counter()
         cq = job.cq
         with self.warehouse.read_view() as catalog:
+            bindings = {a.name: self._binding(catalog, a.name) for a in cq.atoms}
             key = CacheKey(
                 query=str(cq),
                 p=self.p,
@@ -437,9 +455,8 @@ class QueryService:
                 strategy=job.strategy,
                 split=job.split,
                 relation_state=tuple(sorted(
-                    (a.name, id(self._binding(catalog, a.name)),
-                     self._binding(catalog, a.name).mutation_token())
-                    for a in cq.atoms
+                    (name, id(rel), rel.mutation_token())
+                    for name, rel in bindings.items()
                 )),
             )
             cached = self.cache.get(key)
@@ -457,22 +474,19 @@ class QueryService:
                     results[0].explain.chosen_plan.predicted_load or 0.0
                 )
             else:
-                bindings = {
-                    a.name: self._binding(catalog, a.name) for a in cq.atoms
-                }
-                results = []
-                for branch in split_bindings(cq, bindings, job.split):
-                    # Each branch is an independent Engine call: a fresh
-                    # engine over the branch's bindings, same p and seed,
-                    # so a branch is byte-identical to running that
-                    # fragment query on its own. The view cache is
-                    # process-wide and keyed by relation identity, so the
-                    # *unsplit* inputs (identical relation objects in
-                    # every branch) are aligned and stored once.
-                    engine = Engine(self.p, self.seed)
-                    for name, rel in branch.items():
-                        engine.register(rel, name=name)
-                    results.append(engine.query(cq, strategy=job.strategy))
+                # Each branch is the one pipeline over the branch's
+                # bindings, same p and seed, so a branch is
+                # byte-identical to running that fragment query on its
+                # own. The view cache is process-wide and keyed by
+                # relation identity, so the *unsplit* inputs (identical
+                # relation objects in every branch) are aligned and
+                # stored once.
+                results = [
+                    run_query(
+                        cq, branch, self.p, self.seed, strategy=job.strategy
+                    )
+                    for branch in split_bindings(cq, bindings, job.split)
+                ]
                 output = merge_branches([result.output for result in results])
                 predicted = job.predicted
             strategies = tuple(
@@ -484,7 +498,7 @@ class QueryService:
             total_load = sum(loads)
             rounds = sum(result.stats.num_rounds for result in results)
             if job.verify:
-                self._verify(cq, catalog, output)
+                self._verify(cq, bindings, output)
             self.cache.put(
                 key,
                 (output, strategies, max_load, total_load, rounds, predicted),
@@ -499,13 +513,10 @@ class QueryService:
             time.perf_counter() - start,
         )
 
+    @staticmethod
     def _verify(
-        self,
-        cq: ConjunctiveQuery,
-        catalog: Mapping[str, Relation],
-        output: Relation,
+        cq: ConjunctiveQuery, bindings: Mapping[str, Relation], output: Relation
     ) -> None:
-        bindings = {a.name: self._binding(catalog, a.name) for a in cq.atoms}
         expected = oracle_join(cq, bindings)
         diff = multiset_diff(expected.rows_readonly(), output.rows_readonly())
         if diff:
@@ -527,22 +538,11 @@ class QueryService:
 
     def stats(self) -> ServiceStats:
         with self._stats_lock:
-            snapshot = ServiceStats(
-                submitted=self._counters.submitted,
-                admitted=self._counters.admitted,
-                completed=self._counters.completed,
-                failed=self._counters.failed,
-                rejected_queue_full=self._counters.rejected_queue_full,
-                rejected_in_flight=self._counters.rejected_in_flight,
-                rejected_load_cap=self._counters.rejected_load_cap,
-                split_queries=self._counters.split_queries,
-                align_cache_hits=self._counters.align_cache_hits,
-                cache=self.cache.stats(),
-                tenants={
-                    name: TenantStats(**vars(stats))
-                    for name, stats in self._tenants.items()
-                },
-            )
+            snapshot = self._counters.snapshot()
+            snapshot.cache = self.cache.stats()
+            snapshot.tenants = {
+                name: stats.snapshot() for name, stats in self._tenants.items()
+            }
         return snapshot
 
     def drain(self) -> None:

@@ -30,7 +30,6 @@ from repro.testing.differential import (
     reference_output,
     run_case,
 )
-from repro.testing.oracle import multiset_diff
 
 P_LADDER = (2, 4, 8, 16)
 
@@ -190,7 +189,3 @@ def run_metamorphic(
                 )
     return results
 
-
-def bag_equal_outputs(rows_a, rows_b) -> bool:
-    """Convenience for tests: two outputs equal as multisets."""
-    return not multiset_diff(rows_a, rows_b)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.matmul.one_round import rectangle_block_matmul
 from repro.matmul.rectangular import (
     balanced_groups,
     rectangular_block_matmul,
@@ -27,6 +28,18 @@ class TestCorrectness:
         b = rng.random(shape_b)
         c, _ = rectangular_block_matmul(a, b, row_groups=k1, col_groups=k3)
         assert np.allclose(c, a @ b)
+
+    @pytest.mark.parametrize("n,k", [(8, 2), (12, 3), (10, 3), (7, 7), (9, 1)])
+    def test_square_entry_point_is_the_k_by_k_case(self, n, k):
+        rng = np.random.default_rng(n * 100 + k)
+        a, b = rng.random((n, n)), rng.random((n, n))
+        c, stats = rectangle_block_matmul(a, b, k, seed=2)
+        c_rect, stats_rect = rectangular_block_matmul(a, b, k, k, seed=2)
+        assert c.tobytes() == c_rect.tobytes()
+        assert stats.p == stats_rect.p == k * k
+        assert [rd.received for rd in stats.rounds] == [
+            rd.received for rd in stats_rect.rounds
+        ]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -368,3 +368,27 @@ class TestSurfacing:
 
     def test_merged_none_when_no_fault_stats(self):
         assert FaultStats.merged([]) is None
+        assert FaultStats.merged([None, None]) is None
+
+    def test_merged_folds_counters_and_by_worker_per_key(self):
+        first = FaultStats(crashes=1, dropped=2, recovery_load=10, by_worker={0: 2, 1: 1})
+        second = FaultStats(crashes=2, unrecovered=1, by_worker={1: 4, 3: 1})
+        merged = FaultStats.merged([first, None, second])
+        assert (merged.crashes, merged.dropped, merged.recovery_load) == (3, 2, 10)
+        assert merged.unrecovered == 1 and merged.injected == 5
+        assert merged.by_worker == {0: 2, 1: 5, 3: 1}
+        # The parts are left as they were.
+        assert first.by_worker == {0: 2, 1: 1} and second.by_worker == {1: 4, 3: 1}
+
+    def test_snapshot_and_delta_round_trip(self):
+        live = FaultStats(crashes=1, straggler_units=7, by_worker={0: 1})
+        before = live.snapshot()
+        assert before == live and before.by_worker is not live.by_worker
+        live.crashes += 2
+        live.by_worker[0] += 1
+        live.by_worker[2] = 1
+        diff = live.delta(before)
+        assert diff.crashes == 2 and diff.straggler_units == 0
+        assert diff.by_worker == {0: 1, 2: 1}
+        before.add(diff)
+        assert before == live

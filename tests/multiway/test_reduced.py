@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.generators import uniform_relation
+from repro.data.generators import skewed_relation, uniform_relation
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.multiway.hypercube import hypercube_join
@@ -101,3 +101,72 @@ class TestWhereItWins:
         run = reduced_hypercube(q, rels, p=8)
         # up sweep + down sweep + 1 HyperCube round: O(depth).
         assert run.rounds <= 2 * 3 + 1
+
+
+class TestReducerGolden:
+    """``reduced_hypercube`` is GYM's reducer under its own seeds
+    (``seed``, ``seed + 500``, HyperCube at ``seed + 999``): |OUT| and
+    every round's per-server ``received`` list are pinned, so a change
+    to the shared reducer cannot silently move this plan's loads.
+    """
+
+    TREE = ConjunctiveQuery([
+        Atom("A", ["x", "y"]), Atom("B", ["y", "z"]), Atom("C", ["y", "w"]),
+        Atom("D", ["z", "u"]), Atom("E", ["z", "v"]),
+    ])
+    CASES = {
+        "path3": (
+            path_query(3),
+            lambda: path_rels(3),
+            8,
+            1020,
+            [
+                ("semijoin-up", [27, 37, 25, 29, 28, 19, 16, 24]),
+                ("semijoin-up", [23, 32, 26, 32, 30, 15, 11, 26]),
+                ("semijoin-down", [73, 52, 35, 35, 68, 56, 45, 34]),
+                ("hypercube", [111, 134, 132, 151, 92, 114, 76, 97]),
+            ],
+        ),
+        "skewed-star": (
+            star_query(3),
+            lambda: {
+                f"R{i}": skewed_relation(
+                    f"R{i}", ["A0", f"A{i}"], 60, "A0", 40, 1.4, seed=i
+                )
+                for i in range(1, 4)
+            },
+            4,
+            10163,
+            [
+                ("semijoin-up", [18, 39, 29, 8]),
+                ("semijoin-down", [52, 19, 52, 19]),
+                ("hypercube", [15, 87, 7, 47]),
+            ],
+        ),
+        "tree5": (
+            TREE,
+            lambda: {
+                a.name: uniform_relation(
+                    a.name, list(a.variables), 60, 30, seed=20 + i
+                )
+                for i, a in enumerate(TestReducerGolden.TREE.atoms)
+            },
+            13,
+            1560,
+            [
+                ("semijoin-up", [0, 2, 7, 12, 14, 17, 0, 10, 0, 12, 27, 6, 4]),
+                ("semijoin-up", [0, 2, 7, 7, 13, 18, 0, 9, 0, 6, 20, 11, 6]),
+                ("semijoin-down", [26, 32, 19, 0, 23, 26, 31, 20, 22, 38, 15, 31, 31]),
+                ("hypercube", [91, 59, 56, 87, 55, 53, 52, 26, 27, 61, 32, 32, 0]),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_round_received(self, case):
+        query, relations, p, out_size, rounds = self.CASES[case]
+        rels = relations()
+        run = reduced_hypercube(query, rels, p=p, seed=3)
+        assert len(run.output) == out_size
+        assert sorted(run.output.rows()) == sorted(query.evaluate(rels).rows())
+        assert [(rd.label, rd.received) for rd in run.stats.rounds] == rounds

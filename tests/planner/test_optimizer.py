@@ -188,6 +188,59 @@ class TestExecuteStrategy:
         output, _ = execute_strategy(cq, rels, 8, "hypercube")
         assert sorted(output.rows()) == sorted(cq.evaluate(rels).rows())
 
+    def test_no_identity_projection_of_an_engine_output(self, monkeypatch):
+        """An output that already is OUT in variable order is returned as is."""
+        from repro.engine import Engine
+
+        unchanged = []
+        project = Relation.project
+
+        def spy(self, attributes, name=None):
+            if (tuple(attributes) == self.schema.attributes
+                    and (name or self.name) == self.name):
+                unchanged.append(self.name)
+            return project(self, attributes, name=name)
+
+        monkeypatch.setattr(Relation, "project", spy)
+        engine = Engine(8)
+        for relation in (*_two_way_uniform(200, 30).values(), _triangle()["T"]):
+            engine.register(relation)
+        for text in ("R(x, y), S(y, z)", "R(x, y), S(y, z), T(z, x)"):
+            result = engine.query(text)
+            assert result.output.name == "OUT"
+            assert result.output.schema.attributes == parse_query(text).variables
+        assert unchanged == []
+
+    def test_every_output_is_out_in_variable_order(self):
+        """Also for ``scan`` and for relations stored in a permuted order."""
+        rels = {
+            "R": uniform_relation("R", ("y", "x"), 120, 20, seed=1),
+            "S": uniform_relation("S", ("z", "y"), 120, 20, seed=2),
+            "T": uniform_relation("T", ("x", "z"), 120, 20, seed=3),
+            "U": uniform_relation("U", ("w", "v"), 30, 20, seed=4),
+        }
+        queries = {
+            "R(x, y)": ("scan",),
+            "R(x, y), S(y, z)": (
+                "broadcast", "hash", "skew", "hypercube", "skewhc", "gym", "semijoin",
+            ),
+            "R(x, y), U(v, w)": ("cartesian",),
+            "R(x, y), S(y, z), T(z, x)": ("hypercube", "skewhc"),
+        }
+        for text, strategies in queries.items():
+            cq = parse_query(text)
+            for strategy in strategies:
+                output, _ = execute_strategy(cq, rels, 4, strategy)
+                assert output.name == "OUT", (text, strategy)
+                assert output.schema.attributes == cq.variables, (text, strategy)
+                assert sorted(output.rows()) == sorted(cq.evaluate(rels).rows())
+
+    def test_scan_output_never_aliases_the_input(self):
+        out = Relation("OUT", ["x", "y"], [(1, 2), (3, 4)])
+        output, _ = execute_strategy("OUT(x, y)", {"OUT": out}, 4, "scan")
+        assert output is not out
+        assert output.rows() == out.rows()
+
     def test_plan_and_execute_auto_equals_forced(self):
         cq = parse_query("R(x, y), S(y, z)")
         rels = _two_way_uniform(n=300, domain=40)

@@ -11,6 +11,9 @@ canonical scenarios:
 3. Auto ≡ forced: executing ``strategy="auto"`` produces byte-identical
    rows and identical measured load to forcing the strategy the explain
    says it chose.
+4. One planner: ``plan_two_way_join``, ``plan_multiway_join`` and
+   ``Engine.query(...).plan`` are views of ``plan_query``'s record —
+   whichever front door a query comes through, it gets one answer.
 """
 
 from __future__ import annotations
@@ -143,3 +146,32 @@ class TestAutoEqualsForced:
         assert output.rows() == forced_output.rows()
         assert stats.max_load == forced_stats.max_load
         assert sorted(output.rows()) == sorted(cq.evaluate(relations).rows())
+
+
+class TestOnePlanner:
+    def test_planner_faces_agree_with_plan_query(self):
+        from repro.engine import Engine
+        from repro.planner.multiway import plan_multiway_join
+        from repro.planner.two_way import plan_two_way_join
+        from repro.testing.differential import RELATIONAL_KINDS, generate_instances
+
+        checked = {2: 0, 3: 0}
+        for instance in generate_instances(120, seed=3, kinds=list(RELATIONAL_KINDS)):
+            cq, relations, p = instance.query, instance.relations, instance.p
+            explain = plan_query(cq, relations, p)
+            if len(cq.atoms) == 2:
+                r, s = (relations[atom.name] for atom in cq.atoms)
+                record = plan_two_way_join(r, s, p)
+            else:
+                record = plan_multiway_join(cq, relations, p)
+            assert record.algorithm == explain.chosen, instance.label
+            assert record.predicted_load == explain.chosen_plan.predicted_load
+
+            engine = Engine(p, seed=instance.seed)
+            for name, relation in relations.items():
+                engine.register(relation, name=name)
+            result = engine.query(cq)
+            assert result.plan == record, instance.label
+            assert result.plan.algorithm == result.explain.chosen
+            checked[min(len(cq.atoms), 3)] += 1
+        assert checked[2] >= 20 and checked[3] >= 40

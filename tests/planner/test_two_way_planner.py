@@ -73,6 +73,41 @@ class TestExecution:
             assert plan.algorithm == expected
             assert sorted(run.output.rows()) == sorted(r.join(s).rows())
 
+    def test_same_name_inputs(self):
+        """The two-atom query names its atoms by position, not by relation."""
+        e = uniform_relation("E", ["x", "y"], 120, 20, seed=13)
+        f = e.rename({"x": "y", "y": "z"})
+        assert f.name == e.name
+        plan, run = execute_two_way_join(e, f, p=4)
+        assert plan == plan_two_way_join(e, f, p=4)
+        assert sorted(run.output.rows()) == sorted(e.join(f).rows())
+
+    def test_skew_peels_what_it_priced(self):
+        """One key of degree 200 on both sides, |R|=400, |S|=4000, p=16.
+
+        The key is heavy by the m/p rule in R (200 > 25) but below
+        ``skew_join``'s IN/p default (275): an executor that announces
+        ``skew`` and then runs the default peels nothing and measures the
+        plain hash join's load.
+        """
+        from repro.joins import parallel_hash_join
+        from repro.planner.optimizer import plan_query
+
+        r = Relation(
+            "R", ["x", "y"],
+            [(i, 0) for i in range(200)] + [(i, 1 + i % 200) for i in range(200)],
+        )
+        s = Relation(
+            "S", ["y", "z"],
+            [(0, i) for i in range(200)] + [(1 + i % 1900, i) for i in range(3800)],
+        )
+        plan, run = execute_two_way_join(r, s, p=16)
+        assert plan.algorithm == "skew"
+        assert sorted(run.output.rows()) == sorted(r.join(s).rows())
+        assert run.load < parallel_hash_join(r, s, 16).load
+        explain = plan_query("R(x, y), S(y, z)", {"R": r, "S": s}, 16)
+        assert explain.candidate("skew").within_envelope(run.load)
+
     def test_predicted_load_tracks_measured(self):
         r = uniform_relation("R", ["x", "y"], 800, 1600, seed=9)
         s = uniform_relation("S", ["y", "z"], 800, 1600, seed=10)

@@ -15,7 +15,7 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.kernels import memo
-from repro.service import QueryService, TenantQuota
+from repro.service import QueryService, ServiceStats, TenantQuota
 from repro.service.splitter import canonical
 
 QUERY = "Q(a, b, c) :- R(a, b), S(b, c)"
@@ -310,9 +310,9 @@ def test_split_branches_share_one_alignment_memo():
 
 
 def test_split_branch_registration_keeps_the_shared_memo():
-    # A branch engine registers its bindings on construction; the
-    # borrower's register() must not wipe the owner's memo, so a repeat
-    # split query hits instead of re-deriving.
+    # A branch runs the engine's pipeline over its own bindings; nothing
+    # it does may wipe the owner's memo, so a repeat split query hits
+    # instead of re-deriving.
     with QueryService(relations(), p=4, cache_size=0) as service:
         service.query(QUERY, split=2)
         hits_before = service.stats().align_cache_hits
@@ -337,6 +337,26 @@ def test_stats_snapshot_is_complete():
         assert stats.split_queries == 1
         assert stats.tenants["default"].completed == 2
         assert stats.tenants["default"].in_flight == 0
+
+
+def test_stats_round_trip_through_the_counter_ledger():
+    """``stats()`` is ``snapshot()`` of the live ledger: detached, and
+    ``delta`` between two of them is what happened in between."""
+    with QueryService(relations(), p=4) as service:
+        service.query(QUERY)
+        before = service.stats()
+        service.query(QUERY, tenant="other", split=2)
+        after = service.stats()
+        diff = after.delta(before)
+        assert (diff.submitted, diff.admitted, diff.completed) == (1, 1, 1)
+        assert diff.split_queries == 1 and diff.failed == 0
+        assert before.completed == 1 and before.tenants.keys() == {"default"}
+        assert after.tenants["other"].completed == 1
+        # A snapshot never aliases the live per-tenant ledgers.
+        after.tenants["other"].completed = 99
+        assert service.stats().tenants["other"].completed == 1
+        for name in ServiceStats._COUNTERS:
+            assert getattr(after, name) >= getattr(before, name), name
 
 
 def test_context_manager_closes():

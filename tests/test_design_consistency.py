@@ -1,6 +1,8 @@
 """DESIGN.md's experiment index must stay in sync with the repository."""
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -150,6 +152,71 @@ class TestCacheInventoryLint:
     def test_linprog_has_one_call_site(self):
         """Every LP goes through the value-keyed memo of ``query/lp.py``."""
         assert _files_matching(r"linprog") == ["query/lp.py"]
+
+
+class TestDispatchInventoryLint:
+    """One module decides and dispatches: ``planner/optimizer.py``.
+
+    ``planner/two_way.py`` and ``planner/multiway.py`` are faces of
+    ``plan_query``/``execute_strategy``; a runner named in either is a
+    second dispatch table waiting to disagree with the first.
+    """
+
+    RUNNERS = (
+        r"broadcast_join|parallel_hash_join|skew_join|cartesian_product"
+        r"|hypercube_join|skewhc_join|\bgym\("
+    )
+
+    def test_only_the_optimizer_names_an_algorithm_runner(self):
+        planner = ROOT / "src" / "repro" / "planner"
+        assert _files_matching(self.RUNNERS, planner) == ["optimizer.py"]
+
+
+class TestLedgerInventoryLint:
+    """Every counter ledger is a ``CounterStats`` that lists all its counters.
+
+    ``merged``/``snapshot``/``delta`` walk ``_COUNTERS``; an additive
+    field missing from it is silently dropped from all three.
+    """
+
+    # A point-in-time read of LRU.counters(), never merged or diffed.
+    EXEMPT = {"CacheStats"}
+
+    @staticmethod
+    def _additive(cls):
+        return tuple(
+            f.name for f in dataclasses.fields(cls)
+            if f.type in ("int", "float") and f.default == 0
+        )
+
+    def test_stats_dataclasses_are_counterstats(self):
+        from repro.mpc.stats import CounterStats
+
+        seen = []
+        for package in ("mpc", "service"):
+            for path in sorted((ROOT / "src" / "repro" / package).glob("*.py")):
+                module = importlib.import_module(f"repro.{package}.{path.stem}")
+                for name, cls in vars(module).items():
+                    if not (name.endswith("Stats") and dataclasses.is_dataclass(cls)
+                            and cls.__module__ == module.__name__):
+                        continue
+                    additive = self._additive(cls)
+                    if len(additive) > 1 and name not in self.EXEMPT:
+                        assert issubclass(cls, CounterStats), name
+                        assert cls._COUNTERS == additive, name
+                        seen.append(name)
+        assert sorted(seen) == [
+            "ExecStats", "FaultStats", "MemoStats", "ServiceStats", "TenantStats",
+        ]
+
+    def test_dispatch_stats_fold_into_exec_stats(self):
+        """``ExecStats.add(dispatch)`` reads each counter by name and
+        counts a missing one as zero — a renamed field would vanish."""
+        from repro.exec.pool import DispatchStats
+        from repro.mpc.stats import ExecStats
+
+        names = {f.name for f in dataclasses.fields(DispatchStats)}
+        assert names - {"fallback_rows"} <= set(ExecStats._COUNTERS)
 
 
 class TestClockInventoryLint:

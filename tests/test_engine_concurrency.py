@@ -110,7 +110,7 @@ def test_align_cache_hits_are_counted_per_query(monkeypatch):
             assert release.wait(timeout=10)
         return plan_query(cq, *args, **kwargs)
 
-    monkeypatch.setattr("repro.engine.plan_query", gated_plan_query)
+    monkeypatch.setattr(optimizer, "plan_query", gated_plan_query)
     cold = []
     thread = threading.Thread(
         target=lambda: cold.append(engine.query("T(c, d), U(d, w)"))
