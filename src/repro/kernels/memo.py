@@ -7,27 +7,27 @@ relation* on every round.  The MPC cost model charges nothing for that
 local work, but the simulator pays it in wall time.  This module removes
 the redundancy without changing a single observable byte:
 
-- a **partition cache** of fully computed routing plans — the
-  per-server, per-destination row groups and key-column chunks
-  :func:`repro.kernels.partition.try_route` would recompute — replayed
-  as batched sends by :func:`route_scattered` (and
-  :func:`route_scattered_grid` for HyperCube's replicated routes);
+- a **partition cache** of fully computed routing plans — per
+  destination, the rows and key-column chunks the per-server
+  :func:`repro.kernels.partition.try_route` loop would deliver to it —
+  replayed, one batched send per destination, by :func:`route_scattered`
+  (and :func:`route_scattered_grid` for HyperCube's replicated routes);
 - a **view cache** (:func:`cached_view` and its wrappers) of derived
-  read-only views: distinct key sets, degree counters, and the
-  projection that puts a relation in its atom's variable order
-  (:func:`align`).
+  read-only views: distinct key sets, degree counters, the projection
+  that puts a relation in its atom's variable order (:func:`align`),
+  the splitter's fragments, the optimizer's decision for a query.
 
 The policy lives here and nowhere else: a derived value is valid while
 ``(id(relation), mutation token)`` is unchanged and the relation is not
-*borrowed* (has not handed out a mutable ``rows()`` list); the entry
-pins the relation object, so ``id()`` cannot be recycled while it lives;
-every cache — the service's result cache included — is one bounded,
-locked, counted :class:`LRU`; :func:`forget` reclaims a replaced
-relation's entries eagerly.  Replay is chosen by what the code observes,
-never by a switch: :func:`route` tries the cached plan, then the
-per-server kernel, then the scalar loop, and a route whose provenance
-cannot be proven takes the next rung — which is also what a cache miss
-is byte-identical to.
+*borrowed* (has not handed out a mutable ``rows()`` list), for each
+relation it was derived from; the entry pins those relations, so
+``id()`` cannot be recycled while it lives; every cache — the service's
+result cache included — is one bounded, locked, counted :class:`LRU`;
+:func:`forget` reclaims a replaced relation's entries eagerly.  Replay
+is chosen by what the code observes, never by a switch: :func:`route`
+tries the cached plan, then the per-server kernel, then the scalar loop,
+and a route whose provenance cannot be proven takes the next rung —
+which is also what a cache miss is byte-identical to.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from collections.abc import Callable, Hashable, Mapping, Sequence
+from operator import is_
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
@@ -133,16 +136,38 @@ class LRU:
                     len(self._entries))
 
 
-# Relation-keyed entries are ``(relation, token, value)``: the strong
-# reference keeps ``id(relation)`` from being recycled while the entry
-# lives, so only the relation that made a key can ever rebuild it.
+# Relation-keyed entries are ``(relations, tokens, value)``, parallel
+# tuples over the relations the value derives from (one, or the k inputs
+# of a query plan): pinned, so no ``id(relation)`` in the key can be
+# recycled while the entry lives.
 _plans = LRU(64)
 _views = LRU(256)
 
 
-def _lookup(cache: LRU, key: tuple, rel: "Relation", token: int) -> "tuple | None":
-    """The entry pinned to this very relation at this token, else ``None``."""
-    return cache.get(key, lambda entry: entry[0] is rel and entry[1] == token)
+def _pinned(owner: "Relation | tuple") -> tuple:
+    """An entry's owner as a tuple: the one relation, or the k of them."""
+    return owner if isinstance(owner, tuple) else (owner,)
+
+
+def _lookup(cache: LRU, key: tuple, rel: "Relation | tuple", token: "int | tuple") -> Any:
+    """The entry pinned to this very relation at this token (or to these
+    relations at these tokens, as parallel tuples), else ``None``."""
+    rels = _pinned(rel)
+    return cache.get(key, lambda e: e[1] == token and all(map(is_, _pinned(e[0]), rels)))
+
+
+def _get_or_build(cache: LRU, rels: tuple, key_extra: tuple, build: Callable) -> tuple:
+    """``(value, hit)`` of ``build()`` memoized in ``cache`` on the identity
+    and token of every relation in ``rels``; ``None`` is not stored."""
+    tokens = tuple([r.mutation_token() for r in rels])
+    key = (tuple(map(id, rels)), tokens, *key_extra)
+    entry = _lookup(cache, key, rels, tokens)
+    if entry is not None:
+        return entry[2], True
+    value = build()
+    if value is not None:
+        cache.put(key, (rels, tokens, value))
+    return value, False
 
 
 def clear_memo() -> None:
@@ -157,14 +182,14 @@ def memo_cache_sizes() -> tuple[int, int]:
 
 
 def forget(rel: "Relation") -> int:
-    """Drop every plan and view pinned to ``rel``; returns the count.
+    """Drop every plan and view that pins ``rel``; returns the count.
 
     Token keying already makes a stale hit impossible; this is the eager
     reclaim for a relation being replaced (or re-registered after a
     mutation), whose entries would otherwise sit in the LRUs until newer
     ones push them out.
     """
-    return sum(cache.drop(lambda _key, entry: entry[0] is rel) for cache in (_plans, _views))
+    return sum(c.drop(lambda _k, e: any(r is rel for r in e[0])) for c in (_plans, _views))
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +197,7 @@ def forget(rel: "Relation") -> int:
 # --------------------------------------------------------------------------
 
 
-def _replay_eligible(
-    cluster: "Cluster", rel: "Relation", fragment: str
-) -> bool:
+def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool:
     """Whether a cached plan may stand in for the per-server route.
 
     The scatter-provenance map proves the fragment currently holds
@@ -194,44 +217,40 @@ def _replay_eligible(
     origin_rel, origin_token = origin
     if origin_rel is not rel or origin_token != rel.mutation_token():
         return False
-    n = len(rel)
-    p = cluster.p
-    for s, server in enumerate(cluster.servers):
-        if len(server.get(fragment)) != len(range(s, n, p)):
-            return False
-    return True
+    return all(
+        len(server.get(fragment)) == len(range(s, len(rel), cluster.p))
+        for s, server in enumerate(cluster.servers)
+    )
 
 
-def _build_plan(rel: "Relation", token: int, p: int, code: Callable) -> "tuple | None":
-    """The whole-relation twin of the per-server kernels, as a cache entry.
+def _build_plan(rel: "Relation", p: int, key_idx: tuple, code: Callable) -> "tuple | None":
+    """The whole-relation twin of the per-server kernels, as a cache value.
 
-    ``code(n, columns)`` gives ``(codes, buckets, sent columns, offsets,
-    hash_ops)`` for the full relation.  Every elementwise hash commutes
-    with the slice ``rows[s::p]``, so hashing the full columns once and
-    partitioning each server's slice reproduces that server's
-    destinations, stable order, and column chunks exactly.
+    ``code(n, key columns)`` gives ``(codes, buckets, offsets, hash_ops)``
+    for the full relation.  Every elementwise hash commutes with the
+    slice ``rows[s::p]``, so the full columns are hashed once and
+    partitioned once, in (destination, source server, position) order —
+    position ``i`` sits on server ``i % p`` — which is what a destination
+    receives when each server partitions its own slice and the sends
+    arrive source server ascending.
     """
-    from repro.kernels.partition import partition_groups
+    from repro.kernels.partition import groups_in_order
 
     columns = rel.columns()
     if columns is None:
         return None
     rows = rel.rows_readonly()
-    codes, buckets, sent, offsets, hash_ops = code(len(rows), columns)
-    servers = [
-        partition_groups(codes[s::p], buckets, rows[s::p], [c[s::p] for c in sent])
-        for s in range(p)
-    ]
-    nbytes = 0
-    for groups in servers:
-        for _dest, _rows, chunks in groups:
-            for chunk in chunks:
-                # Cached chunks are delivered (possibly repeatedly) as the
-                # column side-car; freezing them keeps a receiver from
-                # mutating the cache.
-                chunk.flags.writeable = False
-                nbytes += int(chunk.nbytes)
-    return rel, token, servers, offsets, nbytes, hash_ops
+    sent = [columns[i] for i in key_idx]
+    codes, buckets, offsets, hash_ops = code(len(rows), sent)
+    order = np.lexsort((np.arange(len(rows)) % p, codes))  # last key first, stable
+    groups = groups_in_order(order, codes, buckets, rows, sent)
+    for _dest, _rows, chunks in groups:
+        for chunk in chunks:
+            # Chunks are delivered, possibly repeatedly, as column
+            # side-cars: frozen, so that no receiver can mutate the cache.
+            chunk.flags.writeable = False
+    # The chunks cut every sent column exactly once.
+    return groups, offsets, sum(int(column.nbytes) for column in sent), hash_ops
 
 
 def _replay(
@@ -240,24 +259,21 @@ def _replay(
 ) -> bool:
     """Get-or-build the plan, count it, consume ``fragment``, replay the sends.
 
-    ``servers[s]`` lists ``(dest, rows, key chunks)`` for server ``s``'s
-    slice in destination order, each sent to ``dest + o`` for every grid
-    offset ``o``; replaying in server order reproduces the per-server
-    sends byte for byte.
+    Each ``(dest, rows, key chunks)`` group goes to ``dest + o`` for every
+    grid offset ``o``: one send (and one frozen side-car chunk) per
+    destination.  Only the fault layer, under which replay is ineligible,
+    observes individual sends.
     """
     if not _replay_eligible(cluster, rel, fragment):
         return False
-    token = rel.mutation_token()
-    key = (id(rel), token, *key_extra, cluster.p)
+    plan, hit = _get_or_build(
+        _plans, (rel,), (*key_extra, cluster.p),
+        lambda: _build_plan(rel, cluster.p, key_idx, code),
+    )
+    if plan is None:
+        return False
+    groups, offsets, nbytes, hash_ops = plan
     stats = cluster.stats.memo
-    entry = _lookup(_plans, key, rel, token)
-    hit = entry is not None
-    if not hit:
-        entry = _build_plan(rel, token, cluster.p, code)
-        if entry is None:
-            return False
-        _plans.put(key, entry)
-    _rel, _token, servers, offsets, nbytes, hash_ops = entry
     if hit:
         _bump(stats, "partition_hits")
         _bump(stats, "hash_ops_saved", hash_ops)
@@ -269,56 +285,40 @@ def _replay(
     # (take also drops any column side-car).
     for server in cluster.servers:
         server.take(fragment)
-    for groups in servers:
-        for dest, rows_group, chunks in groups:
-            for offset in offsets:
-                rnd.send_rows(dest + offset, out_fragment, rows_group, key_idx, chunks)
+    for dest, rows_group, chunks in groups:
+        for offset in offsets:
+            rnd.send_rows(dest + offset, out_fragment, rows_group, key_idx, chunks)
     return True
 
 
 def route_scattered(
-    cluster: "Cluster",
-    rnd: "RoundContext",
-    rel: "Relation",
-    fragment: str,
-    key_idx: Sequence[int],
-    h: "HashFunction",
-    out_fragment: str,
+    cluster: "Cluster", rnd: "RoundContext", rel: "Relation", fragment: str,
+    key_idx: Sequence[int], h: "HashFunction", out_fragment: str,
 ) -> bool:
     """Route a scattered, unchanged relation from the partition cache.
 
-    Replays (or computes once and caches) the batched sends the
-    per-server ``take_with_columns`` + ``try_route`` loop would issue for
-    ``fragment`` — byte-identical destinations, order, charged units,
-    and key-column side-cars.  Returns ``False`` when ineligible
-    (kernels off, faults active, relation mutated/borrowed, fragment
-    tampered with, or non-integer key columns); the caller then falls
-    back to the ordinary loop.
+    Replays (or computes once and caches) what the per-server
+    ``take_with_columns`` + ``try_route`` loop would deliver for
+    ``fragment``, one batched send per destination — byte-identical
+    destinations, order, charged units, and key-column side-cars.
+    Returns ``False`` when ineligible (kernels off, faults active,
+    relation mutated/borrowed, fragment tampered with, or non-integer
+    key columns); the caller then falls back to the ordinary loop.
     """
     from repro.kernels.partition import hash_codes
 
     key_idx = tuple(key_idx)
-
-    def code(n: int, columns: Sequence) -> tuple:
-        key_cols = [columns[i] for i in key_idx]
-        return hash_codes(key_cols, h), h.buckets, key_cols, (0,), n
-
     return _replay(
         cluster, rnd, rel, fragment, out_fragment, key_idx,
-        ("scatter", key_idx, h.salt, h.buckets), code,
+        ("scatter", key_idx, h.salt, h.buckets),
+        lambda n, key_cols: (hash_codes(key_cols, h), h.buckets, (0,), n),
     )
 
 
 def route_scattered_grid(
-    cluster: "Cluster",
-    rnd: "RoundContext",
-    rel: "Relation",
-    fragment: str,
-    column_dims: Sequence[int],
-    salts: Sequence[int],
-    extents: Sequence[int],
-    strides: Sequence[int],
-    out_fragment: str,
+    cluster: "Cluster", rnd: "RoundContext", rel: "Relation", fragment: str,
+    column_dims: Sequence[int], salts: Sequence[int], extents: Sequence[int],
+    strides: Sequence[int], out_fragment: str,
 ) -> bool:
     """Grid (HyperCube) twin of :func:`route_scattered`."""
     from repro.kernels.partition import grid_codes
@@ -327,7 +327,7 @@ def route_scattered_grid(
 
     def code(n: int, columns: Sequence) -> tuple:
         base, grid_size, offsets, hashed = grid_codes(n, columns, *dims)
-        return base, grid_size, columns, offsets, n * hashed
+        return base, grid_size, offsets, n * hashed
 
     return _replay(
         cluster, rnd, rel, fragment, out_fragment,
@@ -345,7 +345,8 @@ def route(
     relation ``fragment`` was scattered from) is given and eligible, else
     per server the batched kernel, else the scalar loop.  All three
     deliver byte-identical fragments — per-(destination, fragment)
-    arrival order is source-server ascending on every rung.
+    arrival order is source-server ascending, each server's rows in
+    slice order, on every rung (a cached plan stores them that way).
     """
     from repro.kernels.partition import try_route
 
@@ -367,29 +368,22 @@ def route(
 
 
 def cached_view(
-    rel: "Relation",
-    key_extra: tuple,
-    build: Callable[[], Any],
+    rel: "Relation | tuple", key_extra: tuple, build: Callable[[], Any],
     stats: "MemoStats | None" = None,
 ) -> Any:
-    """Memoize a derived read-only view of an unchanged relation.
+    """Memoize a derived read-only view of an unchanged relation — or of
+    several (``rel`` a tuple: a query plan is a view of all its inputs).
 
     The cached value is shared between callers — it must never be
     mutated (every wrapper below returns either an immutable Counter
     snapshot consumer or a Relation used read-only).  Borrowed relations
     fall straight through to ``build()``.
     """
-    if rel.is_borrowed:
+    rels = _pinned(rel)
+    if any(r.is_borrowed for r in rels):
         return build()
-    token = rel.mutation_token()
-    key = (id(rel), token, *key_extra)
-    entry = _lookup(_views, key, rel, token)
-    if entry is not None:
-        _bump(stats, "view_hits")
-        return entry[2]
-    value = build()
-    _bump(stats, "view_misses")
-    _views.put(key, (rel, token, value))
+    value, hit = _get_or_build(_views, rels, key_extra, build)
+    _bump(stats, "view_hits" if hit else "view_misses")
     return value
 
 

@@ -76,10 +76,18 @@ def partition_groups(
     ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket and ``columns``
     are arrays aligned with ``rows``. Groups come out in ascending code
     order with the rows of each group in their original order — one
-    stable argsort + bincount, the core every batched route (per-server
-    and whole-relation alike) shares.
+    stable argsort + bincount, the core of every per-server batched
+    route (a whole-relation plan brings its own order, below).
     """
-    order = np.argsort(codes, kind="stable")
+    return groups_in_order(np.argsort(codes, kind="stable"), codes, buckets, rows, columns)
+
+
+def groups_in_order(
+    order: np.ndarray, codes: np.ndarray, buckets: int,
+    rows: Sequence[Row], columns: Sequence[np.ndarray],
+) -> list[tuple[int, list[Row], list[np.ndarray]]]:
+    """:func:`partition_groups` under a given ``order``: any permutation that
+    sorts ``codes`` (a whole-relation plan breaks ties by source server)."""
     counts = np.bincount(codes, minlength=buckets)
     reordered = [rows[i] for i in order.tolist()]
     sorted_cols = [c[order] for c in columns]
@@ -88,9 +96,7 @@ def partition_groups(
     for code, count in enumerate(counts.tolist()):
         if count:
             end = start + count
-            groups.append(
-                (code, reordered[start:end], [c[start:end] for c in sorted_cols])
-            )
+            groups.append((code, reordered[start:end], [c[start:end] for c in sorted_cols]))
             start = end
     return groups
 

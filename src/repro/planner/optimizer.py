@@ -42,7 +42,7 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.cartesian import cartesian_product, predicted_cartesian_load
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
-from repro.kernels.memo import align, bound
+from repro.kernels.memo import align, bound, cached_view
 from repro.mpc.stats import RunStats
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
@@ -300,12 +300,35 @@ def plan_query(
     gathered via
     :func:`~repro.planner.statistics.collect_query_statistics` (exactly,
     or from a ``sample``-row subset per relation).
+
+    The decision is a function of the atoms, the bound relations'
+    contents and the four scalars, so it is a memoized view of those
+    relations (:func:`repro.kernels.memo.cached_view`): while every one
+    is unchanged and unborrowed, a repeat returns the same frozen record
+    without gathering statistics or pricing anything. The record is
+    shared — read only.
     """
     cq = _as_query(query)
     if p <= 0:
         raise QueryError("the planner needs at least one server")
     if not cq.atoms:
         raise QueryError("cannot plan an empty query")
+    return cached_view(
+        tuple(bound(relations, atom.name) for atom in cq.atoms),
+        ("plan", tuple(cq.atoms), p, out_estimate, sample, seed),
+        lambda: _plan(cq, relations, p, out_estimate, sample, seed),
+    )
+
+
+def _plan(
+    cq: ConjunctiveQuery,
+    relations: Mapping[str, Relation],
+    p: int,
+    out_estimate: int | None,
+    sample: int | None,
+    seed: int,
+) -> ExplainResult:
+    """The un-memoized body of :func:`plan_query`."""
     stats = collect_query_statistics(
         cq, relations, p, out_estimate=out_estimate, sample=sample, seed=seed
     )

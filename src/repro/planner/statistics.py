@@ -171,6 +171,26 @@ class QueryStatistics:
         return any(self.heavy_join_values.values())
 
 
+def _exact_out(query, relations: Mapping[str, Relation], join_vars: tuple) -> int:
+    """The exact output size; two atoms are counted, never materialised.
+
+    |R ⋈ S| = Σₖ deg_R(k)·deg_S(k): over the value-degree views the
+    profile has just read when one variable joins the atoms, else over
+    :func:`~repro.joins.base.estimate_join_size`'s key-degree views
+    (|R|·|S| for disjoint schemas).
+    """
+    if len(query.atoms) != 2:
+        return len(query.evaluate(relations))
+    r, s = (relations[atom.name] for atom in query.atoms)
+    if len(join_vars) != 1:
+        return estimate_join_size(r, s)
+    s_degrees = value_degrees(s, join_vars[0])
+    return sum(
+        count * s_degrees[value]
+        for value, count in value_degrees(r, join_vars[0]).items()
+    )
+
+
 def collect_query_statistics(
     query,
     relations: Mapping[str, Relation],
@@ -181,9 +201,10 @@ def collect_query_statistics(
 ) -> QueryStatistics:
     """Gather :class:`QueryStatistics` for ``query`` over ``relations``.
 
-    ``out_estimate`` defaults to the exact output size (the simulator can
-    afford it); pass an estimate to model a sketch-based engine.
-    ``sample`` is forwarded to :func:`relation_statistics`.
+    ``out_estimate`` defaults to the exact output size (counted from the
+    memoized degree views for two atoms, evaluated for three or more);
+    pass an estimate to model a sketch-based engine. ``sample`` is
+    forwarded to :func:`relation_statistics`.
     """
     join_vars = tuple(
         v for v in query.variables if len(query.atoms_with(v)) >= 2
@@ -204,7 +225,7 @@ def collect_query_statistics(
                 key = (variable, value)
                 joint_degree[key] = joint_degree.get(key, 0) + count
     if out_estimate is None:
-        out_estimate = len(query.evaluate(relations))
+        out_estimate = _exact_out(query, relations, join_vars)
     heavy_joint = {
         v: tuple(
             (value, joint_degree[(v, value)]) for value in sorted(heavy_join[v])

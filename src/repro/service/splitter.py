@@ -31,6 +31,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation, union_all
 from repro.errors import QueryError
+from repro.kernels.memo import cached_view, forget
 from repro.query.cq import ConjunctiveQuery
 
 __all__ = [
@@ -53,6 +54,15 @@ def split_relation(
     the original schema, with the branch index appended to the name for
     traceability. Values that are not integers fall back to the row
     predicate path via Python's ``%`` on their hash.
+
+    The fragments are a memoized view of ``relation``
+    (:func:`repro.kernels.memo.cached_view`): while it is unchanged and
+    unborrowed every call returns the *same* fragment objects, so their
+    degree views, query plans and routing plans stay hot across split
+    queries. They are shared between callers — read only, the contract
+    :func:`repro.kernels.memo.align` has; a fragment that was mutated or
+    borrowed all the same is never served again (the next call forgets
+    the parent's entries and rebuilds).
     """
     if k <= 0:
         raise QueryError(f"split factor must be positive, got {k}")
@@ -67,6 +77,22 @@ def split_relation(
             f"split attribute {attr!r} not in schema {list(attrs)}"
         )
     index = relation.schema.index(attr)
+
+    def build() -> tuple[list[Relation], list[int]]:
+        fragments = _fragments(relation, k, index)
+        return fragments, [f.mutation_token() for f in fragments]
+
+    fragments, tokens = cached_view(relation, ("split", k, attr), build)
+    if [f.mutation_token() for f in fragments] != tokens:
+        # A caller mutated or borrowed (both move the token) a shared
+        # fragment: reclaim the parent's entries and split afresh.
+        forget(relation)
+        fragments, _ = cached_view(relation, ("split", k, attr), build)
+    return list(fragments)
+
+
+def _fragments(relation: Relation, k: int, index: int) -> list[Relation]:
+    """The k ``value mod k`` fragments of ``relation`` on column ``index``."""
     cols = relation.columns()
     branches: list[Relation] = []
     if cols is not None:
@@ -126,7 +152,8 @@ def split_bindings(
 
     Each returned dict binds every atom of ``query``; branch i holds
     fragment i of the split atom and the *same* relation objects for
-    all others (no copies — branches only read).
+    all others (no copies — branches only read, the fragments included:
+    :func:`split_relation` shares them across calls).
     """
     split_name = atom or choose_split_atom(query, bindings)
     if all(a.name != split_name for a in query.atoms):

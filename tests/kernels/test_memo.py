@@ -10,13 +10,17 @@ Three contracts under test:
   mutation of the relation (including through a borrowed ``rows()``
   list) invalidates — proven both on directed cases and under
   hypothesis-driven mutate/route interleavings in both kernel modes,
-  mirroring the PR 6 coherency suite;
+  mirroring the PR 6 coherency suite; the plan's one-send-per-
+  destination layout delivers, byte for byte, what the per-server
+  kernel loop delivers;
 - the **view cache**: derived views are shared on hit and rebuilt after
   mutation, and multi-round entry points actually engage the layer.
 """
 
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,11 +33,14 @@ from repro.kernels.memo import (
     key_degrees,
     memo_cache_sizes,
     project_view,
+    route,
     route_scattered,
+    route_scattered_grid,
 )
-from repro.kernels.partition import try_route
-from repro.mpc.cluster import Cluster
+from repro.kernels.partition import try_route, try_route_grid
+from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.stats import MemoStats
+from repro.mpc.topology import Grid
 
 ARITY = 2
 
@@ -159,6 +166,160 @@ def test_tampered_fragment_falls_back():
     h = cluster.hash_function(0)
     with cluster.round("route") as rnd:
         assert not route_scattered(cluster, rnd, rel, frag, (0,), h, "out")
+
+
+# ------------------------------- per-destination replay == per-server loop
+
+
+def _hash_shuffle(key_idx):
+    """``shuffle(cluster, rnd, rel, frag)``: the hash ladder of ``memo.route``."""
+    def shuffle(cluster, rnd, rel, frag):
+        route(cluster, rnd, frag, key_idx, cluster.hash_function(0), "out", rel=rel)
+        return key_idx
+    return shuffle
+
+
+def _grid_extents(p):
+    """A three-dimensional grid on at most ``p`` servers, last extent > 1 if it fits."""
+    return {1: (1, 1, 1), 3: (1, 1, 3), 8: (2, 2, 2), 13: (2, 2, 3)}[p]
+
+
+def _grid_shuffle(column_dims):
+    """HyperCube's ladder (replay, else the per-server grid kernel) for a
+    two-column relation whose columns bind ``column_dims`` of the grid."""
+    def shuffle(cluster, rnd, rel, frag):
+        extents = _grid_extents(cluster.p)
+        strides, salts = Grid(extents).strides, (11, 22, 33)
+        key_idx = tuple(range(len(column_dims)))
+        if not route_scattered_grid(
+            cluster, rnd, rel, frag, column_dims, salts, extents, strides, "out"
+        ):
+            for server in cluster.servers:
+                rows, cols = server.take_with_columns(frag, key_idx)
+                assert try_route_grid(
+                    rnd, rows, column_dims, salts, extents, strides, "out", columns=cols
+                )
+        return key_idx
+    return shuffle
+
+
+def _delivered(rel, p, shuffle):
+    """One audited round of ``shuffle`` over a fresh scatter of ``rel``.
+
+    Returns everything a consumer can observe: per server the fragment's
+    row list and its side-car (as ``take_with_columns`` hands it over),
+    the round's loads, C, and the memo counters.
+    """
+    cluster = Cluster(p, seed=5, audit=True)
+    frag = cluster.scatter(rel, "R@in")
+    with cluster.round("route") as rnd:
+        key_idx = shuffle(cluster, rnd, rel, frag)
+    assert cluster.stats.audit.ok and cluster.stats.audit.rounds_audited == 1
+    assert all(not server.get(frag) for server in cluster.servers)  # consumed
+    servers = [server.take_with_columns("out", key_idx) for server in cluster.servers]
+    return servers, cluster.stats
+
+
+def _assert_replay_equals(got, want):
+    (got_servers, got_stats), (want_servers, want_stats) = got, want
+    for (got_rows, got_cols), (want_rows, want_cols) in zip(got_servers, want_servers):
+        assert got_rows == want_rows
+        assert (got_cols is None) == (want_cols is None)
+        for got_col, want_col in zip(got_cols or (), want_cols or ()):
+            assert got_col.dtype == want_col.dtype
+            assert got_col.tolist() == want_col.tolist()
+            # A replayed side-car is the cached chunk itself: frozen.
+            assert not got_col.flags.writeable
+    assert got_stats.rounds[-1].received == want_stats.rounds[-1].received
+    assert got_stats.total_communication == want_stats.total_communication
+
+
+@pytest.mark.parametrize("p", [1, 3, 8, 13])
+@pytest.mark.parametrize("shuffle, key_width", [
+    (_hash_shuffle((0,)), 1), (_hash_shuffle((1, 0)), 2),
+    (_grid_shuffle((0, 1)), 2),  # third dimension free: one send per offset
+    (_grid_shuffle((0, 0)), 2),  # repeated dimension: the later column wins
+], ids=["hash-1col", "hash-2col", "grid-free-dim", "grid-repeated-dim"])
+def test_per_destination_replay_equals_the_per_server_kernel_loop(p, shuffle, key_width):
+    for n in sorted({0, 1, p - 1, 257}):
+        clear_memo()
+        rows = [((i * 7919) % 31 - 9, i % 5) for i in range(n)]
+        rel = Relation("R", ["x", "y"], rows)
+        twin = Relation("R", ["x", "y"], list(rows))
+        twin.rows()  # borrowed: never replayed, so the kernel rung routes it
+        want = _delivered(twin, p, shuffle)
+        want_memo = want[1].memo
+        assert want_memo.partition_hits + want_memo.partition_misses == 0
+
+        miss = _delivered(rel, p, shuffle)
+        _assert_replay_equals(miss, want)
+        assert (miss[1].memo.partition_misses, miss[1].memo.partition_hits) == (1, 0)
+        assert miss[1].memo.hash_ops == want_memo.hash_ops
+        assert miss[1].memo.hash_ops_saved == miss[1].memo.bytes_saved == 0
+
+        hit = _delivered(rel, p, shuffle)
+        _assert_replay_equals(hit, want)
+        assert (hit[1].memo.partition_misses, hit[1].memo.partition_hits) == (0, 1)
+        assert hit[1].memo.hash_ops == 0
+        assert hit[1].memo.hash_ops_saved == want_memo.hash_ops
+        # The plan's key-column chunks: every int64 key value once.
+        assert hit[1].memo.bytes_saved == n * key_width * 8
+
+
+def test_two_routes_into_one_fragment_keep_route_order():
+    # Both relations land in "out": every destination must hold the first
+    # route's rows before the second's, whichever rung delivered them.
+    rows_r = [(i % 11, i) for i in range(90)]
+    rows_s = [(i % 7, -i) for i in range(60)]
+
+    def both(r, s):
+        cluster = Cluster(4, seed=3, audit=True)
+        h = cluster.hash_function(0)
+        frags = [cluster.scatter(r, "R@in"), cluster.scatter(s, "S@in")]
+        with cluster.round("route") as rnd:
+            for rel, frag in zip((r, s), frags):
+                route(cluster, rnd, frag, (0,), h, "out", rel=rel)
+        assert cluster.stats.audit.ok
+        return [server.take_with_columns("out", (0,)) for server in cluster.servers]
+
+    twins = [Relation("R", ["x", "y"], list(rows_r)), Relation("S", ["x", "y"], list(rows_s))]
+    for twin in twins:
+        twin.rows()
+    want = both(*twins)
+    r, s = Relation("R", ["x", "y"], rows_r), Relation("S", ["x", "y"], rows_s)
+    for _attempt in ("miss", "hit"):
+        got = both(r, s)
+        for (got_rows, got_cols), (want_rows, want_cols) in zip(got, want):
+            assert got_rows == want_rows
+            assert got_rows[: sum(row[1] >= 0 for row in got_rows)] == [
+                row for row in got_rows if row[1] >= 0
+            ]
+            assert [c.tolist() for c in got_cols] == [c.tolist() for c in want_cols]
+
+
+@pytest.mark.parametrize("shuffle, cells", [
+    (_hash_shuffle((0,)), 8),  # buckets = p, one offset
+    (_grid_shuffle((0, 1)), math.prod(_grid_extents(8))),  # 4 bound cells x 2 offsets
+], ids=["hash", "grid"])
+def test_a_replayed_route_sends_at_most_once_per_destination(monkeypatch, shuffle, cells):
+    # The plan holds one group per destination, so a replay is at most
+    # buckets x len(offsets) sends however many servers hold the fragment
+    # (the per-server layout needed p times as many).
+    p = 8
+    rel = Relation("R", ["x", "y"], [(i * 13 % 101, i) for i in range(400)])
+    _delivered(rel, p, shuffle)  # build the plan
+    sends = []
+    original = RoundContext.send_rows
+
+    def counting(self, dest, *args, **kwargs):
+        sends.append(dest)
+        return original(self, dest, *args, **kwargs)
+
+    monkeypatch.setattr(RoundContext, "send_rows", counting)
+    _servers, stats = _delivered(rel, p, shuffle)
+    assert stats.memo.partition_hits == 1
+    assert 0 < len(sends) <= cells
+    assert len(sends) == len(set(sends))  # no destination is sent to twice
 
 
 operations = st.lists(

@@ -15,6 +15,7 @@ from repro.planner.statistics import (
     join_statistics,
     relation_statistics,
 )
+from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.parser import parse_query
 
 
@@ -305,6 +306,41 @@ class TestDegreeViewsMatchTheRowLoop:
         find_heavy_values(cq, relations, threshold=5.0)
         # SkewHC scans every variable: x and z are new, both y views are reused.
         assert memo_cache_sizes()[1] == views + 2
+
+    @pytest.mark.parametrize("r, s", CASES)
+    def test_two_atom_out_is_counted_not_materialised(self, r, s, monkeypatch):
+        # One join variable, two, none (a Cartesian pair), empty sides,
+        # duplicates, string keys: OUT equals the evaluated join's size
+        # without evaluating it.
+        cq = ConjunctiveQuery(
+            [Atom("R", r.schema.attributes), Atom("S", s.schema.attributes)]
+        )
+        relations = {"R": r, "S": s}
+        expected = len(cq.evaluate(relations))
+        monkeypatch.setattr(
+            ConjunctiveQuery, "evaluate",
+            lambda *_args: pytest.fail("a two-atom OUT must be counted"),
+        )
+        assert collect_query_statistics(cq, relations, p=4).out_estimate == expected
+
+    @given(rows, rows)
+    def test_two_atom_out_equals_the_evaluated_join_with_duplicates(self, r_rows, s_rows):
+        for s_attrs in (["y", "z"], ["z", "y"], ["x", "y"], ["u", "v"]):
+            r = Relation("R", ["x", "y"], r_rows + r_rows[:3])
+            s = Relation("S", s_attrs, s_rows)
+            cq = ConjunctiveQuery([Atom("R", ["x", "y"]), Atom("S", s_attrs)])
+            stats = collect_query_statistics(cq, {"R": r, "S": s}, p=3)
+            assert stats.out_estimate == len(cq.evaluate({"R": r, "S": s}))
+
+    def test_three_atoms_still_evaluate_for_out(self):
+        cq = parse_query("R(x, y), S(y, z), T(z, x)")
+        relations = {
+            "R": Relation("R", ["x", "y"], [(i % 5, i % 3) for i in range(30)]),
+            "S": Relation("S", ["y", "z"], [(i % 3, i % 7) for i in range(30)]),
+            "T": Relation("T", ["z", "x"], [(i % 7, i % 5) for i in range(30)]),
+        }
+        stats = collect_query_statistics(cq, relations, p=4)
+        assert stats.out_estimate == len(cq.evaluate(relations))
 
     def test_sampled_path_still_counts_the_sampled_rows(self):
         import random

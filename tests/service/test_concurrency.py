@@ -253,6 +253,78 @@ def test_cache_coherent_across_concurrent_mutation():
         assert counts["before"] + counts["after"] == len(outputs)
 
 
+def test_split_stays_exact_while_a_writer_extends_the_split_relation():
+    """canonical(merge) == canonical(unsplit) across writes to the split atom.
+
+    The splitter's fragments are a memoized view of their parent: every
+    extend of R (the relation the rewriter partitions) must hand later
+    split queries fresh fragments, so each result is the truth of one
+    of the catalog states the writer produced — never a stale fragment
+    of an earlier one.
+    """
+    rels = relations()
+    query = QUERIES[0]
+    cq = parse_query(query)
+    batches = [[(2000 + 10 * b + i, (b + i) % 7) for i in range(10)] for b in range(5)]
+    legal = []
+    state = dict(rels)
+    for batch in [[]] + batches:
+        state["R"] = Relation(
+            "R", ["a", "b"], list(state["R"].rows_readonly()) + batch
+        )
+        legal.append(tuple(sorted(oracle_join(cq, state).rows_readonly())))
+    assert len(set(legal)) == len(legal)
+
+    with QueryService(
+        rels, p=4, workers=4, queue_size=128, cache_size=0,
+        default_quota=TenantQuota(max_in_flight=64),
+    ) as service:
+        outputs, errors = [], []
+        lock = threading.Lock()
+        barrier = threading.Barrier(4)
+
+        def reader(index):
+            try:
+                barrier.wait(timeout=30)
+                for turn in range(10):
+                    result = service.query(
+                        query, tenant=f"r{index}", split=2 + (index + turn) % 2,
+                        timeout=60,
+                    )
+                    with lock:
+                        outputs.append(tuple(result.output.rows_readonly()))
+            except BaseException as exc:  # noqa: BLE001
+                with lock:
+                    errors.append(exc)
+
+        def writer():
+            try:
+                barrier.wait(timeout=30)
+                for batch in batches:
+                    service.query(query, tenant="w", split=3, timeout=60)
+                    service.extend("R", batch)
+            except BaseException as exc:  # noqa: BLE001
+                with lock:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(outputs) == 30
+        assert not [rows for rows in outputs if rows not in legal]
+        # After the last write: split and unsplit agree on the final state.
+        unsplit = service.query(query, timeout=60)
+        for k in (2, 3):
+            split = service.query(query, split=k, timeout=60)
+            assert split.output.rows_readonly() == \
+                canonical(unsplit.output).rows_readonly()
+        assert tuple(canonical(unsplit.output).rows_readonly()) == legal[-1]
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     mix=st.lists(

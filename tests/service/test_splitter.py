@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.errors import QueryError
+from repro.kernels.memo import forget
 from repro.query.parser import parse_query
 from repro.service.splitter import (
     canonical,
@@ -126,6 +127,82 @@ def test_byte_identity_against_unsplit_run(r, s):
         outputs.append(branch_engine.query(query).output)
     merged = merge_branches(outputs)
     assert merged.rows_readonly() == canonical(whole).rows_readonly()
+
+
+# ------------------------------------- fragments are a view of their parent
+
+
+def _same_objects(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+def _assert_partition(parent, fragments):
+    pieces = Counter()
+    for fragment in fragments:
+        pieces.update(fragment.rows_readonly())
+    assert pieces == Counter(parent.rows_readonly())
+
+
+def test_unchanged_parent_hands_out_the_same_fragments(r, s):
+    first = split_relation(r, 3)
+    again = split_relation(r, 3)
+    assert _same_objects(first, again)
+    assert first is not again  # the list is the caller's own
+    again.clear()
+    assert _same_objects(split_relation(r, 3), first)
+    # k and the attribute are part of the view's key.
+    assert not _same_objects(split_relation(r, 2), first[:2])
+    assert not _same_objects(split_relation(r, 3, attribute="b"), first)
+    assert _same_objects(split_relation(r, 3, attribute="a"), first)
+    # Branch maps share them too, beside the unsplit inputs.
+    query = parse_query("Q(a, b, c) :- R(a, b), S(b, c)")
+    branches = split_bindings(query, {"R": r, "S": s}, 3, atom="R")
+    assert _same_objects([b["R"] for b in branches], first)
+
+
+def test_mutating_the_parent_splits_afresh(r):
+    first = split_relation(r, 3)
+    r.extend([(100 + i, i) for i in range(7)])
+    second = split_relation(r, 3)
+    assert not any(a is b for a, b in zip(first, second))
+    _assert_partition(r, second)
+    assert _same_objects(split_relation(r, 3), second)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda fragment: fragment.add((3, 3)),
+    lambda fragment: fragment.extend([(6, 1), (9, 2)]),
+    lambda fragment: fragment.rows().append((12, 4)),
+    lambda fragment: fragment.rows(),
+], ids=["add", "extend", "borrowed-edit", "borrowed"])
+def test_a_mutated_or_borrowed_fragment_is_never_served_again(r, tamper):
+    first = split_relation(r, 3)
+    tamper(first[0])
+    second = split_relation(r, 3)
+    assert not any(a is b for a, b in zip(first, second))
+    _assert_partition(r, second)
+    assert all(not fragment.is_borrowed for fragment in second)
+    # The rebuild replaced the entry: it is what later calls share.
+    assert _same_objects(split_relation(r, 3), second)
+
+
+def test_forget_drops_the_fragments_of_the_parent(r):
+    first = split_relation(r, 3)
+    assert forget(r) >= 1
+    second = split_relation(r, 3)
+    assert not any(a is b for a, b in zip(first, second))
+    _assert_partition(r, second)
+
+
+def test_borrowed_parent_is_split_on_every_call():
+    rows = [(i, i % 5) for i in range(40)]
+    rel = Relation.wrap("R", ["a", "b"], rows)
+    first = split_relation(rel, 2)
+    rows[0] = (1, 0)  # in place: no token can see it
+    second = split_relation(rel, 2)
+    assert not any(a is b for a, b in zip(first, second))
+    _assert_partition(rel, second)
+    assert forget(rel) == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -293,6 +293,69 @@ class TestPlanningSolvesEachLPOnce:
         assert len(solves) == solved
 
 
+class TestThePlanIsAView:
+    """A repeated query is served its decision record: no statistics pass,
+    the same ``ExplainResult`` object, every per-query counter unmoved."""
+
+    @pytest.fixture
+    def statistics_calls(self, monkeypatch):
+        from repro.planner import optimizer
+
+        calls = []
+        original = optimizer.collect_query_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "collect_query_statistics", counting)
+        return calls
+
+    def _engine(self):
+        clear_memo()
+        engine = Engine(p=4)
+        engine.register(uniform_relation("R", ["x", "y"], 200, 40, seed=1))
+        engine.register(uniform_relation("S", ["y", "z"], 200, 40, seed=2))
+        engine.register(uniform_relation("T", ["z", "x"], 200, 40, seed=3))
+        return engine
+
+    @pytest.mark.parametrize("text", ["R(x,y), S(y,z)", "R(x,y), S(y,z), T(z,x)"])
+    def test_repeat_shares_the_record_and_keeps_its_hit_counts(self, statistics_calls, text):
+        engine = self._engine()
+        engine.query(text)
+        warm = engine.query(text)
+        misses = lp.counters()[1]
+        repeat = engine.query(text)
+        assert repeat.explain is warm.explain
+        assert repeat.plan == warm.plan
+        assert len(statistics_calls) == 1
+        # The plan lookup counts nothing into the query's own ledger.
+        assert repeat.align_cache_hits == warm.align_cache_hits == len(warm.explain.statistics.sizes)
+        assert repeat.stats.memo.view_hits == warm.stats.memo.view_hits
+        assert repeat.stats.memo.partition_hits == warm.stats.memo.partition_hits
+        assert lp.counters()[1] == misses
+
+    def test_forced_strategy_reads_the_same_record(self, statistics_calls):
+        engine = self._engine()
+        auto = engine.query("R(x,y), S(y,z)")
+        forced = engine.query("R(x,y), S(y,z)", strategy="hypercube")
+        assert forced.explain is auto.explain
+        assert forced.plan.algorithm == "hypercube"
+        assert len(statistics_calls) == 1
+
+    def test_register_replacement_and_mutation_replan(self, statistics_calls):
+        engine = self._engine()
+        first = engine.query("R(x,y), S(y,z)")
+        engine.register(single_value_relation("S", ["y", "z"], 200, "y", 7))
+        replaced = engine.query("R(x,y), S(y,z)", verify=True)
+        assert replaced.explain is not first.explain
+        assert replaced.explain.statistics.skewed and not first.explain.statistics.skewed
+        engine.relation("R").extend([(1, 7)] * 50)
+        grown = engine.query("R(x,y), S(y,z)", verify=True)
+        assert grown.explain.statistics.in_size == replaced.explain.statistics.in_size + 50
+        assert len(statistics_calls) == 3
+
+
 class TestSharedAlignCache:
     """Engines over the same relation objects share one alignment memo.
 
