@@ -20,8 +20,7 @@ by :meth:`rows` — bumps the token, and every derived cache records the
 token it was built at. A relation whose row list has been exposed (or
 adopted from a caller via :meth:`wrap`) is *borrowed*: in-place edits of
 that list are invisible to any token, so borrowed relations never trust
-an automatically extracted column cache — :meth:`prime_columns` is the
-explicit override for internal code that owns the list.
+an automatically extracted column cache.
 
 The class offers the small relational-algebra surface the parallel
 algorithms need: projection, selection, renaming, key extraction, degree
@@ -54,7 +53,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 from repro.errors import SchemaError
-from repro.kernels.columnar import key_columns
+from repro.kernels.columnar import exact_columns
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import (
     code_key_columns,
@@ -84,6 +83,15 @@ def _as_column(values: Any) -> np.ndarray:
     return array
 
 
+def _shared(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Read-only views: arrays two relations share can be written through
+    neither (no token would see the write)."""
+    views = [c.view() for c in cols]
+    for view in views:
+        view.flags.writeable = False
+    return views
+
+
 def _concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """One column from its ordered, same-dtype blocks."""
     if not blocks:
@@ -102,7 +110,7 @@ class Relation:
     """
 
     __slots__ = ("name", "schema", "_rows", "_cols", "_colcache",
-                 "_version", "_borrowed", "_lock")
+                 "_version", "_borrowed", "_lock", "__weakref__")
 
     def __init__(
         self,
@@ -206,11 +214,10 @@ class Relation:
 
         The caller hands over the list but may still hold a reference, so
         the relation is *borrowed* from birth: automatically extracted
-        column caches are never trusted (see :meth:`columns`);
-        :meth:`prime_columns` installs a trusted view explicitly. The
-        first row's arity is always checked so malformed input fails here
-        with :class:`SchemaError` instead of deep inside a kernel; the
-        full scan runs under ``__debug__``.
+        column caches are never trusted (see :meth:`columns`). The first
+        row's arity is always checked so malformed input fails here with
+        :class:`SchemaError` instead of deep inside a kernel; the full
+        scan runs under ``__debug__``.
         """
         out = cls(name, schema)
         arity = out.schema.arity
@@ -233,11 +240,12 @@ class Relation:
     def __getstate__(self) -> dict:
         # The per-relation lock is not picklable (and must not be
         # shared across processes anyway); a fresh one is created on
-        # unpickle. Everything else round-trips verbatim.
+        # unpickle. Weak references (the memo's) stay behind; everything
+        # else round-trips verbatim.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_lock"
+            if slot not in ("_lock", "__weakref__")
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -331,8 +339,9 @@ class Relation:
         arrays keyed on the mutation token — never by length, so a
         same-length in-place rewrite after :meth:`rows` can no longer
         serve a stale view — and *borrowed* relations skip the cache
-        entirely. ``None`` when any column holds non-integer values (the
-        kernels then have no fast path for this relation).
+        entirely. ``None`` unless every value is a built-in ``int`` (the
+        kernels then have no fast path for this relation): the columns
+        stand in for the rows, and a widened ``bool`` would return as ``1``.
 
         Safe under concurrent readers: the extraction (and its cache
         fill) runs under the relation lock, so a racing :meth:`rows`
@@ -345,28 +354,10 @@ class Relation:
             cached = self._colcache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
-            cols = key_columns(self._rows, range(self.schema.arity))
+            cols = exact_columns(self._rows, range(self.schema.arity))
             if not self._borrowed:
                 self._colcache = (self._version, cols)
             return cols
-
-    def prime_columns(self, cols: list | None) -> None:
-        """Install a precomputed columnar view (e.g. a delivered side-car).
-
-        ``cols`` must be one array per attribute, each as long as the
-        relation; anything else is ignored rather than trusted. This is
-        the explicit override for borrowed relations whose adopting code
-        *knows* the arrays match the rows (a shuffle's side-car); the
-        installed view is still dropped on the next token bump.
-        """
-        with self._lock:
-            if self._cols is not None:
-                return
-            if cols is not None and (
-                len(cols) == self.schema.arity
-                and all(len(c) == len(self._derive_rows()) for c in cols)
-            ):
-                self._colcache = (self._version, list(cols))
 
     def _cached_key_columns(self, idx: Sequence[int]) -> list | None:
         """The coherent columns at ``idx``, or ``None`` when they would cost.
@@ -448,7 +439,7 @@ class Relation:
         idx = self.schema.indices(attributes)
         out = Relation(name or self.name, self.schema.project(attributes))
         if self._cols is not None:
-            return out._adopt_columns([self._cols[i] for i in idx])
+            return out._adopt_columns(_shared([self._cols[i] for i in idx]))
         out._rows = [tuple(row[i] for i in idx) for row in self._rows]
         return out
 
@@ -483,7 +474,7 @@ class Relation:
         """Rename attributes (the store is copied, tuples/arrays shared)."""
         out = Relation(name or self.name, self.schema.rename(mapping))
         if self._cols is not None:
-            return out._adopt_columns(list(self._cols))
+            return out._adopt_columns(_shared(self._cols))
         out._rows = list(self._rows)
         return out
 

@@ -17,7 +17,7 @@ from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import join_rows_columnar
 from repro.kernels.memo import key_degrees
-from repro.mpc.server import Server
+from repro.mpc.server import Server, pick_columns
 from repro.mpc.stats import RunStats
 
 
@@ -76,23 +76,37 @@ def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:
     return shared
 
 
-def join_fragment_rows(
-    l_rows: list,
+def step_result(relation: Relation) -> "list | tuple":
+    """A local step's result, as :meth:`Server.append_result` takes it: the
+    columns as a tuple while the step stayed columnar, else the row list."""
+    return tuple(relation.columns()) if relation.is_columnar else relation.rows()
+
+
+def join_fragments(
+    l_rows: list | None,
     l_cols,
-    r_rows: list,
+    r_rows: list | None,
     r_cols,
     left_name: str,
     left_schema: Schema,
     right_name: str,
     right_schema: Schema,
-) -> list:
+) -> "list | tuple":
     """Join two already-taken fragments; the pure core of a local join.
 
     Shared verbatim by the inline path and the process-backend workers
     (via the ``join.fragments`` task), which is what makes their outputs
     byte-identical. ``l_cols``/``r_cols`` are the delivery side-cars of
-    the shared key columns, or ``None`` for the tuple path.
+    the shared key columns, or ``None`` for the tuple path — or, in a
+    columns-only payload (``l_rows is None``: both side-cars arrived
+    whole), every column, joined column-natively.
     """
+    if l_rows is None:
+        return step_result(
+            Relation.from_columns(left_name, left_schema, l_cols).join(
+                Relation.from_columns(right_name, right_schema, r_cols)
+            )
+        )
     shared = left_schema.common(right_schema)
     if kernels_enabled() and shared:
         l_idx = left_schema.indices(shared)
@@ -116,14 +130,7 @@ def join_fragment_rows(
 
 def join_fragment_chunk(payloads: list, common) -> list:
     """Exec task ``join.fragments``: elementwise local joins of a chunk."""
-    left_name, left_schema, right_name, right_schema = common
-    return [
-        join_fragment_rows(
-            l_rows, l_cols, r_rows, r_cols,
-            left_name, left_schema, right_name, right_schema,
-        )
-        for l_rows, l_cols, r_rows, r_cols in payloads
-    ]
+    return [join_fragments(*payload, *common) for payload in payloads]
 
 
 def _take_join_inputs(
@@ -132,18 +139,23 @@ def _take_join_inputs(
     right_fragment: str,
     left: Relation,
     right: Relation,
-) -> tuple[list, object, list, object]:
-    """Consume both fragments (with side-cars on the kernel path)."""
+) -> tuple[list | None, object, list | None, object]:
+    """Consume both fragments into one ``join.fragments`` payload: on the
+    kernel path columns-only when both side-cars arrived whole, else the
+    rows with whatever key columns the side-cars hold."""
     shared = left.schema.common(right.schema)
-    if kernels_enabled() and shared:
-        l_rows, l_cols = server.take_with_columns(
-            left_fragment, tuple(left.schema.indices(shared))
-        )
-        r_rows, r_cols = server.take_with_columns(
-            right_fragment, tuple(right.schema.indices(shared))
-        )
-        return l_rows, l_cols, r_rows, r_cols
-    return server.take(left_fragment), None, server.take(right_fragment), None
+    if not (kernels_enabled() and shared):
+        return server.take(left_fragment), None, server.take(right_fragment), None
+    l_rows, l_idx, l_cols = server.take_side_car(left_fragment)
+    r_rows, r_idx, r_cols = server.take_side_car(right_fragment)
+    l_all = pick_columns(l_idx, l_cols, range(left.schema.arity))
+    r_all = pick_columns(r_idx, r_cols, range(right.schema.arity))
+    if l_all is not None and r_all is not None:
+        return None, l_all, None, r_all
+    return (
+        l_rows, pick_columns(l_idx, l_cols, left.schema.indices(shared)),
+        r_rows, pick_columns(r_idx, r_cols, right.schema.indices(shared)),
+    )
 
 
 def local_join(
@@ -158,17 +170,41 @@ def local_join(
 
     ``left`` and ``right`` supply the schemas; only the fragments' rows
     are read. Consumes both input fragments. When a kernel-routed shuffle
-    delivered the fragments with their key-column side-cars, the columnar
-    join kernel reuses them directly.
+    delivered the fragments with their side-cars, the columnar join
+    kernel reuses them directly.
     """
-    l_rows, l_cols, r_rows, r_cols = _take_join_inputs(
-        server, left_fragment, right_fragment, left, right
+    payload = _take_join_inputs(server, left_fragment, right_fragment, left, right)
+    server.append_result(
+        out_fragment,
+        join_fragments(*payload, left.name, left.schema, right.name, right.schema),
     )
-    server.fragment(out_fragment).extend(
-        join_fragment_rows(
-            l_rows, l_cols, r_rows, r_cols,
-            left.name, left.schema, right.name, right.schema,
-        )
+
+
+def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragment, run):
+    """Every server's local join: build the payloads (counted by shape),
+    ``run(payloads, common)`` them, store each result on its server."""
+    payloads = [
+        _take_join_inputs(server, left_fragment, right_fragment, left, right)
+        for server in cluster.servers
+    ]
+    if kernels_enabled():
+        memo = cluster.stats.memo
+        for l_rows, _l_cols, r_rows, _r_cols in payloads:
+            memo.fused_payloads += l_rows is None
+            memo.row_payloads += bool(l_rows and r_rows)
+    results = run(payloads, (left.name, left.schema, right.name, right.schema))
+    for server, result in zip(cluster.servers, results):
+        server.append_result(out_fragment, result)
+
+
+def inline_local_join(
+    cluster, left_fragment: str, right_fragment: str,
+    left: Relation, right: Relation, out_fragment: str,
+) -> None:
+    """:func:`local_join` on every server, on the coordinator itself."""
+    _local_joins(
+        cluster, left_fragment, right_fragment, left, right, out_fragment,
+        join_fragment_chunk,
     )
 
 
@@ -184,18 +220,11 @@ def distributed_local_join(
 
     The computation-phase counterpart of a shuffle round: with the
     ``process`` backend the per-server joins run concurrently on the
-    worker pool (key-column side-cars travel via shared memory); with
-    ``inline`` this is exactly the historical ``for server: local_join``
-    loop, sharing :func:`join_fragment_rows` either way.
+    worker pool (side-car columns travel via shared memory); with
+    ``inline`` this is exactly :func:`inline_local_join`, sharing
+    :func:`join_fragments` either way.
     """
-    payloads = [
-        _take_join_inputs(server, left_fragment, right_fragment, left, right)
-        for server in cluster.servers
-    ]
-    results = cluster.map_servers(
-        "join.fragments",
-        payloads,
-        (left.name, left.schema, right.name, right.schema),
+    _local_joins(
+        cluster, left_fragment, right_fragment, left, right, out_fragment,
+        lambda payloads, common: cluster.map_servers("join.fragments", payloads, common),
     )
-    for server, rows in zip(cluster.servers, results):
-        server.fragment(out_fragment).extend(rows)

@@ -9,7 +9,7 @@ one to every server and leave the big one in place. One round, load
 from __future__ import annotations
 
 from repro.data.relation import Relation
-from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
+from repro.joins.base import JoinRun, inline_local_join, join_schemas, require_join_key
 from repro.mpc.cluster import Cluster
 
 
@@ -30,21 +30,16 @@ def broadcast_join(
     replica = "small@all"
     with cluster.round("broadcast") as rnd:
         for server in cluster.servers:
-            for row in server.take(small_frag):
-                rnd.broadcast(replica, row)
+            # One batched send per destination; the side-car rides along.
+            rows, stored_idx, cols = server.take_side_car(small_frag)
+            if rows:
+                for dest in range(p):
+                    rnd.send_rows(dest, replica, rows, stored_idx, cols)
 
-    for server in cluster.servers:
-        # Keep the user-facing attribute order: R's attributes first.
-        left_frag = big_frag if big is r else replica
-        right_frag = replica if big is r else big_frag
-        local_join(
-            server,
-            left_frag,
-            right_frag,
-            r,
-            s,
-            "out",
-        )
+    # Keep the user-facing attribute order: R's attributes first.
+    left_frag = big_frag if big is r else replica
+    right_frag = replica if big is r else big_frag
+    inline_local_join(cluster, left_frag, right_frag, r, s, "out")
 
     _shared, schema = join_schemas(r, s)
     output = cluster.gather_relation("out", "OUT", schema)

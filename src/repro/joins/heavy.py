@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.data.relation import Relation
-from repro.data.schema import Schema
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RunStats
 
@@ -169,10 +168,10 @@ def _one_heavy_product(
         return [], cluster.stats
 
     if extra_idx:
-        left = Relation("Rb", Schema([f"_l{i}" for i in range(r.schema.arity)]), r_rows)
-        right = Relation(
+        left = Relation.wrap("Rb", [f"_l{i}" for i in range(r.schema.arity)], r_rows)
+        right = Relation.wrap(
             "Sb",
-            Schema([f"_r{i}" for i in range(len(extra_idx))]),
+            [f"_r{i}" for i in range(len(extra_idx))],
             [tuple(row[i] for i in extra_idx) for row in s_rows],
         )
         cartesian_on_cluster(cluster, left, right)

@@ -15,16 +15,21 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.data.relation import Relation
+import numpy as np
+
+from repro.data.relation import Relation, union_all
 from repro.joins.base import (
     JoinRun,
     estimate_join_size,
+    inline_local_join,
     join_schemas,
-    local_join,
     require_join_key,
 )
 from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
+from repro.kernels.columnar import key_columns
+from repro.kernels.config import kernels_enabled
+from repro.kernels.join import code_key_columns
 from repro.kernels.memo import key_degrees
 from repro.mpc.cluster import Cluster, combine_parallel
 
@@ -55,6 +60,23 @@ def find_heavy_keys(
     return sorted(heavy)
 
 
+def _light_part(rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row]) -> Relation:
+    """``rel`` without the rows whose join key is heavy (``rel`` itself when
+    none is): one ``isin`` mask over the key codes when it has columns."""
+    if not heavy_keys:
+        return rel
+    idx = rel.schema.indices(shared)
+    cols = rel.columns() if kernels_enabled() else None
+    heavy_cols = key_columns(heavy_keys, range(len(idx)))
+    if cols is not None and heavy_cols is not None:
+        coded = code_key_columns([cols[i] for i in idx], heavy_cols)
+        if coded is not None:
+            light = ~np.isin(*coded)
+            return Relation.from_columns(rel.name, rel.schema, [c[light] for c in cols])
+    heavy_set = set(heavy_keys)
+    return rel.select(lambda row: tuple(row[i] for i in idx) not in heavy_set)
+
+
 def skew_join(
     r: Relation,
     s: Relation,
@@ -74,12 +96,8 @@ def skew_join(
     if threshold is None:
         threshold = in_size / p
     heavy_keys = find_heavy_keys(r, s, shared, threshold)
-    heavy_set = set(heavy_keys)
-
-    r_idx = r.schema.indices(shared)
-    s_idx = s.schema.indices(shared)
-    r_light = r.select(lambda row: tuple(row[i] for i in r_idx) not in heavy_set)
-    s_light = s.select(lambda row: tuple(row[i] for i in s_idx) not in heavy_set)
+    r_light = _light_part(r, shared, heavy_keys)
+    s_light = _light_part(s, shared, heavy_keys)
 
     # Server budget: the light hash join's load is ~IN_light/p_light while
     # the heavy products pay ~sqrt(OUT_heavy/p_heavy); scan all splits and
@@ -108,22 +126,22 @@ def skew_join(
     p_light = p - p_heavy
 
     runs = []
-    out_rows: list[Row] = []
+    _shared, schema = join_schemas(r, s)
+    parts: list[Relation] = []
 
     if p_light > 0 and (len(r_light) or len(s_light)):
         light_cluster = Cluster(p_light, seed=seed)
         scatter_and_route(light_cluster, r_light, s_light, shared, "hash-shuffle")
-        for server in light_cluster.servers:
-            local_join(server, "L@j", "R@j", r_light, s_light, "out")
-        out_rows.extend(light_cluster.gather("out"))
+        inline_local_join(light_cluster, "L@j", "R@j", r_light, s_light, "out")
+        parts.append(light_cluster.gather_relation("out", "OUT", schema))
         runs.append(light_cluster.stats)
 
     if heavy_keys and p_heavy > 0:
         heavy_rows, heavy_runs = heavy_value_products(
             r, s, shared, heavy_keys, p_heavy, seed=seed
         )
-        out_rows.extend(heavy_rows)
+        parts.append(Relation.wrap("OUT", schema, heavy_rows))
         runs.extend(heavy_runs)
 
-    _shared, schema = join_schemas(r, s)
-    return JoinRun(Relation("OUT", schema, out_rows), combine_parallel(p, runs))
+    output = union_all("OUT", parts or [Relation("OUT", schema)])
+    return JoinRun(output, combine_parallel(p, runs))

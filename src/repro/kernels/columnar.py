@@ -12,6 +12,7 @@ semantics in dict-based joins).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -50,6 +51,16 @@ def key_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray]
             return None
         columns.append(column)
     return columns
+
+
+def exact_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray] | None:
+    """:func:`key_columns`, refused unless every value of ``rows`` is a
+    built-in ``int``: only then does ``tolist()`` rebuild the very tuples
+    (a widened ``bool`` or a numpy scalar would come back as a plain
+    int), so only such columns may stand in for the rows."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return key_columns(rows, key_idx)
+    return None
 
 
 def comparable_int64(column: np.ndarray) -> np.ndarray | None:

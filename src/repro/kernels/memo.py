@@ -20,9 +20,10 @@ the redundancy without changing a single observable byte:
 The policy lives here and nowhere else: a derived value is valid while
 ``(id(relation), mutation token)`` is unchanged and the relation is not
 *borrowed* (has not handed out a mutable ``rows()`` list), for each
-relation it was derived from; the entry pins those relations, so
-``id()`` cannot be recycled while it lives; every cache — the service's
-result cache included — is one bounded, locked, counted :class:`LRU`;
+relation it was derived from; the entry holds those relations weakly
+and dies with the first of them, and a lookup compares identities, so
+a recycled ``id()`` can never hit; every cache — the service's result
+cache included — is one bounded, locked, counted :class:`LRU`;
 :func:`forget` reclaims a replaced relation's entries eagerly.  Replay
 is chosen by what the code observes, never by a switch: :func:`route`
 tries the cached plan, then the per-server kernel, then the scalar loop,
@@ -33,9 +34,9 @@ which is also what a cache miss is byte-identical to.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+import weakref
+from collections import Counter, OrderedDict, deque
 from collections.abc import Callable, Hashable, Mapping, Sequence
-from operator import is_
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -118,6 +119,14 @@ class LRU:
             self.dropped += len(dead)
             return len(dead)
 
+    def discard(self, key: Hashable, dead: Callable[[Any], bool]) -> None:
+        """Drop the entry under ``key`` if ``dead(value)``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None and dead(value):
+                del self._entries[key]
+                self.dropped += 1
+
     def clear(self) -> int:
         return self.drop(lambda _key, _value: True)
 
@@ -136,12 +145,15 @@ class LRU:
                     len(self._entries))
 
 
-# Relation-keyed entries are ``(relations, tokens, value)``, parallel
-# tuples over the relations the value derives from (one, or the k inputs
-# of a query plan): pinned, so no ``id(relation)`` in the key can be
-# recycled while the entry lives.
+# Relation-keyed entries are ``(owners, tokens, value)``, parallel tuples
+# over the relations the value derives from (one, or the k inputs of a
+# query plan), held weakly: an intermediate's plans and views die with it
+# instead of pushing live ones out of the LRU.
 _plans = LRU(64)
 _views = LRU(256)
+# (cache, key) of entries whose owner died: a weakref callback runs where
+# the collector does, so it only queues them; the next put purges.
+_orphans: deque = deque()
 
 
 def _pinned(owner: "Relation | tuple") -> tuple:
@@ -149,11 +161,27 @@ def _pinned(owner: "Relation | tuple") -> tuple:
     return owner if isinstance(owner, tuple) else (owner,)
 
 
+def _owns(owner: Any, rel: "Relation | None") -> bool:
+    """Whether an entry's owner — a weak reference, dead when ``rel`` is
+    ``None``, or the relation itself — is ``rel``."""
+    return (owner() if isinstance(owner, weakref.ref) else owner) is rel
+
+
+def _purge() -> None:
+    """Drop the queued entries whose owner is gone."""
+    while _orphans:
+        try:
+            cache, key = _orphans.popleft()
+        except IndexError:  # another thread emptied the queue
+            return
+        cache.discard(key, lambda e: any(_owns(o, None) for o in _pinned(e[0])))
+
+
 def _lookup(cache: LRU, key: tuple, rel: "Relation | tuple", token: "int | tuple") -> Any:
-    """The entry pinned to this very relation at this token (or to these
+    """The entry owned by this very relation at this token (or by these
     relations at these tokens, as parallel tuples), else ``None``."""
     rels = _pinned(rel)
-    return cache.get(key, lambda e: e[1] == token and all(map(is_, _pinned(e[0]), rels)))
+    return cache.get(key, lambda e: e[1] == token and all(map(_owns, _pinned(e[0]), rels)))
 
 
 def _get_or_build(cache: LRU, rels: tuple, key_extra: tuple, build: Callable) -> tuple:
@@ -166,7 +194,9 @@ def _get_or_build(cache: LRU, rels: tuple, key_extra: tuple, build: Callable) ->
         return entry[2], True
     value = build()
     if value is not None:
-        cache.put(key, (rels, tokens, value))
+        _purge()
+        orphaned = lambda _ref: _orphans.append((cache, key))  # noqa: E731
+        cache.put(key, (tuple([weakref.ref(r, orphaned) for r in rels]), tokens, value))
     return value, False
 
 
@@ -177,7 +207,8 @@ def clear_memo() -> None:
 
 
 def memo_cache_sizes() -> tuple[int, int]:
-    """(partition entries, view entries) currently cached."""
+    """(partition entries, view entries) currently cached for live relations."""
+    _purge()
     return len(_plans), len(_views)
 
 
@@ -189,7 +220,7 @@ def forget(rel: "Relation") -> int:
     mutation), whose entries would otherwise sit in the LRUs until newer
     ones push them out.
     """
-    return sum(c.drop(lambda _k, e: any(r is rel for r in e[0])) for c in (_plans, _views))
+    return sum(c.drop(lambda _k, e: any(_owns(o, rel) for o in _pinned(e[0]))) for c in (_plans, _views))
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +263,8 @@ def _build_plan(rel: "Relation", p: int, key_idx: tuple, code: Callable) -> "tup
     partitioned once, in (destination, source server, position) order —
     position ``i`` sits on server ``i % p`` — which is what a destination
     receives when each server partitions its own slice and the sends
-    arrive source server ascending.
+    arrive source server ascending.  Every column travels, not just the
+    hashed ones: the receiver's side-car is the rows' columnar twin.
     """
     from repro.kernels.partition import groups_in_order
 
@@ -240,17 +272,16 @@ def _build_plan(rel: "Relation", p: int, key_idx: tuple, code: Callable) -> "tup
     if columns is None:
         return None
     rows = rel.rows_readonly()
-    sent = [columns[i] for i in key_idx]
-    codes, buckets, offsets, hash_ops = code(len(rows), sent)
+    hashed = [columns[i] for i in key_idx]
+    codes, buckets, offsets, hash_ops = code(len(rows), hashed)
     order = np.lexsort((np.arange(len(rows)) % p, codes))  # last key first, stable
-    groups = groups_in_order(order, codes, buckets, rows, sent)
+    groups = groups_in_order(order, codes, buckets, rows, columns)
     for _dest, _rows, chunks in groups:
         for chunk in chunks:
             # Chunks are delivered, possibly repeatedly, as column
             # side-cars: frozen, so that no receiver can mutate the cache.
             chunk.flags.writeable = False
-    # The chunks cut every sent column exactly once.
-    return groups, offsets, sum(int(column.nbytes) for column in sent), hash_ops
+    return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
 
 
 def _replay(
@@ -259,10 +290,10 @@ def _replay(
 ) -> bool:
     """Get-or-build the plan, count it, consume ``fragment``, replay the sends.
 
-    Each ``(dest, rows, key chunks)`` group goes to ``dest + o`` for every
-    grid offset ``o``: one send (and one frozen side-car chunk) per
-    destination.  Only the fault layer, under which replay is ineligible,
-    observes individual sends.
+    Each ``(dest, rows, column chunks)`` group goes to ``dest + o`` for
+    every grid offset ``o``: one send (and one frozen full-arity side-car
+    chunk) per destination.  Only the fault layer, under which replay is
+    ineligible, observes individual sends.
     """
     if not _replay_eligible(cluster, rel, fragment):
         return False
@@ -285,9 +316,10 @@ def _replay(
     # (take also drops any column side-car).
     for server in cluster.servers:
         server.take(fragment)
+    every = tuple(range(rel.schema.arity))
     for dest, rows_group, chunks in groups:
         for offset in offsets:
-            rnd.send_rows(dest + offset, out_fragment, rows_group, key_idx, chunks)
+            rnd.send_rows(dest + offset, out_fragment, rows_group, every, chunks)
     return True
 
 
@@ -348,7 +380,8 @@ def route(
     arrival order is source-server ascending, each server's rows in
     slice order, on every rung (a cached plan stores them that way).
     """
-    from repro.kernels.partition import try_route
+    from repro.kernels.partition import route_columns, try_route
+    from repro.mpc.server import pick_columns
 
     key_idx = tuple(key_idx)
     if rel is not None and route_scattered(
@@ -356,8 +389,11 @@ def route(
     ):
         return
     for server in cluster.servers:
-        rows, cols = server.take_with_columns(fragment, key_idx)
-        if not try_route(rnd, rows, key_idx, h, out_fragment, columns=cols):
+        rows, stored_idx, cols = server.take_side_car(fragment)
+        keys = pick_columns(stored_idx, cols, key_idx)
+        if keys is not None and rows:  # it covers the key: forward all of it
+            route_columns(rnd, rows, keys, h, out_fragment, stored_idx, cols)
+        elif not try_route(rnd, rows, key_idx, h, out_fragment):
             for row in rows:
                 rnd.send(h(tuple(row[i] for i in key_idx)), out_fragment, row)
 

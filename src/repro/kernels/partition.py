@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.kernels.columnar import key_columns
+from repro.kernels.columnar import exact_columns, key_columns
 from repro.kernels.config import kernels_enabled
 from repro.kernels.hashing import bucket_tuple_columns, bucket_value_column
 from repro.kernels.memo import count_hash_ops
@@ -142,10 +142,12 @@ def _columns_for(
     positions: Sequence[int],
     columns: Sequence[np.ndarray] | None,
 ) -> list[np.ndarray] | None:
-    """The supplied side-car when it covers ``rows``, else extracted columns."""
+    """The supplied side-car when it covers ``rows``, else extracted columns
+    (exact ones when they span the row: the receiver may then drop the rows)."""
     if columns is not None and all(len(c) == len(rows) for c in columns):
         return list(columns)
-    return key_columns(rows, positions)
+    extract = exact_columns if len(positions) >= len(rows[0]) else key_columns
+    return extract(rows, positions)
 
 
 def try_route(
@@ -170,12 +172,22 @@ def try_route(
     cols = _columns_for(rows, key_idx, columns)
     if cols is None:
         return False
+    route_columns(rnd, rows, cols, h, fragment, key_idx, cols)
+    return True
+
+
+def route_columns(
+    rnd: "RoundContext", rows: Sequence[Row], keys: Sequence[np.ndarray],
+    h: "HashFunction", fragment: str, sent_idx: tuple[int, ...],
+    sent: Sequence[np.ndarray],
+) -> None:
+    """Batched sends of ``rows`` to ``h(keys)``, the ``sent`` columns (row
+    positions ``sent_idx``) riding along as the receivers' side-car."""
     count_hash_ops(rnd, len(rows))
     for dest, group, chunks in partition_groups(
-        hash_codes(cols, h), h.buckets, rows, cols
+        hash_codes(keys, h), h.buckets, rows, sent
     ):
-        rnd.send_rows(dest, fragment, group, key_idx, chunks)
-    return True
+        rnd.send_rows(dest, fragment, group, sent_idx, chunks)
 
 
 def try_route_grid(

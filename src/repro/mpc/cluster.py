@@ -67,7 +67,7 @@ from repro.mpc.faults import (
     fault_plan_by_default,
 )
 from repro.mpc.hashing import HashFamily, HashFunction
-from repro.mpc.server import Row, Server
+from repro.mpc.server import ChunkedColumns, Row, Server
 from repro.mpc.stats import ExecStats, MemoStats, RoundStats, RunStats
 
 
@@ -495,10 +495,20 @@ class Cluster:
     def gather_relation(self, fragment: str, name: str, attributes: Sequence[str]) -> Relation:
         """Gather a fragment into a :class:`Relation`.
 
-        The gathered list is adopted without re-checking arities: every
-        row in a fragment store was arity-checked when its relation was
-        built (delivery only moves tuples between fragments).
+        Column blocks (what the columnar local steps leave) concatenate
+        in server order into a column-primary relation whose tuples derive
+        lazily. Once a server contributes rows the gather is the row list,
+        adopted without re-checking arities: every row in a fragment store
+        was arity-checked when its relation was built (delivery only moves
+        tuples between fragments).
         """
+        parts = [server.get(fragment) for server in self.servers]
+        parts = [part for part in parts if isinstance(part, ChunkedColumns) or part]
+        if parts and all(isinstance(part, ChunkedColumns) for part in parts):
+            return Relation.from_chunks(
+                name, attributes,
+                [sum(blocks, []) for blocks in zip(*(part.chunks for part in parts))],
+            )
         return Relation.wrap(name, attributes, self.gather(fragment))
 
     def drop(self, fragment: str) -> None:

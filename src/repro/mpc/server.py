@@ -22,6 +22,11 @@ class ChunkedColumns:
     that actually asks for whole columns (:meth:`arrays`).  ``length``
     reads block lengths without copying, so side-car validation stays
     zero-copy too.
+
+    Holding every column, it also *is* a fragment — what a columnar local
+    step leaves in :attr:`Server.storage`: sized and iterable like the
+    row list it stands for (``tolist()`` rebuilds the very tuples), so
+    audit snapshots, fault checkpoints and ``gather`` read it as rows.
     """
 
     __slots__ = ("chunks", "length")
@@ -37,6 +42,23 @@ class ChunkedColumns:
             blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             for blocks in self.chunks
         ]
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return zip(*(column.tolist() for column in self.arrays()))
+
+
+def pick_columns(stored_idx: tuple[int, ...], columns: list | None, key_idx) -> list | None:
+    """A side-car's arrays at ``key_idx``, ``None`` unless it holds them all.
+
+    A side-car is named by the positions it carries, never by its length:
+    ``T(z, x)`` routed on ``(x, z)`` travels with one in order ``(1, 0)``.
+    """
+    if columns is None or not set(key_idx) <= set(stored_idx):
+        return None
+    return [columns[stored_idx.index(i)] for i in key_idx]
 
 
 class Server:
@@ -61,8 +83,11 @@ class Server:
         self.column_cache: dict[str, tuple[tuple[int, ...], list]] = {}
 
     def fragment(self, name: str) -> list[Row]:
-        """The local fragment ``name``, created empty if absent."""
-        return self.storage.setdefault(name, [])
+        """The local fragment ``name`` as a row list, created empty if absent."""
+        rows = self.storage.setdefault(name, [])
+        if isinstance(rows, ChunkedColumns):
+            rows = self.storage[name] = list(rows)
+        return rows
 
     def get(self, name: str) -> list[Row]:
         """The local fragment ``name``, or an empty list (not stored).
@@ -83,6 +108,16 @@ class Server:
         self.column_cache.pop(name, None)
         self.storage[name] = rows
 
+    def append_result(self, name: str, result: "list[Row] | tuple | None") -> None:
+        """Append a local step's result to fragment ``name``: a row list, or
+        a tuple of whole columns, kept as such while it is all there is."""
+        if isinstance(result, tuple):
+            result = ChunkedColumns([[column] for column in result])
+            if not self.storage.get(name):
+                self.storage[name] = result
+                return
+        self.fragment(name).extend(result or ())
+
     def put_columns(self, name: str, key_idx: tuple[int, ...], columns: list) -> None:
         """Attach a column side-car for fragment ``name``.
 
@@ -102,6 +137,17 @@ class Server:
         """
         self.column_cache[name] = (key_idx, ChunkedColumns(chunk_lists))
 
+    def take_side_car(self, name: str) -> tuple[list[Row], tuple[int, ...], list | None]:
+        """:meth:`take` plus the side-car, ``(rows, positions, arrays)``;
+        ``arrays`` is ``None`` when it is missing or mismatches the row count."""
+        rows = self.storage.pop(name, [])
+        stored_idx, columns = self.column_cache.pop(name, ((), None))
+        if isinstance(columns, ChunkedColumns):
+            columns = columns.arrays() if columns.length == len(rows) else None
+        if columns is not None and any(len(c) != len(rows) for c in columns):
+            columns = None
+        return rows, stored_idx, columns
+
     def take_with_columns(
         self, name: str, key_idx: tuple[int, ...]
     ) -> tuple[list[Row], list | None]:
@@ -110,24 +156,11 @@ class Server:
         The second element is one array per requested position (``None``
         when the side-car is missing, covers different positions, or does
         not match the row count — consumers then fall back to extracting
-        columns from the tuples).
+        columns from the tuples). All positions in order, it is the rows'
+        columnar twin: the consumer needs no row list.
         """
-        rows = self.storage.pop(name, [])
-        cached = self.column_cache.pop(name, None)
-        if cached is None:
-            return rows, None
-        stored_idx, columns = cached
-        if isinstance(columns, ChunkedColumns):
-            if columns.length != len(rows):
-                return rows, None
-            columns = columns.arrays()
-        try:
-            selected = [columns[stored_idx.index(i)] for i in key_idx]
-        except ValueError:
-            return rows, None
-        if any(len(c) != len(rows) for c in selected):
-            return rows, None
-        return rows, selected
+        rows, stored_idx, columns = self.take_side_car(name)
+        return rows, pick_columns(stored_idx, columns, key_idx)
 
     def drop(self, name: str) -> None:
         """Delete fragment ``name`` if present."""

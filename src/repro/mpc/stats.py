@@ -188,8 +188,10 @@ class MemoStats(CounterStats):
     cold and warm runs are directly comparable); ``hash_ops_saved``
     counts the ops a partition cache hit skipped; ``bytes_saved`` the
     key-column chunk bytes a hit did not recompute.  ``fused_payloads``
-    counts HyperCube local evaluations fed column blocks directly
-    instead of re-deriving them from tuples.
+    counts the local-step payloads (join, semijoin, HyperCube eval) that
+    carried column blocks and no row list; ``row_payloads`` those that
+    fell back to rows on the kernel rung (a non-integer column, a lost
+    side-car, heavy stay-in-place rows).
     """
 
     partition_hits: int = 0
@@ -197,6 +199,7 @@ class MemoStats(CounterStats):
     view_hits: int = 0
     view_misses: int = 0
     fused_payloads: int = 0
+    row_payloads: int = 0
     hash_ops: int = 0
     hash_ops_saved: int = 0
     bytes_saved: int = 0
@@ -204,7 +207,7 @@ class MemoStats(CounterStats):
     _COUNTERS = (
         "partition_hits", "partition_misses",
         "view_hits", "view_misses",
-        "fused_payloads",
+        "fused_payloads", "row_payloads",
         "hash_ops", "hash_ops_saved", "bytes_saved",
     )
 
@@ -221,7 +224,7 @@ class MemoStats(CounterStats):
         return (
             f"memo: partition {self.partition_hits}h/{self.partition_misses}m"
             f" views {self.view_hits}h/{self.view_misses}m"
-            f" fused={self.fused_payloads}"
+            f" fused={self.fused_payloads} rows={self.row_payloads}"
             f" hash_ops={self.hash_ops} saved={self.hash_ops_saved}"
             f" bytes_saved={self.bytes_saved}"
         )

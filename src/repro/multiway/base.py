@@ -27,12 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
 from repro.joins.hash_join import one_round_hash_join
 from repro.kernels.config import kernels_enabled
-from repro.kernels.join import semijoin_mask
+from repro.kernels.join import code_key_columns, semijoin_mask
 from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
@@ -175,20 +177,26 @@ def shuffle_multi_semijoin(
             rnd.broadcast("H@alive", key)
 
     payloads = []
+    memo = cluster.stats.memo
+    no_keys = [np.empty(0, dtype=np.int64)] * len(shared)
     for server in cluster.servers:
         server.take("H@alive")  # consumed: contents mirror `heavy_alive`
-        payloads.append(
-            (
-                [server.take(f"K{i}@j") for i in range(len(reducers))],
-                server.take("T@j"),
-                server.take("T@stay"),
-            )
-        )
+        keys = [server.take_with_columns(f"K{i}@j", key_arity) for i in range(len(reducers))]
+        t_rows, t_cols = server.take_with_columns("T@j", tuple(range(target.schema.arity)))
+        stay = server.take("T@stay")
+        if t_cols is not None and not stay and all(
+            cols is not None or not rows for rows, cols in keys
+        ):
+            memo.fused_payloads += 1
+            payloads.append(([cols or no_keys for _rows, cols in keys], tuple(t_cols), []))
+        else:
+            memo.row_payloads += kernels_enabled() and bool(t_rows or stay)
+            payloads.append(([rows for rows, _cols in keys], t_rows, stay))
     results = cluster.map_servers(
         "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
     )
     for server, survivors in zip(cluster.servers, results):
-        server.put("out", survivors)
+        server.append_result("out", survivors)
     result = cluster.gather_relation("out", target.name, target.schema.attributes)
     return result, cluster.stats
 
@@ -229,12 +237,23 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     heavy stay-in-place rows)``; the survivors are the light rows whose
     key appears in every reducer plus the heavy rows whose key survived
     globally (``heavy_alive``, broadcast by the coordinator). Pure over
-    its inputs, so inline and worker execution agree byte-for-byte.
+    its inputs, so inline and worker execution agree byte-for-byte. A
+    columns-only payload holds the keys' and the target's columns (a
+    tuple) instead.
     """
     t_idx, heavy_alive = common
     alive = set(heavy_alive)
     out = []
     for key_rows, t_rows, stay_rows in payloads:
+        if isinstance(t_rows, tuple):
+            coded = [code_key_columns([t_rows[i] for i in t_idx], k) for k in key_rows]
+            if None not in coded:
+                # Every mask over the whole target, as the row path does.
+                keep = np.logical_and.reduce([np.isin(*codes) for codes in coded])
+                out.append(tuple(column[keep] for column in t_rows))
+                continue
+            t_rows = list(zip(*(column.tolist() for column in t_rows)))
+            key_rows = [list(zip(*(c.tolist() for c in cols))) for cols in key_rows]
         key_sets = [set(rows) for rows in key_rows]
         survivors = _filter_members(t_rows, t_idx, key_sets)
         survivors.extend(

@@ -334,7 +334,7 @@ def _hypercube_merge(
     for i, rel in enumerate(parts):
         name = f"P{i}"
         atoms.append(Atom(name, list(rel.schema.attributes)))
-        rels[name] = Relation(name, rel.schema, rel.rows_readonly())
+        rels[name] = rel.rename({}, name=name)
     subquery = ConjunctiveQuery(atoms)
     run = hypercube_join(subquery, rels, p, seed=seed)
     return run.output, run.stats

@@ -28,6 +28,7 @@ from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
 from repro.mpc.topology import Grid
+from repro.joins.base import step_result
 from repro.multiway.base import MultiwayRun
 from repro.query.cq import ConjunctiveQuery
 from repro.query.shares import ShareAssignment, optimal_shares
@@ -65,9 +66,8 @@ class StagedHypercube:
 
     def finish(self, results: list) -> MultiwayRun:
         """Store per-server eval results and gather the output relation."""
-        for sid, rows in enumerate(results):
-            if rows is not None:
-                self.cluster.servers[sid].put("out", rows)
+        for sid, result in enumerate(results):
+            self.cluster.servers[sid].append_result("out", result)
         output = self.cluster.gather_relation(
             "out", "OUT", list(self.query.variables)
         )
@@ -135,11 +135,10 @@ def hypercube_route(
                         rnd.send(dest, f"{atom.name}@hc", row)
 
     # Build the per-server eval payloads now (fragments are consumed by
-    # take); the dispatch itself is the staged half. On the kernel path
-    # a payload whose full-arity side-car survived delivery is *fused*:
-    # the eval chunk builds the local relation straight from the column
-    # blocks instead of re-wrapping the row list.
-    fused = kernels_enabled()
+    # take); the dispatch itself is the staged half. A fragment whose
+    # side-car arrived whole travels as ``(None, columns)``: the eval chunk
+    # builds the local relation straight from the column blocks.
+    memo = cluster.stats.memo
     payloads = []
     for sid in range(grid.size):
         server = cluster.servers[sid]
@@ -147,8 +146,11 @@ def hypercube_route(
         for atom in query.atoms:
             arity = tuple(range(len(atom.variables)))
             rows, cols = server.take_with_columns(f"{atom.name}@hc", arity)
-            if fused and cols is not None and rows:
-                cluster.stats.memo.fused_payloads += 1
+            if cols is not None:
+                memo.fused_payloads += 1
+                rows = None
+            else:
+                memo.row_payloads += kernels_enabled() and bool(rows)
             per_atom.append((rows, cols))
         payloads.append(per_atom)
     return StagedHypercube(
@@ -156,7 +158,7 @@ def hypercube_route(
         cluster=cluster,
         grid=grid,
         payloads=payloads,
-        common=(query, local, fused),
+        common=(query, local),
         shares=dict(shares),
         assignment=assignment,
     )
@@ -193,31 +195,23 @@ def hypercube_join(
 def hypercube_eval_chunk(payloads: list, common) -> list:
     """Exec task ``hypercube.eval``: evaluate the query on grid servers.
 
-    Each payload is the server's per-atom ``(rows, columns side-car)``
-    pairs in ``query.atoms`` order; fragment rows come straight from the
-    simulator, so they are adopted without re-validating arity, and each
-    relation's columnar cache is seeded from the delivered side-car. A
-    server with an empty fragment produces ``None`` (no output stored).
-
-    When the coordinator flagged the run as *fused* (kernels on),
-    a payload carrying a full-arity side-car is turned into a
-    column-primary relation directly — the delivered row list is never
-    re-wrapped, and local evaluation reads the routed column blocks.
-    The eval itself is column-driven either way, so fused and unfused
-    payloads produce byte-identical output rows.
+    Each payload is the server's per-atom ``(rows, columns)`` pairs in
+    ``query.atoms`` order: fragment rows straight from the simulator,
+    adopted without re-validating arity, or — when the side-car arrived
+    whole — ``None`` and the columns, turned into a column-primary
+    relation directly. A server with an empty fragment produces ``None``
+    (no output stored). The eval itself is column-driven either way, so
+    both payload shapes derive identical tuples.
     """
-    query, local, *rest = common
-    fused = bool(rest and rest[0])
+    query, local = common
     out = []
     for per_atom in payloads:
-        local_fragments = {}
-        for atom, (rows, cols) in zip(query.atoms, per_atom):
-            if fused and cols is not None and rows:
-                rel = Relation.from_columns(atom.name, list(atom.variables), cols)
-            else:
-                rel = Relation.wrap(atom.name, list(atom.variables), rows)
-                rel.prime_columns(cols)
-            local_fragments[atom.name] = rel
+        local_fragments = {
+            atom.name: Relation.wrap(atom.name, list(atom.variables), rows)
+            if cols is None
+            else Relation.from_columns(atom.name, list(atom.variables), cols)
+            for atom, (rows, cols) in zip(query.atoms, per_atom)
+        }
         if all(len(rel) for rel in local_fragments.values()):
             if local == "generic":
                 from repro.multiway.wcoj import generic_join
@@ -225,7 +219,7 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
                 result = generic_join(query, local_fragments)
             else:
                 result = query.evaluate(local_fragments)
-            out.append(result.rows())
+            out.append(step_result(result))
         else:
             out.append(None)
     return out

@@ -23,7 +23,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
-from repro.joins.base import estimate_join_size
 from repro.kernels.memo import key_degrees, value_degrees
 
 
@@ -60,15 +59,17 @@ class JoinStatistics:
 def join_statistics(r: Relation, s: Relation) -> JoinStatistics:
     """Exact statistics of R ⋈ S (a real system would estimate these)."""
     shared = r.schema.common(s.schema)
-    r_idx = r.schema.indices(shared)
-    s_idx = s.schema.indices(shared)
-    r_degrees = key_degrees(r, r_idx)
-    s_degrees = key_degrees(s, s_idx)
+    if len(shared) == 1:  # the value-degree views the query profile reads
+        r_degrees, s_degrees = (value_degrees(rel, shared[0]) for rel in (r, s))
+    else:
+        r_degrees, s_degrees = (
+            key_degrees(rel, rel.schema.indices(shared)) for rel in (r, s)
+        )
     return JoinStatistics(
         r_size=len(r),
         s_size=len(s),
         shared=shared,
-        out_size=estimate_join_size(r, s),
+        out_size=sum(count * s_degrees[k] for k, count in r_degrees.items()),
         max_degree_r=max(r_degrees.values(), default=0),
         max_degree_s=max(s_degrees.values(), default=0),
     )
@@ -171,24 +172,17 @@ class QueryStatistics:
         return any(self.heavy_join_values.values())
 
 
-def _exact_out(query, relations: Mapping[str, Relation], join_vars: tuple) -> int:
+def _exact_out(query, relations: Mapping[str, Relation]) -> int:
     """The exact output size; two atoms are counted, never materialised.
 
-    |R ⋈ S| = Σₖ deg_R(k)·deg_S(k): over the value-degree views the
-    profile has just read when one variable joins the atoms, else over
-    :func:`~repro.joins.base.estimate_join_size`'s key-degree views
-    (|R|·|S| for disjoint schemas).
+    |R ⋈ S| = Σₖ deg_R(k)·deg_S(k), as :func:`join_statistics` counts it:
+    over the value-degree views the profile has just read when one
+    variable joins the atoms, else over the key-degree views (|R|·|S|
+    for disjoint schemas).
     """
     if len(query.atoms) != 2:
         return len(query.evaluate(relations))
-    r, s = (relations[atom.name] for atom in query.atoms)
-    if len(join_vars) != 1:
-        return estimate_join_size(r, s)
-    s_degrees = value_degrees(s, join_vars[0])
-    return sum(
-        count * s_degrees[value]
-        for value, count in value_degrees(r, join_vars[0]).items()
-    )
+    return join_statistics(*(relations[atom.name] for atom in query.atoms)).out_size
 
 
 def collect_query_statistics(
@@ -225,7 +219,7 @@ def collect_query_statistics(
                 key = (variable, value)
                 joint_degree[key] = joint_degree.get(key, 0) + count
     if out_estimate is None:
-        out_estimate = _exact_out(query, relations, join_vars)
+        out_estimate = _exact_out(query, relations)
     heavy_joint = {
         v: tuple(
             (value, joint_degree[(v, value)]) for value in sorted(heavy_join[v])

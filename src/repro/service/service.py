@@ -524,14 +524,10 @@ class QueryService:
 
     @staticmethod
     def _detached(output: Relation) -> Relation:
-        """A caller-safe view of a (possibly cached) result relation.
-
-        Cached outputs are shared across hits, so callers get a fresh
-        Relation wrapper: columnar results share their (immutable by
-        convention) arrays, row-primary results get a copied tuple
-        list — either way a caller's ``rows()`` borrow or mutation can
-        never corrupt the cached entry.
-        """
+        """A caller-safe view of a (possibly cached) result relation: a
+        fresh wrapper sharing a columnar result's arrays read-only
+        (O(arity)), or copying a row-primary one's tuple list — a caller's
+        ``rows()`` borrow or write can never reach the cached entry."""
         return output.project(list(output.schema.attributes), name=output.name)
 
     # ------------------------------------------------------------ lifecycle

@@ -176,8 +176,9 @@ def canonical(relation: Relation, name: str = "OUT") -> Relation:
     The common total order both sides of the byte-identity check are
     normalized to; duplicates are preserved (bag semantics).
     """
-    out = Relation(name, relation.schema, sorted(relation.rows_readonly()))
-    return out
+    if relation.is_columnar:
+        return relation.sorted_by(relation.schema.attributes, name=name)
+    return Relation.wrap(name, relation.schema, sorted(relation.rows_readonly()))
 
 
 def merge_branches(outputs: Sequence[Relation], name: str = "OUT") -> Relation:

@@ -2,9 +2,9 @@
 
 A relation can be born row-primary (tuple constructor, ``wrap``) or
 column-primary (``from_columns``), then suffer any interleaving of
-mutations (``add``/``extend``), live-list borrowing with in-place edits,
-accessor calls, and ``prime_columns`` hints. Whatever the history, two
-invariants must hold at every step, in both kernel modes:
+mutations (``add``/``extend``), live-list borrowing with in-place edits
+and accessor calls. Whatever the history, two invariants must hold at
+every step, in both kernel modes:
 
 - ``rows_readonly()`` equals the shadow list of tuples the operations
   imply (the tuple view is the model's ground truth);
@@ -53,7 +53,6 @@ operations = st.lists(
         st.tuples(st.just("append_inplace"), rows_st),
         st.tuples(st.just("columns"), st.just(None)),
         st.tuples(st.just("rows_readonly"), st.just(None)),
-        st.tuples(st.just("prime"), st.just(None)),
     ),
     max_size=12,
 )
@@ -107,8 +106,6 @@ def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
                 rel.columns()
             elif tag == "rows_readonly":
                 rel.rows_readonly()
-            elif tag == "prime":
-                rel.prime_columns(_fresh_columns(rel.rows_readonly()))
             _check_coherent(rel, shadow)
 
 

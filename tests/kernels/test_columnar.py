@@ -1,10 +1,9 @@
 """The columnar cache and the shuffle column side-car.
 
 Covers the coherence rules that keep the column arrays honest: the
-``Relation.columns()`` cache invalidates on mutation, ``prime_columns``
-refuses shapes that don't match, and a ``Server``'s delivered side-car
-is installed only when it provably covers the fragment (popped on any
-other mutation).
+``Relation.columns()`` cache invalidates on mutation, and a ``Server``'s
+delivered side-car is installed only when it provably covers the
+fragment (popped on any other mutation).
 """
 
 import numpy as np
@@ -35,22 +34,6 @@ class TestRelationColumns:
         rel = Relation("R", ["x"], [("a",)])
         assert rel.columns() is None
         assert rel.columns() is None  # the miss is cached too
-
-    def test_prime_columns_accepts_matching(self):
-        rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
-        primed = [np.array([1, 3]), np.array([2, 4])]
-        rel.prime_columns(primed)
-        assert rel.columns() is not None
-        assert rel.columns()[0] is primed[0]
-
-    def test_prime_columns_rejects_wrong_shapes(self):
-        rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
-        rel.prime_columns([np.array([1, 3])])           # wrong arity
-        assert rel._cached_key_columns((0,)) is None
-        rel.prime_columns([np.array([1]), np.array([2])])  # wrong length
-        assert rel._cached_key_columns((0,)) is None
-        rel.prime_columns(None)
-        assert rel._cached_key_columns((0,)) is None
 
     def test_cached_key_columns_never_extracts(self):
         rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])

@@ -1,0 +1,231 @@
+"""The result plane of the multiway algorithms: columns out, the same answer.
+
+HyperCube, GYM, the one-round semijoin and iterative binary plans over
+every holding (column-primary, row-primary, borrowed) and input kind of
+:mod:`tests.holdings` must observe exactly what the scalar rung observes,
+and stay column-primary exactly when every server's step could.
+"""
+
+import numpy as np
+import pytest
+
+from repro.exec.config import use_backend
+from repro.kernels.config import use_kernels
+from repro.kernels.memo import clear_memo
+from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
+from repro.multiway.base import (
+    semijoin_filter_chunk,
+    shuffle_multi_semijoin,
+    shuffle_semijoin,
+)
+from repro.multiway.binary_plans import binary_join_plan
+from repro.multiway.gym import gym
+from repro.multiway.hypercube import hypercube_eval_chunk, hypercube_join
+from repro.query.cq import path_query, triangle_query
+from tests.holdings import P_VALUES, assert_one_answer, hold, observe, variants
+
+TRIANGLE = {
+    "R": (["x", "y"], [(i % 6, (i * 5) % 7) for i in range(40)]),
+    "S": (["y", "z"], [(i % 7, (i * 3) % 5) for i in range(40)]),
+    "T": (["z", "x"], [(i % 5, (i * 7) % 6) for i in range(40)]),
+}
+PATH = {
+    "R1": (["A0", "A1"], [(i, i % 8) for i in range(36)]),
+    "R2": (["A1", "A2"], [(i % 8, i % 10) for i in range(30)]),
+    "R3": (["A2", "A3"], [(i % 10, -i) for i in range(24)]),
+}
+SEMIJOIN = {
+    "T": (["x", "y"], [(i, i % 11) for i in range(44)]),
+    "K1": (["y", "a"], [(i % 9, i) for i in range(27)]),
+    "K2": (["y", "b"], [(i % 7, -i) for i in range(21)]),
+}
+
+
+def _hypercube(relations, p):
+    run = hypercube_join(triangle_query(), relations, p, seed=2)
+    return run.output, run.stats
+
+
+def _gym(relations, p):
+    run = gym(path_query(3), relations, p, seed=2)
+    return run.output, run.stats
+
+
+def _binary(relations, p):
+    run = binary_join_plan(path_query(3), relations, p, seed=2)
+    return run.output, run.stats
+
+
+def _semijoin(relations, p):
+    return shuffle_multi_semijoin(
+        relations["T"], [relations["K1"], relations["K2"]], p, seed=2
+    )
+
+
+CASES = {
+    "hypercube": (_hypercube, variants(TRIANGLE, ["x", "y", "z"], ("R", "none"))),
+    "gym": (_gym, variants(PATH, ["A1", "A2"], ("R3", "A3"))),
+    "binary": (_binary, variants(PATH, ["A1", "A2"], ("R3", "A3"))),
+    "semijoin": (_semijoin, variants(SEMIJOIN, ["y"], ("T", "x"))),
+}
+PARAMS = [
+    (name, kind) for name, (_run, kinds) in sorted(CASES.items()) for kind in sorted(kinds)
+    # The triangle has no payload column: every attribute joins.
+    if not (name == "hypercube" and kind in ("uint64-payload", "bool-payload"))
+]
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("name, kind", PARAMS)
+def test_one_answer_three_ways_to_hold_it(name, kind, p):
+    clear_memo()
+    run, kinds = CASES[name]
+    results = assert_one_answer(run, kinds[kind], p)
+    for how, (output, stats) in results.items():
+        memo = stats.memo
+        if kind in ("int", "uint64-payload"):
+            assert memo.row_payloads == 0, how
+            assert memo.fused_payloads > 0, how
+            assert output.is_columnar == (len(output) > 0), how
+            assert all(type(v) is int for row in output.rows_readonly() for v in row)
+        elif kind in ("string-keyed", "bool-payload"):
+            assert memo.row_payloads > 0 and not output.is_columnar, how
+        elif kind == "uint64-key":
+            assert not output.is_columnar or len(output) == 0, how
+        elif name != "semijoin":     # a join with an empty side is empty
+            assert len(output) == 0, how
+
+
+def test_a_semijoin_with_an_empty_reducer_is_empty_and_counts_no_row_payload():
+    results = assert_one_answer(_semijoin, CASES["semijoin"][1]["empty-side"], 4)
+    for how, (output, stats) in results.items():
+        assert len(output) == 0 and stats.memo.row_payloads == 0, how
+
+
+def test_heavy_stay_rows_are_a_counted_fall_back():
+    # One key holds half the target: its rows stay in place (T@stay) and
+    # those servers' payloads carry rows.
+    case = {
+        "T": (["x", "y"], [(i, 0 if i % 2 else i % 13) for i in range(60)]),
+        "K1": (["y", "a"], [(i % 9, i) for i in range(27)]),
+    }
+
+    def run(relations, p):
+        return shuffle_semijoin(relations["T"], relations["K1"], p, seed=1)
+
+    results = assert_one_answer(run, case, 6)
+    for how, (output, stats) in results.items():
+        assert stats.memo.row_payloads > 0 and not output.is_columnar, how
+
+
+class TestTheOneZeroSideCar:
+    """A side-car is named by its ``key_idx``, never by its length:
+    ``T(z, x)`` routed on the shared key ``(x, z)`` travels — on the
+    per-server rung, when no full side-car survives — with an arity-long
+    side-car in order ``(1, 0)``."""
+
+    def test_take_with_columns_selects_by_position(self):
+        from repro.mpc.server import Server, pick_columns
+
+        server = Server(0)
+        server.put("T", [(1, 10), (2, 20)])
+        server.put_columns("T", (1, 0), [np.array([10, 20]), np.array([1, 2])])
+        rows, cols = server.take_with_columns("T", (0, 1))
+        assert rows == [(1, 10), (2, 20)]
+        assert [c.tolist() for c in cols] == [[1, 2], [10, 20]]   # re-ordered, not trusted by length
+        assert pick_columns((1,), [np.array([10, 20])], (0, 1)) is None
+        assert pick_columns((1, 0), None, (0,)) is None
+
+    def test_a_route_that_extracts_names_what_it_extracted(self):
+        # No side-car to forward (lost to a fault, say): the kernel rung
+        # extracts the key columns and ships them under their positions.
+        from repro.kernels.memo import route
+        from repro.mpc.cluster import Cluster
+
+        cluster = Cluster(2)
+        cluster.scatter_rows([(i % 5, i) for i in range(20)], "T@in")
+        with cluster.round("route") as rnd:
+            route(cluster, rnd, "T@in", (1, 0), cluster.hash_function(0), "T@j")
+        for server in cluster.servers:
+            assert server.column_cache["T@j"][0] == (1, 0)
+            rows, cols = server.take_with_columns("T@j", (0, 1))
+            assert rows and list(zip(*(c.tolist() for c in cols))) == rows
+
+    def test_join_fragments_reads_a_permuted_side_car_by_position(self):
+        from repro.data.relation import Relation
+        from repro.joins.base import local_join
+        from repro.mpc.cluster import Cluster
+
+        cluster = Cluster(1)
+        server = cluster.servers[0]
+        left = Relation("L", ["x", "z", "w"], [])
+        right = Relation("T", ["z", "x"], [])
+        server.put("L", [(1, 5, 0), (2, 6, 0), (1, 6, 0)])
+        server.put_columns("L", (0, 1, 2), [np.array([1, 2, 1]), np.array([5, 6, 6]), np.zeros(3, int)])
+        server.put("T", [(5, 1), (6, 2), (6, 9)])
+        server.put_columns("T", (1, 0), [np.array([1, 2, 9]), np.array([5, 6, 6])])
+        local_join(server, "L", "T", left, right, "out")
+        assert list(server.get("out")) == [(1, 5, 0), (2, 6, 0)]
+
+
+@pytest.mark.parametrize("recovered", [True, False], ids=["recovered", "unrecovered"])
+@pytest.mark.parametrize("plan", [
+    FaultPlan(crashes=(CrashFault(round=0, server=1),)),
+    FaultPlan(scatter_crashes=(2,)),
+], ids=["barrier-crash", "scatter-crash"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_faults_change_nothing_the_scalar_rung_does_not(name, plan, recovered):
+    plan = FaultPlan(
+        crashes=plan.crashes, scatter_crashes=plan.scatter_crashes,
+        recovery=RecoveryPolicy(enabled=recovered),
+    )
+    run, kinds = CASES[name]
+    seen = {}
+    for kernels in (False, True):
+        relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in kinds["int"].items()}
+        with use_kernels(kernels), faulty(plan):
+            output, stats = run(relations, 4)
+        seen[kernels] = (observe(output, stats), stats.faults.snapshot())
+    assert seen[True] == seen[False]
+
+
+def test_inline_and_process_backends_agree():
+    for name, (run, kinds) in sorted(CASES.items()):
+        relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in kinds["int"].items()}
+        seen = []
+        for backend in ("inline", "process"):
+            clear_memo()
+            with use_backend(backend, workers=2):
+                output, stats = run(relations, 5)
+            seen.append((observe(output, stats), output.is_columnar,
+                         stats.memo.fused_payloads, stats.memo.row_payloads))
+        assert seen[0] == seen[1], name
+        assert seen[0][1] and seen[0][3] == 0, name
+
+
+def test_the_tasks_take_and_return_column_blocks():
+    # The payload's shape says it: no flag in ``common``.
+    query = triangle_query()
+    cols = {
+        "R": [np.array([1, 2]), np.array([3, 3])],
+        "S": [np.array([3, 3]), np.array([4, 5])],
+        "T": [np.array([4, 5]), np.array([1, 2])],
+    }
+    rows = {name: list(zip(*(c.tolist() for c in cs))) for name, cs in cols.items()}
+    columnar = [[(None, cols[a.name]) for a in query.atoms]]
+    by_rows = [[(rows[a.name], None) for a in query.atoms]]
+    [got] = hypercube_eval_chunk(columnar, (query, "plan"))
+    [want] = hypercube_eval_chunk(by_rows, (query, "plan"))
+    assert isinstance(got, tuple) and isinstance(want, list)
+    assert list(zip(*(c.tolist() for c in got))) == want == [(1, 3, 4), (2, 3, 5)]
+    [generic] = hypercube_eval_chunk(columnar, (query, "generic"))
+    assert sorted(generic) == want
+
+    t_cols = (np.array([1, 2, 3]), np.array([7, 8, 9]))
+    keys = [[np.array([8, 9])], [np.array([9, 7])]]
+    [kept] = semijoin_filter_chunk([(keys, t_cols, [])], ((1,), ()))
+    assert isinstance(kept, tuple) and [c.tolist() for c in kept] == [[3], [9]]
+    [kept_rows] = semijoin_filter_chunk(
+        [([[(8,), (9,)], [(9,), (7,)]], [(1, 7), (2, 8), (3, 9)], [])], ((1,), ())
+    )
+    assert kept_rows == [(3, 9)]

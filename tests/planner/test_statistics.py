@@ -279,6 +279,18 @@ class TestDegreeViewsMatchTheRowLoop:
         assert memo_cache_sizes()[1] == before
         assert forget(r) == 0  # nothing was ever pinned to the borrowed relation
 
+    def test_join_statistics_reads_the_profile_views(self):
+        # One join attribute: R ⋈ S is counted over the value-degree views
+        # the query profile has already built, not over a second view.
+        clear_memo()
+        cq = parse_query("R(x, y), S(y, z)")
+        r = Relation("R", ["x", "y"], [(i, i % 4) for i in range(10)])
+        s = Relation("S", ["y", "z"], [(i % 3, i) for i in range(12)])
+        collect_query_statistics(cq, {"R": r, "S": s}, p=4)
+        views = memo_cache_sizes()[1]
+        assert join_statistics(r, s) == _row_loop_join_statistics(r, s)
+        assert memo_cache_sizes()[1] == views
+
     def test_mutation_between_calls_recounts(self):
         cq = parse_query("R(x, y), S(y, z)")
         r = Relation("R", ["x", "y"], [(i, i) for i in range(12)])

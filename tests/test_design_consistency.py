@@ -21,15 +21,17 @@ def _files_matching(pattern, tree=ROOT / "src" / "repro"):
 
 
 class TestRowsEncapsulationLint:
-    """No module outside data/relation.py may touch ``._rows`` directly.
+    """No module outside data/relation.py may touch ``._rows`` or ``._cols``.
 
     The dual-representation invariants (mutation token, borrowed flag,
     column cache) live entirely inside :class:`Relation`; a stray
     ``rel._rows`` bypasses all three and reintroduces exactly the stale-
-    column bug this PR fixes. CI runs the same check as a grep step; this
-    test makes it fail locally first. The rows-footgun test is the one
-    sanctioned exception (it *installs* a guard on the slot on purpose)
-    and tests are outside the scanned tree anyway.
+    column bug this PR fixes, and a stray ``rel._cols`` hands out the
+    writable arrays a result must only ever share read-only. CI runs the
+    same check as a grep step; this test makes it fail locally first. The
+    rows-footgun test is the one sanctioned exception (it *installs* a
+    guard on the slot on purpose) and tests are outside the scanned tree
+    anyway.
     """
 
     def test_no_direct_rows_access_outside_relation(self):
@@ -40,12 +42,36 @@ class TestRowsEncapsulationLint:
             for lineno, line in enumerate(
                 path.read_text().splitlines(), start=1
             ):
-                if re.search(r"\._rows\b", line):
+                if re.search(r"\._(rows|cols)\b", line):
                     offenders.append(f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}")
         assert not offenders, (
-            "direct Relation._rows access outside data/relation.py "
+            "direct Relation._rows/_cols access outside data/relation.py "
             "(use rows()/rows_readonly()/columns()):\n" + "\n".join(offenders)
         )
+
+
+class TestRowCallSiteInventoryLint:
+    """Tuples are made for callers, not between layers.
+
+    The kernel path keeps a relation columnar from the shuffle's delivery
+    to the caller's first ``rows()``; every ``.rows()`` /
+    ``rows_readonly()`` call under the five packages below is a place
+    that still materialises tuples (the shuffle's own row lists, the
+    scalar rung's fallbacks, oracles and reference plans). The count may
+    only shrink: a new one has to show up here, in review.
+    """
+
+    PACKAGES = ("joins", "multiway", "mpc", "service", "kernels")
+    CEILING = 15
+
+    def test_row_materialisation_sites_only_shrink(self):
+        sites = []
+        for package in self.PACKAGES:
+            for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py")):
+                for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                    if re.search(r"\.rows\(\)|rows_readonly\(\)", line):
+                        sites.append(f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}")
+        assert len(sites) <= self.CEILING, "\n".join(sites)
 
 
 class TestGateInventoryLint:
