@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 from repro.errors import SchemaError
-from repro.kernels.columnar import exact_columns
+from repro.kernels.columnar import exact_columns, zip_rows
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import (
     code_key_columns,
@@ -205,6 +205,17 @@ class Relation:
                     f"({[str(b.dtype) for b in blocks]})"
                 )
         return cls.from_columns(name, schema, [_concatenated(b) for b in chunks])
+
+    @classmethod
+    def from_held(
+        cls, name: str, schema: Schema | Sequence[str], columns: Sequence[Any]
+    ) -> "Relation":
+        """The inverse of :func:`repro.kernels.columnar.held_columns`:
+        column-primary over exact arrays, else the tuples the value lists
+        (or a mix of both) zip to."""
+        if all(isinstance(c, np.ndarray) for c in columns):
+            return cls.from_columns(name, schema, columns)
+        return cls(name, schema, zip_rows(columns))
 
     @classmethod
     def wrap(
@@ -630,7 +641,9 @@ def union_all(name: str, relations: Sequence[Relation]) -> Relation:
                 f"union_all schemas differ: {schema} vs {r.schema} ({r.name})"
             )
     out = Relation(name, schema)
-    # Each _cols is read once, so a racing rows() demotion takes the row path.
+    # An empty part adds nothing, whichever way it is held. Each _cols is
+    # read once, so a racing rows() demotion takes the row path.
+    relations = [r for r in relations if len(r)] or relations[:1]
     columns = [r._cols for r in relations]
     if schema.arity and all(cols is not None for cols in columns):
         per_position = [[cols[i] for cols in columns] for i in range(schema.arity)]

@@ -103,9 +103,11 @@ def _worker_main(worker_index: int, task_queue: Any, result_queue: Any) -> None:
                     fn = task_registry.resolve(task_name)
                     with use_kernels(kernels_flag):
                         result = fn(chunk, common)
+                    # Before the input goes: a result may be a view of it
+                    # (a one-atom residual's eval projects its fragment).
+                    results.append(shm.encode_payload(result))
                 finally:
                     shm.finish_read(segment)
-                results.append(shm.encode_payload(result))
             reply = results
         except BaseException:
             # Nothing of this batch may leak: release results already

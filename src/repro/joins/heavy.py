@@ -6,14 +6,30 @@ partitioning. Each heavy value ``b`` gets ``p_b`` *exclusive* servers,
 sized proportionally to its output contribution ``|R_b|·|S_b|``, so all
 heavy products finish with balanced load ``O(√(OUT/p))`` while running in
 parallel (in the model) with the light-value join.
+
+Nothing here is done tuple by tuple: a row's heavy key is one code, a
+key's rows one slice of a stable argsort, who receives what in which
+order a lexsort over (destination, source server, position), each
+destination gets one batched send, and a server's product is the local
+join of what it received.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
-from repro.data.relation import Relation
+import numpy as np
+
+from repro.data.relation import Relation, union_all
+from repro.joins.base import inline_local_join, join_schemas
+from repro.joins.cartesian import optimal_rectangle
+from repro.kernels.columnar import held_columns, take, take_rows
+from repro.kernels.hashing import bucket_tuple_columns
+from repro.kernels.join import lookup_codes
+from repro.kernels.partition import partition_indices
 from repro.mpc.cluster import Cluster
+from repro.mpc.hashing import HashFamily
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -48,143 +64,144 @@ def heavy_value_products(
     heavy_keys: list[Row],
     p: int,
     seed: int = 0,
-) -> tuple[list[Row], list[RunStats]]:
+) -> tuple[Relation, list[RunStats]]:
     """Join R ⋈ S restricted to the given heavy join-key values.
 
-    Returns the output rows (in R-then-S-extra attribute order, matching
-    :meth:`Relation.join`) and one :class:`RunStats` per heavy value; the
-    sub-runs execute on exclusive servers, so callers combine them with
-    :func:`repro.mpc.cluster.combine_parallel`.
+    Returns the output (``OUT``, in R-then-S-extra attribute order like
+    :meth:`Relation.join`; column-primary when both inputs' columns are
+    exact) and one :class:`RunStats` per exclusive pool — one per big
+    heavy value, one for all the packed ones — for the caller to combine
+    with :func:`repro.mpc.cluster.combine_parallel`.
     """
+    schema = join_schemas(r, s)[1]
     if not heavy_keys:
-        return [], []
+        return Relation("OUT", schema), []
 
-    r_idx = r.schema.indices(shared)
-    s_idx = s.schema.indices(shared)
-    extra = [a for a in s.schema.attributes if a not in r.schema]
-    extra_idx = s.schema.indices(extra)
-
-    r_groups: dict[Row, list[Row]] = {k: [] for k in heavy_keys}
-    s_groups: dict[Row, list[Row]] = {k: [] for k in heavy_keys}
-    for row in r:
-        key = tuple(row[i] for i in r_idx)
-        if key in r_groups:
-            r_groups[key].append(row)
-    for row in s:
-        key = tuple(row[i] for i in s_idx)
-        if key in s_groups:
-            s_groups[key].append(row)
+    r_cols, s_cols = held_columns(r), held_columns(s)
+    r_groups = _key_groups([r_cols[i] for i in r.schema.indices(shared)], heavy_keys)
+    s_groups = _key_groups([s_cols[i] for i in s.schema.indices(shared)], heavy_keys)
 
     # Proportional allocation; values whose fair share is below one whole
     # server are *packed* onto a shared pool (several heavy values per
-    # server) instead of each grabbing a dedicated server — otherwise
-    # more heavy values than servers would oversubscribe the cluster.
-    weights = [max(len(r_groups[k]) * len(s_groups[k]), 1) for k in heavy_keys]
+    # server): more heavy values than servers must not oversubscribe it.
+    weights = [max(len(rg) * len(sg), 1) for rg, sg in zip(r_groups, s_groups)]
     total = sum(weights)
-    big: list[tuple[Row, int]] = []
-    small: list[Row] = []
-    for key, weight in zip(heavy_keys, weights):
-        share = weight / total * p
-        if share >= 1.0:
-            big.append((key, max(1, int(share))))
-        else:
-            small.append(key)
-    p_big = sum(alloc for _, alloc in big)
-    p_small = max(p - p_big, 1) if small else 0
+    shares = [weight / total * p for weight in weights]
+    big = [(k, max(1, int(share))) for k, share in enumerate(shares) if share >= 1.0]
+    small = [k for k, share in enumerate(shares) if share < 1.0]
+    p_small = max(p - sum(alloc for _, alloc in big), 1)
 
-    out_rows: list[Row] = []
-    runs: list[RunStats] = []
-    for key, p_b in big:
-        rows, stats = _one_heavy_product(
-            r, s, r_groups[key], s_groups[key], extra_idx, p_b, seed
-        )
-        out_rows.extend(rows)
-        runs.append(stats)
+    clusters = [
+        _grid_product(r, s, r_cols, s_cols, r_groups[k], s_groups[k], p_b, seed)
+        for k, p_b in big
+    ]
     if small:
-        rows, stats = _packed_heavy_products(
-            r_groups, s_groups, small, extra_idx, p_small, seed
-        )
-        out_rows.extend(rows)
-        runs.append(stats)
-    return out_rows, runs
+        placement = HashFamily(seed + 77).function(0, p_small)
+        clusters.append(_packed_products(
+            r, s, r_cols, s_cols,
+            [r_groups[k] for k in small], [s_groups[k] for k in small],
+            [placement(heavy_keys[k]) for k in small], p_small, seed,
+        ))
+    parts = [c.gather_relation("out", "OUT", schema) for c in clusters]
+    return union_all("OUT", parts), [c.stats for c in clusters]
 
 
-def _packed_heavy_products(
-    r_groups: dict[Row, list[Row]],
-    s_groups: dict[Row, list[Row]],
-    keys: list[Row],
-    extra_idx: tuple[int, ...],
-    p: int,
-    seed: int,
-) -> tuple[list[Row], RunStats]:
-    """Many small heavy values share one pool, one server per value."""
-    from repro.mpc.hashing import HashFamily
+def _key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarray]:
+    """Per heavy key, the positions of the rows carrying it, in row order:
+    a row's code is its key's index in ``heavy_keys`` and one stable sort
+    by code makes every key's rows a slice."""
+    codes = lookup_codes(key_cols, heavy_keys)
+    held = np.flatnonzero(codes >= 0)
+    return [held[group] for group in partition_indices(codes[held], len(heavy_keys))]
 
+
+def _deliver(rnd, fragment: str, columns: Sequence[Any], positions: np.ndarray,
+             line: np.ndarray, ties: tuple, cells) -> None:
+    """Send the rows at ``positions`` to the servers ``cells(line)`` of
+    their line — one batch per destination, the rows of a line in arrival
+    order: sorted by ``ties``, last key first."""
+    arrival = np.lexsort((*ties, line))
+    lines, starts = np.unique(line[arrival], return_index=True)
+    for target, lo, hi in zip(lines.tolist(), starts, [*starts[1:], len(arrival)]):
+        sent = [take(c, positions[arrival[lo:hi]]) for c in columns]
+        for dest in cells(target):
+            rnd.send_columns(dest, fragment, sent)
+
+
+def _packed_products(
+    r: Relation, s: Relation, r_cols: list, s_cols: list,
+    r_groups: list[np.ndarray], s_groups: list[np.ndarray],
+    placement: list[int], p: int, seed: int,
+) -> Cluster:
+    """Many small heavy values share one pool, one server per value.
+
+    Row ``j`` of the ``i``-th value starts on server ``(i + j) % p`` and
+    goes to the value's ``placement``, so a destination receives source
+    servers ascending, each server's rows by value and position. R's rows
+    are handed over grouped by value instead — values in order of first
+    arrival — which is the order the per-value products come out in.
+    """
     cluster = Cluster(p, seed=seed)
-    placement = HashFamily(seed + 77).function(0, p)
-    for i, key in enumerate(keys):
-        for j, row in enumerate(r_groups[key]):
-            cluster.servers[(i + j) % p].fragment("R@src").append((key, row))
-        for j, row in enumerate(s_groups[key]):
-            cluster.servers[(i + j) % p].fragment("S@src").append((key, row))
     with cluster.round("heavy-packed") as rnd:
-        for server in cluster.servers:
-            for key, row in server.take("R@src"):
-                rnd.send(placement(key), "R@v", (key, row))
-            for key, row in server.take("S@src"):
-                rnd.send(placement(key), "S@v", (key, row))
-    out_rows: list[Row] = []
-    for server in cluster.servers:
-        r_local: dict[Row, list[Row]] = {}
-        for key, row in server.take("R@v"):
-            r_local.setdefault(key, []).append(row)
-        s_local: dict[Row, list[Row]] = {}
-        for key, row in server.take("S@v"):
-            s_local.setdefault(key, []).append(row)
-        for key, r_rows in r_local.items():
-            for r_row in r_rows:
-                for s_row in s_local.get(key, ()):
-                    if extra_idx:
-                        out_rows.append(r_row + tuple(s_row[i] for i in extra_idx))
-                    else:
-                        out_rows.append(r_row)
-    return out_rows, cluster.stats
+        for fragment, columns, groups in (("R@v", r_cols, r_groups), ("S@v", s_cols, s_groups)):
+            sizes = np.array([len(g) for g in groups])
+            starts = np.cumsum(sizes) - sizes
+            i = np.repeat(np.arange(len(groups)), sizes)
+            j = np.arange(len(i)) - np.repeat(starts, sizes)
+            source = (i + j) % p
+            ties = (j, i, source)
+            if fragment == "R@v" and len(i):
+                first = np.minimum.reduceat(source, starts[sizes > 0])
+                ties = (j, source, i, np.repeat(first, sizes[sizes > 0]))
+            _deliver(rnd, fragment, columns, np.concatenate(groups),
+                     np.asarray(placement)[i], ties, lambda server: (server,))
+    inline_local_join(cluster, "R@v", "S@v", r, s, "out")
+    return cluster
 
 
-def _one_heavy_product(
-    r: Relation,
-    s: Relation,
-    r_rows: list[Row],
-    s_rows: list[Row],
-    extra_idx: tuple[int, ...],
-    p_b: int,
-    seed: int,
-) -> tuple[list[Row], RunStats]:
-    """Grid product of one heavy value's tuples on ``p_b`` exclusive servers."""
-    from repro.joins.cartesian import cartesian_on_cluster
+def _grid_product(
+    r: Relation, s: Relation, r_cols: list, s_cols: list,
+    r_rows: np.ndarray, s_rows: np.ndarray, p_b: int, seed: int,
+) -> Cluster:
+    """Grid product of one heavy value's tuples on ``p_b`` exclusive servers.
 
+    The slide-28 rectangle: row ``i`` of a side sits on server ``i % p``
+    with serial ``i // p``, hashes to a grid line and is replicated along
+    it; every (r, s) pair meets on exactly one server, whose local join —
+    all rows share the key — is their product.
+    """
     cluster = Cluster(max(p_b, 1), seed=seed)
-    if not r_rows or not s_rows:
-        return [], cluster.stats
-
-    if extra_idx:
-        left = Relation.wrap("Rb", [f"_l{i}" for i in range(r.schema.arity)], r_rows)
-        right = Relation.wrap(
-            "Sb",
-            [f"_r{i}" for i in range(len(extra_idx))],
-            [tuple(row[i] for i in extra_idx) for row in s_rows],
-        )
-        cartesian_on_cluster(cluster, left, right)
-        return cluster.gather("out"), cluster.stats
-
-    # S contributes no new attributes: the join just multiplies each R row
-    # by the number of matching S rows. Spread R's rows, keep bag counts.
-    multiplicity = len(s_rows)
-    for i, row in enumerate(r_rows):
-        cluster.servers[i % cluster.p].fragment("rb").append(row)
-    with cluster.round("heavy-degenerate") as rnd:
+    p = cluster.p
+    if not len(r_rows) or not len(s_rows):
+        return cluster
+    at = np.arange(len(r_rows))
+    if s.schema.arity == len(r.schema.common(s.schema)):
+        # S contributes no new attributes: the join just multiplies each R
+        # row by the number of matching S rows. Spread R's rows, keep bag
+        # counts.
+        with cluster.round("heavy-degenerate") as rnd:
+            _deliver(rnd, "rb", r_cols, r_rows, at % p, (at // p,), lambda server: (server,))
         for server in cluster.servers:
-            for row in server.take("rb"):
-                rnd.send(server.sid, "out", row, units=1)
-    rows = [row for row in cluster.gather("out") for _ in range(multiplicity)]
-    return rows, cluster.stats
+            rows, cols = server.take_with_columns("rb", tuple(range(r.schema.arity)))
+            times = np.repeat(np.arange(len(rows)), len(s_rows))
+            server.append_result(
+                "out", take_rows(rows, times) if cols is None else tuple(c[times] for c in cols)
+            )
+        return cluster
+
+    p1, p2 = optimal_rectangle(len(r_rows), len(s_rows), p)
+    with cluster.round("cartesian-replicate") as rnd:
+        for fragment, columns, positions, h, tag, cells in (
+            ("L@cart@row", r_cols, r_rows, cluster.hash_function(101, p1), 0,
+             lambda row: range(row * p2, (row + 1) * p2)),
+            ("R@cart@col", s_cols, s_rows, cluster.hash_function(102, p2), 1,
+             lambda col: range(col, p1 * p2, p2)),
+        ):
+            at = np.arange(len(positions))
+            # h((source server, serial, tag)) per row: the grid line it joins.
+            line = bucket_tuple_columns(
+                [at % p, at // p, np.full(len(at), tag)], h.salt, h.buckets
+            )
+            _deliver(rnd, fragment, columns, positions, line, (at // p, at % p), cells)
+    inline_local_join(cluster, "L@cart@row", "R@cart@col", r, s, "out")
+    return cluster

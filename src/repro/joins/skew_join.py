@@ -27,9 +27,8 @@ from repro.joins.base import (
 )
 from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
-from repro.kernels.columnar import key_columns
-from repro.kernels.config import kernels_enabled
-from repro.kernels.join import code_key_columns
+from repro.kernels.columnar import held_columns, take
+from repro.kernels.join import lookup_codes
 from repro.kernels.memo import key_degrees
 from repro.mpc.cluster import Cluster, combine_parallel
 
@@ -62,19 +61,13 @@ def find_heavy_keys(
 
 def _light_part(rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row]) -> Relation:
     """``rel`` without the rows whose join key is heavy (``rel`` itself when
-    none is): one ``isin`` mask over the key codes when it has columns."""
+    none is): one code lookup over the key columns."""
     if not heavy_keys:
         return rel
-    idx = rel.schema.indices(shared)
-    cols = rel.columns() if kernels_enabled() else None
-    heavy_cols = key_columns(heavy_keys, range(len(idx)))
-    if cols is not None and heavy_cols is not None:
-        coded = code_key_columns([cols[i] for i in idx], heavy_cols)
-        if coded is not None:
-            light = ~np.isin(*coded)
-            return Relation.from_columns(rel.name, rel.schema, [c[light] for c in cols])
-    heavy_set = set(heavy_keys)
-    return rel.select(lambda row: tuple(row[i] for i in idx) not in heavy_set)
+    columns = held_columns(rel)
+    keys = [columns[i] for i in rel.schema.indices(shared)]
+    light = np.flatnonzero(lookup_codes(keys, heavy_keys) < 0)
+    return Relation.from_held(rel.name, rel.schema, [take(c, light) for c in columns])
 
 
 def skew_join(
@@ -137,10 +130,10 @@ def skew_join(
         runs.append(light_cluster.stats)
 
     if heavy_keys and p_heavy > 0:
-        heavy_rows, heavy_runs = heavy_value_products(
+        heavy_part, heavy_runs = heavy_value_products(
             r, s, shared, heavy_keys, p_heavy, seed=seed
         )
-        parts.append(Relation.wrap("OUT", schema, heavy_rows))
+        parts.append(heavy_part)
         runs.extend(heavy_runs)
 
     output = union_all("OUT", parts or [Relation("OUT", schema)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.data.relation import Relation
+from repro.data.relation import Relation, union_all
 from repro.joins.base import JoinRun, require_join_key
 from repro.joins.heavy import heavy_value_products
 from repro.joins.local import hash_join_rows
@@ -74,16 +74,14 @@ def sort_join(
         )
 
     runs = [cluster.stats]
+    parts = [Relation("OUT", list(r.schema.attributes) + extra, out_rows)]
     if straddling:
-        heavy_rows, heavy_runs = heavy_value_products(
+        heavy_part, heavy_runs = heavy_value_products(
             r, s, shared, sorted(straddling), max(p // 2, 1), seed=seed
         )
-        out_rows.extend(heavy_rows)
+        parts.append(heavy_part)
         runs.extend(heavy_runs)
-
-    attrs = list(r.schema.attributes) + extra
-    output = Relation("OUT", attrs, out_rows)
-    return JoinRun(output, combine_parallel(p, runs))
+    return JoinRun(union_all("OUT", parts), combine_parallel(p, runs))
 
 
 def _straddling_keys(bounds: list[Row]) -> set[Row]:

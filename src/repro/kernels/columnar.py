@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.kernels.config import kernels_enabled
+
 Row = tuple[Any, ...]
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -61,6 +63,31 @@ def exact_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarra
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return key_columns(rows, key_idx)
     return None
+
+
+def held_columns(relation: Any) -> list:
+    """One sequence per attribute of ``relation``: its exact integer arrays
+    on the kernel rung, else plain value lists (the scalar rung's form, and
+    that of every relation holding a non-integer). Index arithmetic reads
+    either through :func:`take` and :func:`zip_rows`."""
+    columns = relation.columns() if kernels_enabled() else None
+    if columns is None:
+        columns = [relation.column(a) for a in relation.schema.attributes]
+    return columns
+
+
+def take(column: Any, indices: np.ndarray) -> Any:
+    """``column`` at ``indices``: an array by fancy index, a list value by value."""
+    if isinstance(column, np.ndarray):
+        return column[indices]
+    return [column[i] for i in indices.tolist()]
+
+
+def zip_rows(columns: Sequence[Any]) -> list[Row]:
+    """The tuples whose columns these are (arrays yield built-in ints)."""
+    return list(zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns
+    )))
 
 
 def comparable_int64(column: np.ndarray) -> np.ndarray | None:

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.mpc.hashing import _MASK64, _TUPLE_TAG, splitmix64
+from repro.mpc.hashing import _MASK64, _TUPLE_TAG, HashFunction, splitmix64
 
 _ADD = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -84,6 +84,15 @@ def bucket_tuple_columns(
     return (hash_tuple_columns(columns, salt) % np.uint64(buckets)).astype(np.int64)
 
 
-def bucket_value_column(column: np.ndarray, salt: int, buckets: int) -> np.ndarray:
-    """Per-row destination buckets of hashed scalar values (``int64``)."""
+def bucket_value_column(column: "np.ndarray | list", salt: int, buckets: int) -> np.ndarray:
+    """Per-row destination buckets of hashed scalar values (``int64``).
+
+    A plain value list (no exact integer column behind it) takes the
+    scalar spec itself, once per distinct typed value (``1`` and ``1.0``
+    are equal but hash apart).
+    """
+    if not isinstance(column, np.ndarray):
+        h = HashFunction(buckets, salt)
+        bucket_of = {key: h(key[1]) for key in {(type(v), v) for v in column}}
+        return np.array([bucket_of[type(v), v] for v in column], dtype=np.int64)
     return (hash_value_column(column, salt) % np.uint64(buckets)).astype(np.int64)

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import comparable_int64, key_columns
+from repro.kernels.columnar import comparable_int64, key_columns, zip_rows
 
 Row = tuple[Any, ...]
 
@@ -85,6 +85,28 @@ def code_key_columns(
             codes = codes * k + inv
             limit *= k
     return codes[:n_left], codes[n_left:]
+
+
+def lookup_codes(key_cols: Sequence[Any], keys: Sequence[Row]) -> np.ndarray:
+    """Per row, the index in ``keys`` of its key tuple, ``-1`` when absent.
+
+    ``key_cols`` holds one sequence per key position. Exact integer
+    arrays are coded jointly with the (distinct) ``keys`` and found by
+    one binary search; value lists — and keys the join kernels cannot
+    code — take a dict probe per key tuple.
+    """
+    wanted = key_columns(keys, range(len(key_cols))) if len(keys) else None
+    coded = None
+    if wanted is not None and isinstance(key_cols[0], np.ndarray):
+        coded = code_key_columns(key_cols, wanted)
+    if coded is None:
+        index = {key: k for k, key in enumerate(keys)}
+        return np.array([index.get(key, -1) for key in zip_rows(key_cols)], dtype=np.int64)
+    row_codes, key_codes = coded
+    rank = np.argsort(key_codes)
+    ranked = key_codes[rank]
+    at = np.minimum(np.searchsorted(ranked, row_codes), len(rank) - 1)
+    return np.where(ranked[at] == row_codes, rank[at], -1)
 
 
 def join_indices(

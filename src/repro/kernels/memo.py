@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import QueryError
+from repro.kernels.columnar import held_columns
 from repro.kernels.config import kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -254,7 +255,7 @@ def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool
     )
 
 
-def _build_plan(rel: "Relation", p: int, key_idx: tuple, code: Callable) -> "tuple | None":
+def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable) -> tuple:
     """The whole-relation twin of the per-server kernels, as a cache value.
 
     ``code(n, key columns)`` gives ``(codes, buckets, offsets, hash_ops)``
@@ -264,43 +265,66 @@ def _build_plan(rel: "Relation", p: int, key_idx: tuple, code: Callable) -> "tup
     position ``i`` sits on server ``i % p`` — which is what a destination
     receives when each server partitions its own slice and the sends
     arrive source server ascending.  Every column travels, not just the
-    hashed ones: the receiver's side-car is the rows' columnar twin.
+    hashed ones: the receiver's side-car is the rows' columnar twin.  A
+    relation without exact columns is coded from its value lists and
+    travels as rows alone.
     """
     from repro.kernels.partition import groups_in_order
 
-    columns = rel.columns()
-    if columns is None:
-        return None
+    columns = held_columns(rel)
+    exact = isinstance(columns[0], np.ndarray)
     rows = rel.rows_readonly()
     hashed = [columns[i] for i in key_idx]
     codes, buckets, offsets, hash_ops = code(len(rows), hashed)
     order = np.lexsort((np.arange(len(rows)) % p, codes))  # last key first, stable
-    groups = groups_in_order(order, codes, buckets, rows, columns)
+    groups = groups_in_order(order, codes, buckets, rows, columns if exact else ())
     for _dest, _rows, chunks in groups:
         for chunk in chunks:
             # Chunks are delivered, possibly repeatedly, as column
             # side-cars: frozen, so that no receiver can mutate the cache.
             chunk.flags.writeable = False
-    return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
+    nbytes = sum(int(column.nbytes) for column in hashed) if exact else 0
+    return groups, offsets, nbytes, hash_ops
 
 
 def _replay(
     cluster: "Cluster", rnd: "RoundContext", rel: "Relation", fragment: str,
     out_fragment: str, key_idx: tuple[int, ...], key_extra: tuple, code: Callable,
 ) -> bool:
-    """Get-or-build the plan, count it, consume ``fragment``, replay the sends.
-
-    Each ``(dest, rows, column chunks)`` group goes to ``dest + o`` for
-    every grid offset ``o``: one send (and one frozen full-arity side-car
-    chunk) per destination.  Only the fault layer, under which replay is
-    ineligible, observes individual sends.
-    """
+    """Consume ``fragment`` and replay its route from the plan cache."""
     if not _replay_eligible(cluster, rel, fragment):
         return False
-    plan, hit = _get_or_build(
-        _plans, (rel,), (*key_extra, cluster.p),
-        lambda: _build_plan(rel, cluster.p, key_idx, code),
+    routed = _replay_plan(
+        cluster, rnd, rel, (*key_extra, cluster.p),
+        # No exact columns: the per-server rung's scalar loop routes it.
+        lambda: None if rel.columns() is None else _build_plan(rel, cluster.p, key_idx, code),
+        out_fragment,
     )
+    if routed:
+        # Matches the take_with_columns the per-server loop would have done
+        # (take also drops any column side-car).
+        for server in cluster.servers:
+            server.take(fragment)
+    return routed
+
+
+def _replay_plan(
+    cluster: "Cluster", rnd: "RoundContext", rel: "Relation", key_extra: tuple,
+    build: Callable[[], "tuple | None"], out_fragment: str,
+) -> bool:
+    """Get-or-build a whole-shuffle plan of ``rel``, count it, replay its sends.
+
+    A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
+    rows, column chunks)`` group goes to ``dest + o`` for every offset
+    ``o`` — one send (and one frozen full-arity side-car chunk) per
+    destination.  It is kept under ``rel``'s token on the kernel rung
+    unless the relation is borrowed or a fault controller watches the
+    cluster; otherwise it is built, sent and dropped (``False`` when
+    ``build`` has no plan to give).
+    """
+    kernels = kernels_enabled()
+    cacheable = kernels and cluster.fault_controller is None and not rel.is_borrowed
+    plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
     if plan is None:
         return False
     groups, offsets, nbytes, hash_ops = plan
@@ -309,17 +333,13 @@ def _replay(
         _bump(stats, "partition_hits")
         _bump(stats, "hash_ops_saved", hash_ops)
         _bump(stats, "bytes_saved", nbytes)
-    else:
-        _bump(stats, "partition_misses")
+    elif kernels:  # the scalar rung counts nothing
+        _bump(stats, "partition_misses", int(cacheable))
         _bump(stats, "hash_ops", hash_ops)
-    # Matches the take_with_columns the per-server loop would have done
-    # (take also drops any column side-car).
-    for server in cluster.servers:
-        server.take(fragment)
-    every = tuple(range(rel.schema.arity))
     for dest, rows_group, chunks in groups:
+        carried = tuple(range(len(chunks))) if chunks else None
         for offset in offsets:
-            rnd.send_rows(dest + offset, out_fragment, rows_group, every, chunks)
+            rnd.send_rows(dest + offset, out_fragment, rows_group, carried, chunks or None)
     return True
 
 
@@ -347,24 +367,64 @@ def route_scattered(
     )
 
 
+def _grid_code(*dims: Sequence[int]) -> Callable:
+    """``_build_plan``'s ``code`` for HyperCube cells; ``dims`` as ``grid_codes`` takes them."""
+    from repro.kernels.partition import grid_codes
+
+    def code(n: int, columns: Sequence) -> tuple:
+        base, grid_size, offsets, hashed = grid_codes(n, columns, *dims)
+        return base, grid_size, offsets, n * hashed
+
+    return code
+
+
 def route_scattered_grid(
     cluster: "Cluster", rnd: "RoundContext", rel: "Relation", fragment: str,
     column_dims: Sequence[int], salts: Sequence[int], extents: Sequence[int],
     strides: Sequence[int], out_fragment: str,
 ) -> bool:
     """Grid (HyperCube) twin of :func:`route_scattered`."""
-    from repro.kernels.partition import grid_codes
-
     dims = (tuple(column_dims), tuple(salts), tuple(extents), tuple(strides))
-
-    def code(n: int, columns: Sequence) -> tuple:
-        base, grid_size, offsets, hashed = grid_codes(n, columns, *dims)
-        return base, grid_size, offsets, n * hashed
-
     return _replay(
         cluster, rnd, rel, fragment, out_fragment,
-        tuple(range(len(column_dims))), ("grid", *dims), code,
+        tuple(range(len(column_dims))), ("grid", *dims), _grid_code(*dims),
     )
+
+
+def route_pools(
+    cluster: "Cluster", rnd: "RoundContext", rel: "Relation", routes: Sequence[tuple],
+    salts: Sequence[int], out_fragment: str,
+) -> None:
+    """HyperCube-route many restrictions of ``rel`` onto disjoint server
+    pools of one cluster, as one plan of ``rel``.
+
+    ``routes`` lists ``(name, restriction, first server, pool size, grid
+    dimension per column, extents, strides)``; ``name`` must say, given
+    ``rel``, which rows the restriction holds — the plan is kept under
+    ``rel``'s token and these names.  Each restriction is partitioned as
+    a scatter over its own pool would deliver it — position ``i`` sits on
+    the pool's server ``i % size`` — with the grid cells shifted to the
+    pool's first server, so every destination gets what a cluster of its
+    own would have given it; SkewHC's residuals of one atom are the case.
+    """
+    def build() -> tuple:
+        groups: list[tuple] = []
+        nbytes = hash_ops = 0
+        for _name, part, base, size, column_dims, extents, strides in routes:
+            cells, offsets, part_bytes, part_ops = _build_plan(
+                part, size, range(len(column_dims)),
+                _grid_code(column_dims, salts, extents, strides),
+            )
+            groups.extend(
+                (base + cell + offset, rows, chunks)
+                for cell, rows, chunks in cells for offset in offsets
+            )
+            nbytes += part_bytes
+            hash_ops += part_ops
+        return groups, (0,), nbytes, hash_ops
+
+    key = tuple((name, *where) for name, _part, *where, _strides in routes)
+    _replay_plan(cluster, rnd, rel, ("pools", tuple(salts), key), build, out_fragment)
 
 
 def route(

@@ -51,6 +51,19 @@ def partition_indices(destinations: np.ndarray, buckets: int) -> list[np.ndarray
     return np.split(order, np.cumsum(counts[:-1]))
 
 
+def stable_groups(codes: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """``(order, starts)``: rows sorted by their code tuple (``codes[0]``
+    primary), original order kept within a tuple, and where in ``order``
+    each distinct tuple's run begins."""
+    order = np.lexsort(codes[::-1])
+    changed = np.zeros(len(order), dtype=bool)
+    changed[:1] = True
+    for column in codes:
+        ordered = column[order]
+        changed[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(changed).tolist()
+
+
 def hash_destinations(
     rows: Sequence[Row], key_idx: Sequence[int], h: "HashFunction"
 ) -> np.ndarray | None:

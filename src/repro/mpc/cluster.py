@@ -58,6 +58,7 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
+from repro.kernels.columnar import zip_rows
 from repro.kernels.config import kernels_enabled
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
@@ -152,6 +153,17 @@ class RoundContext:
                 for chunks, chunk in zip(entry[1], columns):
                     chunks.append(chunk)
                 entry[2] += len(rows)
+
+    def send_columns(self, dest: int, fragment: str, columns: Sequence) -> None:
+        """:meth:`send_rows` of the rows whose columns these are: exact
+        integer arrays ride along whole, as the receiver's side-car; plain
+        value lists (see :func:`repro.kernels.columnar.held_columns`)
+        travel as rows alone."""
+        exact = isinstance(columns[0], np.ndarray)
+        self.send_rows(
+            dest, fragment, zip_rows(columns),
+            tuple(range(len(columns))) if exact else None, columns if exact else None,
+        )
 
     def broadcast(self, fragment: str, row: Row, servers: Sequence[int] | None = None) -> None:
         """Send one tuple to every server (or each listed server)."""

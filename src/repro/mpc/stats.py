@@ -241,6 +241,10 @@ class RunStats:
     faults: "FaultStats | None" = None
     exec: "ExecStats | None" = None
     memo: MemoStats = field(default_factory=MemoStats)
+    # Sizes of the disjoint server pools the rounds ran on, when a run
+    # laid several sub-runs out side by side (SkewHC: one per residual, 0
+    # for a residual that needed no server); ``None`` = one pool of ``p``.
+    pools: "list[int] | None" = None
 
     @property
     def num_rounds(self) -> int:

@@ -14,7 +14,9 @@ skew is visible at a glance::
 
 Labels longer than the 24-character column are truncated with an
 ellipsis so the table stays aligned; a round rejected by the load cap
-(recorded but undelivered) is marked with a trailing ``!``. When the run
+(recorded but undelivered) is marked with a trailing ``!``. A run laid
+out on disjoint server pools (SkewHC's residuals) gets a ``pools:`` line
+— how many residuals share how many pool servers of ``p``. When the run
 was audited (``Cluster(p, audit=True)``), :func:`trace` appends the
 audit summary line; when it ran under fault injection
 (:mod:`repro.mpc.faults`), the fault/recovery summary follows.
@@ -95,6 +97,14 @@ def trace(stats: RunStats, histograms: bool = False) -> str:
         for rd in stats.rounds:
             if rd.total and rd.delivered:
                 parts.append(load_histogram(rd))
+    if stats.pools:
+        # Disjoint pools side by side (SkewHC): every residual gets at least
+        # one server, so their sum may exceed p — the rounds above list them all.
+        pools = [size for size in stats.pools if size]
+        parts.append(
+            f"pools: {len(stats.pools)} residuals on {sum(pools)} pool servers of "
+            f"p={stats.p} ({pools.count(1)} single-server)"
+        )
     if stats.audit is not None:
         parts.append(stats.audit.summary())
     if stats.faults is not None:

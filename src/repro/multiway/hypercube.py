@@ -18,8 +18,7 @@ one-round algorithms on skew-free data (slide 36 for the triangle).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
@@ -27,6 +26,7 @@ from repro.kernels.config import kernels_enabled
 from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import Server
 from repro.mpc.topology import Grid
 from repro.joins.base import step_result
 from repro.multiway.base import MultiwayRun
@@ -34,58 +34,70 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.shares import ShareAssignment, optimal_shares
 
 
-@dataclass
-class StagedHypercube:
-    """A HyperCube run routed but not yet evaluated (route/eval split).
+def evaluate_pools(
+    cluster: Cluster, pools: Sequence[tuple[Sequence[Server], ConjunctiveQuery, str]],
+    local: str = "plan",
+) -> list[Relation]:
+    """Evaluate ``(servers, query, out fragment)`` pools in one dispatch.
 
-    :func:`hypercube_route` performs the scatter and the replication
-    round — everything that needs the coordinator — and parks the
-    per-server evaluation payloads here. The caller then either runs
-    :meth:`evaluate` (what :func:`hypercube_join` does) or, when holding
-    several independent staged runs, ships all their ``hypercube.eval``
-    dispatches as one batched backend call and hands each result list to
-    :meth:`finish`. SkewHC uses the latter: its residual jobs live on
-    disjoint server pools, so their eval rounds are coordinator-
-    independent and collapse into one queue round-trip per worker.
+    Each pool's servers hold the ``@hc`` fragments of one routed HyperCube
+    run of ``query`` (SkewHC: of every residual of one heavy/light
+    pattern, side by side); the pools are disjoint, so all their
+    ``hypercube.eval`` calls ride one backend round-trip. Every server
+    keeps its result under the pool's fragment; returned is each pool's
+    gathered output, in ``query``'s variable order.
+
+    A fragment whose side-car arrived whole travels as ``(None, columns)``:
+    the eval chunk builds the local relation straight from the column
+    blocks.
     """
-
-    query: ConjunctiveQuery
-    cluster: Cluster
-    grid: Grid
-    payloads: list
-    common: tuple
-    shares: dict[str, int]
-    assignment: ShareAssignment | None
-
-    def evaluate(self) -> MultiwayRun:
-        """Dispatch the eval round on this run's own cluster and finish."""
-        results = self.cluster.map_servers(
-            "hypercube.eval", self.payloads, self.common
-        )
-        return self.finish(results)
-
-    def finish(self, results: list) -> MultiwayRun:
-        """Store per-server eval results and gather the output relation."""
-        for sid, result in enumerate(results):
-            self.cluster.servers[sid].append_result("out", result)
-        output = self.cluster.gather_relation(
-            "out", "OUT", list(self.query.variables)
-        )
-        details: dict = {"shares": dict(self.shares)}
-        if self.assignment is not None:
-            details["assignment"] = self.assignment
-        return MultiwayRun(output, self.cluster.stats, details)
+    memo = cluster.stats.memo
+    calls = []
+    for servers, query, _fragment in pools:
+        payloads = []
+        for server in servers:
+            per_atom = []
+            for atom in query.atoms:
+                arity = tuple(range(len(atom.variables)))
+                rows, cols = server.take_with_columns(f"{atom.name}@hc", arity)
+                if cols is not None:
+                    memo.fused_payloads += 1
+                    rows = None
+                else:
+                    memo.row_payloads += kernels_enabled() and bool(rows)
+                per_atom.append((rows, cols))
+            payloads.append(per_atom)
+        calls.append(("hypercube.eval", payloads, (query, local)))
+    outputs = []
+    for (servers, query, fragment), results in zip(pools, cluster.map_servers_batch(calls)):
+        for server, result in zip(servers, results):
+            server.append_result(fragment, result)
+        outputs.append(cluster.gather_relation(fragment, "OUT", list(query.variables)))
+    return outputs
 
 
-def hypercube_route(
+def hypercube_join(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     p: int,
     seed: int = 0,
     shares: dict[str, int] | None = None,
     local: str = "plan",
-) -> StagedHypercube:
-    """Scatter and route a HyperCube run, deferring the eval dispatch."""
+) -> MultiwayRun:
+    """One-round HyperCube evaluation of a full conjunctive query.
+
+    ``relations`` maps atom names to relations whose attributes are the
+    atom's variables. ``shares`` overrides the optimized integral shares
+    (ablation hook); its product must not exceed ``p``. ``local`` picks
+    the per-server evaluation engine: ``"plan"`` (left-deep binary joins)
+    or ``"generic"`` (the worst-case optimal join of
+    :mod:`repro.multiway.wcoj`, as in BiGJoin-style systems — slide 97).
+    Communication costs are identical; only server-local work differs.
+
+    The local evaluation is fanned out via the exec backend (with the
+    process backend the grid servers of a worker's range evaluate
+    concurrently; side-car columns ride shared memory).
+    """
     if local not in ("plan", "generic"):
         raise QueryError(f"unknown local evaluator {local!r}")
     rels = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
@@ -134,62 +146,11 @@ def hypercube_route(
                     for dest in grid.matching(partial):
                         rnd.send(dest, f"{atom.name}@hc", row)
 
-    # Build the per-server eval payloads now (fragments are consumed by
-    # take); the dispatch itself is the staged half. A fragment whose
-    # side-car arrived whole travels as ``(None, columns)``: the eval chunk
-    # builds the local relation straight from the column blocks.
-    memo = cluster.stats.memo
-    payloads = []
-    for sid in range(grid.size):
-        server = cluster.servers[sid]
-        per_atom = []
-        for atom in query.atoms:
-            arity = tuple(range(len(atom.variables)))
-            rows, cols = server.take_with_columns(f"{atom.name}@hc", arity)
-            if cols is not None:
-                memo.fused_payloads += 1
-                rows = None
-            else:
-                memo.row_payloads += kernels_enabled() and bool(rows)
-            per_atom.append((rows, cols))
-        payloads.append(per_atom)
-    return StagedHypercube(
-        query=query,
-        cluster=cluster,
-        grid=grid,
-        payloads=payloads,
-        common=(query, local),
-        shares=dict(shares),
-        assignment=assignment,
-    )
-
-
-def hypercube_join(
-    query: ConjunctiveQuery,
-    relations: Mapping[str, Relation],
-    p: int,
-    seed: int = 0,
-    shares: dict[str, int] | None = None,
-    local: str = "plan",
-) -> MultiwayRun:
-    """One-round HyperCube evaluation of a full conjunctive query.
-
-    ``relations`` maps atom names to relations whose attributes are the
-    atom's variables. ``shares`` overrides the optimized integral shares
-    (ablation hook); its product must not exceed ``p``. ``local`` picks
-    the per-server evaluation engine: ``"plan"`` (left-deep binary joins)
-    or ``"generic"`` (the worst-case optimal join of
-    :mod:`repro.multiway.wcoj`, as in BiGJoin-style systems — slide 97).
-    Communication costs are identical; only server-local work differs.
-
-    The local evaluation is fanned out via the exec backend (with the
-    process backend the grid servers of a worker's range evaluate
-    concurrently; side-car columns ride shared memory).
-    """
-    staged = hypercube_route(
-        query, relations, p, seed=seed, shares=shares, local=local
-    )
-    return staged.evaluate()
+    (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")], local)
+    details: dict = {"shares": dict(shares)}
+    if assignment is not None:
+        details["assignment"] = assignment
+    return MultiwayRun(output, cluster.stats, details)
 
 
 def hypercube_eval_chunk(payloads: list, common) -> list:

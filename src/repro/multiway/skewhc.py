@@ -5,35 +5,51 @@ degree threshold (a value is a *heavy hitter* when it occurs ≥ N/p times
 in some relation), and splits the output space by which variables take
 heavy values:
 
-- for every subset ``H`` of variables and every combination of heavy
-  values for ``H``, the *residual query* Q_H — obtained by deleting the
-  bound variables and dropping emptied atoms — is evaluated by HyperCube
-  on its own exclusive server allocation, over the relations restricted
-  to that combination (heavy on ``H``, light elsewhere);
+- for every subset ``H`` of variables (a heavy/light *pattern*) and every
+  combination of heavy values for ``H``, the *residual query* Q_H —
+  obtained by deleting the bound variables and dropping emptied atoms —
+  is evaluated by HyperCube on its own exclusive server pool, over the
+  relations restricted to that combination (heavy on ``H``, light
+  elsewhere);
 - the all-light residual is ordinary HyperCube on light-only data.
 
 Each original output tuple belongs to exactly one combination, so the
 union of the residual outputs is exact. The worst residual governs the
 load: L = Θ(IN / p^{1/ψ*}) where ψ* = max_H τ*(Q_H) (slide 47), and no
 one-round algorithm can do better.
+
+The work is done per atom and per pattern; which heavy *value* a tuple
+carries only picks its pool. Each row gets one code per variable (0 =
+light, ``1 + i`` = the i-th heavy value), one stable sort by those codes
+makes every residual's restricted relation a slice of one memoized view,
+the pools sit side by side on one cluster, and the bound values return
+as constant columns.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
-from repro.data.relation import Relation
+import numpy as np
+
+from repro.data.relation import Relation, union_all
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
-from repro.kernels.memo import align, bound, cached_view, value_degrees
-from repro.mpc.cluster import combine_parallel
+from repro.kernels.columnar import held_columns, take
+from repro.kernels.config import kernels_enabled
+from repro.kernels.join import lookup_codes
+from repro.kernels.memo import align, bound, cached_view, route_pools, value_degrees
+from repro.kernels.partition import stable_groups
+from repro.mpc.cluster import Cluster, combine_parallel
+from repro.mpc.stats import MemoStats
+from repro.mpc.topology import Grid
 from repro.multiway.base import MultiwayRun
-from repro.multiway.hypercube import StagedHypercube, hypercube_route
-from repro.query.cq import ConjunctiveQuery
-
-Row = tuple[Any, ...]
+from repro.multiway.hypercube import evaluate_pools
+from repro.query.cq import Atom, ConjunctiveQuery
+from repro.query.shares import optimal_shares
 
 
 def find_heavy_values(
@@ -46,8 +62,8 @@ def find_heavy_values(
     for atom in query.atoms:
         rel = relations[atom.name]
         for variable in atom.variables:
-            # Degree maps are memoized per mutation token — every residual
-            # stage of a repeated SkewHC run reuses them.
+            # Degree maps are memoized per mutation token — the planner's
+            # statistics and every repeated SkewHC run share them.
             for value, count in value_degrees(rel, variable).items():
                 if count >= threshold:
                     heavy[variable].add(value)
@@ -65,120 +81,193 @@ def skewhc_join(
     """SkewHC evaluation of a full conjunctive query on ``p`` servers.
 
     ``threshold`` defaults to the tutorial's N/p with N the largest
-    relation. All residual executions run on disjoint server pools, so
-    the combined cost keeps ``r = 1`` (each residual is one HyperCube
-    round) with ``L`` the max over residuals.
+    relation. The residuals run on disjoint pools of one cluster, in job
+    order, so the cost is one ``hypercube`` round whose ``received`` lists
+    every pool's servers: ``r = 1`` with ``L`` the max over residuals.
+    ``details["allocation"]`` is the pool size per residual (0 when every
+    variable is bound) — each is at least one server, so more residuals
+    than servers oversubscribe ``p``.
     """
     relations = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     n_max = max((len(r) for r in relations.values()), default=0)
     if threshold is None:
         threshold = max(n_max / p, 1.0)
-    heavy = find_heavy_values(query, relations, threshold)
-
-    jobs = _residual_jobs(query, relations, heavy, max_combinations)
-    if not jobs:
-        # No data at all: empty output, zero cost.
-        from repro.mpc.stats import RunStats
-
-        output = Relation("OUT", list(query.variables))
-        return MultiwayRun(output, RunStats(p), {"threshold": threshold, "jobs": 0})
-
-    weights = [max(job.input_size, 1) for job in jobs]
-    allocation = allocate_servers(weights, p)
-
-    # Phase 1 — coordinator side: route every residual on its own
-    # cluster; fully-bound combinations produce their rows immediately.
-    rows_per_job: list[list[Row]] = [[] for _ in jobs]
-    staged: list[tuple[int, _ResidualJob, StagedHypercube]] = []
-    for index, (job, p_job) in enumerate(zip(jobs, allocation)):
-        prepared = job.stage(max(p_job, 1), seed)
-        if prepared is None:
-            rows_per_job[index] = job.bound_rows()
-        else:
-            staged.append((index, job, prepared))
-
-    # Phase 2 — one batched eval dispatch. The residual clusters live on
-    # disjoint server pools, so their hypercube.eval rounds have no
-    # coordinator dependency between them: all residuals ride a single
-    # queue message per worker instead of one round-trip per residual.
-    # The clusters share the ambient backend instance; the dispatch is
-    # accounted to the first staged cluster's ExecStats, which is
-    # faithful in aggregate because combine_parallel sums them.
-    runs = []
-    if staged:
-        backend = staged[0][2].cluster.backend
-        per_call = backend.map_payload_batch(
-            [
-                ("hypercube.eval", entry.payloads, entry.common)
-                for _, _, entry in staged
-            ],
-            stats=staged[0][2].cluster.stats.exec,
-        )
-        # Phase 3 — coordinator side again: gather and remap per residual.
-        for (index, job, entry), results in zip(staged, per_call):
-            run = entry.finish(results)
-            rows_per_job[index] = job.remap(run)
-            runs.append(run.stats)
-
-    out_rows: list[Row] = [row for rows in rows_per_job for row in rows]
-    output = Relation("OUT", list(query.variables), out_rows)
-    return MultiwayRun(
-        output,
-        combine_parallel(p, runs),
-        {"threshold": threshold, "jobs": len(jobs), "heavy": heavy},
+    memo = MemoStats()
+    # Heavy sets, residuals, pools and share grids follow from the
+    # relations' contents: one view of all of them.
+    heavy, jobs, routes = cached_view(
+        tuple(relations.values()),
+        ("skewhc", tuple(query.atoms), p, threshold, max_combinations),
+        lambda: _plan(query, relations, p, threshold, max_combinations), memo,
     )
+    patterns = [list(g) for _, g in itertools.groupby(jobs, key=lambda job: job.residual)]
+    allocation = [job.servers for job in jobs]
+    parts: list[Relation] = []
+    runs = []
+    if any(allocation):
+        cluster = Cluster(sum(allocation), seed=seed)
+        cluster.stats.memo = memo
+        salts = [cluster.hash_function(i, 1).salt for i in range(len(query.variables))]
+        with cluster.round("hypercube") as rnd:
+            for atom in query.atoms:
+                route_pools(
+                    cluster, rnd, relations[atom.name], routes[atom.name], salts,
+                    f"{atom.name}@hc",
+                )
+        # One dispatch evaluates every residual (the pools are disjoint,
+        # none waits on another): one call, and one gather, per pattern.
+        staged = [pattern for pattern in patterns if pattern[0].servers]
+        owners = [[job for job in pattern for _ in range(job.grid.size)] for pattern in staged]
+        pools = [
+            ([cluster.servers[job.base + cell] for job in pattern for cell in range(job.grid.size)],
+             pattern[0].residual, f"out@{','.join(pattern[0].bound)}")
+            for pattern in staged
+        ]
+        for holders, (servers, _, fragment), gathered in zip(
+            owners, pools, evaluate_pools(cluster, pools)
+        ):
+            lengths = [len(server.get(fragment)) for server in servers]
+            parts.append(_expand(query, holders, gathered, lengths, memo))
+        runs.append(cluster.stats)
+    if patterns and not patterns[-1][0].servers:
+        # Every variable bound: the combinations themselves are the output.
+        parts.append(_expand(query, patterns[-1], None, [1] * len(patterns[-1]), memo))
+    stats = combine_parallel(p, runs)
+    stats.memo = memo
+    stats.pools = allocation
+    details = {
+        "threshold": threshold, "jobs": len(jobs), "allocation": allocation,
+        "heavy": {v: set(values) for v, values in heavy.items()},
+        "patterns": [tuple(pattern[0].bound) for pattern in patterns],
+    }
+    output = union_all("OUT", parts or [Relation("OUT", list(query.variables))])
+    return MultiwayRun(output, stats, details)
 
 
+@dataclass
 class _ResidualJob:
     """One heavy/light combination: a residual query over restricted data."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        bound: dict[str, Any],
-        restricted: dict[str, Relation],
-        multiplicity: int,
-    ) -> None:
-        self.query = query
-        self.bound = bound
-        self.restricted = restricted
-        self.multiplicity = multiplicity
-        self.input_size = sum(len(r) for r in restricted.values())
+    bound: dict[str, Any]
+    restricted: dict[str, Relation]
+    multiplicity: int
+    codes: dict[str, int]  # per variable: 0 = light, 1 + i = the i-th heavy value
+    # Set by the plan: the residual query (shared by a pattern's jobs; None
+    # when every variable is bound), the pool and its share grid.
+    residual: ConjunctiveQuery | None = None
+    base: int = 0
+    servers: int = 0
+    grid: Grid | None = None
 
-    def stage(self, p: int, seed: int) -> StagedHypercube | None:
-        """Route the residual HyperCube run; ``None`` when fully bound."""
-        free = [v for v in self.query.variables if v not in self.bound]
-        if not free:
-            return None
-        residual = self.query.residual(list(self.bound))
-        return hypercube_route(residual, self.restricted, p, seed=seed)
+    @property
+    def input_size(self) -> int:
+        return sum(len(r) for r in self.restricted.values())
 
-    def bound_rows(self) -> list[Row]:
-        """Fully bound: the combination itself is the output (weighted
-        by the vanished atoms' multiplicities)."""
-        row = tuple(self.bound[v] for v in self.query.variables)
-        return [row] * self.multiplicity
 
-    def remap(self, run: MultiwayRun) -> list[Row]:
-        """Re-expand residual output rows to the original variable order."""
-        residual_vars = list(run.output.schema.attributes)
-        res_pos = {v: i for i, v in enumerate(residual_vars)}
-        rows = []
-        for out_row in run.output:
-            full = tuple(
-                self.bound[v] if v in self.bound else out_row[res_pos[v]]
-                for v in self.query.variables
+def _plan(query, relations, p: int, threshold: float, max_combinations: int) -> tuple:
+    """``(heavy sets, jobs with pools and grids, ``route_pools`` routes per atom)``."""
+    heavy = find_heavy_values(query, relations, threshold)
+    ranked = {v: tuple(sorted(values)) for v, values in heavy.items()}
+    jobs = _residual_jobs(query, relations, heavy, max_combinations)
+    allocation = allocate_servers([max(job.input_size, 1) for job in jobs], p)
+    residuals: dict[tuple, ConjunctiveQuery] = {}
+    routes: dict[str, list[tuple]] = {atom.name: [] for atom in query.atoms}
+    base = 0
+    for job, p_job in zip(jobs, allocation):
+        if len(job.bound) == len(query.variables):
+            continue
+        pattern = tuple(job.bound)
+        job.residual = residual = (
+            residuals.get(pattern) or residuals.setdefault(pattern, query.residual(pattern))
+        )
+        sizes = {name: len(rel) for name, rel in job.restricted.items()}
+        # A single server leaves the share LP nothing to decide.
+        shares = optimal_shares(residual, sizes, p_job).integral if p_job > 1 else {}
+        job.grid = grid = Grid([shares.get(v, 1) for v in residual.variables])
+        job.base, job.servers = base, p_job
+        for atom in residual.atoms:
+            # A restriction is named by what defines it: per variable of the
+            # atom, the heavy values and which of them (or light) it holds.
+            name = tuple((ranked[v], job.codes[v]) for v in query.atom(atom.name).variables)
+            dims = tuple(residual.variables.index(v) for v in atom.variables)
+            routes[atom.name].append(
+                (name, job.restricted[atom.name], base, p_job, dims, grid.extents, grid.strides)
             )
-            rows.extend([full] * self.multiplicity)
-        return rows
+        base += p_job
+    return heavy, jobs, routes
 
-    def execute(self, p: int, seed: int) -> tuple[list[Row], Any]:
-        """Route, evaluate, and remap this residual on its own (unbatched)."""
-        staged = self.stage(p, seed)
-        if staged is None:
-            return self.bound_rows(), None
-        run = staged.evaluate()
-        return self.remap(run), run.stats
+
+def _expand(
+    query: ConjunctiveQuery,
+    jobs: Sequence[_ResidualJob],
+    gathered: Relation | None,
+    produced: Sequence[int],
+    memo: MemoStats,
+) -> Relation:
+    """A pattern's output in the query's variable order: the gathered
+    residual columns, each residual's bound values broadcast as constant
+    columns over the ``produced`` rows it contributed, every row repeated
+    by its residual's vanished-atom multiplicity."""
+    free = {} if gathered is None else dict(
+        zip(gathered.schema.attributes, held_columns(gathered))
+    )
+    counts = np.asarray(produced, dtype=np.int64)
+    times = np.array([job.multiplicity for job in jobs], dtype=np.int64)
+    row = np.repeat(np.arange(int(counts.sum())), np.repeat(times, counts))
+    owner = np.repeat(np.arange(len(jobs)), counts * times)
+    columns = []
+    for v in query.variables:
+        if v in free:
+            columns.append(take(free[v], row))
+            continue
+        values: Any = [job.bound[v] for job in jobs]
+        if kernels_enabled() and set(map(type, values)) == {int}:
+            exact = np.asarray(values)
+            values = exact if exact.dtype.kind in "iu" else values
+        columns.append(take(values, owner))
+    out = Relation.from_held("OUT", query.variables, columns)
+    memo.row_payloads += kernels_enabled() and len(out) > 0 and not out.is_columnar
+    return out
+
+
+# ---------------------------------------------- classification and residuals
+
+
+def _atom_view(rel: Relation, atom: Atom, ranked: dict[str, list]) -> dict:
+    """``{codes: restriction}`` of one atom: per variable 0 for light, else
+    ``1 +`` the rank of a heavy value; the restriction is the relation over
+    the light (free) positions of the rows carrying exactly those codes, in
+    ``rel``'s row order, or their count when no position is free (the atom
+    vanishes from that residual). One memoized view per (relation token,
+    atom variables, heavy values); the aligned parent itself, uncopied,
+    when no variable of the atom has a heavy value."""
+    values = tuple(tuple(ranked[v]) for v in atom.variables)
+    if not any(values):
+        return {(0,) * atom.arity: rel} if len(rel) else {}
+    return cached_view(
+        rel, ("skewhc-atom", atom.variables, values), lambda: _classify(rel, atom, values)
+    )
+
+
+def _classify(rel: Relation, atom: Atom, values: tuple) -> dict:
+    columns = held_columns(rel)
+    codes = [
+        lookup_codes([column], [(value,) for value in heavy]) + 1
+        for column, heavy in zip(columns, values)
+    ]
+    order, starts = stable_groups(codes)
+    columns = [take(c, order) for c in columns]
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False  # shared by every slice below
+    groups: dict[tuple, Any] = {}
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        key = tuple(int(c[order[lo]]) for c in codes)
+        free = [i for i, code in enumerate(key) if not code]
+        groups[key] = Relation.from_held(
+            atom.name, [atom.variables[i] for i in free], [columns[i][lo:hi] for i in free]
+        ) if free else hi - lo
+    return groups
 
 
 def _residual_jobs(
@@ -187,23 +276,31 @@ def _residual_jobs(
     heavy: dict[str, set[Any]],
     max_combinations: int,
 ) -> list[_ResidualJob]:
-    jobs: list[_ResidualJob] = []
-    heavy_vars = [v for v in query.variables if heavy[v]]
-    total = 0
-    for r in range(len(heavy_vars) + 1):
-        for subset in itertools.combinations(heavy_vars, r):
-            combos = itertools.product(*(sorted(heavy[v]) for v in subset))
-            for values in combos:
-                total += 1
-                if total > max_combinations:
-                    raise QueryError(
-                        f"SkewHC exceeded {max_combinations} heavy combinations"
-                    )
-                bound = dict(zip(subset, values))
-                job = _build_job(query, relations, heavy, bound)
-                if job is not None:
-                    jobs.append(job)
-    return jobs
+    """Every non-empty heavy/light combination, pattern by pattern.
+
+    A combination has rows exactly when every atom has a group whose codes
+    agree with it, so the combinations are the join of the atoms' group
+    keys on their shared variables — no value without rows is looked at.
+    They are numbered by pattern (the set of bound variables: by size,
+    then in variable order), then by bound values ascending.
+    """
+    ranked = {v: sorted(values) for v, values in heavy.items()}
+    views = {a.name: _atom_view(relations[a.name], a, ranked) for a in query.atoms}
+    combinations: list[dict[str, int]] = [{}]
+    for atom in query.atoms:
+        combinations = [
+            {**codes, **dict(zip(atom.variables, key))}
+            for codes in combinations for key in views[atom.name]
+            if all(codes.get(v, code) == code for v, code in zip(atom.variables, key))
+        ]
+        if len(combinations) > max_combinations:
+            raise QueryError(f"SkewHC exceeded {max_combinations} heavy combinations")
+
+    def number(codes: dict[str, int]) -> tuple:
+        held = [i for i, v in enumerate(query.variables) if codes[v]]
+        return len(held), held, [codes[query.variables[i]] for i in held]
+
+    return [_job(query, views, ranked, codes) for codes in sorted(combinations, key=number)]
 
 
 def _build_job(
@@ -213,70 +310,19 @@ def _build_job(
     bound: dict[str, Any],
 ) -> _ResidualJob | None:
     """Restrict all relations to one combination; None if provably empty."""
-    restricted: dict[str, Relation] = {}
-    multiplicity = 1
+    jobs = _residual_jobs(query, relations, heavy, max_combinations=2**62)
+    return next((job for job in jobs if job.bound == bound), None)
+
+
+def _job(query, views: dict, ranked: dict, codes: dict[str, int]) -> _ResidualJob:
+    bound = {v: ranked[v][codes[v] - 1] for v in query.variables if codes[v]}
+    job = _ResidualJob(bound, {}, 1, codes)
     for atom in query.atoms:
-        rel = relations[atom.name]
-        # The restriction depends only on the relation's contents, the
-        # bound values of the atom's variables, and the heavy sets of its
-        # free variables — memoize it per mutation token so repeated
-        # SkewHC runs (and self-joined atoms sharing a relation) reuse
-        # the scan. The cached residual relation keeps a stable identity,
-        # which is what lets the residual HyperCube's partition cache hit.
-        bound_key = tuple((v, bound[v]) for v in atom.variables if v in bound)
-        heavy_key = tuple(
-            (v, tuple(sorted(heavy[v])))
-            for v in atom.variables
-            if v not in bound and heavy[v]
-        )
-        kind, value = cached_view(
-            rel,
-            ("restrict", atom.variables, bound_key, heavy_key),
-            lambda rel=rel, atom=atom: _restrict_atom(rel, atom, bound, heavy),
-        )
-        if kind == "count":
+        group = views[atom.name][tuple(codes[v] for v in atom.variables)]
+        if isinstance(group, Relation):
+            job.restricted[atom.name] = group
+        else:
             # The atom vanishes in the residual; it acts as a filter whose
             # match count multiplies output multiplicities (bag semantics).
-            if not value:
-                return None
-            multiplicity *= value
-        else:
-            if not len(value):
-                return None
-            restricted[atom.name] = value
-    return _ResidualJob(query, bound, restricted, multiplicity)
-
-
-def _restrict_atom(
-    rel: Relation,
-    atom: Any,
-    bound: dict[str, Any],
-    heavy: dict[str, set[Any]],
-) -> tuple[str, Any]:
-    """One atom's heavy/light restriction: ``("count", n)`` when the atom
-    is fully bound (vanishes), else ``("rel", Relation)`` over the free
-    positions."""
-    positions = [(i, v) for i, v in enumerate(atom.variables)]
-
-    def keep(row: Row) -> bool:
-        for i, v in positions:
-            if v in bound:
-                if row[i] != bound[v]:
-                    return False
-            elif row[i] in heavy[v]:
-                return False
-        return True
-
-    kept = [row for row in rel if keep(row)]
-    free_positions = [i for i, v in positions if v not in bound]
-    if not free_positions:
-        return ("count", len(kept))
-    free_vars = [atom.variables[i] for i in free_positions]
-    return (
-        "rel",
-        Relation(
-            atom.name,
-            free_vars,
-            [tuple(row[i] for i in free_positions) for row in kept],
-        ),
-    )
+            job.multiplicity *= group
+    return job

@@ -109,9 +109,10 @@ class CandidatePlan:
     def describe(self) -> str:
         if not self.applicable:
             return f"{self.strategy:<10} inapplicable: {self.reason}"
+        note = f"  ({self.reason})" if self.reason else ""
         return (
             f"{self.strategy:<10} L~{self.predicted_load:<9.1f} "
-            f"r={self.predicted_rounds}"
+            f"r={self.predicted_rounds}{note}"
         )
 
 
@@ -417,7 +418,7 @@ def _plan(
     add(
         "skewhc", skewhc_load, 1, 6.0,
         p + 8.0 + math.sqrt(max(out, 1) / p) + maxdeg,
-        reason=f"{jobs} residual jobs" if jobs > p else "",
+        reason=f"up to {jobs} residuals on one-server pools of p={p}" if jobs > p else "",
     )
 
     # ----- multi-round GHD family

@@ -74,6 +74,26 @@ class TestRowCallSiteInventoryLint:
         assert len(sites) <= self.CEILING, "\n".join(sites)
 
 
+class TestSkewOnePassLint:
+    """Skew is handled per atom and per heavy/light pattern, as index
+    arithmetic; the per-tuple, per-value bodies live in
+    ``repro/testing/skew_reference.py`` as the reference only."""
+
+    FILES = ("joins/heavy.py", "multiway/skewhc.py")
+
+    def test_no_per_tuple_loop_and_no_product_over_values(self):
+        for name in self.FILES:
+            text = (ROOT / "src" / "repro" / name).read_text()
+            assert not re.search(r"for \w*row\w* in|def keep|itertools\.product", text), name
+
+    def test_the_reference_bodies_moved_not_copied(self):
+        reference = (ROOT / "src" / "repro" / "testing" / "skew_reference.py").read_text()
+        for moved in ("_restrict_atom", "remap", "_packed_heavy_products", "_one_heavy_product"):
+            assert f"def {moved}(" in reference
+            assert not _files_matching(rf"def {moved}\(", ROOT / "src" / "repro" / "joins")
+            assert not _files_matching(rf"def {moved}\(", ROOT / "src" / "repro" / "multiway")
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
