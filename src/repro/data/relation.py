@@ -370,19 +370,6 @@ class Relation:
                 self._colcache = (self._version, cols)
             return cols
 
-    def _cached_key_columns(self, idx: Sequence[int]) -> list | None:
-        """The coherent columns at ``idx``, or ``None`` when they would cost.
-
-        Never forces an extraction — callers that merely *prefer*
-        columnar input use this so cache misses cost nothing.
-        """
-        if self._cols is not None:
-            return [self._cols[i] for i in idx]
-        cached = self._colcache
-        if cached is None or cached[0] != self._version or cached[1] is None:
-            return None
-        return [cached[1][i] for i in idx]
-
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
@@ -555,15 +542,7 @@ class Relation:
                     )
             left_rows = self._materialize()
             right_rows = other._materialize()
-            joined = join_rows_columnar(
-                left_rows,
-                right_rows,
-                left_idx,
-                right_idx,
-                extra_idx,
-                left_cols=self._cached_key_columns(left_idx),
-                right_cols=other._cached_key_columns(right_idx),
-            )
+            joined = join_rows_columnar(left_rows, right_rows, left_idx, right_idx, extra_idx)
             if joined is not None:
                 out._rows = joined
                 return out

@@ -3,7 +3,7 @@
 ``inline`` (default) runs server-local work in the coordinating process
 exactly as before; ``process`` fans it out over a persistent
 multiprocessing worker pool where worker i owns the i-th contiguous
-range of the p simulated servers, with numpy column side-cars traveling
+range of the p simulated servers, with numpy column blocks traveling
 through shared memory. Select with ``REPRO_BACKEND=process`` /
 ``REPRO_WORKERS=4``, or in code::
 

@@ -17,7 +17,7 @@ from repro.errors import QueryError
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import join_rows_columnar
 from repro.kernels.memo import key_degrees
-from repro.mpc.server import Server, pick_columns
+from repro.mpc.server import ChunkedColumns, Server
 from repro.mpc.stats import RunStats
 
 
@@ -96,10 +96,8 @@ def join_fragments(
 
     Shared verbatim by the inline path and the process-backend workers
     (via the ``join.fragments`` task), which is what makes their outputs
-    byte-identical. ``l_cols``/``r_cols`` are the delivery side-cars of
-    the shared key columns, or ``None`` for the tuple path — or, in a
-    columns-only payload (``l_rows is None``: both side-cars arrived
-    whole), every column, joined column-natively.
+    byte-identical. The fragments come both as columns (``l_rows is
+    None``), joined column-natively, or both as rows.
     """
     if l_rows is None:
         return step_result(
@@ -109,23 +107,16 @@ def join_fragments(
         )
     shared = left_schema.common(right_schema)
     if kernels_enabled() and shared:
-        l_idx = left_schema.indices(shared)
-        r_idx = right_schema.indices(shared)
         extra = [a for a in right_schema.attributes if a not in left_schema]
         joined_rows = join_rows_columnar(
-            l_rows,
-            r_rows,
-            l_idx,
-            r_idx,
+            l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
             right_schema.indices(extra),
-            left_cols=l_cols,
-            right_cols=r_cols,
         )
         if joined_rows is not None:
             return joined_rows
     l_rel = Relation.wrap(left_name, left_schema, l_rows)
     r_rel = Relation.wrap(right_name, right_schema, r_rows)
-    return l_rel.join(r_rel).rows()
+    return step_result(l_rel.join(r_rel))
 
 
 def join_fragment_chunk(payloads: list, common) -> list:
@@ -133,29 +124,23 @@ def join_fragment_chunk(payloads: list, common) -> list:
     return [join_fragments(*payload, *common) for payload in payloads]
 
 
+def as_rows(fragment: "list | ChunkedColumns") -> list:
+    """A fragment's tuples as rows, column blocks decoded."""
+    return list(fragment) if isinstance(fragment, ChunkedColumns) else fragment
+
+
 def _take_join_inputs(
-    server: Server,
-    left_fragment: str,
-    right_fragment: str,
-    left: Relation,
-    right: Relation,
+    server: Server, left_fragment: str, right_fragment: str
 ) -> tuple[list | None, object, list | None, object]:
-    """Consume both fragments into one ``join.fragments`` payload: on the
-    kernel path columns-only when both side-cars arrived whole, else the
-    rows with whatever key columns the side-cars hold."""
-    shared = left.schema.common(right.schema)
-    if not (kernels_enabled() and shared):
-        return server.take(left_fragment), None, server.take(right_fragment), None
-    l_rows, l_idx, l_cols = server.take_side_car(left_fragment)
-    r_rows, r_idx, r_cols = server.take_side_car(right_fragment)
-    l_all = pick_columns(l_idx, l_cols, range(left.schema.arity))
-    r_all = pick_columns(r_idx, r_cols, range(right.schema.arity))
-    if l_all is not None and r_all is not None:
-        return None, l_all, None, r_all
-    return (
-        l_rows, pick_columns(l_idx, l_cols, left.schema.indices(shared)),
-        r_rows, pick_columns(r_idx, r_cols, right.schema.indices(shared)),
-    )
+    """Consume both fragments into one ``join.fragments`` payload: whole
+    columns when both are column blocks, else rows (blocks meeting rows
+    are decoded — not when a side is empty: that joins to nothing)."""
+    left, right = server.take(left_fragment), server.take(right_fragment)
+    if isinstance(left, ChunkedColumns) and isinstance(right, ChunkedColumns):
+        return None, left.arrays(), None, right.arrays()
+    if not (len(left) and len(right)):
+        return [], None, [], None
+    return as_rows(left), None, as_rows(right), None
 
 
 def local_join(
@@ -168,12 +153,10 @@ def local_join(
 ) -> None:
     """Join the server's two local fragments and store the result locally.
 
-    ``left`` and ``right`` supply the schemas; only the fragments' rows
-    are read. Consumes both input fragments. When a kernel-routed shuffle
-    delivered the fragments with their side-cars, the columnar join
-    kernel reuses them directly.
+    ``left`` and ``right`` supply the schemas; only the fragments' tuples
+    are read. Consumes both input fragments.
     """
-    payload = _take_join_inputs(server, left_fragment, right_fragment, left, right)
+    payload = _take_join_inputs(server, left_fragment, right_fragment)
     server.append_result(
         out_fragment,
         join_fragments(*payload, left.name, left.schema, right.name, right.schema),
@@ -184,7 +167,7 @@ def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragme
     """Every server's local join: build the payloads (counted by shape),
     ``run(payloads, common)`` them, store each result on its server."""
     payloads = [
-        _take_join_inputs(server, left_fragment, right_fragment, left, right)
+        _take_join_inputs(server, left_fragment, right_fragment)
         for server in cluster.servers
     ]
     if kernels_enabled():
@@ -220,7 +203,7 @@ def distributed_local_join(
 
     The computation-phase counterpart of a shuffle round: with the
     ``process`` backend the per-server joins run concurrently on the
-    worker pool (side-car columns travel via shared memory); with
+    worker pool (column blocks travel via shared memory); with
     ``inline`` this is exactly :func:`inline_local_join`, sharing
     :func:`join_fragments` either way.
     """

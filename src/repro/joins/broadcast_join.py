@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun, inline_local_join, join_schemas, require_join_key
+from repro.kernels.partition import send_part
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import held
 
 
 def broadcast_join(
@@ -30,11 +32,12 @@ def broadcast_join(
     replica = "small@all"
     with cluster.round("broadcast") as rnd:
         for server in cluster.servers:
-            # One batched send per destination; the side-car rides along.
-            rows, stored_idx, cols = server.take_side_car(small_frag)
-            if rows:
+            # One batched send per destination, in the form the fragment is held.
+            part = server.take(small_frag)
+            if len(part):
+                data = held(part)
                 for dest in range(p):
-                    rnd.send_rows(dest, replica, rows, stored_idx, cols)
+                    send_part(rnd, dest, replica, data)
 
     # Keep the user-facing attribute order: R's attributes first.
     left_frag = big_frag if big is r else replica

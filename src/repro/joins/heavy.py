@@ -30,6 +30,7 @@ from repro.kernels.join import lookup_codes
 from repro.kernels.partition import partition_indices
 from repro.mpc.cluster import Cluster
 from repro.mpc.hashing import HashFamily
+from repro.mpc.server import ChunkedColumns
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -182,10 +183,12 @@ def _grid_product(
         with cluster.round("heavy-degenerate") as rnd:
             _deliver(rnd, "rb", r_cols, r_rows, at % p, (at // p,), lambda server: (server,))
         for server in cluster.servers:
-            rows, cols = server.take_with_columns("rb", tuple(range(r.schema.arity)))
-            times = np.repeat(np.arange(len(rows)), len(s_rows))
+            part = server.take("rb")
+            times = np.repeat(np.arange(len(part)), len(s_rows))
             server.append_result(
-                "out", take_rows(rows, times) if cols is None else tuple(c[times] for c in cols)
+                "out",
+                tuple(c[times] for c in part.arrays()) if isinstance(part, ChunkedColumns)
+                else take_rows(part, times),
             )
         return cluster
 

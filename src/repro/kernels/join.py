@@ -28,22 +28,15 @@ def _code_columns(
     right_rows: Sequence[Row],
     left_idx: Sequence[int],
     right_idx: Sequence[int],
-    left_cols: Sequence[np.ndarray] | None = None,
-    right_cols: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Joint key codes ``(left_codes, right_codes)``, or ``None``.
 
     Codes are injective over key tuples (equal code ⇔ equal key) but not
     necessarily dense — :func:`join_indices` only needs them sortable.
-
-    ``left_cols``/``right_cols`` optionally supply the key columns
-    (e.g. a shuffle's column side-car) so they need not be re-extracted.
     """
-    if left_cols is None or any(len(c) != len(left_rows) for c in left_cols):
-        left_cols = key_columns(left_rows, left_idx)
-    if right_cols is None or any(len(c) != len(right_rows) for c in right_cols):
-        right_cols = key_columns(right_rows, right_idx)
-    if left_cols is None or right_cols is None:
+    left_cols = key_columns(left_rows, left_idx)
+    right_cols = key_columns(right_rows, right_idx) if left_cols is not None else None
+    if right_cols is None:
         return None
     return code_key_columns(left_cols, right_cols)
 
@@ -141,8 +134,6 @@ def join_rows_columnar(
     left_idx: Sequence[int],
     right_idx: Sequence[int],
     right_payload: Sequence[int],
-    left_cols: Sequence[np.ndarray] | None = None,
-    right_cols: Sequence[np.ndarray] | None = None,
 ) -> list[Row] | None:
     """Columnar hash join; ``None`` when the key columns are not integer.
 
@@ -151,9 +142,7 @@ def join_rows_columnar(
     """
     if not left_rows or not right_rows:
         return []
-    coded = _code_columns(
-        left_rows, right_rows, left_idx, right_idx, left_cols, right_cols
-    )
+    coded = _code_columns(left_rows, right_rows, left_idx, right_idx)
     if coded is None:
         return None
     left_pos, right_pos = join_indices(*coded)

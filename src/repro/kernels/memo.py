@@ -8,7 +8,7 @@ local work, but the simulator pays it in wall time.  This module removes
 the redundancy without changing a single observable byte:
 
 - a **partition cache** of fully computed routing plans — per
-  destination, the rows and key-column chunks the per-server
+  destination, the column blocks (or rows) the per-server
   :func:`repro.kernels.partition.try_route` loop would deliver to it —
   replayed, one batched send per destination, by :func:`route_scattered`
   (and :func:`route_scattered_grid` for HyperCube's replicated routes);
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import QueryError
-from repro.kernels.columnar import held_columns
+from repro.kernels.columnar import held_columns, zip_rows
 from repro.kernels.config import kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -264,25 +264,24 @@ def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable)
     partitioned once, in (destination, source server, position) order —
     position ``i`` sits on server ``i % p`` — which is what a destination
     receives when each server partitions its own slice and the sends
-    arrive source server ascending.  Every column travels, not just the
-    hashed ones: the receiver's side-car is the rows' columnar twin.  A
-    relation without exact columns is coded from its value lists and
-    travels as rows alone.
+    arrive source server ascending.  Each destination's part is held once:
+    the relation's exact columns as one frozen block per column (no row
+    list is read), or — coded from value lists — its rows.
     """
     from repro.kernels.partition import groups_in_order
 
     columns = held_columns(rel)
     exact = isinstance(columns[0], np.ndarray)
-    rows = rel.rows_readonly()
     hashed = [columns[i] for i in key_idx]
-    codes, buckets, offsets, hash_ops = code(len(rows), hashed)
-    order = np.lexsort((np.arange(len(rows)) % p, codes))  # last key first, stable
-    groups = groups_in_order(order, codes, buckets, rows, columns if exact else ())
-    for _dest, _rows, chunks in groups:
-        for chunk in chunks:
-            # Chunks are delivered, possibly repeatedly, as column
-            # side-cars: frozen, so that no receiver can mutate the cache.
-            chunk.flags.writeable = False
+    codes, buckets, offsets, hash_ops = code(len(rel), hashed)
+    order = np.lexsort((np.arange(len(rel)) % p, codes))  # last key first, stable
+    groups = groups_in_order(order, codes, buckets, columns if exact else zip_rows(columns))
+    if exact:
+        for _dest, blocks in groups:
+            for block in blocks:
+                # Delivered, possibly repeatedly, into fragments and results:
+                # frozen, so that no receiver can mutate the cache.
+                block.flags.writeable = False
     nbytes = sum(int(column.nbytes) for column in hashed) if exact else 0
     return groups, offsets, nbytes, hash_ops
 
@@ -301,8 +300,7 @@ def _replay(
         out_fragment,
     )
     if routed:
-        # Matches the take_with_columns the per-server loop would have done
-        # (take also drops any column side-car).
+        # Matches the take the per-server loop would have done.
         for server in cluster.servers:
             server.take(fragment)
     return routed
@@ -315,13 +313,14 @@ def _replay_plan(
     """Get-or-build a whole-shuffle plan of ``rel``, count it, replay its sends.
 
     A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
-    rows, column chunks)`` group goes to ``dest + o`` for every offset
-    ``o`` — one send (and one frozen full-arity side-car chunk) per
-    destination.  It is kept under ``rel``'s token on the kernel rung
-    unless the relation is borrowed or a fault controller watches the
-    cluster; otherwise it is built, sent and dropped (``False`` when
-    ``build`` has no plan to give).
+    part)`` group — frozen column blocks, or rows — goes to ``dest + o``
+    for every offset ``o``, one send per destination.  It is kept under
+    ``rel``'s token on the kernel rung unless the relation is borrowed or
+    a fault controller watches the cluster; otherwise it is built, sent
+    and dropped (``False`` when ``build`` has no plan to give).
     """
+    from repro.kernels.partition import send_part
+
     kernels = kernels_enabled()
     cacheable = kernels and cluster.fault_controller is None and not rel.is_borrowed
     plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
@@ -336,10 +335,9 @@ def _replay_plan(
     elif kernels:  # the scalar rung counts nothing
         _bump(stats, "partition_misses", int(cacheable))
         _bump(stats, "hash_ops", hash_ops)
-    for dest, rows_group, chunks in groups:
-        carried = tuple(range(len(chunks))) if chunks else None
+    for dest, part in groups:
         for offset in offsets:
-            rnd.send_rows(dest + offset, out_fragment, rows_group, carried, chunks or None)
+            send_part(rnd, dest + offset, out_fragment, part)
     return True
 
 
@@ -349,10 +347,10 @@ def route_scattered(
 ) -> bool:
     """Route a scattered, unchanged relation from the partition cache.
 
-    Replays (or computes once and caches) what the per-server
-    ``take_with_columns`` + ``try_route`` loop would deliver for
-    ``fragment``, one batched send per destination — byte-identical
-    destinations, order, charged units, and key-column side-cars.
+    Replays (or computes once and caches) what the per-server ``take`` +
+    ``try_route`` loop would deliver for ``fragment``, one batched send
+    per destination — byte-identical destinations, order, charged units
+    and delivered blocks.
     Returns ``False`` when ineligible (kernels off, faults active,
     relation mutated/borrowed, fragment tampered with, or non-integer
     key columns); the caller then falls back to the ordinary loop.
@@ -416,8 +414,7 @@ def route_pools(
                 _grid_code(column_dims, salts, extents, strides),
             )
             groups.extend(
-                (base + cell + offset, rows, chunks)
-                for cell, rows, chunks in cells for offset in offsets
+                (base + cell + offset, part) for cell, part in cells for offset in offsets
             )
             nbytes += part_bytes
             hash_ops += part_ops
@@ -440,8 +437,8 @@ def route(
     arrival order is source-server ascending, each server's rows in
     slice order, on every rung (a cached plan stores them that way).
     """
-    from repro.kernels.partition import route_columns, try_route
-    from repro.mpc.server import pick_columns
+    from repro.kernels.partition import try_route
+    from repro.mpc.server import held
 
     key_idx = tuple(key_idx)
     if rel is not None and route_scattered(
@@ -449,12 +446,9 @@ def route(
     ):
         return
     for server in cluster.servers:
-        rows, stored_idx, cols = server.take_side_car(fragment)
-        keys = pick_columns(stored_idx, cols, key_idx)
-        if keys is not None and rows:  # it covers the key: forward all of it
-            route_columns(rnd, rows, keys, h, out_fragment, stored_idx, cols)
-        elif not try_route(rnd, rows, key_idx, h, out_fragment):
-            for row in rows:
+        part = server.take(fragment)
+        if not try_route(rnd, held(part), key_idx, h, out_fragment):
+            for row in part:
                 rnd.send(h(tuple(row[i] for i in key_idx)), out_fragment, row)
 
 

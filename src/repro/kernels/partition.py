@@ -3,22 +3,24 @@
 The shuffle rounds of every algorithm reduce to the same shape — compute
 a destination for each row, then move rows to per-destination buffers.
 These kernels compute all destinations vectorized and hand each
-destination one *batched* ``send_rows`` instead of a Python-level
-``send`` per tuple. Per-destination row order matches the tuple path
-exactly (stable partitioning of rows iterated in order), so fragments,
-loads, and downstream outputs are byte-identical with kernels on or off.
+destination one *batched* send — ``send_columns`` of column slices when
+they are given whole columns, ``send_rows`` of a row group when given
+rows — instead of a Python-level ``send`` per tuple. Per-destination
+row order matches the tuple path exactly (stable partitioning of rows
+iterated in order), so fragments, loads, and downstream outputs are
+byte-identical with kernels on or off.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import product
+from itertools import accumulate, product
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.kernels.columnar import exact_columns, key_columns
+from repro.kernels.columnar import key_columns
 from repro.kernels.config import kernels_enabled
 from repro.kernels.hashing import bucket_tuple_columns, bucket_value_column
 from repro.kernels.memo import count_hash_ops
@@ -78,40 +80,45 @@ def hash_destinations(
     return bucket_tuple_columns(columns, h.salt, h.buckets)
 
 
-def partition_groups(
-    codes: np.ndarray,
-    buckets: int,
-    rows: Sequence[Row],
-    columns: Sequence[np.ndarray],
-) -> list[tuple[int, list[Row], list[np.ndarray]]]:
-    """Stable partition: ``(code, its rows, its column slices)`` per non-empty code.
+def partition_groups(codes: np.ndarray, buckets: int, data: Sequence) -> list[tuple[int, Any]]:
+    """Stable partition: ``(code, its part of data)`` per non-empty code.
 
-    ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket and ``columns``
-    are arrays aligned with ``rows``. Groups come out in ascending code
-    order with the rows of each group in their original order — one
-    stable argsort + bincount, the core of every per-server batched
-    route (a whole-relation plan brings its own order, below).
+    ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket; ``data`` is
+    what holds the rows — a list of exact column arrays, or the row list —
+    and each part comes back in the same form. Groups come out in
+    ascending code order with the rows of each group in their original
+    order — one stable argsort + bincount, the core of every per-server
+    batched route (a whole-relation plan brings its own order, below).
     """
-    return groups_in_order(np.argsort(codes, kind="stable"), codes, buckets, rows, columns)
+    return groups_in_order(np.argsort(codes, kind="stable"), codes, buckets, data)
 
 
 def groups_in_order(
-    order: np.ndarray, codes: np.ndarray, buckets: int,
-    rows: Sequence[Row], columns: Sequence[np.ndarray],
-) -> list[tuple[int, list[Row], list[np.ndarray]]]:
+    order: np.ndarray, codes: np.ndarray, buckets: int, data: Sequence
+) -> list[tuple[int, Any]]:
     """:func:`partition_groups` under a given ``order``: any permutation that
     sorts ``codes`` (a whole-relation plan breaks ties by source server)."""
-    counts = np.bincount(codes, minlength=buckets)
-    reordered = [rows[i] for i in order.tolist()]
-    sorted_cols = [c[order] for c in columns]
-    groups = []
-    start = 0
-    for code, count in enumerate(counts.tolist()):
-        if count:
-            end = start + count
-            groups.append((code, reordered[start:end], [c[start:end] for c in sorted_cols]))
-            start = end
-    return groups
+    counts = np.bincount(codes, minlength=buckets).tolist()
+    bounds = [(code, end - count, end) for code, count, end in
+              zip(range(buckets), counts, accumulate(counts)) if count]
+    if _columnar(data):
+        ordered = [column[order] for column in data]
+        return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
+    ordered = [data[i] for i in order.tolist()]
+    return [(code, ordered[lo:hi]) for code, lo, hi in bounds]
+
+
+def _columnar(data: Sequence) -> bool:
+    """Whether held ``data`` is a list of whole columns (else: the row list)."""
+    return len(data) > 0 and isinstance(data[0], np.ndarray)
+
+
+def send_part(rnd: "RoundContext", dest: int, fragment: str, part: Sequence) -> None:
+    """Send one part of a partition, in the form it is held."""
+    if _columnar(part):
+        rnd.send_columns(dest, fragment, part)
+    else:
+        rnd.send_rows(dest, fragment, part)
 
 
 def hash_codes(columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
@@ -150,85 +157,51 @@ def grid_codes(
     return _shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
 
 
-def _columns_for(
-    rows: Sequence[Row],
-    positions: Sequence[int],
-    columns: Sequence[np.ndarray] | None,
-) -> list[np.ndarray] | None:
-    """The supplied side-car when it covers ``rows``, else extracted columns
-    (exact ones when they span the row: the receiver may then drop the rows)."""
-    if columns is not None and all(len(c) == len(rows) for c in columns):
-        return list(columns)
-    extract = exact_columns if len(positions) >= len(rows[0]) else key_columns
-    return extract(rows, positions)
-
-
 def try_route(
-    rnd: "RoundContext",
-    rows: Sequence[Row],
-    key_idx: Sequence[int],
-    h: "HashFunction",
+    rnd: "RoundContext", data: Sequence, key_idx: Sequence[int], h: "HashFunction",
     fragment: str,
-    columns: Sequence[np.ndarray] | None = None,
 ) -> bool:
     """Route every row to ``h(key)`` in batched sends; ``False`` = fall back.
 
     Equivalent to ``rnd.send(h(tuple(row[i] for i in key_idx)), fragment,
     row)`` per row — same destinations, same per-destination order, same
-    charged units. ``columns`` optionally supplies the precomputed key
-    columns (e.g. a scatter side-car); the partitioned key columns are
-    forwarded with each batch so receivers inherit the side-car.
+    charged units. ``data`` is a fragment as :func:`repro.mpc.server.held`:
+    whole columns are partitioned and sent as blocks, rows as rows.
     """
-    if not kernels_enabled() or not rows:
-        return not rows
-    key_idx = tuple(key_idx)
-    cols = _columns_for(rows, key_idx, columns)
-    if cols is None:
-        return False
-    route_columns(rnd, rows, cols, h, fragment, key_idx, cols)
+    n, keys = _keys(data, key_idx)
+    if not n or keys is None:
+        return not n
+    count_hash_ops(rnd, n)
+    for dest, part in partition_groups(hash_codes(keys, h), h.buckets, data):
+        send_part(rnd, dest, fragment, part)
     return True
 
 
-def route_columns(
-    rnd: "RoundContext", rows: Sequence[Row], keys: Sequence[np.ndarray],
-    h: "HashFunction", fragment: str, sent_idx: tuple[int, ...],
-    sent: Sequence[np.ndarray],
-) -> None:
-    """Batched sends of ``rows`` to ``h(keys)``, the ``sent`` columns (row
-    positions ``sent_idx``) riding along as the receivers' side-car."""
-    count_hash_ops(rnd, len(rows))
-    for dest, group, chunks in partition_groups(
-        hash_codes(keys, h), h.buckets, rows, sent
-    ):
-        rnd.send_rows(dest, fragment, group, sent_idx, chunks)
+def _keys(data: Sequence, key_idx: Sequence[int]) -> tuple[int, list[np.ndarray] | None]:
+    """``(row count, integer key columns)`` of held data; no columns on the
+    scalar rung, or when a row list's key resists integer arrays."""
+    columnar = _columnar(data)
+    n = len(data[0]) if columnar else len(data)
+    if not n or not kernels_enabled():
+        return n, None
+    return n, [data[i] for i in key_idx] if columnar else key_columns(data, key_idx)
 
 
 def try_route_grid(
-    rnd: "RoundContext",
-    rows: Sequence[Row],
-    column_dims: Sequence[int],
-    salts: Sequence[int],
-    extents: Sequence[int],
-    strides: Sequence[int],
-    fragment: str,
-    columns: Sequence[np.ndarray] | None = None,
+    rnd: "RoundContext", data: Sequence, column_dims: Sequence[int],
+    salts: Sequence[int], extents: Sequence[int], strides: Sequence[int], fragment: str,
 ) -> bool:
     """HyperCube replication: route rows to every grid cell they match.
 
     Equivalent to the per-row ``grid.matching(partial)`` loop; see
     :func:`grid_codes` for how columns bind grid dimensions.
     """
-    if not kernels_enabled() or not rows:
-        return not rows
-    key_idx = tuple(range(len(column_dims)))
-    cols = _columns_for(rows, key_idx, columns)
-    if cols is None:
-        return False
-    base, grid_size, offsets, hashed = grid_codes(
-        len(rows), cols, column_dims, salts, extents, strides
-    )
-    count_hash_ops(rnd, len(rows) * hashed)
-    for dest_base, group, chunks in partition_groups(base, grid_size, rows, cols):
+    n, cols = _keys(data, range(len(column_dims)))
+    if not n or cols is None:
+        return not n
+    base, grid_size, offsets, hashed = grid_codes(n, cols, column_dims, salts, extents, strides)
+    count_hash_ops(rnd, n * hashed)
+    for dest_base, part in partition_groups(base, grid_size, data):
         for offset in offsets:
-            rnd.send_rows(dest_base + offset, fragment, group, key_idx, chunks)
+            send_part(rnd, dest_base + offset, fragment, part)
     return True

@@ -79,14 +79,11 @@ class RoundContext:
         self._cluster = cluster
         self.label = label
         self.charged = charged
-        # _buffers[dest][fragment] = list of rows
-        self._buffers: list[dict[str, list[Row]]] = [{} for _ in range(cluster.p)]
-        # Column side-cars accompanying batched sends:
-        # _column_buffers[dest][fragment] = [key_idx, per-column chunk lists,
-        # number of rows covered]. Installed on the destination server at
-        # delivery only when every row of the fragment's buffer arrived
-        # with matching columns.
-        self._column_buffers: list[dict[str, list]] = [{} for _ in range(cluster.p)]
+        # _buffers[dest][fragment] = what arrived so far, in arrival order:
+        # column blocks while only blocks arrived, else the rows.
+        self._buffers: list[dict[str, "list[Row] | ChunkedColumns"]] = [
+            {} for _ in range(cluster.p)
+        ]
         self._units: list[int] = [0] * cluster.p
         self._closed = False
         self.aborted = False
@@ -97,6 +94,20 @@ class RoundContext:
 
     # ------------------------------------------------------------- sending
 
+    def _admit(self, dest: int) -> None:
+        if self._closed:
+            raise ClusterError("round already closed")
+        if not 0 <= dest < self._cluster.p:
+            raise ClusterError(f"destination {dest} out of range [0, {self._cluster.p})")
+
+    def _row_buffer(self, dest: int, fragment: str) -> list[Row]:
+        """The (dest, fragment) buffer as rows: blocks that arrived first
+        are decoded in arrival order (``tolist()`` rebuilds the very tuples)."""
+        buffer = self._buffers[dest].get(fragment)
+        if not isinstance(buffer, list):
+            buffer = self._buffers[dest][fragment] = list(buffer or ())
+        return buffer
+
     def send(self, dest: int, fragment: str, row: Row, units: int = 1) -> None:
         """Send one tuple to server ``dest``, to be stored under ``fragment``.
 
@@ -105,13 +116,10 @@ class RoundContext:
         non-negative: a negative cost would silently offset other
         senders' units and could mask a load-cap violation.
         """
-        if self._closed:
-            raise ClusterError("round already closed")
-        if not 0 <= dest < self._cluster.p:
-            raise ClusterError(f"destination {dest} out of range [0, {self._cluster.p})")
         if units < 0:
             raise ClusterError(f"units must be non-negative, got {units}")
-        self._buffers[dest].setdefault(fragment, []).append(row)
+        self._admit(dest)
+        self._row_buffer(dest, fragment).append(row)
         self._units[dest] += units
 
     def send_many(self, dest: int, fragment: str, rows: Iterable[Row]) -> None:
@@ -119,51 +127,34 @@ class RoundContext:
         for row in rows:
             self.send(dest, fragment, row)
 
-    def send_rows(
-        self,
-        dest: int,
-        fragment: str,
-        rows: Sequence[Row],
-        key_idx: tuple[int, ...] | None = None,
-        columns: Sequence[np.ndarray] | None = None,
-    ) -> None:
+    def send_rows(self, dest: int, fragment: str, rows: Sequence[Row]) -> None:
         """Batched :meth:`send`: one call charges ``len(rows)`` units.
 
         Buffer contents and charged units end up exactly as if each row
         had been sent individually (the kernels' batched shuffles rely on
         this to keep loads identical to the tuple-at-a-time path).
-
-        ``columns`` optionally carries the rows' key columns
-        (``columns[i]`` = column ``key_idx[i]``, aligned with ``rows``);
-        when the whole fragment arrives this way the destination server
-        gets the concatenated arrays as a column side-car, so local
-        computation can skip re-extracting columns from the tuples.
         """
-        if self._closed:
-            raise ClusterError("round already closed")
-        if not 0 <= dest < self._cluster.p:
-            raise ClusterError(f"destination {dest} out of range [0, {self._cluster.p})")
-        self._buffers[dest].setdefault(fragment, []).extend(rows)
+        self._admit(dest)
+        self._row_buffer(dest, fragment).extend(rows)
         self._units[dest] += len(rows)
-        if columns is not None:
-            entry = self._column_buffers[dest].setdefault(
-                fragment, [key_idx, [[] for _ in columns], 0]
-            )
-            if entry[0] == key_idx and len(entry[1]) == len(columns):
-                for chunks, chunk in zip(entry[1], columns):
-                    chunks.append(chunk)
-                entry[2] += len(rows)
 
     def send_columns(self, dest: int, fragment: str, columns: Sequence) -> None:
-        """:meth:`send_rows` of the rows whose columns these are: exact
-        integer arrays ride along whole, as the receiver's side-car; plain
-        value lists (see :func:`repro.kernels.columnar.held_columns`)
-        travel as rows alone."""
-        exact = isinstance(columns[0], np.ndarray)
-        self.send_rows(
-            dest, fragment, zip_rows(columns),
-            tuple(range(len(columns))) if exact else None, columns if exact else None,
-        )
+        """:meth:`send_rows` of the rows whose columns these are.
+
+        Exact integer arrays are buffered as the block they are — charged
+        ``len(columns[0])`` units, no tuple zipped — while the buffer holds
+        nothing but such blocks; plain value lists (see
+        :func:`repro.kernels.columnar.held_columns`), and blocks arriving
+        after rows, travel as rows.
+        """
+        if all(isinstance(column, np.ndarray) for column in columns):
+            self._admit(dest)
+            block = ChunkedColumns([[column] for column in columns])
+            buffer = self._buffers[dest].setdefault(fragment, block)
+            if buffer is block or isinstance(buffer, ChunkedColumns) and buffer.extend(block):
+                self._units[dest] += len(block)
+                return
+        self.send_rows(dest, fragment, zip_rows(columns))
 
     def broadcast(self, fragment: str, row: Row, servers: Sequence[int] | None = None) -> None:
         """Send one tuple to every server (or each listed server)."""
@@ -190,35 +181,16 @@ class RoundContext:
         return worst
 
     def _deliver_buffers(self) -> None:
-        """Move every buffered tuple into its destination fragment."""
+        """Append every buffer to its destination fragment (blocks stay
+        blocks on a columnar, absent or empty target: see :meth:`Server.append`)."""
         servers = self._cluster.servers
         origins = self._cluster._scatter_origin
         for dest, fragments in enumerate(self._buffers):
-            server = servers[dest]
-            side_cars = self._column_buffers[dest]
-            for fragment, rows in fragments.items():
+            for fragment, sent in fragments.items():
                 # Delivered rows supersede any scatter provenance for the
                 # fragment: a cached routing plan may no longer replay it.
                 origins.pop(fragment, None)
-                target = server.fragment(fragment)
-                had_rows = bool(target)
-                target.extend(rows)
-                # Delivering rows invalidates any previous side-car; a new
-                # one is installed only when this round's columns cover the
-                # fragment's entire (freshly created) row list.
-                server.column_cache.pop(fragment, None)
-                entry = side_cars.get(fragment)
-                if entry is not None and not had_rows and entry[2] == len(rows):
-                    key_idx, per_column, _covered = entry
-                    if any(len(chunks) > 1 for chunks in per_column):
-                        # Zero-copy chunked delivery: hand the blocks over
-                        # as-is; the concat happens only if a consumer asks
-                        # for whole columns (Server.take_with_columns).
-                        server.put_column_chunks(fragment, key_idx, per_column)
-                    else:
-                        server.put_columns(
-                            fragment, key_idx, [chunks[0] for chunks in per_column]
-                        )
+                servers[dest].append(fragment, sent)
 
     def __enter__(self) -> "RoundContext":
         return self
@@ -434,7 +406,6 @@ class Cluster:
         rnd._closed = True
         rnd.aborted = True
         rnd._buffers = [{} for _ in range(self.p)]
-        rnd._column_buffers = [{} for _ in range(self.p)]
         self.stats.aborted += 1
         if self.auditor is not None:
             self.auditor.record_abort(rnd)
@@ -445,46 +416,44 @@ class Cluster:
     def scatter(self, relation: Relation, name: str | None = None) -> str:
         """Place a relation round-robin across servers (free, per the model).
 
-        Returns the fragment name used (``relation.name`` by default).
+        On the kernel rung a relation with exact columns is placed as
+        strided views of them (read-only: they alias the relation) and no
+        tuple is built; anything else is placed row by row. Returns the
+        fragment name used (``relation.name`` by default).
         """
         fragment = name if name is not None else relation.name
         columns = relation.columns() if kernels_enabled() else None
-        self.scatter_rows(relation.rows_readonly(), fragment, columns=columns)
+        if columns:
+            shared = [column.view() for column in columns]
+            for view in shared:
+                view.flags.writeable = False  # and so is every slice of it
+            self._place(fragment, [
+                ChunkedColumns([[view[s :: self.p]] for view in shared]) for s in range(self.p)
+            ])
+        else:
+            self.scatter_rows(relation.rows_readonly(), fragment)
         if not relation.is_borrowed:
             self._scatter_origin[fragment] = (relation, relation.mutation_token())
         return fragment
 
-    def scatter_rows(
-        self,
-        rows: Sequence[Row],
-        name: str,
-        columns: Sequence[np.ndarray] | None = None,
-    ) -> str:
+    def scatter_rows(self, rows: Sequence[Row], name: str) -> str:
         """Place raw rows round-robin across servers (free).
 
         Sliced placement (``rows[s::p]`` to server ``s``) — identical
         assignment to the ``i % p`` loop, p list slices instead of n
-        Python-level appends. When a columnar view of ``rows`` is
-        available its matching slices are attached as a column side-car
-        (only on servers whose fragment was empty, so the side-car always
-        covers the full stored row list).
+        Python-level appends.
         """
-        self._scatter_origin.pop(name, None)
-        for s in range(self.p):
-            chunk = rows[s :: self.p]
-            if chunk:
-                target = self.servers[s].fragment(name)
-                fresh = not target
-                target.extend(chunk)
-                if columns is not None and fresh:
-                    self.servers[s].put_columns(
-                        name,
-                        tuple(range(len(columns))),
-                        [c[s :: self.p] for c in columns],
-                    )
-                if self.fault_controller is not None:
-                    self.fault_controller.on_scatter_chunk(s, name, chunk)
+        self._place(name, [rows[s :: self.p] for s in range(self.p)])
         return name
+
+    def _place(self, name: str, chunks: Sequence) -> None:
+        """Append server ``s``'s (non-empty) chunk to its fragment ``name``."""
+        self._scatter_origin.pop(name, None)
+        for server, chunk in zip(self.servers, chunks):
+            if len(chunk):
+                server.append(name, chunk)
+                if self.fault_controller is not None:
+                    self.fault_controller.on_scatter_chunk(server.sid, name, chunk)
 
     def gather(self, fragment: str) -> list[Row]:
         """All rows of a fragment across servers, in server order.
@@ -527,7 +496,7 @@ class Cluster:
         """Delete a fragment on every server."""
         self._scatter_origin.pop(fragment, None)
         for server in self.servers:
-            server.drop(fragment)
+            server.take(fragment)
 
     def fragment_sizes(self, fragment: str) -> list[int]:
         """Per-server sizes of one fragment."""

@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import FaultPlanError
-from repro.mpc.server import Row
+from repro.mpc.server import ChunkedColumns, Row
 from repro.mpc.stats import CounterStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -381,6 +381,16 @@ class FaultStats(CounterStats):
 # ----------------------------------------------------------------- controller
 
 
+def _copy(fragment: "list[Row] | ChunkedColumns") -> "list[Row] | ChunkedColumns":
+    """A private copy of a fragment as held — what the store is handed, and
+    what a log or checkpoint keeps: of column blocks the per-column block
+    lists (delivery appends to those; a block is never written in place),
+    else the row list."""
+    if isinstance(fragment, ChunkedColumns):
+        return ChunkedColumns([list(blocks) for blocks in fragment.chunks])
+    return list(fragment)
+
+
 class FaultController:
     """Applies a :class:`FaultPlan` to one cluster's lifecycle.
 
@@ -400,14 +410,15 @@ class FaultController:
         self._keep_log = (
             plan.recovery.enabled and plan.recovery.checkpoint_interval > 1
         )
-        # Barrier-entry checkpoints: server id -> {fragment: rows copy}.
-        self._checkpoints: dict[int, dict[str, list[Row]]] = {}
+        # Barrier-entry checkpoints: server id -> {name: fragment copy}.
+        self._checkpoints: dict[int, dict[str, "list[Row] | ChunkedColumns"]] = {}
         self._checkpoint_round = -1
         # Chronological event log since the last checkpoint refresh:
-        # ("deliver", ordinal, sid, fragment, rows) and
-        # ("scatter", sid, fragment, rows), in the order they happened.
+        # ("deliver", ordinal, sid, fragment, part) and
+        # ("scatter", sid, fragment, part), in the order they happened;
+        # a part is whatever the fragment got — column blocks or rows.
         self._log: list[tuple] = []
-        # Scatter log for scatter-crash replay: sid -> [(fragment, rows)].
+        # Scatter log for scatter-crash replay: sid -> [(fragment, part)].
         self._scatter_log: dict[int, list[tuple[str, Sequence[Row]]]] = {}
         self._scatter_fired: set[int] = set()
         self._scatter_targets = {s % cluster.p for s in plan.scatter_crashes}
@@ -427,9 +438,9 @@ class FaultController:
     def on_scatter_chunk(self, sid: int, fragment: str, rows: Sequence[Row]) -> None:
         """Record one placed chunk; fire a scheduled scatter crash."""
         if self._scatter_targets:
-            self._scatter_log.setdefault(sid, []).append((fragment, rows))
+            self._scatter_log.setdefault(sid, []).append((fragment, _copy(rows)))
         if self._keep_log:
-            self._log.append(("scatter", sid, fragment, rows))
+            self._log.append(("scatter", sid, fragment, _copy(rows)))
         if sid in self._scatter_targets and sid not in self._scatter_fired:
             self._scatter_fired.add(sid)
             self._crash_during_scatter(sid)
@@ -442,7 +453,6 @@ class FaultController:
         lost = 0
         for name in names:
             lost += len(server.storage.pop(name, ()))
-            server.column_cache.pop(name, None)
         self.stats.scatter_crashes += 1
         self._route_to_worker(sid)
         if not self.plan.recovery.enabled:
@@ -450,7 +460,7 @@ class FaultController:
             return
         # Inputs are durable: replay every logged chunk in placement order.
         for fragment, rows in scattered:
-            server.fragment(fragment).extend(rows)
+            server.append(fragment, _copy(rows))
             self.stats.recovery_load += len(rows)
 
     # ----------------------------------------------------------- barrier path
@@ -476,8 +486,8 @@ class FaultController:
             return
         for sid, fragments in enumerate(rnd._buffers):
             for fragment, rows in fragments.items():
-                if rows:
-                    self._log.append(("deliver", ordinal, sid, fragment, list(rows)))
+                if len(rows):
+                    self._log.append(("deliver", ordinal, sid, fragment, _copy(rows)))
 
     # ------------------------------------------------------------- internals
 
@@ -488,7 +498,7 @@ class FaultController:
         if ordinal % self.plan.recovery.checkpoint_interval != 0:
             return
         self._checkpoints = {
-            server.sid: {name: list(rows) for name, rows in server.storage.items()}
+            server.sid: {name: _copy(rows) for name, rows in server.storage.items()}
             for server in self.cluster.servers
         }
         self._checkpoint_round = ordinal
@@ -504,11 +514,14 @@ class FaultController:
             fragments = [fault.fragment] if fault.fragment in buffers else []
         recovered = self.plan.recovery.enabled
         for fragment in fragments:
-            rows = buffers[fragment]
-            affected = min(fault.count, len(rows))
+            affected = min(fault.count, len(buffers[fragment]))
             if not affected:
                 continue
             self._route_to_worker(dest)
+            if not recovered:
+                # The corruption goes through: it edits this one buffer in
+                # place, as rows (blocks decoded in arrival order).
+                rows = rnd._row_buffer(dest, fragment)
             if fault.kind == "drop":
                 self.stats.dropped += affected
                 if recovered:
@@ -518,7 +531,6 @@ class FaultController:
                     self.stats.recovery_load += affected
                 else:
                     del rows[:affected]
-                    rnd._column_buffers[dest].pop(fragment, None)
                     self.stats.unrecovered += affected
             else:  # duplicate
                 self.stats.duplicated += affected
@@ -526,7 +538,6 @@ class FaultController:
                     self.stats.deduplicated += affected
                 else:
                     rows.extend(rows[:affected])
-                    rnd._column_buffers[dest].pop(fragment, None)
                     self.stats.unrecovered += affected
 
     def _crash(self, rnd: "RoundContext", ordinal: int, sid: int) -> None:
@@ -534,7 +545,6 @@ class FaultController:
         server = self.cluster.servers[sid]
         lost = server.local_size()
         server.storage.clear()
-        server.column_cache.clear()
         self.stats.crashes += 1
         self._route_to_worker(sid)
         if not self.plan.recovery.enabled:
@@ -542,14 +552,13 @@ class FaultController:
             incoming = sum(len(rows) for rows in rnd._buffers[sid].values())
             for fragment in list(rnd._buffers[sid]):
                 rnd._buffers[sid][fragment] = []
-            rnd._column_buffers[sid].clear()
             self.stats.unrecovered += lost + incoming
             return
         # 1. Restore the latest barrier-entry checkpoint.
         snapshot = self._checkpoints.get(sid, {})
         restored = 0
         for fragment, rows in snapshot.items():
-            server.storage[fragment] = list(rows)
+            server.storage[fragment] = _copy(rows)
             restored += len(rows)
         self.stats.checkpoint_restores += 1
         self.stats.recovery_load += restored
@@ -561,14 +570,14 @@ class FaultController:
                 _, event_ordinal, event_sid, fragment, rows = event
                 if event_sid != sid or event_ordinal >= ordinal:
                     continue
-                server.fragment(fragment).extend(rows)
+                server.append(fragment, _copy(rows))
                 self.stats.recovery_load += len(rows)
                 replayed_rounds.add(event_ordinal)
             else:
                 _, event_sid, fragment, rows = event
                 if event_sid != sid:
                     continue
-                server.fragment(fragment).extend(rows)
+                server.append(fragment, _copy(rows))
                 self.stats.recovery_load += len(rows)
         # 3. Speculatively re-execute the crashed round: its inputs are
         #    still buffered at the barrier, so the ordinary delivery that

@@ -32,12 +32,14 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
+from repro.joins.base import as_rows
 from repro.joins.hash_join import one_round_hash_join
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import code_key_columns, semijoin_mask
 from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import ChunkedColumns
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -141,10 +143,10 @@ def shuffle_multi_semijoin(
     t_frag = cluster.scatter(target, "T@in")
     reducer_frags = []
     reducer_lights: list[Relation] = []
-    reducer_key_sets: list[set[Row]] = []
+    reducer_keys: list[Relation] = []
     for i, red in enumerate(reducers):
         distinct_keys = distinct_project(red, shared, stats=cluster.stats.memo)
-        reducer_key_sets.append(set(distinct_keys.rows_readonly()))
+        reducer_keys.append(distinct_keys)
         # Without heavy keys the memoized distinct relation is scattered
         # directly, keeping a stable identity for the partition cache.
         light_keys = (
@@ -155,17 +157,17 @@ def shuffle_multi_semijoin(
         reducer_lights.append(light_keys)
         reducer_frags.append(cluster.scatter(light_keys, f"K{i}@in"))
 
-    # Heavy keys surviving every reducer get their verdict broadcast.
-    heavy_alive = sorted(
-        k for k in heavy if all(k in ks for ks in reducer_key_sets)
-    )
+    # Heavy keys surviving every reducer get their verdict broadcast (no
+    # heavy key: no key set is built).
+    key_sets = [set(keys.rows_readonly()) for keys in reducer_keys] if heavy else []
+    heavy_alive = sorted(k for k in heavy if all(k in ks for ks in key_sets))
 
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
         if heavy:
             for server in cluster.servers:
-                stay = _route_light(rnd, server.take(t_frag), t_idx, heavy, h)
+                stay = _route_light(rnd, as_rows(server.take(t_frag)), t_idx, heavy, h)
                 server.put("T@stay", stay)
         else:
             route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
@@ -181,17 +183,20 @@ def shuffle_multi_semijoin(
     no_keys = [np.empty(0, dtype=np.int64)] * len(shared)
     for server in cluster.servers:
         server.take("H@alive")  # consumed: contents mirror `heavy_alive`
-        keys = [server.take_with_columns(f"K{i}@j", key_arity) for i in range(len(reducers))]
-        t_rows, t_cols = server.take_with_columns("T@j", tuple(range(target.schema.arity)))
-        stay = server.take("T@stay")
-        if t_cols is not None and not stay and all(
-            cols is not None or not rows for rows, cols in keys
+        keys = [server.take(f"K{i}@j") for i in range(len(reducers))]
+        routed, stay = server.take("T@j"), server.take("T@stay")
+        if isinstance(routed, ChunkedColumns) and not stay and all(
+            isinstance(part, ChunkedColumns) or not part for part in keys
         ):
             memo.fused_payloads += 1
-            payloads.append(([cols or no_keys for _rows, cols in keys], tuple(t_cols), []))
+            payloads.append(
+                ([part.arrays() if part else no_keys for part in keys], tuple(routed.arrays()), [])
+            )
+        elif not (len(routed) or stay):  # nothing to filter: decode no key
+            payloads.append(([[] for _part in keys], [], []))
         else:
-            memo.row_payloads += kernels_enabled() and bool(t_rows or stay)
-            payloads.append(([rows for rows, _cols in keys], t_rows, stay))
+            memo.row_payloads += kernels_enabled()
+            payloads.append(([as_rows(part) for part in keys], as_rows(routed), stay))
     results = cluster.map_servers(
         "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
     )

@@ -26,7 +26,7 @@ from repro.kernels.config import kernels_enabled
 from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
-from repro.mpc.server import Server
+from repro.mpc.server import ChunkedColumns, Server, held
 from repro.mpc.topology import Grid
 from repro.joins.base import step_result
 from repro.multiway.base import MultiwayRun
@@ -47,9 +47,8 @@ def evaluate_pools(
     keeps its result under the pool's fragment; returned is each pool's
     gathered output, in ``query``'s variable order.
 
-    A fragment whose side-car arrived whole travels as ``(None, columns)``:
-    the eval chunk builds the local relation straight from the column
-    blocks.
+    A fragment held as column blocks travels as ``(None, columns)``: the
+    eval chunk builds the local relation straight from them.
     """
     memo = cluster.stats.memo
     calls = []
@@ -58,14 +57,13 @@ def evaluate_pools(
         for server in servers:
             per_atom = []
             for atom in query.atoms:
-                arity = tuple(range(len(atom.variables)))
-                rows, cols = server.take_with_columns(f"{atom.name}@hc", arity)
-                if cols is not None:
+                part = server.take(f"{atom.name}@hc")
+                if isinstance(part, ChunkedColumns):
                     memo.fused_payloads += 1
-                    rows = None
+                    per_atom.append((None, part.arrays()))
                 else:
-                    memo.row_payloads += kernels_enabled() and bool(rows)
-                per_atom.append((rows, cols))
+                    memo.row_payloads += kernels_enabled() and bool(part)
+                    per_atom.append((part, None))
             payloads.append(per_atom)
         calls.append(("hypercube.eval", payloads, (query, local)))
     outputs = []
@@ -96,7 +94,7 @@ def hypercube_join(
 
     The local evaluation is fanned out via the exec backend (with the
     process backend the grid servers of a worker's range evaluate
-    concurrently; side-car columns ride shared memory).
+    concurrently; column blocks ride shared memory).
     """
     if local not in ("plan", "generic"):
         raise QueryError(f"unknown local evaluator {local!r}")
@@ -131,15 +129,14 @@ def hypercube_join(
                 column_dims, salts, extents, grid.strides, f"{atom.name}@hc",
             ):
                 continue
-            arity = tuple(range(len(atom.variables)))
             for server in cluster.servers:
-                rows, cols = server.take_with_columns(fragments[atom.name], arity)
+                part = server.take(fragments[atom.name])
                 if try_route_grid(
-                    rnd, rows, column_dims, salts, extents, grid.strides,
-                    f"{atom.name}@hc", columns=cols,
+                    rnd, held(part), column_dims, salts, extents, grid.strides,
+                    f"{atom.name}@hc",
                 ):
                     continue
-                for row in rows:
+                for row in part:
                     partial: list[int | None] = [None] * len(extents)
                     for value, v in zip(row, atom.variables):
                         partial[var_position[v]] = hash_functions[v](value)
@@ -158,8 +155,8 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
 
     Each payload is the server's per-atom ``(rows, columns)`` pairs in
     ``query.atoms`` order: fragment rows straight from the simulator,
-    adopted without re-validating arity, or — when the side-car arrived
-    whole — ``None`` and the columns, turned into a column-primary
+    adopted without re-validating arity, or — for a fragment held as
+    column blocks — ``None`` and the columns, turned into a column-primary
     relation directly. A server with an empty fragment produces ``None``
     (no output stored). The eval itself is column-driven either way, so
     both payload shapes derive identical tuples.

@@ -1,9 +1,8 @@
-"""The columnar cache and the shuffle column side-car.
+"""The columnar cache and the shuffle's columnar fragments.
 
 Covers the coherence rules that keep the column arrays honest: the
-``Relation.columns()`` cache invalidates on mutation, and a ``Server``'s
-delivered side-car is installed only when it provably covers the
-fragment (popped on any other mutation).
+``Relation.columns()`` cache invalidates on mutation, and a fragment is
+delivered as column blocks only while nothing but blocks reached it.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from repro.data.relation import Relation
 from repro.kernels.config import use_kernels
 from repro.mpc.cluster import Cluster
-from repro.mpc.server import Server
+from repro.mpc.server import ChunkedColumns, Server, held
 
 
 class TestRelationColumns:
@@ -35,48 +34,27 @@ class TestRelationColumns:
         assert rel.columns() is None
         assert rel.columns() is None  # the miss is cached too
 
-    def test_cached_key_columns_never_extracts(self):
-        rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
-        assert rel._cached_key_columns((1,)) is None  # cold cache: no work
-        rel.columns()
-        cached = rel._cached_key_columns((1, 0))
-        assert [c.tolist() for c in cached] == [[2, 4], [1, 3]]
 
-
+# Dropped with the API they pinned (a fragment is column blocks *or* rows,
+# so there is no side-car beside a row list left to validate):
+# - TestRelationColumns::test_cached_key_columns_never_extracts —
+#   ``Relation._cached_key_columns`` fed ``join_rows_columnar(left_cols=,
+#   right_cols=)``; both are gone, the kernel extracts its key columns.
+# - TestServerSideCar::test_take_with_columns_subsets_and_validates and
+#   ::test_take_with_columns_missing_key — side-car position subsets: a
+#   columnar fragment holds every column, ``take`` hands it over whole.
+# - TestServerSideCar::test_stale_side_car_dropped_on_length_mismatch —
+#   stale-length rejection: nothing rides beside the rows to go stale.
 class TestServerSideCar:
-    def test_take_with_columns_subsets_and_validates(self):
-        server = Server(0)
-        server.fragment("f").extend([(1, 10), (2, 20)])
-        server.put_columns("f", (0, 1), [np.array([1, 2]), np.array([10, 20])])
-        rows, cols = server.take_with_columns("f", (1,))
-        assert rows == [(1, 10), (2, 20)]
-        assert cols[0].tolist() == [10, 20]
-        # Consumed: fragment and cache are both gone.
-        assert server.take("f") == []
-
-    def test_take_with_columns_missing_key(self):
-        server = Server(0)
-        server.fragment("f").extend([(1, 10)])
-        server.put_columns("f", (0,), [np.array([1])])
-        rows, cols = server.take_with_columns("f", (1,))  # column 1 not stored
-        assert rows == [(1, 10)]
-        assert cols is None
-
-    def test_stale_side_car_dropped_on_length_mismatch(self):
-        server = Server(0)
-        server.fragment("f").extend([(1, 10), (2, 20), (3, 30)])
-        server.put_columns("f", (0,), [np.array([1, 2])])  # too short
-        rows, cols = server.take_with_columns("f", (0,))
-        assert len(rows) == 3
-        assert cols is None
-
     def test_put_and_take_invalidate_cache(self):
+        # What is stored is the fragment itself: put replaces it whatever
+        # its form, take hands it over as held and leaves nothing behind.
         server = Server(0)
-        server.fragment("f").extend([(1,)])
-        server.put_columns("f", (0,), [np.array([1])])
-        server.put("f", [(2,)])  # replaces rows: cache must not survive
-        rows, cols = server.take_with_columns("f", (0,))
-        assert rows == [(2,)] and cols is None
+        server.append_result("f", (np.array([1]),))
+        assert isinstance(server.get("f"), ChunkedColumns)
+        server.put("f", [(2,)])
+        assert server.take("f") == [(2,)]
+        assert server.take("f") == [] and server.storage == {}
 
 
 class TestDeliveredSideCar:
@@ -90,36 +68,40 @@ class TestDeliveredSideCar:
     def test_kernel_shuffle_delivers_columns(self):
         cluster = Cluster(4, seed=0)
         rel = Relation("R", ["x", "y"], [(i, i * 10) for i in range(40)])
-        rel.columns()
         frag = cluster.scatter(rel, "R@in")
         h = cluster.hash_function(0)
         from repro.kernels.partition import try_route
 
         with cluster.round("shuffle") as rnd:
             for server in cluster.servers:
-                rows, cols = server.take_with_columns(frag, (0,))
-                assert try_route(rnd, rows, (0,), h, "R@j", columns=cols)
+                part = server.take(frag)
+                assert isinstance(part, ChunkedColumns)
+                assert try_route(rnd, held(part), (0,), h, "R@j")
+        delivered = 0
         for server in cluster.servers:
-            rows, cols = server.take_with_columns("R@j", (0,))
-            if rows:
-                assert cols is not None
-                assert cols[0].tolist() == [row[0] for row in rows]
+            part = server.take("R@j")
+            assert isinstance(part, ChunkedColumns)
+            x, y = part.arrays()
+            assert (y == x * 10).all() and all(h((v,)) == server.sid for v in x.tolist())
+            assert list(part) == list(zip(x.tolist(), y.tolist()))
+            delivered += len(part)
+        assert delivered == 40
 
     def test_partial_coverage_blocks_install(self):
-        # One scalar send into the same fragment means the side-car no
-        # longer covers every delivered row — it must not be installed.
+        # One scalar send into a buffer of blocks turns that one buffer
+        # into rows, the blocks decoded in arrival order.
         cluster = Cluster(2, seed=0)
         from repro.kernels.partition import try_route
 
         h = cluster.hash_function(0)
-        rows = [(i, i) for i in range(10)]
+        columns = [np.arange(10), np.arange(10)]
         with cluster.round("shuffle") as rnd:
-            assert try_route(rnd, rows, (0,), h, "f", columns=None)
+            assert try_route(rnd, columns, (0,), h, "f")
             rnd.send(0, "f", (99, 99))
-        target = cluster.servers[0]
-        delivered, cols = target.take_with_columns("f", (0,))
-        assert (99, 99) in delivered
-        assert cols is None
+        first, second = (server.take("f") for server in cluster.servers)
+        assert isinstance(first, list) and first[-1] == (99, 99)
+        assert first[:-1] == [(i, i) for i in range(10) if h((i,)) == 0]
+        assert isinstance(second, ChunkedColumns)
 
     def test_preexisting_rows_block_install(self):
         cluster = Cluster(2, seed=0)
@@ -129,9 +111,8 @@ class TestDeliveredSideCar:
         for server in cluster.servers:
             server.fragment("f").append((-1, -1))
         with cluster.round("shuffle") as rnd:
-            assert try_route(rnd, [(i, i) for i in range(10)], (0,), h, "f",
-                             columns=None)
+            assert try_route(rnd, [np.arange(10), np.arange(10)], (0,), h, "f")
         for server in cluster.servers:
-            rows, cols = server.take_with_columns("f", (0,))
-            assert rows[0] == (-1, -1)
-            assert cols is None
+            rows = server.take("f")
+            assert isinstance(rows, list) and rows[0] == (-1, -1)
+            assert rows[1:] == [(i, i) for i in range(10) if h((i,)) == server.sid]

@@ -39,6 +39,7 @@ from repro.kernels.memo import (
 )
 from repro.kernels.partition import try_route, try_route_grid
 from repro.mpc.cluster import Cluster, RoundContext
+from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import MemoStats
 from repro.mpc.topology import Grid
 
@@ -75,9 +76,9 @@ def _route(rel, p=4, seed=0):
     with cluster.round("route") as rnd:
         if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
             for server in cluster.servers:
-                rows, cols = server.take_with_columns(frag, (0,))
-                if not try_route(rnd, rows, (0,), h, "out", columns=cols):
-                    for row in rows:
+                part = server.take(frag)
+                if not try_route(rnd, held(part), (0,), h, "out"):
+                    for row in part:
                         rnd.send(h((row[0],)), "out", row)
     deliveries = [list(server.get("out")) for server in cluster.servers]
     return deliveries, cluster.stats
@@ -195,28 +196,33 @@ def _grid_shuffle(column_dims):
             cluster, rnd, rel, frag, column_dims, salts, extents, strides, "out"
         ):
             for server in cluster.servers:
-                rows, cols = server.take_with_columns(frag, key_idx)
                 assert try_route_grid(
-                    rnd, rows, column_dims, salts, extents, strides, "out", columns=cols
+                    rnd, held(server.take(frag)), column_dims, salts, extents, strides, "out"
                 )
         return key_idx
     return shuffle
 
 
+def _observed(part):
+    """A taken fragment as a consumer can see it: the rows it iterates to
+    and, when it is held as column blocks, its whole columns."""
+    return list(part), part.arrays() if isinstance(part, ChunkedColumns) else None
+
+
 def _delivered(rel, p, shuffle):
     """One audited round of ``shuffle`` over a fresh scatter of ``rel``.
 
-    Returns everything a consumer can observe: per server the fragment's
-    row list and its side-car (as ``take_with_columns`` hands it over),
-    the round's loads, C, and the memo counters.
+    Returns everything a consumer can observe: per server the delivered
+    fragment (:func:`_observed`), the round's loads, C, and the memo
+    counters.
     """
     cluster = Cluster(p, seed=5, audit=True)
     frag = cluster.scatter(rel, "R@in")
     with cluster.round("route") as rnd:
-        key_idx = shuffle(cluster, rnd, rel, frag)
+        shuffle(cluster, rnd, rel, frag)
     assert cluster.stats.audit.ok and cluster.stats.audit.rounds_audited == 1
     assert all(not server.get(frag) for server in cluster.servers)  # consumed
-    servers = [server.take_with_columns("out", key_idx) for server in cluster.servers]
+    servers = [_observed(server.take("out")) for server in cluster.servers]
     return servers, cluster.stats
 
 
@@ -228,7 +234,7 @@ def _assert_replay_equals(got, want):
         for got_col, want_col in zip(got_cols or (), want_cols or ()):
             assert got_col.dtype == want_col.dtype
             assert got_col.tolist() == want_col.tolist()
-            # A replayed side-car is the cached chunk itself: frozen.
+            # A replayed fragment is the cached block itself: frozen.
             assert not got_col.flags.writeable
     assert got_stats.rounds[-1].received == want_stats.rounds[-1].received
     assert got_stats.total_communication == want_stats.total_communication
@@ -280,7 +286,7 @@ def test_two_routes_into_one_fragment_keep_route_order():
             for rel, frag in zip((r, s), frags):
                 route(cluster, rnd, frag, (0,), h, "out", rel=rel)
         assert cluster.stats.audit.ok
-        return [server.take_with_columns("out", (0,)) for server in cluster.servers]
+        return [_observed(server.take("out")) for server in cluster.servers]
 
     twins = [Relation("R", ["x", "y"], list(rows_r)), Relation("S", ["x", "y"], list(rows_s))]
     for twin in twins:
@@ -309,13 +315,13 @@ def test_a_replayed_route_sends_at_most_once_per_destination(monkeypatch, shuffl
     rel = Relation("R", ["x", "y"], [(i * 13 % 101, i) for i in range(400)])
     _delivered(rel, p, shuffle)  # build the plan
     sends = []
-    original = RoundContext.send_rows
+    original = RoundContext.send_columns  # an int relation travels as blocks
 
     def counting(self, dest, *args, **kwargs):
         sends.append(dest)
         return original(self, dest, *args, **kwargs)
 
-    monkeypatch.setattr(RoundContext, "send_rows", counting)
+    monkeypatch.setattr(RoundContext, "send_columns", counting)
     _servers, stats = _delivered(rel, p, shuffle)
     assert stats.memo.partition_hits == 1
     assert 0 < len(sends) <= cells

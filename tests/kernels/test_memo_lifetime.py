@@ -193,11 +193,17 @@ class TestColumnsThatStandInForRows:
         big = Relation("U", ["x"], [(2**63 + 1,), (2**63 + 5,)])
         assert big.columns()[0].dtype == np.uint64
 
-    def test_a_route_extracting_the_whole_row_refuses_bools(self):
-        # Key (0,) of a one-column relation names the whole row: the
-        # receiver could drop the rows, so the extraction must be exact.
+    def test_bool_rows_route_as_rows(self):
+        # Was test_a_route_extracting_the_whole_row_refuses_bools: a route
+        # keyed on the whole row used to ship the extracted columns as the
+        # rows' stand-in and so had to refuse widened bools. A row-held
+        # fragment now travels as its rows — the key columns are only
+        # hashed — so nothing is refused and nothing is widened.
         cluster = Cluster(2)
         h = cluster.hash_function(0)
         with cluster.round("route") as rnd:
-            assert not try_route(rnd, [(True,), (False,)], (0,), h, "out")
+            assert try_route(rnd, [(True,), (False,)], (0,), h, "out")
             assert try_route(rnd, [(True, 1), (False, 2)], (0,), h, "out")
+        got = [row for server in cluster.servers for row in server.take("out")]
+        assert Counter(got) == Counter([(True,), (False,), (True, 1), (False, 2)])
+        assert all(type(row[0]) is bool for row in got)

@@ -1,13 +1,12 @@
 """Zero-copy chunked delivery must be observationally invisible.
 
-A round whose batched sends carried several column side-car blocks per
-destination delivers the blocks as-is (``Server.put_column_chunks``)
-instead of concatenating them; the concat is deferred to the first
-whole-column consumer. These tests prove the deferral changes nothing an
-observer can see: delivered rows, materialized columns, ``load_of()``
-per round, and the conservation audit are byte-identical to the eager
-reference — the same rows sent as one pre-concatenated batch per
-destination, which installs whole columns at delivery.
+A round whose sends carried several column blocks per destination
+delivers the blocks as-is (a :class:`ChunkedColumns` fragment) instead
+of concatenating them; the concat is deferred to the first whole-column
+consumer. These tests prove the deferral changes nothing an observer can
+see: delivered rows, materialized columns, ``load_of()`` per round, and
+the conservation audit are byte-identical to the eager reference — the
+same rows sent as one pre-concatenated block per destination.
 """
 
 import numpy as np
@@ -30,8 +29,8 @@ def _multi_chunk_round(chunked: bool, audit: bool = False):
     """Deliver ``_BATCHES`` in one round and return the cluster.
 
     ``chunked=True`` routes two batches per destination, so every
-    side-car is multi-block; ``chunked=False`` is the eager reference:
-    one batch per destination carrying the already-concatenated column.
+    fragment is multi-block; ``chunked=False`` is the eager reference:
+    one batch per destination carrying the already-concatenated columns.
     """
     cluster = Cluster(2, audit=audit)
     with cluster.round("route") as rnd:
@@ -39,8 +38,7 @@ def _multi_chunk_round(chunked: bool, audit: bool = False):
             if not chunked:
                 batches = [[row for batch in batches for row in batch]]
             for rows in batches:
-                column = np.array([row[0] for row in rows], dtype=np.int64)
-                rnd.send_rows(dest, "out", rows, (0,), [column])
+                rnd.send_columns(dest, "out", [np.array(c, dtype=np.int64) for c in zip(*rows)])
     return cluster
 
 
@@ -50,23 +48,24 @@ class TestChunkedEqualsEager:
         eager = _multi_chunk_round(chunked=False)
         assert lazy.stats.load_of("route") == eager.stats.load_of("route")
         for lazy_server, eager_server in zip(lazy.servers, eager.servers):
-            lazy_rows, lazy_cols = lazy_server.take_with_columns("out", (0,))
-            eager_rows, eager_cols = eager_server.take_with_columns("out", (0,))
-            assert lazy_rows == eager_rows
-            assert lazy_cols is not None and eager_cols is not None
-            for a, b in zip(lazy_cols, eager_cols):
+            lazy_part, eager_part = lazy_server.take("out"), eager_server.take("out")
+            assert list(lazy_part) == list(eager_part) == [
+                row for batch in _BATCHES[lazy_server.sid] for row in batch
+            ]
+            assert len(lazy_part) == len(eager_part)
+            for a, b in zip(lazy_part.arrays(), eager_part.arrays()):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
     def test_lazy_path_actually_defers_the_concat(self):
-        # Server 0 received two blocks; the side-car must still be
-        # chunked until a consumer asks for whole columns.
+        # Server 0 received two blocks; the fragment must still hold both
+        # until a consumer asks for whole columns.
         lazy = _multi_chunk_round(chunked=True)
-        cached = lazy.servers[0].column_cache["out"]
-        assert isinstance(cached[1], ChunkedColumns)
+        held = lazy.servers[0].get("out")
+        assert isinstance(held, ChunkedColumns)
+        assert [len(blocks) for blocks in held.chunks] == [2, 2]
         eager = _multi_chunk_round(chunked=False)
-        cached = eager.servers[0].column_cache["out"]
-        assert not isinstance(cached[1], ChunkedColumns)
+        assert [len(blocks) for blocks in eager.servers[0].get("out").chunks] == [1, 1]
 
     def test_round_stats_identical(self):
         lazy = _multi_chunk_round(chunked=True)
@@ -90,7 +89,7 @@ class TestChunkedUnderAudit:
 
     def test_join_end_to_end_audited(self):
         # A real multi-send workload: the shuffle of a hash join delivers
-        # multi-block side-cars on the kernel path and none at all on the
+        # multi-block fragments on the kernel path and row lists on the
         # tuple path. Output, per-round loads, and the audit must be
         # identical, cold and warm.
         from repro.joins.hash_join import parallel_hash_join
@@ -123,11 +122,12 @@ class TestChunkedColumnsUnit:
         assert ChunkedColumns([]).length == 0
 
     def test_stale_chunked_sidecar_rejected(self):
-        # take_with_columns must refuse a chunked side-car whose length no
-        # longer matches the (externally grown) row list.
+        # Growing a chunked fragment's row list from outside cannot leave
+        # stale columns behind: asking for rows turns the one store into
+        # rows (blocks decoded in arrival order), and that is what is held.
         cluster = _multi_chunk_round(chunked=True)
         server = cluster.servers[0]
         server.fragment("out").append((99, 99))
-        rows, cols = server.take_with_columns("out", (0,))
-        assert rows[-1] == (99, 99)
-        assert cols is None
+        rows = server.take("out")
+        assert isinstance(rows, list)
+        assert rows == [row for batch in _BATCHES[0] for row in batch] + [(99, 99)]

@@ -460,7 +460,7 @@ class TestLoadCapBoundary:
 
 class TestAbortedRoundStats:
     """An aborted round must leave stats and audit identical to never
-    having opened it — including with the column side-car attached."""
+    having opened it — including when it buffered column blocks."""
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_abort_after_partial_sends_leaves_no_trace(self, kernels):
@@ -474,10 +474,7 @@ class TestAbortedRoundStats:
             with pytest.raises(RuntimeError):
                 with c.round("doomed") as rnd:
                     rnd.send(0, "A", (1,))
-                    rnd.send_rows(
-                        1, "B", [(2,), (3,)],
-                        key_idx=(0,), columns=[np.array([2, 3])],
-                    )
+                    rnd.send_columns(1, "B", [np.array([2, 3])])
                     raise RuntimeError("algorithm bug")
             assert c.stats.rounds == untouched.stats.rounds
             assert c.stats.max_load == 0
@@ -488,15 +485,14 @@ class TestAbortedRoundStats:
             assert report.checks_run == 0
             assert report.violations == []
             assert report.aborted_rounds == ["doomed"]
-            # No fragment, no side-car anywhere.
+            # No fragment anywhere, in either form.
             for server in c.servers:
                 assert server.storage == {}
-                assert server.column_cache == {}
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_side_car_installs_correctly_after_abort(self, kernels):
         """A later round to the same fragment behaves as if the aborted
-        round never existed (fresh fragment, valid side-car)."""
+        round never existed (fresh fragment, of the later round's blocks only)."""
         import numpy as np
 
         from repro.kernels.config import use_kernels
@@ -505,18 +501,13 @@ class TestAbortedRoundStats:
             c = Cluster(2, audit=True)
             with pytest.raises(RuntimeError):
                 with c.round("doomed") as rnd:
-                    rnd.send_rows(
-                        0, "B", [(9,)], key_idx=(0,), columns=[np.array([9])]
-                    )
+                    rnd.send_columns(0, "B", [np.array([9])])
                     raise RuntimeError
             with c.round("ok") as rnd:
-                rnd.send_rows(
-                    0, "B", [(2,), (3,)],
-                    key_idx=(0,), columns=[np.array([2, 3])],
-                )
-            rows, cols = c.servers[0].take_with_columns("B", (0,))
-            assert rows == [(2,), (3,)]
-            assert cols is not None and list(cols[0]) == [2, 3]
+                rnd.send_columns(0, "B", [np.array([2, 3])])
+            part = c.servers[0].take("B")
+            assert list(part) == [(2,), (3,)]
+            assert [column.tolist() for column in part.arrays()] == [[2, 3]]
             assert c.stats.max_load == 2
 
 

@@ -118,54 +118,30 @@ def test_heavy_stay_rows_are_a_counted_fall_back():
         assert stats.memo.row_payloads > 0 and not output.is_columnar, how
 
 
-class TestTheOneZeroSideCar:
-    """A side-car is named by its ``key_idx``, never by its length:
-    ``T(z, x)`` routed on the shared key ``(x, z)`` travels — on the
-    per-server rung, when no full side-car survives — with an arity-long
-    side-car in order ``(1, 0)``."""
+# Dropped with the side-car (a fragment is column blocks *or* rows; nothing
+# rides beside a row list any more, so nothing is named by positions):
+# - TestTheOneZeroSideCar::test_take_with_columns_selects_by_position —
+#   ``pick_columns`` / ``take_with_columns`` are deleted; a columnar
+#   fragment holds every column, in position order.
+# - ::test_a_route_that_extracts_names_what_it_extracted — a row-held
+#   fragment routed on ``(1, 0)`` sends its rows and no ``(1, 0)``-ordered
+#   arrays; what is left to pin is the test below (its successor).
+# - ::test_join_fragments_reads_a_permuted_side_car_by_position — a local
+#   join is handed whole columns or rows, never rows plus permuted arrays.
+def test_rows_routed_on_a_permuted_key_arrive_as_rows():
+    from repro.kernels.memo import route
+    from repro.mpc.cluster import Cluster
 
-    def test_take_with_columns_selects_by_position(self):
-        from repro.mpc.server import Server, pick_columns
-
-        server = Server(0)
-        server.put("T", [(1, 10), (2, 20)])
-        server.put_columns("T", (1, 0), [np.array([10, 20]), np.array([1, 2])])
-        rows, cols = server.take_with_columns("T", (0, 1))
-        assert rows == [(1, 10), (2, 20)]
-        assert [c.tolist() for c in cols] == [[1, 2], [10, 20]]   # re-ordered, not trusted by length
-        assert pick_columns((1,), [np.array([10, 20])], (0, 1)) is None
-        assert pick_columns((1, 0), None, (0,)) is None
-
-    def test_a_route_that_extracts_names_what_it_extracted(self):
-        # No side-car to forward (lost to a fault, say): the kernel rung
-        # extracts the key columns and ships them under their positions.
-        from repro.kernels.memo import route
-        from repro.mpc.cluster import Cluster
-
-        cluster = Cluster(2)
-        cluster.scatter_rows([(i % 5, i) for i in range(20)], "T@in")
-        with cluster.round("route") as rnd:
-            route(cluster, rnd, "T@in", (1, 0), cluster.hash_function(0), "T@j")
-        for server in cluster.servers:
-            assert server.column_cache["T@j"][0] == (1, 0)
-            rows, cols = server.take_with_columns("T@j", (0, 1))
-            assert rows and list(zip(*(c.tolist() for c in cols))) == rows
-
-    def test_join_fragments_reads_a_permuted_side_car_by_position(self):
-        from repro.data.relation import Relation
-        from repro.joins.base import local_join
-        from repro.mpc.cluster import Cluster
-
-        cluster = Cluster(1)
-        server = cluster.servers[0]
-        left = Relation("L", ["x", "z", "w"], [])
-        right = Relation("T", ["z", "x"], [])
-        server.put("L", [(1, 5, 0), (2, 6, 0), (1, 6, 0)])
-        server.put_columns("L", (0, 1, 2), [np.array([1, 2, 1]), np.array([5, 6, 6]), np.zeros(3, int)])
-        server.put("T", [(5, 1), (6, 2), (6, 9)])
-        server.put_columns("T", (1, 0), [np.array([1, 2, 9]), np.array([5, 6, 6])])
-        local_join(server, "L", "T", left, right, "out")
-        assert list(server.get("out")) == [(1, 5, 0), (2, 6, 0)]
+    rows = [(i % 5, i) for i in range(20)]
+    cluster = Cluster(2)
+    cluster.scatter_rows(rows, "T@in")
+    h = cluster.hash_function(0)
+    with cluster.round("route") as rnd:
+        route(cluster, rnd, "T@in", (1, 0), h, "T@j")
+    for server in cluster.servers:
+        got = server.take("T@j")
+        assert isinstance(got, list)
+        assert got == [row for s in range(2) for row in rows[s::2] if h((row[1], row[0])) == server.sid]
 
 
 @pytest.mark.parametrize("recovered", [True, False], ids=["recovered", "unrecovered"])
