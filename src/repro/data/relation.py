@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 from repro.errors import SchemaError
-from repro.kernels.columnar import exact_columns, zip_rows
+from repro.kernels.columnar import exact_columns, pack_columns, zip_rows
 from repro.kernels.config import kernels_enabled
 from repro.kernels.join import (
     code_key_columns,
@@ -418,9 +418,35 @@ class Relation:
             rows.append(t)
 
     def extend(self, rows: Iterable[Row]) -> None:
-        """Append many tuples (arity-checked); bumps the mutation token."""
-        for row in rows:
-            self.add(row)
+        """Append many tuples; one bump of the mutation token per call.
+
+        Arity is checked before anything is appended: a bad row rejects
+        the whole call. A column-primary relation whose new tuples are
+        exact ``int`` of the held dtypes grows by one block per column
+        and stays column-primary; anything else becomes row-primary, as
+        :meth:`add` makes it. An empty ``rows`` is a no-op.
+        """
+        arity = self.schema.arity
+        new = [tuple(row) for row in rows]
+        for t in new:
+            if len(t) != arity:
+                raise SchemaError(
+                    f"tuple {t!r} has arity {len(t)}, schema {self.name} expects {arity}"
+                )
+        if not new:
+            return
+        with self._lock:
+            cols = self._cols
+            suffix = exact_columns(new, range(arity)) if cols is not None else None
+            if suffix is not None and all(s.dtype == c.dtype for s, c in zip(suffix, cols)):
+                self._cols = [np.concatenate(pair) for pair in zip(cols, suffix)]
+                if self._rows is not None:  # the derived view grows with it
+                    self._rows.extend(new)
+            else:
+                self._derive_rows().extend(new)
+                self._cols = None
+                self._colcache = None
+            self._version += 1
 
     # ---------------------------------------------------- columnar plumbing
 
@@ -599,9 +625,14 @@ class Relation:
         idx = self.schema.indices(attributes)
         out = Relation(name or self.name, self.schema)
         if self._cols is not None:
-            # lexsort's last key is primary; reversing matches the tuple
-            # key order, and its stability matches sorted()'s.
-            order = np.lexsort([self._cols[i] for i in reversed(idx)])
+            keys = [self._cols[i] for i in idx]
+            packed = pack_columns(keys) if all(k.dtype == np.int64 for k in keys) else None
+            if packed is not None:  # one stable sort of one code per row
+                order = np.argsort(packed, kind="stable")
+            else:
+                # lexsort's last key is primary; reversing matches the tuple
+                # key order, and its stability matches sorted()'s.
+                order = np.lexsort(keys[::-1])
             return out._adopt_columns([c[order] for c in self._cols])
         out._rows = sorted(
             self._rows, key=lambda row: tuple(row[i] for i in idx)

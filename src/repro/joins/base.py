@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
+from repro.kernels.columnar import zip_rows
 from repro.kernels.config import kernels_enabled
-from repro.kernels.join import join_rows_columnar
+from repro.kernels.join import TAG, cut_at_tags, join_rows_columnar, stack_tagged
 from repro.kernels.memo import key_degrees
 from repro.mpc.server import ChunkedColumns, Server
 from repro.mpc.stats import RunStats
@@ -82,46 +83,72 @@ def step_result(relation: Relation) -> "list | tuple":
     return tuple(relation.columns()) if relation.is_columnar else relation.rows()
 
 
-def join_fragments(
-    l_rows: list | None,
-    l_cols,
-    r_rows: list | None,
-    r_cols,
-    left_name: str,
-    left_schema: Schema,
-    right_name: str,
-    right_schema: Schema,
-) -> "list | tuple":
-    """Join two already-taken fragments; the pure core of a local join.
+def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation | None:
+    """A chunk's fragments of one relation as one, server-major behind the
+    tag attribute (:func:`stack_tagged`; ``None`` where they do not stack)."""
+    columns = stack_tagged(fragments)
+    lead = (TAG,) if len(fragments) > 1 else ()
+    return None if columns is None else Relation.from_columns(name, lead + attributes, columns)
 
-    Shared verbatim by the inline path and the process-backend workers
-    (via the ``join.fragments`` task), which is what makes their outputs
-    byte-identical. The fragments come both as columns (``l_rows is
-    None``), joined column-natively, or both as rows.
-    """
-    if l_rows is None:
-        return step_result(
-            Relation.from_columns(left_name, left_schema, l_cols).join(
-                Relation.from_columns(right_name, right_schema, r_cols)
-            )
-        )
-    shared = left_schema.common(right_schema)
-    if kernels_enabled() and shared:
-        extra = [a for a in right_schema.attributes if a not in left_schema]
-        joined_rows = join_rows_columnar(
-            l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
-            right_schema.indices(extra),
-        )
-        if joined_rows is not None:
-            return joined_rows
-    l_rel = Relation.wrap(left_name, left_schema, l_rows)
-    r_rel = Relation.wrap(right_name, right_schema, r_rows)
-    return step_result(l_rel.join(r_rel))
+
+def chunk_step(payloads: list, fused, one_pass, by_rows) -> list:
+    """A chunk's local step: ``one_pass`` over all its ``fused`` (columns-only)
+    payloads — the chunk, not the server, is the unit of local work. Where
+    they cannot be coded as one (``None``: a column's dtype differs between
+    servers, a ``uint64`` key exceeds the signed range) each is passed alone;
+    what cannot be coded alone, and every row payload, goes ``by_rows``."""
+    at = [i for i, payload in enumerate(payloads) if fused(payload)]
+    passed = one_pass([payloads[i] for i in at]) if at else []
+    if passed is None:  # (a chunk of one has just been tried alone)
+        alone = [(i, one_pass([payloads[i]])) for i in at if len(at) > 1]
+        results = {i: result[0] for i, result in alone if result is not None}
+    else:
+        results = dict(zip(at, passed))
+    return [results[i] if i in results else by_rows(p) for i, p in enumerate(payloads)]
 
 
 def join_fragment_chunk(payloads: list, common) -> list:
-    """Exec task ``join.fragments``: elementwise local joins of a chunk."""
-    return [join_fragments(*payload, *common) for payload in payloads]
+    """Exec task ``join.fragments``: the local joins of a chunk of servers.
+
+    A payload is both fragments as columns (``l_rows is None``) or both as
+    rows. The columnar ones are joined in one pass keyed on ``(server, join
+    key)``: ``join_indices`` emits left rows in input order, each one's matches
+    in right-row order, and a tagged row only meets rows of its own server, so
+    the output *is* the per-server outputs, concatenated. The inline path (a
+    chunk is all p servers) and the process backend's workers (a contiguous
+    range each) share it verbatim: their outputs are byte-identical.
+    """
+    left_name, left_schema, right_name, right_schema = common
+    shared = left_schema.common(right_schema)
+
+    def one_pass(chunk: list) -> list | None:
+        left = stacked(left_name, left_schema.attributes, [p[1] for p in chunk])
+        right = stacked(right_name, right_schema.attributes, [p[3] for p in chunk])
+        if left is None or right is None:
+            return None
+        joined = left.join(right)
+        return cut_at_tags(joined.columns(), len(chunk)) if joined.is_columnar else None
+
+    def by_rows(payload: tuple) -> "list | tuple":
+        l_rows, l_cols, r_rows, r_cols = payload
+        if l_rows is None:
+            l_rows, r_rows = zip_rows(l_cols), zip_rows(r_cols)
+        if kernels_enabled() and shared:
+            extra = [a for a in right_schema.attributes if a not in left_schema]
+            joined_rows = join_rows_columnar(
+                l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
+                right_schema.indices(extra),
+            )
+            if joined_rows is not None:
+                return joined_rows
+        l_rel = Relation.wrap(left_name, left_schema, l_rows)
+        r_rel = Relation.wrap(right_name, right_schema, r_rows)
+        return step_result(l_rel.join(r_rel))
+
+    def fused(payload: tuple) -> bool:  # (a product has no key to tag, and emits rows)
+        return payload[0] is None and bool(shared)
+
+    return chunk_step(payloads, fused, one_pass, by_rows)
 
 
 def as_rows(fragment: "list | ChunkedColumns") -> list:
@@ -157,10 +184,8 @@ def local_join(
     are read. Consumes both input fragments.
     """
     payload = _take_join_inputs(server, left_fragment, right_fragment)
-    server.append_result(
-        out_fragment,
-        join_fragments(*payload, left.name, left.schema, right.name, right.schema),
-    )
+    common = (left.name, left.schema, right.name, right.schema)
+    server.append_result(out_fragment, join_fragment_chunk([payload], common)[0])
 
 
 def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragment, run):
@@ -205,7 +230,7 @@ def distributed_local_join(
     ``process`` backend the per-server joins run concurrently on the
     worker pool (column blocks travel via shared memory); with
     ``inline`` this is exactly :func:`inline_local_join`, sharing
-    :func:`join_fragments` either way.
+    :func:`join_fragment_chunk` either way.
     """
     _local_joins(
         cluster, left_fragment, right_fragment, left, right, out_fragment,

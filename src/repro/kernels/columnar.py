@@ -105,6 +105,38 @@ def comparable_int64(column: np.ndarray) -> np.ndarray | None:
     return column.astype(np.int64, copy=False)
 
 
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving dense codes of ``values`` and how many there are."""
+    _, inv = np.unique(values, return_inverse=True)
+    inv = inv.reshape(-1).astype(np.int64, copy=False)
+    return inv, int(inv.max()) + 1
+
+
+def pack_columns(columns: Sequence[np.ndarray], dense: bool = False) -> np.ndarray | None:
+    """One ``int64`` code per row that compares — equal, less — exactly as the
+    rows' value tuples do: mixed radix over each ``int64`` column's
+    ``value - min``, no sort. Where the spans' product would leave 62 bits:
+    ``None``, or with ``dense`` that column — then the prefix — is replaced
+    by its dense codes (one ``np.unique`` each) and the packing goes on."""
+    if not len(columns[0]):
+        return np.empty(0, dtype=np.int64)
+    codes, limit = None, 1
+    for column in columns:
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        if limit * span <= 1 << 62:
+            digit = column - lo if lo else column
+        elif not dense:
+            return None
+        else:
+            digit, span = _dense_codes(column)
+            if limit * span > 1 << 62:  # re-densify the prefix before radix overflow
+                codes, limit = _dense_codes(codes)
+        codes = digit if codes is None else codes * span + digit
+        limit *= span
+    return codes
+
+
 def take_rows(rows: Sequence[Row], indices: np.ndarray) -> list[Row]:
     """The subset of rows at ``indices``, in index order."""
     return [rows[i] for i in indices.tolist()]

@@ -2,13 +2,15 @@
 
 Both kernels factorize key tuples into integer codes — exact equality,
 no hash collisions: single-column keys use their values directly;
-multi-column keys get per-column dense codes (one 1-d ``np.unique``
-each) combined by mixed radix, re-densified if the radix product would
-overflow. The codes feed fully vectorized match-index computation (join)
-or membership masks (semijoin). Output rows reuse the original Python
-tuples, so results are byte-identical to the dict/set based tuple code,
-including row order: left rows in input order, matches per left row in
-the right side's insertion order.
+multi-column keys are mixed radix over each column's ``value - min`` (no
+sort; :func:`~repro.kernels.columnar.pack_columns`), with dense codes
+only where the radix product would overflow. A chunk of servers is one
+pass with the server as a leading key column (:func:`stack_tagged`,
+:func:`cut_at_tags`). The codes feed fully vectorized match-index
+computation (join) or membership masks (semijoin). Output rows reuse the
+original Python tuples, so results are byte-identical to the dict/set
+based tuple code, including row order: left rows in input order, matches
+per left row in the right side's insertion order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import comparable_int64, key_columns, zip_rows
+from repro.kernels.columnar import comparable_int64, key_columns, pack_columns, zip_rows
 
 Row = tuple[Any, ...]
 
@@ -62,22 +64,36 @@ def code_key_columns(
     if len(stacked_cols) == 1:
         codes = stacked_cols[0]  # values are their own (sparse) codes
     else:
-        codes = None
-        limit = 1
-        for col in stacked_cols:
-            _, inv = np.unique(col, return_inverse=True)
-            inv = inv.reshape(-1).astype(np.int64, copy=False)
-            k = int(inv[inv.argmax()]) + 1 if inv.size else 1
-            if codes is None:
-                codes, limit = inv, k
-                continue
-            if limit > (1 << 62) // k:  # re-densify before radix overflow
-                _, codes = np.unique(codes, return_inverse=True)
-                codes = codes.reshape(-1).astype(np.int64, copy=False)
-                limit = int(codes[codes.argmax()]) + 1 if codes.size else 1
-            codes = codes * k + inv
-            limit *= k
+        codes = pack_columns(stacked_cols, dense=True)
     return codes[:n_left], codes[n_left:]
+
+
+# Leading attribute of a chunk's stacked fragments: the index, in the chunk,
+# of the server a row sits on. No parsed or user-given name is NUL-led.
+TAG = "\0server"
+
+
+def stack_tagged(fragments: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray] | None:
+    """A chunk's per-server column lists as one, server-major, behind a
+    :data:`TAG` column: as a leading key column it keeps one kernel pass from
+    pairing rows of two servers. A chunk of one is its own columns, untagged.
+    ``None`` when a column's blocks differ in dtype (no value-exact concat)."""
+    if len(fragments) == 1:
+        return list(fragments[0])
+    columns = list(zip(*fragments))
+    if any(len({block.dtype for block in blocks}) > 1 for blocks in columns):
+        return None
+    tag = np.repeat(np.arange(len(fragments)), [len(f[0]) for f in fragments])
+    return [tag] + [np.concatenate(blocks) for blocks in columns]
+
+
+def cut_at_tags(columns: Sequence[np.ndarray], servers: int) -> list[tuple]:
+    """A pass's output — still server-major — cut back into one tuple of
+    column slices (views) per server, at the tag column's boundaries."""
+    if servers == 1:
+        return [tuple(columns)]
+    ends = np.cumsum(np.bincount(columns[0], minlength=servers)).tolist()
+    return [tuple(c[a:b] for c in columns[1:]) for a, b in zip([0] + ends, ends)]
 
 
 def lookup_codes(key_cols: Sequence[Any], keys: Sequence[Row]) -> np.ndarray:

@@ -32,10 +32,11 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
-from repro.joins.base import as_rows
+from repro.joins.base import as_rows, chunk_step
 from repro.joins.hash_join import one_round_hash_join
+from repro.kernels.columnar import zip_rows
 from repro.kernels.config import kernels_enabled
-from repro.kernels.join import code_key_columns, semijoin_mask
+from repro.kernels.join import code_key_columns, cut_at_tags, semijoin_mask, stack_tagged
 from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
@@ -244,28 +245,39 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     globally (``heavy_alive``, broadcast by the coordinator). Pure over
     its inputs, so inline and worker execution agree byte-for-byte. A
     columns-only payload holds the keys' and the target's columns (a
-    tuple) instead.
+    tuple) instead; a chunk's columns-only payloads are filtered in one pass:
+    one ``np.isin`` per reducer over ``(server, key)`` codes (masks are elementwise).
     """
     t_idx, heavy_alive = common
     alive = set(heavy_alive)
-    out = []
-    for key_rows, t_rows, stay_rows in payloads:
+
+    def one_pass(chunk: list) -> list | None:
+        target = stack_tagged([t_cols for _keys, t_cols, _stay in chunk])
+        reducers = [stack_tagged(list(parts)) for parts in zip(*(keys for keys, _t, _stay in chunk))]
+        if target is None or None in reducers:
+            return None
+        lead = 1 if len(chunk) > 1 else 0  # the tag leads the key as it leads the columns
+        t_keys = target[:lead] + [target[i + lead] for i in t_idx]
+        coded = [code_key_columns(t_keys, keys) for keys in reducers]
+        if None in coded:
+            return None
+        # Every mask over the whole target, as the row path does.
+        keep = np.logical_and.reduce([np.isin(*codes) for codes in coded])
+        return cut_at_tags([column[keep] for column in target], len(chunk))
+
+    def by_rows(payload: tuple) -> list:
+        key_rows, t_rows, stay_rows = payload
         if isinstance(t_rows, tuple):
-            coded = [code_key_columns([t_rows[i] for i in t_idx], k) for k in key_rows]
-            if None not in coded:
-                # Every mask over the whole target, as the row path does.
-                keep = np.logical_and.reduce([np.isin(*codes) for codes in coded])
-                out.append(tuple(column[keep] for column in t_rows))
-                continue
-            t_rows = list(zip(*(column.tolist() for column in t_rows)))
-            key_rows = [list(zip(*(c.tolist() for c in cols))) for cols in key_rows]
+            t_rows = zip_rows(t_rows)
+            key_rows = [zip_rows(cols) for cols in key_rows]
         key_sets = [set(rows) for rows in key_rows]
         survivors = _filter_members(t_rows, t_idx, key_sets)
         survivors.extend(
             row for row in stay_rows if tuple(row[i] for i in t_idx) in alive
         )
-        out.append(survivors)
-    return out
+        return survivors
+
+    return chunk_step(payloads, lambda payload: isinstance(payload[1], tuple), one_pass, by_rows)
 
 
 def _filter_members(

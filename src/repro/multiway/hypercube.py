@@ -28,9 +28,11 @@ from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, Server, held
 from repro.mpc.topology import Grid
-from repro.joins.base import step_result
+from repro.joins.base import chunk_step, stacked, step_result
+from repro.kernels.columnar import zip_rows
+from repro.kernels.join import cut_at_tags
 from repro.multiway.base import MultiwayRun
-from repro.query.cq import ConjunctiveQuery
+from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.shares import ShareAssignment, optimal_shares
 
 
@@ -156,31 +158,53 @@ def hypercube_eval_chunk(payloads: list, common) -> list:
     Each payload is the server's per-atom ``(rows, columns)`` pairs in
     ``query.atoms`` order: fragment rows straight from the simulator,
     adopted without re-validating arity, or — for a fragment held as
-    column blocks — ``None`` and the columns, turned into a column-primary
-    relation directly. A server with an empty fragment produces ``None``
-    (no output stored). The eval itself is column-driven either way, so
+    column blocks — ``None`` and the columns. A server with an empty
+    fragment produces ``None`` (no output stored). The chunk's all-columns
+    payloads are evaluated in one pass — the query with the server as one
+    more variable of every atom, over the fragments stacked server-major: a
+    left-deep plan keeps left order at every step, so the output is the
+    servers' outputs in server order. Row payloads, the ``generic`` evaluator
+    and a plan with a product step (both emit rows) go server by server;
+    the eval is column-driven either way, so
     both payload shapes derive identical tuples.
     """
     query, local = common
-    out = []
-    for per_atom in payloads:
+    seen: set[str] = set()
+    keyed = local == "plan"  # ... and every step of the left-deep plan has a key
+    for atom in query.atoms:
+        keyed = keyed and not (seen and seen.isdisjoint(atom.variables))
+        seen.update(atom.variables)
+
+    def one_pass(chunk: list) -> list | None:
+        fragments = {
+            atom.name: stacked(atom.name, atom.variables, [per_atom[j][1] for per_atom in chunk])
+            for j, atom in enumerate(query.atoms)
+        }
+        if None in fragments.values():
+            return None
+        tagged = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
+        result = tagged.evaluate(fragments)
+        return cut_at_tags(result.columns(), len(chunk)) if result.is_columnar else None
+
+    def by_rows(per_atom: list) -> "list | None":
+        if not all(len(cols[0] if rows is None else rows) for rows, cols in per_atom):
+            return None
         local_fragments = {
-            atom.name: Relation.wrap(atom.name, list(atom.variables), rows)
-            if cols is None
-            else Relation.from_columns(atom.name, list(atom.variables), cols)
+            atom.name: Relation.wrap(
+                atom.name, list(atom.variables), zip_rows(cols) if rows is None else rows
+            )
             for atom, (rows, cols) in zip(query.atoms, per_atom)
         }
-        if all(len(rel) for rel in local_fragments.values()):
-            if local == "generic":
-                from repro.multiway.wcoj import generic_join
+        if local == "generic":
+            from repro.multiway.wcoj import generic_join
 
-                result = generic_join(query, local_fragments)
-            else:
-                result = query.evaluate(local_fragments)
-            out.append(step_result(result))
-        else:
-            out.append(None)
-    return out
+            return step_result(generic_join(query, local_fragments))
+        return step_result(query.evaluate(local_fragments))
+
+    def fused(per_atom: list) -> bool:
+        return keyed and all(rows is None and len(cols[0]) for rows, cols in per_atom)
+
+    return chunk_step(payloads, fused, one_pass, by_rows)
 
 
 def triangle_hypercube(

@@ -126,19 +126,25 @@ def psi_star(query: ConjunctiveQuery) -> float:
 
     Governs one-round load under skew: L = IN / p^{1/ψ*}. Enumerates all
     2^k residual queries, so only sensible for small queries (the
-    tutorial's all have ≤ 7 variables).
+    tutorial's all have ≤ 7 variables) — once per hypergraph: the value is
+    kept beside the LP memo (:func:`repro.query.lp.derived`), so a repeat
+    builds none of the residual programs.
     """
     if len(query.variables) > 16:
         raise QueryError("psi_star enumerates variable subsets; query too large")
-    best = tau_star(query)
-    for r in range(1, len(query.variables)):
-        for bound in itertools.combinations(query.variables, r):
-            try:
-                residual = query.residual(bound)
-            except QueryError:
-                continue
-            best = max(best, tau_star(residual))
-    return best
+
+    def enumerate_residuals() -> float:
+        best = tau_star(query)
+        for r in range(1, len(query.variables)):
+            for bound in itertools.combinations(query.variables, r):
+                try:
+                    residual = query.residual(bound)
+                except QueryError:
+                    continue
+                best = max(best, tau_star(residual))
+        return best
+
+    return lp.derived(("psi*", tuple(query.atoms)), enumerate_residuals)
 
 
 def verify_packing(query: ConjunctiveQuery, weights: dict[str, float]) -> bool:

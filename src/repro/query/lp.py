@@ -8,7 +8,8 @@ nothing else. :func:`solve` is the only ``linprog`` call site of the
 library and remembers each program it has solved under a key that *is*
 the whole input, so there is nothing to invalidate: no token, no
 relation, no staleness. HiGHS is deterministic for identical input, so
-a hit returns exactly the floats a fresh solve would.
+a hit returns exactly the floats a fresh solve would. A quantity that is
+many such programs (ψ*) is kept whole beside them (:func:`derived`).
 
 This is not relation-derived state:
 :func:`repro.kernels.memo.clear_memo` and ``forget`` do not touch it.
@@ -25,6 +26,9 @@ from repro.errors import OptimizationError
 from repro.kernels.memo import LRU
 
 _solved = LRU(1024)
+# Quantities that are a function of the hypergraph alone but cost many
+# programs each (ψ*: one per residual), by whatever names the hypergraph.
+_derived: dict = {}
 
 
 def solve(c: Sequence[float], a_ub: Sequence[Sequence[float]],
@@ -55,6 +59,19 @@ def solve(c: Sequence[float], a_ub: Sequence[Sequence[float]],
     return solved
 
 
+def derived(key, compute):
+    """``compute()`` under ``key``, once: the programs it solves still go
+    through :func:`solve`, a repeat builds none of them. ``key`` is the
+    whole input, as for :func:`solve`; racing threads both compute and
+    store the same value."""
+    value = _derived.get(key)
+    if value is None:
+        if len(_derived) >= _solved.capacity:
+            _derived.clear()
+        value = _derived[key] = compute()
+    return value
+
+
 def counters() -> tuple[int, int, int, int, int]:
     """``(hits, misses, evictions, dropped, size)`` of the LP memo.
 
@@ -65,5 +82,6 @@ def counters() -> tuple[int, int, int, int, int]:
 
 
 def clear() -> None:
-    """Forget every solved program (test isolation)."""
+    """Forget every solved program and derived quantity (test isolation)."""
     _solved.clear()
+    _derived.clear()

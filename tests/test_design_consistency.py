@@ -115,6 +115,66 @@ class TestSkewOnePassLint:
             assert not _files_matching(rf"def {moved}\(", ROOT / "src" / "repro" / "multiway")
 
 
+class TestChunkPassLint:
+    """The chunk, not the server, is the unit of local work: the three
+    per-server tasks run their columns-only payloads as one kernel pass
+    keyed on ``(server, key)``; the per-payload bodies live in
+    ``repro/testing/chunk_reference.py`` as the reference only."""
+
+    TASKS = {
+        "joins/base.py": "join_fragment_chunk",
+        "multiway/base.py": "semijoin_filter_chunk",
+        "multiway/hypercube.py": "hypercube_eval_chunk",
+    }
+
+    def _task(self, name, function):
+        tree = ast.parse((ROOT / "src" / "repro" / name).read_text())
+        [node] = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == function]
+        return node
+
+    def test_no_relation_is_built_per_payload(self):
+        for name, function in self.TASKS.items():
+            task = self._task(name, function)
+            for loop in ast.walk(task):
+                if isinstance(loop, ast.For) and "payloads" in ast.unparse(loop.iter):
+                    assert "from_columns(" not in ast.unparse(loop), name
+            calls = {ast.unparse(n.func) for n in ast.walk(task) if isinstance(n, ast.Call)}
+            assert {"chunk_step", "cut_at_tags"} <= calls, (name, calls)
+            assert calls & {"stacked", "stack_tagged"}, (name, calls)
+
+    def test_the_tag_coding_has_one_definition(self):
+        for pattern, home in (
+            (r"\nTAG = ", "kernels/join.py"),
+            (r"def (stack_tagged|cut_at_tags)\(", "kernels/join.py"),
+            (r"def (chunk_step|stacked)\(", "joins/base.py"),
+            (r"np\.bincount\(columns\[0\]", "kernels/join.py"),
+        ):
+            assert _files_matching(pattern) == [home], pattern
+
+    def test_the_reference_bodies_moved_not_copied(self):
+        reference = (ROOT / "src" / "repro" / "testing" / "chunk_reference.py").read_text()
+        for function in self.TASKS.values():
+            assert f"def {function}(" in reference
+        users = _files_matching(r"chunk_reference")
+        assert all(user.startswith("testing/") for user in users), users
+
+    def test_the_tracer_still_times_what_the_pass_calls(self):
+        import inspect
+
+        from perfbench.tracing import TARGETS
+        from repro.data.relation import Relation
+
+        for _layer, spec, _mode in TARGETS:
+            module, _, attr = spec.partition(":")
+            target = importlib.import_module(module)
+            for part in attr.split("."):
+                target = getattr(target, part)
+            assert callable(target), spec
+        assert ("kernels.join", "repro.kernels.join:join_indices", "call") in TARGETS
+        assert "join_indices(" in inspect.getsource(Relation.join)
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
