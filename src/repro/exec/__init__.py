@@ -3,8 +3,9 @@
 ``inline`` (default) runs server-local work in the coordinating process
 exactly as before; ``process`` fans it out over a persistent
 multiprocessing worker pool where worker i owns the i-th contiguous
-range of the p simulated servers, with numpy column blocks traveling
-through shared memory. Select with ``REPRO_BACKEND=process`` /
+range of the p simulated servers, with payload bytes riding one frame
+per worker over a pipe (blocks of a megabyte and more take a
+shared-memory segment). Select with ``REPRO_BACKEND=process`` /
 ``REPRO_WORKERS=4``, or in code::
 
     with use_backend("process", workers=4):
@@ -18,7 +19,6 @@ registered pure functions (see :mod:`repro.exec.base`).
 
 from repro.exec.base import (
     ExecutionBackend,
-    FallbackHotPathWarning,
     InlineBackend,
     ProcessBackend,
     chunk_bounds,
@@ -37,7 +37,6 @@ __all__ = [
     "BACKENDS",
     "DispatchStats",
     "ExecutionBackend",
-    "FallbackHotPathWarning",
     "InlineBackend",
     "ProcessBackend",
     "WorkerError",

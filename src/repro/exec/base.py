@@ -18,7 +18,6 @@ conservation, and fault replay cannot diverge between backends.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exec import config
@@ -28,33 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.mpc pkg)
 
 __all__ = [
     "ExecutionBackend",
-    "FallbackHotPathWarning",
     "InlineBackend",
     "ProcessBackend",
     "chunk_bounds",
     "get_backend",
 ]
-
-
-class FallbackHotPathWarning(UserWarning):
-    """Columnar-sized row data rode the queue pickle instead of shm.
-
-    Shared memory is the only sanctioned hot path for columnar
-    data; a dispatch whose pack-eligible rows fell back to per-tuple
-    pickling at this volume is paying serialization cost the transport
-    was built to avoid. The event is counted
-    (``ExecStats.fallback_dispatches``) on every occurrence and warned
-    about once per task when it crosses the hot threshold.
-    """
-
-
-# One dispatch moving this many pack-eligible rows through pickle is
-# "hot": roughly a megabyte of per-tuple pickling, far past the point
-# where the segment cost would have amortized.
-_HOT_FALLBACK_ROWS = 50_000
-
-# Task names already warned about (once per process, not per dispatch).
-_warned_hot_tasks: set[str] = set()
 
 
 def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
@@ -111,9 +88,9 @@ class ExecutionBackend:
 
         ``calls[k] = (task, payloads, common)``; the result list is
         call-aligned. The calls must not depend on each other's results
-        (the process backend ships them in a single queue message per
-        worker). The default runs them sequentially — backends override
-        to actually collapse the round-trips.
+        (the process backend ships them in a single frame per worker).
+        The default runs them sequentially — backends override to
+        actually collapse the round-trips.
         """
         return [
             self.map_payloads(task, payloads, common, stats=stats)
@@ -166,30 +143,6 @@ class ProcessBackend(ExecutionBackend):
             )
         ]
 
-    def _account(self, stats: "ExecStats | None", dispatch: Any) -> None:
-        # DispatchStats names its transport counters as ExecStats does.
-        if stats is not None:
-            stats.add(dispatch)
-
-    @staticmethod
-    def _warn_hot_fallback(dispatch: Any, task_names: list[str]) -> None:
-        """Surface a dispatch whose pickle fallback crossed the hot bar."""
-        if dispatch.fallback_rows < _HOT_FALLBACK_ROWS:
-            return
-        label = "+".join(sorted(set(task_names)))
-        if label in _warned_hot_tasks:
-            return
-        _warned_hot_tasks.add(label)
-        warnings.warn(
-            f"dispatch of {label!r} moved {dispatch.fallback_rows} "
-            "pack-eligible rows through queue pickle (non-uniform or "
-            "non-integer tuples); the shm columnar transport is the "
-            "intended hot path — consider normalizing the rows or "
-            "accepting the counted ExecStats.fallback_dispatches cost",
-            FallbackHotPathWarning,
-            stacklevel=3,
-        )
-
     def _merge_elementwise(
         self, task: str, payloads: list[Any], chunk_results: list[list[Any]]
     ) -> list[Any]:
@@ -241,8 +194,8 @@ class ProcessBackend(ExecutionBackend):
             results, dispatch = pool.run_batch(pool_calls, kernels_enabled())
         except UnpicklablePayloadError:
             # One unpicklable payload degrades the whole batch to inline
-            # (the batch shares queue messages, so per-call retry would
-            # re-encode everything anyway); counted once per lost call.
+            # (the batch shares frames, so per-call retry would re-encode
+            # everything anyway); counted once per lost call.
             if stats is not None:
                 stats.fallbacks += len(live)
             for index, task, payloads, common in live:
@@ -252,8 +205,8 @@ class ProcessBackend(ExecutionBackend):
             stats.dispatches += len(live)
             stats.chunks += sum(len(chunks) for _, chunks, _ in pool_calls)
             stats.items += sum(len(payloads) for _, _, payloads, _ in live)
-            self._account(stats, dispatch)
-        self._warn_hot_fallback(dispatch, [task for _, task, _, _ in live])
+            # DispatchStats names its transport counters as ExecStats does.
+            stats.add(dispatch)
         for (index, task, payloads, _), chunk_results in zip(live, results):
             out[index] = self._merge_elementwise(task, payloads, chunk_results)
         return out

@@ -3,31 +3,47 @@
 One pool per worker count lives for the rest of the interpreter
 session — pools are expensive to start, and the whole point of a
 *persistent* pool is that a run of b rounds pays the fork cost once,
-not b times. Each worker owns one dedicated task queue (so chunk
-i deterministically lands on worker i, preserving the "worker owns a
-contiguous server range" assignment) and all workers share one result
-queue; the coordinator reassembles results by job id, so arrival order
-never matters.
+not b times. Each worker is reached over one dedicated duplex pipe (so
+chunk i deterministically lands on worker i, preserving the "worker
+owns a contiguous server range" assignment): the frame goes out with
+one ``send_bytes`` and the reply comes back on the same connection, so
+arrival order never matters.
 
 Dispatch protocol
 -----------------
 
-A queue message is a *batch*: ``(job_id, epoch, [subjob, ...])`` where
-each subjob is ``(task_name, encoded_payload, kernels_flag)``.
-Independent task maps (:meth:`WorkerPool.run_batch`) collapse into one
-round-trip per worker instead of one per map; a single map is just a
-batch of one. ``epoch`` is the resident-state epoch: workers keep a
-content-addressed :class:`~repro.exec.shm.BlockCache` of payload blocks
-between dispatches, the coordinator mirrors it per worker
-(:class:`~repro.exec.shm.MirrorCache`), and bumping the epoch tells the
-worker to drop everything — the wholesale invalidation path that keeps
-faults, recovery, and explicit resets byte-identical to a cold start.
+A frame is a pickled *batch*: ``(epoch, [subjob, ...])`` where each
+subjob is ``(task_name, encoded_payload, kernels_flag)``. Independent
+task maps (:meth:`WorkerPool.run_batch`) collapse into one round-trip
+per worker instead of one per map; a single map is just a batch of one.
+Payload bytes ride the frame unless a block is worth a segment
+(:mod:`repro.exec.shm`). ``epoch`` is the resident-state epoch: workers
+keep a content-addressed :class:`~repro.exec.shm.BlockCache` of
+segment-sized blocks between dispatches, the coordinator mirrors it per
+worker (:class:`~repro.exec.shm.MirrorCache`), and bumping the epoch
+tells the worker to drop everything — the wholesale invalidation path
+that keeps faults, recovery, and explicit resets byte-identical to a
+cold start.
+
+A pipe is unbuffered beyond the kernel's few kilobytes, so a large
+frame blocks its writer until the peer reads. Three rules keep that
+deadlock-free: a batch is *one frame per worker*; a worker reads its
+whole frame before it computes (and so before it writes); the
+coordinator writes every frame before it reads any reply. A worker
+blocked writing a large reply therefore waits only for a coordinator
+that is writing to *other* workers, each of which is reading.
+
+Liveness is the process sentinel, not end-of-file: the collect loop
+waits on the pending connections *and* every worker's sentinel, so a
+dead worker wakes it at once. (Forked siblings inherit each other's
+pipe ends, which would hold an end-of-file back; a worker closes the
+ends it does not own.)
 
 Segment lifecycle
 -----------------
 
 The coordinator registers every outbound shared-memory segment under
-its job id until the worker's reply proves the inputs were consumed
+its worker until the worker's reply proves the inputs were consumed
 (workers unlink after reading), and registers inbound result segments
 until they are decoded. A worker crash, an exception, or a
 ``KeyboardInterrupt`` mid-dispatch therefore has a complete name list
@@ -39,11 +55,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import pickle
-import queue as queue_module
 import threading
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import Any
 
 from repro.exec import shm
@@ -56,10 +72,6 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
 ]
-
-# Generous per-poll timeout: only used to interleave liveness checks
-# with blocking result reads, never as a job deadline.
-_POLL_SECONDS = 1.0
 
 # Budget of one worker's resident block cache (coordinator mirror +
 # worker copy). Crossing it bumps the state epoch instead of evicting
@@ -74,22 +86,27 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _worker_main(worker_index: int, task_queue: Any, result_queue: Any) -> None:
-    """Worker loop: decode batch, run each task, encode results, reply."""
+def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> None:
+    """Worker loop: read a frame, run each task, encode results, reply."""
     # Imports happen here (not at module top) so a spawn-started child
     # pays them once, and so fork-started children re-resolve nothing.
     from repro.exec import config as exec_config
     from repro.exec import tasks as task_registry
     from repro.kernels.config import use_kernels
 
+    for other in inherited:  # the coordinator's ends a fork handed us
+        other.close()
     # A task running inside a worker must never fork its own pool.
     exec_config.set_backend("inline")
     cache = shm.BlockCache()
     while True:
-        blob = task_queue.get()
-        if blob is None:
+        try:
+            frame = conn.recv_bytes()
+        except (EOFError, OSError):  # the coordinator is gone
             break
-        job_id, epoch, subjobs = pickle.loads(blob)
+        if not frame:  # the empty frame is the shutdown request
+            break
+        epoch, subjobs = pickle.loads(frame)
         cache.sync_epoch(epoch)
         started = time.perf_counter()
         results: list[shm.ShmEncoded] = []
@@ -119,14 +136,9 @@ def _worker_main(worker_index: int, task_queue: Any, result_queue: Any) -> None:
                 shm.release_payload(encoded)
             reply = f"worker {worker_index}: {traceback.format_exc()}"
             ok = False
-        # The result rides the queue as an explicit pickle blob (instead
-        # of letting the queue pickle the tuple internally) so the
-        # coordinator can account the bytes that did NOT make it into
-        # shared memory — the pickle_bytes_in half of the transport
-        # story the benchmarks compare.
-        result_queue.put(
+        conn.send_bytes(
             pickle.dumps(
-                (job_id, ok, reply, time.perf_counter() - started),
+                (ok, reply, time.perf_counter() - started),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         )
@@ -137,12 +149,12 @@ class WorkerError(RuntimeError):
 
 
 class UnpicklablePayloadError(TypeError):
-    """A job carried an object the queue cannot serialize.
+    """A job carried an object that cannot be serialized.
 
-    Raised *before* anything is enqueued (jobs are pre-pickled in the
-    coordinator precisely so this surfaces synchronously instead of
-    dying in the queue's feeder thread and hanging the collect loop);
-    the backend falls back to inline execution for the whole map call.
+    Raised *before* anything is written (every frame is built in the
+    coordinator before the first one goes out), so the mirrors and the
+    workers are exactly as they were; the backend falls back to inline
+    execution for the whole map call.
     """
 
 
@@ -150,18 +162,16 @@ class UnpicklablePayloadError(TypeError):
 class DispatchStats:
     """Transport accounting of one :meth:`WorkerPool.run_batch` call."""
 
-    shm_bytes_out: int = 0
-    shm_bytes_in: int = 0
-    pickle_bytes_out: int = 0
+    shm_bytes_out: int = 0  # segment bytes coordinator -> workers
+    shm_bytes_in: int = 0  # segment bytes workers -> coordinator
+    pickle_bytes_out: int = 0  # frame bytes on the pipes, in-band blocks included
     pickle_bytes_in: int = 0
     worker_seconds: float = 0.0
-    queue_messages: int = 0  # messages enqueued (one per participating worker)
-    snapshot_dispatches: int = 0  # messages that shipped a full snapshot
-    resident_hits: int = 0  # blocks that traveled as tokens, not bytes
-    resident_misses: int = 0  # cacheable blocks that had to ship
+    queue_messages: int = 0  # frames written (one per participating worker)
+    snapshot_dispatches: int = 0  # frames that shipped a full snapshot
+    resident_hits: int = 0  # segment-sized blocks that traveled as tokens
+    resident_misses: int = 0  # segment-sized blocks that had to ship
     resident_bytes_saved: int = 0  # bytes the hits did not re-ship
-    fallback_rows: int = 0  # pack-eligible rows that rode the pickle stream
-    fallback_dispatches: int = 0  # payload encodes with at least one such list
 
 
 class WorkerPool:
@@ -171,24 +181,27 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.workers = workers
-        context = multiprocessing.get_context(_start_method())
-        self._task_queues = [context.Queue() for _ in range(workers)]
-        self._result_queue = context.Queue()
-        self._processes = [
-            context.Process(
+        method = _start_method()
+        context = multiprocessing.get_context(method)
+        self._connections: list[Any] = []
+        self._processes: list[Any] = []
+        for index in range(workers):
+            ours, theirs = context.Pipe()
+            self._connections.append(ours)
+            process = context.Process(
                 target=_worker_main,
-                args=(index, self._task_queues[index], self._result_queue),
+                # A forked child holds every coordinator end made so far.
+                args=(index, theirs, tuple(self._connections) if method == "fork" else ()),
                 daemon=True,
                 name=f"repro-exec-{index}",
             )
-            for index in range(workers)
-        ]
-        for process in self._processes:
             process.start()
+            theirs.close()
+            self._processes.append(process)
         self._closed = False
         self._dispatch_lock = threading.Lock()
         self._mirrors = [shm.MirrorCache(_RESIDENT_BYTES) for _ in range(workers)]
-        # Abnormal-shutdown ledger: outbound segment names by job id
+        # Abnormal-shutdown ledger: outbound segment names by worker
         # (dropped when the worker's reply arrives — it unlinks inputs
         # after reading) and inbound result segment names not yet
         # decoded. Everything still listed at teardown is unlinked.
@@ -232,15 +245,15 @@ class WorkerPool:
 
         ``calls[k] = (task_name, chunks, common)`` with ``chunks`` a list
         of ``(worker_index, payload_chunk)`` pairs. Every worker that
-        appears in any call receives exactly one queue message carrying
-        all of its subjobs in call order, so k dependent-free maps cost
-        one dispatch instead of k. Returns per-call, per-chunk results
+        appears in any call receives exactly one frame carrying all of
+        its subjobs in call order, so k dependent-free maps cost one
+        dispatch instead of k. Returns per-call, per-chunk results
         (``out[k][i]`` = call k's chunk i) plus the batch's
         :class:`DispatchStats`.
         """
-        # One batch at a time: job ids restart at 0 per call and every
-        # thread reads the one shared result queue, so concurrent callers
-        # (service worker threads) would collect each other's replies.
+        # One batch at a time: the protocol is one frame per worker per
+        # batch, and concurrent callers (service worker threads) would
+        # interleave frames and collect each other's replies.
         with self._dispatch_lock:
             if self._closed:
                 raise RuntimeError("worker pool is shut down")
@@ -255,21 +268,16 @@ class WorkerPool:
                         (call_index, chunk_pos, task_name, chunk, common)
                     )
 
-            # Encode and pre-pickle every message before enqueueing any of
-            # them: a serialization failure (a closure key, an exotic item
-            # type) must raise here, where the backend can fall back to
-            # inline — a failure inside the queue's feeder thread would
-            # silently drop the job and deadlock the collect loop below.
-            # Mirror staging is committed only after every blob pickled, so
-            # an abort leaves the mirrors exactly as before the call.
-            blobs: list[tuple[int, int, bytes]] = []  # (worker, job_id, blob)
-            job_meta: dict[int, list[tuple[int, int]]] = {}
-            job_segments: dict[int, list[str]] = {}
+            # Build every frame before writing any of them: a
+            # serialization failure (a closure key, an exotic item type)
+            # must raise here, where the backend can fall back to inline.
+            # Mirror staging is committed only after every frame was
+            # built, so an abort leaves the mirrors exactly as before.
+            # worker -> (frame, (call, chunk) per subjob, outbound segments)
+            jobs: dict[int, tuple[bytes, list[tuple[int, int]], list[str]]] = {}
             encodeds: list[shm.ShmEncoded] = []
             try:
-                for job_id, (worker_index, subjobs) in enumerate(
-                    sorted(by_worker.items())
-                ):
+                for worker_index, subjobs in sorted(by_worker.items()):
                     mirror = self._mirrors[worker_index]
                     epoch = mirror.begin_message()
                     wire_subjobs = []
@@ -282,29 +290,21 @@ class WorkerPool:
                         stats.shm_bytes_out += encoded.nbytes
                         message_hits += encoded.resident
                         stats.resident_bytes_saved += encoded.resident_bytes
-                        stats.resident_misses += sum(
-                            1 for token in encoded.tokens if token is not None
-                        )
-                        stats.fallback_rows += encoded.fallback_rows
-                        if encoded.fallback_rows:
-                            stats.fallback_dispatches += 1
+                        stats.resident_misses += len(encoded.slots) - encoded.resident
                         if encoded.segment_name is not None:
                             segments.append(encoded.segment_name)
                         wire_subjobs.append((task_name, encoded, kernels_flag))
                         meta.append((call_index, chunk_pos))
-                    blob = pickle.dumps(
-                        (job_id, epoch, wire_subjobs),
-                        protocol=pickle.HIGHEST_PROTOCOL,
+                    frame = pickle.dumps(
+                        (epoch, wire_subjobs), protocol=pickle.HIGHEST_PROTOCOL
                     )
-                    stats.pickle_bytes_out += len(blob)
+                    stats.pickle_bytes_out += len(frame)
                     stats.resident_hits += message_hits
                     if message_hits == 0:
                         # Nothing rode the resident cache: this message is a
                         # full payload snapshot.
                         stats.snapshot_dispatches += 1
-                    blobs.append((worker_index, job_id, blob))
-                    job_meta[job_id] = meta
-                    job_segments[job_id] = segments
+                    jobs[worker_index] = (frame, meta, segments)
             except (pickle.PicklingError, TypeError, AttributeError) as error:
                 for mirror in self._mirrors:
                     mirror.abort()
@@ -315,66 +315,67 @@ class WorkerPool:
                 ) from error
             for mirror in self._mirrors:
                 mirror.commit()
-            stats.queue_messages = len(blobs)
+            stats.queue_messages = len(jobs)
 
             try:
-                for worker_index, job_id, blob in blobs:
-                    self._inflight[job_id] = job_segments[job_id]
-                    self._task_queues[worker_index].put(blob)
+                for worker_index, (frame, _, segments) in jobs.items():
+                    self._inflight[worker_index] = segments
+                    self._connections[worker_index].send_bytes(frame)
                 per_call: list[list[Any]] = [
                     [None] * len(chunks) for _, chunks, _ in calls
                 ]
-                pending = len(blobs)
+                pending = {self._connections[index]: index for index in jobs}
+                sentinels = {process.sentinel for process in self._processes}
                 failure: str | None = None
                 while pending:
-                    try:
-                        result_blob = self._result_queue.get(timeout=_POLL_SECONDS)
-                    except queue_module.Empty:
-                        dead = [p.name for p in self._processes if not p.is_alive()]
-                        if dead:
-                            # The pool is unusable: terminate survivors and
-                            # unlink everything still registered before
-                            # surfacing the crash.
-                            self._emergency_teardown()
-                            raise WorkerError(
-                                f"worker process(es) died while jobs were "
-                                f"pending: {dead}"
-                            )
-                        continue
-                    pending -= 1
-                    stats.pickle_bytes_in += len(result_blob)
-                    job_id, ok, reply, elapsed = pickle.loads(result_blob)
-                    stats.worker_seconds += elapsed
-                    # The worker consumed (and unlinked) this job's inputs.
-                    self._inflight.pop(job_id, None)
-                    if not ok:
-                        # Drain remaining jobs before raising so their
-                        # shared memory is released rather than leaked.
-                        if failure is None:
-                            failure = reply
-                        continue
-                    for encoded_result in reply:
-                        if encoded_result.segment_name is not None:
-                            self._pending_results.add(encoded_result.segment_name)
-                    if failure is not None:
-                        for encoded_result in reply:
-                            shm.release_payload(encoded_result)
-                            self._pending_results.discard(encoded_result.segment_name)
-                        continue
-                    for (call_index, chunk_pos), encoded_result in zip(
-                        job_meta[job_id], reply
-                    ):
-                        stats.shm_bytes_in += encoded_result.nbytes
-                        per_call[call_index][chunk_pos] = shm.decode_owned(
-                            encoded_result
+                    ready = connection.wait([*pending, *sentinels])
+                    if sentinels.intersection(ready):
+                        raise EOFError("a worker exited")
+                    for conn in ready:
+                        worker_index = pending.pop(conn)
+                        reply_frame = conn.recv_bytes()
+                        stats.pickle_bytes_in += len(reply_frame)
+                        ok, reply, elapsed = pickle.loads(reply_frame)
+                        stats.worker_seconds += elapsed
+                        # The worker consumed (and unlinked) this job's inputs.
+                        self._inflight.pop(worker_index, None)
+                        if not ok:
+                            # Collect the remaining replies before raising so
+                            # their shared memory is released, not leaked.
+                            if failure is None:
+                                failure = reply
+                            continue
+                        self._pending_results.update(
+                            encoded_result.segment_name
+                            for encoded_result in reply
+                            if encoded_result.segment_name is not None
                         )
-                        self._pending_results.discard(encoded_result.segment_name)
+                        for (call_index, chunk_pos), encoded_result in zip(
+                            jobs[worker_index][1], reply
+                        ):
+                            if failure is not None:
+                                shm.release_payload(encoded_result)
+                            else:
+                                stats.shm_bytes_in += encoded_result.nbytes
+                                per_call[call_index][chunk_pos] = shm.decode_owned(
+                                    encoded_result
+                                )
+                            self._pending_results.discard(encoded_result.segment_name)
                 if failure is not None:
                     # A *task* failure is a clean protocol event: the pool
                     # stays alive — every segment was drained above.
                     raise WorkerError(failure)
             except WorkerError:
                 raise
+            except (EOFError, ConnectionError):
+                # A sentinel fired or a pipe broke under us. The pool is
+                # unusable: terminate survivors and unlink everything
+                # still registered before surfacing the crash.
+                dead = [p.name for p in self._processes if not p.is_alive()]
+                self._emergency_teardown()
+                raise WorkerError(
+                    f"worker process(es) died while jobs were pending: {dead}"
+                ) from None
             except BaseException:
                 # KeyboardInterrupt or any unexpected coordinator-side error
                 # mid-collect: in-flight state is indeterminate, so tear the
@@ -385,31 +386,25 @@ class WorkerPool:
 
     # ------------------------------------------------------------ teardown
 
-    def _release_registered_segments(self) -> None:
-        """Unlink every segment still on the abnormal-shutdown ledger."""
+    def _release_segments(self) -> None:
+        """Unlink every segment a reply parked on a pipe or the ledger lists."""
+        for conn in self._connections:
+            try:
+                while conn.poll(0):
+                    ok, reply, _elapsed = pickle.loads(conn.recv_bytes())
+                    if ok:
+                        for encoded_result in reply:
+                            shm.release_payload(encoded_result)
+            except (EOFError, OSError):
+                pass  # closed, or a frame its dead writer never finished
+            conn.close()
         for segments in self._inflight.values():
             for name in segments:
-                _unlink_segment(name)
+                shm.unlink_segment(name)
         self._inflight.clear()
         for name in self._pending_results:
-            _unlink_segment(name)
+            shm.unlink_segment(name)
         self._pending_results.clear()
-
-    def _drain_result_queue(self) -> None:
-        """Best-effort release of result segments parked in the queue."""
-        while True:
-            try:
-                result_blob = self._result_queue.get_nowait()
-            except (queue_module.Empty, ValueError, OSError):
-                return
-            try:
-                job_id, ok, reply, _elapsed = pickle.loads(result_blob)
-            except Exception:  # pragma: no cover - truncated blob
-                continue
-            self._inflight.pop(job_id, None)
-            if ok:
-                for encoded_result in reply:
-                    shm.release_payload(encoded_result)
 
     def _emergency_teardown(self) -> None:
         """Kill the pool and unlink every registered segment."""
@@ -419,58 +414,46 @@ class WorkerPool:
                 process.terminate()
         for process in self._processes:
             process.join(timeout=1.0)
-        self._drain_result_queue()
-        self._release_registered_segments()
+        self._release_segments()
 
     def shutdown(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for task_queue in self._task_queues:
+        for conn in self._connections:
             try:
-                task_queue.put(None)
-            except (ValueError, OSError):  # pragma: no cover - interp exit
+                conn.send_bytes(b"")
+            except OSError:  # pragma: no cover - worker already gone
                 pass
         for process in self._processes:
             process.join(timeout=1.0)
             if process.is_alive():  # pragma: no cover - stuck task
                 process.terminate()
                 process.join(timeout=1.0)
-        self._drain_result_queue()
-        self._release_registered_segments()
-
-
-def _unlink_segment(name: str) -> None:
-    """Unlink one segment by name, tolerating every already-gone state."""
-    try:
-        segment = shm.attach_segment(name)
-    except (FileNotFoundError, OSError):
-        return
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced with the worker
-        pass
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - defensive
-        pass
+        self._release_segments()
 
 
 _pools: dict[int, WorkerPool] = {}
+# Lookup-or-fork is one step: two threads making their first process
+# dispatch together must not each fork a pool (the loser's workers would
+# be orphaned until interpreter exit).
+_pools_lock = threading.Lock()
 
 
 def get_pool(workers: int) -> WorkerPool:
     """The persistent pool of this size, forking lazily."""
-    pool = _pools.get(workers)
-    if pool is None or pool._closed:
-        pool = WorkerPool(workers)
-        _pools[workers] = pool
-    return pool
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None or pool._closed:
+            pool = _pools[workers] = WorkerPool(workers)
+        return pool
 
 
 @atexit.register
 def shutdown_pools() -> None:
     """Stop every live pool (registered atexit; callable from tests)."""
-    for pool in list(_pools.values()):
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
         pool.shutdown()
-    _pools.clear()

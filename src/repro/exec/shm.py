@@ -1,52 +1,56 @@
-"""Shared-memory columnar transport for the process backend.
+"""Payload encoding for the process backend: bytes ride the frame.
 
 A task payload is an arbitrary picklable structure (nested tuples,
-lists, dicts) whose numpy-array leaves — the columnar-native data
-layer's columns — would be expensive to push through a queue's pickle
-stream. Every array leaf of one message is packed into a single
-:class:`multiprocessing.shared_memory.SharedMemory` segment and
-replaced by an index marker; the receiver re-attaches the segment and
-rebuilds zero-copy views. A message with no array bytes to pack rides
-the queue's pickle stream whole.
+lists, dicts, row lists, numpy arrays). :func:`encode_payload` turns it
+into one pickle-5 stream — the C pickler does the whole traversal — and
+the only decision taken here is where each *array block* travels:
 
-Row lists (lists of Python tuples) get the same treatment when they are
-*uniform all-integer* blocks: a list of ≥ 32 same-arity int tuples
-packs into one 2-D ``int64`` array riding the segment, marked by
-:class:`_RowsRef` so the receiver rebuilds the exact tuple list. Mixed,
-ragged, non-integer, or tiny lists keep travelling through the queue's
-batched pickle — the fallback contract of the kernels, selected by the
-input alone and counted (:attr:`ShmEncoded.fallback_rows`).
+* below :data:`_MIN_SEGMENT_BYTES` its bytes stay in the stream, and so
+  in the one frame the pool writes to the worker's pipe: no segment, no
+  hash, no mirror entry, no resource-tracker traffic;
+* at or above it the block is packed into the message's single
+  :class:`multiprocessing.shared_memory.SharedMemory` segment, and the
+  stream keeps a slot the receiver fills with a view of the segment.
+
+Row lists (lists of Python tuples) are ordinary pickle data and always
+ride the frame. Whatever the carrier, a decoded array is private to the
+receiver and writable, and rows are built-in ``int``/``bool``/``str``
+exactly as sent.
 
 Segment lifecycle: the *sender* creates the segment and disowns it from
 its resource tracker (:func:`disown_segment`), because the duty to
 unlink transfers to the peer; the *receiver* attaches without claiming
 tracker ownership (:func:`attach_segment`), decodes, and either unlinks
-after reading (worker side) or copies the arrays out and unlinks
+after reading (worker side) or copies the blocks out and unlinks
 immediately (coordinator side).
 
 Resident protocol
 -----------------
 
-Packed blocks are *content-addressed*: each block's token is a 16-byte
-blake2b digest over its dtype, shape, and raw bytes. The coordinator
-keeps a :class:`MirrorCache` per worker — a deterministic mirror of
-what that worker's :class:`BlockCache` holds — and a block whose token
-is mirrored is encoded as a :class:`_CachedArrayRef` /
-:class:`_CachedRowsRef` marker carrying only the token; the worker
-resolves it from its cache. Blocks shipped fresh
-carry their token in :attr:`ShmEncoded.tokens` and are cached by the
-worker on receipt, which is what keeps both sides in lockstep without
-any extra round-trip. Invalidation is wholesale: the coordinator bumps
-a *state epoch* (over-budget mirror, explicit
-:meth:`~repro.exec.pool.WorkerPool.invalidate_resident`), ships it with
-the next dispatch, and the worker drops its entire cache when the epoch
-changes.
+Segment-sized blocks are *content-addressed*: a block's token is a
+16-byte blake2b digest over its format, shape, and raw bytes. The
+coordinator keeps a :class:`MirrorCache` per worker — a deterministic
+mirror of what that worker's :class:`BlockCache` holds — and a block
+whose token is mirrored travels as the token alone; the worker fills
+the slot from its cache. Blocks shipped fresh carry their token in
+their slot and are cached by the worker on receipt, which is what keeps
+both sides in lockstep without any extra round-trip. Invalidation is
+wholesale: the coordinator bumps a *state epoch* (over-budget mirror,
+explicit :meth:`~repro.exec.pool.WorkerPool.invalidate_resident`),
+ships it with the next dispatch, and the worker drops its entire cache
+when the epoch changes. A hit still pays the hash, which costs about
+what shipping the block does (DESIGN.md has the table) — the cache
+saves segment bytes, not time.
 """
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import inspect
+import io
+import pickle
+from collections import ChainMap
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -64,76 +68,47 @@ __all__ = [
     "encode_payload",
     "finish_read",
     "release_payload",
+    "unlink_segment",
 ]
 
-
-@dataclass(frozen=True)
-class _ArrayRef:
-    """Marker standing in for the ``index``-th packed array of a message."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class _RowsRef:
-    """Marker for a tuple list packed as the ``index``-th (2-D) array."""
-
-    index: int
+# The one size threshold of the transport: a block this large is worth a
+# segment (shm_open + ftruncate + mmap + attach + unlink, and a content
+# hash on the coordinator); a smaller one is cheaper as bytes in the
+# frame. Measured, not tuned — DESIGN.md "Process backend dispatch
+# protocol" has the crossover table; it only trades speed, never
+# correctness, so it is a constant and not a knob.
+_MIN_SEGMENT_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class _CachedArrayRef:
-    """Marker for an array the receiving worker already holds resident."""
-
-    token: bytes
-
-
-@dataclass(frozen=True)
-class _CachedRowsRef:
-    """Marker for a resident tuple list (cached in rebuilt form)."""
-
-    token: bytes
-
-
-# Below this the fixed per-message segment cost outweighs the pickle
-# saving; the threshold only trades speed, never correctness.
-_MIN_ROW_BLOCK = 32
-
-# Blocks smaller than this are never content-addressed: hashing and
-# token bookkeeping would cost more than re-shipping them.
-_MIN_RESIDENT_BYTES = 1024
-
-
-def _block_token(block: np.ndarray) -> bytes:
-    """16-byte content address of a contiguous block (dtype+shape+bytes)."""
+def _block_token(block: Any) -> bytes:
+    """16-byte content address of a contiguous block (format+shape+bytes)."""
+    view = memoryview(block)
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(block.dtype.str.encode("ascii"))
-    digest.update(repr(block.shape).encode("ascii"))
-    try:
-        digest.update(memoryview(block).cast("B"))
-    except TypeError:  # pragma: no cover - non-contiguous defensive path
-        digest.update(block.tobytes())
+    digest.update(view.format.encode("ascii"))
+    digest.update(repr(view.shape).encode("ascii"))
+    digest.update(view.cast("B"))
     return digest.digest()
 
 
 class MirrorCache:
     """Coordinator-side mirror of one worker's resident :class:`BlockCache`.
 
-    The mirror is authoritative: a block is encoded as a cached ref iff
-    its token is mirrored, and every token the mirror holds was shipped
-    to the worker with a cache instruction in a message the worker must
-    fully process before any later one (per-worker FIFO queue). Staged
-    entries cover the current message batch and are committed only once
-    every blob of the batch was handed to the queue — an encode failure
-    aborts them, so the mirror never claims blocks the worker never saw.
+    The mirror is authoritative: a block travels as its token iff the
+    token is mirrored, and every token the mirror holds was shipped to
+    the worker with a cache instruction in a message the worker must
+    fully process before any later one (one pipe per worker, read in
+    order). Staged entries cover the current message batch and are
+    committed only once every frame of the batch was built — an encode
+    failure aborts them, so the mirror never claims blocks the worker
+    never saw.
     """
 
     def __init__(self, cap_bytes: int) -> None:
         self.cap_bytes = cap_bytes
         self.epoch = 0
         self.bytes = 0
-        self._resident: dict[tuple[str, bytes], int] = {}
-        self._staged: dict[tuple[str, bytes], int] = {}
+        self._resident: dict[bytes, int] = {}
+        self._staged: dict[bytes, int] = {}
         self._invalidated = False
 
     def invalidate(self) -> None:
@@ -150,19 +125,17 @@ class MirrorCache:
             self._invalidated = False
         return self.epoch
 
-    def is_resident(self, kind: str, token: bytes) -> bool:
-        key = (kind, token)
-        return key in self._resident or key in self._staged
+    def is_resident(self, token: bytes) -> bool:
+        return token in self._resident or token in self._staged
 
-    def stage(self, kind: str, token: bytes, nbytes: int) -> None:
-        key = (kind, token)
-        if key not in self._resident and key not in self._staged:
-            self._staged[key] = nbytes
+    def stage(self, token: bytes, nbytes: int) -> None:
+        if not self.is_resident(token):
+            self._staged[token] = nbytes
 
     def commit(self) -> None:
-        for key, nbytes in self._staged.items():
-            if key not in self._resident:
-                self._resident[key] = nbytes
+        for token, nbytes in self._staged.items():
+            if token not in self._resident:
+                self._resident[token] = nbytes
                 self.bytes += nbytes
         self._staged.clear()
 
@@ -173,17 +146,15 @@ class MirrorCache:
 class BlockCache:
     """Worker-side resident store of content-addressed payload blocks.
 
-    Arrays are cached as private copies (segment views die with the
-    message) and handed out as fresh copies on hit; rebuilt tuple lists
-    are cached once and handed out as shallow copies (tuples are
-    immutable, the list itself is the task's to mutate). Either way a
-    hit observes exactly the value a fresh ship would have produced, so
-    task behavior cannot depend on what was resident.
+    Blocks are cached as private copies (segment views die with the
+    message) and handed out as fresh copies on hit, so a hit observes
+    exactly the value a fresh ship would have produced and task behavior
+    cannot depend on what was resident.
     """
 
     def __init__(self) -> None:
         self.epoch: int | None = None
-        self._blocks: dict[tuple[str, bytes], Any] = {}
+        self._blocks: dict[bytes, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -194,68 +165,32 @@ class BlockCache:
             self._blocks.clear()
             self.epoch = epoch
 
-    def store(self, kind: str, token: bytes, value: Any) -> None:
-        self._blocks[(kind, token)] = value
+    def store(self, token: bytes, block: np.ndarray) -> None:
+        self._blocks[token] = block
 
     def array(self, token: bytes) -> np.ndarray:
-        cached = self._blocks.get(("a", token))
+        cached = self._blocks.get(token)
         if cached is None:
             raise KeyError(
-                f"resident array {token.hex()} missing from worker cache"
+                f"resident block {token.hex()} missing from worker cache"
             )
         return cached.copy()
-
-    def rows(self, token: bytes) -> list[tuple]:
-        cached = self._blocks.get(("r", token))
-        if cached is None:
-            raise KeyError(
-                f"resident row block {token.hex()} missing from worker cache"
-            )
-        return list(cached)
-
-
-def _pack_rows(obj: list[Any]) -> np.ndarray | None:
-    """The 2-D ``int64`` block for a uniform all-int tuple list, or None.
-
-    The first row acts as a cheap pre-filter (tuples of built-in ints
-    only — ``bool`` is excluded because ``True`` must round-trip as
-    ``True``, not ``1``); the array conversion then validates the rest:
-    ragged lists raise, mixed or float or oversized values produce a
-    non-``int`` dtype, and both cases fall back to pickle.
-    """
-    if len(obj) < _MIN_ROW_BLOCK or type(obj[0]) is not tuple:
-        return None
-    first = obj[0]
-    if not first:
-        return None
-    for value in first:
-        if type(value) is not int:
-            return None
-    try:
-        block = np.asarray(obj)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if block.ndim != 2 or block.shape[1] != len(first) or block.dtype.kind != "i":
-        return None
-    return block
 
 
 @dataclass
 class ShmEncoded:
-    """One encoded message: the structure plus its array segment (if any)."""
+    """One encoded message: its pickle stream plus the segment (if any)."""
 
-    structure: Any
-    segment_name: str | None
-    # (dtype string, shape, byte offset) per packed array, index-aligned.
-    arrays: list[tuple[str, tuple[int, ...], int]]
-    nbytes: int  # total array bytes carried via shared memory
-    # Resident-protocol side channel, index-aligned with ``arrays``:
-    # ``(kind, token)`` instructs the receiver to cache that block under
-    # the token ("a" = array, "r" = rebuilt tuple list); None = don't.
-    tokens: list[tuple[str, bytes] | None] = field(default_factory=list)
-    resident: int = 0  # blocks encoded as cached refs (bytes not shipped)
-    resident_bytes: int = 0  # bytes those refs would have shipped
-    fallback_rows: int = 0  # rows of pack-eligible lists that fell to pickle
+    stream: bytes  # pickle-5; sub-floor blocks in-band, the rest as slots
+    segment_name: str | None = None
+    # One ``(token, offset, nbytes)`` per out-of-band block, in stream
+    # order. ``offset`` locates the bytes in the segment — ``None`` when
+    # the receiver already holds them resident under ``token``; a fresh
+    # block with a token is cached by the receiver under it.
+    slots: list[tuple[bytes | None, int | None, int]] = field(default_factory=list)
+    nbytes: int = 0  # block bytes carried via shared memory
+    resident: int = 0  # blocks that traveled as tokens (bytes not shipped)
+    resident_bytes: int = 0  # bytes those tokens would have shipped
 
 
 # Python 3.13 made attach-side tracking explicit (track=); before that,
@@ -287,155 +222,130 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
+def _array_from_bytes(data: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """Unpickle a sub-floor array: its bytes rode the frame."""
+    return np.ndarray(shape, dtype, bytearray(data))
+
+
+def _array_from_block(buffer: Any, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """Unpickle a lifted array over the block the decode supplied.
+
+    Pickle hands a read-only sender's block back read-only, whatever
+    memory the receiver supplied it in, so those are copied; the rest
+    are views of memory the decode already owns.
+    """
+    array = np.ndarray(shape, dtype, buffer)
+    return array if array.flags.writeable else array.copy()
+
+
+def _reduce_array(array: np.ndarray) -> Any:
+    """Pickle an array as dtype + shape + its C-order bytes.
+
+    Below the floor the bytes are in the stream. At or above it they are
+    a :class:`pickle.PickleBuffer`, which the pickler hands to its
+    buffer callback instead. Either way the receiver's array is private
+    and writable. Object arrays have no raw bytes and pickle as numpy
+    would.
+    """
+    if array.dtype.hasobject:
+        return array.__reduce__()
+    if array.nbytes < _MIN_SEGMENT_BYTES:
+        return _array_from_bytes, (array.tobytes(), array.dtype, array.shape)
+    if not array.flags.c_contiguous:
+        array = array.copy(order="C")
+    block = pickle.PickleBuffer(array.reshape(-1).view(np.uint8))
+    return _array_from_block, (block, array.dtype, array.shape)
+
+
+# Per-pickler reducers: arrays reduce through :func:`_reduce_array`,
+# everything else as the interpreter-wide table says.
+_DISPATCH = ChainMap({np.ndarray: _reduce_array}, copyreg.dispatch_table)
+
+
 class _Encoder:
-    """State of one message encode: packed blocks, tokens, counters."""
+    """State of one message encode: lifted blocks, slots, counters."""
 
     def __init__(self, mirror: MirrorCache | None) -> None:
         self.mirror = mirror
-        self.sink: list[np.ndarray] = []  # contiguous blocks to pack
-        self.tokens: list[tuple[str, bytes] | None] = []
+        self.lifted: list[memoryview] = []  # blocks bound for the segment
+        self.slots: list[tuple[bytes | None, int | None, int]] = []
+        self.nbytes = 0
         self.resident = 0
         self.resident_bytes = 0
-        self.fallback_rows = 0
 
-    def _emit_block(self, kind: str, block: np.ndarray) -> Any:
-        """Ship, cache-and-ship, or reference one contiguous block."""
-        token: tuple[str, bytes] | None = None
-        if self.mirror is not None and block.nbytes >= _MIN_RESIDENT_BYTES:
-            digest = _block_token(block)
-            if self.mirror.is_resident(kind, digest):
+    def lift(self, buffer: pickle.PickleBuffer) -> bool:
+        """Buffer callback: place one lifted block (false = out of band)."""
+        raw = buffer.raw()
+        if raw.nbytes < _MIN_SEGMENT_BYTES:
+            # Not from _reduce_array (an ndarray subclass pickles itself):
+            # a small foreign buffer stays in the stream like any other.
+            return True
+        token = None
+        if self.mirror is not None:
+            token = _block_token(raw)
+            if self.mirror.is_resident(token):
                 self.resident += 1
-                self.resident_bytes += block.nbytes
-                return (
-                    _CachedArrayRef(digest)
-                    if kind == "a"
-                    else _CachedRowsRef(digest)
-                )
-            self.mirror.stage(kind, digest, block.nbytes)
-            token = (kind, digest)
-        self.sink.append(block)
-        self.tokens.append(token)
-        index = len(self.sink) - 1
-        return _ArrayRef(index) if kind == "a" else _RowsRef(index)
-
-    def walk(self, obj: Any) -> Any:
-        if isinstance(obj, np.ndarray):
-            return self._emit_block("a", np.ascontiguousarray(obj))
-        if isinstance(obj, tuple):
-            return tuple(self.walk(item) for item in obj)
-        if isinstance(obj, list):
-            block = _pack_rows(obj)
-            if block is not None:
-                return self._emit_block("r", np.ascontiguousarray(block))
-            if len(obj) >= _MIN_ROW_BLOCK and type(obj[0]) is tuple:
-                # Pack-eligible by size and shape but not uniform
-                # all-int: these rows ride the queue pickle — the
-                # counted fallback the backend warns about when hot.
-                self.fallback_rows += len(obj)
-            return [self.walk(item) for item in obj]
-        if isinstance(obj, dict):
-            return {key: self.walk(value) for key, value in obj.items()}
-        return obj
-
-
-def _walk_decode(obj: Any, arrays: list[np.ndarray], cache: BlockCache | None) -> Any:
-    if isinstance(obj, _ArrayRef):
-        return arrays[obj.index]
-    if isinstance(obj, _RowsRef):
-        # .tolist() yields built-in ints, so the rebuilt tuples are
-        # byte-identical to what the sender packed.
-        return [tuple(row) for row in arrays[obj.index].tolist()]
-    if isinstance(obj, _CachedArrayRef):
-        if cache is None:
-            raise KeyError("cached array ref decoded without a block cache")
-        return cache.array(obj.token)
-    if isinstance(obj, _CachedRowsRef):
-        if cache is None:
-            raise KeyError("cached rows ref decoded without a block cache")
-        return cache.rows(obj.token)
-    if isinstance(obj, tuple):
-        return tuple(_walk_decode(item, arrays, cache) for item in obj)
-    if isinstance(obj, list):
-        return [_walk_decode(item, arrays, cache) for item in obj]
-    if isinstance(obj, dict):
-        return {
-            key: _walk_decode(value, arrays, cache) for key, value in obj.items()
-        }
-    return obj
-
-
-def _cache_shipped_blocks(
-    encoded: ShmEncoded, arrays: list[np.ndarray], cache: BlockCache | None
-) -> None:
-    """Store freshly shipped tokenized blocks before resolving the walk.
-
-    Runs first so refs within the same message (a block shipped at index
-    i and referenced again later) resolve, and so the cached value is
-    taken before the task had any chance to touch the handed-out views.
-    """
-    if cache is None or not encoded.tokens:
-        return
-    for token, array in zip(encoded.tokens, arrays):
-        if token is None:
-            continue
-        kind, digest = token
-        if kind == "a":
-            cache.store(kind, digest, array.copy())
-        else:
-            cache.store(kind, digest, [tuple(row) for row in array.tolist()])
+                self.resident_bytes += raw.nbytes
+                self.slots.append((token, None, raw.nbytes))
+                return False
+            self.mirror.stage(token, raw.nbytes)
+        self.slots.append((token, self.nbytes, raw.nbytes))
+        self.lifted.append(raw)
+        self.nbytes += raw.nbytes
+        return False
 
 
 def encode_payload(payload: Any, mirror: MirrorCache | None = None) -> ShmEncoded:
-    """Lift the array leaves of ``payload`` into one shared-memory segment.
-
-    When there are no array bytes to move the payload is passed through
-    untouched and rides the queue's pickle stream whole.
+    """Pickle ``payload``, lifting its segment-sized blocks out of band.
 
     ``mirror`` (coordinator only) is the target worker's resident-cache
-    mirror: blocks the worker already caches become token refs, fresh
-    cacheable blocks are staged on the mirror — the caller commits or
-    aborts the staging depending on whether the message was actually
-    handed to the worker's queue. Without one (worker-side results)
-    every block ships.
+    mirror: lifted blocks the worker already caches become tokens, fresh
+    ones are staged on the mirror — the caller commits or aborts the
+    staging depending on whether the message was actually handed to the
+    worker. Without one (worker-side results) every lifted block ships.
+    Raises whatever pickling the payload raises.
     """
     encoder = _Encoder(mirror)
-    structure = encoder.walk(payload)
-    arrays = encoder.sink
-    total = sum(a.nbytes for a in arrays)
-    if total == 0:
-        # Zero-length segments are invalid; metadata-only messages (and
-        # all-empty columns) go through pickle.
-        # When resident refs replaced every block the walked structure
-        # must be kept — only a truly markerless message passes the
-        # original object through.
-        structure = payload if encoder.resident == 0 else structure
-        return ShmEncoded(
-            structure, None, [], 0,
-            resident=encoder.resident,
-            resident_bytes=encoder.resident_bytes,
-            fallback_rows=encoder.fallback_rows,
-        )
-    segment = shared_memory.SharedMemory(create=True, size=total)
-    disown_segment(segment)  # receiver copies/unlinks; see module doc
-    meta: list[tuple[str, tuple[int, ...], int]] = []
-    offset = 0
-    for contiguous in arrays:
-        view = np.ndarray(
-            contiguous.shape, dtype=contiguous.dtype,
-            buffer=segment.buf, offset=offset,
-        )
-        view[...] = contiguous
-        meta.append((contiguous.dtype.str, contiguous.shape, offset))
-        offset += contiguous.nbytes
-    name = segment.name
-    segment.close()
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol=5, buffer_callback=encoder.lift)
+    pickler.dispatch_table = _DISPATCH
+    pickler.dump(payload)
+    name = None
+    if encoder.lifted:
+        segment = shared_memory.SharedMemory(create=True, size=encoder.nbytes)
+        disown_segment(segment)  # receiver copies/unlinks; see module doc
+        offset = 0
+        for raw in encoder.lifted:
+            segment.buf[offset:offset + raw.nbytes] = raw
+            offset += raw.nbytes
+        name = segment.name
+        segment.close()
     return ShmEncoded(
-        structure, name, meta, total,
-        tokens=encoder.tokens,
-        resident=encoder.resident,
-        resident_bytes=encoder.resident_bytes,
-        fallback_rows=encoder.fallback_rows,
+        out.getvalue(), name, encoder.slots, encoder.nbytes,
+        encoder.resident, encoder.resident_bytes,
     )
+
+
+def _load(encoded: ShmEncoded, segment_buf: Any, cache: BlockCache | None, owned: bool) -> Any:
+    """Unpickle the stream over its out-of-band blocks, in slot order.
+
+    Fresh tokenized blocks are cached *as their slot is reached*, so a
+    token later in the same message resolves, and before the task had
+    any chance to touch the handed-out views.
+    """
+    buffers: list[Any] = []
+    for token, offset, nbytes in encoded.slots:
+        if offset is None:
+            if cache is None:
+                raise KeyError("resident block decoded without a block cache")
+            buffers.append(cache.array(token))
+            continue
+        view = segment_buf[offset:offset + nbytes]
+        if token is not None and cache is not None:
+            cache.store(token, np.frombuffer(view, dtype=np.uint8).copy())
+        # A read-only block is what _array_from_block copies out of.
+        buffers.append(view.toreadonly() if owned else view)
+    return pickle.loads(encoded.stream, buffers=buffers)
 
 
 def decode_for_read(
@@ -447,20 +357,13 @@ def decode_for_read(
     alive while the views are in use and be passed to
     :func:`finish_read` afterwards (the worker is the message's final
     consumer, so it also unlinks). ``cache`` is the worker's resident
-    block store: freshly shipped tokenized blocks are copied into it
-    before the structure resolves, cached refs are served from it.
+    block store: freshly shipped tokenized blocks are copied into it,
+    tokens are served from it.
     """
     if encoded.segment_name is None:
-        if encoded.resident:
-            return _walk_decode(encoded.structure, [], cache), None
-        return encoded.structure, None
+        return _load(encoded, None, cache, False), None
     segment = attach_segment(encoded.segment_name)
-    arrays = [
-        np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
-        for dtype, shape, offset in encoded.arrays
-    ]
-    _cache_shipped_blocks(encoded, arrays, cache)
-    return _walk_decode(encoded.structure, arrays, cache), segment
+    return _load(encoded, segment.buf, cache, False), segment
 
 
 def finish_read(segment: shared_memory.SharedMemory | None) -> None:
@@ -487,36 +390,33 @@ def finish_read(segment: shared_memory.SharedMemory | None) -> None:
 def decode_owned(encoded: ShmEncoded) -> Any:
     """Rebuild the payload as private copies and release the segment.
 
-    The coordinator-side result path: copies the arrays out so the
+    The coordinator-side result path: copies the blocks out so the
     segment can be unlinked immediately regardless of how long the
     caller keeps the result.
     """
     if encoded.segment_name is None:
-        return encoded.structure
+        return _load(encoded, None, None, True)
     segment = attach_segment(encoded.segment_name)
     try:
-        arrays = [
-            np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
-            ).copy()
-            for dtype, shape, offset in encoded.arrays
-        ]
-        return _walk_decode(encoded.structure, arrays, None)
+        return _load(encoded, segment.buf, None, True)
     finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already released
-            pass
+        finish_read(segment)
+
+
+def unlink_segment(name: str) -> None:
+    """Unlink one segment by name, tolerating every already-gone state."""
+    try:
+        segment = attach_segment(name)
+    except OSError:
+        return
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - raced with the peer
+        pass
+    segment.close()
 
 
 def release_payload(encoded: ShmEncoded) -> None:
     """Unlink a message's segment without decoding it (error paths)."""
-    if encoded.segment_name is None:
-        return
-    try:
-        segment = attach_segment(encoded.segment_name)
-    except FileNotFoundError:
-        return
-    segment.close()
-    segment.unlink()
+    if encoded.segment_name is not None:
+        unlink_segment(encoded.segment_name)

@@ -134,18 +134,21 @@ class ExecStats(CounterStats):
     dispatches: int = 0  # map_servers / batch calls routed through the backend
     chunks: int = 0  # worker jobs (== dispatches for inline)
     items: int = 0  # per-server payloads processed
-    shm_bytes_out: int = 0  # array bytes shipped coordinator -> workers
-    shm_bytes_in: int = 0  # array bytes shipped workers -> coordinator
-    pickle_bytes_out: int = 0  # queue pickle bytes coordinator -> workers
-    pickle_bytes_in: int = 0  # queue pickle bytes workers -> coordinator
+    shm_bytes_out: int = 0  # segment bytes coordinator -> workers
+    shm_bytes_in: int = 0  # segment bytes workers -> coordinator
+    pickle_bytes_out: int = 0  # frame bytes on the pipes (in-band blocks included)
+    pickle_bytes_in: int = 0  # the same, workers -> coordinator
     worker_seconds: float = 0.0
     fallbacks: int = 0  # process dispatches run inline (unpicklable payload)
-    queue_messages: int = 0  # queue round-trips (batching collapses these)
-    snapshot_dispatches: int = 0  # messages shipping a full payload snapshot
-    resident_hits: int = 0  # blocks that traveled as tokens, not bytes
-    resident_misses: int = 0  # cacheable blocks that had to ship
+    queue_messages: int = 0  # frames written (batching collapses these)
+    snapshot_dispatches: int = 0  # frames shipping a full payload snapshot
+    resident_hits: int = 0  # segment-sized blocks that traveled as tokens
+    resident_misses: int = 0  # segment-sized blocks that had to ship
     resident_bytes_saved: int = 0  # bytes the resident hits did not re-ship
-    fallback_dispatches: int = 0  # encodes where hot rows fell back to pickle
+    # Always 0: row lists ride the frame, there is no fallback to count.
+    # Kept because the frozen perfbench/workloads.py reads it by name;
+    # leaves with the exec.fallback_dispatches metric (ROADMAP item 6).
+    fallback_dispatches: int = 0
 
     _COUNTERS = (
         "dispatches", "chunks", "items",

@@ -6,6 +6,10 @@ their copy of the registry (the same mechanism that makes algorithm
 tasks resolvable: both sides import the same modules).
 """
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.exec import tasks
@@ -108,6 +112,40 @@ def test_shutdown_is_idempotent():
     pool.shutdown()
     with pytest.raises(RuntimeError, match="shut down"):
         pool.run("test.double", [(0, [1])], 1, False)
+
+
+def test_get_pool_forks_once_under_contention(monkeypatch):
+    # Two service threads making their first process dispatch together
+    # used to fork a pool each; the loser's workers were orphaned until
+    # interpreter exit. Lookup-or-fork is one locked step.
+    from repro.exec import pool as pool_module
+
+    pool_module.shutdown_pools()
+    children = len(multiprocessing.active_children())
+    real_init = WorkerPool.__init__
+
+    def slow_init(self, workers):
+        time.sleep(0.05)  # widen the window between lookup and store
+        real_init(self, workers)
+
+    monkeypatch.setattr(WorkerPool, "__init__", slow_init)
+    barrier = threading.Barrier(8)
+    got = []
+
+    def grab():
+        barrier.wait(timeout=10)
+        got.append(pool_module.get_pool(2))
+
+    threads = [threading.Thread(target=grab) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    try:
+        assert len(got) == 8 and len({id(pool) for pool in got}) == 1
+        assert len(multiprocessing.active_children()) == children + 2
+    finally:
+        pool_module.shutdown_pools()
 
 
 def test_process_backend_falls_back_inline_on_unpicklable():

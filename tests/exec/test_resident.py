@@ -1,8 +1,8 @@
 """Resident dispatch protocol: caches, epochs, batching, accounting.
 
-Workers keep content-addressed payload blocks between dispatches and the
-coordinator mirrors each worker's cache, so a repeated block travels as
-a 16-byte token instead of bytes. These tests pin the cache mechanics
+Workers keep content-addressed segment-sized blocks between dispatches
+and the coordinator mirrors each worker's cache, so a repeated block
+travels as a 16-byte token instead of bytes. These tests pin the cache mechanics
 (tokens, staging, epoch invalidation, copy-on-hand-out), the pool-level
 protocol (first dispatch ships bytes, repeat ships tokens; explicit
 invalidation; mutation safety), the batched round dispatch, and the
@@ -15,7 +15,7 @@ import pytest
 from repro.exec import shm, tasks
 from repro.exec.base import ProcessBackend
 from repro.exec.config import use_backend
-from repro.exec.pool import WorkerPool
+from repro.exec.pool import WorkerPool, shutdown_pools
 from repro.mpc.cluster import Cluster
 
 
@@ -46,6 +46,18 @@ tasks.register("resident.total", _total_chunk)
 tasks.register("resident.mutate", _mutate_chunk)
 tasks.register("resident.scale", _scale_chunk)
 tasks.register("resident.call", _call_chunk)
+
+
+@pytest.fixture(autouse=True)
+def low_floor(monkeypatch):
+    # This file's 4-8 KB blocks must reach the floor to be content-
+    # addressed. Outbound placement is the coordinator's decision, so
+    # lowering its constant is enough whenever the pool forked.
+    monkeypatch.setattr(shm, "_MIN_SEGMENT_BYTES", 1024)
+    yield
+    # Workers forked meanwhile inherited the lowered floor for their
+    # results; the shared pool must not carry it into other tests.
+    shutdown_pools()
 
 
 @pytest.fixture(scope="module")
@@ -79,28 +91,28 @@ def test_block_token_is_content_addressed():
 def test_mirror_cache_stage_commit_abort():
     mirror = shm.MirrorCache(cap_bytes=1 << 20)
     epoch = mirror.begin_message()
-    mirror.stage("a", b"token-1", 2048)
-    assert mirror.is_resident("a", b"token-1")  # visible within the message
+    mirror.stage(b"token-1", 2048)
+    assert mirror.is_resident(b"token-1")  # visible within the message
     mirror.abort()
-    assert not mirror.is_resident("a", b"token-1")  # abort discards staging
+    assert not mirror.is_resident(b"token-1")  # abort discards staging
     assert mirror.begin_message() == epoch  # nothing committed, no bump
-    mirror.stage("a", b"token-1", 2048)
+    mirror.stage(b"token-1", 2048)
     mirror.commit()
-    assert mirror.is_resident("a", b"token-1")
+    assert mirror.is_resident(b"token-1")
     assert mirror.bytes == 2048
 
 
 def test_mirror_cache_epoch_bumps_on_invalidate_and_overflow():
     mirror = shm.MirrorCache(cap_bytes=4096)
     first = mirror.begin_message()
-    mirror.stage("a", b"t1", 5000)
+    mirror.stage(b"t1", 5000)
     mirror.commit()
-    assert mirror.is_resident("a", b"t1")
+    assert mirror.is_resident(b"t1")
     # Over the cap: the next message starts a new epoch with nothing
     # resident (wholesale reset, not piecemeal eviction).
     second = mirror.begin_message()
     assert second == first + 1
-    assert not mirror.is_resident("a", b"t1")
+    assert not mirror.is_resident(b"t1")
     mirror.invalidate()
     assert mirror.begin_message() == second + 1
 
@@ -109,14 +121,10 @@ def test_block_cache_hands_out_copies_and_clears_on_epoch():
     cache = shm.BlockCache()
     cache.sync_epoch(1)
     original = np.arange(64, dtype=np.int64)
-    cache.store("a", b"tok", original)
+    cache.store(b"tok", original)
     handed = cache.array(b"tok")
     handed[0] = 999
     assert cache.array(b"tok")[0] == 0  # the cached block is untouched
-    cache.store("r", b"rows", [(1, 2), (3, 4)])
-    rows = cache.rows(b"rows")
-    rows.append((5, 6))
-    assert cache.rows(b"rows") == [(1, 2), (3, 4)]
     cache.sync_epoch(2)  # epoch change drops everything
     with pytest.raises(KeyError):
         cache.array(b"tok")
@@ -152,7 +160,7 @@ def test_encode_decode_resident_roundtrip():
 
 def test_small_blocks_are_never_cached():
     mirror = shm.MirrorCache(cap_bytes=1 << 20)
-    tiny = ([np.arange(8, dtype=np.int64)], None)  # 64 bytes < the floor
+    tiny = ([np.arange(8, dtype=np.int64)], None)  # 64 bytes < any floor
     for _ in range(2):
         mirror.begin_message()
         encoded = shm.encode_payload(tiny, mirror=mirror)
@@ -204,8 +212,8 @@ def test_mutating_task_is_safe_on_cache_hits(pool):
 
 
 def test_pickle_transport_never_uses_residency(pool):
-    # A payload with no array bytes to pack rides the queue pickle whole:
-    # there is no block to content-address, however often it repeats.
+    # A payload with no array bytes to lift rides the frame whole: there
+    # is no block to content-address, however often it repeats.
     chunks = [(0, [3, 4]), (1, [5])]
     results, first = pool.run("resident.scale", chunks, 2, False)
     _, again = pool.run("resident.scale", chunks, 2, False)

@@ -10,13 +10,25 @@ state (fault replay included) is unaffected by the respawn.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.exec import shm, tasks
 from repro.exec.config import use_backend
-from repro.exec.pool import WorkerError, WorkerPool, get_pool
+from repro.exec.pool import WorkerError, WorkerPool, get_pool, shutdown_pools
+
+
+@pytest.fixture(autouse=True)
+def low_floor(monkeypatch):
+    # This file's 16-32 KB blocks must ride segments for the ledger to
+    # have anything to release (outbound placement is the coordinator's).
+    monkeypatch.setattr(shm, "_MIN_SEGMENT_BYTES", 1024)
+    yield
+    # Workers forked meanwhile inherited the lowered floor for their
+    # results; the shared pool must not carry it into other tests.
+    shutdown_pools()
 
 
 def _kill_self_chunk(payloads, common):
@@ -27,8 +39,22 @@ def _sum_chunk(payloads, common):
     return [int(np.asarray(block).sum()) for block in payloads]
 
 
+def _echo_chunk(payloads, common):
+    return list(payloads)
+
+
 tasks.register("segments.kill", _kill_self_chunk)
 tasks.register("segments.sum", _sum_chunk)
+tasks.register("segments.echo", _echo_chunk)
+
+
+def _frame_for(pool, task, chunk):
+    """One worker-0 frame, built as ``run_batch`` builds it."""
+    import pickle
+
+    encoded = shm.encode_payload((chunk, None), mirror=pool._mirrors[0])
+    pool._mirrors[0].commit()
+    return pickle.dumps((pool._mirrors[0].epoch, [(task, encoded, False)]))
 
 
 def _psm_segments() -> set[str]:
@@ -54,6 +80,53 @@ def test_worker_crash_mid_dispatch_leaks_no_segments():
     assert _psm_segments() <= before  # nothing new left behind
     with pytest.raises(RuntimeError, match="shut down"):
         pool.run("segments.kill", _array_chunks(), None, False)
+
+
+def test_worker_death_surfaces_at_once_and_the_pool_is_replaced():
+    # Liveness is the process sentinel in the collect loop's wait, not a
+    # poll interval: the crash surfaces in well under the second the old
+    # queue poll slept.
+    before = _psm_segments()
+    with use_backend("process", workers=2):
+        doomed = get_pool(2)
+        doomed.run("segments.sum", _array_chunks(), None, False)  # forked, warm
+        started = time.perf_counter()
+        with pytest.raises(WorkerError, match="died while jobs were pending"):
+            doomed.run("segments.kill", _array_chunks(), None, False)
+        assert time.perf_counter() - started < 0.5
+        assert doomed._closed
+        assert _psm_segments() <= before
+        fresh = get_pool(2)
+        assert fresh is not doomed and not fresh._closed
+        results, _ = fresh.run("segments.sum", _array_chunks(), None, False)
+        assert results == [[int(np.arange(2048).sum())]] * 2
+
+
+def test_idle_shutdown_is_prompt_and_idempotent():
+    pool = WorkerPool(2)
+    pool.run("segments.sum", _array_chunks(), None, False)
+    started = time.perf_counter()
+    pool.shutdown()
+    assert time.perf_counter() - started < 0.5
+    assert not any(process.is_alive() for process in pool._processes)
+    pool.shutdown()  # second call: nothing left to do, nothing raised
+
+
+def test_teardown_releases_result_segments_parked_on_a_pipe():
+    # A reply the coordinator never collected (interrupted mid-batch)
+    # still names result segments; teardown reads each connection dry
+    # with poll(0) and unlinks them.
+    before = _psm_segments()
+    pool = WorkerPool(1)
+    big = np.arange(4096, dtype=np.int64)
+    frame = _frame_for(pool, "segments.echo", [big])
+    pool._connections[0].send_bytes(frame)
+    deadline = time.monotonic() + 5.0
+    while not pool._connections[0].poll(0.05):
+        assert time.monotonic() < deadline, "worker never replied"
+    assert _psm_segments() - before  # the result is parked in a segment
+    pool._emergency_teardown()
+    assert _psm_segments() <= before
 
 
 def test_emergency_teardown_unlinks_registered_segments():

@@ -1,9 +1,16 @@
-"""Shared-memory columnar transport: round-trips and segment lifecycle."""
+"""Payload encoding: round-trips and segment lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro.exec import shm
+
+
+@pytest.fixture(autouse=True)
+def low_floor(monkeypatch):
+    # The segment path on byte-sized fixtures: every non-empty array in
+    # this file reaches the floor (tests/exec/test_wire.py straddles it).
+    monkeypatch.setattr(shm, "_MIN_SEGMENT_BYTES", 32)
 
 
 def _payload():
@@ -46,15 +53,15 @@ def test_read_round_trip_zero_copy():
 
 
 def test_pickle_transport_passthrough():
-    # No array bytes to pack: the payload object itself rides the queue
-    # pickle, and both decode paths hand it straight back.
+    # No array bytes to lift: the payload rides the frame whole, and both
+    # decode paths hand back an equal, freshly built value.
     payload = ([("a", 1.5), ("b", 2.5)], {"k": "v"}, 42)
     encoded = shm.encode_payload(payload)
     assert encoded.segment_name is None
     assert encoded.nbytes == 0
-    assert shm.decode_owned(encoded) is payload
+    assert shm.decode_owned(encoded) == payload
     decoded, segment = shm.decode_for_read(encoded)
-    assert decoded is payload and segment is None
+    assert decoded == payload and segment is None
     shm.finish_read(None)  # no-op by contract
 
 
@@ -107,7 +114,7 @@ def test_values_are_exact_not_approximate():
     assert out.tolist() == values.tolist()
 
 
-# ------------------------------------------------- integer row-block packing
+# ------------------------------------------------ row lists ride the frame
 
 
 def _rows(n=40, arity=3):
@@ -117,8 +124,6 @@ def _rows(n=40, arity=3):
 def test_row_block_round_trip_owned():
     rows = _rows()
     encoded = shm.encode_payload({"deliver": rows})
-    assert encoded.segment_name is not None  # rows rode shared memory
-    assert encoded.nbytes == 40 * 3 * 8
     out = shm.decode_owned(encoded)
     assert out == {"deliver": rows}
     assert all(type(v) is int for row in out["deliver"] for v in row)
@@ -129,12 +134,12 @@ def test_row_block_round_trip_zero_copy():
     encoded = shm.encode_payload([rows, rows[:5]])
     decoded, segment = shm.decode_for_read(encoded)
     assert decoded[0] == rows
-    assert decoded[1] == rows[:5]  # small list: untouched, rode pickle
+    assert decoded[1] == rows[:5]
     shm.finish_read(segment)
 
 
 @pytest.mark.parametrize("rows", [
-    _rows(31),                                    # below the size threshold
+    _rows(31),                                    # a short list
     [tuple()] * 40,                               # arity 0
     [(1.5, 2)] + _rows(39, 2),                    # float in the probe row
     [(True, 2)] + _rows(39, 2),                   # bool must stay bool
@@ -148,15 +153,17 @@ def test_row_block_fallbacks(rows):
     encoded = shm.encode_payload((rows,))
     assert encoded.segment_name is None
     (out,) = shm.decode_owned(encoded)
-    assert out is rows
-    # Only lists that looked packable (>= 32 tuples) count as fallbacks.
-    looked_packable = len(rows) >= 32 and type(rows[0]) is tuple
-    assert encoded.fallback_rows == (len(rows) if looked_packable else 0)
+    # Exact, not just equal: True stays bool, 2**70 stays int, a list row
+    # stays a list.
+    assert out == rows
+    assert [type(row) for row in out] == [type(row) for row in rows]
+    assert [type(v) for row in out for v in row] == [
+        type(v) for row in rows for v in row
+    ]
 
 
 def test_row_block_negative_and_extreme_ints_exact():
     rows = [(-(2**63), 2**63 - 1, 0)] * 40
     encoded = shm.encode_payload((rows,))
-    assert encoded.segment_name is not None
     (out,) = shm.decode_owned(encoded)
     assert out == rows

@@ -343,7 +343,41 @@ class TestLedgerInventoryLint:
         from repro.mpc.stats import ExecStats
 
         names = {f.name for f in dataclasses.fields(DispatchStats)}
-        assert names - {"fallback_rows"} <= set(ExecStats._COUNTERS)
+        assert names <= set(ExecStats._COUNTERS)
+
+
+class TestWireInventoryLint:
+    """The process backend has one wire: a frame per worker over a pipe.
+    Queues (and their feeder threads), the liveness poll, row packing and
+    the warning about the path that turned out faster are gone, and what
+    decides between frame and segment is one measured constant."""
+
+    RETIRED = (
+        r"multiprocessing\.Queue|context\.Queue\(|queue_module|_POLL_SECONDS"
+        r"|_pack_rows|_RowsRef|_CachedRowsRef|_MIN_ROW_BLOCK|_MIN_RESIDENT_BYTES"
+        r"|fallback_rows|FallbackHotPathWarning|_HOT_FALLBACK_ROWS|_warn_hot_fallback"
+    )
+
+    def test_the_retired_names_match_nothing_under_src(self):
+        assert _files_matching(self.RETIRED) == []
+
+    def test_shm_has_one_size_threshold(self):
+        text = (ROOT / "src" / "repro" / "exec" / "shm.py").read_text()
+        assert re.findall(r"^_[A-Z_]*(?:BYTES|BLOCK|ROWS|MIN|MAX)[A-Z_]* =", text, re.M) == [
+            "_MIN_SEGMENT_BYTES ="
+        ]
+
+    def test_the_tracer_still_times_the_encode_entry_points(self):
+        # TestChunkPassLint resolves every target; this pins that the
+        # frame's encode/decode are still the functions exec.encode times.
+        from perfbench.tracing import TARGETS
+
+        assert {spec for _, spec, _ in TARGETS if spec.startswith("repro.exec")} == {
+            "repro.exec.base:ProcessBackend.map_payloads",
+            "repro.exec.base:ProcessBackend.map_payload_batch",
+            "repro.exec.shm:encode_payload",
+            "repro.exec.shm:decode_owned",
+        }
 
 
 class TestClockInventoryLint:
