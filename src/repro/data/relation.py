@@ -10,17 +10,16 @@ holds **either** representation as ground truth:
   columnar operator fast paths): one ``int64``/``uint64`` array per
   attribute; the tuple view is materialized lazily and cached.
 - *row-primary* (built by the tuple constructor, :meth:`Relation.wrap`,
-  or any mutation): a list of plain Python tuples; the columnar view is
-  extracted lazily and cached.
+  or a mutation the columns cannot hold): a list of plain Python tuples;
+  the columnar view is extracted lazily and cached.
 
-Coherency between the two views is governed by a **monotonic mutation
-token** (:meth:`Relation.mutation_token`): every mutation —
-:meth:`add`/:meth:`extend`, and the first hand-out of the live row list
-by :meth:`rows` — bumps the token, and every derived cache records the
-token it was built at. A relation whose row list has been exposed (or
-adopted from a caller via :meth:`wrap`) is *borrowed*: in-place edits of
-that list are invisible to any token, so borrowed relations never trust
-an automatically extracted column cache.
+**A relation owns what it holds.** Nothing a caller keeps can change it:
+:meth:`rows` hands out a fresh list, :meth:`wrap` stores a snapshot of
+the caller's, and :meth:`from_columns` copies an array that is still
+writable. So the content changes only through :meth:`add`/:meth:`extend`,
+each of which moves the **monotonic mutation token**
+(:meth:`Relation.mutation_token`) once, and every derived cache — here
+and in :mod:`repro.kernels.memo` — is valid while the token is unchanged.
 
 The class offers the small relational-algebra surface the parallel
 algorithms need: projection, selection, renaming, key extraction, degree
@@ -28,15 +27,14 @@ algorithms need: projection, selection, renaming, key extraction, degree
 results.
 
 **Concurrency contract.** A relation may be read from many threads at
-once — :meth:`rows_readonly`, :meth:`columns`, and the pure operators
-(project/select/join/...) are safe under concurrent readers, including
-when the lazy row/column derivations race: every cache fill, the
-:meth:`rows` borrow/demote transition, and the mutation bookkeeping of
-:meth:`add`/:meth:`extend` happen under a per-relation lock, so no
-reader can ever observe a half-built view or a cleared-but-unreplaced
-representation. *Mutations are not serialized against readers*: callers
-that interleave :meth:`add`/:meth:`extend`/:meth:`rows` with concurrent
-reads must provide external synchronization (the
+once — :meth:`rows`, :meth:`rows_readonly`, :meth:`columns`, and the pure
+operators (project/select/join/...) are safe under concurrent readers,
+including when the lazy row/column derivations race: every cache fill
+and the mutation bookkeeping of :meth:`add`/:meth:`extend` happen under
+a per-relation lock, so no reader can ever observe a half-built view.
+*Mutations are not serialized against readers*: callers that interleave
+:meth:`add`/:meth:`extend` with concurrent reads must provide external
+synchronization (the
 :class:`repro.data.warehouse.RelationWarehouse` writer lock is the
 service layer's way of doing exactly that) — the lock here guarantees
 the relation's *internal* coherency, not snapshot isolation.
@@ -83,6 +81,16 @@ def _as_column(values: Any) -> np.ndarray:
     return array
 
 
+def _own(values: Any) -> np.ndarray:
+    """One column for a relation to hold: a caller's array that is still
+    writable is copied (a write through it would change the relation
+    without moving its token); a read-only one is adopted as is."""
+    column = _as_column(values)
+    if column.flags.writeable and (column is values or column.base is not None):
+        return column.copy()
+    return column
+
+
 def _shared(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Read-only views: arrays two relations share can be written through
     neither (no token would see the write)."""
@@ -110,7 +118,7 @@ class Relation:
     """
 
     __slots__ = ("name", "schema", "_rows", "_cols", "_colcache",
-                 "_version", "_borrowed", "_lock", "__weakref__")
+                 "_version", "_lock", "__weakref__")
 
     def __init__(
         self,
@@ -126,11 +134,9 @@ class Relation:
         # (mutation token, extracted columns or None) — row-primary cache.
         self._colcache: tuple[int, list | None] | None = None
         self._version = 0
-        self._borrowed = False
         # Guards the lazy derivations (row materialization, column
-        # extraction), the borrow/demote transition of rows(), and the
-        # mutation bookkeeping — see the module-level concurrency
-        # contract. Never held while user code runs.
+        # extraction) and the mutation bookkeeping — see the module-level
+        # concurrency contract. Never held while user code runs.
         self._lock = threading.Lock()
         arity = self.schema.arity
         for row in rows:
@@ -157,22 +163,11 @@ class Relation:
         ``int64`` (``uint64`` is kept for values above the signed range).
         The tuple view is derived lazily — ``rows()[k][i]`` is exactly
         ``int(columns[i][k])``, so columnar construction is
-        byte-identical to building the same tuples by hand.
+        byte-identical to building the same tuples by hand. An input
+        array that is still writable is copied, a read-only one adopted:
+        no later write through the caller's reference reaches the relation.
         """
-        out = cls(name, schema)
-        if out.schema.arity == 0:
-            raise SchemaError("from_columns needs at least one attribute")
-        cols = [_as_column(c) for c in columns]
-        if len(cols) != out.schema.arity:
-            raise SchemaError(
-                f"{len(cols)} columns for schema {name} of arity {out.schema.arity}"
-            )
-        length = len(cols[0])
-        if any(len(c) != length for c in cols):
-            raise SchemaError(
-                f"column lengths differ: {[len(c) for c in cols]}"
-            )
-        return out._adopt_columns(cols)
+        return cls._holding(name, schema, [_own(c) for c in columns])
 
     @classmethod
     def from_chunks(
@@ -184,27 +179,37 @@ class Relation:
         """Build a column-primary relation from per-column lists of blocks.
 
         ``chunk_lists[i]`` is the ordered list of 1-D integer blocks that
-        make up column ``i``; each column is concatenated here and the
-        result goes through :meth:`from_columns` and its length check.
-        Blocks of one column must share a dtype so the concatenation is
-        value-exact.
+        make up column ``i``; each column is concatenated here (a lone
+        block is owned as :meth:`from_columns` owns a column). Blocks of
+        one column must share a dtype so the concatenation is value-exact.
         """
-        schema = schema if isinstance(schema, Schema) else Schema(schema)
-        arity = schema.arity
-        if arity == 0:
-            raise SchemaError("from_chunks needs at least one attribute")
-        if len(chunk_lists) != arity:
-            raise SchemaError(
-                f"{len(chunk_lists)} chunk lists for schema {name} of arity {arity}"
-            )
-        chunks = [[_as_column(b) for b in blocks] for blocks in chunk_lists]
-        for blocks in chunks:
+        columns = []
+        for blocks in chunk_lists:
+            blocks = [_as_column(b) for b in blocks]
             if len({b.dtype for b in blocks}) > 1:
                 raise SchemaError(
                     "blocks of one column must share a dtype "
                     f"({[str(b.dtype) for b in blocks]})"
                 )
-        return cls.from_columns(name, schema, [_concatenated(b) for b in chunks])
+            column = _concatenated(blocks)  # new unless the block is alone
+            columns.append(column if len(blocks) > 1 else _own(column))
+        return cls._holding(name, schema, columns)
+
+    @classmethod
+    def _holding(
+        cls, name: str, schema: Schema | Sequence[str], cols: list[np.ndarray]
+    ) -> "Relation":
+        """A column-primary relation over arrays that are now its own."""
+        out = cls(name, schema)
+        if out.schema.arity == 0:
+            raise SchemaError(f"columnar relation {name} needs at least one attribute")
+        if len(cols) != out.schema.arity:
+            raise SchemaError(
+                f"{len(cols)} columns for schema {name} of arity {out.schema.arity}"
+            )
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise SchemaError(f"column lengths differ: {[len(c) for c in cols]}")
+        return out._adopt_columns(cols)
 
     @classmethod
     def from_held(
@@ -221,31 +226,22 @@ class Relation:
     def wrap(
         cls, name: str, schema: Schema | Sequence[str], rows: list[Row]
     ) -> "Relation":
-        """Adopt ``rows`` as the tuple store without copying.
+        """A row-primary relation over a snapshot of ``rows``, tuple by tuple.
 
-        The caller hands over the list but may still hold a reference, so
-        the relation is *borrowed* from birth: automatically extracted
-        column caches are never trusted (see :meth:`columns`). The first
-        row's arity is always checked so malformed input fails here with
+        The list is copied, the tuples (immutable) are not, so later edits
+        to the caller's list never reach the relation. The first row's
+        arity is always checked so malformed input fails here with
         :class:`SchemaError` instead of deep inside a kernel; the full
         scan runs under ``__debug__``.
         """
         out = cls(name, schema)
         arity = out.schema.arity
-        if rows and len(rows[0]) != arity:
-            raise SchemaError(
-                f"tuple {rows[0]!r} has arity {len(rows[0])}, schema {name} "
-                f"expects {arity}"
-            )
-        if __debug__ and rows:
-            for t in rows:
-                if len(t) != arity:
-                    raise SchemaError(
-                        f"tuple {t!r} has arity {len(t)}, schema {name} "
-                        f"expects {arity}"
-                    )
-        out._rows = rows
-        out._borrowed = True
+        for t in rows if __debug__ else rows[:1]:
+            if len(t) != arity:
+                raise SchemaError(
+                    f"tuple {t!r} has arity {len(t)}, schema {name} expects {arity}"
+                )
+        out._rows = list(rows)
         return out
 
     def __getstate__(self) -> dict:
@@ -284,58 +280,28 @@ class Relation:
         return rows
 
     def rows(self) -> list[Row]:
-        """The tuple store as the *live* list.
+        """The tuples as a fresh list the caller owns.
 
-        Handing out the live list means the caller could mutate it in
-        place, invisibly to any token — so this conservatively bumps the
-        mutation token once, demotes a column-primary relation to rows,
-        and marks the relation *borrowed* (cached column extraction is
-        never trusted again; see :meth:`columns`). Internal read-only
-        code paths use :meth:`rows_readonly` to avoid the demotion.
-
-        The borrow/demote transition happens atomically under the
-        relation lock, so a concurrent :meth:`columns` reader sees
-        either the pre-demotion columnar view or the post-demotion row
-        view — never a state with both representations cleared.
+        Editing it changes nothing here: the representation, the mutation
+        token and every cache stay as they were.
         """
-        with self._lock:
-            rows = self._derive_rows()
-            if not self._borrowed:
-                self._version += 1
-                self._borrowed = True
-            elif self._cols is not None:
-                self._version += 1
-            self._cols = None
-            self._colcache = None
-            return rows
+        return list(self._materialize())
 
     def rows_readonly(self) -> list[Row]:
-        """The tuple view for callers that promise not to mutate it.
-
-        Unlike :meth:`rows` this leaves the representation, the mutation
-        token, and the caches untouched — the accessor for internal hot
-        paths (scatter, CSV writing, unions, oracles).
+        """The tuple store itself, for callers that promise not to mutate
+        it — the copy-free accessor of internal hot paths (scatter, CSV
+        writing, unions, oracles).
         """
         return self._materialize()
 
     def mutation_token(self) -> int:
-        """Monotonic token bumped by every mutation (and live-list hand-out).
+        """Monotonic token, moved once by every ``add``/``extend``.
 
         Cache layers key derived state on ``(id(relation), token)``; a
         stale entry can then never be served after ``add``/``extend`` —
         see :mod:`repro.kernels.memo`, which owns that policy.
         """
         return self._version
-
-    @property
-    def is_borrowed(self) -> bool:
-        """Whether the row list is (or may be) aliased outside the relation.
-
-        Borrowed relations re-extract columns on every :meth:`columns`
-        call and should not have derived state cached against their
-        token, because in-place list edits do not bump it.
-        """
-        return self._borrowed
 
     @property
     def is_columnar(self) -> bool:
@@ -346,29 +312,25 @@ class Relation:
         """The columnar view: one ``int64``/``uint64`` array per attribute.
 
         Column-primary relations return their backing arrays (zero cost,
-        always coherent). Row-primary relations extract and cache the
-        arrays keyed on the mutation token — never by length, so a
-        same-length in-place rewrite after :meth:`rows` can no longer
-        serve a stale view — and *borrowed* relations skip the cache
-        entirely. ``None`` unless every value is a built-in ``int`` (the
+        always coherent; read them, do not write them). Row-primary
+        relations extract the arrays once per mutation token and cache
+        them. ``None`` unless every value is a built-in ``int`` (the
         kernels then have no fast path for this relation): the columns
         stand in for the rows, and a widened ``bool`` would return as ``1``.
 
         Safe under concurrent readers: the extraction (and its cache
-        fill) runs under the relation lock, so a racing :meth:`rows`
-        demotion or a second extractor can never interleave with it.
+        fill) runs under the relation lock, so a second extractor can
+        never interleave with it.
         """
         cols = self._cols
         if cols is not None:
             return cols
         with self._lock:
             cached = self._colcache
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-            cols = exact_columns(self._rows, range(self.schema.arity))
-            if not self._borrowed:
-                self._colcache = (self._version, cols)
-            return cols
+            if cached is None or cached[0] != self._version:
+                cols = exact_columns(self._rows, range(self.schema.arity))
+                cached = self._colcache = (self._version, cols)
+            return cached[1]
 
     def __len__(self) -> int:
         if self._rows is not None:
@@ -651,8 +613,7 @@ def union_all(name: str, relations: Sequence[Relation]) -> Relation:
                 f"union_all schemas differ: {schema} vs {r.schema} ({r.name})"
             )
     out = Relation(name, schema)
-    # An empty part adds nothing, whichever way it is held. Each _cols is
-    # read once, so a racing rows() demotion takes the row path.
+    # An empty part adds nothing, whichever way it is held.
     relations = [r for r in relations if len(r)] or relations[:1]
     columns = [r._cols for r in relations]
     if schema.arity and all(cols is not None for cols in columns):

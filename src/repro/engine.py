@@ -196,7 +196,7 @@ def _align(atom: Atom, rel: Relation, counts: MemoStats) -> Relation:
     additionally records the identity under the same key, so a repeat of
     the query over an unchanged catalog reports *every* atom as served
     from the memo — mutating a relation bumps its token and can never be
-    served a stale alignment, and a borrowed relation is never cached.
+    served a stale alignment.
     """
     aligned = align(atom, rel, counts)
     if aligned is rel:

@@ -80,7 +80,7 @@ def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:
 def step_result(relation: Relation) -> "list | tuple":
     """A local step's result, as :meth:`Server.append_result` takes it: the
     columns as a tuple while the step stayed columnar, else the row list."""
-    return tuple(relation.columns()) if relation.is_columnar else relation.rows()
+    return tuple(relation.columns()) if relation.is_columnar else relation.rows_readonly()
 
 
 def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation | None:

@@ -18,10 +18,11 @@ the redundancy without changing a single observable byte:
   the splitter's fragments, the optimizer's decision for a query.
 
 The policy lives here and nowhere else: a derived value is valid while
-``(id(relation), mutation token)`` is unchanged and the relation is not
-*borrowed* (has not handed out a mutable ``rows()`` list), for each
-relation it was derived from; the entry holds those relations weakly
-and dies with the first of them, and a lookup compares identities, so
+``(id(relation), mutation token)`` is unchanged for each relation it was
+derived from, and nothing else about a relation is consulted — it owns
+what it holds, so only ``add``/``extend`` change it, and each moves the
+token (:mod:`repro.data.relation`).  The entry holds those relations
+weakly and dies with the first of them, and a lookup compares identities, so
 a recycled ``id()`` can never hit; every cache — the service's result
 cache included — is one bounded, locked, counted :class:`LRU`;
 :func:`forget` reclaims a replaced relation's entries eagerly.  Replay
@@ -241,8 +242,6 @@ def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool
         return False
     if getattr(cluster, "fault_controller", None) is not None:
         return False
-    if rel.is_borrowed:
-        return False
     origin = cluster._scatter_origin.get(fragment)
     if origin is None:
         return False
@@ -315,14 +314,14 @@ def _replay_plan(
     A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
     part)`` group — frozen column blocks, or rows — goes to ``dest + o``
     for every offset ``o``, one send per destination.  It is kept under
-    ``rel``'s token on the kernel rung unless the relation is borrowed or
-    a fault controller watches the cluster; otherwise it is built, sent
-    and dropped (``False`` when ``build`` has no plan to give).
+    ``rel``'s token on the kernel rung unless a fault controller watches
+    the cluster; otherwise it is built, sent and dropped (``False`` when
+    ``build`` has no plan to give).
     """
     from repro.kernels.partition import send_part
 
     kernels = kernels_enabled()
-    cacheable = kernels and cluster.fault_controller is None and not rel.is_borrowed
+    cacheable = kernels and cluster.fault_controller is None
     plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
     if plan is None:
         return False
@@ -352,7 +351,7 @@ def route_scattered(
     per destination — byte-identical destinations, order, charged units
     and delivered blocks.
     Returns ``False`` when ineligible (kernels off, faults active,
-    relation mutated/borrowed, fragment tampered with, or non-integer
+    relation mutated, fragment tampered with, or non-integer
     key columns); the caller then falls back to the ordinary loop.
     """
     from repro.kernels.partition import hash_codes
@@ -466,13 +465,9 @@ def cached_view(
 
     The cached value is shared between callers — it must never be
     mutated (every wrapper below returns either an immutable Counter
-    snapshot consumer or a Relation used read-only).  Borrowed relations
-    fall straight through to ``build()``.
+    snapshot consumer or a Relation used read-only).
     """
-    rels = _pinned(rel)
-    if any(r.is_borrowed for r in rels):
-        return build()
-    value, hit = _get_or_build(_views, rels, key_extra, build)
+    value, hit = _get_or_build(_views, _pinned(rel), key_extra, build)
     _bump(stats, "view_hits" if hit else "view_misses")
     return value
 

@@ -432,8 +432,7 @@ class Cluster:
             ])
         else:
             self.scatter_rows(relation.rows_readonly(), fragment)
-        if not relation.is_borrowed:
-            self._scatter_origin[fragment] = (relation, relation.mutation_token())
+        self._scatter_origin[fragment] = (relation, relation.mutation_token())
         return fragment
 
     def scatter_rows(self, rows: Sequence[Row], name: str) -> str:

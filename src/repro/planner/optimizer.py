@@ -305,7 +305,7 @@ def plan_query(
     The decision is a function of the atoms, the bound relations'
     contents and the four scalars, so it is a memoized view of those
     relations (:func:`repro.kernels.memo.cached_view`): while every one
-    is unchanged and unborrowed, a repeat returns the same frozen record
+    is unchanged, a repeat returns the same frozen record
     without gathering statistics or pricing anything. The record is
     shared — read only.
     """

@@ -527,7 +527,7 @@ class QueryService:
         """A caller-safe view of a (possibly cached) result relation: a
         fresh wrapper sharing a columnar result's arrays read-only
         (O(arity)), or copying a row-primary one's tuple list — a caller's
-        ``rows()`` borrow or write can never reach the cached entry."""
+        ``add``/``extend`` on it can never reach the cached entry."""
         return output.project(list(output.schema.attributes), name=output.name)
 
     # ------------------------------------------------------------ lifecycle

@@ -56,13 +56,14 @@ def split_relation(
     predicate path via Python's ``%`` on their hash.
 
     The fragments are a memoized view of ``relation``
-    (:func:`repro.kernels.memo.cached_view`): while it is unchanged and
-    unborrowed every call returns the *same* fragment objects, so their
-    degree views, query plans and routing plans stay hot across split
-    queries. They are shared between callers — read only, the contract
-    :func:`repro.kernels.memo.align` has; a fragment that was mutated or
-    borrowed all the same is never served again (the next call forgets
-    the parent's entries and rebuilds).
+    (:func:`repro.kernels.memo.cached_view`): while it is unchanged
+    every call returns the *same* fragment objects, so their degree
+    views, query plans and routing plans stay hot across split queries.
+    They are shared between callers — read only, the contract
+    :func:`repro.kernels.memo.align` has; a fragment that was mutated all
+    the same is never served again (the next call forgets the parent's
+    entries and rebuilds). A ``rows()`` list handed out of a fragment is
+    the caller's copy and changes nothing.
     """
     if k <= 0:
         raise QueryError(f"split factor must be positive, got {k}")
@@ -84,8 +85,8 @@ def split_relation(
 
     fragments, tokens = cached_view(relation, ("split", k, attr), build)
     if [f.mutation_token() for f in fragments] != tokens:
-        # A caller mutated or borrowed (both move the token) a shared
-        # fragment: reclaim the parent's entries and split afresh.
+        # A caller mutated a shared fragment (add/extend move its token):
+        # reclaim the parent's entries and split afresh.
         forget(relation)
         fragments, _ = cached_view(relation, ("split", k, attr), build)
     return list(fragments)

@@ -2,9 +2,10 @@
 
 A relation can be born row-primary (tuple constructor, ``wrap``) or
 column-primary (``from_columns``), then suffer any interleaving of
-mutations (``add``/``extend``), live-list borrowing with in-place edits
-and accessor calls. Whatever the history, two invariants must hold at
-every step, in both kernel modes:
+mutations (``add``/``extend``), in-place edits of the lists ``rows()``
+hands out (the caller's copies: the relation never sees them) and
+accessor calls. Whatever the history, two invariants must hold at every
+step, in both kernel modes:
 
 - ``rows_readonly()`` equals the shadow list of tuples the operations
   imply (the tuple view is the model's ground truth);
@@ -83,7 +84,6 @@ def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
     with use_kernels(kernels):
         rel = _build(start, initial)
         shadow = list(initial)
-        live = None  # alias obtained from rows(), like external callers keep
         _check_coherent(rel, shadow)
         for tag, *payload in ops:
             if tag == "add":
@@ -95,13 +95,11 @@ def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
             elif tag == "set_inplace":
                 index, row = payload
                 live = rel.rows()
+                assert live == shadow
                 if live:
-                    live[index % len(live)] = row
-                    shadow[index % len(shadow)] = row
+                    live[index % len(live)] = row  # the copy: shadow unchanged
             elif tag == "append_inplace":
-                live = rel.rows()
-                live.append(payload[0])
-                shadow.append(payload[0])
+                rel.rows().append(payload[0])
             elif tag == "columns":
                 rel.columns()
             elif tag == "rows_readonly":

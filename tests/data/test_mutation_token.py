@@ -3,9 +3,12 @@
 PR 3 cached ``Relation.columns()`` keyed on ``len(rows)`` only, so a
 *same-length* in-place rewrite of a list handed out by ``rows()`` (or
 adopted by ``wrap()``) kept serving the stale arrays — the kernels then
-joined data that no longer existed. The columnar-native layer replaces
-that with a monotonic mutation token plus a sticky *borrowed* flag;
-these tests pin the exact scenarios the length key missed.
+joined data that no longer existed. A relation now owns what it holds:
+``rows()`` hands out a copy and ``wrap()`` stores one, so such a rewrite
+cannot reach it at all, and the mutation token moves exactly on
+``add``/``extend``. These tests pin the scenarios the length key missed
+to that contract: nothing a caller does to a handed-out list is ever
+served.
 """
 
 import numpy as np
@@ -19,35 +22,39 @@ class TestStaleColumnRegression:
     """Satellite 1: the length-only cache-invalidation bug."""
 
     def test_same_length_rewrite_via_rows_is_seen(self):
-        # The pre-fix failure: len() is unchanged, so a length-keyed
-        # cache would keep returning columns built from (1, 2), (3, 4).
+        # The pre-fix failure was a stale view of the edited list; the
+        # list is now the caller's copy, so the relation (and every view
+        # of it) is exactly what it was.
         rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
         assert [c.tolist() for c in rel.columns()] == [[1, 3], [2, 4]]
         live = rel.rows()
         live[0] = (9, 9)
-        assert [c.tolist() for c in rel.columns()] == [[9, 3], [9, 4]]
+        assert [c.tolist() for c in rel.columns()] == [[1, 3], [2, 4]]
+        assert rel.rows() == [(1, 2), (3, 4)] and rel.mutation_token() == 0
 
     def test_same_length_rewrite_via_wrap_is_seen(self):
         rows = [(1, 10), (2, 20), (3, 30)]
         rel = Relation.wrap("R", ["x", "y"], rows)
         assert [c.tolist() for c in rel.columns()] == [[1, 2, 3], [10, 20, 30]]
-        rows[1] = (7, 70)  # caller kept its reference; len unchanged
-        assert [c.tolist() for c in rel.columns()] == [[1, 7, 3], [10, 70, 30]]
+        rows[1] = (7, 70)  # the caller's list, not the relation's snapshot
+        assert [c.tolist() for c in rel.columns()] == [[1, 2, 3], [10, 20, 30]]
+        assert rel.rows_readonly() == [(1, 10), (2, 20), (3, 30)]
 
     def test_same_length_rewrite_invalidates_key_column_reuse(self):
         rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
         other = Relation("S", ["y", "z"], [(2, 5), (9, 6)])
         assert sorted(rel.join(other).rows_readonly()) == [(1, 2, 5)]
         live = rel.rows()
-        live[0] = (1, 9)  # now matches the other S tuple instead
-        assert sorted(rel.join(other).rows_readonly()) == [(1, 9, 6)]
+        live[0] = (1, 9)  # would match the other S tuple, were it seen
+        assert sorted(rel.join(other).rows_readonly()) == [(1, 2, 5)]
+        rel.add((1, 9))  # a real mutation is
+        assert sorted(rel.join(other).rows_readonly()) == [(1, 2, 5), (1, 9, 6)]
 
-    def test_borrowed_relations_never_cache_extraction(self):
+    def test_extraction_is_cached_after_rows(self):
         rel = Relation("R", ["x"], [(1,), (2,)])
-        rel.rows()  # borrow
+        rel.rows().append((3,))
         first = rel.columns()
-        second = rel.columns()
-        assert first is not second  # fresh extraction every call
+        assert rel.columns() is first and first[0].tolist() == [1, 2]
 
     def test_unborrowed_extraction_is_cached(self):
         rel = Relation("R", ["x"], [(1,), (2,)])
@@ -70,9 +77,8 @@ class TestMutationToken:
         t1 = rel.mutation_token()
         rel.extend([(3,), (4,)])
         t2 = rel.mutation_token()
-        rel.rows()
-        t3 = rel.mutation_token()
-        assert t0 < t1 < t2 < t3
+        rel.rows().append((5,))  # a hand-out is no mutation
+        assert t0 < t1 < t2 == rel.mutation_token()
 
     def test_readonly_accessors_leave_token_alone(self):
         rel = Relation("R", ["x", "y"], [(1, 2)])
@@ -81,23 +87,24 @@ class TestMutationToken:
         rel.columns()
         list(rel)
         len(rel)
-        assert rel.mutation_token() == t0
-        assert not rel.is_borrowed
-
-    def test_borrow_is_sticky(self):
-        rel = Relation("R", ["x"], [(1,)])
         rel.rows()
-        assert rel.is_borrowed
-        rel.add((2,))  # still borrowed: the old alias can still mutate
-        assert rel.is_borrowed
+        assert rel.mutation_token() == t0
 
-    def test_column_primary_demotes_on_rows(self):
-        rel = Relation.from_columns("R", ["x"], [np.array([1, 2])])
-        assert rel.is_columnar
+    def test_a_handed_out_list_is_left_behind_by_add(self):
+        rel = Relation("R", ["x"], [(1,)])
         live = rel.rows()
-        assert not rel.is_columnar and rel.is_borrowed
+        rel.add((2,))
+        live.append((9,))
+        assert live == [(1,), (9,)] and rel.rows() == [(1,), (2,)]
+        assert rel.mutation_token() == 1
+
+    def test_column_primary_stays_columnar_on_rows(self):
+        rel = Relation.from_columns("R", ["x"], [np.array([1, 2])])
+        columns = rel.columns()
+        live = rel.rows()
         live.append((3,))
-        assert rel.columns()[0].tolist() == [1, 2, 3]
+        assert rel.is_columnar and rel.columns() is columns
+        assert rel.columns()[0].tolist() == [1, 2] and rel.mutation_token() == 0
 
 
 class TestWrapArityCheck:

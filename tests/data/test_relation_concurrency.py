@@ -2,8 +2,8 @@
 
 The module docstring of :mod:`repro.data.relation` promises that
 concurrent *readers* are safe — including racing lazy derivations
-(column-primary rows, row-primary column caches) and the ``rows()``
-borrow/demote transition. These tests hammer those paths from many
+(column-primary rows, row-primary column caches) and ``rows()`` copies
+handed out while others read. These tests hammer those paths from many
 barrier-started threads; before the internal lock, racing
 ``_materialize``/``columns`` calls could observe half-built caches or
 double-derive into inconsistent state.
@@ -95,7 +95,8 @@ def test_concurrent_mixed_readers_agree():
 
 
 def test_borrow_demote_race_with_readers():
-    """rows() borrowing while other threads read never tears state."""
+    """rows() copies handed out (and edited) while other threads read
+    never tear state, demote, or move the token."""
     for _ in range(5):
         rel = Relation.from_columns(
             "R", ["a", "b"], [np.arange(500), np.arange(500) % 3]
@@ -103,23 +104,26 @@ def test_borrow_demote_race_with_readers():
         expected = [(int(i), int(i % 3)) for i in range(500)]
 
         def access(index):
-            if index == 0:
-                return rel.rows()          # the borrow/demote transition
+            if index % 2 == 0:
+                rows = rel.rows()
+                copy = list(rows)
+                rows.clear()               # the caller's own list
+                return copy
             return list(rel.rows_readonly())
 
         outcomes = hammer(6, access)
-        assert rel.is_borrowed
+        assert rel.is_columnar and rel.mutation_token() == 0
         for rows in outcomes:
-            assert list(rows) == expected
+            assert rows == expected
 
 
 def test_borrowed_relation_columns_not_cached_stale():
-    """After a borrow + in-place append, columns reflect the live list."""
+    """After a hand-out + append to the copy, columns still hold the
+    relation's rows — the cached extraction is right and stays served."""
     rel = Relation("R", ["a", "b"], [(1, 2), (3, 4)])
-    assert rel.columns() is not None       # prime the column cache
-    live = rel.rows()                      # borrow drops/invalidates it
+    cols = rel.columns()                   # prime the column cache
+    live = rel.rows()
     live.append((5, 6))
-    cols = rel.columns()
-    if cols is not None:
-        assert [int(v) for v in cols[0]] == [1, 3, 5]
-    assert rel.rows_readonly() == [(1, 2), (3, 4), (5, 6)]
+    assert rel.columns() is cols
+    assert [int(v) for v in cols[0]] == [1, 3]
+    assert rel.rows_readonly() == [(1, 2), (3, 4)]

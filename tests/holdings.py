@@ -1,7 +1,7 @@
 """One answer, three ways to hold it: shared builders for the result-plane suites.
 
 A *case* is ``{relation name: (attributes, rows)}``. :func:`holdings`
-builds it column-primary, row-primary and borrowed (the first only when
+builds it column-primary, row-primary and handed-out (the first only when
 every value is a plain int), :func:`observe` reduces a run to everything
 a caller can see, and :func:`assert_one_answer` checks that all holdings
 agree with each other and with the scalar rung (``use_kernels(False)``).
@@ -23,17 +23,25 @@ def _plain(rows):
 
 
 def hold(name, attrs, rows, how):
-    """``rows`` as a relation held ``how``: columns / rows / borrowed."""
+    """``rows`` as a relation held ``how``: columns / rows / borrowed.
+
+    ``"borrowed"`` keeps its old key but now means *handed out*: held as
+    columns when every value is a plain int (else as rows), then its
+    ``rows()`` list handed out and edited — which must change nothing.
+    """
+    if how == "borrowed":
+        rel = hold(name, attrs, rows, "columns" if _plain(rows) else "rows")
+        live = rel.rows()
+        live.reverse()
+        live.extend(live)
+        return rel
     if how == "columns":
         if not rows:
             cols = [np.empty(0, dtype=np.int64) for _ in attrs]
         else:
             cols = [np.array([row[i] for row in rows]) for i in range(len(attrs))]
         return Relation.from_columns(name, attrs, cols)
-    rel = Relation(name, attrs, list(rows))
-    if how == "borrowed":
-        rel.rows()  # handing out the live list borrows the relation
-    return rel
+    return Relation(name, attrs, list(rows))
 
 
 def holdings(case):
@@ -95,7 +103,8 @@ def assert_one_answer(run, case, p):
     """Run every holding of ``case``; all must observe what the scalar rung does.
 
     ``run(relations, p) -> (output, stats)``. Returns ``{how: (output,
-    stats)}`` of the kernel-rung runs for shape assertions.
+    stats)}`` of the kernel-rung runs for shape assertions. An all-int
+    holding is still column-primary afterwards, handed-out ones included.
     """
     held = holdings(case)
     with audited(), use_kernels(False):
@@ -106,5 +115,7 @@ def assert_one_answer(run, case, p):
         with audited():
             output, stats = run(relations, p)
         assert observe(output, stats) == want, how
+        if how != "rows" and all(_plain(rows) for _attrs, rows in case.values()):
+            assert all(rel.is_columnar for rel in relations.values()), how
         results[how] = (output, stats)
     return results

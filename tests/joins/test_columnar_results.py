@@ -1,7 +1,8 @@
 """The result plane of the two-way joins: columns out, the same answer.
 
 For hash / broadcast / skew joins, every way of holding an input
-(column-primary, row-primary, borrowed) and every input kind (plain
+(column-primary, row-primary, rows handed out and edited) and every
+input kind (plain
 ints, string keys, a ``uint64`` column above ``int64`` max, a
 ``bool``-bearing column, an empty side) must observe exactly what the
 scalar rung observes — rows in order with their types, schema, name,
@@ -88,10 +89,12 @@ def test_mixed_per_server_results_gather_in_server_order():
     assert not gathered.is_columnar
     assert gathered.rows_readonly() == [(1, 10), (2, 20), (3, 30), (4, 40)]
     assert cluster.gather("out") == gathered.rows_readonly()
+    gathered.rows().clear()  # the caller's copy: neither the gather nor the store moves
+    assert len(gathered) == 4 and len(cluster.gather("out")) == 4
     # Without the row contribution the same blocks concatenate column-wise.
     cluster.servers[1].put("out", [])
     columnar = cluster.gather_relation("out", "OUT", ["a", "b"])
-    assert columnar.is_columnar and not columnar.is_borrowed
+    assert columnar.is_columnar and columnar.mutation_token() == 0
     assert columnar.rows_readonly() == [(1, 10), (2, 20), (4, 40)]
 
 

@@ -522,7 +522,7 @@ class TestExtendAppends:
         rel.rows_readonly()  # a derived view must grow with the columns
         token = rel.mutation_token()
         rel.extend([(7, 8), (9, 10)])
-        assert rel.is_columnar and not rel.is_borrowed
+        assert rel.is_columnar
         assert rel.mutation_token() == token + 1
         assert [c.tolist() for c in rel.columns()] == [[0, 1, 2, 3, 7, 9], [0, 2, 4, 6, 8, 10]]
         assert rel.rows_readonly()[-2:] == [(7, 8), (9, 10)] and len(rel) == 6

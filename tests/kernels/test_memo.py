@@ -6,9 +6,9 @@ Three contracts under test:
   cannot replay (tuple path) leaves the caches untouched;
 - the **partition cache**: replaying a cached routing plan is
   byte-identical to the tuple path (``use_kernels(False)``) routing a
-  fresh copy of the same rows, hits/misses are counted, and any
-  mutation of the relation (including through a borrowed ``rows()``
-  list) invalidates — proven both on directed cases and under
+  fresh copy of the same rows, hits/misses are counted, any mutation
+  of the relation invalidates, and an edit of a list ``rows()`` handed
+  out is never seen — proven both on directed cases and under
   hypothesis-driven mutate/route interleavings in both kernel modes,
   mirroring the PR 6 coherency suite; the plan's one-send-per-
   destination layout delivers, byte for byte, what the per-server
@@ -137,14 +137,18 @@ def test_mutation_invalidates_the_plan():
 
 
 def test_borrowed_relation_is_never_served():
+    # "Borrowed": rows() handed out and the list edited. The list is the
+    # caller's copy, so the relation is unchanged and its plan still replays.
     rel = _relation()
+    before = rel.rows_readonly()[:]
     _route(rel)
-    live = rel.rows()  # borrow: external edits are now possible
+    live = rel.rows()
     live[0] = (123_456_789, 0)
     got, stats = _route(rel)
-    want, _ = _reference_route(live)
+    want, _ = _reference_route(before)
     assert got == want
-    assert stats.memo.partition_hits == 0
+    assert stats.memo.partition_hits == 1
+    assert rel.rows_readonly() == before and rel.mutation_token() == 0
 
 
 def test_kernels_off_falls_back_identically():
@@ -187,12 +191,13 @@ def _grid_extents(p):
 
 def _grid_shuffle(column_dims):
     """HyperCube's ladder (replay, else the per-server grid kernel) for a
-    two-column relation whose columns bind ``column_dims`` of the grid."""
+    two-column relation whose columns bind ``column_dims`` of the grid;
+    ``rel=None`` names no relation to replay from."""
     def shuffle(cluster, rnd, rel, frag):
         extents = _grid_extents(cluster.p)
         strides, salts = Grid(extents).strides, (11, 22, 33)
         key_idx = tuple(range(len(column_dims)))
-        if not route_scattered_grid(
+        if rel is None or not route_scattered_grid(
             cluster, rnd, rel, frag, column_dims, salts, extents, strides, "out"
         ):
             for server in cluster.servers:
@@ -209,8 +214,10 @@ def _observed(part):
     return list(part), part.arrays() if isinstance(part, ChunkedColumns) else None
 
 
-def _delivered(rel, p, shuffle):
-    """One audited round of ``shuffle`` over a fresh scatter of ``rel``.
+def _delivered(rel, p, shuffle, replay=True):
+    """One audited round of ``shuffle`` over a fresh scatter of ``rel``
+    (``replay=False``: the shuffle is not told the relation, so the
+    per-server kernel loop routes it).
 
     Returns everything a consumer can observe: per server the delivered
     fragment (:func:`_observed`), the round's loads, C, and the memo
@@ -219,7 +226,7 @@ def _delivered(rel, p, shuffle):
     cluster = Cluster(p, seed=5, audit=True)
     frag = cluster.scatter(rel, "R@in")
     with cluster.round("route") as rnd:
-        shuffle(cluster, rnd, rel, frag)
+        shuffle(cluster, rnd, rel if replay else None, frag)
     assert cluster.stats.audit.ok and cluster.stats.audit.rounds_audited == 1
     assert all(not server.get(frag) for server in cluster.servers)  # consumed
     servers = [_observed(server.take("out")) for server in cluster.servers]
@@ -251,9 +258,7 @@ def test_per_destination_replay_equals_the_per_server_kernel_loop(p, shuffle, ke
         clear_memo()
         rows = [((i * 7919) % 31 - 9, i % 5) for i in range(n)]
         rel = Relation("R", ["x", "y"], rows)
-        twin = Relation("R", ["x", "y"], list(rows))
-        twin.rows()  # borrowed: never replayed, so the kernel rung routes it
-        want = _delivered(twin, p, shuffle)
+        want = _delivered(Relation("R", ["x", "y"], rows), p, shuffle, replay=False)
         want_memo = want[1].memo
         assert want_memo.partition_hits + want_memo.partition_misses == 0
 
@@ -278,21 +283,18 @@ def test_two_routes_into_one_fragment_keep_route_order():
     rows_r = [(i % 11, i) for i in range(90)]
     rows_s = [(i % 7, -i) for i in range(60)]
 
-    def both(r, s):
+    def both(r, s, replay=True):
         cluster = Cluster(4, seed=3, audit=True)
         h = cluster.hash_function(0)
         frags = [cluster.scatter(r, "R@in"), cluster.scatter(s, "S@in")]
         with cluster.round("route") as rnd:
             for rel, frag in zip((r, s), frags):
-                route(cluster, rnd, frag, (0,), h, "out", rel=rel)
+                route(cluster, rnd, frag, (0,), h, "out", rel=rel if replay else None)
         assert cluster.stats.audit.ok
         return [_observed(server.take("out")) for server in cluster.servers]
 
-    twins = [Relation("R", ["x", "y"], list(rows_r)), Relation("S", ["x", "y"], list(rows_s))]
-    for twin in twins:
-        twin.rows()
-    want = both(*twins)
     r, s = Relation("R", ["x", "y"], rows_r), Relation("S", ["x", "y"], rows_s)
+    want = both(r, s, replay=False)
     for _attempt in ("miss", "hit"):
         got = both(r, s)
         for (got_rows, got_cols), (want_rows, want_cols) in zip(got, want):
@@ -347,10 +349,11 @@ operations = st.lists(
 def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
     """Mirror of the PR 6 coherency suite for the partition cache.
 
-    Whatever interleaving of mutations (including through a borrowed
-    live list) and routes the relation suffers, the memoized route must
-    deliver exactly what the tuple path delivers for a fresh copy of the
-    same state — and an immediate re-route (the hit path) must too.
+    Whatever interleaving of mutations, edits of a handed-out ``rows()``
+    copy (which change nothing) and routes the relation suffers, the
+    memoized route must deliver exactly what the tuple path delivers for
+    a fresh copy of the same state — and an immediate re-route (the hit
+    path) must too.
     """
     clear_memo()
     with use_kernels(kernels):
@@ -365,10 +368,10 @@ def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
                 memoized.extend(op[1])
                 shadow.extend(op[1])
             elif tag == "set_inplace":
-                live = memoized.rows()
+                live = memoized.rows()  # the caller's copy: the edit is not seen
                 if live:
                     live[op[1] % len(live)] = op[2]
-                    shadow[op[1] % len(shadow)] = op[2]
+                assert memoized.rows_readonly() == shadow
             else:
                 p = op[1]
                 want, want_stats = _reference_route(shadow, p=p)
@@ -409,12 +412,16 @@ def test_distinct_and_degrees_match_reference():
 
 
 def test_view_cache_bypassed_for_borrowed_relations():
+    # Nothing is bypassed any more: an edited rows() copy is not the
+    # relation, so the view is cached and serves the unchanged rows.
     rel = _relation()
-    rel.rows()  # borrow
+    want = rel.project(["x"]).rows_readonly()
+    rel.rows().clear()
     first = project_view(rel, ("x",))
+    rel.rows().append((1, 2))
     second = project_view(rel, ("x",))
-    assert first is not second
-    assert memo_cache_sizes() == (0, 0)
+    assert first is second and second.rows_readonly() == want
+    assert memo_cache_sizes() == (0, 1)
 
 
 # ------------------------------------------- multi-round engagement + stats

@@ -1,7 +1,7 @@
 """The result plane of the multiway algorithms: columns out, the same answer.
 
 HyperCube, GYM, the one-round semijoin and iterative binary plans over
-every holding (column-primary, row-primary, borrowed) and input kind of
+every holding (column-primary, row-primary, handed-out) and input kind of
 :mod:`tests.holdings` must observe exactly what the scalar rung observes,
 and stay column-primary exactly when every server's step could.
 """

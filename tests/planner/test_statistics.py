@@ -216,7 +216,8 @@ def _assert_profile_matches(cq, relations, p):
 
 class TestDegreeViewsMatchTheRowLoop:
     """Exact statistics read the memoized degree views; the row loop is
-    the reference they must equal — cached, borrowed or freshly mutated."""
+    the reference they must equal — cached, after a ``rows()`` hand-out,
+    or freshly mutated."""
 
     CASES = [
         (Relation("R", ["x", "y"], [(1, 2), (3, 2), (4, 5)]),
@@ -267,17 +268,17 @@ class TestDegreeViewsMatchTheRowLoop:
         cq = parse_query("R(x, y), S(y, z)")
         r = Relation("R", ["x", "y"], [(i, 0) for i in range(10)])
         s = Relation("S", ["y", "z"], [(i, i) for i in range(12)])
-        rows = r.rows()  # handing out the mutable list borrows the relation
-        assert r.is_borrowed
-        _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
-        before = memo_cache_sizes()[1]
-        rows[:] = [(i, 1) for i in range(6)]  # in place: no token can see it
-        stats = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
-        assert stats.heavy_join_values["y"] == (1,)
+        rows = r.rows()  # the caller's copy: the relation is not lent out
+        first = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
         assert join_statistics(r, s) == _row_loop_join_statistics(r, s)
-        assert join_statistics(r, s).max_degree_r == 6
-        assert memo_cache_sizes()[1] == before
-        assert forget(r) == 0  # nothing was ever pinned to the borrowed relation
+        before = memo_cache_sizes()[1]
+        rows[:] = [(i, 1) for i in range(6)]  # in place, on the copy
+        stats = _assert_profile_matches(cq, {"R": r, "S": s}, p=4)
+        assert stats == first and stats.heavy_join_values["y"] == (0,)
+        assert join_statistics(r, s) == _row_loop_join_statistics(r, s)
+        assert join_statistics(r, s).max_degree_r == 10
+        assert memo_cache_sizes()[1] == before  # served, not recounted
+        assert forget(r) >= 1  # the degree views were pinned to r
 
     def test_join_statistics_reads_the_profile_views(self):
         # One join attribute: R ⋈ S is counted over the value-degree views

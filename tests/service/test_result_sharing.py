@@ -87,11 +87,12 @@ class TestAHitSharesArrays:
             assert (miss.cache_hit, hit.cache_hit, again.cache_hit) == (False, True, True)
             for a, b in zip(miss.output.columns(), hit.output.columns()):
                 assert np.shares_memory(a, b)
-            # rows() on a hit demotes the caller's wrapper, not the entry.
+            # rows() on a hit is the caller's copy: the output stays columnar
+            # and still shares the entry's arrays.
             rows = hit.output.rows()
             rows.clear()
-            assert not hit.output.is_columnar
-            assert again.output.is_columnar
+            assert hit.output.is_columnar and again.output.is_columnar
+            assert np.shares_memory(hit.output.columns()[0], miss.output.columns()[0])
             assert service.query(JOIN, strategy=strategy, split=split).output.rows_readonly() \
                 == miss.output.rows_readonly()
 

@@ -244,7 +244,8 @@ def test_cache_hits_return_detached_outputs():
         service.query(QUERY)
         first = service.query(QUERY)
         expected = list(first.output.rows_readonly())
-        first.output.rows().append(("junk",))      # borrow + mutate
+        first.output.rows().append(("junk",))      # the caller's copy
+        first.output.add((0, 0, 0))                 # the caller's wrapper
         second = service.query(QUERY)
         assert second.cache_hit is True
         assert second.output.rows_readonly() == expected

@@ -23,9 +23,9 @@ def _files_matching(pattern, tree=ROOT / "src" / "repro"):
 class TestRowsEncapsulationLint:
     """No module outside data/relation.py may touch ``._rows`` or ``._cols``.
 
-    The dual-representation invariants (mutation token, borrowed flag,
-    column cache) live entirely inside :class:`Relation`; a stray
-    ``rel._rows`` bypasses all three and reintroduces exactly the stale-
+    The dual-representation invariants (mutation token, column cache)
+    live entirely inside :class:`Relation`; a stray ``rel._rows``
+    bypasses both and reintroduces exactly the stale-
     column bug this PR fixes, and a stray ``rel._cols`` hands out the
     writable arrays a result must only ever share read-only. CI runs the
     same check as a grep step; this test makes it fail locally first. The
@@ -48,6 +48,27 @@ class TestRowsEncapsulationLint:
             "direct Relation._rows/_cols access outside data/relation.py "
             "(use rows()/rows_readonly()/columns()):\n" + "\n".join(offenders)
         )
+
+
+class TestOwnershipLint:
+    """A relation owns what it holds, so no cache layer tracks who else
+    might: the borrow bit is gone, and handing out ``rows()`` is not a
+    mutation (the token counts ``add``/``extend`` and nothing else)."""
+
+    def test_the_borrow_bit_matches_nothing_under_src(self):
+        assert _files_matching(r"is_borrowed|_borrowed") == []
+
+    def test_the_slot_is_gone(self):
+        from repro.data.relation import Relation
+
+        assert "_borrowed" not in Relation.__slots__
+
+    def test_rows_does_not_touch_the_token(self):
+        import inspect
+
+        from repro.data.relation import Relation
+
+        assert "_version" not in inspect.getsource(Relation.rows)
 
 
 class TestRowCallSiteInventoryLint:

