@@ -54,17 +54,18 @@ A BENCH file is a JSON document::
       ],
       "x9": [                   # optional, BENCH_9.json only: the
                                 # resident-vs-snapshot dispatch sweep
+                                # (its records also carry two counters of
+                                # that retired protocol, left unchecked)
         {"name": str, "n": int, "p": int, "workers": int,
          "queries": int,        # repeated runs through one pool
          "protocol": str,       # "resident" or "snapshot"
          "seconds": float,
          "queue_messages": int, # coordinator->worker round-trips
-         "snapshot_dispatches": int,  # messages shipping a full payload
          "shm_bytes_out": int, "pickle_bytes_out": int,
          "dispatch_bytes_out": int,
-         "resident_hits": int, "resident_bytes_saved": int,
+         "resident_hits": int,
          "fallback_dispatches": int,
-         "dispatch_ratio": float,  # snapshot/resident snapshot_dispatches
+         "dispatch_ratio": float,  # snapshot/resident full-payload messages
          "pickle_ratio": float,    # snapshot/resident pickle_bytes_out
          "identical": bool}, ...   # every run matched the inline reference
       ],
@@ -186,12 +187,10 @@ _X9_FIELDS: dict[str, tuple[type, ...]] = {
     "protocol": (str,),
     "seconds": (int, float),
     "queue_messages": (int,),
-    "snapshot_dispatches": (int,),
     "shm_bytes_out": (int,),
     "pickle_bytes_out": (int,),
     "dispatch_bytes_out": (int,),
     "resident_hits": (int,),
-    "resident_bytes_saved": (int,),
     "fallback_dispatches": (int,),
     # Mean outbound bytes per queue message; null (None) when the arm
     # sent no queue message at all — a mean over zero messages is

@@ -15,11 +15,11 @@ holds **either** representation as ground truth:
 
 **A relation owns what it holds.** Nothing a caller keeps can change it:
 :meth:`rows` hands out a fresh list, :meth:`wrap` stores a snapshot of
-the caller's, and :meth:`from_columns` copies an array that is still
-writable. So the content changes only through :meth:`add`/:meth:`extend`,
-each of which moves the **monotonic mutation token**
-(:meth:`Relation.mutation_token`) once, and every derived cache — here
-and in :mod:`repro.kernels.memo` — is valid while the token is unchanged.
+the caller's, and every array it holds is read-only (:func:`_frozen`).
+So the content changes only through :meth:`add`/:meth:`extend`, each of
+which moves the **monotonic mutation token** (:meth:`mutation_token`)
+once, and every derived cache — here and in :mod:`repro.kernels.memo` —
+is valid while the token is unchanged.
 
 The class offers the small relational-algebra surface the parallel
 algorithms need: projection, selection, renaming, key extraction, degree
@@ -81,23 +81,17 @@ def _as_column(values: Any) -> np.ndarray:
     return array
 
 
-def _own(values: Any) -> np.ndarray:
-    """One column for a relation to hold: a caller's array that is still
-    writable is copied (a write through it would change the relation
-    without moving its token); a read-only one is adopted as is."""
-    column = _as_column(values)
-    if column.flags.writeable and (column is values or column.base is not None):
-        return column.copy()
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column`` as a relation holds it: read-only, so no write can change
+    the relation without moving its token. A writable array that owns its
+    memory is frozen in place (for whoever handed it over, too); a
+    writable view is copied once, since its base may be written through
+    elsewhere; a read-only array is adopted as is."""
+    if column.flags.writeable:
+        if not column.flags.owndata:
+            column = column.copy()
+        column.flags.writeable = False
     return column
-
-
-def _shared(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Read-only views: arrays two relations share can be written through
-    neither (no token would see the write)."""
-    views = [c.view() for c in cols]
-    for view in views:
-        view.flags.writeable = False
-    return views
 
 
 def _concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,10 +158,10 @@ class Relation:
         The tuple view is derived lazily — ``rows()[k][i]`` is exactly
         ``int(columns[i][k])``, so columnar construction is
         byte-identical to building the same tuples by hand. An input
-        array that is still writable is copied, a read-only one adopted:
-        no later write through the caller's reference reaches the relation.
+        array the relation can own is frozen in place (:func:`_frozen`):
+        a later write through the caller's reference raises.
         """
-        return cls._holding(name, schema, [_own(c) for c in columns])
+        return cls._holding(name, schema, [_as_column(c) for c in columns])
 
     @classmethod
     def from_chunks(
@@ -191,8 +185,7 @@ class Relation:
                     "blocks of one column must share a dtype "
                     f"({[str(b.dtype) for b in blocks]})"
                 )
-            column = _concatenated(blocks)  # new unless the block is alone
-            columns.append(column if len(blocks) > 1 else _own(column))
+            columns.append(_concatenated(blocks))
         return cls._holding(name, schema, columns)
 
     @classmethod
@@ -247,18 +240,21 @@ class Relation:
     def __getstate__(self) -> dict:
         # The per-relation lock is not picklable (and must not be
         # shared across processes anyway); a fresh one is created on
-        # unpickle. Weak references (the memo's) stay behind; everything
-        # else round-trips verbatim.
+        # unpickle. Weak references (the memo's) and the derived column
+        # cache stay behind; everything else round-trips verbatim.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_lock", "__weakref__")
+            if slot not in ("_lock", "__weakref__", "_colcache")
         }
 
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
         self._lock = threading.Lock()
+        self._colcache = None
+        if self._cols is not None:  # numpy unpickles an array writable
+            self._cols = [_frozen(c) for c in self._cols]
 
     def _derive_rows(self) -> list[Row]:
         """The tuple store (caller must hold :attr:`_lock` or own the relation)."""
@@ -312,9 +308,9 @@ class Relation:
         """The columnar view: one ``int64``/``uint64`` array per attribute.
 
         Column-primary relations return their backing arrays (zero cost,
-        always coherent; read them, do not write them). Row-primary
-        relations extract the arrays once per mutation token and cache
-        them. ``None`` unless every value is a built-in ``int`` (the
+        always coherent, read-only). Row-primary relations extract the
+        arrays once per mutation token and cache them, read-only too.
+        ``None`` unless every value is a built-in ``int`` (the
         kernels then have no fast path for this relation): the columns
         stand in for the rows, and a widened ``bool`` would return as ``1``.
 
@@ -329,6 +325,8 @@ class Relation:
             cached = self._colcache
             if cached is None or cached[0] != self._version:
                 cols = exact_columns(self._rows, range(self.schema.arity))
+                if cols is not None:
+                    cols = [_frozen(c) for c in cols]
                 cached = self._colcache = (self._version, cols)
             return cached[1]
 
@@ -401,7 +399,7 @@ class Relation:
             cols = self._cols
             suffix = exact_columns(new, range(arity)) if cols is not None else None
             if suffix is not None and all(s.dtype == c.dtype for s, c in zip(suffix, cols)):
-                self._cols = [np.concatenate(pair) for pair in zip(cols, suffix)]
+                self._cols = [_frozen(np.concatenate(pair)) for pair in zip(cols, suffix)]
                 if self._rows is not None:  # the derived view grows with it
                     self._rows.extend(new)
             else:
@@ -413,8 +411,8 @@ class Relation:
     # ---------------------------------------------------- columnar plumbing
 
     def _adopt_columns(self, cols: list[np.ndarray]) -> "Relation":
-        """Install already-normalized arrays as the primary representation."""
-        self._cols = cols
+        """Install normalized arrays, frozen, as the primary representation."""
+        self._cols = [_frozen(c) for c in cols]
         self._rows = None
         return self
 
@@ -425,7 +423,7 @@ class Relation:
         idx = self.schema.indices(attributes)
         out = Relation(name or self.name, self.schema.project(attributes))
         if self._cols is not None:
-            return out._adopt_columns(_shared([self._cols[i] for i in idx]))
+            return out._adopt_columns([self._cols[i] for i in idx])
         out._rows = [tuple(row[i] for i in idx) for row in self._rows]
         return out
 
@@ -460,7 +458,7 @@ class Relation:
         """Rename attributes (the store is copied, tuples/arrays shared)."""
         out = Relation(name or self.name, self.schema.rename(mapping))
         if self._cols is not None:
-            return out._adopt_columns(_shared(self._cols))
+            return out._adopt_columns(self._cols)
         out._rows = list(self._rows)
         return out
 

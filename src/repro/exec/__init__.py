@@ -4,7 +4,7 @@
 exactly as before; ``process`` fans it out over a persistent
 multiprocessing worker pool where worker i owns the i-th contiguous
 range of the p simulated servers, with payload bytes riding one frame
-per worker over a pipe (blocks of a megabyte and more take a
+per worker over a pipe (blocks of 512 KiB and more take a
 shared-memory segment). Select with ``REPRO_BACKEND=process`` /
 ``REPRO_WORKERS=4``, or in code::
 

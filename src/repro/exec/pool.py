@@ -12,18 +12,13 @@ arrival order never matters.
 Dispatch protocol
 -----------------
 
-A frame is a pickled *batch*: ``(epoch, [subjob, ...])`` where each
-subjob is ``(task_name, encoded_payload, kernels_flag)``. Independent
-task maps (:meth:`WorkerPool.run_batch`) collapse into one round-trip
-per worker instead of one per map; a single map is just a batch of one.
-Payload bytes ride the frame unless a block is worth a segment
-(:mod:`repro.exec.shm`). ``epoch`` is the resident-state epoch: workers
-keep a content-addressed :class:`~repro.exec.shm.BlockCache` of
-segment-sized blocks between dispatches, the coordinator mirrors it per
-worker (:class:`~repro.exec.shm.MirrorCache`), and bumping the epoch
-tells the worker to drop everything — the wholesale invalidation path
-that keeps faults, recovery, and explicit resets byte-identical to a
-cold start.
+A frame is a pickled *batch*: a list of subjobs, each
+``(task_name, encoded_payload, kernels_flag)``. Independent task maps
+(:meth:`WorkerPool.run_batch`) collapse into one round-trip per worker
+instead of one per map; a single map is just a batch of one. Payload
+bytes ride the frame unless a block is worth a segment
+(:mod:`repro.exec.shm`). A worker keeps nothing between frames, so every
+dispatch is a cold start.
 
 A pipe is unbuffered beyond the kernel's few kilobytes, so a large
 frame blocks its writer until the peer reads. Three rules keep that
@@ -73,14 +68,6 @@ __all__ = [
     "shutdown_pools",
 ]
 
-# Budget of one worker's resident block cache (coordinator mirror +
-# worker copy). Crossing it bumps the state epoch instead of evicting
-# piecemeal: the worker drops its whole cache on the next dispatch and
-# blocks are re-shipped as they recur, so there is no distributed LRU
-# to drift.
-_RESIDENT_BYTES = 128 * 1024 * 1024
-
-
 def _start_method() -> str:
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
@@ -98,7 +85,6 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
         other.close()
     # A task running inside a worker must never fork its own pool.
     exec_config.set_backend("inline")
-    cache = shm.BlockCache()
     while True:
         try:
             frame = conn.recv_bytes()
@@ -106,8 +92,7 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
             break
         if not frame:  # the empty frame is the shutdown request
             break
-        epoch, subjobs = pickle.loads(frame)
-        cache.sync_epoch(epoch)
+        subjobs = pickle.loads(frame)
         started = time.perf_counter()
         results: list[shm.ShmEncoded] = []
         reply: Any
@@ -115,7 +100,7 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
         index = 0
         try:
             for index, (task_name, encoded, kernels_flag) in enumerate(subjobs):
-                (chunk, common), segment = shm.decode_for_read(encoded, cache)
+                (chunk, common), segment = shm.decode_for_read(encoded)
                 try:
                     fn = task_registry.resolve(task_name)
                     with use_kernels(kernels_flag):
@@ -152,9 +137,9 @@ class UnpicklablePayloadError(TypeError):
     """A job carried an object that cannot be serialized.
 
     Raised *before* anything is written (every frame is built in the
-    coordinator before the first one goes out), so the mirrors and the
-    workers are exactly as they were; the backend falls back to inline
-    execution for the whole map call.
+    coordinator before the first one goes out), so the workers are exactly
+    as they were; the backend falls back to inline execution for the whole
+    map call.
     """
 
 
@@ -168,10 +153,6 @@ class DispatchStats:
     pickle_bytes_in: int = 0
     worker_seconds: float = 0.0
     queue_messages: int = 0  # frames written (one per participating worker)
-    snapshot_dispatches: int = 0  # frames that shipped a full snapshot
-    resident_hits: int = 0  # segment-sized blocks that traveled as tokens
-    resident_misses: int = 0  # segment-sized blocks that had to ship
-    resident_bytes_saved: int = 0  # bytes the hits did not re-ship
 
 
 class WorkerPool:
@@ -200,7 +181,6 @@ class WorkerPool:
             self._processes.append(process)
         self._closed = False
         self._dispatch_lock = threading.Lock()
-        self._mirrors = [shm.MirrorCache(_RESIDENT_BYTES) for _ in range(workers)]
         # Abnormal-shutdown ledger: outbound segment names by worker
         # (dropped when the worker's reply arrives — it unlinks inputs
         # after reading) and inbound result segment names not yet
@@ -209,17 +189,6 @@ class WorkerPool:
         self._pending_results: set[str] = set()
 
     # ------------------------------------------------------------ dispatch
-
-    def invalidate_resident(self) -> None:
-        """Bump every worker's state epoch on its next dispatch.
-
-        The explicit invalidation path: callers that mutated ambient
-        state a cached block may alias (none do today — blocks are
-        content-addressed copies) or that want a cold-start measurement
-        on a shared pool get a guaranteed empty worker cache.
-        """
-        for mirror in self._mirrors:
-            mirror.invalidate()
 
     def run(
         self,
@@ -271,50 +240,31 @@ class WorkerPool:
             # Build every frame before writing any of them: a
             # serialization failure (a closure key, an exotic item type)
             # must raise here, where the backend can fall back to inline.
-            # Mirror staging is committed only after every frame was
-            # built, so an abort leaves the mirrors exactly as before.
             # worker -> (frame, (call, chunk) per subjob, outbound segments)
             jobs: dict[int, tuple[bytes, list[tuple[int, int]], list[str]]] = {}
             encodeds: list[shm.ShmEncoded] = []
             try:
                 for worker_index, subjobs in sorted(by_worker.items()):
-                    mirror = self._mirrors[worker_index]
-                    epoch = mirror.begin_message()
                     wire_subjobs = []
                     meta = []
                     segments: list[str] = []
-                    message_hits = 0
                     for call_index, chunk_pos, task_name, chunk, common in subjobs:
-                        encoded = shm.encode_payload((chunk, common), mirror=mirror)
+                        encoded = shm.encode_payload((chunk, common))
                         encodeds.append(encoded)
                         stats.shm_bytes_out += encoded.nbytes
-                        message_hits += encoded.resident
-                        stats.resident_bytes_saved += encoded.resident_bytes
-                        stats.resident_misses += len(encoded.slots) - encoded.resident
                         if encoded.segment_name is not None:
                             segments.append(encoded.segment_name)
                         wire_subjobs.append((task_name, encoded, kernels_flag))
                         meta.append((call_index, chunk_pos))
-                    frame = pickle.dumps(
-                        (epoch, wire_subjobs), protocol=pickle.HIGHEST_PROTOCOL
-                    )
+                    frame = pickle.dumps(wire_subjobs, protocol=pickle.HIGHEST_PROTOCOL)
                     stats.pickle_bytes_out += len(frame)
-                    stats.resident_hits += message_hits
-                    if message_hits == 0:
-                        # Nothing rode the resident cache: this message is a
-                        # full payload snapshot.
-                        stats.snapshot_dispatches += 1
                     jobs[worker_index] = (frame, meta, segments)
             except (pickle.PicklingError, TypeError, AttributeError) as error:
-                for mirror in self._mirrors:
-                    mirror.abort()
                 for encoded in encodeds:
                     shm.release_payload(encoded)
                 raise UnpicklablePayloadError(
                     f"batch payload is not picklable: {error}"
                 ) from error
-            for mirror in self._mirrors:
-                mirror.commit()
             stats.queue_messages = len(jobs)
 
             try:

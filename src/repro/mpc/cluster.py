@@ -417,18 +417,16 @@ class Cluster:
         """Place a relation round-robin across servers (free, per the model).
 
         On the kernel rung a relation with exact columns is placed as
-        strided views of them (read-only: they alias the relation) and no
-        tuple is built; anything else is placed row by row. Returns the
-        fragment name used (``relation.name`` by default).
+        strided views of them (read-only, as the relation's columns are)
+        and no tuple is built; anything else is placed row by row. Returns
+        the fragment name used (``relation.name`` by default).
         """
         fragment = name if name is not None else relation.name
         columns = relation.columns() if kernels_enabled() else None
         if columns:
-            shared = [column.view() for column in columns]
-            for view in shared:
-                view.flags.writeable = False  # and so is every slice of it
             self._place(fragment, [
-                ChunkedColumns([[view[s :: self.p]] for view in shared]) for s in range(self.p)
+                ChunkedColumns([[column[s :: self.p]] for column in columns])
+                for s in range(self.p)
             ])
         else:
             self.scatter_rows(relation.rows_readonly(), fragment)

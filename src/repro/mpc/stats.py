@@ -141,23 +141,20 @@ class ExecStats(CounterStats):
     worker_seconds: float = 0.0
     fallbacks: int = 0  # process dispatches run inline (unpicklable payload)
     queue_messages: int = 0  # frames written (batching collapses these)
-    snapshot_dispatches: int = 0  # frames shipping a full payload snapshot
-    resident_hits: int = 0  # segment-sized blocks that traveled as tokens
-    resident_misses: int = 0  # segment-sized blocks that had to ship
-    resident_bytes_saved: int = 0  # bytes the resident hits did not re-ship
-    # Always 0: row lists ride the frame, there is no fallback to count.
-    # Kept because the frozen perfbench/workloads.py reads it by name;
-    # leaves with the exec.fallback_dispatches metric (ROADMAP item 6).
+    # Always 0: row lists ride the frame and no block is kept resident in
+    # a worker, so there is no fallback and no resident hit or miss to
+    # count. Kept because the frozen perfbench/workloads.py reads them by
+    # name; they leave with their perfbench metrics (ROADMAP item 6).
+    resident_hits: int = 0
+    resident_misses: int = 0
     fallback_dispatches: int = 0
 
     _COUNTERS = (
         "dispatches", "chunks", "items",
         "shm_bytes_out", "shm_bytes_in",
         "pickle_bytes_out", "pickle_bytes_in",
-        "worker_seconds", "fallbacks",
-        "queue_messages", "snapshot_dispatches",
-        "resident_hits", "resident_misses", "resident_bytes_saved",
-        "fallback_dispatches",
+        "worker_seconds", "fallbacks", "queue_messages",
+        "resident_hits", "resident_misses", "fallback_dispatches",
     )
 
     @property

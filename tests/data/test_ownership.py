@@ -1,21 +1,27 @@
 """A relation owns what it holds.
 
 ``rows()`` hands out a fresh list, ``wrap()`` stores a snapshot of the
-caller's list, and ``from_columns()`` copies an array that is still
-writable (a read-only one is adopted as is). So nothing a caller keeps —
-a handed-out list, the list it wrapped, the array it built from — can
-change a relation, the mutation token moves exactly on ``add``/``extend``,
-and every cache keyed on ``(identity, token)`` serves the current rows:
-a warm answer is byte-identical to a cold one.
+caller's list, and every array a relation holds is read-only:
+``from_columns()`` freezes an array it can own in place, copies a
+writable view once, and adopts a read-only array as is. So nothing a
+caller keeps — a handed-out list, the list it wrapped, the array it built
+from, the arrays ``columns()`` returns — can change a relation, the
+mutation token moves exactly on ``add``/``extend``, and every cache keyed
+on ``(identity, token)`` serves the current rows: a warm answer is
+byte-identical to a cold one.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.relation import Relation
+from repro.data.relation import Relation, union_all
 from repro.engine import Engine
+from repro.joins import base as joins_base
+from repro.kernels.join import stack_tagged
 from repro.kernels.memo import clear_memo
 
 JOIN = "R(a, b), S(b, c)"
@@ -86,13 +92,15 @@ class TestWrapSnapshots:
 
 
 class TestFromColumnsOwns:
-    def test_a_writable_input_is_copied(self):
+    def test_a_writable_input_is_frozen_not_copied(self):
         x, y = np.arange(5), np.arange(5) * 10
         rel = Relation.from_columns("R", ["x", "y"], [x, y])
-        assert not any(np.shares_memory(c, s) for c in rel.columns() for s in (x, y))
-        y[:] = 0
+        assert rel.columns()[0] is x and rel.columns()[1] is y
+        assert not x.flags.writeable and not y.flags.writeable  # for the caller too
+        with pytest.raises(ValueError):
+            y[:] = 0
         assert _columns(rel) == [[0, 1, 2, 3, 4], [0, 10, 20, 30, 40]]
-        assert all(c.flags.writeable for c in rel.columns())  # the relation's own
+        assert rel.mutation_token() == 0
 
     def test_a_writable_view_is_copied(self):
         base = np.arange(10)
@@ -108,7 +116,9 @@ class TestFromColumnsOwns:
     def test_from_chunks_owns_a_lone_block(self):
         lone, first, second = np.arange(4), np.arange(2), np.arange(2, 4)
         rel = Relation.from_chunks("R", ["x", "y"], [[lone], [first, second]])
-        lone[:] = first[:] = second[:] = -1
+        with pytest.raises(ValueError):
+            lone[:] = -1  # held as is, and so frozen
+        first[:] = second[:] = -1  # concatenated: the relation holds a new array
         assert _columns(rel) == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
     @pytest.mark.parametrize("strategy", ["hash", "broadcast", "auto"])
@@ -120,11 +130,64 @@ class TestFromColumnsOwns:
                      Relation.from_columns("S", ["b", "c"], [np.arange(7), np.arange(7) * 3])]
         engine = _engine(relations, p=4)
         before = engine.query(JOIN, strategy=strategy).output.rows()
-        y[:] = 0
+        with pytest.raises(ValueError):
+            y[:] = 0
         warm = engine.query(JOIN, strategy=strategy).output.rows()
         clear_memo()
         cold = _engine(relations, p=4).query(JOIN, strategy=strategy).output.rows()
         assert warm == cold == before
+
+
+class TestHeldArraysAreReadOnly:
+    def test_a_write_through_columns_raises_and_warm_equals_cold(self):
+        # Before the columns were frozen the write reached R's backing
+        # array behind its token: a warm hash query replayed the old
+        # routing and returned c in {0, 10, 20}, a cold one only {0}.
+        relations = [Relation.from_columns("R", ["a", "b"], [np.arange(6), np.arange(6) % 3]),
+                     Relation.from_columns("S", ["b", "c"], [np.arange(3), np.arange(3) * 10])]
+        engine = _engine(relations, p=4)
+        before = engine.query(JOIN, strategy="hash").output.rows()
+        with pytest.raises(ValueError):
+            relations[0].columns()[1][:] = 0
+        warm = engine.query(JOIN, strategy="hash").output.rows()
+        clear_memo()
+        cold = _engine(relations, p=4).query(JOIN, strategy="hash").output.rows()
+        assert sorted(warm) == sorted(cold) == sorted(before)
+        assert {row[2] for row in warm} == {0, 10, 20}
+
+    def test_a_union_with_an_empty_part_does_not_alias_writably(self):
+        # union_all used to hand U R's own writable arrays: a write through
+        # U changed R and left R's token at 0.
+        r = _held("columns")
+        empty = Relation.from_columns("E", ["x", "y"], [np.arange(0), np.arange(0)])
+        u = union_all("U", [r, empty])
+        with pytest.raises(ValueError):
+            u.columns()[0][0] = 99
+        assert _columns(r) == [[1, 2, 3], [10, 20, 30]] and r.mutation_token() == 0
+
+    @pytest.mark.parametrize("how", ["columns", "rows"])
+    def test_a_pickle_round_trip_keeps_every_held_array_read_only(self, how):
+        rel = _held(how)
+        rel.columns()  # a row-primary relation caches its extraction
+        back = pickle.loads(pickle.dumps(rel))
+        assert _columns(back) == _columns(rel)
+        assert not any(c.flags.writeable for c in back.columns())
+        with pytest.raises(ValueError):
+            back.columns()[0][0] = 99
+
+    def test_stacked_holds_what_stack_tagged_built(self, monkeypatch):
+        built = []
+
+        def spy(fragments):
+            built.append(stack_tagged(fragments))
+            return built[-1]
+
+        monkeypatch.setattr(joins_base, "stack_tagged", spy)
+        fragments = [[np.arange(3), np.arange(3) * 2], [np.arange(2), np.arange(2) * 5]]
+        rel = joins_base.stacked("R", ("x", "y"), fragments)
+        # No copy: each held column is the very array stack_tagged built.
+        assert all(np.shares_memory(h, b) for h, b in zip(rel.columns(), built[0]))
+        assert not any(c.flags.writeable for c in rel.columns())
 
 
 class TestTheCliffIsGone:
@@ -160,6 +223,8 @@ operations = st.lists(
         st.tuples(st.just("from_columns"), targets, rows_st),
         st.tuples(st.just("add"), targets, st.tuples(values, values)),
         st.tuples(st.just("extend"), targets, rows_st),
+        st.tuples(st.just("columns_write"), targets, values),
+        st.tuples(st.just("source_write"), targets, values),
         st.tuples(st.just("query"), st.sampled_from(["hash", "broadcast", "auto"]), st.just(None)),
     ),
     max_size=10,
@@ -177,12 +242,14 @@ def _observed(result):
 @given(r_rows=rows_st, s_rows=rows_st, ops=operations)
 def test_any_interleaving_answers_what_a_cold_engine_does(r_rows, s_rows, ops):
     """Whatever a caller does with what it holds — edit a ``rows()``
-    copy, edit a list it wrapped, write an array it built from — only
-    ``add``/``extend`` change what the engine answers: after every query
-    the warm result equals a cold engine's over fresh copies of the
-    shadow state (rows, their types, per-round loads, L, r)."""
+    copy, edit a list it wrapped, write an array it built from or one
+    ``columns()`` returned (both raise) — only ``add``/``extend`` change
+    what the engine answers: after every query the warm result equals a
+    cold engine's over fresh copies of the shadow state (rows, their
+    types, per-round loads, L, r)."""
     clear_memo()
     shadow = {"R": list(r_rows), "S": list(s_rows)}
+    sources = {}  # the arrays each relation was last built from
     engine = _engine([Relation(n, ATTRS[n], shadow[n]) for n in ATTRS], p=4)
     for tag, target, payload in ops:
         if tag == "rows_edit":
@@ -199,7 +266,13 @@ def test_any_interleaving_answers_what_a_cold_engine_does(r_rows, s_rows, ops):
             columns = [np.array([row[i] for row in payload], dtype=np.int64) for i in range(2)]
             engine.register(Relation.from_columns(target, ATTRS[target], columns))
             shadow[target] = list(payload)
-            columns[1][:] = 5
+            sources[target] = columns
+        elif tag in ("columns_write", "source_write"):
+            held = engine.relation(target).columns() if tag == "columns_write" \
+                else sources.get(target)
+            if held is not None:
+                with pytest.raises(ValueError):
+                    held[1][:] = payload
         elif tag == "add":
             engine.relation(target).add(payload)
             shadow[target].append(payload)

@@ -1,12 +1,9 @@
-"""Resident dispatch protocol: caches, epochs, batching, accounting.
+"""Dispatch without residency: repeats, batching, accounting.
 
-Workers keep content-addressed segment-sized blocks between dispatches
-and the coordinator mirrors each worker's cache, so a repeated block
-travels as a 16-byte token instead of bytes. These tests pin the cache mechanics
-(tokens, staging, epoch invalidation, copy-on-hand-out), the pool-level
-protocol (first dispatch ships bytes, repeat ships tokens; explicit
-invalidation; mutation safety), the batched round dispatch, and the
-per-query ExecStats accounting primitives.
+Workers keep nothing between dispatches, so a repeated segment-sized
+block ships its bytes again every time. These tests pin that repeats
+are cold starts (same bytes out, mutation safety), the batched round
+dispatch, and the per-query ExecStats accounting primitives.
 """
 
 import numpy as np
@@ -24,9 +21,8 @@ def _total_chunk(payloads, common):
 
 
 def _mutate_chunk(payloads, common):
-    # Mutates its inputs in place: a resident cache handing out the
-    # cached object itself (instead of a copy) would corrupt the cache
-    # and change the answer on the next hit.
+    # Mutates its inputs in place: anything a worker kept between
+    # dispatches and handed out again would change the next answer.
     out = []
     for block in payloads:
         block += 1
@@ -50,9 +46,9 @@ tasks.register("resident.call", _call_chunk)
 
 @pytest.fixture(autouse=True)
 def low_floor(monkeypatch):
-    # This file's 4-8 KB blocks must reach the floor to be content-
-    # addressed. Outbound placement is the coordinator's decision, so
-    # lowering its constant is enough whenever the pool forked.
+    # This file's 8 KB blocks must reach the floor to ride segments.
+    # Outbound placement is the coordinator's decision, so lowering its
+    # constant is enough whenever the pool forked.
     monkeypatch.setattr(shm, "_MIN_SEGMENT_BYTES", 1024)
     yield
     # Workers forked meanwhile inherited the lowered floor for their
@@ -77,149 +73,34 @@ def _chunks():
 # ------------------------------------------------------------- primitives
 
 
-def test_block_token_is_content_addressed():
-    a = np.arange(256, dtype=np.int64)
-    b = np.arange(256, dtype=np.int64)
-    assert shm._block_token(a) == shm._block_token(b)
-    b[0] = 7
-    assert shm._block_token(a) != shm._block_token(b)
-    # dtype and shape are part of the identity, not just the bytes.
-    assert shm._block_token(a) != shm._block_token(a.astype(np.int32))
-    assert shm._block_token(a) != shm._block_token(a.reshape(2, 128))
-
-
-def test_mirror_cache_stage_commit_abort():
-    mirror = shm.MirrorCache(cap_bytes=1 << 20)
-    epoch = mirror.begin_message()
-    mirror.stage(b"token-1", 2048)
-    assert mirror.is_resident(b"token-1")  # visible within the message
-    mirror.abort()
-    assert not mirror.is_resident(b"token-1")  # abort discards staging
-    assert mirror.begin_message() == epoch  # nothing committed, no bump
-    mirror.stage(b"token-1", 2048)
-    mirror.commit()
-    assert mirror.is_resident(b"token-1")
-    assert mirror.bytes == 2048
-
-
-def test_mirror_cache_epoch_bumps_on_invalidate_and_overflow():
-    mirror = shm.MirrorCache(cap_bytes=4096)
-    first = mirror.begin_message()
-    mirror.stage(b"t1", 5000)
-    mirror.commit()
-    assert mirror.is_resident(b"t1")
-    # Over the cap: the next message starts a new epoch with nothing
-    # resident (wholesale reset, not piecemeal eviction).
-    second = mirror.begin_message()
-    assert second == first + 1
-    assert not mirror.is_resident(b"t1")
-    mirror.invalidate()
-    assert mirror.begin_message() == second + 1
-
-
-def test_block_cache_hands_out_copies_and_clears_on_epoch():
-    cache = shm.BlockCache()
-    cache.sync_epoch(1)
-    original = np.arange(64, dtype=np.int64)
-    cache.store(b"tok", original)
-    handed = cache.array(b"tok")
-    handed[0] = 999
-    assert cache.array(b"tok")[0] == 0  # the cached block is untouched
-    cache.sync_epoch(2)  # epoch change drops everything
-    with pytest.raises(KeyError):
-        cache.array(b"tok")
-
-
-def test_encode_decode_resident_roundtrip():
-    mirror = shm.MirrorCache(cap_bytes=1 << 20)
-    cache = shm.BlockCache()
-    payload = ([np.arange(512, dtype=np.int64)], "common")
-
-    epoch = mirror.begin_message()
-    first = shm.encode_payload(payload, mirror=mirror)
-    mirror.commit()
-    assert first.resident == 0
-    cache.sync_epoch(epoch)
-    decoded, segment = shm.decode_for_read(first, cache)
-    # Views into the segment are only valid until finish_read.
-    assert np.array_equal(decoded[0][0], payload[0][0])
-    assert decoded[1] == "common"
-    shm.finish_read(segment)
-
-    # Same bytes again: the block travels as a token, not a segment.
-    epoch = mirror.begin_message()
-    second = shm.encode_payload(payload, mirror=mirror)
-    mirror.commit()
-    assert second.resident == 1
-    assert second.resident_bytes == payload[0][0].nbytes
-    cache.sync_epoch(epoch)
-    decoded, segment = shm.decode_for_read(second, cache)
-    assert np.array_equal(decoded[0][0], payload[0][0])
-    shm.finish_read(segment)
-
-
 def test_small_blocks_are_never_cached():
-    mirror = shm.MirrorCache(cap_bytes=1 << 20)
     tiny = ([np.arange(8, dtype=np.int64)], None)  # 64 bytes < any floor
     for _ in range(2):
-        mirror.begin_message()
-        encoded = shm.encode_payload(tiny, mirror=mirror)
-        mirror.commit()
-        assert encoded.resident == 0
-        shm.release_payload(encoded)
+        encoded = shm.encode_payload(tiny)
+        assert encoded.slots == [] and encoded.segment_name is None
+        assert shm.decode_owned(encoded)[0][0].tolist() == list(range(8))
 
 
 # ----------------------------------------------------------- pool protocol
 
 
-def test_pool_resident_hits_on_repeat(pool):
-    first_results, first = pool.run("resident.total", _chunks(), None, False)
-    again_results, again = pool.run("resident.total", _chunks(), None, False)
-    assert first_results == again_results
-    # First dispatch ships the bytes...
-    assert first.resident_hits == 0
-    assert first.resident_misses == 2
-    assert first.snapshot_dispatches == 2
-    assert first.shm_bytes_out == 2 * 1000 * 8
-    # ...the repeat ships one 16-byte token per cached array instead.
-    assert again.resident_hits == 2
-    assert again.snapshot_dispatches == 0
-    assert again.shm_bytes_out == 0
-    assert again.resident_bytes_saved == 2 * 1000 * 8
-    assert again.pickle_bytes_out < 1024
-
-
-def test_invalidate_resident_forces_full_reship(pool):
-    warm_results, _ = pool.run("resident.total", _chunks(), None, False)
-    pool.invalidate_resident()
-    cold_results, cold = pool.run("resident.total", _chunks(), None, False)
-    assert cold_results == warm_results
-    assert cold.resident_hits == 0
-    assert cold.snapshot_dispatches == 2
-    # The cache works again after the bump.
-    _, rewarmed = pool.run("resident.total", _chunks(), None, False)
-    assert rewarmed.resident_hits == 2
-
-
 def test_mutating_task_is_safe_on_cache_hits(pool):
-    pool.invalidate_resident()
     first_results, first = pool.run("resident.mutate", _chunks(), None, False)
     again_results, again = pool.run("resident.mutate", _chunks(), None, False)
-    # The second run hit the cache, yet saw pristine inputs: the worker
-    # hands out copies, so in-place mutation cannot poison the cache.
-    assert again.resident_hits == 2
+    # The repeat ships every byte again and sees pristine inputs: there
+    # is no cache for an in-place mutation to poison.
+    assert first.shm_bytes_out == again.shm_bytes_out == 2 * 1000 * 8
     assert first_results == again_results
 
 
 def test_pickle_transport_never_uses_residency(pool):
-    # A payload with no array bytes to lift rides the frame whole: there
-    # is no block to content-address, however often it repeats.
+    # A payload with no array bytes to lift rides the frame whole,
+    # however often it repeats.
     chunks = [(0, [3, 4]), (1, [5])]
     results, first = pool.run("resident.scale", chunks, 2, False)
     _, again = pool.run("resident.scale", chunks, 2, False)
     assert results == [[6, 8], [10]]
     for dispatch in (first, again):
-        assert dispatch.resident_hits == dispatch.resident_misses == 0
         assert dispatch.shm_bytes_out == 0
         assert dispatch.pickle_bytes_out > 0
 
@@ -271,12 +152,10 @@ def test_per_query_accounting_two_queries_one_pool():
     first_query = stats.snapshot()
     backend.map_payloads("resident.total", payload, None, stats=stats)
     second_query = stats.delta(first_query)
-    # Each query's report covers exactly its own dispatches: the second
-    # delta shows one dispatch with resident hits (same blocks again),
-    # while the snapshot of the first shows the cold shipment.
+    # Each query's report covers exactly its own dispatches: the same
+    # blocks again ship the same bytes again.
     assert first_query.dispatches == 1
     assert second_query.dispatches == 1
     assert second_query.items == 4
-    assert first_query.resident_hits == 0
-    assert second_query.resident_hits == 4
+    assert first_query.shm_bytes_out == second_query.shm_bytes_out == 4 * 1000 * 8
     assert stats.dispatches == 2  # the running total is untouched

@@ -48,13 +48,12 @@ tasks.register("segments.sum", _sum_chunk)
 tasks.register("segments.echo", _echo_chunk)
 
 
-def _frame_for(pool, task, chunk):
+def _frame_for(task, chunk):
     """One worker-0 frame, built as ``run_batch`` builds it."""
     import pickle
 
-    encoded = shm.encode_payload((chunk, None), mirror=pool._mirrors[0])
-    pool._mirrors[0].commit()
-    return pickle.dumps((pool._mirrors[0].epoch, [(task, encoded, False)]))
+    encoded = shm.encode_payload((chunk, None))
+    return pickle.dumps([(task, encoded, False)])
 
 
 def _psm_segments() -> set[str]:
@@ -119,7 +118,7 @@ def test_teardown_releases_result_segments_parked_on_a_pipe():
     before = _psm_segments()
     pool = WorkerPool(1)
     big = np.arange(4096, dtype=np.int64)
-    frame = _frame_for(pool, "segments.echo", [big])
+    frame = _frame_for("segments.echo", [big])
     pool._connections[0].send_bytes(frame)
     deadline = time.monotonic() + 5.0
     while not pool._connections[0].poll(0.05):

@@ -1,7 +1,7 @@
 """The process backend's wire: one frame per worker over a pipe.
 
 Bytes ride the frame; only a block at or above ``shm._MIN_SEGMENT_BYTES``
-takes a shared-memory segment and a content token. These tests pin the
+takes a shared-memory segment, every time it is sent. These tests pin the
 structure (no segment, no queue, no feeder thread at ordinary sizes), the
 round-trip contract of the encoding on both sides of the floor, and the
 protocol invariant that keeps large frames deadlock-free.
@@ -75,7 +75,6 @@ def test_ordinary_queries_touch_no_segment(monkeypatch):
         ex = stats_p.exec
         assert ex.dispatches > 0
         assert ex.shm_bytes_out == ex.shm_bytes_in == 0
-        assert ex.resident_hits == ex.resident_misses == 0
         assert ex.queue_messages == 2 * ex.dispatches  # one frame per worker per map
         assert ex.pickle_bytes_out > 0 and ex.pickle_bytes_in > 0
 
@@ -199,13 +198,11 @@ def _assert_same(sent, got):
         assert got == sent
 
 
-def _assert_private(sent, got, cache=None):
+def _assert_private(sent, got):
     """Every decoded array owns its bytes: none aliases the sender's
-    payload, the worker's cache, or another decoded leaf."""
+    payload or another decoded leaf."""
     mine = list(_leaves(got))
     foreign = list(_leaves(sent))
-    if cache is not None:
-        foreign += list(cache._blocks.values())
     for index, leaf in enumerate(mine):
         leaf[...] = leaf  # writable in fact, not just by flag
         for other in foreign + mine[:index]:
@@ -226,32 +223,25 @@ def test_round_trip_is_exact_private_and_writable(monkeypatch, payload):
     _assert_same(payload, owned)
     _assert_private(payload, owned)
 
-    # Worker side, twice: a fresh ship, then whatever the mirror says is
-    # resident comes back from the cache — the task sees the same value.
-    mirror = shm.MirrorCache(cap_bytes=1 << 30)
-    cache = shm.BlockCache()
-    lifted = sum(1 for a in _leaves(payload) if a.dtype != object and a.nbytes >= _FLOOR)
-    for attempt in range(2):
-        cache.sync_epoch(mirror.begin_message())
-        encoded = shm.encode_payload(payload, mirror=mirror)
-        mirror.commit()
-        assert len(encoded.slots) == lifted
-        if attempt:
-            assert encoded.resident == lifted and encoded.segment_name is None
-        decoded, segment = shm.decode_for_read(encoded, cache)
-        try:
-            _assert_same(payload, decoded)
-            _assert_private(payload, decoded, cache)
-        finally:
-            del decoded
-            shm.finish_read(segment)
+    # Worker side: views into the segment, valid until finish_read.
+    lifted = [a.nbytes for a in _leaves(payload) if a.dtype != object and a.nbytes >= _FLOOR]
+    encoded = shm.encode_payload(payload)
+    assert encoded.slots == lifted and encoded.nbytes == sum(lifted)
+    assert (encoded.segment_name is None) == (not lifted)
+    decoded, segment = shm.decode_for_read(encoded)
+    try:
+        _assert_same(payload, decoded)
+        _assert_private(payload, decoded)
+    finally:
+        del decoded
+        shm.finish_read(segment)
     assert _psm_segments() == before
 
 
 # ------------------------------------------------------- the floor, for real
 
 
-def test_a_block_at_the_floor_rides_a_segment_and_repeats_as_a_token():
+def test_a_block_at_the_floor_rides_a_segment_every_time():
     floor = shm._MIN_SEGMENT_BYTES
     at = np.arange(floor // 8, dtype=np.int64)  # exactly the floor
     under = at[:-1].copy()  # one element short of it
@@ -260,24 +250,11 @@ def test_a_block_at_the_floor_rides_a_segment_and_repeats_as_a_token():
     try:
         chunks = [(0, [at]), (1, [under])]
         want = [[int(at.sum())], [int(under.sum())]]
-        results, first = pool.run("wire.total", chunks, None, False)
-        assert results == want
-        assert first.shm_bytes_out == floor  # only the block at the floor
-        assert (first.resident_hits, first.resident_misses) == (0, 1)
-        assert first.pickle_bytes_out > under.nbytes  # the other rode the frame
-
-        results, again = pool.run("wire.total", chunks, None, False)
-        assert results == want
-        assert (again.resident_hits, again.resident_misses) == (1, 0)
-        assert again.shm_bytes_out == 0
-        assert again.resident_bytes_saved == floor
-
-        pool.invalidate_resident()
-        results, cold = pool.run("wire.total", chunks, None, False)
-        assert results == want
-        assert (cold.resident_hits, cold.resident_misses) == (0, 1)
-        results, warm = pool.run("wire.total", chunks, None, False)
-        assert results == want and warm.resident_hits == 1
+        for _ in range(2):  # nothing is remembered: the repeat ships again
+            results, dispatch = pool.run("wire.total", chunks, None, False)
+            assert results == want
+            assert dispatch.shm_bytes_out == floor  # only the block at the floor
+            assert dispatch.pickle_bytes_out > under.nbytes  # the other rode the frame
     finally:
         pool.shutdown()
     assert _psm_segments() <= before

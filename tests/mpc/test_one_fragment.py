@@ -261,7 +261,7 @@ def test_scatter_places_read_only_views_and_results_never_alias_writably():
         _assert_no_writable_alias(run.output, relations)
     assert runs["one-atom-residual"].details["jobs"] > 1
     for name, rel in relations.items():
-        assert all(column.flags.writeable for column in rel.columns())  # still the owner's own
+        assert not any(column.flags.writeable for column in rel.columns())  # held read-only
         assert rel.rows_readonly() == before[name] and rel.mutation_token() == 0
 
 

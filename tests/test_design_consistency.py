@@ -52,8 +52,60 @@ class TestRowsEncapsulationLint:
 
 class TestOwnershipLint:
     """A relation owns what it holds, so no cache layer tracks who else
-    might: the borrow bit is gone, and handing out ``rows()`` is not a
-    mutation (the token counts ``add``/``extend`` and nothing else)."""
+    might: the borrow bit is gone, handing out ``rows()`` is not a
+    mutation (the token counts ``add``/``extend`` and nothing else), and
+    every array a relation holds is read-only."""
+
+    @staticmethod
+    def _made(how):
+        import pickle
+
+        import numpy as np
+
+        from repro.data.relation import Relation, union_all
+
+        def source():
+            return Relation.from_columns("R", ["a", "b"], [np.arange(6), np.arange(6) % 3])
+
+        def row_primary():
+            rel = Relation("T", ["a", "b"], [(1, 2), (3, 4)])
+            rel.columns()  # extracted once and cached
+            return rel
+
+        def grown():
+            rel = source()
+            rel.extend([(7, 1)])
+            return rel
+
+        other = Relation.from_columns("S", ["b", "c"], [np.arange(3), np.arange(3) * 10])
+        return {
+            "from_columns": source,
+            "from_chunks": lambda: Relation.from_chunks(
+                "R", ["a", "b"], [[np.arange(3)], [np.arange(2), np.arange(1)]]),
+            "from_held": lambda: Relation.from_held("R", ["a"], [np.arange(4)]),
+            "extend": grown,
+            "project": lambda: source().project(["b"]),
+            "rename": lambda: source().rename({"a": "x"}),
+            "select_eq": lambda: source().select_eq("b", 1),
+            "join": lambda: source().join(other),
+            "semijoin": lambda: source().semijoin(other),
+            "sorted_by": lambda: source().sorted_by(["b"]),
+            "union_all": lambda: union_all("U", [source(), source()]),
+            "row-primary columns()": row_primary,
+            "unpickling": lambda: pickle.loads(pickle.dumps(source())),
+        }[how]()
+
+    @pytest.mark.parametrize("how", [
+        "from_columns", "from_chunks", "from_held", "extend", "project", "rename",
+        "select_eq", "join", "semijoin", "sorted_by", "union_all",
+        "row-primary columns()", "unpickling",
+    ])
+    def test_every_held_array_is_read_only(self, how):
+        rel = self._made(how)
+        cached = rel._colcache[1] if rel._colcache is not None else None
+        held = list(rel._cols or []) + list(cached or [])
+        assert held
+        assert not any(array.flags.writeable for array in held)
 
     def test_the_borrow_bit_matches_nothing_under_src(self):
         assert _files_matching(r"is_borrowed|_borrowed") == []
@@ -369,14 +421,18 @@ class TestLedgerInventoryLint:
 
 class TestWireInventoryLint:
     """The process backend has one wire: a frame per worker over a pipe.
-    Queues (and their feeder threads), the liveness poll, row packing and
-    the warning about the path that turned out faster are gone, and what
-    decides between frame and segment is one measured constant."""
+    Queues (and their feeder threads), the liveness poll, row packing,
+    the warning about the path that turned out faster and the resident
+    block protocol (content tokens, mirrors, worker caches, epochs) are
+    gone, and what decides between frame and segment is one measured
+    constant."""
 
     RETIRED = (
         r"multiprocessing\.Queue|context\.Queue\(|queue_module|_POLL_SECONDS"
         r"|_pack_rows|_RowsRef|_CachedRowsRef|_MIN_ROW_BLOCK|_MIN_RESIDENT_BYTES"
         r"|fallback_rows|FallbackHotPathWarning|_HOT_FALLBACK_ROWS|_warn_hot_fallback"
+        r"|_block_token|MirrorCache|BlockCache|invalidate_resident|_RESIDENT_BYTES"
+        r"|sync_epoch|snapshot_dispatches|resident_bytes_saved"
     )
 
     def test_the_retired_names_match_nothing_under_src(self):
