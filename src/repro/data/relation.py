@@ -45,6 +45,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -52,7 +53,6 @@ import numpy as np
 from repro.data.schema import Schema
 from repro.errors import SchemaError
 from repro.kernels.columnar import exact_columns, pack_columns, zip_rows
-from repro.kernels.config import kernels_enabled
 from repro.kernels.join import (
     code_key_columns,
     join_indices,
@@ -497,7 +497,7 @@ class Relation:
         that are not shared. When both sides are column-primary the join
         runs column-native end to end: key codes, match indices, and the
         output's columns are all array operations, and no tuple is ever
-        materialized.
+        materialized. Keys meet as Python ``==`` does (``1`` meets ``1.0``).
         """
         shared = self.schema.common(other.schema)
         left_idx = self.schema.indices(shared)
@@ -514,32 +514,17 @@ class Relation:
             ]
             return out
 
-        if kernels_enabled():
-            if self._cols is not None and other._cols is not None:
-                coded = code_key_columns(
-                    [self._cols[i] for i in left_idx],
-                    [other._cols[i] for i in right_idx],
-                )
-                if coded is not None:
-                    left_pos, right_pos = join_indices(*coded)
-                    return out._adopt_columns(
-                        [c[left_pos] for c in self._cols]
-                        + [other._cols[i][right_pos] for i in extra_idx]
-                    )
-            left_rows = self._materialize()
-            right_rows = other._materialize()
-            joined = join_rows_columnar(left_rows, right_rows, left_idx, right_idx, extra_idx)
-            if joined is not None:
-                out._rows = joined
-                return out
-
-        index: dict[Row, list[Row]] = {}
-        for row in other._materialize():
-            index.setdefault(tuple(row[i] for i in right_idx), []).append(row)
-        for row in self._materialize():
-            k = tuple(row[i] for i in left_idx)
-            for match in index.get(k, ()):
-                out._rows.append(row + tuple(match[i] for i in extra_idx))
+        if self._cols is not None and other._cols is not None:
+            left_pos, right_pos = join_indices(*code_key_columns(
+                [self._cols[i] for i in left_idx], [other._cols[i] for i in right_idx],
+            ))
+            return out._adopt_columns(
+                [c[left_pos] for c in self._cols]
+                + [other._cols[i][right_pos] for i in extra_idx]
+            )
+        out._rows = join_rows_columnar(
+            self._materialize(), other._materialize(), left_idx, right_idx, extra_idx
+        )
         return out
 
     def semijoin(self, other: "Relation", name: str | None = None) -> "Relation":
@@ -552,32 +537,14 @@ class Relation:
         left_idx = self.schema.indices(shared)
         right_idx = other.schema.indices(shared)
         out = Relation(name or self.name, self.schema)
-        if kernels_enabled():
-            if self._cols is not None and other._cols is not None:
-                coded = code_key_columns(
-                    [self._cols[i] for i in left_idx],
-                    [other._cols[i] for i in right_idx],
-                )
-                if coded is not None:
-                    row_codes, member_codes = coded
-                    mask = np.isin(row_codes, member_codes)
-                    return out._adopt_columns([c[mask] for c in self._cols])
-            rows = self._materialize()
-            mask = semijoin_mask(
-                rows, left_idx,
-                [tuple(r[i] for i in right_idx) for r in other],
-            )
-            if mask is not None:
-                out._rows = [row for row, keep in zip(rows, mask) if keep]
-                return out
-        right_keys = {
-            tuple(row[i] for i in right_idx) for row in other._materialize()
-        }
-        out._rows = [
-            row
-            for row in self._materialize()
-            if tuple(row[i] for i in left_idx) in right_keys
-        ]
+        if self._cols is not None and other._cols is not None:
+            mask = np.isin(*code_key_columns(
+                [self._cols[i] for i in left_idx], [other._cols[i] for i in right_idx],
+            ))
+            return out._adopt_columns([c[mask] for c in self._cols])
+        rows = self._materialize()
+        keep = semijoin_mask(rows, left_idx, other.key(shared))
+        out._rows = list(compress(rows, keep.tolist()))
         return out
 
     def sorted_by(self, attributes: Sequence[str], name: str | None = None) -> "Relation":

@@ -183,7 +183,6 @@ class ProcessBackend(ExecutionBackend):
             return out
         # The pool forks lazily, on first real work only.
         from repro.exec.pool import UnpicklablePayloadError, get_pool
-        from repro.kernels.config import kernels_enabled
 
         pool_calls = [
             (task, self._chunked(payloads), common)
@@ -191,7 +190,7 @@ class ProcessBackend(ExecutionBackend):
         ]
         pool = get_pool(self.workers)
         try:
-            results, dispatch = pool.run_batch(pool_calls, kernels_enabled())
+            results, dispatch = pool.run_batch(pool_calls)
         except UnpicklablePayloadError:
             # One unpicklable payload degrades the whole batch to inline
             # (the batch shares frames, so per-call retry would re-encode

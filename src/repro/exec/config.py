@@ -15,10 +15,10 @@ This module is import-light on purpose (stdlib only): resolving a
 :func:`repro.exec.base.get_backend` the first time a ``process`` cluster
 actually maps work.
 
-Like :mod:`repro.kernels.config`, the overrides live in
-:class:`contextvars.ContextVar` slots so concurrent threads (the
-:mod:`repro.service` workers) each see their own forcing; a thread that
-never forces anything falls through to the environment defaults.
+The overrides live in :class:`contextvars.ContextVar` slots so
+concurrent threads (the :mod:`repro.service` workers) each see their own
+forcing; a thread that never forces anything falls through to the
+environment defaults.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def use_backend(name: str | None, workers: int | None = None) -> Iterator[None]:
     """Scoped override: run the block under the named backend.
 
     ``name=None`` is a no-op (keep the ambient setting) so callers can
-    thread an optional flag straight through, mirroring
-    :func:`repro.kernels.config.use_kernels`. ``workers`` only takes
+    thread an optional flag straight through. ``workers`` only takes
     effect together with an explicit ``name``.
     """
     if name is None:

@@ -13,7 +13,7 @@ Dispatch protocol
 -----------------
 
 A frame is a pickled *batch*: a list of subjobs, each
-``(task_name, encoded_payload, kernels_flag)``. Independent task maps
+``(task_name, encoded_payload)``. Independent task maps
 (:meth:`WorkerPool.run_batch`) collapse into one round-trip per worker
 instead of one per map; a single map is just a batch of one. Payload
 bytes ride the frame unless a block is worth a segment
@@ -79,7 +79,6 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
     # pays them once, and so fork-started children re-resolve nothing.
     from repro.exec import config as exec_config
     from repro.exec import tasks as task_registry
-    from repro.kernels.config import use_kernels
 
     for other in inherited:  # the coordinator's ends a fork handed us
         other.close()
@@ -99,12 +98,10 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
         ok = True
         index = 0
         try:
-            for index, (task_name, encoded, kernels_flag) in enumerate(subjobs):
+            for index, (task_name, encoded) in enumerate(subjobs):
                 (chunk, common), segment = shm.decode_for_read(encoded)
                 try:
-                    fn = task_registry.resolve(task_name)
-                    with use_kernels(kernels_flag):
-                        result = fn(chunk, common)
+                    result = task_registry.resolve(task_name)(chunk, common)
                     # Before the input goes: a result may be a view of it
                     # (a one-atom residual's eval projects its fragment).
                     results.append(shm.encode_payload(result))
@@ -117,7 +114,7 @@ def _worker_main(worker_index: int, conn: Any, inherited: tuple[Any, ...]) -> No
             # subjobs (already-unlinked segments are tolerated).
             for encoded_result in results:
                 shm.release_payload(encoded_result)
-            for _, encoded, _ in subjobs[index:]:
+            for _, encoded in subjobs[index:]:
                 shm.release_payload(encoded)
             reply = f"worker {worker_index}: {traceback.format_exc()}"
             ok = False
@@ -195,20 +192,18 @@ class WorkerPool:
         task_name: str,
         chunks: list[tuple[int, list[Any]]],
         common: Any,
-        kernels_flag: bool,
     ) -> tuple[list[list[Any]], DispatchStats]:
         """Run one task over ``(worker_index, payload_chunk)`` pairs.
 
         A batch of one: results arrive in chunk order regardless of
         completion order, which is what makes the merge deterministic.
         """
-        results, stats = self.run_batch([(task_name, chunks, common)], kernels_flag)
+        results, stats = self.run_batch([(task_name, chunks, common)])
         return results[0], stats
 
     def run_batch(
         self,
         calls: list[tuple[str, list[tuple[int, list[Any]]], Any]],
-        kernels_flag: bool,
     ) -> tuple[list[list[list[Any]]], DispatchStats]:
         """Run several independent task maps in one round-trip per worker.
 
@@ -254,7 +249,7 @@ class WorkerPool:
                         stats.shm_bytes_out += encoded.nbytes
                         if encoded.segment_name is not None:
                             segments.append(encoded.segment_name)
-                        wire_subjobs.append((task_name, encoded, kernels_flag))
+                        wire_subjobs.append((task_name, encoded))
                         meta.append((call_index, chunk_pos))
                     frame = pickle.dumps(wire_subjobs, protocol=pickle.HIGHEST_PROTOCOL)
                     stats.pickle_bytes_out += len(frame)

@@ -15,7 +15,6 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.kernels.columnar import zip_rows
-from repro.kernels.config import kernels_enabled
 from repro.kernels.join import TAG, cut_at_tags, join_rows_columnar, stack_tagged
 from repro.kernels.memo import key_degrees
 from repro.mpc.server import ChunkedColumns, Server
@@ -94,9 +93,9 @@ def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation
 def chunk_step(payloads: list, fused, one_pass, by_rows) -> list:
     """A chunk's local step: ``one_pass`` over all its ``fused`` (columns-only)
     payloads — the chunk, not the server, is the unit of local work. Where
-    they cannot be coded as one (``None``: a column's dtype differs between
-    servers, a ``uint64`` key exceeds the signed range) each is passed alone;
-    what cannot be coded alone, and every row payload, goes ``by_rows``."""
+    they cannot be stacked as one (``None``: a column's dtype differs between
+    servers) each is passed alone; what does not pass alone, and every row
+    payload, goes ``by_rows``."""
     at = [i for i, payload in enumerate(payloads) if fused(payload)]
     passed = one_pass([payloads[i] for i in at]) if at else []
     if passed is None:  # (a chunk of one has just been tried alone)
@@ -126,21 +125,19 @@ def join_fragment_chunk(payloads: list, common) -> list:
         right = stacked(right_name, right_schema.attributes, [p[3] for p in chunk])
         if left is None or right is None:
             return None
-        joined = left.join(right)
-        return cut_at_tags(joined.columns(), len(chunk)) if joined.is_columnar else None
+        return cut_at_tags(left.join(right).columns(), len(chunk))
 
     def by_rows(payload: tuple) -> "list | tuple":
         l_rows, l_cols, r_rows, r_cols = payload
         if l_rows is None:
             l_rows, r_rows = zip_rows(l_cols), zip_rows(r_cols)
-        if kernels_enabled() and shared:
+        if shared:
             extra = [a for a in right_schema.attributes if a not in left_schema]
-            joined_rows = join_rows_columnar(
+            return join_rows_columnar(
                 l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
                 right_schema.indices(extra),
             )
-            if joined_rows is not None:
-                return joined_rows
+        # A product: no key to code.
         l_rel = Relation.wrap(left_name, left_schema, l_rows)
         r_rel = Relation.wrap(right_name, right_schema, r_rows)
         return step_result(l_rel.join(r_rel))
@@ -195,11 +192,10 @@ def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragme
         _take_join_inputs(server, left_fragment, right_fragment)
         for server in cluster.servers
     ]
-    if kernels_enabled():
-        memo = cluster.stats.memo
-        for l_rows, _l_cols, r_rows, _r_cols in payloads:
-            memo.fused_payloads += l_rows is None
-            memo.row_payloads += bool(l_rows and r_rows)
+    memo = cluster.stats.memo
+    for l_rows, _l_cols, r_rows, _r_cols in payloads:
+        memo.fused_payloads += l_rows is None
+        memo.row_payloads += bool(l_rows and r_rows)
     results = run(payloads, (left.name, left.schema, right.name, right.schema))
     for server, result in zip(cluster.servers, results):
         server.append_result(out_fragment, result)

@@ -1,31 +1,27 @@
 """Vectorized columnar kernels for the simulator's hot paths.
 
-Numpy-backed twins of the pure-Python tuple code: splitmix64 hashing
-over integer columns, one-pass radix/hash partitioning, columnar local
+Numpy-backed kernels for every key operation: splitmix64 hashing over
+integer columns, one-pass radix/hash partitioning, columnar local
 join/semijoin, and vectorized splitter search for PSRS. Every kernel is
-*exactly* equivalent to the tuple path it replaces — same rows, same
-order, same measured loads — and every dispatch site falls back to the
-tuple code when a column is not integer-typed, or inside the
-reference hook :func:`use_kernels` ``(False)``.
+*exactly* equivalent to the per-row reference it replaced
+(:mod:`repro.testing.scalar_reference`) — same rows, same order, same
+measured loads — and takes every value: a key that is not an exact
+integer column is coded once per distinct value instead of falling back.
 
 Submodules import lazily (PEP 562) so ``repro.data.relation`` can depend
-on :mod:`repro.kernels.config` without a cycle through ``repro.mpc``.
+on :mod:`repro.kernels.columnar` without a cycle through ``repro.mpc``.
 """
 
 from __future__ import annotations
-
-from repro.kernels.config import kernels_enabled, use_kernels
 
 __all__ = [
     "bucket_tuple_columns",
     "bucket_value_column",
     "column_array",
-    "hash_destinations",
     "hash_tuple_columns",
     "hash_value_column",
     "join_indices",
     "join_rows_columnar",
-    "kernels_enabled",
     "key_columns",
     "lexicographic_buckets",
     "partition_indices",
@@ -36,14 +32,12 @@ __all__ = [
     "try_route",
     "try_route_grid",
     "tuple_buckets",
-    "use_kernels",
 ]
 
 _LAZY = {
     "bucket_tuple_columns": "repro.kernels.hashing",
     "bucket_value_column": "repro.kernels.hashing",
     "column_array": "repro.kernels.columnar",
-    "hash_destinations": "repro.kernels.partition",
     "hash_tuple_columns": "repro.kernels.hashing",
     "hash_value_column": "repro.kernels.hashing",
     "join_indices": "repro.kernels.join",

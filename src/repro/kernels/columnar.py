@@ -1,12 +1,12 @@
 """Row-list ⇄ column-array conversion with strict type gating.
 
-The columnar fast paths only apply when a column is *losslessly*
+The vectorized paths only apply when a column is *losslessly*
 representable as a 64-bit integer array. Anything else — floats (numpy
 would silently truncate), strings, ``None``, nested tuples, ints outside
-64-bit range — returns ``None`` so the caller falls back to the exact
-tuple code. Booleans are accepted and widened, mirroring the scalar hash
-spec's ``bool -> int`` normalization (and Python's ``True == 1`` key
-semantics in dict-based joins).
+64-bit range — stays a plain value list, which the kernels code through
+one dict over its distinct values (:func:`value_codes`). Booleans are
+accepted and widened, mirroring the scalar hash spec's canonical form
+(and Python's ``True == 1`` key semantics in dict-based joins).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from itertools import chain
 from typing import Any
 
 import numpy as np
-
-from repro.kernels.config import kernels_enabled
 
 Row = tuple[Any, ...]
 
@@ -44,36 +42,57 @@ def column_array(values: Sequence[Any]) -> np.ndarray | None:
     return arr
 
 
-def key_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray] | None:
-    """One integer array per key position, or ``None`` when any fails."""
-    columns = []
-    for i in key_idx:
-        column = column_array([row[i] for row in rows])
-        if column is None:
-            return None
-        columns.append(column)
-    return columns
+def key_column(values: Any) -> "np.ndarray | list":
+    """One key column as the kernels take it: an integer array as is, a
+    value list as the exact integer array numpy makes of it, else as is."""
+    if isinstance(values, np.ndarray):
+        return values
+    column = column_array(values)
+    return values if column is None else column
+
+
+def key_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list:
+    """One :func:`key_column` per key position of ``rows``."""
+    return [key_column([row[i] for row in rows]) for i in key_idx]
+
+
+def exact(columns: Sequence[Any]) -> bool:
+    """Whether every column is an integer array (else: some value list)."""
+    return all(isinstance(column, np.ndarray) for column in columns)
 
 
 def exact_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray] | None:
-    """:func:`key_columns`, refused unless every value of ``rows`` is a
-    built-in ``int``: only then does ``tolist()`` rebuild the very tuples
-    (a widened ``bool`` or a numpy scalar would come back as a plain
-    int), so only such columns may stand in for the rows."""
+    """:func:`key_columns` as integer arrays, refused unless every value of
+    ``rows`` is a built-in ``int``: only then does ``tolist()`` rebuild the
+    very tuples (a widened ``bool`` or a numpy scalar would come back as a
+    plain int), so only such columns may stand in for the rows."""
     if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return key_columns(rows, key_idx)
+        columns = key_columns(rows, key_idx)
+        if exact(columns):
+            return columns
     return None
 
 
 def held_columns(relation: Any) -> list:
-    """One sequence per attribute of ``relation``: its exact integer arrays
-    on the kernel rung, else plain value lists (the scalar rung's form, and
-    that of every relation holding a non-integer). Index arithmetic reads
-    either through :func:`take` and :func:`zip_rows`."""
-    columns = relation.columns() if kernels_enabled() else None
+    """One sequence per attribute of ``relation``: its exact integer arrays,
+    else plain value lists (the form of every relation holding a
+    non-integer). Index arithmetic reads either through :func:`take` and
+    :func:`zip_rows`."""
+    columns = relation.columns()
     if columns is None:
         columns = [relation.column(a) for a in relation.schema.attributes]
     return columns
+
+
+def value_codes(keys: Sequence[Any]) -> tuple[np.ndarray, list]:
+    """``(codes, distinct)``: per key the index in ``distinct`` — the keys
+    in first-seen order — of the one equal to it. One dict over the keys,
+    so equal means Python ``==`` (``1``, ``1.0`` and ``True`` share a code)."""
+    index: dict = {}
+    codes = np.fromiter(
+        (index.setdefault(key, len(index)) for key in keys), dtype=np.int64, count=len(keys)
+    )
+    return codes, list(index)
 
 
 def take(column: Any, indices: np.ndarray) -> Any:

@@ -11,9 +11,10 @@ All arithmetic runs on ``uint64`` with wraparound, matching the
 ``& _MASK64`` masking of the Python reference — the golden tests in
 ``tests/kernels/test_hash_golden.py`` pin this equivalence on a fixed
 probe set so a numpy overflow-semantics change cannot slip through.
-Non-integer values have no vectorized path (the blake2b fallback stays
-scalar); callers detect that via :mod:`repro.kernels.columnar` and fall
-back to the tuple code.
+Any other key has no vectorized hash (the blake2b branch is scalar): the
+bucket functions hash each *distinct* value or key tuple once through
+the scalar spec and gather by code — byte-identical by construction,
+O(distinct) Python calls instead of O(n).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.kernels.columnar import exact, value_codes, zip_rows
 from repro.mpc.hashing import _MASK64, _TUPLE_TAG, HashFunction, splitmix64
 
 _ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -77,10 +79,14 @@ def hash_tuple_columns(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:
     return acc
 
 
-def bucket_tuple_columns(
-    columns: Sequence[np.ndarray], salt: int, buckets: int
-) -> np.ndarray:
-    """Per-row destination buckets of hashed key tuples (``int64``)."""
+def bucket_tuple_columns(columns: Sequence, salt: int, buckets: int) -> np.ndarray:
+    """Per-row destination buckets of hashed key tuples (``int64``).
+
+    Key columns that are not all integer arrays (a value list among them)
+    hash once per distinct key tuple through the scalar spec.
+    """
+    if not exact(columns):
+        return _per_distinct(zip_rows(columns), salt, buckets)
     return (hash_tuple_columns(columns, salt) % np.uint64(buckets)).astype(np.int64)
 
 
@@ -88,11 +94,16 @@ def bucket_value_column(column: "np.ndarray | list", salt: int, buckets: int) ->
     """Per-row destination buckets of hashed scalar values (``int64``).
 
     A plain value list (no exact integer column behind it) takes the
-    scalar spec itself, once per distinct typed value (``1`` and ``1.0``
-    are equal but hash apart).
+    scalar spec itself, once per distinct value: equal values share an
+    entry, and hash equal (:func:`repro.mpc.hashing.canonical`).
     """
     if not isinstance(column, np.ndarray):
-        h = HashFunction(buckets, salt)
-        bucket_of = {key: h(key[1]) for key in {(type(v), v) for v in column}}
-        return np.array([bucket_of[type(v), v] for v in column], dtype=np.int64)
+        return _per_distinct(column, salt, buckets)
     return (hash_value_column(column, salt) % np.uint64(buckets)).astype(np.int64)
+
+
+def _per_distinct(keys: Sequence, salt: int, buckets: int) -> np.ndarray:
+    """``[h(key) for key in keys]``, one scalar hash per distinct key."""
+    codes, distinct = value_codes(keys)
+    h = HashFunction(buckets, salt)
+    return np.array([h(key) for key in distinct], dtype=np.int64)[codes]

@@ -1,16 +1,21 @@
 """Columnar local hash join and semijoin.
 
 Both kernels factorize key tuples into integer codes — exact equality,
-no hash collisions: single-column keys use their values directly;
-multi-column keys are mixed radix over each column's ``value - min`` (no
-sort; :func:`~repro.kernels.columnar.pack_columns`), with dense codes
-only where the radix product would overflow. A chunk of servers is one
+no hash collisions — for every key. Exact integer keys are coded without
+Python: single-column keys use their values directly; multi-column keys
+are mixed radix over each column's ``value - min`` (no sort;
+:func:`~repro.kernels.columnar.pack_columns`), with dense codes only
+where the radix product would overflow. Any other key — a value list, or
+a ``uint64`` column above the signed range — is coded by one dict over
+its distinct key tuples (:func:`~repro.kernels.columnar.value_codes`),
+which is Python ``==``: ``1`` meets ``1.0``. A chunk of servers is one
 pass with the server as a leading key column (:func:`stack_tagged`,
 :func:`cut_at_tags`). The codes feed fully vectorized match-index
 computation (join) or membership masks (semijoin). Output rows reuse the
 original Python tuples, so results are byte-identical to the dict/set
-based tuple code, including row order: left rows in input order, matches
-per left row in the right side's insertion order.
+reference (:mod:`repro.testing.scalar_reference`), including row order:
+left rows in input order, matches per left row in the right side's
+insertion order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import comparable_int64, key_columns, pack_columns, zip_rows
+from repro.kernels.columnar import (
+    comparable_int64,
+    exact,
+    key_column,
+    key_columns,
+    pack_columns,
+    value_codes,
+    zip_rows,
+)
 
 Row = tuple[Any, ...]
 
@@ -30,41 +43,30 @@ def _code_columns(
     right_rows: Sequence[Row],
     left_idx: Sequence[int],
     right_idx: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Joint key codes ``(left_codes, right_codes)``, or ``None``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint key codes ``(left_codes, right_codes)`` of two row lists."""
+    return code_key_columns(key_columns(left_rows, left_idx), key_columns(right_rows, right_idx))
+
+
+def code_key_columns(
+    left_cols: Sequence[Any],
+    right_cols: Sequence[Any],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint key codes from key columns — integer arrays or value lists.
 
     Codes are injective over key tuples (equal code ⇔ equal key) but not
     necessarily dense — :func:`join_indices` only needs them sortable.
     """
-    left_cols = key_columns(left_rows, left_idx)
-    right_cols = key_columns(right_rows, right_idx) if left_cols is not None else None
-    if right_cols is None:
-        return None
-    return code_key_columns(left_cols, right_cols)
-
-
-def code_key_columns(
-    left_cols: Sequence[np.ndarray],
-    right_cols: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Joint key codes directly from already-extracted key columns.
-
-    The pure core of :func:`_code_columns`, usable column-natively (no
-    row lists involved). ``None`` when a ``uint64`` column exceeds the
-    signed 64-bit range (value comparisons would collide).
-    """
     n_left = len(left_cols[0]) if left_cols else 0
-    stacked_cols = []
-    for lcol, rcol in zip(left_cols, right_cols):
-        lcol64 = comparable_int64(lcol)
-        rcol64 = comparable_int64(rcol)
-        if lcol64 is None or rcol64 is None:
-            return None
-        stacked_cols.append(np.concatenate([lcol64, rcol64]))
-    if len(stacked_cols) == 1:
-        codes = stacked_cols[0]  # values are their own (sparse) codes
+    width = len(left_cols)
+    both = [*left_cols, *right_cols]
+    ints = [comparable_int64(c) for c in both] if exact(both) else [None]
+    if any(c is None for c in ints):
+        codes, _ = value_codes(zip_rows(left_cols) + zip_rows(right_cols))
     else:
-        codes = pack_columns(stacked_cols, dense=True)
+        stacked = [np.concatenate(pair) for pair in zip(ints[:width], ints[width:])]
+        # values are their own (sparse) codes
+        codes = stacked[0] if width == 1 else pack_columns(stacked, dense=True)
     return codes[:n_left], codes[n_left:]
 
 
@@ -99,19 +101,15 @@ def cut_at_tags(columns: Sequence[np.ndarray], servers: int) -> list[tuple]:
 def lookup_codes(key_cols: Sequence[Any], keys: Sequence[Row]) -> np.ndarray:
     """Per row, the index in ``keys`` of its key tuple, ``-1`` when absent.
 
-    ``key_cols`` holds one sequence per key position. Exact integer
-    arrays are coded jointly with the (distinct) ``keys`` and found by
-    one binary search; value lists — and keys the join kernels cannot
-    code — take a dict probe per key tuple.
+    ``key_cols`` holds one sequence per key position — integer arrays or
+    value lists — and the (distinct) ``keys`` are coded jointly with them
+    and found by one binary search.
     """
-    wanted = key_columns(keys, range(len(key_cols))) if len(keys) else None
-    coded = None
-    if wanted is not None and isinstance(key_cols[0], np.ndarray):
-        coded = code_key_columns(key_cols, wanted)
-    if coded is None:
-        index = {key: k for k, key in enumerate(keys)}
-        return np.array([index.get(key, -1) for key in zip_rows(key_cols)], dtype=np.int64)
-    row_codes, key_codes = coded
+    if not len(keys):
+        return np.full(len(key_cols[0]), -1, dtype=np.int64)
+    row_codes, key_codes = code_key_columns(
+        [key_column(c) for c in key_cols], key_columns(keys, range(len(key_cols)))
+    )
     rank = np.argsort(key_codes)
     ranked = key_codes[rank]
     at = np.minimum(np.searchsorted(ranked, row_codes), len(rank) - 1)
@@ -150,18 +148,15 @@ def join_rows_columnar(
     left_idx: Sequence[int],
     right_idx: Sequence[int],
     right_payload: Sequence[int],
-) -> list[Row] | None:
-    """Columnar hash join; ``None`` when the key columns are not integer.
+) -> list[Row]:
+    """Columnar hash join of two row lists, any key types.
 
     Output rows are ``left_row + tuple(right_row[i] for i in
     right_payload)`` in the same order as the tuple-path join.
     """
     if not left_rows or not right_rows:
         return []
-    coded = _code_columns(left_rows, right_rows, left_idx, right_idx)
-    if coded is None:
-        return None
-    left_pos, right_pos = join_indices(*coded)
+    left_pos, right_pos = join_indices(*_code_columns(left_rows, right_rows, left_idx, right_idx))
     if not len(left_pos):
         return []
     # Build payload tuples only for matched right rows (matches can be a
@@ -185,18 +180,13 @@ def semijoin_mask(
     rows: Sequence[Row],
     key_idx: Sequence[int],
     member_keys: Sequence[Row],
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Boolean mask of rows whose key tuple appears in ``member_keys``.
 
-    ``member_keys`` are full key tuples (arity ``len(key_idx)``);
-    ``None`` when either side resists integer columns.
+    ``member_keys`` are full key tuples (arity ``len(key_idx)``).
     """
     if not rows:
         return np.empty(0, dtype=bool)
     if not member_keys:
         return np.zeros(len(rows), dtype=bool)
-    coded = _code_columns(rows, member_keys, key_idx, range(len(key_idx)))
-    if coded is None:
-        return None
-    row_codes, member_codes = coded
-    return np.isin(row_codes, member_codes)
+    return np.isin(*_code_columns(rows, member_keys, key_idx, range(len(key_idx))))

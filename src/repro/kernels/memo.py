@@ -27,9 +27,9 @@ a recycled ``id()`` can never hit; every cache — the service's result
 cache included — is one bounded, locked, counted :class:`LRU`;
 :func:`forget` reclaims a replaced relation's entries eagerly.  Replay
 is chosen by what the code observes, never by a switch: :func:`route`
-tries the cached plan, then the per-server kernel, then the scalar loop,
-and a route whose provenance cannot be proven takes the next rung —
-which is also what a cache miss is byte-identical to.
+tries the cached plan, then the per-server kernel, and a route whose
+provenance cannot be proven takes the kernel — which is also what a
+cache miss is byte-identical to.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import QueryError
-from repro.kernels.columnar import held_columns, zip_rows
-from repro.kernels.config import kernels_enabled
+from repro.kernels.columnar import key_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.relation import Relation
@@ -197,7 +196,9 @@ def _get_or_build(cache: LRU, rels: tuple, key_extra: tuple, build: Callable) ->
     value = build()
     if value is not None:
         _purge()
-        orphaned = lambda _ref: _orphans.append((cache, key))  # noqa: E731
+        # The queue rides along: at interpreter exit a callback can outlive
+        # this module's globals.
+        orphaned = lambda _ref, queue=_orphans: queue.append((cache, key))  # noqa: E731
         cache.put(key, (tuple([weakref.ref(r, orphaned) for r in rels]), tokens, value))
     return value, False
 
@@ -238,8 +239,6 @@ def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool
     excluded because the fault controller hooks individual scatter/send
     chunks that a replay would batch differently.
     """
-    if not kernels_enabled():
-        return False
     if getattr(cluster, "fault_controller", None) is not None:
         return False
     origin = cluster._scatter_origin.get(fragment)
@@ -265,16 +264,17 @@ def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable)
     receives when each server partitions its own slice and the sends
     arrive source server ascending.  Each destination's part is held once:
     the relation's exact columns as one frozen block per column (no row
-    list is read), or — coded from value lists — its rows.
+    list is read), or — a relation without them — its own rows.
     """
-    from repro.kernels.partition import groups_in_order
+    from repro.kernels.partition import groups_in_order, source_major_order
 
-    columns = held_columns(rel)
-    exact = isinstance(columns[0], np.ndarray)
-    hashed = [columns[i] for i in key_idx]
+    columns = rel.columns()
+    exact = columns is not None
+    data = columns if exact else rel.rows_readonly()
+    hashed = [data[i] for i in key_idx] if exact else key_columns(data, key_idx)
     codes, buckets, offsets, hash_ops = code(len(rel), hashed)
-    order = np.lexsort((np.arange(len(rel)) % p, codes))  # last key first, stable
-    groups = groups_in_order(order, codes, buckets, columns if exact else zip_rows(columns))
+    order = source_major_order(codes, buckets, p)
+    groups = groups_in_order(order, codes, buckets, data)
     if exact:
         for _dest, blocks in groups:
             for block in blocks:
@@ -292,52 +292,47 @@ def _replay(
     """Consume ``fragment`` and replay its route from the plan cache."""
     if not _replay_eligible(cluster, rel, fragment):
         return False
-    routed = _replay_plan(
+    _replay_plan(
         cluster, rnd, rel, (*key_extra, cluster.p),
-        # No exact columns: the per-server rung's scalar loop routes it.
-        lambda: None if rel.columns() is None else _build_plan(rel, cluster.p, key_idx, code),
-        out_fragment,
+        lambda: _build_plan(rel, cluster.p, key_idx, code), out_fragment,
     )
-    if routed:
-        # Matches the take the per-server loop would have done.
-        for server in cluster.servers:
-            server.take(fragment)
-    return routed
+    # Matches the take the per-server loop would have done.
+    for server in cluster.servers:
+        server.take(fragment)
+    return True
 
 
 def _replay_plan(
     cluster: "Cluster", rnd: "RoundContext", rel: "Relation", key_extra: tuple,
-    build: Callable[[], "tuple | None"], out_fragment: str,
-) -> bool:
+    build: Callable[[], tuple], out_fragment: str,
+) -> None:
     """Get-or-build a whole-shuffle plan of ``rel``, count it, replay its sends.
 
     A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
     part)`` group — frozen column blocks, or rows — goes to ``dest + o``
-    for every offset ``o``, one send per destination.  It is kept under
-    ``rel``'s token on the kernel rung unless a fault controller watches
-    the cluster; otherwise it is built, sent and dropped (``False`` when
-    ``build`` has no plan to give).
+    for every offset ``o``, one send per destination.  A plan of blocks
+    is kept under ``rel``'s token unless a fault controller watches the
+    cluster; otherwise it is built, sent and dropped.  A plan of rows is
+    never kept: its row lists, held, slowed a cold 2·10⁴-row join with
+    string payloads by ~20 % (CPython 3.11, 2 vCPUs); a warm repeat
+    rebuilds it instead.
     """
     from repro.kernels.partition import send_part
 
-    kernels = kernels_enabled()
-    cacheable = kernels and cluster.fault_controller is None
+    cacheable = cluster.fault_controller is None and rel.columns() is not None
     plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
-    if plan is None:
-        return False
     groups, offsets, nbytes, hash_ops = plan
     stats = cluster.stats.memo
     if hit:
         _bump(stats, "partition_hits")
         _bump(stats, "hash_ops_saved", hash_ops)
         _bump(stats, "bytes_saved", nbytes)
-    elif kernels:  # the scalar rung counts nothing
+    else:
         _bump(stats, "partition_misses", int(cacheable))
         _bump(stats, "hash_ops", hash_ops)
     for dest, part in groups:
         for offset in offsets:
             send_part(rnd, dest + offset, out_fragment, part)
-    return True
 
 
 def route_scattered(
@@ -350,9 +345,8 @@ def route_scattered(
     ``try_route`` loop would deliver for ``fragment``, one batched send
     per destination — byte-identical destinations, order, charged units
     and delivered blocks.
-    Returns ``False`` when ineligible (kernels off, faults active,
-    relation mutated, fragment tampered with, or non-integer
-    key columns); the caller then falls back to the ordinary loop.
+    Returns ``False`` when ineligible (faults active, relation mutated,
+    or fragment tampered with); the caller then routes per server.
     """
     from repro.kernels.partition import hash_codes
 
@@ -431,10 +425,10 @@ def route(
 
     The one hash-shuffle ladder: replay the cached plan when ``rel`` (the
     relation ``fragment`` was scattered from) is given and eligible, else
-    per server the batched kernel, else the scalar loop.  All three
-    deliver byte-identical fragments — per-(destination, fragment)
-    arrival order is source-server ascending, each server's rows in
-    slice order, on every rung (a cached plan stores them that way).
+    per server the batched kernel.  Both deliver byte-identical
+    fragments — per-(destination, fragment) arrival order is
+    source-server ascending, each server's rows in slice order, on both
+    rungs (a cached plan stores them that way).
     """
     from repro.kernels.partition import try_route
     from repro.mpc.server import held
@@ -445,10 +439,7 @@ def route(
     ):
         return
     for server in cluster.servers:
-        part = server.take(fragment)
-        if not try_route(rnd, held(part), key_idx, h, out_fragment):
-            for row in part:
-                rnd.send(h(tuple(row[i] for i in key_idx)), out_fragment, row)
+        try_route(rnd, held(server.take(fragment)), key_idx, h, out_fragment)
 
 
 # --------------------------------------------------------------------------
@@ -537,17 +528,16 @@ def key_degrees(
 ) -> Counter:
     """Memoized ``Counter(tuple(row[i] for i in key_idx) for row in rel)``.
 
-    Columnar fast path when the key columns are integer-typed; falls
-    back to the tuple loop otherwise (and for the empty key, which every
-    row carries and no column can zip).  The Counter is shared — read only.
+    Counted over the relation's key tuples (:meth:`Relation.key`); the
+    empty key, which every row carries, is counted directly.  The Counter
+    is shared — read only.
     """
     key_idx = tuple(key_idx)
 
     def build() -> Counter:
-        cols = rel.columns()
-        if cols is not None and key_idx:
-            return Counter(zip(*[cols[i].tolist() for i in key_idx]))
-        return Counter(tuple(row[i] for i in key_idx) for row in rel.rows_readonly())
+        if not key_idx:
+            return Counter({(): len(rel)}) if len(rel) else Counter()
+        return Counter(rel.key([rel.schema.attributes[i] for i in key_idx]))
 
     return cached_view(rel, ("degrees", key_idx), build, stats)
 

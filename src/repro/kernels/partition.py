@@ -6,9 +6,12 @@ These kernels compute all destinations vectorized and hand each
 destination one *batched* send — ``send_columns`` of column slices when
 they are given whole columns, ``send_rows`` of a row group when given
 rows — instead of a Python-level ``send`` per tuple. Per-destination
-row order matches the tuple path exactly (stable partitioning of rows
+row order matches a per-row send loop exactly (stable partitioning of rows
 iterated in order), so fragments, loads, and downstream outputs are
-byte-identical with kernels on or off.
+byte-identical to the per-row reference
+(:mod:`repro.testing.scalar_reference`). Every key routes here: exact
+integer key columns hash vectorized, any other key once per distinct
+value (:mod:`repro.kernels.hashing`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.kernels.columnar import key_columns
-from repro.kernels.config import kernels_enabled
 from repro.kernels.hashing import bucket_tuple_columns, bucket_value_column
 from repro.kernels.memo import count_hash_ops
 
@@ -66,18 +68,12 @@ def stable_groups(codes: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     return order, np.flatnonzero(changed).tolist()
 
 
-def hash_destinations(
-    rows: Sequence[Row], key_idx: Sequence[int], h: "HashFunction"
-) -> np.ndarray | None:
-    """Vectorized ``[h(tuple(row[i] for i in key_idx)) for row in rows]``.
-
-    ``None`` when any key column is not integer-typed (the caller then
-    hashes tuple-at-a-time through the identical scalar spec).
-    """
-    columns = key_columns(rows, key_idx)
-    if columns is None:
-        return None
-    return bucket_tuple_columns(columns, h.salt, h.buckets)
+def source_major_order(codes: np.ndarray, buckets: int, p: int) -> np.ndarray:
+    """The permutation that sorts rows by (code, source server, position),
+    where position ``i`` sits on server ``i % p``: one stable radix sort of
+    one narrow key, ``code * p + i % p``."""
+    key = codes.astype(np.int64) * p + np.arange(len(codes)) % p
+    return np.argsort(_shrink(key, buckets * p), kind="stable")
 
 
 def partition_groups(codes: np.ndarray, buckets: int, data: Sequence) -> list[tuple[int, Any]]:
@@ -121,14 +117,14 @@ def send_part(rnd: "RoundContext", dest: int, fragment: str, part: Sequence) -> 
         rnd.send_rows(dest, fragment, part)
 
 
-def hash_codes(columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
+def hash_codes(columns: Sequence, h: "HashFunction") -> np.ndarray:
     """Per-row ``h(key)`` over the key columns, narrowed for the argsort."""
     return _shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
 
 
 def grid_codes(
     n: int,
-    columns: Sequence[np.ndarray],
+    columns: Sequence,
     column_dims: Sequence[int],
     salts: Sequence[int],
     extents: Sequence[int],
@@ -136,6 +132,7 @@ def grid_codes(
 ) -> tuple[np.ndarray, int, list[int], int]:
     """HyperCube destinations: ``(base cell per row, grid size, offsets, dims hashed)``.
 
+    ``columns`` are integer arrays or value lists (:func:`bucket_value_column`);
     ``column_dims[c]`` is the grid dimension bound by row column ``c``
     (columns are hashed left to right, later columns overwriting earlier
     ones on a repeated dimension, as the scalar loop does); dimensions
@@ -160,48 +157,42 @@ def grid_codes(
 def try_route(
     rnd: "RoundContext", data: Sequence, key_idx: Sequence[int], h: "HashFunction",
     fragment: str,
-) -> bool:
-    """Route every row to ``h(key)`` in batched sends; ``False`` = fall back.
+) -> None:
+    """Route every row to ``h(key)`` in batched sends.
 
     Equivalent to ``rnd.send(h(tuple(row[i] for i in key_idx)), fragment,
     row)`` per row — same destinations, same per-destination order, same
     charged units. ``data`` is a fragment as :func:`repro.mpc.server.held`:
     whole columns are partitioned and sent as blocks, rows as rows.
     """
-    n, keys = _keys(data, key_idx)
-    if not n or keys is None:
-        return not n
-    count_hash_ops(rnd, n)
-    for dest, part in partition_groups(hash_codes(keys, h), h.buckets, data):
-        send_part(rnd, dest, fragment, part)
-    return True
+    n = _row_count(data)
+    if n:
+        count_hash_ops(rnd, n)
+        keys = [data[i] for i in key_idx] if _columnar(data) else key_columns(data, key_idx)
+        for dest, part in partition_groups(hash_codes(keys, h), h.buckets, data):
+            send_part(rnd, dest, fragment, part)
 
 
-def _keys(data: Sequence, key_idx: Sequence[int]) -> tuple[int, list[np.ndarray] | None]:
-    """``(row count, integer key columns)`` of held data; no columns on the
-    scalar rung, or when a row list's key resists integer arrays."""
-    columnar = _columnar(data)
-    n = len(data[0]) if columnar else len(data)
-    if not n or not kernels_enabled():
-        return n, None
-    return n, [data[i] for i in key_idx] if columnar else key_columns(data, key_idx)
+def _row_count(data: Sequence) -> int:
+    """How many rows held ``data`` — whole columns or a row list — has."""
+    return len(data[0]) if _columnar(data) else len(data)
 
 
 def try_route_grid(
     rnd: "RoundContext", data: Sequence, column_dims: Sequence[int],
     salts: Sequence[int], extents: Sequence[int], strides: Sequence[int], fragment: str,
-) -> bool:
+) -> None:
     """HyperCube replication: route rows to every grid cell they match.
 
     Equivalent to the per-row ``grid.matching(partial)`` loop; see
     :func:`grid_codes` for how columns bind grid dimensions.
     """
-    n, cols = _keys(data, range(len(column_dims)))
-    if not n or cols is None:
-        return not n
-    base, grid_size, offsets, hashed = grid_codes(n, cols, column_dims, salts, extents, strides)
+    n = _row_count(data)
+    if not n:
+        return
+    columns = data if _columnar(data) else key_columns(data, range(len(column_dims)))
+    base, grid_size, offsets, hashed = grid_codes(n, columns, column_dims, salts, extents, strides)
     count_hash_ops(rnd, n * hashed)
     for dest_base, part in partition_groups(base, grid_size, data):
         for offset in offsets:
             send_part(rnd, dest_base + offset, fragment, part)
-    return True

@@ -59,7 +59,6 @@ from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
 from repro.kernels.columnar import zip_rows
-from repro.kernels.config import kernels_enabled
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
     FaultController,
@@ -416,13 +415,13 @@ class Cluster:
     def scatter(self, relation: Relation, name: str | None = None) -> str:
         """Place a relation round-robin across servers (free, per the model).
 
-        On the kernel rung a relation with exact columns is placed as
-        strided views of them (read-only, as the relation's columns are)
-        and no tuple is built; anything else is placed row by row. Returns
-        the fragment name used (``relation.name`` by default).
+        A relation with exact columns is placed as strided views of them
+        (read-only, as the relation's columns are) and no tuple is built;
+        anything else is placed row by row. Returns the fragment name used
+        (``relation.name`` by default).
         """
         fragment = name if name is not None else relation.name
-        columns = relation.columns() if kernels_enabled() else None
+        columns = relation.columns()
         if columns:
             self._place(fragment, [
                 ChunkedColumns([[column[s :: self.p]] for column in columns])
@@ -462,7 +461,7 @@ class Cluster:
         The returned list is always a *fresh copy*, never a live server
         storage list — callers may append to, sort, or clear it without
         corrupting any fragment, even when a single server holds the
-        whole fragment. (Mirrors the ``Relation.rows()`` contract; the
+        whole fragment. (Mirrors the :meth:`Relation.rows` contract; the
         mutation-guard regression suite pins this down.)
         """
         out: list[Row] = []

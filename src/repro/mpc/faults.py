@@ -8,7 +8,7 @@ load/round guarantees under exactly those regimes while keeping every
 run *reproducible*: a :class:`FaultPlan` is pure data, derived from a
 seed, and the same plan injected into the same execution produces the
 same faults, the same recovery actions, and the same
-:class:`FaultStats` — with the columnar kernels on or off.
+:class:`FaultStats` — on the kernels and on the per-row reference alike.
 
 Fault model
 -----------

@@ -7,16 +7,19 @@ based on splitmix64 (for integers and tuples of integers) with a blake2b
 fallback for arbitrary hashable values. All functions are deterministic
 given ``(seed, index)``.
 
-The integer paths — scalar and all-integer tuple — are the *hash spec*
-shared with the vectorized kernels of :mod:`repro.kernels.hashing`: the
-numpy implementation must reproduce them bit for bit so the columnar
-fast path partitions data identically to this tuple-at-a-time code
-(``use_kernels(False)`` must not change any destination).
+Equal values hash equal: a value is first put in its :func:`canonical`
+form, so ``1``, ``1.0``, ``True`` and ``Decimal('1.00')`` — equal keys a
+dict join matches — land on one server. The integer paths — scalar and
+all-integer tuple — are the *hash spec* shared with the vectorized
+kernels of :mod:`repro.kernels.hashing`: the numpy implementation must
+reproduce them bit for bit, and the kernels hash any other key once per
+distinct value through :func:`_hash_value` itself.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from typing import Any
 
@@ -48,29 +51,43 @@ def hash_int_tuple(values: tuple[int, ...], salt: int) -> int:
     return acc
 
 
-def _as_int(value: Any) -> int | None:
-    """The value as a plain int when it hashes on the integer path."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
+def canonical(value: Any) -> Any:
+    """The form every value equal to ``value`` shares, so equal keys hash equal.
+
+    A number equal to an ``int`` becomes that ``int`` (``bool``, numpy
+    integers, integral floats, ``-0.0``, ``Decimal('1.00')``, a complex
+    with no imaginary part); any other number equal to a ``float``
+    becomes that ``float``; a tuple is canonical element by element.
+    Everything else is its own form.
+    """
+    kind = type(value)
+    if kind is int or kind is str:
         return value
-    return None
+    if isinstance(value, tuple):
+        return tuple(map(canonical, value))
+    if not isinstance(value, numbers.Number):
+        return value
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        if value.imag:
+            return value
+        value = value.real
+    for exact in (int, float):
+        try:
+            same = exact(value)
+        except (TypeError, ValueError, ArithmeticError):
+            continue
+        if same == value:
+            return same
+    return value
 
 
 def _hash_value(value: Any, salt: int) -> int:
     """64-bit hash of one value under a salt; int shapes take fast paths."""
-    as_int = _as_int(value)
-    if as_int is not None:
-        return splitmix64((as_int & _MASK64) ^ splitmix64(salt))
-    if isinstance(value, tuple):
-        ints = []
-        for element in value:
-            element_int = _as_int(element)
-            if element_int is None:
-                break
-            ints.append(element_int)
-        else:
-            return hash_int_tuple(tuple(ints), salt)
+    value = canonical(value)
+    if isinstance(value, int):
+        return splitmix64((value & _MASK64) ^ splitmix64(salt))
+    if isinstance(value, tuple) and all(isinstance(element, int) for element in value):
+        return hash_int_tuple(value, salt)
     data = repr(value).encode() + struct.pack("<Q", salt)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 

@@ -4,8 +4,8 @@ Each server owns a private store mapping *fragment names* (``"R"``, the
 local part of R; ``"R@shuffled"``, tuples received in a shuffle round) to
 fragments; all movement goes through :class:`repro.mpc.cluster.Cluster`
 rounds. A fragment is one thing: a :class:`ChunkedColumns` — every column,
-as exact integer blocks — or a ``list`` of rows, never both: the kernel rung
-moves a relation with exact columns as blocks, anything else moves as rows.
+as exact integer blocks — or a ``list`` of rows, never both: a relation
+with exact columns moves as blocks, anything else moves as rows.
 """
 
 from __future__ import annotations

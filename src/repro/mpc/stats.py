@@ -190,8 +190,8 @@ class MemoStats(CounterStats):
     key-column chunk bytes a hit did not recompute.  ``fused_payloads``
     counts the local-step payloads (join, semijoin, HyperCube eval) that
     carried column blocks and no row list; ``row_payloads`` those that
-    fell back to rows on the kernel rung (a non-integer column, blocks
-    that met rows, heavy stay-in-place rows).
+    carried rows (a non-integer column, blocks that met rows, heavy
+    stay-in-place rows).
     """
 
     partition_hits: int = 0

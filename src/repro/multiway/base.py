@@ -25,6 +25,7 @@ the accounting identical across algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.joins.cartesian import cartesian_product
 from repro.joins.base import as_rows, chunk_step
 from repro.joins.hash_join import one_round_hash_join
 from repro.kernels.columnar import zip_rows
-from repro.kernels.config import kernels_enabled
 from repro.kernels.join import code_key_columns, cut_at_tags, semijoin_mask, stack_tagged
 from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
@@ -196,7 +196,7 @@ def shuffle_multi_semijoin(
         elif not (len(routed) or stay):  # nothing to filter: decode no key
             payloads.append(([[] for _part in keys], [], []))
         else:
-            memo.row_payloads += kernels_enabled()
+            memo.row_payloads += 1
             payloads.append(([as_rows(part) for part in keys], as_rows(routed), stay))
     results = cluster.map_servers(
         "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
@@ -216,24 +216,12 @@ def _route_light(
 ) -> list[Row]:
     """Route light rows to ``h(key)``; return the heavy rows (they stay).
 
-    Vectorized heavy/light split + batched routing when the key columns
-    are integers; otherwise the original tuple-at-a-time loop.
+    One membership mask splits heavy from light; the light rows route in
+    batched sends, the heavy ones cost no communication.
     """
-    if kernels_enabled() and rows:
-        mask = semijoin_mask(rows, t_idx, list(heavy))
-        if mask is not None:
-            stay = [row for row, is_heavy in zip(rows, mask) if is_heavy]
-            light = [row for row, is_heavy in zip(rows, mask) if not is_heavy]
-            if try_route(rnd, light, t_idx, h, "T@j"):
-                return stay
-    stay = []
-    for row in rows:
-        key = tuple(row[i] for i in t_idx)
-        if key in heavy:
-            stay.append(row)  # no communication: stays in place
-        else:
-            rnd.send(h(key), "T@j", row)
-    return stay
+    is_heavy = semijoin_mask(rows, t_idx, list(heavy))
+    try_route(rnd, list(compress(rows, (~is_heavy).tolist())), t_idx, h, "T@j")
+    return list(compress(rows, is_heavy.tolist()))
 
 
 def semijoin_filter_chunk(payloads: list, common) -> list:
@@ -249,7 +237,6 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     one ``np.isin`` per reducer over ``(server, key)`` codes (masks are elementwise).
     """
     t_idx, heavy_alive = common
-    alive = set(heavy_alive)
 
     def one_pass(chunk: list) -> list | None:
         target = stack_tagged([t_cols for _keys, t_cols, _stay in chunk])
@@ -258,11 +245,9 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
             return None
         lead = 1 if len(chunk) > 1 else 0  # the tag leads the key as it leads the columns
         t_keys = target[:lead] + [target[i + lead] for i in t_idx]
-        coded = [code_key_columns(t_keys, keys) for keys in reducers]
-        if None in coded:
-            return None
         # Every mask over the whole target, as the row path does.
-        keep = np.logical_and.reduce([np.isin(*codes) for codes in coded])
+        masks = [np.isin(*code_key_columns(t_keys, keys)) for keys in reducers]
+        keep = np.logical_and.reduce(masks)
         return cut_at_tags([column[keep] for column in target], len(chunk))
 
     def by_rows(payload: tuple) -> list:
@@ -270,36 +255,22 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
         if isinstance(t_rows, tuple):
             t_rows = zip_rows(t_rows)
             key_rows = [zip_rows(cols) for cols in key_rows]
-        key_sets = [set(rows) for rows in key_rows]
-        survivors = _filter_members(t_rows, t_idx, key_sets)
-        survivors.extend(
-            row for row in stay_rows if tuple(row[i] for i in t_idx) in alive
+        return _filter_members(t_rows, t_idx, key_rows) + _filter_members(
+            stay_rows, t_idx, [heavy_alive]
         )
-        return survivors
 
     return chunk_step(payloads, lambda payload: isinstance(payload[1], tuple), one_pass, by_rows)
 
 
 def _filter_members(
-    rows: list[Row], t_idx: tuple[int, ...], key_sets: list[set[Row]]
+    rows: list[Row], t_idx: tuple[int, ...], key_lists: list[list[Row]]
 ) -> list[Row]:
-    """Rows whose key tuple appears in *every* key set (order preserved)."""
-    if kernels_enabled() and rows:
-        combined = None
-        for ks in key_sets:
-            mask = semijoin_mask(rows, t_idx, list(ks))
-            if mask is None:
-                break
-            combined = mask if combined is None else combined & mask
-        else:
-            if combined is None:  # no reducers: everything survives
-                return list(rows)
-            return [row for row, keep in zip(rows, combined) if keep]
-    return [
-        row
-        for row in rows
-        if all(tuple(row[i] for i in t_idx) in ks for ks in key_sets)
-    ]
+    """Rows whose key tuple appears in *every* key list (order preserved;
+    no key list: every row)."""
+    keep = np.ones(len(rows), dtype=bool)
+    for keys in key_lists:
+        keep &= semijoin_mask(rows, t_idx, keys)
+    return list(compress(rows, keep.tolist()))
 
 
 def shuffle_aggregate(

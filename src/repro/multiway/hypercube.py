@@ -22,7 +22,6 @@ from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.kernels.config import kernels_enabled
 from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
@@ -64,7 +63,7 @@ def evaluate_pools(
                     memo.fused_payloads += 1
                     per_atom.append((None, part.arrays()))
                 else:
-                    memo.row_payloads += kernels_enabled() and bool(part)
+                    memo.row_payloads += bool(part)
                     per_atom.append((part, None))
             payloads.append(per_atom)
         calls.append(("hypercube.eval", payloads, (query, local)))
@@ -112,9 +111,6 @@ def hypercube_join(
         raise QueryError(f"shares {shares} need {grid.size} servers, only {p} given")
 
     cluster = Cluster(p, seed=seed)
-    hash_functions = {
-        v: cluster.hash_function(i, extents[i]) for i, v in enumerate(query.variables)
-    }
     var_position = {v: i for i, v in enumerate(query.variables)}
 
     # Scatter inputs (free), then the single replication round.
@@ -122,28 +118,15 @@ def hypercube_join(
     for atom in query.atoms:
         fragments[atom.name] = cluster.scatter(rels[atom.name], f"{atom.name}@in")
 
-    salts = [hash_functions[v].salt for v in query.variables]
+    salts = [cluster.hash_function(i, extent).salt for i, extent in enumerate(extents)]
     with cluster.round("hypercube") as rnd:
         for atom in query.atoms:
             column_dims = [var_position[v] for v in atom.variables]
-            if route_scattered_grid(
-                cluster, rnd, rels[atom.name], fragments[atom.name],
-                column_dims, salts, extents, grid.strides, f"{atom.name}@hc",
-            ):
+            route = (column_dims, salts, extents, grid.strides, f"{atom.name}@hc")
+            if route_scattered_grid(cluster, rnd, rels[atom.name], fragments[atom.name], *route):
                 continue
             for server in cluster.servers:
-                part = server.take(fragments[atom.name])
-                if try_route_grid(
-                    rnd, held(part), column_dims, salts, extents, grid.strides,
-                    f"{atom.name}@hc",
-                ):
-                    continue
-                for row in part:
-                    partial: list[int | None] = [None] * len(extents)
-                    for value, v in zip(row, atom.variables):
-                        partial[var_position[v]] = hash_functions[v](value)
-                    for dest in grid.matching(partial):
-                        rnd.send(dest, f"{atom.name}@hc", row)
+                try_route_grid(rnd, held(server.take(fragments[atom.name])), *route)
 
     (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")], local)
     details: dict = {"shares": dict(shares)}

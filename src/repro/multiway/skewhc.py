@@ -39,7 +39,6 @@ from repro.data.relation import Relation, union_all
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import held_columns, take
-from repro.kernels.config import kernels_enabled
 from repro.kernels.join import lookup_codes
 from repro.kernels.memo import align, bound, cached_view, route_pools, value_degrees
 from repro.kernels.partition import stable_groups
@@ -221,12 +220,12 @@ def _expand(
             columns.append(take(free[v], row))
             continue
         values: Any = [job.bound[v] for job in jobs]
-        if kernels_enabled() and set(map(type, values)) == {int}:
+        if set(map(type, values)) == {int}:
             exact = np.asarray(values)
             values = exact if exact.dtype.kind in "iu" else values
         columns.append(take(values, owner))
     out = Relation.from_held("OUT", query.variables, columns)
-    memo.row_payloads += kernels_enabled() and len(out) > 0 and not out.is_columnar
+    memo.row_payloads += len(out) > 0 and not out.is_columnar
     return out
 
 

@@ -12,7 +12,7 @@ Threading model (documented in DESIGN.md, tested by ``tests/service``):
 - **Workers** (a fixed pool of daemon threads) pull jobs and execute
   them under the warehouse **read** lock inside the submitter's copied
   :mod:`contextvars` context (so the submitter's ambient switches —
-  ``use_kernels``, ``use_backend``, ``audited``, ``faulty`` — cross the
+  ``use_backend``, ``audited``, ``faulty`` — cross the
   queue with its job and reach no other tenant's). The process-wide
   view and plan caches of :mod:`repro.kernels.memo` and the service's
   :class:`~repro.service.cache.ResultCache` are the same thread-safe

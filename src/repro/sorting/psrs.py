@@ -21,7 +21,6 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.kernels.columnar import take_rows
-from repro.kernels.config import kernels_enabled
 from repro.kernels.partition import partition_indices
 from repro.kernels.splitters import searchsorted_buckets, tuple_buckets
 from repro.mpc.cluster import Cluster, RoundContext
@@ -122,7 +121,7 @@ def _route_by_splitters(
     ``False`` means no fast path (non-integer keys / no splitters); the
     caller then routes item-at-a-time through ``bucket_of``.
     """
-    if not kernels_enabled() or not items or not splitters:
+    if not items or not splitters:
         return not items
     keys = [key(item) for item in items]
     if isinstance(keys[0], tuple):

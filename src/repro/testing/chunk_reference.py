@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.joins.base import step_result
-from repro.kernels.config import kernels_enabled
 from repro.kernels.join import code_key_columns, join_rows_columnar
 from repro.multiway.base import _filter_members
 
@@ -36,15 +35,13 @@ def join_fragment_chunk(payloads: list, common) -> list:
             ))
             continue
         shared = left_schema.common(right_schema)
-        if kernels_enabled() and shared:
+        if shared:
             extra = [a for a in right_schema.attributes if a not in left_schema]
-            joined_rows = join_rows_columnar(
+            out.append(join_rows_columnar(
                 l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
                 right_schema.indices(extra),
-            )
-            if joined_rows is not None:
-                out.append(joined_rows)
-                continue
+            ))
+            continue
         l_rel = Relation.wrap(left_name, left_schema, l_rows)
         r_rel = Relation.wrap(right_name, right_schema, r_rows)
         out.append(step_result(l_rel.join(r_rel)))
@@ -58,16 +55,13 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     out = []
     for key_rows, t_rows, stay_rows in payloads:
         if isinstance(t_rows, tuple):
-            coded = [code_key_columns([t_rows[i] for i in t_idx], k) for k in key_rows]
-            if None not in coded:
-                # Every mask over the whole target, as the row path does.
-                keep = np.logical_and.reduce([np.isin(*codes) for codes in coded])
-                out.append(tuple(column[keep] for column in t_rows))
-                continue
-            t_rows = list(zip(*(column.tolist() for column in t_rows)))
-            key_rows = [list(zip(*(c.tolist() for c in cols))) for cols in key_rows]
-        key_sets = [set(rows) for rows in key_rows]
-        survivors = _filter_members(t_rows, t_idx, key_sets)
+            # Every mask over the whole target, as the row path does.
+            keep = np.logical_and.reduce([
+                np.isin(*code_key_columns([t_rows[i] for i in t_idx], k)) for k in key_rows
+            ])
+            out.append(tuple(column[keep] for column in t_rows))
+            continue
+        survivors = _filter_members(t_rows, t_idx, key_rows)
         survivors.extend(
             row for row in stay_rows if tuple(row[i] for i in t_idx) in alive
         )

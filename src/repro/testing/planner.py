@@ -197,7 +197,6 @@ def run_planner_selftest(
     seed: int = 0,
     kinds: list[str] | None = None,
     verbose: bool = False,
-    kernels: bool | None = None,
     backend: str | None = None,
 ) -> PlannerReport:
     """Sweep the optimizer over the differential corpus's relational slice.
@@ -207,7 +206,6 @@ def run_planner_selftest(
     filtered out if requested.
     """
     from repro.exec.config import use_backend
-    from repro.kernels.config import use_kernels
 
     selected = [
         k for k in (kinds if kinds is not None else RELATIONAL_KINDS)
@@ -215,7 +213,7 @@ def run_planner_selftest(
     ]
     report = PlannerReport()
     workload = generate_instances(instances, seed=seed, kinds=selected)
-    with use_kernels(kernels), use_backend(backend):
+    with use_backend(backend):
         for instance in workload:
             report.instances += 1
             record = check_instance(instance)

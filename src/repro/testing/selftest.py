@@ -86,7 +86,6 @@ def run_selftest(
     monotonic_every: int = 24,
     audit: bool = True,
     verbose: bool = False,
-    kernels: bool | None = None,
     faults: bool = False,
     backend: str | None = None,
 ) -> SelftestReport:
@@ -95,10 +94,9 @@ def run_selftest(
     Every instance goes through the differential sweep; every
     ``metamorphic_every``-th also gets the metamorphic checks and every
     ``monotonic_every``-th the (4-run) load-monotonicity ladder, keeping
-    the total execution count proportional to the budget. ``kernels``
-    forces the columnar kernels on or off for the whole run (``None``
-    keeps the ambient setting: on); ``backend`` does the same for the
-    execution backend (``REPRO_BACKEND``).
+    the total execution count proportional to the budget. ``backend``
+    forces the execution backend for the whole run (``None`` keeps the
+    ambient ``REPRO_BACKEND`` setting).
     ``faults=True`` runs every differential execution under a
     reproducible randomized :class:`~repro.mpc.faults.FaultPlan` with
     recovery enabled and demands the same outputs, loads, and clean
@@ -107,9 +105,8 @@ def run_selftest(
     plans mid-comparison).
     """
     from repro.exec.config import use_backend
-    from repro.kernels.config import use_kernels
 
-    with use_kernels(kernels), use_backend(backend):
+    with use_backend(backend):
         return _run_selftest(
             instances, seed, kinds, algorithms,
             0 if faults else metamorphic_every,
@@ -178,10 +175,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the cluster conservation audits")
     parser.add_argument("--verbose", action="store_true",
                         help="print every record as it completes")
-    parser.add_argument("--kernels", choices=("on", "off", "both"), default=None,
-                        help="force the columnar kernels on/off, or run the "
-                             "sweep under both modes and cross-check loads "
-                             "(default: on)")
     parser.add_argument("--faults", action="store_true",
                         help="run every execution under a reproducible "
                              "randomized fault plan (crashes, stragglers, "
@@ -214,14 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.service:
         from repro.testing.service import run_service_selftest
 
-        kernels_mode = {"on": True, "off": False, "both": None, None: None}[
-            args.kernels
-        ]
         backend_mode = None if args.backend == "both" else args.backend
         from repro.exec.config import use_backend
-        from repro.kernels.config import use_kernels
 
-        with use_kernels(kernels_mode), use_backend(backend_mode):
+        with use_backend(backend_mode):
             report = run_service_selftest(
                 instances=args.instances if args.instances != 120 else 24,
                 threads=args.threads, seed=args.seed, kinds=args.kinds,
@@ -238,22 +227,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.planner:
         from repro.testing.planner import run_planner_selftest
 
-        if args.kernels == "both" or args.backend == "both":
+        if args.backend == "both":
             status = 0
-            modes = (
-                [(True, None), (False, None)] if args.kernels == "both"
-                else [(None, "inline"), (None, "process")]
-            )
-            for kernels_mode, backend_mode in modes:
-                label = (
-                    f"kernels {'on' if kernels_mode else 'off'}"
-                    if backend_mode is None else f"backend {backend_mode}"
-                )
-                print(f"=== planner / {label} ===")
+            for backend_mode in ("inline", "process"):
+                print(f"=== planner / backend {backend_mode} ===")
                 report = run_planner_selftest(
                     instances=args.instances, seed=args.seed,
-                    kinds=args.kinds, verbose=args.verbose,
-                    kernels=kernels_mode, backend=backend_mode,
+                    kinds=args.kinds, verbose=args.verbose, backend=backend_mode,
                 )
                 print(report.summary_table())
                 if not report.ok:
@@ -261,11 +241,9 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"  {record.describe()}", file=sys.stderr)
                     status = 1
             return status
-        kernels_mode = {"on": True, "off": False, None: None}[args.kernels]
         report = run_planner_selftest(
             instances=args.instances, seed=args.seed, kinds=args.kinds,
-            verbose=args.verbose, kernels=kernels_mode,
-            backend=args.backend,
+            verbose=args.verbose, backend=args.backend,
         )
         print(report.summary_table())
         if not report.ok:
@@ -275,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    def run(kernels: bool | None, backend: str | None) -> SelftestReport:
+    def run(backend: str | None) -> SelftestReport:
         return run_selftest(
             instances=args.instances,
             seed=args.seed,
@@ -285,7 +263,6 @@ def main(argv: list[str] | None = None) -> int:
             monotonic_every=0 if args.no_metamorphic else 24,
             audit=not args.no_audit,
             verbose=args.verbose,
-            kernels=kernels,
             faults=args.faults,
             backend=backend,
         )
@@ -295,115 +272,34 @@ def main(argv: list[str] | None = None) -> int:
         for line in report.failures:
             print(f"  {line}", file=sys.stderr)
 
-    # The sweep is the cell product of every axis given as "both": up to
-    # the full kernels x backend 2x2 grid. Every cell must pass on its
-    # own, then cells differing in exactly one axis are compared
-    # pairwise: the kernels axis must preserve model costs (loads), the
-    # backend axis full observational identity (outputs, loads, and
-    # rounds).
-    kernels_cells: list[bool | None] = (
-        [True, False] if args.kernels == "both"
-        else [{"on": True, "off": False, None: None}[args.kernels]]
-    )
-    backend_cells: list[str | None] = (
-        ["inline", "process"] if args.backend == "both" else [args.backend]
-    )
-    cells = [
-        (kernels, backend)
-        for kernels in kernels_cells
-        for backend in backend_cells
-    ]
-
-    if len(cells) == 1:
-        report = run(*cells[0])
+    if args.backend != "both":
+        report = run(args.backend)
         print(report.summary_table())
         if not report.ok:
             report_failures(report)
             return 1
         return 0
 
-    def cell_label(kernels: bool | None, backend: str | None) -> str:
-        parts = []
-        if args.kernels == "both":
-            parts.append(f"kernels {'on' if kernels else 'off'}")
-        if args.backend == "both":
-            parts.append(str(backend))
-        return " / ".join(parts)
-
+    # Both backends: each sweep must pass on its own, and the two must be
+    # observationally identical (outputs, loads, and rounds).
     status = 0
-    reports: dict[tuple, SelftestReport] = {}
-    for cell in cells:
-        print(f"=== {cell_label(*cell)} ===")
-        report = run(*cell)
-        reports[cell] = report
+    reports = {}
+    for backend in ("inline", "process"):
+        print(f"=== {backend} ===")
+        reports[backend] = report = run(backend)
         print(report.summary_table())
         if not report.ok:
             report_failures(report)
             status = 1
-
-    def check(drift: list[str], title: str) -> None:
-        nonlocal status
-        if drift:
-            print(f"\n{title}:", file=sys.stderr)
-            for line in drift:
-                print(f"  {line}", file=sys.stderr)
-            status = 1
-
-    if args.kernels == "both":
-        for backend in backend_cells:
-            check(
-                cross_mode_drift(
-                    reports[(True, backend)], reports[(False, backend)]
-                ),
-                "kernels on/off drift"
-                + (f" ({backend})" if args.backend == "both" else ""),
-            )
-    if args.backend == "both":
-        for kernels in kernels_cells:
-            check(
-                cross_backend_drift(
-                    reports[(kernels, "inline")], reports[(kernels, "process")]
-                ),
-                "inline/process drift"
-                + (
-                    f" (kernels {'on' if kernels else 'off'})"
-                    if args.kernels == "both" else ""
-                ),
-            )
-
+    drift = cross_backend_drift(reports["inline"], reports["process"])
+    if drift:
+        print("\ninline/process drift:", file=sys.stderr)
+        for line in drift:
+            print(f"  {line}", file=sys.stderr)
+        status = 1
     if status == 0:
-        swept = [
-            name for name, flag in (
-                ("kernels", args.kernels == "both"),
-                ("backend", args.backend == "both"),
-            ) if flag
-        ]
-        print("no cross-mode drift across the full "
-              + " x ".join(swept) + " sweep")
+        print("no cross-mode drift across the full backend sweep")
     return status
-
-
-def cross_mode_drift(
-    on: SelftestReport, off: SelftestReport
-) -> list[str]:
-    """Differences in model-visible cost between the two kernel modes.
-
-    The kernels must not change what the simulator *measures* — compare
-    the per-execution ``(algorithm, max_load)`` sequences of two sweeps
-    over the same workload.
-    """
-    on_records = on.differential.records
-    off_records = off.differential.records
-    if len(on_records) != len(off_records):
-        return [
-            f"execution counts differ: {len(on_records)} with kernels on, "
-            f"{len(off_records)} off"
-        ]
-    return [
-        f"{a.algorithm}: max_load {a.max_load} with kernels on, {b.max_load} off"
-        for a, b in zip(on_records, off_records)
-        if a.algorithm != b.algorithm or a.max_load != b.max_load
-    ]
 
 
 def cross_backend_drift(

@@ -5,7 +5,7 @@ column-primary (``from_columns``), then suffer any interleaving of
 mutations (``add``/``extend``), in-place edits of the lists ``rows()``
 hands out (the caller's copies: the relation never sees them) and
 accessor calls. Whatever the history, two invariants must hold at every
-step, in both kernel modes:
+step, on the kernels and on the scalar rung (``kernels=False``):
 
 - ``rows_readonly()`` equals the shadow list of tuples the operations
   imply (the tuple view is the model's ground truth);
@@ -13,14 +13,16 @@ step, in both kernel modes:
   column extraction of that same shadow — never a stale snapshot.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import key_columns
-from repro.kernels.config import use_kernels
+from repro.kernels.columnar import exact, key_columns
+from tests.holdings import scalar_rung
 
 ARITY = 2
 
@@ -29,7 +31,12 @@ rows_st = st.tuples(*[values] * ARITY)
 
 
 def _fresh_columns(rows):
-    return key_columns(rows, range(ARITY))
+    columns = key_columns(rows, range(ARITY))
+    return columns if exact(columns) else None
+
+
+def _rung(kernels):
+    return nullcontext() if kernels else scalar_rung()
 
 
 def _check_coherent(rel, shadow):
@@ -81,7 +88,7 @@ def _build(start, initial):
     ops=operations,
 )
 def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
-    with use_kernels(kernels):
+    with _rung(kernels):
         rel = _build(start, initial)
         shadow = list(initial)
         _check_coherent(rel, shadow)
@@ -112,7 +119,7 @@ def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
 @given(initial=st.lists(rows_st, min_size=1, max_size=8))
 def test_join_agrees_across_representations(kernels, initial):
     """Row-primary and column-primary builds of the same bag join alike."""
-    with use_kernels(kernels):
+    with _rung(kernels):
         by_rows = Relation("R", ["x", "y"], initial)
         by_cols = _build("from_columns", initial)
         other = Relation("S", ["y", "z"], [(row[1], i) for i, row in enumerate(initial)])

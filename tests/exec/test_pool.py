@@ -49,7 +49,7 @@ def pool():
 
 def test_run_merges_in_chunk_order(pool):
     chunks = [(0, [1, 2, 3]), (1, [4, 5])]
-    results, dispatch = pool.run("test.double", chunks, 10, False)
+    results, dispatch = pool.run("test.double", chunks, 10)
     assert results == [[10, 20, 30], [40, 50]]
     assert dispatch.shm_bytes_out == 0 and dispatch.shm_bytes_in == 0
     assert dispatch.pickle_bytes_out > 0 and dispatch.pickle_bytes_in > 0
@@ -62,7 +62,7 @@ def test_run_batch_collapses_round_trips(pool):
         ("test.double", [(0, [1, 2]), (1, [3])], 10),
         ("test.double", [(0, [4]), (1, [5, 6])], 100),
     ]
-    per_call, dispatch = pool.run_batch(calls, False)
+    per_call, dispatch = pool.run_batch(calls)
     assert per_call == [
         [[10, 20], [30]],
         [[400], [500, 600]],
@@ -77,32 +77,32 @@ def test_run_batch_reports_failure_of_any_subjob(pool):
         ("test.boom", [(1, [1])], None),
     ]
     with pytest.raises(WorkerError, match="task exploded on purpose"):
-        pool.run_batch(calls, False)
+        pool.run_batch(calls)
     # Pool survives, same as a single-call task failure.
-    results, _ = pool.run("test.double", [(0, [7])], 2, False)
+    results, _ = pool.run("test.double", [(0, [7])], 2)
     assert results == [[14]]
 
 
 def test_worker_error_carries_remote_traceback(pool):
     with pytest.raises(WorkerError, match="task exploded on purpose"):
-        pool.run("test.boom", [(0, [1]), (1, [2])], None, False)
+        pool.run("test.boom", [(0, [1]), (1, [2])], None)
     # The pool survives a task failure and keeps serving.
-    results, *_ = pool.run("test.double", [(0, [7])], 2, False)
+    results, *_ = pool.run("test.double", [(0, [7])], 2)
     assert results == [[14]]
 
 
 def test_unknown_task_is_a_worker_error(pool):
     with pytest.raises(WorkerError, match="unknown exec task"):
-        pool.run("test.no-such-task", [(0, [1])], None, False)
+        pool.run("test.no-such-task", [(0, [1])], None)
 
 
 def test_unpicklable_payload_raises_synchronously(pool):
     with pytest.raises(UnpicklablePayloadError):
-        pool.run("test.double", [(0, [lambda: None])], 1, False)
+        pool.run("test.double", [(0, [lambda: None])], 1)
     with pytest.raises(UnpicklablePayloadError):
-        pool.run("test.double", [(0, [1])], lambda: None, False)
+        pool.run("test.double", [(0, [1])], lambda: None)
     # Still alive afterwards: nothing was ever enqueued.
-    results, *_ = pool.run("test.double", [(0, [3])], 3, False)
+    results, *_ = pool.run("test.double", [(0, [3])], 3)
     assert results == [[9]]
 
 
@@ -111,7 +111,7 @@ def test_shutdown_is_idempotent():
     pool.shutdown()
     pool.shutdown()
     with pytest.raises(RuntimeError, match="shut down"):
-        pool.run("test.double", [(0, [1])], 1, False)
+        pool.run("test.double", [(0, [1])], 1)
 
 
 def test_get_pool_forks_once_under_contention(monkeypatch):

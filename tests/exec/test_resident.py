@@ -85,8 +85,8 @@ def test_small_blocks_are_never_cached():
 
 
 def test_mutating_task_is_safe_on_cache_hits(pool):
-    first_results, first = pool.run("resident.mutate", _chunks(), None, False)
-    again_results, again = pool.run("resident.mutate", _chunks(), None, False)
+    first_results, first = pool.run("resident.mutate", _chunks(), None)
+    again_results, again = pool.run("resident.mutate", _chunks(), None)
     # The repeat ships every byte again and sees pristine inputs: there
     # is no cache for an in-place mutation to poison.
     assert first.shm_bytes_out == again.shm_bytes_out == 2 * 1000 * 8
@@ -97,8 +97,8 @@ def test_pickle_transport_never_uses_residency(pool):
     # A payload with no array bytes to lift rides the frame whole,
     # however often it repeats.
     chunks = [(0, [3, 4]), (1, [5])]
-    results, first = pool.run("resident.scale", chunks, 2, False)
-    _, again = pool.run("resident.scale", chunks, 2, False)
+    results, first = pool.run("resident.scale", chunks, 2)
+    _, again = pool.run("resident.scale", chunks, 2)
     assert results == [[6, 8], [10]]
     for dispatch in (first, again):
         assert dispatch.shm_bytes_out == 0

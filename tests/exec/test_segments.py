@@ -53,7 +53,7 @@ def _frame_for(task, chunk):
     import pickle
 
     encoded = shm.encode_payload((chunk, None))
-    return pickle.dumps([(task, encoded, False)])
+    return pickle.dumps([(task, encoded)])
 
 
 def _psm_segments() -> set[str]:
@@ -74,11 +74,11 @@ def test_worker_crash_mid_dispatch_leaks_no_segments():
     before = _psm_segments()
     pool = WorkerPool(2)
     with pytest.raises(WorkerError, match="died while jobs were pending"):
-        pool.run("segments.kill", _array_chunks(), None, False)
+        pool.run("segments.kill", _array_chunks(), None)
     assert pool._closed  # the pool is unusable after losing workers
     assert _psm_segments() <= before  # nothing new left behind
     with pytest.raises(RuntimeError, match="shut down"):
-        pool.run("segments.kill", _array_chunks(), None, False)
+        pool.run("segments.kill", _array_chunks(), None)
 
 
 def test_worker_death_surfaces_at_once_and_the_pool_is_replaced():
@@ -88,22 +88,22 @@ def test_worker_death_surfaces_at_once_and_the_pool_is_replaced():
     before = _psm_segments()
     with use_backend("process", workers=2):
         doomed = get_pool(2)
-        doomed.run("segments.sum", _array_chunks(), None, False)  # forked, warm
+        doomed.run("segments.sum", _array_chunks(), None)  # forked, warm
         started = time.perf_counter()
         with pytest.raises(WorkerError, match="died while jobs were pending"):
-            doomed.run("segments.kill", _array_chunks(), None, False)
+            doomed.run("segments.kill", _array_chunks(), None)
         assert time.perf_counter() - started < 0.5
         assert doomed._closed
         assert _psm_segments() <= before
         fresh = get_pool(2)
         assert fresh is not doomed and not fresh._closed
-        results, _ = fresh.run("segments.sum", _array_chunks(), None, False)
+        results, _ = fresh.run("segments.sum", _array_chunks(), None)
         assert results == [[int(np.arange(2048).sum())]] * 2
 
 
 def test_idle_shutdown_is_prompt_and_idempotent():
     pool = WorkerPool(2)
-    pool.run("segments.sum", _array_chunks(), None, False)
+    pool.run("segments.sum", _array_chunks(), None)
     started = time.perf_counter()
     pool.shutdown()
     assert time.perf_counter() - started < 0.5
@@ -144,7 +144,7 @@ def test_emergency_teardown_unlinks_registered_segments():
 def test_shutdown_after_real_work_leaves_no_segments():
     before = _psm_segments()
     pool = WorkerPool(2)
-    results, _ = pool.run("segments.sum", _array_chunks(), None, False)
+    results, _ = pool.run("segments.sum", _array_chunks(), None)
     assert results == [[int(np.arange(2048).sum())]] * 2
     pool.shutdown()
     assert _psm_segments() <= before
@@ -168,7 +168,7 @@ def test_pool_recreated_after_crash_and_faults_replay_once():
         # Crash the shared pool mid-dispatch...
         crashed = get_pool(2)
         with pytest.raises(WorkerError):
-            crashed.run("segments.kill", _array_chunks(), None, False)
+            crashed.run("segments.kill", _array_chunks(), None)
         assert crashed._closed
         # ...then run a faulty query: get_pool must hand out a fresh
         # pool, and the coordinator-side fault replay must behave as if

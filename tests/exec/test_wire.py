@@ -85,7 +85,7 @@ def test_a_dispatch_starts_no_thread():
     pool = WorkerPool(2)
     try:
         before = threading.active_count()
-        results, dispatch = pool.run("wire.total", [(0, [[1, 2]]), (1, [[3]])], None, False)
+        results, dispatch = pool.run("wire.total", [(0, [[1, 2]]), (1, [[3]])], None)
         assert results == [[3], [3]]
         assert dispatch.queue_messages == 2
         assert threading.active_count() == before
@@ -251,7 +251,7 @@ def test_a_block_at_the_floor_rides_a_segment_every_time():
         chunks = [(0, [at]), (1, [under])]
         want = [[int(at.sum())], [int(under.sum())]]
         for _ in range(2):  # nothing is remembered: the repeat ships again
-            results, dispatch = pool.run("wire.total", chunks, None, False)
+            results, dispatch = pool.run("wire.total", chunks, None)
             assert results == want
             assert dispatch.shm_bytes_out == floor  # only the block at the floor
             assert dispatch.pickle_bytes_out > under.nbytes  # the other rode the frame
@@ -271,7 +271,7 @@ def test_large_frames_both_ways_on_both_workers_do_not_deadlock():
     try:
         blocks = [np.full(8192, k, dtype=np.int64) for k in range(128)]
         chunks = [(0, blocks[:64]), (1, blocks[64:])]
-        results, dispatch = pool.run("wire.echo", chunks, None, False)
+        results, dispatch = pool.run("wire.echo", chunks, None)
         assert killer.is_alive(), "dispatch wedged until the timer killed the pool"
         assert dispatch.shm_bytes_out == dispatch.shm_bytes_in == 0
         assert dispatch.pickle_bytes_out >= 4 << 20 and dispatch.pickle_bytes_in >= 4 << 20

@@ -4,18 +4,66 @@ A *case* is ``{relation name: (attributes, rows)}``. :func:`holdings`
 builds it column-primary, row-primary and handed-out (the first only when
 every value is a plain int), :func:`observe` reduces a run to everything
 a caller can see, and :func:`assert_one_answer` checks that all holdings
-agree with each other and with the scalar rung (``use_kernels(False)``).
+agree with each other, with the scalar rung (:func:`scalar_rung`) and, as
+a bag, with :mod:`repro.testing.oracle`.
 """
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 from repro.data.relation import Relation
-from repro.kernels.config import use_kernels
+from repro.exec.config import backend_name, worker_count
+from repro.exec.pool import get_pool
 from repro.mpc.audit import audited
+from repro.testing.oracle import multiset_diff
 
-BIG = 2**63 + 5  # above int64 max: a uint64 column the join kernels cannot code
+BIG = 2**63 + 5  # above int64 max: a uint64 column the radix codes cannot hold
 
 P_VALUES = [1, 3, 8, 13]
+
+
+@contextmanager
+def scalar_rung():
+    """Run the block on the scalar rung: the per-row bodies of
+    :mod:`repro.testing.scalar_reference` stand in for the six kernels (and
+    the two multiway helpers built on them) wherever a loaded ``repro`` or
+    test module holds them, and no routing plan replays (a plan is kernel
+    output). The backend stays what it is: under ``process`` the local
+    steps run in workers forked before the substitution — on the kernels,
+    so there the rung covers what the coordinator runs."""
+    from repro.kernels import join, memo, partition
+    from repro.multiway import base
+    from repro.testing import scalar_reference as reference
+
+    def never(*_args, **_kwargs):
+        return False
+
+    swaps = {id(original): substitute for original, substitute in (
+        (partition.try_route, reference.try_route),
+        (partition.try_route_grid, reference.try_route_grid),
+        (join.code_key_columns, reference.code_key_columns),
+        (join.join_rows_columnar, reference.join_rows_columnar),
+        (join.semijoin_mask, reference.semijoin_mask),
+        (join.lookup_codes, reference.lookup_codes),
+        (base._route_light, reference.route_light),
+        (base._filter_members, reference.filter_members),
+        (memo.route_scattered, never),
+        (memo.route_scattered_grid, never),
+    )}
+    if backend_name() == "process":
+        get_pool(worker_count())  # fork now, not under the substitution
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if module is None or not name.startswith(("repro.", "tests.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                substitute = swaps.get(id(value))
+                if substitute is not None:
+                    patch.setattr(module, attr, substitute)
+        yield
 
 
 def _plain(rows):
@@ -88,28 +136,36 @@ def variants(case, key_attrs, payload):
             ])
         return out
 
-    last = list(case)[-1]
+    first, last = list(case)[0], list(case)[-1]
     return {
         "int": case,
         "string-keyed": mapped(lambda v: f"k{v}", set(key_attrs)),
         "uint64-key": mapped(lambda v: BIG + v, set(key_attrs)),
         "uint64-payload": mapped(lambda v: BIG + abs(v), {payload}),
         "bool-payload": mapped(lambda v: v % 2 == 0, {payload}),
+        # Equal keys of different types: the first relation's keys are
+        # floats (0 as -0.0) meeting the others' ints.
+        "mixed-numeric": mapped(
+            lambda v: float(v) if v else -0.0, {(first, a) for a in key_attrs}
+        ),
         "empty-side": {**case, last: (case[last][0], [])},
     }
 
 
-def assert_one_answer(run, case, p):
-    """Run every holding of ``case``; all must observe what the scalar rung does.
+def assert_one_answer(run, case, p, oracle):
+    """Run every holding of ``case``; all must observe what the scalar rung
+    does, and output the bag ``oracle(relations)`` holds.
 
     ``run(relations, p) -> (output, stats)``. Returns ``{how: (output,
     stats)}`` of the kernel-rung runs for shape assertions. An all-int
     holding is still column-primary afterwards, handed-out ones included.
     """
     held = holdings(case)
-    with audited(), use_kernels(False):
+    with audited(), scalar_rung():
         want = observe(*run(held["rows"], p))
     assert want["audit"] is not None and not want["audit"][2]
+    diff = multiset_diff(oracle(held["rows"]).rows_readonly(), want["rows"])
+    assert not diff, diff.summary()
     results = {}
     for how, relations in held.items():
         with audited():

@@ -4,12 +4,14 @@ For hash / broadcast / skew joins, every way of holding an input
 (column-primary, row-primary, rows handed out and edited) and every
 input kind (plain
 ints, string keys, a ``uint64`` column above ``int64`` max, a
-``bool``-bearing column, an empty side) must observe exactly what the
-scalar rung observes — rows in order with their types, schema, name,
-per-round loads, C and the audit report — while the output is
-column-primary exactly when every server's local step could stay
-columnar.
+``bool``-bearing column, float keys meeting equal ints, an empty side)
+must observe exactly what the scalar rung observes — rows in order with
+their types, schema, name, per-round loads, C and the audit report —
+and output the oracle's bag, while the output is column-primary exactly
+when every server's local step could stay columnar.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,10 +22,10 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
 from repro.kernels import join as join_kernels
-from repro.kernels.config import use_kernels
 from repro.mpc.cluster import Cluster
 from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
-from tests.holdings import P_VALUES, assert_one_answer, hold, observe, variants
+from repro.testing.oracle import oracle_two_way
+from tests.holdings import P_VALUES, assert_one_answer, hold, observe, scalar_rung, variants
 
 # y = 0 is a heavy hitter (skew_join peels it from p = 5 up).
 CASE = {
@@ -45,26 +47,30 @@ def _run(algorithm):
     return run
 
 
+def _oracle(relations):
+    return oracle_two_way(relations["R"], relations["S"])
+
+
 @pytest.mark.parametrize("p", P_VALUES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_one_answer_three_ways_to_hold_it(name, kind, p):
-    results = assert_one_answer(_run(ALGORITHMS[name]), KINDS[kind], p)
+    results = assert_one_answer(_run(ALGORITHMS[name]), KINDS[kind], p, _oracle)
     for how, (output, stats) in results.items():
         memo = stats.memo
-        if kind in ("int", "uint64-payload"):
+        if kind in ("int", "uint64-payload", "uint64-key"):
             # Every non-empty local step stayed columnar — skew_join's
-            # products of the heavy keys included ...
+            # products of the heavy keys included, and a uint64 key above
+            # int64 max, which is coded by value ...
             assert memo.row_payloads == 0, how
             assert output.is_columnar == (len(output) > 0), how
             for row in output.rows_readonly():
                 assert all(type(v) is int for v in row)
-        elif kind in ("string-keyed", "bool-payload", "uint64-key"):
-            # ... and a column the kernels cannot hold exactly is a
-            # counted fall back to rows, never a silent one.
+        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
+            # ... and a column numpy cannot hold exactly travels as rows:
+            # a counted payload shape, never a silent one.
             assert not output.is_columnar, how
-            if kind != "uint64-key":      # that one falls back inside the step
-                assert memo.fused_payloads == 0 and memo.row_payloads > 0, how
+            assert memo.fused_payloads == 0 and memo.row_payloads > 0, how
         else:
             assert len(output) == 0 and memo.row_payloads == 0, how
 
@@ -125,16 +131,16 @@ def test_faults_change_nothing_the_scalar_rung_does_not(name, plan, recovered):
         recovery=RecoveryPolicy(enabled=recovered),
     )
     run = _run(ALGORITHMS[name])
-    seen = {}
-    for kernels in (False, True):
+    seen = []
+    for rung in (scalar_rung, nullcontext):
         relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in CASE.items()}
-        with use_kernels(kernels), faulty(plan):
+        with rung(), faulty(plan):
             output, stats = run(relations, 4)
-        seen[kernels] = (observe(output, stats), stats.faults.snapshot())
-    assert seen[True] == seen[False]
+        seen.append((observe(output, stats), stats.faults.snapshot()))
+    assert seen[0] == seen[1]
     if recovered:
         reference = observe(*run({n: hold(n, a, rows, "rows") for n, (a, rows) in CASE.items()}, 4))
-        assert seen[True][0]["rows"] == reference["rows"]
+        assert seen[1][0]["rows"] == reference["rows"]
 
 
 def test_inline_and_process_backends_agree():
@@ -204,7 +210,7 @@ class TestSkewJoinSplitsWithAMask:
         else:
             r_rows, s_rows = CASE["R"][1], CASE["S"][1]
         r, s = hold("R", ["x", "y"], r_rows, how), hold("S", ["y", "z"], s_rows, how)
-        with use_kernels(False):
+        with scalar_rung():
             want = skew_join(hold("R", ["x", "y"], r_rows, "rows"),
                              hold("S", ["y", "z"], s_rows, "rows"), 6, seed=1)
         got = skew_join(r, s, 6, seed=1)

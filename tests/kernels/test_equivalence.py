@@ -1,27 +1,32 @@
 """Kernel-equivalence property tests: vectorized == pure-Python, exactly.
 
-Every kernel must be a byte-identical drop-in for the tuple-at-a-time
-code it replaces — same values, same order, no "close enough". Hypothesis
-drives random *and* adversarial inputs: Zipf-style skew (tiny key pools),
-all-equal keys, negative integers down to the int64 boundary, and
-mixed-type columns that must make the kernels refuse (return ``None``)
-rather than guess.
+Every kernel must be a byte-identical drop-in for the per-row code it
+replaced (:mod:`repro.testing.scalar_reference`) — same values, same
+order, no "close enough" — and must take every value. Hypothesis drives
+random *and* adversarial inputs: Zipf-style skew (tiny key pools),
+all-equal keys, negative integers down to the int64 boundary, and key
+columns of every type, equal values of different types included
+(``1``, ``1.0``, ``True``; ``0.0`` and ``-0.0``).
 """
 
 from bisect import bisect_left
+from collections import defaultdict
+from contextlib import nullcontext
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import comparable_int64, key_columns
-from repro.kernels.config import use_kernels
-from repro.kernels.join import join_rows_columnar, semijoin_mask
-from repro.kernels.partition import hash_destinations, partition_indices
+from repro.kernels.columnar import comparable_int64, exact, key_columns, zip_rows
+from repro.kernels.hashing import bucket_tuple_columns
+from repro.kernels.join import code_key_columns, join_rows_columnar, lookup_codes, semijoin_mask
+from repro.kernels.partition import partition_indices, try_route, try_route_grid
 from repro.kernels.splitters import searchsorted_buckets, tuple_buckets
 from repro.mpc.hashing import HashFamily
+from repro.mpc.topology import Grid
+from repro.testing import scalar_reference as reference
+from tests.holdings import BIG, scalar_rung
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 SMALL = st.integers(-4, 4)                      # heavy collisions
@@ -34,6 +39,32 @@ def rows_strategy(arity: int, values=None):
     return st.lists(st.tuples(*[element] * arity), max_size=60)
 
 
+class Recorder:
+    """A round that records, per destination, the rows sent there in order."""
+
+    def __init__(self):
+        self.sent = defaultdict(list)
+
+    def send(self, dest, _fragment, row):
+        self.sent[dest].append(row)
+
+    def send_rows(self, dest, _fragment, rows):
+        self.sent[dest].extend(rows)
+
+    def send_columns(self, dest, _fragment, columns):
+        self.sent[dest].extend(zip_rows(columns))
+
+    def observed(self):
+        return {dest: (rows, [tuple(map(type, row)) for row in rows])
+                for dest, rows in self.sent.items()}
+
+
+def _routed(route, data, *args):
+    rnd = Recorder()
+    route(rnd, data, *args, "out")
+    return rnd.observed()
+
+
 # --------------------------------------------------------------- hashing
 
 
@@ -42,16 +73,18 @@ class TestHashDestinations:
     @given(rows=rows_strategy(2), hash_index=st.integers(0, 3))
     def test_matches_scalar_loop(self, rows, hash_index):
         h = HashFamily(7).function(hash_index, 16)
-        got = hash_destinations(rows, (1, 0), h)
-        assert got is not None
+        got = bucket_tuple_columns(key_columns(rows, (1, 0)), h.salt, h.buckets)
         assert got.tolist() == [h((row[1], row[0])) for row in rows]
+        assert _routed(try_route, rows, (1, 0), h) == _routed(reference.try_route, rows, (1, 0), h)
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(st.tuples(st.text(max_size=3), SMALL), min_size=1,
                          max_size=20))
-    def test_refuses_non_integer_keys(self, rows):
+    def test_non_integer_keys_hash_as_the_scalar_spec(self, rows):
         h = HashFamily(7).function(0, 16)
-        assert hash_destinations(rows, (0,), h) is None
+        got = bucket_tuple_columns(key_columns(rows, (0,)), h.salt, h.buckets)
+        assert got.tolist() == [h((row[0],)) for row in rows]
+        assert _routed(try_route, rows, (0,), h) == _routed(reference.try_route, rows, (0,), h)
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(st.tuples(st.booleans(), SMALL), min_size=1,
@@ -60,9 +93,9 @@ class TestHashDestinations:
         # Python dict/set semantics treat True == 1; the kernels widen
         # bool columns to integers and must agree with the scalar path.
         h = HashFamily(7).function(1, 8)
-        got = hash_destinations(rows, (0,), h)
-        assert got is not None
-        assert got.tolist() == [h((row[0],)) for row in rows]
+        got = bucket_tuple_columns(key_columns(rows, (0,)), h.salt, h.buckets)
+        assert got.tolist() == [h((row[0],)) for row in rows] == [h((int(row[0]),)) for row in rows]
+        assert _routed(try_route, rows, (0,), h) == _routed(reference.try_route, rows, (0,), h)
 
 
 class TestPartitionIndices:
@@ -81,43 +114,37 @@ class TestPartitionIndices:
 # ------------------------------------------------------------------ joins
 
 
-def dict_join_reference(left, right, left_idx, right_idx, payload_idx):
-    index = {}
-    for row in right:
-        index.setdefault(tuple(row[i] for i in right_idx), []).append(row)
-    out = []
-    for row in left:
-        for match in index.get(tuple(row[i] for i in left_idx), ()):
-            out.append(row + tuple(match[i] for i in payload_idx))
-    return out
-
-
 class TestJoinKernel:
     @settings(max_examples=60, deadline=None)
     @given(left=rows_strategy(2), right=rows_strategy(2))
     def test_matches_dict_join_single_key(self, left, right):
         got = join_rows_columnar(left, right, (1,), (0,), (1,))
-        assert got == dict_join_reference(left, right, (1,), (0,), (1,))
+        assert got == reference.join_rows_columnar(left, right, (1,), (0,), (1,))
 
     @settings(max_examples=40, deadline=None)
     @given(left=rows_strategy(3), right=rows_strategy(3))
     def test_matches_dict_join_two_keys(self, left, right):
         got = join_rows_columnar(left, right, (0, 2), (2, 0), (1,))
-        assert got == dict_join_reference(left, right, (0, 2), (2, 0), (1,))
+        assert got == reference.join_rows_columnar(left, right, (0, 2), (2, 0), (1,))
 
     @settings(max_examples=20, deadline=None)
     @given(left=st.lists(st.tuples(st.text(max_size=2), SMALL), min_size=1,
                          max_size=15),
            right=st.lists(st.tuples(st.text(max_size=2), SMALL), min_size=1,
                           max_size=15))
-    def test_refuses_mixed_type_keys(self, left, right):
-        assert join_rows_columnar(left, right, (0,), (0,), (1,)) is None
+    def test_string_keys_match_dict_join(self, left, right):
+        got = join_rows_columnar(left, right, (0,), (0,), (1,))
+        assert got == reference.join_rows_columnar(left, right, (0,), (0,), (1,))
 
     def test_uint64_overflow_rejected(self):
         # A uint64 column above int64.max cannot be compared exactly in
-        # int64 space; the kernel must refuse, not wrap around.
+        # int64 space: no int64 view of it exists, and the join codes it
+        # by value instead of wrapping around onto a negative key.
         big = np.array([2**63 + 1], dtype=np.uint64)
         assert comparable_int64(big) is None
+        minus = np.array([2**63 + 1 - 2**64], dtype=np.int64)
+        left, right = code_key_columns([big], [minus])
+        assert left.tolist() != right.tolist()
 
 
 class TestSemijoinKernel:
@@ -125,7 +152,6 @@ class TestSemijoinKernel:
     @given(rows=rows_strategy(2), members=rows_strategy(1))
     def test_matches_set_membership(self, rows, members):
         mask = semijoin_mask(rows, (1,), members)
-        assert mask is not None
         member_set = set(members)
         assert mask.tolist() == [(row[1],) in member_set for row in rows]
 
@@ -133,7 +159,6 @@ class TestSemijoinKernel:
     @given(rows=rows_strategy(3), members=rows_strategy(2))
     def test_matches_set_membership_two_keys(self, rows, members):
         mask = semijoin_mask(rows, (2, 0), members)
-        assert mask is not None
         member_set = set(members)
         assert mask.tolist() == [(row[2], row[0]) in member_set for row in rows]
 
@@ -165,11 +190,107 @@ class TestSplitterSearch:
         assert tuple_buckets([("a", 1)], [("a", 0)]) is None
 
 
+# ------------------------------------------------------------ every value
+
+# One strategy per kind of key column, and one mixing them all: an exact
+# column takes the vectorized path, any other is coded by value, and the
+# two sides of a join may differ in kind (1 meets 1.0 and True).
+KEY_KINDS = {
+    "int": st.integers(-3, 3),
+    "bool": st.booleans(),
+    "integral-float": st.integers(-3, 3).map(float),
+    "zero": st.sampled_from([0.0, -0.0, 0]),
+    "str": st.sampled_from(["a", "b", "1"]),
+    "none": st.none(),
+    "uint64": st.integers(0, 2).map(lambda v: BIG + v),
+    "pair": st.tuples(st.integers(0, 1), st.sampled_from(["a", True, 1])),
+}
+KEY_KINDS["mixed"] = st.one_of(*KEY_KINDS.values())
+
+
+@st.composite
+def keyed_rows(draw, width=2):
+    """Rows of ``width`` key columns, each of one drawn kind, and a
+    position payload last (so no two rows are equal)."""
+    kinds = [draw(st.sampled_from(sorted(KEY_KINDS))) for _ in range(width)]
+    keys = draw(st.lists(st.tuples(*(KEY_KINDS[k] for k in kinds)), max_size=30))
+    return [key + (i,) for i, key in enumerate(keys)]
+
+
+def _same_partition(got, want):
+    """Whether two code arrays induce one partition of the positions."""
+    got, want = got.tolist(), want.tolist()
+    return len(set(zip(got, want))) == len(set(got)) == len(set(want))
+
+
+def _held_forms(rows):
+    """``rows`` as held data: the row list, and — when every column is
+    exact — the whole columns."""
+    columns = key_columns(rows, range(len(rows[0]))) if rows else []
+    return [rows, columns] if rows and exact(columns) else [rows]
+
+
+class TestEveryValue:
+    """The six kernels give the per-row reference's destinations, order
+    and codes on every key type — and never decline."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=keyed_rows(), key_idx=st.sampled_from([(0,), (1,), (0, 1), (1, 0)]),
+           buckets=st.sampled_from([1, 3, 8]))
+    def test_try_route(self, rows, key_idx, buckets):
+        h = HashFamily(3).function(0, buckets)
+        for data in _held_forms(rows):
+            assert _routed(try_route, data, key_idx, h) == \
+                _routed(reference.try_route, data, key_idx, h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=keyed_rows(), column_dims=st.sampled_from([(0, 1, 2), (1, 0, 2), (0, 0, 2)]))
+    def test_try_route_grid(self, rows, column_dims):
+        extents = (2, 3, 1)
+        route = (column_dims, (11, 22, 33), extents, Grid(extents).strides)
+        for data in _held_forms(rows):
+            assert _routed(try_route_grid, data, *route) == \
+                _routed(reference.try_route_grid, data, *route)
+
+    @settings(max_examples=80, deadline=None)
+    @given(left=keyed_rows(), right=keyed_rows(), key_idx=st.sampled_from([(0,), (0, 1)]))
+    def test_code_key_columns(self, left, right, key_idx):
+        left_cols, right_cols = key_columns(left, key_idx), key_columns(right, key_idx)
+        got = np.concatenate(code_key_columns(left_cols, right_cols))
+        want = np.concatenate(reference.code_key_columns(left_cols, right_cols))
+        assert _same_partition(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(left=keyed_rows(), right=keyed_rows(), key_idx=st.sampled_from([(0,), (1, 0)]))
+    def test_join_rows_columnar(self, left, right, key_idx):
+        args = (left, right, key_idx, key_idx, (2,))
+        got = join_rows_columnar(*args)
+        want = reference.join_rows_columnar(*args)
+        assert got == want
+        assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=keyed_rows(), members=keyed_rows(), key_idx=st.sampled_from([(0,), (0, 1)]))
+    def test_semijoin_mask(self, rows, members, key_idx):
+        keys = [tuple(row[i] for i in key_idx) for row in members]
+        assert semijoin_mask(rows, key_idx, keys).tolist() == \
+            reference.semijoin_mask(rows, key_idx, keys).tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=keyed_rows(), keyed=keyed_rows(), width=st.sampled_from([1, 2]))
+    def test_lookup_codes(self, rows, keyed, width):
+        keys = list(dict.fromkeys(row[:width] for row in keyed))  # distinct, as equal
+        key_cols = [list(column) for column in zip(*rows)][:width] if rows else [[]] * width
+        assert lookup_codes(key_cols, keys).tolist() == \
+            reference.lookup_codes(key_cols, keys).tolist()
+
+
 # ------------------------------------------------------------- end to end
 
 
 class TestEndToEndModes:
-    """Whole algorithms must agree between kernel modes, bit for bit."""
+    """Whole algorithms must agree between the kernels and the scalar rung,
+    bit for bit."""
 
     @settings(max_examples=15, deadline=None)
     @given(left=rows_strategy(2, values=SKEWED), right=rows_strategy(2, values=SKEWED),
@@ -179,12 +300,12 @@ class TestEndToEndModes:
         s = Relation("S", ["y", "z"], right)
         from repro.joins.hash_join import parallel_hash_join
 
-        results = {}
-        for mode in (True, False):
-            with use_kernels(mode):
+        results = []
+        for rung in (nullcontext, scalar_rung):
+            with rung():
                 run = parallel_hash_join(r, s, p=p, seed=11)
-            results[mode] = (run.output.rows(), run.load, run.rounds)
-        assert results[True] == results[False]
+            results.append((run.output.rows(), run.load, run.rounds))
+        assert results[0] == results[1]
 
     @settings(max_examples=15, deadline=None)
     @given(rows=rows_strategy(3, values=SKEWED), p=st.sampled_from([3, 8]))
@@ -192,17 +313,15 @@ class TestEndToEndModes:
         from repro.multiway.aggregate import group_by
 
         relation = Relation("G", ["k", "m", "v"], rows)
-        results = {}
-        for mode in (True, False):
-            with use_kernels(mode):
+        results = []
+        for rung in (nullcontext, scalar_rung):
+            with rung():
                 output, stats = group_by(relation, ["k", "m"], "v", sum, p=p, seed=5)
-            results[mode] = (
-                output.rows(), [round_.received for round_ in stats.rounds]
-            )
-        assert results[True] == results[False]
+            results.append((output.rows(), [round_.received for round_ in stats.rounds]))
+        assert results[0] == results[1]
 
     def test_differential_instances_both_modes(self):
-        # A slice of the selftest workload, run under both modes: the
+        # A slice of the selftest workload, run on both rungs: the
         # records' loads must match execution by execution.
         from repro.testing.differential import (
             ALGORITHMS,
@@ -211,11 +330,11 @@ class TestEndToEndModes:
         )
 
         workload = generate_instances(6, seed=202)
-        reports = {}
-        for mode in (True, False):
-            with use_kernels(mode):
-                reports[mode] = run_differential(workload, ALGORITHMS, audit=True)
-        on, off = reports[True].records, reports[False].records
+        reports = []
+        for rung in (nullcontext, scalar_rung):
+            with rung():
+                reports.append(run_differential(workload, ALGORITHMS, audit=True))
+        on, off = reports[0].records, reports[1].records
         assert [r.ok for r in on] == [r.ok for r in off]
         assert all(r.ok for r in on)
         assert [(r.algorithm, r.max_load) for r in on] == \
@@ -228,15 +347,16 @@ class TestColumnsFallback:
         assert rel.columns() is None
 
     def test_key_columns_subset_mixed(self):
+        # A column numpy cannot hold exactly stays its value list.
         rows = [("x", 1), ("y", 2)]
-        assert key_columns(rows, (0,)) is None
+        assert key_columns(rows, (0,)) == [["x", "y"]]
         cols = key_columns(rows, (1,))
-        assert cols is not None and cols[0].tolist() == [1, 2]
+        assert exact(cols) and cols[0].tolist() == [1, 2]
 
     def test_join_falls_back_on_mixed_relation(self):
         left = Relation("L", ["k", "v"], [("a", 1), ("b", 2), ("a", 3)])
         right = Relation("R", ["k", "w"], [("a", 10), ("c", 11)])
-        for mode in (True, False):
-            with use_kernels(mode):
+        for rung in (nullcontext, scalar_rung):
+            with rung():
                 out = left.join(right)
             assert out.rows() == [("a", 1, 10), ("a", 3, 10)]

@@ -3,13 +3,13 @@
 Three contracts under test:
 
 - **engagement**: the layer needs no configuration, and a route that
-  cannot replay (tuple path) leaves the caches untouched;
+  cannot replay (the scalar rung) leaves the caches untouched;
 - the **partition cache**: replaying a cached routing plan is
-  byte-identical to the tuple path (``use_kernels(False)``) routing a
-  fresh copy of the same rows, hits/misses are counted, any mutation
-  of the relation invalidates, and an edit of a list ``rows()`` handed
-  out is never seen — proven both on directed cases and under
-  hypothesis-driven mutate/route interleavings in both kernel modes,
+  byte-identical to the scalar rung (:func:`tests.holdings.scalar_rung`)
+  routing a fresh copy of the same rows, hits/misses are counted, any
+  mutation of the relation invalidates, and an edit of a list ``rows()``
+  handed out is never seen — proven both on directed cases and under
+  hypothesis-driven mutate/route interleavings on both rungs,
   mirroring the PR 6 coherency suite; the plan's one-send-per-
   destination layout delivers, byte for byte, what the per-server
   kernel loop delivers;
@@ -19,6 +19,7 @@ Three contracts under test:
 
 import math
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.config import use_kernels
 from repro.kernels.memo import (
     clear_memo,
     distinct_project,
@@ -42,6 +42,7 @@ from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import MemoStats
 from repro.mpc.topology import Grid
+from tests.holdings import scalar_rung
 
 ARITY = 2
 
@@ -51,11 +52,8 @@ rows_st = st.tuples(*[values] * ARITY)
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    # Replay only exists on the kernel path, so the suite forces it on;
-    # tuple-path cases opt out inside.
     clear_memo()
-    with use_kernels(True):
-        yield
+    yield
     clear_memo()
 
 
@@ -67,8 +65,8 @@ def _route(rel, p=4, seed=0):
     """Scatter ``rel`` into a fresh cluster and hash-route it on column 0.
 
     Mirrors the shuffle loops in ``joins``/``multiway``: memo replay
-    first, then the columnar ``try_route`` per server, then the plain
-    per-row sends. Returns (per-server deliveries, stats).
+    first, then ``try_route`` per server. Returns (per-server deliveries,
+    stats).
     """
     cluster = Cluster(p, seed=seed)
     frag = cluster.scatter(rel, "R@in")
@@ -76,18 +74,15 @@ def _route(rel, p=4, seed=0):
     with cluster.round("route") as rnd:
         if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
             for server in cluster.servers:
-                part = server.take(frag)
-                if not try_route(rnd, held(part), (0,), h, "out"):
-                    for row in part:
-                        rnd.send(h((row[0],)), "out", row)
+                try_route(rnd, held(server.take(frag)), (0,), h, "out")
     deliveries = [list(server.get("out")) for server in cluster.servers]
     return deliveries, cluster.stats
 
 
 def _reference_route(rows, p=4, seed=0):
-    """The tuple path routing a fresh relation of ``rows``: no kernels, no
+    """The scalar rung routing a fresh relation of ``rows``: no kernels, no
     replay, nothing cached — the reference every memoized route must match."""
-    with use_kernels(False):
+    with scalar_rung():
         return _route(Relation("R", ["x", "y"], list(rows)), p=p, seed=seed)
 
 
@@ -95,10 +90,10 @@ def _reference_route(rows, p=4, seed=0):
 
 
 def test_memo_off_caches_nothing():
-    # The layer is off exactly when it cannot prove a replay: on the tuple
-    # path nothing is built, counted or cached.
+    # The layer is off exactly when it cannot prove a replay: on the scalar
+    # rung nothing is built, counted or cached.
     rel = _relation()
-    with use_kernels(False):
+    with scalar_rung():
         _, first = _route(rel)
         _, again = _route(rel)
     assert memo_cache_sizes() == (0, 0)
@@ -153,8 +148,8 @@ def test_borrowed_relation_is_never_served():
 
 def test_kernels_off_falls_back_identically():
     rel = _relation()
-    reference, _ = _route(rel)  # kernels on: built, cached, replay-ready
-    with use_kernels(False):
+    reference, _ = _route(rel)  # kernels: built, cached, replay-ready
+    with scalar_rung():
         got, stats = _route(rel)
     assert got == reference
     assert stats.memo.partition_hits + stats.memo.partition_misses == 0
@@ -201,7 +196,7 @@ def _grid_shuffle(column_dims):
             cluster, rnd, rel, frag, column_dims, salts, extents, strides, "out"
         ):
             for server in cluster.servers:
-                assert try_route_grid(
+                try_route_grid(
                     rnd, held(server.take(frag)), column_dims, salts, extents, strides, "out"
                 )
         return key_idx
@@ -351,12 +346,12 @@ def test_partition_cache_coherent_under_interleavings(kernels, initial, ops):
 
     Whatever interleaving of mutations, edits of a handed-out ``rows()``
     copy (which change nothing) and routes the relation suffers, the
-    memoized route must deliver exactly what the tuple path delivers for
+    memoized route must deliver exactly what the scalar rung delivers for
     a fresh copy of the same state — and an immediate re-route (the hit
-    path) must too.
+    path) must too. ``kernels=False`` runs it all on the scalar rung.
     """
     clear_memo()
-    with use_kernels(kernels):
+    with nullcontext() if kernels else scalar_rung():
         memoized = Relation("R", ["x", "y"], initial)
         shadow = list(initial)
         for op in ops:
@@ -431,7 +426,7 @@ def test_multiround_entry_point_hits_the_cache():
     # A cold GYM run populates the caches; repeating the query on the
     # same unchanged relations (every round of a service loop, every
     # branch of the splitter) must replay instead of re-hashing — and
-    # stay byte-identical to the tuple path throughout.
+    # stay byte-identical to the scalar rung throughout.
     from repro.multiway.gym import gym
     from repro.query.parser import parse_query
 
@@ -442,7 +437,7 @@ def test_multiround_entry_point_hits_the_cache():
     }
     cold = gym(query, relations, p=4, seed=0)
     warm = gym(query, relations, p=4, seed=0)
-    with use_kernels(False):
+    with scalar_rung():
         reference = gym(query, relations, p=4, seed=0)
     for run in (cold, warm):
         assert run.output.rows_readonly() == reference.output.rows_readonly()

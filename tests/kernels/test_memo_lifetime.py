@@ -202,8 +202,8 @@ class TestColumnsThatStandInForRows:
         cluster = Cluster(2)
         h = cluster.hash_function(0)
         with cluster.round("route") as rnd:
-            assert try_route(rnd, [(True,), (False,)], (0,), h, "out")
-            assert try_route(rnd, [(True, 1), (False, 2)], (0,), h, "out")
+            try_route(rnd, [(True,), (False,)], (0,), h, "out")
+            try_route(rnd, [(True, 1), (False, 2)], (0,), h, "out")
         got = [row for server in cluster.servers for row in server.take("out")]
         assert Counter(got) == Counter([(True,), (False,), (True, 1), (False, 2)])
         assert all(type(row[0]) is bool for row in got)

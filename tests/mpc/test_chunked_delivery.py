@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.data.relation import Relation
-from repro.kernels.config import use_kernels
 from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns
+from tests.holdings import scalar_rung
 
 
 _BATCHES = {
@@ -90,16 +90,16 @@ class TestChunkedUnderAudit:
     def test_join_end_to_end_audited(self):
         # A real multi-send workload: the shuffle of a hash join delivers
         # multi-block fragments on the kernel path and row lists on the
-        # tuple path. Output, per-round loads, and the audit must be
+        # scalar rung. Output, per-round loads, and the audit must be
         # identical, cold and warm.
         from repro.joins.hash_join import parallel_hash_join
 
         r = Relation("R", ["x", "y"], [(i % 11, i) for i in range(300)])
         s = Relation("S", ["x", "z"], [(i % 11, -i) for i in range(300)])
-        with use_kernels(False), audited():
+        with scalar_rung(), audited():
             eager = parallel_hash_join(r, s, p=4, seed=0)
         for _ in ("cold", "warm"):
-            with use_kernels(True), audited():
+            with audited():
                 lazy = parallel_hash_join(r, s, p=4, seed=0)
             assert lazy.output.rows_readonly() == eager.output.rows_readonly()
             assert [

@@ -1,5 +1,7 @@
 """Tests for the MPC cluster simulator: rounds, delivery, load accounting."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.data.relation import Relation
@@ -413,15 +415,20 @@ class TestHashFunctionAccess:
         assert [h1(v) for v in range(50)] == [h2(v) for v in range(50)]
 
 
+def _rung(kernels):
+    """The kernels, or (``False``) the scalar rung's test-scope substitution."""
+    from tests.holdings import scalar_rung
+
+    return nullcontext() if kernels else scalar_rung()
+
+
 class TestLoadCapBoundary:
     """load_cap is the *maximum permitted* load: exactly-cap delivers,
     cap+1 raises — on the tuple path and the batched (kernel) path alike."""
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_exactly_cap_delivers(self, kernels):
-        from repro.kernels.config import use_kernels
-
-        with use_kernels(kernels):
+        with _rung(kernels):
             c = Cluster(2, load_cap=3)
             with c.round("r") as rnd:
                 rnd.send_rows(0, "A", [(1,), (2,), (3,)])
@@ -431,9 +438,7 @@ class TestLoadCapBoundary:
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_cap_plus_one_raises(self, kernels):
-        from repro.kernels.config import use_kernels
-
-        with use_kernels(kernels):
+        with _rung(kernels):
             c = Cluster(2, load_cap=3)
             with pytest.raises(LoadExceededError) as exc_info:
                 with c.round("r") as rnd:
@@ -466,9 +471,7 @@ class TestAbortedRoundStats:
     def test_abort_after_partial_sends_leaves_no_trace(self, kernels):
         import numpy as np
 
-        from repro.kernels.config import use_kernels
-
-        with use_kernels(kernels):
+        with _rung(kernels):
             c = Cluster(2, audit=True)
             untouched = Cluster(2, audit=True)
             with pytest.raises(RuntimeError):
@@ -495,9 +498,7 @@ class TestAbortedRoundStats:
         round never existed (fresh fragment, of the later round's blocks only)."""
         import numpy as np
 
-        from repro.kernels.config import use_kernels
-
-        with use_kernels(kernels):
+        with _rung(kernels):
             c = Cluster(2, audit=True)
             with pytest.raises(RuntimeError):
                 with c.round("doomed") as rnd:

@@ -6,6 +6,7 @@ lives in ``python -m repro selftest --faults``.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.data.generators import uniform_relation
 from repro.engine import Engine
 from repro.errors import FaultPlanError
 from repro.joins.hash_join import parallel_hash_join
-from repro.kernels.config import use_kernels
 from repro.mpc import (
     ChannelFault,
     Cluster,
@@ -27,6 +27,7 @@ from repro.mpc import (
     trace,
 )
 from repro.mpc.faults import fault_plan_by_default
+from tests.holdings import scalar_rung
 
 
 def shuffle_pipeline(p=4, n=48, depth=3, plan=None, audit=True):
@@ -226,8 +227,8 @@ class TestDeterminism:
 
     def test_identical_across_kernel_modes(self):
         results = {}
-        for mode in (True, False):
-            with use_kernels(mode):
+        for mode, rung in ((True, nullcontext), (False, scalar_rung)):
+            with rung():
                 results[mode] = shuffle_pipeline(plan=self.PLAN)
         rows_on, stats_on = results[True]
         rows_off, stats_off = results[False]

@@ -2,7 +2,7 @@
 
 From ``scatter`` through the shuffle to the local step a server holds
 each fragment once — a :class:`ChunkedColumns` when the relation has
-exact columns and the kernel rung is on, a ``list`` of rows otherwise —
+exact columns, a ``list`` of rows otherwise —
 and nothing on that path builds the other form beside it. Pinned here:
 
 (a) int inputs travel the six kernel-path algorithms without one tuple
@@ -30,7 +30,6 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
 from repro.kernels import memo
-from repro.kernels.config import use_kernels
 from repro.kernels.memo import clear_memo
 from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster
@@ -40,7 +39,7 @@ from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import skewhc_join
 from repro.query.parser import parse_query
-from tests.holdings import holdings, observe
+from tests.holdings import holdings, observe, scalar_rung
 
 PATH = parse_query("R(x, y), S(y, z)")
 TRIANGLE = parse_query("R(x, y), S(y, z), T(z, x)")
@@ -100,11 +99,10 @@ def test_int_inputs_travel_without_one_tuple_being_asked_for(name, monkeypatch):
 
     relations = _hub_inputs() if name == "skew" else _int_inputs()
     clear_memo()
-    with use_kernels(True):
-        run = ALGORITHMS[name](relations, 8)
-        assert calls == []
-        assert run.stats.memo.row_payloads == 0 and run.stats.memo.fused_payloads > 0
-        assert run.output.is_columnar and len(run.output) > 0
+    run = ALGORITHMS[name](relations, 8)
+    assert calls == []
+    assert run.stats.memo.row_payloads == 0 and run.stats.memo.fused_payloads > 0
+    assert run.output.is_columnar and len(run.output) > 0
     if name == "skew":
         assert len(clusters) > 1  # the hub's product ran on a pool of its own
     if name == "skewhc":
@@ -178,11 +176,10 @@ def test_every_holding_observes_what_the_scalar_rung_does(
         )
 
     clear_memo()
-    with use_kernels(False):
+    with scalar_rung():
         want = run(holdings(case)["rows"])
     for how, relations in holdings(case).items():
-        with use_kernels(True):
-            assert run(relations) == want, how
+        assert run(relations) == want, how
     clear_memo()
 
 
@@ -239,23 +236,22 @@ def test_scatter_places_read_only_views_and_results_never_alias_writably():
     relations = _int_inputs()
     before = {name: rel.rows_readonly()[:] for name, rel in relations.items()}
     one_atom = parse_query("R(x, y)")
-    with use_kernels(True):
-        cluster = Cluster(4)
-        cluster.scatter(relations["R"], "R@in")
-        for server in cluster.servers:
-            part = server.get("R@in")
-            for mine, owned in zip(part.arrays(), relations["R"].columns()):
-                assert np.shares_memory(mine, owned) and not mine.flags.writeable
-                with pytest.raises(ValueError):
-                    mine[0] = 999
-        runs = {
-            "hash": parallel_hash_join(relations["R"], relations["S"], 4),
-            "broadcast-in-place": broadcast_join(
-                relations["R"], Relation.from_columns("S", ["y", "z"], [N[:5], N[:5]]), 4),
-            "one-atom": hypercube_join(one_atom, {"R": relations["R"]}, 4),
-            "one-atom-one-server": hypercube_join(one_atom, {"R": relations["R"]}, 1),
-            "one-atom-residual": skewhc_join(one_atom, {"R": relations["R"]}, 4),
-        }
+    cluster = Cluster(4)
+    cluster.scatter(relations["R"], "R@in")
+    for server in cluster.servers:
+        part = server.get("R@in")
+        for mine, owned in zip(part.arrays(), relations["R"].columns()):
+            assert np.shares_memory(mine, owned) and not mine.flags.writeable
+            with pytest.raises(ValueError):
+                mine[0] = 999
+    runs = {
+        "hash": parallel_hash_join(relations["R"], relations["S"], 4),
+        "broadcast-in-place": broadcast_join(
+            relations["R"], Relation.from_columns("S", ["y", "z"], [N[:5], N[:5]]), 4),
+        "one-atom": hypercube_join(one_atom, {"R": relations["R"]}, 4),
+        "one-atom-one-server": hypercube_join(one_atom, {"R": relations["R"]}, 1),
+        "one-atom-residual": skewhc_join(one_atom, {"R": relations["R"]}, 4),
+    }
     for name, run in runs.items():
         assert run.output.is_columnar and len(run.output) > 0, name
         _assert_no_writable_alias(run.output, relations)
@@ -284,7 +280,7 @@ def test_the_process_backend_agrees_message_for_message():
         seen = {}
         for backend in ("inline", "process"):
             clear_memo()
-            with use_kernels(True), use_backend(backend, workers=2):
+            with use_backend(backend, workers=2):
                 run = ALGORITHMS[name](_int_inputs(), 4)
             seen[backend] = (observe(run.output, run.stats), run.output.is_columnar,
                              run.stats.memo.fused_payloads, run.stats.memo.row_payloads)

@@ -1,13 +1,13 @@
-"""Count the cliff: which local-step payloads stayed columnar, which fell
-back to rows (``MemoStats.fused_payloads`` / ``row_payloads``)."""
+"""Count the cliff: which local-step payloads stayed columnar, which
+travelled as rows (``MemoStats.fused_payloads`` / ``row_payloads``)."""
 
 import numpy as np
 
 from repro.data.relation import Relation
 from repro.joins.hash_join import parallel_hash_join
-from repro.kernels.config import use_kernels
 from repro.mpc.stats import MemoStats
 from repro.mpc.trace import trace
+from tests.holdings import scalar_rung
 
 
 def _ints(n=60):
@@ -31,11 +31,14 @@ def test_a_string_key_shows_up_in_the_ledger_not_only_in_the_latency():
     assert f"rows={fell_back}" in trace(strings)
 
 
-def test_the_scalar_rung_counts_nothing():
-    # use_kernels(False) is the reference, not a fall back from anything.
-    with use_kernels(False):
+def test_the_ledger_counts_payload_shapes_not_rungs():
+    # The scalar rung is a test-scope substitution, not a mode the ledger
+    # knows: its per-row sends deliver rows, counted as rows, and with no
+    # plan to replay it touches no cache.
+    with scalar_rung():
         memo = parallel_hash_join(*_ints(), 4).stats.memo
-    assert not memo.any_activity
+    assert (memo.fused_payloads, memo.row_payloads) == (0, 4)
+    assert memo.partition_hits == memo.partition_misses == memo.hash_ops == 0
 
 
 def test_row_payloads_is_an_additive_counter():

@@ -3,14 +3,16 @@
 HyperCube, GYM, the one-round semijoin and iterative binary plans over
 every holding (column-primary, row-primary, handed-out) and input kind of
 :mod:`tests.holdings` must observe exactly what the scalar rung observes,
-and stay column-primary exactly when every server's step could.
+output the oracle's bag, and stay column-primary exactly when every
+server's step could.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.exec.config import use_backend
-from repro.kernels.config import use_kernels
 from repro.kernels.memo import clear_memo
 from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
 from repro.multiway.base import (
@@ -21,8 +23,9 @@ from repro.multiway.base import (
 from repro.multiway.binary_plans import binary_join_plan
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_eval_chunk, hypercube_join
-from repro.query.cq import path_query, triangle_query
-from tests.holdings import P_VALUES, assert_one_answer, hold, observe, variants
+from repro.query.cq import Atom, ConjunctiveQuery, path_query, triangle_query
+from repro.testing.oracle import oracle_join
+from tests.holdings import P_VALUES, assert_one_answer, hold, observe, scalar_rung, variants
 
 TRIANGLE = {
     "R": (["x", "y"], [(i % 6, (i * 5) % 7) for i in range(40)]),
@@ -62,14 +65,32 @@ def _semijoin(relations, p):
     )
 
 
+def _query_oracle(query):
+    return lambda relations: oracle_join(query, relations)
+
+
+def _semijoin_oracle(relations):
+    """``T`` ⋉ every other relation: ``T`` joined with each one's distinct
+    keys, each key once, so no ``T`` row is repeated."""
+    target, *reducers = relations
+    shared = [a for a in relations[target].attributes if a in relations[reducers[0]].attributes]
+    keys = {name: relations[name].project(shared).distinct(name) for name in reducers}
+    query = ConjunctiveQuery(
+        [Atom(target, relations[target].attributes)] + [Atom(name, shared) for name in reducers]
+    )
+    return oracle_join(query, {target: relations[target], **keys})
+
+
 CASES = {
-    "hypercube": (_hypercube, variants(TRIANGLE, ["x", "y", "z"], ("R", "none"))),
-    "gym": (_gym, variants(PATH, ["A1", "A2"], ("R3", "A3"))),
-    "binary": (_binary, variants(PATH, ["A1", "A2"], ("R3", "A3"))),
-    "semijoin": (_semijoin, variants(SEMIJOIN, ["y"], ("T", "x"))),
+    "hypercube": (_hypercube, variants(TRIANGLE, ["x", "y", "z"], ("R", "none")),
+                  _query_oracle(triangle_query())),
+    "gym": (_gym, variants(PATH, ["A1", "A2"], ("R3", "A3")), _query_oracle(path_query(3))),
+    "binary": (_binary, variants(PATH, ["A1", "A2"], ("R3", "A3")),
+               _query_oracle(path_query(3))),
+    "semijoin": (_semijoin, variants(SEMIJOIN, ["y"], ("T", "x")), _semijoin_oracle),
 }
 PARAMS = [
-    (name, kind) for name, (_run, kinds) in sorted(CASES.items()) for kind in sorted(kinds)
+    (name, kind) for name, (_run, kinds, _oracle) in sorted(CASES.items()) for kind in sorted(kinds)
     # The triangle has no payload column: every attribute joins.
     if not (name == "hypercube" and kind in ("uint64-payload", "bool-payload"))
 ]
@@ -79,25 +100,25 @@ PARAMS = [
 @pytest.mark.parametrize("name, kind", PARAMS)
 def test_one_answer_three_ways_to_hold_it(name, kind, p):
     clear_memo()
-    run, kinds = CASES[name]
-    results = assert_one_answer(run, kinds[kind], p)
+    run, kinds, oracle = CASES[name]
+    results = assert_one_answer(run, kinds[kind], p, oracle)
     for how, (output, stats) in results.items():
         memo = stats.memo
-        if kind in ("int", "uint64-payload"):
+        if kind in ("int", "uint64-payload", "uint64-key"):
             assert memo.row_payloads == 0, how
             assert memo.fused_payloads > 0, how
             assert output.is_columnar == (len(output) > 0), how
             assert all(type(v) is int for row in output.rows_readonly() for v in row)
-        elif kind in ("string-keyed", "bool-payload"):
+        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
             assert memo.row_payloads > 0 and not output.is_columnar, how
-        elif kind == "uint64-key":
-            assert not output.is_columnar or len(output) == 0, how
         elif name != "semijoin":     # a join with an empty side is empty
             assert len(output) == 0, how
 
 
 def test_a_semijoin_with_an_empty_reducer_is_empty_and_counts_no_row_payload():
-    results = assert_one_answer(_semijoin, CASES["semijoin"][1]["empty-side"], 4)
+    results = assert_one_answer(
+        _semijoin, CASES["semijoin"][1]["empty-side"], 4, _semijoin_oracle
+    )
     for how, (output, stats) in results.items():
         assert len(output) == 0 and stats.memo.row_payloads == 0, how
 
@@ -113,7 +134,7 @@ def test_heavy_stay_rows_are_a_counted_fall_back():
     def run(relations, p):
         return shuffle_semijoin(relations["T"], relations["K1"], p, seed=1)
 
-    results = assert_one_answer(run, case, 6)
+    results = assert_one_answer(run, case, 6, _semijoin_oracle)
     for how, (output, stats) in results.items():
         assert stats.memo.row_payloads > 0 and not output.is_columnar, how
 
@@ -155,18 +176,18 @@ def test_faults_change_nothing_the_scalar_rung_does_not(name, plan, recovered):
         crashes=plan.crashes, scatter_crashes=plan.scatter_crashes,
         recovery=RecoveryPolicy(enabled=recovered),
     )
-    run, kinds = CASES[name]
-    seen = {}
-    for kernels in (False, True):
+    run, kinds, _oracle = CASES[name]
+    seen = []
+    for rung in (scalar_rung, nullcontext):
         relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in kinds["int"].items()}
-        with use_kernels(kernels), faulty(plan):
+        with rung(), faulty(plan):
             output, stats = run(relations, 4)
-        seen[kernels] = (observe(output, stats), stats.faults.snapshot())
-    assert seen[True] == seen[False]
+        seen.append((observe(output, stats), stats.faults.snapshot()))
+    assert seen[0] == seen[1]
 
 
 def test_inline_and_process_backends_agree():
-    for name, (run, kinds) in sorted(CASES.items()):
+    for name, (run, kinds, _oracle) in sorted(CASES.items()):
         relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in kinds["int"].items()}
         seen = []
         for backend in ("inline", "process"):

@@ -16,6 +16,7 @@ list or an output row:
 
 import json
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +28,15 @@ from repro.joins.heavy import heavy_value_products
 from repro.joins.skew_join import find_heavy_keys, skew_join
 from repro.joins.sort_join import sort_join
 from repro.kernels import memo
-from repro.kernels.config import use_kernels
 from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster, combine_parallel
 from repro.mpc.faults import CrashFault, FaultPlan, faulty
 from repro.multiway import skewhc
 from repro.multiway.skewhc import skewhc_join
 from repro.query.cq import path_query, star_query, triangle_query, two_way_join
+from repro.testing.oracle import oracle_join
 from repro.testing.skew_reference import reference_heavy_products, reference_skewhc
-from tests.holdings import P_VALUES, assert_one_answer, hold, holdings, variants
+from tests.holdings import P_VALUES, assert_one_answer, hold, holdings, scalar_rung, variants
 from tests.multiway import skew_goldens as goldens
 
 GOLDEN = json.loads(goldens.GOLDEN.read_text())
@@ -137,7 +138,7 @@ def test_skewhc_is_the_per_value_reference(instance, p, seed, how, kind, thresho
         Counter(map(type, (v for row in want.elements() for v in row)))
     if kind == "int" and len(run.output):
         assert run.output.is_columnar and run.stats.memo.row_payloads == 0
-    with use_kernels(False):
+    with scalar_rung():
         scalar = skewhc_join(query, plain, p, seed=seed, threshold=threshold)
     assert scalar.output.rows_readonly() == run.output.rows_readonly()
     assert _received(scalar.stats) == _received(run.stats)
@@ -176,8 +177,8 @@ def test_heavy_products_are_the_per_tuple_reference(case, p, seed, how, kind, th
         assert got.is_columnar
     # ... and the whole join is the local join's bag, on every rung.
     want = Counter(plain["R"].join(plain["S"]).rows_readonly())
-    for kernels in (True, False):
-        with use_kernels(kernels):
+    for rung in (nullcontext, scalar_rung):
+        with rung():
             run = skew_join(held["R"], held["S"], p, seed=seed)
         assert Counter(run.output.rows_readonly()) == want
 
@@ -301,11 +302,14 @@ def _skewhc(relations, p):
 
 @pytest.mark.parametrize("kind, p", [
     (kind, p)
-    for kind in ("int", "string-keyed", "bool-payload", "uint64-key") for p in P_VALUES
+    for kind in ("int", "string-keyed", "bool-payload", "uint64-key", "mixed-numeric")
+    for p in P_VALUES
 ])
 def test_skewhc_one_answer_three_ways_to_hold_it(kind, p):
     memo.clear_memo()
-    results = assert_one_answer(_skewhc, TRIANGLE_KINDS[kind], p)
+    results = assert_one_answer(
+        _skewhc, TRIANGLE_KINDS[kind], p, lambda relations: oracle_join(triangle_query(), relations)
+    )
     for how, (output, stats) in results.items():
         counted = stats.memo
         if kind == "int":
@@ -313,9 +317,9 @@ def test_skewhc_one_answer_three_ways_to_hold_it(kind, p):
             assert counted.row_payloads == 0 and counted.fused_payloads > 0, how
             assert all(type(v) is int for row in output.rows_readonly() for v in row)
             assert (len(stats.pools) > 1) == (p > 1), how       # the hubs are peeled
-        elif kind in ("string-keyed", "bool-payload"):
-            # A column the kernels cannot hold exactly is a counted fall
-            # back to rows, never a silent one. (T's bools only ever meet
+        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
+            # A column numpy cannot hold exactly travels as rows, a counted
+            # payload shape, never a silent one. (T's bools only ever meet
             # R's equal ints, whose x the output carries.)
             assert len(output) > 0 and counted.row_payloads > 0, how
             assert not output.is_columnar or kind == "bool-payload", how

@@ -3,9 +3,9 @@
 The ``ExplainResult.describe()`` text is a debugging surface whose
 layout — statistics line, candidate table, chosen summary — is part of
 the contract. Each canonical workload's trace is committed verbatim
-under ``goldens/`` and diffed in both kernel modes: planning reads only
-statistics, so enabling or disabling the accelerated kernels must not
-change a single byte of the plan.
+under ``goldens/`` and diffed on the kernels and on the scalar rung
+(:func:`tests.holdings.scalar_rung`): planning reads only statistics, so
+which rung computes them must not change a single byte of the plan.
 
 To regenerate after an intentional cost-model change::
 
@@ -14,13 +14,13 @@ To regenerate after an intentional cost-model change::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from repro.data.generators import single_value_relation, uniform_relation
 from repro.data.graphs import random_edges, triangle_relations
-from repro.kernels.config import use_kernels
 from repro.planner.optimizer import plan_query
 from repro.query.parser import parse_query
 
@@ -72,8 +72,10 @@ def _trace(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("kernels", [False, True], ids=["python", "kernels"])
 def test_explain_trace_matches_golden(case, kernels):
+    from tests.holdings import scalar_rung  # (the file also runs as a script)
+
     golden = (GOLDEN_DIR / f"{case}.txt").read_text(encoding="utf-8")
-    with use_kernels(kernels):
+    with nullcontext() if kernels else scalar_rung():
         assert _trace(case) == golden
 
 

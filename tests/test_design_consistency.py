@@ -129,13 +129,13 @@ class TestRowCallSiteInventoryLint:
     The kernel path keeps a relation columnar from the shuffle's delivery
     to the caller's first ``rows()``; every ``.rows()`` /
     ``rows_readonly()`` call under the five packages below is a place
-    that still materialises tuples (the shuffle's own row lists, the
-    scalar rung's fallbacks, oracles and reference plans). The count may
-    only shrink: a new one has to show up here, in review.
+    that still materialises tuples (the shuffle's own row lists, oracles
+    and reference plans). The count may only shrink: a new one has to
+    show up here, in review.
     """
 
     PACKAGES = ("joins", "multiway", "mpc", "service", "kernels")
-    CEILING = 13
+    CEILING = 12
 
     def test_row_materialisation_sites_only_shrink(self):
         sites = []
@@ -248,6 +248,54 @@ class TestChunkPassLint:
         assert "join_indices(" in inspect.getsource(Relation.join)
 
 
+class TestScalarReferenceLint:
+    """The kernels take every value: a key operation is a kernel call with
+    nothing behind it to fall back to, the per-row bodies it replaced live
+    in ``repro/testing/scalar_reference.py`` as the reference only, and no
+    switch selects between the two."""
+
+    ROUTES = (
+        ("kernels/memo.py", "route"),
+        ("multiway/hypercube.py", "hypercube_join"),
+        ("multiway/base.py", "_route_light"),
+        ("multiway/base.py", "_filter_members"),
+        ("data/relation.py", "join"),
+        ("data/relation.py", "semijoin"),
+    )
+    PER_ROW = r"\bsend\(|setdefault\(|\.get\(|for row in"
+    MOVED = (
+        "try_route", "try_route_grid", "route_light", "code_key_columns",
+        "join_rows_columnar", "semijoin_mask", "filter_members", "lookup_codes",
+    )
+    IMPORTS = r"(?m)^\s*(from\s+\S*scalar_reference\s|from\s.*\bimport\b.*\bscalar_reference\b|import\s+\S*scalar_reference)"
+    RETIRED = r"kernels_enabled|use_kernels|kernels_flag|hash_destinations"
+
+    @staticmethod
+    def _function(name, function):
+        tree = ast.parse((ROOT / "src" / "repro" / name).read_text())
+        [node] = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == function]
+        return ast.unparse(node)
+
+    def test_no_per_row_send_or_dict_loop_behind_a_kernel(self):
+        for name, function in self.ROUTES:
+            assert not re.search(self.PER_ROW, self._function(name, function)), function
+
+    def test_the_reference_bodies_moved_and_only_tests_import_them(self):
+        reference = (ROOT / "src" / "repro" / "testing" / "scalar_reference.py").read_text()
+        for moved in self.MOVED:
+            assert f"def {moved}(" in reference, moved
+        users = _files_matching(self.IMPORTS)
+        assert all(user.startswith("testing/") for user in users), users
+        for tree in ("benchmarks", "perfbench", "examples"):
+            assert _files_matching(self.IMPORTS, ROOT / tree) == [], tree
+        assert _files_matching(self.IMPORTS, ROOT / "tests")
+
+    def test_the_switch_matches_nothing_under_src(self):
+        assert _files_matching(self.RETIRED) == []
+        assert not (ROOT / "src" / "repro" / "kernels" / "config.py").exists()
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
@@ -260,7 +308,7 @@ class TestGateInventoryLint:
     RETIRED = {
         "use_protocol", "protocol_name", "use_shm_rows", "shm_rows_enabled",
         "transport_name", "resident_cache_bytes", "use_memo", "set_memo",
-        "memo_enabled", "set_kernels",
+        "memo_enabled", "set_kernels", "use_kernels", "kernels_enabled",
     }
 
     def test_env_gates_are_exactly_the_three(self):
@@ -271,23 +319,21 @@ class TestGateInventoryLint:
 
     def test_retired_overrides_are_not_exported(self):
         import repro.exec
-        import repro.kernels.config
         import repro.kernels.memo
 
         assert not self.RETIRED & set(repro.exec.__all__)
         assert not self.RETIRED & set(dir(repro.exec))
         assert not self.RETIRED & set(dir(repro.kernels.memo))
         assert not self.RETIRED & set(repro.kernels.__all__)
-        assert not self.RETIRED & set(dir(repro.kernels.config))
 
 
 class TestSignatureInventoryLint:
     """A run concern is set in one place, not threaded through signatures.
 
-    Auditing is ``audited()`` / ``Cluster(audit=)``, the kernel rung and
-    the backend are ``use_kernels`` / ``use_backend``, and an algorithm's
-    output relation has one name; a parameter that re-spells any of them
-    is one more configuration the byte-identity contract must hold under.
+    Auditing is ``audited()`` / ``Cluster(audit=)``, the backend is
+    ``use_backend``, and an algorithm's output relation has one name; a
+    parameter that re-spells any of them is one more configuration the
+    byte-identity contract must hold under.
     """
 
     ALGORITHM_PACKAGES = ("joins", "multiway", "sorting", "matmul")

@@ -119,8 +119,8 @@ def test_cli_planner_flag(capsys):
     assert "verdict=PASS" in out
 
 
-def test_cli_planner_both_kernel_modes(capsys):
-    assert main(["--planner", "--instances", "4", "--kernels", "both"]) == 0
+def test_cli_planner_both_backends(capsys):
+    assert main(["--planner", "--instances", "4", "--backend", "both"]) == 0
     out = capsys.readouterr().out
-    assert "=== planner / kernels on ===" in out
-    assert "=== planner / kernels off ===" in out
+    assert "=== planner / backend inline ===" in out
+    assert "=== planner / backend process ===" in out

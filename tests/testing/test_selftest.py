@@ -83,16 +83,23 @@ def test_main_verbose_prints_records(capsys):
     assert "psrs_sort" in out
 
 
-def test_main_sweeps_the_kernels_by_backend_grid(capsys):
+def test_main_sweeps_both_backends(capsys):
     rc = main(["--instances", "2", "--kinds", "two_way", "--no-metamorphic",
-               "--kernels", "both", "--backend", "both"])
+               "--backend", "both"])
     out = capsys.readouterr().out
     assert rc == 0
-    for cell in ("kernels on / inline", "kernels on / process",
-                 "kernels off / inline", "kernels off / process"):
+    for cell in ("inline", "process"):
         assert f"=== {cell} ===" in out
-    assert out.count("verdict=PASS") == 4
-    assert "no cross-mode drift across the full kernels x backend sweep" in out
+    assert out.count("verdict=PASS") == 2
+    assert "no cross-mode drift across the full backend sweep" in out
+
+
+def test_main_has_no_kernels_switch(capsys):
+    # The kernels take every value: there is no other rung to select.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--instances", "2", "--kernels", "on"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
 
 def test_module_subcommand_dispatch(capsys):
