@@ -45,10 +45,7 @@ def read_csv(path: str | Path, name: str | None = None,
     else:
         attributes = [f"c{i}" for i in range(len(rows[0]))]
         data = rows
-    relation = Relation(name or path.stem, attributes)
-    for row in data:
-        relation.add(tuple(_parse(token) for token in row))
-    return relation
+    return Relation(name or path.stem, attributes, [tuple(map(_parse, row)) for row in data])
 
 
 def write_csv(relation: Relation, path: str | Path, header: bool = True) -> None:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
-from repro.kernels.columnar import zip_rows
-from repro.kernels.join import TAG, cut_at_tags, join_rows_columnar, stack_tagged
+from repro.kernels.join import TAG, cut_at_tags, stack_tagged
 from repro.kernels.memo import key_degrees
-from repro.mpc.server import ChunkedColumns, Server
+from repro.mpc.server import Server, held
 from repro.mpc.stats import RunStats
 
 
@@ -76,95 +75,39 @@ def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:
     return shared
 
 
-def step_result(relation: Relation) -> "list | tuple":
-    """A local step's result, as :meth:`Server.append_result` takes it: the
-    columns as a tuple while the step stayed columnar, else the row list."""
-    return tuple(relation.columns()) if relation.is_columnar else relation.rows_readonly()
-
-
-def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation | None:
+def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation:
     """A chunk's fragments of one relation as one, server-major behind the
-    tag attribute (:func:`stack_tagged`; ``None`` where they do not stack)."""
-    columns = stack_tagged(fragments)
+    tag attribute (:func:`stack_tagged`)."""
     lead = (TAG,) if len(fragments) > 1 else ()
-    return None if columns is None else Relation.from_columns(name, lead + attributes, columns)
-
-
-def chunk_step(payloads: list, fused, one_pass, by_rows) -> list:
-    """A chunk's local step: ``one_pass`` over all its ``fused`` (columns-only)
-    payloads — the chunk, not the server, is the unit of local work. Where
-    they cannot be stacked as one (``None``: a column's dtype differs between
-    servers) each is passed alone; what does not pass alone, and every row
-    payload, goes ``by_rows``."""
-    at = [i for i, payload in enumerate(payloads) if fused(payload)]
-    passed = one_pass([payloads[i] for i in at]) if at else []
-    if passed is None:  # (a chunk of one has just been tried alone)
-        alone = [(i, one_pass([payloads[i]])) for i in at if len(at) > 1]
-        results = {i: result[0] for i, result in alone if result is not None}
-    else:
-        results = dict(zip(at, passed))
-    return [results[i] if i in results else by_rows(p) for i, p in enumerate(payloads)]
+    return Relation.from_columns(name, lead + attributes, stack_tagged(fragments))
 
 
 def join_fragment_chunk(payloads: list, common) -> list:
     """Exec task ``join.fragments``: the local joins of a chunk of servers.
 
-    A payload is both fragments as columns (``l_rows is None``) or both as
-    rows. The columnar ones are joined in one pass keyed on ``(server, join
-    key)``: ``join_indices`` emits left rows in input order, each one's matches
-    in right-row order, and a tagged row only meets rows of its own server, so
-    the output *is* the per-server outputs, concatenated. The inline path (a
-    chunk is all p servers) and the process backend's workers (a contiguous
-    range each) share it verbatim: their outputs are byte-identical.
+    A payload is both fragments' columns. The chunk is joined in one pass
+    keyed on ``(server, join key)``: ``join_indices`` emits left rows in
+    input order, each one's matches in right-row order, and a tagged row only
+    meets rows of its own server, so the output *is* the per-server outputs,
+    concatenated (a product is the join on the server alone). The inline
+    path (a chunk is all p servers) and the process backend's workers (a
+    contiguous range each) share it verbatim: their outputs are
+    byte-identical.
     """
     left_name, left_schema, right_name, right_schema = common
-    shared = left_schema.common(right_schema)
-
-    def one_pass(chunk: list) -> list | None:
-        left = stacked(left_name, left_schema.attributes, [p[1] for p in chunk])
-        right = stacked(right_name, right_schema.attributes, [p[3] for p in chunk])
-        if left is None or right is None:
-            return None
-        return cut_at_tags(left.join(right).columns(), len(chunk))
-
-    def by_rows(payload: tuple) -> "list | tuple":
-        l_rows, l_cols, r_rows, r_cols = payload
-        if l_rows is None:
-            l_rows, r_rows = zip_rows(l_cols), zip_rows(r_cols)
-        if shared:
-            extra = [a for a in right_schema.attributes if a not in left_schema]
-            return join_rows_columnar(
-                l_rows, r_rows, left_schema.indices(shared), right_schema.indices(shared),
-                right_schema.indices(extra),
-            )
-        # A product: no key to code.
-        l_rel = Relation.wrap(left_name, left_schema, l_rows)
-        r_rel = Relation.wrap(right_name, right_schema, r_rows)
-        return step_result(l_rel.join(r_rel))
-
-    def fused(payload: tuple) -> bool:  # (a product has no key to tag, and emits rows)
-        return payload[0] is None and bool(shared)
-
-    return chunk_step(payloads, fused, one_pass, by_rows)
-
-
-def as_rows(fragment: "list | ChunkedColumns") -> list:
-    """A fragment's tuples as rows, column blocks decoded."""
-    return list(fragment) if isinstance(fragment, ChunkedColumns) else fragment
+    left = stacked(left_name, left_schema.attributes, [l_cols for l_cols, _ in payloads])
+    right = stacked(right_name, right_schema.attributes, [r_cols for _, r_cols in payloads])
+    return cut_at_tags(left.join(right).columns(), len(payloads))
 
 
 def _take_join_inputs(
-    server: Server, left_fragment: str, right_fragment: str
-) -> tuple[list | None, object, list | None, object]:
-    """Consume both fragments into one ``join.fragments`` payload: whole
-    columns when both are column blocks, else rows (blocks meeting rows
-    are decoded — not when a side is empty: that joins to nothing)."""
-    left, right = server.take(left_fragment), server.take(right_fragment)
-    if isinstance(left, ChunkedColumns) and isinstance(right, ChunkedColumns):
-        return None, left.arrays(), None, right.arrays()
-    if not (len(left) and len(right)):
-        return [], None, [], None
-    return as_rows(left), None, as_rows(right), None
+    server: Server, left_fragment: str, right_fragment: str, left: Relation, right: Relation,
+) -> tuple[list, list]:
+    """Consume both fragments into one ``join.fragments`` payload: their columns."""
+    return (
+        held(server.take(left_fragment), left.schema.arity),
+        held(server.take(right_fragment), right.schema.arity),
+    )
 
 
 def local_join(
@@ -180,22 +123,18 @@ def local_join(
     ``left`` and ``right`` supply the schemas; only the fragments' tuples
     are read. Consumes both input fragments.
     """
-    payload = _take_join_inputs(server, left_fragment, right_fragment)
+    payload = _take_join_inputs(server, left_fragment, right_fragment, left, right)
     common = (left.name, left.schema, right.name, right.schema)
     server.append_result(out_fragment, join_fragment_chunk([payload], common)[0])
 
 
 def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragment, run):
-    """Every server's local join: build the payloads (counted by shape),
-    ``run(payloads, common)`` them, store each result on its server."""
+    """Every server's local join: build the payloads, ``run(payloads,
+    common)`` them, store each result on its server."""
     payloads = [
-        _take_join_inputs(server, left_fragment, right_fragment)
+        _take_join_inputs(server, left_fragment, right_fragment, left, right)
         for server in cluster.servers
     ]
-    memo = cluster.stats.memo
-    for l_rows, _l_cols, r_rows, _r_cols in payloads:
-        memo.fused_payloads += l_rows is None
-        memo.row_payloads += bool(l_rows and r_rows)
     results = run(payloads, (left.name, left.schema, right.name, right.schema))
     for server, result in zip(cluster.servers, results):
         server.append_result(out_fragment, result)
@@ -224,7 +163,7 @@ def distributed_local_join(
 
     The computation-phase counterpart of a shuffle round: with the
     ``process`` backend the per-server joins run concurrently on the
-    worker pool (column blocks travel via shared memory); with
+    worker pool (column blocks ride the worker's frame); with
     ``inline`` this is exactly :func:`inline_local_join`, sharing
     :func:`join_fragment_chunk` either way.
     """

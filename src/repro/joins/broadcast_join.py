@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun, inline_local_join, join_schemas, require_join_key
-from repro.kernels.partition import send_part
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import held
 
@@ -32,12 +31,12 @@ def broadcast_join(
     replica = "small@all"
     with cluster.round("broadcast") as rnd:
         for server in cluster.servers:
-            # One batched send per destination, in the form the fragment is held.
+            # One batched send of the fragment's columns per destination.
             part = server.take(small_frag)
             if len(part):
-                data = held(part)
+                columns = held(part, small.schema.arity)
                 for dest in range(p):
-                    send_part(rnd, dest, replica, data)
+                    rnd.send_columns(dest, replica, columns)
 
     # Keep the user-facing attribute order: R's attributes first.
     left_frag = big_frag if big is r else replica

@@ -24,13 +24,12 @@ import numpy as np
 from repro.data.relation import Relation, union_all
 from repro.joins.base import inline_local_join, join_schemas
 from repro.joins.cartesian import optimal_rectangle
-from repro.kernels.columnar import held_columns, take, take_rows
 from repro.kernels.hashing import bucket_tuple_columns
 from repro.kernels.join import lookup_codes
 from repro.kernels.partition import partition_indices
 from repro.mpc.cluster import Cluster
 from repro.mpc.hashing import HashFamily
-from repro.mpc.server import ChunkedColumns
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -69,8 +68,7 @@ def heavy_value_products(
     """Join R ⋈ S restricted to the given heavy join-key values.
 
     Returns the output (``OUT``, in R-then-S-extra attribute order like
-    :meth:`Relation.join`; column-primary when both inputs' columns are
-    exact) and one :class:`RunStats` per exclusive pool — one per big
+    :meth:`Relation.join`) and one :class:`RunStats` per exclusive pool — one per big
     heavy value, one for all the packed ones — for the caller to combine
     with :func:`repro.mpc.cluster.combine_parallel`.
     """
@@ -78,7 +76,7 @@ def heavy_value_products(
     if not heavy_keys:
         return Relation("OUT", schema), []
 
-    r_cols, s_cols = held_columns(r), held_columns(s)
+    r_cols, s_cols = r.columns(), s.columns()
     r_groups = _key_groups([r_cols[i] for i in r.schema.indices(shared)], heavy_keys)
     s_groups = _key_groups([s_cols[i] for i in s.schema.indices(shared)], heavy_keys)
 
@@ -124,7 +122,7 @@ def _deliver(rnd, fragment: str, columns: Sequence[Any], positions: np.ndarray,
     arrival = np.lexsort((*ties, line))
     lines, starts = np.unique(line[arrival], return_index=True)
     for target, lo, hi in zip(lines.tolist(), starts, [*starts[1:], len(arrival)]):
-        sent = [take(c, positions[arrival[lo:hi]]) for c in columns]
+        sent = [c[positions[arrival[lo:hi]]] for c in columns]
         for dest in cells(target):
             rnd.send_columns(dest, fragment, sent)
 
@@ -185,11 +183,7 @@ def _grid_product(
         for server in cluster.servers:
             part = server.take("rb")
             times = np.repeat(np.arange(len(part)), len(s_rows))
-            server.append_result(
-                "out",
-                tuple(c[times] for c in part.arrays()) if isinstance(part, ChunkedColumns)
-                else take_rows(part, times),
-            )
+            server.append_result("out", tuple(c[times] for c in held(part, r.schema.arity)))
         return cluster
 
     p1, p2 = optimal_rectangle(len(r_rows), len(s_rows), p)

@@ -27,7 +27,6 @@ from repro.joins.base import (
 )
 from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
-from repro.kernels.columnar import held_columns, take
 from repro.kernels.join import lookup_codes
 from repro.kernels.memo import key_degrees
 from repro.mpc.cluster import Cluster, combine_parallel
@@ -64,10 +63,10 @@ def _light_part(rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row]) -
     none is): one code lookup over the key columns."""
     if not heavy_keys:
         return rel
-    columns = held_columns(rel)
+    columns = rel.columns()
     keys = [columns[i] for i in rel.schema.indices(shared)]
     light = np.flatnonzero(lookup_codes(keys, heavy_keys) < 0)
-    return Relation.from_held(rel.name, rel.schema, [take(c, light) for c in columns])
+    return Relation.from_columns(rel.name, rel.schema, [c[light] for c in columns])
 
 
 def skew_join(

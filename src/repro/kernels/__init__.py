@@ -17,7 +17,7 @@ from __future__ import annotations
 __all__ = [
     "bucket_tuple_columns",
     "bucket_value_column",
-    "column_array",
+    "column_of",
     "hash_tuple_columns",
     "hash_value_column",
     "join_indices",
@@ -37,7 +37,7 @@ __all__ = [
 _LAZY = {
     "bucket_tuple_columns": "repro.kernels.hashing",
     "bucket_value_column": "repro.kernels.hashing",
-    "column_array": "repro.kernels.columnar",
+    "column_of": "repro.kernels.columnar",
     "hash_tuple_columns": "repro.kernels.hashing",
     "hash_value_column": "repro.kernels.hashing",
     "join_indices": "repro.kernels.join",

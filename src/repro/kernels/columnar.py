@@ -1,18 +1,20 @@
-"""Row-list ⇄ column-array conversion with strict type gating.
+"""The one column rule, and the index arithmetic over its columns.
 
-The vectorized paths only apply when a column is *losslessly*
-representable as a 64-bit integer array. Anything else — floats (numpy
-would silently truncate), strings, ``None``, nested tuples, ints outside
-64-bit range — stays a plain value list, which the kernels code through
-one dict over its distinct values (:func:`value_codes`). Booleans are
-accepted and widened, mirroring the scalar hash spec's canonical form
-(and Python's ``True == 1`` key semantics in dict-based joins).
+A relation, a fragment and a key are held as one 1-D numpy array per
+attribute, made by :func:`column_of`: ``int64`` when every value is a
+built-in ``int`` the type holds, ``uint64`` when such values go above the
+signed range, and ``object`` otherwise — floats, strings, ``None``,
+tuples, ``bool``, numpy scalars, ints outside 64 bits. An ``object``
+column holds the very values it was given, so ``tolist()`` hands them
+back as themselves; the kernels code it through one dict over its
+distinct values (:func:`value_codes`), which is Python ``==`` (``1``,
+``1.0`` and ``True`` share a code). :func:`is_object` is the one test of
+which kind a column is.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -22,66 +24,60 @@ Row = tuple[Any, ...]
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def column_array(values: Sequence[Any]) -> np.ndarray | None:
-    """The values as a 1-D integer array, or ``None`` if types forbid it.
+def column_of(values: Sequence[Any]) -> np.ndarray:
+    """The values as one column, by the one rule (see the module doc).
 
-    ``np.asarray`` does the C-speed type sniffing: a list with any
-    non-integer member comes back with a non-integer dtype (or raises on
-    ragged input) and is rejected.
+    The ``object`` column is built element by element, never by
+    ``np.asarray``, which would turn tuples into a second dimension.
     """
-    if not isinstance(values, list):
-        values = list(values)
-    if not values:
-        return np.empty(0, dtype=np.int64)
-    try:
-        arr = np.asarray(values)
-    except (ValueError, OverflowError):
-        return None
-    if arr.ndim != 1 or arr.dtype.kind not in "biu":
-        return None
-    return arr
+    if set(map(type, values)) <= {int}:
+        for dtype in (np.int64, np.uint64):
+            try:
+                return np.array(values, dtype=dtype)
+            except OverflowError:
+                continue
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
-def key_column(values: Any) -> "np.ndarray | list":
-    """One key column as the kernels take it: an integer array as is, a
-    value list as the exact integer array numpy makes of it, else as is."""
-    if isinstance(values, np.ndarray):
-        return values
-    column = column_array(values)
-    return values if column is None else column
+def columns_of(rows: Sequence[Row], arity: int) -> list[np.ndarray]:
+    """The ``arity`` columns of ``rows``, each by :func:`column_of`."""
+    if not len(rows):
+        return [np.empty(0, dtype=np.int64) for _ in range(arity)]
+    return [column_of(values) for values in zip(*rows)]
 
 
-def key_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list:
-    """One :func:`key_column` per key position of ``rows``."""
-    return [key_column([row[i] for row in rows]) for i in key_idx]
+def key_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray]:
+    """One column per key position of ``rows``."""
+    return [column_of([row[i] for row in rows]) for i in key_idx]
 
 
-def exact(columns: Sequence[Any]) -> bool:
-    """Whether every column is an integer array (else: some value list)."""
-    return all(isinstance(column, np.ndarray) for column in columns)
+def is_object(column: np.ndarray) -> bool:
+    """Whether ``column`` holds values rather than exact integers."""
+    return column.dtype.kind == "O"
 
 
-def exact_columns(rows: Sequence[Row], key_idx: Sequence[int]) -> list[np.ndarray] | None:
-    """:func:`key_columns` as integer arrays, refused unless every value of
-    ``rows`` is a built-in ``int``: only then does ``tolist()`` rebuild the
-    very tuples (a widened ``bool`` or a numpy scalar would come back as a
-    plain int), so only such columns may stand in for the rows."""
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        columns = key_columns(rows, key_idx)
-        if exact(columns):
-            return columns
-    return None
+def exact(columns: Sequence[np.ndarray]) -> bool:
+    """Whether every column holds exact integers (no ``object`` column)."""
+    return not any(map(is_object, columns))
 
 
-def held_columns(relation: Any) -> list:
-    """One sequence per attribute of ``relation``: its exact integer arrays,
-    else plain value lists (the form of every relation holding a
-    non-integer). Index arithmetic reads either through :func:`take` and
-    :func:`zip_rows`."""
-    columns = relation.columns()
-    if columns is None:
-        columns = [relation.column(a) for a in relation.schema.attributes]
-    return columns
+def concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """One column from its ordered blocks; a lone block is itself.
+
+    An ``object`` block makes the column ``object``, each value kept. numpy
+    would widen ``int64`` meeting ``uint64`` to ``float64``, rounding the
+    integers: those meet as ``object`` too — unless only empty blocks
+    differ, which hold no value.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    column = np.concatenate(blocks) if len(blocks) else np.empty(0, dtype=np.int64)
+    if column.dtype.kind != "f":  # only int64 meeting uint64 makes a float
+        return column
+    full = [block for block in blocks if len(block)]
+    if len({block.dtype for block in full}) == 1:
+        return np.concatenate(full)
+    return np.concatenate([block.astype(object) for block in full])
 
 
 def value_codes(keys: Sequence[Any]) -> tuple[np.ndarray, list]:
@@ -95,22 +91,13 @@ def value_codes(keys: Sequence[Any]) -> tuple[np.ndarray, list]:
     return codes, list(index)
 
 
-def take(column: Any, indices: np.ndarray) -> Any:
-    """``column`` at ``indices``: an array by fancy index, a list value by value."""
-    if isinstance(column, np.ndarray):
-        return column[indices]
-    return [column[i] for i in indices.tolist()]
-
-
-def zip_rows(columns: Sequence[Any]) -> list[Row]:
-    """The tuples whose columns these are (arrays yield built-in ints)."""
-    return list(zip(*(
-        c.tolist() if isinstance(c, np.ndarray) else c for c in columns
-    )))
+def zip_rows(columns: Sequence[np.ndarray]) -> list[Row]:
+    """The tuples whose columns these are (integer columns yield built-in ints)."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def comparable_int64(column: np.ndarray) -> np.ndarray | None:
-    """The column as ``int64`` preserving value-comparison semantics.
+    """An integer column as ``int64`` preserving value-comparison semantics.
 
     Used by the join/semijoin/splitter kernels, which compare key values
     rather than hash them: ``uint64`` values above ``int64`` range cannot

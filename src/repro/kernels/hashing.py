@@ -11,10 +11,10 @@ All arithmetic runs on ``uint64`` with wraparound, matching the
 ``& _MASK64`` masking of the Python reference — the golden tests in
 ``tests/kernels/test_hash_golden.py`` pin this equivalence on a fixed
 probe set so a numpy overflow-semantics change cannot slip through.
-Any other key has no vectorized hash (the blake2b branch is scalar): the
-bucket functions hash each *distinct* value or key tuple once through
-the scalar spec and gather by code — byte-identical by construction,
-O(distinct) Python calls instead of O(n).
+An ``object`` column has no vectorized hash (the blake2b branch is
+scalar): the bucket functions hash each *distinct* value or key tuple
+once through the scalar spec and gather by code — byte-identical by
+construction, O(distinct) Python calls instead of O(n).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.kernels.columnar import exact, value_codes, zip_rows
+from repro.kernels.columnar import exact, is_object, value_codes, zip_rows
 from repro.mpc.hashing import _MASK64, _TUPLE_TAG, HashFunction, splitmix64
 
 _ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -82,7 +82,7 @@ def hash_tuple_columns(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:
 def bucket_tuple_columns(columns: Sequence, salt: int, buckets: int) -> np.ndarray:
     """Per-row destination buckets of hashed key tuples (``int64``).
 
-    Key columns that are not all integer arrays (a value list among them)
+    Key columns that are not all exact (an ``object`` column among them)
     hash once per distinct key tuple through the scalar spec.
     """
     if not exact(columns):
@@ -90,15 +90,15 @@ def bucket_tuple_columns(columns: Sequence, salt: int, buckets: int) -> np.ndarr
     return (hash_tuple_columns(columns, salt) % np.uint64(buckets)).astype(np.int64)
 
 
-def bucket_value_column(column: "np.ndarray | list", salt: int, buckets: int) -> np.ndarray:
+def bucket_value_column(column: np.ndarray, salt: int, buckets: int) -> np.ndarray:
     """Per-row destination buckets of hashed scalar values (``int64``).
 
-    A plain value list (no exact integer column behind it) takes the
-    scalar spec itself, once per distinct value: equal values share an
-    entry, and hash equal (:func:`repro.mpc.hashing.canonical`).
+    An ``object`` column takes the scalar spec itself, once per distinct
+    value: equal values share an entry, and hash equal
+    (:func:`repro.mpc.hashing.canonical`).
     """
-    if not isinstance(column, np.ndarray):
-        return _per_distinct(column, salt, buckets)
+    if is_object(column):
+        return _per_distinct(column.tolist(), salt, buckets)
     return (hash_value_column(column, salt) % np.uint64(buckets)).astype(np.int64)
 
 

@@ -5,17 +5,17 @@ no hash collisions — for every key. Exact integer keys are coded without
 Python: single-column keys use their values directly; multi-column keys
 are mixed radix over each column's ``value - min`` (no sort;
 :func:`~repro.kernels.columnar.pack_columns`), with dense codes only
-where the radix product would overflow. Any other key — a value list, or
-a ``uint64`` column above the signed range — is coded by one dict over
-its distinct key tuples (:func:`~repro.kernels.columnar.value_codes`),
-which is Python ``==``: ``1`` meets ``1.0``. A chunk of servers is one
-pass with the server as a leading key column (:func:`stack_tagged`,
-:func:`cut_at_tags`). The codes feed fully vectorized match-index
-computation (join) or membership masks (semijoin). Output rows reuse the
-original Python tuples, so results are byte-identical to the dict/set
-reference (:mod:`repro.testing.scalar_reference`), including row order:
-left rows in input order, matches per left row in the right side's
-insertion order.
+where the radix product would overflow. Any other key position — an
+``object`` column, or a ``uint64`` column above the signed range — is
+coded by one dict over its distinct values
+(:func:`~repro.kernels.columnar.value_codes`), which is Python ``==``:
+``1`` meets ``1.0``. A chunk of servers is one pass with the server as a
+leading key column (:func:`stack_tagged`, :func:`cut_at_tags`). The
+codes feed fully vectorized match-index computation (join) or
+membership masks (semijoin), so results are byte-identical to the
+dict/set reference (:mod:`repro.testing.scalar_reference`), including
+row order: left rows in input order, matches per left row in the right
+side's insertion order.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import numpy as np
 
 from repro.kernels.columnar import (
     comparable_int64,
+    concatenated,
     exact,
-    key_column,
     key_columns,
     pack_columns,
     value_codes,
-    zip_rows,
 )
 
 Row = tuple[Any, ...]
@@ -49,25 +48,32 @@ def _code_columns(
 
 
 def code_key_columns(
-    left_cols: Sequence[Any],
-    right_cols: Sequence[Any],
+    left_cols: Sequence[np.ndarray],
+    right_cols: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint key codes from key columns — integer arrays or value lists.
+    """Joint key codes from key columns, of any dtypes.
 
     Codes are injective over key tuples (equal code ⇔ equal key) but not
     necessarily dense — :func:`join_indices` only needs them sortable.
+    Each key position is coded on its own — exact integers as their
+    values, anything else by one dict over both sides' values — and the
+    positions are packed into one code: tuples are equal exactly when
+    every position is.
     """
-    n_left = len(left_cols[0]) if left_cols else 0
-    width = len(left_cols)
-    both = [*left_cols, *right_cols]
-    ints = [comparable_int64(c) for c in both] if exact(both) else [None]
-    if any(c is None for c in ints):
-        codes, _ = value_codes(zip_rows(left_cols) + zip_rows(right_cols))
-    else:
-        stacked = [np.concatenate(pair) for pair in zip(ints[:width], ints[width:])]
-        # values are their own (sparse) codes
-        codes = stacked[0] if width == 1 else pack_columns(stacked, dense=True)
+    n_left = len(left_cols[0])
+    stacked = [_joint_column(left, right) for left, right in zip(left_cols, right_cols)]
+    # values are their own (sparse) codes
+    codes = stacked[0] if len(stacked) == 1 else pack_columns(stacked, dense=True)
     return codes[:n_left], codes[n_left:]
+
+
+def _joint_column(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Both sides of one key position as comparable ``int64`` codes."""
+    if exact((left, right)):
+        ints = [comparable_int64(left), comparable_int64(right)]
+        if all(c is not None for c in ints):
+            return np.concatenate(ints)
+    return value_codes(left.tolist() + right.tolist())[0]
 
 
 # Leading attribute of a chunk's stacked fragments: the index, in the chunk,
@@ -75,18 +81,15 @@ def code_key_columns(
 TAG = "\0server"
 
 
-def stack_tagged(fragments: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray] | None:
+def stack_tagged(fragments: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
     """A chunk's per-server column lists as one, server-major, behind a
     :data:`TAG` column: as a leading key column it keeps one kernel pass from
     pairing rows of two servers. A chunk of one is its own columns, untagged.
-    ``None`` when a column's blocks differ in dtype (no value-exact concat)."""
+    A column whose blocks differ in dtype stacks as ``object``."""
     if len(fragments) == 1:
         return list(fragments[0])
-    columns = list(zip(*fragments))
-    if any(len({block.dtype for block in blocks}) > 1 for blocks in columns):
-        return None
     tag = np.repeat(np.arange(len(fragments)), [len(f[0]) for f in fragments])
-    return [tag] + [np.concatenate(blocks) for blocks in columns]
+    return [tag] + [concatenated(blocks) for blocks in zip(*fragments)]
 
 
 def cut_at_tags(columns: Sequence[np.ndarray], servers: int) -> list[tuple]:
@@ -98,18 +101,15 @@ def cut_at_tags(columns: Sequence[np.ndarray], servers: int) -> list[tuple]:
     return [tuple(c[a:b] for c in columns[1:]) for a, b in zip([0] + ends, ends)]
 
 
-def lookup_codes(key_cols: Sequence[Any], keys: Sequence[Row]) -> np.ndarray:
+def lookup_codes(key_cols: Sequence[np.ndarray], keys: Sequence[Row]) -> np.ndarray:
     """Per row, the index in ``keys`` of its key tuple, ``-1`` when absent.
 
-    ``key_cols`` holds one sequence per key position — integer arrays or
-    value lists — and the (distinct) ``keys`` are coded jointly with them
-    and found by one binary search.
+    ``key_cols`` holds one column per key position; the (distinct)
+    ``keys`` are coded jointly with them and found by one binary search.
     """
     if not len(keys):
         return np.full(len(key_cols[0]), -1, dtype=np.int64)
-    row_codes, key_codes = code_key_columns(
-        [key_column(c) for c in key_cols], key_columns(keys, range(len(key_cols)))
-    )
+    row_codes, key_codes = code_key_columns(key_cols, key_columns(keys, range(len(key_cols))))
     rank = np.argsort(key_codes)
     ranked = key_codes[rank]
     at = np.minimum(np.searchsorted(ranked, row_codes), len(rank) - 1)
@@ -142,6 +142,8 @@ def join_indices(
     return left_pos, right_pos
 
 
+# No relational task calls this since fragments became columns only; it
+# stays importable as a span perfbench/tracing.py:TARGETS names.
 def join_rows_columnar(
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
@@ -176,6 +178,7 @@ def join_rows_columnar(
     ]
 
 
+# Like join_rows_columnar: kept as a span perfbench/tracing.py:TARGETS names.
 def semijoin_mask(
     rows: Sequence[Row],
     key_idx: Sequence[int],

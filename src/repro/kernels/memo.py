@@ -8,7 +8,7 @@ local work, but the simulator pays it in wall time.  This module removes
 the redundancy without changing a single observable byte:
 
 - a **partition cache** of fully computed routing plans — per
-  destination, the column blocks (or rows) the per-server
+  destination, the column blocks the per-server
   :func:`repro.kernels.partition.try_route` loop would deliver to it —
   replayed, one batched send per destination, by :func:`route_scattered`
   (and :func:`route_scattered_grid` for HyperCube's replicated routes);
@@ -43,8 +43,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import QueryError
-from repro.kernels.columnar import key_columns
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.relation import Relation
     from repro.mpc.cluster import Cluster, RoundContext
@@ -262,27 +260,22 @@ def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable)
     partitioned once, in (destination, source server, position) order —
     position ``i`` sits on server ``i % p`` — which is what a destination
     receives when each server partitions its own slice and the sends
-    arrive source server ascending.  Each destination's part is held once:
-    the relation's exact columns as one frozen block per column (no row
-    list is read), or — a relation without them — its own rows.
+    arrive source server ascending.  Each destination's part is held once,
+    as one frozen block per column (no row list is read).
     """
     from repro.kernels.partition import groups_in_order, source_major_order
 
     columns = rel.columns()
-    exact = columns is not None
-    data = columns if exact else rel.rows_readonly()
-    hashed = [data[i] for i in key_idx] if exact else key_columns(data, key_idx)
+    hashed = [columns[i] for i in key_idx]
     codes, buckets, offsets, hash_ops = code(len(rel), hashed)
     order = source_major_order(codes, buckets, p)
-    groups = groups_in_order(order, codes, buckets, data)
-    if exact:
-        for _dest, blocks in groups:
-            for block in blocks:
-                # Delivered, possibly repeatedly, into fragments and results:
-                # frozen, so that no receiver can mutate the cache.
-                block.flags.writeable = False
-    nbytes = sum(int(column.nbytes) for column in hashed) if exact else 0
-    return groups, offsets, nbytes, hash_ops
+    groups = groups_in_order(order, codes, buckets, columns)
+    for _dest, blocks in groups:
+        for block in blocks:
+            # Delivered, possibly repeatedly, into fragments and results:
+            # frozen, so that no receiver can mutate the cache.
+            block.flags.writeable = False
+    return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
 
 
 def _replay(
@@ -309,17 +302,12 @@ def _replay_plan(
     """Get-or-build a whole-shuffle plan of ``rel``, count it, replay its sends.
 
     A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
-    part)`` group — frozen column blocks, or rows — goes to ``dest + o``
-    for every offset ``o``, one send per destination.  A plan of blocks
-    is kept under ``rel``'s token unless a fault controller watches the
-    cluster; otherwise it is built, sent and dropped.  A plan of rows is
-    never kept: its row lists, held, slowed a cold 2·10⁴-row join with
-    string payloads by ~20 % (CPython 3.11, 2 vCPUs); a warm repeat
-    rebuilds it instead.
+    part)`` group of frozen column blocks goes to ``dest + o`` for every
+    offset ``o``, one send per destination.  A plan is kept under
+    ``rel``'s token unless a fault controller watches the cluster;
+    otherwise it is built, sent and dropped.
     """
-    from repro.kernels.partition import send_part
-
-    cacheable = cluster.fault_controller is None and rel.columns() is not None
+    cacheable = cluster.fault_controller is None
     plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
     groups, offsets, nbytes, hash_ops = plan
     stats = cluster.stats.memo
@@ -332,7 +320,7 @@ def _replay_plan(
         _bump(stats, "hash_ops", hash_ops)
     for dest, part in groups:
         for offset in offsets:
-            send_part(rnd, dest + offset, out_fragment, part)
+            rnd.send_columns(dest + offset, out_fragment, part)
 
 
 def route_scattered(
@@ -439,7 +427,9 @@ def route(
     ):
         return
     for server in cluster.servers:
-        try_route(rnd, held(server.take(fragment)), key_idx, h, out_fragment)
+        part = server.take(fragment)
+        if len(part):  # an empty fragment routes nothing
+            try_route(rnd, held(part), key_idx, h, out_fragment)
 
 
 # --------------------------------------------------------------------------

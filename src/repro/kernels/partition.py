@@ -3,14 +3,13 @@
 The shuffle rounds of every algorithm reduce to the same shape — compute
 a destination for each row, then move rows to per-destination buffers.
 These kernels compute all destinations vectorized and hand each
-destination one *batched* send — ``send_columns`` of column slices when
-they are given whole columns, ``send_rows`` of a row group when given
-rows — instead of a Python-level ``send`` per tuple. Per-destination
+destination one *batched* ``send_columns`` of column slices instead of a
+Python-level ``send`` per tuple. Per-destination
 row order matches a per-row send loop exactly (stable partitioning of rows
 iterated in order), so fragments, loads, and downstream outputs are
 byte-identical to the per-row reference
 (:mod:`repro.testing.scalar_reference`). Every key routes here: exact
-integer key columns hash vectorized, any other key once per distinct
+integer key columns hash vectorized, an ``object`` key once per distinct
 value (:mod:`repro.kernels.hashing`).
 """
 
@@ -19,19 +18,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels.columnar import key_columns
 from repro.kernels.hashing import bucket_tuple_columns, bucket_value_column
 from repro.kernels.memo import count_hash_ops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpc.cluster import RoundContext
     from repro.mpc.hashing import HashFunction
-
-Row = tuple[Any, ...]
 
 
 def _shrink(destinations: np.ndarray, upper: int) -> np.ndarray:
@@ -76,12 +72,13 @@ def source_major_order(codes: np.ndarray, buckets: int, p: int) -> np.ndarray:
     return np.argsort(_shrink(key, buckets * p), kind="stable")
 
 
-def partition_groups(codes: np.ndarray, buckets: int, data: Sequence) -> list[tuple[int, Any]]:
+def partition_groups(
+    codes: np.ndarray, buckets: int, data: Sequence[np.ndarray]
+) -> list[tuple[int, list]]:
     """Stable partition: ``(code, its part of data)`` per non-empty code.
 
     ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket; ``data`` is
-    what holds the rows — a list of exact column arrays, or the row list —
-    and each part comes back in the same form. Groups come out in
+    the rows' columns, and each part is the slices of them. Groups come out in
     ascending code order with the rows of each group in their original
     order — one stable argsort + bincount, the core of every per-server
     batched route (a whole-relation plan brings its own order, below).
@@ -90,41 +87,25 @@ def partition_groups(codes: np.ndarray, buckets: int, data: Sequence) -> list[tu
 
 
 def groups_in_order(
-    order: np.ndarray, codes: np.ndarray, buckets: int, data: Sequence
-) -> list[tuple[int, Any]]:
+    order: np.ndarray, codes: np.ndarray, buckets: int, data: Sequence[np.ndarray]
+) -> list[tuple[int, list]]:
     """:func:`partition_groups` under a given ``order``: any permutation that
     sorts ``codes`` (a whole-relation plan breaks ties by source server)."""
     counts = np.bincount(codes, minlength=buckets).tolist()
     bounds = [(code, end - count, end) for code, count, end in
               zip(range(buckets), counts, accumulate(counts)) if count]
-    if _columnar(data):
-        ordered = [column[order] for column in data]
-        return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
-    ordered = [data[i] for i in order.tolist()]
-    return [(code, ordered[lo:hi]) for code, lo, hi in bounds]
+    ordered = [column[order] for column in data]
+    return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
 
 
-def _columnar(data: Sequence) -> bool:
-    """Whether held ``data`` is a list of whole columns (else: the row list)."""
-    return len(data) > 0 and isinstance(data[0], np.ndarray)
-
-
-def send_part(rnd: "RoundContext", dest: int, fragment: str, part: Sequence) -> None:
-    """Send one part of a partition, in the form it is held."""
-    if _columnar(part):
-        rnd.send_columns(dest, fragment, part)
-    else:
-        rnd.send_rows(dest, fragment, part)
-
-
-def hash_codes(columns: Sequence, h: "HashFunction") -> np.ndarray:
+def hash_codes(columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
     """Per-row ``h(key)`` over the key columns, narrowed for the argsort."""
     return _shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
 
 
 def grid_codes(
     n: int,
-    columns: Sequence,
+    columns: Sequence[np.ndarray],
     column_dims: Sequence[int],
     salts: Sequence[int],
     extents: Sequence[int],
@@ -132,7 +113,7 @@ def grid_codes(
 ) -> tuple[np.ndarray, int, list[int], int]:
     """HyperCube destinations: ``(base cell per row, grid size, offsets, dims hashed)``.
 
-    ``columns`` are integer arrays or value lists (:func:`bucket_value_column`);
+    ``columns`` are the rows' columns (:func:`bucket_value_column`);
     ``column_dims[c]`` is the grid dimension bound by row column ``c``
     (columns are hashed left to right, later columns overwriting earlier
     ones on a repeated dimension, as the scalar loop does); dimensions
@@ -155,31 +136,26 @@ def grid_codes(
 
 
 def try_route(
-    rnd: "RoundContext", data: Sequence, key_idx: Sequence[int], h: "HashFunction",
-    fragment: str,
+    rnd: "RoundContext", data: Sequence[np.ndarray], key_idx: Sequence[int],
+    h: "HashFunction", fragment: str,
 ) -> None:
     """Route every row to ``h(key)`` in batched sends.
 
     Equivalent to ``rnd.send(h(tuple(row[i] for i in key_idx)), fragment,
     row)`` per row — same destinations, same per-destination order, same
-    charged units. ``data`` is a fragment as :func:`repro.mpc.server.held`:
-    whole columns are partitioned and sent as blocks, rows as rows.
+    charged units. ``data`` is a fragment's columns
+    (:func:`repro.mpc.server.held`), partitioned and sent as blocks.
     """
-    n = _row_count(data)
+    n = len(data[0])
     if n:
         count_hash_ops(rnd, n)
-        keys = [data[i] for i in key_idx] if _columnar(data) else key_columns(data, key_idx)
+        keys = [data[i] for i in key_idx]
         for dest, part in partition_groups(hash_codes(keys, h), h.buckets, data):
-            send_part(rnd, dest, fragment, part)
-
-
-def _row_count(data: Sequence) -> int:
-    """How many rows held ``data`` — whole columns or a row list — has."""
-    return len(data[0]) if _columnar(data) else len(data)
+            rnd.send_columns(dest, fragment, part)
 
 
 def try_route_grid(
-    rnd: "RoundContext", data: Sequence, column_dims: Sequence[int],
+    rnd: "RoundContext", data: Sequence[np.ndarray], column_dims: Sequence[int],
     salts: Sequence[int], extents: Sequence[int], strides: Sequence[int], fragment: str,
 ) -> None:
     """HyperCube replication: route rows to every grid cell they match.
@@ -187,12 +163,11 @@ def try_route_grid(
     Equivalent to the per-row ``grid.matching(partial)`` loop; see
     :func:`grid_codes` for how columns bind grid dimensions.
     """
-    n = _row_count(data)
+    n = len(data[0])
     if not n:
         return
-    columns = data if _columnar(data) else key_columns(data, range(len(column_dims)))
-    base, grid_size, offsets, hashed = grid_codes(n, columns, column_dims, salts, extents, strides)
+    base, grid_size, offsets, hashed = grid_codes(n, data, column_dims, salts, extents, strides)
     count_hash_ops(rnd, n * hashed)
     for dest_base, part in partition_groups(base, grid_size, data):
         for offset in offsets:
-            send_part(rnd, dest_base + offset, fragment, part)
+            rnd.send_columns(dest_base + offset, fragment, part)

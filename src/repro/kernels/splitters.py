@@ -15,12 +15,24 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import column_array, comparable_int64
+from repro.kernels.columnar import comparable_int64
 
 
 def _as_int64_column(values: Sequence[Any]) -> np.ndarray | None:
-    column = column_array(list(values))
-    return None if column is None else comparable_int64(column)
+    """The values as comparable ``int64``, or ``None`` when numpy cannot hold
+    them as integers. A splitter search only compares values, so a ``bool``
+    may widen here (``np.asarray`` sniffs the type in C; the one column
+    rule's exact type scan would double the cost)."""
+    values = list(values)
+    if not values:
+        return np.empty(0, dtype=np.int64)
+    try:
+        column = np.asarray(values)
+    except (ValueError, OverflowError):
+        return None
+    if column.ndim != 1 or column.dtype.kind not in "biu":
+        return None
+    return comparable_int64(column)
 
 
 def searchsorted_buckets(

@@ -67,7 +67,7 @@ from repro.mpc.faults import (
     fault_plan_by_default,
 )
 from repro.mpc.hashing import HashFamily, HashFunction
-from repro.mpc.server import ChunkedColumns, Row, Server
+from repro.mpc.server import ChunkedColumns, Row, Server, held
 from repro.mpc.stats import ExecStats, MemoStats, RoundStats, RunStats
 
 
@@ -137,22 +137,19 @@ class RoundContext:
         self._row_buffer(dest, fragment).extend(rows)
         self._units[dest] += len(rows)
 
-    def send_columns(self, dest: int, fragment: str, columns: Sequence) -> None:
+    def send_columns(self, dest: int, fragment: str, columns: Sequence[np.ndarray]) -> None:
         """:meth:`send_rows` of the rows whose columns these are.
 
-        Exact integer arrays are buffered as the block they are — charged
+        The arrays are buffered as the block they are — charged
         ``len(columns[0])`` units, no tuple zipped — while the buffer holds
-        nothing but such blocks; plain value lists (see
-        :func:`repro.kernels.columnar.held_columns`), and blocks arriving
-        after rows, travel as rows.
+        nothing but blocks; blocks arriving after rows travel as rows.
         """
-        if all(isinstance(column, np.ndarray) for column in columns):
-            self._admit(dest)
-            block = ChunkedColumns([[column] for column in columns])
-            buffer = self._buffers[dest].setdefault(fragment, block)
-            if buffer is block or isinstance(buffer, ChunkedColumns) and buffer.extend(block):
-                self._units[dest] += len(block)
-                return
+        self._admit(dest)
+        block = ChunkedColumns([[column] for column in columns])
+        buffer = self._buffers[dest].setdefault(fragment, block)
+        if buffer is block or isinstance(buffer, ChunkedColumns) and buffer.extend(block):
+            self._units[dest] += len(block)
+            return
         self.send_rows(dest, fragment, zip_rows(columns))
 
     def broadcast(self, fragment: str, row: Row, servers: Sequence[int] | None = None) -> None:
@@ -415,20 +412,15 @@ class Cluster:
     def scatter(self, relation: Relation, name: str | None = None) -> str:
         """Place a relation round-robin across servers (free, per the model).
 
-        A relation with exact columns is placed as strided views of them
-        (read-only, as the relation's columns are) and no tuple is built;
-        anything else is placed row by row. Returns the fragment name used
-        (``relation.name`` by default).
+        Server ``s`` gets strided views ``column[s::p]`` of the relation's
+        columns (read-only, as they are) and no tuple is built. Returns the
+        fragment name used (``relation.name`` by default).
         """
         fragment = name if name is not None else relation.name
         columns = relation.columns()
-        if columns:
-            self._place(fragment, [
-                ChunkedColumns([[column[s :: self.p]] for column in columns])
-                for s in range(self.p)
-            ])
-        else:
-            self.scatter_rows(relation.rows_readonly(), fragment)
+        self._place(fragment, [
+            ChunkedColumns([[column[s :: self.p]] for column in columns]) for s in range(self.p)
+        ])
         self._scatter_origin[fragment] = (relation, relation.mutation_token())
         return fragment
 
@@ -472,21 +464,22 @@ class Cluster:
     def gather_relation(self, fragment: str, name: str, attributes: Sequence[str]) -> Relation:
         """Gather a fragment into a :class:`Relation`.
 
-        Column blocks (what the columnar local steps leave) concatenate
-        in server order into a column-primary relation whose tuples derive
-        lazily. Once a server contributes rows the gather is the row list,
-        adopted without re-checking arities: every row in a fragment store
-        was arity-checked when its relation was built (delivery only moves
-        tuples between fragments).
+        Every server's blocks — a row list read by the one column rule
+        (:func:`repro.mpc.server.held`) — concatenate in server order, and
+        the tuples derive lazily.
         """
-        parts = [server.get(fragment) for server in self.servers]
-        parts = [part for part in parts if isinstance(part, ChunkedColumns) or part]
-        if parts and all(isinstance(part, ChunkedColumns) for part in parts):
-            return Relation.from_chunks(
-                name, attributes,
-                [sum(blocks, []) for blocks in zip(*(part.chunks for part in parts))],
-            )
-        return Relation.wrap(name, attributes, self.gather(fragment))
+        chunks: list[list[np.ndarray]] = [[] for _ in attributes]
+        for server in self.servers:
+            part = server.get(fragment)
+            if not len(part):
+                continue
+            if isinstance(part, ChunkedColumns):
+                blocks = part.chunks
+            else:
+                blocks = [[column] for column in held(part, len(chunks))]
+            for column, more in zip(chunks, blocks):
+                column.extend(more)
+        return Relation.from_chunks(name, attributes, chunks)
 
     def drop(self, fragment: str) -> None:
         """Delete a fragment on every server."""

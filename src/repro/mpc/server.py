@@ -4,8 +4,10 @@ Each server owns a private store mapping *fragment names* (``"R"``, the
 local part of R; ``"R@shuffled"``, tuples received in a shuffle round) to
 fragments; all movement goes through :class:`repro.mpc.cluster.Cluster`
 rounds. A fragment is one thing: a :class:`ChunkedColumns` — every column,
-as exact integer blocks — or a ``list`` of rows, never both: a relation
-with exact columns moves as blocks, anything else moves as rows.
+as blocks — or a ``list`` of rows, never both: a relation moves as
+blocks, and the per-tuple senders (sorting, matrix multiplication, the
+grid product, aggregation) move rows. :func:`held` reads either as
+columns.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
+
+from repro.kernels.columnar import columns_of, concatenated
 
 Row = tuple[Any, ...]
 
@@ -33,15 +37,13 @@ class ChunkedColumns:
         self.chunks = chunks  # chunks[i] = list of blocks of column i
         self.length = sum(map(len, chunks[0])) if chunks else 0
 
-    def arrays(self) -> list:
-        return [b[0] if len(b) == 1 else np.concatenate(b) for b in self.chunks]
+    def arrays(self) -> list[np.ndarray]:
+        return [concatenated(blocks) for blocks in self.chunks]
 
     def extend(self, other: "ChunkedColumns") -> bool:
-        """Append ``other``'s blocks if they continue these exactly (same arity,
-        same dtypes: a mixed concatenation would widen to float); whether it did."""
-        fits = len(self.chunks) == len(other.chunks) and all(
-            a[0].dtype == b[0].dtype for a, b in zip(self.chunks, other.chunks) if a and b
-        )
+        """Append ``other``'s blocks if they have this arity; whether it did.
+        (Blocks of one column that differ in dtype meet as ``object``.)"""
+        fits = len(self.chunks) == len(other.chunks)
         if fits:
             for blocks, arrived in zip(self.chunks, other.chunks):
                 blocks.extend(arrived)
@@ -55,9 +57,13 @@ class ChunkedColumns:
         return zip(*(column.tolist() for column in self.arrays()))
 
 
-def held(fragment: "list[Row] | ChunkedColumns") -> list:
-    """A fragment's tuples as it holds them: whole column arrays, or the rows."""
-    return fragment.arrays() if isinstance(fragment, ChunkedColumns) else fragment
+def held(fragment: "list[Row] | ChunkedColumns", arity: int = 0) -> list[np.ndarray]:
+    """A fragment's columns: its blocks concatenated, or its rows by the one
+    column rule (:func:`repro.kernels.columnar.column_of`) — ``arity``
+    empty columns for an empty row list."""
+    if isinstance(fragment, ChunkedColumns):
+        return fragment.arrays()
+    return columns_of(fragment, arity)
 
 
 class Server:

@@ -187,19 +187,13 @@ class MemoStats(CounterStats):
     the bucket kernels (on the replay and the per-server path alike, so
     cold and warm runs are directly comparable); ``hash_ops_saved``
     counts the ops a partition cache hit skipped; ``bytes_saved`` the
-    key-column chunk bytes a hit did not recompute.  ``fused_payloads``
-    counts the local-step payloads (join, semijoin, HyperCube eval) that
-    carried column blocks and no row list; ``row_payloads`` those that
-    carried rows (a non-integer column, blocks that met rows, heavy
-    stay-in-place rows).
+    key-column chunk bytes a hit did not recompute.
     """
 
     partition_hits: int = 0
     partition_misses: int = 0
     view_hits: int = 0
     view_misses: int = 0
-    fused_payloads: int = 0
-    row_payloads: int = 0
     hash_ops: int = 0
     hash_ops_saved: int = 0
     bytes_saved: int = 0
@@ -207,7 +201,6 @@ class MemoStats(CounterStats):
     _COUNTERS = (
         "partition_hits", "partition_misses",
         "view_hits", "view_misses",
-        "fused_payloads", "row_payloads",
         "hash_ops", "hash_ops_saved", "bytes_saved",
     )
 
@@ -224,7 +217,6 @@ class MemoStats(CounterStats):
         return (
             f"memo: partition {self.partition_hits}h/{self.partition_misses}m"
             f" views {self.view_hits}h/{self.view_misses}m"
-            f" fused={self.fused_payloads} rows={self.row_payloads}"
             f" hash_ops={self.hash_ops} saved={self.hash_ops_saved}"
             f" bytes_saved={self.bytes_saved}"
         )

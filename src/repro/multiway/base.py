@@ -25,7 +25,6 @@ the accounting identical across algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -33,14 +32,13 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
-from repro.joins.base import as_rows, chunk_step
 from repro.joins.hash_join import one_round_hash_join
-from repro.kernels.columnar import zip_rows
-from repro.kernels.join import code_key_columns, cut_at_tags, semijoin_mask, stack_tagged
+from repro.kernels.columnar import concatenated, key_columns
+from repro.kernels.join import code_key_columns, cut_at_tags, lookup_codes, stack_tagged
 from repro.kernels.memo import distinct_project, key_degrees, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
-from repro.mpc.server import ChunkedColumns
+from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -167,37 +165,26 @@ def shuffle_multi_semijoin(
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
         if heavy:
+            heavy_keys = list(heavy)
             for server in cluster.servers:
-                stay = _route_light(rnd, as_rows(server.take(t_frag)), t_idx, heavy, h)
-                server.put("T@stay", stay)
+                t_cols = held(server.take(t_frag), target.schema.arity)
+                server.put("T@stay", _route_light(rnd, t_cols, t_idx, heavy_keys, h))
         else:
             route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
-            for server in cluster.servers:
-                server.put("T@stay", [])
         for i, frag in enumerate(reducer_frags):
             route(cluster, rnd, frag, key_arity, h, f"K{i}@j", reducer_lights[i])
         for key in heavy_alive:
             rnd.broadcast("H@alive", key)
 
     payloads = []
-    memo = cluster.stats.memo
-    no_keys = [np.empty(0, dtype=np.int64)] * len(shared)
+    arity = target.schema.arity
     for server in cluster.servers:
         server.take("H@alive")  # consumed: contents mirror `heavy_alive`
-        keys = [server.take(f"K{i}@j") for i in range(len(reducers))]
-        routed, stay = server.take("T@j"), server.take("T@stay")
-        if isinstance(routed, ChunkedColumns) and not stay and all(
-            isinstance(part, ChunkedColumns) or not part for part in keys
-        ):
-            memo.fused_payloads += 1
-            payloads.append(
-                ([part.arrays() if part else no_keys for part in keys], tuple(routed.arrays()), [])
-            )
-        elif not (len(routed) or stay):  # nothing to filter: decode no key
-            payloads.append(([[] for _part in keys], [], []))
-        else:
-            memo.row_payloads += 1
-            payloads.append(([as_rows(part) for part in keys], as_rows(routed), stay))
+        payloads.append((
+            [held(server.take(f"K{i}@j"), len(shared)) for i in range(len(reducers))],
+            held(server.take("T@j"), arity),
+            held(server.take("T@stay"), arity),
+        ))
     results = cluster.map_servers(
         "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
     )
@@ -209,68 +196,56 @@ def shuffle_multi_semijoin(
 
 def _route_light(
     rnd: Any,
-    rows: list[Row],
+    columns: list[np.ndarray],
     t_idx: tuple[int, ...],
-    heavy: set[Row],
+    heavy: list[Row],
     h: Any,
-) -> list[Row]:
+) -> "list[Row] | ChunkedColumns":
     """Route light rows to ``h(key)``; return the heavy rows (they stay).
 
-    One membership mask splits heavy from light; the light rows route in
+    One key lookup splits heavy from light; the light rows route in
     batched sends, the heavy ones cost no communication.
     """
-    is_heavy = semijoin_mask(rows, t_idx, list(heavy))
-    try_route(rnd, list(compress(rows, (~is_heavy).tolist())), t_idx, h, "T@j")
-    return list(compress(rows, is_heavy.tolist()))
+    is_heavy = lookup_codes([columns[i] for i in t_idx], heavy) >= 0
+    try_route(rnd, [column[~is_heavy] for column in columns], t_idx, h, "T@j")
+    return ChunkedColumns([[column[is_heavy]] for column in columns])
 
 
 def semijoin_filter_chunk(payloads: list, common) -> list:
     """Exec task ``semijoin.filter``: the local phase of the multi-semijoin.
 
-    Each payload is ``(per-reducer key row lists, routed target rows,
-    heavy stay-in-place rows)``; the survivors are the light rows whose
-    key appears in every reducer plus the heavy rows whose key survived
-    globally (``heavy_alive``, broadcast by the coordinator). Pure over
-    its inputs, so inline and worker execution agree byte-for-byte. A
-    columns-only payload holds the keys' and the target's columns (a
-    tuple) instead; a chunk's columns-only payloads are filtered in one pass:
-    one ``np.isin`` per reducer over ``(server, key)`` codes (masks are elementwise).
+    Each payload is ``(per-reducer key columns, routed target columns,
+    heavy stay-in-place columns)``; a server's survivors are its routed
+    rows whose key appears in every reducer, then its heavy rows whose key
+    survived globally (``heavy_alive``, broadcast by the coordinator). The
+    chunk is filtered in one pass: one ``np.isin`` per reducer over
+    ``(server, key)`` codes (masks are elementwise), and one for the heavy
+    rows. Pure over its inputs, so inline and worker execution agree
+    byte-for-byte.
     """
     t_idx, heavy_alive = common
+    servers = len(payloads)
+    lead = 1 if servers > 1 else 0  # the tag leads the key as it leads the columns
 
-    def one_pass(chunk: list) -> list | None:
-        target = stack_tagged([t_cols for _keys, t_cols, _stay in chunk])
-        reducers = [stack_tagged(list(parts)) for parts in zip(*(keys for keys, _t, _stay in chunk))]
-        if target is None or None in reducers:
-            return None
-        lead = 1 if len(chunk) > 1 else 0  # the tag leads the key as it leads the columns
-        t_keys = target[:lead] + [target[i + lead] for i in t_idx]
-        # Every mask over the whole target, as the row path does.
-        masks = [np.isin(*code_key_columns(t_keys, keys)) for keys in reducers]
-        keep = np.logical_and.reduce(masks)
-        return cut_at_tags([column[keep] for column in target], len(chunk))
+    def kept(columns: list, keep: np.ndarray) -> list[tuple]:
+        return cut_at_tags([column[keep] for column in columns], servers)
 
-    def by_rows(payload: tuple) -> list:
-        key_rows, t_rows, stay_rows = payload
-        if isinstance(t_rows, tuple):
-            t_rows = zip_rows(t_rows)
-            key_rows = [zip_rows(cols) for cols in key_rows]
-        return _filter_members(t_rows, t_idx, key_rows) + _filter_members(
-            stay_rows, t_idx, [heavy_alive]
-        )
+    def member(keys: list, members: list) -> np.ndarray:
+        return np.isin(*code_key_columns(keys, members))
 
-    return chunk_step(payloads, lambda payload: isinstance(payload[1], tuple), one_pass, by_rows)
-
-
-def _filter_members(
-    rows: list[Row], t_idx: tuple[int, ...], key_lists: list[list[Row]]
-) -> list[Row]:
-    """Rows whose key tuple appears in *every* key list (order preserved;
-    no key list: every row)."""
-    keep = np.ones(len(rows), dtype=bool)
-    for keys in key_lists:
-        keep &= semijoin_mask(rows, t_idx, keys)
-    return list(compress(rows, keep.tolist()))
+    target = stack_tagged([t_cols for _keys, t_cols, _stay in payloads])
+    reducers = [stack_tagged(list(parts)) for parts in zip(*(keys for keys, _t, _stay in payloads))]
+    t_keys = target[:lead] + [target[i + lead] for i in t_idx]
+    # Every mask over the whole target, as the per-server filter does.
+    routed = kept(target, np.logical_and.reduce([member(t_keys, keys) for keys in reducers]))
+    if not heavy_alive:
+        return routed
+    stay = stack_tagged([s_cols for _keys, _t, s_cols in payloads])
+    alive = member([stay[i + lead] for i in t_idx], key_columns(heavy_alive, range(len(t_idx))))
+    return [
+        tuple(map(concatenated, zip(light, heavy)))
+        for light, heavy in zip(routed, kept(stay, alive))
+    ]
 
 
 def shuffle_aggregate(

@@ -25,10 +25,9 @@ from repro.errors import QueryError
 from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
-from repro.mpc.server import ChunkedColumns, Server, held
+from repro.mpc.server import Server, held
 from repro.mpc.topology import Grid
-from repro.joins.base import chunk_step, stacked, step_result
-from repro.kernels.columnar import zip_rows
+from repro.joins.base import stacked
 from repro.kernels.join import cut_at_tags
 from repro.multiway.base import MultiwayRun
 from repro.query.cq import Atom, ConjunctiveQuery
@@ -46,26 +45,15 @@ def evaluate_pools(
     pattern, side by side); the pools are disjoint, so all their
     ``hypercube.eval`` calls ride one backend round-trip. Every server
     keeps its result under the pool's fragment; returned is each pool's
-    gathered output, in ``query``'s variable order.
-
-    A fragment held as column blocks travels as ``(None, columns)``: the
-    eval chunk builds the local relation straight from them.
+    gathered output, in ``query``'s variable order. A server's payload is
+    its fragments' columns, one list per atom.
     """
-    memo = cluster.stats.memo
     calls = []
     for servers, query, _fragment in pools:
-        payloads = []
-        for server in servers:
-            per_atom = []
-            for atom in query.atoms:
-                part = server.take(f"{atom.name}@hc")
-                if isinstance(part, ChunkedColumns):
-                    memo.fused_payloads += 1
-                    per_atom.append((None, part.arrays()))
-                else:
-                    memo.row_payloads += bool(part)
-                    per_atom.append((part, None))
-            payloads.append(per_atom)
+        payloads = [
+            [held(server.take(f"{atom.name}@hc"), atom.arity) for atom in query.atoms]
+            for server in servers
+        ]
         calls.append(("hypercube.eval", payloads, (query, local)))
     outputs = []
     for (servers, query, fragment), results in zip(pools, cluster.map_servers_batch(calls)):
@@ -126,7 +114,7 @@ def hypercube_join(
             if route_scattered_grid(cluster, rnd, rels[atom.name], fragments[atom.name], *route):
                 continue
             for server in cluster.servers:
-                try_route_grid(rnd, held(server.take(fragments[atom.name])), *route)
+                try_route_grid(rnd, held(server.take(fragments[atom.name]), atom.arity), *route)
 
     (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")], local)
     details: dict = {"shares": dict(shares)}
@@ -138,56 +126,33 @@ def hypercube_join(
 def hypercube_eval_chunk(payloads: list, common) -> list:
     """Exec task ``hypercube.eval``: evaluate the query on grid servers.
 
-    Each payload is the server's per-atom ``(rows, columns)`` pairs in
-    ``query.atoms`` order: fragment rows straight from the simulator,
-    adopted without re-validating arity, or — for a fragment held as
-    column blocks — ``None`` and the columns. A server with an empty
-    fragment produces ``None`` (no output stored). The chunk's all-columns
-    payloads are evaluated in one pass — the query with the server as one
-    more variable of every atom, over the fragments stacked server-major: a
-    left-deep plan keeps left order at every step, so the output is the
-    servers' outputs in server order. Row payloads, the ``generic`` evaluator
-    and a plan with a product step (both emit rows) go server by server;
-    the eval is column-driven either way, so
-    both payload shapes derive identical tuples.
+    Each payload is the server's per-atom columns, in ``query.atoms``
+    order. The left-deep plan evaluates the chunk in one pass — the query
+    with the server as one more variable of every atom, over the fragments
+    stacked server-major: a left-deep plan keeps left order at every step
+    (a product step is a join on the server), so the output is the
+    servers' outputs in server order. The ``generic`` evaluator binds
+    values in its own order, so it runs server by server.
     """
     query, local = common
-    seen: set[str] = set()
-    keyed = local == "plan"  # ... and every step of the left-deep plan has a key
-    for atom in query.atoms:
-        keyed = keyed and not (seen and seen.isdisjoint(atom.variables))
-        seen.update(atom.variables)
+    if local == "generic":
+        return [_generic(query, per_atom) for per_atom in payloads]
+    fragments = {
+        atom.name: stacked(atom.name, atom.variables, [per_atom[j] for per_atom in payloads])
+        for j, atom in enumerate(query.atoms)
+    }
+    tagged = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
+    return cut_at_tags(tagged.evaluate(fragments).columns(), len(payloads))
 
-    def one_pass(chunk: list) -> list | None:
-        fragments = {
-            atom.name: stacked(atom.name, atom.variables, [per_atom[j][1] for per_atom in chunk])
-            for j, atom in enumerate(query.atoms)
-        }
-        if None in fragments.values():
-            return None
-        tagged = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
-        result = tagged.evaluate(fragments)
-        return cut_at_tags(result.columns(), len(chunk)) if result.is_columnar else None
 
-    def by_rows(per_atom: list) -> "list | None":
-        if not all(len(cols[0] if rows is None else rows) for rows, cols in per_atom):
-            return None
-        local_fragments = {
-            atom.name: Relation.wrap(
-                atom.name, list(atom.variables), zip_rows(cols) if rows is None else rows
-            )
-            for atom, (rows, cols) in zip(query.atoms, per_atom)
-        }
-        if local == "generic":
-            from repro.multiway.wcoj import generic_join
+def _generic(query: ConjunctiveQuery, per_atom: list) -> tuple:
+    """One server's output columns under the worst-case optimal join."""
+    from repro.multiway.wcoj import generic_join
 
-            return step_result(generic_join(query, local_fragments))
-        return step_result(query.evaluate(local_fragments))
-
-    def fused(per_atom: list) -> bool:
-        return keyed and all(rows is None and len(cols[0]) for rows, cols in per_atom)
-
-    return chunk_step(payloads, fused, one_pass, by_rows)
+    return tuple(generic_join(query, {
+        atom.name: Relation.from_columns(atom.name, list(atom.variables), columns)
+        for atom, columns in zip(query.atoms, per_atom)
+    }).columns())
 
 
 def triangle_hypercube(

@@ -38,7 +38,7 @@ import numpy as np
 from repro.data.relation import Relation, union_all
 from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
-from repro.kernels.columnar import held_columns, take
+from repro.kernels.columnar import column_of
 from repro.kernels.join import lookup_codes
 from repro.kernels.memo import align, bound, cached_view, route_pools, value_degrees
 from repro.kernels.partition import stable_groups
@@ -126,11 +126,11 @@ def skewhc_join(
             owners, pools, evaluate_pools(cluster, pools)
         ):
             lengths = [len(server.get(fragment)) for server in servers]
-            parts.append(_expand(query, holders, gathered, lengths, memo))
+            parts.append(_expand(query, holders, gathered, lengths))
         runs.append(cluster.stats)
     if patterns and not patterns[-1][0].servers:
         # Every variable bound: the combinations themselves are the output.
-        parts.append(_expand(query, patterns[-1], None, [1] * len(patterns[-1]), memo))
+        parts.append(_expand(query, patterns[-1], None, [1] * len(patterns[-1])))
     stats = combine_parallel(p, runs)
     stats.memo = memo
     stats.pools = allocation
@@ -201,32 +201,21 @@ def _expand(
     jobs: Sequence[_ResidualJob],
     gathered: Relation | None,
     produced: Sequence[int],
-    memo: MemoStats,
 ) -> Relation:
     """A pattern's output in the query's variable order: the gathered
     residual columns, each residual's bound values broadcast as constant
     columns over the ``produced`` rows it contributed, every row repeated
     by its residual's vanished-atom multiplicity."""
-    free = {} if gathered is None else dict(
-        zip(gathered.schema.attributes, held_columns(gathered))
-    )
+    free = {} if gathered is None else dict(zip(gathered.schema.attributes, gathered.columns()))
     counts = np.asarray(produced, dtype=np.int64)
     times = np.array([job.multiplicity for job in jobs], dtype=np.int64)
     row = np.repeat(np.arange(int(counts.sum())), np.repeat(times, counts))
     owner = np.repeat(np.arange(len(jobs)), counts * times)
-    columns = []
-    for v in query.variables:
-        if v in free:
-            columns.append(take(free[v], row))
-            continue
-        values: Any = [job.bound[v] for job in jobs]
-        if set(map(type, values)) == {int}:
-            exact = np.asarray(values)
-            values = exact if exact.dtype.kind in "iu" else values
-        columns.append(take(values, owner))
-    out = Relation.from_held("OUT", query.variables, columns)
-    memo.row_payloads += len(out) > 0 and not out.is_columnar
-    return out
+    columns = [
+        free[v][row] if v in free else column_of([job.bound[v] for job in jobs])[owner]
+        for v in query.variables
+    ]
+    return Relation.from_columns("OUT", query.variables, columns)
 
 
 # ---------------------------------------------- classification and residuals
@@ -249,21 +238,20 @@ def _atom_view(rel: Relation, atom: Atom, ranked: dict[str, list]) -> dict:
 
 
 def _classify(rel: Relation, atom: Atom, values: tuple) -> dict:
-    columns = held_columns(rel)
+    columns = rel.columns()
     codes = [
         lookup_codes([column], [(value,) for value in heavy]) + 1
         for column, heavy in zip(columns, values)
     ]
     order, starts = stable_groups(codes)
-    columns = [take(c, order) for c in columns]
+    columns = [c[order] for c in columns]
     for column in columns:
-        if isinstance(column, np.ndarray):
-            column.flags.writeable = False  # shared by every slice below
+        column.flags.writeable = False  # shared by every slice below
     groups: dict[tuple, Any] = {}
     for lo, hi in zip(starts, starts[1:] + [len(order)]):
         key = tuple(int(c[order[lo]]) for c in codes)
         free = [i for i, code in enumerate(key) if not code]
-        groups[key] = Relation.from_held(
+        groups[key] = Relation.from_columns(
             atom.name, [atom.variables[i] for i in free], [columns[i][lo:hi] for i in free]
         ) if free else hi - lo
     return groups

@@ -525,8 +525,7 @@ class QueryService:
     @staticmethod
     def _detached(output: Relation) -> Relation:
         """A caller-safe view of a (possibly cached) result relation: a
-        fresh wrapper sharing a columnar result's arrays read-only
-        (O(arity)), or copying a row-primary one's tuple list — a caller's
+        fresh wrapper sharing its read-only arrays (O(arity)) — a caller's
         ``add``/``extend`` on it can never reach the cached entry."""
         return output.project(list(output.schema.attributes), name=output.name)
 

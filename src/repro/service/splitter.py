@@ -29,8 +29,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.data.relation import Relation, union_all
 from repro.errors import QueryError
+from repro.kernels.columnar import is_object
 from repro.kernels.memo import cached_view, forget
 from repro.query.cq import ConjunctiveQuery
 
@@ -50,10 +53,10 @@ def split_relation(
 
     ``attribute`` defaults to the relation's first attribute (larsql
     splits on the leading key column for the same reason: it always
-    exists). Fragments are column-primary when the input is; each keeps
-    the original schema, with the branch index appended to the name for
-    traceability. Values that are not integers fall back to the row
-    predicate path via Python's ``%`` on their hash.
+    exists). Each fragment keeps the original schema and shares nothing
+    writable, with the branch index appended to the name for
+    traceability. An ``object`` column's values split by Python's ``%``
+    (on their hash, for a value that is not an ``int``).
 
     The fragments are a memoized view of ``relation``
     (:func:`repro.kernels.memo.cached_view`): while it is unchanged
@@ -95,34 +98,20 @@ def split_relation(
 def _fragments(relation: Relation, k: int, index: int) -> list[Relation]:
     """The k ``value mod k`` fragments of ``relation`` on column ``index``."""
     cols = relation.columns()
-    branches: list[Relation] = []
-    if cols is not None:
-        key = cols[index]
-        residue = key % k          # numpy % matches Python's sign rule
-        for branch in range(k):
-            mask = residue == branch
-            branches.append(
-                Relation.from_columns(
-                    f"{relation.name}#{branch}",
-                    relation.schema,
-                    [c[mask] for c in cols],
-                )
-            )
-        return branches
-
-    def residue_of(value: object) -> int:
-        if isinstance(value, int):
-            return value % k
-        return hash(value) % k
-
-    for branch in range(k):
-        branches.append(
-            relation.select(
-                lambda row, b=branch: residue_of(row[index]) == b,
-                name=f"{relation.name}#{branch}",
-            )
+    key = cols[index]
+    if is_object(key):
+        residue = np.fromiter(
+            (v % k if isinstance(v, int) else hash(v) % k for v in key.tolist()),
+            dtype=np.int64, count=len(key),
         )
-    return branches
+    else:
+        residue = key % k          # numpy % matches Python's sign rule
+    return [
+        Relation.from_columns(
+            f"{relation.name}#{branch}", relation.schema, [c[residue == branch] for c in cols]
+        )
+        for branch in range(k)
+    ]
 
 
 def choose_split_atom(
@@ -177,9 +166,7 @@ def canonical(relation: Relation, name: str = "OUT") -> Relation:
     The common total order both sides of the byte-identity check are
     normalized to; duplicates are preserved (bag semantics).
     """
-    if relation.is_columnar:
-        return relation.sorted_by(relation.schema.attributes, name=name)
-    return Relation.wrap(name, relation.schema, sorted(relation.rows_readonly()))
+    return relation.sorted_by(relation.schema.attributes, name=name)
 
 
 def merge_branches(outputs: Sequence[Relation], name: str = "OUT") -> Relation:

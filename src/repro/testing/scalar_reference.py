@@ -7,11 +7,11 @@ Every key operation runs through one of six kernels —
 :func:`~repro.kernels.join.join_rows_columnar`,
 :func:`~repro.kernels.join.semijoin_mask` and
 :func:`~repro.kernels.join.lookup_codes` — and each takes every value. The
-per-row bodies they replaced live on here, moved and not rewritten: a
-``send`` per row (``memo.route``, ``hypercube_join``, the skew-aware
-semijoin's light rows), a dict index per join and a set per semijoin
-(``Relation.join``, ``Relation.semijoin``, the multi-semijoin filter).
-Each function has the signature of what it stands for.
+per-row bodies they replaced live on here: a ``send`` per row
+(``memo.route``, ``hypercube_join``, the skew-aware semijoin's light
+rows), a dict index per join and a set per semijoin (``Relation.join``,
+``Relation.semijoin``). Each function has the signature of what it
+stands for.
 ``tests/kernels/test_equivalence.py`` holds the kernels to these on every
 value type, and ``tests/holdings.py`` substitutes them for the kernels to
 run whole algorithms on the scalar rung.
@@ -31,16 +31,11 @@ from repro.mpc.topology import Grid
 Row = tuple[Any, ...]
 
 
-def _rows(data: Sequence) -> list[Row]:
-    """Held data — whole columns or a row list — as its rows."""
-    return zip_rows(data) if len(data) and isinstance(data[0], np.ndarray) else list(data)
-
-
 def try_route(
     rnd: Any, data: Sequence, key_idx: Sequence[int], h: HashFunction, fragment: str,
 ) -> None:
     """``try_route``: one ``send`` per row, to ``h`` of its key tuple."""
-    for row in _rows(data):
+    for row in zip_rows(data):
         rnd.send(h(tuple(row[i] for i in key_idx)), fragment, row)
 
 
@@ -52,7 +47,7 @@ def try_route_grid(
     (``strides`` are ``Grid(extents)``'s, as every caller passes them)."""
     grid = Grid(extents)
     hash_functions = [HashFunction(extent, salt) for extent, salt in zip(extents, salts)]
-    for row in _rows(data):
+    for row in zip_rows(data):
         partial: list[int | None] = [None] * len(extents)
         for value, dim in zip(row, column_dims):
             partial[dim] = hash_functions[dim](value)
@@ -61,11 +56,12 @@ def try_route_grid(
 
 
 def route_light(
-    rnd: Any, rows: list[Row], t_idx: tuple[int, ...], heavy: set[Row], h: Any,
+    rnd: Any, columns: Sequence[np.ndarray], t_idx: tuple[int, ...], heavy: list[Row], h: Any,
 ) -> list[Row]:
     """``multiway.base._route_light``: route light rows, keep heavy ones."""
+    heavy = set(heavy)
     stay = []
-    for row in rows:
+    for row in zip_rows(columns):
         key = tuple(row[i] for i in t_idx)
         if key in heavy:
             stay.append(row)  # no communication: stays in place
@@ -108,18 +104,6 @@ def semijoin_mask(
     """``semijoin_mask`` (and ``Relation.semijoin``): a set of the member keys."""
     members = set(member_keys)
     return np.array([tuple(row[i] for i in key_idx) in members for row in rows], dtype=bool)
-
-
-def filter_members(
-    rows: list[Row], t_idx: tuple[int, ...], key_lists: list[list[Row]],
-) -> list[Row]:
-    """``multiway.base._filter_members``: rows whose key is in every key set."""
-    key_sets = [set(keys) for keys in key_lists]
-    return [
-        row
-        for row in rows
-        if all(tuple(row[i] for i in t_idx) in ks for ks in key_sets)
-    ]
 
 
 def lookup_codes(key_cols: Sequence[Any], keys: Sequence[Row]) -> np.ndarray:

@@ -253,8 +253,8 @@ def _one_heavy_product(
         return [], cluster.stats
 
     if extra_idx:
-        left = Relation.wrap("Rb", [f"_l{i}" for i in range(r.schema.arity)], r_rows)
-        right = Relation.wrap(
+        left = Relation("Rb", [f"_l{i}" for i in range(r.schema.arity)], r_rows)
+        right = Relation(
             "Sb",
             [f"_r{i}" for i in range(len(extra_idx))],
             [tuple(row[i] for i in extra_idx) for row in s_rows],

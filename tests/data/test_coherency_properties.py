@@ -1,16 +1,16 @@
-"""Property-based coherency of the dual-representation Relation.
+"""Property-based coherency of a Relation's columns and its tuple view.
 
-A relation can be born row-primary (tuple constructor, ``wrap``) or
-column-primary (``from_columns``), then suffer any interleaving of
-mutations (``add``/``extend``), in-place edits of the lists ``rows()``
-hands out (the caller's copies: the relation never sees them) and
-accessor calls. Whatever the history, two invariants must hold at every
-step, on the kernels and on the scalar rung (``kernels=False``):
+A relation can be built from tuples (the constructor, which ``wrap``
+folded into) or from columns (``from_columns``), then suffer any
+interleaving of mutations (``add``/``extend``), in-place edits of the
+lists ``rows()`` hands out (the caller's copies: the relation never sees
+them) and accessor calls. Whatever the history, two invariants must hold
+at every step, on the kernels and on the scalar rung (``kernels=False``):
 
 - ``rows_readonly()`` equals the shadow list of tuples the operations
-  imply (the tuple view is the model's ground truth);
-- ``columns()``, when it returns arrays at all, equals a fresh
-  column extraction of that same shadow — never a stale snapshot.
+  imply;
+- ``columns()`` equals a fresh column build of that same shadow by the
+  one rule — never a stale snapshot.
 """
 
 from contextlib import nullcontext
@@ -21,18 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import exact, key_columns
+from repro.kernels.columnar import key_columns
 from tests.holdings import scalar_rung
 
 ARITY = 2
 
 values = st.integers(min_value=-(2**40), max_value=2**40)
 rows_st = st.tuples(*[values] * ARITY)
-
-
-def _fresh_columns(rows):
-    columns = key_columns(rows, range(ARITY))
-    return columns if exact(columns) else None
 
 
 def _rung(kernels):
@@ -42,13 +37,8 @@ def _rung(kernels):
 def _check_coherent(rel, shadow):
     assert rel.rows_readonly() == shadow
     assert len(rel) == len(shadow)
-    cols = rel.columns()
-    expected = _fresh_columns(shadow)
-    if expected is None:
-        return  # nothing to compare; columns() may also be None
-    if cols is None:
-        return  # declining the fast path is always allowed
-    assert [c.tolist() for c in cols] == [c.tolist() for c in expected]
+    expected = key_columns(shadow, range(ARITY))
+    assert [c.tolist() for c in rel.columns()] == [c.tolist() for c in expected]
 
 
 # One operation = (tag, payload); payloads are drawn up front so the
@@ -75,8 +65,8 @@ def _build(start, initial):
             for i in range(ARITY)
         ]
         return Relation.from_columns("R", ["x", "y"], cols)
-    if start == "wrap":
-        return Relation.wrap("R", ["x", "y"], list(initial))
+    if start == "wrap":  # the constructor, over a list of the caller's
+        return Relation("R", ["x", "y"], list(initial))
     return Relation("R", ["x", "y"], initial)
 
 
@@ -118,7 +108,7 @@ def test_any_interleaving_stays_coherent(kernels, start, initial, ops):
 @settings(max_examples=60, deadline=None)
 @given(initial=st.lists(rows_st, min_size=1, max_size=8))
 def test_join_agrees_across_representations(kernels, initial):
-    """Row-primary and column-primary builds of the same bag join alike."""
+    """Builds of the same bag from rows and from columns join alike."""
     with _rung(kernels):
         by_rows = Relation("R", ["x", "y"], initial)
         by_cols = _build("from_columns", initial)

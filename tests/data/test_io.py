@@ -56,3 +56,15 @@ class TestRoundtrip:
         write_csv(s, ps)
         j = read_csv(pr).join(read_csv(ps))
         assert j.rows() == [(1, 2, 3)]
+
+
+class TestOneConstructorCall:
+    def test_a_load_moves_no_token_and_keeps_every_value_type(self, tmp_path):
+        rows = [(i, f"s{i}", i + 0.5) for i in range(500)]
+        path = tmp_path / "big.csv"
+        write_csv(Relation("B", ["i", "s", "f"], rows), path)
+        loaded = read_csv(path)
+        assert loaded.mutation_token() == 0   # built in one call, not 500 adds
+        assert loaded.rows() == rows
+        assert [tuple(map(type, row)) for row in loaded.rows()] == [(int, str, float)] * 500
+        assert [c.dtype.kind for c in loaded.columns()] == ["i", "O", "O"]

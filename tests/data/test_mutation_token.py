@@ -1,14 +1,14 @@
-"""Regressions for the dual-representation coherency machinery.
+"""Regressions for the coherency of a relation's columns and its token.
 
 PR 3 cached ``Relation.columns()`` keyed on ``len(rows)`` only, so a
 *same-length* in-place rewrite of a list handed out by ``rows()`` (or
-adopted by ``wrap()``) kept serving the stale arrays — the kernels then
-joined data that no longer existed. A relation now owns what it holds:
-``rows()`` hands out a copy and ``wrap()`` stores one, so such a rewrite
-cannot reach it at all, and the mutation token moves exactly on
-``add``/``extend``. These tests pin the scenarios the length key missed
-to that contract: nothing a caller does to a handed-out list is ever
-served.
+adopted by the since-retired ``wrap()``) kept serving the stale arrays —
+the kernels then joined data that no longer existed. A relation now is
+its columns: ``rows()`` hands out a copy and the constructor reads the
+caller's list into columns of its own, so such a rewrite cannot reach it
+at all, and the mutation token moves exactly on ``add``/``extend``. These
+tests pin the scenarios the length key missed to that contract: nothing
+a caller does to a handed-out list is ever served.
 """
 
 import numpy as np
@@ -33,8 +33,10 @@ class TestStaleColumnRegression:
         assert rel.rows() == [(1, 2), (3, 4)] and rel.mutation_token() == 0
 
     def test_same_length_rewrite_via_wrap_is_seen(self):
+        # wrap() folded into the constructor, which keeps the caller's list
+        # no more than wrap() did.
         rows = [(1, 10), (2, 20), (3, 30)]
-        rel = Relation.wrap("R", ["x", "y"], rows)
+        rel = Relation("R", ["x", "y"], rows)
         assert [c.tolist() for c in rel.columns()] == [[1, 2, 3], [10, 20, 30]]
         rows[1] = (7, 70)  # the caller's list, not the relation's snapshot
         assert [c.tolist() for c in rel.columns()] == [[1, 2, 3], [10, 20, 30]]
@@ -51,9 +53,11 @@ class TestStaleColumnRegression:
         assert sorted(rel.join(other).rows_readonly()) == [(1, 2, 5), (1, 9, 6)]
 
     def test_extraction_is_cached_after_rows(self):
+        # The columns are the relation itself: the same arrays before and
+        # after a hand-out, whatever the caller does to it.
         rel = Relation("R", ["x"], [(1,), (2,)])
-        rel.rows().append((3,))
         first = rel.columns()
+        rel.rows().append((3,))
         assert rel.columns() is first and first[0].tolist() == [1, 2]
 
     def test_unborrowed_extraction_is_cached(self):
@@ -103,24 +107,24 @@ class TestMutationToken:
         columns = rel.columns()
         live = rel.rows()
         live.append((3,))
-        assert rel.is_columnar and rel.columns() is columns
+        assert rel.columns() is columns
         assert rel.columns()[0].tolist() == [1, 2] and rel.mutation_token() == 0
 
 
 class TestWrapArityCheck:
-    """Satellite 3: wrap() must reject malformed rows at the boundary."""
+    """The constructor (which wrap() folded into) rejects malformed rows at
+    the boundary."""
 
     def test_wrong_arity_first_row_raises(self):
         with pytest.raises(SchemaError, match="arity"):
-            Relation.wrap("R", ["x", "y"], [(1, 2, 3)])
+            Relation("R", ["x", "y"], [(1, 2, 3)])
 
     def test_wrong_arity_later_row_raises_in_debug(self):
-        # The full scan is a __debug__ assertion; pytest runs with
-        # assertions enabled, so the deep malformed row surfaces too.
+        # Every row is checked, in debug runs and optimized ones alike.
         with pytest.raises(SchemaError, match="arity"):
-            Relation.wrap("R", ["x", "y"], [(1, 2), (3,)])
+            Relation("R", ["x", "y"], [(1, 2), (3,)])
 
     def test_empty_and_valid_lists_pass(self):
-        assert len(Relation.wrap("R", ["x", "y"], [])) == 0
-        rel = Relation.wrap("R", ["x", "y"], [(1, 2), (3, 4)])
+        assert len(Relation("R", ["x", "y"], [])) == 0
+        rel = Relation("R", ["x", "y"], [(1, 2), (3, 4)])
         assert rel.rows_readonly() == [(1, 2), (3, 4)]

@@ -1,11 +1,12 @@
 """A relation owns what it holds.
 
-``rows()`` hands out a fresh list, ``wrap()`` stores a snapshot of the
-caller's list, and every array a relation holds is read-only:
-``from_columns()`` freezes an array it can own in place, copies a
-writable view once, and adopts a read-only array as is. So nothing a
-caller keeps — a handed-out list, the list it wrapped, the array it built
-from, the arrays ``columns()`` returns — can change a relation, the
+``rows()`` hands out a fresh list, the constructor (which ``wrap()``
+folded into) reads the caller's list into columns of its own, and every
+array a relation holds is read-only: ``from_columns()`` freezes an array
+it can own in place, copies a writable view once, and adopts a read-only
+array as is. So nothing a caller keeps — a handed-out list, the list it
+built from, the array it built from, the arrays ``columns()`` returns —
+can change a relation, the
 mutation token moves exactly on ``add``/``extend``, and every cache keyed
 on ``(identity, token)`` serves the current rows: a warm answer is
 byte-identical to a cold one.
@@ -41,8 +42,8 @@ def _held(how, rows=((1, 10), (2, 20), (3, 30))):
         return Relation.from_columns("R", ["x", "y"], [
             np.array([row[0] for row in rows]), np.array([row[1] for row in rows])
         ])
-    if how == "wrap":
-        return Relation.wrap("R", ["x", "y"], rows)
+    if how == "wrap":  # the constructor, over a list the caller keeps
+        return Relation("R", ["x", "y"], rows)
     return Relation("R", ["x", "y"], rows)
 
 
@@ -69,7 +70,7 @@ class TestRowsIsACopy:
     @pytest.mark.parametrize("how", ["columns", "rows", "wrap"])
     def test_editing_the_copy_changes_nothing(self, how):
         rel = _held(how)
-        columns, columnar = rel.columns(), rel.is_columnar
+        columns = rel.columns()
         rows, token = rel.rows_readonly()[:], rel.mutation_token()
         live = rel.rows()
         live[0] = (9, 9)            # same length: what a length key missed
@@ -77,13 +78,13 @@ class TestRowsIsACopy:
         live.reverse()
         assert rel.rows_readonly() == rows and rel.rows() == rows
         assert rel.columns() is columns and _columns(rel) == [[1, 2, 3], [10, 20, 30]]
-        assert rel.mutation_token() == token and rel.is_columnar == columnar
+        assert rel.mutation_token() == token
 
 
 class TestWrapSnapshots:
     def test_an_edit_to_the_source_list_is_not_seen(self):
         source = [(1, 10), (2, 20)]
-        rel = Relation.wrap("R", ["x", "y"], source)
+        rel = Relation("R", ["x", "y"], source)
         assert _columns(rel) == [[1, 2], [10, 20]]
         source[0] = (7, 70)
         source.append((3, 30))
@@ -168,7 +169,6 @@ class TestHeldArraysAreReadOnly:
     @pytest.mark.parametrize("how", ["columns", "rows"])
     def test_a_pickle_round_trip_keeps_every_held_array_read_only(self, how):
         rel = _held(how)
-        rel.columns()  # a row-primary relation caches its extraction
         back = pickle.loads(pickle.dumps(rel))
         assert _columns(back) == _columns(rel)
         assert not any(c.flags.writeable for c in back.columns())
@@ -192,7 +192,8 @@ class TestHeldArraysAreReadOnly:
 
 class TestTheCliffIsGone:
     """A p = 8 warm hash join stayed ~4x slower for good after one
-    ``R.rows()``: R was demoted to rows and its plan never replayed."""
+    ``R.rows()``: R was demoted to rows and its plan never replayed. A
+    relation now is its columns; a tuple view is only ever derived."""
 
     def test_a_warm_query_after_rows_still_replays(self):
         g = np.random.default_rng(7)
@@ -207,7 +208,6 @@ class TestTheCliffIsGone:
         assert again.stats.memo.partition_hits == warm.stats.memo.partition_hits
         assert again.stats.memo.hash_ops == 0
         assert again.explain is warm.explain
-        assert r.is_columnar and s.is_columnar
         assert again.output.rows_readonly() == warm.output.rows_readonly()
 
 
@@ -242,7 +242,7 @@ def _observed(result):
 @given(r_rows=rows_st, s_rows=rows_st, ops=operations)
 def test_any_interleaving_answers_what_a_cold_engine_does(r_rows, s_rows, ops):
     """Whatever a caller does with what it holds — edit a ``rows()``
-    copy, edit a list it wrapped, write an array it built from or one
+    copy, edit a list it built from, write an array it built from or one
     ``columns()`` returned (both raise) — only ``add``/``extend`` change
     what the engine answers: after every query the warm result equals a
     cold engine's over fresh copies of the shadow state (rows, their
@@ -258,7 +258,7 @@ def test_any_interleaving_answers_what_a_cold_engine_does(r_rows, s_rows, ops):
             live[0] = payload
         elif tag == "wrap":
             source = list(payload)
-            engine.register(Relation.wrap(target, ATTRS[target], source))
+            engine.register(Relation(target, ATTRS[target], source))
             shadow[target] = list(payload)
             source.append((0, 0))
             source[0] = (5, 5)

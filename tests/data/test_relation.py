@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -127,6 +128,20 @@ class TestJoin:
         empty = Relation("B", ["w"], [])
         assert len(r.semijoin(nonempty)) == len(r)
         assert len(r.semijoin(empty)) == 0
+
+
+class TestFromColumns:
+    def test_an_empty_value_list_is_an_empty_int64_column(self):
+        # np.asarray([]) is float64, which from_columns once refused.
+        rel = Relation.from_columns("R", ["x", "y"], [[], []])
+        assert len(rel) == 0 and rel.rows() == []
+        assert [c.dtype for c in rel.columns()] == [np.int64, np.int64]
+
+    def test_value_lists_go_by_the_one_rule(self):
+        rel = Relation.from_columns("R", ["x", "y", "z"], [[1, 2], [2**63 + 1, 3], ["a", True]])
+        assert [c.dtype for c in rel.columns()] == [np.int64, np.uint64, object]
+        assert rel.rows() == [(1, 2**63 + 1, "a"), (2, 3, True)]
+        assert type(rel.rows()[1][2]) is bool
 
 
 class TestUnionAll:

@@ -1,12 +1,11 @@
 """Regression tests for the Relation concurrency contract.
 
 The module docstring of :mod:`repro.data.relation` promises that
-concurrent *readers* are safe — including racing lazy derivations
-(column-primary rows, row-primary column caches) and ``rows()`` copies
-handed out while others read. These tests hammer those paths from many
-barrier-started threads; before the internal lock, racing
-``_materialize``/``columns`` calls could observe half-built caches or
-double-derive into inconsistent state.
+concurrent *readers* are safe — including racing lazy derivations of
+the tuple view and ``rows()`` copies handed out while others read. These
+tests hammer those paths from many barrier-started threads; before the
+internal lock, racing ``_materialize``/``columns`` calls could observe
+half-built caches or double-derive into inconsistent state.
 """
 
 import threading
@@ -40,7 +39,7 @@ def hammer(n_threads, fn):
 
 
 def test_concurrent_row_derivation_from_columns():
-    """Racing lazy row materialization on a column-primary relation."""
+    """Racing lazy row materialization on a relation built from columns."""
     rel = Relation.from_columns(
         "R", ["a", "b"],
         [np.arange(5000), np.arange(5000) % 17],
@@ -52,7 +51,7 @@ def test_concurrent_row_derivation_from_columns():
 
 
 def test_concurrent_column_derivation_from_rows():
-    """Racing lazy column extraction on a row-primary relation."""
+    """Racing column readers on a relation built from tuples."""
     rel = Relation("R", ["a", "b"], [(i, i % 13) for i in range(4000)])
     expected_a = list(range(4000))
 
@@ -96,11 +95,12 @@ def test_concurrent_mixed_readers_agree():
 
 def test_borrow_demote_race_with_readers():
     """rows() copies handed out (and edited) while other threads read
-    never tear state, demote, or move the token."""
+    never tear state, replace the columns, or move the token."""
     for _ in range(5):
         rel = Relation.from_columns(
             "R", ["a", "b"], [np.arange(500), np.arange(500) % 3]
         )
+        columns = rel.columns()
         expected = [(int(i), int(i % 3)) for i in range(500)]
 
         def access(index):
@@ -112,7 +112,7 @@ def test_borrow_demote_race_with_readers():
             return list(rel.rows_readonly())
 
         outcomes = hammer(6, access)
-        assert rel.is_columnar and rel.mutation_token() == 0
+        assert rel.columns() is columns and rel.mutation_token() == 0
         for rows in outcomes:
             assert rows == expected
 

@@ -1,7 +1,7 @@
 """One answer, three ways to hold it: shared builders for the result-plane suites.
 
 A *case* is ``{relation name: (attributes, rows)}``. :func:`holdings`
-builds it column-primary, row-primary and handed-out (the first only when
+builds it from columns, from rows and handed-out (the first only when
 every value is a plain int), :func:`observe` reduces a run to everything
 a caller can see, and :func:`assert_one_answer` checks that all holdings
 agree with each other, with the scalar rung (:func:`scalar_rung`) and, as
@@ -49,7 +49,6 @@ def scalar_rung():
         (join.semijoin_mask, reference.semijoin_mask),
         (join.lookup_codes, reference.lookup_codes),
         (base._route_light, reference.route_light),
-        (base._filter_members, reference.filter_members),
         (memo.route_scattered, never),
         (memo.route_scattered_grid, never),
     )}
@@ -71,10 +70,10 @@ def _plain(rows):
 
 
 def hold(name, attrs, rows, how):
-    """``rows`` as a relation held ``how``: columns / rows / borrowed.
+    """``rows`` as a relation built ``how``: columns / rows / borrowed.
 
-    ``"borrowed"`` keeps its old key but now means *handed out*: held as
-    columns when every value is a plain int (else as rows), then its
+    ``"borrowed"`` keeps its old key but now means *handed out*: built from
+    columns when every value is a plain int (else from rows), then its
     ``rows()`` list handed out and edited — which must change nothing.
     """
     if how == "borrowed":
@@ -158,7 +157,7 @@ def assert_one_answer(run, case, p, oracle):
 
     ``run(relations, p) -> (output, stats)``. Returns ``{how: (output,
     stats)}`` of the kernel-rung runs for shape assertions. An all-int
-    holding is still column-primary afterwards, handed-out ones included.
+    holding still holds integer columns afterwards, handed-out ones included.
     """
     held = holdings(case)
     with audited(), scalar_rung():
@@ -171,7 +170,9 @@ def assert_one_answer(run, case, p, oracle):
         with audited():
             output, stats = run(relations, p)
         assert observe(output, stats) == want, how
-        if how != "rows" and all(_plain(rows) for _attrs, rows in case.values()):
-            assert all(rel.is_columnar for rel in relations.values()), how
+        if all(_plain(rows) for _attrs, rows in case.values()):
+            assert all(
+                c.dtype.kind in "iu" for rel in relations.values() for c in rel.columns()
+            ), how
         results[how] = (output, stats)
     return results

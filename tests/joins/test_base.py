@@ -58,7 +58,7 @@ class TestLocalJoin:
         left_schema = Relation("L", ["x", "y"], [])
         right_schema = Relation("R", ["y", "z"], [])
         local_join(server, "L", "R", left_schema, right_schema, "out")
-        assert server.get("out") == [(1, 2, 9)]
+        assert list(server.get("out")) == [(1, 2, 9)]
         assert server.get("L") == []  # consumed
         assert server.get("R") == []
 

@@ -1,14 +1,13 @@
 """The result plane of the two-way joins: columns out, the same answer.
 
-For hash / broadcast / skew joins, every way of holding an input
-(column-primary, row-primary, rows handed out and edited) and every
-input kind (plain
-ints, string keys, a ``uint64`` column above ``int64`` max, a
+For hash / broadcast / skew joins, every way of building an input
+(from columns, from rows, rows handed out and edited) and every input
+kind (plain ints, string keys, a ``uint64`` column above ``int64`` max, a
 ``bool``-bearing column, float keys meeting equal ints, an empty side)
 must observe exactly what the scalar rung observes — rows in order with
 their types, schema, name, per-round loads, C and the audit report —
-and output the oracle's bag, while the output is column-primary exactly
-when every server's local step could stay columnar.
+and output the oracle's bag, in integer columns exactly when every input
+value is a plain int and in ``object`` columns where one is not.
 """
 
 from contextlib import nullcontext
@@ -56,23 +55,22 @@ def _oracle(relations):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_one_answer_three_ways_to_hold_it(name, kind, p):
     results = assert_one_answer(_run(ALGORITHMS[name]), KINDS[kind], p, _oracle)
-    for how, (output, stats) in results.items():
-        memo = stats.memo
+    for how, (output, _stats) in results.items():
+        columns = output.columns()
+        assert not any(column.flags.writeable for column in columns), how
         if kind in ("int", "uint64-payload", "uint64-key"):
-            # Every non-empty local step stayed columnar — skew_join's
-            # products of the heavy keys included, and a uint64 key above
-            # int64 max, which is coded by value ...
-            assert memo.row_payloads == 0, how
-            assert output.is_columnar == (len(output) > 0), how
+            # Integer columns end to end — skew_join's products of the
+            # heavy keys included, and a uint64 key above int64 max, which
+            # is coded by value ...
+            assert all(column.dtype.kind in "iu" for column in columns), how
             for row in output.rows_readonly():
                 assert all(type(v) is int for v in row)
-        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
-            # ... and a column numpy cannot hold exactly travels as rows:
-            # a counted payload shape, never a silent one.
-            assert not output.is_columnar, how
-            assert memo.fused_payloads == 0 and memo.row_payloads > 0, how
-        else:
-            assert len(output) == 0 and memo.row_payloads == 0, how
+        elif kind in ("string-keyed", "bool-payload"):
+            # ... and a value numpy cannot hold exactly rides an object
+            # column, which hands back the very value.
+            assert any(column.dtype == object for column in columns), how
+        elif kind == "empty-side":
+            assert len(output) == 0, how
 
 
 def test_bools_and_strings_keep_their_types():
@@ -84,15 +82,15 @@ def test_bools_and_strings_keep_their_types():
 
 
 def test_mixed_per_server_results_gather_in_server_order():
-    # Server 1's step fell back to rows; the gather degrades to the row
-    # list and keeps server order.
+    # Server 1 holds a row list (a per-tuple sender's); the gather reads it
+    # by the one column rule and keeps server order.
     cluster = Cluster(3)
     blocks = [(np.array([1, 2]), np.array([10, 20])), [(3, 30)], (np.array([4]), np.array([40]))]
     for server, block in zip(cluster.servers, blocks):
         server.append_result("out", block)
     assert [len(server.get("out")) for server in cluster.servers] == [2, 1, 1]
     gathered = cluster.gather_relation("out", "OUT", ["a", "b"])
-    assert not gathered.is_columnar
+    assert [column.dtype for column in gathered.columns()] == [np.int64, np.int64]
     assert gathered.rows_readonly() == [(1, 10), (2, 20), (3, 30), (4, 40)]
     assert cluster.gather("out") == gathered.rows_readonly()
     gathered.rows().clear()  # the caller's copy: neither the gather nor the store moves
@@ -100,7 +98,7 @@ def test_mixed_per_server_results_gather_in_server_order():
     # Without the row contribution the same blocks concatenate column-wise.
     cluster.servers[1].put("out", [])
     columnar = cluster.gather_relation("out", "OUT", ["a", "b"])
-    assert columnar.is_columnar and columnar.mutation_token() == 0
+    assert columnar.mutation_token() == 0
     assert columnar.rows_readonly() == [(1, 10), (2, 20), (4, 40)]
 
 
@@ -150,20 +148,19 @@ def test_inline_and_process_backends_agree():
         for backend in ("inline", "process"):
             with use_backend(backend, workers=2):
                 output, stats = _run(algorithm)(relations, 3)  # no key is heavy at p = 3
-            seen.append((observe(output, stats), output.is_columnar,
-                         stats.memo.fused_payloads, stats.memo.row_payloads))
+            seen.append((observe(output, stats), [c.dtype for c in output.columns()]))
         assert seen[0] == seen[1], name
-        assert seen[0][1] and seen[0][3] == 0, name
+        assert all(dtype == np.int64 for dtype in seen[0][1]), name
 
 
 def test_no_row_list_is_built_before_the_caller_asks(monkeypatch):
     # Between the shuffle's delivery and the caller's first rows(): no row
-    # assembly in the join kernel, no row-branch projection, no rows
-    # pushed through Relation.__init__.
-    calls = {"join_rows": 0, "init_rows": 0, "project_rows": 0}
+    # assembly in the join kernel, no tuple view derived, no rows pushed
+    # through Relation.__init__.
+    calls = {"join_rows": 0, "init_rows": 0, "derived_rows": 0}
     real_join = join_kernels.join_rows_columnar
     real_init = Relation.__init__
-    real_project = Relation.project
+    real_materialize = Relation._materialize
 
     def counting_join(*args, **kwargs):
         calls["join_rows"] += 1
@@ -174,19 +171,18 @@ def test_no_row_list_is_built_before_the_caller_asks(monkeypatch):
         calls["init_rows"] += bool(rows)
         real_init(self, name, schema, rows)
 
-    def counting_project(self, attributes, name=None):
-        calls["project_rows"] += not self.is_columnar
-        return real_project(self, attributes, name=name)
+    def counting_materialize(self):
+        calls["derived_rows"] += 1
+        return real_materialize(self)
 
     relations = {n: hold(n, a, rows, "columns") for n, (a, rows) in CASE.items()}
-    monkeypatch.setattr("repro.joins.base.join_rows_columnar", counting_join)
-    monkeypatch.setattr("repro.data.relation.join_rows_columnar", counting_join)
+    monkeypatch.setattr("repro.kernels.join.join_rows_columnar", counting_join)
     monkeypatch.setattr(Relation, "__init__", counting_init)
-    monkeypatch.setattr(Relation, "project", counting_project)
+    monkeypatch.setattr(Relation, "_materialize", counting_materialize)
     for algorithm in (parallel_hash_join, broadcast_join):
         output = algorithm(relations["R"], relations["S"], 4).output
-        assert output.is_columnar
-    assert calls == {"join_rows": 0, "init_rows": 0, "project_rows": 0}
+        assert all(column.dtype == np.int64 for column in output.columns())
+    assert calls == {"join_rows": 0, "init_rows": 0, "derived_rows": 0}
 
 
 class TestSkewJoinSplitsWithAMask:
@@ -218,7 +214,7 @@ class TestSkewJoinSplitsWithAMask:
         assert [rd.received for rd in got.stats.rounds] == \
             [rd.received for rd in want.stats.rounds]
         if case == "no-heavy":
-            assert got.output.is_columnar
+            assert all(column.dtype == np.int64 for column in got.output.columns())
 
     def test_light_part_is_the_lambda_selection(self):
         from repro.joins.skew_join import _light_part
@@ -229,7 +225,7 @@ class TestSkewJoinSplitsWithAMask:
             rel = hold("R", ["x", "a", "b"], rows, how)
             light = _light_part(rel, ("a", "b"), heavy)
             assert light.rows_readonly() == self._lambda_light(rel, (1, 2), set(heavy))
-            assert light.is_columnar
+            assert all(column.dtype == np.int64 for column in light.columns())
             assert _light_part(rel, ("a", "b"), []) is rel
         strings = Relation("R", ["x", "a"], [(i, f"k{i % 3}") for i in range(9)])
         light = _light_part(strings, ("a",), [("k0",)])

@@ -1,11 +1,12 @@
 """One local step per chunk: the pass ≡ the per-server loop, byte for byte.
 
 ``join.fragments``, ``semijoin.filter`` and ``hypercube.eval`` run a
-chunk's columns-only payloads as one kernel pass keyed on ``(server, key)``
-and cut the output at the server boundaries. The per-payload bodies they
-replaced live in :mod:`repro.testing.chunk_reference`; every case here
-holds the tasks to them — values, dtype, and whether a server's result is
-a tuple of columns, a row list or ``None`` — and pins that it *is* one
+chunk's payloads — columns only — as one kernel pass keyed on ``(server,
+key)`` and cut the output at the server boundaries. The per-payload
+bodies they replaced live in :mod:`repro.testing.chunk_reference`; every
+case here holds the tasks to them — a tuple of columns per server, equal
+in values and value types, and in dtype unless the chunk's servers differ
+in it (their blocks then stack as ``object``) — and pins that it *is* one
 pass (a counting ``join_indices``).
 """
 
@@ -26,7 +27,7 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
 from repro.kernels import join as join_kernels
-from repro.kernels.columnar import pack_columns, zip_rows
+from repro.kernels.columnar import column_of, pack_columns, zip_rows
 from repro.kernels.join import code_key_columns
 from repro.kernels.memo import clear_memo
 from repro.multiway.base import semijoin_filter_chunk, shuffle_multi_semijoin
@@ -52,16 +53,17 @@ def inline_backend():
 
 
 def same(got, want):
-    """Two chunk results agree in shape, dtype and value, server by server."""
+    """Two chunk results agree server by server: a tuple of columns each,
+    equal in values and value types, and in dtype unless the pass stacked
+    servers of different dtypes as ``object``."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert type(g) is type(w), (g, w)
-        if isinstance(w, tuple):
-            assert len(g) == len(w)
-            for gc, wc in zip(g, w):
-                assert gc.dtype == wc.dtype and gc.tolist() == wc.tolist()
-        elif w is not None:
-            assert g == w and [list(map(type, r)) for r in g] == [list(map(type, r)) for r in w]
+        assert isinstance(g, tuple) and isinstance(w, tuple), (g, w)
+        assert len(g) == len(w)
+        for gc, wc in zip(g, w):
+            assert gc.dtype == wc.dtype or gc.dtype == object, (gc.dtype, wc.dtype)
+            assert gc.tolist() == wc.tolist()
+            assert list(map(type, gc.tolist())) == list(map(type, wc.tolist()))
 
 
 def ints(rng, n, lo, hi, dtype=np.int64):
@@ -101,7 +103,7 @@ def join_payloads(m, width, kind, seed=0):
                 cols.append(col)
             return cols
 
-        payloads.append((None, side(left_schema, n_left), None, side(right_schema, n_right)))
+        payloads.append((side(left_schema, n_left), side(right_schema, n_right)))
     return payloads
 
 
@@ -113,35 +115,41 @@ def join_payloads(m, width, kind, seed=0):
 def test_join_chunk_is_the_per_server_joins(m, width, kind):
     payloads, common = join_payloads(m, width, kind), JOIN_COMMONS[width]
     want = reference.join_fragment_chunk(payloads, common)
-    same(join_fragment_chunk(payloads, common), want)
-    assert all(isinstance(result, tuple) for result in want)
+    got = join_fragment_chunk(payloads, common)
+    same(got, want)
+    assert all(column.dtype == np.int64 for result in got for column in result)
 
 
 @pytest.mark.parametrize("m", M_VALUES)
-def test_join_chunk_takes_the_row_rung_where_the_servers_cannot_be_coded_as_one(m):
+def test_join_chunk_takes_the_row_rung_where_the_servers_cannot_be_coded_as_one(m, monkeypatch):
+    # (Named for the per-server row rung such a chunk once took: now its
+    # servers of every dtype are coded as one, in one pass.)
     common = JOIN_COMMONS[1]
     payloads = join_payloads(m, 1, "duplicates")
-    # Server 0 holds its key as uint64 (small values: still codable alone) …
-    _, l_cols, _, r_cols = payloads[0]
-    payloads[0] = (None, [l_cols[0], l_cols[1].astype(np.uint64)], None,
-                   [r_cols[0].astype(np.uint64), r_cols[1]])
-    # … the last one holds a key above int64 max (coded by value, still columns) …
+    # Server 0 holds its key as uint64 (small values) …
+    l_cols, r_cols = payloads[0]
+    payloads[0] = ([l_cols[0], l_cols[1].astype(np.uint64)], [r_cols[0].astype(np.uint64), r_cols[1]])
+    # … the next one holds a key above int64 max (coded by value) …
     big = np.array([BIG, BIG + 1], dtype=np.uint64)
-    payloads.append((None, [np.array([7, 8]), big], None, [big[::-1].copy(), np.array([1, 2])]))
-    # … and rows, strings and an empty pair ride in the same chunk.
-    payloads.append(([(1, "x"), (2, "y")], None, [("x", 5), ("x", 6)], None))
-    payloads.append(([], None, [], None))
+    payloads.append(([np.array([7, 8]), big], [big[::-1].copy(), np.array([1, 2])]))
+    # … and strings and an empty pair ride in the same chunk.
+    payloads.append(([np.array([1, 2]), column_of(["x", "y"])],
+                     [column_of(["x", "x"]), np.array([5, 6])]))
+    payloads.append(([np.empty(0, dtype=np.int64)] * 2, [np.empty(0, dtype=np.int64)] * 2))
     want = reference.join_fragment_chunk(payloads, common)
-    same(join_fragment_chunk(payloads, common), want)
-    assert isinstance(want[0], tuple) and want[0][1].dtype == np.uint64
-    assert isinstance(want[-3], tuple) and zip_rows(want[-3]) == [(7, BIG, 2), (8, BIG + 1, 1)]
-    assert want[-2] == [(1, "x", 5), (1, "x", 6)] and want[-1] == []
+    calls = counted(monkeypatch)
+    got = join_fragment_chunk(payloads, common)
+    assert len(calls) == 1
+    same(got, want)
+    assert want[0][1].dtype == np.uint64
+    assert zip_rows(got[-3]) == [(7, BIG, 2), (8, BIG + 1, 1)]
+    assert zip_rows(got[-2]) == [(1, "x", 5), (1, "x", 6)] and zip_rows(got[-1]) == []
 
 
 def test_a_chunk_of_all_uint64_keys_passes_as_one_and_keeps_the_dtype(monkeypatch):
     rng = np.random.default_rng(5)
     payloads = [
-        (None, [ints(rng, 6, 0, 9), ints(rng, 6, 0, 3, np.uint64)], None,
+        ([ints(rng, 6, 0, 9), ints(rng, 6, 0, 3, np.uint64)],
          [ints(rng, 5, 0, 3, np.uint64), ints(rng, 5, 0, 9)])
         for _ in range(4)
     ]
@@ -152,12 +160,13 @@ def test_a_chunk_of_all_uint64_keys_passes_as_one_and_keeps_the_dtype(monkeypatc
     assert all(result[1].dtype == np.uint64 for result in got)
 
 
-def test_a_product_has_no_key_to_tag_and_stays_rows():
+def test_a_product_is_a_join_on_the_server_alone():
     common = ("L", Schema(["a"]), "R", Schema(["b"]))
-    payloads = [(None, [np.array([1, 2])], None, [np.array([3, 4, 5])]) for _ in range(3)]
+    payloads = [([np.array([1, 2])], [np.array([3, 4, 5])]) for _ in range(3)]
     want = reference.join_fragment_chunk(payloads, common)
-    same(join_fragment_chunk(payloads, common), want)
-    assert want[0] == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
+    got = join_fragment_chunk(payloads, common)
+    same(got, want)
+    assert zip_rows(got[0]) == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
 
 
 small = st.integers(-3, 3)
@@ -173,7 +182,7 @@ def test_any_chunk_joins_as_its_servers_do(chunk):
     def columns(rows):
         return [np.array([row[i] for row in rows], dtype=np.int64) for i in range(3)]
 
-    payloads = [(None, columns(left), None, columns(right)) for left, right in chunk]
+    payloads = [(columns(left), columns(right)) for left, right in chunk]
     same(join_fragment_chunk(payloads, JOIN_COMMONS[2]),
          reference.join_fragment_chunk(payloads, JOIN_COMMONS[2]))
 
@@ -195,7 +204,8 @@ def semijoin_payloads(m, width, kind, seed=0):
             keys(0 if kind == "empty-reducer" and server % 3 == r else int(rng.integers(1, 9)))
             for r in range(2)
         ]
-        payloads.append((reducers, (ints(rng, n, 0, 50), *keys(n)), []))
+        stay = [np.empty(0, dtype=np.int64)] * (width + 1)
+        payloads.append((reducers, [ints(rng, n, 0, 50), *keys(n)], stay))
     return payloads, (tuple(range(1, width + 1)), ())
 
 
@@ -208,18 +218,24 @@ def test_semijoin_chunk_is_the_per_server_filters(m, width, kind):
     payloads, common = semijoin_payloads(m, width, kind)
     want = reference.semijoin_filter_chunk(payloads, common)
     same(semijoin_filter_chunk(payloads, common), want)
-    assert all(isinstance(result, tuple) for result in want)
 
 
 def test_semijoin_chunk_takes_the_row_rung_per_server():
+    # (Named for the per-server row rung it once took: a uint64 key above
+    # int64 max, string keys and heavy stay rows now filter in one pass.)
     payloads, common = semijoin_payloads(3, 1, "duplicates")
     big = np.array([BIG, 3], dtype=np.uint64)
-    payloads.append(([[big], [big[:1]]], (np.array([1, 2]), big), []))
-    payloads.append(([[(1,), (2,)], [(2,)]], [(9, 2), (8, 1)], [(7, 5)]))
-    common = (common[0], ((5,),))
+    none = [np.empty(0, dtype=np.int64)] * 2
+    payloads.append(([[big], [big[:1]]], [np.array([1, 2]), big], none))
+    payloads.append((
+        [[column_of(["a", "b"])], [column_of(["b"])]],
+        [np.array([9, 8]), column_of(["b", "a"])],
+        [np.array([7, 6]), column_of(["z", 5])],
+    ))
+    common = (common[0], (("z",),))
     want = reference.semijoin_filter_chunk(payloads, common)
     same(semijoin_filter_chunk(payloads, common), want)
-    assert zip_rows(want[-2]) == [(1, BIG)] and want[-1] == [(9, 2), (7, 5)]
+    assert zip_rows(want[-2]) == [(1, BIG)] and zip_rows(want[-1]) == [(9, "b"), (7, "z")]
 
 
 # ------------------------------------------------------------ hypercube.eval
@@ -246,7 +262,7 @@ def eval_payloads(m, query, kind, seed=0):
             cols = [ints(rng, n, lo, hi) for _ in atom.variables]
             if kind == "wide":
                 cols = [np.where(c == 0, -WIDE, WIDE) for c in cols]
-            per_atom.append((None, cols))
+            per_atom.append(cols)
         payloads.append(per_atom)
     return payloads
 
@@ -261,21 +277,24 @@ def test_eval_chunk_is_the_per_server_evaluations(m, name, kind):
         want = reference.hypercube_eval_chunk(payloads, (query, local))
         same(hypercube_eval_chunk(payloads, (query, local)), want)
     if kind == "empty-atom":
-        assert None in want
+        assert any(not len(result[0]) for result in want)
 
 
 def test_eval_chunk_takes_the_row_rung_per_server():
+    # (Named for the per-server row rung it once took: uint64 servers, a
+    # key above int64 max and a string-bearing server now pass as one.)
     query = triangle_query()
     payloads = eval_payloads(3, query, "duplicates")
     big = np.array([BIG, BIG], dtype=np.uint64)
     ones = np.array([1, 1])
-    payloads.append([(None, [ones, big]), (None, [big, ones]), (None, [ones, ones])])
-    payloads.append([([(1, "k")], None), (None, [np.array([0]), ones[:1]]), ([(1, 1)], None)])
-    payloads[1][0] = (None, [c.astype(np.uint64) for c in payloads[1][0][1]])
-    want = reference.hypercube_eval_chunk(payloads, (query, "plan"))
-    same(hypercube_eval_chunk(payloads, (query, "plan")), want)
-    assert zip_rows(want[-2]) == [(1, BIG, 1)] * 8 and want[-1] == []
-    assert isinstance(want[1], tuple) and want[1][0].dtype == np.uint64
+    payloads.append([[ones, big], [big, ones], [ones, ones]])
+    payloads.append([[ones[:1], column_of(["k"])], [np.array([0]), ones[:1]], [ones[:1], ones[:1]]])
+    payloads[1][0] = [c.astype(np.uint64) for c in payloads[1][0]]
+    for local in ("generic", "plan"):
+        want = reference.hypercube_eval_chunk(payloads, (query, local))
+        same(hypercube_eval_chunk(payloads, (query, local)), want)
+    assert zip_rows(want[-2]) == [(1, BIG, 1)] * 8 and zip_rows(want[-1]) == []
+    assert want[1][0].dtype == np.uint64  # the plan keeps a server's dtype
 
 
 # ------------------------------------------------------- it is one pass
@@ -309,16 +328,14 @@ def test_a_p8_hash_join_makes_one_join_indices_call(monkeypatch):
     calls = counted(monkeypatch)
     run = parallel_hash_join(rels["R"], rels["S"], 8)
     assert calls == [(240, 240)]
-    assert run.stats.memo.fused_payloads == 8 and run.stats.memo.row_payloads == 0
-    assert run.output.is_columnar
+    assert all(column.dtype == np.int64 for column in run.output.columns())
 
 
 def test_a_hypercube_eval_makes_one_kernel_call_per_plan_step(monkeypatch):
     rels = relations()
     calls = counted(monkeypatch)
-    run = hypercube_join(triangle_query(), rels, 8)
+    hypercube_join(triangle_query(), rels, 8)
     assert len(calls) == 2  # R ⋈ S, then ⋈ T: once per chunk, not per server
-    assert run.stats.memo.fused_payloads == 24 and run.stats.memo.row_payloads == 0
 
 
 def test_a_semijoin_wave_makes_one_membership_test_per_reducer(monkeypatch):
@@ -337,7 +354,7 @@ def test_a_semijoin_wave_makes_one_membership_test_per_reducer(monkeypatch):
     monkeypatch.setattr(multiway_base.np, "isin", counting)
     output, stats = shuffle_multi_semijoin(target, reducers, 8)
     assert calls == [240, 240]
-    assert stats.memo.fused_payloads == 8 and stats.memo.row_payloads == 0
+    assert stats.memo.partition_misses == 3
     assert sorted(output.rows_readonly()) == sorted(
         target.semijoin(reducers[0]).semijoin(reducers[1]).rows_readonly()
     )
@@ -388,9 +405,8 @@ ALGORITHMS = {
 
 
 def seen(run):
-    memo = run.stats.memo
-    return (observe(run.output, run.stats), run.output.is_columnar,
-            memo.fused_payloads, memo.row_payloads, run.stats.exec.queue_messages)
+    return (observe(run.output, run.stats), [c.dtype for c in run.output.columns()],
+            run.stats.exec.queue_messages)
 
 
 @pytest.mark.parametrize("kind", ["int", "uint64-key"])
@@ -402,7 +418,7 @@ def test_algorithms_see_what_the_per_server_loop_saw(swap_in_reference, name, ki
     swap_in_reference()
     clear_memo()
     assert got == seen(ALGORITHMS[name](skewed(kind), p))
-    assert got[2] > 0 and (got[1] or kind != "int" or not got[0]["rows"])
+    assert all(dtype.kind in "iu" for dtype in got[1])
 
 
 def test_skewhc_pools_of_one_server_are_chunks_of_one(swap_in_reference):
@@ -416,7 +432,7 @@ def test_skewhc_pools_of_one_server_are_chunks_of_one(swap_in_reference):
     clear_memo()
     run = skewhc_join(triangle_query(), rels, 8, seed=3)
     assert run.details["allocation"].count(1) >= 5  # chunks of one: no tag, same pass
-    assert run.output.is_columnar and run.stats.memo.row_payloads == 0
+    assert all(column.dtype == np.int64 for column in run.output.columns())
     swap_in_reference()
     clear_memo()
     assert seen(run) == seen(skewhc_join(triangle_query(), rels, 8, seed=3))
@@ -440,11 +456,11 @@ def test_process_workers_pass_their_ranges_the_same_way(name, messages):
     clear_memo()
     with use_backend("process", workers=2):
         process = seen(ALGORITHMS[name](skewed("int"), 8))
-    assert process[:4] == inline[:4]
+    assert process[:2] == inline[:2]
     # One message per worker per map_servers call, as before the pass.
-    assert process[4] % 2 == 0 and process[4] > 0
+    assert process[2] % 2 == 0 and process[2] > 0
     if messages is not None:
-        assert process[4] == messages
+        assert process[2] == messages
     assert psm_segments() <= before
 
 
@@ -459,7 +475,7 @@ def test_result_slices_alias_no_catalog_array():
         second = run.output.rename({})
         assert all(not c.flags.writeable for c in second.columns())  # shareable read-only
     payloads = join_payloads(8, 1, "duplicates")
-    inputs = [c for _, l_cols, _, r_cols in payloads for c in (*l_cols, *r_cols)]
+    inputs = [c for l_cols, r_cols in payloads for c in (*l_cols, *r_cols)]
     for result in join_fragment_chunk(payloads, JOIN_COMMONS[1]):
         assert not any(np.shares_memory(column, c) for column in result for c in inputs)
 
@@ -522,7 +538,7 @@ class TestExtendAppends:
         rel.rows_readonly()  # a derived view must grow with the columns
         token = rel.mutation_token()
         rel.extend([(7, 8), (9, 10)])
-        assert rel.is_columnar
+        assert [c.dtype for c in rel.columns()] == [np.int64, np.int64]
         assert rel.mutation_token() == token + 1
         assert [c.tolist() for c in rel.columns()] == [[0, 1, 2, 3, 7, 9], [0, 2, 4, 6, 8, 10]]
         assert rel.rows_readonly()[-2:] == [(7, 8), (9, 10)] and len(rel) == 6
@@ -531,16 +547,18 @@ class TestExtendAppends:
         rel = Relation.from_columns("R", ["x"], [np.arange(3)])
         token = rel.mutation_token()
         rel.extend([])
-        assert rel.mutation_token() == token and rel.is_columnar
+        assert rel.mutation_token() == token
 
     @pytest.mark.parametrize("suffix", [
         [(1, "s")], [(1, True)], [(1, 2.0)], [(1, BIG)], [(1, np.int64(3))],
     ])
     def test_a_suffix_the_columns_cannot_hold_demotes(self, suffix):
+        # An int64 column demotes to object: one block per column still.
         rel = Relation.from_columns("R", ["x", "y"], [np.arange(2), np.arange(2)])
         token = rel.mutation_token()
         rel.extend(suffix)
-        assert not rel.is_columnar and rel.mutation_token() == token + 1
+        assert rel.mutation_token() == token + 1
+        assert [c.dtype for c in rel.columns()] == [np.int64, object]
         assert rel.rows_readonly() == [(0, 0), (1, 1), suffix[0]]
         assert type(rel.rows_readonly()[-1][1]) is type(suffix[0][1])
 
@@ -549,10 +567,10 @@ class TestExtendAppends:
 
         for rel in (Relation.from_columns("R", ["x", "y"], [np.arange(2), np.arange(2)]),
                     Relation("R", ["x", "y"], [(0, 0), (1, 1)])):
-            token, columnar = rel.mutation_token(), rel.is_columnar
+            token, columns = rel.mutation_token(), rel.columns()
             with pytest.raises(SchemaError, match="arity"):
                 rel.extend([(5, 5), (6,)])
-            assert rel.mutation_token() == token and rel.is_columnar == columnar
+            assert rel.mutation_token() == token and rel.columns() is columns
             assert rel.rows_readonly() == [(0, 0), (1, 1)]
 
     def test_row_primary_extends_in_one_step(self):

@@ -1,8 +1,8 @@
-"""The columnar cache and the shuffle's columnar fragments.
+"""A relation's columns and the shuffle's columnar fragments.
 
-Covers the coherence rules that keep the column arrays honest: the
-``Relation.columns()`` cache invalidates on mutation, and a fragment is
-delivered as column blocks only while nothing but blocks reached it.
+Covers the coherence rules that keep the column arrays honest: a
+relation's columns are replaced on mutation, and a fragment is delivered
+as column blocks only while nothing but blocks reached it.
 """
 
 import numpy as np
@@ -28,9 +28,11 @@ class TestRelationColumns:
         assert second[0].tolist() == [1, 2, 3]
 
     def test_mixed_types_cache_none(self):
+        # Nothing to cache: the object column *is* the relation.
         rel = Relation("R", ["x"], [("a",)])
-        assert rel.columns() is None
-        assert rel.columns() is None  # the miss is cached too
+        [column] = rel.columns()
+        assert column.dtype == object and column.tolist() == ["a"]
+        assert rel.columns()[0] is column
 
 
 # Dropped with the API they pinned (a fragment is column blocks *or* rows,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import comparable_int64, exact, key_columns, zip_rows
+from repro.kernels.columnar import columns_of, comparable_int64, key_columns, zip_rows
 from repro.kernels.hashing import bucket_tuple_columns
 from repro.kernels.join import code_key_columns, join_rows_columnar, lookup_codes, semijoin_mask
 from repro.kernels.partition import partition_indices, try_route, try_route_grid
@@ -75,7 +75,8 @@ class TestHashDestinations:
         h = HashFamily(7).function(hash_index, 16)
         got = bucket_tuple_columns(key_columns(rows, (1, 0)), h.salt, h.buckets)
         assert got.tolist() == [h((row[1], row[0])) for row in rows]
-        assert _routed(try_route, rows, (1, 0), h) == _routed(reference.try_route, rows, (1, 0), h)
+        data = columns_of(rows, 2)
+        assert _routed(try_route, data, (1, 0), h) == _routed(reference.try_route, data, (1, 0), h)
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(st.tuples(st.text(max_size=3), SMALL), min_size=1,
@@ -84,18 +85,20 @@ class TestHashDestinations:
         h = HashFamily(7).function(0, 16)
         got = bucket_tuple_columns(key_columns(rows, (0,)), h.salt, h.buckets)
         assert got.tolist() == [h((row[0],)) for row in rows]
-        assert _routed(try_route, rows, (0,), h) == _routed(reference.try_route, rows, (0,), h)
+        data = columns_of(rows, 2)
+        assert _routed(try_route, data, (0,), h) == _routed(reference.try_route, data, (0,), h)
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(st.tuples(st.booleans(), SMALL), min_size=1,
                          max_size=30))
     def test_bools_hash_like_python_ints(self, rows):
-        # Python dict/set semantics treat True == 1; the kernels widen
-        # bool columns to integers and must agree with the scalar path.
+        # Python dict/set semantics treat True == 1; a bool column is an
+        # object column, hashed through the scalar spec's canonical form.
         h = HashFamily(7).function(1, 8)
         got = bucket_tuple_columns(key_columns(rows, (0,)), h.salt, h.buckets)
         assert got.tolist() == [h((row[0],)) for row in rows] == [h((int(row[0]),)) for row in rows]
-        assert _routed(try_route, rows, (0,), h) == _routed(reference.try_route, rows, (0,), h)
+        data = columns_of(rows, 2)
+        assert _routed(try_route, data, (0,), h) == _routed(reference.try_route, data, (0,), h)
 
 
 class TestPartitionIndices:
@@ -224,10 +227,9 @@ def _same_partition(got, want):
 
 
 def _held_forms(rows):
-    """``rows`` as held data: the row list, and — when every column is
-    exact — the whole columns."""
-    columns = key_columns(rows, range(len(rows[0]))) if rows else []
-    return [rows, columns] if rows and exact(columns) else [rows]
+    """``rows`` as held data: their columns, by the one rule (a key and a
+    position each)."""
+    return [columns_of(rows, len(rows[0]) if rows else 3)]
 
 
 class TestEveryValue:
@@ -280,7 +282,7 @@ class TestEveryValue:
     @given(rows=keyed_rows(), keyed=keyed_rows(), width=st.sampled_from([1, 2]))
     def test_lookup_codes(self, rows, keyed, width):
         keys = list(dict.fromkeys(row[:width] for row in keyed))  # distinct, as equal
-        key_cols = [list(column) for column in zip(*rows)][:width] if rows else [[]] * width
+        key_cols = key_columns(rows, range(width))
         assert lookup_codes(key_cols, keys).tolist() == \
             reference.lookup_codes(key_cols, keys).tolist()
 
@@ -342,16 +344,18 @@ class TestEndToEndModes:
 
 
 class TestColumnsFallback:
-    def test_mixed_rows_have_no_columns(self):
+    def test_mixed_rows_hold_an_object_column(self):
         rel = Relation("M", ["a", "b"], [("x", 1), ("y", 2)])
-        assert rel.columns() is None
+        assert [column.dtype for column in rel.columns()] == [object, np.int64]
+        assert rel.columns()[0].tolist() == ["x", "y"]
 
     def test_key_columns_subset_mixed(self):
-        # A column numpy cannot hold exactly stays its value list.
+        # A column numpy cannot hold exactly is an object column.
         rows = [("x", 1), ("y", 2)]
-        assert key_columns(rows, (0,)) == [["x", "y"]]
-        cols = key_columns(rows, (1,))
-        assert exact(cols) and cols[0].tolist() == [1, 2]
+        [strings] = key_columns(rows, (0,))
+        assert strings.dtype == object and strings.tolist() == ["x", "y"]
+        [ints] = key_columns(rows, (1,))
+        assert ints.dtype == np.int64 and ints.tolist() == [1, 2]
 
     def test_join_falls_back_on_mixed_relation(self):
         left = Relation("L", ["k", "v"], [("a", 1), ("b", 2), ("a", 3)])

@@ -74,7 +74,7 @@ def _route(rel, p=4, seed=0):
     with cluster.round("route") as rnd:
         if not route_scattered(cluster, rnd, rel, frag, (0,), h, "out"):
             for server in cluster.servers:
-                try_route(rnd, held(server.take(frag)), (0,), h, "out")
+                try_route(rnd, held(server.take(frag), ARITY), (0,), h, "out")
     deliveries = [list(server.get("out")) for server in cluster.servers]
     return deliveries, cluster.stats
 
@@ -197,7 +197,7 @@ def _grid_shuffle(column_dims):
         ):
             for server in cluster.servers:
                 try_route_grid(
-                    rnd, held(server.take(frag)), column_dims, salts, extents, strides, "out"
+                    rnd, held(server.take(frag), ARITY), column_dims, salts, extents, strides, "out"
                 )
         return key_idx
     return shuffle

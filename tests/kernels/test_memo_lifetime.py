@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.kernels import memo
-from repro.kernels.columnar import exact_columns, key_columns
+from repro.kernels.columnar import column_of, columns_of, key_columns
 from repro.kernels.memo import (
     clear_memo,
     forget,
@@ -170,40 +170,44 @@ def test_a_relation_with_memo_entries_still_pickles():
     rel = _relation()
     key_degrees(rel, (0,))
     twin = pickle.loads(pickle.dumps(rel))
-    assert twin.rows_readonly() == rel.rows_readonly() and twin.is_columnar
+    assert twin.rows_readonly() == rel.rows_readonly()
+    assert not any(column.flags.writeable for column in twin.columns())
     clear_memo()
 
 
 class TestColumnsThatStandInForRows:
-    """Columns replace the row list downstream, so they are extracted only
-    when ``tolist()`` rebuilds the very tuples: plain ints, nothing else."""
+    """Every value rides a column by the one rule, so ``tolist()`` rebuilds
+    the very tuples: plain ints as ``int64``/``uint64``, anything else —
+    ``bool`` and numpy scalars included — as an ``object`` column that
+    holds the values themselves."""
 
-    def test_exact_columns_refuses_what_key_columns_widens(self):
+    def test_the_one_rule_widens_nothing(self):
         rows = [(True, 2), (False, 3)]
-        assert [c.tolist() for c in key_columns(rows, (0, 1))] == [[True, False], [2, 3]]
-        assert exact_columns(rows, (0, 1)) is None
-        assert exact_columns([(1, 2), (True, 3)], (0, 1)) is None
-        assert exact_columns([(np.int64(1), 2)], (0, 1)) is None
-        assert [c.tolist() for c in exact_columns([(1, 2), (3, 4)], (1, 0))] == [[2, 4], [1, 3]]
-        assert [len(c) for c in exact_columns([], (0, 1))] == [0, 0]
+        flags, ints = key_columns(rows, (0, 1))
+        assert flags.dtype == object and flags.tolist() == [True, False]
+        assert all(type(v) is bool for v in flags.tolist())
+        assert ints.dtype == np.int64 and ints.tolist() == [2, 3]
+        assert column_of([1, True]).dtype == object
+        assert type(column_of([np.int64(1), 2]).tolist()[0]) is np.int64
+        assert [c.tolist() for c in key_columns([(1, 2), (3, 4)], (1, 0))] == [[2, 4], [1, 3]]
+        assert [c.dtype for c in columns_of([], 2)] == [np.int64, np.int64]
 
-    def test_a_bool_bearing_relation_has_no_columns(self):
-        assert Relation("B", ["x", "flag"], [(1, True), (2, False)]).columns() is None
-        assert Relation("B", ["x", "flag"], [(1, 1), (2, True)]).columns() is None
+    def test_bools_ride_an_object_column(self):
+        rel = Relation("B", ["x", "flag"], [(1, True), (2, False)])
+        assert [c.dtype for c in rel.columns()] == [np.int64, object]
+        assert rel.rows() == [(1, True), (2, False)]
+        assert Relation("B", ["x", "flag"], [(1, 1), (2, True)]).columns()[1].dtype == object
         big = Relation("U", ["x"], [(2**63 + 1,), (2**63 + 5,)])
         assert big.columns()[0].dtype == np.uint64
 
     def test_bool_rows_route_as_rows(self):
-        # Was test_a_route_extracting_the_whole_row_refuses_bools: a route
-        # keyed on the whole row used to ship the extracted columns as the
-        # rows' stand-in and so had to refuse widened bools. A row-held
-        # fragment now travels as its rows — the key columns are only
-        # hashed — so nothing is refused and nothing is widened.
+        # A bool key rides an object column: hashed once per distinct value
+        # through the scalar spec, and the delivered rows are bools again.
         cluster = Cluster(2)
         h = cluster.hash_function(0)
         with cluster.round("route") as rnd:
-            try_route(rnd, [(True,), (False,)], (0,), h, "out")
-            try_route(rnd, [(True, 1), (False, 2)], (0,), h, "out")
+            try_route(rnd, columns_of([(True,), (False,)], 1), (0,), h, "out")
+            try_route(rnd, columns_of([(True, 1), (False, 2)], 2), (0,), h, "out")
         got = [row for server in cluster.servers for row in server.take("out")]
         assert Counter(got) == Counter([(True,), (False,), (True, 1), (False, 2)])
         assert all(type(row[0]) is bool for row in got)

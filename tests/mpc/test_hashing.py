@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.data.relation import Relation
 from repro.joins.hash_join import parallel_hash_join
+from repro.kernels.columnar import column_of
 from repro.kernels.hashing import bucket_value_column
 from repro.mpc.hashing import HashFamily, HashFunction, canonical, splitmix64
 from repro.multiway.base import shuffle_semijoin
@@ -150,7 +151,7 @@ class TestEqualValuesHashEqual:
         # 0.0 and -0.0 shared an entry there while the spec hashed them apart.
         values = [0.0, -0.0, 1, 1.0, True, "1", (1, "a"), (True, "a")]
         h = HashFamily(5).function(2, 64)
-        got = bucket_value_column(values, h.salt, h.buckets).tolist()
+        got = bucket_value_column(column_of(values), h.salt, h.buckets).tolist()
         assert got == [h(v) for v in values]
         assert got[0] == got[1] and got[2] == got[3] == got[4] and got[6] == got[7]
 

@@ -1,13 +1,13 @@
-"""Count the cliff: which local-step payloads stayed columnar, which
-travelled as rows (``MemoStats.fused_payloads`` / ``row_payloads``)."""
+"""A string key is in the ledger as an int key is: its relation is
+columns, so its routing plan is built, counted and replayed like any
+other (``partition`` hits and misses in ``MemoStats``)."""
 
 import numpy as np
 
 from repro.data.relation import Relation
 from repro.joins.hash_join import parallel_hash_join
-from repro.mpc.stats import MemoStats
+from repro.kernels.memo import clear_memo
 from repro.mpc.trace import trace
-from tests.holdings import scalar_rung
 
 
 def _ints(n=60):
@@ -22,29 +22,15 @@ def _strings(n=60):
 
 
 def test_a_string_key_shows_up_in_the_ledger_not_only_in_the_latency():
-    ints = parallel_hash_join(*_ints(), 4).stats.memo
-    assert (ints.fused_payloads, ints.row_payloads) == (4, 0)
-    strings = parallel_hash_join(*_strings(), 4).stats
-    fell_back = strings.memo.row_payloads       # one per server that got both sides
-    assert strings.memo.fused_payloads == 0 and 0 < fell_back <= 4
-    assert f" fused=0 rows={fell_back} " in strings.memo.summary()
-    assert f"rows={fell_back}" in trace(strings)
-
-
-def test_the_ledger_counts_payload_shapes_not_rungs():
-    # The scalar rung is a test-scope substitution, not a mode the ledger
-    # knows: its per-row sends deliver rows, counted as rows, and with no
-    # plan to replay it touches no cache.
-    with scalar_rung():
-        memo = parallel_hash_join(*_ints(), 4).stats.memo
-    assert (memo.fused_payloads, memo.row_payloads) == (0, 4)
-    assert memo.partition_hits == memo.partition_misses == memo.hash_ops == 0
-
-
-def test_row_payloads_is_an_additive_counter():
-    a, b = MemoStats(fused_payloads=2, row_payloads=3), MemoStats(row_payloads=4)
-    merged = MemoStats.merged([a, None, b])
-    assert (merged.fused_payloads, merged.row_payloads) == (2, 7)
-    assert merged.delta(a).row_payloads == 4
-    assert "row_payloads" in MemoStats._COUNTERS
-    assert MemoStats(row_payloads=1).any_activity
+    for make in (_ints, _strings):
+        clear_memo()
+        r, s = make()
+        cold = parallel_hash_join(r, s, 4).stats
+        warm = parallel_hash_join(r, s, 4).stats
+        assert (cold.memo.partition_hits, cold.memo.partition_misses) == (0, 2)
+        assert cold.memo.hash_ops == len(r) + len(s)
+        assert (warm.memo.partition_hits, warm.memo.partition_misses) == (2, 0)
+        assert warm.memo.hash_ops == 0 and warm.memo.hash_ops_saved == len(r) + len(s)
+        assert "partition 2h/0m" in warm.memo.summary()
+        assert "partition 2h/0m" in trace(warm)
+    clear_memo()

@@ -1,10 +1,11 @@
 """The result plane of the multiway algorithms: columns out, the same answer.
 
 HyperCube, GYM, the one-round semijoin and iterative binary plans over
-every holding (column-primary, row-primary, handed-out) and input kind of
+every holding (from columns, from rows, handed-out) and input kind of
 :mod:`tests.holdings` must observe exactly what the scalar rung observes,
-output the oracle's bag, and stay column-primary exactly when every
-server's step could.
+output the oracle's bag, and hand their local steps columns only: an
+all-int input stays integer columns end to end, anything else rides
+``object`` columns.
 """
 
 from contextlib import nullcontext
@@ -14,6 +15,7 @@ import pytest
 
 from repro.exec.config import use_backend
 from repro.kernels.memo import clear_memo
+from repro.mpc.cluster import Cluster
 from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
 from repro.multiway.base import (
     semijoin_filter_chunk,
@@ -24,6 +26,7 @@ from repro.multiway.binary_plans import binary_join_plan
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_eval_chunk, hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery, path_query, triangle_query
+from repro.testing import chunk_reference
 from repro.testing.oracle import oracle_join
 from tests.holdings import P_VALUES, assert_one_answer, hold, observe, scalar_rung, variants
 
@@ -96,6 +99,34 @@ PARAMS = [
 ]
 
 
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every payload the local steps are handed, as ``(task, payload)``."""
+    seen = []
+    map_servers = Cluster.map_servers
+    map_servers_batch = Cluster.map_servers_batch
+
+    def recording(self, task, per_server, common=None):
+        seen.extend((task, payload) for payload in per_server)
+        return map_servers(self, task, per_server, common)
+
+    def recording_batch(self, calls):
+        for task, per_server, _common in calls:
+            seen.extend((task, payload) for payload in per_server)
+        return map_servers_batch(self, calls)
+
+    monkeypatch.setattr(Cluster, "map_servers", recording)
+    monkeypatch.setattr(Cluster, "map_servers_batch", recording_batch)
+    return seen
+
+
+def _columns_only(payload):
+    """Whether a local step's payload is nested lists of arrays, no row."""
+    if isinstance(payload, np.ndarray):
+        return True
+    return isinstance(payload, (list, tuple)) and all(map(_columns_only, payload))
+
+
 @pytest.mark.parametrize("p", P_VALUES)
 @pytest.mark.parametrize("name, kind", PARAMS)
 def test_one_answer_three_ways_to_hold_it(name, kind, p):
@@ -103,29 +134,30 @@ def test_one_answer_three_ways_to_hold_it(name, kind, p):
     run, kinds, oracle = CASES[name]
     results = assert_one_answer(run, kinds[kind], p, oracle)
     for how, (output, stats) in results.items():
-        memo = stats.memo
+        columns = output.columns()
+        assert not any(column.flags.writeable for column in columns), how
         if kind in ("int", "uint64-payload", "uint64-key"):
-            assert memo.row_payloads == 0, how
-            assert memo.fused_payloads > 0, how
-            assert output.is_columnar == (len(output) > 0), how
+            assert all(column.dtype.kind in "iu" for column in columns), how
             assert all(type(v) is int for row in output.rows_readonly() for v in row)
-        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
-            assert memo.row_payloads > 0 and not output.is_columnar, how
-        elif name != "semijoin":     # a join with an empty side is empty
+        elif kind in ("string-keyed", "bool-payload"):
+            assert len(output) and any(column.dtype == object for column in columns), how
+        elif kind != "mixed-numeric" and name != "semijoin":  # an empty side joins to nothing
             assert len(output) == 0, how
 
 
-def test_a_semijoin_with_an_empty_reducer_is_empty_and_counts_no_row_payload():
+def test_a_semijoin_with_an_empty_reducer_is_empty_and_counts_no_row_payload(payloads):
     results = assert_one_answer(
         _semijoin, CASES["semijoin"][1]["empty-side"], 4, _semijoin_oracle
     )
-    for how, (output, stats) in results.items():
-        assert len(output) == 0 and stats.memo.row_payloads == 0, how
+    for how, (output, _stats) in results.items():
+        assert len(output) == 0, how
+    assert payloads and all(_columns_only(payload) for _task, payload in payloads)
 
 
-def test_heavy_stay_rows_are_a_counted_fall_back():
-    # One key holds half the target: its rows stay in place (T@stay) and
-    # those servers' payloads carry rows.
+def test_heavy_stay_rows_are_a_counted_fall_back(payloads):
+    # One key holds half the target: its rows stay in place (T@stay). They
+    # were once counted as a fall-back to rows; now they reach the filter
+    # as the payload's third set of columns.
     case = {
         "T": (["x", "y"], [(i, 0 if i % 2 else i % 13) for i in range(60)]),
         "K1": (["y", "a"], [(i % 9, i) for i in range(27)]),
@@ -135,8 +167,11 @@ def test_heavy_stay_rows_are_a_counted_fall_back():
         return shuffle_semijoin(relations["T"], relations["K1"], p, seed=1)
 
     results = assert_one_answer(run, case, 6, _semijoin_oracle)
-    for how, (output, stats) in results.items():
-        assert stats.memo.row_payloads > 0 and not output.is_columnar, how
+    for how, (output, _stats) in results.items():
+        assert all(column.dtype == np.int64 for column in output.columns()), how
+    filtered = [payload for task, payload in payloads if task == "semijoin.filter"]
+    assert filtered and all(_columns_only(payload) for payload in filtered)
+    assert any(len(stay[0]) for _keys, _target, stay in filtered)
 
 
 # Dropped with the side-car (a fragment is column blocks *or* rows; nothing
@@ -160,8 +195,7 @@ def test_rows_routed_on_a_permuted_key_arrive_as_rows():
     with cluster.round("route") as rnd:
         route(cluster, rnd, "T@in", (1, 0), h, "T@j")
     for server in cluster.servers:
-        got = server.take("T@j")
-        assert isinstance(got, list)
+        got = list(server.take("T@j"))
         assert got == [row for s in range(2) for row in rows[s::2] if h((row[1], row[0])) == server.sid]
 
 
@@ -194,10 +228,9 @@ def test_inline_and_process_backends_agree():
             clear_memo()
             with use_backend(backend, workers=2):
                 output, stats = run(relations, 5)
-            seen.append((observe(output, stats), output.is_columnar,
-                         stats.memo.fused_payloads, stats.memo.row_payloads))
+            seen.append((observe(output, stats), [c.dtype for c in output.columns()]))
         assert seen[0] == seen[1], name
-        assert seen[0][1] and seen[0][3] == 0, name
+        assert all(dtype == np.int64 for dtype in seen[0][1]), name
 
 
 def test_the_tasks_take_and_return_column_blocks():
@@ -208,21 +241,19 @@ def test_the_tasks_take_and_return_column_blocks():
         "S": [np.array([3, 3]), np.array([4, 5])],
         "T": [np.array([4, 5]), np.array([1, 2])],
     }
-    rows = {name: list(zip(*(c.tolist() for c in cs))) for name, cs in cols.items()}
-    columnar = [[(None, cols[a.name]) for a in query.atoms]]
-    by_rows = [[(rows[a.name], None) for a in query.atoms]]
-    [got] = hypercube_eval_chunk(columnar, (query, "plan"))
-    [want] = hypercube_eval_chunk(by_rows, (query, "plan"))
-    assert isinstance(got, tuple) and isinstance(want, list)
-    assert list(zip(*(c.tolist() for c in got))) == want == [(1, 3, 4), (2, 3, 5)]
-    [generic] = hypercube_eval_chunk(columnar, (query, "generic"))
-    assert sorted(generic) == want
+    payload = [[cols[a.name] for a in query.atoms]]
+    for local in ("plan", "generic"):
+        [got] = hypercube_eval_chunk(payload, (query, local))
+        [want] = chunk_reference.hypercube_eval_chunk(payload, (query, local))
+        assert isinstance(got, tuple)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want] == [[1, 2], [3, 3], [4, 5]]
 
-    t_cols = (np.array([1, 2, 3]), np.array([7, 8, 9]))
+    t_cols = [np.array([1, 2, 3]), np.array([7, 8, 9])]
     keys = [[np.array([8, 9])], [np.array([9, 7])]]
-    [kept] = semijoin_filter_chunk([(keys, t_cols, [])], ((1,), ()))
-    assert isinstance(kept, tuple) and [c.tolist() for c in kept] == [[3], [9]]
-    [kept_rows] = semijoin_filter_chunk(
-        [([[(8,), (9,)], [(9,), (7,)]], [(1, 7), (2, 8), (3, 9)], [])], ((1,), ())
-    )
-    assert kept_rows == [(3, 9)]
+    stay = [np.array([4, 5]), np.array([6, 6])]
+    for alive in ((), ((6,),)):
+        [kept] = semijoin_filter_chunk([(keys, t_cols, stay)], ((1,), alive))
+        [want] = chunk_reference.semijoin_filter_chunk([(keys, t_cols, stay)], ((1,), alive))
+        assert isinstance(kept, tuple)
+        assert [c.tolist() for c in kept] == [c.tolist() for c in want]
+    assert [c.tolist() for c in kept] == [[3, 4, 5], [9, 6, 6]]

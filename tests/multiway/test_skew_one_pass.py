@@ -18,6 +18,7 @@ import json
 from collections import Counter
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,8 +137,8 @@ def test_skewhc_is_the_per_value_reference(instance, p, seed, how, kind, thresho
     # Types survive: a bool stays a bool, a string a string.
     assert Counter(map(type, (v for row in run.output.rows_readonly() for v in row))) == \
         Counter(map(type, (v for row in want.elements() for v in row)))
-    if kind == "int" and len(run.output):
-        assert run.output.is_columnar and run.stats.memo.row_payloads == 0
+    if kind == "int":
+        assert all(column.dtype.kind in "iu" for column in run.output.columns())
     with scalar_rung():
         scalar = skewhc_join(query, plain, p, seed=seed, threshold=threshold)
     assert scalar.output.rows_readonly() == run.output.rows_readonly()
@@ -173,8 +174,8 @@ def test_heavy_products_are_the_per_tuple_reference(case, p, seed, how, kind, th
         [type(v) for row in rows for v in row]
     assert [_received(run) for run in runs] == [_received(run) for run in reference_runs]
     assert _received(combine_parallel(p, runs)) == _received(combine_parallel(p, reference_runs))
-    if kind == "int" and rows:
-        assert got.is_columnar
+    if kind == "int":
+        assert all(column.dtype.kind in "iu" for column in got.columns())
     # ... and the whole join is the local join's bag, on every rung.
     want = Counter(plain["R"].join(plain["S"]).rows_readonly())
     for rung in (nullcontext, scalar_rung):
@@ -233,7 +234,7 @@ def test_one_run_is_one_message_per_worker():
     assert run.stats.exec.queue_messages <= 2
     assert run.output.rows_readonly() == inline.output.rows_readonly()
     assert _received(run.stats) == _received(inline.stats)
-    assert run.output.is_columnar and run.stats.memo.row_payloads == 0
+    assert all(column.dtype == np.int64 for column in run.output.columns())
 
 
 # ----------------------------------------------------------- what a repeat rebuilds
@@ -311,20 +312,17 @@ def test_skewhc_one_answer_three_ways_to_hold_it(kind, p):
         _skewhc, TRIANGLE_KINDS[kind], p, lambda relations: oracle_join(triangle_query(), relations)
     )
     for how, (output, stats) in results.items():
-        counted = stats.memo
+        columns = output.columns()
+        assert len(output) > 0 and not any(column.flags.writeable for column in columns), how
         if kind == "int":
-            assert len(output) > 0 and output.is_columnar, how
-            assert counted.row_payloads == 0 and counted.fused_payloads > 0, how
+            assert all(column.dtype == np.int64 for column in columns), how
             assert all(type(v) is int for row in output.rows_readonly() for v in row)
             assert (len(stats.pools) > 1) == (p > 1), how       # the hubs are peeled
-        elif kind in ("string-keyed", "bool-payload", "mixed-numeric"):
-            # A column numpy cannot hold exactly travels as rows, a counted
-            # payload shape, never a silent one. (T's bools only ever meet
-            # R's equal ints, whose x the output carries.)
-            assert len(output) > 0 and counted.row_payloads > 0, how
-            assert not output.is_columnar or kind == "bool-payload", how
-        else:
-            assert len(output) > 0 and counted.row_payloads == 0, how
+        elif kind == "string-keyed":
+            # A value numpy cannot hold exactly rides an object column.
+            # (T's bools only ever meet R's equal ints, whose x the output
+            # carries.)
+            assert all(column.dtype == object for column in columns), how
 
 
 def test_an_empty_atom_leaves_no_residual_and_no_cluster():
@@ -359,12 +357,10 @@ def test_a_result_that_views_its_input_survives_the_worker():
     # A one-atom residual's eval is a projection — views of its payload's
     # arrays. The worker used to release the input segment before encoding
     # the result, and every such residual came back as zeros.
-    import numpy as np
-
     from repro.query.cq import Atom, ConjunctiveQuery
 
     query = ConjunctiveQuery([Atom("R", ["a"])])
-    payloads = [[(None, [np.array([8 + i, 6])])] for i in range(3)]
+    payloads = [[[np.array([8 + i, 6])]] for i in range(3)]
     with use_backend("process", workers=2):
         results = Cluster(3).map_servers("hypercube.eval", payloads, (query, "plan"))
     assert [columns[0].tolist() for columns in results] == [[8, 6], [9, 6], [10, 6]]

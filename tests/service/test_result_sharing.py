@@ -29,6 +29,7 @@ def columnar():
 
 
 def row_primary():
+    """The same relations, built from their tuples."""
     return {
         name: Relation(name, rel.schema, rel.rows_readonly())
         for name, rel in columnar().items()
@@ -42,7 +43,6 @@ class TestAResultCannotOverwriteTheCatalog:
         engine.register(catalog)
         before = catalog.rows_readonly()[:]
         output = engine.query("C(a, b)").output
-        assert output.is_columnar
         assert np.shares_memory(output.columns()[0], catalog.columns()[0])
         with pytest.raises(ValueError):
             output.columns()[0][0] = 999
@@ -58,7 +58,7 @@ class TestAResultCannotOverwriteTheCatalog:
         with QueryService(relations, p=4) as service:
             first = service.query(query)
             want = first.output.rows_readonly()[:]
-            assert first.output.is_columnar and not first.cache_hit
+            assert not first.cache_hit
             for column in first.output.columns():
                 with pytest.raises(ValueError):
                     column[0] = 999
@@ -87,26 +87,31 @@ class TestAHitSharesArrays:
             assert (miss.cache_hit, hit.cache_hit, again.cache_hit) == (False, True, True)
             for a, b in zip(miss.output.columns(), hit.output.columns()):
                 assert np.shares_memory(a, b)
-            # rows() on a hit is the caller's copy: the output stays columnar
-            # and still shares the entry's arrays.
+            # rows() on a hit is the caller's copy: the output still shares
+            # the entry's arrays.
+            columns = hit.output.columns()
             rows = hit.output.rows()
             rows.clear()
-            assert hit.output.is_columnar and again.output.is_columnar
+            assert hit.output.columns() is columns
             assert np.shares_memory(hit.output.columns()[0], miss.output.columns()[0])
             assert service.query(JOIN, strategy=strategy, split=split).output.rows_readonly() \
                 == miss.output.rows_readonly()
 
     def test_a_row_primary_entry_is_copied_as_before(self):
+        # Named when a string-keyed entry was a row list, copied on a hit;
+        # it is columns now — object ones for the strings — and shared.
         relations = {
             "R": Relation("R", ["a", "b"], [(i, f"k{i % 3}") for i in range(12)]),
             "S": Relation("S", ["b", "c"], [(f"k{i % 3}", i) for i in range(6)]),
         }
         with QueryService(relations, p=3) as service:
             miss = service.query(JOIN, strategy="hash")
-            assert not miss.output.is_columnar
+            assert miss.output.columns()[1].dtype == object
             miss.output.rows().clear()
             hit = service.query(JOIN, strategy="hash")
             assert hit.cache_hit and len(hit.output) == 24
+            assert all(np.shares_memory(a, b)
+                       for a, b in zip(miss.output.columns(), hit.output.columns()))
 
 
 class TestCanonicalOrder:
@@ -130,7 +135,6 @@ class TestCanonicalOrder:
         merged = merge_branches(branches)
         assert merged.rows_readonly() == canonical(whole).rows_readonly() \
             == sorted(whole.rows_readonly())
-        assert merged.is_columnar and canonical(whole).is_columnar
         assert merged.name == "OUT" and merged.schema == whole.schema
 
     def test_canonical_of_a_row_primary_relation_sorts_its_tuples(self):

@@ -197,10 +197,11 @@ def test_forget_drops_the_fragments_of_the_parent(r):
 
 
 def test_borrowed_parent_is_split_on_every_call():
-    # wrap() stores a snapshot, so an edit of the source list is not the
-    # parent's: its fragments stay the memoized ones, and stay right.
+    # The constructor (which wrap() folded into) reads the list into columns,
+    # so an edit of the source list is not the parent's: its fragments
+    # stay the memoized ones, and stay right.
     rows = [(i, i % 5) for i in range(40)]
-    rel = Relation.wrap("R", ["a", "b"], rows)
+    rel = Relation("R", ["a", "b"], rows)
     first = split_relation(rel, 2)
     rows[0] = (1, 0)
     second = split_relation(rel, 2)

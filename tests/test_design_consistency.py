@@ -23,15 +23,15 @@ def _files_matching(pattern, tree=ROOT / "src" / "repro"):
 class TestRowsEncapsulationLint:
     """No module outside data/relation.py may touch ``._rows`` or ``._cols``.
 
-    The dual-representation invariants (mutation token, column cache)
-    live entirely inside :class:`Relation`; a stray ``rel._rows``
-    bypasses both and reintroduces exactly the stale-
-    column bug this PR fixes, and a stray ``rel._cols`` hands out the
-    writable arrays a result must only ever share read-only. CI runs the
-    same check as a grep step; this test makes it fail locally first. The
-    rows-footgun test is the one sanctioned exception (it *installs* a
-    guard on the slot on purpose) and tests are outside the scanned tree
-    anyway.
+    A relation's invariants (its columns are the ground truth, the tuple
+    view is derived from them, the mutation token moves with every
+    change) live entirely inside :class:`Relation`; a stray ``rel._rows``
+    reads a derived cache that may not be built yet, and a stray
+    ``rel._cols`` bypasses the one place that freezes what a relation
+    holds. CI runs the same check as a grep step; this test makes it fail
+    locally first. The rows-footgun test is the one sanctioned exception
+    (it *installs* a guard on the slot on purpose) and tests are outside
+    the scanned tree anyway.
     """
 
     def test_no_direct_rows_access_outside_relation(self):
@@ -54,58 +54,65 @@ class TestOwnershipLint:
     """A relation owns what it holds, so no cache layer tracks who else
     might: the borrow bit is gone, handing out ``rows()`` is not a
     mutation (the token counts ``add``/``extend`` and nothing else), and
-    every array a relation holds is read-only."""
+    every array a relation holds is read-only — ``object`` columns too."""
+
+    OPS = [
+        "from_columns", "from_chunks", "from_held", "extend", "project", "rename",
+        "select_eq", "join", "semijoin", "sorted_by", "union_all",
+        "row-primary columns()", "unpickling",
+    ]
 
     @staticmethod
-    def _made(how):
+    def _made(how, kind):
+        """The relation ``how`` makes, over ``int`` or over ``object`` values
+        (its ``b`` column then holds strings)."""
         import pickle
 
         import numpy as np
 
         from repro.data.relation import Relation, union_all
+        from repro.mpc.server import held
+
+        def b(values):
+            return [f"v{v}" for v in values] if kind == "object" else np.asarray(values)
 
         def source():
-            return Relation.from_columns("R", ["a", "b"], [np.arange(6), np.arange(6) % 3])
+            return Relation.from_columns("R", ["a", "b"], [np.arange(6), b(np.arange(6) % 3)])
 
-        def row_primary():
-            rel = Relation("T", ["a", "b"], [(1, 2), (3, 4)])
-            rel.columns()  # extracted once and cached
-            return rel
-
-        def grown():
+        def grown(rows):
             rel = source()
-            rel.extend([(7, 1)])
+            rel.extend(rows)
+            rel.add(rows[0])
             return rel
 
-        other = Relation.from_columns("S", ["b", "c"], [np.arange(3), np.arange(3) * 10])
+        value = "v1" if kind == "object" else 1
+        row = (7, value)
+        other = Relation.from_columns("S", ["b", "c"], [b(np.arange(3)), np.arange(3) * 10])
         return {
             "from_columns": source,
             "from_chunks": lambda: Relation.from_chunks(
-                "R", ["a", "b"], [[np.arange(3)], [np.arange(2), np.arange(1)]]),
-            "from_held": lambda: Relation.from_held("R", ["a"], [np.arange(4)]),
-            "extend": grown,
+                "R", ["a", "b"], [[np.arange(3)], [b([0, 1]), b([2])]]),
+            # What the local steps build: a relation over a row-list
+            # fragment's held columns, read by the one rule.
+            "from_held": lambda: Relation.from_columns("R", ["a", "b"], held([row, row], 2)),
+            "extend": lambda: grown([row]),
             "project": lambda: source().project(["b"]),
             "rename": lambda: source().rename({"a": "x"}),
-            "select_eq": lambda: source().select_eq("b", 1),
+            "select_eq": lambda: source().select_eq("b", value),
             "join": lambda: source().join(other),
             "semijoin": lambda: source().semijoin(other),
             "sorted_by": lambda: source().sorted_by(["b"]),
             "union_all": lambda: union_all("U", [source(), source()]),
-            "row-primary columns()": row_primary,
+            "row-primary columns()": lambda: Relation("T", ["a", "b"], [(1, value), (3, value)]),
             "unpickling": lambda: pickle.loads(pickle.dumps(source())),
         }[how]()
 
-    @pytest.mark.parametrize("how", [
-        "from_columns", "from_chunks", "from_held", "extend", "project", "rename",
-        "select_eq", "join", "semijoin", "sorted_by", "union_all",
-        "row-primary columns()", "unpickling",
-    ])
+    @pytest.mark.parametrize("how", OPS)
     def test_every_held_array_is_read_only(self, how):
-        rel = self._made(how)
-        cached = rel._colcache[1] if rel._colcache is not None else None
-        held = list(rel._cols or []) + list(cached or [])
-        assert held
-        assert not any(array.flags.writeable for array in held)
+        for kind in ("int", "object"):
+            held = self._made(how, kind)._cols
+            assert held and any(array.dtype == object for array in held) == (kind == "object")
+            assert not any(array.flags.writeable for array in held), kind
 
     def test_the_borrow_bit_matches_nothing_under_src(self):
         assert _files_matching(r"is_borrowed|_borrowed") == []
@@ -123,6 +130,20 @@ class TestOwnershipLint:
         assert "_version" not in inspect.getsource(Relation.rows)
 
 
+class TestOneFormLint:
+    """A relation is its columns: nothing under ``src/repro`` names the
+    row-primary form, the value-list columns beside it, or the fused/rows
+    payload split of the local steps."""
+
+    RETIRED = (
+        r"from_held|held_columns|exact_columns|_colcache|chunk_step|as_rows"
+        r"|row_payloads|fused_payloads|is_columnar"
+    )
+
+    def test_the_retired_names_match_nothing_under_src(self):
+        assert _files_matching(self.RETIRED) == []
+
+
 class TestRowCallSiteInventoryLint:
     """Tuples are made for callers, not between layers.
 
@@ -135,7 +156,7 @@ class TestRowCallSiteInventoryLint:
     """
 
     PACKAGES = ("joins", "multiway", "mpc", "service", "kernels")
-    CEILING = 12
+    CEILING = 8
 
     def test_row_materialisation_sites_only_shrink(self):
         sites = []
@@ -148,7 +169,7 @@ class TestRowCallSiteInventoryLint:
 
 
 class TestOneFragmentLint:
-    """A fragment is column blocks *or* a row list: one store per server,
+    """A fragment is column blocks or a per-tuple sender's row list: one store per server,
     one buffer per round, one accessor (``Server.take``). The side-car
     that rode beside the rows, and every name it needed, is gone."""
 
@@ -190,9 +211,11 @@ class TestSkewOnePassLint:
 
 class TestChunkPassLint:
     """The chunk, not the server, is the unit of local work: the three
-    per-server tasks run their columns-only payloads as one kernel pass
-    keyed on ``(server, key)``; the per-payload bodies live in
-    ``repro/testing/chunk_reference.py`` as the reference only."""
+    per-server tasks run their payloads — columns only — as one kernel
+    pass keyed on ``(server, key)``; the per-payload bodies live in
+    ``repro/testing/chunk_reference.py`` as the reference only. (The
+    ``generic`` evaluator binds values in its own order and runs per
+    server, in a helper of its own.)"""
 
     TASKS = {
         "joins/base.py": "join_fragment_chunk",
@@ -213,14 +236,14 @@ class TestChunkPassLint:
                 if isinstance(loop, ast.For) and "payloads" in ast.unparse(loop.iter):
                     assert "from_columns(" not in ast.unparse(loop), name
             calls = {ast.unparse(n.func) for n in ast.walk(task) if isinstance(n, ast.Call)}
-            assert {"chunk_step", "cut_at_tags"} <= calls, (name, calls)
+            assert "cut_at_tags" in calls, (name, calls)
             assert calls & {"stacked", "stack_tagged"}, (name, calls)
 
     def test_the_tag_coding_has_one_definition(self):
         for pattern, home in (
             (r"\nTAG = ", "kernels/join.py"),
             (r"def (stack_tagged|cut_at_tags)\(", "kernels/join.py"),
-            (r"def (chunk_step|stacked)\(", "joins/base.py"),
+            (r"def stacked\(", "joins/base.py"),
             (r"np\.bincount\(columns\[0\]", "kernels/join.py"),
         ):
             assert _files_matching(pattern) == [home], pattern
@@ -258,14 +281,13 @@ class TestScalarReferenceLint:
         ("kernels/memo.py", "route"),
         ("multiway/hypercube.py", "hypercube_join"),
         ("multiway/base.py", "_route_light"),
-        ("multiway/base.py", "_filter_members"),
         ("data/relation.py", "join"),
         ("data/relation.py", "semijoin"),
     )
     PER_ROW = r"\bsend\(|setdefault\(|\.get\(|for row in"
     MOVED = (
         "try_route", "try_route_grid", "route_light", "code_key_columns",
-        "join_rows_columnar", "semijoin_mask", "filter_members", "lookup_codes",
+        "join_rows_columnar", "semijoin_mask", "lookup_codes",
     )
     IMPORTS = r"(?m)^\s*(from\s+\S*scalar_reference\s|from\s.*\bimport\b.*\bscalar_reference\b|import\s+\S*scalar_reference)"
     RETIRED = r"kernels_enabled|use_kernels|kernels_flag|hash_destinations"

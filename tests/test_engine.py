@@ -225,11 +225,11 @@ class TestAlignCache:
         assert (99, 1, 7) in after.output.rows_readonly()
 
     def test_borrowed_relation_is_never_cached(self):
-        # wrap() snapshots the list and rows() hands out a copy: neither
-        # edit reaches T, so the cached alignment is the right answer.
+        # The constructor reads the list into columns and rows() hands out
+        # a copy: neither edit reaches T, so the cached alignment is right.
         engine = Engine(p=2)
         rows = [(2, 1)]
-        engine.register(Relation.wrap("T", ["v", "u"], rows))
+        engine.register(Relation("T", ["v", "u"], rows))
         engine.query("T(u,v)")
         rows[0] = (9, 8)
         engine.relation("T").rows().append((7, 6))
