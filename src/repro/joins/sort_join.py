@@ -15,12 +15,16 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.data.relation import Relation, union_all
 from repro.joins.base import JoinRun, require_join_key
 from repro.joins.heavy import heavy_value_products
-from repro.joins.local import hash_join_rows
+from repro.kernels.columnar import column_of, concatenated, zip_rows
+from repro.kernels.join import code_key_columns, join_indices, lookup_codes
 from repro.mpc.cluster import Cluster, combine_parallel
-from repro.sorting.psrs import IndexKey, psrs_partition
+from repro.mpc.server import held
+from repro.sorting.psrs import psrs_partition, scatter_keys
 
 Row = tuple[Any, ...]
 
@@ -38,50 +42,54 @@ def sort_join(
     extra = [a for a in s.schema.attributes if a not in r.schema]
     extra_idx = s.schema.indices(extra)
 
+    # The tagged union sorts as (join key, position) columns. A position is
+    # the row's serial — R's rows first, then S's — so it names the origin
+    # and the row, and breaks ties so heavily duplicated keys spread across
+    # servers (the straddling-key pass below re-collects them).
     cluster = Cluster(p, seed=seed)
-    # Tagged union: (key, origin, serial, original row). Tags ride along
-    # for free (metadata of the tuple, not extra tuples). The serial
-    # breaks ties so heavily duplicated keys spread across servers — the
-    # straddling-key pass below re-collects them.
-    union_rows = [
-        (tuple(row[i] for i in r_idx), 0, serial, row)
-        for serial, row in enumerate(r)
-    ]
-    union_rows += [
-        (tuple(row[i] for i in s_idx), 1, len(r) + serial, row)
-        for serial, row in enumerate(s)
-    ]
-    cluster.scatter_rows(union_rows, "U")
-
-    psrs_partition(cluster, "U", "U@sorted", key=IndexKey(0, 2))
+    scatter_keys(cluster, "U", concatenated([_join_key(r, r_idx), _join_key(s, s_idx)]))
+    psrs_partition(cluster, "U", "U@sorted")
 
     # Identify keys that straddle a server boundary: each server reports
     # its first and last key to the coordinator (2 tuples per server).
     with cluster.round("boundary-report") as rnd:
         for server in cluster.servers:
-            frag = server.get("U@sorted")
-            if frag:
-                rnd.send(0, "bounds", (server.sid, frag[0][0], frag[-1][0]))
-    straddling = _straddling_keys(cluster.servers[0].take("bounds"))
+            keys, _ = held(server.get("U@sorted"), 2)
+            if len(keys):
+                rnd.send_columns(0, "bounds", [np.array([server.sid]), keys[:1], keys[-1:]])
+    straddling = _straddling_keys(zip_rows(held(cluster.servers[0].take("bounds"), 3)))
 
-    # Local join of non-straddling key groups.
-    out_rows: list[Row] = []
-    for server in cluster.servers:
-        r_local = [t[3] for t in server.get("U@sorted") if t[1] == 0 and t[0] not in straddling]
-        s_local = [t[3] for t in server.get("U@sorted") if t[1] == 1 and t[0] not in straddling]
-        out_rows.extend(
-            hash_join_rows(r_local, s_local, r_idx, s_idx, extra_idx)
-        )
+    # Local join of non-straddling key groups, one pass over every server's
+    # pairs in server order: such a key sits on one server only, so each R
+    # item meets exactly the S items of its own server, in their order.
+    keys, positions = (
+        concatenated(blocks)
+        for blocks in zip(*(held(server.get("U@sorted"), 2) for server in cluster.servers))
+    )
+    kept = lookup_codes([keys], [(k,) for k in straddling]) < 0
+    from_r, from_s = kept & (positions < len(r)), kept & (positions >= len(r))
+    left, right = join_indices(*code_key_columns([keys[from_r]], [keys[from_s]]))
+    r_rows, s_rows = positions[from_r][left], positions[from_s][right] - len(r)
+    columns = [column[r_rows] for column in r.columns()]
+    columns += [s.columns()[i][s_rows] for i in extra_idx]
 
     runs = [cluster.stats]
-    parts = [Relation("OUT", list(r.schema.attributes) + extra, out_rows)]
+    parts = [Relation.from_columns("OUT", list(r.schema.attributes) + extra, columns)]
     if straddling:
+        heavy = sorted(straddling)
         heavy_part, heavy_runs = heavy_value_products(
-            r, s, shared, sorted(straddling), max(p // 2, 1), seed=seed
+            r, s, shared, heavy if len(shared) > 1 else [(k,) for k in heavy],
+            max(p // 2, 1), seed=seed,
         )
         parts.append(heavy_part)
         runs.extend(heavy_runs)
     return JoinRun(union_all("OUT", parts), combine_parallel(p, runs))
+
+
+def _join_key(rel: Relation, idx: list[int]) -> np.ndarray:
+    """The join key column: the attribute's own, or a tuple per row."""
+    columns = [rel.columns()[i] for i in idx]
+    return columns[0] if len(columns) == 1 else column_of(zip_rows(columns))
 
 
 def _straddling_keys(bounds: list[Row]) -> set[Row]:

@@ -2,7 +2,7 @@
 
 Numpy-backed kernels for every key operation: splitmix64 hashing over
 integer columns, one-pass radix/hash partitioning, columnar local
-join/semijoin, and vectorized splitter search for PSRS. Every kernel is
+join/semijoin, and vectorized splitter search for the sorts. Every kernel is
 *exactly* equivalent to the per-row reference it replaced
 (:mod:`repro.testing.scalar_reference`) — same rows, same order, same
 measured loads — and takes every value: a key that is not an exact
@@ -23,15 +23,12 @@ __all__ = [
     "join_indices",
     "join_rows_columnar",
     "key_columns",
-    "lexicographic_buckets",
     "partition_indices",
-    "searchsorted_buckets",
     "semijoin_mask",
     "splitmix64_array",
-    "take_rows",
+    "splitter_buckets",
     "try_route",
     "try_route_grid",
-    "tuple_buckets",
 ]
 
 _LAZY = {
@@ -43,15 +40,12 @@ _LAZY = {
     "join_indices": "repro.kernels.join",
     "join_rows_columnar": "repro.kernels.join",
     "key_columns": "repro.kernels.columnar",
-    "lexicographic_buckets": "repro.kernels.splitters",
     "partition_indices": "repro.kernels.partition",
-    "searchsorted_buckets": "repro.kernels.splitters",
     "semijoin_mask": "repro.kernels.join",
     "splitmix64_array": "repro.kernels.hashing",
-    "take_rows": "repro.kernels.columnar",
+    "splitter_buckets": "repro.kernels.splitters",
     "try_route": "repro.kernels.partition",
     "try_route_grid": "repro.kernels.partition",
-    "tuple_buckets": "repro.kernels.splitters",
 }
 
 

@@ -99,7 +99,7 @@ def zip_rows(columns: Sequence[np.ndarray]) -> list[Row]:
 def comparable_int64(column: np.ndarray) -> np.ndarray | None:
     """An integer column as ``int64`` preserving value-comparison semantics.
 
-    Used by the join/semijoin/splitter kernels, which compare key values
+    Used by the join/semijoin kernels, which compare key values
     rather than hash them: ``uint64`` values above ``int64`` range cannot
     be represented and force the fallback (reinterpreting them would
     collide with negative keys).
@@ -141,8 +141,3 @@ def pack_columns(columns: Sequence[np.ndarray], dense: bool = False) -> np.ndarr
         codes = digit if codes is None else codes * span + digit
         limit *= span
     return codes
-
-
-def take_rows(rows: Sequence[Row], indices: np.ndarray) -> list[Row]:
-    """The subset of rows at ``indices``, in index order."""
-    return [rows[i] for i in indices.tolist()]

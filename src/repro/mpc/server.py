@@ -4,10 +4,10 @@ Each server owns a private store mapping *fragment names* (``"R"``, the
 local part of R; ``"R@shuffled"``, tuples received in a shuffle round) to
 fragments; all movement goes through :class:`repro.mpc.cluster.Cluster`
 rounds. A fragment is one thing: a :class:`ChunkedColumns` — every column,
-as blocks — or a ``list`` of rows, never both: a relation moves as
-blocks, and the per-tuple senders (sorting, matrix multiplication, the
-grid product, aggregation) move rows. :func:`held` reads either as
-columns.
+as blocks — or a ``list`` of rows, never both: a relation and the sorts'
+(key, position) pairs move as blocks, and the per-tuple senders (matrix
+multiplication, the grid product, aggregation) move rows. :func:`held`
+reads either as columns.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ O(N/p + OUT/p + boundary replication).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun
+from repro.kernels.columnar import concatenated
 from repro.mpc.cluster import Cluster
-from repro.sorting.psrs import IndexKey, psrs_partition
+from repro.mpc.server import held
+from repro.sorting.psrs import psrs_partition, scatter_keys
 
 Row = tuple[Any, ...]
 
@@ -39,44 +42,45 @@ def band_join(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    r_pos = r.schema.index(r_key)
-    s_pos = s.schema.index(s_key)
 
+    # The union sorts as (band key, position) columns; a position is the
+    # row's serial: R's rows first, then S's.
     cluster = Cluster(p, seed=seed)
-    union_rows = [(row[r_pos], 0, i, row) for i, row in enumerate(r)]
-    union_rows += [(row[s_pos], 1, len(r) + i, row) for i, row in enumerate(s)]
-    cluster.scatter_rows(union_rows, "U")
-
-    splitters = psrs_partition(cluster, "U", "U@sorted", key=IndexKey(0, 2))
-    # The PSRS sort key is composite (key, serial); recover the numeric
-    # boundaries. Range i covers keys in (boundary[i-1], boundary[i]].
+    keys = concatenated([r.columns()[r.schema.index(r_key)], s.columns()[s.schema.index(s_key)]])
+    scatter_keys(cluster, "U", keys)
+    splitters = psrs_partition(cluster, "U", "U@sorted")
+    # Range i covers keys in (boundary[i-1], boundary[i]].
     boundaries = [b[0] for b in splitters]
 
     # Replicate every item to all ranges its ε-window [key−ε, key+ε]
     # intersects (handles ε wider than a range, including empty ranges).
-    import bisect
-
     with cluster.round("band-replicate") as rnd:
         for server in cluster.servers:
-            for item in server.get("U@sorted"):
-                key = item[0]
-                lo = bisect.bisect_left(boundaries, key - epsilon)
-                hi = bisect.bisect_right(boundaries, key + epsilon)
+            keys, positions = held(server.get("U@sorted"), 2)
+            reach: list[list[int]] = [[] for _ in range(p)]
+            for i, key in enumerate(keys.tolist()):
+                lo = bisect_left(boundaries, key - epsilon)
+                hi = bisect_right(boundaries, key + epsilon)
                 for bucket in range(lo, min(hi, p - 1) + 1):
                     if bucket != server.sid:
-                        rnd.send(bucket, "U@extra", item)
+                        reach[bucket].append(i)
+            for bucket, picked in enumerate(reach):
+                if picked:
+                    rnd.send_columns(bucket, "U@extra", [keys[picked], positions[picked]])
 
+    rows = r.rows() + s.rows()
     out_rows: list[Row] = []
     seen_pairs: set[tuple[int, int]] = set()
     for server in cluster.servers:
-        local = server.get("U@sorted") + server.get("U@extra")
-        r_items = [(t[0], t[2], t[3]) for t in local if t[1] == 0]
-        s_items = [(t[0], t[2], t[3]) for t in local if t[1] == 1]
-        for rk, rid, rrow in r_items:
-            for sk, sid_, srow in s_items:
+        local = zip(held(server.get("U@sorted"), 2), held(server.get("U@extra"), 2))
+        keys, positions = (concatenated(blocks).tolist() for blocks in local)
+        r_items = [(k, i) for k, i in zip(keys, positions) if i < len(r)]
+        s_items = [(k, i) for k, i in zip(keys, positions) if i >= len(r)]
+        for rk, rid in r_items:
+            for sk, sid_ in s_items:
                 if abs(rk - sk) <= epsilon and (rid, sid_) not in seen_pairs:
                     seen_pairs.add((rid, sid_))
-                    out_rows.append(rrow + srow)
+                    out_rows.append(rows[rid] + rows[sid_])
 
     out_attrs = list(r.schema.attributes) + [
         a if a not in r.schema else f"s_{a}" for a in s.schema.attributes

@@ -17,15 +17,25 @@ implementation in the benchmarks.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
+from repro.kernels.columnar import concatenated, zip_rows
+from repro.kernels.partition import partition_indices
+from repro.kernels.splitters import splitter_buckets
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
-from repro.sorting.psrs import RowKey, identity_key
-from repro.sorting.splitters import bucket_of, choose_splitters, regular_sample
-
-Key = Callable[[Any], Any]
+from repro.sorting.psrs import (
+    Key,
+    final_sort,
+    identity_key,
+    key_column,
+    scatter_keys,
+    sorted_pair,
+    sorted_positions,
+)
+from repro.sorting.splitters import choose_splitters, regular_sample
 
 
 def multiround_sort(
@@ -37,38 +47,33 @@ def multiround_sort(
 ) -> tuple[list[Any], RunStats]:
     """Sort with per-round load ≈ ``load_cap`` in O(log_L N) rounds.
 
-    Returns ``(sorted_items, stats)``. ``load_cap`` only steers the fanout
-    (it is a target, not a hard cap — sampling noise can overshoot by a
-    constant factor, as in the original analysis).
+    Returns ``(sorted_items, stats)``, as :func:`~repro.sorting.psrs.psrs_sort`
+    does: the same (key, position) columns, so duplicated keys spread by
+    position too. ``load_cap`` only steers the fanout (it is a target, not
+    a hard cap — sampling noise can overshoot by a constant factor, as in
+    the original analysis).
     """
     if load_cap < 2:
         raise ValueError("load_cap must be at least 2")
     cluster = Cluster(p, seed=seed)
-    cluster.scatter_rows([(x,) for x in items], "run")
-    row_key = RowKey(key)  # picklable adapter: process-backend eligible
+    scatter_keys(cluster, "run", key_column(items, key))
 
     # Groups of servers owning one key range each, refined level by level.
     fanout = max(2, math.isqrt(load_cap))
     groups: list[list[int]] = [list(range(p))]
     level = 0
     while any(len(g) > 1 for g in groups):
-        groups = _refine_level(cluster, groups, fanout, row_key, level)
+        groups = _refine_level(cluster, groups, fanout, level)
         level += 1
 
-    final_payloads = [server.take("run") for server in cluster.servers]
-    for server, local in zip(
-        cluster.servers, cluster.map_servers("psrs.finalsort", final_payloads, row_key)
-    ):
-        server.put("run", local)
-    output = [row[0] for row in cluster.gather("run")]
-    return output, cluster.stats
+    final_sort(cluster, "run")
+    return [items[i] for i in sorted_positions(cluster, "run")], cluster.stats
 
 
 def _refine_level(
     cluster: Cluster,
     groups: list[list[int]],
     fanout: int,
-    row_key: Key,
     level: int,
 ) -> list[list[int]]:
     """One level: every multi-server group splits into ≤ fanout subgroups.
@@ -77,49 +82,41 @@ def _refine_level(
     which is what makes the total round count the tree depth, not the
     node count.
     """
-    plans: list[tuple[list[int], list[list[int]], list[Any]]] = []
+    splitting = [group for group in groups if len(group) > 1]
 
     # Round 1: within each group, regular samples to the group leader.
     with cluster.round(f"msort-sample-{level}") as rnd:
-        for group in groups:
-            if len(group) <= 1:
-                continue
-            leader = group[0]
+        for group in splitting:
             f = min(fanout, len(group))
             for sid in group:
-                local = sorted(cluster.servers[sid].get("run"), key=row_key)
-                for item in regular_sample(local, f - 1):
-                    rnd.send(leader, "samples", (row_key(item),))
+                keys, positions = sorted_pair(*held(cluster.servers[sid].get("run"), 2))
+                picks = regular_sample(range(len(keys)), f - 1)
+                if picks:
+                    rnd.send_columns(group[0], "samples", [keys[picks], positions[picks]])
 
     # Leaders choose splitters (consumed locally, no extra round needed
     # beyond the implicit broadcast below, folded into the partition round
     # by sending items directly — splitters are tiny).
-    for group in groups:
-        if len(group) <= 1:
-            continue
-        leader = group[0]
+    plans = []
+    for group in splitting:
         f = min(fanout, len(group))
-        pooled = [k for (k,) in cluster.servers[leader].take("samples")]
-        splitters = choose_splitters(pooled, f)
-        subgroups = _split_servers(group, f)
-        plans.append((group, subgroups, splitters))
+        pooled = zip_rows(held(cluster.servers[group[0]].take("samples"), 2))
+        plans.append((group, _split_servers(group, f), choose_splitters(pooled, f)))
 
-    # Round 2: partition each group's data into its subgroups.
+    # Round 2: partition each group's data into its subgroups, dealing each
+    # interval's items round-robin over the subgroup's servers.
     with cluster.round(f"msort-partition-{level}") as rnd:
         for group, subgroups, splitters in plans:
-            counters = [0] * len(subgroups)
-            for sid in group:
-                for item in cluster.servers[sid].take("run"):
-                    b = min(bucket_of(row_key(item), splitters), len(subgroups) - 1)
-                    target_group = subgroups[b]
-                    dest = target_group[counters[b] % len(target_group)]
-                    counters[b] += 1
-                    rnd.send(dest, "run", item)
+            parts = [held(cluster.servers[sid].take("run"), 2) for sid in group]
+            keys, positions = (concatenated(blocks) for blocks in zip(*parts))
+            buckets = splitter_buckets(keys, positions, splitters)
+            for subgroup, picked in zip(subgroups, partition_indices(buckets, len(subgroups))):
+                for k, dest in enumerate(subgroup):
+                    dealt = picked[k :: len(subgroup)]
+                    if len(dealt):
+                        rnd.send_columns(dest, "run", [keys[dealt], positions[dealt]])
 
-    next_groups: list[list[int]] = []
-    for group in groups:
-        if len(group) <= 1:
-            next_groups.append(group)
+    next_groups = [group for group in groups if len(group) <= 1]
     for _group, subgroups, _splitters in plans:
         next_groups.extend(subgroups)
     return next_groups

@@ -12,7 +12,16 @@ The algorithm:
 Load analysis (slide 102): L = O(N/p) provided ``p ≪ N^{1/3}`` — the
 sample-gather round costs ``p(p−1) ≤ N/p`` exactly when ``p³ ≲ N``.
 :func:`psrs_partition` is the in-cluster primitive (reused by the
-parallel sort join); :func:`psrs_sort` is the standalone entry point.
+parallel sort join and the band join); :func:`psrs_sort` is the
+standalone entry point.
+
+Every sort runs on one (key, position) column pair, from scatter to
+gather. The caller builds the key column once, on the coordinator, by the
+one column rule (:func:`key_column`); the position column is an
+``arange``. Ordering by (key, position) breaks ties by the original
+position, so heavily duplicated keys still spread evenly and the sort is
+stable. The local sort, the samples, the routing and the final sort are
+numpy passes over the pair, and no task ever sees the user's key.
 """
 
 from __future__ import annotations
@@ -20,137 +29,92 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.kernels.columnar import take_rows
-from repro.kernels.partition import partition_indices
-from repro.kernels.splitters import searchsorted_buckets, tuple_buckets
-from repro.mpc.cluster import Cluster, RoundContext
+import numpy as np
+
+from repro.data.relation import Relation
+from repro.kernels.columnar import column_of, columns_of, concatenated, zip_rows
+from repro.kernels.splitters import splitter_buckets
+from repro.mpc.cluster import Cluster
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
-from repro.sorting.splitters import (
-    bucket_of,
-    choose_splitters,
-    random_sample,
-    regular_sample,
-)
+from repro.sorting.splitters import choose_splitters, random_sample, regular_sample
 
 Key = Callable[[Any], Any]
 
 
 def identity_key(item: Any) -> Any:
-    """The default sort key. A named module-level function (not a
-    lambda) so it pickles, keeping default-keyed sorts eligible for the
-    process backend; an unpicklable user key transparently falls back
-    to inline execution."""
+    """The default sort key: the item itself (its column is the items')."""
     return item
 
 
-class IndexKey:
-    """Picklable key projecting fixed row positions (``row[i] for i in
-    positions``). The sort-join/band-join equivalent of a key lambda."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, *positions: int) -> None:
-        self.positions = positions
-
-    def __call__(self, row: Any) -> tuple:
-        return tuple(row[i] for i in self.positions)
+def key_column(items: Sequence[Any], key: Key = identity_key) -> np.ndarray:
+    """The items' sort keys as one column: one ``key`` call per item, on
+    the coordinator, and none at all for the default key."""
+    return column_of(items if key is identity_key else [key(x) for x in items])
 
 
-class RowKey:
-    """Picklable ``key(row[0])`` adapter for ``(item, ...)`` tagged rows."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Key) -> None:
-        self.key = key
-
-    def __call__(self, row: Any) -> Any:
-        return self.key(row[0])
+def scatter_keys(cluster: Cluster, name: str, keys: np.ndarray) -> None:
+    """Place the (key, position) pair of ``keys`` round-robin (free)."""
+    pair = Relation.from_columns(name, ["key", "position"], [keys, np.arange(len(keys))])
+    cluster.scatter(pair, name)
 
 
-class PositionTiebreak:
-    """Key wrapper for ``(item, original_position)`` rows.
-
-    Sorts by ``key(item)`` with the original position as tie-break, so
-    heavily duplicated keys still spread evenly across servers. A class
-    instead of a closure so it pickles whenever the wrapped key does.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Key) -> None:
-        self.key = key
-
-    def __call__(self, row: Any) -> Any:
-        return (self.key(row[0]), row[1])
+def sorted_pair(keys: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ordered by (key, position): one ``np.lexsort`` (an
+    ``object`` key column compares with Python ``<``)."""
+    order = np.lexsort((positions, keys))
+    return keys[order], positions[order]
 
 
 def psrs_localsort_chunk(payloads: list, common) -> list:
     """Exec task ``psrs.localsort``: phase-1 local sort + splitter samples.
 
-    Payloads are ``(fragment rows, server id)``; returns
-    ``(sorted rows, sampled items)`` per server. The server id seeds
-    random sampling exactly as the historical loop did.
+    Payloads are ``(keys, positions, server id)``; returns the sorted
+    pair and the sampled indices into it per server. The server id seeds
+    random sampling.
     """
-    key, sample_count, use_random_sampling = common
+    sample_count, use_random_sampling = common
     out = []
-    for rows, sid in payloads:
-        local = sorted(rows, key=key)
+    for keys, positions, sid in payloads:
+        keys, positions = sorted_pair(keys, positions)
         if use_random_sampling:
-            samples = random_sample(local, sample_count, seed=sid + 1)
+            picks = random_sample(range(len(keys)), sample_count, seed=sid + 1)
         else:
-            samples = regular_sample(local, sample_count)
-        out.append((local, samples))
+            picks = regular_sample(range(len(keys)), sample_count)
+        out.append((keys, positions, picks))
     return out
 
 
 def psrs_finalsort_chunk(payloads: list, common) -> list:
     """Exec task ``psrs.finalsort``: phase-4 sort of each routed interval."""
-    return [sorted(rows, key=common) for rows in payloads]
+    return [sorted_pair(keys, positions) for keys, positions in payloads]
 
 
-def _route_by_splitters(
-    rnd: RoundContext,
-    items: list[Any],
-    key: Key,
-    splitters: list[Any],
-    out_fragment: str,
-) -> bool:
-    """Batched phase-3 routing via the splitter-search kernels.
+def final_sort(cluster: Cluster, fragment: str) -> None:
+    """Sort every server's pair in ``fragment`` through the exec backend."""
+    payloads = [held(server.take(fragment), 2) for server in cluster.servers]
+    for server, pair in zip(cluster.servers, cluster.map_servers("psrs.finalsort", payloads)):
+        server.append_result(fragment, pair)
 
-    ``False`` means no fast path (non-integer keys / no splitters); the
-    caller then routes item-at-a-time through ``bucket_of``.
-    """
-    if not items or not splitters:
-        return not items
-    keys = [key(item) for item in items]
-    if isinstance(keys[0], tuple):
-        destinations = tuple_buckets(keys, splitters)
-    else:
-        destinations = searchsorted_buckets(keys, splitters)
-    if destinations is None:
-        return False
-    for dest, indices in enumerate(
-        partition_indices(destinations, len(splitters) + 1)
-    ):
-        if len(indices):
-            rnd.send_rows(dest, out_fragment, take_rows(items, indices))
-    return True
+
+def sorted_positions(cluster: Cluster, fragment: str) -> list[int]:
+    """The positions of a sorted ``fragment``, in server order."""
+    return concatenated([held(server.get(fragment), 2)[1] for server in cluster.servers]).tolist()
 
 
 def psrs_partition(
     cluster: Cluster,
     fragment: str,
     out_fragment: str,
-    key: Key = identity_key,
     use_random_sampling: bool = False,
-) -> list[Any]:
+) -> list[tuple[Any, int]]:
     """Range-partition ``fragment`` across the cluster and sort locally.
 
-    After the call, server ``i`` holds ``out_fragment`` = the items of the
-    ``i``-th key interval, locally sorted; the concatenation over servers
-    is globally sorted. Returns the splitters used. Charges three rounds:
-    sample gather, splitter broadcast, partition.
+    Every server holds (key, position) columns in ``fragment``; after the
+    call, server ``i`` holds ``out_fragment`` = the pairs of the ``i``-th
+    interval, sorted by (key, position), so the concatenation over servers
+    is globally sorted. Returns the (key, position) splitters used.
+    Charges three rounds: sample gather, splitter broadcast, partition.
     """
     p = cluster.p
 
@@ -158,35 +122,36 @@ def psrs_partition(
     # through the exec backend (concurrently under the process backend);
     # sample *sends* stay here, on the round's coordinator-side buffers.
     with cluster.round("psrs-sample-gather") as rnd:
-        payloads = [(server.take(fragment), server.sid) for server in cluster.servers]
+        payloads = [(*held(server.take(fragment), 2), server.sid) for server in cluster.servers]
         sorted_fragments = cluster.map_servers(
-            "psrs.localsort", payloads, (key, p - 1, use_random_sampling)
+            "psrs.localsort", payloads, (p - 1, use_random_sampling)
         )
-        for server, (local, samples) in zip(cluster.servers, sorted_fragments):
-            server.put(f"{fragment}@sorted", local)
-            for item in samples:
-                rnd.send(0, f"{fragment}@samples", (key(item),))
+        for server, (keys, positions, picks) in zip(cluster.servers, sorted_fragments):
+            server.append_result(f"{fragment}@sorted", (keys, positions))
+            if picks:
+                rnd.send_columns(0, f"{fragment}@samples", [keys[picks], positions[picks]])
 
     # Phase 2: coordinator picks splitters and broadcasts them.
-    pooled = [k for (k,) in cluster.servers[0].take(f"{fragment}@samples")]
+    pooled = zip_rows(held(cluster.servers[0].take(f"{fragment}@samples"), 2))
     splitters = choose_splitters(pooled, p)
     with cluster.round("psrs-splitter-broadcast") as rnd:
-        for splitter in splitters:
-            rnd.broadcast(f"{fragment}@splitters", (splitter,))
+        if splitters:
+            columns = columns_of(splitters, 2)
+            for dest in range(p):
+                rnd.send_columns(dest, f"{fragment}@splitters", columns)
 
-    # Phase 3: route every item to its interval owner; sort on arrival.
+    # Phase 3: cut every sorted fragment at the splitters, one slice per
+    # interval owner; sort on arrival.
     with cluster.round("psrs-partition") as rnd:
         for server in cluster.servers:
             server.take(f"{fragment}@splitters")  # consumed; value known globally
-            items = server.take(f"{fragment}@sorted")
-            if not _route_by_splitters(rnd, items, key, splitters, out_fragment):
-                for item in items:
-                    rnd.send(bucket_of(key(item), splitters), out_fragment, item)
-    final_payloads = [server.take(out_fragment) for server in cluster.servers]
-    for server, local in zip(
-        cluster.servers, cluster.map_servers("psrs.finalsort", final_payloads, key)
-    ):
-        server.put(out_fragment, local)
+            keys, positions = held(server.take(f"{fragment}@sorted"), 2)
+            buckets = splitter_buckets(keys, positions, splitters)
+            cuts = np.searchsorted(buckets, np.arange(p + 1)).tolist()
+            for dest, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if hi > lo:
+                    rnd.send_columns(dest, out_fragment, [keys[lo:hi], positions[lo:hi]])
+    final_sort(cluster, out_fragment)
     return splitters
 
 
@@ -199,19 +164,11 @@ def psrs_sort(
 ) -> tuple[list[Any], RunStats]:
     """Sort ``items`` on a fresh ``p``-server cluster with PSRS.
 
-    Returns ``(sorted_items, stats)`` where ``sorted_items`` is the
-    concatenation of the per-server sorted fragments. Ties are broken by
-    the item's original position, so heavily duplicated keys still spread
-    evenly across servers (the partition load stays O(N/p)).
+    Returns ``(sorted_items, stats)``: the caller's own items, in
+    ``sorted(items, key=key)`` order (ties keep their original order), and
+    the run's statistics. ``key`` runs once per item, on the coordinator.
     """
     cluster = Cluster(p, seed=seed)
-    cluster.scatter_rows([(x, i) for i, x in enumerate(items)], "items")
-    psrs_partition(
-        cluster,
-        "items",
-        "items@out",
-        key=PositionTiebreak(key),
-        use_random_sampling=use_random_sampling,
-    )
-    output = [row[0] for row in cluster.gather("items@out")]
-    return output, cluster.stats
+    scatter_keys(cluster, "items", key_column(items, key))
+    psrs_partition(cluster, "items", "items@out", use_random_sampling=use_random_sampling)
+    return [items[i] for i in sorted_positions(cluster, "items@out")], cluster.stats

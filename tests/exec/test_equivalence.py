@@ -86,6 +86,20 @@ def test_multiround_sort_identical():
     assert_same_stats(st_i, st_p)
 
 
+@pytest.mark.parametrize("sort", [
+    lambda items, key: psrs_sort(items, 8, key=key),
+    lambda items, key: multiround_sort(items, 8, 64, key=key),
+], ids=["psrs", "multiround"])
+def test_a_lambda_key_stays_on_the_workers(sort):
+    # The key runs once, on the coordinator; no task carries it, so an
+    # unpicklable key no longer sends the whole sort inline.
+    items = [(i * 7919) % 613 for i in range(2000)]
+    (out_i, st_i), (out_p, st_p) = both_backends(lambda: sort(items, lambda x: -x))
+    assert out_i == out_p == sorted(items, key=lambda x: -x)
+    assert_same_stats(st_i, st_p)
+    assert st_p.exec.fallbacks == 0 and st_p.exec.queue_messages > 0
+
+
 def test_matmul_identical():
     import numpy as np
 

@@ -14,15 +14,16 @@ from collections import defaultdict
 from contextlib import nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import columns_of, comparable_int64, key_columns, zip_rows
+from repro.kernels.columnar import column_of, columns_of, comparable_int64, key_columns, zip_rows
 from repro.kernels.hashing import bucket_tuple_columns
 from repro.kernels.join import code_key_columns, join_rows_columnar, lookup_codes, semijoin_mask
 from repro.kernels.partition import partition_indices, try_route, try_route_grid
-from repro.kernels.splitters import searchsorted_buckets, tuple_buckets
+from repro.kernels.splitters import splitter_buckets
 from repro.mpc.hashing import HashFamily
 from repro.mpc.topology import Grid
 from repro.testing import scalar_reference as reference
@@ -169,28 +170,46 @@ class TestSemijoinKernel:
 # -------------------------------------------------------------- splitters
 
 
+def _buckets(keys, positions, splitters):
+    """``splitter_buckets`` over one key column holding the items' and the
+    splitters' keys, checked against ``bisect_left`` pair by pair."""
+    splitters = sorted(splitters)
+    column = column_of(list(keys) + [key for key, _ in splitters])[: len(keys)]
+    got = splitter_buckets(column, np.array(positions, dtype=np.int64), splitters)
+    assert got.tolist() == [bisect_left(splitters, pair) for pair in zip(keys, positions)]
+    return column
+
+
+POSITION = st.integers(0, 2**40)
+
+
 class TestSplitterSearch:
-    @settings(max_examples=50, deadline=None)
-    @given(keys=st.lists(st.one_of(INT64, SMALL), max_size=60),
-           splitters=st.lists(SMALL, min_size=1, max_size=10))
-    def test_scalar_buckets(self, keys, splitters):
-        splitters = sorted(splitters)
-        got = searchsorted_buckets(keys, splitters)
-        assert got is not None
-        assert got.tolist() == [bisect_left(splitters, k) for k in keys]
+    """The one splitter search: ``bisect_left`` over (key, position) pairs."""
 
     @settings(max_examples=50, deadline=None)
-    @given(keys=rows_strategy(2), splitters=rows_strategy(2))
-    def test_tuple_buckets(self, keys, splitters):
-        splitters = sorted(splitters)
-        got = tuple_buckets(keys, splitters)
-        if not splitters:
-            return
-        assert got is not None
-        assert got.tolist() == [bisect_left(splitters, k) for k in keys]
+    @given(keys=st.lists(st.one_of(INT64, SMALL, st.integers(0, 3).map(lambda v: BIG + v)),
+                         max_size=60),
+           splitters=st.lists(st.tuples(SMALL, POSITION), min_size=1, max_size=10))
+    def test_scalar_buckets(self, keys, splitters):
+        # Distinct positions, as a sort's are; int64 and uint64 key columns.
+        _buckets(keys, range(len(keys)), splitters)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.one_of(*VALUE_STRATEGIES), POSITION), max_size=60),
+           splitters=st.lists(st.tuples(st.one_of(*VALUE_STRATEGIES), POSITION), max_size=10))
+    def test_tuple_buckets(self, pairs, splitters):
+        # Keys equal to one or many splitters' keys, repeated positions.
+        _buckets([k for k, _ in pairs], [i for _, i in pairs], splitters)
 
     def test_mixed_tuples_refused(self):
-        assert tuple_buckets([("a", 1)], [("a", 0)]) is None
+        # Tuple keys, and keys of mixed types, ride an object column; numpy
+        # compares them with Python's ``<`` and ``==`` (1 == 1.0 == True),
+        # and values that do not compare raise as ``bisect_left`` would.
+        keys = [("a", 1), ("a", 0), ("b", 2), ("a", 1), ("a", 1)]
+        assert _buckets(keys, range(5), [(("a", 1), 0), (("a", 1), 3), (("b", 0), 1)]).dtype == object
+        assert _buckets([1, 1.0, True, 0.5, -0.0, 2], range(6), [(1.0, 1), (True, 4)]).dtype == object
+        with pytest.raises(TypeError):
+            splitter_buckets(column_of([1, "a"]), np.arange(2), [(0, 0)])
 
 
 # ------------------------------------------------------------ every value

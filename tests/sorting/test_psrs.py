@@ -59,6 +59,13 @@ class TestCorrectness:
         out, _ = psrs_sort(items, p=4)
         assert out == sorted(items)
 
+    def test_uint64_splitters_meet_small_keys(self):
+        # A server holding only small values once compared them with int64
+        # splitter codes, and a splitter above int64 max raised OverflowError.
+        items = [2**63 + (i * 13) % 50 if i % 3 else (i * 7) % 40 for i in range(150)]
+        out, _ = psrs_sort(items, p=3)
+        assert out == sorted(items)
+
 
 class TestCosts:
     def test_three_rounds(self):

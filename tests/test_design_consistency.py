@@ -318,6 +318,26 @@ class TestScalarReferenceLint:
         assert not (ROOT / "src" / "repro" / "kernels" / "config.py").exists()
 
 
+class TestSortColumnsLint:
+    """Every sort runs on one (key, position) column pair: the user key runs
+    once, on the coordinator, so no per-item key wrapper, per-item router
+    or row-keyed ``sorted`` is left, and one splitter search serves all."""
+
+    RETIRED = (
+        r"PositionTiebreak|IndexKey|RowKey|_route_by_splitters|tuple_buckets"
+        r"|searchsorted_buckets|_as_int64_column|take_rows"
+    )
+
+    def test_the_wrappers_match_nothing_under_src(self):
+        assert _files_matching(self.RETIRED) == []
+
+    def test_no_sorted_call_in_sorting_takes_a_key(self):
+        for path in sorted((ROOT / "src" / "repro" / "sorting").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "sorted":
+                    assert not any(kw.arg == "key" for kw in node.keywords), path.name
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
