@@ -18,6 +18,7 @@ from repro.data import random_edges, triangle_relations, uniform_relation
 from repro.joins import parallel_hash_join
 from repro.mpc import Cluster
 from repro.multiway import triangle_hypercube
+from repro.mpc.server import held
 
 from common import print_table
 
@@ -32,10 +33,8 @@ def naive_one_server(r, s, p):
     cluster.scatter(s, "S")
     with cluster.round("all-to-one") as rnd:
         for server in cluster.servers:
-            for row in server.take("R"):
-                rnd.send(0, "R@0", row)
-            for row in server.take("S"):
-                rnd.send(0, "S@0", row)
+            rnd.send_columns(0, "R@0", held(server.take("R"), r.schema.arity))
+            rnd.send_columns(0, "S@0", held(server.take("S"), s.schema.arity))
     return cluster.stats
 
 
@@ -47,10 +46,8 @@ def naive_sequential(r, s, p):
     for i in range(p):
         with cluster.round(f"fragment-{i}") as rnd:
             holder = cluster.servers[i]
-            for row in holder.get("R"):
-                rnd.send((i + 1) % p, "R@seq", row)
-            for row in holder.get("S"):
-                rnd.send((i + 1) % p, "S@seq", row)
+            rnd.send_columns((i + 1) % p, "R@seq", held(holder.get("R"), r.schema.arity))
+            rnd.send_columns((i + 1) % p, "S@seq", held(holder.get("S"), s.schema.arity))
     return cluster.stats
 
 

@@ -20,7 +20,10 @@ the table doubles as an end-to-end recovery correctness check.
 
 from repro.data.generators import uniform_relation
 from repro.data.graphs import random_edges, triangle_relations
+from repro.data.relation import Relation
 from repro.joins.hash_join import parallel_hash_join
+from repro.kernels.hashing import bucket_value_column
+from repro.kernels.partition import partition_groups
 from repro.mpc import (
     Cluster,
     CrashFault,
@@ -28,6 +31,7 @@ from repro.mpc import (
     RecoveryPolicy,
     faulty,
 )
+from repro.mpc.server import held
 from repro.multiway.hypercube import hypercube_join
 from repro.query import triangle_query
 
@@ -86,13 +90,15 @@ def _shuffle_pipeline(p, n, depth, plan=None):
     """``depth`` chained re-hash shuffles — a pure-shuffle pipeline, so
     recovery stays exact at any checkpoint interval."""
     cluster = Cluster(p, seed=5, faults=plan)
-    cluster.scatter_rows([(i, i % 97) for i in range(n)], "F0")
+    cluster.scatter(Relation("F0", ["a", "b"], [(i, i % 97) for i in range(n)]))
     for step in range(depth):
         h = cluster.hash_function(step, p)
         with cluster.round(f"shuffle-{step}") as rnd:
             for server in cluster.servers:
-                for row in server.take(f"F{step}"):
-                    rnd.send(h(row[0] + step), f"F{step + 1}", row)
+                a, b = held(server.take(f"F{step}"), 2)
+                dests = bucket_value_column(a + step, h.salt, h.buckets)  # h(a + step)
+                for dest, part in partition_groups(dests, p, [a, b]):
+                    rnd.send_columns(dest, f"F{step + 1}", part)
     return sorted(cluster.gather(f"F{depth}")), cluster.stats
 
 

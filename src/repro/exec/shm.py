@@ -1,7 +1,7 @@
 """Payload encoding for the process backend: bytes ride the frame.
 
 A task payload is an arbitrary picklable structure (nested tuples,
-lists, dicts, row lists, numpy arrays). :func:`encode_payload` turns it
+lists, dicts, numpy arrays). :func:`encode_payload` turns it
 into one pickle-5 stream — the C pickler does the whole traversal — and
 the only decision taken here is where each *array block* travels:
 
@@ -15,10 +15,9 @@ the only decision taken here is where each *array block* travels:
 Nothing is named or remembered between messages: a block at the floor
 ships as a segment every time it is sent.
 
-Row lists (lists of Python tuples) are ordinary pickle data and always
-ride the frame. Whatever the carrier, a decoded array is private to the
-receiver and writable, and rows are built-in ``int``/``bool``/``str``
-exactly as sent.
+An ``object`` array's values are ordinary pickle data and always ride
+the frame. Whatever the carrier, a decoded array is private to the
+receiver and writable, and holds exactly the values sent.
 
 Segment lifecycle: the *sender* creates the segment and disowns it from
 its resource tracker (:func:`disown_segment`), because the duty to

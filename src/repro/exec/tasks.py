@@ -32,7 +32,6 @@ def _populate() -> None:
         {
             "join.fragments": joins_base.join_fragment_chunk,
             "semijoin.filter": multiway_base.semijoin_filter_chunk,
-            "aggregate.groups": multiway_base.aggregate_groups_chunk,
             "hypercube.eval": hypercube.hypercube_eval_chunk,
             "matmul.partials": matmul_sql.matmul_partials_chunk,
             "matmul.sums": matmul_sql.matmul_sums_chunk,

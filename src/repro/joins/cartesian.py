@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.base import JoinRun, join_schemas
-from repro.joins.local import cartesian_rows
+from repro.kernels.hashing import bucket_tuple_columns
+from repro.kernels.partition import partition_groups
 from repro.mpc.cluster import Cluster
-from repro.mpc.topology import Grid
+from repro.mpc.server import held
 
 
 def optimal_rectangle(r_size: int, s_size: int, p: int) -> tuple[int, int]:
@@ -77,31 +80,35 @@ def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
     (free initial placement), then replicated along grid rows/columns in
     one charged round.
     """
-    p = cluster.p
-    p1, p2 = optimal_rectangle(len(r), len(s), p)
-    grid = Grid([p1, p2])
-
-    r_frag = "L@cart"
-    s_frag = "R@cart"
-    for i, row in enumerate(r):
-        cluster.servers[i % p].fragment(r_frag).append(row)
-    for i, row in enumerate(s):
-        cluster.servers[i % p].fragment(s_frag).append(row)
-
-    row_of = cluster.hash_function(101, p1)
-    col_of = cluster.hash_function(102, p2)
+    p1, p2 = optimal_rectangle(len(r), len(s), cluster.p)
+    # Grid cell (i, j) is server i·p2 + j. Side 0 (R) sends a row to every
+    # cell of grid row h((sid, serial, 0)), side 1 (S) to every cell of
+    # grid column h((sid, serial, 1)): (input, hash, line stride, cells).
+    sides = (
+        (r, cluster.hash_function(101, p1), p2, range(p2)),
+        (s, cluster.hash_function(102, p2), 1, range(0, p1 * p2, p2)),
+    )
+    for side, rel in enumerate((r, s)):
+        cluster.scatter(rel, f"cart{side}")
     with cluster.round("cartesian-replicate") as rnd:
         for sid, server in enumerate(cluster.servers):
-            for serial, row in enumerate(server.take(r_frag)):
-                target_row = row_of((sid, serial, 0))
-                for j in range(p2):
-                    rnd.send(grid.flat((target_row, j)), f"{r_frag}@row", row)
-            for serial, row in enumerate(server.take(s_frag)):
-                target_col = col_of((sid, serial, 1))
-                for i in range(p1):
-                    rnd.send(grid.flat((i, target_col)), f"{s_frag}@col", row)
+            for side, (rel, h, stride, cells) in enumerate(sides):
+                columns = held(server.take(f"cart{side}"), rel.schema.arity)
+                n = len(columns[0])
+                if not n:
+                    continue
+                lines = bucket_tuple_columns(
+                    [np.full(n, sid), np.arange(n), np.full(n, side)], h.salt, h.buckets
+                )
+                for line, part in partition_groups(lines, h.buckets, columns):
+                    for cell in cells:
+                        rnd.send_columns(line * stride + cell, f"cart{side}@grid", part)
 
     for server in cluster.servers:
-        left = server.take(f"{r_frag}@row")
-        right = server.take(f"{s_frag}@col")
-        server.fragment("out").extend(cartesian_rows(left, right))
+        left = held(server.take("cart0@grid"), r.schema.arity)
+        right = held(server.take("cart1@grid"), s.schema.arity)
+        # cartesian_rows' nested-loop order: each left row with every right row
+        server.append_result("out", tuple(
+            [np.repeat(column, len(right[0])) for column in left]
+            + [np.tile(column, len(left[0])) for column in right]
+        ))

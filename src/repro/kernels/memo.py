@@ -342,7 +342,7 @@ def route_scattered(
     return _replay(
         cluster, rnd, rel, fragment, out_fragment, key_idx,
         ("scatter", key_idx, h.salt, h.buckets),
-        lambda n, key_cols: (hash_codes(key_cols, h), h.buckets, (0,), n),
+        lambda n, key_cols: (hash_codes(n, key_cols, h), h.buckets, (0,), n),
     )
 
 

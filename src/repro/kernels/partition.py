@@ -4,7 +4,7 @@ The shuffle rounds of every algorithm reduce to the same shape — compute
 a destination for each row, then move rows to per-destination buffers.
 These kernels compute all destinations vectorized and hand each
 destination one *batched* ``send_columns`` of column slices instead of a
-Python-level ``send`` per tuple. Per-destination
+one-row send per tuple. Per-destination
 row order matches a per-row send loop exactly (stable partitioning of rows
 iterated in order), so fragments, loads, and downstream outputs are
 byte-identical to the per-row reference
@@ -98,8 +98,11 @@ def groups_in_order(
     return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
 
 
-def hash_codes(columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
-    """Per-row ``h(key)`` over the key columns, narrowed for the argsort."""
+def hash_codes(n: int, columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
+    """Per-row ``h(key)`` over the ``n`` rows' key columns, narrowed for the
+    argsort. No key column is the key ``()``: every row goes to ``h(())``."""
+    if not columns:
+        return _shrink(np.full(n, h(()), dtype=np.int64), h.buckets)
     return _shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
 
 
@@ -141,8 +144,8 @@ def try_route(
 ) -> None:
     """Route every row to ``h(key)`` in batched sends.
 
-    Equivalent to ``rnd.send(h(tuple(row[i] for i in key_idx)), fragment,
-    row)`` per row — same destinations, same per-destination order, same
+    Equivalent to sending each row alone to ``h(tuple(row[i] for i in
+    key_idx))`` — same destinations, same per-destination order, same
     charged units. ``data`` is a fragment's columns
     (:func:`repro.mpc.server.held`), partitioned and sent as blocks.
     """
@@ -150,7 +153,7 @@ def try_route(
     if n:
         count_hash_ops(rnd, n)
         keys = [data[i] for i in key_idx]
-        for dest, part in partition_groups(hash_codes(keys, h), h.buckets, data):
+        for dest, part in partition_groups(hash_codes(n, keys, h), h.buckets, data):
             rnd.send_columns(dest, fragment, part)
 
 

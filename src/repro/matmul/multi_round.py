@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from repro.kernels.columnar import column_of
 from repro.matmul.blocks import assemble_blocks, block_count, get_block
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RunStats
@@ -60,17 +61,20 @@ def square_block_matmul(
 
     rounds = math.ceil(h / replicas)
     for rnd_index in range(rounds):
-        with cluster.round(f"block-products-{rnd_index}") as rnd:
-            for i in range(h):
-                for k in range(h):
-                    for replica in range(replicas):
-                        z = rnd_index * replicas + replica
-                        if z >= h:
-                            continue
+        # The round's block products, (i, j, k) per server in loop order.
+        products: dict[int, list[tuple[int, int, int]]] = {}
+        for i in range(h):
+            for k in range(h):
+                for replica in range(replicas):
+                    z = rnd_index * replicas + replica
+                    if z < h:
                         j = (i + k + z) % h
-                        dest = owner(i, k, replica)
-                        rnd.send(dest, "A@blk", (i, j, k), units=units)
-                        rnd.send(dest, "B@blk", (j, k, i), units=units)
+                        products.setdefault(owner(i, k, replica), []).append((i, j, k))
+        with cluster.round(f"block-products-{rnd_index}") as rnd:
+            for dest, triples in products.items():  # one index block each
+                bi, bj, bk = np.array(triples).T
+                rnd.send_columns(dest, "A@blk", [bi, bj, bk], units=units)
+                rnd.send_columns(dest, "B@blk", [bj, bk, bi], units=units)
         # Local compute: every server multiplies the block pairs it received.
         for sid in range(p):
             server = cluster.servers[sid]
@@ -90,10 +94,14 @@ def square_block_matmul(
     if replicas > 1:
         with cluster.round("merge-partials") as rnd:
             for sid in range(p):
+                moving: dict[int, list[tuple]] = {}  # per primary, in accumulation order
                 for (i, k), partial in accumulators[sid].items():
-                    primary = owner(i, k, 0)
-                    if primary != sid:
-                        rnd.send(primary, "C@partial", (i, k, partial), units=units)
+                    if owner(i, k, 0) != sid:
+                        moving.setdefault(owner(i, k, 0), []).append((i, k, partial))
+                for primary, rows in moving.items():
+                    i, k, partial = zip(*rows)  # the partial blocks ride an object column
+                    columns = [np.array(i), np.array(k), column_of(partial)]
+                    rnd.send_columns(primary, "C@partial", columns, units=units)
         for sid in range(p):
             for i, k, partial in cluster.servers[sid].take("C@partial"):
                 acc = accumulators[sid]

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 from repro.mpc.topology import Grid
 
@@ -51,25 +52,26 @@ def rectangular_block_matmul(
     cluster = Cluster(grid.size, seed=seed)
 
     with cluster.round("rectangular-distribute") as rnd:
-        for row in range(n1):
-            dest_group = row // t1
-            for col_group in range(col_groups):
-                dest = grid.flat((dest_group, col_group))
-                rnd.send(dest, "A@rows", (row, a[row, :]), units=n2)
-        for col in range(n3):
-            dest_group = col // t3
-            for row_group in range(row_groups):
-                dest = grid.flat((row_group, dest_group))
-                rnd.send(dest, "B@cols", (col, b[:, col]), units=n2)
+        # One index block per (group, server): a row or column costs n2.
+        for group in range(row_groups):
+            rows = np.arange(group * t1, min((group + 1) * t1, n1))
+            if len(rows):
+                for col_group in range(col_groups):
+                    rnd.send_columns(grid.flat((group, col_group)), "A@rows", [rows], units=n2)
+        for group in range(col_groups):
+            cols = np.arange(group * t3, min((group + 1) * t3, n3))
+            if len(cols):
+                for row_group in range(row_groups):
+                    rnd.send_columns(grid.flat((row_group, group)), "B@cols", [cols], units=n2)
 
     c = np.zeros((n1, n3))
     for sid in range(grid.size):
         server = cluster.servers[sid]
-        rows = server.take("A@rows")
-        cols = server.take("B@cols")
-        for row_index, row_vec in rows:
-            for col_index, col_vec in cols:
-                c[row_index, col_index] = float(row_vec @ col_vec)
+        (rows,) = held(server.take("A@rows"), 1)
+        (cols,) = held(server.take("B@cols"), 1)
+        for row_index in rows.tolist():
+            for col_index in cols.tolist():
+                c[row_index, col_index] = float(a[row_index, :] @ b[:, col_index])
     return c, cluster.stats
 
 

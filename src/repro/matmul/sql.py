@@ -18,8 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matmul.blocks import matrix_as_relation_rows
+from repro.data.relation import Relation
+from repro.kernels.columnar import concatenated, pack_columns
+from repro.kernels.hashing import bucket_value_column
+from repro.kernels.join import join_indices
+from repro.kernels.memo import route
+from repro.kernels.partition import partition_groups
 from repro.mpc.cluster import Cluster, combine_sequential
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
 
@@ -36,43 +42,36 @@ def sql_matmul(
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} × {b.shape}")
-    a_rows = matrix_as_relation_rows(a)
-    b_rows = matrix_as_relation_rows(b)
 
-    # Round 1: join on j.
+    # Round 1: join on j, routed by h(j) — the scalar spec, not h((j,)).
     cluster = Cluster(p, seed=seed)
-    cluster.scatter_rows(a_rows, "A@in")
-    cluster.scatter_rows(b_rows, "B@in")
+    cluster.scatter(_nonzero(a, "A", ["i", "j", "v"]), "A@in")
+    cluster.scatter(_nonzero(b, "B", ["j", "k", "v"]), "B@in")
     h = cluster.hash_function(0)
     with cluster.round("join-j") as rnd:
         for server in cluster.servers:
-            for i, j, v in server.take("A@in"):
-                rnd.send(h(j), "A@j", (i, j, v))
-            for j, k, v in server.take("B@in"):
-                rnd.send(h(j), "B@j", (j, k, v))
+            for side, j in (("A", 1), ("B", 0)):
+                columns = held(server.take(f"{side}@in"), 3)
+                dests = bucket_value_column(columns[j], h.salt, h.buckets)
+                for dest, part in partition_groups(dests, h.buckets, columns):
+                    rnd.send_columns(dest, f"{side}@j", part)
 
     # The n³ elementary products dominate the run; the exec backend
     # computes each server's block concurrently and returns (i, k, v)
-    # *arrays* — through shared memory under the process backend — that
-    # the coordinator zips back into tuples (int64/float64 round-trips
-    # are exact, so the partials match the historical loop bit-for-bit).
-    payloads = [(server.take("A@j"), server.take("B@j")) for server in cluster.servers]
-    partials: list[tuple[int, int, float]] = []
-    for iis, ks, vs in cluster.map_servers("matmul.partials", payloads):
-        partials.extend(zip(iis.tolist(), ks.tolist(), vs.tolist()))
+    # arrays — through shared memory under the process backend.
+    payloads = [(held(server.take("A@j"), 3), held(server.take("B@j"), 3))
+                for server in cluster.servers]
+    partials = [concatenated(parts) for parts in zip(*cluster.map_servers("matmul.partials", payloads))]
     join_stats = cluster.stats
 
     # Round 2: aggregate by (i, k).
     agg = Cluster(p, seed=seed + 1)
-    agg.scatter_rows(partials, "P@in")
-    h2 = agg.hash_function(1)
+    agg.scatter(Relation.from_columns("P", ["i", "k", "v"], partials), "P@in")
     with agg.round("groupby-ik") as rnd:
-        for server in agg.servers:
-            for i, k, v in server.take("P@in"):
-                rnd.send(h2((i, k)), "P@j", (i, k, v))
+        route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j")
 
     c = np.zeros((a.shape[0], b.shape[1]))
-    sum_payloads = [server.take("P@j") for server in agg.servers]
+    sum_payloads = [held(server.take("P@j"), 3) for server in agg.servers]
     for iis, ks, vs in agg.map_servers("matmul.sums", sum_payloads):
         c[iis, ks] = vs
 
@@ -80,51 +79,46 @@ def sql_matmul(
     return c, stats
 
 
+def _nonzero(matrix: np.ndarray, name: str, attributes: list[str]) -> Relation:
+    """The non-zero entries as (row, column, value) columns, in
+    ``np.nonzero`` order — the slide-108 view of a matrix as a relation."""
+    rows, cols = np.nonzero(matrix)
+    return Relation.from_columns(name, attributes, [rows, cols, matrix[rows, cols].astype(float)])
+
+
 def matmul_partials_chunk(payloads: list, common) -> list:
     """Exec task ``matmul.partials``: per-server join-side products.
 
-    Returns ``(i, k, v)`` int64/int64/float64 arrays per server, in the
-    exact emission order of the historical tuple loop; products are
-    computed on Python floats before array packing, so values are
-    bit-identical to the inline path.
+    Returns ``(i, k, v)`` arrays per server: for each A entry in arrival
+    order, its products with the B entries of its ``j`` in arrival order
+    (:func:`~repro.kernels.join.join_indices`'s nested-loop order), each
+    one IEEE multiply, as a tuple loop over Python floats makes it. (A
+    relation holds floats as an ``object`` column; ``float64`` holds them
+    exactly.)
     """
     out = []
-    for a_rows, b_rows in payloads:
-        index: dict[int, list[tuple[int, float]]] = {}
-        for j, k, v in b_rows:
-            index.setdefault(j, []).append((k, v))
-        iis: list[int] = []
-        ks: list[int] = []
-        vs: list[float] = []
-        for i, j, av in a_rows:
-            for k, bv in index.get(j, ()):
-                iis.append(i)
-                ks.append(k)
-                vs.append(av * bv)
-        out.append(
-            (
-                np.asarray(iis, dtype=np.int64),
-                np.asarray(ks, dtype=np.int64),
-                np.asarray(vs, dtype=np.float64),
-            )
-        )
+    for (a_i, a_j, a_v), (b_j, b_k, b_v) in payloads:
+        left, right = join_indices(a_j, b_j)
+        out.append((a_i[left], b_k[right], _floats(a_v)[left] * _floats(b_v)[right]))
     return out
 
 
 def matmul_sums_chunk(payloads: list, common) -> list:
     """Exec task ``matmul.sums``: per-server (i, k) group sums.
 
-    Sums accumulate on Python floats in arrival order (matching the
-    historical dict loop's association order) and are returned as
-    arrays in first-arrival key order.
+    ``np.bincount``'s weights accumulate from 0.0 in arrival order, as a
+    dict of running Python float sums does, so every sum is bit-identical;
+    returned as ``(i, k, sum)`` arrays, one row per group.
     """
     out = []
-    for rows in payloads:
-        sums: dict[tuple[int, int], float] = {}
-        for i, k, v in rows:
-            sums[(i, k)] = sums.get((i, k), 0.0) + v
-        iis = np.asarray([i for i, _ in sums], dtype=np.int64)
-        ks = np.asarray([k for _, k in sums], dtype=np.int64)
-        vs = np.asarray(list(sums.values()), dtype=np.float64)
-        out.append((iis, ks, vs))
+    for iis, ks, vs in payloads:
+        _, first, groups = np.unique(
+            pack_columns([iis, ks], dense=True), return_index=True, return_inverse=True
+        )
+        sums = np.bincount(groups.reshape(-1), weights=_floats(vs), minlength=len(first))
+        out.append((iis[first], ks[first], sums))
     return out
+
+
+def _floats(column: np.ndarray) -> np.ndarray:
+    return np.asarray(column, dtype=np.float64)

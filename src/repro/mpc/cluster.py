@@ -11,10 +11,13 @@ Usage pattern (a shuffle round)::
     h = cluster.hash_function(index=0, buckets=cluster.p)
     with cluster.round("shuffle") as rnd:
         for server in cluster.servers:
-            for row in server.take("R"):
-                rnd.send(h(row[0]), "R@h", row)
+            x, y = held(server.take("R"), 2)
+            dest = bucket_value_column(x, h.salt, h.buckets)   # h(x) per row
+            for d in range(cluster.p):
+                rnd.send_columns(d, "R@h", [x[dest == d], y[dest == d]])
     # after the `with` block every destination fragment is populated and
     # cluster.stats has a RoundStats entry for the round.
+    # (repro.kernels.partition.try_route is this loop, one stable partition.)
 
 Costs follow the tutorial's conventions: the *load* of a server in a
 round is the number of tuples it receives; ``L`` is the max over servers
@@ -51,14 +54,14 @@ The fault counters are surfaced on ``cluster.stats.faults``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
-from repro.kernels.columnar import zip_rows
+from repro.kernels.columnar import Row, columns_of
 from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import (
     FaultController,
@@ -67,7 +70,7 @@ from repro.mpc.faults import (
     fault_plan_by_default,
 )
 from repro.mpc.hashing import HashFamily, HashFunction
-from repro.mpc.server import ChunkedColumns, Row, Server, held
+from repro.mpc.server import ChunkedColumns, Server
 from repro.mpc.stats import ExecStats, MemoStats, RoundStats, RunStats
 
 
@@ -78,11 +81,8 @@ class RoundContext:
         self._cluster = cluster
         self.label = label
         self.charged = charged
-        # _buffers[dest][fragment] = what arrived so far, in arrival order:
-        # column blocks while only blocks arrived, else the rows.
-        self._buffers: list[dict[str, "list[Row] | ChunkedColumns"]] = [
-            {} for _ in range(cluster.p)
-        ]
+        # _buffers[dest][fragment] = the blocks that arrived so far, in order.
+        self._buffers: list[dict[str, ChunkedColumns]] = [{} for _ in range(cluster.p)]
         self._units: list[int] = [0] * cluster.p
         self._closed = False
         self.aborted = False
@@ -99,64 +99,34 @@ class RoundContext:
         if not 0 <= dest < self._cluster.p:
             raise ClusterError(f"destination {dest} out of range [0, {self._cluster.p})")
 
-    def _row_buffer(self, dest: int, fragment: str) -> list[Row]:
-        """The (dest, fragment) buffer as rows: blocks that arrived first
-        are decoded in arrival order (``tolist()`` rebuilds the very tuples)."""
-        buffer = self._buffers[dest].get(fragment)
-        if not isinstance(buffer, list):
-            buffer = self._buffers[dest][fragment] = list(buffer or ())
-        return buffer
+    def send_columns(
+        self, dest: int, fragment: str, columns: Sequence[np.ndarray], units: int = 1
+    ) -> None:
+        """Send the tuples whose columns these are to server ``dest``, to be
+        stored under ``fragment``: buffered as the block they are, no tuple
+        zipped.
 
-    def send(self, dest: int, fragment: str, row: Row, units: int = 1) -> None:
-        """Send one tuple to server ``dest``, to be stored under ``fragment``.
-
-        ``units`` is the communication cost of the tuple (default one, per
-        the tutorial's tuple-counting convention). It must be
-        non-negative: a negative cost would silently offset other
-        senders' units and could mask a load-cap violation.
+        ``units`` is the communication cost of each tuple (default one, per
+        the tutorial's tuple-counting convention; a matrix-block message
+        costs its elements). It must be non-negative: a negative cost would
+        silently offset other senders' units and could mask a load-cap
+        violation. A block must have its fragment's arity — that of the
+        blocks buffered before it, or of what ``dest`` already holds — else
+        :class:`ClusterError`, which aborts the round.
         """
         if units < 0:
             raise ClusterError(f"units must be non-negative, got {units}")
         self._admit(dest)
-        self._row_buffer(dest, fragment).append(row)
-        self._units[dest] += units
-
-    def send_many(self, dest: int, fragment: str, rows: Iterable[Row]) -> None:
-        """Send several tuples to one destination fragment."""
-        for row in rows:
-            self.send(dest, fragment, row)
-
-    def send_rows(self, dest: int, fragment: str, rows: Sequence[Row]) -> None:
-        """Batched :meth:`send`: one call charges ``len(rows)`` units.
-
-        Buffer contents and charged units end up exactly as if each row
-        had been sent individually (the kernels' batched shuffles rely on
-        this to keep loads identical to the tuple-at-a-time path).
-        """
-        self._admit(dest)
-        self._row_buffer(dest, fragment).extend(rows)
-        self._units[dest] += len(rows)
-
-    def send_columns(self, dest: int, fragment: str, columns: Sequence[np.ndarray]) -> None:
-        """:meth:`send_rows` of the rows whose columns these are.
-
-        The arrays are buffered as the block they are — charged
-        ``len(columns[0])`` units, no tuple zipped — while the buffer holds
-        nothing but blocks; blocks arriving after rows travel as rows.
-        """
-        self._admit(dest)
         block = ChunkedColumns([[column] for column in columns])
-        buffer = self._buffers[dest].setdefault(fragment, block)
-        if buffer is block or isinstance(buffer, ChunkedColumns) and buffer.extend(block):
-            self._units[dest] += len(block)
-            return
-        self.send_rows(dest, fragment, zip_rows(columns))
-
-    def broadcast(self, fragment: str, row: Row, servers: Sequence[int] | None = None) -> None:
-        """Send one tuple to every server (or each listed server)."""
-        targets = range(self._cluster.p) if servers is None else servers
-        for dest in targets:
-            self.send(dest, fragment, row)
+        buffer = self._buffers[dest].get(fragment)
+        if buffer is not None:
+            buffer.extend(block)
+        else:
+            target = self._cluster.servers[dest].storage.get(fragment)
+            if target:
+                target.check_arity(block)
+            self._buffers[dest][fragment] = block
+        self._units[dest] += units * len(block)
 
     # ------------------------------------------------------------- barrier
 
@@ -177,8 +147,7 @@ class RoundContext:
         return worst
 
     def _deliver_buffers(self) -> None:
-        """Append every buffer to its destination fragment (blocks stay
-        blocks on a columnar, absent or empty target: see :meth:`Server.append`)."""
+        """Append every buffer to its destination fragment (:meth:`Server.append`)."""
         servers = self._cluster.servers
         origins = self._cluster._scatter_origin
         for dest, fragments in enumerate(self._buffers):
@@ -424,17 +393,18 @@ class Cluster:
         self._scatter_origin[fragment] = (relation, relation.mutation_token())
         return fragment
 
+    # Nothing under src/repro calls this since every sender moves columns;
+    # it stays as a span perfbench/tracing.py:TARGETS names.
     def scatter_rows(self, rows: Sequence[Row], name: str) -> str:
-        """Place raw rows round-robin across servers (free).
-
-        Sliced placement (``rows[s::p]`` to server ``s``) — identical
-        assignment to the ``i % p`` loop, p list slices instead of n
-        Python-level appends.
-        """
-        self._place(name, [rows[s :: self.p] for s in range(self.p)])
+        """Place raw rows round-robin across servers (free): server ``s``
+        gets the columns of ``rows[s::p]`` as one block."""
+        self._place(name, [
+            ChunkedColumns([[column] for column in columns_of(rows[s :: self.p], 0)])
+            for s in range(self.p)
+        ])
         return name
 
-    def _place(self, name: str, chunks: Sequence) -> None:
+    def _place(self, name: str, chunks: Sequence[ChunkedColumns]) -> None:
         """Append server ``s``'s (non-empty) chunk to its fragment ``name``."""
         self._scatter_origin.pop(name, None)
         for server, chunk in zip(self.servers, chunks):
@@ -464,21 +434,15 @@ class Cluster:
     def gather_relation(self, fragment: str, name: str, attributes: Sequence[str]) -> Relation:
         """Gather a fragment into a :class:`Relation`.
 
-        Every server's blocks — a row list read by the one column rule
-        (:func:`repro.mpc.server.held`) — concatenate in server order, and
-        the tuples derive lazily.
+        Every server's blocks concatenate in server order, and the tuples
+        derive lazily.
         """
         chunks: list[list[np.ndarray]] = [[] for _ in attributes]
         for server in self.servers:
             part = server.get(fragment)
-            if not len(part):
-                continue
-            if isinstance(part, ChunkedColumns):
-                blocks = part.chunks
-            else:
-                blocks = [[column] for column in held(part, len(chunks))]
-            for column, more in zip(chunks, blocks):
-                column.extend(more)
+            if len(part):
+                for column, more in zip(chunks, part.chunks):
+                    column.extend(more)
         return Relation.from_chunks(name, attributes, chunks)
 
     def drop(self, fragment: str) -> None:

@@ -83,14 +83,13 @@ under randomized plans and asserts oracle-identical outputs.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import FaultPlanError
-from repro.mpc.server import ChunkedColumns, Row
+from repro.mpc.server import ChunkedColumns
 from repro.mpc.stats import CounterStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -381,14 +380,11 @@ class FaultStats(CounterStats):
 # ----------------------------------------------------------------- controller
 
 
-def _copy(fragment: "list[Row] | ChunkedColumns") -> "list[Row] | ChunkedColumns":
-    """A private copy of a fragment as held — what the store is handed, and
-    what a log or checkpoint keeps: of column blocks the per-column block
-    lists (delivery appends to those; a block is never written in place),
-    else the row list."""
-    if isinstance(fragment, ChunkedColumns):
-        return ChunkedColumns([list(blocks) for blocks in fragment.chunks])
-    return list(fragment)
+def _copy(fragment: ChunkedColumns) -> ChunkedColumns:
+    """A private copy of a fragment — what the store is handed, and what a
+    log or checkpoint keeps: the per-column block lists (delivery appends
+    to those; a block is never written in place)."""
+    return ChunkedColumns([list(blocks) for blocks in fragment.chunks])
 
 
 class FaultController:
@@ -411,15 +407,15 @@ class FaultController:
             plan.recovery.enabled and plan.recovery.checkpoint_interval > 1
         )
         # Barrier-entry checkpoints: server id -> {name: fragment copy}.
-        self._checkpoints: dict[int, dict[str, "list[Row] | ChunkedColumns"]] = {}
+        self._checkpoints: dict[int, dict[str, ChunkedColumns]] = {}
         self._checkpoint_round = -1
         # Chronological event log since the last checkpoint refresh:
         # ("deliver", ordinal, sid, fragment, part) and
         # ("scatter", sid, fragment, part), in the order they happened;
-        # a part is whatever the fragment got — column blocks or rows.
+        # a part is the blocks the fragment got.
         self._log: list[tuple] = []
         # Scatter log for scatter-crash replay: sid -> [(fragment, part)].
-        self._scatter_log: dict[int, list[tuple[str, Sequence[Row]]]] = {}
+        self._scatter_log: dict[int, list[tuple[str, ChunkedColumns]]] = {}
         self._scatter_fired: set[int] = set()
         self._scatter_targets = {s % cluster.p for s in plan.scatter_crashes}
 
@@ -435,7 +431,7 @@ class FaultController:
 
     # ----------------------------------------------------------- scatter path
 
-    def on_scatter_chunk(self, sid: int, fragment: str, rows: Sequence[Row]) -> None:
+    def on_scatter_chunk(self, sid: int, fragment: str, rows: ChunkedColumns) -> None:
         """Record one placed chunk; fire a scheduled scatter crash."""
         if self._scatter_targets:
             self._scatter_log.setdefault(sid, []).append((fragment, _copy(rows)))
@@ -519,9 +515,9 @@ class FaultController:
                 continue
             self._route_to_worker(dest)
             if not recovered:
-                # The corruption goes through: it edits this one buffer in
-                # place, as rows (blocks decoded in arrival order).
-                rows = rnd._row_buffer(dest, fragment)
+                # The corruption goes through: it rewrites this one buffer,
+                # slicing its columns in arrival order.
+                columns = buffers[fragment].arrays()
             if fault.kind == "drop":
                 self.stats.dropped += affected
                 if recovered:
@@ -530,14 +526,14 @@ class FaultController:
                     self.stats.retransmitted += affected
                     self.stats.recovery_load += affected
                 else:
-                    del rows[:affected]
+                    buffers[fragment] = ChunkedColumns([[c[affected:]] for c in columns])
                     self.stats.unrecovered += affected
             else:  # duplicate
                 self.stats.duplicated += affected
                 if recovered:
                     self.stats.deduplicated += affected
                 else:
-                    rows.extend(rows[:affected])
+                    buffers[fragment] = ChunkedColumns([[c, c[:affected]] for c in columns])
                     self.stats.unrecovered += affected
 
     def _crash(self, rnd: "RoundContext", ordinal: int, sid: int) -> None:
@@ -549,9 +545,10 @@ class FaultController:
         self._route_to_worker(sid)
         if not self.plan.recovery.enabled:
             # The server restarts empty; its round-k messages died with it.
-            incoming = sum(len(rows) for rows in rnd._buffers[sid].values())
-            for fragment in list(rnd._buffers[sid]):
-                rnd._buffers[sid][fragment] = []
+            buffers = rnd._buffers[sid]
+            incoming = sum(len(rows) for rows in buffers.values())
+            for fragment, rows in buffers.items():
+                buffers[fragment] = ChunkedColumns([[blocks[0][:0]] for blocks in rows.chunks])
             self.stats.unrecovered += lost + incoming
             return
         # 1. Restore the latest barrier-entry checkpoint.

@@ -3,22 +3,18 @@
 Each server owns a private store mapping *fragment names* (``"R"``, the
 local part of R; ``"R@shuffled"``, tuples received in a shuffle round) to
 fragments; all movement goes through :class:`repro.mpc.cluster.Cluster`
-rounds. A fragment is one thing: a :class:`ChunkedColumns` — every column,
-as blocks — or a ``list`` of rows, never both: a relation and the sorts'
-(key, position) pairs move as blocks, and the per-tuple senders (matrix
-multiplication, the grid product, aggregation) move rows. :func:`held`
-reads either as columns.
+rounds. A fragment is one thing, a :class:`ChunkedColumns`: every column,
+as the blocks that arrived, in order — a relation's tuples, the sorts'
+(key, position) pairs, a group-by's partials and a matrix block's indices
+alike. :func:`held` reads one, or its absence, as columns.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.kernels.columnar import columns_of, concatenated
-
-Row = tuple[Any, ...]
+from repro.errors import ClusterError
+from repro.kernels.columnar import concatenated
 
 
 class ChunkedColumns:
@@ -40,15 +36,20 @@ class ChunkedColumns:
     def arrays(self) -> list[np.ndarray]:
         return [concatenated(blocks) for blocks in self.chunks]
 
-    def extend(self, other: "ChunkedColumns") -> bool:
-        """Append ``other``'s blocks if they have this arity; whether it did.
-        (Blocks of one column that differ in dtype meet as ``object``.)"""
-        fits = len(self.chunks) == len(other.chunks)
-        if fits:
-            for blocks, arrived in zip(self.chunks, other.chunks):
-                blocks.extend(arrived)
-            self.length += other.length
-        return fits
+    def check_arity(self, other: "ChunkedColumns") -> None:
+        """Raise :class:`ClusterError` unless ``other`` has this arity."""
+        if len(self.chunks) != len(other.chunks):
+            raise ClusterError(
+                f"a block of {len(other.chunks)} columns for a fragment of {len(self.chunks)}"
+            )
+
+    def extend(self, other: "ChunkedColumns") -> None:
+        """Append ``other``'s blocks, of this arity (:meth:`check_arity`).
+        Blocks of one column that differ in dtype meet as ``object``."""
+        self.check_arity(other)
+        for blocks, arrived in zip(self.chunks, other.chunks):
+            blocks.extend(arrived)
+        self.length += other.length
 
     def __len__(self) -> int:
         return self.length
@@ -57,13 +58,12 @@ class ChunkedColumns:
         return zip(*(column.tolist() for column in self.arrays()))
 
 
-def held(fragment: "list[Row] | ChunkedColumns", arity: int = 0) -> list[np.ndarray]:
-    """A fragment's columns: its blocks concatenated, or its rows by the one
-    column rule (:func:`repro.kernels.columnar.column_of`) — ``arity``
-    empty columns for an empty row list."""
-    if isinstance(fragment, ChunkedColumns):
-        return fragment.arrays()
-    return columns_of(fragment, arity)
+def held(fragment: ChunkedColumns, arity: int = 0) -> list[np.ndarray]:
+    """A fragment's columns, its blocks concatenated — ``arity`` empty
+    columns for an absent fragment (one of no columns)."""
+    if not fragment.chunks:
+        return [np.empty(0, dtype=np.int64) for _ in range(arity)]
+    return fragment.arrays()
 
 
 class Server:
@@ -73,46 +73,37 @@ class Server:
 
     def __init__(self, sid: int) -> None:
         self.sid = sid
-        self.storage: dict[str, "list[Row] | ChunkedColumns"] = {}
+        self.storage: dict[str, ChunkedColumns] = {}
 
-    def fragment(self, name: str) -> list[Row]:
-        """The local fragment ``name`` as a row list, created empty if absent."""
-        rows = self.storage.setdefault(name, [])
-        if isinstance(rows, ChunkedColumns):
-            rows = self.storage[name] = list(rows)
-        return rows
-
-    def get(self, name: str) -> "list[Row] | ChunkedColumns":
+    def get(self, name: str) -> ChunkedColumns:
         """The *live* fragment ``name`` (empty if not stored): read, never mutate."""
-        return self.storage.get(name, [])
+        return self.storage.get(name) or ChunkedColumns([])
 
-    def take(self, name: str) -> "list[Row] | ChunkedColumns":
-        """Remove and return the local fragment ``name`` as held (empty if
-        absent): ask column blocks for ``arrays()``, or iterate either."""
-        return self.storage.pop(name, [])
+    def take(self, name: str) -> ChunkedColumns:
+        """Remove and return the local fragment ``name`` (empty if absent):
+        ask it for ``arrays()``, or iterate its tuples."""
+        return self.storage.pop(name, None) or ChunkedColumns([])
 
-    def put(self, name: str, rows: list[Row]) -> None:
-        """Replace fragment ``name`` with ``rows``."""
-        self.storage[name] = rows
+    def put(self, name: str, fragment: ChunkedColumns) -> None:
+        """Replace fragment ``name`` with ``fragment``."""
+        self.storage[name] = fragment
 
-    def append(self, name: str, part: "list[Row] | ChunkedColumns") -> None:
-        """Append ``part``: blocks stay blocks on a columnar fragment and *become*
-        an absent or empty one (handed over, not copied); else both meet as rows."""
-        target, columnar = self.storage.get(name), isinstance(part, ChunkedColumns)
-        if columnar and not target:
+    def append(self, name: str, part: ChunkedColumns) -> None:
+        """Append ``part``'s blocks to fragment ``name``, of its arity; an
+        absent or empty fragment *becomes* ``part`` (handed over, not copied)."""
+        target = self.storage.get(name)
+        if target:
+            target.extend(part)
+        else:
             self.storage[name] = part
-        elif not (columnar and isinstance(target, ChunkedColumns) and target.extend(part)):
-            self.fragment(name).extend(part)
 
-    def append_result(self, name: str, result: "list[Row] | tuple | None") -> None:
-        """:meth:`append` a local step's result: rows, or a tuple of columns."""
-        if isinstance(result, tuple):
-            result = ChunkedColumns([[column] for column in result])
-        self.append(name, [] if result is None else result)
+    def append_result(self, name: str, result: tuple) -> None:
+        """:meth:`append` a local step's result, a tuple of columns."""
+        self.append(name, ChunkedColumns([[column] for column in result]))
 
     def local_size(self) -> int:
         """Total tuples currently stored on this server."""
-        return sum(len(rows) for rows in self.storage.values())
+        return sum(len(fragment) for fragment in self.storage.values())
 
     def __repr__(self) -> str:
         frags = {k: len(v) for k, v in self.storage.items()}

@@ -7,7 +7,6 @@ from repro.multiway.aggregate import (
 )
 from repro.multiway.base import (
     MultiwayRun,
-    shuffle_aggregate,
     shuffle_join,
     shuffle_multi_semijoin,
     shuffle_semijoin,
@@ -30,7 +29,6 @@ __all__ = [
     "group_by",
     "gym",
     "hypercube_join",
-    "shuffle_aggregate",
     "shuffle_join",
     "shuffle_multi_semijoin",
     "reduced_hypercube",

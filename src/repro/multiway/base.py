@@ -156,16 +156,18 @@ def shuffle_multi_semijoin(
         reducer_lights.append(light_keys)
         reducer_frags.append(cluster.scatter(light_keys, f"K{i}@in"))
 
-    # Heavy keys surviving every reducer get their verdict broadcast (no
-    # heavy key: no key set is built).
-    key_sets = [set(keys.rows_readonly()) for keys in reducer_keys] if heavy else []
-    heavy_alive = sorted(k for k in heavy if all(k in ks for ks in key_sets))
+    # Heavy keys found in every reducer get their verdict broadcast (no
+    # heavy key: no reducer is searched).
+    heavy_keys = list(heavy)
+    everywhere = np.ones(len(heavy_keys), dtype=bool)
+    for keys in reducer_keys if heavy else ():
+        everywhere &= np.isin(np.arange(len(heavy_keys)), lookup_codes(keys.columns(), heavy_keys))
+    heavy_alive = sorted(key for key, alive in zip(heavy_keys, everywhere) if alive)
 
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
         if heavy:
-            heavy_keys = list(heavy)
             for server in cluster.servers:
                 t_cols = held(server.take(t_frag), target.schema.arity)
                 server.put("T@stay", _route_light(rnd, t_cols, t_idx, heavy_keys, h))
@@ -173,8 +175,10 @@ def shuffle_multi_semijoin(
             route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
         for i, frag in enumerate(reducer_frags):
             route(cluster, rnd, frag, key_arity, h, f"K{i}@j", reducer_lights[i])
-        for key in heavy_alive:
-            rnd.broadcast("H@alive", key)
+        if heavy_alive:
+            alive = key_columns(heavy_alive, range(len(shared)))
+            for dest in range(p):
+                rnd.send_columns(dest, "H@alive", alive)
 
     payloads = []
     arity = target.schema.arity
@@ -200,7 +204,7 @@ def _route_light(
     t_idx: tuple[int, ...],
     heavy: list[Row],
     h: Any,
-) -> "list[Row] | ChunkedColumns":
+) -> ChunkedColumns:
     """Route light rows to ``h(key)``; return the heavy rows (they stay).
 
     One key lookup splits heavy from light; the light rows route in
@@ -246,48 +250,3 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
         tuple(map(concatenated, zip(light, heavy)))
         for light, heavy in zip(routed, kept(stay, alive))
     ]
-
-
-def shuffle_aggregate(
-    rows: list[Row],
-    key_positions: tuple[int, ...],
-    combine: Any,
-    p: int,
-    seed: int = 0,
-    label: str = "aggregate",
-) -> tuple[list[Row], RunStats]:
-    """One-round hash aggregation: route rows by key, fold groups locally.
-
-    ``combine(key, group_rows) -> row`` produces one output row per group.
-    Used by the SQL-on-MPC matrix multiplication's GROUP BY stage.
-    """
-    cluster = Cluster(p, seed=seed)
-    cluster.scatter_rows(rows, "A@in")
-    h = cluster.hash_function(0)
-    with cluster.round(label) as rnd:
-        route(cluster, rnd, "A@in", key_positions, h, "A@j")
-    # An unpicklable ``combine`` (a closure) transparently degrades the
-    # process backend to inline execution for this call.
-    payloads = [server.take("A@j") for server in cluster.servers]
-    results = cluster.map_servers(
-        "aggregate.groups", payloads, (tuple(key_positions), combine)
-    )
-    out: list[Row] = [row for rows in results for row in rows]
-    return out, cluster.stats
-
-
-def aggregate_groups_chunk(payloads: list, common) -> list:
-    """Exec task ``aggregate.groups``: fold each server's groups locally.
-
-    Group order follows first-arrival order of each key (dict insertion
-    order), identical across backends because the routed rows arrive in
-    the same order either way.
-    """
-    key_positions, combine = common
-    out = []
-    for rows in payloads:
-        groups: dict[Row, list[Row]] = {}
-        for row in rows:
-            groups.setdefault(tuple(row[i] for i in key_positions), []).append(row)
-        out.append([combine(key, group) for key, group in groups.items()])
-    return out

@@ -7,11 +7,11 @@ Every key operation runs through one of six kernels —
 :func:`~repro.kernels.join.join_rows_columnar`,
 :func:`~repro.kernels.join.semijoin_mask` and
 :func:`~repro.kernels.join.lookup_codes` — and each takes every value. The
-per-row bodies they replaced live on here: a ``send`` per row
-(``memo.route``, ``hypercube_join``, the skew-aware semijoin's light
-rows), a dict index per join and a set per semijoin (``Relation.join``,
-``Relation.semijoin``). Each function has the signature of what it
-stands for.
+per-row bodies they replaced live on here: a one-row send per row
+(:func:`send_row`: ``memo.route``, ``hypercube_join``, the skew-aware
+semijoin's light rows), a dict index per join and a set per semijoin
+(``Relation.join``, ``Relation.semijoin``). Each function has the
+signature of what it stands for.
 ``tests/kernels/test_equivalence.py`` holds the kernels to these on every
 value type, and ``tests/holdings.py`` substitutes them for the kernels to
 run whole algorithms on the scalar rung.
@@ -24,26 +24,33 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import zip_rows
+from repro.kernels.columnar import column_of, columns_of, zip_rows
 from repro.mpc.hashing import HashFunction
+from repro.mpc.server import ChunkedColumns
 from repro.mpc.topology import Grid
 
 Row = tuple[Any, ...]
 
 
+def send_row(rnd: Any, dest: int, fragment: str, row: Row, units: int = 1) -> None:
+    """Send one tuple to server ``dest``: a one-row block, each value its own
+    column by the one rule (:meth:`~repro.mpc.cluster.RoundContext.send_columns`)."""
+    rnd.send_columns(dest, fragment, [column_of([value]) for value in row], units)
+
+
 def try_route(
     rnd: Any, data: Sequence, key_idx: Sequence[int], h: HashFunction, fragment: str,
 ) -> None:
-    """``try_route``: one ``send`` per row, to ``h`` of its key tuple."""
+    """``try_route``: one send per row, to ``h`` of its key tuple."""
     for row in zip_rows(data):
-        rnd.send(h(tuple(row[i] for i in key_idx)), fragment, row)
+        send_row(rnd, h(tuple(row[i] for i in key_idx)), fragment, row)
 
 
 def try_route_grid(
     rnd: Any, data: Sequence, column_dims: Sequence[int], salts: Sequence[int],
     extents: Sequence[int], strides: Sequence[int], fragment: str,
 ) -> None:
-    """``try_route_grid``: one ``send`` per row and grid cell it matches
+    """``try_route_grid``: one send per row and grid cell it matches
     (``strides`` are ``Grid(extents)``'s, as every caller passes them)."""
     grid = Grid(extents)
     hash_functions = [HashFunction(extent, salt) for extent, salt in zip(extents, salts)]
@@ -52,12 +59,12 @@ def try_route_grid(
         for value, dim in zip(row, column_dims):
             partial[dim] = hash_functions[dim](value)
         for dest in grid.matching(partial):
-            rnd.send(dest, fragment, row)
+            send_row(rnd, dest, fragment, row)
 
 
 def route_light(
     rnd: Any, columns: Sequence[np.ndarray], t_idx: tuple[int, ...], heavy: list[Row], h: Any,
-) -> list[Row]:
+) -> ChunkedColumns:
     """``multiway.base._route_light``: route light rows, keep heavy ones."""
     heavy = set(heavy)
     stay = []
@@ -66,8 +73,8 @@ def route_light(
         if key in heavy:
             stay.append(row)  # no communication: stays in place
         else:
-            rnd.send(h(key), "T@j", row)
-    return stay
+            send_row(rnd, h(key), "T@j", row)
+    return ChunkedColumns([[column] for column in columns_of(stay, len(columns))])
 
 
 def code_key_columns(

@@ -26,6 +26,7 @@ from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import find_heavy_values
 from repro.query.cq import ConjunctiveQuery
+from repro.testing.scalar_reference import send_row
 
 Row = tuple[Any, ...]
 
@@ -207,17 +208,19 @@ def _packed_heavy_products(
 
     cluster = Cluster(p, seed=seed)
     placement = HashFamily(seed + 77).function(0, p)
+    # Free placement: server (i + j) % p holds the j-th tuple of key i.
+    sources: list[tuple[list, list]] = [([], []) for _ in range(p)]
     for i, key in enumerate(keys):
         for j, row in enumerate(r_groups[key]):
-            cluster.servers[(i + j) % p].fragment("R@src").append((key, row))
+            sources[(i + j) % p][0].append((key, row))
         for j, row in enumerate(s_groups[key]):
-            cluster.servers[(i + j) % p].fragment("S@src").append((key, row))
+            sources[(i + j) % p][1].append((key, row))
     with cluster.round("heavy-packed") as rnd:
-        for server in cluster.servers:
-            for key, row in server.take("R@src"):
-                rnd.send(placement(key), "R@v", (key, row))
-            for key, row in server.take("S@src"):
-                rnd.send(placement(key), "S@v", (key, row))
+        for r_src, s_src in sources:
+            for key, row in r_src:
+                send_row(rnd, placement(key), "R@v", (key, row))
+            for key, row in s_src:
+                send_row(rnd, placement(key), "S@v", (key, row))
     out_rows: list[Row] = []
     for server in cluster.servers:
         r_local: dict[Row, list[Row]] = {}
@@ -265,11 +268,9 @@ def _one_heavy_product(
     # S contributes no new attributes: the join just multiplies each R row
     # by the number of matching S rows. Spread R's rows, keep bag counts.
     multiplicity = len(s_rows)
-    for i, row in enumerate(r_rows):
-        cluster.servers[i % cluster.p].fragment("rb").append(row)
     with cluster.round("heavy-degenerate") as rnd:
-        for server in cluster.servers:
-            for row in server.take("rb"):
-                rnd.send(server.sid, "out", row, units=1)
+        for sid in range(cluster.p):
+            for row in r_rows[sid :: cluster.p]:  # placed on sid for free, round-robin
+                send_row(rnd, sid, "out", row)
     rows = [row for row in cluster.gather("out") for _ in range(multiplicity)]
     return rows, cluster.stats

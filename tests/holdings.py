@@ -17,12 +17,19 @@ import pytest
 from repro.data.relation import Relation
 from repro.exec.config import backend_name, worker_count
 from repro.exec.pool import get_pool
+from repro.kernels.columnar import columns_of
 from repro.mpc.audit import audited
+from repro.mpc.server import ChunkedColumns
 from repro.testing.oracle import multiset_diff
 
 BIG = 2**63 + 5  # above int64 max: a uint64 column the radix codes cannot hold
 
 P_VALUES = [1, 3, 8, 13]
+
+
+def fragment_of(rows, arity):
+    """``rows`` as a server holds them: one block, each column by the one rule."""
+    return ChunkedColumns([[column] for column in columns_of(rows, arity)])
 
 
 @contextmanager

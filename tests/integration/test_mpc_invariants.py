@@ -19,6 +19,7 @@ from repro.joins import parallel_hash_join, skew_join, sort_join
 from repro.mpc.cluster import Cluster
 from repro.multiway import triangle_hypercube
 from repro.data.graphs import random_edges, triangle_relations
+from repro.testing.scalar_reference import send_row
 
 pytestmark = pytest.mark.slow
 
@@ -37,7 +38,7 @@ class TestShuffleConservation:
         with cluster.round("shuffle") as rnd:
             for server in cluster.servers:
                 for row in server.take("R"):
-                    rnd.send(h(row[0]), "R@j", row)
+                    send_row(rnd, h(row[0]), "R@j", row)
         assert sorted(cluster.gather("R@j")) == sorted(rows)
         assert cluster.stats.total_communication == len(rows)
 
@@ -47,7 +48,8 @@ class TestShuffleConservation:
         cluster = Cluster(p)
         with cluster.round("b") as rnd:
             for i in range(n):
-                rnd.broadcast("B", (i,))
+                for dest in range(p):
+                    send_row(rnd, dest, "B", (i,))
         assert cluster.stats.total_communication == n * p
         assert all(len(s.get("B")) == n for s in cluster.servers)
 

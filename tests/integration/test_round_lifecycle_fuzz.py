@@ -24,6 +24,7 @@ from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster
 from repro.multiway.hypercube import triangle_hypercube
 from repro.sorting.psrs import psrs_sort
+from repro.testing.scalar_reference import send_row
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.slow]
 
@@ -48,22 +49,23 @@ def _fuzz_one_cluster(seed: int, steps: int = 60) -> None:
             with c.round(label) as rnd:
                 # Round-robin destinations keep each load under the cap.
                 for i in range(rng.randint(0, (cap // 2) * p)):
-                    rnd.send(i % p, "D", (step, i))
+                    send_row(rnd, i % p, "D", (step, i))
             delivered += 1
         elif action == "broadcast":
             with c.round(label) as rnd:
                 for _ in range(rng.randint(1, max(1, cap // 2))):
-                    rnd.broadcast("B", (step,))
+                    for dest in range(p):
+                        send_row(rnd, dest, "B", (step,))
             delivered += 1
         elif action == "free":
             with c.free_round(label) as rnd:
                 for i in range(rng.randint(0, 3 * cap)):
-                    rnd.send(i % p, "F", (step, i))
+                    send_row(rnd, i % p, "F", (step, i))
             delivered += 1
         elif action == "abort":
             with pytest.raises(_Abort):
                 with c.round(label) as rnd:
-                    rnd.send(rng.randrange(p), "X", (step,))
+                    send_row(rnd, rng.randrange(p), "X", (step,))
                     raise _Abort
             aborted += 1
         else:  # overload: guaranteed cap violation, rejected at the barrier
@@ -71,7 +73,7 @@ def _fuzz_one_cluster(seed: int, steps: int = 60) -> None:
             with pytest.raises(LoadExceededError):
                 with c.round(label) as rnd:
                     for i in range(cap + rng.randint(1, 3)):
-                        rnd.send(victim, "X", (step, i))
+                        send_row(rnd, victim, "X", (step, i))
             rejected += 1
 
     report = c.stats.audit
@@ -88,8 +90,9 @@ def _fuzz_one_cluster(seed: int, steps: int = 60) -> None:
     assert c.gather("X") == []
     # The cluster is still fully usable at the end.
     with c.round("final") as rnd:
-        rnd.broadcast("done", (1,))
-    assert all(s.get("done") == [(1,)] for s in c.servers)
+        for dest in range(p):
+            send_row(rnd, dest, "done", (1,))
+    assert all(list(s.get("done")) == [(1,)] for s in c.servers)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -15,6 +15,7 @@ from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
 from repro.mpc.cluster import Cluster
 from repro.multiway.base import shuffle_join
 from repro.mpc.stats import RoundStats, RunStats
+from tests.holdings import fragment_of
 
 
 class TestJoinSchemas:
@@ -53,26 +54,26 @@ class TestLocalJoin:
     def test_joins_fragments_and_consumes_them(self):
         cluster = Cluster(1)
         server = cluster.servers[0]
-        server.put("L", [(1, 2), (3, 4)])
-        server.put("R", [(2, 9)])
+        server.put("L", fragment_of([(1, 2), (3, 4)], 2))
+        server.put("R", fragment_of([(2, 9)], 2))
         left_schema = Relation("L", ["x", "y"], [])
         right_schema = Relation("R", ["y", "z"], [])
         local_join(server, "L", "R", left_schema, right_schema, "out")
         assert list(server.get("out")) == [(1, 2, 9)]
-        assert server.get("L") == []  # consumed
-        assert server.get("R") == []
+        assert list(server.get("L")) == []  # consumed
+        assert list(server.get("R")) == []
 
     def test_appends_to_existing_output(self):
         cluster = Cluster(1)
         server = cluster.servers[0]
-        server.put("out", [(0, 0, 0)])
-        server.put("L", [(1, 2)])
-        server.put("R", [(2, 9)])
+        server.put("out", fragment_of([(0, 0, 0)], 3))
+        server.put("L", fragment_of([(1, 2)], 2))
+        server.put("R", fragment_of([(2, 9)], 2))
         local_join(
             server, "L", "R",
             Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "out",
         )
-        assert server.get("out") == [(0, 0, 0), (1, 2, 9)]
+        assert list(server.get("out")) == [(0, 0, 0), (1, 2, 9)]
 
 
 def _edges(heavy: bool) -> Relation:

@@ -21,6 +21,7 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
 from repro.kernels import join as join_kernels
+from repro.kernels.columnar import columns_of
 from repro.mpc.cluster import Cluster
 from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
 from repro.testing.oracle import oracle_two_way
@@ -82,10 +83,11 @@ def test_bools_and_strings_keep_their_types():
 
 
 def test_mixed_per_server_results_gather_in_server_order():
-    # Server 1 holds a row list (a per-tuple sender's); the gather reads it
-    # by the one column rule and keeps server order.
+    # Server 1's result was built from rows by the one column rule; the
+    # gather concatenates every server's blocks in server order.
     cluster = Cluster(3)
-    blocks = [(np.array([1, 2]), np.array([10, 20])), [(3, 30)], (np.array([4]), np.array([40]))]
+    blocks = [(np.array([1, 2]), np.array([10, 20])), tuple(columns_of([(3, 30)], 2)),
+              (np.array([4]), np.array([40]))]
     for server, block in zip(cluster.servers, blocks):
         server.append_result("out", block)
     assert [len(server.get("out")) for server in cluster.servers] == [2, 1, 1]
@@ -95,8 +97,8 @@ def test_mixed_per_server_results_gather_in_server_order():
     assert cluster.gather("out") == gathered.rows_readonly()
     gathered.rows().clear()  # the caller's copy: neither the gather nor the store moves
     assert len(gathered) == 4 and len(cluster.gather("out")) == 4
-    # Without the row contribution the same blocks concatenate column-wise.
-    cluster.servers[1].put("out", [])
+    # Without server 1's contribution the others concatenate column-wise.
+    cluster.servers[1].take("out")
     columnar = cluster.gather_relation("out", "OUT", ["a", "b"])
     assert columnar.mutation_token() == 0
     assert columnar.rows_readonly() == [(1, 10), (2, 20), (4, 40)]
@@ -110,11 +112,11 @@ def test_a_column_block_on_a_server_reads_as_its_rows():
     assert server.local_size() == 2
     assert cluster.auditor.snapshot() == [{"out": 2}]
     assert list(server.get("out")) == [(7, 1), (8, 2)]
-    # Appending more demotes the block to the rows it stands for.
-    server.append_result("out", [(9, 3)])
-    assert server.get("out") == [(7, 1), (8, 2), (9, 3)]
+    # Appending more adds blocks; the fragment still reads as its rows.
+    server.append_result("out", (np.array([9]), np.array([3])))
+    assert list(server.get("out")) == [(7, 1), (8, 2), (9, 3)]
     server.append_result("out", (np.array([5]), np.array([0])))
-    assert server.get("out") == [(7, 1), (8, 2), (9, 3), (5, 0)]
+    assert list(server.get("out")) == [(7, 1), (8, 2), (9, 3), (5, 0)]
 
 
 @pytest.mark.parametrize("recovered", [True, False], ids=["recovered", "unrecovered"])

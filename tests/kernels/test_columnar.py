@@ -10,6 +10,8 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, Server, held
+from repro.testing.scalar_reference import send_row
+from tests.holdings import fragment_of
 
 
 class TestRelationColumns:
@@ -47,14 +49,14 @@ class TestRelationColumns:
 #   stale-length rejection: nothing rides beside the rows to go stale.
 class TestServerSideCar:
     def test_put_and_take_invalidate_cache(self):
-        # What is stored is the fragment itself: put replaces it whatever
-        # its form, take hands it over as held and leaves nothing behind.
+        # What is stored is the fragment itself: put replaces it, take
+        # hands it over as held and leaves nothing behind.
         server = Server(0)
         server.append_result("f", (np.array([1]),))
         assert isinstance(server.get("f"), ChunkedColumns)
-        server.put("f", [(2,)])
-        assert server.take("f") == [(2,)]
-        assert server.take("f") == [] and server.storage == {}
+        server.put("f", fragment_of([(2,)], 1))
+        assert list(server.take("f")) == [(2,)]
+        assert list(server.take("f")) == [] and server.storage == {}
 
 
 class TestDeliveredSideCar:
@@ -81,8 +83,8 @@ class TestDeliveredSideCar:
         assert delivered == 40
 
     def test_partial_coverage_blocks_install(self):
-        # One scalar send into a buffer of blocks turns that one buffer
-        # into rows, the blocks decoded in arrival order.
+        # A one-row send into a buffer of blocks is one more block: the
+        # buffer stays blocks, in arrival order.
         cluster = Cluster(2, seed=0)
         from repro.kernels.partition import try_route
 
@@ -90,22 +92,23 @@ class TestDeliveredSideCar:
         columns = [np.arange(10), np.arange(10)]
         with cluster.round("shuffle") as rnd:
             try_route(rnd, columns, (0,), h, "f")
-            rnd.send(0, "f", (99, 99))
+            send_row(rnd, 0, "f", (99, 99))
         first, second = (server.take("f") for server in cluster.servers)
-        assert isinstance(first, list) and first[-1] == (99, 99)
-        assert first[:-1] == [(i, i) for i in range(10) if h((i,)) == 0]
+        assert isinstance(first, ChunkedColumns) and len(first.chunks[0]) == 2
+        assert list(first) == [(i, i) for i in range(10) if h((i,)) == 0] + [(99, 99)]
         assert isinstance(second, ChunkedColumns)
 
     def test_preexisting_rows_block_install(self):
+        # Blocks delivered to a fragment a server already holds append to it.
         cluster = Cluster(2, seed=0)
         from repro.kernels.partition import try_route
 
         h = cluster.hash_function(0)
         for server in cluster.servers:
-            server.fragment("f").append((-1, -1))
+            server.put("f", fragment_of([(-1, -1)], 2))
         with cluster.round("shuffle") as rnd:
             try_route(rnd, [np.arange(10), np.arange(10)], (0,), h, "f")
         for server in cluster.servers:
             rows = server.take("f")
-            assert isinstance(rows, list) and rows[0] == (-1, -1)
-            assert rows[1:] == [(i, i) for i in range(10) if h((i,)) == server.sid]
+            assert isinstance(rows, ChunkedColumns)
+            assert list(rows) == [(-1, -1)] + [(i, i) for i in range(10) if h((i,)) == server.sid]

@@ -46,13 +46,7 @@ class Recorder:
     def __init__(self):
         self.sent = defaultdict(list)
 
-    def send(self, dest, _fragment, row):
-        self.sent[dest].append(row)
-
-    def send_rows(self, dest, _fragment, rows):
-        self.sent[dest].extend(rows)
-
-    def send_columns(self, dest, _fragment, columns):
+    def send_columns(self, dest, _fragment, columns, units=1):
         self.sent[dest].extend(zip_rows(columns))
 
     def observed(self):

@@ -42,7 +42,7 @@ from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import MemoStats
 from repro.mpc.topology import Grid
-from tests.holdings import scalar_rung
+from tests.holdings import fragment_of, scalar_rung
 
 ARITY = 2
 
@@ -162,7 +162,7 @@ def test_tampered_fragment_falls_back():
     _route(rel)  # prime the cache
     cluster = Cluster(4, seed=0)
     frag = cluster.scatter(rel, "R@in")
-    cluster.servers[0].fragment(frag).append((7, 7))
+    cluster.servers[0].append(frag, fragment_of([(7, 7)], 2))
     h = cluster.hash_function(0)
     with cluster.round("route") as rnd:
         assert not route_scattered(cluster, rnd, rel, frag, (0,), h, "out")

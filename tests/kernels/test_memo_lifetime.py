@@ -206,8 +206,9 @@ class TestColumnsThatStandInForRows:
         cluster = Cluster(2)
         h = cluster.hash_function(0)
         with cluster.round("route") as rnd:
-            try_route(rnd, columns_of([(True,), (False,)], 1), (0,), h, "out")
-            try_route(rnd, columns_of([(True, 1), (False, 2)], 2), (0,), h, "out")
-        got = [row for server in cluster.servers for row in server.take("out")]
+            try_route(rnd, columns_of([(True,), (False,)], 1), (0,), h, "one")
+            try_route(rnd, columns_of([(True, 1), (False, 2)], 2), (0,), h, "two")
+        got = [row for server in cluster.servers for name in ("one", "two")
+               for row in server.take(name)]
         assert Counter(got) == Counter([(True,), (False,), (True, 1), (False, 2)])
         assert all(type(row[0]) is bool for row in got)

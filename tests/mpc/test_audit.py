@@ -3,6 +3,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.errors import AuditError, LoadExceededError
@@ -15,32 +16,37 @@ from repro.mpc.audit import (
     verify_partition,
 )
 from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
+from repro.mpc.server import ChunkedColumns
 from repro.mpc.stats import RoundStats, RunStats
+from repro.testing.scalar_reference import send_row
 
 
-class _LossyList(list):
+class _LossyFragment(ChunkedColumns):
     """A fragment that silently drops the first row of every delivery."""
 
-    def extend(self, rows):
-        rows = list(rows)
-        super().extend(rows[1:])
+    def extend(self, other):
+        super().extend(ChunkedColumns([[column[1:]] for column in other.arrays()]))
 
 
-class _DuplicatingList(list):
+class _DuplicatingFragment(ChunkedColumns):
     """A fragment that duplicates every delivered row."""
 
-    def extend(self, rows):
-        rows = list(rows)
-        super().extend(rows)
-        super().extend(rows)
+    def extend(self, other):
+        super().extend(other)
+        super().extend(other)
+
+
+def _holding_one_row(kind):
+    """A non-empty ``kind`` fragment (an empty one is replaced, not extended)."""
+    return kind([[np.array([0])]])
 
 
 class TestClusterAudit:
     def test_clean_round_passes(self):
         c = Cluster(2, audit=True)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1,))
-            rnd.send(1, "A", (2,))
+            send_row(rnd, 0, "A", (1,))
+            send_row(rnd, 1, "A", (2,))
         report = c.stats.audit
         assert report is not None
         assert report.ok
@@ -55,40 +61,40 @@ class TestClusterAudit:
     def test_free_round_audited(self):
         c = Cluster(2, audit=True)
         with c.free_round("place") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         assert c.stats.audit.ok
 
     def test_dropped_tuple_detected(self):
         """A deliberately broken send — a dropped tuple — must be caught."""
         c = Cluster(2, audit=True)
-        c.servers[0].storage["A"] = _LossyList()
+        c.servers[0].storage["A"] = _holding_one_row(_LossyFragment)
         with pytest.raises(AuditError) as exc_info:
             with c.round("r") as rnd:
-                rnd.send(0, "A", (1,))
-                rnd.send(0, "A", (2,))
+                send_row(rnd, 0, "A", (1,))
+                send_row(rnd, 0, "A", (2,))
         assert exc_info.value.check == "delivery"
         assert not c.stats.audit.ok
         assert c.stats.audit.violations[0].check == "delivery"
         # The cluster is still usable after the failed audit.
         with c.round("again") as rnd:
-            rnd.send(1, "B", (3,))
-        assert c.servers[1].get("B") == [(3,)]
+            send_row(rnd, 1, "B", (3,))
+        assert list(c.servers[1].get("B")) == [(3,)]
 
     def test_duplicated_tuple_detected(self):
         c = Cluster(2, audit=True)
-        c.servers[1].storage["A"] = _DuplicatingList()
+        c.servers[1].storage["A"] = _holding_one_row(_DuplicatingFragment)
         with pytest.raises(AuditError) as exc_info:
             with c.round("r") as rnd:
-                rnd.send(1, "A", (1,))
+                send_row(rnd, 1, "A", (1,))
         assert exc_info.value.check == "delivery"
 
     def test_non_strict_records_without_raising(self):
         c = Cluster(2, audit=True)
         c.auditor.strict = False
-        c.servers[0].storage["A"] = _LossyList()
+        c.servers[0].storage["A"] = _holding_one_row(_LossyFragment)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1,))
-            rnd.send(0, "A", (2,))
+            send_row(rnd, 0, "A", (1,))
+            send_row(rnd, 0, "A", (2,))
         report = c.stats.audit
         assert not report.ok
         # delivery + conservation both tripped; the remaining checks ran.
@@ -108,8 +114,8 @@ class TestClusterAudit:
         c = Cluster(2, audit=True, load_cap=1)
         with pytest.raises(LoadExceededError):
             with c.round("over") as rnd:
-                rnd.send(0, "A", (1,))
-                rnd.send(0, "A", (2,))
+                send_row(rnd, 0, "A", (1,))
+                send_row(rnd, 0, "A", (2,))
         assert c.stats.audit.rejected_rounds == ["over"]
         assert "1 rejected" in c.stats.audit.summary()
 
@@ -216,10 +222,10 @@ class TestAuditReport:
     def test_combine_sequential_merges_reports(self):
         c1 = Cluster(2, audit=True)
         with c1.round("a") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         c2 = Cluster(2, audit=True)
         with c2.round("b") as rnd:
-            rnd.send(1, "B", (2,))
+            send_row(rnd, 1, "B", (2,))
         combined = combine_sequential(2, [c1.stats, c2.stats])
         assert combined.audit is not None
         assert combined.audit.rounds_audited == 2

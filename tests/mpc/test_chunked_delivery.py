@@ -16,7 +16,7 @@ from repro.data.relation import Relation
 from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns
-from tests.holdings import scalar_rung
+from tests.holdings import fragment_of, scalar_rung
 
 
 _BATCHES = {
@@ -122,12 +122,12 @@ class TestChunkedColumnsUnit:
         assert ChunkedColumns([]).length == 0
 
     def test_stale_chunked_sidecar_rejected(self):
-        # Growing a chunked fragment's row list from outside cannot leave
-        # stale columns behind: asking for rows turns the one store into
-        # rows (blocks decoded in arrival order), and that is what is held.
+        # Growing a chunked fragment from outside cannot leave stale
+        # columns behind: what grows is the one store, block by block,
+        # and that is what is held.
         cluster = _multi_chunk_round(chunked=True)
         server = cluster.servers[0]
-        server.fragment("out").append((99, 99))
+        server.append("out", fragment_of([(99, 99)], 2))
         rows = server.take("out")
-        assert isinstance(rows, list)
-        assert rows == [row for batch in _BATCHES[0] for row in batch] + [(99, 99)]
+        assert isinstance(rows, ChunkedColumns)
+        assert list(rows) == [row for batch in _BATCHES[0] for row in batch] + [(99, 99)]

@@ -2,12 +2,15 @@
 
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
 from repro.mpc.stats import RoundStats, RunStats
+from repro.testing.scalar_reference import send_row
+from tests.holdings import fragment_of
 
 
 class TestClusterBasics:
@@ -53,19 +56,19 @@ class TestRounds:
     def test_delivery_at_barrier(self):
         c = Cluster(2)
         with c.round("r1") as rnd:
-            rnd.send(0, "A", (1,))
-            rnd.send(1, "A", (2,))
+            send_row(rnd, 0, "A", (1,))
+            send_row(rnd, 1, "A", (2,))
             # Not delivered until the block exits.
-            assert c.servers[0].get("A") == []
-        assert c.servers[0].get("A") == [(1,)]
-        assert c.servers[1].get("A") == [(2,)]
+            assert list(c.servers[0].get("A")) == []
+        assert list(c.servers[0].get("A")) == [(1,)]
+        assert list(c.servers[1].get("A")) == [(2,)]
 
     def test_load_is_tuples_received(self):
         c = Cluster(2)
         with c.round("r1") as rnd:
             for _ in range(5):
-                rnd.send(0, "A", (0,))
-            rnd.send(1, "A", (0,))
+                send_row(rnd, 0, "A", (0,))
+            send_row(rnd, 1, "A", (0,))
         assert c.stats.rounds[0].received == [5, 1]
         assert c.stats.max_load == 5
         assert c.stats.total_communication == 6
@@ -75,7 +78,7 @@ class TestRounds:
         with c.round("quiet"):
             pass
         with c.round("busy") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         assert c.stats.num_rounds == 1
         assert len(c.stats.rounds) == 2
 
@@ -83,7 +86,7 @@ class TestRounds:
         c = Cluster(2)
         with pytest.raises(ClusterError):
             with c.round("r") as rnd:
-                rnd.send(5, "A", (1,))
+                send_row(rnd, 5, "A", (1,))
 
     def test_nested_round_rejected(self):
         c = Cluster(2)
@@ -94,48 +97,50 @@ class TestRounds:
     def test_send_after_close_rejected(self):
         c = Cluster(2)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         with pytest.raises(ClusterError):
-            rnd.send(0, "A", (2,))
+            send_row(rnd, 0, "A", (2,))
 
     def test_broadcast(self):
         c = Cluster(3)
         with c.round("b") as rnd:
-            rnd.broadcast("B", (7,))
-        assert all(s.get("B") == [(7,)] for s in c.servers)
+            for dest in range(c.p):  # a broadcast is one block per server
+                rnd.send_columns(dest, "B", [np.array([7])])
+        assert all(list(s.get("B")) == [(7,)] for s in c.servers)
         assert c.stats.rounds[0].received == [1, 1, 1]
 
     def test_broadcast_to_subset(self):
         c = Cluster(4)
         with c.round("b") as rnd:
-            rnd.broadcast("B", (7,), servers=[1, 3])
+            for dest in (1, 3):
+                rnd.send_columns(dest, "B", [np.array([7])])
         assert c.stats.rounds[0].received == [0, 1, 0, 1]
 
     def test_send_many(self):
         c = Cluster(2)
         with c.round("r") as rnd:
-            rnd.send_many(1, "A", [(1,), (2,), (3,)])
-        assert c.servers[1].get("A") == [(1,), (2,), (3,)]
+            rnd.send_columns(1, "A", [np.array([1, 2, 3])])
+        assert list(c.servers[1].get("A")) == [(1,), (2,), (3,)]
 
     def test_custom_units(self):
         c = Cluster(2)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1, 2, 3), units=3)
+            send_row(rnd, 0, "A", (1, 2, 3), units=3)
         assert c.stats.max_load == 3
 
     def test_free_round_not_charged(self):
         c = Cluster(2)
         with c.free_round("place") as rnd:
-            rnd.send(0, "A", (1,))
-        assert c.servers[0].get("A") == [(1,)]
+            send_row(rnd, 0, "A", (1,))
+        assert list(c.servers[0].get("A")) == [(1,)]
         assert c.stats.total_communication == 0
 
     def test_appends_to_existing_fragment(self):
         c = Cluster(2)
-        c.servers[0].put("A", [(0,)])
+        c.servers[0].put("A", fragment_of([(0,)], 1))
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1,))
-        assert c.servers[0].get("A") == [(0,), (1,)]
+            send_row(rnd, 0, "A", (1,))
+        assert list(c.servers[0].get("A")) == [(0,), (1,)]
 
 
 class TestLoadCap:
@@ -144,29 +149,29 @@ class TestLoadCap:
         with pytest.raises(LoadExceededError) as exc_info:
             with c.round("r") as rnd:
                 for _ in range(3):
-                    rnd.send(0, "A", (0,))
+                    send_row(rnd, 0, "A", (0,))
         assert exc_info.value.server == 0
         assert exc_info.value.load == 3
 
     def test_cap_not_triggered_at_limit(self):
         c = Cluster(2, load_cap=2)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (0,))
-            rnd.send(0, "A", (0,))
+            send_row(rnd, 0, "A", (0,))
+            send_row(rnd, 0, "A", (0,))
         assert c.stats.max_load == 2
 
     def test_cap_enforced_before_delivery(self):
         """Regression: a cap violation must not mutate server fragments."""
         c = Cluster(2, load_cap=2)
-        c.servers[0].put("A", [(99,)])
+        c.servers[0].put("A", fragment_of([(99,)], 1))
         with pytest.raises(LoadExceededError):
             with c.round("r") as rnd:
                 for _ in range(3):
-                    rnd.send(0, "A", (0,))
-                rnd.send(1, "B", (1,))
+                    send_row(rnd, 0, "A", (0,))
+                send_row(rnd, 1, "B", (1,))
         # Nothing was delivered anywhere — not even to the within-cap server.
-        assert c.servers[0].get("A") == [(99,)]
-        assert c.servers[1].get("B") == []
+        assert list(c.servers[0].get("A")) == [(99,)]
+        assert list(c.servers[1].get("B")) == []
 
     def test_rejected_round_recorded_but_not_aggregated(self):
         """Regression: the violating round's stats stay inspectable."""
@@ -174,7 +179,7 @@ class TestLoadCap:
         with pytest.raises(LoadExceededError):
             with c.round("over") as rnd:
                 for _ in range(5):
-                    rnd.send(0, "A", (0,))
+                    send_row(rnd, 0, "A", (0,))
         assert len(c.stats.rounds) == 1
         rejected = c.stats.rounds[0]
         assert rejected.label == "over"
@@ -192,11 +197,11 @@ class TestLoadCap:
         with pytest.raises(LoadExceededError):
             with c.round("over") as rnd:
                 for _ in range(3):
-                    rnd.send(0, "A", (0,))
+                    send_row(rnd, 0, "A", (0,))
         with c.round("ok") as rnd:
-            rnd.send(0, "A", (1,))
-            rnd.send(1, "A", (2,))
-        assert c.servers[0].get("A") == [(1,)]
+            send_row(rnd, 0, "A", (1,))
+            send_row(rnd, 1, "A", (2,))
+        assert list(c.servers[0].get("A")) == [(1,)]
         assert c.stats.max_load == 1
         assert c.stats.num_rounds == 1
 
@@ -204,8 +209,8 @@ class TestLoadCap:
         c = Cluster(2, load_cap=1)
         with c.free_round("place") as rnd:
             for _ in range(5):
-                rnd.send(0, "A", (0,))
-        assert c.servers[0].get("A") == [(0,)] * 5
+                send_row(rnd, 0, "A", (0,))
+        assert list(c.servers[0].get("A")) == [(0,)] * 5
 
 
 class TestExceptionSafety:
@@ -215,20 +220,20 @@ class TestExceptionSafety:
         c = Cluster(2)
         with pytest.raises(RuntimeError):
             with c.round("doomed") as rnd:
-                rnd.send(0, "A", (1,))
+                send_row(rnd, 0, "A", (1,))
                 raise RuntimeError("algorithm bug")
         # The cluster must accept a new round immediately.
         with c.round("next") as rnd:
-            rnd.send(1, "A", (2,))
-        assert c.servers[1].get("A") == [(2,)]
+            send_row(rnd, 1, "A", (2,))
+        assert list(c.servers[1].get("A")) == [(2,)]
 
     def test_aborted_round_delivers_nothing(self):
         c = Cluster(2)
         with pytest.raises(RuntimeError):
             with c.round("doomed") as rnd:
-                rnd.send(0, "A", (1,))
+                send_row(rnd, 0, "A", (1,))
                 raise RuntimeError
-        assert c.servers[0].get("A") == []
+        assert list(c.servers[0].get("A")) == []
         assert c.stats.total_communication == 0
         assert c.stats.rounds == []  # never reached the barrier
 
@@ -248,16 +253,16 @@ class TestExceptionSafety:
                 raise RuntimeError
         assert rnd.aborted
         with pytest.raises(ClusterError):
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
 
     def test_send_error_aborts_cleanly(self):
         c = Cluster(2)
         with pytest.raises(ClusterError):
             with c.round("r") as rnd:
-                rnd.send(5, "A", (1,))
+                send_row(rnd, 5, "A", (1,))
         with c.round("again") as rnd:
-            rnd.send(0, "A", (1,))
-        assert c.servers[0].get("A") == [(1,)]
+            send_row(rnd, 0, "A", (1,))
+        assert list(c.servers[0].get("A")) == [(1,)]
 
     def test_exception_in_free_round_releases_cluster(self):
         c = Cluster(2)
@@ -265,8 +270,8 @@ class TestExceptionSafety:
             with c.free_round("place"):
                 raise RuntimeError
         with c.free_round("place2") as rnd:
-            rnd.send(0, "A", (1,))
-        assert c.servers[0].get("A") == [(1,)]
+            send_row(rnd, 0, "A", (1,))
+        assert list(c.servers[0].get("A")) == [(1,)]
 
 
 class TestStats:
@@ -381,16 +386,16 @@ class TestFreeRoundAccounting:
         c = Cluster(3)
         with c.free_round("place") as rnd:
             for sid in range(3):
-                rnd.send(sid, "A", (sid,))
+                send_row(rnd, sid, "A", (sid,))
         assert c.stats.rounds[0].received == [0, 0, 0]
         assert c.stats.rounds[0].delivered
 
     def test_free_round_not_counted_as_round(self):
         c = Cluster(2)
         with c.free_round("place") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         with c.round("work") as rnd:
-            rnd.send(1, "A", (2,))
+            send_row(rnd, 1, "A", (2,))
         assert c.stats.num_rounds == 1
         assert c.stats.max_load == 1
         assert c.stats.total_communication == 1
@@ -398,9 +403,9 @@ class TestFreeRoundAccounting:
     def test_free_round_custom_units_uncharged(self):
         c = Cluster(2)
         with c.free_round("place") as rnd:
-            rnd.send(0, "A", (1, 2, 3), units=3)
+            send_row(rnd, 0, "A", (1, 2, 3), units=3)
         assert c.stats.max_load == 0
-        assert c.servers[0].get("A") == [(1, 2, 3)]
+        assert list(c.servers[0].get("A")) == [(1, 2, 3)]
 
 
 class TestHashFunctionAccess:
@@ -431,8 +436,8 @@ class TestLoadCapBoundary:
         with _rung(kernels):
             c = Cluster(2, load_cap=3)
             with c.round("r") as rnd:
-                rnd.send_rows(0, "A", [(1,), (2,), (3,)])
-            assert c.servers[0].get("A") == [(1,), (2,), (3,)]
+                rnd.send_columns(0, "A", [np.array([1, 2, 3])])
+            assert list(c.servers[0].get("A")) == [(1,), (2,), (3,)]
             assert c.stats.max_load == 3
             assert c.stats.rounds[0].delivered
 
@@ -442,25 +447,54 @@ class TestLoadCapBoundary:
             c = Cluster(2, load_cap=3)
             with pytest.raises(LoadExceededError) as exc_info:
                 with c.round("r") as rnd:
-                    rnd.send_rows(0, "A", [(1,), (2,), (3,), (4,)])
+                    rnd.send_columns(0, "A", [np.array([1, 2, 3, 4])])
             assert exc_info.value.load == 4 and exc_info.value.cap == 3
-            assert c.servers[0].get("A") == []
+            assert list(c.servers[0].get("A")) == []
             assert not c.stats.rounds[0].delivered
 
     def test_negative_units_rejected(self):
-        """Regression: send(units=-5) silently offset other senders' units
-        and could mask a cap violation (received=[-2, 0] from 4 sends)."""
+        """Regression: units=-5 silently offset other senders' units and
+        could mask a cap violation (received=[-2, 0] from 4 sends)."""
         c = Cluster(2, load_cap=2)
         with pytest.raises(ClusterError, match="non-negative"):
             with c.round("r") as rnd:
-                rnd.send(0, "A", (1,), units=-5)
+                rnd.send_columns(0, "A", [np.array([1])], units=-5)
 
     def test_zero_units_still_allowed(self):
         c = Cluster(2)
         with c.round("r") as rnd:
-            rnd.send(0, "A", (1,), units=0)
+            rnd.send_columns(0, "A", [np.array([1])], units=0)
         assert c.stats.max_load == 0
-        assert c.servers[0].get("A") == [(1,)]
+        assert list(c.servers[0].get("A")) == [(1,)]
+
+    def test_units_charge_every_row(self):
+        c = Cluster(2)
+        with c.round("r") as rnd:
+            rnd.send_columns(0, "A", [np.array([1, 2, 3])], units=4)
+        assert c.stats.rounds[0].received == [12, 0]
+
+
+class TestBlockArity:
+    """Regression: a 2-column and then a 3-column block to one fragment
+    charged [3, 0] and delivered [(1, 3), (2, 4), (5, 6, 7)], whose columns
+    lost the 7 — nothing raised."""
+
+    def test_a_block_of_another_arity_aborts_the_round(self):
+        c = Cluster(2)
+        with pytest.raises(ClusterError, match="3 columns for a fragment of 2"):
+            with c.round("r") as rnd:
+                rnd.send_columns(0, "f", [np.array([1, 2]), np.array([3, 4])])
+                rnd.send_columns(0, "f", [np.array([5]), np.array([6]), np.array([7])])
+        assert c.stats.aborted == 1 and c.stats.rounds == []
+        assert "f" not in c.servers[0].storage
+
+    def test_a_block_must_fit_what_the_destination_holds(self):
+        c = Cluster(1)
+        c.servers[0].put("f", fragment_of([(1, 2)], 2))
+        with pytest.raises(ClusterError, match="1 columns for a fragment of 2"):
+            with c.round("r") as rnd:
+                rnd.send_columns(0, "f", [np.array([3])])
+        assert list(c.servers[0].get("f")) == [(1, 2)]
 
 
 class TestAbortedRoundStats:
@@ -476,7 +510,7 @@ class TestAbortedRoundStats:
             untouched = Cluster(2, audit=True)
             with pytest.raises(RuntimeError):
                 with c.round("doomed") as rnd:
-                    rnd.send(0, "A", (1,))
+                    send_row(rnd, 0, "A", (1,))
                     rnd.send_columns(1, "B", [np.array([2, 3])])
                     raise RuntimeError("algorithm bug")
             assert c.stats.rounds == untouched.stats.rounds
@@ -518,11 +552,11 @@ class TestLoadOfDeliveredOnly:
         cap-rejected round as if the algorithm had realized it."""
         c = Cluster(2, load_cap=2)
         with c.round("shuffle") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         with pytest.raises(LoadExceededError):
             with c.round("shuffle") as rnd:
                 for _ in range(5):
-                    rnd.send(0, "A", (0,))
+                    send_row(rnd, 0, "A", (0,))
         assert c.stats.load_of("shuffle") == 1
 
     def test_load_of_only_rejected_rounds_raises(self):
@@ -530,6 +564,6 @@ class TestLoadOfDeliveredOnly:
         with pytest.raises(LoadExceededError):
             with c.round("over") as rnd:
                 for _ in range(5):
-                    rnd.send(0, "A", (0,))
+                    send_row(rnd, 0, "A", (0,))
         with pytest.raises(KeyError):
             c.stats.load_of("over")

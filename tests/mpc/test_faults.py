@@ -11,6 +11,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro.data.generators import uniform_relation
+from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.errors import FaultPlanError
 from repro.joins.hash_join import parallel_hash_join
@@ -27,19 +28,20 @@ from repro.mpc import (
     trace,
 )
 from repro.mpc.faults import fault_plan_by_default
+from repro.testing.scalar_reference import send_row
 from tests.holdings import scalar_rung
 
 
 def shuffle_pipeline(p=4, n=48, depth=3, plan=None, audit=True):
     """``depth`` chained re-hash shuffles; returns (sorted rows, stats)."""
     cluster = Cluster(p, seed=7, faults=plan, audit=audit)
-    cluster.scatter_rows([(i, i % 11) for i in range(n)], "F0")
+    cluster.scatter(Relation("F0", ["a", "b"], [(i, i % 11) for i in range(n)]))
     for step in range(depth):
         h = cluster.hash_function(step, p)
         with cluster.round(f"shuffle-{step}") as rnd:
             for server in cluster.servers:
                 for row in server.take(f"F{step}"):
-                    rnd.send(h(row[0] + step), f"F{step + 1}", row)
+                    send_row(rnd, h(row[0] + step), f"F{step + 1}", row)
     return sorted(cluster.gather(f"F{depth}")), cluster.stats
 
 

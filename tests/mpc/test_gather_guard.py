@@ -1,19 +1,23 @@
 """Regression: ``Cluster.gather()`` must return a fresh copy, never a
 live server storage list.
 
-``Server.get()`` hands out the live list (documented, for the hot
+``Server.get()`` hands out the live fragment (documented, for the hot
 paths); ``gather()`` is the boundary where rows leave the simulator, so
 its contract is the opposite — callers may mutate the result freely.
 The dangerous configuration is a single server (p=1) or a fragment that
-lives on one server only, where a naive implementation could return the
-storage list itself. Mirrors the ``Relation.rows()`` footgun suite: the
-storage lists are swapped for a guard that raises on any mutation, and
-the gathered result is then mutated every way a caller plausibly would.
+lives on one server only, where a naive implementation could hand out
+storage itself. Mirrors the ``Relation.rows()`` footgun suite: the
+fragments' block lists are swapped for a guard that raises on any
+mutation, and the gathered result is then mutated every way a caller
+plausibly would.
 """
 
 import pytest
 
+from repro.data.relation import Relation
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import ChunkedColumns
+from tests.holdings import fragment_of
 
 
 class MutationError(AssertionError):
@@ -40,10 +44,12 @@ for _name in (
 
 
 def _guard_storage(cluster, fragment):
-    """Replace every server's backing list for ``fragment`` with a guard."""
+    """Replace every server's block lists for ``fragment`` with guards."""
     for server in cluster.servers:
         if fragment in server.storage:
-            server.storage[fragment] = GuardedList(server.storage[fragment])
+            server.storage[fragment] = ChunkedColumns(
+                [GuardedList(blocks) for blocks in server.storage[fragment].chunks]
+            )
 
 
 def _abuse(rows):
@@ -61,7 +67,7 @@ def _abuse(rows):
 def test_gather_returns_mutable_copy(p):
     cluster = Cluster(p, seed=0)
     rows = [(i, i * i) for i in range(40)]
-    cluster.scatter_rows(rows, "R")
+    cluster.scatter(Relation("R", ["a", "b"], rows), "R")
     _guard_storage(cluster, "R")
 
     gathered = cluster.gather("R")
@@ -76,7 +82,7 @@ def test_gather_single_owner_fragment():
     """All rows on one server — the classic alias-return configuration."""
     cluster = Cluster(4, seed=0)
     rows = [(i,) for i in range(25)]
-    cluster.servers[2].put("only", list(rows))
+    cluster.servers[2].put("only", fragment_of(rows, 1))
     _guard_storage(cluster, "only")
 
     gathered = cluster.gather("only")
@@ -89,7 +95,7 @@ def test_gather_single_owner_fragment():
 def test_gather_relation_rows_are_detached():
     cluster = Cluster(3, seed=1)
     rows = [(i, -i) for i in range(30)]
-    cluster.scatter_rows(rows, "R")
+    cluster.scatter(Relation("R", ["a", "b"], rows), "R")
     _guard_storage(cluster, "R")
 
     rel = cluster.gather_relation("R", "R", ("a", "b"))

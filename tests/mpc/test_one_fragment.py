@@ -1,16 +1,17 @@
-"""A fragment is one thing: column blocks or a row list, never both.
+"""A fragment is one thing: column blocks.
 
 From ``scatter`` through the shuffle to the local step a server holds
-each fragment once — a :class:`ChunkedColumns` for a relation's tuples,
-a ``list`` of rows for a per-tuple sender's —
-and nothing on that path builds the other form beside it. Pinned here:
+each fragment once, as a :class:`ChunkedColumns` — a relation's tuples
+and every per-tuple sender's alike — and nothing on that path builds
+rows beside it. Pinned here:
 
 (a) int inputs travel the six kernel-path algorithms without one tuple
     being asked for, and every stored fragment and cached plan group
     holds one representation;
 (b) whatever the holding, the value kind, the audit and the fault plan,
     a run observes what the scalar rung observes;
-(c) blocks and rows meeting in one buffer arrive as rows, in send order;
+(c) a row sent alone is a one-row block: a buffer, and a fragment, stay
+    blocks in send order;
 (d) scatter places read-only *views* of the relation's arrays, and no
     result is a writable alias of them;
 (e) the process backend agrees, message for message, and leaves no
@@ -39,7 +40,8 @@ from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import skewhc_join
 from repro.query.parser import parse_query
-from tests.holdings import holdings, observe, scalar_rung
+from repro.testing.scalar_reference import send_row
+from tests.holdings import fragment_of, holdings, observe, scalar_rung
 
 PATH = parse_query("R(x, y), S(y, z)")
 TRIANGLE = parse_query("R(x, y), S(y, z), T(z, x)")
@@ -112,7 +114,7 @@ def test_int_inputs_travel_without_one_tuple_being_asked_for(name, monkeypatch):
     assert Server.__slots__ == ("sid", "storage")
     stored = [part for c in clusters for server in c.servers for part in server.storage.values()]
     assert any(isinstance(part, ChunkedColumns) for part in stored)
-    assert all(isinstance(part, ChunkedColumns) or part == [] for part in stored)
+    assert all(isinstance(part, ChunkedColumns) for part in stored)
     # A cached plan holds one part per destination: frozen blocks, no rows.
     plans = [entry[2] for entry in memo._plans._entries.values()]
     assert plans or name in ("broadcast", "skew")
@@ -194,11 +196,15 @@ def test_blocks_and_rows_in_one_buffer_arrive_as_rows_in_send_order(audit):
     cluster = Cluster(2, audit=audit)
     with cluster.round("mixed") as rnd:
         rnd.send_columns(0, "f", block(1, 2))          # source 0: blocks
-        rnd.send_rows(0, "f", [(3, "three")])           # source 1: rows
+        send_row(rnd, 0, "f", (3, "three"))             # source 1: one row, one block
         rnd.send_columns(0, "f", block(4))              # source 2: blocks again
-        rnd.send_columns(1, "f", block(5, 6))           # another buffer: blocks only
+        rnd.send_columns(1, "f", block(5, 6))           # another buffer
         rnd.send_columns(1, "f", block(7))
-    assert cluster.servers[0].take("f") == [(1, 10), (2, 20), (3, "three"), (4, 40)]
+    mixed = cluster.servers[0].take("f")
+    assert isinstance(mixed, ChunkedColumns)
+    assert [len(blocks) for blocks in mixed.chunks] == [3, 3]
+    assert list(mixed) == [(1, 10), (2, 20), (3, "three"), (4, 40)]
+    assert mixed.arrays()[1].dtype == object  # the str column met the ints as object
     blocks_only = cluster.servers[1].take("f")
     assert isinstance(blocks_only, ChunkedColumns)
     assert [len(blocks) for blocks in blocks_only.chunks] == [2, 2]  # not concatenated yet
@@ -209,14 +215,17 @@ def test_blocks_and_rows_in_one_buffer_arrive_as_rows_in_send_order(audit):
 
 
 def test_a_row_held_target_or_a_foreign_dtype_turns_blocks_into_rows():
+    # Neither does any more: blocks append to what a server holds, and
+    # blocks of another dtype meet it as object.
     cluster = Cluster(1)
     server = cluster.servers[0]
-    server.put("f", [("already", "here")])
+    server.put("f", fragment_of([("already", "here")], 2))
     with cluster.round("r") as rnd:
         rnd.send_columns(0, "f", [np.array([1]), np.array([2])])
         rnd.send_columns(0, "g", [np.array([1], dtype=np.int64)])
         rnd.send_columns(0, "g", [np.array([2**63 + 1], dtype=np.uint64)])
-    assert server.take("f") == [("already", "here"), (1, 2)]
+    f = server.take("f")
+    assert isinstance(f, ChunkedColumns) and list(f) == [("already", "here"), (1, 2)]
     # A foreign dtype used to turn blocks into rows too. Now int64 and
     # uint64 blocks stay blocks and meet as an object column (numpy would
     # widen them to float): every value comes back as itself.

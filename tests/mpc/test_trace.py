@@ -3,6 +3,7 @@
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RoundStats, RunStats
 from repro.mpc.trace import busiest_server, load_histogram, round_table, trace
+from repro.testing.scalar_reference import send_row
 
 
 def sample_stats():
@@ -94,7 +95,7 @@ class TestTrace:
     def test_audited_run_appends_summary(self):
         cluster = Cluster(2, audit=True)
         with cluster.round("r") as rnd:
-            rnd.send(0, "A", (1,))
+            send_row(rnd, 0, "A", (1,))
         text = trace(cluster.stats)
         assert "audit:" in text and "0 violations" in text
 

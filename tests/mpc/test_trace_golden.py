@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RoundStats, RunStats
 from repro.mpc.trace import busiest_server, load_histogram, round_table, trace
+from repro.testing.scalar_reference import send_row
 
 
 def _stats() -> RunStats:
@@ -90,8 +91,8 @@ def test_trace_appends_audit_summary():
     # Pinned inline: a process-backend trace appends its exec line last.
     cluster = Cluster(2, audit=True, backend="inline")
     with cluster.round("r1") as rt:
-        rt.send(0, "frag", ("t",))
-        rt.send(1, "frag", ("u",))
+        send_row(rt, 0, "frag", ("t",))
+        send_row(rt, 1, "frag", ("u",))
     text = trace(cluster.stats)
     assert cluster.stats.audit is not None
     assert text.rstrip().endswith(cluster.stats.audit.summary())

@@ -37,6 +37,21 @@ class TestOnePhase:
         out, _ = group_by(orders([]), ["cust"], "price", sum, p=2)
         assert len(out) == 0
 
+    def test_no_key_is_one_group_on_one_server(self):
+        """Regression: with no key attribute ``group_by`` raised ``ValueError:
+        hash_tuple_columns needs at least one column``; every row routes to
+        ``h(())``, as the two-phase partials and the reference agree."""
+        from repro.mpc.cluster import Cluster
+        from repro.mpc.hashing import hash_int_tuple
+
+        rel = orders([(1, "jan", 5), (2, "feb", 7), (3, "mar", 14)])
+        out, stats = group_by(rel, [], "price", sum, p=4)
+        assert out.rows() == [(26,)] == reference_group_by(rel, [], "price", sum).rows()
+        assert two_phase_group_by(rel, [], "price", sum, sum, p=4)[0].rows() == [(26,)]
+        h = Cluster(4).hash_function(0)
+        dest = hash_int_tuple((), h.salt) % 4
+        assert h(()) == dest and stats.rounds[0].received == [3 if s == dest else 0 for s in range(4)]
+
     def test_output_schema(self):
         out, _ = group_by(SAMPLE, ["cust"], "price", sum, p=2)
         assert out.schema.attributes == ("cust", "price_agg")
@@ -80,12 +95,15 @@ class TestTwoPhase:
         max_size=60,
     )
 
-    @given(rows, st.integers(1, 8))
+    @given(rows, st.integers(1, 8), st.sampled_from([["cust", "month"], ["cust"], []]),
+           st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_property_both_match_reference(self, raw, p):
+    def test_property_both_match_reference(self, raw, p, keys, str_cust):
+        if str_cust:
+            raw = [(f"c{cust}", month, price) for cust, month, price in raw]
         rel = orders(raw)
-        ref = sorted(reference_group_by(rel, ["cust", "month"], "price", sum).rows())
-        one, _ = group_by(rel, ["cust", "month"], "price", sum, p=p)
-        two, _ = two_phase_group_by(rel, ["cust", "month"], "price", sum, sum, p=p)
+        ref = sorted(reference_group_by(rel, keys, "price", sum).rows())
+        one, _ = group_by(rel, keys, "price", sum, p=p)
+        two, _ = two_phase_group_by(rel, keys, "price", sum, sum, p=p)
         assert sorted(one.rows()) == ref
         assert sorted(two.rows()) == ref

@@ -13,6 +13,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.data.relation import Relation
 from repro.exec.config import use_backend
 from repro.kernels.memo import clear_memo
 from repro.mpc.cluster import Cluster
@@ -190,7 +191,7 @@ def test_rows_routed_on_a_permuted_key_arrive_as_rows():
 
     rows = [(i % 5, i) for i in range(20)]
     cluster = Cluster(2)
-    cluster.scatter_rows(rows, "T@in")
+    cluster.scatter(Relation("T", ["a", "b"], rows), "T@in")
     h = cluster.hash_function(0)
     with cluster.round("route") as rnd:
         route(cluster, rnd, "T@in", (1, 0), h, "T@j")

@@ -72,6 +72,7 @@ class TestOwnershipLint:
 
         from repro.data.relation import Relation, union_all
         from repro.mpc.server import held
+        from tests.holdings import fragment_of
 
         def b(values):
             return [f"v{v}" for v in values] if kind == "object" else np.asarray(values)
@@ -92,9 +93,10 @@ class TestOwnershipLint:
             "from_columns": source,
             "from_chunks": lambda: Relation.from_chunks(
                 "R", ["a", "b"], [[np.arange(3)], [b([0, 1]), b([2])]]),
-            # What the local steps build: a relation over a row-list
-            # fragment's held columns, read by the one rule.
-            "from_held": lambda: Relation.from_columns("R", ["a", "b"], held([row, row], 2)),
+            # What the local steps build: a relation over a fragment's held
+            # columns, here built from rows by the one rule.
+            "from_held": lambda: Relation.from_columns(
+                "R", ["a", "b"], held(fragment_of([row, row], 2), 2)),
             "extend": lambda: grown([row]),
             "project": lambda: source().project(["b"]),
             "rename": lambda: source().rename({"a": "x"}),
@@ -156,7 +158,7 @@ class TestRowCallSiteInventoryLint:
     """
 
     PACKAGES = ("joins", "multiway", "mpc", "service", "kernels")
-    CEILING = 8
+    CEILING = 7
 
     def test_row_materialisation_sites_only_shrink(self):
         sites = []
@@ -169,24 +171,75 @@ class TestRowCallSiteInventoryLint:
 
 
 class TestOneFragmentLint:
-    """A fragment is column blocks or a per-tuple sender's row list: one store per server,
-    one buffer per round, one accessor (``Server.take``). The side-car
-    that rode beside the rows, and every name it needed, is gone."""
+    """A fragment is column blocks, only: one store per server, one buffer
+    per round, one sender (``send_columns``), one accessor
+    (``Server.take``). The side-car that once rode beside the rows, the row
+    senders and the demotion of blocks to rows are gone, and every name
+    they needed with them."""
 
-    RETIRED = r"column_cache|_column_buffers|take_side_car|take_with_columns|pick_columns|put_column"
+    RETIRED = (
+        r"column_cache|_column_buffers|take_side_car|take_with_columns|pick_columns|put_column"
+        r"|_row_buffer|send_many|send_rows|def send\(|def broadcast\(|def fragment\("
+    )
 
     def test_the_side_car_names_match_nothing_under_src(self):
         assert _files_matching(self.RETIRED) == []
 
     def test_one_store_and_one_buffer(self):
+        import numpy as np
+
+        from repro.data.relation import Relation
+        from repro.joins.cartesian import cartesian_on_cluster
         from repro.mpc.cluster import Cluster
-        from repro.mpc.server import Server
+        from repro.mpc.server import ChunkedColumns, Server
 
         assert Server.__slots__ == ("sid", "storage")
         with Cluster(1).round("r") as rnd:
             per_dest = [name for name, value in vars(rnd).items()
                         if isinstance(value, list) and value and isinstance(value[0], dict)]
         assert per_dest == ["_buffers"]
+
+        # After a round of each rewritten sender, every buffer and every
+        # stored fragment is column blocks.
+        from repro.matmul import multi_round, rectangular, sql
+        from repro.multiway import aggregate, base
+
+        rel = Relation("R", ["k", "v"], [(i % 4, i) for i in range(40)])
+        skewed = Relation("T", ["k", "v"], [(0 if i % 2 else i % 4, i) for i in range(40)])
+        matrix = np.arange(16.0).reshape(4, 4)
+        senders = [
+            ("group_by", lambda: aggregate.group_by(rel, ["k"], "v", sum, 3)),
+            ("two_phase_group_by",
+             lambda: aggregate.two_phase_group_by(rel, ["k"], "v", sum, sum, 3)),
+            ("sql_matmul", lambda: sql.sql_matmul(matrix, matrix, 3)),
+            ("square_block_matmul", lambda: multi_round.square_block_matmul(matrix, matrix, 8, 2)),
+            ("rectangular_block_matmul",
+             lambda: rectangular.rectangular_block_matmul(matrix, matrix, 2, 2)),
+            ("shuffle_multi_semijoin",  # k = 0 is heavy: its verdict is broadcast
+             lambda: base.shuffle_multi_semijoin(skewed, [Relation("K", ["k"], [(0,), (1,)])], 3)),
+            ("cartesian_on_cluster", lambda: cartesian_on_cluster(
+                Cluster(3), rel, Relation("S", ["w"], [(1,), (2,)]))),
+        ]
+        seen = []
+        real_finish = Cluster._finish_round
+
+        def finish(cluster, rnd):
+            seen.extend(buffer for buffers in rnd._buffers for buffer in buffers.values())
+            real_finish(cluster, rnd)
+            seen.extend(fragment for server in cluster.servers
+                        for fragment in server.storage.values())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Cluster, "_finish_round", finish)
+            for name, run in senders:
+                before = len(seen)
+                run()
+                assert len(seen) > before, name
+        assert seen and all(type(part) is ChunkedColumns for part in seen)
+
+    def test_nothing_under_src_places_rows(self):
+        users = _files_matching(r"\.scatter_rows\(")
+        assert all(user.startswith("testing/") for user in users), users
 
 
 class TestSkewOnePassLint:
