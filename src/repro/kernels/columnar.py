@@ -72,7 +72,7 @@ def concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
     if len(blocks) == 1:
         return blocks[0]
     column = np.concatenate(blocks) if len(blocks) else np.empty(0, dtype=np.int64)
-    if column.dtype.kind != "f" or not len(column):  # int64 meeting uint64 makes a float
+    if column.dtype.kind != "f":  # only int64 meeting uint64 makes a float
         return column
     full = [block for block in blocks if len(block)]
     if len({block.dtype for block in full}) == 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.relation import Relation
-from repro.kernels.columnar import concatenated, pack_columns
+from repro.kernels.columnar import pack_columns
 from repro.kernels.hashing import bucket_value_column
 from repro.kernels.join import join_indices
 from repro.kernels.memo import route
@@ -61,7 +61,8 @@ def sql_matmul(
     # arrays — through shared memory under the process backend.
     payloads = [(held(server.take("A@j"), 3), held(server.take("B@j"), 3))
                 for server in cluster.servers]
-    partials = [concatenated(parts) for parts in zip(*cluster.map_servers("matmul.partials", payloads))]
+    results = cluster.map_servers("matmul.partials", payloads)
+    partials = [np.concatenate(parts) for parts in zip(*results)]
     join_stats = cluster.stats
 
     # Round 2: aggregate by (i, k).

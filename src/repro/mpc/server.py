@@ -77,12 +77,14 @@ class Server:
 
     def get(self, name: str) -> ChunkedColumns:
         """The *live* fragment ``name`` (empty if not stored): read, never mutate."""
-        return self.storage.get(name) or ChunkedColumns([])
+        fragment = self.storage.get(name)
+        return ChunkedColumns([]) if fragment is None else fragment
 
     def take(self, name: str) -> ChunkedColumns:
         """Remove and return the local fragment ``name`` (empty if absent):
         ask it for ``arrays()``, or iterate its tuples."""
-        return self.storage.pop(name, None) or ChunkedColumns([])
+        fragment = self.storage.pop(name, None)
+        return ChunkedColumns([]) if fragment is None else fragment
 
     def put(self, name: str, fragment: ChunkedColumns) -> None:
         """Replace fragment ``name`` with ``fragment``."""

@@ -159,10 +159,9 @@ def shuffle_multi_semijoin(
     # Heavy keys found in every reducer get their verdict broadcast (no
     # heavy key: no reducer is searched).
     heavy_keys = list(heavy)
-    everywhere = np.ones(len(heavy_keys), dtype=bool)
-    for keys in reducer_keys if heavy else ():
-        everywhere &= np.isin(np.arange(len(heavy_keys)), lookup_codes(keys.columns(), heavy_keys))
-    heavy_alive = sorted(key for key, alive in zip(heavy_keys, everywhere) if alive)
+    found = [set(lookup_codes(keys.columns(), heavy_keys).tolist())
+             for keys in reducer_keys] if heavy else []
+    heavy_alive = sorted(key for i, key in enumerate(heavy_keys) if all(i in f for f in found))
 
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))

@@ -50,7 +50,8 @@ class TestOnePhase:
         assert two_phase_group_by(rel, [], "price", sum, sum, p=4)[0].rows() == [(26,)]
         h = Cluster(4).hash_function(0)
         dest = hash_int_tuple((), h.salt) % 4
-        assert h(()) == dest and stats.rounds[0].received == [3 if s == dest else 0 for s in range(4)]
+        assert h(()) == dest
+        assert stats.rounds[0].received == [3 if s == dest else 0 for s in range(4)]
 
     def test_output_schema(self):
         out, _ = group_by(SAMPLE, ["cust"], "price", sum, p=2)
