@@ -57,7 +57,8 @@ from repro.kernels.columnar import (
     pack_columns,
     zip_rows,
 )
-from repro.kernels.join import code_key_columns, join_indices
+from repro.kernels.join import code_key_columns, join_indices, locate
+from repro.kernels.memo import degree_view
 
 Row = tuple[Any, ...]
 
@@ -355,8 +356,12 @@ class Relation:
         return self._cols[self.schema.index(attribute)].tolist()
 
     def degrees(self, attribute: str) -> Counter:
-        """Frequency of each value of ``attribute`` (the tutorial's *degree*)."""
-        return Counter(self.column(attribute))
+        """Frequency of each value of ``attribute`` (the tutorial's *degree*):
+        the memoized degree view as a ``Counter`` of its own, first seen first."""
+        index = self.schema.index(attribute)
+        (keys,), counts = degree_view(self, (index,))
+        rank = np.argsort(np.unique(locate([self._cols[index]], [keys]), return_index=True)[1])
+        return Counter(dict(zip(keys[rank].tolist(), counts[rank].tolist())))
 
     def heavy_hitters(self, attribute: str, threshold: float) -> set[Any]:
         """Values of ``attribute`` occurring at least ``threshold`` times.

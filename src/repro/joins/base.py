@@ -11,11 +11,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
-from repro.kernels.join import TAG, cut_at_tags, stack_tagged
-from repro.kernels.memo import key_degrees
+from repro.kernels.join import TAG, cut_at_tags, lookup_codes, stack_tagged
+from repro.kernels.memo import counts_at, degree_view
 from repro.mpc.server import Server, held
 from repro.mpc.stats import RunStats
 
@@ -46,22 +48,24 @@ def join_schemas(r: Relation, s: Relation) -> tuple[tuple[str, ...], Schema]:
 def estimate_join_size(
     r: Relation, s: Relation, keys: Iterable[tuple] | None = None
 ) -> int:
-    """Exact |R ⋈ S| = Σ_k deg_R(k)·deg_S(k) from the memoized key degrees.
+    """Exact |R ⋈ S| = Σ_k deg_R(k)·deg_S(k): a dot product of the memoized
+    degree views over their common keys.
 
     ``keys`` restricts the sum to those join-key values (the skew join
-    sizes its heavy part this way, without building the light relations'
-    degrees). The simulator computes this exactly; a real system would
-    use sampled frequency sketches — the quantity, not its provenance,
-    is what the planner and the skew join's server allocation need.
-    Disjoint schemas share the empty key, which every row carries: the
-    sum is |R|·|S|.
+    sizes its heavy part this way). The simulator computes this exactly;
+    a real system would use sampled frequency sketches — the quantity, not
+    its provenance, is what the planner and the skew join's server
+    allocation need. Disjoint schemas share the empty key, which every row
+    carries: the sum is |R|·|S|. Past ``int64`` it is summed in Python ints.
     """
     shared = r.schema.common(s.schema)
-    r_degrees = key_degrees(r, r.schema.indices(shared))
-    s_degrees = key_degrees(s, s.schema.indices(shared))
-    if keys is None:
-        keys = r_degrees
-    return sum(r_degrees[k] * s_degrees[k] for k in keys)
+    if not shared:
+        return len(r) * len(s)
+    (r_keys, r_counts), s_view = (degree_view(rel, rel.schema.indices(shared)) for rel in (r, s))
+    if keys is not None:
+        r_counts = r_counts * (lookup_codes(r_keys, list(keys)) >= 0)
+    pair = (r_counts, counts_at(s_view, r_keys))
+    return int(np.dot(*(c.astype(object) for c in pair) if len(r) * len(s) >> 63 else pair))
 
 
 def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:

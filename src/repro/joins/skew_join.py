@@ -27,8 +27,9 @@ from repro.joins.base import (
 )
 from repro.joins.hash_join import scatter_and_route
 from repro.joins.heavy import heavy_value_products
+from repro.kernels.columnar import zip_rows
 from repro.kernels.join import lookup_codes
-from repro.kernels.memo import key_degrees
+from repro.kernels.memo import degree_view, ordered
 from repro.mpc.cluster import Cluster, combine_parallel
 
 Row = tuple[Any, ...]
@@ -40,7 +41,8 @@ def find_heavy_keys(
     shared: tuple[str, ...],
     threshold: float | tuple[float, float],
 ) -> list[Row]:
-    """Join-key values of degree ≥ threshold in R or in S.
+    """Join-key values of degree ≥ threshold in R or in S, in the degree
+    views' :func:`~repro.kernels.memo.ordered` order.
 
     ``threshold`` may be a single cutoff applied to both sides (the
     tutorial's IN/p) or an ``(r_threshold, s_threshold)`` pair for the
@@ -51,11 +53,11 @@ def find_heavy_keys(
         r_threshold, s_threshold = threshold
     else:
         r_threshold = s_threshold = threshold
-    r_deg = key_degrees(r, r.schema.indices(shared))
-    s_deg = key_degrees(s, s.schema.indices(shared))
-    heavy = {k for k, c in r_deg.items() if c >= r_threshold}
-    heavy |= {k for k, c in s_deg.items() if c >= s_threshold}
-    return sorted(heavy)
+    heavy: dict[Row, None] = {}
+    for rel, cutoff in ((r, r_threshold), (s, s_threshold)):
+        keys, counts = degree_view(rel, rel.schema.indices(shared))
+        heavy.update(dict.fromkeys(zip_rows([k[counts >= cutoff] for k in keys])))
+    return ordered(heavy)
 
 
 def _light_part(rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row]) -> Relation:

@@ -33,15 +33,13 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
 from repro.joins.hash_join import one_round_hash_join
-from repro.kernels.columnar import concatenated, key_columns
-from repro.kernels.join import code_key_columns, cut_at_tags, lookup_codes, stack_tagged
-from repro.kernels.memo import distinct_project, key_degrees, route
+from repro.kernels.columnar import concatenated, key_columns, zip_rows
+from repro.kernels.join import code_key_columns, cut_at_tags, locate, stack_tagged
+from repro.kernels.memo import degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
-
-Row = tuple[Any, ...]
 
 
 @dataclass
@@ -131,45 +129,39 @@ def shuffle_multi_semijoin(
     cluster = Cluster(p, seed=seed)
 
     # Heavy keys by target degree (statistics assumed known, as in the
-    # tutorial's skew algorithms; a real engine samples them). The degree
-    # map is memoized per mutation token — GYM recomputes it every round
-    # on the same relations.
-    degrees = key_degrees(target, t_idx, stats=cluster.stats.memo)
+    # tutorial's skew algorithms; a real engine samples them), as columns
+    # of the memoized degree view GYM reads every round.
+    t_keys, counts = degree_view(target, t_idx, stats=cluster.stats.memo)
     in_size = len(target) + sum(len(r) for r in reducers)
-    threshold = max(in_size / p, 2.0)
-    heavy = {k for k, c in degrees.items() if c >= threshold}
+    heavy = [k[counts >= max(in_size / p, 2.0)] for k in t_keys]
+    is_heavy = bool(len(heavy[0]))
 
     t_frag = cluster.scatter(target, "T@in")
     reducer_frags = []
     reducer_lights: list[Relation] = []
-    reducer_keys: list[Relation] = []
+    found = np.full(len(heavy[0]), True)
     for i, red in enumerate(reducers):
         distinct_keys = distinct_project(red, shared, stats=cluster.stats.memo)
-        reducer_keys.append(distinct_keys)
         # Without heavy keys the memoized distinct relation is scattered
         # directly, keeping a stable identity for the partition cache.
-        light_keys = (
-            distinct_keys
-            if not heavy
-            else distinct_keys.select(lambda row: row not in heavy)
-        )
+        light_keys = distinct_keys
+        if is_heavy:
+            columns = distinct_keys.columns()
+            light = locate(columns, heavy) < 0
+            light_keys = Relation.from_columns(red.name, shared, [c[light] for c in columns])
+            # Heavy keys found in every reducer get their verdict broadcast.
+            found &= locate(heavy, columns) >= 0
         reducer_lights.append(light_keys)
         reducer_frags.append(cluster.scatter(light_keys, f"K{i}@in"))
-
-    # Heavy keys found in every reducer get their verdict broadcast (no
-    # heavy key: no reducer is searched).
-    heavy_keys = list(heavy)
-    found = [set(lookup_codes(keys.columns(), heavy_keys).tolist())
-             for keys in reducer_keys] if heavy else []
-    heavy_alive = sorted(key for i, key in enumerate(heavy_keys) if all(i in f for f in found))
+    heavy_alive = ordered(zip_rows([k[found] for k in heavy]))
 
     h = cluster.hash_function(0)
     key_arity = tuple(range(len(shared)))
     with cluster.round(label) as rnd:
-        if heavy:
+        if is_heavy:
             for server in cluster.servers:
                 t_cols = held(server.take(t_frag), target.schema.arity)
-                server.put("T@stay", _route_light(rnd, t_cols, t_idx, heavy_keys, h))
+                server.put("T@stay", _route_light(rnd, t_cols, t_idx, heavy, h))
         else:
             route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
         for i, frag in enumerate(reducer_frags):
@@ -201,15 +193,16 @@ def _route_light(
     rnd: Any,
     columns: list[np.ndarray],
     t_idx: tuple[int, ...],
-    heavy: list[Row],
+    heavy: list[np.ndarray],
     h: Any,
 ) -> ChunkedColumns:
     """Route light rows to ``h(key)``; return the heavy rows (they stay).
 
-    One key lookup splits heavy from light; the light rows route in
-    batched sends, the heavy ones cost no communication.
+    One key lookup in the ``heavy`` key columns splits heavy from light;
+    the light rows route in batched sends, the heavy ones cost no
+    communication.
     """
-    is_heavy = lookup_codes([columns[i] for i in t_idx], heavy) >= 0
+    is_heavy = locate([columns[i] for i in t_idx], heavy) >= 0
     try_route(rnd, [column[~is_heavy] for column in columns], t_idx, h, "T@j")
     return ChunkedColumns([[column[is_heavy]] for column in columns])
 

@@ -14,15 +14,18 @@ what makes multi-round plans beat one-round algorithms under skew:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
-from repro.data.relation import Relation
+import numpy as np
+
+from repro.data.relation import Relation, union_all
 from repro.joins.heavy import allocate_servers
+from repro.kernels.columnar import column_of
+from repro.kernels.memo import counts_at, grouped, ordered
 from repro.mpc.cluster import combine_parallel, combine_sequential
 from repro.multiway.base import MultiwayRun, shuffle_multi_semijoin, shuffle_semijoin
 from repro.query.cq import triangle_query, two_path_query
-
-Row = tuple[Any, ...]
 
 
 def two_path_semijoin_plan(
@@ -41,12 +44,9 @@ def two_path_semijoin_plan(
     tmp, stats1 = shuffle_semijoin(s, r, p, seed=seed, label="semijoin-R")
     reduced, stats2 = shuffle_semijoin(tmp, t, p, seed=seed + 1, label="semijoin-T")
     # Bag semantics: each surviving S tuple joins every matching R and T copy.
-    r_counts = r.degrees("x")
-    t_counts = t.degrees("y")
-    rows: list[Row] = []
-    for x, y in reduced.project(["x", "y"]).rows_readonly():
-        rows.extend([(x, y)] * (r_counts[x] * t_counts[y]))
-    output = Relation("OUT", ["x", "y"], rows)
+    x, y = reduced.project(["x", "y"]).columns()
+    times = _times(r, "x", x) * _times(t, "y", y)
+    output = Relation.from_columns("OUT", ["x", "y"], [np.repeat(x, times), np.repeat(y, times)])
     run_stats = combine_sequential(p, [stats1, stats2])
     return MultiwayRun(output, run_stats, {"query": str(two_path_query())})
 
@@ -72,10 +72,11 @@ def triangle_hl_semijoin(
     if threshold is None:
         threshold = max(n / p ** (1.0 / 3.0), 1.0)
 
-    # Heavy z-values by degree in S(y,z) or T(z,x).
-    degrees = s.degrees("z")
-    degrees.update(t.degrees("z"))
-    heavy_z = sorted(v for v, c in degrees.items() if c >= threshold)
+    # Heavy z-values by joint degree in S(y,z) and T(z,x): one grouping of both columns.
+    (zs,), degrees = grouped(union_all("Z", [s.project(["z"]), t.project(["z"])]).columns())
+    heavy = degrees >= threshold
+    pairs = ordered(zip(zs[heavy].tolist(), degrees[heavy].tolist()), key=itemgetter(0))
+    heavy_z = [z for z, _ in pairs]
     heavy_set = set(heavy_z)
 
     s_light = s.select(lambda row: row[1] not in heavy_set)  # z is position 1 of S(y,z)
@@ -89,26 +90,22 @@ def triangle_hl_semijoin(
     p_heavy = pools[1] if heavy_z else 0
 
     runs = []
-    out_rows: list[Row] = []
-
     light_run = hypercube_join(
         triangle_query(), {"R": r, "S": s_light, "T": t_light}, p_light, seed=seed
     )
-    out_rows.extend(light_run.output.rows_readonly())
+    parts = [light_run.output.columns()]
     runs.append(light_run.stats)
 
     if heavy_z:
-        heavy_allocation = allocate_servers(
-            [max(degrees[z], 1) for z in heavy_z], p_heavy
-        )
+        heavy_allocation = allocate_servers([max(degree, 1) for _, degree in pairs], p_heavy)
         heavy_runs = []
         for z_value, p_z in zip(heavy_z, heavy_allocation):
-            rows, stats = _heavy_z_residual(r, s, t, z_value, max(p_z, 1), seed)
-            out_rows.extend(rows)
+            columns, stats = _heavy_z_residual(r, s, t, z_value, max(p_z, 1), seed)
+            parts.append(columns)
             heavy_runs.append(stats)
         runs.append(combine_parallel(p_heavy, heavy_runs))
 
-    output = Relation("OUT", ["x", "y", "z"], out_rows)
+    output = Relation.from_chunks("OUT", ["x", "y", "z"], list(zip(*parts)))
     return MultiwayRun(
         output,
         combine_parallel(p, runs),
@@ -118,14 +115,15 @@ def triangle_hl_semijoin(
 
 def _heavy_z_residual(
     r: Relation, s: Relation, t: Relation, z_value: Any, p: int, seed: int
-) -> tuple[list[Row], Any]:
-    """q(z=h): R(x,y) ⋉ S'(y) ⋉ T'(x) via two semijoin rounds (slide 59)."""
+) -> tuple[list[np.ndarray], Any]:
+    """q(z=h): R(x,y) ⋉ S'(y) ⋉ T'(x) via two semijoin rounds (slide 59);
+    the output's (x, y, z) columns and the cost."""
     s_h = s.select(lambda row: row[1] == z_value).project(["y"], name="Sh")
     t_h = t.select(lambda row: row[0] == z_value).project(["x"], name="Th")
     if not len(s_h) or not len(t_h):
         from repro.mpc.stats import RunStats
 
-        return [], RunStats(p)
+        return [np.empty(0, np.int64)] * 3, RunStats(p)
     reduced, stats = shuffle_multi_semijoin(
         r, [s_h], p, seed=seed, label="semijoin-S@z"
     )
@@ -133,9 +131,12 @@ def _heavy_z_residual(
         reduced, t_h, p, seed=seed + 1, label="semijoin-T@z"
     )
     # Multiplicity: bag semantics count matching S and T tuples per (x,y).
-    s_counts = s_h.degrees("y")
-    t_counts = t_h.degrees("x")
-    rows: list[Row] = []
-    for x, y in reduced.project(["x", "y"]).rows_readonly():
-        rows.extend([(x, y, z_value)] * (s_counts[y] * t_counts[x]))
-    return rows, combine_sequential(p, [stats, stats2])
+    x, y = reduced.project(["x", "y"]).columns()
+    times = _times(s_h, "y", y) * _times(t_h, "x", x)
+    z = np.repeat(column_of([z_value]), int(times.sum()))
+    return [np.repeat(x, times), np.repeat(y, times), z], combine_sequential(p, [stats, stats2])
+
+
+def _times(rel: Relation, attribute: str, column: np.ndarray) -> np.ndarray:
+    """Per value of ``column``, how many rows of ``rel`` hold it as ``attribute``."""
+    return counts_at(grouped(rel.project([attribute]).columns()), [column])

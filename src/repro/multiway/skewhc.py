@@ -40,7 +40,7 @@ from repro.errors import QueryError
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import column_of
 from repro.kernels.join import lookup_codes
-from repro.kernels.memo import align, bound, cached_view, route_pools, value_degrees
+from repro.kernels.memo import align, bound, cached_view, degree_view, ordered, route_pools
 from repro.kernels.partition import stable_groups
 from repro.mpc.cluster import Cluster, combine_parallel
 from repro.mpc.stats import MemoStats
@@ -55,18 +55,22 @@ def find_heavy_values(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     threshold: float,
-) -> dict[str, set[Any]]:
-    """Per-variable heavy-hitter sets: degree ≥ threshold in some atom."""
-    heavy: dict[str, set[Any]] = {v: set() for v in query.variables}
-    for atom in query.atoms:
-        rel = relations[atom.name]
-        for variable in atom.variables:
-            # Degree maps are memoized per mutation token — the planner's
-            # statistics and every repeated SkewHC run share them.
-            for value, count in value_degrees(rel, variable).items():
-                if count >= threshold:
-                    heavy[variable].add(value)
-    return heavy
+) -> dict[str, tuple]:
+    """Per-variable heavy hitters — degree ≥ threshold in some atom — in
+    :func:`~repro.kernels.memo.ordered` order: one memoized view of the
+    relations, shared (read only) by the planner's residual estimate and
+    SkewHC's plan."""
+    rels = tuple(bound(relations, a.name) for a in query.atoms)
+
+    def build() -> dict[str, tuple]:
+        heavy: dict[str, dict] = {v: {} for v in query.variables}
+        for atom, rel in zip(query.atoms, rels):
+            for variable in atom.variables:
+                (keys,), counts = degree_view(rel, rel.schema.indices((variable,)))
+                heavy[variable].update(dict.fromkeys(keys[counts >= threshold].tolist()))
+        return {v: tuple(ordered(values)) for v, values in heavy.items()}
+
+    return cached_view(rels, ("heavy", tuple(query.atoms), threshold), build)
 
 
 def skewhc_join(
@@ -166,7 +170,6 @@ class _ResidualJob:
 def _plan(query, relations, p: int, threshold: float, max_combinations: int) -> tuple:
     """``(heavy sets, jobs with pools and grids, ``route_pools`` routes per atom)``."""
     heavy = find_heavy_values(query, relations, threshold)
-    ranked = {v: tuple(sorted(values)) for v, values in heavy.items()}
     jobs = _residual_jobs(query, relations, heavy, max_combinations)
     allocation = allocate_servers([max(job.input_size, 1) for job in jobs], p)
     residuals: dict[tuple, ConjunctiveQuery] = {}
@@ -187,7 +190,7 @@ def _plan(query, relations, p: int, threshold: float, max_combinations: int) -> 
         for atom in residual.atoms:
             # A restriction is named by what defines it: per variable of the
             # atom, the heavy values and which of them (or light) it holds.
-            name = tuple((ranked[v], job.codes[v]) for v in query.atom(atom.name).variables)
+            name = tuple((heavy[v], job.codes[v]) for v in query.atom(atom.name).variables)
             dims = tuple(residual.variables.index(v) for v in atom.variables)
             routes[atom.name].append(
                 (name, job.restricted[atom.name], base, p_job, dims, grid.extents, grid.strides)
@@ -260,7 +263,7 @@ def _classify(rel: Relation, atom: Atom, values: tuple) -> dict:
 def _residual_jobs(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
-    heavy: dict[str, set[Any]],
+    heavy: Mapping[str, Any],
     max_combinations: int,
 ) -> list[_ResidualJob]:
     """Every non-empty heavy/light combination, pattern by pattern.
@@ -269,9 +272,10 @@ def _residual_jobs(
     agree with it, so the combinations are the join of the atoms' group
     keys on their shared variables — no value without rows is looked at.
     They are numbered by pattern (the set of bound variables: by size,
-    then in variable order), then by bound values ascending.
+    then in variable order), then by the bound values' rank
+    (:func:`~repro.kernels.memo.ordered`: ascending when orderable).
     """
-    ranked = {v: sorted(values) for v, values in heavy.items()}
+    ranked = {v: ordered(values) for v, values in heavy.items()}
     views = {a.name: _atom_view(relations[a.name], a, ranked) for a in query.atoms}
     combinations: list[dict[str, int]] = [{}]
     for atom in query.atoms:
@@ -293,7 +297,7 @@ def _residual_jobs(
 def _build_job(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
-    heavy: dict[str, set[Any]],
+    heavy: Mapping[str, Any],
     bound: dict[str, Any],
 ) -> _ResidualJob | None:
     """Restrict all relations to one combination; None if provably empty."""

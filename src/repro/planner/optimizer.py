@@ -268,20 +268,16 @@ def _residual_job_estimate(
 ) -> int:
     """How many residual HyperCube jobs SkewHC would spawn (upper bound).
 
-    Mirrors :func:`repro.multiway.skewhc.skewhc_join`'s own threshold
-    (max relation size over p): each join variable contributes either
+    Reads :func:`repro.multiway.skewhc.skewhc_join`'s own memoized heavy
+    sets (max relation size over p): each join variable contributes either
     "light" or one of its heavy values, so the residual count is at most
     Π(1 + |heavy(v)|). With more jobs than servers some residuals run
     on a single server and the IN/p^{1/ψ*} analysis loses its server
     allocation — the prediction is scaled accordingly.
     """
     n_max = max((len(relations[a.name]) for a in query.atoms), default=0)
-    heavy = find_heavy_values(query, dict(relations), threshold=max(n_max / p, 1.0))
-    jobs = 1
-    for variable in query.variables:
-        if len(query.atoms_with(variable)) >= 2:
-            jobs *= 1 + len(heavy.get(variable, ()))
-    return jobs
+    heavy = find_heavy_values(query, relations, threshold=max(n_max / p, 1.0))
+    return math.prod(1 + len(heavy[v]) for v in query.variables if len(query.atoms_with(v)) >= 2)
 
 
 def plan_query(

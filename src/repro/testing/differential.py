@@ -48,6 +48,7 @@ from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.reduced import reduced_hypercube
 from repro.multiway.skewhc import skewhc_join
+from repro.planner.statistics import collect_query_statistics
 from repro.query.agm import agm_ratio, output_within_agm
 from repro.query.cq import ConjunctiveQuery, path_query, star_query, triangle_query
 from repro.query.parser import parse_query
@@ -119,19 +120,8 @@ class Instance:
         """
         if self.query is None:
             return 0
-        totals: dict[tuple[str, object], int] = {}
-        for atom in self.query.atoms:
-            rel = self.relations[atom.name]
-            for variable in atom.variables:
-                if len(self.query.atoms_with(variable)) < 2:
-                    continue
-                attr = variable if variable in rel.schema else None
-                if attr is None:
-                    continue
-                for value, count in rel.degrees(attr).items():
-                    key = (variable, value)
-                    totals[key] = totals.get(key, 0) + count
-        return max(totals.values(), default=0)
+        stats = collect_query_statistics(self.query, self.relations, 1, out_estimate=0)
+        return stats.max_joint_degree
 
 
 def _two_way(rng: random.Random, profile: str, p: int, seed: int) -> Instance:

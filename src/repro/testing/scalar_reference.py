@@ -63,10 +63,12 @@ def try_route_grid(
 
 
 def route_light(
-    rnd: Any, columns: Sequence[np.ndarray], t_idx: tuple[int, ...], heavy: list[Row], h: Any,
+    rnd: Any, columns: Sequence[np.ndarray], t_idx: tuple[int, ...],
+    heavy: Sequence[np.ndarray], h: Any,
 ) -> ChunkedColumns:
-    """``multiway.base._route_light``: route light rows, keep heavy ones."""
-    heavy = set(heavy)
+    """``multiway.base._route_light``: route light rows, keep heavy ones
+    (``heavy`` holds the heavy keys' columns)."""
+    heavy = set(zip_rows(heavy))
     stay = []
     for row in zip_rows(columns):
         key = tuple(row[i] for i in t_idx)

@@ -9,6 +9,7 @@ a bag, with :mod:`repro.testing.oracle`.
 """
 
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +26,13 @@ from repro.testing.oracle import multiset_diff
 BIG = 2**63 + 5  # above int64 max: a uint64 column the radix codes cannot hold
 
 P_VALUES = [1, 3, 8, 13]
+
+
+def degree_counter(view):
+    """A degree view ``(distinct key columns, counts)`` as a ``Counter`` of key tuples."""
+    keys, counts = view
+    tuples = list(zip(*(k.tolist() for k in keys))) if keys else [()] * len(counts)
+    return Counter(dict(zip(tuples, counts.tolist())))
 
 
 def fragment_of(rows, arity):

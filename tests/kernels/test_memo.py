@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from repro.data.relation import Relation
 from repro.kernels.memo import (
     clear_memo,
+    degree_view,
     distinct_project,
-    key_degrees,
     memo_cache_sizes,
     project_view,
     route,
@@ -42,7 +42,7 @@ from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import MemoStats
 from repro.mpc.topology import Grid
-from tests.holdings import fragment_of, scalar_rung
+from tests.holdings import degree_counter, fragment_of, scalar_rung
 
 ARITY = 2
 
@@ -399,11 +399,11 @@ def test_distinct_and_degrees_match_reference():
     rel = Relation("R", ["x", "y"], [(1, 2), (1, 3), (2, 2), (1, 2)])
     assert sorted(distinct_project(rel, ("x",)).rows_readonly()) == \
         [(1,), (2,)]
-    assert key_degrees(rel, (0,)) == Counter({(1,): 3, (2,): 1})
+    assert degree_counter(degree_view(rel, (0,))) == Counter({(1,): 3, (2,): 1})
     # Every row carries the empty key — on the columnar path too.
-    assert key_degrees(rel, ()) == Counter({(): 4})
-    # The cached Counter is shared between calls.
-    assert key_degrees(rel, (0,)) is key_degrees(rel, (0,))
+    assert degree_counter(degree_view(rel, ())) == Counter({(): 4})
+    # The cached view is shared between calls.
+    assert degree_view(rel, (0,)) is degree_view(rel, (0,))
 
 
 def test_view_cache_bypassed_for_borrowed_relations():

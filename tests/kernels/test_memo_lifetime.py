@@ -19,8 +19,8 @@ from repro.kernels import memo
 from repro.kernels.columnar import column_of, columns_of, key_columns
 from repro.kernels.memo import (
     clear_memo,
+    degree_view,
     forget,
-    key_degrees,
     memo_cache_sizes,
     project_view,
     route,
@@ -28,6 +28,7 @@ from repro.kernels.memo import (
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 from repro.mpc.stats import MemoStats
+from tests.holdings import degree_counter
 
 
 def _relation(n=30, name="R"):
@@ -47,7 +48,7 @@ def test_entries_disappear_when_the_owner_is_collected_and_not_before():
     kept, gone = _relation(name="K"), _relation(name="G")
     for rel in (kept, gone):
         _route(rel)
-        key_degrees(rel, (0,))
+        degree_view(rel, (0,))
         project_view(rel, ("y", "x"))
     assert memo_cache_sizes() == (2, 4)
     gc.collect()
@@ -58,8 +59,8 @@ def test_entries_disappear_when_the_owner_is_collected_and_not_before():
     assert memo_cache_sizes() == (1, 2)          # its plan and both views went
     assert _route(kept).partition_hits == 1      # the survivor's are intact
     stats = MemoStats()
-    assert key_degrees(kept, (0,), stats=stats) == Counter({(v,): c for v, c in
-                                                           Counter((np.arange(30) % 7).tolist()).items()})
+    assert degree_counter(degree_view(kept, (0,), stats=stats)) == Counter(
+        {(v,): c for v, c in Counter((np.arange(30) % 7).tolist()).items()})
     assert (stats.view_hits, stats.view_misses) == (1, 0)
     clear_memo()
 
@@ -67,11 +68,11 @@ def test_entries_disappear_when_the_owner_is_collected_and_not_before():
 def test_a_dead_owner_is_purged_by_the_next_put_not_by_the_collector():
     clear_memo()
     live, doomed = _relation(name="L"), _relation(name="D")
-    key_degrees(doomed, (0,))
+    degree_view(doomed, (0,))
     del doomed
     gc.collect()
     assert len(memo._views) == 1                 # queued, not yet purged
-    key_degrees(live, (0,))                      # a put: purge first
+    degree_view(live, (0,))                      # a put: purge first
     assert len(memo._views) == 1 and memo_cache_sizes() == (0, 1)
     assert forget(live) == 1
     clear_memo()
@@ -96,7 +97,7 @@ def test_forget_and_clear_memo_keep_their_meaning():
     a, b = _relation(name="A"), _relation(name="B")
     for rel in (a, b):
         _route(rel)
-        key_degrees(rel, (1,))
+        degree_view(rel, (1,))
     assert forget(a) == 2 and memo_cache_sizes() == (1, 1)
     assert forget(a) == 0
     clear_memo()
@@ -111,7 +112,7 @@ def test_every_lookup_is_a_hit_or_a_miss():
     relations = [_relation(n, name=f"R{n}") for n in (10, 20, 30)]
     for _ in range(3):
         for rel in relations:
-            key_degrees(rel, (0,))
+            degree_view(rel, (0,))
             project_view(rel, ("y", "x"))
             lookups += 2
         relations.pop()                           # an owner dies mid-way
@@ -135,7 +136,7 @@ def test_two_threads_build_while_a_third_drops_its_relations():
             start.wait(timeout=10)
             for _ in range(150):
                 for rel, want in zip(shared, expected):
-                    assert key_degrees(rel, (0,)) == want
+                    assert degree_counter(degree_view(rel, (0,))) == want
                     assert project_view(rel, ("y", "x")).attributes == ("y", "x")
         except BaseException as exc:  # noqa: BLE001 - the assertion target
             errors.append(exc)
@@ -145,7 +146,7 @@ def test_two_threads_build_while_a_third_drops_its_relations():
             start.wait(timeout=10)
             for n in range(300):
                 rel = _relation(5 + n % 9, name="tmp")
-                key_degrees(rel, (0,))
+                degree_view(rel, (0,))
                 del rel
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
@@ -168,7 +169,7 @@ def test_two_threads_build_while_a_third_drops_its_relations():
 def test_a_relation_with_memo_entries_still_pickles():
     clear_memo()
     rel = _relation()
-    key_degrees(rel, (0,))
+    degree_view(rel, (0,))
     twin = pickle.loads(pickle.dumps(rel))
     assert twin.rows_readonly() == rel.rows_readonly()
     assert not any(column.flags.writeable for column in twin.columns())

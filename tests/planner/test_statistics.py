@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.relation import Relation
-from repro.kernels.memo import clear_memo, forget, memo_cache_sizes, value_degrees
+from repro.kernels.memo import clear_memo, degree_view, forget, memo_cache_sizes
 from repro.planner.statistics import (
     JoinStatistics,
     QueryStatistics,
@@ -315,10 +315,13 @@ class TestDegreeViewsMatchTheRowLoop:
         collect_query_statistics(cq, relations, p=4)
         views = memo_cache_sizes()[1]
         assert views == 2  # R.y and S.y, each counted once
-        assert value_degrees(relations["R"], "y") is value_degrees(relations["R"], "y")
+        assert degree_view(relations["R"], (1,)) is degree_view(relations["R"], (1,))
         find_heavy_values(cq, relations, threshold=5.0)
-        # SkewHC scans every variable: x and z are new, both y views are reused.
-        assert memo_cache_sizes()[1] == views + 2
+        # SkewHC scans every variable: x and z are new, both y views are
+        # reused, and the heavy sets are one view of their own.
+        assert memo_cache_sizes()[1] == views + 3
+        find_heavy_values(cq, relations, threshold=5.0)
+        assert memo_cache_sizes()[1] == views + 3
 
     @pytest.mark.parametrize("r, s", CASES)
     def test_two_atom_out_is_counted_not_materialised(self, r, s, monkeypatch):
@@ -346,13 +349,19 @@ class TestDegreeViewsMatchTheRowLoop:
             assert stats.out_estimate == len(cq.evaluate({"R": r, "S": s}))
 
     def test_three_atoms_still_evaluate_for_out(self):
+        # A cyclic query: its OUT is evaluated, once.
+        from unittest import mock
+
         cq = parse_query("R(x, y), S(y, z), T(z, x)")
         relations = {
             "R": Relation("R", ["x", "y"], [(i % 5, i % 3) for i in range(30)]),
             "S": Relation("S", ["y", "z"], [(i % 3, i % 7) for i in range(30)]),
             "T": Relation("T", ["z", "x"], [(i % 7, i % 5) for i in range(30)]),
         }
-        stats = collect_query_statistics(cq, relations, p=4)
+        with mock.patch.object(ConjunctiveQuery, "evaluate", autospec=True,
+                               side_effect=ConjunctiveQuery.evaluate) as evaluate:
+            stats = collect_query_statistics(cq, relations, p=4)
+        assert evaluate.call_count == 1
         assert stats.out_estimate == len(cq.evaluate(relations))
 
     def test_sampled_path_still_counts_the_sampled_rows(self):
@@ -371,3 +380,107 @@ class TestDegreeViewsMatchTheRowLoop:
         exact = relation_statistics(rel, p=4, attributes=("y",), sample=600)
         assert not exact.sampled and exact.max_degree["y"] == 86
 
+
+
+class TestMixedTypeHeavyValues:
+    """An ``object`` join column whose heavy values are a ``str`` and an
+    ``int``: they cannot be sorted, so they keep the degree view's
+    first-seen order, and every strategy still answers."""
+
+    QUERY = "R(x, y), S(y, z)"
+
+    @staticmethod
+    def _relations():
+        r = Relation("R", ["x", "y"], [(i, "a") for i in range(20)]
+                     + [(i, 1) for i in range(20)] + [(i, f"l{i}") for i in range(5)])
+        s = Relation("S", ["y", "z"], [("a", 0), (1, 1), (1, 2), ("l3", 3), ("b", 4)])
+        return {"R": r, "S": s}
+
+    @pytest.mark.parametrize("strategy", ["hash", "skew", "hypercube", "skewhc", "gym"])
+    def test_every_strategy_matches_the_oracle(self, strategy):
+        from repro.engine import Engine
+        from repro.testing.oracle import oracle_join, same_bag
+
+        relations = self._relations()
+        engine = Engine(p=4)
+        for rel in relations.values():
+            engine.register(rel)
+        run = engine.query(self.QUERY, strategy=strategy)
+        expected = oracle_join(parse_query(self.QUERY), relations)
+        assert run.output.attributes == expected.attributes
+        assert same_bag(expected.rows(), run.output.rows())
+
+    def test_heavy_values_keep_first_seen_order(self):
+        from repro.joins.skew_join import find_heavy_keys, skew_join
+        from repro.multiway.skewhc import find_heavy_values
+        from repro.testing.oracle import oracle_two_way, same_bag
+
+        relations = self._relations()
+        r, s = relations["R"], relations["S"]
+        stats = collect_query_statistics(parse_query(self.QUERY), relations, p=4)
+        assert stats.heavy_join_values == {"y": ("a", 1)}
+        assert stats.heavy_joint_degrees == {"y": (("a", 21), (1, 22))}
+        assert find_heavy_keys(r, s, ("y",), 10) == [("a",), (1,)]
+        assert find_heavy_values(parse_query(self.QUERY), relations, 10)["y"] == ("a", 1)
+        assert same_bag(oracle_two_way(r, s).rows(), skew_join(r, s, p=4).output.rows())
+
+    def test_the_heavy_light_triangle_takes_mixed_heavy_z(self):
+        from repro.multiway.semijoin import triangle_hl_semijoin
+        from repro.testing.oracle import oracle_join, same_bag
+
+        r = Relation("R", ["x", "y"], [(x, y) for x in range(4) for y in range(4)])
+        s = Relation("S", ["y", "z"], [(y, z) for y in range(4) for z in ("a", 1, 2.5)])
+        t = Relation("T", ["z", "x"], [(z, x) for z in ("a", 1) for x in range(4)])
+        run = triangle_hl_semijoin(r, s, t, p=8, threshold=5)
+        assert run.details["heavy_z"] == ["a", 1]
+        expected = oracle_join(parse_query("R(x, y), S(y, z), T(z, x)"),
+                               {"R": r, "S": s, "T": t})
+        assert same_bag(expected.rows(), run.output.rows())
+
+
+VALUES = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", 1.0, True, 2**64]))
+
+
+@st.composite
+def acyclic_instances(draw):
+    """A random acyclic query — each atom hangs off an earlier one, sharing
+    some (maybe none: a new component) of its variables — and relations
+    for it with duplicates, ``object`` keys, empty sides, and attributes in
+    another order than the atom's."""
+    atoms, fresh = [], iter(f"v{i}" for i in range(99))
+    for i in range(draw(st.integers(1, 5))):
+        parent = atoms[draw(st.integers(0, i - 1))][1] if atoms else []
+        shared = [v for v in parent if draw(st.booleans())]
+        variables = shared + [next(fresh) for _ in range(draw(st.integers(0 if shared else 1, 2)))]
+        atoms.append((f"R{i}", variables))
+    relations = {}
+    for name, variables in atoms:
+        attrs = draw(st.permutations(variables))
+        values = st.sampled_from([0, 1]) if draw(st.booleans()) else VALUES
+        rows = draw(st.lists(st.tuples(*[values] * len(attrs)), max_size=8))
+        relations[name] = Relation(name, attrs, rows)
+    return ConjunctiveQuery([Atom(name, variables) for name, variables in atoms]), relations
+
+
+class TestAcyclicOutIsCounted:
+    """The planner counts an acyclic query's OUT over its join tree."""
+
+    @given(acyclic_instances(), st.integers(1, 8))
+    def test_the_count_equals_the_evaluated_size(self, instance, p):
+        from unittest import mock
+
+        cq, relations = instance
+        expected = len(cq.evaluate(relations))
+        with mock.patch.object(ConjunctiveQuery, "evaluate", side_effect=AssertionError):
+            out = collect_query_statistics(cq, relations, p).out_estimate
+        assert out == expected and type(out) is int
+
+    def test_past_int64_the_count_is_exact(self):
+        import numpy as np
+
+        side = 2**16
+        cq = parse_query("A(k), B(k), C(k), D(k)")
+        relations = {name: Relation.from_columns(name, ["k"], [np.zeros(side, np.int64)])
+                     for name in "ABCD"}
+        out = collect_query_statistics(cq, relations, p=4).out_estimate
+        assert out == side**4 == 2**64 and type(out) is int

@@ -391,6 +391,34 @@ class TestSortColumnsLint:
                     assert not any(kw.arg == "key" for kw in node.keywords), path.name
 
 
+class TestDegreeViewLint:
+    """Every skew decision reads one degree view — ``(distinct key columns,
+    counts)`` from ``kernels.memo.degree_view`` — as arrays: no ``Counter``
+    under ``src/repro`` but the relation's bag equality and ``degrees`` and
+    the testing oracles, and the planner evaluates a query only to size a
+    cyclic one (an acyclic OUT is counted over its join tree)."""
+
+    COUNTER = r"(?m)^\s*(from\s+collections\s+import\s.*\bCounter\b|import\s+collections\b)"
+
+    def test_only_the_relation_and_testing_import_counter(self):
+        users = [f for f in _files_matching(self.COUNTER) if not f.startswith("testing/")]
+        assert users == ["data/relation.py"]
+
+    def test_the_counter_builders_are_gone(self):
+        assert _files_matching(r"\b(key_degrees|value_degrees)\b") == []
+
+    def test_the_planner_evaluates_only_in_the_cyclic_branch_of_exact_out(self):
+        planner = ROOT / "src" / "repro" / "planner"
+        assert _files_matching(r"\.evaluate\(", planner) == ["statistics.py"]
+        assert (planner / "statistics.py").read_text().count(".evaluate(") == 1
+        tree = ast.parse((planner / "statistics.py").read_text())
+        [exact_out] = [n for n in ast.walk(tree)
+                       if isinstance(n, ast.FunctionDef) and n.name == "_exact_out"]
+        [cyclic] = [n for n in ast.walk(exact_out) if isinstance(n, ast.ExceptHandler)]
+        assert ast.unparse(cyclic.type) == "DecompositionError"
+        assert ".evaluate(" in ast.unparse(cyclic)
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
