@@ -22,22 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.kernels.columnar import shrink
 from repro.kernels.hashing import bucket_tuple_columns, bucket_value_column
 from repro.kernels.memo import count_hash_ops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpc.cluster import RoundContext
     from repro.mpc.hashing import HashFunction
-
-
-def _shrink(destinations: np.ndarray, upper: int) -> np.ndarray:
-    """Narrow a small-valued index array so the stable (radix) argsort
-    scans 2 or 4 bytes per element instead of 8."""
-    if upper <= 1 << 16:
-        return destinations.astype(np.uint16)
-    if upper <= 1 << 32:
-        return destinations.astype(np.uint32)
-    return destinations
 
 
 def partition_indices(destinations: np.ndarray, buckets: int) -> list[np.ndarray]:
@@ -69,7 +60,7 @@ def source_major_order(codes: np.ndarray, buckets: int, p: int) -> np.ndarray:
     where position ``i`` sits on server ``i % p``: one stable radix sort of
     one narrow key, ``code * p + i % p``."""
     key = codes.astype(np.int64) * p + np.arange(len(codes)) % p
-    return np.argsort(_shrink(key, buckets * p), kind="stable")
+    return np.argsort(shrink(key, buckets * p), kind="stable")
 
 
 def partition_groups(
@@ -102,8 +93,8 @@ def hash_codes(n: int, columns: Sequence[np.ndarray], h: "HashFunction") -> np.n
     """Per-row ``h(key)`` over the ``n`` rows' key columns, narrowed for the
     argsort. No key column is the key ``()``: every row goes to ``h(())``."""
     if not columns:
-        return _shrink(np.full(n, h(()), dtype=np.int64), h.buckets)
-    return _shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
+        return shrink(np.full(n, h(()), dtype=np.int64), h.buckets)
+    return shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
 
 
 def grid_codes(
@@ -135,7 +126,7 @@ def grid_codes(
         for combo in product(*(range(extents[d]) for d in free_dims))
     ]
     grid_size = math.prod(int(e) for e in extents)
-    return _shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
+    return shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
 
 
 def try_route(

@@ -419,6 +419,17 @@ class TestDegreeViewLint:
         assert ".evaluate(" in ast.unparse(cyclic)
 
 
+class TestOneProbePathLint:
+    """The equality kernels probe one table over their codes' slots
+    (``kernels.join.slots``) and never search the sorted codes. A splitter
+    is an order, not a key code: ``kernels/splitters.py`` keeps its search."""
+
+    def test_the_join_kernels_do_not_search(self):
+        kernels = ROOT / "src" / "repro" / "kernels"
+        assert "searchsorted" not in (kernels / "join.py").read_text()
+        assert "searchsorted" in (kernels / "splitters.py").read_text()
+
+
 class TestGateInventoryLint:
     """The set of user-settable path gates is closed.
 
