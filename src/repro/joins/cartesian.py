@@ -10,21 +10,26 @@ assigned a random column and replicated to its ``p1`` servers. Every
 
 When one relation is much smaller, the optimum degenerates to ``p1 = 1``:
 broadcast the small relation, partition the other.
+
+:func:`replicate` is the one rectangle, for this product and for every
+heavy value's (:mod:`repro.joins.heavy`). The initial placement is encoded,
+not scattered (a scatter crash finds nothing to strike), and a server's
+product is the local join of what it received: the join on the server tag.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import JoinRun, join_schemas
+from repro.joins.base import JoinRun, inline_local_join, join_schemas
 from repro.kernels.hashing import bucket_tuple_columns
-from repro.kernels.partition import partition_groups
 from repro.mpc.cluster import Cluster
-from repro.mpc.server import held
 
 
 def optimal_rectangle(r_size: int, s_size: int, p: int) -> tuple[int, int]:
@@ -76,39 +81,49 @@ def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
     """In-cluster primitive: grid product into the ``out`` fragment.
 
     The servers are arranged in the optimal rectangle; any leftover
-    servers beyond ``p1·p2`` idle. The inputs are scattered round-robin
-    (free initial placement), then replicated along grid rows/columns in
-    one charged round.
+    servers beyond ``p1·p2`` idle. Both inputs are replicated along grid
+    rows/columns in one charged round (:func:`replicate`).
     """
-    p1, p2 = optimal_rectangle(len(r), len(s), cluster.p)
-    # Grid cell (i, j) is server i·p2 + j. Side 0 (R) sends a row to every
-    # cell of grid row h((sid, serial, 0)), side 1 (S) to every cell of
-    # grid column h((sid, serial, 1)): (input, hash, line stride, cells).
-    sides = (
-        (r, cluster.hash_function(101, p1), p2, range(p2)),
-        (s, cluster.hash_function(102, p2), 1, range(0, p1 * p2, p2)),
+    replicate(
+        cluster,
+        ("L@cart", r.columns(), np.arange(len(r))),
+        ("R@cart", s.columns(), np.arange(len(s))),
     )
-    for side, rel in enumerate((r, s)):
-        cluster.scatter(rel, f"cart{side}")
-    with cluster.round("cartesian-replicate") as rnd:
-        for sid, server in enumerate(cluster.servers):
-            for side, (rel, h, stride, cells) in enumerate(sides):
-                columns = held(server.take(f"cart{side}"), rel.schema.arity)
-                n = len(columns[0])
-                if not n:
-                    continue
-                lines = bucket_tuple_columns(
-                    [np.full(n, sid), np.arange(n), np.full(n, side)], h.salt, h.buckets
-                )
-                for line, part in partition_groups(lines, h.buckets, columns):
-                    for cell in cells:
-                        rnd.send_columns(line * stride + cell, f"cart{side}@grid", part)
+    inline_local_join(cluster, "L@cart", "R@cart", r, s, "out")
 
-    for server in cluster.servers:
-        left = held(server.take("cart0@grid"), r.schema.arity)
-        right = held(server.take("cart1@grid"), s.schema.arity)
-        # cartesian_rows' nested-loop order: each left row with every right row
-        server.append_result("out", tuple(
-            [np.repeat(column, len(right[0])) for column in left]
-            + [np.tile(column, len(left[0])) for column in right]
-        ))
+
+def replicate(cluster: Cluster, left: tuple, right: tuple) -> None:
+    """One round replicating two sides along the slide-28 grid lines.
+
+    A side is ``(fragment, columns, positions)``, the rows of ``columns``
+    at ``positions``. Its ``i``-th row sits on server ``i % p`` with serial
+    ``i // p`` and goes to every cell of grid line ``h((server, serial,
+    side))``: a row of the ``p1 × p2`` rectangle for ``left``, a column
+    for ``right``. Every (left, right) pair meets on exactly one server.
+    """
+    p = cluster.p
+    p1, p2 = optimal_rectangle(len(left[2]), len(right[2]), p)
+    lines = (
+        (cluster.hash_function(101, p1), lambda row: range(row * p2, (row + 1) * p2)),
+        (cluster.hash_function(102, p2), lambda col: range(col, p1 * p2, p2)),
+    )
+    with cluster.round("cartesian-replicate") as rnd:
+        for tag, ((fragment, columns, positions), (h, cells)) in enumerate(zip((left, right), lines)):
+            at = np.arange(len(positions))
+            line = bucket_tuple_columns(
+                [at % p, at // p, np.full(len(at), tag)], h.salt, h.buckets
+            )
+            deliver(rnd, fragment, columns, positions, line, (at // p, at % p), cells)
+
+
+def deliver(rnd, fragment: str, columns: Sequence[Any], positions: np.ndarray,
+            line: np.ndarray, ties: tuple, cells) -> None:
+    """Send the rows at ``positions`` to the servers ``cells(line)`` of
+    their line — one batch per destination, the rows of a line in arrival
+    order: sorted by ``ties``, last key first."""
+    arrival = np.lexsort((*ties, line))
+    lines, starts = np.unique(line[arrival], return_index=True)
+    for target, lo, hi in zip(lines.tolist(), starts, [*starts[1:], len(arrival)]):
+        sent = [c[positions[arrival[lo:hi]]] for c in columns]
+        for dest in cells(target):
+            rnd.send_columns(dest, fragment, sent)

@@ -26,10 +26,10 @@ weakly and dies with the first of them, and a lookup compares identities, so
 a recycled ``id()`` can never hit; every cache — the service's result
 cache included — is one bounded, locked, counted :class:`LRU`;
 :func:`forget` reclaims a replaced relation's entries eagerly.  Replay
-is chosen by what the code observes, never by a switch: :func:`route`
-tries the cached plan, then the per-server kernel, and a route whose
-provenance cannot be proven takes the kernel — which is also what a
-cache miss is byte-identical to.
+is chosen by what the code observes, never by a switch or a fault plan:
+:func:`route` tries the cached plan, then the per-server kernel, and a
+route whose provenance cannot be proven takes the kernel — which is also
+what a cache miss is byte-identical to.
 """
 
 from __future__ import annotations
@@ -234,12 +234,10 @@ def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool
     """Whether a cached plan may stand in for the per-server route.
 
     The scatter-provenance map proves the fragment currently holds
-    exactly ``rel[s::p]`` at the relation's current token; fault mode is
-    excluded because the fault controller hooks individual scatter/send
-    chunks that a replay would batch differently.
+    exactly ``rel[s::p]`` at the relation's current token.  Faults need
+    no exception: they strike scatters, which still run, and each
+    destination's buffer at the barrier, which both paths fill alike.
     """
-    if getattr(cluster, "fault_controller", None) is not None:
-        return False
     origin = cluster._scatter_origin.get(fragment)
     if origin is None:
         return False
@@ -305,11 +303,9 @@ def _replay_plan(
     A plan is ``(groups, offsets, key bytes, hash ops)``: each ``(dest,
     part)`` group of frozen column blocks goes to ``dest + o`` for every
     offset ``o``, one send per destination.  A plan is kept under
-    ``rel``'s token unless a fault controller watches the cluster;
-    otherwise it is built, sent and dropped.
+    ``rel``'s token.
     """
-    cacheable = cluster.fault_controller is None
-    plan, hit = _get_or_build(_plans, (rel,), key_extra, build) if cacheable else (build(), False)
+    plan, hit = _get_or_build(_plans, (rel,), key_extra, build)
     groups, offsets, nbytes, hash_ops = plan
     stats = cluster.stats.memo
     if hit:
@@ -317,7 +313,7 @@ def _replay_plan(
         _bump(stats, "hash_ops_saved", hash_ops)
         _bump(stats, "bytes_saved", nbytes)
     else:
-        _bump(stats, "partition_misses", int(cacheable))
+        _bump(stats, "partition_misses")
         _bump(stats, "hash_ops", hash_ops)
     for dest, part in groups:
         for offset in offsets:
@@ -334,8 +330,8 @@ def route_scattered(
     ``try_route`` loop would deliver for ``fragment``, one batched send
     per destination — byte-identical destinations, order, charged units
     and delivered blocks.
-    Returns ``False`` when ineligible (faults active, relation mutated,
-    or fragment tampered with); the caller then routes per server.
+    Returns ``False`` when ineligible (relation mutated or fragment
+    tampered with); the caller then routes per server.
     """
     from repro.kernels.partition import hash_codes
 

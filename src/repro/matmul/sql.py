@@ -67,9 +67,10 @@ def sql_matmul(
 
     # Round 2: aggregate by (i, k).
     agg = Cluster(p, seed=seed + 1)
-    agg.scatter(Relation.from_columns("P", ["i", "k", "v"], partials), "P@in")
+    products = Relation.from_columns("P", ["i", "k", "v"], partials)
+    agg.scatter(products, "P@in")
     with agg.round("groupby-ik") as rnd:
-        route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j")
+        route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j", products)
 
     c = np.zeros((a.shape[0], b.shape[1]))
     sum_payloads = [held(server.take("P@j"), 3) for server in agg.servers]

@@ -123,14 +123,19 @@ def trace(stats: RunStats, histograms: bool = False) -> str:
 
 
 def busiest_server(stats: RunStats) -> tuple[int, int]:
-    """(server id, total received) of the run's most loaded server."""
+    """(server id, total received) of the run's most loaded server.
+
+    A round may list more servers than ``p`` (disjoint pools that each got
+    their one server, or a sort's heavy-key servers on top of p), so the
+    totals run as long as the longest ``received`` list.
+    """
     if not stats.rounds:
         return (0, 0)
-    totals = [0] * stats.p
+    totals = [0] * max(stats.p, *(len(rd.received) for rd in stats.rounds))
     for rd in stats.rounds:
         if not rd.delivered:
             continue
         for sid, load in enumerate(rd.received):
             totals[sid] += load
-    sid = max(range(stats.p), key=lambda i: totals[i])
+    sid = max(range(len(totals)), key=lambda i: totals[i])
     return sid, totals[sid]

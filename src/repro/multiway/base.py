@@ -16,14 +16,16 @@ scattered (free, per the model's initial-placement grant), the shuffle is
 charged, locals are computed, and the result is returned with the round's
 :class:`RunStats`. Plans stitch phases together with
 :func:`~repro.mpc.cluster.combine_sequential` (same servers, consecutive
-rounds) and :func:`~repro.mpc.cluster.combine_parallel` (disjoint
-servers, simultaneous rounds). Charging every phase's full shuffle is
+rounds) and :func:`on_pools` (steps side by side on disjoint server
+pools, simultaneous rounds) — the one place that decides how parallel
+steps share the ``p`` servers. Charging every phase's full shuffle is
 slightly conservative — a real engine reuses co-partitioning — but keeps
 the accounting identical across algorithms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,11 +35,12 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.cartesian import cartesian_product
 from repro.joins.hash_join import one_round_hash_join
+from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
 from repro.kernels.join import code_key_columns, cut_at_tags, locate, stack_tagged
 from repro.kernels.memo import degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import Cluster, combine_parallel
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
 
@@ -57,6 +60,23 @@ class MultiwayRun:
     @property
     def rounds(self) -> int:
         return self.stats.num_rounds
+
+
+def on_pools(p: int, ops: Sequence, weights: Sequence[float],
+             run: Callable[[Any, int], tuple[Any, RunStats]]) -> tuple[list, RunStats]:
+    """Run independent steps side by side on disjoint pools of ``p`` servers.
+
+    Pools are sized in proportion to the weights
+    (:func:`~repro.joins.heavy.allocate_servers`: at least one server per
+    op, so more ops than servers oversubscribe), ``run(op, pool size)``
+    gives each op's ``(result, stats)``, and the rounds combine as
+    simultaneous (:func:`~repro.mpc.cluster.combine_parallel`); one op is
+    its own run on all ``p`` servers. Returns the results in op order and
+    the combined cost.
+    """
+    pools = allocate_servers([max(weight, 1) for weight in weights], p)
+    runs = [run(op, size) for op, size in zip(ops, pools)]
+    return [result for result, _ in runs], combine_parallel(p, [stats for _, stats in runs])
 
 
 def shuffle_join(

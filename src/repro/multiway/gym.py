@@ -22,11 +22,10 @@ from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.heavy import allocate_servers
 from repro.kernels.memo import align, bound, project_view
-from repro.mpc.cluster import combine_parallel, combine_sequential
+from repro.mpc.cluster import combine_sequential
 from repro.mpc.stats import RunStats
-from repro.multiway.base import MultiwayRun, join_step, shuffle_multi_semijoin
+from repro.multiway.base import MultiwayRun, join_step, on_pools, shuffle_multi_semijoin
 from repro.multiway.hypercube import hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.ghd import GHD, GHDNode, width1_ghd
@@ -101,7 +100,8 @@ def _materialize_bags(
     """Join each node's cover atoms and project to its bag.
 
     Width-1 nodes cost nothing. Wider nodes run one join per step; in
-    parallel mode, step t of every node shares a round.
+    parallel mode, step t of every node shares a round, else each join is
+    a wave of its own.
     """
     working: dict[int, Relation] = {}
     pending: list[tuple[GHDNode, list[Relation]]] = []
@@ -121,27 +121,23 @@ def _materialize_bags(
     current: dict[int, Relation] = {
         id(node): covers[0] for node, covers in pending
     }
+
+    def join_next(task: tuple[GHDNode, list[Relation]], p_op: int) -> tuple[Relation, RunStats]:
+        node, covers = task
+        return join_step(
+            current[id(node)], covers[step], p_op, seed=seed + step, label=f"bag-join-{step}"
+        )
+
     while pending:
         step += 1
-        step_runs: list[RunStats] = []
-        weights = [
-            max(len(current[id(node)]) + len(covers[step]), 1)
-            for node, covers in pending
-        ]
-        pools = allocate_servers(weights, p) if parallel else [p] * len(pending)
-        for (node, covers), p_op in zip(pending, pools):
-            joined, stats = join_step(
-                current[id(node)], covers[step], max(p_op, 1),
-                seed=seed + step, label=f"bag-join-{step}",
-            )
-            current[id(node)] = joined
-            step_runs.append(stats)
-            if step == len(covers) - 1:
-                working[id(node)] = _project_bag(joined, node, dedupe)
-        if parallel:
-            phases.append(combine_parallel(p, step_runs))
-        else:
-            phases.extend(step_runs)
+        for wave in [pending] if parallel else [[task] for task in pending]:
+            weights = [len(current[id(node)]) + len(covers[step]) for node, covers in wave]
+            joined, stats = on_pools(p, wave, weights, join_next)
+            phases.append(stats)
+            for (node, covers), rel in zip(wave, joined):
+                current[id(node)] = rel
+                if step == len(covers) - 1:
+                    working[id(node)] = _project_bag(rel, node, dedupe)
         pending = [
             (node, covers) for node, covers in pending if id(node) not in working
         ]
@@ -213,7 +209,8 @@ def _semijoin_level(
     ``direction="up"``: each parent is reduced by all its children;
     ``direction="down"``: each child is reduced by its parent. Optimized
     mode packs independent operations (grouped by target and key) into
-    shared rounds on proportionally allocated pools.
+    shared rounds on proportionally allocated pools; vanilla runs every
+    (target, reducer) pair as a wave of its own.
     """
     # Expand into (target_node, [reducer relations]) with a common key;
     # a disconnected child shares no key and constrains nothing.
@@ -232,11 +229,10 @@ def _semijoin_level(
                 if working[id(child)].schema.common(working[id(parent)].schema):
                     tasks.append((child, [working[id(parent)]]))
 
-    phases: list[RunStats] = []
+    waves: list[list[tuple[GHDNode, list[Relation]]]] = []
     if variant == "optimized":
         # Tasks with the same target (several key groups of one parent)
         # cannot share a round; pack them into waves of distinct targets.
-        waves: list[list[tuple[GHDNode, list[Relation]]]] = []
         for task in tasks:
             for wave in waves:
                 if all(id(task[0]) != id(t[0]) for t in wave):
@@ -244,36 +240,22 @@ def _semijoin_level(
                     break
             else:
                 waves.append([task])
-        for wave in waves:
-            weights = [
-                max(len(working[id(t)]) + sum(len(r) for r in reds), 1)
-                for t, reds in wave
-            ]
-            pools = allocate_servers(weights, p)
-            runs = []
-            for (target, reducers), p_op in zip(wave, pools):
-                reduced, stats = shuffle_multi_semijoin(
-                    working[id(target)],
-                    reducers,
-                    max(p_op, 1),
-                    seed=seed,
-                    label=f"semijoin-{direction}",
-                )
-                working[id(target)] = reduced
-                runs.append(stats)
-            phases.append(combine_parallel(p, runs))
     else:
-        for target, reducers in tasks:
-            for reducer in reducers:
-                reduced, stats = shuffle_multi_semijoin(
-                    working[id(target)],
-                    [reducer],
-                    p,
-                    seed=seed,
-                    label=f"semijoin-{direction}",
-                )
-                working[id(target)] = reduced
-                phases.append(stats)
+        waves = [[(target, [reducer])] for target, reducers in tasks for reducer in reducers]
+
+    def reduce(task: tuple[GHDNode, list[Relation]], p_op: int):
+        target, reducers = task
+        return shuffle_multi_semijoin(
+            working[id(target)], reducers, p_op, seed=seed, label=f"semijoin-{direction}"
+        )
+
+    phases: list[RunStats] = []
+    for wave in waves:
+        weights = [len(working[id(t)]) + sum(len(r) for r in reds) for t, reds in wave]
+        reduced, stats = on_pools(p, wave, weights, reduce)
+        phases.append(stats)
+        for (target, _reducers), rel in zip(wave, reduced):
+            working[id(target)] = rel
     return phases
 
 
@@ -295,22 +277,16 @@ def _join_phase(
             continue
         if variant == "optimized":
             weights = [
-                max(
-                    len(working[id(parent)])
-                    + sum(len(working[id(c)]) for c in parent.children),
-                    1,
-                )
+                len(working[id(parent)]) + sum(len(working[id(c)]) for c in parent.children)
                 for parent in parents
             ]
-            pools = allocate_servers(weights, p)
-            runs = []
-            for parent, p_op in zip(parents, pools):
-                merged, stats = _hypercube_merge(
-                    working, parent, max(p_op, 1), seed + depth
-                )
-                working[id(parent)] = merged
-                runs.append(stats)
-            phases.append(combine_parallel(p, runs))
+            merged, stats = on_pools(
+                p, parents, weights,
+                lambda parent, p_op: _hypercube_merge(working, parent, p_op, seed + depth),
+            )
+            phases.append(stats)
+            for parent, rel in zip(parents, merged):
+                working[id(parent)] = rel
         else:
             for parent in parents:
                 result = working[id(parent)]

@@ -39,10 +39,11 @@ from repro.kernels.memo import (
 )
 from repro.kernels.partition import try_route, try_route_grid
 from repro.mpc.cluster import Cluster, RoundContext
+from repro.mpc.faults import ChannelFault, CrashFault, FaultPlan, faulty
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import MemoStats
 from repro.mpc.topology import Grid
-from tests.holdings import degree_counter, fragment_of, scalar_rung
+from tests.holdings import degree_counter, fragment_of, observe, scalar_rung
 
 ARITY = 2
 
@@ -446,6 +447,69 @@ def test_multiround_entry_point_hits_the_cache():
     assert warm.stats.memo.partition_hits > 0
     assert warm.stats.memo.view_hits > 0
 
+
+
+def _faulted_repeat_algorithms():
+    """``{name: run(p) -> (output, stats)}`` over fixed inputs, built once."""
+    from repro.joins.hash_join import parallel_hash_join
+    from repro.multiway.base import shuffle_multi_semijoin
+    from repro.multiway.gym import gym
+    from repro.multiway.hypercube import hypercube_join
+    from repro.query.cq import path_query, triangle_query
+
+    def pairs(n, a, b, left=13, right=11):
+        return [((i * a) % left, (i * b + i // 7) % right) for i in range(n)]
+
+    r = Relation("R", ["x", "y"], pairs(90, 5, 3))
+    s = Relation("S", ["y", "z"], pairs(80, 3, 7, 11, 9))
+    t = Relation("T", ["z", "x"], pairs(70, 7, 2, 9, 13))
+    path = {f"R{i}": Relation(f"R{i}", [f"A{i - 1}", f"A{i}"], pairs(60 + 5 * i, i + 2, 3))
+            for i in range(1, 5)}
+    target = Relation("T", ["x", "w"], [(i % 9, i) for i in range(80)])  # no heavy key
+    reducers = [Relation("K1", ["x", "u"], pairs(30, 1, 2, 7, 5)),
+                Relation("K2", ["x", "v"], pairs(24, 3, 1, 6, 4))]
+
+    def joined(run):
+        return run.output, run.stats
+
+    return {
+        "hash": lambda p: joined(parallel_hash_join(r, s, p)),
+        "hypercube": lambda p: joined(hypercube_join(
+            triangle_query(), {"R": r, "S": s, "T": t}, p)),
+        "gym": lambda p: joined(gym(path_query(4), path, p)),
+        "multi-semijoin": lambda p: shuffle_multi_semijoin(target, reducers, p),
+    }
+
+
+FAULTED_REPEATS = {
+    "crash": FaultPlan(crashes=(CrashFault(round=0, server=1),)),
+    "drop": FaultPlan(channel_faults=(ChannelFault(0, 0, "drop", count=2),)),
+    "duplicate": FaultPlan(channel_faults=(ChannelFault(0, 1, "duplicate", count=3),)),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(FAULTED_REPEATS))
+@pytest.mark.parametrize("name", ["hash", "hypercube", "gym", "multi-semijoin"])
+def test_a_faulted_warm_repeat_replays_as_the_clean_one(name, plan):
+    # Replay decides by content only: under a recovered fault plan a warm
+    # repeat takes the cached plans the clean warm repeat takes, and
+    # delivers the same bytes.
+    run = _faulted_repeat_algorithms()[name]
+
+    def warm(fault_plan):
+        clear_memo()
+        with faulty(fault_plan):
+            run(8)
+            output, stats = run(8)
+        memo = stats.memo
+        return observe(output, stats), (memo.partition_hits, memo.partition_misses), stats
+
+    clean, clean_counts, _ = warm(None)
+    faulted, faulted_counts, stats = warm(FAULTED_REPEATS[plan])
+    assert clean_counts[0] > 0
+    assert faulted_counts == clean_counts
+    assert faulted == clean
+    assert stats.faults.injected > 0 and stats.faults.clean
 
 def test_memo_stats_merge_snapshot_delta_summary():
     a = MemoStats(partition_hits=2, hash_ops=10, bytes_saved=100)

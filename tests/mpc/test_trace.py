@@ -129,3 +129,35 @@ class TestBusiestServer:
 
     def test_empty(self):
         assert busiest_server(RunStats(4)) == (0, 0)
+
+
+class TestBusiestServerBeyondP:
+    """A round may list more servers than ``stats.p``: the totals follow it."""
+
+    def test_sort_join_with_a_straddling_key(self):
+        from repro.data.relation import Relation
+        from repro.joins.sort_join import sort_join
+
+        r = Relation("R", ["x", "y"], [(i, 0 if i % 2 else i) for i in range(40)])
+        s = Relation("S", ["y", "z"], [(0 if i % 2 else i, i) for i in range(40)])
+        stats = sort_join(r, s, 4).stats
+        assert [len(rd.received) for rd in stats.rounds] == [6, 4, 4, 4]
+        totals = [sum(loads) for loads in zip(*(rd.received[:4] for rd in stats.rounds))]
+        totals += [stats.rounds[0].received[4], stats.rounds[0].received[5]]
+        assert busiest_server(stats) == (totals.index(max(totals)), max(totals))
+
+    def test_oversubscribed_skewhc(self):
+        from repro.data.relation import Relation
+        from repro.multiway.skewhc import skewhc_join
+        from repro.query.cq import triangle_query
+
+        n = 12
+        relations = {
+            "R": Relation("R", ["x", "y"], [(0 if i % 2 else i, i % 5) for i in range(n)]),
+            "S": Relation("S", ["y", "z"], [(i % 5, 0 if i % 2 else i) for i in range(n)]),
+            "T": Relation("T", ["z", "x"], [(i % 4, 0 if i % 3 else i) for i in range(n)]),
+        }
+        stats = skewhc_join(triangle_query(), relations, 2).stats
+        (only,) = stats.rounds
+        assert stats.p == 2 and len(only.received) == 3
+        assert busiest_server(stats) == (only.received.index(only.max_load), only.max_load)
