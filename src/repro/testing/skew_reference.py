@@ -4,11 +4,13 @@
 once per atom and once per heavy/light pattern, as index arithmetic.
 What they replaced lives on here, moved and not rewritten: one restricted
 relation per (atom, heavy combination) filtered by a per-row closure, one
-cluster per residual, one ``send`` and one scalar hash per heavy tuple.
+cluster per residual, one ``send`` and one scalar hash per heavy tuple,
+and one scalar hash and one send per grid-product tuple and cell.
 The equivalence suite (``tests/multiway/test_skew_one_pass.py``) runs
 these against the one-pass code — same output bag, same ``received``
 lists — so nothing here shares a line with what it checks, beyond the
-heavy-hitter scan and the server allocation both sides are handed.
+heavy-hitter scan, the server allocation and the grid's rectangle shape
+both sides are handed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.data.relation import Relation
-from repro.errors import QueryError
+from repro.joins.cartesian import optimal_rectangle
 from repro.joins.heavy import allocate_servers
 from repro.mpc.cluster import Cluster, combine_parallel
 from repro.mpc.stats import RunStats
@@ -181,9 +183,7 @@ def reference_heavy_products(
     out_rows: list[Row] = []
     runs: list[RunStats] = []
     for key, p_b in big:
-        rows, stats = _one_heavy_product(
-            r, s, r_groups[key], s_groups[key], extra_idx, p_b, seed
-        )
+        rows, stats = _one_heavy_product(r_groups[key], s_groups[key], extra_idx, p_b, seed)
         out_rows.extend(rows)
         runs.append(stats)
     if small:
@@ -240,8 +240,6 @@ def _packed_heavy_products(
 
 
 def _one_heavy_product(
-    r: Relation,
-    s: Relation,
     r_rows: list[Row],
     s_rows: list[Row],
     extra_idx: tuple[int, ...],
@@ -249,21 +247,13 @@ def _one_heavy_product(
     seed: int,
 ) -> tuple[list[Row], RunStats]:
     """Grid product of one heavy value's tuples on ``p_b`` exclusive servers."""
-    from repro.joins.cartesian import cartesian_on_cluster
-
     cluster = Cluster(max(p_b, 1), seed=seed)
     if not r_rows or not s_rows:
         return [], cluster.stats
 
     if extra_idx:
-        left = Relation("Rb", [f"_l{i}" for i in range(r.schema.arity)], r_rows)
-        right = Relation(
-            "Sb",
-            [f"_r{i}" for i in range(len(extra_idx))],
-            [tuple(row[i] for i in extra_idx) for row in s_rows],
-        )
-        cartesian_on_cluster(cluster, left, right)
-        return cluster.gather("out"), cluster.stats
+        right = [tuple(row[i] for i in extra_idx) for row in s_rows]
+        return _grid_rows(cluster, r_rows, right), cluster.stats
 
     # S contributes no new attributes: the join just multiplies each R row
     # by the number of matching S rows. Spread R's rows, keep bag counts.
@@ -274,3 +264,29 @@ def _one_heavy_product(
                 send_row(rnd, sid, "out", row)
     rows = [row for row in cluster.gather("out") for _ in range(multiplicity)]
     return rows, cluster.stats
+
+
+def _grid_rows(cluster: Cluster, left: list[Row], right: list[Row]) -> list[Row]:
+    """The slide-28 rectangle tuple by tuple: each pair's concatenation.
+
+    Grid cell (i, j) is server i·p2 + j. The ``serial``-th row placed on
+    server ``sid`` (round-robin, free) hashes ``(sid, serial, side)`` to a
+    grid row (left side) or column (right side) and goes to each of its
+    cells; every server then pairs each left row with every right row.
+    """
+    p = cluster.p
+    p1, p2 = optimal_rectangle(len(left), len(right), p)
+    h_row, h_col = cluster.hash_function(101, p1), cluster.hash_function(102, p2)
+    with cluster.round("cartesian-replicate") as rnd:
+        for sid in range(p):
+            for serial, row in enumerate(left[sid::p]):
+                for cell in range(p2):
+                    send_row(rnd, h_row((sid, serial, 0)) * p2 + cell, "L", row)
+            for serial, row in enumerate(right[sid::p]):
+                for cell in range(0, p1 * p2, p2):
+                    send_row(rnd, h_col((sid, serial, 1)) + cell, "R", row)
+    rows: list[Row] = []
+    for server in cluster.servers:
+        right_here = list(server.take("R"))
+        rows.extend(l_row + r_row for l_row in server.take("L") for r_row in right_here)
+    return rows
