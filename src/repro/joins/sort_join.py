@@ -22,7 +22,7 @@ from repro.joins.base import JoinRun, require_join_key
 from repro.joins.heavy import heavy_value_products
 from repro.kernels.columnar import column_of, concatenated, zip_rows
 from repro.kernels.join import code_key_columns, join_indices, lookup_codes
-from repro.mpc.cluster import Cluster, combine_parallel
+from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
 from repro.mpc.server import held
 from repro.sorting.psrs import psrs_partition, scatter_keys
 
@@ -73,7 +73,7 @@ def sort_join(
     columns = [column[r_rows] for column in r.columns()]
     columns += [s.columns()[i][s_rows] for i in extra_idx]
 
-    runs = [cluster.stats]
+    stats = combine_parallel(p, [cluster.stats])
     parts = [Relation.from_columns("OUT", list(r.schema.attributes) + extra, columns)]
     if straddling:
         heavy = sorted(straddling)
@@ -82,8 +82,10 @@ def sort_join(
             max(p // 2, 1), seed=seed,
         )
         parts.append(heavy_part)
-        runs.extend(heavy_runs)
-    return JoinRun(union_all("OUT", parts), combine_parallel(p, runs))
+        # The products need the boundary report: they run after it, their
+        # pools side by side in one round.
+        stats = combine_sequential(p, [stats, combine_parallel(p, heavy_runs)])
+    return JoinRun(union_all("OUT", parts), stats)
 
 
 def _join_key(rel: Relation, idx: list[int]) -> np.ndarray:

@@ -507,8 +507,9 @@ def combine_parallel(
     With ``audit=True`` the sub-cluster sizes must partition ``p_total``
     (:func:`repro.mpc.audit.verify_partition`) and the combination
     arithmetic is re-checked. This is opt-in rather than tied to the
-    ambient audit default because some callers (the parallel sort join)
-    intentionally account heavy-value fallback servers on top of ``p``.
+    ambient audit default because some callers intentionally account
+    servers past ``p`` (SkewHC's one-server pools, when there are more
+    residuals than servers).
     """
     if audit:
         from repro.mpc.audit import verify_partition

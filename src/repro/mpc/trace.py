@@ -126,8 +126,8 @@ def busiest_server(stats: RunStats) -> tuple[int, int]:
     """(server id, total received) of the run's most loaded server.
 
     A round may list more servers than ``p`` (disjoint pools that each got
-    their one server, or a sort's heavy-key servers on top of p), so the
-    totals run as long as the longest ``received`` list.
+    their one server), so the totals run as long as the longest
+    ``received`` list.
     """
     if not stats.rounds:
         return (0, 0)

@@ -7,6 +7,11 @@ lists, ``details["jobs"]`` and the output of ``skewhc_join`` on a
 triangle, a two-way join, a star and a 3-path, and of ``skew_join`` /
 ``sort_join`` through the big-key, packed and degenerate-unary-S
 branches of the heavy products.
+
+The ``sort_join/*`` entries alone were re-captured, in a commit of their
+own, when its heavy products moved after the boundary report they need:
+each instance's r moved 4 → 5 where a key straddles, L and the output
+stayed.
 """
 
 import hashlib

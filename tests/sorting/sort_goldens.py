@@ -12,6 +12,10 @@ per-round labels and ``received`` lists and a digest of the output of
   on one heavy key;
 - ``multiround_sort`` on distinct keys only: with duplicates its load
   moved on purpose when the position tie-break reached it.
+
+The ``sort_join/*`` entries alone were re-captured, in a commit of their
+own, when its heavy products moved after the boundary report they need:
+r moved 4 → 5 where a key straddles, L and the output stayed.
 """
 
 import hashlib
