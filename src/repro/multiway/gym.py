@@ -28,7 +28,8 @@ from repro.mpc.stats import RunStats
 from repro.multiway.base import MultiwayRun, join_step, on_pools, shuffle_multi_semijoin
 from repro.multiway.hypercube import hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery
-from repro.query.ghd import GHD, GHDNode, width1_ghd
+from repro.query.ghd import GHD, GHDNode
+from repro.query.shape import shape
 
 
 def gym(
@@ -43,12 +44,13 @@ def gym(
 
     ``variant`` is ``"optimized"`` (r = O(depth)) or ``"vanilla"``
     (r = O(#nodes)). Works on any valid GHD of the query; defaults to the
-    depth-minimized GYO join tree.
+    depth-minimized GYO join tree the query's
+    :func:`~repro.query.shape.shape` keeps (shared: read only).
     """
     if variant not in ("optimized", "vanilla"):
         raise QueryError(f"unknown GYM variant {variant!r}")
     if ghd is None:
-        ghd = width1_ghd(query)
+        ghd = shape(query).width1_ghd(query)
 
     # A GHD may reuse an atom in several covers (e.g. the balanced path
     # decomposition). Under bag semantics reuse would square duplicate

@@ -51,6 +51,14 @@ from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.shares import optimal_shares
 
 
+def heavy_values_at(rel: Relation, variable: str, threshold: float) -> list:
+    """SkewHC's heavy-hitter rule: the values of ``variable`` whose degree in
+    ``rel`` is at least ``threshold``, read from its degree view (in the
+    view's order). The planner's residual estimate counts by it too."""
+    (keys,), counts = degree_view(rel, rel.schema.indices((variable,)))
+    return keys[counts >= threshold].tolist()
+
+
 def find_heavy_values(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
@@ -66,8 +74,7 @@ def find_heavy_values(
         heavy: dict[str, dict] = {v: {} for v in query.variables}
         for atom, rel in zip(query.atoms, rels):
             for variable in atom.variables:
-                (keys,), counts = degree_view(rel, rel.schema.indices((variable,)))
-                heavy[variable].update(dict.fromkeys(keys[counts >= threshold].tolist()))
+                heavy[variable].update(dict.fromkeys(heavy_values_at(rel, variable, threshold)))
         return {v: tuple(ordered(values)) for v, values in heavy.items()}
 
     return cached_view(rels, ("heavy", tuple(query.atoms), threshold), build)

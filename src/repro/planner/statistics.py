@@ -30,7 +30,7 @@ from repro.errors import DecompositionError
 from repro.joins.base import estimate_join_size
 from repro.kernels.columnar import column_of, concatenated
 from repro.kernels.memo import counts_at, degree_view, grouped, ordered
-from repro.query.hypergraph import join_tree
+from repro.query.shape import shape
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,11 @@ class QueryStatistics:
 
 def _exact_out(query, relations: Mapping[str, Relation]) -> int:
     """The exact output size: a cyclic query is evaluated, an acyclic one
-    counted by Yannakakis over its join tree, bottom up (two atoms: Σₖ
+    counted by Yannakakis over its join tree (the query's
+    :func:`~repro.query.shape.shape` keeps it), bottom up (two atoms: Σₖ
     deg_R(k)·deg_S(k)), in exact integers (Python ints past ``int64``)."""
     try:
-        parent = join_tree(query)
+        parent = shape(query).join_tree(query)
     except DecompositionError:
         return len(query.evaluate(relations))
     dtype = object if math.prod(len(relations[a.name]) for a in query.atoms) >> 63 else np.int64
@@ -165,10 +166,11 @@ def _exact_out(query, relations: Mapping[str, Relation]) -> int:
     return int(_subtree(root, (), parent, relations, dtype)[1].sum())
 
 
-def _subtree(name: str, on: tuple, parent: dict, relations: Mapping[str, Relation], dtype) -> tuple:
+def _subtree(name: str, on: tuple, parent: Mapping, relations: Mapping[str, Relation], dtype) -> tuple:
     """The degree view over ``on`` of the join of atom ``name``'s subtree:
     its relation's view over the variables it shares, each count times its
-    children's counts at that key, summed per value of ``on``."""
+    children's counts at that key, summed per value of ``on`` — with no
+    ``on`` left ungrouped, since every caller of that view only sums it."""
     rel = relations[name]
     children = [child for child, up in parent.items() if up == name != child]
     need = [v for v in rel.schema.attributes
@@ -180,7 +182,9 @@ def _subtree(name: str, on: tuple, parent: dict, relations: Mapping[str, Relatio
         below = _subtree(child, shared, parent, relations, dtype)
         weight = counts_at(below, [columns[v] for v in shared]) if shared else below[1].sum()
         counts = counts * weight
-    return (keys, counts) if len(on) == len(need) else grouped([columns[v] for v in on], counts)
+    if not on or len(on) == len(need):
+        return keys, counts
+    return grouped([columns[v] for v in on], counts)
 
 
 def collect_query_statistics(

@@ -8,8 +8,16 @@ nothing else. :func:`solve` is the only ``linprog`` call site of the
 library and remembers each program it has solved under a key that *is*
 the whole input, so there is nothing to invalidate: no token, no
 relation, no staleness. HiGHS is deterministic for identical input, so
-a hit returns exactly the floats a fresh solve would. A quantity that is
-many such programs (ψ*) is kept whole beside them (:func:`derived`).
+a hit returns exactly the floats a fresh solve would.
+
+Beside the programs, :func:`derived` keeps whole the quantities that are
+functions of the atoms alone: ψ* (one program per residual) and the
+query's shape record (:func:`repro.query.shape.shape`: τ*, ρ*,
+acyclicity, connectivity, the GYO join tree and the width-1 GHD). A
+repeat reads them without building — or looking up — any program. The
+share program is the one LP a plan still looks up: its right-hand side
+holds the relation sizes, so a new size profile is a new program, solved
+once by HiGHS.
 
 This is not relation-derived state:
 :func:`repro.kernels.memo.clear_memo` and ``forget`` do not touch it.
@@ -26,8 +34,8 @@ from repro.errors import OptimizationError
 from repro.kernels.memo import LRU
 
 _solved = LRU(1024)
-# Quantities that are a function of the hypergraph alone but cost many
-# programs each (ψ*: one per residual), by whatever names the hypergraph.
+# Quantities that are a function of the atoms alone (ψ*, the shape
+# record), by whatever names the atom tuple.
 _derived: dict = {}
 
 
