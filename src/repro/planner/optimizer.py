@@ -49,8 +49,11 @@ from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import heavy_values_at, skewhc_join
 from repro.planner.statistics import QueryStatistics, collect_query_statistics
 from repro.query.cq import ConjunctiveQuery
-from repro.query.fractional import psi_star, tau_star
+# tau_star is not called here, but perfbench's tracer patches it in every
+# importer, and perfbench/tests/test_tracing.py:79 checks this one.
+from repro.query.fractional import psi_star, tau_star  # noqa: F401
 from repro.query.shape import shape
+from repro.query.shares import optimal_shares
 from repro.theory.lower_bounds import join_load_lower_bound
 
 __all__ = [
@@ -229,17 +232,10 @@ def _hypercube_predicted_load(
     max-objective is indifferent to replication cost — on a two-atom
     join with one tiny side it may put all share on a non-join variable
     and replicate the small side everywhere, which only the sum form
-    prices. Falls back to the closed form if the share LP fails.
+    prices.
     """
-    from repro.errors import OptimizationError
-    from repro.query.shares import optimal_shares
-
     sizes = {a.name: stats.sizes[a.name] for a in query.atoms}
-    try:
-        shares = optimal_shares(query, sizes, p).integral
-    except OptimizationError:
-        tau = tau_star(query)
-        return stats.in_size / p ** (1.0 / tau) if tau > 0 else float(stats.in_size)
+    shares = optimal_shares(query, sizes, p).integral
     return sum(
         sizes[atom.name] / math.prod(shares[v] for v in atom.variables)
         for atom in query.atoms

@@ -3,7 +3,8 @@
 :func:`repro.query.shape.shape` keeps τ*, ρ*, acyclicity, connectivity,
 the GYO join tree and the depth-minimised width-1 GHD beside the LP memo.
 A second plan of the same atoms over other relations runs no GYO, builds
-no GHD and looks no τ*/ρ* program up; GYM's default GHD is the record's,
+no GHD and looks no program up — τ*/ρ* are the record's and the shares
+come from the grid table; GYM's default GHD is the record's,
 shared by every run and thread and never changed by one.
 """
 
@@ -98,19 +99,20 @@ class TestTheRecord:
 
 class TestASecondPlan:
     @pytest.mark.parametrize("query", [path_query(4), triangle_query()], ids=["path4", "triangle"])
-    def test_runs_no_gyo_builds_no_ghd_and_looks_up_only_the_share_lp(self, counted, query):
+    def test_runs_no_gyo_builds_no_ghd_and_looks_up_no_lp(self, counted, query):
         first = plan_query(query, _relations(query, 1), p=8)
         assert counted["gyo"] >= 1 and counted["tau/rho"] == 2
         assert counted["ghd"] == (1 if first.acyclic else 0)
+        # The programs are τ*'s and ρ*'s (every variable ≥ 0): the shares
+        # come from the grid table, with no share LP (its λ is unbounded).
+        assert len(counted["programs"]) == 2
+        assert all(bounds[-1] != (None, None) for bounds in counted["programs"])
         before = {key: value for key, value in counted.items() if key != "programs"}
         del counted["programs"][:]
         second = plan_query(query, _relations(query, 2), p=8)
         assert second is not first
         assert {key: value for key, value in counted.items() if key != "programs"} == before
-        # Equal sizes: the one program looked up is the share LP (its last
-        # variable, λ, is unbounded; τ*'s and ρ*'s are all ≥ 0), a hit.
-        assert counted["programs"] == [counted["programs"][0]]
-        assert counted["programs"][0][-1] == (None, None)
+        assert counted["programs"] == []
         assert (second.tau_star, second.rho_star) == (first.tau_star, first.rho_star)
 
 

@@ -265,24 +265,21 @@ class TestPlanningSolvesEachLPOnce:
         for seed, (name, attrs) in enumerate(schemas.items()):
             engine.register(uniform_relation(name, attrs, 200, 40, seed=seed))
         first = engine.query(text)
-        assert len(solves) == 3  # τ*, ρ* and the share LP, each solved once
+        assert len(solves) == 2  # τ* and ρ*, each solved once; no share LP
         second = engine.query(text)
-        assert len(solves) == 3
+        assert len(solves) == 2
         assert second.explain == first.explain
         assert second.plan == first.plan
         assert second.output.rows_readonly() == first.output.rows_readonly()
 
-        # Sizes sit in the share LP's right-hand side: growing an input
-        # re-solves that one program, while τ*/ρ* (hypergraph only) are
-        # read from the query's shape record without an LP lookup. The
-        # plan makes exactly one lookup, the share LP, and it misses; a
-        # HyperCube run looks the same program up once more, and hits.
+        # Growing an input makes a new size profile. τ*/ρ* (hypergraph
+        # only) are read from the query's shape record and the shares from
+        # the grid table: the plan, and a HyperCube run, look no LP up.
         engine.relation("R").extend([(1, 2), (3, 4)])
-        hits, misses = lp.counters()[:2]
+        counters = lp.counters()[:2]
         grown = engine.query(text, verify=True)
-        assert len(solves) == 4
-        rerun = int(grown.plan.algorithm == "hypercube")
-        assert lp.counters()[:2] == (hits + rerun, misses + 1)
+        assert len(solves) == 2
+        assert lp.counters()[:2] == counters
         assert grown.explain.tau_star == first.explain.tau_star
         assert grown.explain.rho_star == first.explain.rho_star
 
