@@ -3,7 +3,11 @@
 The JSON was captured **at the commit before the parallel steps of the
 multi-round plans shared one pool helper** (run this file as a script with
 that commit's ``src`` on ``PYTHONPATH``), so the reference cannot drift
-with the code it pins. Per entry point and per p in {1, 3, 8}: every
+with the code it pins. The five instances whose HyperCube grid moved when
+the shares became the optimum over every grid (``gym-optimized`` on the
+balanced 5-path at p = 3 and 8 and under the crash, ``reduced_hypercube``
+at p = 8 and under the crash) were re-captured at that change, and only
+they. Per entry point and per p in {1, 3, 8}: every
 round's label and ``received`` list, L and r, and a digest of the output
 in output order and sorted; and, once per entry point at p = 8, the same
 plus the fault counters under one recovered crash of server 1 at round 0.
@@ -174,7 +178,7 @@ def observations():
     return seen
 
 
-if __name__ == "__main__":  # capture: run at the parent commit only
+if __name__ == "__main__":  # capture: run at the commit before the change it pins
     GOLDEN.parent.mkdir(exist_ok=True)
     seen = {key: observe() for key, observe in observations().items()}
     GOLDEN.write_text("{\n" + ",\n".join(

@@ -2,8 +2,11 @@
 
 The JSON was captured **at the commit before the degree views became
 arrays** (run this file as a script with that commit's ``src`` on
-``PYTHONPATH``), so the reference cannot drift with the code it pins. Per
-case and per p in {1, 3, 8}:
+``PYTHONPATH``), so the reference cannot drift with the code it pins.
+The four instances whose SkewHC grid moved when the shares became the
+optimum over every grid (``explain-chain`` at p = 3 and 8, ``path4-600``
+and ``path4-2000`` at p = 3) were re-captured at that change, and only
+they. Per case and per p in {1, 3, 8}:
 
 - the full :class:`~repro.planner.statistics.QueryStatistics` (per
   relation ``heavy``/``max_degree``, ``heavy_join_values``,
@@ -180,7 +183,7 @@ def observations():
     }
 
 
-if __name__ == "__main__":  # capture: run at the parent commit only
+if __name__ == "__main__":  # capture: run at the commit before the change it pins
     GOLDEN.parent.mkdir(exist_ok=True)
     seen = {key: thunk() for key, thunk in observations().items()}
     GOLDEN.write_text("{\n" + ",\n".join(
