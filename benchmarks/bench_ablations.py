@@ -1,6 +1,6 @@
 """Ablations for the design choices DESIGN.md calls out.
 
-1. Share rounding — LP-optimal integral search vs naive floor rounding:
+1. Share rounding — the best integral grid vs naive floor rounding:
    load inflation of bad roundings at awkward p.
 2. Heavy-hitter threshold in the skew join — IN/p vs looser/tighter.
 3. PSRS splitter source — regular sampling vs random sampling.

@@ -190,7 +190,7 @@ def _plan(query, relations, p: int, threshold: float, max_combinations: int) -> 
             residuals.get(pattern) or residuals.setdefault(pattern, query.residual(pattern))
         )
         sizes = {name: len(rel) for name, rel in job.restricted.items()}
-        # A single server leaves the share LP nothing to decide.
+        # A single server leaves the share search nothing to decide.
         shares = optimal_shares(residual, sizes, p_job).integral if p_job > 1 else {}
         job.grid = grid = Grid([shares.get(v, 1) for v in residual.variables])
         job.base, job.servers = base, p_job

@@ -11,13 +11,14 @@ relation, no staleness. HiGHS is deterministic for identical input, so
 a hit returns exactly the floats a fresh solve would.
 
 Beside the programs, :func:`derived` keeps whole the quantities that are
-functions of the atoms alone: ψ* (one program per residual) and the
-query's shape record (:func:`repro.query.shape.shape`: τ*, ρ*,
-acyclicity, connectivity, the GYO join tree and the width-1 GHD). A
-repeat reads them without building — or looking up — any program. The
-share program is the one LP a plan still looks up: its right-hand side
-holds the relation sizes, so a new size profile is a new program, solved
-once by HiGHS.
+functions of the atoms (and ``p``) alone: ψ* (one program per residual),
+the query's shape record (:func:`repro.query.shape.shape`: τ*, ρ*,
+acyclicity, connectivity, the GYO join tree and the width-1 GHD) and
+HyperCube's grid tables (:func:`repro.query.shares.optimal_shares`). A
+repeat reads them without building — or looking up — any program, and a
+plan looks up none at all: the share program, whose right-hand side
+holds the relation sizes, is solved only when a caller reads the
+fractional optimum.
 
 This is not relation-derived state:
 :func:`repro.kernels.memo.clear_memo` and ``forget`` do not touch it.
@@ -34,8 +35,8 @@ from repro.errors import OptimizationError
 from repro.kernels.memo import LRU
 
 _solved = LRU(1024)
-# Quantities that are a function of the atoms alone (ψ*, the shape
-# record), by whatever names the atom tuple.
+# Quantities that are a function of the atoms and p alone (ψ*, the shape
+# record, the share grid tables), by whatever names the atom tuple.
 _derived: dict = {}
 
 
