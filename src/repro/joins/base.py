@@ -18,7 +18,7 @@ from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.kernels.join import TAG, cut_at_tags, lookup_codes, stack_tagged
 from repro.kernels.memo import counts_at, degree_view
-from repro.mpc.server import Server, held
+from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
 
@@ -104,39 +104,13 @@ def join_fragment_chunk(payloads: list, common) -> list:
     return cut_at_tags(left.join(right).columns(), len(payloads))
 
 
-def _take_join_inputs(
-    server: Server, left_fragment: str, right_fragment: str, left: Relation, right: Relation,
-) -> tuple[list, list]:
-    """Consume both fragments into one ``join.fragments`` payload: their columns."""
-    return (
-        held(server.take(left_fragment), left.schema.arity),
-        held(server.take(right_fragment), right.schema.arity),
-    )
-
-
-def local_join(
-    server: Server,
-    left_fragment: str,
-    right_fragment: str,
-    left: Relation,
-    right: Relation,
-    out_fragment: str,
-) -> None:
-    """Join the server's two local fragments and store the result locally.
-
-    ``left`` and ``right`` supply the schemas; only the fragments' tuples
-    are read. Consumes both input fragments.
-    """
-    payload = _take_join_inputs(server, left_fragment, right_fragment, left, right)
-    common = (left.name, left.schema, right.name, right.schema)
-    server.append_result(out_fragment, join_fragment_chunk([payload], common)[0])
-
-
 def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragment, run):
-    """Every server's local join: build the payloads, ``run(payloads,
-    common)`` them, store each result on its server."""
+    """Every server's local join: consume both fragments into one payload
+    (their columns; ``left`` and ``right`` supply only the schemas),
+    ``run(payloads, common)`` them, store each result on its server."""
     payloads = [
-        _take_join_inputs(server, left_fragment, right_fragment, left, right)
+        (held(server.take(left_fragment), left.schema.arity),
+         held(server.take(right_fragment), right.schema.arity))
         for server in cluster.servers
     ]
     results = run(payloads, (left.name, left.schema, right.name, right.schema))
@@ -148,7 +122,8 @@ def inline_local_join(
     cluster, left_fragment: str, right_fragment: str,
     left: Relation, right: Relation, out_fragment: str,
 ) -> None:
-    """:func:`local_join` on every server, on the coordinator itself."""
+    """Join every server's two local fragments and append the result to
+    its ``out_fragment``, on the coordinator itself."""
     _local_joins(
         cluster, left_fragment, right_fragment, left, right, out_fragment,
         join_fragment_chunk,

@@ -17,7 +17,6 @@ from repro.multiway.hypercube import hypercube_join, triangle_hypercube
 from repro.multiway.semijoin import triangle_hl_semijoin, two_path_semijoin_plan
 from repro.multiway.reduced import reduced_hypercube
 from repro.multiway.skewhc import find_heavy_values, skewhc_join
-from repro.multiway.wcoj import generic_join
 from repro.multiway.yannakakis import YannakakisResult, yannakakis
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "YannakakisResult",
     "binary_join_plan",
     "find_heavy_values",
-    "generic_join",
     "group_by",
     "gym",
     "hypercube_join",

@@ -18,6 +18,7 @@ one-round algorithms on skew-free data (slide 36 for the triangle).
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation
@@ -36,7 +37,6 @@ from repro.query.shares import ShareAssignment, optimal_shares
 
 def evaluate_pools(
     cluster: Cluster, pools: Sequence[tuple[Sequence[Server], ConjunctiveQuery, str]],
-    local: str = "plan",
 ) -> list[Relation]:
     """Evaluate ``(servers, query, out fragment)`` pools in one dispatch.
 
@@ -54,7 +54,7 @@ def evaluate_pools(
             [held(server.take(f"{atom.name}@hc"), atom.arity) for atom in query.atoms]
             for server in servers
         ]
-        calls.append(("hypercube.eval", payloads, (query, local)))
+        calls.append(("hypercube.eval", payloads, query))
     outputs = []
     for (servers, query, fragment), results in zip(pools, cluster.map_servers_batch(calls)):
         for server, result in zip(servers, results):
@@ -69,31 +69,32 @@ def hypercube_join(
     p: int,
     seed: int = 0,
     shares: dict[str, int] | None = None,
-    local: str = "plan",
 ) -> MultiwayRun:
     """One-round HyperCube evaluation of a full conjunctive query.
 
     ``relations`` maps atom names to relations whose attributes are the
     atom's variables. ``shares`` overrides the optimized integral shares
-    (ablation hook); its product must not exceed ``p``. ``local`` picks
-    the per-server evaluation engine: ``"plan"`` (left-deep binary joins)
-    or ``"generic"`` (the worst-case optimal join of
-    :mod:`repro.multiway.wcoj`, as in BiGJoin-style systems — slide 97).
-    Communication costs are identical; only server-local work differs.
+    (ablation hook): one positive ``int`` per query variable, whose
+    product must not exceed ``p``. Every server evaluates the query on
+    its fragments with the left-deep plan of
+    :meth:`ConjunctiveQuery.evaluate`.
 
     The local evaluation is fanned out via the exec backend (with the
     process backend the grid servers of a worker's range evaluate
     concurrently; column blocks ride shared memory).
     """
-    if local not in ("plan", "generic"):
-        raise QueryError(f"unknown local evaluator {local!r}")
     rels = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     sizes = {name: len(rel) for name, rel in rels.items()}
     assignment: ShareAssignment | None = None
     if shares is None:
         assignment = optimal_shares(query, sizes, p)
         shares = assignment.integral
+    missing = [v for v in query.variables if v not in shares]
+    if missing:
+        raise QueryError(f"shares {shares} give no share to {', '.join(missing)}")
     extents = [shares[v] for v in query.variables]
+    if not all(isinstance(e, numbers.Integral) for e in extents):
+        raise QueryError(f"shares {shares} must be integers")
     grid = Grid(extents)
     if grid.size > p:
         raise QueryError(f"shares {shares} need {grid.size} servers, only {p} given")
@@ -116,43 +117,29 @@ def hypercube_join(
             for server in cluster.servers:
                 try_route_grid(rnd, held(server.take(fragments[atom.name]), atom.arity), *route)
 
-    (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")], local)
+    (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")])
     details: dict = {"shares": dict(shares)}
     if assignment is not None:
         details["assignment"] = assignment
     return MultiwayRun(output, cluster.stats, details)
 
 
-def hypercube_eval_chunk(payloads: list, common) -> list:
-    """Exec task ``hypercube.eval``: evaluate the query on grid servers.
+def hypercube_eval_chunk(payloads: list, query: ConjunctiveQuery) -> list:
+    """Exec task ``hypercube.eval``: evaluate ``query`` on grid servers.
 
     Each payload is the server's per-atom columns, in ``query.atoms``
     order. The left-deep plan evaluates the chunk in one pass — the query
     with the server as one more variable of every atom, over the fragments
     stacked server-major: a left-deep plan keeps left order at every step
     (a product step is a join on the server), so the output is the
-    servers' outputs in server order. The ``generic`` evaluator binds
-    values in its own order, so it runs server by server.
+    servers' outputs in server order.
     """
-    query, local = common
-    if local == "generic":
-        return [_generic(query, per_atom) for per_atom in payloads]
     fragments = {
         atom.name: stacked(atom.name, atom.variables, [per_atom[j] for per_atom in payloads])
         for j, atom in enumerate(query.atoms)
     }
     tagged = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
     return cut_at_tags(tagged.evaluate(fragments).columns(), len(payloads))
-
-
-def _generic(query: ConjunctiveQuery, per_atom: list) -> tuple:
-    """One server's output columns under the worst-case optimal join."""
-    from repro.multiway.wcoj import generic_join
-
-    return tuple(generic_join(query, {
-        atom.name: Relation.from_columns(atom.name, list(atom.variables), columns)
-        for atom, columns in zip(query.atoms, per_atom)
-    }).columns())
 
 
 def triangle_hypercube(

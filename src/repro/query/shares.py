@@ -193,13 +193,14 @@ def _round_shares(query: ConjunctiveQuery, sizes: dict[str, int], p: int,
     # Fallback: floor everything (guaranteed feasible), no repair needed.
     floored = {v: max(1, math.floor(fractional[v])) for v in query.variables}
     while math.prod(floored.values()) > p:
-        # Shrink the variable whose share exceeds its fractional value
-        # most (name order breaks exact ratio ties deterministically).
+        # Shrink the share > 1 that exceeds its fractional value most
+        # (name order breaks exact ratio ties deterministically); one of
+        # them exists, since the product of ones is 1 ≤ p.
         victim = max(
-            sorted(floored),
+            sorted(v for v in floored if floored[v] > 1),
             key=lambda v: floored[v] / max(fractional[v], 1e-12),
         )
-        floored[victim] = max(1, floored[victim] - 1)
+        floored[victim] -= 1
     return floored
 
 

@@ -53,20 +53,13 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     return out
 
 
-def hypercube_eval_chunk(payloads: list, common) -> list:
+def hypercube_eval_chunk(payloads: list, query) -> list:
     """``hypercube.eval``, one evaluation per payload."""
-    query, local = common
     out = []
     for per_atom in payloads:
         local_fragments = {
             atom.name: Relation.from_columns(atom.name, list(atom.variables), cols)
             for atom, cols in zip(query.atoms, per_atom)
         }
-        if local == "generic":
-            from repro.multiway.wcoj import generic_join
-
-            result = generic_join(query, local_fragments)
-        else:
-            result = query.evaluate(local_fragments)
-        out.append(tuple(result.columns()))
+        out.append(tuple(query.evaluate(local_fragments).columns()))
     return out

@@ -11,7 +11,7 @@ from repro.joins import (
     skew_join,
     sort_join,
 )
-from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
+from repro.joins.base import JoinRun, inline_local_join, join_schemas, require_join_key
 from repro.mpc.cluster import Cluster
 from repro.multiway.base import shuffle_join
 from repro.mpc.stats import RoundStats, RunStats
@@ -58,7 +58,7 @@ class TestLocalJoin:
         server.put("R", fragment_of([(2, 9)], 2))
         left_schema = Relation("L", ["x", "y"], [])
         right_schema = Relation("R", ["y", "z"], [])
-        local_join(server, "L", "R", left_schema, right_schema, "out")
+        inline_local_join(cluster, "L", "R", left_schema, right_schema, "out")
         assert list(server.get("out")) == [(1, 2, 9)]
         assert list(server.get("L")) == []  # consumed
         assert list(server.get("R")) == []
@@ -69,8 +69,8 @@ class TestLocalJoin:
         server.put("out", fragment_of([(0, 0, 0)], 3))
         server.put("L", fragment_of([(1, 2)], 2))
         server.put("R", fragment_of([(2, 9)], 2))
-        local_join(
-            server, "L", "R",
+        inline_local_join(
+            cluster, "L", "R",
             Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "out",
         )
         assert list(server.get("out")) == [(0, 0, 0), (1, 2, 9)]

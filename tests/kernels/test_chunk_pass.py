@@ -273,9 +273,8 @@ def eval_payloads(m, query, kind, seed=0):
 def test_eval_chunk_is_the_per_server_evaluations(m, name, kind):
     query = QUERIES[name]
     payloads = eval_payloads(m, query, kind)
-    for local in ("plan", "generic"):
-        want = reference.hypercube_eval_chunk(payloads, (query, local))
-        same(hypercube_eval_chunk(payloads, (query, local)), want)
+    want = reference.hypercube_eval_chunk(payloads, query)
+    same(hypercube_eval_chunk(payloads, query), want)
     if kind == "empty-atom":
         assert any(not len(result[0]) for result in want)
 
@@ -290,9 +289,8 @@ def test_eval_chunk_takes_the_row_rung_per_server():
     payloads.append([[ones, big], [big, ones], [ones, ones]])
     payloads.append([[ones[:1], column_of(["k"])], [np.array([0]), ones[:1]], [ones[:1], ones[:1]]])
     payloads[1][0] = [c.astype(np.uint64) for c in payloads[1][0]]
-    for local in ("generic", "plan"):
-        want = reference.hypercube_eval_chunk(payloads, (query, local))
-        same(hypercube_eval_chunk(payloads, (query, local)), want)
+    want = reference.hypercube_eval_chunk(payloads, query)
+    same(hypercube_eval_chunk(payloads, query), want)
     assert zip_rows(want[-2]) == [(1, BIG, 1)] * 8 and zip_rows(want[-1]) == []
     assert want[1][0].dtype == np.uint64  # the plan keeps a server's dtype
 

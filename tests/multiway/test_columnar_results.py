@@ -243,11 +243,10 @@ def test_the_tasks_take_and_return_column_blocks():
         "T": [np.array([4, 5]), np.array([1, 2])],
     }
     payload = [[cols[a.name] for a in query.atoms]]
-    for local in ("plan", "generic"):
-        [got] = hypercube_eval_chunk(payload, (query, local))
-        [want] = chunk_reference.hypercube_eval_chunk(payload, (query, local))
-        assert isinstance(got, tuple)
-        assert [c.tolist() for c in got] == [c.tolist() for c in want] == [[1, 2], [3, 3], [4, 5]]
+    [got] = hypercube_eval_chunk(payload, query)
+    [want] = chunk_reference.hypercube_eval_chunk(payload, query)
+    assert isinstance(got, tuple)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want] == [[1, 2], [3, 3], [4, 5]]
 
     t_cols = [np.array([1, 2, 3]), np.array([7, 8, 9])]
     keys = [[np.array([8, 9])], [np.array([9, 7])]]

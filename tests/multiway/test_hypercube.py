@@ -155,6 +155,16 @@ class TestShapesAndLoads:
                 shares={"x": 2, "y": 2, "z": 2},
             )
 
+    def test_shares_missing_a_variable_or_not_integers_rejected(self):
+        edges = random_edges(50, 20, seed=9)
+        r, s, t = triangle_relations(edges)
+        rels = {"R": r, "S": s, "T": t}
+        with pytest.raises(QueryError, match="give no share to z"):
+            hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2})
+        for share in (2.0, 1.5, "2"):
+            with pytest.raises(QueryError, match="must be integers"):
+                hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2, "z": share})
+
     def test_skew_free_matching_data_balanced(self):
         # Matching-degree relations: the load should sit near its mean.
         q = ConjunctiveQuery([Atom("R", ["x", "y"]), Atom("S", ["y", "z"])])
@@ -164,26 +174,3 @@ class TestShapesAndLoads:
         round_stats = run.stats.rounds[0]
         assert round_stats.imbalance < 1.6
 
-
-class TestLocalEvaluators:
-    def test_generic_local_matches_plan_local(self):
-        from repro.multiway.hypercube import hypercube_join
-
-        edges = random_edges(150, 25, seed=11)
-        r, s, t = triangle_relations(edges)
-        rels = {"R": r, "S": s, "T": t}
-        plan = hypercube_join(triangle_query(), rels, p=8, local="plan")
-        generic = hypercube_join(triangle_query(), rels, p=8, local="generic")
-        assert sorted(plan.output.rows()) == sorted(generic.output.rows())
-        # Same routing => identical communication costs.
-        assert plan.stats.total_communication == generic.stats.total_communication
-
-    def test_unknown_local_rejected(self):
-        from repro.multiway.hypercube import hypercube_join
-
-        edges = random_edges(10, 10, seed=12)
-        r, s, t = triangle_relations(edges)
-        with pytest.raises(QueryError):
-            hypercube_join(
-                triangle_query(), {"R": r, "S": s, "T": t}, p=4, local="magic"
-            )

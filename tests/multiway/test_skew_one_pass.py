@@ -362,5 +362,5 @@ def test_a_result_that_views_its_input_survives_the_worker():
     query = ConjunctiveQuery([Atom("R", ["a"])])
     payloads = [[[np.array([8 + i, 6])]] for i in range(3)]
     with use_backend("process", workers=2):
-        results = Cluster(3).map_servers("hypercube.eval", payloads, (query, "plan"))
+        results = Cluster(3).map_servers("hypercube.eval", payloads, query)
     assert [columns[0].tolist() for columns in results] == [[8, 6], [9, 6], [10, 6]]

@@ -1,4 +1,12 @@
-"""Tests for the worst-case optimal (generic) join."""
+"""Tests for the one local step of a HyperCube server.
+
+Every grid server evaluates the query on its fragments with the
+left-deep plan of ``hypercube.eval``; these cases run it through
+:func:`repro.multiway.hypercube.hypercube_join` on one server (the whole
+query is local) and on eight, and hold the output to
+:meth:`ConjunctiveQuery.evaluate` on the unsplit inputs. (The file is
+named for the per-row Generic Join these cases once checked.)
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +15,15 @@ from hypothesis import strategies as st
 from repro.data.graphs import count_triangles, random_edges, triangle_relations
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.multiway.wcoj import generic_join
+from repro.multiway.hypercube import hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery, cycle_query, path_query, triangle_query
+
+SERVERS = (1, 8)
+
+
+def local_outputs(query, relations):
+    """The output rows of ``hypercube_join`` at every p in ``SERVERS``."""
+    return [sorted(hypercube_join(query, relations, p).output.rows()) for p in SERVERS]
 
 
 class TestCorrectness:
@@ -17,9 +32,9 @@ class TestCorrectness:
         r, s, t = triangle_relations(edges)
         q = triangle_query()
         rels = {"R": r, "S": s, "T": t}
-        out = generic_join(q, rels)
-        assert len(out) == count_triangles(edges)
-        assert sorted(out.rows()) == sorted(q.evaluate(rels).rows())
+        want = sorted(q.evaluate(rels).rows())
+        assert len(want) == count_triangles(edges)
+        assert local_outputs(q, rels) == [want] * len(SERVERS)
 
     def test_path_matches_reference(self):
         q = path_query(3)
@@ -30,8 +45,8 @@ class TestCorrectness:
             )
             for i in range(1, 4)
         }
-        out = generic_join(q, rels)
-        assert sorted(out.rows()) == sorted(q.evaluate(rels).rows())
+        want = sorted(q.evaluate(rels).rows())
+        assert local_outputs(q, rels) == [want] * len(SERVERS)
 
     def test_four_cycle(self):
         q = cycle_query(4)
@@ -41,34 +56,21 @@ class TestCorrectness:
             a.name: edges.rename({u: a.variables[0], v: a.variables[1]}, name=a.name)
             for a in q.atoms
         }
-        out = generic_join(q, rels)
-        assert sorted(out.rows()) == sorted(q.evaluate(rels).rows())
+        want = sorted(q.evaluate(rels).rows())
+        assert local_outputs(q, rels) == [want] * len(SERVERS)
 
     def test_bag_multiplicities(self):
         q = ConjunctiveQuery([Atom("R", ["x", "y"]), Atom("S", ["y", "z"])])
         r = Relation("R", ["x", "y"], [(1, 2), (1, 2)])
         s = Relation("S", ["y", "z"], [(2, 3), (2, 3), (2, 4)])
-        out = generic_join(q, {"R": r, "S": s})
-        assert sorted(out.rows()) == sorted(q.evaluate({"R": r, "S": s}).rows())
-        assert len(out) == 6
-
-    def test_custom_variable_order(self):
-        q = triangle_query()
-        edges = random_edges(60, 15, seed=3)
-        r, s, t = triangle_relations(edges)
-        rels = {"R": r, "S": s, "T": t}
-        for order in (["z", "x", "y"], ["y", "z", "x"]):
-            out = generic_join(q, rels, order=order)
-            assert sorted(out.rows()) == sorted(q.evaluate(rels).rows())
-
-    def test_bad_order_rejected(self):
-        q = triangle_query()
-        with pytest.raises(QueryError):
-            generic_join(q, {}, order=["x", "y"])
+        want = sorted(q.evaluate({"R": r, "S": s}).rows())
+        assert len(want) == 6
+        assert local_outputs(q, {"R": r, "S": s}) == [want] * len(SERVERS)
 
     def test_missing_relation_rejected(self):
-        with pytest.raises(QueryError):
-            generic_join(triangle_query(), {})
+        for p in SERVERS:
+            with pytest.raises(QueryError):
+                hypercube_join(triangle_query(), {}, p)
 
     rows = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20)
 
@@ -81,20 +83,5 @@ class TestCorrectness:
             "S": Relation("S", ["y", "z"], e2),
             "T": Relation("T", ["z", "x"], e3),
         }
-        out = generic_join(q, rels)
-        assert sorted(out.rows()) == sorted(q.evaluate(rels).rows())
-
-
-class TestWorstCaseBehaviour:
-    def test_no_intermediate_blowup_on_cyclic_query(self):
-        """On a dense graph, binary plans materialize a huge R ⋈ S; the
-        generic join's work stays near OUT (we check the output is tiny
-        even though the pairwise joins are huge)."""
-        m = 16
-        # Bipartite-ish: R and S join heavily but no triangles close.
-        r = Relation("R", ["x", "y"], [(i, j) for i in range(m) for j in range(m)])
-        s = Relation("S", ["y", "z"], [(j, 1000 + j) for j in range(m)])
-        t = Relation("T", ["z", "x"], [(2000, 0)])  # closes nothing
-        q = triangle_query()
-        out = generic_join(q, {"R": r, "S": s, "T": t})
-        assert len(out) == 0
+        want = sorted(q.evaluate(rels).rows())
+        assert local_outputs(q, rels) == [want] * len(SERVERS)

@@ -12,11 +12,16 @@ every query shape, size profile, server count and fractional share, the
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.query.cq import Atom, ConjunctiveQuery, path_query, star_query, triangle_query
 from repro.query.shares import _grid_table, _round_shares, optimal_shares
 from tests.query.share_reference import _max_atom_load
@@ -143,6 +148,24 @@ def test_an_oversized_table_rounds_the_lp_shares_as_the_loop_does(query, p, max_
     assume(grids_searched(assignment.fractional, p) <= LOOP_GRIDS)
     assert assignment.integral == reference(query, sizes, p, assignment.fractional, max_enumeration)
     assert assignment.integral_load == _max_atom_load(query, sizes, assignment.integral)
+
+
+def test_the_floor_fallback_ends_when_the_top_ratio_sits_on_a_share_of_one():
+    # a's floor ratio 1/1 ties b's 5/5 and wins the tie on name, but a share
+    # of 1 cannot shrink: the repair picked a on every pass and never ended.
+    # A subprocess bounds the call, so a loop fails the test, not the suite.
+    script = (
+        "from repro.query.cq import Atom, ConjunctiveQuery\n"
+        "from repro.query.shares import _round_shares\n"
+        "q = ConjunctiveQuery([Atom('R', ['a', 'b'])])\n"
+        "print(_round_shares(q, {'R': 100}, 4, {'a': 1.0, 'b': 5.0}, 0))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout == "{'a': 1, 'b': 4}\n", result.stderr
 
 
 def test_the_grid_table_lists_every_grid_in_order():

@@ -266,9 +266,7 @@ class TestChunkPassLint:
     """The chunk, not the server, is the unit of local work: the three
     per-server tasks run their payloads — columns only — as one kernel
     pass keyed on ``(server, key)``; the per-payload bodies live in
-    ``repro/testing/chunk_reference.py`` as the reference only. (The
-    ``generic`` evaluator binds values in its own order and runs per
-    server, in a helper of its own.)"""
+    ``repro/testing/chunk_reference.py`` as the reference only."""
 
     TASKS = {
         "joins/base.py": "join_fragment_chunk",
@@ -322,6 +320,41 @@ class TestChunkPassLint:
             assert callable(target), spec
         assert ("kernels.join", "repro.kernels.join:join_indices", "call") in TARGETS
         assert "join_indices(" in inspect.getsource(Relation.join)
+
+
+class TestOneLocalEvaluatorLint:
+    """A HyperCube server has one local evaluator, the left-deep plan of
+    ``ConjunctiveQuery.evaluate``: the per-row Generic Join, the switch
+    that chose it and the branch that ran it are gone, and nothing
+    exports them."""
+
+    def test_there_is_no_wcoj_module(self):
+        assert not (ROOT / "src" / "repro" / "multiway" / "wcoj.py").exists()
+
+    def test_no_entry_point_takes_a_local_evaluator(self):
+        import inspect
+
+        from repro.multiway.hypercube import evaluate_pools, hypercube_join
+
+        for function in (hypercube_join, evaluate_pools):
+            assert "local" not in inspect.signature(function).parameters, function.__name__
+
+    def test_the_eval_task_and_its_reference_do_not_branch(self):
+        for name in ("multiway/hypercube.py", "testing/chunk_reference.py"):
+            tree = ast.parse((ROOT / "src" / "repro" / name).read_text())
+            [task] = [n for n in ast.walk(tree)
+                      if isinstance(n, ast.FunctionDef) and n.name == "hypercube_eval_chunk"]
+            branches = [n for n in ast.walk(task) if isinstance(n, (ast.If, ast.IfExp, ast.Match))]
+            assert not branches, (name, [ast.unparse(n) for n in branches])
+            strings = {n.value for n in ast.walk(task)
+                       if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            assert not strings & {"plan", "generic"}, name
+
+    def test_multiway_exports_no_generic_join(self):
+        import repro.multiway
+
+        assert "generic_join" not in repro.multiway.__all__
+        assert not hasattr(repro.multiway, "generic_join")
 
 
 class TestScalarReferenceLint:
