@@ -74,9 +74,9 @@ def hypercube_join(
 
     ``relations`` maps atom names to relations whose attributes are the
     atom's variables. ``shares`` overrides the optimized integral shares
-    (ablation hook): one positive ``int`` per query variable, whose
-    product must not exceed ``p``. Every server evaluates the query on
-    its fragments with the left-deep plan of
+    (ablation hook): one positive ``int`` per query variable and none
+    for any other, whose product must not exceed ``p``. Every server
+    evaluates the query on its fragments with the left-deep plan of
     :meth:`ConjunctiveQuery.evaluate`.
 
     The local evaluation is fanned out via the exec backend (with the
@@ -92,9 +92,15 @@ def hypercube_join(
     missing = [v for v in query.variables if v not in shares]
     if missing:
         raise QueryError(f"shares {shares} give no share to {', '.join(missing)}")
+    unknown = [v for v in shares if v not in query.variables]
+    if unknown:
+        raise QueryError(f"shares {shares} name {', '.join(unknown)}, not a variable of {query}")
     extents = [shares[v] for v in query.variables]
     if not all(isinstance(e, numbers.Integral) for e in extents):
         raise QueryError(f"shares {shares} must be integers")
+    nonpositive = [v for v in query.variables if shares[v] < 1]
+    if nonpositive:
+        raise QueryError(f"shares {shares} must be positive: {', '.join(nonpositive)}")
     grid = Grid(extents)
     if grid.size > p:
         raise QueryError(f"shares {shares} need {grid.size} servers, only {p} given")

@@ -10,14 +10,18 @@ bumps the token, so the old key can never be rebuilt), and the explicit
 invalidation hook reclaims the dead entries eagerly: the warehouse
 calls :meth:`ResultCache.invalidate_relation` inside its write lock,
 so by the time any new query can be admitted the cache no longer holds
-anything that mentions the mutated relation. All operations are
-thread-safe under the LRU's one internal lock, which is never held
-while user code runs.
+a servable entry that mentions the mutated relation. A split entry
+(``split > 1``) is not thrown away: it is kept under its fingerprint
+alone (:meth:`CacheKey.base`), a key no lookup ever builds, as the base
+the service patches with the rows appended since
+(:meth:`ResultCache.take_base`). All operations are thread-safe under
+the LRU's one internal lock, which is never held while user code runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.kernels.memo import LRU
 
@@ -41,6 +45,11 @@ class CacheKey:
     @property
     def relation_names(self) -> tuple[str, ...]:
         return tuple(name for name, _, _ in self.relation_state)
+
+    def base(self) -> "CacheKey":
+        """The fingerprint alone: where a retired split entry waits to be
+        patched. No query reads zero relations, so no lookup builds it."""
+        return replace(self, relation_state=())
 
 
 @dataclass
@@ -70,14 +79,30 @@ class ResultCache(LRU):
         super().__init__(capacity)
 
     def invalidate_relation(self, name: str) -> int:
-        """Drop every entry whose key mentions ``name``; returns the count.
+        """Make every entry whose key mentions ``name`` unservable; returns
+        the count.
 
+        A split entry moves to its :meth:`CacheKey.base` (replacing an
+        older base of the same fingerprint), every other one is dropped.
         This is the warehouse's invalidation listener: it runs inside
         the warehouse write lock, so no concurrent query can be filling
-        the cache with the stale relation while the drop happens (fills
-        require the read side).
+        the cache with the stale relation while it runs (fills require
+        the read side).
         """
-        return self.drop(lambda key, _value: name in key.relation_names)
+        with self._lock:
+            dead = [key for key in self._entries if name in key.relation_names]
+            for key in dead:
+                value = self._entries.pop(key)
+                if key.split > 1:
+                    self._entries[key.base()] = value
+            self.dropped += len(dead)
+            return len(dead)
+
+    def take_base(self, key: CacheKey) -> Any:
+        """Remove and return the retired split entry of ``key``'s
+        fingerprint, or ``None``; counted neither as a hit nor a miss."""
+        with self._lock:
+            return self._entries.pop(key.base(), None)
 
     def invalidate_all(self) -> int:
         return self.clear()

@@ -189,6 +189,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{stats.cache.evictions} evicted, "
             f"{stats.cache.invalidations} invalidated, size {stats.cache.size}"
         )
+        print(
+            f"split queries: {stats.split_queries} "
+            f"({stats.patched_queries} patched after an append)"
+        )
         print(f"align cache hits: {stats.align_cache_hits}")
     return 1 if failures else 0
 

@@ -24,7 +24,11 @@ Threading model (documented in DESIGN.md, tested by ``tests/service``):
   and re-registers into the engine (which forgets the old relation's
   memo entries) — so a query admitted after a write observes the new
   catalog, the bumped mutation tokens, and already purged caches, in
-  that order.
+  that order. A split result the write made unservable stays behind as
+  the base of one **patch**: the next read of the same fingerprint, if
+  only appends to one relation bound to one atom happened since, runs
+  the query once over the appended rows and merges (see
+  :meth:`QueryService._patch`).
 
 Lock ordering is strictly ``stats lock → (nothing)``, ``warehouse lock
 → cache/engine locks``; no path acquires them in reverse, so the
@@ -37,12 +41,14 @@ import contextvars
 import queue
 import threading
 import time
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.data.relation import Relation
 from repro.data.warehouse import RelationWarehouse, Warehouse
-from repro.engine import Engine, run_query
+from repro.engine import Engine, QueryResult, run_query
 from repro.errors import (
     InFlightQuotaError,
     LoadCapQuotaError,
@@ -51,6 +57,8 @@ from repro.errors import (
     QueueFullError,
     ServiceClosedError,
 )
+from repro.kernels.columnar import exact
+from repro.kernels.memo import forget
 from repro.mpc.stats import CounterStats
 from repro.planner.optimizer import plan_query, price_branches
 from repro.query.cq import ConjunctiveQuery
@@ -129,6 +137,7 @@ class ServiceStats(CounterStats):
     rejected_in_flight: int = 0
     rejected_load_cap: int = 0
     split_queries: int = 0
+    patched_queries: int = 0
     align_cache_hits: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
     tenants: dict[str, TenantStats] = field(default_factory=dict)
@@ -136,7 +145,7 @@ class ServiceStats(CounterStats):
     _COUNTERS = (
         "submitted", "admitted", "completed", "failed",
         "rejected_queue_full", "rejected_in_flight", "rejected_load_cap",
-        "split_queries", "align_cache_hits",
+        "split_queries", "patched_queries", "align_cache_hits",
     )
 
     @property
@@ -156,7 +165,10 @@ class ServiceResult:
     normalized to the canonical row order (so they are byte-comparable
     against ``canonical()`` of an unsplit run). ``max_load`` is the
     largest per-branch L_max, ``total_load`` the sum across branches
-    (they coincide for split=1).
+    (they coincide for split=1). On a patched read (a split result
+    extended by the rows appended since it was cached) ``strategy``,
+    ``max_load``, ``total_load`` and ``rounds`` describe the one delta
+    run, and ``cache_hit`` is ``False``.
     """
 
     output: Relation
@@ -206,6 +218,20 @@ class ServiceTicket:
             raise self._error
         assert self._result is not None
         return self._result
+
+
+class _Entry(NamedTuple):
+    """One cached execution: what a hit serves, and the inputs it was
+    computed from — ``(name, weak reference, mutation token, length)``
+    per relation, in name order — that a patch is measured against."""
+
+    output: Relation
+    strategies: tuple[str, ...]
+    max_load: int
+    total_load: int
+    rounds: int
+    predicted: float
+    inputs: tuple[tuple[str, weakref.ref, int, int], ...]
 
 
 @dataclass
@@ -448,26 +474,30 @@ class QueryService:
         cq = job.cq
         with self.warehouse.read_view() as catalog:
             bindings = {a.name: self._binding(catalog, a.name) for a in cq.atoms}
+            inputs = sorted(bindings.items())
             key = CacheKey(
                 query=str(cq),
                 p=self.p,
                 seed=self.seed,
                 strategy=job.strategy,
                 split=job.split,
-                relation_state=tuple(sorted(
-                    (name, id(rel), rel.mutation_token())
-                    for name, rel in bindings.items()
-                )),
+                relation_state=tuple(
+                    (name, id(rel), rel.mutation_token()) for name, rel in inputs
+                ),
             )
             cached = self.cache.get(key)
             if cached is not None:
-                output, strategies, max_load, total_load, rounds, predicted = cached
                 return ServiceResult(
-                    self._detached(output), job.ticket.tenant, str(cq),
-                    strategies, job.split, predicted, max_load, total_load,
-                    rounds, True, time.perf_counter() - start,
+                    self._detached(cached.output), job.ticket.tenant, str(cq),
+                    cached.strategies, job.split, cached.predicted,
+                    cached.max_load, cached.total_load, cached.rounds, True,
+                    time.perf_counter() - start,
                 )
-            if job.split == 1:
+            patch = self._patch(job, key, bindings) if job.split > 1 else None
+            predicted = job.predicted
+            if patch is not None:
+                results, output = patch
+            elif job.split == 1:
                 results = [self._engine.query(cq, strategy=job.strategy)]
                 output = results[0].output
                 predicted = job.predicted or (
@@ -488,7 +518,6 @@ class QueryService:
                     for branch in split_bindings(cq, bindings, job.split)
                 ]
                 output = merge_branches([result.output for result in results])
-                predicted = job.predicted
             strategies = tuple(
                 result.explain.chosen if job.strategy == "auto" else job.strategy
                 for result in results
@@ -499,19 +528,73 @@ class QueryService:
             rounds = sum(result.stats.num_rounds for result in results)
             if job.verify:
                 self._verify(cq, bindings, output)
-            self.cache.put(
-                key,
-                (output, strategies, max_load, total_load, rounds, predicted),
-            )
+            self.cache.put(key, _Entry(
+                output, strategies, max_load, total_load, rounds, predicted,
+                tuple(
+                    (name, weakref.ref(rel), rel.mutation_token(), len(rel))
+                    for name, rel in inputs
+                ),
+            ))
         with self._stats_lock:
             self._counters.align_cache_hits += sum(
                 result.align_cache_hits for result in results
             )
+            if patch is not None:
+                self._counters.patched_queries += 1
         return ServiceResult(
             self._detached(output), job.ticket.tenant, str(cq), strategies,
             job.split, predicted, max_load, total_load, rounds, False,
             time.perf_counter() - start,
         )
+
+    def _patch(
+        self, job: _Job, key: CacheKey, bindings: Mapping[str, Relation]
+    ) -> tuple[list[QueryResult], Relation] | None:
+        """``([delta run], output)`` of a split read patched from its base,
+        or ``None`` when the read must rebuild.
+
+        The base is the retired entry of the same fingerprint. It serves
+        when exactly one input moved since, that input is the very
+        object it was, has only grown (a relation only appends, so the
+        rows from the recorded length on are the delta), and is bound to
+        one atom. A join is linear in each atom over bag union, so the
+        query over the old rows ⊎ the query over the delta — one unsplit
+        run of the same pipeline and strategy — is the query over all of
+        them; merged into the canonical order it is byte for byte the
+        rebuild, as long as rows that sort as ties are identical: no
+        output column holds Python objects (``-1`` and ``-1.0`` tie, and
+        the splitter sends them to different branches).
+        """
+        base = self.cache.take_base(key)
+        if base is None:
+            return None
+        changed = [
+            (name, ref, length)
+            for name, ref, token, length in base.inputs
+            if ref() is not bindings[name]
+            or bindings[name].mutation_token() != token
+        ]
+        if len(changed) != 1:
+            return None
+        name, ref, length = changed[0]
+        rel = bindings[name]
+        if (ref() is not rel or len(rel) <= length
+                or sum(bound is rel for bound in bindings.values()) != 1):
+            return None
+        delta = Relation.from_columns(
+            rel.name, rel.schema, [column[length:] for column in rel.columns()]
+        )
+        result = run_query(
+            job.cq, {**bindings, name: delta}, self.p, self.seed,
+            strategy=job.strategy,
+        )
+        # The delta is thrown away: reclaim its plans and views now. The
+        # engine's alignment record of an in-order input holds the input
+        # itself, so they would sit in the LRUs until pushed out.
+        forget(delta)
+        if not (exact(base.output.columns()) and exact(result.output.columns())):
+            return None
+        return [result], merge_branches([base.output, result.output])
 
     @staticmethod
     def _verify(

@@ -164,6 +164,11 @@ class TestShapesAndLoads:
         for share in (2.0, 1.5, "2"):
             with pytest.raises(QueryError, match="must be integers"):
                 hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2, "z": share})
+        for share in (0, -1):
+            with pytest.raises(QueryError, match="must be positive: z"):
+                hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2, "z": share})
+        with pytest.raises(QueryError, match="name w, not a variable"):
+            hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2, "z": 1, "w": 3})
 
     def test_skew_free_matching_data_balanced(self):
         # Matching-degree relations: the load should sit near its mean.

@@ -76,6 +76,37 @@ def searches(draw):
     return query, sizes, p, fractional, max_enumeration
 
 
+def reference_repair_ends(fractional, p):
+    """Whether the reference's floor repair ends on these shares: it loops
+    forever once its top ratio sits on a share of one (the hang the
+    library's loop was mended of), so only the draws it ends on compare."""
+    floored = {v: max(1, math.floor(f)) for v, f in fractional.items()}
+    while math.prod(floored.values()) > p:
+        victim = max(sorted(floored), key=lambda v: floored[v] / max(fractional[v], 1e-12))
+        if floored[victim] == 1:
+            return False
+        floored[victim] -= 1
+    return True
+
+
+@st.composite
+def overfull_searches(draw):
+    """Shares whose floors multiply above p, searched with a table too
+    small to hold their window: the fallback floors and must repair."""
+    query = draw(queries())
+    assume(len(query.variables) >= 2)
+    p = draw(st.integers(1, 1000))
+    sizes = {a.name: draw(st.integers(0, 10**7)) for a in query.atoms}
+    fractional = {
+        v: draw(st.one_of(st.floats(1, p), st.integers(1, p).map(float)))
+        for v in query.variables
+    }
+    assume(math.prod(max(1, math.floor(f)) for f in fractional.values()) > p)
+    assume(reference_repair_ends(fractional, p))
+    max_enumeration = draw(st.integers(0, grids_searched(fractional, p) - 1))
+    return query, sizes, p, fractional, max_enumeration
+
+
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_the_array_pass_returns_the_loops_shares(search):
@@ -100,6 +131,16 @@ def test_the_lp_shares_round_as_the_loop_rounds_them(query, p, data):
     want = reference(query, sizes, p, fractional, 200_000)
     assert got == want
     assert list(got) == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overfull_searches())
+def test_the_floor_repair_shrinks_as_the_loop_does(search):
+    query, sizes, p, fractional, max_enumeration = search
+    got = _round_shares(*search)
+    assert got == reference(*search)
+    assert list(got) == list(query.variables)
+    assert math.prod(got.values()) <= p
 
 
 def every_grid(k, p):
