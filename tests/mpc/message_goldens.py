@@ -20,6 +20,9 @@ and one round, and some of those senders, under an unrecovered channel
 drop, an unrecovered duplicate and an unrecovered crash (their
 ``FaultStats`` and, for the round, the fragments' rows per server).
 Relations are digested in output order, matrices by ``C.tobytes()``.
+The three ``faults/*/sql`` instances were re-captured when ``sql_matmul``'s
+two rounds came to run on one cluster: the fault at round 0 now strikes
+the join round only, where it struck the aggregation's first round too.
 """
 
 import dataclasses

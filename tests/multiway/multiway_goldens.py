@@ -7,7 +7,11 @@ with the code it pins. The five instances whose HyperCube grid moved when
 the shares became the optimum over every grid (``gym-optimized`` on the
 balanced 5-path at p = 3 and 8 and under the crash, ``reduced_hypercube``
 at p = 8 and under the crash) were re-captured at that change, and only
-they. Per entry point and per p in {1, 3, 8}: every
+they; so were, when a query's steps came to run on one cluster, the
+fault counters of every ``faults/*`` instance (a crash at round 0 now
+strikes the query's round 0 once, not every step's round 0) and
+``triangle_hl_semijoin``'s second round, whose ``received`` now lists the
+idle light pool's servers as zeros. Per entry point and per p in {1, 3, 8}: every
 round's label and ``received`` list, L and r, and a digest of the output
 in output order and sorted; and, once per entry point at p = 8, the same
 plus the fault counters under one recovered crash of server 1 at round 0.
