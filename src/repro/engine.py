@@ -193,12 +193,13 @@ def _align(atom: Atom, rel: Relation, counts: MemoStats) -> Relation:
 
     A reordering is the shared view entry the algorithms' own ``align``
     calls hit as well. For a relation already in atom order the engine
-    additionally records the identity under the same key, so a repeat of
-    the query over an unchanged catalog reports *every* atom as served
-    from the memo — mutating a relation bumps its token and can never be
-    served a stale alignment.
+    additionally records that it was seen in order (a marker, never the
+    relation itself: an entry holding its owner would keep it alive), so
+    a repeat of the query over an unchanged catalog reports *every* atom
+    as served from the memo — mutating a relation bumps its token and can
+    never be served a stale alignment.
     """
     aligned = align(atom, rel, counts)
     if aligned is rel:
-        cached_view(rel, ("project", atom.variables, None), lambda: rel, counts)
+        cached_view(rel, ("in-order", atom.variables), lambda: True, counts)
     return aligned

@@ -55,8 +55,8 @@ class AuditError(ClusterError):
 
     Raised by :mod:`repro.mpc.audit` when a round's accounting does not
     add up (tuples sent ≠ tuples received, charged units ≠ recorded
-    loads, free-round units charged, or combined sub-cluster stats that
-    do not partition the server budget).
+    loads, free-round units charged, or ``C`` not advancing by the
+    round's total).
     """
 
     def __init__(self, check: str, detail: str) -> None:

@@ -9,8 +9,9 @@ degree d pushes the load to Θ(d).
 The round exists once: :func:`scatter_and_route` is the communication
 half (also the light part of :func:`repro.joins.skew_join.skew_join`),
 :func:`one_round_hash_join` adds the distributed local join and the
-gather; :func:`parallel_hash_join` and
-:func:`repro.multiway.base.shuffle_join` are its two callers. Fragments
+gather on a given cluster; :func:`parallel_hash_join` and
+:func:`repro.multiway.base.shuffle_join` build one for it, and the
+multi-round plans run it as one step of their own cluster. Fragments
 are named by role (``L``/``R``), never after the input relations, so two
 inputs that share a ``name`` — a self-join written with ``rename`` —
 cannot collide.
@@ -27,7 +28,6 @@ from repro.joins.base import (
 )
 from repro.kernels.memo import route
 from repro.mpc.cluster import Cluster
-from repro.mpc.stats import RunStats
 
 
 def parallel_hash_join(
@@ -37,23 +37,23 @@ def parallel_hash_join(
     seed: int = 0,
 ) -> JoinRun:
     """One-round hash-partitioned natural join of R and S on ``p`` servers."""
-    return JoinRun(*one_round_hash_join(r, s, p, seed, "hash-shuffle", "OUT"))
+    cluster = Cluster(p, seed=seed)
+    return JoinRun(one_round_hash_join(cluster, r, s, "hash-shuffle", "OUT"), cluster.stats)
 
 
 def one_round_hash_join(
-    r: Relation, s: Relation, p: int, seed: int, label: str, name: str
-) -> tuple[Relation, RunStats]:
+    cluster: Cluster, r: Relation, s: Relation, label: str, name: str
+) -> Relation:
     """Scatter, shuffle by join key in round ``label``, join locally, gather.
 
     The gathered relation is called ``name``; it is also what the local
     joins of a *following* round ship as their input's name.
     """
     shared = require_join_key(r, s)
-    cluster = Cluster(p, seed=seed)
     scatter_and_route(cluster, r, s, shared, label)
     distributed_local_join(cluster, "L@j", "R@j", r, s, "out")
     _shared, schema = join_schemas(r, s)
-    return cluster.gather_relation("out", name, schema), cluster.stats
+    return cluster.gather_relation("out", name, schema)
 
 
 def scatter_and_route(

@@ -5,7 +5,8 @@ grid Cartesian product for join values whose degree is too high for hash
 partitioning. Each heavy value ``b`` gets ``p_b`` *exclusive* servers,
 sized proportionally to its output contribution ``|R_b|·|S_b|``, so all
 heavy products finish with balanced load ``O(√(OUT/p))`` while running in
-parallel (in the model) with the light-value join.
+parallel (in the model) with the light-value join: the pools sit side by
+side on the query's cluster (:meth:`~repro.mpc.cluster.Cluster.side_by_side`).
 
 Nothing here is done tuple by tuple: a row's heavy key is one code, a
 key's rows one slice of a stable argsort, who receives what in which
@@ -63,17 +64,33 @@ def heavy_value_products(
     heavy_keys: list[Row],
     p: int,
     seed: int = 0,
-) -> tuple[Relation, list[RunStats]]:
-    """Join R ⋈ S restricted to the given heavy join-key values.
+) -> tuple[Relation, RunStats]:
+    """Join R ⋈ S restricted to the given heavy join-key values on ``p``
+    servers: :func:`heavy_products` on a cluster of its own.
 
     Returns the output (``OUT``, in R-then-S-extra attribute order like
-    :meth:`Relation.join`) and one :class:`RunStats` per exclusive pool — one per big
-    heavy value, one for all the packed ones — for the caller to combine
-    with :func:`repro.mpc.cluster.combine_parallel`.
+    :meth:`Relation.join`) and the cluster's cost.
+    """
+    cluster = Cluster(p, seed=seed)
+    return heavy_products(cluster, r, s, shared, heavy_keys, p, seed), cluster.stats
+
+
+def heavy_products(
+    cluster: Cluster,
+    r: Relation,
+    s: Relation,
+    shared: tuple[str, ...],
+    heavy_keys: list[Row],
+    p: int,
+    seed: int,
+) -> Relation:
+    """R ⋈ S on the heavy join keys, on pools of ``p`` servers of
+    ``cluster`` from its first: one per big heavy value, one for all the
+    packed ones, side by side, hashing with the functions of ``seed``.
     """
     schema = join_schemas(r, s)[1]
     if not heavy_keys:
-        return Relation("OUT", schema), []
+        return Relation("OUT", schema)
 
     r_cols, s_cols = r.columns(), s.columns()
     r_groups = _key_groups([r_cols[i] for i in r.schema.indices(shared)], heavy_keys)
@@ -89,19 +106,22 @@ def heavy_value_products(
     small = [k for k, share in enumerate(shares) if share < 1.0]
     p_small = max(p - sum(alloc for _, alloc in big), 1)
 
-    clusters = [
-        _grid_product(r, s, r_cols, s_cols, r_groups[k], s_groups[k], p_b, seed)
-        for k, p_b in big
-    ]
-    if small:
-        placement = HashFamily(seed + 77).function(0, p_small)
-        clusters.append(_packed_products(
-            r, s, r_cols, s_cols,
-            [r_groups[k] for k in small], [s_groups[k] for k in small],
-            [placement(heavy_keys[k]) for k in small], p_small, seed,
-        ))
-    parts = [c.gather_relation("out", "OUT", schema) for c in clusters]
-    return union_all("OUT", parts), [c.stats for c in clusters]
+    placement = HashFamily(seed + 77).function(0, p_small)
+
+    def product(i: int, pool: Cluster) -> Relation:
+        if i < len(big):
+            k = big[i][0]
+            _grid_product(pool, r, s, r_cols, s_cols, r_groups[k], s_groups[k])
+        else:
+            _packed_products(
+                pool, r, s, r_cols, s_cols,
+                [r_groups[k] for k in small], [s_groups[k] for k in small],
+                [placement(heavy_keys[k]) for k in small],
+            )
+        return pool.gather_relation("out", "OUT", schema)
+
+    sizes = [p_b for _, p_b in big] + ([p_small] if small else [])
+    return union_all("OUT", cluster.side_by_side(sizes, seed, product))
 
 
 def _key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarray]:
@@ -114,10 +134,9 @@ def _key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarr
 
 
 def _packed_products(
-    r: Relation, s: Relation, r_cols: list, s_cols: list,
-    r_groups: list[np.ndarray], s_groups: list[np.ndarray],
-    placement: list[int], p: int, seed: int,
-) -> Cluster:
+    cluster: Cluster, r: Relation, s: Relation, r_cols: list, s_cols: list,
+    r_groups: list[np.ndarray], s_groups: list[np.ndarray], placement: list[int],
+) -> None:
     """Many small heavy values share one pool, one server per value.
 
     Row ``j`` of the ``i``-th value starts on server ``(i + j) % p`` and
@@ -126,7 +145,7 @@ def _packed_products(
     are handed over grouped by value instead — values in order of first
     arrival — which is the order the per-value products come out in.
     """
-    cluster = Cluster(p, seed=seed)
+    p = cluster.p
     with cluster.round("heavy-packed") as rnd:
         for fragment, columns, groups in (("R@v", r_cols, r_groups), ("S@v", s_cols, s_groups)):
             sizes = np.array([len(g) for g in groups])
@@ -141,22 +160,20 @@ def _packed_products(
             deliver(rnd, fragment, columns, np.concatenate(groups),
                     np.asarray(placement)[i], ties, lambda server: (server,))
     inline_local_join(cluster, "R@v", "S@v", r, s, "out")
-    return cluster
 
 
 def _grid_product(
-    r: Relation, s: Relation, r_cols: list, s_cols: list,
-    r_rows: np.ndarray, s_rows: np.ndarray, p_b: int, seed: int,
-) -> Cluster:
-    """Grid product of one heavy value's tuples on ``p_b`` exclusive servers.
+    cluster: Cluster, r: Relation, s: Relation, r_cols: list, s_cols: list,
+    r_rows: np.ndarray, s_rows: np.ndarray,
+) -> None:
+    """Grid product of one heavy value's tuples on the pool's servers.
 
     The slide-28 rectangle of :func:`~repro.joins.cartesian.replicate`;
     every (r, s) pair meets on exactly one server, whose local join — all
     rows share the key — is their product.
     """
-    cluster = Cluster(max(p_b, 1), seed=seed)
     if not len(r_rows) or not len(s_rows):
-        return cluster
+        return
     if s.schema.arity == len(r.schema.common(s.schema)):
         # S contributes no new attributes: the join just multiplies each R
         # row by the number of matching S rows. Spread R's rows, keep bag
@@ -168,8 +185,7 @@ def _grid_product(
             part = server.take("rb")
             times = np.repeat(np.arange(len(part)), len(s_rows))
             server.append_result("out", tuple(c[times] for c in held(part, r.schema.arity)))
-        return cluster
+        return
 
     replicate(cluster, ("L@cart", r_cols, r_rows), ("R@cart", s_cols, s_rows))
     inline_local_join(cluster, "L@cart", "R@cart", r, s, "out")
-    return cluster

@@ -26,11 +26,11 @@ from repro.joins.base import (
     require_join_key,
 )
 from repro.joins.hash_join import scatter_and_route
-from repro.joins.heavy import heavy_value_products
+from repro.joins.heavy import heavy_products
 from repro.kernels.columnar import zip_rows
 from repro.kernels.join import lookup_codes
 from repro.kernels.memo import degree_view, ordered
-from repro.mpc.cluster import Cluster, combine_parallel
+from repro.mpc.cluster import Cluster
 
 Row = tuple[Any, ...]
 
@@ -79,7 +79,8 @@ def skew_join(
     threshold: float | tuple[float, float] | None = None,
 ) -> JoinRun:
     """Skew-aware natural join: hash join for light values, grid products
-    for heavy ones, all in one (model) round on disjoint server pools.
+    for heavy ones, all in one (model) round on side-by-side pools of one
+    cluster — the light join's, then the heavy products'.
 
     ``threshold`` defaults to the tutorial's IN/p. Lower thresholds peel
     more values into products (an ablation knob); an ``(r, s)`` pair
@@ -119,23 +120,24 @@ def skew_join(
         p_heavy = best_split
     p_light = p - p_heavy
 
-    runs = []
     _shared, schema = join_schemas(r, s)
-    parts: list[Relation] = []
 
+    def light(pool: Cluster) -> Relation:
+        scatter_and_route(pool, r_light, s_light, shared, "hash-shuffle")
+        inline_local_join(pool, "L@j", "R@j", r_light, s_light, "out")
+        return pool.gather_relation("out", "OUT", schema)
+
+    def heavy(pool: Cluster) -> Relation:
+        return heavy_products(pool, r, s, shared, heavy_keys, pool.p, seed)
+
+    sides = []
     if p_light > 0 and (len(r_light) or len(s_light)):
-        light_cluster = Cluster(p_light, seed=seed)
-        scatter_and_route(light_cluster, r_light, s_light, shared, "hash-shuffle")
-        inline_local_join(light_cluster, "L@j", "R@j", r_light, s_light, "out")
-        parts.append(light_cluster.gather_relation("out", "OUT", schema))
-        runs.append(light_cluster.stats)
-
+        sides.append((light, p_light))
     if heavy_keys and p_heavy > 0:
-        heavy_part, heavy_runs = heavy_value_products(
-            r, s, shared, heavy_keys, p_heavy, seed=seed
-        )
-        parts.append(heavy_part)
-        runs.extend(heavy_runs)
-
+        sides.append((heavy, p_heavy))
+    cluster = Cluster(p, seed=seed)
+    parts = cluster.side_by_side(
+        [size for _, size in sides], seed, lambda i, pool: sides[i][0](pool)
+    )
     output = union_all("OUT", parts or [Relation("OUT", schema)])
-    return JoinRun(output, combine_parallel(p, runs))
+    return JoinRun(output, cluster.stats)

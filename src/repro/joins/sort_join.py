@@ -19,10 +19,10 @@ import numpy as np
 
 from repro.data.relation import Relation, union_all
 from repro.joins.base import JoinRun, require_join_key
-from repro.joins.heavy import heavy_value_products
+from repro.joins.heavy import heavy_products
 from repro.kernels.columnar import column_of, concatenated, zip_rows
 from repro.kernels.join import code_key_columns, join_indices, lookup_codes
-from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
+from repro.mpc.cluster import Cluster
 from repro.mpc.server import held
 from repro.sorting.psrs import psrs_partition, scatter_keys
 
@@ -73,19 +73,16 @@ def sort_join(
     columns = [column[r_rows] for column in r.columns()]
     columns += [s.columns()[i][s_rows] for i in extra_idx]
 
-    stats = combine_parallel(p, [cluster.stats])
     parts = [Relation.from_columns("OUT", list(r.schema.attributes) + extra, columns)]
     if straddling:
         heavy = sorted(straddling)
-        heavy_part, heavy_runs = heavy_value_products(
-            r, s, shared, heavy if len(shared) > 1 else [(k,) for k in heavy],
-            max(p // 2, 1), seed=seed,
-        )
-        parts.append(heavy_part)
         # The products need the boundary report: they run after it, their
         # pools side by side in one round.
-        stats = combine_sequential(p, [stats, combine_parallel(p, heavy_runs)])
-    return JoinRun(union_all("OUT", parts), stats)
+        parts.append(heavy_products(
+            cluster, r, s, shared, heavy if len(shared) > 1 else [(k,) for k in heavy],
+            max(p // 2, 1), seed,
+        ))
+    return JoinRun(union_all("OUT", parts), cluster.stats)
 
 
 def _join_key(rel: Relation, idx: list[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from repro.kernels.hashing import bucket_value_column
 from repro.kernels.join import join_indices
 from repro.kernels.memo import route
 from repro.kernels.partition import partition_groups
-from repro.mpc.cluster import Cluster, combine_sequential
+from repro.mpc.cluster import Cluster
 from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
@@ -63,22 +63,18 @@ def sql_matmul(
                 for server in cluster.servers]
     results = cluster.map_servers("matmul.partials", payloads)
     partials = [np.concatenate(parts) for parts in zip(*results)]
-    join_stats = cluster.stats
 
-    # Round 2: aggregate by (i, k).
-    agg = Cluster(p, seed=seed + 1)
-    products = Relation.from_columns("P", ["i", "k", "v"], partials)
-    agg.scatter(products, "P@in")
-    with agg.round("groupby-ik") as rnd:
-        route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j", products)
-
+    # Round 2: aggregate by (i, k), on the same servers under the next seed.
     c = np.zeros((a.shape[0], b.shape[1]))
-    sum_payloads = [held(server.take("P@j"), 3) for server in agg.servers]
-    for iis, ks, vs in agg.map_servers("matmul.sums", sum_payloads):
-        c[iis, ks] = vs
-
-    stats = combine_sequential(p, [join_stats, agg.stats])
-    return c, stats
+    products = Relation.from_columns("P", ["i", "k", "v"], partials)
+    with cluster.step(seed + 1) as agg:
+        agg.scatter(products, "P@in")
+        with agg.round("groupby-ik") as rnd:
+            route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j", products)
+        sum_payloads = [held(server.take("P@j"), 3) for server in agg.servers]
+        for iis, ks, vs in agg.map_servers("matmul.sums", sum_payloads):
+            c[iis, ks] = vs
+    return c, cluster.stats
 
 
 def _nonzero(matrix: np.ndarray, name: str, attributes: list[str]) -> Relation:

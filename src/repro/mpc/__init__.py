@@ -1,6 +1,10 @@
 """The MPC (Massively Parallel Communication) simulator substrate.
 
-The round lifecycle is exception-safe (a failed round leaves the cluster
+A query runs on one :class:`Cluster`: its steps follow one another on
+the same servers (:meth:`Cluster.step`) or run side by side on pools,
+contiguous server ranges whose k-th rounds are one round
+(:meth:`Cluster.side_by_side`), so the query's cost is the cluster's own
+:class:`RunStats`. The round lifecycle is exception-safe (a failed round leaves the cluster
 usable — see :mod:`repro.mpc.cluster`), the ``load_cap`` is enforced
 before delivery, and the whole subsystem can self-audit its conservation
 invariants via ``Cluster(p, audit=True)`` or the
@@ -15,15 +19,8 @@ from repro.mpc.audit import (
     AuditViolation,
     ClusterAuditor,
     audited,
-    verify_combined,
-    verify_partition,
 )
-from repro.mpc.cluster import (
-    Cluster,
-    RoundContext,
-    combine_parallel,
-    combine_sequential,
-)
+from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.faults import (
     ChannelFault,
     CrashFault,
@@ -62,13 +59,9 @@ __all__ = [
     "audited",
     "faulty",
     "busiest_server",
-    "combine_parallel",
-    "combine_sequential",
     "hash_int_tuple",
     "load_histogram",
     "round_table",
     "splitmix64",
     "trace",
-    "verify_combined",
-    "verify_partition",
 ]

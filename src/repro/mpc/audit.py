@@ -30,22 +30,21 @@ A violation raises :class:`~repro.errors.AuditError` (set
 raising). The report is surfaced on :attr:`RunStats.audit
 <repro.mpc.stats.RunStats>` and in :func:`repro.mpc.trace.trace`.
 
-For combined runs, :func:`verify_partition` checks that sub-cluster
-server counts fit the combined budget (``combine_parallel`` sub-clusters
-must partition ``p_total``) and :func:`verify_combined` re-checks the
-combination arithmetic itself.
+A query runs every step on one cluster, pools included
+(:meth:`~repro.mpc.cluster.Cluster.side_by_side`), so one report covers
+all its rounds: each is checked at its own barrier, on the servers it
+ran on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import AuditError
-from repro.mpc.stats import RoundStats, RunStats
+from repro.mpc.stats import RoundStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.cluster import Cluster, RoundContext
@@ -56,8 +55,6 @@ __all__ = [
     "ClusterAuditor",
     "audit_enabled_by_default",
     "audited",
-    "verify_combined",
-    "verify_partition",
 ]
 
 _default_audit: ContextVar[bool] = ContextVar("repro_audit_default", default=False)
@@ -105,7 +102,7 @@ class AuditViolation:
 
 @dataclass
 class AuditReport:
-    """Accumulated result of a cluster's (or combined run's) audits."""
+    """Accumulated result of a cluster's audits."""
 
     rounds_audited: int = 0
     checks_run: int = 0
@@ -130,20 +127,6 @@ class AuditReport:
             text += f", {len(self.rejected_rounds)} rejected"
         return text
 
-    @classmethod
-    def merged(cls, reports: Iterable["AuditReport"]) -> "AuditReport | None":
-        """Union of several reports (for combined runs); None if none given."""
-        merged: AuditReport | None = None
-        for report in reports:
-            if merged is None:
-                merged = cls()
-            merged.rounds_audited += report.rounds_audited
-            merged.checks_run += report.checks_run
-            merged.violations.extend(report.violations)
-            merged.aborted_rounds.extend(report.aborted_rounds)
-            merged.rejected_rounds.extend(report.rejected_rounds)
-        return merged
-
 
 class ClusterAuditor:
     """Re-checks conservation invariants at every round barrier.
@@ -163,10 +146,11 @@ class ClusterAuditor:
     # ------------------------------------------------------------- hooks
 
     def snapshot(self) -> list[dict[str, int]]:
-        """Per-server fragment sizes, taken at the barrier pre-delivery."""
+        """Per-server fragment sizes (every server of the cluster, those a
+        layout added past p - 1 too), taken at the barrier pre-delivery."""
         return [
             {name: len(rows) for name, rows in server.storage.items()}
-            for server in self.cluster.servers
+            for server in self.cluster._all_servers
         ]
 
     def after_delivery(
@@ -176,17 +160,19 @@ class ClusterAuditor:
         before: list[dict[str, int]],
         c_before: int,
     ) -> None:
-        """Audit one delivered round against the pre-delivery snapshot."""
+        """Audit one delivered round against the pre-delivery snapshot; its
+        destinations are servers of ``rnd``'s view (a step or pool)."""
         self.report.rounds_audited += 1
         label = rnd.label
-        servers = self.cluster.servers
+        view = rnd._cluster
+        servers = view.servers
 
         total_sent = 0
         for dest, fragments in enumerate(rnd._buffers):
-            storage = servers[dest].storage
+            storage, sizes = servers[dest].storage, before[view._offset + dest]
             for fragment, rows in fragments.items():
                 total_sent += len(rows)
-                grew = len(storage.get(fragment, ())) - before[dest].get(fragment, 0)
+                grew = len(storage.get(fragment, ())) - sizes.get(fragment, 0)
                 self._check(
                     "delivery",
                     grew == len(rows),
@@ -196,7 +182,8 @@ class ClusterAuditor:
                 )
 
         total_after = sum(
-            len(rows) for server in servers for rows in server.storage.values()
+            len(rows) for server in self.cluster._all_servers
+            for rows in server.storage.values()
         )
         total_before = sum(sum(sizes.values()) for sizes in before)
         self._check(
@@ -223,7 +210,7 @@ class ClusterAuditor:
                 label,
             )
 
-        c_delta = self.cluster.stats.total_communication - c_before
+        c_delta = view._communication() - c_before
         self._check(
             "c-delta",
             c_delta == stats.total,
@@ -249,58 +236,3 @@ class ClusterAuditor:
         if self.strict:
             raise AuditError(check, f"round {label!r}: {detail}")
 
-
-def verify_partition(p_total: int, runs: Sequence[RunStats]) -> None:
-    """Check that parallel sub-runs' servers fit into ``p_total``.
-
-    ``combine_parallel`` models sub-algorithms on *disjoint* server
-    pools, so their sizes must partition the budget: ``Σ pᵢ ≤ p_total``.
-    Raises :class:`~repro.errors.AuditError` otherwise.
-    """
-    used = sum(run.p for run in runs)
-    if any(run.p <= 0 for run in runs):
-        raise AuditError("partition", "a sub-run reports a non-positive p")
-    if used > p_total:
-        raise AuditError(
-            "partition",
-            f"sub-clusters use {used} servers, budget is {p_total}",
-        )
-
-
-def verify_combined(
-    combined: RunStats, runs: Sequence[RunStats], parallel: bool
-) -> None:
-    """Re-check the arithmetic of a combined run against its parts.
-
-    Total communication must be conserved in both combination modes; a
-    parallel combination must additionally have ``r = max rᵢ`` and
-    per-round ``L = max`` over the aligned sub-rounds. Raises
-    :class:`~repro.errors.AuditError` on mismatch.
-    """
-    expected_c = sum(run.total_communication for run in runs)
-    if combined.total_communication != expected_c:
-        raise AuditError(
-            "combine",
-            f"combined C={combined.total_communication}, parts sum to {expected_c}",
-        )
-    if parallel:
-        delivered = [
-            [rd for rd in run.rounds if rd.delivered] for run in runs
-        ]
-        expected_depth = max((len(seq) for seq in delivered), default=0)
-        actual_depth = sum(1 for rd in combined.rounds if rd.delivered)
-        if actual_depth != expected_depth:
-            raise AuditError(
-                "combine",
-                f"combined depth {actual_depth}, expected max {expected_depth}",
-            )
-        for i, rd in enumerate(combined.rounds):
-            expected_l = max(
-                (seq[i].max_load for seq in delivered if i < len(seq)),
-                default=0,
-            )
-            if rd.max_load != expected_l:
-                raise AuditError(
-                    "combine",
-                    f"round {i} combined L={rd.max_load}, expected {expected_l}",
-                )

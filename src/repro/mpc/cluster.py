@@ -50,11 +50,22 @@ With ``Cluster(p, faults=plan)`` (or inside
 channel faults at the barriers; recovery runs before the audit snapshot,
 so a recovered round satisfies the same invariants as a fault-free one.
 The fault counters are surfaced on ``cluster.stats.faults``.
+
+An algorithm builds one cluster and runs every step of its query on it:
+:meth:`Cluster.step` for the next step on the same servers,
+:meth:`Cluster.side_by_side` for steps on *pools*, contiguous server
+ranges whose k-th rounds are one round. Each hands the step a view, a
+``Cluster`` over its servers sharing the query's statistics, audit,
+faults and backend. Round ordinals, and so fault plans, count the rounds
+of the query.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import copy
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
+from typing import TypeVar
 
 import numpy as np
 
@@ -62,16 +73,13 @@ from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
 from repro.kernels.columnar import Row, columns_of
-from repro.mpc.audit import AuditReport, ClusterAuditor, audit_enabled_by_default
-from repro.mpc.faults import (
-    FaultController,
-    FaultPlan,
-    FaultStats,
-    fault_plan_by_default,
-)
+from repro.mpc.audit import ClusterAuditor, audit_enabled_by_default
+from repro.mpc.faults import FaultController, FaultPlan, fault_plan_by_default
 from repro.mpc.hashing import HashFamily, HashFunction
 from repro.mpc.server import ChunkedColumns, Server
-from repro.mpc.stats import ExecStats, MemoStats, RoundStats, RunStats
+from repro.mpc.stats import RoundStats, RunStats
+
+T = TypeVar("T")
 
 
 class RoundContext:
@@ -86,9 +94,9 @@ class RoundContext:
         self._units: list[int] = [0] * cluster.p
         self._closed = False
         self.aborted = False
-        # Round ordinal (0-based, counts every opened round, charged and
-        # free) — the coordinate fault plans schedule against. Assigned
-        # by Cluster._open_round.
+        # Round ordinal (0-based, counts every opened round of the query,
+        # charged and free) — the coordinate fault plans schedule against.
+        # Assigned by Cluster._open_round.
         self.ordinal = -1
 
     # ------------------------------------------------------------- sending
@@ -171,6 +179,14 @@ class RoundContext:
             self._cluster._abort_round(self)
 
 
+class _Stream:
+    """Where a view's rounds go: the next round's ordinal (what fault plans
+    schedule against) and the rounds' load records."""
+
+    def __init__(self, ordinal: int, rounds: list[RoundStats]) -> None:
+        self.ordinal, self.rounds = ordinal, rounds
+
+
 class Cluster:
     """A simulated MPC cluster of ``p`` servers.
 
@@ -223,6 +239,12 @@ class Cluster:
         self.p = p
         self.servers = [Server(sid) for sid in range(p)]
         self.stats = RunStats(p)
+        # Every view (step or pool) shares the root: its servers, grown past
+        # p - 1 by an oversubscribed layout, and whether a round is open.
+        self._root = self
+        self._all_servers = list(self.servers)
+        self._offset = self._first_ordinal = 0
+        self._stream = _Stream(0, self.stats.rounds)
         # fragment name -> (relation, mutation token at scatter time).
         # Proof that a fragment still holds exactly rel[s::p], letting the
         # memo layer replay a cached routing plan (repro.kernels.memo).
@@ -234,7 +256,6 @@ class Cluster:
         self.load_cap = load_cap
         self._hash_family = HashFamily(seed)
         self._in_round = False
-        self._round_ordinal = 0
         if audit is None:
             audit = audit_enabled_by_default()
         self.auditor: ClusterAuditor | None = ClusterAuditor(self) if audit else None
@@ -313,13 +334,17 @@ class Cluster:
         return self._open_round(label, charged=False)
 
     def _open_round(self, label: str, charged: bool) -> RoundContext:
-        if self._in_round:
+        if self._root._in_round:
             raise ClusterError("rounds cannot be nested")
-        self._in_round = True
+        self._root._in_round = True
         rnd = RoundContext(self, label, charged=charged)
-        rnd.ordinal = self._round_ordinal
-        self._round_ordinal += 1
+        rnd.ordinal = self._stream.ordinal
+        self._stream.ordinal += 1
         return rnd
+
+    def _communication(self) -> int:
+        """C of the rounds this view's stream recorded."""
+        return sum(rd.total for rd in self._stream.rounds if rd.delivered)
 
     def _finish_round(self, rnd: RoundContext) -> None:
         """The barrier: enforce the cap, deliver, record, audit.
@@ -336,7 +361,7 @@ class Cluster:
             if violation is not None:
                 sid, got = violation
                 stats.delivered = False
-                self.stats.rounds.append(stats)
+                self._stream.rounds.append(stats)
                 if self.auditor is not None:
                     self.auditor.record_rejected(rnd, stats)
                 assert self.load_cap is not None
@@ -349,16 +374,16 @@ class Cluster:
             before = c_before = None
             if self.auditor is not None:
                 before = self.auditor.snapshot()
-                c_before = self.stats.total_communication
+                c_before = self._communication()
             rnd._deliver_buffers()
-            self.stats.rounds.append(stats)
+            self._stream.rounds.append(stats)
             if self.auditor is not None:
                 assert before is not None and c_before is not None
                 self.auditor.after_delivery(rnd, stats, before, c_before)
             if self.fault_controller is not None:
                 self.fault_controller.after_delivery(rnd, rnd.ordinal)
         finally:
-            self._in_round = False
+            self._root._in_round = False
 
     def _abort_round(self, rnd: RoundContext) -> None:
         """Abandon a round after an exception inside its block.
@@ -374,7 +399,7 @@ class Cluster:
         self.stats.aborted += 1
         if self.auditor is not None:
             self.auditor.record_abort(rnd)
-        self._in_round = False
+        self._root._in_round = False
 
     # ------------------------------------------------------- data placement
 
@@ -407,11 +432,11 @@ class Cluster:
     def _place(self, name: str, chunks: Sequence[ChunkedColumns]) -> None:
         """Append server ``s``'s (non-empty) chunk to its fragment ``name``."""
         self._scatter_origin.pop(name, None)
-        for server, chunk in zip(self.servers, chunks):
+        for index, (server, chunk) in enumerate(zip(self.servers, chunks)):
             if len(chunk):
                 server.append(name, chunk)
                 if self.fault_controller is not None:
-                    self.fault_controller.on_scatter_chunk(server.sid, name, chunk)
+                    self.fault_controller.on_scatter_chunk(self, index, name, chunk)
 
     def gather(self, fragment: str) -> list[Row]:
         """All rows of a fragment across servers, in server order.
@@ -455,76 +480,88 @@ class Cluster:
         """Per-server sizes of one fragment."""
         return [len(server.get(fragment)) for server in self.servers]
 
+    # ------------------------------------------------------ steps and pools
+
+    def _view(self, offset: int, size: int, seed: int, stream: _Stream) -> "Cluster":
+        """Servers ``[offset, offset + size)`` as a cluster of their own,
+        hashing with the functions of ``seed``, its rounds going to
+        ``stream``; the cluster grows when they run past its last."""
+        servers = self._root._all_servers
+        servers.extend(Server(sid) for sid in range(len(servers), offset + size))
+        view = copy.copy(self)
+        view.p = size
+        view.servers = servers[offset : offset + size]
+        view._offset = offset
+        view._hash_family = HashFamily(seed)
+        view._scatter_origin = {}
+        view._stream, view._first_ordinal = stream, stream.ordinal
+        return view
+
+    def _clear(self) -> None:
+        """Empty this view's servers: its step is over."""
+        for server in self.servers:
+            server.storage.clear()
+        if self.fault_controller is not None:
+            self.fault_controller.on_clear(self)
+
+    @contextmanager
+    def step(self, seed: int) -> Iterator["Cluster"]:
+        """The next step of the query: these servers and rounds under the
+        hash functions of ``seed``. Its servers are emptied when it ends,
+        so it gathers its output first."""
+        view = self._view(self._offset, self.p, seed, self._stream)
+        try:
+            yield view
+        finally:
+            view._clear()
+
+    def side_by_side(
+        self, sizes: Sequence[int], seed: int, run: Callable[[int, "Cluster"], T]
+    ) -> list[T]:
+        """Run ``run(i, pool)`` on pool ``i`` of ``sizes[i]`` servers, pool
+        after pool; returns the results in pool order.
+
+        The pools are contiguous server ranges from this view's first
+        server, each a :meth:`step` of its own under the functions of
+        ``seed``. Their k-th rounds are one round: its ``received`` lists
+        every pool's servers in pool order, an idle pool's as zeros, and
+        a fault plan sees one ordinal for all of them. Pools needing more
+        servers than this view has take the cluster's next ones, past
+        server ``p - 1``; ``stats.p`` stays the query's.
+        """
+        if min(sizes, default=1) < 1:
+            raise ClusterError(f"every pool needs a server, got sizes {list(sizes)}")
+        pools: list[tuple[_Stream, int]] = []  # a pool's rounds and the servers they span
+        results: list[T] = []
+        offset = self._offset
+        try:
+            for i, size in enumerate(sizes):
+                pool = _Stream(self._stream.ordinal, [])
+                view = self._view(offset, size, seed, pool)
+                try:
+                    results.append(run(i, view))
+                finally:
+                    view._clear()
+                    pools.append((pool, max([size, *(len(rd.received) for rd in pool.rounds)])))
+                offset += pools[-1][1]
+        finally:
+            self._merge(pools)
+        return results
+
+    def _merge(self, pools: Sequence[tuple[_Stream, int]]) -> None:
+        """Record the pools' k-th delivered rounds as one round of this view
+        (a rejected round moved nothing)."""
+        stream = self._stream
+        stream.ordinal = max([stream.ordinal, *(pool.ordinal for pool, _ in pools)])
+        sequences = [[rd for rd in pool.rounds if rd.delivered] for pool, _ in pools]
+        for k in range(max(map(len, sequences), default=0)):
+            here = [(seq[k] if k < len(seq) else None, width)
+                    for seq, (_, width) in zip(sequences, pools)]
+            stream.rounds.append(RoundStats(
+                "+".join(dict.fromkeys(rd.label for rd, _ in here if rd)),
+                [n for rd, width in here for n in (rd.received if rd else [0] * width)],
+            ))
+
     def __repr__(self) -> str:
         return f"Cluster(p={self.p}, {self.stats.summary()})"
 
-
-def _with_ledgers(
-    combined: RunStats, runs: Sequence[RunStats], audit: bool, parallel: bool
-) -> RunStats:
-    """Sum the parts' four sub-ledgers into ``combined`` (and re-check it)."""
-    combined.audit = AuditReport.merged(
-        run.audit for run in runs if run.audit is not None
-    )
-    combined.faults = FaultStats.merged([run.faults for run in runs])
-    combined.exec = ExecStats.merged([run.exec for run in runs])
-    combined.memo = MemoStats.merged([run.memo for run in runs])
-    if audit:
-        from repro.mpc.audit import verify_combined
-
-        verify_combined(combined, runs, parallel=parallel)
-    return combined
-
-
-def combine_sequential(
-    p_total: int, runs: Sequence[RunStats], audit: bool = False
-) -> RunStats:
-    """Combine stats of algorithm phases run *one after another*.
-
-    Multi-round plans (iterative binary joins, GYM) execute phases in
-    sequence on the same servers: rounds concatenate, ``L`` is the max
-    over phases, ``C`` the sum. With ``audit=True`` the combination
-    arithmetic is re-checked (:func:`repro.mpc.audit.verify_combined`).
-    """
-    combined = RunStats(p_total)
-    for run in runs:
-        combined.rounds.extend(run.rounds)
-        combined.aborted += run.aborted
-    return _with_ledgers(combined, runs, audit, parallel=False)
-
-
-def combine_parallel(
-    p_total: int, runs: Sequence[RunStats], audit: bool = False
-) -> RunStats:
-    """Combine stats of algorithms run *in parallel on disjoint servers*.
-
-    SkewHC runs each residual query on its own exclusive sub-cluster; in
-    the MPC model those executions happen simultaneously. The combined
-    cost has ``r = max rounds``, per-round ``L = max over sub-runs`` and
-    ``C = Σ``. Rounds are aligned by index (undelivered — cap-rejected —
-    sub-rounds are excluded: they moved nothing).
-
-    With ``audit=True`` the sub-cluster sizes must partition ``p_total``
-    (:func:`repro.mpc.audit.verify_partition`) and the combination
-    arithmetic is re-checked. This is opt-in rather than tied to the
-    ambient audit default because some callers intentionally account
-    servers past ``p`` (SkewHC's one-server pools, when there are more
-    residuals than servers).
-    """
-    if audit:
-        from repro.mpc.audit import verify_partition
-
-        verify_partition(p_total, runs)
-    combined = RunStats(p_total)
-    combined.aborted = sum(run.aborted for run in runs)
-    sequences = [[rd for rd in run.rounds if rd.delivered] for run in runs]
-    depth = max((len(seq) for seq in sequences), default=0)
-    for i in range(depth):
-        received: list[int] = []
-        labels: list[str] = []
-        for seq in sequences:
-            if i < len(seq):
-                received.extend(seq[i].received)
-                labels.append(seq[i].label)
-        combined.rounds.append(RoundStats("+".join(dict.fromkeys(labels)), received))
-    return _with_ledgers(combined, runs, audit, parallel=True)

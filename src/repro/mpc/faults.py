@@ -16,7 +16,8 @@ Fault model
 Faults strike at the boundaries the simulator mediates:
 
 - **crash** (:class:`CrashFault`) — server ``s`` fails at the barrier of
-  round ``k`` (ordinals count every opened round, charged and free).
+  round ``k`` (ordinals count every opened round of the query, charged
+  and free; the k-th rounds of side-by-side pools are one round).
   Its volatile state is wiped; with recovery enabled it is restored from
   the latest barrier-entry checkpoint, logged deliveries are replayed,
   and the crashed round is re-executed from the senders' outboxes
@@ -42,9 +43,10 @@ Recovery
 :class:`RecoveryPolicy` combines two mechanisms:
 
 - **checkpoint/replay** — at the entry of every
-  ``checkpoint_interval``-th barrier each server's fragment store is
-  checkpointed; deliveries (and mid-run scatters) since the checkpoint
-  are logged so a crashed server can be rolled forward. With the
+  ``checkpoint_interval``-th barrier of a step (from its first) each
+  server's fragment store is checkpointed; deliveries (and mid-run
+  scatters) since the checkpoint are logged so a crashed server can be
+  rolled forward. With the
   default ``checkpoint_interval=1`` the checkpoint is taken at the very
   barrier the crash strikes, so recovery is *exact for every
   algorithm*. Larger intervals trade checkpoint cost for replay cost
@@ -66,8 +68,8 @@ replayed, recovery load) on :attr:`RunStats.faults
 Usage
 -----
 
-Per cluster, or ambiently for algorithms that build clusters internally
-(mirroring :func:`repro.mpc.audit.audited`)::
+Per cluster, or ambiently for algorithms that build their cluster
+internally (mirroring :func:`repro.mpc.audit.audited`)::
 
     plan = FaultPlan.random(seed=7, p=8)
     cluster = Cluster(8, faults=plan)            # explicit
@@ -115,9 +117,10 @@ __all__ = [
 class CrashFault:
     """Server ``server`` crashes at the barrier of round ``round``.
 
-    ``server`` is mapped modulo the cluster's ``p`` at injection time so
-    one plan applies to every cluster an algorithm builds (sub-clusters
-    of SkewHC and the skew join are smaller than the top-level ``p``).
+    ``server`` is mapped modulo the query's ``p`` at injection time, so
+    one plan applies at every ``p``. The crash strikes the pool or step
+    whose round ``round`` runs on that server, once; a server idle in
+    that round (its pool had fewer rounds) is not struck.
     """
 
     round: int
@@ -156,9 +159,9 @@ class RecoveryPolicy:
     """How a faulty cluster repairs itself.
 
     ``checkpoint_interval`` — barrier-entry state checkpoints are taken
-    every this-many rounds (1 = every barrier, exact recovery for every
-    algorithm; larger intervals are exact for scatter/shuffle pipelines
-    and cheaper to maintain). ``enabled=False`` injects the faults but
+    every this-many rounds of a step (1 = every barrier, exact recovery
+    for every algorithm; larger intervals are exact for scatter/shuffle
+    pipelines and cheaper to maintain). ``enabled=False`` injects the faults but
     performs no repair — corruption is tallied as ``unrecovered``.
     """
 
@@ -174,10 +177,10 @@ class RecoveryPolicy:
 class FaultPlan:
     """A deterministic schedule of faults (pure data, seed-reproducible).
 
-    Round numbers are *ordinals*: the n-th round a cluster opens
-    (charged or free) has ordinal n-1. Faults scheduled at ordinals a
-    run never reaches are silently unused, so one plan can be applied to
-    algorithms with different round structures.
+    Round numbers are *ordinals*: the n-th round a query opens on its
+    cluster (charged or free) has ordinal n-1. Faults scheduled at
+    ordinals a run never reaches are silently unused, so one plan can be
+    applied to algorithms with different round structures.
     """
 
     crashes: tuple[CrashFault, ...] = ()
@@ -288,7 +291,7 @@ def fault_plan_by_default() -> FaultPlan | None:
 def faulty(plan: FaultPlan | None) -> Iterator[None]:
     """Inject ``plan`` into every :class:`Cluster` created in the block.
 
-    Algorithms build their clusters internally, so this mirrors
+    Algorithms build their cluster internally, so this mirrors
     :func:`repro.mpc.audit.audited`: it is the way to run an existing
     entry point end-to-end under a fault schedule without threading a
     parameter through every call. ``faulty(None)`` disables injection
@@ -391,11 +394,13 @@ class FaultController:
     """Applies a :class:`FaultPlan` to one cluster's lifecycle.
 
     Attached by ``Cluster(p, faults=plan)``; the cluster calls
-    :meth:`on_scatter_chunk` during data placement and
+    :meth:`on_scatter_chunk` during data placement,
     :meth:`before_delivery` / :meth:`after_delivery` at each barrier
     (after the load-cap check, before the audit snapshot — so recovery
     completes before the auditor looks, and a recovered round satisfies
-    every conservation invariant).
+    every conservation invariant) and :meth:`on_clear` when a step ends,
+    each with the view (step or pool) it happened on: a fault names a
+    server of the query and strikes the view that holds it.
     """
 
     def __init__(self, cluster: "Cluster", plan: FaultPlan) -> None:
@@ -408,49 +413,64 @@ class FaultController:
         )
         # Barrier-entry checkpoints: server id -> {name: fragment copy}.
         self._checkpoints: dict[int, dict[str, ChunkedColumns]] = {}
-        self._checkpoint_round = -1
-        # Chronological event log since the last checkpoint refresh:
-        # ("deliver", ordinal, sid, fragment, part) and
-        # ("scatter", sid, fragment, part), in the order they happened;
-        # a part is the blocks the fragment got.
-        self._log: list[tuple] = []
+        self._checkpointed: set[int] = set()  # ordinals with a checkpoint
+        # Per server, what it got since its checkpoint, in order: (round
+        # ordinal, or None for a scatter, fragment, the blocks it got).
+        self._log: dict[int, list[tuple[int | None, str, ChunkedColumns]]] = {}
         # Scatter log for scatter-crash replay: sid -> [(fragment, part)].
         self._scatter_log: dict[int, list[tuple[str, ChunkedColumns]]] = {}
         self._scatter_fired: set[int] = set()
         self._scatter_targets = {s % cluster.p for s in plan.scatter_crashes}
 
-    def _route_to_worker(self, sid: int) -> None:
-        """Attribute a fault event on ``sid`` to its owning exec worker.
+    def _local(self, view: "Cluster", server: int) -> int | None:
+        """Where the query's server ``server`` (modulo p) sits in ``view``,
+        or ``None`` when the view does not hold it."""
+        index = server % self.cluster.p - view._offset
+        return index if 0 <= index < view.p else None
+
+    def _route_to_worker(self, view: "Cluster", index: int) -> None:
+        """Attribute a fault event on ``view``'s server ``index`` to its
+        owning exec worker.
 
         The struck server's recovery output feeds the payload chunk of
         exactly one worker (the cluster's contiguous range assignment),
         so the tally shows where in the pool the fault's work landed.
         """
-        worker = self.cluster.owning_worker(sid)
+        worker = view.owning_worker(index)
         self.stats.by_worker[worker] = self.stats.by_worker.get(worker, 0) + 1
 
     # ----------------------------------------------------------- scatter path
 
-    def on_scatter_chunk(self, sid: int, fragment: str, rows: ChunkedColumns) -> None:
-        """Record one placed chunk; fire a scheduled scatter crash."""
+    def on_scatter_chunk(
+        self, view: "Cluster", index: int, fragment: str, rows: ChunkedColumns
+    ) -> None:
+        """Record one chunk placed on ``view``'s server ``index``; fire a
+        scheduled scatter crash."""
+        sid = view._offset + index
         if self._scatter_targets:
             self._scatter_log.setdefault(sid, []).append((fragment, _copy(rows)))
         if self._keep_log:
-            self._log.append(("scatter", sid, fragment, _copy(rows)))
+            self._log.setdefault(sid, []).append((None, fragment, _copy(rows)))
         if sid in self._scatter_targets and sid not in self._scatter_fired:
             self._scatter_fired.add(sid)
-            self._crash_during_scatter(sid)
+            self._crash_during_scatter(view, index)
 
-    def _crash_during_scatter(self, sid: int) -> None:
-        """Lose the fragments scattered to ``sid`` so far; maybe replay."""
-        server = self.cluster.servers[sid]
-        scattered = self._scatter_log.get(sid, [])
+    def on_clear(self, view: "Cluster") -> None:
+        """``view``'s step ended and its servers hold nothing: that empty
+        store is their checkpoint from now on."""
+        if self._keep_log:
+            self._checkpoint(view)
+
+    def _crash_during_scatter(self, view: "Cluster", index: int) -> None:
+        """Lose the fragments scattered to the server so far; maybe replay."""
+        server = view.servers[index]
+        scattered = self._scatter_log.get(server.sid, [])
         names = {fragment for fragment, _ in scattered}
         lost = 0
         for name in names:
             lost += len(server.storage.pop(name, ()))
         self.stats.scatter_crashes += 1
-        self._route_to_worker(sid)
+        self._route_to_worker(view, index)
         if not self.plan.recovery.enabled:
             self.stats.unrecovered += lost
             return
@@ -462,47 +482,62 @@ class FaultController:
     # ----------------------------------------------------------- barrier path
 
     def before_delivery(self, rnd: "RoundContext", ordinal: int) -> None:
-        """Refresh checkpoints, then inject this round's faults."""
-        self._maybe_checkpoint(ordinal)
+        """Refresh checkpoints, then inject this round's faults on the
+        servers of the view it runs on."""
+        view = rnd._cluster
+        self._maybe_checkpoint(view, ordinal)
         for fault in self.plan.channel_faults:
-            if fault.round == ordinal:
-                self._apply_channel_fault(rnd, fault)
+            index = self._local(view, fault.dest)
+            if fault.round == ordinal and index is not None:
+                self._apply_channel_fault(rnd, fault, index)
         for straggler in self.plan.stragglers:
-            if straggler.round == ordinal:
+            index = self._local(view, straggler.server)
+            if straggler.round == ordinal and index is not None:
                 self.stats.straggler_events += 1
                 self.stats.straggler_units += straggler.extra_units
-                self._route_to_worker(straggler.server % self.cluster.p)
+                self._route_to_worker(view, index)
         for crash in self.plan.crashes:
-            if crash.round == ordinal:
-                self._crash(rnd, ordinal, crash.server % self.cluster.p)
+            index = self._local(view, crash.server)
+            if crash.round == ordinal and index is not None:
+                self._crash(rnd, ordinal, index)
 
     def after_delivery(self, rnd: "RoundContext", ordinal: int) -> None:
         """Log the round's deliveries for checkpoint-gap replay."""
         if not self._keep_log or ordinal > self._last_crash_round:
             return
-        for sid, fragments in enumerate(rnd._buffers):
+        for server, fragments in zip(rnd._cluster.servers, rnd._buffers):
             for fragment, rows in fragments.items():
                 if len(rows):
-                    self._log.append(("deliver", ordinal, sid, fragment, _copy(rows)))
+                    self._log.setdefault(server.sid, []).append(
+                        (ordinal, fragment, _copy(rows))
+                    )
 
     # ------------------------------------------------------------- internals
 
-    def _maybe_checkpoint(self, ordinal: int) -> None:
-        """Barrier-entry checkpoint refresh (skipped once no crash remains)."""
+    def _maybe_checkpoint(self, view: "Cluster", ordinal: int) -> None:
+        """Barrier-entry checkpoint of ``view``'s servers every interval-th
+        round of its step, from its first (skipped once no crash remains);
+        counted once per round of the query."""
         if not self.plan.recovery.enabled or ordinal > self._last_crash_round:
             return
-        if ordinal % self.plan.recovery.checkpoint_interval != 0:
+        if (ordinal - view._first_ordinal) % self.plan.recovery.checkpoint_interval:
             return
-        self._checkpoints = {
-            server.sid: {name: _copy(rows) for name, rows in server.storage.items()}
-            for server in self.cluster.servers
-        }
-        self._checkpoint_round = ordinal
-        self._log.clear()
-        self.stats.checkpoints_taken += 1
+        self._checkpoint(view)
+        if ordinal not in self._checkpointed:
+            self._checkpointed.add(ordinal)
+            self.stats.checkpoints_taken += 1
 
-    def _apply_channel_fault(self, rnd: "RoundContext", fault: ChannelFault) -> None:
-        dest = fault.dest % self.cluster.p
+    def _checkpoint(self, view: "Cluster") -> None:
+        """Checkpoint ``view``'s servers as they are; their logs restart."""
+        for server in view.servers:
+            self._checkpoints[server.sid] = {
+                name: _copy(rows) for name, rows in server.storage.items()
+            }
+            self._log.pop(server.sid, None)
+
+    def _apply_channel_fault(
+        self, rnd: "RoundContext", fault: ChannelFault, dest: int
+    ) -> None:
         buffers = rnd._buffers[dest]
         if fault.fragment is None:
             fragments = sorted(buffers)
@@ -513,7 +548,7 @@ class FaultController:
             affected = min(fault.count, len(buffers[fragment]))
             if not affected:
                 continue
-            self._route_to_worker(dest)
+            self._route_to_worker(rnd._cluster, dest)
             if not recovered:
                 # The corruption goes through: it rewrites this one buffer,
                 # slicing its columns in arrival order.
@@ -536,49 +571,43 @@ class FaultController:
                     buffers[fragment] = ChunkedColumns([[c, c[:affected]] for c in columns])
                     self.stats.unrecovered += affected
 
-    def _crash(self, rnd: "RoundContext", ordinal: int, sid: int) -> None:
-        """Wipe ``sid`` at the barrier; restore, roll forward, re-execute."""
-        server = self.cluster.servers[sid]
+    def _crash(self, rnd: "RoundContext", ordinal: int, index: int) -> None:
+        """Wipe the view's server ``index`` at the barrier; restore, roll
+        forward, re-execute."""
+        server = rnd._cluster.servers[index]
         lost = server.local_size()
         server.storage.clear()
         self.stats.crashes += 1
-        self._route_to_worker(sid)
+        self._route_to_worker(rnd._cluster, index)
         if not self.plan.recovery.enabled:
             # The server restarts empty; its round-k messages died with it.
-            buffers = rnd._buffers[sid]
+            buffers = rnd._buffers[index]
             incoming = sum(len(rows) for rows in buffers.values())
             for fragment, rows in buffers.items():
                 buffers[fragment] = ChunkedColumns([[blocks[0][:0]] for blocks in rows.chunks])
             self.stats.unrecovered += lost + incoming
             return
         # 1. Restore the latest barrier-entry checkpoint.
-        snapshot = self._checkpoints.get(sid, {})
+        snapshot = self._checkpoints.get(server.sid, {})
         restored = 0
         for fragment, rows in snapshot.items():
             server.storage[fragment] = _copy(rows)
             restored += len(rows)
         self.stats.checkpoint_restores += 1
         self.stats.recovery_load += restored
-        # 2. Roll forward: replay logged deliveries/scatters since the
-        #    checkpoint, in chronological order.
+        # 2. Roll forward: replay the deliveries and scatters logged since
+        #    the checkpoint, in chronological order.
         replayed_rounds: set[int] = set()
-        for event in self._log:
-            if event[0] == "deliver":
-                _, event_ordinal, event_sid, fragment, rows = event
-                if event_sid != sid or event_ordinal >= ordinal:
+        for event_ordinal, fragment, rows in self._log.get(server.sid, ()):
+            if event_ordinal is not None:
+                if event_ordinal >= ordinal:
                     continue
-                server.append(fragment, _copy(rows))
-                self.stats.recovery_load += len(rows)
                 replayed_rounds.add(event_ordinal)
-            else:
-                _, event_sid, fragment, rows = event
-                if event_sid != sid:
-                    continue
-                server.append(fragment, _copy(rows))
-                self.stats.recovery_load += len(rows)
+            server.append(fragment, _copy(rows))
+            self.stats.recovery_load += len(rows)
         # 3. Speculatively re-execute the crashed round: its inputs are
         #    still buffered at the barrier, so the ordinary delivery that
         #    follows completes the round; only the overhead is charged.
-        incoming = sum(len(rows) for rows in rnd._buffers[sid].values())
+        incoming = sum(len(rows) for rows in rnd._buffers[index].values())
         self.stats.recovery_load += incoming
         self.stats.rounds_replayed += len(replayed_rounds) + 1

@@ -77,7 +77,7 @@ class RoundStats:
 
 
 class CounterStats:
-    """``merged``/``snapshot``/``delta`` for a stats dataclass.
+    """``add``/``snapshot``/``delta`` for a stats dataclass.
 
     Each walks the subclass's additive ``_COUNTERS``, so a new counter
     cannot be silently dropped from any of them.
@@ -94,17 +94,6 @@ class CounterStats:
         for name in self._COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name, 0))
 
-    @classmethod
-    def merged(cls, parts: list):
-        """Sum of the non-``None`` parts, labels from the first (``None`` if none)."""
-        total = None
-        for part in parts:
-            if part is not None:
-                if total is None:
-                    total = part._blank()
-                total.add(part)
-        return total
-
     def delta(self, since):
         """Counters accumulated after ``since`` was snapshotted."""
         diff = self._blank()
@@ -119,7 +108,7 @@ class CounterStats:
 
 @dataclass
 class ExecStats(CounterStats):
-    """Execution-backend accounting, mergeable across workers and runs.
+    """Execution-backend accounting, summed over a run's dispatches.
 
     Counters cover only work dispatched through the backend layer
     (:meth:`repro.mpc.cluster.Cluster.map_servers`); purely inline loops
@@ -181,7 +170,7 @@ class ExecStats(CounterStats):
 
 @dataclass
 class MemoStats(CounterStats):
-    """Memoization accounting, mergeable across runs.
+    """Memoization accounting of a run.
 
     ``hash_ops`` counts rows x hashed-dimensions actually pushed through
     the bucket kernels (on the replay and the per-server path alike, so
@@ -208,10 +197,6 @@ class MemoStats(CounterStats):
     def any_activity(self) -> bool:
         return any(getattr(self, name) for name in self._COUNTERS)
 
-    @classmethod
-    def merged(cls, parts: "list[MemoStats | None]") -> "MemoStats":
-        return super().merged(parts) or cls()
-
     def summary(self) -> str:
         """One-line counter summary (appended to trace()/summary())."""
         return (
@@ -233,9 +218,8 @@ class RunStats:
     faults: "FaultStats | None" = None
     exec: "ExecStats | None" = None
     memo: MemoStats = field(default_factory=MemoStats)
-    # Sizes of the disjoint server pools the rounds ran on, when a run
-    # laid several sub-runs out side by side (SkewHC: one per residual, 0
-    # for a residual that needed no server); ``None`` = one pool of ``p``.
+    # Sizes of SkewHC's side-by-side server pools, one per residual (0
+    # for a residual that needed no server); ``None`` = no residual pools.
     pools: "list[int] | None" = None
 
     @property

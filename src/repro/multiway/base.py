@@ -1,26 +1,25 @@
-"""Shared result type and charged communication primitives for multiway plans.
+"""Shared result type and the charged one-round steps of multiway plans.
 
-Multi-round algorithms compose three charged one-round primitives:
+A plan builds one cluster for its query and composes two steps on it:
 
-- :func:`shuffle_join` — hash-partition two relations by their shared key
-  and join locally (the step of an iterative binary plan;
-  :func:`join_step` falls back to the grid product when the two sides
-  share no attribute);
-- :func:`shuffle_semijoin` — reduce a target relation by a reducer's
-  distinct keys (one Yannakakis/GYM semijoin);
-- :func:`shuffle_multi_semijoin` — reduce a target by several reducers
-  sharing the same key attributes in a single round (optimized GYM).
+- :func:`join_step` — hash-partition two relations by their shared key
+  and join locally, or the grid product when they share no attribute
+  (the step of an iterative binary plan);
+- :func:`semijoin_step` — reduce a target by several reducers sharing
+  the same key attributes in one round, skew-aware (one Yannakakis/GYM
+  semijoin, or optimized GYM's simultaneous ones).
 
-Each primitive runs on a fresh cluster of ``p`` servers: inputs are
-scattered (free, per the model's initial-placement grant), the shuffle is
-charged, locals are computed, and the result is returned with the round's
-:class:`RunStats`. Plans stitch phases together with
-:func:`~repro.mpc.cluster.combine_sequential` (same servers, consecutive
-rounds) and :func:`on_pools` (steps side by side on disjoint server
-pools, simultaneous rounds) — the one place that decides how parallel
-steps share the ``p`` servers. Charging every phase's full shuffle is
-slightly conservative — a real engine reuses co-partitioning — but keeps
-the accounting identical across algorithms.
+Inputs are scattered (free, per the model's initial-placement grant),
+the shuffle is charged, locals are computed and the result is gathered.
+Steps follow one another on the same servers
+(:meth:`~repro.mpc.cluster.Cluster.step`) or run side by side on pools,
+server ranges whose k-th rounds are one round of the cluster
+(:func:`on_pools` — the one place that decides how parallel steps share
+the servers). :func:`shuffle_join`, :func:`shuffle_semijoin` and
+:func:`shuffle_multi_semijoin` are one step on a cluster of their own.
+Charging every phase's full shuffle is slightly conservative — a real
+engine reuses co-partitioning — but keeps the accounting identical
+across algorithms.
 """
 
 from __future__ import annotations
@@ -33,14 +32,15 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.cartesian import cartesian_product
+from repro.joins.base import join_schemas
+from repro.joins.cartesian import cartesian_on_cluster
 from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
 from repro.kernels.join import code_key_columns, cut_at_tags, locate, stack_tagged
 from repro.kernels.memo import degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
-from repro.mpc.cluster import Cluster, combine_parallel
+from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
 
@@ -62,21 +62,20 @@ class MultiwayRun:
         return self.stats.num_rounds
 
 
-def on_pools(p: int, ops: Sequence, weights: Sequence[float],
-             run: Callable[[Any, int], tuple[Any, RunStats]]) -> tuple[list, RunStats]:
-    """Run independent steps side by side on disjoint pools of ``p`` servers.
+def on_pools(cluster: Cluster, ops: Sequence, weights: Sequence[float], seed: int,
+             run: Callable[[Any, Cluster], Any]) -> list:
+    """Run independent steps side by side on pools of ``cluster``.
 
     Pools are sized in proportion to the weights
-    (:func:`~repro.joins.heavy.allocate_servers`: at least one server per
-    op, so more ops than servers oversubscribe), ``run(op, pool size)``
-    gives each op's ``(result, stats)``, and the rounds combine as
-    simultaneous (:func:`~repro.mpc.cluster.combine_parallel`); one op is
-    its own run on all ``p`` servers. Returns the results in op order and
-    the combined cost.
+    (:func:`~repro.joins.heavy.allocate_servers` of ``cluster.p``: at
+    least one server per op, so more ops than servers oversubscribe),
+    ``run(op, pool)`` runs each op on its pool, hashing with the
+    functions of ``seed``, and the k-th rounds of the pools are one round
+    (:meth:`~repro.mpc.cluster.Cluster.side_by_side`); one op is a step on
+    all the servers. Returns the results in op order.
     """
-    pools = allocate_servers([max(weight, 1) for weight in weights], p)
-    runs = [run(op, size) for op, size in zip(ops, pools)]
-    return [result for result, _ in runs], combine_parallel(p, [stats for _, stats in runs])
+    sizes = allocate_servers([max(weight, 1) for weight in weights], cluster.p)
+    return cluster.side_by_side(sizes, seed, lambda i, pool: run(ops[i], pool))
 
 
 def shuffle_join(
@@ -87,21 +86,17 @@ def shuffle_join(
     label: str = "join",
 ) -> tuple[Relation, RunStats]:
     """One-round hash join; returns the (gathered) result ``J`` and its cost."""
-    return one_round_hash_join(r, s, p, seed, label, "J")
+    cluster = Cluster(p, seed=seed)
+    return one_round_hash_join(cluster, r, s, label, "J"), cluster.stats
 
 
-def join_step(
-    left: Relation,
-    right: Relation,
-    p: int,
-    seed: int = 0,
-    label: str = "join",
-) -> tuple[Relation, RunStats]:
-    """One step of a binary plan: hash join on the shared key, else grid product."""
+def join_step(cluster: Cluster, left: Relation, right: Relation, label: str = "join") -> Relation:
+    """One step of a binary plan on ``cluster``: hash join on the shared
+    key (gathered as ``J``), else grid product (gathered as ``OUT``)."""
     if left.schema.common(right.schema):
-        return shuffle_join(left, right, p, seed=seed, label=label)
-    run = cartesian_product(left, right, p, seed=seed)
-    return run.output, run.stats
+        return one_round_hash_join(cluster, left, right, label, "J")
+    cartesian_on_cluster(cluster, left, right)
+    return cluster.gather_relation("out", "OUT", join_schemas(left, right)[1])
 
 
 def shuffle_semijoin(
@@ -122,7 +117,16 @@ def shuffle_multi_semijoin(
     seed: int = 0,
     label: str = "semijoin",
 ) -> tuple[Relation, RunStats]:
-    """Reduce ``target`` by several reducers in a single round, skew-aware.
+    """Reduce ``target`` by several reducers in a single round, skew-aware:
+    :func:`semijoin_step` on a cluster of its own."""
+    cluster = Cluster(p, seed=seed)
+    return semijoin_step(cluster, target, reducers, label), cluster.stats
+
+
+def semijoin_step(
+    cluster: Cluster, target: Relation, reducers: list[Relation], label: str = "semijoin"
+) -> Relation:
+    """Reduce ``target`` by several reducers in one round on ``cluster``, skew-aware.
 
     All reducers must share the *same* key attributes with the target (a
     GYM parent whose children attach through one variable set — slide 90's
@@ -146,7 +150,7 @@ def shuffle_multi_semijoin(
         )
     shared = keys[0]
     t_idx = target.schema.indices(shared)
-    cluster = Cluster(p, seed=seed)
+    p = cluster.p
 
     # Heavy keys by target degree (statistics assumed known, as in the
     # tutorial's skew algorithms; a real engine samples them), as columns
@@ -205,8 +209,7 @@ def shuffle_multi_semijoin(
     )
     for server, survivors in zip(cluster.servers, results):
         server.append_result("out", survivors)
-    result = cluster.gather_relation("out", target.name, target.schema.attributes)
-    return result, cluster.stats
+    return cluster.gather_relation("out", target.name, target.schema.attributes)
 
 
 def _route_light(

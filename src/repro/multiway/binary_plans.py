@@ -16,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.memo import align, bound
-from repro.mpc.cluster import combine_sequential
+from repro.mpc.cluster import Cluster
 from repro.multiway.base import MultiwayRun, join_step
 from repro.query.cq import ConjunctiveQuery
 
@@ -40,20 +40,18 @@ def binary_join_plan(
             f"join order {atom_order} does not cover the query atoms exactly"
         )
 
+    cluster = Cluster(p, seed=seed)
     current = align(query.atom(atom_order[0]), bound(relations, atom_order[0]))
-    runs = []
     intermediate_sizes = [len(current)]
     for step, name in enumerate(atom_order[1:], start=1):
         rel = align(query.atom(name), bound(relations, name))
-        current, stats = join_step(
-            current, rel, p, seed=seed + step, label=f"join-{name}"
-        )
-        runs.append(stats)
+        with cluster.step(seed + step) as view:
+            current = join_step(view, current, rel, label=f"join-{name}")
         intermediate_sizes.append(len(current))
 
     output = current.project(list(query.variables), name="OUT")
     return MultiwayRun(
         output,
-        combine_sequential(p, runs),
+        cluster.stats,
         {"order": atom_order, "intermediate_sizes": intermediate_sizes},
     )

@@ -5,7 +5,7 @@ GYM runs Yannakakis' three phases as MPC rounds:
 - **vanilla** — one semijoin or join per round, sequentially:
   r = O(n) rounds, L = O((IN + OUT)/p) (slides 80–89);
 - **optimized** — independent operations share rounds: all semijoins of
-  one tree level run simultaneously on disjoint server pools (a parent
+  one tree level run simultaneously on side-by-side server pools (a parent
   reduced by several same-key children needs just one round — the
   intersect trick of slides 90–92), and each join level is a single
   one-round HyperCube of a node with its children's results (slide 93's
@@ -14,6 +14,9 @@ GYM runs Yannakakis' three phases as MPC rounds:
 For GHDs of width w > 1 each node's *bag* is first materialized by
 joining its cover atoms — the source of the IN^w term in the trade-off
 r = O(d), L = O((IN^w + OUT)/p) of slide 95.
+
+Every phase runs on the query's one cluster, in order; a round's pools
+are server ranges of it (:func:`~repro.multiway.base.on_pools`).
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from collections.abc import Mapping
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.memo import align, bound, project_view
-from repro.mpc.cluster import combine_sequential
-from repro.mpc.stats import RunStats
-from repro.multiway.base import MultiwayRun, join_step, on_pools, shuffle_multi_semijoin
-from repro.multiway.hypercube import hypercube_join
+from repro.mpc.cluster import Cluster
+from repro.multiway.base import MultiwayRun, join_step, on_pools, semijoin_step
+from repro.multiway.hypercube import hypercube_on
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.ghd import GHD, GHDNode
 from repro.query.shape import shape
@@ -59,25 +61,24 @@ def gym(
     cover_uses = [name for node in ghd.nodes() for name in node.cover]
     set_semantics = len(cover_uses) != len(set(cover_uses))
 
-    phases: list[RunStats] = []
-    working, materialize_stats = _materialize_bags(
-        query, relations, ghd, p, seed,
+    cluster = Cluster(p, seed=seed)
+    working = _materialize_bags(
+        query, relations, ghd, cluster, seed,
         parallel=(variant == "optimized"),
         dedupe=set_semantics,
     )
-    phases.extend(materialize_stats)
 
     levels = ghd.levels()
-    phases.extend(full_reducer(working, levels, p, (seed, seed + 1000), variant))
+    full_reducer(working, levels, cluster, (seed, seed + 1000), variant)
 
     # Join phase, bottom-up.
-    phases.extend(_join_phase(working, levels, p, seed + 2000, variant))
+    _join_phase(working, levels, cluster, seed + 2000, variant)
 
     result = working[id(ghd.root)]
     output = result.project(list(query.variables), name="OUT")
     return MultiwayRun(
         output,
-        combine_sequential(p, phases),
+        cluster.stats,
         {
             "variant": variant,
             "width": ghd.width,
@@ -94,11 +95,11 @@ def _materialize_bags(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     ghd: GHD,
-    p: int,
+    cluster: Cluster,
     seed: int,
     parallel: bool,
     dedupe: bool = False,
-) -> tuple[dict[int, Relation], list[RunStats]]:
+) -> dict[int, Relation]:
     """Join each node's cover atoms and project to its bag.
 
     Width-1 nodes cost nothing. Wider nodes run one join per step; in
@@ -118,24 +119,20 @@ def _materialize_bags(
         else:
             pending.append((node, _greedy_join_order(covers)))
 
-    phases: list[RunStats] = []
     step = 0
     current: dict[int, Relation] = {
         id(node): covers[0] for node, covers in pending
     }
 
-    def join_next(task: tuple[GHDNode, list[Relation]], p_op: int) -> tuple[Relation, RunStats]:
+    def join_next(task: tuple[GHDNode, list[Relation]], pool: Cluster) -> Relation:
         node, covers = task
-        return join_step(
-            current[id(node)], covers[step], p_op, seed=seed + step, label=f"bag-join-{step}"
-        )
+        return join_step(pool, current[id(node)], covers[step], label=f"bag-join-{step}")
 
     while pending:
         step += 1
         for wave in [pending] if parallel else [[task] for task in pending]:
             weights = [len(current[id(node)]) + len(covers[step]) for node, covers in wave]
-            joined, stats = on_pools(p, wave, weights, join_next)
-            phases.append(stats)
+            joined = on_pools(cluster, wave, weights, seed + step, join_next)
             for (node, covers), rel in zip(wave, joined):
                 current[id(node)] = rel
                 if step == len(covers) - 1:
@@ -143,7 +140,7 @@ def _materialize_bags(
         pending = [
             (node, covers) for node, covers in pending if id(node) not in working
         ]
-    return working, phases
+    return working
 
 
 def _greedy_join_order(covers: list[Relation]) -> list[Relation]:
@@ -174,38 +171,33 @@ def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation
 def full_reducer(
     working: dict[int, Relation],
     levels: list[list[GHDNode]],
-    p: int,
+    cluster: Cluster,
     seeds: tuple[int, int],
     variant: str = "optimized",
-) -> list[RunStats]:
-    """Yannakakis' full reducer: the upward, then the downward semijoin sweep.
+) -> None:
+    """Yannakakis' full reducer on ``cluster``: the upward, then the
+    downward semijoin sweep.
 
     ``working`` maps ``id(node)`` to the node's relation and is reduced
     in place; ``levels`` is :meth:`~repro.query.ghd.GHD.levels`;
     ``seeds`` are the (upward, downward) hash seeds.
     """
     up_seed, down_seed = seeds
-    phases: list[RunStats] = []
     # Deepest level first: each level reduces the one above it.
     for depth in range(len(levels) - 1, 0, -1):
-        phases.extend(
-            _semijoin_level(working, levels[depth - 1], p, up_seed, variant, "up")
-        )
+        _semijoin_level(working, levels[depth - 1], cluster, up_seed, variant, "up")
     for depth in range(len(levels) - 1):
-        phases.extend(
-            _semijoin_level(working, levels[depth], p, down_seed, variant, "down")
-        )
-    return phases
+        _semijoin_level(working, levels[depth], cluster, down_seed, variant, "down")
 
 
 def _semijoin_level(
     working: dict[int, Relation],
     parents: list[GHDNode],
-    p: int,
+    cluster: Cluster,
     seed: int,
     variant: str,
     direction: str,
-) -> list[RunStats]:
+) -> None:
     """All semijoins between one tree level and the next.
 
     ``direction="up"``: each parent is reduced by all its children;
@@ -245,20 +237,15 @@ def _semijoin_level(
     else:
         waves = [[(target, [reducer])] for target, reducers in tasks for reducer in reducers]
 
-    def reduce(task: tuple[GHDNode, list[Relation]], p_op: int):
+    def reduce(task: tuple[GHDNode, list[Relation]], pool: Cluster) -> Relation:
         target, reducers = task
-        return shuffle_multi_semijoin(
-            working[id(target)], reducers, p_op, seed=seed, label=f"semijoin-{direction}"
-        )
+        return semijoin_step(pool, working[id(target)], reducers, label=f"semijoin-{direction}")
 
-    phases: list[RunStats] = []
     for wave in waves:
         weights = [len(working[id(t)]) + sum(len(r) for r in reds) for t, reds in wave]
-        reduced, stats = on_pools(p, wave, weights, reduce)
-        phases.append(stats)
+        reduced = on_pools(cluster, wave, weights, seed, reduce)
         for (target, _reducers), rel in zip(wave, reduced):
             working[id(target)] = rel
-    return phases
 
 
 # ------------------------------------------------------------- join phase
@@ -267,12 +254,11 @@ def _semijoin_level(
 def _join_phase(
     working: dict[int, Relation],
     levels: list[list[GHDNode]],
-    p: int,
+    cluster: Cluster,
     seed: int,
     variant: str,
-) -> list[RunStats]:
+) -> None:
     """Bottom-up joins. Optimized: one HyperCube round per level."""
-    phases: list[RunStats] = []
     for depth in range(len(levels) - 1, 0, -1):
         parents = [n for n in levels[depth - 1] if n.children]
         if not parents:
@@ -282,30 +268,23 @@ def _join_phase(
                 len(working[id(parent)]) + sum(len(working[id(c)]) for c in parent.children)
                 for parent in parents
             ]
-            merged, stats = on_pools(
-                p, parents, weights,
-                lambda parent, p_op: _hypercube_merge(working, parent, p_op, seed + depth),
+            merged = on_pools(
+                cluster, parents, weights, seed + depth,
+                lambda parent, pool: _hypercube_merge(working, parent, pool),
             )
-            phases.append(stats)
             for parent, rel in zip(parents, merged):
                 working[id(parent)] = rel
         else:
             for parent in parents:
                 result = working[id(parent)]
                 for child in parent.children:
-                    result, stats = join_step(
-                        result, working[id(child)], p,
-                        seed=seed + depth, label="join-up",
-                    )
-                    phases.append(stats)
+                    with cluster.step(seed + depth) as step:
+                        result = join_step(step, result, working[id(child)], label="join-up")
                 working[id(parent)] = result
-    return phases
 
 
-def _hypercube_merge(
-    working: dict[int, Relation], parent: GHDNode, p: int, seed: int
-) -> tuple[Relation, RunStats]:
-    """Join a parent with all its children's results in one round."""
+def _hypercube_merge(working: dict[int, Relation], parent: GHDNode, pool: Cluster) -> Relation:
+    """Join a parent with all its children's results in one round on ``pool``."""
     parts = [working[id(parent)]] + [working[id(c)] for c in parent.children]
     atoms = []
     rels: dict[str, Relation] = {}
@@ -313,6 +292,4 @@ def _hypercube_merge(
         name = f"P{i}"
         atoms.append(Atom(name, list(rel.schema.attributes)))
         rels[name] = rel.rename({}, name=name)
-    subquery = ConjunctiveQuery(atoms)
-    run = hypercube_join(subquery, rels, p, seed=seed)
-    return run.output, run.stats
+    return hypercube_on(pool, ConjunctiveQuery(atoms), rels)[0]

@@ -83,6 +83,20 @@ def hypercube_join(
     process backend the grid servers of a worker's range evaluate
     concurrently; column blocks ride shared memory).
     """
+    cluster = Cluster(p, seed=seed)
+    output, details = hypercube_on(cluster, query, relations, shares)
+    return MultiwayRun(output, cluster.stats, details)
+
+
+def hypercube_on(
+    cluster: Cluster,
+    query: ConjunctiveQuery,
+    relations: Mapping[str, Relation],
+    shares: dict[str, int] | None = None,
+) -> tuple[Relation, dict]:
+    """:func:`hypercube_join`'s round on ``cluster``'s servers: the
+    gathered output and the run's ``details``."""
+    p = cluster.p
     rels = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     sizes = {name: len(rel) for name, rel in rels.items()}
     assignment: ShareAssignment | None = None
@@ -105,7 +119,6 @@ def hypercube_join(
     if grid.size > p:
         raise QueryError(f"shares {shares} need {grid.size} servers, only {p} given")
 
-    cluster = Cluster(p, seed=seed)
     var_position = {v: i for i, v in enumerate(query.variables)}
 
     # Scatter inputs (free), then the single replication round.
@@ -127,7 +140,7 @@ def hypercube_join(
     details: dict = {"shares": dict(shares)}
     if assignment is not None:
         details["assignment"] = assignment
-    return MultiwayRun(output, cluster.stats, details)
+    return output, details
 
 
 def hypercube_eval_chunk(payloads: list, query: ConjunctiveQuery) -> list:

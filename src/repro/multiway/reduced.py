@@ -18,10 +18,10 @@ from collections.abc import Mapping
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.memo import align, bound
-from repro.mpc.cluster import combine_sequential
+from repro.mpc.cluster import Cluster
 from repro.multiway.base import MultiwayRun
 from repro.multiway.gym import full_reducer
-from repro.multiway.hypercube import hypercube_join
+from repro.multiway.hypercube import hypercube_on
 from repro.query.cq import ConjunctiveQuery
 from repro.query.ghd import GHD, width1_ghd
 
@@ -52,18 +52,20 @@ def reduced_hypercube(
     original_sizes = {node.cover[0]: len(working[id(node)]) for node in nodes}
 
     # GYM's reducer (every level's semijoins in parallel on
-    # proportionally allocated pools) under this plan's own seeds.
-    phases = full_reducer(working, ghd.levels(), p, (seed, seed + 500))
+    # proportionally allocated pools) under this plan's own seeds, then
+    # the HyperCube round on the same cluster.
+    cluster = Cluster(p, seed=seed)
+    full_reducer(working, ghd.levels(), cluster, (seed, seed + 500))
 
     reduced = {node.cover[0]: working[id(node)] for node in nodes}
-    hc = hypercube_join(query, reduced, p, seed=seed + 999)
-    phases.append(hc.stats)
+    with cluster.step(seed + 999) as step:
+        output, details = hypercube_on(step, query, reduced)
 
     reduction = {
         name: (original_sizes[name], len(rel)) for name, rel in reduced.items()
     }
     return MultiwayRun(
-        hc.output,
-        combine_sequential(p, phases),
-        {"reduction": reduction, "shares": hc.details.get("shares")},
+        output,
+        cluster.stats,
+        {"reduction": reduction, "shares": details.get("shares")},
     )

@@ -22,8 +22,8 @@ import numpy as np
 from repro.data.relation import Relation, union_all
 from repro.kernels.columnar import column_of
 from repro.kernels.memo import counts_at, grouped, ordered
-from repro.mpc.cluster import combine_sequential
-from repro.multiway.base import MultiwayRun, on_pools, shuffle_multi_semijoin, shuffle_semijoin
+from repro.mpc.cluster import Cluster
+from repro.multiway.base import MultiwayRun, on_pools, semijoin_step
 from repro.query.cq import triangle_query, two_path_query
 
 
@@ -40,14 +40,16 @@ def two_path_semijoin_plan(
     O(IN) tuples total, so L = O(IN/p) regardless of skew — while any
     one-round algorithm needs IN/p^{1/2} (ψ* = 2).
     """
-    tmp, stats1 = shuffle_semijoin(s, r, p, seed=seed, label="semijoin-R")
-    reduced, stats2 = shuffle_semijoin(tmp, t, p, seed=seed + 1, label="semijoin-T")
+    cluster = Cluster(p, seed=seed)
+    with cluster.step(seed) as step:
+        tmp = semijoin_step(step, s, [r], label="semijoin-R")
+    with cluster.step(seed + 1) as step:
+        reduced = semijoin_step(step, tmp, [t], label="semijoin-T")
     # Bag semantics: each surviving S tuple joins every matching R and T copy.
     x, y = reduced.project(["x", "y"]).columns()
     times = _times(r, "x", x) * _times(t, "y", y)
     output = Relation.from_columns("OUT", ["x", "y"], [np.repeat(x, times), np.repeat(y, times)])
-    run_stats = combine_sequential(p, [stats1, stats2])
-    return MultiwayRun(output, run_stats, {"query": str(two_path_query())})
+    return MultiwayRun(output, cluster.stats, {"query": str(two_path_query())})
 
 
 def triangle_hl_semijoin(
@@ -65,7 +67,7 @@ def triangle_hl_semijoin(
     each heavy value gets a two-round semijoin residual on its own
     allocation. Worst-case optimal: r = 2, L = O(IN/p^{2/3}).
     """
-    from repro.multiway.hypercube import hypercube_join
+    from repro.multiway.hypercube import hypercube_on
 
     n = max(len(r), len(s), len(t))
     if threshold is None:
@@ -86,49 +88,46 @@ def triangle_hl_semijoin(
     light_in = len(r) + len(s_light) + len(t_light)
     heavy_in = (len(s) - len(s_light)) + (len(t) - len(t_light)) + len(r)
 
-    def light(p_side: int) -> tuple[list, Any]:
-        run = hypercube_join(
-            triangle_query(), {"R": r, "S": s_light, "T": t_light}, p_side, seed=seed
+    def light(pool: Cluster) -> list:
+        output, _details = hypercube_on(
+            pool, triangle_query(), {"R": r, "S": s_light, "T": t_light}
         )
-        return [run.output.columns()], run.stats
+        return [output.columns()]
 
-    def heavy_residuals(p_side: int) -> tuple[list, Any]:
+    def heavy_residuals(pool: Cluster) -> list:
         return on_pools(
-            p_side, heavy_z, [degree for _, degree in pairs],
-            lambda z_value, p_z: _heavy_z_residual(r, s, t, z_value, p_z, seed),
+            pool, heavy_z, [degree for _, degree in pairs], seed,
+            lambda z_value, pool_z: _heavy_z_residual(pool_z, r, s, t, z_value, seed),
         )
 
     sides, weights = [light], [light_in]
     if heavy_z:
         sides, weights = [light, heavy_residuals], [light_in, heavy_in]
-    parts, stats = on_pools(p, sides, weights, lambda side, p_side: side(p_side))
+    cluster = Cluster(p, seed=seed)
+    parts = on_pools(cluster, sides, weights, seed, lambda side, pool: side(pool))
     columns = [part for side_parts in parts for part in side_parts]
     output = Relation.from_chunks("OUT", ["x", "y", "z"], list(zip(*columns)))
-    return MultiwayRun(output, stats, {"heavy_z": heavy_z, "threshold": threshold})
+    return MultiwayRun(output, cluster.stats, {"heavy_z": heavy_z, "threshold": threshold})
 
 
 def _heavy_z_residual(
-    r: Relation, s: Relation, t: Relation, z_value: Any, p: int, seed: int
-) -> tuple[list[np.ndarray], Any]:
-    """q(z=h): R(x,y) ⋉ S'(y) ⋉ T'(x) via two semijoin rounds (slide 59);
-    the output's (x, y, z) columns and the cost."""
+    pool: Cluster, r: Relation, s: Relation, t: Relation, z_value: Any, seed: int
+) -> list[np.ndarray]:
+    """q(z=h): R(x,y) ⋉ S'(y) ⋉ T'(x) via two semijoin rounds (slide 59)
+    on ``pool``; the output's (x, y, z) columns."""
     s_h = s.select(lambda row: row[1] == z_value).project(["y"], name="Sh")
     t_h = t.select(lambda row: row[0] == z_value).project(["x"], name="Th")
     if not len(s_h) or not len(t_h):
-        from repro.mpc.stats import RunStats
-
-        return [np.empty(0, np.int64)] * 3, RunStats(p)
-    reduced, stats = shuffle_multi_semijoin(
-        r, [s_h], p, seed=seed, label="semijoin-S@z"
-    )
-    reduced, stats2 = shuffle_semijoin(
-        reduced, t_h, p, seed=seed + 1, label="semijoin-T@z"
-    )
+        return [np.empty(0, np.int64)] * 3
+    with pool.step(seed) as step:
+        reduced = semijoin_step(step, r, [s_h], label="semijoin-S@z")
+    with pool.step(seed + 1) as step:
+        reduced = semijoin_step(step, reduced, [t_h], label="semijoin-T@z")
     # Multiplicity: bag semantics count matching S and T tuples per (x,y).
     x, y = reduced.project(["x", "y"]).columns()
     times = _times(s_h, "y", y) * _times(t_h, "x", x)
     z = np.repeat(column_of([z_value]), int(times.sum()))
-    return [np.repeat(x, times), np.repeat(y, times), z], combine_sequential(p, [stats, stats2])
+    return [np.repeat(x, times), np.repeat(y, times), z]
 
 
 def _times(rel: Relation, attribute: str, column: np.ndarray) -> np.ndarray:

@@ -42,8 +42,7 @@ from repro.kernels.columnar import column_of
 from repro.kernels.join import lookup_codes
 from repro.kernels.memo import align, bound, cached_view, degree_view, ordered, route_pools
 from repro.kernels.partition import stable_groups
-from repro.mpc.cluster import Cluster, combine_parallel
-from repro.mpc.stats import MemoStats
+from repro.mpc.cluster import Cluster
 from repro.mpc.topology import Grid
 from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import evaluate_pools
@@ -91,59 +90,61 @@ def skewhc_join(
     """SkewHC evaluation of a full conjunctive query on ``p`` servers.
 
     ``threshold`` defaults to the tutorial's N/p with N the largest
-    relation. The residuals run on disjoint pools of one cluster, in job
-    order, so the cost is one ``hypercube`` round whose ``received`` lists
-    every pool's servers: ``r = 1`` with ``L`` the max over residuals.
-    ``details["allocation"]`` is the pool size per residual (0 when every
-    variable is bound) — each is at least one server, so more residuals
-    than servers oversubscribe ``p``.
+    relation. The residuals run on side-by-side pools of the query's one
+    cluster, in job order, so the cost is one ``hypercube`` round whose
+    ``received`` lists every pool's servers: ``r = 1`` with ``L`` the max
+    over residuals. ``details["allocation"]`` is the pool size per
+    residual (0 when every variable is bound) — each is at least one
+    server, so more residuals than servers take servers past ``p - 1``
+    (``stats.p`` stays ``p``).
     """
     relations = {a.name: align(a, bound(relations, a.name)) for a in query.atoms}
     n_max = max((len(r) for r in relations.values()), default=0)
     if threshold is None:
         threshold = max(n_max / p, 1.0)
-    memo = MemoStats()
+    cluster = Cluster(p, seed=seed)
     # Heavy sets, residuals, pools and share grids follow from the
     # relations' contents: one view of all of them.
     heavy, jobs, routes = cached_view(
         tuple(relations.values()),
         ("skewhc", tuple(query.atoms), p, threshold, max_combinations),
-        lambda: _plan(query, relations, p, threshold, max_combinations), memo,
+        lambda: _plan(query, relations, p, threshold, max_combinations), cluster.stats.memo,
     )
     patterns = [list(g) for _, g in itertools.groupby(jobs, key=lambda job: job.residual)]
     allocation = [job.servers for job in jobs]
     parts: list[Relation] = []
-    runs = []
-    if any(allocation):
-        cluster = Cluster(sum(allocation), seed=seed)
-        cluster.stats.memo = memo
-        salts = [cluster.hash_function(i, 1).salt for i in range(len(query.variables))]
-        with cluster.round("hypercube") as rnd:
+
+    def residuals(_: int, pools: Cluster) -> None:
+        salts = [pools.hash_function(i, 1).salt for i in range(len(query.variables))]
+        with pools.round("hypercube") as rnd:
             for atom in query.atoms:
                 route_pools(
-                    cluster, rnd, relations[atom.name], routes[atom.name], salts,
+                    pools, rnd, relations[atom.name], routes[atom.name], salts,
                     f"{atom.name}@hc",
                 )
         # One dispatch evaluates every residual (the pools are disjoint,
         # none waits on another): one call, and one gather, per pattern.
         staged = [pattern for pattern in patterns if pattern[0].servers]
         owners = [[job for job in pattern for _ in range(job.grid.size)] for pattern in staged]
-        pools = [
-            ([cluster.servers[job.base + cell] for job in pattern for cell in range(job.grid.size)],
+        evaluated = [
+            ([pools.servers[job.base + cell] for job in pattern for cell in range(job.grid.size)],
              pattern[0].residual, f"out@{','.join(pattern[0].bound)}")
             for pattern in staged
         ]
         for holders, (servers, _, fragment), gathered in zip(
-            owners, pools, evaluate_pools(cluster, pools)
+            owners, evaluated, evaluate_pools(pools, evaluated)
         ):
             lengths = [len(server.get(fragment)) for server in servers]
             parts.append(_expand(query, holders, gathered, lengths))
-        runs.append(cluster.stats)
+
+    if any(allocation):
+        # The residuals' pools sit side by side from server 0, so their
+        # one round spans all of them: one pool of their total size.
+        cluster.side_by_side([sum(allocation)], seed, residuals)
     if patterns and not patterns[-1][0].servers:
         # Every variable bound: the combinations themselves are the output.
         parts.append(_expand(query, patterns[-1], None, [1] * len(patterns[-1])))
-    stats = combine_parallel(p, runs)
-    stats.memo = memo
+    stats = cluster.stats
     stats.pools = allocation
     details = {
         "threshold": threshold, "jobs": len(jobs), "allocation": allocation,

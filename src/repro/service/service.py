@@ -58,7 +58,6 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.kernels.columnar import exact
-from repro.kernels.memo import forget
 from repro.mpc.stats import CounterStats
 from repro.planner.optimizer import plan_query, price_branches
 from repro.query.cq import ConjunctiveQuery
@@ -588,10 +587,6 @@ class QueryService:
             job.cq, {**bindings, name: delta}, self.p, self.seed,
             strategy=job.strategy,
         )
-        # The delta is thrown away: reclaim its plans and views now. The
-        # engine's alignment record of an in-order input holds the input
-        # itself, so they would sit in the LRUs until pushed out.
-        forget(delta)
         if not (exact(base.output.columns()) and exact(result.output.columns())):
             return None
         return [result], merge_branches([base.output, result.output])

@@ -164,9 +164,16 @@ def canonical(relation: Relation, name: str = "OUT") -> Relation:
     """The relation with rows in the canonical (lexicographic) order.
 
     The common total order both sides of the byte-identity check are
-    normalized to; duplicates are preserved (bag semantics).
+    normalized to; duplicates are preserved (bag semantics). Only where
+    Python cannot compare the rows (``str`` beside ``int`` in a column)
+    do they sort by ``(type name, value)`` per cell instead.
     """
-    return relation.sorted_by(relation.schema.attributes, name=name)
+    try:
+        return relation.sorted_by(relation.schema.attributes, name=name)
+    except TypeError:
+        rows = relation.rows_readonly()
+        order = sorted(range(len(rows)), key=lambda i: [(type(v).__name__, v) for v in rows[i]])
+        return Relation.from_columns(name, relation.schema, [c[order] for c in relation.columns()])
 
 
 def merge_branches(outputs: Sequence[Relation], name: str = "OUT") -> Relation:

@@ -657,8 +657,8 @@ def run_case(
     """Execute one entry point on one instance and check every contract.
 
     With ``faults`` the execution happens inside
-    :func:`repro.mpc.faults.faulty`, so every cluster the algorithm
-    builds runs under the plan — with recovery enabled the record must
+    :func:`repro.mpc.faults.faulty`, so the cluster the algorithm builds
+    runs under the plan — with recovery enabled the record must
     come out exactly as a fault-free one (same output, same loads, clean
     audit), which is precisely what ``selftest --faults`` asserts.
     """

@@ -4,7 +4,8 @@
 once per atom and once per heavy/light pattern, as index arithmetic.
 What they replaced lives on here, moved and not rewritten: one restricted
 relation per (atom, heavy combination) filtered by a per-row closure, one
-cluster per residual, one ``send`` and one scalar hash per heavy tuple,
+cluster per residual (their rounds merged by a loop of its own,
+:func:`side_by_side`), one ``send`` and one scalar hash per heavy tuple,
 and one scalar hash and one send per grid-product tuple and cell.
 The equivalence suite (``tests/multiway/test_skew_one_pass.py``) runs
 these against the one-pass code — same output bag, same ``received``
@@ -22,8 +23,8 @@ from typing import Any
 from repro.data.relation import Relation
 from repro.joins.cartesian import optimal_rectangle
 from repro.joins.heavy import allocate_servers
-from repro.mpc.cluster import Cluster, combine_parallel
-from repro.mpc.stats import RunStats
+from repro.mpc.cluster import Cluster
+from repro.mpc.stats import RoundStats, RunStats
 from repro.multiway.base import MultiwayRun
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import find_heavy_values
@@ -31,6 +32,18 @@ from repro.query.cq import ConjunctiveQuery
 from repro.testing.scalar_reference import send_row
 
 Row = tuple[Any, ...]
+
+
+def side_by_side(p: int, runs: list[RunStats]) -> RunStats:
+    """Runs on pools side by side as one: their k-th rounds are one round
+    listing every pool's servers in order, an idle pool's as zeros."""
+    stats = RunStats(p)
+    for k in range(max((len(run.rounds) for run in runs), default=0)):
+        here = [run.rounds[k] if k < len(run.rounds) else RoundStats("", [0] * run.p)
+                for run in runs]
+        labels = dict.fromkeys(rd.label for rd in here if rd.label)
+        stats.rounds.append(RoundStats("+".join(labels), [n for rd in here for n in rd.received]))
+    return stats
 
 
 # ------------------------------------------------------------------- SkewHC
@@ -99,7 +112,7 @@ def reference_skewhc(
     Every combination of heavy values restricts every atom with its own
     row scan and — unless it binds every variable — runs HyperCube on its
     own cluster of ``allocate_servers``' size; the costs combine as
-    parallel runs on disjoint pools. ``relations`` must be in atom order.
+    runs on side-by-side pools. ``relations`` must be in atom order.
     """
     n_max = max((len(r) for r in relations.values()), default=0)
     if threshold is None:
@@ -133,7 +146,7 @@ def reference_skewhc(
         run = hypercube_join(query.residual(list(bound)), restricted, max(p_job, 1), seed=seed)
         rows.extend(remap(query, bound, multiplicity, run))
         runs.append(run.stats)
-    return rows, combine_parallel(p, runs), len(jobs)
+    return rows, side_by_side(p, runs), len(jobs)
 
 
 # ------------------------------------------------------ heavy value products
@@ -146,10 +159,11 @@ def reference_heavy_products(
     heavy_keys: list[Row],
     p: int,
     seed: int = 0,
-) -> tuple[list[Row], list[RunStats]]:
-    """R ⋈ S on the heavy join keys, grouped and placed tuple by tuple."""
+) -> tuple[list[Row], RunStats]:
+    """R ⋈ S on the heavy join keys, grouped and placed tuple by tuple, one
+    cluster per pool."""
     if not heavy_keys:
-        return [], []
+        return [], RunStats(p)
 
     r_idx = r.schema.indices(shared)
     s_idx = s.schema.indices(shared)
@@ -192,7 +206,7 @@ def reference_heavy_products(
         )
         out_rows.extend(rows)
         runs.append(stats)
-    return out_rows, runs
+    return out_rows, side_by_side(p, runs)
 
 
 def _packed_heavy_products(

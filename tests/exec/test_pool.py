@@ -211,13 +211,14 @@ def test_exec_stats_merge():
                   dispatches=3, chunks=6, items=30, shm_bytes_out=100,
                   shm_bytes_in=50, pickle_bytes_out=6, pickle_bytes_in=3,
                   worker_seconds=0.5, fallbacks=1),
-        None,
         ExecStats(backend="process", workers=2,
                   dispatches=1, chunks=2, items=10, shm_bytes_out=20,
                   shm_bytes_in=10, pickle_bytes_out=3, pickle_bytes_in=2,
                   worker_seconds=0.25),
     ]
-    merged = ExecStats.merged(parts)
+    merged = ExecStats(backend="process", workers=2)
+    for part in parts:
+        merged.add(part)
     assert merged.backend == "process" and merged.workers == 2
     assert merged.dispatches == 4
     assert merged.chunks == 8
@@ -228,7 +229,6 @@ def test_exec_stats_merge():
     assert merged.pickle_bytes_in == 5
     assert merged.worker_seconds == pytest.approx(0.75)
     assert merged.fallbacks == 1
-    assert ExecStats.merged([None, None]) is None
 
 
 def test_bytes_per_message_none_when_no_messages():

@@ -514,7 +514,9 @@ def test_a_faulted_warm_repeat_replays_as_the_clean_one(name, plan):
 def test_memo_stats_merge_snapshot_delta_summary():
     a = MemoStats(partition_hits=2, hash_ops=10, bytes_saved=100)
     b = MemoStats(partition_hits=1, view_misses=3)
-    merged = MemoStats.merged([a, None, b])
+    merged = MemoStats()
+    for part in (a, b):
+        merged.add(part)
     assert merged.partition_hits == 3
     assert merged.hash_ops == 10
     assert merged.view_misses == 3

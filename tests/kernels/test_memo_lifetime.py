@@ -213,3 +213,37 @@ class TestColumnsThatStandInForRows:
                for row in server.take(name)]
         assert Counter(got) == Counter([(True,), (False,), (True, 1), (False, 2)])
         assert all(type(row[0]) is bool for row in got)
+
+
+def test_a_relation_only_a_query_saw_dies_with_its_caller():
+    """The engine's in-order alignment record is a marker, not its owner:
+    an entry holding the relation itself would keep it alive for good."""
+    from repro.engine import run_query
+    from repro.query.parser import parse_query
+
+    def query_once():
+        r = _relation(name="R").rename({"x": "a", "y": "b"})
+        s = Relation.from_columns("S", ["b", "c"], [np.arange(30), np.arange(30) % 5])
+        result = run_query(parse_query("R(a,b), S(b,c)"), {"R": r, "S": s}, 4)
+        assert len(result.output) == 30
+        return weakref.ref(r), weakref.ref(s)
+
+    clear_memo()
+    refs = query_once()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    clear_memo()
+
+
+def test_an_in_order_relation_still_counts_as_aligned_from_the_memo():
+    from repro.engine import Engine
+
+    clear_memo()
+    r = Relation.from_columns("R", ["a", "b"], [np.arange(40) % 7, np.arange(40)])
+    s = Relation.from_columns("S", ["b", "c"], [np.arange(40), np.arange(40) % 5])
+    engine = Engine(p=4)
+    engine.register(r)
+    engine.register(s)
+    hits = [engine.query("R(a,b), S(b,c)").align_cache_hits for _ in range(3)]
+    assert hits == [0, 2, 2]
+    clear_memo()

@@ -7,17 +7,10 @@ import numpy as np
 import pytest
 
 from repro.errors import AuditError, LoadExceededError
-from repro.mpc.audit import (
-    AuditReport,
-    AuditViolation,
-    audit_enabled_by_default,
-    audited,
-    verify_combined,
-    verify_partition,
-)
-from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
+from repro.errors import ClusterError
+from repro.mpc.audit import audit_enabled_by_default, audited
+from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns
-from repro.mpc.stats import RoundStats, RunStats
 from repro.testing.scalar_reference import send_row
 
 
@@ -204,88 +197,121 @@ class TestAuditedIsContextLocal:
         assert Cluster(2).auditor is None
 
 
+def _load(cluster, label, loads):
+    """One round on ``cluster`` in which server i receives ``loads[i]`` rows."""
+    with cluster.round(label) as rnd:
+        for sid, n in enumerate(loads):
+            for j in range(n):
+                send_row(rnd, sid, "A", (j,))
+
+
 class TestAuditReport:
+    """One report covers every step and pool of the query's cluster."""
+
     def test_merged_none_when_empty(self):
-        assert AuditReport.merged([]) is None
+        c = Cluster(4)
+        c.side_by_side([2, 2], 0, lambda i, pool: _load(pool, "r", [1, 1]))
+        assert c.stats.audit is None
 
     def test_merged_accumulates(self):
-        a = AuditReport(rounds_audited=2, checks_run=10)
-        a.aborted_rounds.append("x")
-        b = AuditReport(rounds_audited=3, checks_run=15)
-        b.violations.append(AuditViolation("r", "delivery", "boom"))
-        merged = AuditReport.merged([a, b])
-        assert merged.rounds_audited == 5
-        assert merged.checks_run == 25
-        assert merged.aborted_rounds == ["x"]
-        assert not merged.ok
+        c = Cluster(4, audit=True)
+
+        def run(i, pool):
+            _load(pool, "r", [1, 2])
+            if i:
+                _load(pool, "s", [1, 0])
+                with pytest.raises(RuntimeError):
+                    with pool.round("x"):
+                        raise RuntimeError
+
+        c.side_by_side([2, 2], 0, run)
+        report = c.stats.audit
+        assert report.rounds_audited == 3
+        assert report.checks_run > 0
+        assert report.aborted_rounds == ["x"]
+        assert report.ok
 
     def test_combine_sequential_merges_reports(self):
-        c1 = Cluster(2, audit=True)
-        with c1.round("a") as rnd:
-            send_row(rnd, 0, "A", (1,))
-        c2 = Cluster(2, audit=True)
-        with c2.round("b") as rnd:
-            send_row(rnd, 1, "B", (2,))
-        combined = combine_sequential(2, [c1.stats, c2.stats])
-        assert combined.audit is not None
-        assert combined.audit.rounds_audited == 2
+        c = Cluster(2, audit=True)
+        with c.step(1) as step:
+            with step.round("a") as rnd:
+                send_row(rnd, 0, "A", (1,))
+        with c.step(2) as step:
+            with step.round("b") as rnd:
+                send_row(rnd, 1, "B", (2,))
+        assert c.stats.audit is not None
+        assert c.stats.audit.rounds_audited == 2
 
     def test_combine_without_audits_has_no_report(self):
-        a, b = RunStats(2), RunStats(2)
-        assert combine_sequential(2, [a, b]).audit is None
-        assert combine_parallel(4, [a, b]).audit is None
+        c = Cluster(2)
+        with c.step(1) as step:
+            _load(step, "a", [1, 1])
+        c.side_by_side([1, 1], 0, lambda i, pool: _load(pool, "b", [1]))
+        assert c.stats.audit is None
 
 
 class TestVerifyPartition:
-    def test_within_budget(self):
-        verify_partition(5, [RunStats(2), RunStats(3)])
+    """Pools are contiguous server ranges of the query's cluster."""
 
-    def test_over_budget_rejected(self):
-        with pytest.raises(AuditError) as exc_info:
-            verify_partition(4, [RunStats(2), RunStats(3)])
-        assert exc_info.value.check == "partition"
+    def test_within_budget(self):
+        c = Cluster(5, audit=True)
+        sids = c.side_by_side([2, 3], 0, lambda i, pool: [s.sid for s in pool.servers])
+        assert sids == [[0, 1], [2, 3, 4]]
 
     def test_non_positive_p_rejected(self):
-        with pytest.raises(AuditError):
-            verify_partition(4, [RunStats(2), RunStats(0)])
+        with pytest.raises(ClusterError):
+            Cluster(4).side_by_side([2, 0], 0, lambda i, pool: None)
 
 
 class TestVerifyCombined:
-    def _run(self, p, loads_per_round):
-        run = RunStats(p)
-        for i, loads in enumerate(loads_per_round):
-            run.rounds.append(RoundStats(f"r{i}", loads))
-        return run
+    """Each pool round is audited at its own barrier, on its own servers."""
 
     def test_sequential_ok(self):
-        a = self._run(2, [[1, 2]])
-        b = self._run(2, [[3, 0]])
-        combined = combine_sequential(2, [a, b], audit=True)
-        assert combined.total_communication == 6
+        c = Cluster(2, audit=True)
+        with c.step(1) as step:
+            _load(step, "r0", [1, 2])
+        with c.step(2) as step:
+            _load(step, "r1", [3, 0])
+        assert c.stats.total_communication == 6
+        assert c.stats.audit.ok and c.stats.audit.rounds_audited == 2
 
     def test_parallel_ok(self):
-        a = self._run(2, [[1, 2]])
-        b = self._run(2, [[3, 0], [1, 1]])
-        combined = combine_parallel(4, [a, b], audit=True)
-        assert combined.num_rounds == 2
+        c = Cluster(4, audit=True)
+        loads = [[[1, 2]], [[3, 0], [1, 1]]]
+
+        def run(i, pool):
+            for k, round_loads in enumerate(loads[i]):
+                _load(pool, f"r{k}", round_loads)
+
+        c.side_by_side([2, 2], 0, run)
+        assert c.stats.num_rounds == 2
+        assert c.stats.audit.ok and c.stats.audit.rounds_audited == 3
 
     def test_bad_c_detected(self):
-        a = self._run(2, [[1, 2]])
-        broken = RunStats(2)
-        broken.rounds.append(RoundStats("r0", [1, 1]))  # C=2, parts claim 3
-        with pytest.raises(AuditError) as exc_info:
-            verify_combined(broken, [a], parallel=False)
-        assert exc_info.value.check == "combine"
+        """A tuple lost on a pool's server is caught at that pool's barrier."""
+        c = Cluster(4, audit=True)
 
-    def test_bad_depth_detected(self):
-        a = self._run(2, [[1, 2], [1, 1]])
-        shallow = combine_parallel(2, [self._run(2, [[1, 2]])])
-        shallow.rounds[0].received = [1, 2, 1, 1]  # fix C, keep depth wrong
-        with pytest.raises(AuditError):
-            verify_combined(shallow, [a], parallel=True)
+        def run(i, pool):
+            if i:
+                pool.servers[1].storage["A"] = _holding_one_row(_LossyFragment)
+            _load(pool, "r", [0, 2])
+
+        with pytest.raises(AuditError) as exc_info:
+            c.side_by_side([2, 2], 0, run)
+        assert exc_info.value.check == "delivery"
+        assert "server 1" in str(exc_info.value)
 
     def test_parallel_over_budget_rejected(self):
-        a = self._run(3, [[1, 1, 1]])
-        b = self._run(3, [[1, 1, 1]])
-        with pytest.raises(AuditError):
-            combine_parallel(4, [a, b], audit=True)
+        """A pool round over the load cap is rejected; the others deliver."""
+        c = Cluster(4, audit=True, load_cap=2)
+
+        def run(i, pool):
+            if i:
+                with pytest.raises(LoadExceededError):
+                    _load(pool, "over", [3, 0])
+            else:
+                _load(pool, "fine", [2, 2])
+
+        c.side_by_side([2, 2], 0, run)
+        assert c.stats.audit.rejected_rounds == ["over"]
+        assert [rd.received for rd in c.stats.rounds] == [[2, 2, 0, 0]]

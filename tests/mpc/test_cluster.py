@@ -7,7 +7,7 @@ import pytest
 
 from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
-from repro.mpc.cluster import Cluster, combine_parallel, combine_sequential
+from repro.mpc.cluster import Cluster
 from repro.mpc.stats import RoundStats, RunStats
 from repro.testing.scalar_reference import send_row
 from tests.holdings import fragment_of
@@ -308,77 +308,145 @@ class TestStats:
         assert "L=3" in run.summary() and "r=1" in run.summary()
 
 
+def _load(cluster, label, loads):
+    """One round on ``cluster`` in which server i receives ``loads[i]`` rows."""
+    with cluster.round(label) as rnd:
+        for sid, n in enumerate(loads):
+            for j in range(n):
+                send_row(rnd, sid, "X", (j,))
+
+
+def _abort(cluster, times):
+    """Abort ``times`` rounds of ``cluster`` by raising inside them."""
+    for _ in range(times):
+        with pytest.raises(RuntimeError):
+            with cluster.round("doomed"):
+                raise RuntimeError("boom")
+
+
 class TestCombineParallel:
+    """Pools side by side on one cluster: their k-th rounds are one round."""
+
     def test_parallel_subclusters(self):
-        a = RunStats(2)
-        a.rounds.append(RoundStats("x", [5, 1]))
-        b = RunStats(3)
-        b.rounds.append(RoundStats("y", [2, 2, 2]))
-        b.rounds.append(RoundStats("y2", [1, 1, 1]))
-        combined = combine_parallel(5, [a, b])
-        assert combined.num_rounds == 2
-        assert combined.max_load == 5
-        assert combined.rounds[0].total == 6 + 6
-        assert combined.rounds[1].total == 3
+        c = Cluster(5)
+        rounds = {0: [("x", [5, 1])], 1: [("y", [2, 2, 2]), ("y2", [1, 1, 1])]}
+
+        def run(i, pool):
+            for label, loads in rounds[i]:
+                _load(pool, label, loads)
+            return [server.sid for server in pool.servers]
+
+        assert c.side_by_side([2, 3], 0, run) == [[0, 1], [2, 3, 4]]
+        assert c.stats.num_rounds == 2
+        assert c.stats.max_load == 5
+        assert [rd.label for rd in c.stats.rounds] == ["x+y", "y2"]
+        assert c.stats.rounds[0].received == [5, 1, 2, 2, 2]
+        # The shallower pool idles in the second round: its servers read 0.
+        assert c.stats.rounds[1].received == [0, 0, 1, 1, 1]
+        assert c.stats.rounds[0].total == 6 + 6
+        assert c.stats.rounds[1].total == 3
 
     def test_empty(self):
-        combined = combine_parallel(4, [])
-        assert combined.num_rounds == 0
+        c = Cluster(4)
+        assert c.side_by_side([], 0, lambda i, pool: i) == []
+        assert c.stats.num_rounds == 0 and c.stats.rounds == []
 
     def test_labels_deduplicated(self):
-        a = RunStats(1)
-        a.rounds.append(RoundStats("shuffle", [1]))
-        b = RunStats(1)
-        b.rounds.append(RoundStats("shuffle", [2]))
-        c = RunStats(1)
-        c.rounds.append(RoundStats("probe", [3]))
-        combined = combine_parallel(3, [a, b, c])
-        assert combined.rounds[0].label == "shuffle+probe"
+        c = Cluster(3)
+        labels = ["shuffle", "shuffle", "probe"]
+        c.side_by_side([1, 1, 1], 0, lambda i, pool: _load(pool, labels[i], [i + 1]))
+        assert c.stats.rounds[0].label == "shuffle+probe"
+        assert c.stats.rounds[0].received == [1, 2, 3]
 
     def test_undelivered_subrounds_excluded(self):
-        """Cap-rejected sub-rounds moved nothing and must not misalign."""
-        a = RunStats(2)
-        a.rounds.append(RoundStats("bad", [9, 0], delivered=False))
-        a.rounds.append(RoundStats("good", [1, 1]))
-        b = RunStats(2)
-        b.rounds.append(RoundStats("other", [2, 2]))
-        combined = combine_parallel(4, [a, b])
-        assert combined.num_rounds == 1
-        assert combined.rounds[0].label == "good+other"
-        assert combined.max_load == 2
-        assert combined.total_communication == 6
+        """Cap-rejected pool rounds moved nothing and must not misalign."""
+        c = Cluster(4, load_cap=8)
+
+        def run(i, pool):
+            if i == 0:
+                with pytest.raises(LoadExceededError):
+                    _load(pool, "bad", [9, 0])
+                _load(pool, "good", [1, 1])
+            else:
+                _load(pool, "other", [2, 2])
+
+        c.side_by_side([2, 2], 0, run)
+        assert c.stats.num_rounds == 1
+        assert c.stats.rounds[0].label == "good+other"
+        assert c.stats.max_load == 2
+        assert c.stats.total_communication == 6
 
     def test_aborted_counts_summed(self):
-        a = RunStats(2, aborted=2)
-        b = RunStats(2, aborted=1)
-        assert combine_parallel(4, [a, b]).aborted == 3
+        c = Cluster(4)
+        c.side_by_side([2, 2], 0, lambda i, pool: _abort(pool, 2 - i))
+        assert c.stats.aborted == 3
+
+    def test_oversubscribed_pools_take_servers_past_p(self):
+        c = Cluster(2)
+        sids = c.side_by_side(
+            [1, 1, 1], 0, lambda i, pool: (_load(pool, "r", [i + 1]), pool.servers[0].sid)[1]
+        )
+        assert sids == [0, 1, 2]
+        assert c.stats.p == 2 and len(c.servers) == 2
+        assert c.stats.rounds[0].received == [1, 2, 3]
+
+    def test_pool_rounds_share_an_ordinal_and_hash_with_their_seed(self):
+        c = Cluster(4, seed=3)
+        _load(c, "first", [1, 0, 0, 0])
+        seen = []
+
+        def run(i, pool):
+            for label in ("a", "b")[: i + 1]:
+                with pool.round(label) as rnd:
+                    seen.append((i, rnd.ordinal))
+            return pool.hash_function(0).salt
+
+        salts = c.side_by_side([2, 2], 9, run)
+        assert seen == [(0, 1), (1, 1), (1, 2)]
+        assert salts == [Cluster(1, seed=9).hash_function(0).salt] * 2
+        with c.round("after") as rnd:
+            assert rnd.ordinal == 3
+
+    def test_a_pool_drops_what_it_left_on_its_servers(self):
+        c = Cluster(4)
+        c.side_by_side([2], 0, lambda i, pool: pool.scatter(Relation("S", ["x"], [(1,)])))
+        assert c.fragment_sizes("S") == [0, 0, 0, 0]
+        with c.step(1) as step:
+            step.scatter(Relation("S", ["x"], [(1,)]))
+        assert c.fragment_sizes("S") == [0, 0, 0, 0]
 
 
 class TestCombineSequential:
+    """Steps one after another on one cluster: rounds concatenate."""
+
     def test_rounds_concatenate(self):
-        a = RunStats(4)
-        a.rounds.append(RoundStats("x", [5, 1, 0, 0]))
-        b = RunStats(4)
-        b.rounds.append(RoundStats("y", [2, 2, 2, 2]))
-        combined = combine_sequential(4, [a, b])
-        assert combined.num_rounds == 2
-        assert combined.max_load == 5
-        assert combined.total_communication == 6 + 8
+        c = Cluster(4)
+        with c.step(1) as step:
+            _load(step, "x", [5, 1, 0, 0])
+        with c.step(2) as step:
+            _load(step, "y", [2, 2, 2, 2])
+        assert c.stats.num_rounds == 2
+        assert c.stats.max_load == 5
+        assert c.stats.total_communication == 6 + 8
 
     def test_aborted_counts_summed(self):
-        a = RunStats(4, aborted=1)
-        b = RunStats(4, aborted=2)
-        assert combine_sequential(4, [a, b]).aborted == 3
+        c = Cluster(4)
+        with c.step(1) as step:
+            _abort(step, 1)
+        with c.step(2) as step:
+            _abort(step, 2)
+        assert c.stats.aborted == 3
 
     def test_undelivered_rounds_stay_inspectable(self):
-        a = RunStats(2)
-        a.rounds.append(RoundStats("bad", [9, 0], delivered=False))
-        b = RunStats(2)
-        b.rounds.append(RoundStats("ok", [1, 1]))
-        combined = combine_sequential(2, [a, b])
-        assert len(combined.rounds) == 2
-        assert combined.num_rounds == 1
-        assert combined.max_load == 1
+        c = Cluster(2, load_cap=8)
+        with c.step(1) as step:
+            with pytest.raises(LoadExceededError):
+                _load(step, "bad", [9, 0])
+        with c.step(2) as step:
+            _load(step, "ok", [1, 1])
+        assert len(c.stats.rounds) == 2
+        assert c.stats.num_rounds == 1
+        assert c.stats.max_load == 1
 
 
 class TestFreeRoundAccounting:

@@ -23,7 +23,6 @@ from repro.mpc import (
     FaultStats,
     RecoveryPolicy,
     StragglerFault,
-    combine_sequential,
     faulty,
     trace,
 )
@@ -119,6 +118,26 @@ class TestCrashRecovery:
         # log, round 2 is speculatively re-executed.
         assert faults.rounds_replayed == 3
         assert faults.checkpoints_taken == 1
+
+    def test_sparse_checkpoints_count_from_each_step(self):
+        """A step's first barrier is checkpointed, so a crash at a later
+        step's first round, between the query's interval-th rounds, still
+        finds what that round's block left on the server."""
+        from repro.multiway.gym import gym
+        from repro.query.cq import path_query
+        from tests.multiway.multiway_goldens import path_relations
+
+        query, relations = path_query(4), path_relations(4)
+        clean = gym(query, relations, 4)
+        for ordinal in range(clean.stats.num_rounds):
+            plan = FaultPlan(crashes=(CrashFault(ordinal, 0),),
+                             recovery=RecoveryPolicy(checkpoint_interval=3))
+            with faulty(plan):
+                run = gym(query, relations, 4)
+            assert run.output.rows() == clean.output.rows(), ordinal
+            assert [rd.received for rd in run.stats.rounds] == \
+                [rd.received for rd in clean.stats.rounds]
+            assert run.stats.faults.crashes == 1 and run.stats.faults.clean
 
     def test_server_out_of_range_wraps_modulo_p(self):
         faults = assert_transparent(FaultPlan(crashes=(CrashFault(0, 6),)))
@@ -362,21 +381,38 @@ class TestSurfacing:
         assert "faults" not in BASELINE_STATS.summary()
 
     def test_combine_merges_fault_stats(self):
-        plan = FaultPlan(crashes=(CrashFault(1, 2),))
-        _, first = shuffle_pipeline(plan=plan)
-        _, second = shuffle_pipeline(plan=plan)
-        combined = combine_sequential(8, [first, second])
-        assert combined.faults is not None
-        assert combined.faults.crashes == 2
+        """Faults on steps and pools of one cluster land on the query's
+        stats: ordinals count the query's rounds, and each pool round's
+        faults strike the servers it runs on."""
+        plan = FaultPlan(
+            crashes=(CrashFault(0, 1), CrashFault(1, 3)),
+            stragglers=(StragglerFault(1, 2, 5),),
+        )
+        cluster = Cluster(4, faults=plan)
+        with cluster.step(1) as step:
+            with step.round("first") as rnd:
+                send_row(rnd, 1, "A", (1,))
+
+        def run(i, pool):
+            with pool.round(f"pool-{i}") as rnd:
+                send_row(rnd, 0, "B", (i,))
+
+        cluster.side_by_side([2, 2], 0, run)
+        faults = cluster.stats.faults
+        assert faults.crashes == 2 and faults.straggler_events == 1
+        assert faults.straggler_units == 5 and faults.clean
 
     def test_merged_none_when_no_fault_stats(self):
-        assert FaultStats.merged([]) is None
-        assert FaultStats.merged([None, None]) is None
+        cluster = Cluster(4)
+        cluster.side_by_side([2, 2], 0, lambda i, pool: None)
+        assert cluster.stats.faults is None
 
     def test_merged_folds_counters_and_by_worker_per_key(self):
         first = FaultStats(crashes=1, dropped=2, recovery_load=10, by_worker={0: 2, 1: 1})
         second = FaultStats(crashes=2, unrecovered=1, by_worker={1: 4, 3: 1})
-        merged = FaultStats.merged([first, None, second])
+        merged = FaultStats()
+        for part in (first, second):
+            merged.add(part)
         assert (merged.crashes, merged.dropped, merged.recovery_load) == (3, 2, 10)
         assert merged.unrecovered == 1 and merged.injected == 5
         assert merged.by_worker == {0: 2, 1: 5, 3: 1}

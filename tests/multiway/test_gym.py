@@ -5,6 +5,7 @@ import pytest
 from repro.data.generators import uniform_relation
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.mpc import CrashFault, FaultPlan, faulty
 from repro.multiway.gym import gym
 from repro.query.cq import Atom, ConjunctiveQuery, path_query, star_query
 from repro.query.ghd import path_balanced_ghd, path_chain_ghd, path_flat_ghd
@@ -141,3 +142,27 @@ class TestLoadBehaviour:
         run_p4 = gym(q, rels, p=4)
         run_p16 = gym(q, rels, p=16)
         assert run_p16.load < run_p4.load
+
+
+class TestOneCluster:
+    """Every phase of a GYM query runs on one cluster."""
+
+    def test_a_crash_at_round_zero_strikes_once(self):
+        """The plan's ordinal is the query's: round 0 is one round, so one
+        crash (one per step, 8 in all, when each step built a cluster)."""
+        q, rels = path_query(4), path_relations(4)
+        with faulty(FaultPlan(crashes=(CrashFault(round=0, server=1),))):
+            run = gym(q, rels, p=4)
+        assert run.stats.num_rounds == 7
+        assert run.stats.faults.crashes == 1 and run.stats.faults.clean
+        assert sorted(run.output.rows()) == sorted(q.evaluate(rels).rows())
+
+    def test_an_oversubscribed_wave_takes_servers_past_p(self):
+        """Three downward semijoins at p = 2 get a server each: the round
+        lists three servers, and the run still reports p = 2."""
+        q, rels = star_query(4), star4_relations()
+        run = gym(q, rels, p=2)
+        assert [len(rd.received) for rd in run.stats.rounds] == [2, 3, 2]
+        assert run.stats.rounds[1].label == "semijoin-down"
+        assert run.stats.p == 2
+        assert sorted(run.output.rows()) == sorted(q.evaluate(rels).rows())

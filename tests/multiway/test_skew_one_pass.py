@@ -30,7 +30,7 @@ from repro.joins.skew_join import find_heavy_keys, skew_join
 from repro.joins.sort_join import sort_join
 from repro.kernels import memo
 from repro.mpc.audit import audited
-from repro.mpc.cluster import Cluster, combine_parallel
+from repro.mpc.cluster import Cluster
 from repro.mpc.faults import CrashFault, FaultPlan, faulty
 from repro.multiway import skewhc
 from repro.multiway.skewhc import skewhc_join
@@ -165,15 +165,15 @@ def test_heavy_products_are_the_per_tuple_reference(case, p, seed, how, kind, th
     how = "rows" if how == "columns" and kind != "int" else how
     held, plain = _held(case, how, kind), _held(case, "rows", kind)
     heavy_keys = find_heavy_keys(plain["R"], plain["S"], ("y",), threshold)
-    got, runs = heavy_value_products(held["R"], held["S"], ("y",), heavy_keys, p, seed=seed)
-    rows, reference_runs = reference_heavy_products(
+    got, stats = heavy_value_products(held["R"], held["S"], ("y",), heavy_keys, p, seed=seed)
+    rows, reference_stats = reference_heavy_products(
         plain["R"], plain["S"], ("y",), heavy_keys, p, seed=seed
     )
     assert got.rows_readonly() == rows                     # row for row, in order
     assert [type(v) for row in got.rows_readonly() for v in row] == \
         [type(v) for row in rows for v in row]
-    assert [_received(run) for run in runs] == [_received(run) for run in reference_runs]
-    assert _received(combine_parallel(p, runs)) == _received(combine_parallel(p, reference_runs))
+    assert _received(stats) == _received(reference_stats)
+    assert stats.p == p
     if kind == "int":
         assert all(column.dtype.kind in "iu" for column in got.columns())
     # ... and the whole join is the local join's bag, on every rung.

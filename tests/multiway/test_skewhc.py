@@ -123,3 +123,18 @@ class TestCosts:
         run = skewhc_join(triangle_query(), {"R": r, "S": s, "T": t}, p=4)
         assert "threshold" in run.details
         assert run.details["jobs"] >= 1
+
+    def test_more_residuals_than_servers_take_servers_past_p(self):
+        """Every residual gets a pool of at least one server, side by side
+        on the query's one cluster: with more residuals than p the round
+        lists servers past p - 1, and the run still reports p."""
+        edges = power_law_edges(300, 80, s=1.4, seed=5)
+        r, s, t = triangle_relations(edges)
+        relations = {"R": r, "S": s, "T": t}
+        run = skewhc_join(triangle_query(), relations, p=4, threshold=12)
+        allocation = run.details["allocation"]
+        assert run.details["jobs"] > 4 and set(allocation) == {0, 1}  # 0: every variable bound
+        assert len(run.stats.rounds) == 1
+        assert len(run.stats.rounds[0].received) == sum(allocation) > 4
+        assert run.stats.p == 4
+        assert sorted(run.output.rows()) == sorted(triangle_query().evaluate(relations).rows())

@@ -205,3 +205,28 @@ def test_interleaved_reads_and_writes_match_an_always_rebuilding_service(first, 
         expanded.append(last)
     _, stats = patched_against_rebuilt(expanded)
     event("patched reads: " + ("3+" if stats.patched_queries >= 3 else str(stats.patched_queries)))
+
+
+def test_the_delta_dies_with_the_patch(monkeypatch):
+    """The delta relation a patch runs over is collected once the read
+    is done: no memo entry holds it."""
+    import gc
+    import weakref
+
+    import repro.service.service as service_module
+
+    deltas = []
+    real_run = service_module.run_query
+
+    def spying(cq, bindings, *args, **kwargs):
+        deltas.extend(weakref.ref(rel) for rel in bindings.values() if len(rel) == 2)
+        return real_run(cq, bindings, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "run_query", spying)
+    with QueryService(relations(), p=4) as service:
+        service.query(QUERY, split=2)
+        service.extend("R", [(100, 1), (101, 2)])
+        service.query(QUERY, split=2)
+        assert service.stats().patched_queries == 1
+        gc.collect()
+        assert len(deltas) == 1 and deltas[0]() is None

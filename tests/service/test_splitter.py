@@ -228,3 +228,27 @@ def test_split_partition_property(rows, k):
     for fragment in fragments:
         pieces.update(fragment.rows_readonly())
     assert pieces == Counter(rel.rows_readonly())
+
+
+def test_merge_branches_orders_a_column_of_str_beside_int():
+    """Python cannot compare ``"x"`` with ``1``: such rows fall back to
+    ``(type name, value)`` per cell, the same order at every split."""
+    mixed = Relation("R", ["x", "y"], [(1, 2), ("x", 0), (0, 5)])
+    assert merge_branches([mixed]).rows() == [(0, 5), (1, 2), ("x", 0)]
+    halves = [Relation("R", ["x", "y"], rows) for rows in ([("x", 0)], [(1, 2), (0, 5)])]
+    assert merge_branches(halves).rows() == merge_branches([mixed]).rows()
+
+
+def test_a_split_read_after_a_str_lands_in_an_int_column():
+    from repro.service import QueryService
+
+    catalog = {
+        "R": Relation("R", ["a", "b"], [(i, i % 5) for i in range(60)]),
+        "S": Relation("S", ["b", "c"], [(i % 5, i) for i in range(40)]),
+    }
+    with QueryService(catalog, p=4) as service:
+        service.extend("R", [("x", 0)])
+        one = service.query("Q(a, b, c) :- R(a, b), S(b, c)", split=1)
+        two = service.query("Q(a, b, c) :- R(a, b), S(b, c)", split=2)
+    assert Counter(one.output.rows()) == Counter(two.output.rows())
+    assert ("x", 0, 0) in set(two.output.rows())

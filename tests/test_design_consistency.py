@@ -632,6 +632,78 @@ class TestLedgerInventoryLint:
         assert names <= set(ExecStats._COUNTERS)
 
 
+class TestOneClusterPerQueryLint:
+    """A query runs on one cluster: every entry point builds exactly one
+    ``Cluster`` per call, its steps and pools run on it, and its
+    ``RunStats`` is that cluster's own — so nothing merges stats by hand.
+    The skew oracle (``repro/testing/skew_reference.py``) keeps a short
+    merge loop of its own, imported by nothing under ``src/repro``."""
+
+    RETIRED = (
+        r"combine_sequential|combine_parallel|_with_ledgers|verify_partition"
+        r"|verify_combined|def merged\b|\.merged\("
+    )
+
+    def test_no_module_defines_or_imports_a_combiner(self):
+        assert _files_matching(self.RETIRED) == []
+
+    @staticmethod
+    def _count_clusters(monkeypatch):
+        from repro.mpc.cluster import Cluster
+
+        built = []
+        real_init = Cluster.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "__init__", counting_init)
+        return built
+
+    def test_every_entry_point_builds_one_cluster_per_call(self, monkeypatch):
+        from repro.testing.differential import ALGORITHMS, generate_instances
+
+        assert len(ALGORITHMS) == 16
+        built = self._count_clusters(monkeypatch)
+        instances = generate_instances(16, seed=5)
+        seen = set()
+        for case in ALGORITHMS:
+            for instance in instances:
+                if case.applies(instance):
+                    built.clear()
+                    case.run(instance, instance.seed)
+                    assert len(built) == 1, (case.name, instance.label, len(built))
+                    seen.add(case.name)
+        assert seen == {case.name for case in ALGORITHMS}
+
+    def test_the_pooled_plans_build_one_cluster_per_call(self, monkeypatch):
+        from repro.data.relation import Relation
+        from repro.joins.heavy import heavy_value_products
+        from repro.multiway.base import shuffle_join, shuffle_multi_semijoin
+        from repro.multiway.semijoin import triangle_hl_semijoin, two_path_semijoin_plan
+
+        r = Relation("R", ["x", "y"], [(i % 7, (i * 3) % 8) for i in range(40)])
+        s = Relation("S", ["y", "z"], [(i % 8, 0 if i % 4 else 1 + i % 3) for i in range(40)])
+        t = Relation("T", ["z", "x"], [(0 if i % 3 else 1 + i % 5, i % 7) for i in range(40)])
+        unary = (Relation("A", ["x"], [(i % 6,) for i in range(20)]),
+                 Relation("B", ["x", "y"], [(i % 9, (i * 5) % 7) for i in range(45)]),
+                 Relation("C", ["y"], [(i % 4,) for i in range(12)]))
+        built = self._count_clusters(monkeypatch)
+        calls = {
+            "triangle_hl_semijoin": lambda p: triangle_hl_semijoin(r, s, t, p),
+            "two_path_semijoin_plan": lambda p: two_path_semijoin_plan(*unary, p),
+            "heavy_value_products": lambda p: heavy_value_products(r, s, ("y",), [(0,), (1,)], p),
+            "shuffle_join": lambda p: shuffle_join(r, s, p),
+            "shuffle_multi_semijoin": lambda p: shuffle_multi_semijoin(r, [s], p),
+        }
+        for name, call in calls.items():
+            for p in (1, 3, 8):
+                built.clear()
+                call(p)
+                assert len(built) == 1, (name, p, len(built))
+
+
 class TestWireInventoryLint:
     """The process backend has one wire: a frame per worker over a pipe.
     Queues (and their feeder threads), the liveness poll, row packing,
