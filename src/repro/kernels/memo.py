@@ -260,21 +260,24 @@ def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable)
     position ``i`` sits on server ``i % p`` — which is what a destination
     receives when each server partitions its own slice and the sends
     arrive source server ascending.  Each destination's part is held once,
-    as one frozen block per column (no row list is read).
+    as one frozen block per column (no row list is read).  One destination
+    from one source (``p == 1``, as on a one-server pool) is the identity:
+    no hash, no sort, and its part is the relation's own columns — the
+    arrays, never the relation, so the plan keeps no input alive.
     """
-    from repro.kernels.partition import groups_in_order, source_major_order
+    from repro.kernels.partition import partition_groups
 
     columns = rel.columns()
     hashed = [columns[i] for i in key_idx]
     codes, buckets, offsets, hash_ops = code(len(rel), hashed)
-    order = source_major_order(codes, buckets, p)
-    groups = groups_in_order(order, codes, buckets, columns)
+    groups = partition_groups(codes, buckets, columns, sources=p)
     for _dest, blocks in groups:
         for block in blocks:
             # Delivered, possibly repeatedly, into fragments and results:
             # frozen, so that no receiver can mutate the cache.
             block.flags.writeable = False
-    return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
+    nbytes = sum(int(column.nbytes) for column in hashed) if hash_ops else 0
+    return groups, offsets, nbytes, hash_ops
 
 
 def _replay(
@@ -336,10 +339,14 @@ def route_scattered(
     from repro.kernels.partition import hash_codes
 
     key_idx = tuple(key_idx)
+
+    def code(n: int, key_cols: Sequence) -> tuple:
+        codes, hashed = hash_codes(n, key_cols, h)
+        return codes, h.buckets, (0,), hashed
+
     return _replay(
         cluster, rnd, rel, fragment, out_fragment, key_idx,
-        ("scatter", key_idx, h.salt, h.buckets),
-        lambda n, key_cols: (hash_codes(n, key_cols, h), h.buckets, (0,), n),
+        ("scatter", key_idx, h.salt, h.buckets), code,
     )
 
 

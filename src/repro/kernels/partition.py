@@ -64,24 +64,22 @@ def source_major_order(codes: np.ndarray, buckets: int, p: int) -> np.ndarray:
 
 
 def partition_groups(
-    codes: np.ndarray, buckets: int, data: Sequence[np.ndarray]
+    codes: np.ndarray, buckets: int, data: Sequence[np.ndarray], sources: int = 1
 ) -> list[tuple[int, list]]:
     """Stable partition: ``(code, its part of data)`` per non-empty code.
 
     ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket; ``data`` is
     the rows' columns, and each part is the slices of them. Groups come out in
-    ascending code order with the rows of each group in their original
-    order — one stable argsort + bincount, the core of every per-server
-    batched route (a whole-relation plan brings its own order, below).
+    ascending code order with the rows of each group in (source server,
+    position) order, position ``i`` sitting on server ``i % sources`` —
+    one stable argsort + bincount, the core of every batched route. One
+    bucket from one source is the identity: its part is ``data`` itself,
+    uncopied and unsorted.
     """
-    return groups_in_order(np.argsort(codes, kind="stable"), codes, buckets, data)
-
-
-def groups_in_order(
-    order: np.ndarray, codes: np.ndarray, buckets: int, data: Sequence[np.ndarray]
-) -> list[tuple[int, list]]:
-    """:func:`partition_groups` under a given ``order``: any permutation that
-    sorts ``codes`` (a whole-relation plan breaks ties by source server)."""
+    if buckets == sources == 1:
+        return [(0, list(data))] if len(codes) else []
+    order = (np.argsort(codes, kind="stable") if sources == 1
+             else source_major_order(codes, buckets, sources))
     counts = np.bincount(codes, minlength=buckets).tolist()
     bounds = [(code, end - count, end) for code, count, end in
               zip(range(buckets), counts, accumulate(counts)) if count]
@@ -89,12 +87,17 @@ def groups_in_order(
     return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
 
 
-def hash_codes(n: int, columns: Sequence[np.ndarray], h: "HashFunction") -> np.ndarray:
-    """Per-row ``h(key)`` over the ``n`` rows' key columns, narrowed for the
-    argsort. No key column is the key ``()``: every row goes to ``h(())``."""
+def hash_codes(
+    n: int, columns: Sequence[np.ndarray], h: "HashFunction"
+) -> tuple[np.ndarray, int]:
+    """``(per-row h(key), rows hashed)`` over the ``n`` rows' key columns,
+    the codes narrowed for the argsort. No key column is the key ``()``:
+    every row goes to ``h(())``. One bucket hashes nothing: every code is 0."""
+    if h.buckets == 1:
+        return np.zeros(n, dtype=np.uint8), 0
     if not columns:
-        return shrink(np.full(n, h(()), dtype=np.int64), h.buckets)
-    return shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets)
+        return shrink(np.full(n, h(()), dtype=np.int64), h.buckets), n
+    return shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets), n
 
 
 def grid_codes(
@@ -112,8 +115,12 @@ def grid_codes(
     (columns are hashed left to right, later columns overwriting earlier
     ones on a repeated dimension, as the scalar loop does); dimensions
     bound by no column are wildcards, and a row goes to ``base + offset``
-    for every offset enumerating their full extent.
+    for every offset enumerating their full extent. A one-cell grid hashes
+    nothing: every row goes to cell 0.
     """
+    grid_size = math.prod(int(e) for e in extents)
+    if grid_size == 1:
+        return np.zeros(n, dtype=np.uint8), 1, [0], 0
     dim_buckets: dict[int, np.ndarray] = {}
     for column, dim in zip(columns, column_dims):
         dim_buckets[dim] = bucket_value_column(column, salts[dim], extents[dim])
@@ -125,7 +132,6 @@ def grid_codes(
         sum(c * strides[d] for c, d in zip(combo, free_dims))
         for combo in product(*(range(extents[d]) for d in free_dims))
     ]
-    grid_size = math.prod(int(e) for e in extents)
     return shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
 
 
@@ -142,9 +148,9 @@ def try_route(
     """
     n = len(data[0])
     if n:
-        count_hash_ops(rnd, n)
-        keys = [data[i] for i in key_idx]
-        for dest, part in partition_groups(hash_codes(n, keys, h), h.buckets, data):
+        codes, hashed = hash_codes(n, [data[i] for i in key_idx], h)
+        count_hash_ops(rnd, hashed)
+        for dest, part in partition_groups(codes, h.buckets, data):
             rnd.send_columns(dest, fragment, part)
 
 

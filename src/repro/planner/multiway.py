@@ -21,12 +21,18 @@ from dataclasses import dataclass
 from repro.data.relation import Relation
 from repro.multiway.base import MultiwayRun
 from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
+from repro.planner.statistics import Later, OnRead
 from repro.query.cq import ConjunctiveQuery
 
 
 @dataclass(frozen=True)
-class MultiwayPlan:
-    """One strategy of an :class:`ExplainResult` plus the cost model's inputs."""
+class MultiwayPlan(OnRead):
+    """One strategy of an :class:`ExplainResult` plus the cost model's inputs.
+
+    A view reads ``out_estimate`` off the statistics when it is read.
+    """
+
+    _deferred = ("out_estimate",)
 
     algorithm: str            # any strategy the optimizer can run on the query
     acyclic: bool
@@ -39,13 +45,14 @@ class MultiwayPlan:
     @classmethod
     def view(cls, explain: ExplainResult, executed: str) -> "MultiwayPlan":
         """The record of ``executed`` as a view of ``explain``."""
+        stats = explain.statistics
         return cls(
             executed,
             explain.acyclic,
             explain.tau_star,
-            explain.statistics.skewed,
-            explain.statistics.in_size,
-            explain.statistics.out_estimate,
+            stats.skewed,
+            stats.in_size,
+            Later(lambda: stats.out_estimate),
             explain.candidate(executed).predicted_load or 0.0,
         )
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
@@ -47,7 +47,7 @@ from repro.mpc.stats import RunStats
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import heavy_values_at, skewhc_join
-from repro.planner.statistics import QueryStatistics, collect_query_statistics
+from repro.planner.statistics import Later, OnRead, QueryStatistics, collect_query_statistics
 from repro.query.cq import ConjunctiveQuery
 # tau_star is not called here, but perfbench's tracer patches it in every
 # importer, and perfbench/tests/test_tracing.py:79 checks this one.
@@ -85,15 +85,21 @@ STRATEGIES = (
 
 
 @dataclass(frozen=True)
-class CandidatePlan:
-    """One strategy's applicability verdict and cost prediction."""
+class CandidatePlan(OnRead):
+    """One strategy's applicability verdict and cost prediction.
+
+    SkewHC's ``envelope_additive`` reads OUT, so it is made on first read.
+    """
+
+    _deferred = ("envelope_additive",)
 
     strategy: str
     applicable: bool
     predicted_load: float | None
     predicted_rounds: int | None
     envelope_factor: float = 1.0
-    envelope_additive: float = 0.0
+    # 0.0 by default, kept off the class so that a Later value is read.
+    envelope_additive: float = field(default_factory=float)
     reason: str = ""
 
     @property
@@ -119,8 +125,13 @@ class CandidatePlan:
 
 
 @dataclass(frozen=True)
-class ExplainResult:
-    """The optimizer's full decision record for one query."""
+class ExplainResult(OnRead):
+    """The optimizer's full decision record for one query.
+
+    ``lower_bound`` reads OUT, so it is made on first read.
+    """
+
+    _deferred = ("lower_bound",)
 
     query: str
     p: int
@@ -323,16 +334,17 @@ def _plan(
     facts = shape(cq)
     tau, rho = facts.tau_star, facts.rho_star
     acyclic, connected = facts.acyclic, facts.connected
-    out = stats.out_estimate
     in_size = stats.in_size
     maxdeg = stats.max_joint_degree
     skewed = stats.skewed
     psi = psi_star(cq) if skewed and len(cq.atoms) >= 2 else None
-    lower = (
-        join_load_lower_bound(out, rho, p, rounds=1)
-        if out > 0 and len(cq.atoms) >= 2
+    # Only GYM's price reads OUT, and only an acyclic query (whose OUT is
+    # counted) gets one: the bound and SkewHC's envelope read it when read.
+    lower = Later(lambda: (
+        join_load_lower_bound(stats.out_estimate, rho, p, rounds=1)
+        if stats.out_estimate > 0
         else 0.0
-    )
+    ))
 
     if len(cq.atoms) == 1:
         scan = CandidatePlan("scan", True, 0.0, 0, 1.0, 0.0, "single atom")
@@ -352,7 +364,7 @@ def _plan(
     candidates: list[CandidatePlan] = []
 
     def add(strategy: str, load: float, rounds: int,
-            factor: float, additive: float, reason: str = "") -> None:
+            factor: float, additive: float | Later, reason: str = "") -> None:
         candidates.append(CandidatePlan(
             strategy, True, load, rounds, factor, additive, reason
         ))
@@ -402,7 +414,7 @@ def _plan(
         skewhc_load *= jobs / p
     add(
         "skewhc", skewhc_load, 1, 6.0,
-        p + 8.0 + math.sqrt(max(out, 1) / p) + maxdeg,
+        Later(lambda: p + 8.0 + math.sqrt(max(stats.out_estimate, 1) / p) + maxdeg),
         reason=f"up to {jobs} residuals on one-server pools of p={p}" if jobs > p else "",
     )
 
@@ -417,7 +429,7 @@ def _plan(
         ghd = facts.ghd
         depth = max(ghd.depth, 1)
         nodes = len(ghd.nodes())
-        gym_load = (in_size + out) / p
+        gym_load = (in_size + stats.out_estimate) / p
         add("gym", gym_load, 3 * depth, 6.0, maxdeg + p + 8.0)
         add("semijoin", gym_load, 3 * max(nodes - 1, 1), 6.0, maxdeg + p + 8.0)
 

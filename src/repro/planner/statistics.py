@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,6 +31,49 @@ from repro.joins.base import estimate_join_size
 from repro.kernels.columnar import column_of, concatenated
 from repro.kernels.memo import counts_at, degree_view, grouped, ordered
 from repro.query.shape import shape
+
+
+class Later:
+    """A field value of an :class:`OnRead` record, computed on first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[], object]) -> None:
+        self.compute = compute
+
+
+class OnRead:
+    """A frozen dataclass whose fields named in ``_deferred`` may be given
+    as :class:`Later`: such a field is unset until read, and the first
+    read calls ``compute()`` once and keeps the value, so ``==``, ``repr``
+    and every later read see a plain field. Two threads racing on a first
+    read compute the same value twice. The record keeps what ``compute``
+    reads for as long as it lives. A deferred field with a default must
+    take it from ``default_factory`` (a plain default is a class
+    attribute, found before any instance lookup fails).
+    """
+
+    _deferred: tuple = ()  # unannotated in subclasses: not a field
+
+    def __post_init__(self) -> None:
+        held = self.__dict__
+        later = {name: held.pop(name) for name in self._deferred if type(held[name]) is Later}
+        if later:
+            held["_later"] = later
+
+    def __getattr__(self, name: str):
+        later = vars(self).get("_later", {}).get(name)
+        if later is None:
+            raise AttributeError(name)
+        value = later.compute()
+        object.__setattr__(self, name, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # A pickle carries values, not the functions that compute them.
+        for name in list(vars(self).get("_later", ())):
+            getattr(self, name)
+        return {name: v for name, v in vars(self).items() if name != "_later"}
 
 
 @dataclass(frozen=True)
@@ -122,8 +165,11 @@ def relation_statistics(
 
 
 @dataclass(frozen=True)
-class QueryStatistics:
+class QueryStatistics(OnRead):
     """Everything the cost model reads about one query's input profile.
+
+    ``out_estimate`` is the output size; a cyclic query's is computed on
+    first read (:func:`_exact_out`), since no ranking reads it.
 
     ``heavy_join_values`` maps each *join* variable (shared by ≥ 2
     atoms) to the union of the heavy values found for it in any atom's
@@ -136,6 +182,8 @@ class QueryStatistics:
     skew-handling strategies need to price their per-value grid
     products.
     """
+
+    _deferred = ("out_estimate",)
 
     p: int
     in_size: int
@@ -152,15 +200,22 @@ class QueryStatistics:
         return any(self.heavy_join_values.values())
 
 
-def _exact_out(query, relations: Mapping[str, Relation]) -> int:
-    """The exact output size: a cyclic query is evaluated, an acyclic one
-    counted by Yannakakis over its join tree (the query's
-    :func:`~repro.query.shape.shape` keeps it), bottom up (two atoms: Σₖ
-    deg_R(k)·deg_S(k)), in exact integers (Python ints past ``int64``)."""
+def _exact_out(query, relations: Mapping[str, Relation]) -> int | Later:
+    """The exact output size: an acyclic query's counted by Yannakakis over
+    its join tree (the query's :func:`~repro.query.shape.shape` keeps it),
+    bottom up (two atoms: Σₖ deg_R(k)·deg_S(k)), in exact integers (Python
+    ints past ``int64``); a cyclic query's is its evaluation's, made on
+    first read over the relations' columns as they are now — not the
+    relations: an ``extend`` after planning moves their columns, not
+    these, and a cached plan keeps no input alive."""
     try:
         parent = shape(query).join_tree(query)
     except DecompositionError:
-        return len(query.evaluate(relations))
+        bound = {a.name: relations[a.name] for a in query.atoms}
+        held = {name: (rel.name, rel.schema, tuple(rel.columns())) for name, rel in bound.items()}
+        return Later(lambda: len(query.evaluate(
+            {name: Relation.from_columns(*columns) for name, columns in held.items()}
+        )))
     dtype = object if math.prod(len(relations[a.name]) for a in query.atoms) >> 63 else np.int64
     root = next(name for name, up in parent.items() if up == name)
     return int(_subtree(root, (), parent, relations, dtype)[1].sum())
@@ -197,8 +252,9 @@ def collect_query_statistics(
 ) -> QueryStatistics:
     """Gather :class:`QueryStatistics` for ``query`` over ``relations``.
 
-    ``out_estimate`` defaults to the exact output size (:func:`_exact_out`);
-    pass an estimate to model a sketch-based engine. ``sample`` is
+    ``out_estimate`` defaults to the exact output size (:func:`_exact_out`:
+    counted for an acyclic query, evaluated on first read for a cyclic
+    one); pass an estimate to model a sketch-based engine. ``sample`` is
     forwarded to :func:`relation_statistics`. A join variable's joint
     degrees are one grouping of its atoms' degree views, by their counts.
     """

@@ -16,17 +16,29 @@ atoms — return: a view of one candidate of the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun
 from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
-from repro.planner.statistics import JoinStatistics, join_statistics
+from repro.planner.statistics import JoinStatistics, Later, OnRead, join_statistics
 from repro.query.cq import Atom, ConjunctiveQuery
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class TwoWayPlan:
+def _uncounted() -> JoinStatistics:
+    raise ValueError("a TwoWayPlan built without statistics has none to count")
+
+
+def _counted(inputs: tuple) -> JoinStatistics:
+    """The statistics of the one or two relations whose columns these are."""
+    relations = [Relation.from_columns(*held) for held in inputs]
+    if len(relations) == 1:
+        size = len(relations[0])
+        return JoinStatistics(size, 0, (), size, 0, 0)
+    return join_statistics(*relations)
+
+
+@dataclass(frozen=True)
+class TwoWayPlan(OnRead):
     """One strategy of an :class:`ExplainResult` over at most two atoms.
 
     ``algorithm`` names any strategy the optimizer can run on such a
@@ -41,58 +53,23 @@ class TwoWayPlan:
     on the query path reads it — so a viewed plan holds its inputs'
     columns (read only: a later ``extend`` cannot reach them) for as long
     as it lives. ``==``, ``hash`` and ``repr`` read ``statistics`` as the
-    dataclass fields they were.
+    dataclass field it is.
     """
+
+    _deferred = ("statistics",)
 
     algorithm: str
     predicted_load: float
-    _inputs: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def __init__(
-        self, algorithm: str, predicted_load: float, statistics: JoinStatistics | None = None
-    ) -> None:
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "predicted_load", predicted_load)
-        object.__setattr__(self, "_inputs", ())
-        if statistics is not None:
-            self.__dict__["statistics"] = statistics
+    statistics: JoinStatistics = field(default_factory=lambda: Later(_uncounted))
 
     @classmethod
     def view(
         cls, explain: ExplainResult, executed: str, *relations: Relation
     ) -> "TwoWayPlan":
         """The record of ``executed`` over the query's one or two inputs."""
-        plan = cls(executed, explain.candidate(executed).predicted_load or 0.0)
         inputs = tuple((rel.name, rel.schema, tuple(rel.columns())) for rel in relations)
-        object.__setattr__(plan, "_inputs", inputs)
-        return plan
-
-    @cached_property
-    def statistics(self) -> JoinStatistics:
-        if not self._inputs:
-            raise ValueError("a TwoWayPlan built without statistics has none to count")
-        relations = [Relation.from_columns(*held) for held in self._inputs]
-        if len(relations) == 1:
-            size = len(relations[0])
-            return JoinStatistics(size, 0, (), size, 0, 0)
-        return join_statistics(*relations)
-
-    def _fields(self) -> tuple:
-        return self.algorithm, self.predicted_load, self.statistics
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"TwoWayPlan(algorithm={self.algorithm!r}, "
-            f"predicted_load={self.predicted_load!r}, statistics={self.statistics!r})"
-        )
+        return cls(executed, explain.candidate(executed).predicted_load or 0.0,
+                   Later(lambda: _counted(inputs)))
 
     def describe(self) -> str:
         return (

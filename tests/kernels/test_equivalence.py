@@ -267,6 +267,16 @@ class TestEveryValue:
             assert _routed(try_route_grid, data, *route) == \
                 _routed(reference.try_route_grid, data, *route)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rows=keyed_rows(), column_dims=st.sampled_from([(0, 1, 2), (0, 0, 2)]))
+    def test_try_route_grid_of_one_cell(self, rows, column_dims):
+        # One destination: every row, in order, and no dimension hashed.
+        extents = (1, 1, 1)
+        route = (column_dims, (11, 22, 33), extents, Grid(extents).strides)
+        for data in _held_forms(rows):
+            assert _routed(try_route_grid, data, *route) == \
+                _routed(reference.try_route_grid, data, *route)
+
     @settings(max_examples=80, deadline=None)
     @given(left=keyed_rows(), right=keyed_rows(), key_idx=st.sampled_from([(0,), (0, 1)]))
     def test_code_key_columns(self, left, right, key_idx):

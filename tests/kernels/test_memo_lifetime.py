@@ -235,6 +235,41 @@ def test_a_relation_only_a_query_saw_dies_with_its_caller():
     clear_memo()
 
 
+def test_a_relation_only_a_cyclic_plan_saw_dies_with_its_caller():
+    """A cyclic query's plan reads OUT later from its inputs' columns, and a
+    one-server pool's route is the restriction's own columns: neither holds
+    a relation, so the caller's relations die while the result lives."""
+    from repro.engine import run_query
+    from repro.query.cq import triangle_query
+
+    query = triangle_query()
+
+    def query_once(skewed):
+        # Skewed: three hubs per column, so every residual gets one server.
+        ids = np.arange(60)
+        hubs = 3 if skewed else 29
+        columns = [np.where(ids % 2, ids % hubs, ids % 29),
+                   np.where(ids % 3, (ids * 7) % hubs, (ids * 7) % 29)]
+        relations = {
+            name: Relation.from_columns(name, attrs, columns)
+            for name, attrs in (("R", ["x", "y"]), ("S", ["y", "z"]), ("T", ["z", "x"]))
+        }
+        expected = len(query.evaluate(relations))
+        result = run_query(query, relations, 8)
+        assert len(result.output) == expected
+        return result, expected, [weakref.ref(rel) for rel in relations.values()]
+
+    for skewed, chosen in ((False, "hypercube"), (True, "skewhc")):
+        clear_memo()
+        result, expected, refs = query_once(skewed)
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert result.explain.chosen == chosen
+        assert not skewed or max(result.stats.pools) == 1
+        assert result.explain.statistics.out_estimate == expected   # read after they died
+        clear_memo()
+
+
 def test_an_in_order_relation_still_counts_as_aligned_from_the_memo():
     from repro.engine import Engine
 

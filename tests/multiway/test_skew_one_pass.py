@@ -28,9 +28,9 @@ from repro.exec.config import use_backend
 from repro.joins.heavy import heavy_value_products
 from repro.joins.skew_join import find_heavy_keys, skew_join
 from repro.joins.sort_join import sort_join
-from repro.kernels import memo
+from repro.kernels import memo, partition
 from repro.mpc.audit import audited
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.faults import CrashFault, FaultPlan, faulty
 from repro.multiway import skewhc
 from repro.multiway.skewhc import skewhc_join
@@ -204,6 +204,49 @@ def test_duplicates_and_vanished_atoms_keep_their_multiplicities():
 def _skewed_triangle(how="columns"):
     query, case = goldens.skewhc_cases()["triangle"]
     return query, {n: hold(n, attrs, rows, how) for n, (attrs, rows) in case.items()}
+
+
+def test_one_server_pools_route_without_a_hash_or_a_sort(monkeypatch):
+    """At p = 8 every residual of the skewed triangle sits on a pool of one
+    server, so its route is the identity: no hash kernel and no
+    source-major argsort run, and the server receives the restriction's
+    own columns, every row in order. The run is still the golden's and the
+    per-tuple reference's: output, received lists, L, r and C."""
+    memo.clear_memo()
+    query, case = goldens.skewhc_cases()["triangle"]
+    relations = {n: hold(n, attrs, rows, "columns") for n, (attrs, rows) in case.items()}
+    calls = Counter()
+    for name in ("bucket_value_column", "bucket_tuple_columns", "source_major_order"):
+        def counted(*args, _name=name, _real=getattr(partition, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(partition, name, counted)
+    sent: dict = {}
+    real_send = RoundContext.send_columns
+
+    def send(self, dest, fragment, columns, units=1):
+        sent.setdefault((dest, fragment), []).append(list(columns))
+        real_send(self, dest, fragment, columns, units)
+
+    monkeypatch.setattr(RoundContext, "send_columns", send)
+    run = skewhc_join(query, relations, p=8, seed=1)
+    assert run.details["jobs"] > 8 and set(run.details["allocation"]) == {0, 1}
+    assert calls == Counter() and run.stats.memo.hash_ops == 0
+    _, _, routes = skewhc._plan(query, relations, 8, run.details["threshold"], 100_000)
+    for atom in query.atoms:
+        for _name, part, base, size, *_grid in routes[atom.name]:
+            assert size == 1
+            (blocks,) = sent[base, f"{atom.name}@hc"]
+            assert len(blocks) == len(part.columns())
+            assert all(block is column for block, column in zip(blocks, part.columns()))
+    rows, stats, jobs = reference_skewhc(query, relations, 8, seed=1)
+    assert Counter(run.output.rows_readonly()) == Counter(rows) and run.details["jobs"] == jobs
+    assert _received(run.stats) == _received(stats)
+    assert (run.stats.max_load, run.stats.num_rounds, run.stats.total_communication) == \
+        (stats.max_load, stats.num_rounds, stats.total_communication)
+    monkeypatch.undo()
+    assert goldens.observe_skewhc(query, case, 8, 1) == GOLDEN["skewhc/triangle/8/1"]
+    memo.clear_memo()
 
 
 def test_under_faults_and_audit_nothing_is_lost():

@@ -349,7 +349,7 @@ class TestDegreeViewsMatchTheRowLoop:
             assert stats.out_estimate == len(cq.evaluate({"R": r, "S": s}))
 
     def test_three_atoms_still_evaluate_for_out(self):
-        # A cyclic query: its OUT is evaluated, once.
+        # A cyclic query: its OUT is evaluated on first read, once.
         from unittest import mock
 
         cq = parse_query("R(x, y), S(y, z), T(z, x)")
@@ -358,11 +358,15 @@ class TestDegreeViewsMatchTheRowLoop:
             "S": Relation("S", ["y", "z"], [(i % 3, i % 7) for i in range(30)]),
             "T": Relation("T", ["z", "x"], [(i % 7, i % 5) for i in range(30)]),
         }
+        expected = len(cq.evaluate(relations))
         with mock.patch.object(ConjunctiveQuery, "evaluate", autospec=True,
                                side_effect=ConjunctiveQuery.evaluate) as evaluate:
             stats = collect_query_statistics(cq, relations, p=4)
-        assert evaluate.call_count == 1
-        assert stats.out_estimate == len(cq.evaluate(relations))
+            assert evaluate.call_count == 0
+            assert stats.out_estimate == expected
+            assert evaluate.call_count == 1
+            assert stats.out_estimate == expected
+            assert evaluate.call_count == 1
 
     def test_sampled_path_still_counts_the_sampled_rows(self):
         import random
@@ -484,3 +488,82 @@ class TestAcyclicOutIsCounted:
                      for name in "ABCD"}
         out = collect_query_statistics(cq, relations, p=4).out_estimate
         assert out == side**4 == 2**64 and type(out) is int
+
+
+def _perfbench_engine(klass, n=600):
+    """An engine over perfbench's ``klass`` generator, and its query."""
+    import numpy as np
+
+    from perfbench import datagen
+    from repro.engine import Engine
+
+    op = datagen.make_op(klass, n, 0, np.random.default_rng(21))
+    engine = Engine(p=8)
+    for name, (attrs, cols) in op.relations.items():
+        engine.register(Relation.from_columns(name, attrs, cols))
+    return engine, parse_query(datagen.query_text(klass))
+
+
+class TestCyclicOutOnRead:
+    """No ranking reads a cyclic query's OUT, so planning never evaluates
+    it; the fields that print it compute it on first read, to the value
+    an eager evaluation gives."""
+
+    @pytest.mark.parametrize("klass, chosen", [("tri", "hypercube"), ("skewtri", "skewhc")])
+    def test_engine_query_evaluates_no_cyclic_query(self, klass, chosen, monkeypatch):
+        import math
+
+        from repro.theory.lower_bounds import join_load_lower_bound
+
+        clear_memo()
+        engine, cq = _perfbench_engine(klass)
+        bindings = {atom.name: engine.relation(atom.name) for atom in cq.atoms}
+        expected = len(cq.evaluate(bindings))
+        calls = []
+        real = ConjunctiveQuery.evaluate
+
+        def spy(self, relations):
+            calls.append(self is cq)  # the servers' local plans are other queries
+            return real(self, relations)
+
+        monkeypatch.setattr(ConjunctiveQuery, "evaluate", spy)
+        result = engine.query(cq)
+        assert result.explain.chosen == chosen and calls.count(True) == 0
+        assert Counter(result.output.rows_readonly()) == Counter(
+            real(cq, bindings).rows_readonly())
+        explain = result.explain
+        assert result.plan.out_estimate == explain.statistics.out_estimate == expected
+        assert calls.count(True) == 1
+        rho = explain.rho_star
+        assert explain.lower_bound == join_load_lower_bound(expected, rho, 8, rounds=1)
+        skewhc = explain.candidate("skewhc")
+        assert skewhc.envelope_additive == (
+            8 + 8.0 + math.sqrt(max(expected, 1) / 8) + explain.statistics.max_joint_degree)
+        assert "OUT~%d" % expected in explain.describe()
+        assert engine.query(cq).explain is explain and calls.count(True) == 1
+        clear_memo()
+
+    def test_out_counts_the_rows_planning_saw(self):
+        # Rows appended after planning are not in the OUT read afterwards,
+        # and the statistics keep no input alive.
+        import gc
+        import pickle
+        import weakref
+
+        cq = parse_query("R(x, y), S(y, z), T(z, x)")
+        relations = {
+            "R": Relation("R", ["x", "y"], [(i % 5, i % 3) for i in range(30)]),
+            "S": Relation("S", ["y", "z"], [(i % 3, i % 7) for i in range(30)]),
+            "T": Relation("T", ["z", "x"], [(i % 7, i % 5) for i in range(30)]),
+        }
+        expected = len(cq.evaluate(relations))
+        stats = collect_query_statistics(cq, relations, p=4)
+        twin = collect_query_statistics(cq, relations, p=4)
+        relations["R"].extend([(x, y) for x in range(5) for y in range(3)])
+        assert len(cq.evaluate(relations)) > expected
+        refs = [weakref.ref(rel) for rel in relations.values()]
+        del relations
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert stats.out_estimate == expected
+        assert pickle.loads(pickle.dumps(twin)) == stats
