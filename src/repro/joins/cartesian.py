@@ -28,7 +28,8 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.joins.base import JoinRun, inline_local_join, join_schemas
-from repro.kernels.hashing import bucket_tuple_columns
+from repro.kernels.memo import count_hash_ops
+from repro.kernels.partition import hash_codes
 from repro.mpc.cluster import Cluster
 
 
@@ -110,9 +111,8 @@ def replicate(cluster: Cluster, left: tuple, right: tuple) -> None:
     with cluster.round("cartesian-replicate") as rnd:
         for tag, ((fragment, columns, positions), (h, cells)) in enumerate(zip((left, right), lines)):
             at = np.arange(len(positions))
-            line = bucket_tuple_columns(
-                [at % p, at // p, np.full(len(at), tag)], h.salt, h.buckets
-            )
+            line, hashed = hash_codes(len(at), [at % p, at // p, np.full(len(at), tag)], h)
+            count_hash_ops(rnd, hashed)
             deliver(rnd, fragment, columns, positions, line, (at // p, at % p), cells)
 
 

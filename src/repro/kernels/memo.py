@@ -30,6 +30,9 @@ is chosen by what the code observes, never by a switch or a fault plan:
 :func:`route` tries the cached plan, then the per-server kernel, and a
 route whose provenance cannot be proven takes the kernel — which is also
 what a cache miss is byte-identical to.
+
+:class:`OnRead`, the one record with fields computed on first read, lives
+here too, below every record that defers a field.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _bump(stats: "MemoStats | None", name: str, amount: int = 1) -> None:
 
 
 def count_hash_ops(rnd: "RoundContext", ops: int) -> None:
-    """Record bucket-kernel work done by try_route/try_route_grid.
+    """Record bucket-kernel work done outside a plan build.
 
     Charged the same way the replay path charges a plan build, so the
     hash-ops counters compare like with like across both paths.
@@ -143,6 +146,49 @@ class LRU:
         with self._lock:
             return (self.hits, self.misses, self.evictions, self.dropped,
                     len(self._entries))
+
+
+class Later:
+    """A field value of an :class:`OnRead` record, computed on first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[], object]) -> None:
+        self.compute = compute
+
+
+class OnRead:
+    """A frozen dataclass whose fields named in ``_deferred`` may be given
+    as :class:`Later`: such a field is unset until read, and the first
+    read calls ``compute()`` once and keeps the value, so ``==``, ``repr``
+    and every later read see a plain field. Two threads racing on a first
+    read compute the same value twice. The record keeps what ``compute``
+    reads for as long as it lives. A deferred field with a default must
+    take it from ``default_factory`` (a plain default is a class
+    attribute, found before any instance lookup fails).
+    """
+
+    _deferred: tuple = ()  # unannotated in subclasses: not a field
+
+    def __post_init__(self) -> None:
+        held = self.__dict__
+        later = {name: held.pop(name) for name in self._deferred if type(held[name]) is Later}
+        if later:
+            held["_later"] = later
+
+    def __getattr__(self, name: str):
+        later = vars(self).get("_later", {}).get(name)
+        if later is None:
+            raise AttributeError(name)
+        value = later.compute()
+        object.__setattr__(self, name, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # A pickle carries values, not the functions that compute them.
+        for name in list(vars(self).get("_later", ())):
+            getattr(self, name)
+        return {name: v for name, v in vars(self).items() if name != "_later"}
 
 
 # Relation-keyed entries are ``(owners, tokens, value)``, parallel tuples
@@ -253,31 +299,29 @@ def _replay_eligible(cluster: "Cluster", rel: "Relation", fragment: str) -> bool
 def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable) -> tuple:
     """The whole-relation twin of the per-server kernels, as a cache value.
 
-    ``code(n, key columns)`` gives ``(codes, buckets, offsets, hash_ops)``
-    for the full relation.  Every elementwise hash commutes with the
-    slice ``rows[s::p]``, so the full columns are hashed once and
-    partitioned once, in (destination, source server, position) order —
-    position ``i`` sits on server ``i % p`` — which is what a destination
-    receives when each server partitions its own slice and the sends
-    arrive source server ascending.  Each destination's part is held once,
-    as one frozen block per column (no row list is read).  One destination
-    from one source (``p == 1``, as on a one-server pool) is the identity:
-    no hash, no sort, and its part is the relation's own columns — the
-    arrays, never the relation, so the plan keeps no input alive.
+    ``code(n, key columns)`` gives ``(codes, buckets, offsets, hash_ops,
+    hashed key columns)`` for the full relation.  Every elementwise hash
+    commutes with the slice ``rows[s::p]``, so the full columns are hashed
+    once and partitioned once, in (destination, source server, position)
+    order — position ``i`` sits on server ``i % p`` — which is what a
+    destination receives when each server partitions its own slice and the
+    sends arrive source server ascending.  Each destination's part is held
+    once, as one frozen block per column (no row list is read).  One
+    destination from one source (``p == 1``, as on a one-server pool) is the
+    identity: no hash, no sort, and its part is the relation's own columns —
+    the arrays, never the relation, so the plan keeps no input alive.
     """
     from repro.kernels.partition import partition_groups
 
     columns = rel.columns()
-    hashed = [columns[i] for i in key_idx]
-    codes, buckets, offsets, hash_ops = code(len(rel), hashed)
+    codes, buckets, offsets, hash_ops, hashed = code(len(rel), [columns[i] for i in key_idx])
     groups = partition_groups(codes, buckets, columns, sources=p)
     for _dest, blocks in groups:
         for block in blocks:
             # Delivered, possibly repeatedly, into fragments and results:
             # frozen, so that no receiver can mutate the cache.
             block.flags.writeable = False
-    nbytes = sum(int(column.nbytes) for column in hashed) if hash_ops else 0
-    return groups, offsets, nbytes, hash_ops
+    return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
 
 
 def _replay(
@@ -342,7 +386,7 @@ def route_scattered(
 
     def code(n: int, key_cols: Sequence) -> tuple:
         codes, hashed = hash_codes(n, key_cols, h)
-        return codes, h.buckets, (0,), hashed
+        return codes, h.buckets, (0,), hashed, key_cols if hashed else ()
 
     return _replay(
         cluster, rnd, rel, fragment, out_fragment, key_idx,
@@ -356,7 +400,7 @@ def _grid_code(*dims: Sequence[int]) -> Callable:
 
     def code(n: int, columns: Sequence) -> tuple:
         base, grid_size, offsets, hashed = grid_codes(n, columns, *dims)
-        return base, grid_size, offsets, n * hashed
+        return base, grid_size, offsets, n * len(hashed), hashed
 
     return code
 

@@ -91,12 +91,13 @@ def hash_codes(
     n: int, columns: Sequence[np.ndarray], h: "HashFunction"
 ) -> tuple[np.ndarray, int]:
     """``(per-row h(key), rows hashed)`` over the ``n`` rows' key columns,
-    the codes narrowed for the argsort. No key column is the key ``()``:
-    every row goes to ``h(())``. One bucket hashes nothing: every code is 0."""
+    the codes narrowed for the argsort. A route with one possible
+    destination hashes no row: one bucket puts every row at 0, and no key
+    column is the key ``()``, every row at ``h(())``."""
     if h.buckets == 1:
         return np.zeros(n, dtype=np.uint8), 0
     if not columns:
-        return shrink(np.full(n, h(()), dtype=np.int64), h.buckets), n
+        return shrink(np.full(n, h(()), dtype=np.int64), h.buckets), 0
     return shrink(bucket_tuple_columns(columns, h.salt, h.buckets), h.buckets), n
 
 
@@ -107,32 +108,30 @@ def grid_codes(
     salts: Sequence[int],
     extents: Sequence[int],
     strides: Sequence[int],
-) -> tuple[np.ndarray, int, list[int], int]:
-    """HyperCube destinations: ``(base cell per row, grid size, offsets, dims hashed)``.
+) -> tuple[np.ndarray, int, list[int], list[np.ndarray]]:
+    """HyperCube destinations: ``(base cell per row, grid size, offsets, hashed columns)``.
 
     ``columns`` are the rows' columns (:func:`bucket_value_column`);
     ``column_dims[c]`` is the grid dimension bound by row column ``c``
-    (columns are hashed left to right, later columns overwriting earlier
-    ones on a repeated dimension, as the scalar loop does); dimensions
-    bound by no column are wildcards, and a row goes to ``base + offset``
-    for every offset enumerating their full extent. A one-cell grid hashes
-    nothing: every row goes to cell 0.
+    (the last column bound to a dimension decides it, as the scalar loop
+    does); dimensions bound by no column are wildcards, and a row goes to
+    ``base + offset`` for every offset enumerating their full extent. A
+    dimension of extent 1 hashes nothing: every row is in its bucket 0, so
+    a one-cell grid hashes nothing at all.
     """
     grid_size = math.prod(int(e) for e in extents)
     if grid_size == 1:
-        return np.zeros(n, dtype=np.uint8), 1, [0], 0
-    dim_buckets: dict[int, np.ndarray] = {}
-    for column, dim in zip(columns, column_dims):
-        dim_buckets[dim] = bucket_value_column(column, salts[dim], extents[dim])
+        return np.zeros(n, dtype=np.uint8), 1, [0], []
+    hashed = {dim: column for column, dim in zip(columns, column_dims) if extents[dim] > 1}
     base = np.zeros(n, dtype=np.int64)
-    for dim, buckets in dim_buckets.items():
-        base += buckets * strides[dim]
-    free_dims = [d for d in range(len(extents)) if d not in dim_buckets]
+    for dim, column in hashed.items():
+        base += bucket_value_column(column, salts[dim], extents[dim]) * strides[dim]
+    free_dims = [d for d in range(len(extents)) if d not in hashed]
     offsets = [
         sum(c * strides[d] for c, d in zip(combo, free_dims))
         for combo in product(*(range(extents[d]) for d in free_dims))
     ]
-    return shrink(base, grid_size), grid_size, offsets, len(dim_buckets)
+    return shrink(base, grid_size), grid_size, offsets, list(hashed.values())
 
 
 def try_route(
@@ -167,7 +166,7 @@ def try_route_grid(
     if not n:
         return
     base, grid_size, offsets, hashed = grid_codes(n, data, column_dims, salts, extents, strides)
-    count_hash_ops(rnd, n * hashed)
+    count_hash_ops(rnd, n * len(hashed))
     for dest_base, part in partition_groups(base, grid_size, data):
         for offset in offsets:
             rnd.send_columns(dest_base + offset, fragment, part)

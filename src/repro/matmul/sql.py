@@ -20,10 +20,9 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.kernels.columnar import pack_columns
-from repro.kernels.hashing import bucket_value_column
 from repro.kernels.join import join_indices
 from repro.kernels.memo import route
-from repro.kernels.partition import partition_groups
+from repro.kernels.partition import try_route_grid
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import held
 from repro.mpc.stats import RunStats
@@ -43,18 +42,17 @@ def sql_matmul(
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} × {b.shape}")
 
-    # Round 1: join on j, routed by h(j) — the scalar spec, not h((j,)).
+    # Round 1: join on j, routed by h(j) — the scalar spec, not h((j,)):
+    # the HyperCube over (i, j, k) with shares (1, p, 1), where only j hashes.
     cluster = Cluster(p, seed=seed)
     cluster.scatter(_nonzero(a, "A", ["i", "j", "v"]), "A@in")
     cluster.scatter(_nonzero(b, "B", ["j", "k", "v"]), "B@in")
-    h = cluster.hash_function(0)
+    salt = cluster.hash_function(0).salt
     with cluster.round("join-j") as rnd:
         for server in cluster.servers:
-            for side, j in (("A", 1), ("B", 0)):
-                columns = held(server.take(f"{side}@in"), 3)
-                dests = bucket_value_column(columns[j], h.salt, h.buckets)
-                for dest, part in partition_groups(dests, h.buckets, columns):
-                    rnd.send_columns(dest, f"{side}@j", part)
+            for side, dims in (("A", (0, 1)), ("B", (1, 2))):
+                try_route_grid(rnd, held(server.take(f"{side}@in"), 3), dims,
+                               (salt,) * 3, (1, p, 1), (p, 1, 1), f"{side}@j")
 
     # The n³ elementary products dominate the run; the exec backend
     # computes each server's block concurrently and returns (i, k, v)

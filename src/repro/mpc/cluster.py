@@ -11,13 +11,11 @@ Usage pattern (a shuffle round)::
     h = cluster.hash_function(index=0, buckets=cluster.p)
     with cluster.round("shuffle") as rnd:
         for server in cluster.servers:
-            x, y = held(server.take("R"), 2)
-            dest = bucket_value_column(x, h.salt, h.buckets)   # h(x) per row
-            for d in range(cluster.p):
-                rnd.send_columns(d, "R@h", [x[dest == d], y[dest == d]])
+            # each row to h((x,)), one send per destination, hashes counted
+            try_route(rnd, held(server.take("R"), 2), (0,), h, "R@h")
     # after the `with` block every destination fragment is populated and
     # cluster.stats has a RoundStats entry for the round.
-    # (repro.kernels.partition.try_route is this loop, one stable partition.)
+    # (repro.kernels.memo.route is this loop, replaying a cached plan when it can.)
 
 Costs follow the tutorial's conventions: the *load* of a server in a
 round is the number of tuples it receives; ``L`` is the max over servers

@@ -172,11 +172,13 @@ class ExecStats(CounterStats):
 class MemoStats(CounterStats):
     """Memoization accounting of a run.
 
-    ``hash_ops`` counts rows x hashed-dimensions actually pushed through
-    the bucket kernels (on the replay and the per-server path alike, so
-    cold and warm runs are directly comparable); ``hash_ops_saved``
-    counts the ops a partition cache hit skipped; ``bytes_saved`` the
-    key-column chunk bytes a hit did not recompute.
+    ``hash_ops`` counts rows x dimensions a bucket kernel actually hashed
+    (one dimension per hash route, one per bound grid dimension), on the
+    replay and the per-server path alike; a route or grid dimension with
+    one possible destination hashes nothing and adds 0, and an ``object``
+    key counts per row. ``hash_ops_saved`` counts the ops a partition
+    cache hit skipped; ``bytes_saved`` the bytes of the key columns it
+    did not hash again.
     """
 
     partition_hits: int = 0

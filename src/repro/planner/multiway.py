@@ -19,9 +19,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.data.relation import Relation
+from repro.kernels.memo import Later, OnRead
 from repro.multiway.base import MultiwayRun
 from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
-from repro.planner.statistics import Later, OnRead
 from repro.query.cq import ConjunctiveQuery
 
 

@@ -42,12 +42,12 @@ from repro.joins.broadcast_join import broadcast_join
 from repro.joins.cartesian import cartesian_product, predicted_cartesian_load
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
-from repro.kernels.memo import align, bound, cached_view
+from repro.kernels.memo import Later, OnRead, align, bound, cached_view
 from repro.mpc.stats import RunStats
 from repro.multiway.gym import gym
 from repro.multiway.hypercube import hypercube_join
 from repro.multiway.skewhc import heavy_values_at, skewhc_join
-from repro.planner.statistics import Later, OnRead, QueryStatistics, collect_query_statistics
+from repro.planner.statistics import QueryStatistics, collect_query_statistics
 from repro.query.cq import ConjunctiveQuery
 # tau_star is not called here, but perfbench's tracer patches it in every
 # importer, and perfbench/tests/test_tracing.py:79 checks this one.

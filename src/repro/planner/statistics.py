@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -29,51 +29,8 @@ from repro.data.relation import Relation
 from repro.errors import DecompositionError
 from repro.joins.base import estimate_join_size
 from repro.kernels.columnar import column_of, concatenated
-from repro.kernels.memo import counts_at, degree_view, grouped, ordered
+from repro.kernels.memo import Later, OnRead, counts_at, degree_view, grouped, ordered
 from repro.query.shape import shape
-
-
-class Later:
-    """A field value of an :class:`OnRead` record, computed on first read."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable[[], object]) -> None:
-        self.compute = compute
-
-
-class OnRead:
-    """A frozen dataclass whose fields named in ``_deferred`` may be given
-    as :class:`Later`: such a field is unset until read, and the first
-    read calls ``compute()`` once and keeps the value, so ``==``, ``repr``
-    and every later read see a plain field. Two threads racing on a first
-    read compute the same value twice. The record keeps what ``compute``
-    reads for as long as it lives. A deferred field with a default must
-    take it from ``default_factory`` (a plain default is a class
-    attribute, found before any instance lookup fails).
-    """
-
-    _deferred: tuple = ()  # unannotated in subclasses: not a field
-
-    def __post_init__(self) -> None:
-        held = self.__dict__
-        later = {name: held.pop(name) for name in self._deferred if type(held[name]) is Later}
-        if later:
-            held["_later"] = later
-
-    def __getattr__(self, name: str):
-        later = vars(self).get("_later", {}).get(name)
-        if later is None:
-            raise AttributeError(name)
-        value = later.compute()
-        object.__setattr__(self, name, value)
-        return value
-
-    def __getstate__(self) -> dict:
-        # A pickle carries values, not the functions that compute them.
-        for name in list(vars(self).get("_later", ())):
-            getattr(self, name)
-        return {name: v for name, v in vars(self).items() if name != "_later"}
 
 
 @dataclass(frozen=True)

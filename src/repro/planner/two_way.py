@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 from repro.data.relation import Relation
 from repro.joins.base import JoinRun
+from repro.kernels.memo import Later, OnRead
 from repro.planner.optimizer import ExplainResult, plan_and_execute, plan_query
-from repro.planner.statistics import JoinStatistics, Later, OnRead, join_statistics
+from repro.planner.statistics import JoinStatistics, join_statistics
 from repro.query.cq import Atom, ConjunctiveQuery
 
 

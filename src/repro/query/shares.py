@@ -28,16 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import OptimizationError
+from repro.kernels.memo import Later, OnRead
 from repro.query import lp
 from repro.query.cq import ConjunctiveQuery
 
 
 @dataclass(frozen=True)
-class ShareAssignment:
+class ShareAssignment(OnRead):
     """Result of share optimization for one query + size profile.
 
-    :func:`optimal_shares` leaves the LP's fields unset when it finds the grid
-    without them: they are solved on first read (the query path reads none).
+    :func:`optimal_shares` gives the LP's fields as :class:`Later` values when
+    it finds the grid without them: the first read of any of them solves the
+    LP once for all three (the query path reads none).
     """
 
     exponents: dict[str, float]       # e_i: share of variable i is p^{e_i}
@@ -46,11 +48,7 @@ class ShareAssignment:
     predicted_load: float             # max_j |S_j| / Π_{i∈j} share_i (fractional)
     integral_load: float              # same with the integral shares
 
-    def __getattr__(self, name: str):
-        if name not in ("exponents", "fractional", "predicted_load") or "_inputs" not in vars(self):
-            raise AttributeError(name)
-        self.__dict__.update(_lp_optimum(*self._inputs))
-        return self.__dict__[name]
+    _deferred = ("exponents", "fractional", "predicted_load")
 
     def extents(self, variables: tuple[str, ...]) -> tuple[int, ...]:
         """Integral shares ordered by the query's variable tuple."""
@@ -73,10 +71,9 @@ def optimal_shares(query: ConjunctiveQuery, sizes: dict[str, int], p: int,
     names, table, products = lp.derived(key, lambda: _query_table(query, p, max_enumeration))
     if table.shape[1]:
         integral, load = _first_minimum(query, sizes, names, table, products)
-        assignment = object.__new__(ShareAssignment)
-        assignment.__dict__.update(integral=integral, integral_load=load,
-                                   _inputs=(query, dict(sizes), p))
-        return assignment
+        optimum = functools.cache(functools.partial(_lp_optimum, query, dict(sizes), p))
+        return ShareAssignment(integral=integral, integral_load=load, **{
+            name: Later(lambda name=name: optimum()[name]) for name in ShareAssignment._deferred})
     optimum = _lp_optimum(query, sizes, p)
     integral = _round_shares(query, sizes, p, optimum["fractional"], max_enumeration)
     return ShareAssignment(integral=integral, integral_load=_max_atom_load(query, sizes, integral),

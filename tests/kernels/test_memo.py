@@ -244,12 +244,17 @@ def _assert_replay_equals(got, want):
 
 
 @pytest.mark.parametrize("p", [1, 3, 8, 13])
-@pytest.mark.parametrize("shuffle, key_width", [
-    (_hash_shuffle((0,)), 1), (_hash_shuffle((1, 0)), 2),
-    (_grid_shuffle((0, 1)), 2),  # third dimension free: one send per offset
-    (_grid_shuffle((0, 0)), 2),  # repeated dimension: the later column wins
+@pytest.mark.parametrize("shuffle, hashed_columns", [
+    # Key columns hashed, per p: a route to one destination and a grid
+    # dimension of extent 1 (both bound ones at p = 3) hash nothing.
+    (_hash_shuffle((0,)), {1: 0, 3: 1, 8: 1, 13: 1}),
+    (_hash_shuffle((1, 0)), {1: 0, 3: 2, 8: 2, 13: 2}),
+    # third dimension free: one send per offset
+    (_grid_shuffle((0, 1)), {1: 0, 3: 0, 8: 2, 13: 2}),
+    # repeated dimension: the later column wins, and only it is hashed
+    (_grid_shuffle((0, 0)), {1: 0, 3: 0, 8: 1, 13: 1}),
 ], ids=["hash-1col", "hash-2col", "grid-free-dim", "grid-repeated-dim"])
-def test_per_destination_replay_equals_the_per_server_kernel_loop(p, shuffle, key_width):
+def test_per_destination_replay_equals_the_per_server_kernel_loop(p, shuffle, hashed_columns):
     for n in sorted({0, 1, p - 1, 257}):
         clear_memo()
         rows = [((i * 7919) % 31 - 9, i % 5) for i in range(n)]
@@ -269,9 +274,8 @@ def test_per_destination_replay_equals_the_per_server_kernel_loop(p, shuffle, ke
         assert (hit[1].memo.partition_misses, hit[1].memo.partition_hits) == (0, 1)
         assert hit[1].memo.hash_ops == 0
         assert hit[1].memo.hash_ops_saved == want_memo.hash_ops
-        # The plan's key-column chunks: every int64 key value once — none
-        # at p = 1, where the one destination hashes nothing.
-        assert hit[1].memo.bytes_saved == (n * key_width * 8 if p > 1 else 0)
+        # The plan's hashed key-column chunks: every int64 key value once.
+        assert hit[1].memo.bytes_saved == n * hashed_columns[p] * 8
 
 
 def test_two_routes_into_one_fragment_keep_route_order():

@@ -566,6 +566,25 @@ class TestCacheInventoryLint:
         """Every LP goes through the value-keyed memo of ``query/lp.py``."""
         assert _files_matching(r"linprog") == ["query/lp.py"]
 
+    def test_the_on_read_record_has_one_definition(self):
+        assert _files_matching(r"(?m)^class (OnRead|Later)\b") == ["kernels/memo.py"]
+        shares = (ROOT / "src" / "repro" / "query" / "shares.py").read_text()
+        assert "__getattr__" not in shares and "object.__new__" not in shares
+
+
+class TestOneHashKernelLint:
+    """Every row hash is counted where it is computed: ``kernels/partition.py``.
+
+    ``hashing.py`` defines the bucket kernels and ``kernels/__init__.py``
+    re-exports them; a route anywhere else that called them would hash
+    outside ``MemoStats.hash_ops`` (``tests/kernels/test_hash_recount.py``).
+    """
+
+    def test_only_the_partition_kernels_call_the_bucket_kernels(self):
+        assert _files_matching(r"bucket_value_column|bucket_tuple_columns") == [
+            "kernels/__init__.py", "kernels/hashing.py", "kernels/partition.py",
+        ]
+
 
 class TestDispatchInventoryLint:
     """One module decides and dispatches: ``planner/optimizer.py``.
