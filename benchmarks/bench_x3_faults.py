@@ -22,8 +22,7 @@ from repro.data.generators import uniform_relation
 from repro.data.graphs import random_edges, triangle_relations
 from repro.data.relation import Relation
 from repro.joins.hash_join import parallel_hash_join
-from repro.kernels.hashing import bucket_value_column
-from repro.kernels.partition import partition_groups
+from repro.kernels.partition import try_route
 from repro.mpc import (
     Cluster,
     CrashFault,
@@ -95,10 +94,7 @@ def _shuffle_pipeline(p, n, depth, plan=None):
         h = cluster.hash_function(step, p)
         with cluster.round(f"shuffle-{step}") as rnd:
             for server in cluster.servers:
-                a, b = held(server.take(f"F{step}"), 2)
-                dests = bucket_value_column(a + step, h.salt, h.buckets)  # h(a + step)
-                for dest, part in partition_groups(dests, p, [a, b]):
-                    rnd.send_columns(dest, f"F{step + 1}", part)
+                try_route(rnd, held(server.take(f"F{step}"), 2), (0,), h, f"F{step + 1}")
     return sorted(cluster.gather(f"F{depth}")), cluster.stats
 
 

@@ -316,11 +316,6 @@ def _build_plan(rel: "Relation", p: int, key_idx: Sequence[int], code: Callable)
     columns = rel.columns()
     codes, buckets, offsets, hash_ops, hashed = code(len(rel), [columns[i] for i in key_idx])
     groups = partition_groups(codes, buckets, columns, sources=p)
-    for _dest, blocks in groups:
-        for block in blocks:
-            # Delivered, possibly repeatedly, into fragments and results:
-            # frozen, so that no receiver can mutate the cache.
-            block.flags.writeable = False
     return groups, offsets, sum(int(column.nbytes) for column in hashed), hash_ops
 
 
@@ -549,14 +544,16 @@ def distinct_project(
     attributes: Sequence[str],
     stats: "MemoStats | None" = None,
 ) -> "Relation":
-    """Memoized ``rel.project(list(attributes)).distinct()``."""
+    """The distinct ``attributes`` of ``rel``, memoized (one identity, so its
+    routing plans stay hot): the key columns of its :func:`degree_view` there,
+    in the view's order — no second grouping."""
     attributes = tuple(attributes)
-    return cached_view(
-        rel,
-        ("distinct", attributes),
-        lambda: rel.project(list(attributes)).distinct(),
-        stats,
-    )
+
+    def build() -> "Relation":
+        keys, _counts = degree_view(rel, rel.schema.indices(attributes), stats)
+        return type(rel).from_columns(rel.name, attributes, keys)
+
+    return cached_view(rel, ("distinct", attributes), build, stats)
 
 
 def grouped(keys: Sequence[np.ndarray], weights: np.ndarray | None = None) -> tuple:

@@ -69,7 +69,8 @@ def partition_groups(
     """Stable partition: ``(code, its part of data)`` per non-empty code.
 
     ``codes[i]`` in ``[0, buckets)`` is row ``i``'s bucket; ``data`` is
-    the rows' columns, and each part is the slices of them. Groups come out in
+    the rows' columns, and each part is read-only slices of one permuted
+    copy of them (a plan delivers its parts again and again). Groups come out in
     ascending code order with the rows of each group in (source server,
     position) order, position ``i`` sitting on server ``i % sources`` —
     one stable argsort + bincount, the core of every batched route. One
@@ -84,6 +85,8 @@ def partition_groups(
     bounds = [(code, end - count, end) for code, count, end in
               zip(range(buckets), counts, accumulate(counts)) if count]
     ordered = [column[order] for column in data]
+    for column in ordered:
+        column.flags.writeable = False
     return [(code, [c[lo:hi] for c in ordered]) for code, lo, hi in bounds]
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from typing import Any
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.joins.cartesian import cartesian_on_cluster
 from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
-from repro.kernels.join import code_key_columns, cut_at_tags, locate, stack_tagged
+from repro.kernels.join import code_key_columns, cut_at_tags, locate, slots, stack_tagged
 from repro.kernels.memo import degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
@@ -133,11 +134,13 @@ def semijoin_step(
     simultaneous upward semijoins). A target tuple survives iff its key
     appears in every reducer.
 
-    Light keys (degree < IN/p in the target) are hash-partitioned together
-    with the reducers' distinct keys. Heavy keys would overload a single
-    hash bucket, so their target tuples *stay in place* and only the
-    membership verdicts of the ≤ p heavy keys are broadcast — this is
-    what keeps a semijoin at L = O(IN/p) under arbitrary skew (slide 58).
+    A key is heavy at degree ≥ max(IN/p, 2) in the target, IN counting the
+    target and every reducer. Light keys are hash-partitioned together with
+    the reducers' distinct keys (each reducer's degree-view keys). Heavy
+    keys would overload a single hash bucket, so their target tuples *stay
+    in place* and only the membership verdicts of the ≤ p heavy keys are
+    broadcast — this is what keeps a semijoin at L = O(IN/p) under
+    arbitrary skew (slide 58).
     """
     if not reducers:
         raise QueryError("shuffle_multi_semijoin needs at least one reducer")
@@ -161,22 +164,20 @@ def semijoin_step(
     is_heavy = bool(len(heavy[0]))
 
     t_frag = cluster.scatter(target, "T@in")
-    reducer_frags = []
     reducer_lights: list[Relation] = []
     found = np.full(len(heavy[0]), True)
     for i, red in enumerate(reducers):
-        distinct_keys = distinct_project(red, shared, stats=cluster.stats.memo)
         # Without heavy keys the memoized distinct relation is scattered
         # directly, keeping a stable identity for the partition cache.
-        light_keys = distinct_keys
+        light_keys = distinct_project(red, shared, stats=cluster.stats.memo)
         if is_heavy:
-            columns = distinct_keys.columns()
+            columns = light_keys.columns()
             light = locate(columns, heavy) < 0
             light_keys = Relation.from_columns(red.name, shared, [c[light] for c in columns])
             # Heavy keys found in every reducer get their verdict broadcast.
             found &= locate(heavy, columns) >= 0
         reducer_lights.append(light_keys)
-        reducer_frags.append(cluster.scatter(light_keys, f"K{i}@in"))
+        cluster.scatter(light_keys, f"K{i}@in")
     heavy_alive = ordered(zip_rows([k[found] for k in heavy]))
 
     h = cluster.hash_function(0)
@@ -188,8 +189,8 @@ def semijoin_step(
                 server.put("T@stay", _route_light(rnd, t_cols, t_idx, heavy, h))
         else:
             route(cluster, rnd, t_frag, t_idx, h, "T@j", target)
-        for i, frag in enumerate(reducer_frags):
-            route(cluster, rnd, frag, key_arity, h, f"K{i}@j", reducer_lights[i])
+        for i, light_keys in enumerate(reducer_lights):
+            route(cluster, rnd, f"K{i}@in", key_arity, h, f"K{i}@j", light_keys)
         if heavy_alive:
             alive = key_columns(heavy_alive, range(len(shared)))
             for dest in range(p):
@@ -198,11 +199,13 @@ def semijoin_step(
     payloads = []
     arity = target.schema.arity
     for server in cluster.servers:
-        server.take("H@alive")  # consumed: contents mirror `heavy_alive`
+        if heavy_alive:
+            server.take("H@alive")  # consumed: contents mirror `heavy_alive`
         payloads.append((
             [held(server.take(f"K{i}@j"), len(shared)) for i in range(len(reducers))],
             held(server.take("T@j"), arity),
-            held(server.take("T@stay"), arity),
+            # Read only for heavy_alive; without heavy keys nothing stays.
+            held(server.take("T@stay"), arity) if is_heavy else [],
         ))
     results = cluster.map_servers(
         "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
@@ -237,10 +240,11 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     heavy stay-in-place columns)``; a server's survivors are its routed
     rows whose key appears in every reducer, then its heavy rows whose key
     survived globally (``heavy_alive``, broadcast by the coordinator). The
-    chunk is filtered in one pass: one ``np.isin`` per reducer over
-    ``(server, key)`` codes (masks are elementwise), and one for the heavy
-    rows. Pure over its inputs, so inline and worker execution agree
-    byte-for-byte.
+    chunk is filtered in one pass over ``(server, key)`` codes (masks are
+    elementwise): the target's keys are coded once, with every reducer's,
+    and placed once in a slot table (:func:`~repro.kernels.join.slots`)
+    that each reducer then marks; the heavy rows take one more. Pure over
+    its inputs, so inline and worker execution agree byte-for-byte.
     """
     t_idx, heavy_alive = common
     servers = len(payloads)
@@ -249,18 +253,27 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     def kept(columns: list, keep: np.ndarray) -> list[tuple]:
         return cut_at_tags([column[keep] for column in columns], servers)
 
-    def member(keys: list, members: list) -> np.ndarray:
-        return np.isin(*code_key_columns(keys, members))
+    def member(keys: list, members: list[list]) -> np.ndarray:
+        """Per row of ``keys``, whether its key is a row of every one of ``members``."""
+        rows, codes = code_key_columns(keys, [concatenated(c) for c in zip(*members)])
+        keep = np.full(len(rows), bool(len(codes)))
+        if not len(codes):
+            return keep
+        code_slots, row_slots, size = slots(codes, rows)
+        for start, end in pairwise([0, *accumulate(len(m[0]) for m in members)]):
+            marked = np.zeros(size, dtype=bool)
+            marked[code_slots[start:end]] = True
+            keep &= marked[row_slots]
+        return keep
 
     target = stack_tagged([t_cols for _keys, t_cols, _stay in payloads])
     reducers = [stack_tagged(list(parts)) for parts in zip(*(keys for keys, _t, _stay in payloads))]
-    t_keys = target[:lead] + [target[i + lead] for i in t_idx]
     # Every mask over the whole target, as the per-server filter does.
-    routed = kept(target, np.logical_and.reduce([member(t_keys, keys) for keys in reducers]))
+    routed = kept(target, member(target[:lead] + [target[i + lead] for i in t_idx], reducers))
     if not heavy_alive:
         return routed
     stay = stack_tagged([s_cols for _keys, _t, s_cols in payloads])
-    alive = member([stay[i + lead] for i in t_idx], key_columns(heavy_alive, range(len(t_idx))))
+    alive = member([stay[i + lead] for i in t_idx], [key_columns(heavy_alive, range(len(t_idx)))])
     return [
         tuple(map(concatenated, zip(light, heavy)))
         for light, heavy in zip(routed, kept(stay, alive))

@@ -158,7 +158,12 @@ def _greedy_join_order(covers: list[Relation]) -> list[Relation]:
 
 
 def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation:
+    """``rel`` projected to ``node``'s bag: ``rel`` itself when it keeps every
+    attribute (so its steps read the views built for it, and a cover or a
+    join of covers is already a set), else a copy deduplicated under ``dedupe``."""
     bag_attrs = [a for a in rel.schema.attributes if a in node.bag]
+    if len(bag_attrs) == len(rel.schema.attributes):
+        return rel
     # Memoized: repeated GYM runs over unchanged inputs reuse the bag
     # projection (read-only downstream — semijoins replace, never mutate).
     projected = project_view(rel, bag_attrs, name=f"B{node.cover[0]}")

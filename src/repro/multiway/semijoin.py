@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.data.relation import Relation, union_all
 from repro.kernels.columnar import column_of
-from repro.kernels.memo import counts_at, grouped, ordered
+from repro.kernels.memo import counts_at, degree_view, grouped, ordered
 from repro.mpc.cluster import Cluster
 from repro.multiway.base import MultiwayRun, on_pools, semijoin_step
 from repro.query.cq import triangle_query, two_path_query
@@ -131,5 +131,5 @@ def _heavy_z_residual(
 
 
 def _times(rel: Relation, attribute: str, column: np.ndarray) -> np.ndarray:
-    """Per value of ``column``, how many rows of ``rel`` hold it as ``attribute``."""
-    return counts_at(grouped(rel.project([attribute]).columns()), [column])
+    """Per value of ``column``, how many rows of ``rel`` hold it as ``attribute`` (its degree view)."""
+    return counts_at(degree_view(rel, rel.schema.indices([attribute])), [column])

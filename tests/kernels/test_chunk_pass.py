@@ -341,17 +341,19 @@ def test_a_semijoin_wave_makes_one_membership_test_per_reducer(monkeypatch):
     target = rels["S"]
     reducers = [rels["R"].project(["y"]), rels["T"].project(["z"]).rename({"z": "y"})]
     calls = []
-    real = np.isin
+    real = join_kernels.slots
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
+    def counting(codes, probes):
+        calls.append((len(codes), len(probes)))
+        return real(codes, probes)
 
     import repro.multiway.base as multiway_base
 
-    monkeypatch.setattr(multiway_base.np, "isin", counting)
+    monkeypatch.setattr(multiway_base, "slots", counting)
     output, stats = shuffle_multi_semijoin(target, reducers, 8)
-    assert calls == [240, 240]
+    # The chunk's 240 target keys are placed in one slot table, once for
+    # both reducers' keys; each reducer then marks it.
+    assert calls == [(len(set(reducers[0].column("y"))) + len(set(reducers[1].column("y"))), 240)]
     assert stats.memo.partition_misses == 3
     assert sorted(output.rows_readonly()) == sorted(
         target.semijoin(reducers[0]).semijoin(reducers[1]).rows_readonly()

@@ -578,12 +578,19 @@ class TestOneHashKernelLint:
     ``hashing.py`` defines the bucket kernels and ``kernels/__init__.py``
     re-exports them; a route anywhere else that called them would hash
     outside ``MemoStats.hash_ops`` (``tests/kernels/test_hash_recount.py``).
+    The benchmarks and examples route through the same kernels.
     """
 
+    PATTERN = r"bucket_value_column|bucket_tuple_columns"
+
     def test_only_the_partition_kernels_call_the_bucket_kernels(self):
-        assert _files_matching(r"bucket_value_column|bucket_tuple_columns") == [
+        assert _files_matching(self.PATTERN) == [
             "kernels/__init__.py", "kernels/hashing.py", "kernels/partition.py",
         ]
+
+    @pytest.mark.parametrize("tree", ["benchmarks", "examples"])
+    def test_no_benchmark_or_example_calls_the_bucket_kernels(self, tree):
+        assert _files_matching(self.PATTERN, ROOT / tree) == []
 
 
 class TestDispatchInventoryLint:
