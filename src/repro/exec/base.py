@@ -55,7 +55,8 @@ def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
 
 def _resolve_task(name: str) -> Callable[[list[Any], Any], list[Any]]:
     # Imported lazily: the task registry pulls in the algorithm modules,
-    # which import this module for map_servers plumbing.
+    # which import this module through the cluster's local step
+    # (Cluster.compute).
     from repro.exec import tasks
 
     return tasks.resolve(name)

@@ -9,7 +9,8 @@ bundling the (gathered) output relation with the run's cost statistics.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -18,16 +19,18 @@ from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.kernels.join import TAG, cut_at_tags, lookup_codes, stack_tagged
 from repro.kernels.memo import counts_at, degree_view
-from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
 
 @dataclass
 class JoinRun:
-    """Output and cost of one distributed join execution."""
+    """Output and cost of one distributed execution, a join's or a
+    multiway plan's (``MultiwayRun`` is this class); ``details`` says how
+    a plan ran."""
 
     output: Relation
     stats: RunStats
+    details: dict[str, Any] = field(default_factory=dict)
 
     @property
     def load(self) -> int:
@@ -104,49 +107,22 @@ def join_fragment_chunk(payloads: list, common) -> list:
     return cut_at_tags(left.join(right).columns(), len(payloads))
 
 
-def _local_joins(cluster, left_fragment, right_fragment, left, right, out_fragment, run):
-    """Every server's local join: consume both fragments into one payload
-    (their columns; ``left`` and ``right`` supply only the schemas),
-    ``run(payloads, common)`` them, store each result on its server."""
-    payloads = [
-        (held(server.take(left_fragment), left.schema.arity),
-         held(server.take(right_fragment), right.schema.arity))
-        for server in cluster.servers
-    ]
-    results = run(payloads, (left.name, left.schema, right.name, right.schema))
-    for server, result in zip(cluster.servers, results):
-        server.append_result(out_fragment, result)
-
-
-def inline_local_join(
+def local_join(
     cluster, left_fragment: str, right_fragment: str,
     left: Relation, right: Relation, out_fragment: str,
 ) -> None:
-    """Join every server's two local fragments and append the result to
-    its ``out_fragment``, on the coordinator itself."""
-    _local_joins(
-        cluster, left_fragment, right_fragment, left, right, out_fragment,
-        join_fragment_chunk,
-    )
+    """Every server's local join: one local step
+    (:meth:`~repro.mpc.cluster.Cluster.compute`) that consumes both
+    fragments and appends each server's result to its ``out_fragment``.
+    ``left`` and ``right`` supply only the schemas.
 
-
-def distributed_local_join(
-    cluster,
-    left_fragment: str,
-    right_fragment: str,
-    left: Relation,
-    right: Relation,
-    out_fragment: str,
-) -> None:
-    """Run every server's local join through the cluster's exec backend.
-
-    The computation-phase counterpart of a shuffle round: with the
-    ``process`` backend the per-server joins run concurrently on the
-    worker pool (column blocks ride the worker's frame); with
-    ``inline`` this is exactly :func:`inline_local_join`, sharing
-    :func:`join_fragment_chunk` either way.
+    The computation phase of a shuffle round: with the ``process`` backend
+    the per-server joins run on the worker pool (column blocks ride the
+    worker's frame); either way :func:`join_fragment_chunk` computes them.
     """
-    _local_joins(
-        cluster, left_fragment, right_fragment, left, right, out_fragment,
-        lambda payloads, common: cluster.map_servers("join.fragments", payloads, common),
+    cluster.compute(
+        "join.fragments",
+        ((left_fragment, left.schema.arity), (right_fragment, right.schema.arity)),
+        (left.name, left.schema, right.name, right.schema),
+        out=out_fragment,
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import JoinRun, inline_local_join, join_schemas
+from repro.joins.base import JoinRun, join_schemas, local_join
 from repro.kernels.memo import count_hash_ops
 from repro.kernels.partition import hash_codes
 from repro.mpc.cluster import Cluster
@@ -90,7 +90,7 @@ def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
         ("L@cart", r.columns(), np.arange(len(r))),
         ("R@cart", s.columns(), np.arange(len(s))),
     )
-    inline_local_join(cluster, "L@cart", "R@cart", r, s, "out")
+    local_join(cluster, "L@cart", "R@cart", r, s, "out")
 
 
 def replicate(cluster: Cluster, left: tuple, right: tuple) -> None:

@@ -20,12 +20,7 @@ cannot collide.
 from __future__ import annotations
 
 from repro.data.relation import Relation
-from repro.joins.base import (
-    JoinRun,
-    distributed_local_join,
-    join_schemas,
-    require_join_key,
-)
+from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
 from repro.kernels.memo import route
 from repro.mpc.cluster import Cluster
 
@@ -51,7 +46,7 @@ def one_round_hash_join(
     """
     shared = require_join_key(r, s)
     scatter_and_route(cluster, r, s, shared, label)
-    distributed_local_join(cluster, "L@j", "R@j", r, s, "out")
+    local_join(cluster, "L@j", "R@j", r, s, "out")
     _shared, schema = join_schemas(r, s)
     return cluster.gather_relation("out", name, schema)
 

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.data.relation import Relation, union_all
-from repro.joins.base import inline_local_join, join_schemas
+from repro.joins.base import join_schemas, local_join
 from repro.joins.cartesian import deliver, replicate
 from repro.kernels.join import lookup_codes
 from repro.kernels.partition import partition_indices
@@ -159,7 +159,7 @@ def _packed_products(
                 ties = (j, source, i, np.repeat(first, sizes[sizes > 0]))
             deliver(rnd, fragment, columns, np.concatenate(groups),
                     np.asarray(placement)[i], ties, lambda server: (server,))
-    inline_local_join(cluster, "R@v", "S@v", r, s, "out")
+    local_join(cluster, "R@v", "S@v", r, s, "out")
 
 
 def _grid_product(
@@ -188,4 +188,4 @@ def _grid_product(
         return
 
     replicate(cluster, ("L@cart", r_cols, r_rows), ("R@cart", s_cols, s_rows))
-    inline_local_join(cluster, "L@cart", "R@cart", r, s, "out")
+    local_join(cluster, "L@cart", "R@cart", r, s, "out")

@@ -21,11 +21,10 @@ from repro.data.relation import Relation, union_all
 from repro.joins.base import (
     JoinRun,
     estimate_join_size,
-    inline_local_join,
     join_schemas,
     require_join_key,
 )
-from repro.joins.hash_join import scatter_and_route
+from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import heavy_products
 from repro.kernels.columnar import zip_rows
 from repro.kernels.join import lookup_codes
@@ -123,9 +122,7 @@ def skew_join(
     _shared, schema = join_schemas(r, s)
 
     def light(pool: Cluster) -> Relation:
-        scatter_and_route(pool, r_light, s_light, shared, "hash-shuffle")
-        inline_local_join(pool, "L@j", "R@j", r_light, s_light, "out")
-        return pool.gather_relation("out", "OUT", schema)
+        return one_round_hash_join(pool, r_light, s_light, "hash-shuffle", "OUT")
 
     def heavy(pool: Cluster) -> Relation:
         return heavy_products(pool, r, s, shared, heavy_keys, pool.p, seed)

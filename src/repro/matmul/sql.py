@@ -57,9 +57,7 @@ def sql_matmul(
     # The n³ elementary products dominate the run; the exec backend
     # computes each server's block concurrently and returns (i, k, v)
     # arrays — through shared memory under the process backend.
-    payloads = [(held(server.take("A@j"), 3), held(server.take("B@j"), 3))
-                for server in cluster.servers]
-    results = cluster.map_servers("matmul.partials", payloads)
+    results = cluster.compute("matmul.partials", (("A@j", 3), ("B@j", 3)))
     partials = [np.concatenate(parts) for parts in zip(*results)]
 
     # Round 2: aggregate by (i, k), on the same servers under the next seed.
@@ -69,8 +67,7 @@ def sql_matmul(
         agg.scatter(products, "P@in")
         with agg.round("groupby-ik") as rnd:
             route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j", products)
-        sum_payloads = [held(server.take("P@j"), 3) for server in agg.servers]
-        for iis, ks, vs in agg.map_servers("matmul.sums", sum_payloads):
+        for iis, ks, vs in agg.compute("matmul.sums", ("P@j", 3)):
             c[iis, ks] = vs
     return c, cluster.stats
 

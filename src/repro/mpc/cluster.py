@@ -4,18 +4,24 @@ Implements the Massively Parallel Communication model of the tutorial:
 ``p`` shared-nothing servers computing in synchronous rounds. One round =
 local computation + all-to-all communication delivered at a barrier.
 
-Usage pattern (a shuffle round)::
+Usage pattern (a shuffle round, then its local step)::
 
     cluster = Cluster(p=8)
     cluster.scatter(r, "R")
+    cluster.scatter(s, "S")
     h = cluster.hash_function(index=0, buckets=cluster.p)
     with cluster.round("shuffle") as rnd:
         for server in cluster.servers:
             # each row to h((x,)), one send per destination, hashes counted
             try_route(rnd, held(server.take("R"), 2), (0,), h, "R@h")
+            try_route(rnd, held(server.take("S"), 2), (0,), h, "S@h")
     # after the `with` block every destination fragment is populated and
     # cluster.stats has a RoundStats entry for the round.
     # (repro.kernels.memo.route is this loop, replaying a cached plan when it can.)
+    cluster.compute("join.fragments", (("R@h", 2), ("S@h", 2)),
+                    ("R", r.schema, "S", s.schema), out="out")
+    # every server joined the two fragments it took, through the backend,
+    # and holds its result under "out" (repro.joins.base.local_join).
 
 Costs follow the tutorial's conventions: the *load* of a server in a
 round is the number of tuples it receives; ``L`` is the max over servers
@@ -74,10 +80,22 @@ from repro.kernels.columnar import Row, columns_of
 from repro.mpc.audit import ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import FaultController, FaultPlan, fault_plan_by_default
 from repro.mpc.hashing import HashFamily, HashFunction
-from repro.mpc.server import ChunkedColumns, Server
+from repro.mpc.server import ChunkedColumns, Server, held
 from repro.mpc.stats import RoundStats, RunStats
 
 T = TypeVar("T")
+
+# The payload item of :meth:`Cluster.compute` that is the server's id.
+SERVER_ID = object()
+
+
+def _payload(server: Server, spec: object) -> object:
+    """``server``'s payload of shape ``spec`` (:meth:`Cluster.compute`)."""
+    if spec is SERVER_ID:
+        return server.sid
+    if spec and isinstance(spec[0], str):  # (name, arity)
+        return held(server.take(spec[0]), spec[1])
+    return type(spec)([_payload(server, item) for item in spec])
 
 
 class RoundContext:
@@ -214,9 +232,9 @@ class Cluster:
         (default) follows :func:`repro.mpc.faults.faulty`'s ambient
         setting. The plan's counters appear on ``stats.faults``.
     backend:
-        Who executes per-round local computation routed through
-        :meth:`map_servers`: ``"inline"`` (this process), ``"process"``
-        (the persistent worker pool of :mod:`repro.exec`), an
+        Who executes each round's local step, :meth:`compute`:
+        ``"inline"`` (this process), ``"process"`` (the persistent
+        worker pool of :mod:`repro.exec`), an
         :class:`~repro.exec.base.ExecutionBackend` instance, or ``None``
         (default) to follow the ambient :func:`repro.exec.use_backend`
         / ``REPRO_BACKEND`` setting. Outputs, loads, rounds, audits, and
@@ -273,35 +291,46 @@ class Cluster:
         """The ``index``-th hash function of the cluster's family."""
         return self._hash_family.function(index, buckets if buckets is not None else self.p)
 
-    def map_servers(self, task: str, payloads: Sequence[object], common: object = None) -> list:
-        """Run a registered task over per-server payloads via the backend.
+    def compute(
+        self, task: str, fragments: object, common: object = None, out: str | None = None
+    ) -> list:
+        """Every server's local step: the registered ``task`` over what the
+        server holds, through the backend; the results, in server order.
 
-        ``payloads[i]`` is server i's input (usually built from fragments
-        the caller just took); the result list is index-aligned with the
-        payloads regardless of backend. The ``process`` backend splits
-        the list into one contiguous chunk per worker — worker w computes
-        for the servers of its range — and merges in chunk order, so the
-        result is byte-identical to the inline single-chunk run.
+        ``fragments`` is the shape of a server's payload: a ``(name,
+        arity)`` pair is the fragment ``name``, taken off the server, as
+        its ``arity`` columns (none when it is absent, see
+        :func:`~repro.mpc.server.held`); :data:`SERVER_ID` is the server's
+        id; a list or tuple is the list or tuple of its items' payloads.
+        With ``out``, each server's result, a tuple of columns, is also
+        appended to its fragment ``out``. The ``process`` backend computes
+        a contiguous range of servers per worker and merges in server
+        order, so the results are byte-identical to the inline run.
         """
-        return self.backend.map_payloads(task, list(payloads), common, stats=self.stats.exec)
+        return self.compute_pools([(self.servers, task, fragments, common, out)])[0]
 
-    def map_servers_batch(
-        self, calls: Sequence[tuple[str, Sequence[object], object]]
+    def compute_pools(
+        self, steps: Sequence[tuple[Sequence[Server], str, object, object, str | None]]
     ) -> list[list]:
-        """Run several *independent* task maps as one backend dispatch.
+        """Several *independent* local steps, on disjoint server groups, as
+        one backend dispatch.
 
-        ``calls[k] = (task, payloads, common)``; the result is
-        call-aligned, each entry what :meth:`map_servers` would have
-        returned for that call alone. The calls must not read each
-        other's results — the process backend ships the whole batch as a
-        single queue message per worker, collapsing k round-trips into
-        one (visible as ``ExecStats.queue_messages`` growing by at most
-        the worker count instead of k × worker count).
+        ``steps[k] = (servers, task, fragments, common, out)`` is
+        :meth:`compute` on those servers; the result is step-aligned. The
+        process backend ships the whole batch as one queue message per
+        worker (``ExecStats.queue_messages`` grows by at most the worker
+        count, not k times it).
         """
-        return self.backend.map_payload_batch(
-            [(task, list(payloads), common) for task, payloads, common in calls],
-            stats=self.stats.exec,
-        )
+        calls = [
+            (task, [_payload(server, fragments) for server in servers], common)
+            for servers, task, fragments, common, _out in steps
+        ]
+        results = self.backend.map_payload_batch(calls, stats=self.stats.exec)
+        for (servers, *_, out), per_server in zip(steps, results):
+            if out is not None:
+                for server, result in zip(servers, per_server):
+                    server.append_result(out, result)
+        return results
 
     def owning_worker(self, sid: int) -> int:
         """The backend worker whose contiguous server range contains ``sid``.

@@ -111,7 +111,7 @@ class ExecStats(CounterStats):
     """Execution-backend accounting, summed over a run's dispatches.
 
     Counters cover only work dispatched through the backend layer
-    (:meth:`repro.mpc.cluster.Cluster.map_servers`); purely inline loops
+    (:meth:`repro.mpc.cluster.Cluster.compute`); purely inline loops
     that never cross it cost nothing and appear nowhere. ``worker_seconds``
     is the summed in-worker wall time of all chunks — with w workers
     running concurrently it can legitimately exceed the coordinator's
@@ -120,7 +120,7 @@ class ExecStats(CounterStats):
 
     backend: str = "inline"
     workers: int = 1
-    dispatches: int = 0  # map_servers / batch calls routed through the backend
+    dispatches: int = 0  # local steps (Cluster.compute) routed through the backend
     chunks: int = 0  # worker jobs (== dispatches for inline)
     items: int = 0  # per-server payloads processed
     shm_bytes_out: int = 0  # segment bytes coordinator -> workers

@@ -25,7 +25,6 @@ across algorithms.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 from typing import Any
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import join_schemas
+from repro.joins.base import JoinRun, join_schemas
 from repro.joins.cartesian import cartesian_on_cluster
 from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
@@ -46,21 +45,7 @@ from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
 
 
-@dataclass
-class MultiwayRun:
-    """Output and cost of one distributed multiway-join execution."""
-
-    output: Relation
-    stats: RunStats
-    details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def load(self) -> int:
-        return self.stats.max_load
-
-    @property
-    def rounds(self) -> int:
-        return self.stats.num_rounds
+MultiwayRun = JoinRun  # a multiway plan's run is a join's, with its details
 
 
 def on_pools(cluster: Cluster, ops: Sequence, weights: Sequence[float], seed: int,
@@ -196,22 +181,16 @@ def semijoin_step(
             for dest in range(p):
                 rnd.send_columns(dest, "H@alive", alive)
 
-    payloads = []
+    cluster.drop("H@alive")  # consumed: contents mirror `heavy_alive`
     arity = target.schema.arity
-    for server in cluster.servers:
-        if heavy_alive:
-            server.take("H@alive")  # consumed: contents mirror `heavy_alive`
-        payloads.append((
-            [held(server.take(f"K{i}@j"), len(shared)) for i in range(len(reducers))],
-            held(server.take("T@j"), arity),
-            # Read only for heavy_alive; without heavy keys nothing stays.
-            held(server.take("T@stay"), arity) if is_heavy else [],
-        ))
-    results = cluster.map_servers(
-        "semijoin.filter", payloads, (tuple(t_idx), tuple(heavy_alive))
+    cluster.compute(
+        "semijoin.filter",
+        ([(f"K{i}@j", len(shared)) for i in range(len(reducers))], ("T@j", arity),
+         # Read only for heavy_alive; without heavy keys nothing stays.
+         ("T@stay", arity if is_heavy else 0)),
+        (tuple(t_idx), tuple(heavy_alive)),
+        out="out",
     )
-    for server, survivors in zip(cluster.servers, results):
-        server.append_result("out", survivors)
     return cluster.gather_relation("out", target.name, target.schema.attributes)
 
 

@@ -48,19 +48,15 @@ def evaluate_pools(
     gathered output, in ``query``'s variable order. A server's payload is
     its fragments' columns, one list per atom.
     """
-    calls = []
-    for servers, query, _fragment in pools:
-        payloads = [
-            [held(server.take(f"{atom.name}@hc"), atom.arity) for atom in query.atoms]
-            for server in servers
-        ]
-        calls.append(("hypercube.eval", payloads, query))
-    outputs = []
-    for (servers, query, fragment), results in zip(pools, cluster.map_servers_batch(calls)):
-        for server, result in zip(servers, results):
-            server.append_result(fragment, result)
-        outputs.append(cluster.gather_relation(fragment, "OUT", list(query.variables)))
-    return outputs
+    cluster.compute_pools([
+        (servers, "hypercube.eval", [(f"{atom.name}@hc", atom.arity) for atom in query.atoms],
+         query, fragment)
+        for servers, query, fragment in pools
+    ])
+    return [
+        cluster.gather_relation(fragment, "OUT", list(query.variables))
+        for _servers, query, fragment in pools
+    ]
 
 
 def hypercube_join(
@@ -74,10 +70,10 @@ def hypercube_join(
 
     ``relations`` maps atom names to relations whose attributes are the
     atom's variables. ``shares`` overrides the optimized integral shares
-    (ablation hook): one positive ``int`` per query variable and none
-    for any other, whose product must not exceed ``p``. Every server
-    evaluates the query on its fragments with the left-deep plan of
-    :meth:`ConjunctiveQuery.evaluate`.
+    (ablation hook): one positive ``int`` (not a ``bool``) per query
+    variable and none for any other, whose product must not exceed
+    ``p``. Every server evaluates the query on its fragments with the
+    left-deep plan of :meth:`ConjunctiveQuery.evaluate`.
 
     The local evaluation is fanned out via the exec backend (with the
     process backend the grid servers of a worker's range evaluate
@@ -110,7 +106,7 @@ def hypercube_on(
     if unknown:
         raise QueryError(f"shares {shares} name {', '.join(unknown)}, not a variable of {query}")
     extents = [shares[v] for v in query.variables]
-    if not all(isinstance(e, numbers.Integral) for e in extents):
+    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in extents):
         raise QueryError(f"shares {shares} must be integers")
     nonpositive = [v for v in query.variables if shares[v] < 1]
     if nonpositive:

@@ -34,7 +34,7 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.kernels.columnar import column_of, columns_of, concatenated, zip_rows
 from repro.kernels.splitters import splitter_buckets
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import SERVER_ID, Cluster
 from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 from repro.sorting.splitters import choose_splitters, random_sample, regular_sample
@@ -69,13 +69,13 @@ def sorted_pair(keys: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np
 def psrs_localsort_chunk(payloads: list, common) -> list:
     """Exec task ``psrs.localsort``: phase-1 local sort + splitter samples.
 
-    Payloads are ``(keys, positions, server id)``; returns the sorted
+    Payloads are ``((keys, positions), server id)``; returns the sorted
     pair and the sampled indices into it per server. The server id seeds
     random sampling.
     """
     sample_count, use_random_sampling = common
     out = []
-    for keys, positions, sid in payloads:
+    for (keys, positions), sid in payloads:
         keys, positions = sorted_pair(keys, positions)
         if use_random_sampling:
             picks = random_sample(range(len(keys)), sample_count, seed=sid + 1)
@@ -92,9 +92,7 @@ def psrs_finalsort_chunk(payloads: list, common) -> list:
 
 def final_sort(cluster: Cluster, fragment: str) -> None:
     """Sort every server's pair in ``fragment`` through the exec backend."""
-    payloads = [held(server.take(fragment), 2) for server in cluster.servers]
-    for server, pair in zip(cluster.servers, cluster.map_servers("psrs.finalsort", payloads)):
-        server.append_result(fragment, pair)
+    cluster.compute("psrs.finalsort", (fragment, 2), out=fragment)
 
 
 def sorted_positions(cluster: Cluster, fragment: str) -> list[int]:
@@ -122,9 +120,8 @@ def psrs_partition(
     # through the exec backend (concurrently under the process backend);
     # sample *sends* stay here, on the round's coordinator-side buffers.
     with cluster.round("psrs-sample-gather") as rnd:
-        payloads = [(*held(server.take(fragment), 2), server.sid) for server in cluster.servers]
-        sorted_fragments = cluster.map_servers(
-            "psrs.localsort", payloads, (p - 1, use_random_sampling)
+        sorted_fragments = cluster.compute(
+            "psrs.localsort", ((fragment, 2), SERVER_ID), (p - 1, use_random_sampling)
         )
         for server, (keys, positions, picks) in zip(cluster.servers, sorted_fragments):
             server.append_result(f"{fragment}@sorted", (keys, positions))

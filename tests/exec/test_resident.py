@@ -14,6 +14,7 @@ from repro.exec.base import ProcessBackend
 from repro.exec.config import use_backend
 from repro.exec.pool import WorkerPool, shutdown_pools
 from repro.mpc.cluster import Cluster
+from repro.mpc.server import ChunkedColumns
 
 
 def _total_chunk(payloads, common):
@@ -109,22 +110,29 @@ def test_pickle_transport_never_uses_residency(pool):
 
 
 def test_cluster_map_servers_batch_matches_sequential():
-    calls = [
-        ("resident.scale", [1, 2, 3, 4], 2),
-        ("resident.scale", [5, 6, 7, 8], 3),
-        ("resident.scale", [], 9),  # empty call keeps its slot
-    ]
-    with use_backend("inline"):
-        inline = Cluster(4, seed=0).map_servers_batch(calls)
-    with use_backend("process", workers=2):
+    # Local steps on disjoint server groups ride one backend dispatch
+    # (Cluster.compute_pools); an empty group keeps its slot.
+    def run():
         cluster = Cluster(4, seed=0)
+        for server in cluster.servers:
+            server.put("X", ChunkedColumns([[np.arange(server.sid, server.sid + 3)]]))
         before = cluster.stats.exec.snapshot()
-        batched = cluster.map_servers_batch(calls)
-        delta = cluster.stats.exec.delta(before)
-    assert batched == inline == [[2, 4, 6, 8], [15, 18, 21, 24], []]
-    assert delta.dispatches == 2  # two live calls...
+        results = cluster.compute_pools([
+            (cluster.servers[:2], "resident.total", ("X", 1), None, None),
+            (cluster.servers[2:], "resident.total", ("X", 1), None, None),
+            ([], "resident.total", ("X", 1), None, None),
+        ])
+        assert all(not server.storage for server in cluster.servers)  # taken
+        return results, cluster.stats.exec.delta(before)
+
+    with use_backend("inline"):
+        inline, _ = run()
+    with use_backend("process", workers=2):
+        batched, delta = run()
+    assert batched == inline == [[3, 6], [9, 12], []]
+    assert delta.dispatches == 2  # two live steps...
     assert delta.queue_messages == 2  # ...but one message per worker
-    assert delta.items == 8
+    assert delta.items == 4
 
 
 def test_batch_falls_back_inline_on_unpicklable():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
+from repro.exec.config import use_backend
 from repro.joins import (
     broadcast_join,
     cartesian_product,
@@ -11,11 +12,11 @@ from repro.joins import (
     skew_join,
     sort_join,
 )
-from repro.joins.base import JoinRun, inline_local_join, join_schemas, require_join_key
+from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
 from repro.mpc.cluster import Cluster
 from repro.multiway.base import shuffle_join
 from repro.mpc.stats import RoundStats, RunStats
-from tests.holdings import fragment_of
+from tests.holdings import fragment_of, observe
 
 
 class TestJoinSchemas:
@@ -58,7 +59,7 @@ class TestLocalJoin:
         server.put("R", fragment_of([(2, 9)], 2))
         left_schema = Relation("L", ["x", "y"], [])
         right_schema = Relation("R", ["y", "z"], [])
-        inline_local_join(cluster, "L", "R", left_schema, right_schema, "out")
+        local_join(cluster, "L", "R", left_schema, right_schema, "out")
         assert list(server.get("out")) == [(1, 2, 9)]
         assert list(server.get("L")) == []  # consumed
         assert list(server.get("R")) == []
@@ -69,11 +70,39 @@ class TestLocalJoin:
         server.put("out", fragment_of([(0, 0, 0)], 3))
         server.put("L", fragment_of([(1, 2)], 2))
         server.put("R", fragment_of([(2, 9)], 2))
-        inline_local_join(
+        local_join(
             cluster, "L", "R",
             Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "out",
         )
         assert list(server.get("out")) == [(0, 0, 0), (1, 2, 9)]
+
+    def test_every_join_dispatches_its_local_steps_through_the_backend(self):
+        # The product, the broadcast join and the skew join's light pool and
+        # packed heavy pool each join locally in one Cluster.compute call:
+        # on 2 workers that is one dispatch per local step, and every
+        # observable equals the inline run's.
+        r = Relation("R", ["x", "y"], [(i % 6, i) for i in range(600)]
+                     + [(100 + i, i) for i in range(60)])
+        s = Relation("S", ["x", "z"], [(i % 6, i) for i in range(30)]
+                     + [(100 + i % 30, i) for i in range(60)])
+        small = Relation("T", ["y", "w"], [(i, 7 * i) for i in range(0, 600, 13)])
+        a = Relation("A", ["a"], [(i,) for i in range(40)])
+        b = Relation("B", ["b", "c"], [(i, -i) for i in range(30)])
+        runs = {
+            "cartesian": (lambda: cartesian_product(a, b, 8), 1),
+            "broadcast": (lambda: broadcast_join(r, small, 8), 1),
+            "skew": (lambda: skew_join(r, s, 8), 2),  # light pool + packed pool
+        }
+        for name, (run, steps) in runs.items():
+            seen = []
+            for backend in ("inline", "process"):
+                with use_backend(backend, workers=2):
+                    result = run()
+                seen.append((observe(result.output, result.stats),
+                             result.load, result.rounds))
+                assert result.stats.exec.dispatches == steps, (name, backend)
+            assert seen[0] == seen[1], name
+            assert len(result.output), name
 
 
 def _edges(heavy: bool) -> Relation:

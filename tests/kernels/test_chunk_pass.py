@@ -457,7 +457,7 @@ def test_process_workers_pass_their_ranges_the_same_way(name, messages):
     with use_backend("process", workers=2):
         process = seen(ALGORITHMS[name](skewed("int"), 8))
     assert process[:2] == inline[:2]
-    # One message per worker per map_servers call, as before the pass.
+    # One message per worker per local step, as before the pass.
     assert process[2] % 2 == 0 and process[2] > 0
     if messages is not None:
         assert process[2] == messages

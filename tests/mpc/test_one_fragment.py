@@ -292,9 +292,9 @@ def _psm_segments():
 
 
 def test_the_process_backend_agrees_message_for_message():
-    # queue_messages as measured at the parent of this change: one message
-    # per worker per dispatch (gym: three semijoin/join dispatches).
-    expected_messages = {"hash": 2, "broadcast": 0, "hypercube": 2, "gym": 6}
+    # One message per worker per dispatch (gym: three semijoin/join
+    # dispatches); the broadcast join's local join is a dispatch too.
+    expected_messages = {"hash": 2, "broadcast": 2, "hypercube": 2, "gym": 6}
     before = _psm_segments()
     for name, messages in expected_messages.items():
         seen = {}

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.data.relation import Relation
+from repro.exec.base import ExecutionBackend, ProcessBackend
 from repro.exec.config import use_backend
 from repro.kernels.memo import clear_memo
-from repro.mpc.cluster import Cluster
 from repro.mpc.faults import CrashFault, FaultPlan, RecoveryPolicy, faulty
 from repro.multiway.base import (
     semijoin_filter_chunk,
@@ -104,20 +104,14 @@ PARAMS = [
 def payloads(monkeypatch):
     """Every payload the local steps are handed, as ``(task, payload)``."""
     seen = []
-    map_servers = Cluster.map_servers
-    map_servers_batch = Cluster.map_servers_batch
+    for backend in (ExecutionBackend, ProcessBackend):
 
-    def recording(self, task, per_server, common=None):
-        seen.extend((task, payload) for payload in per_server)
-        return map_servers(self, task, per_server, common)
+        def recording(self, calls, stats=None, batch=backend.map_payload_batch):
+            for task, per_server, _common in calls:
+                seen.extend((task, payload) for payload in per_server)
+            return batch(self, calls, stats=stats)
 
-    def recording_batch(self, calls):
-        for task, per_server, _common in calls:
-            seen.extend((task, payload) for payload in per_server)
-        return map_servers_batch(self, calls)
-
-    monkeypatch.setattr(Cluster, "map_servers", recording)
-    monkeypatch.setattr(Cluster, "map_servers_batch", recording_batch)
+        monkeypatch.setattr(backend, "map_payload_batch", recording)
     return seen
 
 

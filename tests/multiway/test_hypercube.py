@@ -161,7 +161,7 @@ class TestShapesAndLoads:
         rels = {"R": r, "S": s, "T": t}
         with pytest.raises(QueryError, match="give no share to z"):
             hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2})
-        for share in (2.0, 1.5, "2"):
+        for share in (2.0, 1.5, "2", True):
             with pytest.raises(QueryError, match="must be integers"):
                 hypercube_join(triangle_query(), rels, p=8, shares={"x": 2, "y": 2, "z": share})
         for share in (0, -1):

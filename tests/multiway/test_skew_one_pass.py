@@ -32,6 +32,7 @@ from repro.kernels import memo, partition
 from repro.mpc.audit import audited
 from repro.mpc.cluster import Cluster, RoundContext
 from repro.mpc.faults import CrashFault, FaultPlan, faulty
+from repro.mpc.server import ChunkedColumns
 from repro.multiway import skewhc
 from repro.multiway.skewhc import skewhc_join
 from repro.query.cq import path_query, star_query, triangle_query, two_way_join
@@ -403,7 +404,9 @@ def test_a_result_that_views_its_input_survives_the_worker():
     from repro.query.cq import Atom, ConjunctiveQuery
 
     query = ConjunctiveQuery([Atom("R", ["a"])])
-    payloads = [[[np.array([8 + i, 6])]] for i in range(3)]
     with use_backend("process", workers=2):
-        results = Cluster(3).map_servers("hypercube.eval", payloads, query)
+        cluster = Cluster(3)
+        for i, server in enumerate(cluster.servers):
+            server.put("R@hc", ChunkedColumns([[np.array([8 + i, 6])]]))
+        results = cluster.compute("hypercube.eval", [("R@hc", 1)], query)
     assert [columns[0].tolist() for columns in results] == [[8, 6], [9, 6], [10, 6]]

@@ -730,6 +730,26 @@ class TestOneClusterPerQueryLint:
                 assert len(built) == 1, (name, p, len(built))
 
 
+class TestOneLocalStepLint:
+    """Every per-server computation is one ``Cluster`` call.
+
+    ``Cluster.compute`` (and its batch form ``compute_pools``) is the only
+    code that takes fragments into per-server payloads and hands them to
+    the backend; a second caller of the backend's map is a second local
+    step path, and the retired names of the old ones must not come back.
+    """
+
+    def test_only_the_cluster_calls_the_backend_map(self):
+        # exec/base.py defines the map (ProcessBackend.map_payloads calls its batch form).
+        assert _files_matching(r"\bmap_payloads\b|\bmap_payload_batch\b") == [
+            "exec/base.py", "mpc/cluster.py",
+        ]
+
+    def test_no_module_names_a_retired_local_step(self):
+        retired = r"map_servers|inline_local_join|distributed_local_join|_local_joins"
+        assert _files_matching(retired) == []
+
+
 class TestWireInventoryLint:
     """The process backend has one wire: a frame per worker over a pipe.
     Queues (and their feeder threads), the liveness poll, row packing,
