@@ -57,7 +57,7 @@ from repro.kernels.columnar import (
     pack_columns,
     zip_rows,
 )
-from repro.kernels.join import code_key_columns, join_indices, locate
+from repro.kernels.join import code_key_columns, join_indices, locate, narrow_codes
 from repro.kernels.memo import degree_view
 
 Row = tuple[Any, ...]
@@ -317,7 +317,17 @@ class Relation:
         )
 
     def distinct(self, name: str | None = None) -> "Relation":
-        """Set-semantics copy with duplicates removed (first occurrence kept)."""
+        """Set-semantics copy with duplicates removed (first occurrence kept):
+        over a narrow span of ``int64`` codes (``narrow_codes``), the rows that
+        are the first of their slot (``np.minimum.at`` over positions), else
+        the first of each code's run in one sort."""
+        packed = narrow_codes(self._cols)
+        if packed is not None:
+            codes, span, _radix = packed
+            rows = np.arange(len(self))
+            first = np.full(span, len(self))
+            np.minimum.at(first, codes, rows)
+            return self._taken(name or self.name, first[codes] == rows)
         codes, _ = code_key_columns(self._cols, [c[:0] for c in self._cols])
         first = np.unique(codes, return_index=True)[1]
         return self._taken(name or self.name, np.sort(first))
@@ -424,7 +434,7 @@ class Relation:
             return self._taken(name or self.name, order)
         packed = pack_columns(keys) if all(k.dtype == np.int64 for k in keys) else None
         if packed is not None:  # one stable sort of one code per row
-            order = np.argsort(packed, kind="stable")
+            order = np.argsort(packed[0], kind="stable")
         else:
             # lexsort's last key is primary; reversing matches the tuple
             # key order, and its stability matches sorted()'s.

@@ -135,15 +135,16 @@ def dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, int(rank[-1]) + 1
 
 
-def pack_columns(columns: Sequence[np.ndarray], dense: bool = False) -> np.ndarray | None:
-    """One ``int64`` code per row that compares — equal, less — exactly as the
-    rows' value tuples do: mixed radix over each ``int64`` column's
-    ``value - min``, no sort. Where the spans' product would leave 62 bits:
+def pack_columns(columns: Sequence[np.ndarray], dense: bool = False) -> tuple | None:
+    """``(codes, span, radix)``: one ``int64`` code per row in ``[0, span)``
+    that compares — equal, less — exactly as the rows' value tuples do: mixed
+    radix over each ``int64`` column's ``value - lo``, no sort, each digit's
+    ``(lo, span)`` in ``radix``. Where the spans' product would leave 62 bits:
     ``None``, or with ``dense`` that column — then the prefix — is replaced
-    by its dense codes (one sort each) and the packing goes on."""
+    by its dense codes (one sort each; a digit of ranks) and the packing goes on."""
     if not len(columns[0]):
-        return np.empty(0, dtype=np.int64)
-    codes, limit = None, 1
+        return np.empty(0, dtype=np.int64), 0, []
+    codes, limit, radix = None, 1, []
     for column in columns:
         lo = int(column.min())
         span = int(column.max()) - lo + 1
@@ -152,9 +153,11 @@ def pack_columns(columns: Sequence[np.ndarray], dense: bool = False) -> np.ndarr
         elif not dense:
             return None
         else:
-            digit, span = dense_codes(column)
+            (digit, span), lo = dense_codes(column), 0
             if limit * span > 1 << 62:  # re-densify the prefix before radix overflow
                 codes, limit = dense_codes(codes)
+                radix = [(0, limit)]
         codes = digit if codes is None else codes * span + digit
         limit *= span
-    return codes
+        radix.append((lo, span))
+    return codes, limit, radix

@@ -43,16 +43,6 @@ Row = tuple[Any, ...]
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def _code_columns(
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
-    left_idx: Sequence[int],
-    right_idx: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint key codes ``(left_codes, right_codes)`` of two row lists."""
-    return code_key_columns(key_columns(left_rows, left_idx), key_columns(right_rows, right_idx))
-
-
 def code_key_columns(
     left_cols: Sequence[np.ndarray],
     right_cols: Sequence[np.ndarray],
@@ -66,11 +56,31 @@ def code_key_columns(
     positions are packed into one code: tuples are equal exactly when
     every position is.
     """
-    n_left = len(left_cols[0])
-    stacked = [_joint_column(left, right) for left, right in zip(left_cols, right_cols)]
-    # values are their own (sparse) codes
-    codes = stacked[0] if len(stacked) == 1 else pack_columns(stacked, dense=True)
+    codes, n_left = joint_codes(left_cols, right_cols)[0], len(left_cols[0])
     return codes[:n_left], codes[n_left:]
+
+
+def joint_codes(left_cols: Sequence[np.ndarray], right_cols: Sequence[np.ndarray]) -> tuple:
+    """``(codes, span)``: both sides' :func:`code_key_columns` codes, left rows first, and the
+    ``[0, span)`` they were packed into (``None`` for one key position: its values)."""
+    stacked = [_joint_column(left, right) for left, right in zip(left_cols, right_cols)]
+    if len(stacked) == 1:
+        return stacked[0], None
+    return pack_columns(stacked, dense=True)[:2]
+
+
+def narrow_codes(keys: Sequence[np.ndarray]) -> tuple | None:
+    """:func:`~repro.kernels.columnar.pack_columns` of ``int64`` key columns whose
+    span is :func:`narrow` over their rows (a table counts them), else ``None``."""
+    if not keys or not len(keys[0]) or any(key.dtype != np.int64 for key in keys):
+        return None
+    packed = pack_columns(keys)
+    return packed if packed is not None and narrow(packed[1], len(keys[0])) else None
+
+
+def narrow(span: int, rows: int) -> bool:
+    """Whether ``span`` slots may table ``rows`` codes: ``np.isin``'s bound, ``6 · rows``."""
+    return span <= 6 * rows + 1
 
 
 def _joint_column(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -125,21 +135,21 @@ def locate(key_cols: Sequence[np.ndarray], table: Sequence[np.ndarray]) -> np.nd
     return row[at]
 
 
-def slots(codes: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def slots(codes: np.ndarray, probes: np.ndarray, span: int | None = None) -> tuple:
     """``(code slots, probe slots, size)``: the non-empty ``int64`` ``codes``
     and the probes as indices into a table of ``size`` slots. Equal values
     share a slot and order is kept, so a probe equal to no code lands on a
     slot that no code holds.
 
-    A narrow span — ``hi - lo`` at most ``6 · (len(codes) + len(probes))``,
-    the bound ``np.isin`` takes for its table — is the slots themselves,
+    A :func:`narrow` span from ``lo`` to ``hi`` (``[0, span)`` for packed codes,
+    :func:`joint_codes`; else their min and max) is the slots themselves,
     shifted, with an empty slot below ``lo`` and one above ``hi``; the probes
     are clipped into them, so an absent probe needs no mask. A wider span is
     first ranked over both sides (:func:`~repro.kernels.columnar.dense_codes`).
     """
     n = len(codes)
-    lo, hi = int(codes.min()), int(codes.max())
-    if hi - lo <= 6 * (n + len(probes)):
+    lo, hi = (0, span - 1) if span else (int(codes.min()), int(codes.max()))
+    if narrow(hi - lo + 1, n + len(probes)):
         lower, upper = max(lo - 1, _INT64_MIN), min(hi + 1, _INT64_MAX)
         at = np.minimum(np.maximum(probes, lower), upper) - lower
         return codes - lower, at, upper - lower + 1
@@ -203,7 +213,8 @@ def join_rows_columnar(
     """
     if not left_rows or not right_rows:
         return []
-    left_pos, right_pos = join_indices(*_code_columns(left_rows, right_rows, left_idx, right_idx))
+    left_pos, right_pos = join_indices(*code_key_columns(
+        key_columns(left_rows, left_idx), key_columns(right_rows, right_idx)))
     if not len(left_pos):
         return []
     # Build payload tuples only for matched right rows (matches can be a
@@ -237,4 +248,5 @@ def semijoin_mask(
         return np.empty(0, dtype=bool)
     if not member_keys:
         return np.zeros(len(rows), dtype=bool)
-    return np.isin(*_code_columns(rows, member_keys, key_idx, range(len(key_idx))))
+    return np.isin(*code_key_columns(
+        key_columns(rows, key_idx), key_columns(member_keys, range(len(key_idx)))))

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import QueryError
-from repro.kernels.join import code_key_columns, locate
+from repro.kernels.join import code_key_columns, locate, narrow_codes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.relation import Relation
     from repro.mpc.cluster import Cluster, RoundContext
@@ -558,13 +558,25 @@ def distinct_project(
 
 def grouped(keys: Sequence[np.ndarray], weights: np.ndarray | None = None) -> tuple:
     """``(distinct keys, counts)`` of the rows these key columns hold, in code
-    order (``int64`` values ascending, else first seen): one sort of their
-    ``code_key_columns`` codes, a key as its first row holds it. A count is
-    its rows or the sum of their ``weights``, in the weights' dtype (``object``:
-    Python ints); no key columns is one key for every row."""
-    if weights is None and len(keys) == 1 and keys[0].dtype == np.int64:  # its own code
-        distinct, counts = np.unique(keys[0], return_counts=True)
-        return [distinct], counts
+    order (``int64`` values ascending, else first seen), a key as its first row
+    holds it: counted over a narrow span of ``int64`` keys (:func:`narrow_codes`;
+    ``np.add.at`` for ``int64`` weights) and unpacked from the non-empty slots, else
+    one sort of their ``code_key_columns`` codes. A count is its rows or the sum of
+    their ``weights``, in the weights' dtype (``object``: Python ints); no key
+    columns is one key for every row."""
+    packed = narrow_codes(keys) if weights is None or weights.dtype == np.int64 else None
+    if packed is not None:
+        codes, _span, radix = packed
+        table = np.bincount(codes)
+        held = table.nonzero()[0]
+        if weights is not None:  # a key is held whatever its weights sum to
+            table = np.zeros(len(table), np.int64)
+            np.add.at(table, codes, weights)
+        counts, distinct = table[held], []
+        for lo, span in radix[:0:-1]:  # the last digit first; the first is what is left
+            held, digit = np.divmod(held, span)
+            distinct.insert(0, digit + lo)
+        return [held + radix[0][0], *distinct], counts
     n = len(keys[0]) if keys else len(weights)
     codes = code_key_columns(keys, [k[:0] for k in keys])[0] if keys else np.zeros(n, np.int64)
     order = np.argsort(codes)

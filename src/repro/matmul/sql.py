@@ -106,7 +106,7 @@ def matmul_sums_chunk(payloads: list, common) -> list:
     out = []
     for iis, ks, vs in payloads:
         _, first, groups = np.unique(
-            pack_columns([iis, ks], dense=True), return_index=True, return_inverse=True
+            pack_columns([iis, ks], dense=True)[0], return_index=True, return_inverse=True
         )
         sums = np.bincount(groups.reshape(-1), weights=_floats(vs), minlength=len(first))
         out.append((iis[first], ks[first], sums))

@@ -37,7 +37,7 @@ from repro.joins.cartesian import cartesian_on_cluster
 from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
-from repro.kernels.join import code_key_columns, cut_at_tags, locate, slots, stack_tagged
+from repro.kernels.join import cut_at_tags, joint_codes, locate, slots, stack_tagged
 from repro.kernels.memo import degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
@@ -222,6 +222,7 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
     chunk is filtered in one pass over ``(server, key)`` codes (masks are
     elementwise): the target's keys are coded once, with every reducer's,
     and placed once in a slot table (:func:`~repro.kernels.join.slots`)
+    over the span they were packed into (:func:`~repro.kernels.join.joint_codes`)
     that each reducer then marks; the heavy rows take one more. Pure over
     its inputs, so inline and worker execution agree byte-for-byte.
     """
@@ -234,11 +235,12 @@ def semijoin_filter_chunk(payloads: list, common) -> list:
 
     def member(keys: list, members: list[list]) -> np.ndarray:
         """Per row of ``keys``, whether its key is a row of every one of ``members``."""
-        rows, codes = code_key_columns(keys, [concatenated(c) for c in zip(*members)])
+        both, span = joint_codes(keys, [concatenated(c) for c in zip(*members)])
+        rows, codes = both[:len(keys[0])], both[len(keys[0]):]
         keep = np.full(len(rows), bool(len(codes)))
         if not len(codes):
             return keep
-        code_slots, row_slots, size = slots(codes, rows)
+        code_slots, row_slots, size = slots(codes, rows, span)
         for start, end in pairwise([0, *accumulate(len(m[0]) for m in members)]):
             marked = np.zeros(size, dtype=bool)
             marked[code_slots[start:end]] = True

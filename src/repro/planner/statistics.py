@@ -179,24 +179,24 @@ def _exact_out(query, relations: Mapping[str, Relation]) -> int | Later:
 
 
 def _subtree(name: str, on: tuple, parent: Mapping, relations: Mapping[str, Relation], dtype) -> tuple:
-    """The degree view over ``on`` of the join of atom ``name``'s subtree:
-    its relation's view over the variables it shares, each count times its
-    children's counts at that key, summed per value of ``on`` — with no
-    ``on`` left ungrouped, since every caller of that view only sums it."""
+    """The degree view over ``on`` of the join of atom ``name``'s subtree. A
+    leaf's is its relation's degree view; an inner atom's rows each weigh the
+    product of its children's counts at their keys, summed per value of
+    ``on`` by one grouping of the rows — never a view over every variable the
+    atom shares, whose span no table holds — or left ungrouped with no
+    ``on``, since every caller of that view only sums it."""
     rel = relations[name]
     children = [child for child, up in parent.items() if up == name != child]
-    need = [v for v in rel.schema.attributes
-            if v in on or any(v in relations[child].schema for child in children)]
-    keys, counts = degree_view(rel, rel.schema.indices(need))
-    counts, columns = counts.astype(dtype), dict(zip(need, keys))
+    if not children:
+        keys, counts = degree_view(rel, rel.schema.indices(on))
+        return keys, counts.astype(dtype)
+    columns, counts = dict(zip(rel.schema.attributes, rel.columns())), np.ones(len(rel), dtype)
     for child in children:
         shared = tuple(v for v in relations[child].schema.attributes if v in rel.schema)
         below = _subtree(child, shared, parent, relations, dtype)
         weight = counts_at(below, [columns[v] for v in shared]) if shared else below[1].sum()
         counts = counts * weight
-    if not on or len(on) == len(need):
-        return keys, counts
-    return grouped([columns[v] for v in on], counts)
+    return grouped([columns[v] for v in on], counts) if on else ((), counts)
 
 
 def collect_query_statistics(

@@ -343,9 +343,9 @@ def test_a_semijoin_wave_makes_one_membership_test_per_reducer(monkeypatch):
     calls = []
     real = join_kernels.slots
 
-    def counting(codes, probes):
+    def counting(codes, probes, *span):
         calls.append((len(codes), len(probes)))
-        return real(codes, probes)
+        return real(codes, probes, *span)
 
     import repro.multiway.base as multiway_base
 
@@ -489,7 +489,7 @@ class TestPackedCodes:
         rel = Relation.from_columns("R", ["a", "b", "c"], cols + [np.arange(400)][:0])
         packed = pack_columns(cols)
         assert packed is not None
-        assert np.argsort(packed, kind="stable").tolist() == np.lexsort(cols[::-1]).tolist()
+        assert np.argsort(packed[0], kind="stable").tolist() == np.lexsort(cols[::-1]).tolist()
         by_rows = Relation("R", ["a", "b", "c"], rel.rows_readonly())
         for attrs in (["a"], ["b", "a"], ["c", "b", "a"]):
             assert rel.sorted_by(attrs).rows_readonly() == by_rows.sorted_by(attrs).rows_readonly()

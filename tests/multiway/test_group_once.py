@@ -41,22 +41,35 @@ def inline_cold():
 @pytest.fixture
 def groupings(monkeypatch):
     """Counts of ``memo.grouped`` (under every name a module imported it by)
-    and ``Relation.distinct`` calls."""
+    and ``Relation.distinct`` calls, and of the sorts (``np.unique``,
+    ``np.argsort``) either runs."""
     calls = Counter()
+    inside = [0]
     real_grouped, real_distinct = memo.grouped, Relation.distinct
 
-    def grouped(*args, **kwargs):
-        calls["grouped"] += 1
-        return real_grouped(*args, **kwargs)
+    def grouping(kind, real):
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return counted
 
-    def distinct(self, *args, **kwargs):
-        calls["distinct"] += 1
-        return real_distinct(self, *args, **kwargs)
+    def sorting(real):
+        def counted(*args, **kwargs):
+            calls["sorts"] += inside[0] > 0
+            return real(*args, **kwargs)
+        return counted
 
+    grouped = grouping("grouped", real_grouped)
     for name, module in list(sys.modules.items()):
         if name.startswith("repro.") and getattr(module, "grouped", None) is real_grouped:
             monkeypatch.setattr(module, "grouped", grouped)
-    monkeypatch.setattr(Relation, "distinct", distinct)
+    monkeypatch.setattr(Relation, "distinct", grouping("distinct", real_distinct))
+    for name in ("unique", "argsort"):
+        monkeypatch.setattr(np, name, sorting(getattr(np, name)))
     return calls
 
 
@@ -82,6 +95,28 @@ def test_a_cold_gym_path4_groups_each_relation_key_once(groupings):
     assert groupings["grouped"] + groupings["distinct"] <= 18
     assert result.stats.num_rounds == 7
     assert same_bag(engine.oracle(PATH4).rows(), result.output.rows())
+
+
+@pytest.mark.parametrize("strategy, query, passes", [
+    ("hash", "R(x, y), S(y, z)", 3),
+    ("gym", PATH4, 16),
+])
+def test_a_cold_query_over_narrow_int64_keys_counts_and_never_sorts(
+    groupings, strategy, query, passes
+):
+    # Every key column spans 2n/3 values: each degree view, the joint
+    # degrees, the OUT count and every key set is counted over its span, and
+    # the OUT count groups an inner atom's rows by one key, not by every
+    # variable it shares. The parent sorted 3 and 18 times, and grouped 3
+    # and 18 times.
+    engine = Engine(8)
+    for rel in path4_relations().values():
+        engine.register(rel)
+    memo.clear_memo()
+    result = engine.query(query, strategy=strategy)
+    assert groupings["sorts"] == 0
+    assert groupings["grouped"] + groupings["distinct"] == passes
+    assert same_bag(engine.oracle(query).rows(), result.output.rows())
 
 
 def test_a_width1_bag_is_its_input():
