@@ -57,7 +57,7 @@ from repro.kernels.columnar import (
     pack_columns,
     zip_rows,
 )
-from repro.kernels.join import code_key_columns, join_indices, locate, narrow_codes
+from repro.kernels.join import code_key_columns, join_indices, locate, match_counts, narrow_codes
 from repro.kernels.memo import degree_view
 
 Row = tuple[Any, ...]
@@ -396,10 +396,14 @@ class Relation:
         shared = self.schema.common(other.schema)
         extra = [a for a in other.schema.attributes if a not in self.schema]
         if shared:
-            left_pos, right_pos = join_indices(*code_key_columns(
+            codes = code_key_columns(
                 [self._cols[i] for i in self.schema.indices(shared)],
                 [other._cols[i] for i in other.schema.indices(shared)],
-            ))
+            )
+            if not extra:  # a closing atom: each left row, once per match
+                counts = match_counts(*codes)
+                return Relation._over(name, self.schema, [c.repeat(counts) for c in self._cols])
+            left_pos, right_pos = join_indices(*codes)
         else:
             left_pos, right_pos = np.divmod(np.arange(len(self) * len(other)), len(other) or 1)
         return Relation._over(

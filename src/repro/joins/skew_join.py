@@ -28,8 +28,9 @@ from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import heavy_products
 from repro.kernels.columnar import zip_rows
 from repro.kernels.join import lookup_codes
-from repro.kernels.memo import degree_view, ordered
+from repro.kernels.memo import cached_view, degree_view, ordered
 from repro.mpc.cluster import Cluster
+from repro.mpc.stats import MemoStats
 
 Row = tuple[Any, ...]
 
@@ -59,15 +60,18 @@ def find_heavy_keys(
     return ordered(heavy)
 
 
-def _light_part(rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row]) -> Relation:
+def _light_part(
+    rel: Relation, shared: tuple[str, ...], heavy_keys: list[Row], stats: MemoStats | None = None
+) -> Relation:
     """``rel`` without the rows whose join key is heavy (``rel`` itself when
-    none is): one code lookup over the key columns."""
+    none is): one code lookup over the key columns, kept as a view of ``rel``."""
     if not heavy_keys:
         return rel
-    columns = rel.columns()
-    keys = [columns[i] for i in rel.schema.indices(shared)]
-    light = np.flatnonzero(lookup_codes(keys, heavy_keys) < 0)
-    return Relation.from_columns(rel.name, rel.schema, [c[light] for c in columns])
+    def build() -> Relation:
+        keys = [rel.columns()[i] for i in rel.schema.indices(shared)]
+        light = np.flatnonzero(lookup_codes(keys, heavy_keys) < 0)
+        return Relation.from_columns(rel.name, rel.schema, [c[light] for c in rel.columns()])
+    return cached_view(rel, ("light", shared, tuple(heavy_keys)), build, stats)
 
 
 def skew_join(
@@ -90,8 +94,8 @@ def skew_join(
     if threshold is None:
         threshold = in_size / p
     heavy_keys = find_heavy_keys(r, s, shared, threshold)
-    r_light = _light_part(r, shared, heavy_keys)
-    s_light = _light_part(s, shared, heavy_keys)
+    cluster = Cluster(p, seed=seed)
+    r_light, s_light = (_light_part(rel, shared, heavy_keys, cluster.stats.memo) for rel in (r, s))
 
     # Server budget: the light hash join's load is ~IN_light/p_light while
     # the heavy products pay ~sqrt(OUT_heavy/p_heavy); scan all splits and
@@ -132,7 +136,6 @@ def skew_join(
         sides.append((light, p_light))
     if heavy_keys and p_heavy > 0:
         sides.append((heavy, p_heavy))
-    cluster = Cluster(p, seed=seed)
     parts = cluster.side_by_side(
         [size for _, size in sides], seed, lambda i, pool: sides[i][0](pool)
     )

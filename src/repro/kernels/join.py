@@ -173,6 +173,16 @@ def runs(codes: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return shrink(held, size).argsort(kind="stable"), start, count
 
 
+def match_counts(left_codes: np.ndarray, right_codes: np.ndarray) -> np.ndarray:
+    """Per left row, how many right rows share its code: :func:`runs`' counts,
+    read off the :func:`slots` table with no sort and no prefix table. A join
+    whose right side adds no attribute repeats each left row that often."""
+    if not len(left_codes) or not len(right_codes):
+        return np.zeros(len(left_codes), dtype=np.int64)
+    held, at, size = slots(right_codes, left_codes)
+    return np.bincount(held, minlength=size)[at]
+
+
 def join_indices(
     left_codes: np.ndarray, right_codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -507,11 +507,11 @@ def bound(relations: "Mapping[str, Relation]", name: str) -> "Relation":
 def align(atom: "Atom", rel: "Relation", stats: "MemoStats | None" = None) -> "Relation":
     """``rel`` in ``atom``'s variable order.
 
-    A relation already in order is returned as is and never cached (the
-    throwaway sub-relations of SkewHC, GYM and the splitter would only
-    churn the view cache); a reordering is the memoized projection, so
-    repeated runs over an unchanged relation get the same object back
-    and its routing plans stay hot.
+    A relation already in order is returned as is and never cached (an
+    entry whose value is its owner would pin it; GYM's interned step
+    outputs and the splitter's fragments arrive in order); a reordering is
+    the memoized projection, so repeated runs over an unchanged relation
+    get the same object back and its routing plans stay hot.
     """
     if set(rel.schema.attributes) != set(atom.variables):
         raise QueryError(

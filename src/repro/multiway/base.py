@@ -38,7 +38,7 @@ from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
 from repro.kernels.join import cut_at_tags, joint_codes, locate, slots, stack_tagged
-from repro.kernels.memo import degree_view, distinct_project, ordered, route
+from repro.kernels.memo import cached_view, degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns, held
@@ -64,6 +64,20 @@ def on_pools(cluster: Cluster, ops: Sequence, weights: Sequence[float], seed: in
     return cluster.side_by_side(sizes, seed, lambda i, pool: run(ops[i], pool))
 
 
+def interned(cluster: Cluster, kind: str, inputs: tuple, output: Relation, routed: bool) -> Relation:
+    """``output`` of the ``kind`` step over ``inputs`` on ``cluster`` — or, if a later
+    step ``routed`` it, the equal one the step gave before over these unchanged inputs,
+    servers and seed, so its routes and views replay. Never an answer (the cache would
+    pin it), an output larger than its inputs, or one under faults that recovery does
+    not undo byte for byte (off, or checkpoints sparser than every round)."""
+    recovery = cluster.fault_controller and cluster.fault_controller.plan.recovery
+    if not routed or len(output) > sum(map(len, inputs)) or recovery and (
+            not recovery.enabled or recovery.checkpoint_interval > 1):
+        return output
+    key = ("step", kind, cluster.p, cluster._hash_family.seed)
+    return cached_view(inputs, key, lambda: output, cluster.stats.memo)
+
+
 def shuffle_join(
     r: Relation,
     s: Relation,
@@ -76,13 +90,17 @@ def shuffle_join(
     return one_round_hash_join(cluster, r, s, label, "J"), cluster.stats
 
 
-def join_step(cluster: Cluster, left: Relation, right: Relation, label: str = "join") -> Relation:
+def join_step(cluster: Cluster, left: Relation, right: Relation, label: str = "join",
+              routed: bool = False) -> Relation:
     """One step of a binary plan on ``cluster``: hash join on the shared
-    key (gathered as ``J``), else grid product (gathered as ``OUT``)."""
+    key (gathered as ``J``), else grid product (gathered as ``OUT``);
+    :func:`interned` when a later step ``routed`` it."""
     if left.schema.common(right.schema):
-        return one_round_hash_join(cluster, left, right, label, "J")
-    cartesian_on_cluster(cluster, left, right)
-    return cluster.gather_relation("out", "OUT", join_schemas(left, right)[1])
+        output = one_round_hash_join(cluster, left, right, label, "J")
+    else:
+        cartesian_on_cluster(cluster, left, right)
+        output = cluster.gather_relation("out", "OUT", join_schemas(left, right)[1])
+    return interned(cluster, "join", (left, right), output, routed)
 
 
 def shuffle_semijoin(
@@ -109,10 +127,10 @@ def shuffle_multi_semijoin(
     return semijoin_step(cluster, target, reducers, label), cluster.stats
 
 
-def semijoin_step(
-    cluster: Cluster, target: Relation, reducers: list[Relation], label: str = "semijoin"
-) -> Relation:
-    """Reduce ``target`` by several reducers in one round on ``cluster``, skew-aware.
+def semijoin_step(cluster: Cluster, target: Relation, reducers: list[Relation],
+                  label: str = "semijoin", routed: bool = False) -> Relation:
+    """Reduce ``target`` by several reducers in one round on ``cluster``, skew-aware;
+    :func:`interned` when a later step ``routed`` it.
 
     All reducers must share the *same* key attributes with the target (a
     GYM parent whose children attach through one variable set — slide 90's
@@ -191,7 +209,8 @@ def semijoin_step(
         (tuple(t_idx), tuple(heavy_alive)),
         out="out",
     )
-    return cluster.gather_relation("out", target.name, target.schema.attributes)
+    output = cluster.gather_relation("out", target.name, target.schema.attributes)
+    return interned(cluster, "semijoin", (target, *reducers), output, routed)
 
 
 def _route_light(

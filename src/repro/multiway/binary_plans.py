@@ -46,7 +46,7 @@ def binary_join_plan(
     for step, name in enumerate(atom_order[1:], start=1):
         rel = align(query.atom(name), bound(relations, name))
         with cluster.step(seed + step) as view:
-            current = join_step(view, current, rel, label=f"join-{name}")
+            current = join_step(view, current, rel, f"join-{name}", routed=step < len(atom_order) - 1)
         intermediate_sizes.append(len(current))
 
     output = current.project(list(query.variables), name="OUT")

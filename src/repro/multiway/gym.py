@@ -16,7 +16,8 @@ joining its cover atoms — the source of the IN^w term in the trade-off
 r = O(d), L = O((IN^w + OUT)/p) of slide 95.
 
 Every phase runs on the query's one cluster, in order; a round's pools
-are server ranges of it (:func:`~repro.multiway.base.on_pools`).
+are server ranges of it (:func:`~repro.multiway.base.on_pools`). Every
+step output but the answer is :func:`~repro.multiway.base.interned`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.memo import align, bound, project_view
 from repro.mpc.cluster import Cluster
-from repro.multiway.base import MultiwayRun, join_step, on_pools, semijoin_step
+from repro.multiway.base import MultiwayRun, interned, join_step, on_pools, semijoin_step
 from repro.multiway.hypercube import hypercube_on
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.ghd import GHD, GHDNode
@@ -126,7 +127,8 @@ def _materialize_bags(
 
     def join_next(task: tuple[GHDNode, list[Relation]], pool: Cluster) -> Relation:
         node, covers = task
-        return join_step(pool, current[id(node)], covers[step], label=f"bag-join-{step}")
+        return join_step(pool, current[id(node)], covers[step], f"bag-join-{step}",
+                         routed=step < len(covers) - 1 or len(ghd.nodes()) > 1)  # else: the answer
 
     while pending:
         step += 1
@@ -244,7 +246,7 @@ def _semijoin_level(
 
     def reduce(task: tuple[GHDNode, list[Relation]], pool: Cluster) -> Relation:
         target, reducers = task
-        return semijoin_step(pool, working[id(target)], reducers, label=f"semijoin-{direction}")
+        return semijoin_step(pool, working[id(target)], reducers, f"semijoin-{direction}", routed=True)
 
     for wave in waves:
         weights = [len(working[id(t)]) + sum(len(r) for r in reds) for t, reds in wave]
@@ -275,7 +277,8 @@ def _join_phase(
             ]
             merged = on_pools(
                 cluster, parents, weights, seed + depth,
-                lambda parent, pool: _hypercube_merge(working, parent, pool),
+                lambda parent, pool: _hypercube_merge(
+                    tuple(working[id(node)] for node in [parent, *parent.children]), pool, depth > 1),
             )
             for parent, rel in zip(parents, merged):
                 working[id(parent)] = rel
@@ -284,17 +287,18 @@ def _join_phase(
                 result = working[id(parent)]
                 for child in parent.children:
                     with cluster.step(seed + depth) as step:
-                        result = join_step(step, result, working[id(child)], label="join-up")
+                        result = join_step(step, result, working[id(child)], "join-up",
+                                           routed=depth > 1 or child is not parent.children[-1])
                 working[id(parent)] = result
 
 
-def _hypercube_merge(working: dict[int, Relation], parent: GHDNode, pool: Cluster) -> Relation:
+def _hypercube_merge(parts: tuple[Relation, ...], pool: Cluster, routed: bool) -> Relation:
     """Join a parent with all its children's results in one round on ``pool``."""
-    parts = [working[id(parent)]] + [working[id(c)] for c in parent.children]
     atoms = []
     rels: dict[str, Relation] = {}
     for i, rel in enumerate(parts):
         name = f"P{i}"
         atoms.append(Atom(name, list(rel.schema.attributes)))
-        rels[name] = rel.rename({}, name=name)
-    return hypercube_on(pool, ConjunctiveQuery(atoms), rels)[0]
+        rels[name] = project_view(rel, rel.schema.attributes, name=name, stats=pool.stats.memo)
+    merged = hypercube_on(pool, ConjunctiveQuery(atoms), rels)[0]
+    return interned(pool, "merge", parts, merged, routed)

@@ -42,7 +42,7 @@ def two_path_semijoin_plan(
     """
     cluster = Cluster(p, seed=seed)
     with cluster.step(seed) as step:
-        tmp = semijoin_step(step, s, [r], label="semijoin-R")
+        tmp = semijoin_step(step, s, [r], label="semijoin-R", routed=True)
     with cluster.step(seed + 1) as step:
         reduced = semijoin_step(step, tmp, [t], label="semijoin-T")
     # Bag semantics: each surviving S tuple joins every matching R and T copy.

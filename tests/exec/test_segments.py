@@ -63,6 +63,27 @@ def _psm_segments() -> set[str]:
         return set()
 
 
+@pytest.fixture
+def created(monkeypatch, tmp_path):
+    """The names of the segments this process and the workers it forks
+    create (what ``shm.encode_payload`` returns, appended to a file the
+    forks share), so a check of what is left behind is blind to segments
+    a concurrent process holds."""
+    ledger = tmp_path / "segments"
+    ledger.touch()
+    encode = shm.encode_payload
+
+    def recording(payload):
+        encoded = encode(payload)
+        if encoded.segment_name is not None:
+            with open(ledger, "a") as out:
+                out.write(encoded.segment_name + "\n")
+        return encoded
+
+    monkeypatch.setattr(shm, "encode_payload", recording)
+    return lambda: set(ledger.read_text().split())
+
+
 def _array_chunks():
     return [
         (0, [np.arange(2048, dtype=np.int64)]),
@@ -70,22 +91,20 @@ def _array_chunks():
     ]
 
 
-def test_worker_crash_mid_dispatch_leaks_no_segments():
-    before = _psm_segments()
+def test_worker_crash_mid_dispatch_leaks_no_segments(created):
     pool = WorkerPool(2)
     with pytest.raises(WorkerError, match="died while jobs were pending"):
         pool.run("segments.kill", _array_chunks(), None)
     assert pool._closed  # the pool is unusable after losing workers
-    assert _psm_segments() <= before  # nothing new left behind
+    assert created() and not _psm_segments() & created()  # nothing of ours left behind
     with pytest.raises(RuntimeError, match="shut down"):
         pool.run("segments.kill", _array_chunks(), None)
 
 
-def test_worker_death_surfaces_at_once_and_the_pool_is_replaced():
+def test_worker_death_surfaces_at_once_and_the_pool_is_replaced(created):
     # Liveness is the process sentinel in the collect loop's wait, not a
     # poll interval: the crash surfaces in well under the second the old
     # queue poll slept.
-    before = _psm_segments()
     with use_backend("process", workers=2):
         doomed = get_pool(2)
         doomed.run("segments.sum", _array_chunks(), None)  # forked, warm
@@ -94,7 +113,7 @@ def test_worker_death_surfaces_at_once_and_the_pool_is_replaced():
             doomed.run("segments.kill", _array_chunks(), None)
         assert time.perf_counter() - started < 0.5
         assert doomed._closed
-        assert _psm_segments() <= before
+        assert created() and not _psm_segments() & created()
         fresh = get_pool(2)
         assert fresh is not doomed and not fresh._closed
         results, _ = fresh.run("segments.sum", _array_chunks(), None)
@@ -111,11 +130,10 @@ def test_idle_shutdown_is_prompt_and_idempotent():
     pool.shutdown()  # second call: nothing left to do, nothing raised
 
 
-def test_teardown_releases_result_segments_parked_on_a_pipe():
+def test_teardown_releases_result_segments_parked_on_a_pipe(created):
     # A reply the coordinator never collected (interrupted mid-batch)
     # still names result segments; teardown reads each connection dry
     # with poll(0) and unlinks them.
-    before = _psm_segments()
     pool = WorkerPool(1)
     big = np.arange(4096, dtype=np.int64)
     frame = _frame_for("segments.echo", [big])
@@ -123,9 +141,9 @@ def test_teardown_releases_result_segments_parked_on_a_pipe():
     deadline = time.monotonic() + 5.0
     while not pool._connections[0].poll(0.05):
         assert time.monotonic() < deadline, "worker never replied"
-    assert _psm_segments() - before  # the result is parked in a segment
+    assert _psm_segments() & created()  # the result is parked in a segment
     pool._emergency_teardown()
-    assert _psm_segments() <= before
+    assert not _psm_segments() & created()
 
 
 def test_emergency_teardown_unlinks_registered_segments():
@@ -141,16 +159,15 @@ def test_emergency_teardown_unlinks_registered_segments():
     assert encoded.segment_name not in _psm_segments()
 
 
-def test_shutdown_after_real_work_leaves_no_segments():
-    before = _psm_segments()
+def test_shutdown_after_real_work_leaves_no_segments(created):
     pool = WorkerPool(2)
     results, _ = pool.run("segments.sum", _array_chunks(), None)
     assert results == [[int(np.arange(2048).sum())]] * 2
     pool.shutdown()
-    assert _psm_segments() <= before
+    assert created() and not _psm_segments() & created()
 
 
-def test_pool_recreated_after_crash_and_faults_replay_once():
+def test_pool_recreated_after_crash_and_faults_replay_once(created):
     from repro.data.generators import uniform_relation
     from repro.joins.hash_join import parallel_hash_join
     from repro.mpc.faults import CrashFault, FaultPlan, faulty
@@ -163,7 +180,6 @@ def test_pool_recreated_after_crash_and_faults_replay_once():
         with faulty(plan):
             reference = parallel_hash_join(R, S, 6)
 
-    before = _psm_segments()
     with use_backend("process", workers=2):
         # Crash the shared pool mid-dispatch...
         crashed = get_pool(2)
@@ -184,4 +200,4 @@ def test_pool_recreated_after_crash_and_faults_replay_once():
     assert fp.rounds_replayed == fi.rounds_replayed
     assert fp.recovery_load == fi.recovery_load
     assert fp.clean
-    assert _psm_segments() <= before
+    assert created() and not _psm_segments() & created()

@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.columnar import column_of, key_columns
-from repro.kernels.join import code_key_columns, join_indices, locate, lookup_codes, runs, slots
+from repro.data.relation import Relation
+from repro.kernels.join import (
+    code_key_columns, join_indices, locate, lookup_codes, match_counts, runs, slots,
+)
 from repro.testing import scalar_reference as reference
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -158,6 +161,31 @@ class TestRuns:
         probes, codes = pair
         if len(codes):
             assert_runs_match_the_search(codes, probes)
+
+
+class TestMatchCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(code_pairs(), clustered_pairs()))
+    def test_is_each_left_rows_number_of_matches(self, pair):
+        probes, codes = pair
+        left_pos, _ = oracle_join_indices(probes, codes)
+        assert_same(match_counts(probes, codes), np.bincount(left_pos, minlength=len(probes)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.one_of(st.integers(-3, 3), st.text(max_size=1)))),
+        st.lists(st.one_of(st.integers(-3, 3), st.just(1.0)), max_size=20),
+    )
+    def test_a_closing_join_is_the_indexed_join(self, rows, keys):
+        # The right side adds no attribute: each left row, repeated in place,
+        # is what the match indices pick, in values, order and dtype.
+        left = Relation("L", ["x", "y"], rows)
+        right = Relation("R", ["x"], [(k,) for k in keys])
+        left_pos, _ = oracle_join_indices(*code_key_columns(left.columns()[:1], right.columns()))
+        joined = left.join(right)
+        assert joined.schema == left.schema
+        for got, column in zip(joined.columns(), left.columns()):
+            assert_same(got, column[left_pos])
 
 
 class TestLocate:
