@@ -1,14 +1,16 @@
 """Backend objects: who runs a round's per-server local computation.
 
 A *task* is a registered module-level pure function
-``fn(payloads: list, common) -> list`` that maps a chunk of per-server
-payloads to the same-length list of per-server results, elementwise and
-without cross-item state. That contract is what makes the two backends
-interchangeable: ``inline`` calls the function once over the whole
-payload list, ``process`` splits the list into one contiguous chunk per
-worker and concatenates the chunk results in chunk order — for an
-elementwise function the two compositions are the same function, so
-outputs are byte-identical by construction.
+``fn(payloads: list, common) -> list`` that maps a list of payloads to
+the same-length list of results, elementwise and without cross-item
+state. That contract is what makes the two backends interchangeable:
+``inline`` calls the function once over the whole payload list,
+``process`` splits the list into one contiguous chunk per worker and
+concatenates the chunk results in chunk order — for an elementwise
+function the two compositions are the same function, so outputs are
+byte-identical by construction. A local step
+(:meth:`repro.mpc.cluster.Cluster.compute`) hands over one payload per
+worker: a table of that worker's contiguous range of servers.
 
 Backends only execute; they own no servers, rounds, faults, or audit
 state. All of that stays on the coordinator (see

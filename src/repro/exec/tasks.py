@@ -7,6 +7,10 @@ keeps messages tiny and spawn-safe: a worker resolves the name against
 its own imported modules, so both sides are guaranteed to run the exact
 same function — which is the whole byte-identity argument.
 
+The cluster's local steps (:meth:`repro.mpc.cluster.Cluster.compute`)
+are written per chunk, ``fn(tables, common) -> (columns, bounds)``, and
+registered mapped over the chunks a backend hands them (:func:`_each`).
+
 Population is lazy because the algorithm modules import the cluster,
 which imports the backend layer; resolving at first use breaks the
 cycle for free.
@@ -14,11 +18,17 @@ cycle for free.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 TaskFn = Callable[[list[Any], Any], list[Any]]
 
 _REGISTRY: dict[str, TaskFn] = {}
+
+
+def _each(fn: Callable[[Any, Any], Any], chunks: list[Any], common: Any) -> list[Any]:
+    """``fn`` over every chunk: a per-chunk local step as a task."""
+    return [fn(chunk, common) for chunk in chunks]
 
 
 def _populate() -> None:
@@ -30,13 +40,15 @@ def _populate() -> None:
 
     _REGISTRY.update(
         {
-            "join.fragments": joins_base.join_fragment_chunk,
-            "semijoin.filter": multiway_base.semijoin_filter_chunk,
-            "hypercube.eval": hypercube.hypercube_eval_chunk,
-            "matmul.partials": matmul_sql.matmul_partials_chunk,
-            "matmul.sums": matmul_sql.matmul_sums_chunk,
-            "psrs.localsort": psrs.psrs_localsort_chunk,
-            "psrs.finalsort": psrs.psrs_finalsort_chunk,
+            name: partial(_each, fn)
+            for name, fn in (
+                ("join.fragments", joins_base.join_fragment_chunk),
+                ("semijoin.filter", multiway_base.semijoin_filter_chunk),
+                ("hypercube.eval", hypercube.hypercube_eval_chunk),
+                ("matmul.partials", matmul_sql.matmul_partials_chunk),
+                ("matmul.sums", matmul_sql.matmul_sums_chunk),
+                ("psrs.sort", psrs.psrs_sort_chunk),
+            )
         }
     )
 

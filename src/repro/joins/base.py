@@ -17,8 +17,9 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
-from repro.kernels.join import TAG, cut_at_tags, lookup_codes, stack_tagged
+from repro.kernels.join import lookup_codes
 from repro.kernels.memo import counts_at, degree_view
+from repro.mpc.cluster import SERVER, row_bounds, server_column
 from repro.mpc.stats import RunStats
 
 
@@ -82,47 +83,43 @@ def require_join_key(r: Relation, s: Relation) -> tuple[str, ...]:
     return shared
 
 
-def stacked(name: str, attributes: tuple[str, ...], fragments: list) -> Relation:
-    """A chunk's fragments of one relation as one, server-major behind the
-    tag attribute (:func:`stack_tagged`)."""
-    lead = (TAG,) if len(fragments) > 1 else ()
-    return Relation.from_columns(name, lead + attributes, stack_tagged(fragments))
+def served(name: str, attributes: tuple[str, ...], table) -> Relation:
+    """A chunk's table of one fragment as a relation keyed first on the
+    server a row sits on (:data:`~repro.mpc.cluster.SERVER`)."""
+    columns, bounds = table
+    return Relation.from_columns(name, (SERVER, *attributes), [server_column(bounds), *columns])
 
 
-def join_fragment_chunk(payloads: list, common) -> list:
+def join_fragment_chunk(chunk: list, common) -> tuple:
     """Exec task ``join.fragments``: the local joins of a chunk of servers.
 
-    A payload is both fragments' columns. The chunk is joined in one pass
-    keyed on ``(server, join key)``: ``join_indices`` emits left rows in
-    input order, each one's matches in right-row order, and a tagged row only
-    meets rows of its own server, so the output *is* the per-server outputs,
-    concatenated (a product is the join on the server alone). The inline
+    The chunk is both fragments' tables, joined in one pass keyed on
+    ``(server, join key)``: ``join_indices`` emits left rows in input
+    order, each one's matches in right-row order, and a row only meets
+    rows of its own server, so the output *is* the per-server outputs, in
+    server order (a product is the join on the server alone). The inline
     path (a chunk is all p servers) and the process backend's workers (a
     contiguous range each) share it verbatim: their outputs are
     byte-identical.
     """
+    left, right = chunk
     left_name, left_schema, right_name, right_schema = common
-    left = stacked(left_name, left_schema.attributes, [l_cols for l_cols, _ in payloads])
-    right = stacked(right_name, right_schema.attributes, [r_cols for _, r_cols in payloads])
-    return cut_at_tags(left.join(right).columns(), len(payloads))
+    columns = served(left_name, left_schema.attributes, left).join(
+        served(right_name, right_schema.attributes, right)).columns()
+    return columns[1:], row_bounds(columns[0], len(left[1]) - 1)
 
 
 def local_join(
     cluster, left_fragment: str, right_fragment: str,
-    left: Relation, right: Relation, out_fragment: str,
-) -> None:
-    """Every server's local join: one local step
-    (:meth:`~repro.mpc.cluster.Cluster.compute`) that consumes both
-    fragments and appends each server's result to its ``out_fragment``.
-    ``left`` and ``right`` supply only the schemas.
-
-    The computation phase of a shuffle round: with the ``process`` backend
-    the per-server joins run on the worker pool (column blocks ride the
-    worker's frame); either way :func:`join_fragment_chunk` computes them.
-    """
-    cluster.compute(
+    left: Relation, right: Relation, name: str,
+) -> Relation:
+    """Every server's local join, the computation phase of a shuffle round:
+    one local step (:meth:`~repro.mpc.cluster.Cluster.compute`, on the
+    backend) that consumes both fragments and returns the joined relation
+    ``name``, in server order. ``left`` and ``right`` supply the schemas."""
+    columns, _bounds = cluster.compute(
         "join.fragments",
-        ((left_fragment, left.schema.arity), (right_fragment, right.schema.arity)),
+        [(left_fragment, left.schema.arity), (right_fragment, right.schema.arity)],
         (left.name, left.schema, right.name, right.schema),
-        out=out_fragment,
     )
+    return Relation.from_columns(name, join_schemas(left, right)[1], columns)

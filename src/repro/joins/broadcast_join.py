@@ -9,7 +9,7 @@ one to every server and leave the big one in place. One round, load
 from __future__ import annotations
 
 from repro.data.relation import Relation
-from repro.joins.base import JoinRun, join_schemas, local_join, require_join_key
+from repro.joins.base import JoinRun, local_join, require_join_key
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import held
 
@@ -41,8 +41,4 @@ def broadcast_join(
     # Keep the user-facing attribute order: R's attributes first.
     left_frag = big_frag if big is r else replica
     right_frag = replica if big is r else big_frag
-    local_join(cluster, left_frag, right_frag, r, s, "out")
-
-    _shared, schema = join_schemas(r, s)
-    output = cluster.gather_relation("out", "OUT", schema)
-    return JoinRun(output, cluster.stats)
+    return JoinRun(local_join(cluster, left_frag, right_frag, r, s, "OUT"), cluster.stats)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import JoinRun, join_schemas, local_join
+from repro.joins.base import JoinRun, local_join
 from repro.kernels.memo import count_hash_ops
 from repro.kernels.partition import hash_codes
 from repro.mpc.cluster import Cluster
@@ -67,19 +67,16 @@ def cartesian_product(
 
     The schemas must be disjoint (it is a product, not a join).
     """
-    shared, schema = join_schemas(r, s)
-    if shared:
+    if r.schema.common(s.schema):
         raise QueryError(
             f"{r.name} and {s.name} share attributes; use a join algorithm"
         )
     cluster = Cluster(p, seed=seed)
-    cartesian_on_cluster(cluster, r, s)
-    output = cluster.gather_relation("out", "OUT", schema)
-    return JoinRun(output, cluster.stats)
+    return JoinRun(cartesian_on_cluster(cluster, r, s), cluster.stats)
 
 
-def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
-    """In-cluster primitive: grid product into the ``out`` fragment.
+def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> Relation:
+    """In-cluster primitive: the grid product ``OUT``.
 
     The servers are arranged in the optimal rectangle; any leftover
     servers beyond ``p1·p2`` idle. Both inputs are replicated along grid
@@ -90,7 +87,7 @@ def cartesian_on_cluster(cluster: Cluster, r: Relation, s: Relation) -> None:
         ("L@cart", r.columns(), np.arange(len(r))),
         ("R@cart", s.columns(), np.arange(len(s))),
     )
-    local_join(cluster, "L@cart", "R@cart", r, s, "out")
+    return local_join(cluster, "L@cart", "R@cart", r, s, "OUT")
 
 
 def replicate(cluster: Cluster, left: tuple, right: tuple) -> None:

@@ -29,7 +29,6 @@ from repro.kernels.join import lookup_codes
 from repro.kernels.partition import partition_indices
 from repro.mpc.cluster import Cluster
 from repro.mpc.hashing import HashFamily
-from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
 Row = tuple[Any, ...]
@@ -93,8 +92,8 @@ def heavy_products(
         return Relation("OUT", schema)
 
     r_cols, s_cols = r.columns(), s.columns()
-    r_groups = _key_groups([r_cols[i] for i in r.schema.indices(shared)], heavy_keys)
-    s_groups = _key_groups([s_cols[i] for i in s.schema.indices(shared)], heavy_keys)
+    r_groups = key_groups([r_cols[i] for i in r.schema.indices(shared)], heavy_keys)
+    s_groups = key_groups([s_cols[i] for i in s.schema.indices(shared)], heavy_keys)
 
     # Proportional allocation; values whose fair share is below one whole
     # server are *packed* onto a shared pool (several heavy values per
@@ -111,20 +110,18 @@ def heavy_products(
     def product(i: int, pool: Cluster) -> Relation:
         if i < len(big):
             k = big[i][0]
-            _grid_product(pool, r, s, r_cols, s_cols, r_groups[k], s_groups[k])
-        else:
-            _packed_products(
-                pool, r, s, r_cols, s_cols,
-                [r_groups[k] for k in small], [s_groups[k] for k in small],
-                [placement(heavy_keys[k]) for k in small],
-            )
-        return pool.gather_relation("out", "OUT", schema)
+            return _grid_product(pool, r, s, r_cols, s_cols, r_groups[k], s_groups[k])
+        return _packed_products(
+            pool, r, s, r_cols, s_cols,
+            [r_groups[k] for k in small], [s_groups[k] for k in small],
+            [placement(heavy_keys[k]) for k in small],
+        )
 
     sizes = [p_b for _, p_b in big] + ([p_small] if small else [])
     return union_all("OUT", cluster.side_by_side(sizes, seed, product))
 
 
-def _key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarray]:
+def key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarray]:
     """Per heavy key, the positions of the rows carrying it, in row order:
     a row's code is its key's index in ``heavy_keys`` and one stable sort
     by code makes every key's rows a slice."""
@@ -136,7 +133,7 @@ def _key_groups(key_cols: Sequence[Any], heavy_keys: list[Row]) -> list[np.ndarr
 def _packed_products(
     cluster: Cluster, r: Relation, s: Relation, r_cols: list, s_cols: list,
     r_groups: list[np.ndarray], s_groups: list[np.ndarray], placement: list[int],
-) -> None:
+) -> Relation:
     """Many small heavy values share one pool, one server per value.
 
     Row ``j`` of the ``i``-th value starts on server ``(i + j) % p`` and
@@ -159,13 +156,13 @@ def _packed_products(
                 ties = (j, source, i, np.repeat(first, sizes[sizes > 0]))
             deliver(rnd, fragment, columns, np.concatenate(groups),
                     np.asarray(placement)[i], ties, lambda server: (server,))
-    local_join(cluster, "R@v", "S@v", r, s, "out")
+    return local_join(cluster, "R@v", "S@v", r, s, "OUT")
 
 
 def _grid_product(
     cluster: Cluster, r: Relation, s: Relation, r_cols: list, s_cols: list,
     r_rows: np.ndarray, s_rows: np.ndarray,
-) -> None:
+) -> Relation:
     """Grid product of one heavy value's tuples on the pool's servers.
 
     The slide-28 rectangle of :func:`~repro.joins.cartesian.replicate`;
@@ -173,7 +170,7 @@ def _grid_product(
     rows share the key — is their product.
     """
     if not len(r_rows) or not len(s_rows):
-        return
+        return Relation("OUT", join_schemas(r, s)[1])
     if s.schema.arity == len(r.schema.common(s.schema)):
         # S contributes no new attributes: the join just multiplies each R
         # row by the number of matching S rows. Spread R's rows, keep bag
@@ -181,11 +178,9 @@ def _grid_product(
         p, at = cluster.p, np.arange(len(r_rows))
         with cluster.round("heavy-degenerate") as rnd:
             deliver(rnd, "rb", r_cols, r_rows, at % p, (at // p,), lambda server: (server,))
-        for server in cluster.servers:
-            part = server.take("rb")
-            times = np.repeat(np.arange(len(part)), len(s_rows))
-            server.append_result("out", tuple(c[times] for c in held(part, r.schema.arity)))
-        return
+        spread = cluster.gather_relation("rb", "OUT", r.schema.attributes).columns()
+        times = np.repeat(np.arange(len(spread[0])), len(s_rows))
+        return Relation.from_columns("OUT", r.schema, [column[times] for column in spread])
 
     replicate(cluster, ("L@cart", r_cols, r_rows), ("R@cart", s_cols, s_rows))
-    local_join(cluster, "L@cart", "R@cart", r, s, "out")
+    return local_join(cluster, "L@cart", "R@cart", r, s, "OUT")

@@ -67,14 +67,14 @@ def concatenated(blocks: Sequence[np.ndarray]) -> np.ndarray:
     An ``object`` block makes the column ``object``, each value kept. numpy
     would widen ``int64`` meeting ``uint64`` to ``float64``, rounding the
     integers: those meet as ``object`` too — unless only empty blocks
-    differ, which hold no value.
+    differ, which hold no value (all empty: the first block's dtype).
     """
     if len(blocks) == 1:
         return blocks[0]
     column = np.concatenate(blocks) if len(blocks) else np.empty(0, dtype=np.int64)
-    if column.dtype.kind != "f":  # only int64 meeting uint64 makes a float
+    if column.dtype.kind != "f":  # a float is float blocks, or int64 meeting uint64
         return column
-    full = [block for block in blocks if len(block)]
+    full = [block for block in blocks if len(block)] or blocks[:1]
     if len({block.dtype for block in full}) == 1:
         return np.concatenate(full)
     return np.concatenate([block.astype(object) for block in full])

@@ -10,7 +10,7 @@ where the radix product would overflow. Any other key position — an
 coded by one dict over its distinct values
 (:func:`~repro.kernels.columnar.value_codes`), which is Python ``==``:
 ``1`` meets ``1.0``. A chunk of servers is one pass with the server as a
-leading key column (:func:`stack_tagged`, :func:`cut_at_tags`). The
+leading key column (:func:`repro.mpc.cluster.server_column`). The
 codes feed fully vectorized match-index computation (join) or
 membership masks (semijoin). A join or a lookup probes its codes
 through one table over their slots (:func:`slots`, :func:`runs`) and
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.kernels.columnar import (
     comparable_int64,
-    concatenated,
     dense_codes,
     exact,
     key_columns,
@@ -90,31 +89,6 @@ def _joint_column(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         if all(c is not None for c in ints):
             return np.concatenate(ints)
     return value_codes(left.tolist() + right.tolist())[0]
-
-
-# Leading attribute of a chunk's stacked fragments: the index, in the chunk,
-# of the server a row sits on. No parsed or user-given name is NUL-led.
-TAG = "\0server"
-
-
-def stack_tagged(fragments: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
-    """A chunk's per-server column lists as one, server-major, behind a
-    :data:`TAG` column: as a leading key column it keeps one kernel pass from
-    pairing rows of two servers. A chunk of one is its own columns, untagged.
-    A column whose blocks differ in dtype stacks as ``object``."""
-    if len(fragments) == 1:
-        return list(fragments[0])
-    tag = np.repeat(np.arange(len(fragments)), [len(f[0]) for f in fragments])
-    return [tag] + [concatenated(blocks) for blocks in zip(*fragments)]
-
-
-def cut_at_tags(columns: Sequence[np.ndarray], servers: int) -> list[tuple]:
-    """A pass's output — still server-major — cut back into one tuple of
-    column slices (views) per server, at the tag column's boundaries."""
-    if servers == 1:
-        return [tuple(columns)]
-    ends = np.cumsum(np.bincount(columns[0], minlength=servers)).tolist()
-    return [tuple(c[a:b] for c in columns[1:]) for a, b in zip([0] + ends, ends)]
 
 
 def lookup_codes(key_cols: Sequence[np.ndarray], keys: Sequence[Row]) -> np.ndarray:

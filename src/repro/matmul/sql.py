@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.kernels.columnar import pack_columns
-from repro.kernels.join import join_indices
+from repro.kernels.join import code_key_columns, join_indices
 from repro.kernels.memo import route
 from repro.kernels.partition import try_route_grid
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import Cluster, row_bounds, server_column
 from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 
@@ -57,8 +57,7 @@ def sql_matmul(
     # The n³ elementary products dominate the run; the exec backend
     # computes each server's block concurrently and returns (i, k, v)
     # arrays — through shared memory under the process backend.
-    results = cluster.compute("matmul.partials", (("A@j", 3), ("B@j", 3)))
-    partials = [np.concatenate(parts) for parts in zip(*results)]
+    partials, _bounds = cluster.compute("matmul.partials", [("A@j", 3), ("B@j", 3)])
 
     # Round 2: aggregate by (i, k), on the same servers under the next seed.
     c = np.zeros((a.shape[0], b.shape[1]))
@@ -67,8 +66,8 @@ def sql_matmul(
         agg.scatter(products, "P@in")
         with agg.round("groupby-ik") as rnd:
             route(agg, rnd, "P@in", (0, 1), agg.hash_function(1), "P@j", products)
-        for iis, ks, vs in agg.compute("matmul.sums", ("P@j", 3)):
-            c[iis, ks] = vs
+        (iis, ks, vs), _bounds = agg.compute("matmul.sums", [("P@j", 3)])
+        c[iis, ks] = vs
     return c, cluster.stats
 
 
@@ -79,38 +78,38 @@ def _nonzero(matrix: np.ndarray, name: str, attributes: list[str]) -> Relation:
     return Relation.from_columns(name, attributes, [rows, cols, matrix[rows, cols].astype(float)])
 
 
-def matmul_partials_chunk(payloads: list, common) -> list:
-    """Exec task ``matmul.partials``: per-server join-side products.
+def matmul_partials_chunk(chunk: list, common) -> tuple:
+    """Exec task ``matmul.partials``: a chunk's join-side products.
 
-    Returns ``(i, k, v)`` arrays per server: for each A entry in arrival
-    order, its products with the B entries of its ``j`` in arrival order
+    One join on ``(server, j)``: for each A entry in arrival order, its
+    products with the B entries of its server and ``j`` in arrival order
     (:func:`~repro.kernels.join.join_indices`'s nested-loop order), each
     one IEEE multiply, as a tuple loop over Python floats makes it. (A
     relation holds floats as an ``object`` column; ``float64`` holds them
-    exactly.)
+    exactly.) Returned as ``(i, k, v)`` columns.
     """
-    out = []
-    for (a_i, a_j, a_v), (b_j, b_k, b_v) in payloads:
-        left, right = join_indices(a_j, b_j)
-        out.append((a_i[left], b_k[right], _floats(a_v)[left] * _floats(b_v)[right]))
-    return out
+    ((a_i, a_j, a_v), a_bounds), ((b_j, b_k, b_v), b_bounds) = chunk
+    servers = server_column(a_bounds)
+    left, right = join_indices(*code_key_columns([servers, a_j], [server_column(b_bounds), b_j]))
+    return ([a_i[left], b_k[right], _floats(a_v)[left] * _floats(b_v)[right]],
+            row_bounds(servers[left], len(a_bounds) - 1))
 
 
-def matmul_sums_chunk(payloads: list, common) -> list:
-    """Exec task ``matmul.sums``: per-server (i, k) group sums.
+def matmul_sums_chunk(chunk: list, common) -> tuple:
+    """Exec task ``matmul.sums``: a chunk's group sums, grouped once on
+    ``(server, i, k)``.
 
     ``np.bincount``'s weights accumulate from 0.0 in arrival order, as a
     dict of running Python float sums does, so every sum is bit-identical;
-    returned as ``(i, k, sum)`` arrays, one row per group.
+    returned as ``(i, k, sum)`` columns, one row per group.
     """
-    out = []
-    for iis, ks, vs in payloads:
-        _, first, groups = np.unique(
-            pack_columns([iis, ks], dense=True)[0], return_index=True, return_inverse=True
-        )
-        sums = np.bincount(groups.reshape(-1), weights=_floats(vs), minlength=len(first))
-        out.append((iis[first], ks[first], sums))
-    return out
+    [((iis, ks, vs), bounds)] = chunk
+    servers = server_column(bounds)
+    _, first, groups = np.unique(
+        pack_columns([servers, iis, ks], dense=True)[0], return_index=True, return_inverse=True
+    )
+    sums = np.bincount(groups.reshape(-1), weights=_floats(vs), minlength=len(first))
+    return [iis[first], ks[first], sums], row_bounds(servers[first], len(bounds) - 1)
 
 
 def _floats(column: np.ndarray) -> np.ndarray:

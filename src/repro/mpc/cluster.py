@@ -18,10 +18,11 @@ Usage pattern (a shuffle round, then its local step)::
     # after the `with` block every destination fragment is populated and
     # cluster.stats has a RoundStats entry for the round.
     # (repro.kernels.memo.route is this loop, replaying a cached plan when it can.)
-    cluster.compute("join.fragments", (("R@h", 2), ("S@h", 2)),
-                    ("R", r.schema, "S", s.schema), out="out")
-    # every server joined the two fragments it took, through the backend,
-    # and holds its result under "out" (repro.joins.base.local_join).
+    columns, bounds = cluster.compute("join.fragments", [("R@h", 2), ("S@h", 2)],
+                                      ("R", r.schema, "S", s.schema))
+    # every server joined the two fragments it took, through the backend:
+    # server i's result is rows bounds[i]:bounds[i + 1] of the one table
+    # (repro.joins.base.local_join).
 
 Costs follow the tutorial's conventions: the *load* of a server in a
 round is the number of tuples it receives; ``L`` is the max over servers
@@ -55,6 +56,11 @@ channel faults at the barriers; recovery runs before the audit snapshot,
 so a recovered round satisfies the same invariants as a fault-free one.
 The fault counters are surfaced on ``cluster.stats.faults``.
 
+A local step (:meth:`Cluster.compute`) is one table per fragment over a
+run of servers, in server order, with each server's row *bounds*; its
+task returns one table and bounds (:func:`server_column` and
+:func:`row_bounds` convert between bounds and servers).
+
 An algorithm builds one cluster and runs every step of its query on it:
 :meth:`Cluster.step` for the next step on the same servers,
 :meth:`Cluster.side_by_side` for steps on *pools*, contiguous server
@@ -76,26 +82,52 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.errors import ClusterError, LoadExceededError
 from repro.exec.base import ExecutionBackend, chunk_bounds, get_backend
-from repro.kernels.columnar import Row, columns_of
+from repro.kernels.columnar import Row, columns_of, concatenated
 from repro.mpc.audit import ClusterAuditor, audit_enabled_by_default
 from repro.mpc.faults import FaultController, FaultPlan, fault_plan_by_default
 from repro.mpc.hashing import HashFamily, HashFunction
-from repro.mpc.server import ChunkedColumns, Server, held
+from repro.mpc.server import ChunkedColumns, Server
 from repro.mpc.stats import RoundStats, RunStats
 
 T = TypeVar("T")
 
-# The payload item of :meth:`Cluster.compute` that is the server's id.
-SERVER_ID = object()
+Table = tuple[list[np.ndarray], np.ndarray]  # (columns, row bounds): see compute
+
+# The attribute a pass keys on first when it builds relations over a chunk:
+# the server a row sits on, as its index in the chunk. No parsed or
+# user-given name is NUL-led.
+SERVER = "\0server"
 
 
-def _payload(server: Server, spec: object) -> object:
-    """``server``'s payload of shape ``spec`` (:meth:`Cluster.compute`)."""
-    if spec is SERVER_ID:
-        return server.sid
-    if spec and isinstance(spec[0], str):  # (name, arity)
-        return held(server.take(spec[0]), spec[1])
-    return type(spec)([_payload(server, item) for item in spec])
+def server_column(bounds: np.ndarray) -> np.ndarray:
+    """Per row of a table with these row ``bounds``, its server's index in the chunk."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+
+def row_bounds(servers: np.ndarray, count: int) -> np.ndarray:
+    """The row bounds over ``count`` servers of a table whose rows are in
+    server order, from their :func:`server_column`."""
+    return np.concatenate(([0], np.bincount(servers, minlength=count).cumsum()))
+
+
+def _table(fragments: Sequence[ChunkedColumns], arity: int) -> Table:
+    """Consecutive servers' fragments as one table: one concatenation per
+    column of every block, in server order (an absent fragment adds none;
+    blocks that differ in dtype meet as ``object``), and each one's bounds."""
+    blocks: list[list[np.ndarray]] = [[] for _ in range(arity)]
+    for fragment in fragments:
+        for column, more in zip(blocks, fragment.chunks):
+            column.extend(more)
+    return [concatenated(column) for column in blocks], np.cumsum([0, *map(len, fragments)])
+
+
+def _joined(tables: Sequence[Table]) -> Table:
+    """Consecutive chunks' tables as one."""
+    if len(tables) == 1:
+        return tables[0]
+    sizes = [np.diff(bounds) for _, bounds in tables]
+    return ([concatenated(column) for column in zip(*(columns for columns, _ in tables))],
+            np.concatenate([[0], *sizes]).cumsum())
 
 
 class RoundContext:
@@ -292,45 +324,51 @@ class Cluster:
         return self._hash_family.function(index, buckets if buckets is not None else self.p)
 
     def compute(
-        self, task: str, fragments: object, common: object = None, out: str | None = None
-    ) -> list:
+        self, task: str, fragments: Sequence[tuple[str, int]], common: object = None,
+        out: str | None = None,
+    ) -> Table:
         """Every server's local step: the registered ``task`` over what the
-        server holds, through the backend; the results, in server order.
+        servers hold, through the backend, as one table.
 
-        ``fragments`` is the shape of a server's payload: a ``(name,
-        arity)`` pair is the fragment ``name``, taken off the server, as
-        its ``arity`` columns (none when it is absent, see
-        :func:`~repro.mpc.server.held`); :data:`SERVER_ID` is the server's
-        id; a list or tuple is the list or tuple of its items' payloads.
-        With ``out``, each server's result, a tuple of columns, is also
-        appended to its fragment ``out``. The ``process`` backend computes
-        a contiguous range of servers per worker and merges in server
-        order, so the results are byte-identical to the inline run.
+        Each ``(name, arity)`` of ``fragments`` is taken off the servers as
+        one table of ``arity`` columns (:func:`_table`) — per contiguous
+        range of servers the backend runs (:func:`~repro.exec.base.chunk_bounds`
+        over its workers; inline, all of them) — and the task maps that
+        chunk's tables to ``(columns, bounds)``, server ``i``'s rows being
+        ``bounds[i]:bounds[i + 1]``. Returned is the step's table, the
+        chunks' results in server order; byte-identical across backends.
+        With ``out``, each server's rows are also appended to its fragment
+        ``out``, for a later round to read.
         """
-        return self.compute_pools([(self.servers, task, fragments, common, out)])[0]
+        columns, bounds = table = self.compute_pools([(self.servers, task, fragments, common)])[0]
+        if out is not None:
+            for server, start, stop in zip(self.servers, bounds.tolist(), bounds[1:].tolist()):
+                server.append_result(out, tuple(column[start:stop] for column in columns))
+        return table
 
     def compute_pools(
-        self, steps: Sequence[tuple[Sequence[Server], str, object, object, str | None]]
-    ) -> list[list]:
+        self, steps: Sequence[tuple[Sequence[Server], str, Sequence[tuple[str, int]], object]]
+    ) -> list[Table]:
         """Several *independent* local steps, on disjoint server groups, as
         one backend dispatch.
 
-        ``steps[k] = (servers, task, fragments, common, out)`` is
-        :meth:`compute` on those servers; the result is step-aligned. The
-        process backend ships the whole batch as one queue message per
-        worker (``ExecStats.queue_messages`` grows by at most the worker
-        count, not k times it).
+        ``steps[k] = (servers, task, fragments, common)`` is :meth:`compute`
+        on those servers; the result is step-aligned. The process backend
+        ships the whole batch as one queue message per worker
+        (``ExecStats.queue_messages`` grows by at most the worker count,
+        not k times it).
         """
-        calls = [
-            (task, [_payload(server, fragments) for server in servers], common)
-            for servers, task, fragments, common, _out in steps
-        ]
+        workers = getattr(self.backend, "workers", 1)
+        calls = []
+        for servers, task, fragments, common in steps:
+            taken = [[server.take(name) for server in servers] for name, _ in fragments]
+            chunks = [
+                [_table(parts[start:stop], arity) for parts, (_, arity) in zip(taken, fragments)]
+                for start, stop in chunk_bounds(len(servers), workers)
+            ]
+            calls.append((task, chunks, common))
         results = self.backend.map_payload_batch(calls, stats=self.stats.exec)
-        for (servers, *_, out), per_server in zip(steps, results):
-            if out is not None:
-                for server, result in zip(servers, per_server):
-                    server.append_result(out, result)
-        return results
+        return [_joined(tables) for tables in results]
 
     def owning_worker(self, sid: int) -> int:
         """The backend worker whose contiguous server range contains ``sid``.
@@ -484,18 +522,11 @@ class Cluster:
         return out
 
     def gather_relation(self, fragment: str, name: str, attributes: Sequence[str]) -> Relation:
-        """Gather a fragment into a :class:`Relation`.
-
-        Every server's blocks concatenate in server order, and the tuples
-        derive lazily.
-        """
-        chunks: list[list[np.ndarray]] = [[] for _ in attributes]
-        for server in self.servers:
-            part = server.get(fragment)
-            if len(part):
-                for column, more in zip(chunks, part.chunks):
-                    column.extend(more)
-        return Relation.from_chunks(name, attributes, chunks)
+        """Gather a fragment into a :class:`Relation`: one table of every
+        server's blocks, in server order (:func:`_table`); the tuples derive
+        lazily."""
+        table = _table([server.get(fragment) for server in self.servers], len(attributes))
+        return Relation.from_columns(name, attributes, table[0])
 
     def drop(self, fragment: str) -> None:
         """Delete a fragment on every server."""

@@ -122,7 +122,7 @@ class ExecStats(CounterStats):
     workers: int = 1
     dispatches: int = 0  # local steps (Cluster.compute) routed through the backend
     chunks: int = 0  # worker jobs (== dispatches for inline)
-    items: int = 0  # per-server payloads processed
+    items: int = 0  # payloads processed: a local step's chunks of servers
     shm_bytes_out: int = 0  # segment bytes coordinator -> workers
     shm_bytes_in: int = 0  # segment bytes workers -> coordinator
     pickle_bytes_out: int = 0  # frame bytes on the pipes (in-band blocks included)

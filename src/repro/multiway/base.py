@@ -32,15 +32,15 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.joins.base import JoinRun, join_schemas
+from repro.joins.base import JoinRun
 from repro.joins.cartesian import cartesian_on_cluster
 from repro.joins.hash_join import one_round_hash_join
 from repro.joins.heavy import allocate_servers
 from repro.kernels.columnar import concatenated, key_columns, zip_rows
-from repro.kernels.join import cut_at_tags, joint_codes, locate, slots, stack_tagged
+from repro.kernels.join import joint_codes, locate, slots
 from repro.kernels.memo import cached_view, degree_view, distinct_project, ordered, route
 from repro.kernels.partition import try_route
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import Cluster, row_bounds, server_column
 from repro.mpc.server import ChunkedColumns, held
 from repro.mpc.stats import RunStats
 
@@ -98,8 +98,7 @@ def join_step(cluster: Cluster, left: Relation, right: Relation, label: str = "j
     if left.schema.common(right.schema):
         output = one_round_hash_join(cluster, left, right, label, "J")
     else:
-        cartesian_on_cluster(cluster, left, right)
-        output = cluster.gather_relation("out", "OUT", join_schemas(left, right)[1])
+        output = cartesian_on_cluster(cluster, left, right)
     return interned(cluster, "join", (left, right), output, routed)
 
 
@@ -201,15 +200,14 @@ def semijoin_step(cluster: Cluster, target: Relation, reducers: list[Relation],
 
     cluster.drop("H@alive")  # consumed: contents mirror `heavy_alive`
     arity = target.schema.arity
-    cluster.compute(
+    columns, _bounds = cluster.compute(
         "semijoin.filter",
-        ([(f"K{i}@j", len(shared)) for i in range(len(reducers))], ("T@j", arity),
+        [*((f"K{i}@j", len(shared)) for i in range(len(reducers))), ("T@j", arity),
          # Read only for heavy_alive; without heavy keys nothing stays.
-         ("T@stay", arity if is_heavy else 0)),
+         ("T@stay", arity if is_heavy else 0)],
         (tuple(t_idx), tuple(heavy_alive)),
-        out="out",
     )
-    output = cluster.gather_relation("out", target.name, target.schema.attributes)
+    output = Relation.from_columns(target.name, target.schema, columns)
     return interned(cluster, "semijoin", (target, *reducers), output, routed)
 
 
@@ -231,50 +229,43 @@ def _route_light(
     return ChunkedColumns([[column[is_heavy]] for column in columns])
 
 
-def semijoin_filter_chunk(payloads: list, common) -> list:
+def _member(keys: list, members: list[list]) -> np.ndarray:
+    """Per row of ``keys``, whether its key is a row of every one of ``members``:
+    the rows' codes are placed once in a slot table (:func:`~repro.kernels.join.slots`)
+    over the span they were packed into with every member's
+    (:func:`~repro.kernels.join.joint_codes`), which each member then marks."""
+    both, span = joint_codes(keys, [concatenated(c) for c in zip(*members)])
+    rows, codes = both[:len(keys[0])], both[len(keys[0]):]
+    keep = np.full(len(rows), bool(len(codes)))
+    if not len(codes):
+        return keep
+    code_slots, row_slots, size = slots(codes, rows, span)
+    for start, end in pairwise([0, *accumulate(len(m[0]) for m in members)]):
+        marked = np.zeros(size, dtype=bool)
+        marked[code_slots[start:end]] = True
+        keep &= marked[row_slots]
+    return keep
+
+
+def semijoin_filter_chunk(chunk: list, common) -> tuple:
     """Exec task ``semijoin.filter``: the local phase of the multi-semijoin.
 
-    Each payload is ``(per-reducer key columns, routed target columns,
-    heavy stay-in-place columns)``; a server's survivors are its routed
-    rows whose key appears in every reducer, then its heavy rows whose key
-    survived globally (``heavy_alive``, broadcast by the coordinator). The
-    chunk is filtered in one pass over ``(server, key)`` codes (masks are
-    elementwise): the target's keys are coded once, with every reducer's,
-    and placed once in a slot table (:func:`~repro.kernels.join.slots`)
-    over the span they were packed into (:func:`~repro.kernels.join.joint_codes`)
-    that each reducer then marks; the heavy rows take one more. Pure over
-    its inputs, so inline and worker execution agree byte-for-byte.
+    The chunk is every reducer's key table, the routed target's and the
+    heavy stay-in-place rows'; a server's survivors are its routed rows
+    whose key is in every reducer (one pass over ``(server, key)`` codes),
+    then its heavy rows whose key survived globally (``heavy_alive``,
+    broadcast by the coordinator): a stable order on the server puts them
+    after the routed ones. Pure, so inline and workers agree byte-for-byte.
     """
     t_idx, heavy_alive = common
-    servers = len(payloads)
-    lead = 1 if servers > 1 else 0  # the tag leads the key as it leads the columns
-
-    def kept(columns: list, keep: np.ndarray) -> list[tuple]:
-        return cut_at_tags([column[keep] for column in columns], servers)
-
-    def member(keys: list, members: list[list]) -> np.ndarray:
-        """Per row of ``keys``, whether its key is a row of every one of ``members``."""
-        both, span = joint_codes(keys, [concatenated(c) for c in zip(*members)])
-        rows, codes = both[:len(keys[0])], both[len(keys[0]):]
-        keep = np.full(len(rows), bool(len(codes)))
-        if not len(codes):
-            return keep
-        code_slots, row_slots, size = slots(codes, rows, span)
-        for start, end in pairwise([0, *accumulate(len(m[0]) for m in members)]):
-            marked = np.zeros(size, dtype=bool)
-            marked[code_slots[start:end]] = True
-            keep &= marked[row_slots]
-        return keep
-
-    target = stack_tagged([t_cols for _keys, t_cols, _stay in payloads])
-    reducers = [stack_tagged(list(parts)) for parts in zip(*(keys for keys, _t, _stay in payloads))]
-    # Every mask over the whole target, as the per-server filter does.
-    routed = kept(target, member(target[:lead] + [target[i + lead] for i in t_idx], reducers))
+    *reducers, (target, bounds), (stay, stay_bounds) = chunk
+    servers = server_column(bounds)
+    keep = _member([servers, *(target[i] for i in t_idx)],
+                   [[server_column(k_bounds), *keys] for keys, k_bounds in reducers])
     if not heavy_alive:
-        return routed
-    stay = stack_tagged([s_cols for _keys, _t, s_cols in payloads])
-    alive = member([stay[i + lead] for i in t_idx], [key_columns(heavy_alive, range(len(t_idx)))])
-    return [
-        tuple(map(concatenated, zip(light, heavy)))
-        for light, heavy in zip(routed, kept(stay, alive))
-    ]
+        return [column[keep] for column in target], row_bounds(servers[keep], len(bounds) - 1)
+    alive = _member([stay[i] for i in t_idx], [key_columns(heavy_alive, range(len(t_idx)))])
+    both = np.concatenate((servers[keep], server_column(stay_bounds)[alive]))
+    order = np.argsort(both, kind="stable")
+    survivors = [concatenated([t[keep], s[alive]])[order] for t, s in zip(target, stay)]
+    return survivors, row_bounds(both[order], len(bounds) - 1)

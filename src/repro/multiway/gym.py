@@ -26,7 +26,7 @@ from collections.abc import Mapping
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.kernels.memo import align, bound, project_view
+from repro.kernels.memo import align, bound, cached_view, project_view
 from repro.mpc.cluster import Cluster
 from repro.multiway.base import MultiwayRun, interned, join_step, on_pools, semijoin_step
 from repro.multiway.hypercube import hypercube_on
@@ -114,9 +114,9 @@ def _materialize_bags(
             align(query.atom(name), bound(relations, name)) for name in node.cover
         ]
         if dedupe:
-            covers = [rel.distinct() for rel in covers]
+            covers = [_distinct(rel, cluster.stats.memo) for rel in covers]
         if len(covers) == 1:
-            working[id(node)] = _project_bag(covers[0], node, dedupe)
+            working[id(node)] = _project_bag(covers[0], node, dedupe, cluster.stats.memo)
         else:
             pending.append((node, _greedy_join_order(covers)))
 
@@ -138,7 +138,7 @@ def _materialize_bags(
             for (node, covers), rel in zip(wave, joined):
                 current[id(node)] = rel
                 if step == len(covers) - 1:
-                    working[id(node)] = _project_bag(rel, node, dedupe)
+                    working[id(node)] = _project_bag(rel, node, dedupe, cluster.stats.memo)
         pending = [
             (node, covers) for node, covers in pending if id(node) not in working
         ]
@@ -159,7 +159,12 @@ def _greedy_join_order(covers: list[Relation]) -> list[Relation]:
     return ordered
 
 
-def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation:
+def _distinct(rel: Relation, stats) -> Relation:
+    """``rel`` deduplicated, a view of it: a repeat hands the same copy on."""
+    return cached_view(rel, ("distinct rows",), rel.distinct, stats)
+
+
+def _project_bag(rel: Relation, node: GHDNode, dedupe: bool, stats) -> Relation:
     """``rel`` projected to ``node``'s bag: ``rel`` itself when it keeps every
     attribute (so its steps read the views built for it, and a cover or a
     join of covers is already a set), else a copy deduplicated under ``dedupe``."""
@@ -169,7 +174,7 @@ def _project_bag(rel: Relation, node: GHDNode, dedupe: bool = False) -> Relation
     # Memoized: repeated GYM runs over unchanged inputs reuse the bag
     # projection (read-only downstream — semijoins replace, never mutate).
     projected = project_view(rel, bag_attrs, name=f"B{node.cover[0]}")
-    return projected.distinct() if dedupe else projected
+    return _distinct(projected, stats) if dedupe else projected
 
 
 # ------------------------------------------------------------- semijoins

@@ -25,37 +25,35 @@ from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.kernels.memo import align, bound, route_scattered_grid
 from repro.kernels.partition import try_route_grid
-from repro.mpc.cluster import Cluster
+from repro.mpc.cluster import Cluster, row_bounds
 from repro.mpc.server import Server, held
 from repro.mpc.topology import Grid
-from repro.joins.base import stacked
-from repro.kernels.join import cut_at_tags
+from repro.joins.base import served
 from repro.multiway.base import MultiwayRun
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.query.shares import ShareAssignment, optimal_shares
 
 
 def evaluate_pools(
-    cluster: Cluster, pools: Sequence[tuple[Sequence[Server], ConjunctiveQuery, str]],
-) -> list[Relation]:
-    """Evaluate ``(servers, query, out fragment)`` pools in one dispatch.
+    cluster: Cluster, pools: Sequence[tuple[Sequence[Server], ConjunctiveQuery]],
+) -> list[tuple]:
+    """Evaluate ``(servers, query)`` pools in one dispatch.
 
     Each pool's servers hold the ``@hc`` fragments of one routed HyperCube
     run of ``query`` (SkewHC: of every residual of one heavy/light
     pattern, side by side); the pools are disjoint, so all their
-    ``hypercube.eval`` calls ride one backend round-trip. Every server
-    keeps its result under the pool's fragment; returned is each pool's
-    gathered output, in ``query``'s variable order. A server's payload is
-    its fragments' columns, one list per atom.
+    ``hypercube.eval`` calls ride one backend round-trip. Returned is each
+    pool's output, in ``query``'s variable order, and its row bounds per
+    server.
     """
-    cluster.compute_pools([
+    tables = cluster.compute_pools([
         (servers, "hypercube.eval", [(f"{atom.name}@hc", atom.arity) for atom in query.atoms],
-         query, fragment)
-        for servers, query, fragment in pools
+         query)
+        for servers, query in pools
     ])
     return [
-        cluster.gather_relation(fragment, "OUT", list(query.variables))
-        for _servers, query, fragment in pools
+        (Relation.from_columns("OUT", list(query.variables), columns), bounds)
+        for (_servers, query), (columns, bounds) in zip(pools, tables)
     ]
 
 
@@ -132,29 +130,29 @@ def hypercube_on(
             for server in cluster.servers:
                 try_route_grid(rnd, held(server.take(fragments[atom.name]), atom.arity), *route)
 
-    (output,) = evaluate_pools(cluster, [(cluster.servers[: grid.size], query, "out")])
+    [(output, _bounds)] = evaluate_pools(cluster, [(cluster.servers[: grid.size], query)])
     details: dict = {"shares": dict(shares)}
     if assignment is not None:
         details["assignment"] = assignment
     return output, details
 
 
-def hypercube_eval_chunk(payloads: list, query: ConjunctiveQuery) -> list:
-    """Exec task ``hypercube.eval``: evaluate ``query`` on grid servers.
+def hypercube_eval_chunk(chunk: list, query: ConjunctiveQuery) -> tuple:
+    """Exec task ``hypercube.eval``: evaluate ``query`` on a chunk of grid servers.
 
-    Each payload is the server's per-atom columns, in ``query.atoms``
-    order. The left-deep plan evaluates the chunk in one pass — the query
-    with the server as one more variable of every atom, over the fragments
-    stacked server-major: a left-deep plan keeps left order at every step
-    (a product step is a join on the server), so the output is the
-    servers' outputs in server order.
+    The chunk is one table per atom, in ``query.atoms`` order. The
+    left-deep plan evaluates it in one pass — the query with the server as
+    one more variable of every atom: a left-deep plan keeps left order at
+    every step (a product step is a join on the server), so the output is
+    the servers' outputs in server order.
     """
     fragments = {
-        atom.name: stacked(atom.name, atom.variables, [per_atom[j] for per_atom in payloads])
-        for j, atom in enumerate(query.atoms)
+        atom.name: served(atom.name, atom.variables, table)
+        for atom, table in zip(query.atoms, chunk)
     }
-    tagged = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
-    return cut_at_tags(tagged.evaluate(fragments).columns(), len(payloads))
+    keyed = ConjunctiveQuery(Atom(name, rel.attributes) for name, rel in fragments.items())
+    columns = keyed.evaluate(fragments).columns()
+    return columns[1:], row_bounds(columns[0], len(chunk[0][1]) - 1)
 
 
 def triangle_hypercube(

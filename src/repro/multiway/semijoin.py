@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.data.relation import Relation, union_all
+from repro.joins.heavy import key_groups
 from repro.kernels.columnar import column_of
 from repro.kernels.memo import counts_at, degree_view, grouped, ordered
 from repro.mpc.cluster import Cluster
@@ -78,10 +79,11 @@ def triangle_hl_semijoin(
     heavy = degrees >= threshold
     pairs = ordered(zip(zs[heavy].tolist(), degrees[heavy].tolist()), key=itemgetter(0))
     heavy_z = [z for z, _ in pairs]
-    heavy_set = set(heavy_z)
-
-    s_light = s.select(lambda row: row[1] not in heavy_set)  # z is position 1 of S(y,z)
-    t_light = t.select(lambda row: row[0] not in heavy_set)  # z is position 0 of T(z,x)
+    # Per heavy z, the positions of the S and T rows holding it: one
+    # grouping of each z column; the rest are the light rows.
+    s_at, t_at = (key_groups([rel.columns()[rel.schema.index("z")]], [(z,) for z in heavy_z])
+                  for rel in (s, t))
+    s_light, t_light = _without(s, s_at), _without(t, t_at)
 
     # Server split: light HyperCube gets servers ∝ its input share, the
     # heavy residuals the rest, each heavy value ∝ its degree.
@@ -96,8 +98,10 @@ def triangle_hl_semijoin(
 
     def heavy_residuals(pool: Cluster) -> list:
         return on_pools(
-            pool, heavy_z, [degree for _, degree in pairs], seed,
-            lambda z_value, pool_z: _heavy_z_residual(pool_z, r, s, t, z_value, seed),
+            pool, range(len(heavy_z)), [degree for _, degree in pairs], seed,
+            lambda i, pool_z: _heavy_z_residual(
+                pool_z, r, _column_at(s, "y", s_at[i], "Sh"), _column_at(t, "x", t_at[i], "Th"),
+                heavy_z[i], seed),
         )
 
     sides, weights = [light], [light_in]
@@ -110,13 +114,26 @@ def triangle_hl_semijoin(
     return MultiwayRun(output, cluster.stats, {"heavy_z": heavy_z, "threshold": threshold})
 
 
+def _without(rel: Relation, groups: list[np.ndarray]) -> Relation:
+    """``rel`` without the rows at any of ``groups``' positions."""
+    keep = np.ones(len(rel), dtype=bool)
+    for rows in groups:
+        keep[rows] = False
+    return Relation.from_columns(rel.name, rel.schema, [column[keep] for column in rel.columns()])
+
+
+def _column_at(rel: Relation, attribute: str, rows: np.ndarray, name: str) -> Relation:
+    """``rel``'s ``attribute`` at ``rows`` as a relation ``name``."""
+    column = rel.columns()[rel.schema.index(attribute)]
+    return Relation.from_columns(name, [attribute], [column[rows]])
+
+
 def _heavy_z_residual(
-    pool: Cluster, r: Relation, s: Relation, t: Relation, z_value: Any, seed: int
+    pool: Cluster, r: Relation, s_h: Relation, t_h: Relation, z_value: Any, seed: int
 ) -> list[np.ndarray]:
     """q(z=h): R(x,y) ⋉ S'(y) ⋉ T'(x) via two semijoin rounds (slide 59)
-    on ``pool``; the output's (x, y, z) columns."""
-    s_h = s.select(lambda row: row[1] == z_value).project(["y"], name="Sh")
-    t_h = t.select(lambda row: row[0] == z_value).project(["x"], name="Th")
+    on ``pool``, ``s_h`` and ``t_h`` being the y of S's and the x of T's
+    rows with z = h; the output's (x, y, z) columns."""
     if not len(s_h) or not len(t_h):
         return [np.empty(0, np.int64)] * 3
     with pool.step(seed) as step:

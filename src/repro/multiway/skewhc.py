@@ -123,19 +123,16 @@ def skewhc_join(
                     f"{atom.name}@hc",
                 )
         # One dispatch evaluates every residual (the pools are disjoint,
-        # none waits on another): one call, and one gather, per pattern.
+        # none waits on another): one call, and one output, per pattern.
         staged = [pattern for pattern in patterns if pattern[0].servers]
         owners = [[job for job in pattern for _ in range(job.grid.size)] for pattern in staged]
         evaluated = [
             ([pools.servers[job.base + cell] for job in pattern for cell in range(job.grid.size)],
-             pattern[0].residual, f"out@{','.join(pattern[0].bound)}")
+             pattern[0].residual)
             for pattern in staged
         ]
-        for holders, (servers, _, fragment), gathered in zip(
-            owners, evaluated, evaluate_pools(pools, evaluated)
-        ):
-            lengths = [len(server.get(fragment)) for server in servers]
-            parts.append(_expand(query, holders, gathered, lengths))
+        for holders, (gathered, bounds) in zip(owners, evaluate_pools(pools, evaluated)):
+            parts.append(_expand(query, holders, gathered, np.diff(bounds)))
 
     if any(allocation):
         # The residuals' pools sit side by side from server 0, so their

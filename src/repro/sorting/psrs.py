@@ -34,7 +34,7 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.kernels.columnar import column_of, columns_of, concatenated, zip_rows
 from repro.kernels.splitters import splitter_buckets
-from repro.mpc.cluster import SERVER_ID, Cluster
+from repro.mpc.cluster import Cluster, server_column
 from repro.mpc.server import held
 from repro.mpc.stats import RunStats
 from repro.sorting.splitters import choose_splitters, random_sample, regular_sample
@@ -66,33 +66,18 @@ def sorted_pair(keys: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np
     return keys[order], positions[order]
 
 
-def psrs_localsort_chunk(payloads: list, common) -> list:
-    """Exec task ``psrs.localsort``: phase-1 local sort + splitter samples.
-
-    Payloads are ``((keys, positions), server id)``; returns the sorted
-    pair and the sampled indices into it per server. The server id seeds
-    random sampling.
-    """
-    sample_count, use_random_sampling = common
-    out = []
-    for (keys, positions), sid in payloads:
-        keys, positions = sorted_pair(keys, positions)
-        if use_random_sampling:
-            picks = random_sample(range(len(keys)), sample_count, seed=sid + 1)
-        else:
-            picks = regular_sample(range(len(keys)), sample_count)
-        out.append((keys, positions, picks))
-    return out
-
-
-def psrs_finalsort_chunk(payloads: list, common) -> list:
-    """Exec task ``psrs.finalsort``: phase-4 sort of each routed interval."""
-    return [sorted_pair(keys, positions) for keys, positions in payloads]
+def psrs_sort_chunk(chunk: list, common) -> tuple:
+    """Exec task ``psrs.sort``: every server's (key, position) pair of a
+    chunk ordered by (key, position), in one ``np.lexsort`` on (server,
+    key, position); each server keeps its rows."""
+    [((keys, positions), bounds)] = chunk
+    order = np.lexsort((positions, keys, server_column(bounds)))
+    return [keys[order], positions[order]], bounds
 
 
 def final_sort(cluster: Cluster, fragment: str) -> None:
     """Sort every server's pair in ``fragment`` through the exec backend."""
-    cluster.compute("psrs.finalsort", (fragment, 2), out=fragment)
+    cluster.compute("psrs.sort", [(fragment, 2)], out=fragment)
 
 
 def sorted_positions(cluster: Cluster, fragment: str) -> list[int]:
@@ -118,15 +103,16 @@ def psrs_partition(
 
     # Phase 1: local sort + samples to the coordinator (server 0). The sorts run
     # through the exec backend (concurrently under the process backend);
-    # sample *sends* stay here, on the round's coordinator-side buffers.
+    # the samples, a function of a server's row count and id, are picked here.
     with cluster.round("psrs-sample-gather") as rnd:
-        sorted_fragments = cluster.compute(
-            "psrs.localsort", ((fragment, 2), SERVER_ID), (p - 1, use_random_sampling)
-        )
-        for server, (keys, positions, picks) in zip(cluster.servers, sorted_fragments):
-            server.append_result(f"{fragment}@sorted", (keys, positions))
+        (keys, positions), bounds = cluster.compute(
+            "psrs.sort", [(fragment, 2)], out=f"{fragment}@sorted")
+        for server, start, stop in zip(cluster.servers, bounds.tolist(), bounds[1:].tolist()):
+            picks = (random_sample(range(stop - start), p - 1, seed=server.sid + 1)
+                     if use_random_sampling else regular_sample(range(stop - start), p - 1))
             if picks:
-                rnd.send_columns(0, f"{fragment}@samples", [keys[picks], positions[picks]])
+                rnd.send_columns(0, f"{fragment}@samples",
+                                 [keys[start:stop][picks], positions[start:stop][picks]])
 
     # Phase 2: coordinator picks splitters and broadcasts them.
     pooled = zip_rows(held(cluster.servers[0].take(f"{fragment}@samples"), 2))

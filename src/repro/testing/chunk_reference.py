@@ -2,13 +2,14 @@
 
 :func:`repro.joins.base.join_fragment_chunk`,
 :func:`repro.multiway.base.semijoin_filter_chunk` and
-:func:`repro.multiway.hypercube.hypercube_eval_chunk` run a chunk's
-payloads as one kernel pass keyed on ``(server, key)`` and cut the output
-at the server boundaries. What they replaced lives on here: a loop over
-the payloads that builds the relations of one server and joins, filters
-or evaluates them on their own. ``tests/kernels/test_chunk_pass.py`` holds
-the tasks to these — values, value types, and a tuple of columns per
-server.
+:func:`repro.multiway.hypercube.hypercube_eval_chunk` run a chunk —
+one table per fragment, with each server's row bounds — as one kernel
+pass keyed on ``(server, key)`` and return one table and its bounds.
+What they replaced lives on here: a loop over per-server payloads that
+builds the relations of one server and joins, filters or evaluates them
+on their own. ``tests/kernels/test_chunk_pass.py`` turns the payloads
+into a chunk and holds the tasks to these — values, value types, and a
+tuple of columns per server.
 """
 
 from __future__ import annotations

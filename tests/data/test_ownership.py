@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 from repro.data.relation import Relation, union_all
 from repro.engine import Engine
 from repro.joins import base as joins_base
-from repro.kernels.join import stack_tagged
+from repro.exec import tasks
+from repro.exec.config import use_backend
+from repro.mpc import cluster as cluster_module
+from repro.mpc.server import ChunkedColumns
 from repro.kernels.memo import clear_memo
 
 JOIN = "R(a, b), S(b, c)"
@@ -175,18 +178,33 @@ class TestHeldArraysAreReadOnly:
         with pytest.raises(ValueError):
             back.columns()[0][0] = 99
 
-    def test_stacked_holds_what_stack_tagged_built(self, monkeypatch):
+    def test_stacked_holds_what_stack_tagged_built(self):
+        # (Named for the tagged stacking a chunk's pass once built for itself:
+        # the cluster now builds a step's table, and the pass's relation holds it.)
         built = []
 
-        def spy(fragments):
-            built.append(stack_tagged(fragments))
+        def spy(fragments, arity):
+            built.append(real(fragments, arity))
             return built[-1]
 
-        monkeypatch.setattr(joins_base, "stack_tagged", spy)
-        fragments = [[np.arange(3), np.arange(3) * 2], [np.arange(2), np.arange(2) * 5]]
-        rel = joins_base.stacked("R", ("x", "y"), fragments)
-        # No copy: each held column is the very array stack_tagged built.
-        assert all(np.shares_memory(h, b) for h, b in zip(rel.columns(), built[0]))
+        real = cluster_module._table
+        with pytest.MonkeyPatch.context() as patch, use_backend("inline"):
+            patch.setattr(cluster_module, "_table", spy)
+            cluster = cluster_module.Cluster(2)
+            for server, n in zip(cluster.servers, (3, 2)):
+                server.put("R", ChunkedColumns([[np.arange(n)], [np.arange(n) * (n + 1)]]))
+            relations = []
+            tasks.resolve("join.fragments")  # populate before adding
+            patch.setitem(tasks._REGISTRY, "ownership.served", lambda chunks, common: [
+                relations.append(joins_base.served("R", ("x", "y"), table)) or table
+                for [table] in chunks
+            ])
+            cluster.compute("ownership.served", [("R", 2)])
+        [(columns, bounds)], [rel] = built, relations
+        assert bounds.tolist() == [0, 3, 5]
+        # No copy: each held column is the very array the cluster built.
+        assert all(np.shares_memory(h, b) for h, b in zip(rel.columns()[1:], columns))
+        assert rel.columns()[0].tolist() == [0, 0, 0, 1, 1]
         assert not any(c.flags.writeable for c in rel.columns())
 
 

@@ -15,6 +15,7 @@ from repro.exec.config import use_backend
 from repro.exec.pool import WorkerPool, shutdown_pools
 from repro.mpc.cluster import Cluster
 from repro.mpc.server import ChunkedColumns
+from tests.holdings import per_server
 
 
 def _total_chunk(payloads, common):
@@ -39,7 +40,17 @@ def _call_chunk(payloads, common):
     return [fn(common) for fn in payloads]
 
 
+def _server_totals_chunk(chunks, common):
+    # A local step's task: per chunk of servers, each one's total, one row each.
+    out = []
+    for [(columns, bounds)] in chunks:
+        totals = [int(columns[0][a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+        out.append(([np.array(totals, dtype=np.int64)], np.arange(len(totals) + 1)))
+    return out
+
+
 tasks.register("resident.total", _total_chunk)
+tasks.register("resident.server_totals", _server_totals_chunk)
 tasks.register("resident.mutate", _mutate_chunk)
 tasks.register("resident.scale", _scale_chunk)
 tasks.register("resident.call", _call_chunk)
@@ -117,13 +128,14 @@ def test_cluster_map_servers_batch_matches_sequential():
         for server in cluster.servers:
             server.put("X", ChunkedColumns([[np.arange(server.sid, server.sid + 3)]]))
         before = cluster.stats.exec.snapshot()
-        results = cluster.compute_pools([
-            (cluster.servers[:2], "resident.total", ("X", 1), None, None),
-            (cluster.servers[2:], "resident.total", ("X", 1), None, None),
-            ([], "resident.total", ("X", 1), None, None),
+        tables = cluster.compute_pools([
+            (cluster.servers[:2], "resident.server_totals", [("X", 1)], None),
+            (cluster.servers[2:], "resident.server_totals", [("X", 1)], None),
+            ([], "resident.server_totals", [("X", 1)], None),
         ])
         assert all(not server.storage for server in cluster.servers)  # taken
-        return results, cluster.stats.exec.delta(before)
+        totals = [[int(column[0]) for (column,) in per_server(table)] for table in tables]
+        return totals, cluster.stats.exec.delta(before)
 
     with use_backend("inline"):
         inline, _ = run()
@@ -132,7 +144,7 @@ def test_cluster_map_servers_batch_matches_sequential():
     assert batched == inline == [[3, 6], [9, 12], []]
     assert delta.dispatches == 2  # two live steps...
     assert delta.queue_messages == 2  # ...but one message per worker
-    assert delta.items == 4
+    assert delta.items == 4  # a chunk of one server per worker and step
 
 
 def test_batch_falls_back_inline_on_unpicklable():

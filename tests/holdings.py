@@ -20,6 +20,7 @@ from repro.exec.config import backend_name, worker_count
 from repro.exec.pool import get_pool
 from repro.kernels.columnar import columns_of
 from repro.mpc.audit import audited
+from repro.mpc.cluster import _table
 from repro.mpc.server import ChunkedColumns
 from repro.testing.oracle import multiset_diff
 
@@ -38,6 +39,24 @@ def degree_counter(view):
 def fragment_of(rows, arity):
     """``rows`` as a server holds them: one block, each column by the one rule."""
     return ChunkedColumns([[column] for column in columns_of(rows, arity)])
+
+
+def chunk_of(payloads):
+    """Per-server payloads — per server, one column list per fragment — as the
+    chunk a local step hands its task (:meth:`repro.mpc.cluster.Cluster.compute`):
+    per fragment, one table over the servers."""
+    return [
+        _table([ChunkedColumns([[column] for column in columns]) for columns in fragment],
+               len(fragment[0]))
+        for fragment in zip(*payloads)
+    ]
+
+
+def per_server(table):
+    """A task's ``(columns, bounds)`` as one tuple of column slices per server."""
+    columns, bounds = table
+    return [tuple(column[start:stop] for column in columns)
+            for start, stop in zip(bounds.tolist(), bounds[1:].tolist())]
 
 
 @contextmanager

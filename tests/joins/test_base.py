@@ -59,22 +59,26 @@ class TestLocalJoin:
         server.put("R", fragment_of([(2, 9)], 2))
         left_schema = Relation("L", ["x", "y"], [])
         right_schema = Relation("R", ["y", "z"], [])
-        local_join(cluster, "L", "R", left_schema, right_schema, "out")
-        assert list(server.get("out")) == [(1, 2, 9)]
+        joined = local_join(cluster, "L", "R", left_schema, right_schema, "J")
+        assert joined.name == "J" and joined.attributes == ("x", "y", "z")
+        assert joined.rows_readonly() == [(1, 2, 9)]
         assert list(server.get("L")) == []  # consumed
         assert list(server.get("R")) == []
 
     def test_appends_to_existing_output(self):
-        cluster = Cluster(1)
-        server = cluster.servers[0]
-        server.put("out", fragment_of([(0, 0, 0)], 3))
-        server.put("L", fragment_of([(1, 2)], 2))
-        server.put("R", fragment_of([(2, 9)], 2))
-        local_join(
+        # The step's output is the relation it returns, in server order; a
+        # fragment already on the servers is left as it is.
+        cluster = Cluster(2)
+        for server, (left, right) in zip(cluster.servers, [((1, 2), (2, 9)), ((5, 6), (6, 7))]):
+            server.put("out", fragment_of([(0, 0, 0)], 3))
+            server.put("L", fragment_of([left, (8, 8)], 2))
+            server.put("R", fragment_of([right], 2))
+        joined = local_join(
             cluster, "L", "R",
-            Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "out",
+            Relation("L", ["x", "y"], []), Relation("R", ["y", "z"], []), "OUT",
         )
-        assert list(server.get("out")) == [(0, 0, 0), (1, 2, 9)]
+        assert joined.rows_readonly() == [(1, 2, 9), (5, 6, 7)]
+        assert all(list(server.get("out")) == [(0, 0, 0)] for server in cluster.servers)
 
     def test_every_join_dispatches_its_local_steps_through_the_backend(self):
         # The product, the broadcast join and the skew join's light pool and

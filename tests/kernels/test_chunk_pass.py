@@ -1,13 +1,15 @@
 """One local step per chunk: the pass ≡ the per-server loop, byte for byte.
 
 ``join.fragments``, ``semijoin.filter`` and ``hypercube.eval`` run a
-chunk's payloads — columns only — as one kernel pass keyed on ``(server,
-key)`` and cut the output at the server boundaries. The per-payload
-bodies they replaced live in :mod:`repro.testing.chunk_reference`; every
-case here holds the tasks to them — a tuple of columns per server, equal
-in values and value types, and in dtype unless the chunk's servers differ
-in it (their blocks then stack as ``object``) — and pins that it *is* one
-pass (a counting ``join_indices``).
+chunk — one table per fragment, the servers' rows in server order with
+their row bounds — as one kernel pass keyed on ``(server, key)`` and
+return one table and its bounds. The per-payload bodies they replaced
+live in :mod:`repro.testing.chunk_reference`; every case here turns the
+per-server payloads into a chunk (:func:`tests.holdings.chunk_of`) and
+holds the tasks to them — a tuple of columns per server, equal in values
+and value types, and in dtype unless the chunk's servers differ in it
+(their blocks then stack as ``object``) — and pins that it *is* one pass
+(a counting ``join_indices``).
 """
 
 import os
@@ -21,13 +23,12 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.exec import tasks
 from repro.exec.config import use_backend
-from repro.joins import base as joins_base
 from repro.joins.base import join_fragment_chunk
 from repro.joins.broadcast_join import broadcast_join
 from repro.joins.hash_join import parallel_hash_join
 from repro.joins.skew_join import skew_join
 from repro.kernels import join as join_kernels
-from repro.kernels.columnar import column_of, pack_columns, zip_rows
+from repro.kernels.columnar import column_of, concatenated, pack_columns, zip_rows
 from repro.kernels.join import code_key_columns
 from repro.kernels.memo import clear_memo
 from repro.multiway.base import semijoin_filter_chunk, shuffle_multi_semijoin
@@ -38,7 +39,7 @@ from repro.query import lp
 from repro.query.cq import Atom, ConjunctiveQuery, path_query, triangle_query
 from repro.query.fractional import psi_star
 from repro.testing import chunk_reference as reference
-from tests.holdings import BIG, hold, observe
+from tests.holdings import BIG, chunk_of, hold, observe, per_server
 
 M_VALUES = [1, 2, 8, 13]
 WIDE = 2**61  # keys at ±2^61 span 2^62: the offset packing gives way to the radix
@@ -115,7 +116,7 @@ def join_payloads(m, width, kind, seed=0):
 def test_join_chunk_is_the_per_server_joins(m, width, kind):
     payloads, common = join_payloads(m, width, kind), JOIN_COMMONS[width]
     want = reference.join_fragment_chunk(payloads, common)
-    got = join_fragment_chunk(payloads, common)
+    got = per_server(join_fragment_chunk(chunk_of(payloads), common))
     same(got, want)
     assert all(column.dtype == np.int64 for result in got for column in result)
 
@@ -138,7 +139,7 @@ def test_join_chunk_takes_the_row_rung_where_the_servers_cannot_be_coded_as_one(
     payloads.append(([np.empty(0, dtype=np.int64)] * 2, [np.empty(0, dtype=np.int64)] * 2))
     want = reference.join_fragment_chunk(payloads, common)
     calls = counted(monkeypatch)
-    got = join_fragment_chunk(payloads, common)
+    got = per_server(join_fragment_chunk(chunk_of(payloads), common))
     assert len(calls) == 1
     same(got, want)
     assert want[0][1].dtype == np.uint64
@@ -154,7 +155,7 @@ def test_a_chunk_of_all_uint64_keys_passes_as_one_and_keeps_the_dtype(monkeypatc
         for _ in range(4)
     ]
     calls = counted(monkeypatch)
-    got = join_fragment_chunk(payloads, JOIN_COMMONS[1])
+    got = per_server(join_fragment_chunk(chunk_of(payloads), JOIN_COMMONS[1]))
     assert len(calls) == 1
     same(got, reference.join_fragment_chunk(payloads, JOIN_COMMONS[1]))
     assert all(result[1].dtype == np.uint64 for result in got)
@@ -164,7 +165,7 @@ def test_a_product_is_a_join_on_the_server_alone():
     common = ("L", Schema(["a"]), "R", Schema(["b"]))
     payloads = [([np.array([1, 2])], [np.array([3, 4, 5])]) for _ in range(3)]
     want = reference.join_fragment_chunk(payloads, common)
-    got = join_fragment_chunk(payloads, common)
+    got = per_server(join_fragment_chunk(chunk_of(payloads), common))
     same(got, want)
     assert zip_rows(got[0]) == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
 
@@ -183,7 +184,7 @@ def test_any_chunk_joins_as_its_servers_do(chunk):
         return [np.array([row[i] for row in rows], dtype=np.int64) for i in range(3)]
 
     payloads = [(columns(left), columns(right)) for left, right in chunk]
-    same(join_fragment_chunk(payloads, JOIN_COMMONS[2]),
+    same(per_server(join_fragment_chunk(chunk_of(payloads), JOIN_COMMONS[2])),
          reference.join_fragment_chunk(payloads, JOIN_COMMONS[2]))
 
 
@@ -217,7 +218,7 @@ def semijoin_payloads(m, width, kind, seed=0):
 def test_semijoin_chunk_is_the_per_server_filters(m, width, kind):
     payloads, common = semijoin_payloads(m, width, kind)
     want = reference.semijoin_filter_chunk(payloads, common)
-    same(semijoin_filter_chunk(payloads, common), want)
+    same(semijoin_filtered(payloads, common), want)
 
 
 def test_semijoin_chunk_takes_the_row_rung_per_server():
@@ -234,8 +235,15 @@ def test_semijoin_chunk_takes_the_row_rung_per_server():
     ))
     common = (common[0], (("z",),))
     want = reference.semijoin_filter_chunk(payloads, common)
-    same(semijoin_filter_chunk(payloads, common), want)
+    same(semijoin_filtered(payloads, common), want)
     assert zip_rows(want[-2]) == [(1, BIG)] and zip_rows(want[-1]) == [(9, "b"), (7, "z")]
+
+
+def semijoin_filtered(payloads, common):
+    """``semijoin.filter`` over per-server ``(reducers' keys, target, stay)``
+    payloads, per server: the reducers are the chunk's first tables."""
+    chunk = chunk_of([(*keys, t_cols, stay) for keys, t_cols, stay in payloads])
+    return per_server(semijoin_filter_chunk(chunk, common))
 
 
 # ------------------------------------------------------------ hypercube.eval
@@ -274,7 +282,7 @@ def test_eval_chunk_is_the_per_server_evaluations(m, name, kind):
     query = QUERIES[name]
     payloads = eval_payloads(m, query, kind)
     want = reference.hypercube_eval_chunk(payloads, query)
-    same(hypercube_eval_chunk(payloads, query), want)
+    same(per_server(hypercube_eval_chunk(chunk_of(payloads), query)), want)
     if kind == "empty-atom":
         assert any(not len(result[0]) for result in want)
 
@@ -290,7 +298,7 @@ def test_eval_chunk_takes_the_row_rung_per_server():
     payloads.append([[ones[:1], column_of(["k"])], [np.array([0]), ones[:1]], [ones[:1], ones[:1]]])
     payloads[1][0] = [c.astype(np.uint64) for c in payloads[1][0]]
     want = reference.hypercube_eval_chunk(payloads, query)
-    same(hypercube_eval_chunk(payloads, query), want)
+    same(per_server(hypercube_eval_chunk(chunk_of(payloads), query)), want)
     assert zip_rows(want[-2]) == [(1, BIG, 1)] * 8 and zip_rows(want[-1]) == []
     assert want[1][0].dtype == np.uint64  # the plan keeps a server's dtype
 
@@ -373,16 +381,28 @@ def test_a_semijoin_wave_makes_one_membership_test_per_reducer(monkeypatch):
 
 @pytest.fixture
 def swap_in_reference(monkeypatch):
-    """Switch the three tasks to the per-payload reference (and back)."""
+    """Switch the three tasks to the per-payload reference (and back): each
+    chunk is cut into its servers' payloads and their results are stacked
+    back into one table."""
+    def per_payload(fn, regroup=tuple):
+        def task(chunks, common):
+            out = []
+            for chunk in chunks:
+                results = fn([regroup(p) for p in zip(*map(per_server, chunk))], common)
+                out.append(([concatenated(c) for c in zip(*results)],
+                            np.cumsum([0, *(len(result[0]) for result in results)])))
+            return out
+        return task
+
     def swap():
         tasks.resolve("join.fragments")  # populate before overriding
         for name, fn in (
-            ("join.fragments", reference.join_fragment_chunk),
-            ("semijoin.filter", reference.semijoin_filter_chunk),
-            ("hypercube.eval", reference.hypercube_eval_chunk),
+            ("join.fragments", per_payload(reference.join_fragment_chunk)),
+            ("semijoin.filter", per_payload(
+                reference.semijoin_filter_chunk, lambda p: (p[:-2], p[-2], p[-1]))),
+            ("hypercube.eval", per_payload(reference.hypercube_eval_chunk)),
         ):
             monkeypatch.setitem(tasks._REGISTRY, name, fn)
-        monkeypatch.setattr(joins_base, "join_fragment_chunk", reference.join_fragment_chunk)
     return swap
 
 
@@ -473,6 +493,92 @@ def test_process_workers_pass_their_ranges_the_same_way(name, messages):
     assert psm_segments() <= before
 
 
+# ------------------------------------------------ worker cuts at uneven bounds
+
+def _floats(rng, n):
+    return column_of([float(v) for v in rng.integers(1, 9, n)])
+
+
+# Per task: its fragments as (name, column builders), and its common.
+LOCAL_STEPS = {
+    "join.fragments": ([("L", 2), ("R", 2)], JOIN_COMMONS[1]),
+    "semijoin.filter": ([("K0", 1), ("K1", 1), ("T@j", 2), ("T@stay", 2)], ((1,), ((2,), (3,)))),
+    "hypercube.eval": ([("R@hc", 2), ("S@hc", 2), ("T@hc", 2)], triangle_query()),
+    "matmul.partials": ([("A@j", 3), ("B@j", 3)], None),
+    "matmul.sums": ([("P@j", 3)], None),
+    "psrs.sort": ([("U", 2)], None),
+}
+
+
+def _place(cluster, task, workers, seed):
+    """Random fragments for ``task`` on every server, but none on the two
+    servers on either side of each edge between the workers' ranges."""
+    from repro.exec.base import chunk_bounds
+    from repro.mpc.server import ChunkedColumns
+
+    p = cluster.p
+    edges = {start for start, _ in chunk_bounds(p, workers)} - {0}
+    empty = {sid for edge in edges for sid in (edge - 1, edge)}
+    rng = np.random.default_rng(seed + 97 * p + workers)
+    position = 0
+    for server in cluster.servers:
+        if server.sid in empty:
+            continue
+        for name, arity in LOCAL_STEPS[task][0]:
+            n = int(rng.integers(0, 7))
+            columns = [ints(rng, n, 0, 5) for _ in range(arity)]
+            if name in ("A@j", "B@j", "P@j"):
+                columns[2] = _floats(rng, n)
+            if name == "U":
+                columns[1] = np.arange(position, position + n)
+                position += n
+            server.put(name, ChunkedColumns([[column] for column in columns]))
+    return empty
+
+
+def _step(task, p, workers, backend):
+    from repro.mpc.cluster import Cluster
+
+    cluster = Cluster(p)
+    empty = _place(cluster, task, workers, seed=3)
+    with use_backend(backend, workers=workers):
+        columns, bounds = cluster.compute(task, *LOCAL_STEPS[task])
+    return [(c.dtype, c.tolist()) for c in columns], bounds.tolist(), empty
+
+
+@pytest.fixture(scope="class")
+def pools_closed_after():
+    yield
+    from repro.exec.pool import shutdown_pools
+
+    shutdown_pools()
+
+
+@pytest.mark.usefixtures("pools_closed_after")
+class TestUnevenWorkerCuts:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 5, 8, 13])
+    @pytest.mark.parametrize("task", sorted(LOCAL_STEPS))
+    def test_every_task_gives_the_inline_table_on_any_cut(self, task, p, workers):
+        inline = _step(task, p, workers, "inline")
+        process = _step(task, p, workers, "process")
+        assert process == inline
+        table, bounds, empty = inline
+        assert len(bounds) == p + 1 and bounds[-1] == len(table[0][1])
+        assert all(bounds[sid] == bounds[sid + 1] for sid in empty)  # a server left empty
+
+    @pytest.mark.parametrize("task", sorted(LOCAL_STEPS))
+    def test_a_local_step_concatenates_each_fragment_column_once(self, task, monkeypatch):
+        from repro.mpc import cluster as cluster_module
+
+        calls = []
+        real = cluster_module.concatenated
+        monkeypatch.setattr(cluster_module, "concatenated",
+                            lambda blocks: calls.append(len(blocks)) or real(blocks))
+        _step(task, 8, 1, "inline")
+        assert len(calls) == sum(arity for _, arity in LOCAL_STEPS[task][0])
+
+
 def test_result_slices_alias_no_catalog_array():
     rels = relations()
     catalog = [c for rel in rels.values() for c in rel.columns()]
@@ -485,7 +591,7 @@ def test_result_slices_alias_no_catalog_array():
         assert all(not c.flags.writeable for c in second.columns())  # shareable read-only
     payloads = join_payloads(8, 1, "duplicates")
     inputs = [c for l_cols, r_cols in payloads for c in (*l_cols, *r_cols)]
-    for result in join_fragment_chunk(payloads, JOIN_COMMONS[1]):
+    for result in per_server(join_fragment_chunk(chunk_of(payloads), JOIN_COMMONS[1])):
         assert not any(np.shares_memory(column, c) for column in result for c in inputs)
 
 

@@ -91,8 +91,8 @@ def test_int_inputs_travel_without_one_tuple_being_asked_for(name, monkeypatch):
 
         monkeypatch.setattr(owner, method, counting)
     clusters = []
-    real_init, real_clear = Cluster.__init__, Cluster._clear
-    stored = []  # what each step or pool held when it ended
+    real_init, real_clear, real_finish = Cluster.__init__, Cluster._clear, Cluster._finish_round
+    stored = []  # what the servers held after each barrier, and when each step or pool ended
 
     def recording_init(self, *args, **kwargs):
         clusters.append(self)
@@ -102,8 +102,13 @@ def test_int_inputs_travel_without_one_tuple_being_asked_for(name, monkeypatch):
         stored.extend(part for server in self.servers for part in server.storage.values())
         real_clear(self)
 
+    def recording_finish(self, rnd):
+        real_finish(self, rnd)
+        stored.extend(part for server in self.servers for part in server.storage.values())
+
     monkeypatch.setattr(Cluster, "__init__", recording_init)
     monkeypatch.setattr(Cluster, "_clear", recording_clear)
+    monkeypatch.setattr(Cluster, "_finish_round", recording_finish)
 
     relations = _hub_inputs() if name == "skew" else _int_inputs()
     clear_memo()

@@ -29,7 +29,9 @@ from repro.multiway.hypercube import hypercube_eval_chunk, hypercube_join
 from repro.query.cq import Atom, ConjunctiveQuery, path_query, triangle_query
 from repro.testing import chunk_reference
 from repro.testing.oracle import oracle_join
-from tests.holdings import P_VALUES, assert_one_answer, hold, observe, scalar_rung, variants
+from tests.holdings import (
+    P_VALUES, assert_one_answer, chunk_of, hold, observe, per_server, scalar_rung, variants,
+)
 
 TRIANGLE = {
     "R": (["x", "y"], [(i % 6, (i * 5) % 7) for i in range(40)]),
@@ -237,17 +239,19 @@ def test_the_tasks_take_and_return_column_blocks():
         "T": [np.array([4, 5]), np.array([1, 2])],
     }
     payload = [[cols[a.name] for a in query.atoms]]
-    [got] = hypercube_eval_chunk(payload, query)
+    columns, bounds = hypercube_eval_chunk(chunk_of(payload), query)
+    [got] = per_server((columns, bounds))
     [want] = chunk_reference.hypercube_eval_chunk(payload, query)
-    assert isinstance(got, tuple)
+    assert all(isinstance(c, np.ndarray) for c in columns) and bounds.tolist() == [0, 2]
     assert [c.tolist() for c in got] == [c.tolist() for c in want] == [[1, 2], [3, 3], [4, 5]]
 
     t_cols = [np.array([1, 2, 3]), np.array([7, 8, 9])]
     keys = [[np.array([8, 9])], [np.array([9, 7])]]
     stay = [np.array([4, 5]), np.array([6, 6])]
     for alive in ((), ((6,),)):
-        [kept] = semijoin_filter_chunk([(keys, t_cols, stay)], ((1,), alive))
+        table = semijoin_filter_chunk(chunk_of([(*keys, t_cols, stay)]), ((1,), alive))
+        [kept] = per_server(table)
         [want] = chunk_reference.semijoin_filter_chunk([(keys, t_cols, stay)], ((1,), alive))
-        assert isinstance(kept, tuple)
+        assert all(isinstance(c, np.ndarray) for c in table[0])
         assert [c.tolist() for c in kept] == [c.tolist() for c in want]
     assert [c.tolist() for c in kept] == [[3, 4, 5], [9, 6, 6]]

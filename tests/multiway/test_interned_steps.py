@@ -283,3 +283,51 @@ def test_only_byte_exact_recovery_looks_up_interned_steps(recovery, exact, steps
         _same_bytes(run.output, clean.output)
         for _, output, value in steps:
             _same_bytes(value, output)
+
+
+def _set_semantics_ghd():
+    """A 4-path decomposition that reuses R2 and R3, with connected covers,
+    and one bag that drops an attribute of its cover's join."""
+    from repro.query.ghd import GHD, GHDNode
+
+    query = path_query(4)
+    root = GHDNode(bag=frozenset({"A1", "A2", "A3"}), cover=("R2", "R3"))
+    root.children.append(GHDNode(bag=frozenset({"A0", "A1"}), cover=("R1", "R2")))
+    root.children.append(GHDNode(bag=frozenset({"A2", "A3", "A4"}), cover=("R3", "R4")))
+    ghd = GHD(query, root)
+    assert ghd.verify()
+    return ghd
+
+
+def test_a_set_semantics_gym_repeat_replays_too():
+    # A GHD that reuses atoms runs GYM under set semantics, deduplicating its
+    # covers and projected bags: those copies are views of their relations,
+    # so a repeat's steps get the very inputs of the first run and replay.
+    query, rels = _path()
+    clear_memo()
+    cold = gym(query, rels, 8, ghd=_set_semantics_ghd())
+    warm = gym(query, rels, 8, ghd=_set_semantics_ghd())
+    assert cold.details["set_semantics"]
+    memo = warm.stats.memo
+    assert (memo.partition_misses, memo.view_misses, memo.hash_ops) == (0, 0, 0), memo.summary()
+    assert cold.stats.memo.partition_misses > 0
+    _same_bytes(warm.output, cold.output)
+    assert _shape(warm) == _shape(cold)
+
+
+def test_a_balanced_path_repeat_replays_its_deduplicated_covers():
+    # path_balanced_ghd(5)'s root covers R1, R3 and R5, which share no
+    # attribute: their grid products outgrow their inputs, so they are never
+    # interned (and the grid lines are hashed again), but every step over a
+    # deduplicated cover replays.
+    from repro.query.ghd import path_balanced_ghd
+
+    query, rels = _path(n=40, atoms=5)
+    clear_memo()
+    cold = gym(query, rels, 8, ghd=path_balanced_ghd(5))
+    warm = gym(query, rels, 8, ghd=path_balanced_ghd(5))
+    assert cold.details["set_semantics"]
+    assert warm.stats.memo.partition_hits >= 12
+    assert warm.stats.memo.partition_misses < cold.stats.memo.partition_misses
+    _same_bytes(warm.output, cold.output)
+    assert _shape(warm) == _shape(cold)

@@ -90,6 +90,23 @@ class TestTwoPathPlan:
 
 
 class TestTriangleHLSemijoin:
+    def test_splits_z_by_column_masks_not_row_predicates(self, monkeypatch):
+        # The light rows and each heavy z's rows are found by one grouping
+        # of the z columns: no per-row Python predicate runs.
+        hub_edges = [(i, 0) for i in range(1, 80)] + [(0, i) for i in range(1, 40, 3)]
+        e = Relation("E", ["u", "v"], sorted(set(hub_edges + [(0, 1), (1, 2), (2, 0)])))
+        r, s, t = triangle_relations(e)
+        expected = triangle_query().evaluate({"R": r, "S": s, "T": t})
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Relation.select ran")
+
+        monkeypatch.setattr(Relation, "select", refused)
+        run = triangle_hl_semijoin(r, s, t, p=8)
+        assert 0 in run.details["heavy_z"]
+        assert sorted(run.output.rows()) == sorted(expected.rows())
+        assert len(run.output) == count_triangles(e)
+
     def test_correctness_random(self):
         edges = random_edges(250, 30, seed=2)
         r, s, t = triangle_relations(edges)

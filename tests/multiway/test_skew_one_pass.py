@@ -38,7 +38,9 @@ from repro.multiway.skewhc import skewhc_join
 from repro.query.cq import path_query, star_query, triangle_query, two_way_join
 from repro.testing.oracle import oracle_join
 from repro.testing.skew_reference import reference_heavy_products, reference_skewhc
-from tests.holdings import P_VALUES, assert_one_answer, hold, holdings, scalar_rung, variants
+from tests.holdings import (
+    P_VALUES, assert_one_answer, hold, holdings, per_server, scalar_rung, variants,
+)
 from tests.multiway import skew_goldens as goldens
 
 GOLDEN = json.loads(goldens.GOLDEN.read_text())
@@ -408,5 +410,5 @@ def test_a_result_that_views_its_input_survives_the_worker():
         cluster = Cluster(3)
         for i, server in enumerate(cluster.servers):
             server.put("R@hc", ChunkedColumns([[np.array([8 + i, 6])]]))
-        results = cluster.compute("hypercube.eval", [("R@hc", 1)], query)
-    assert [columns[0].tolist() for columns in results] == [[8, 6], [9, 6], [10, 6]]
+        table = cluster.compute("hypercube.eval", [("R@hc", 1)], query)
+    assert [columns[0].tolist() for columns in per_server(table)] == [[8, 6], [9, 6], [10, 6]]

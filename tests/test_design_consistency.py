@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -263,15 +264,22 @@ class TestSkewOnePassLint:
 
 
 class TestChunkPassLint:
-    """The chunk, not the server, is the unit of local work: the three
-    per-server tasks run their payloads — columns only — as one kernel
-    pass keyed on ``(server, key)``; the per-payload bodies live in
-    ``repro/testing/chunk_reference.py`` as the reference only."""
+    """The chunk, not the server, is the unit of local work: the cluster
+    hands every task one table per fragment — its servers' rows in server
+    order, with their row bounds — and each task runs one pass over it and
+    returns one table and its bounds; the per-payload bodies of the three
+    relational ones live in ``repro/testing/chunk_reference.py`` as the
+    reference only."""
 
     TASKS = {
         "joins/base.py": "join_fragment_chunk",
         "multiway/base.py": "semijoin_filter_chunk",
         "multiway/hypercube.py": "hypercube_eval_chunk",
+    }
+    ALL_TASKS = {
+        **TASKS,
+        "matmul/sql.py": ("matmul_partials_chunk", "matmul_sums_chunk"),
+        "sorting/psrs.py": "psrs_sort_chunk",
     }
 
     def _task(self, name, function):
@@ -281,23 +289,38 @@ class TestChunkPassLint:
         return node
 
     def test_no_relation_is_built_per_payload(self):
-        for name, function in self.TASKS.items():
-            task = self._task(name, function)
-            for loop in ast.walk(task):
-                if isinstance(loop, ast.For) and "payloads" in ast.unparse(loop.iter):
-                    assert "from_columns(" not in ast.unparse(loop), name
-            calls = {ast.unparse(n.func) for n in ast.walk(task) if isinstance(n, ast.Call)}
-            assert "cut_at_tags" in calls, (name, calls)
-            assert calls & {"stacked", "stack_tagged"}, (name, calls)
+        # (Named for the per-payload relations a task once built: now no
+        # registered task loops over its servers at all.)
+        from repro.exec import tasks
+
+        tasks.resolve("join.fragments")
+        registered = {fn.args[0].__name__ for fn in tasks._REGISTRY.values()
+                      if isinstance(fn, functools.partial)}  # tests register plain ones
+        listed = set()
+        for name, functions in self.ALL_TASKS.items():
+            for function in (functions,) if isinstance(functions, str) else functions:
+                listed.add(function)
+                task = self._task(name, function)
+                iterables = [ast.unparse(n.iter) for n in ast.walk(task)
+                             if isinstance(n, (ast.For, ast.comprehension))]
+                assert not [i for i in iterables if re.search(r"bounds|payload|server|range", i)], (
+                    function, iterables)
+                calls = {ast.unparse(n.func) for n in ast.walk(task) if isinstance(n, ast.Call)}
+                assert calls & {"server_column", "served"}, (function, calls)
+        assert listed == registered
 
     def test_the_tag_coding_has_one_definition(self):
+        # (Named for the tag column the tasks once stacked and cut: the
+        # bounds-to-server conversion is defined once, in the cluster.)
         for pattern, home in (
-            (r"\nTAG = ", "kernels/join.py"),
-            (r"def (stack_tagged|cut_at_tags)\(", "kernels/join.py"),
-            (r"def stacked\(", "joins/base.py"),
-            (r"np\.bincount\(columns\[0\]", "kernels/join.py"),
+            (r"def (server_column|row_bounds|_table)\(", "mpc/cluster.py"),
+            (r"np\.repeat\(np\.arange\(len\(bounds\)", "mpc/cluster.py"),
+            (r"\nSERVER = ", "mpc/cluster.py"),
+            (r"def served\(", "joins/base.py"),
         ):
             assert _files_matching(pattern) == [home], pattern
+        removed = r"\bstack_tagged\b|\bcut_at_tags\b|\bSERVER_ID\b|def stacked\(|\nTAG = "
+        assert _files_matching(removed) == []
 
     def test_the_reference_bodies_moved_not_copied(self):
         reference = (ROOT / "src" / "repro" / "testing" / "chunk_reference.py").read_text()
