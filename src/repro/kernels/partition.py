@@ -137,6 +137,14 @@ def grid_codes(
     return shrink(base, grid_size), grid_size, offsets, list(hashed.values())
 
 
+def slice_sizes(keys: np.ndarray, counts: np.ndarray, salt: int, extent: int) -> np.ndarray:
+    """Per grid coordinate, the rows a degree view's ``keys`` (each held
+    ``counts`` times) hash to with ``salt`` over ``extent`` buckets: a
+    planner's look at one dimension of a HyperCube route, whose rows are
+    not counted in any cluster's ``hash_ops``."""
+    return np.bincount(bucket_value_column(keys, salt, extent), counts, minlength=extent)
+
+
 def try_route(
     rnd: "RoundContext", data: Sequence[np.ndarray], key_idx: Sequence[int],
     h: "HashFunction", fragment: str,

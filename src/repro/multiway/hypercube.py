@@ -18,13 +18,14 @@ one-round algorithms on skew-free data (slide 36 for the triangle).
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Mapping, Sequence
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.kernels.memo import align, bound, route_scattered_grid
-from repro.kernels.partition import try_route_grid
+from repro.kernels.memo import align, bound, degree_view, route_scattered_grid
+from repro.kernels.partition import slice_sizes, try_route_grid
 from repro.mpc.cluster import Cluster, row_bounds
 from repro.mpc.server import Server, held
 from repro.mpc.topology import Grid
@@ -55,6 +56,36 @@ def evaluate_pools(
         (Relation.from_columns("OUT", list(query.variables), columns), bounds)
         for (_servers, query), (columns, bounds) in zip(pools, tables)
     ]
+
+
+def priced_load(
+    query: ConjunctiveQuery,
+    relations: Mapping[str, Relation],
+    shares: Mapping[str, int],
+    salts: Mapping[str, int],
+) -> float:
+    """The load a HyperCube round on the grid ``shares`` puts on a server,
+    read off the degree views where its hash functions send them.
+
+    Per atom R it is the larger of the even spread |R| / Π s and, for each
+    variable v with a share above 1 and a salt, R's heaviest v-slice — the
+    rows whose v-value hashes (with ``salts[v]``, as the round does) to one
+    coordinate — over the atom's other shares: a heavy value of degree m
+    lands whole on one slice (arXiv:1401.1872). A server receives every
+    atom's fragment, so the query's price is the sum over atoms.
+    """
+    load = 0.0
+    for atom in query.atoms:
+        rel = relations[atom.name]
+        cells = math.prod(shares[v] for v in atom.variables)
+        worst = len(rel) / cells
+        for v in atom.variables:
+            if shares[v] > 1 and v in salts:
+                (keys,), counts = degree_view(rel, rel.schema.indices((v,)))
+                heaviest = float(slice_sizes(keys, counts, salts[v], shares[v]).max())
+                worst = max(worst, heaviest / (cells // shares[v]))
+        load += worst
+    return load
 
 
 def hypercube_join(

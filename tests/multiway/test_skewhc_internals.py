@@ -4,8 +4,14 @@ import pytest
 
 from repro.data.relation import Relation
 from repro.errors import QueryError
-from repro.multiway.skewhc import _build_job, _residual_jobs, find_heavy_values, skewhc_join
+from repro.multiway.skewhc import _residual_jobs, find_heavy_values, skewhc_join
 from repro.query.cq import triangle_query, two_way_join
+
+
+def _build_job(query, relations, heavy, bound):
+    """The residual job of one combination, or None if provably empty."""
+    jobs = _residual_jobs(query, relations, heavy, max_combinations=2**62)
+    return next((job for job in jobs if job.bound == bound), None)
 
 
 def tiny_triangle():

@@ -90,6 +90,9 @@ class TestApplicability:
         assert not explain.acyclic
 
     def test_skew_voids_hypercube_guarantee(self):
+        # Skew voids HyperCube's guarantee, not its candidacy: it is priced
+        # where its hash functions send the one value's rows, and the skew
+        # join that still wins measures lower.
         rels = {
             "R": single_value_relation("R", ["x", "y"], 100, "y"),
             "S": single_value_relation("S", ["y", "z"], 100, "y"),
@@ -97,8 +100,11 @@ class TestApplicability:
         explain = plan_query("R(x, y), S(y, z)", rels, p=8)
         assert explain.statistics.skewed
         hypercube = explain.candidate("hypercube")
-        assert not hypercube.applicable
-        assert "heavy hitters" in hypercube.reason
+        assert hypercube.applicable and hypercube.predicted_load == 200.0
+        assert explain.chosen == "skew"
+        loads = {s: execute_strategy("R(x, y), S(y, z)", rels, 8, s)[1].max_load
+                 for s in ("skew", "hypercube")}
+        assert loads["skew"] < loads["hypercube"] == 200
 
 
 class TestCanonicalChoices:
@@ -132,14 +138,18 @@ class TestCanonicalChoices:
         assert explain.chosen == "hypercube"
 
     def test_skewed_triangle_picks_skewhc(self):
+        # HyperCube is priced where its hash functions send the heavy
+        # values, SkewHC by its own plan: here HyperCube prices and
+        # measures lower.
         r = skewed_relation("R", ["x", "y"], 500, "y", universe=60, s=1.4, seed=3)
         s = skewed_relation("S", ["y", "z"], 500, "y", universe=60, s=1.4, seed=4)
         t = uniform_relation("T", ("z", "x"), 500, 60, seed=5)
-        explain = plan_query(
-            "R(x, y), S(y, z), T(z, x)", {"R": r, "S": s, "T": t}, p=8
-        )
+        query, rels = "R(x, y), S(y, z), T(z, x)", {"R": r, "S": s, "T": t}
+        explain = plan_query(query, rels, p=8)
         assert explain.statistics.skewed
-        assert explain.chosen == "skewhc"
+        assert explain.chosen == "hypercube"
+        loads = {s: execute_strategy(query, rels, 8, s)[1].max_load for s in ("hypercube", "skewhc")}
+        assert loads["hypercube"] < loads["skewhc"]
 
     def test_chosen_minimizes_predicted_load(self):
         explain = plan_query("R(x, y), S(y, z)", _two_way_uniform(), p=8)
