@@ -6,7 +6,10 @@ arrays** (run this file as a script with that commit's ``src`` on
 The four instances whose SkewHC grid moved when the shares became the
 optimum over every grid (``explain-chain`` at p = 3 and 8, ``path4-600``
 and ``path4-2000`` at p = 3) were re-captured at that change, and only
-they. Per case and per p in {1, 3, 8}:
+they; so were the 22 whose candidates moved when HyperCube and SkewHC
+came to be priced by what their runs do (HyperCube a candidate under
+skew), only their ``candidates`` and ``chosen``. Per case and per p in
+{1, 3, 8}:
 
 - the full :class:`~repro.planner.statistics.QueryStatistics` (per
   relation ``heavy``/``max_degree``, ``heavy_join_values``,
