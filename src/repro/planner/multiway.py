@@ -68,13 +68,17 @@ def plan_multiway_join(
     relations: Mapping[str, Relation],
     p: int,
     out_estimate: int | None = None,
+    seed: int = 0,
 ) -> MultiwayPlan:
     """The optimizer's cheapest strategy for this query and input profile.
 
     ``out_estimate`` defaults to the exact output size (the simulator
     can afford it); pass a sketch-based estimate to model a real engine.
+    ``seed`` is the run's: under skew the hashed plans are priced by its
+    hash functions, so this is the plan :func:`execute_multiway_join`
+    runs at that seed.
     """
-    explain = plan_query(query, relations, p, out_estimate=out_estimate)
+    explain = plan_query(query, relations, p, out_estimate=out_estimate, seed=seed)
     return MultiwayPlan.view(explain, explain.chosen)
 
 

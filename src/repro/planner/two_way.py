@@ -93,10 +93,11 @@ def _two_atom_query(
     return query, {"R": r, "S": s}
 
 
-def plan_two_way_join(r: Relation, s: Relation, p: int) -> TwoWayPlan:
-    """The optimizer's cheapest strategy for R ⋈ S on ``p`` servers."""
+def plan_two_way_join(r: Relation, s: Relation, p: int, seed: int = 0) -> TwoWayPlan:
+    """The optimizer's cheapest strategy for R ⋈ S on ``p`` servers, priced
+    by the hash functions of a run at ``seed``."""
     query, relations = _two_atom_query(r, s)
-    explain = plan_query(query, relations, p)
+    explain = plan_query(query, relations, p, seed=seed)
     return TwoWayPlan.view(explain, explain.chosen, r, s)
 
 

@@ -122,13 +122,14 @@ def _atom_products(query: ConjunctiveQuery, names: list[str], grids: np.ndarray)
 def _first_minimum(query: ConjunctiveQuery, sizes: dict[str, int], names: list[str],
                    grids: np.ndarray, products: np.ndarray) -> tuple[dict[str, int], float]:
     """The first of ``grids`` minimizing (worst atom load, total load summed
-    in atom order), and its worst load. Grids listed in name order break
+    from the smallest), and its worst load. Grids listed in name order break
     the last ties by shares, so the text's atom and variable order cannot
-    matter. Products of shares are integers ≤ p, exact in p's type, so each
-    quotient is exactly ``size / Π shares``.
+    matter: not even through rounding, as each grid's loads are summed in
+    one order. Products of shares are integers ≤ p, exact in p's type, so
+    each quotient is exactly ``size / Π shares``.
     """
     loads = np.array([[sizes[a.name]] for a in query.atoms], dtype=np.float64) / products
-    total, worst = functools.reduce(np.add, loads), np.maximum.reduce(loads)
+    total, worst = np.sort(loads, axis=0).sum(axis=0), np.maximum.reduce(loads)
     best = int(np.lexsort((total, worst))[0])
     shares = dict(zip(names, grids[:, best].tolist()))
     return {v: shares[v] for v in query.variables}, float(worst[best])

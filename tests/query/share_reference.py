@@ -51,11 +51,12 @@ def _round_shares(query: ConjunctiveQuery, sizes: dict[str, int], p: int,
             # order atoms/variables appear in the query text: among grids
             # with the same worst atom load, prefer the lower *total*
             # replication (what every server sums over its atoms), then
-            # the name-lexicographic share vector.
-            total = sum(
+            # the name-lexicographic share vector. The total is summed from
+            # the smallest load, so rounding cannot depend on atom order.
+            total = sum(sorted(
                 sizes[a.name] / math.prod(shares[v] for v in a.variables)
                 for a in query.atoms
-            )
+            ))
             rank = (load, total, tuple(shares[v] for v in sorted(variables)))
             if best_rank is None or rank < best_rank:
                 best_rank = rank

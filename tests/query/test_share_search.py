@@ -158,7 +158,7 @@ def brute_force(query, sizes, p):
     def rank(grid):
         shares = dict(zip(names, grid))
         loads = [sizes[a.name] / math.prod(shares[v] for v in a.variables) for a in query.atoms]
-        return max(loads), sum(loads), grid
+        return max(loads), sum(sorted(loads)), grid
 
     worst, _, grid = min(map(rank, every_grid(len(names), p)))
     return dict(zip(names, grid)), worst
@@ -207,6 +207,18 @@ def test_the_floor_fallback_ends_when_the_top_ratio_sits_on_a_share_of_one():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout == "{'a': 1, 'b': 4}\n", result.stderr
+
+
+def test_atom_order_cannot_break_a_tie_through_rounding():
+    # Grids x=3 and y=3 both load the atoms 28/3, 11/3 and 11: the same
+    # total, which summed in atom order rounds differently for R, T, S.
+    sizes = {"R": 28, "S": 11, "T": 11}
+    atoms = {"R": Atom("R", ["x", "y"]), "S": Atom("S", ["y", "z"]), "T": Atom("T", ["z", "x"])}
+    for order in ("RST", "RTS", "SRT", "TSR"):
+        query = ConjunctiveQuery([atoms[name] for name in order])
+        assert optimal_shares(query, sizes, 3).integral == {"x": 1, "y": 3, "z": 1}, order
+        assert _round_shares(query, sizes, 3, {"x": 1.5, "y": 1.5, "z": 1.0}, 200_000) == {
+            "x": 1, "y": 3, "z": 1}, order
 
 
 def test_the_grid_table_lists_every_grid_in_order():
