@@ -356,7 +356,7 @@ def _plan(
     # ----- one-round share-based algorithms
     hypercube_load = _hypercube_predicted_load(cq, relations, skewed, p, seed)
     add("hypercube", hypercube_load, 1, 4.0, p + 8.0)
-    # On two atoms SkewHC is the skew join's heavy/light split: one price,
+    # On two atoms SkewHC is the skew join (execute_strategy runs it): one price,
     # and the tie goes to the specialist by precedence. On more atoms it is
     # priced by its own plan, which its run then replays.
     try:
@@ -451,22 +451,18 @@ def execute_strategy(
     if len(atoms) == 1:
         raise QueryError("single-atom queries only support the 'scan' strategy")
 
+    shared = len(atoms) == 2 and set(atoms[0].variables) & set(atoms[1].variables)
+    if strategy == "skewhc" and shared:
+        strategy = "skew"  # SkewHC on two atoms is the skew join: one run
     if strategy in _TWO_WAY_RUNNERS:
         if len(atoms) != 2:
             raise QueryError(f"{strategy} applies to two-atom queries only")
-        shared = set(atoms[0].variables) & set(atoms[1].variables)
         if strategy == "cartesian" and shared:
             raise QueryError("cartesian applies only when the atoms share no variables")
         if strategy != "cartesian" and not shared:
             raise QueryError(f"{strategy} needs a shared join variable")
         left, right = (bindings[a.name] for a in atoms)
-        if strategy == "skew":
-            # Peel at the statistics' per-relation m/p rule
-            # (arXiv:1401.1872) rather than skew_join's IN/p default, so
-            # the values the cost model priced as grid products are the
-            # ones the executor actually peels — an IN/p cut leaves
-            # joint degrees up to 2·IN/p in the light hash join, voiding
-            # the prediction.
+        if strategy == "skew":  # at the m/p rule the statistics price
             threshold = (len(left) / p, len(right) / p)
             run = skew_join(left, right, p, seed=seed, threshold=threshold)
         else:

@@ -188,13 +188,14 @@ def test_no_row_list_is_built_before_the_caller_asks(monkeypatch):
 
 
 class TestSkewJoinSplitsWithAMask:
-    """The light/heavy split and OUT assembly re-tuple nothing, yet the
-    output is row for row what the per-row lambda produced."""
+    """The light/heavy split (SkewHC's per-atom restrictions) and OUT
+    assembly re-tuple nothing, yet the output is row for row what the
+    per-row lambda produced."""
 
     @staticmethod
     def _lambda_light(rel, idx, heavy):
         return [row for row in rel.rows_readonly()
-                if tuple(row[i] for i in idx) not in heavy]
+                if not any(row[i] in heavy for i in idx)]
 
     @pytest.mark.parametrize("case", ["mixed", "all-heavy", "no-heavy"])
     @pytest.mark.parametrize("how", ["columns", "rows", "borrowed"])
@@ -219,16 +220,20 @@ class TestSkewJoinSplitsWithAMask:
             assert all(column.dtype == np.int64 for column in got.output.columns())
 
     def test_light_part_is_the_lambda_selection(self):
-        from repro.joins.skew_join import _light_part
+        # The light part is the atom's all-light restriction: no variable
+        # holds one of its heavy values.
+        from repro.multiway.skewhc import _atom_view
+        from repro.query.cq import Atom
 
         rows = [(i, i % 5, i % 3) for i in range(60)]
-        heavy = [(0, 0), (1, 1)]
+        atom = Atom("R", ["x", "a", "b"])
         for how in ("columns", "rows", "borrowed"):
             rel = hold("R", ["x", "a", "b"], rows, how)
-            light = _light_part(rel, ("a", "b"), heavy)
-            assert light.rows_readonly() == self._lambda_light(rel, (1, 2), set(heavy))
+            light = _atom_view(rel, atom, {"x": [], "a": [0, 1], "b": [0, 1]})[0, 0, 0]
+            assert light.rows_readonly() == self._lambda_light(rel, (1, 2), {0, 1})
             assert all(column.dtype == np.int64 for column in light.columns())
-            assert _light_part(rel, ("a", "b"), []) is rel
+            whole = _atom_view(rel, atom, {"x": [], "a": [], "b": []})[0, 0, 0]
+            assert all(a is b for a, b in zip(whole.columns(), rel.columns()))
         strings = Relation("R", ["x", "a"], [(i, f"k{i % 3}") for i in range(9)])
-        light = _light_part(strings, ("a",), [("k0",)])
-        assert light.rows_readonly() == self._lambda_light(strings, (1,), {("k0",)})
+        light = _atom_view(strings, Atom("R", ["x", "a"]), {"x": [], "a": ["k0"]})[0, 0]
+        assert light.rows_readonly() == self._lambda_light(strings, (1,), {"k0"})

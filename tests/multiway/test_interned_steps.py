@@ -2,10 +2,11 @@
 
 Each step output that a later step of the same query routes is interned
 in the view cache under its derivation (the inputs' identities and
-tokens, the step kind, the pool size, the hash seed), and the skew
-join's light parts are views of their relation. So a repeat over
+tokens, the step kind, the pool size, the hash seed). So a repeat over
 unchanged inputs is handed the objects the first run produced, and every
-route and view of them replays: no partition or view miss, no hash op. The step
+route and view of them replays: no partition or view miss, no hash op.
+The skew join is one step, SkewHC's residual plan: a repeat replays the
+plan and hands nothing on. The step
 still runs in full, so output, ``received`` lists, L and r are the cold
 run's. The interned object equals what the step just gathered, and the
 query's final output is never pinned. Neither is an output larger than
@@ -15,7 +16,6 @@ after the route.
 """
 
 import gc
-import importlib
 import sys
 import threading
 import weakref
@@ -33,8 +33,6 @@ from repro.multiway.gym import gym
 from repro.multiway.reduced import reduced_hypercube
 from repro.multiway.semijoin import two_path_semijoin_plan
 from repro.query.cq import path_query
-
-skew_join_module = importlib.import_module("repro.joins.skew_join")  # the package re-exports the function
 
 
 def _path(n=240, atoms=4, seed=3, domain=200):
@@ -57,9 +55,8 @@ def _two_path(seed=5):
 
 
 def _skewed(n=400, seed=1):
-    # Two hub keys of degree 120 in R, light in S: the light hash join and
-    # the heavy products side by side. (A key heavy on both sides gets a
-    # grid whose line hashes `replicate` recomputes on every run.)
+    # Two hub keys of degree 120 in R, light in S: the light residual and
+    # the hubs' residuals side by side.
     g = np.random.default_rng(seed)
     b = g.integers(10, 200, n)
     b[:240] = np.repeat([0, 1], 120)
@@ -88,18 +85,17 @@ ENTRY_POINTS = sorted(_entry_points())
 
 @pytest.fixture
 def handed_on(monkeypatch):
-    """Every interned step output or light part a run is handed, with what
-    the step just computed: ``(value, fresh)`` pairs."""
+    """Every interned step output a run is handed, with what the step just
+    computed: ``(value, fresh)`` pairs."""
     pairs = []
 
     def recording(rel, key_extra, build, stats=None):
         value = cached_view(rel, key_extra, build, stats)
-        if key_extra[0] in ("step", "light"):
+        if key_extra[0] == "step":
             pairs.append((value, build()))
         return value
 
-    for module in (multiway_base, skew_join_module):
-        monkeypatch.setattr(module, "cached_view", recording, raising=False)
+    monkeypatch.setattr(multiway_base, "cached_view", recording)
     return pairs
 
 
@@ -127,8 +123,10 @@ def test_a_warm_repeat_routes_nothing_anew_and_changes_nothing(name, handed_on):
     assert cold.stats.memo.partition_misses > 0  # the cold run built what the warm one replays
     _same_bytes(warm.output, cold.output)
     assert _shape(warm) == _shape(cold)
-    # Each repeat is handed the first run's object, equal to what it just computed.
-    assert handed_on and all(value is not fresh for value, fresh in handed_on)
+    # Each repeat is handed the first run's object, equal to what it just
+    # computed; the skew join's one step hands nothing on.
+    assert bool(handed_on) == (name != "skew_join")
+    assert all(value is not fresh for value, fresh in handed_on)
     for value, fresh in handed_on:
         _same_bytes(value, fresh)
 

@@ -86,9 +86,9 @@ class TestExecution:
         """One key of degree 200 on both sides, |R|=400, |S|=4000, p=16.
 
         The key is heavy by the m/p rule in R (200 > 25) but below
-        ``skew_join``'s IN/p default (275): an executor that announces
-        ``skew`` and then runs the default peels nothing and measures the
-        plain hash join's load.
+        ``skew_join``'s max(N)/p default (250): an executor that announces
+        ``skew`` and then runs the default peels nothing and measures about
+        the plain hash join's load.
         """
         from repro.joins import parallel_hash_join
         from repro.planner.optimizer import plan_query
@@ -107,6 +107,27 @@ class TestExecution:
         assert run.load < parallel_hash_join(r, s, 16).load
         explain = plan_query("R(x, y), S(y, z)", {"R": r, "S": s}, 16)
         assert explain.candidate("skew").within_envelope(run.load)
+
+    def test_forced_skew_and_skewhc_are_one_run(self):
+        """On two atoms SkewHC is the skew join: forcing either runs one
+        call at one threshold, byte for byte, on every two-atom instance
+        of the differential corpus."""
+        from repro.planner.optimizer import execute_strategy
+        from repro.testing.differential import generate_instances
+
+        instances = generate_instances(12, seed=5, kinds=["two_way"])
+        assert {instance.profile for instance in instances} == {"uniform", "zipf", "matching"}
+        for instance in instances:
+            (skew, skew_stats), (skewhc, skewhc_stats) = (
+                execute_strategy(instance.query, instance.relations, instance.p, strategy, seed=2)
+                for strategy in ("skew", "skewhc")
+            )
+            assert skew.schema == skewhc.schema, instance.label
+            assert skew.rows_readonly() == skewhc.rows_readonly(), instance.label
+            assert [(rd.label, rd.received) for rd in skew_stats.rounds] == \
+                [(rd.label, rd.received) for rd in skewhc_stats.rounds], instance.label
+            assert (skew_stats.max_load, skew_stats.num_rounds) == \
+                (skewhc_stats.max_load, skewhc_stats.num_rounds), instance.label
 
     def test_predicted_load_tracks_measured(self):
         r = uniform_relation("R", ["x", "y"], 800, 1600, seed=9)

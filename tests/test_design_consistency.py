@@ -257,7 +257,7 @@ class TestSkewOnePassLint:
 
     def test_the_reference_bodies_moved_not_copied(self):
         reference = (ROOT / "src" / "repro" / "testing" / "skew_reference.py").read_text()
-        for moved in ("_restrict_atom", "remap", "_packed_heavy_products", "_one_heavy_product"):
+        for moved in ("_restrict_atom", "remap"):
             assert f"def {moved}(" in reference
             assert not _files_matching(rf"def {moved}\(", ROOT / "src" / "repro" / "joins")
             assert not _files_matching(rf"def {moved}\(", ROOT / "src" / "repro" / "multiway")
