@@ -47,6 +47,38 @@ class TestAllocateServers:
         alloc = allocate_servers([5, 5, 5, 5], 9)
         assert sum(alloc) <= 9 + 4  # ≥1 floor may force a small overshoot
 
+    def test_strict_takes_back_what_the_floor_overshoots(self):
+        assert allocate_servers([100, 1, 1], 3) == [2, 1, 1]
+        assert allocate_servers([100, 1, 1], 3, strict=True) == [1, 1, 1]
+        assert allocate_servers([100, 7, 1, 1], 6, strict=True) == [3, 1, 1, 1]
+        assert allocate_servers([1] * 5, 3, strict=True) == [1] * 5  # forced
+
+
+class TestPeeling:
+    def test_only_the_join_key_is_peeled(self):
+        # x = 0 and z = 0 are heavy too, but only y's heavy keys take pools:
+        # the run lists at most p servers (it listed 23 at p = 8 when x and z
+        # were peeled as well).
+        rows = [(i, 0) for i in range(8)] + [(i, 1) for i in range(3)]
+        rows += [(0, 10 + i) for i in range(13)]
+        r = Relation("R", ["x", "y"], rows)
+        s = Relation("S", ["y", "z"], [(y, x) for x, y in rows])
+        run = skew_join(r, s, p=8)
+        assert sorted(run.output.rows()) == reference(r, s)
+        assert len(run.stats.pools) == 3 and sum(run.stats.pools) == 8
+        assert all(len(rd.received) <= 8 for rd in run.stats.rounds)
+
+    def test_at_most_p_minus_one_keys_the_largest(self):
+        # Ten heavy keys on four servers: the three largest take pools, the
+        # rest stay in the light residual's hash join.
+        r = Relation("R", ["x", "y"], [(i, i % 10) for i in range(100)]
+                     + [(-i, 3) for i in range(20)] + [(-i, 7) for i in range(10)])
+        s = Relation("S", ["y", "z"], [(i % 10, i) for i in range(100)] + [(5, -1)] * 15)
+        run = skew_join(r, s, p=4, threshold=5)
+        assert sorted(run.output.rows()) == reference(r, s)
+        assert len(run.stats.pools) == 4 and sum(run.stats.pools) == 4
+        assert all(len(rd.received) <= 4 for rd in run.stats.rounds)
+
 
 class TestCorrectness:
     def test_uniform_data(self):
